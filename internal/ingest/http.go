@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -35,13 +36,15 @@ func (a *Aggregator) Handler() http.Handler {
 			return
 		}
 		cPush.Inc()
-		lines, err := a.FoldReader(http.MaxBytesReader(w, req.Body, maxPushBytes))
+		// Count what was read: ContentLength is -1 for a chunked body.
+		body := countingReader{r: http.MaxBytesReader(w, req.Body, maxPushBytes)}
+		lines, err := a.FoldReader(&body)
 		if err != nil {
 			cPushErrs.Inc()
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		cPushBytes.Add(req.ContentLength)
+		cPushBytes.Add(body.n)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"lines\":%d}\n", lines)
 	})
@@ -59,6 +62,18 @@ func (a *Aggregator) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // maxPushBytes bounds one POST /ingest body (a session trace at the

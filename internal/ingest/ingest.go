@@ -24,7 +24,7 @@ package ingest
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"io"
 	"sort"
 	"sync"
@@ -180,11 +180,13 @@ const UnknownCohort = "unknown"
 // distinct SessionFolds may run concurrently.
 type SessionFold struct {
 	a       *Aggregator
-	cohort  string
+	ca      *cohortAgg // the session's cohort; nil until a header or maxPending settles it
 	pending []obs.Event
 
 	inOutage   bool
 	outageAtMS float64
+
+	one [1]obs.Event // Line's and Event's batch of one
 }
 
 // NewSession starts folding one session trace stream.
@@ -192,102 +194,125 @@ func (a *Aggregator) NewSession() *SessionFold {
 	return &SessionFold{a: a}
 }
 
-// Line folds one JSONL line. Malformed JSON counts as a bad line and
-// wrong-schema-version events are rejected (counted, never folded) —
-// the trace versioning policy in docs/OBSERVABILITY.md.
+// Line folds one JSONL line. Whitespace-only lines are skipped, malformed
+// JSON counts as a bad line, and wrong-schema-version events are rejected
+// (counted, never folded) — the trace versioning policy in
+// docs/OBSERVABILITY.md.
 func (sf *SessionFold) Line(line []byte) {
-	if len(line) == 0 {
-		return
-	}
-	var ev obs.Event
-	if err := json.Unmarshal(line, &ev); err != nil || ev.Kind == "" {
-		sf.a.evBadLines.Inc()
-		return
-	}
-	sf.Event(ev)
+	sf.foldBatch(sf.appendLine(sf.one[:0], line))
 }
 
 // Event folds one already-decoded event.
 func (sf *SessionFold) Event(ev obs.Event) {
-	a := sf.a
-	if ev.V != obs.TraceSchemaVersion {
-		a.evRejected.Inc()
-		return
-	}
-	a.evEvents.Inc()
-	if ev.Kind == obs.EvSession {
-		cohort := ev.Cohort
-		if cohort == "" {
-			cohort = UnknownCohort
-		}
-		// A new header mid-stream starts a new session (push bodies may
-		// concatenate several sessions back to back).
-		sf.closeSession()
-		sf.cohort = cohort
-		a.mu.Lock()
-		ca := a.cohort(cohort)
-		ca.sessions++
-		ca.events++
-		a.mu.Unlock()
-		a.evSessions.Inc()
-		for _, p := range sf.pending {
-			sf.fold(p)
-		}
-		sf.pending = nil
-		return
-	}
-	if sf.cohort == "" {
-		// Header not seen yet: hold on to the event, or give up on
-		// classification once the buffer says this stream has no header.
-		if len(sf.pending) < maxPending {
-			sf.pending = append(sf.pending, ev)
-			return
-		}
-		sf.cohort = UnknownCohort
-		a.mu.Lock()
-		a.cohort(UnknownCohort).sessions++
-		a.mu.Unlock()
-		a.evSessions.Inc()
-		for _, p := range sf.pending {
-			sf.fold(p)
-		}
-		sf.pending = nil
-	}
-	sf.fold(ev)
+	sf.one[0] = ev
+	sf.foldBatch(sf.one[:])
 }
 
-// fold applies one event to the session's cohort sketches. sf.cohort is set.
-func (sf *SessionFold) fold(ev obs.Event) {
+// appendLine decodes one JSONL line into the next free slot of evs (the
+// caller keeps len(evs) < cap(evs)) and returns evs extended by it, or evs
+// unchanged for a blank line or a malformed one (counted ing_bad_lines).
+// It takes no lock: a batch is decoded before it is folded.
+func (sf *SessionFold) appendLine(evs []obs.Event, line []byte) []obs.Event {
+	if len(bytes.TrimSpace(line)) == 0 {
+		return evs
+	}
+	n := len(evs)
+	evs = evs[:n+1]
+	if err := obs.UnmarshalEvent(line, &evs[n]); err != nil || evs[n].Kind == "" {
+		sf.a.evBadLines.Inc()
+		return evs[:n]
+	}
+	return evs
+}
+
+// foldBatch folds decoded events in order under one acquisition of the
+// aggregator's lock, and adds to the shared ing_* counters once. Every
+// entry point — Line, Event, FoldReader, the Watcher — folds through it.
+func (sf *SessionFold) foldBatch(evs []obs.Event) {
+	if len(evs) == 0 {
+		return
+	}
 	a := sf.a
+	var events, sessions, rejected int64
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	ca := a.cohort(sf.cohort)
+	for i := range evs {
+		ev := &evs[i]
+		if ev.V != obs.TraceSchemaVersion {
+			rejected++
+			continue
+		}
+		events++
+		switch {
+		case ev.Kind == obs.EvSession:
+			cohort := ev.Cohort
+			if cohort == "" {
+				cohort = UnknownCohort
+			}
+			// A new header mid-stream starts a new session (push bodies may
+			// concatenate several sessions back to back). Events buffered
+			// ahead of it belong to a stream whose header never came: they
+			// stay counted in ing_events and are dropped, not folded.
+			sf.closeSession()
+			sf.ca = a.cohort(cohort)
+			sf.ca.sessions++
+			sf.ca.events++
+			sessions++
+		case sf.ca != nil:
+			sf.fold(ev)
+		case len(sf.pending) < maxPending:
+			// Header not seen yet: hold on to the event.
+			sf.pending = append(sf.pending, *ev)
+		default:
+			// The buffer says this stream has no header: give up on
+			// classification.
+			sf.ca = a.cohort(UnknownCohort)
+			sf.ca.sessions++
+			sessions++
+			for j := range sf.pending {
+				sf.fold(&sf.pending[j])
+			}
+			sf.pending = nil
+			sf.fold(ev)
+		}
+	}
+	a.mu.Unlock()
+	a.evEvents.Add(events)
+	a.evSessions.Add(sessions)
+	a.evRejected.Add(rejected)
+}
+
+// fold applies one event to the session's cohort sketches. sf.ca is set and
+// the caller holds a.mu.
+func (sf *SessionFold) fold(ev *obs.Event) {
+	ca := sf.ca
 	ca.events++
 	switch ev.Kind {
 	case obs.EvQuality:
 		ca.quality.Add(float64(ev.N) / 100) // centi-dB on the wire
 	case obs.EvResume:
 		ca.stall.Add(float64(ev.N))
-		sf.closeOutageLocked(ca, ev.AtMS)
+		sf.closeOutage(ev.AtMS)
 	case obs.EvStartup:
 		ca.startup.Add(float64(ev.N))
 	case obs.EvOutage:
 		sf.inOutage = true
 		sf.outageAtMS = ev.AtMS
 	case obs.EvReconnect, obs.EvLinkDead:
-		sf.closeOutageLocked(ca, ev.AtMS)
+		sf.closeOutage(ev.AtMS)
 	case obs.EvShed:
 		ca.shed.Add(float64(ev.N))
 	}
 }
 
-func (sf *SessionFold) closeOutageLocked(ca *cohortAgg, atMS float64) {
+// closeOutage pairs the open outage, if any, with the event that ends it.
+// Same preconditions as fold.
+func (sf *SessionFold) closeOutage(atMS float64) {
 	if !sf.inOutage {
 		return
 	}
 	sf.inOutage = false
 	if d := atMS - sf.outageAtMS; d >= 0 {
-		ca.outage.Add(d)
+		sf.ca.outage.Add(d)
 	}
 }
 
@@ -302,18 +327,53 @@ func (sf *SessionFold) closeSession() {
 // push body fully read); safe to skip for tailed files that may grow.
 func (sf *SessionFold) Close() { sf.closeSession() }
 
+// foldBatchSize is how many decoded events FoldReader and the Watcher
+// gather before taking the aggregator's lock once for all of them, and so
+// the granularity at which a stream in flight becomes visible to Rollup.
+const foldBatchSize = 256
+
+// foldScratch is the reusable working memory of one fold pass: the line
+// reader's buffer and the decoded batch.
+type foldScratch struct {
+	buf []byte
+	evs []obs.Event
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &foldScratch{buf: make([]byte, 64*1024), evs: make([]obs.Event, 0, foldBatchSize)}
+}}
+
+// line decodes one line into the batch and folds the batch once it is full.
+func (s *foldScratch) line(sf *SessionFold, line []byte) {
+	s.evs = sf.appendLine(s.evs, line)
+	if len(s.evs) == cap(s.evs) {
+		s.flush(sf)
+	}
+}
+
+// flush folds the batch gathered so far and empties it.
+func (s *foldScratch) flush(sf *SessionFold) {
+	sf.foldBatch(s.evs)
+	s.evs = s.evs[:0]
+}
+
 // FoldReader folds a complete JSONL stream (one or more sessions, each led
-// by its EvSession header) and returns the number of lines consumed.
+// by its EvSession header) and returns the number of lines consumed. Lines
+// are decoded outside the aggregator's lock and folded foldBatchSize at a
+// time, the last batch at the end of the stream.
 func (a *Aggregator) FoldReader(r io.Reader) (int, error) {
 	sf := a.NewSession()
 	defer sf.Close()
+	s := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(s)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(s.buf[:0], 1024*1024)
 	lines := 0
 	for sc.Scan() {
-		sf.Line(sc.Bytes())
 		lines++
+		s.line(sf, sc.Bytes())
 	}
+	s.flush(sf)
 	return lines, sc.Err()
 }
 

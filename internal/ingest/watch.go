@@ -106,6 +106,9 @@ func (w *Watcher) Scan() error {
 		w.cScanErrs.Inc()
 		return err
 	}
+	// One read buffer and one decode batch serve every file of the pass.
+	scratch := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(scratch)
 	seen := map[string]bool{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
@@ -118,7 +121,7 @@ func (w *Watcher) Scan() error {
 			tf = &tailFile{sf: w.a.NewSession()}
 			w.files[path] = tf
 		}
-		if err := w.consume(path, tf); err != nil {
+		if err := w.consume(path, tf, scratch); err != nil {
 			// Survive, don't abandon: a file deleted mid-read, an EIO, a
 			// permission flip — the tail loop logs and counts the error,
 			// keeps its offset, and retries this file on the next scan
@@ -138,8 +141,9 @@ func (w *Watcher) Scan() error {
 	return nil
 }
 
-// consume folds everything past tf.offset.
-func (w *Watcher) consume(path string, tf *tailFile) error {
+// consume folds everything past tf.offset, each read chunk's complete lines
+// as one batch (split at foldBatchSize events).
+func (w *Watcher) consume(path string, tf *tailFile, scratch *foldScratch) error {
 	if err := siteWatchRead.Err(); err != nil {
 		return err
 	}
@@ -164,7 +168,7 @@ func (w *Watcher) consume(path string, tf *tailFile) error {
 	if _, err := f.Seek(tf.offset, io.SeekStart); err != nil {
 		return err
 	}
-	buf := make([]byte, 64*1024)
+	buf := scratch.buf
 	for {
 		n, rerr := f.Read(buf)
 		if n > 0 {
@@ -201,10 +205,9 @@ func (w *Watcher) consume(path string, tf *tailFile) error {
 					line = append(tf.partial, line...)
 					tf.partial = tf.partial[:0]
 				}
-				if len(bytes.TrimSpace(line)) > 0 {
-					tf.sf.Line(line)
-				}
+				scratch.line(tf.sf, line)
 			}
+			scratch.flush(tf.sf)
 		}
 		if rerr == io.EOF {
 			return nil

@@ -1,0 +1,228 @@
+package obs
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// allKinds is every event kind the schema defines.
+var allKinds = []EventKind{
+	EvDecide, EvFetch, EvSkip, EvMask, EvBlank, EvStall, EvStartup, EvResume,
+	EvReconnect, EvOutage, EvLinkDead, EvCorrupt, EvBusy, EvSession, EvQuality, EvShed,
+}
+
+// writerLines renders a trace holding every event kind, with and without
+// the optional fields and across the float forms the encoder picks for
+// t_ms, exactly as a session's WriteJSONL would.
+func writerLines(t testing.TB) [][]byte {
+	t.Helper()
+	tr := NewTrace(8 * len(allKinds))
+	tr.Add(SessionEvent("v1", "low:belgian"))
+	tr.Add(SessionEvent("", ""))
+	ats := []time.Duration{0, 1, 33333 * time.Microsecond, 1500 * time.Millisecond, 90 * time.Minute, 1 << 62}
+	for i, k := range allKinds {
+		at := ats[i%len(ats)]
+		tr.Record(at, k, 0)
+		tr.Record(at, k, int64(i+1)*4321)
+		tr.Record(at, k, -int64(i+1))
+		tr.Add(Event{At: at, Kind: k, Chunk: i + 1, Tile: 143 - i, N: 1 << 40, Video: "v27", Cohort: "high:fiber"})
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
+}
+
+// TestWriterOutputIsCanonical: every line our writer emits, for every event
+// kind, is decoded by hand — the fallback is for bytes we did not write —
+// and decodes to what encoding/json makes of it.
+func TestWriterOutputIsCanonical(t *testing.T) {
+	lines := writerLines(t)
+	if want := 2 + 4*len(allKinds); len(lines) != want {
+		t.Fatalf("writer emitted %d lines, want %d", len(lines), want)
+	}
+	for _, line := range lines {
+		var got, want Event
+		if !decodeCanonical(line, &got) {
+			t.Errorf("writer line took the fallback: %s", line)
+			continue
+		}
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("json.Unmarshal(%s): %v", line, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s\n hand-written %+v\n encoding/json %+v", line, got, want)
+		}
+	}
+}
+
+// TestCanonicalFormBoundary pins which side of the hand-written decoder's
+// grammar an input falls on. Agreement with encoding/json on both sides is
+// FuzzUnmarshalEvent's job; this is about not losing the fast path (or
+// widening it) by accident.
+func TestCanonicalFormBoundary(t *testing.T) {
+	for _, c := range []struct {
+		line      string
+		canonical bool
+	}{
+		{`{"v":1,"t_ms":33.333,"ev":"quality","chunk":1,"n":4200}`, true},
+		{`{"v":1,"t_ms":0,"ev":"session","video":"v1","cohort":"low:belgian"}`, true},
+		{`{"ev":"quality","v":1}`, true}, // any key order
+		{`{"v":1,"t_ms":1e-7,"ev":"stall"}`, true},
+		{`{"v":1,"t_ms":-0.5E+3,"ev":"stall"}`, true},
+		{`{"v":1,"t_ms":0,"ev":"future-kind"}`, true},
+		{`{"v":-0,"t_ms":0,"ev":"stall","n":-999999999999999999}`, true},
+		{`{"v":1,"t_ms":0,"ev":""}`, true},
+
+		{``, false},
+		{`{}`, false},
+		{`{"v":1,"t_ms":0,"ev":"stall"} `, false},
+		{` {"v":1,"t_ms":0,"ev":"stall"}`, false},
+		{`{"v": 1,"t_ms":0,"ev":"stall"}`, false},
+		{`{"v":1,"t_ms":0,"ev":"stall",}`, false},
+		{`{"V":1,"t_ms":0,"ev":"stall"}`, false},           // json matches keys case-insensitively
+		{`{"v":1,"v":2,"t_ms":0,"ev":"stall"}`, false},     // json keeps the last
+		{`{"v":1,"t_ms":0,"ev":"stall","extra":1}`, false}, // json ignores unknown keys
+		{`{"v":1.0,"t_ms":0,"ev":"stall"}`, false},         // json refuses a float for an int
+		{`{"v":1e0,"t_ms":0,"ev":"stall"}`, false},
+		{`{"v":01,"t_ms":0,"ev":"stall"}`, false}, // not JSON
+		{`{"v":1,"t_ms":01,"ev":"stall"}`, false},
+		{`{"v":1,"t_ms":.5,"ev":"stall"}`, false},
+		{`{"v":1,"t_ms":1.,"ev":"stall"}`, false},
+		{`{"v":1,"t_ms":+1,"ev":"stall"}`, false},
+		{`{"v":1,"t_ms":Inf,"ev":"stall"}`, false},
+		{`{"v":1,"t_ms":0x10,"ev":"stall"}`, false},
+		{`{"v":1,"t_ms":1_0,"ev":"stall"}`, false},
+		{`{"v":1,"t_ms":1e999,"ev":"stall"}`, false},      // out of float64 range: json's error
+		{`{"v":1,"t_ms":0,"ev":"stall","n":null}`, false}, // json leaves the field alone
+		{`{"v":1,"t_ms":0,"ev":"stall","n":"7"}`, false},
+		{`{"v":1,"t_ms":0,"ev":"stall","n":1234567890123456789}`, false}, // 19 digits: json range-checks
+		{`{"v":1,"t_ms":0,"ev":"st\u0061ll"}`, false},                    // escapes
+		{`{"v":1,"t_ms":0,"ev":"session","cohort":"a\"b"}`, false},
+		{`{"v":1,"t_ms":0,"ev":"session","cohort":"héllo"}`, false},            // non-ASCII
+		{"{\"v\":1,\"t_ms\":0,\"ev\":\"session\",\"cohort\":\"a\tb\"}", false}, // control byte
+		{`{"v":1,"t_ms":0,"ev":"session","cohort":{"a":[1,2]}}`, false},
+		{`{"v":1,"t_ms":0,"ev":"stall"`, false},
+		{`{"v":1,"t_ms":0,"ev":"stall}`, false},
+		{`{"v":1,"t_ms":0,"ev":stall}`, false},
+		{`{"v":}`, false},
+		{`{"v":-}`, false},
+		{`{"t_ms":-}`, false},
+		{`{"t_ms":1e}`, false},
+		{`{"ev":"}`, false},
+		{`{"v"}`, false},
+		{`{"}`, false},
+		{`[{"v":1}]`, false},
+		{`null`, false},
+	} {
+		var ev Event
+		if got := decodeCanonical([]byte(c.line), &ev); got != c.canonical {
+			t.Errorf("decodeCanonical(%s) = %v, want %v", c.line, got, c.canonical)
+		}
+	}
+}
+
+// TestUnmarshalEventCanonicalZeroAlloc: a canonical line of a known kind
+// decodes without touching the heap; only a header's strings cost anything.
+func TestUnmarshalEventCanonicalZeroAlloc(t *testing.T) {
+	line := []byte(`{"v":1,"t_ms":12345.678,"ev":"quality","chunk":12,"n":4217}`)
+	var ev Event
+	if n := testing.AllocsPerRun(200, func() {
+		if err := UnmarshalEvent(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("UnmarshalEvent allocates %v per canonical line, want 0", n)
+	}
+}
+
+// checkAgainstJSON is the differential oracle: UnmarshalEvent must return an
+// error exactly when json.Unmarshal into a zero Event does, and leave the
+// same event behind — including json's partial fills on a type error.
+func checkAgainstJSON(t *testing.T, line []byte) {
+	t.Helper()
+	got := Event{V: 99, Kind: "stale", N: -1, Video: "stale", Cohort: "stale"} // must be overwritten
+	var want Event
+	gotErr, wantErr := UnmarshalEvent(line, &got), json.Unmarshal(line, &want)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%q: UnmarshalEvent error %v, json.Unmarshal error %v", line, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q:\n UnmarshalEvent %+v\n json.Unmarshal %+v", line, got, want)
+	}
+}
+
+func FuzzUnmarshalEvent(f *testing.F) {
+	for _, line := range writerLines(f) {
+		f.Add(line)
+	}
+	for _, s := range []string{
+		`{"V":2,"T_MS":5,"EV":"Stall","Chunk":3,"TILE":4,"N":5,"Video":"x","COHORT":"y"}`, // upper-case keys
+		`{"v":1.0,"t_ms":0,"ev":"quality","n":1}`,                                         // 1.0 into an int field
+		`{"v":1,"ev":"stall","n":2.5e3,"chunk":1e2}`,
+		`{"v":1,"v":2,"ev":"stall","ev":"resume","n":1,"n":2}`, // duplicate keys
+		`{"v":null,"t_ms":null,"ev":null,"n":null,"video":null}`,
+		`null`,
+		`{"v":01,"t_ms":007,"ev":"stall"}`, // leading zeros
+		`{"v":-0,"t_ms":-0,"ev":"stall","n":-0,"chunk":-0}`,
+		`{"v":1,"t_ms":-0.0,"ev":"stall"}`,
+		`{"v":1,"ev":"fetch","n":9223372036854775807}`, // 19-digit integers
+		`{"v":1,"ev":"fetch","n":-9223372036854775808}`,
+		`{"v":1,"ev":"fetch","n":9223372036854775808}`,
+		`{"v":1234567890123456789,"ev":"fetch","tile":999999999999999999}`,
+		`{"v":1,"ev":"fetch","n":99999999999999999999999999}`,
+		`{"v":1,"t_ms":1e999,"ev":"stall"}`,
+		`{"v":1,"t_ms":-1e999,"ev":"stall"}`,
+		`{"v":1,"t_ms":1e-999,"ev":"stall"}`,
+		`{"v":1,"t_ms":123456789012345678901234567890.123456789012345678901234567890,"ev":"stall"}`,
+		`{"v":1,"t_ms":0,"ev":"session","cohort":"héllo:wörld","video":"日本"}`, // non-ASCII
+		"{\"v\":1,\"t_ms\":0,\"ev\":\"session\",\"cohort\":\"\xff\xfe\"}",
+		"{\"v\":1,\"t_ms\":0,\"ev\":\"session\",\"cohort\":\"a\x7fb\"}",
+		"{\"v\":1,\"t_ms\":0,\"ev\":\"session\",\"cohort\":\"a\x01b\"}",
+		`{"v":1,"t_ms":0,"ev":"session","cohort":"a\u003cb\n\"\\"}`,
+		`{"v":1,"t_ms":0,"ev":"stall","extra":{"a":[1,{"b":null}],"c":"d"},"n":3}`, // nested unknown values
+		`{"v":1,"t_ms":0,"ev":{"nested":true},"n":[1,2,3]}`,
+		`{"v":1,"t_ms":"12","ev":7,"n":"7","video":1,"cohort":false}`,
+		`{"v":1,"t_ms":0,"ev":"stall","At":5,"at":6,"-":7}`,
+		` { "v" : 1 , "t_ms" : 0 , "ev" : "stall" } `,
+		"{\"v\":1,\"t_ms\":0,\"ev\":\"stall\"}\n",
+		`{"v":1,"t_ms":0,"ev":"stall"}{"v":1}`,
+		`{"v":1,"t_ms":0,"ev":"stall"},`,
+		`{"v":1,"t_ms":0,"ev":"stall",}`,
+		`{,"v":1}`,
+		`{"v":1,,"ev":"stall"}`,
+		`{"v":1 "ev":"stall"}`,
+		`{"v"1}`,
+		`{"":1}`,
+		`{"v":}`, `{"v":-}`, `{"v":--1}`, `{"t_ms":-}`, `{"t_ms":1e}`, `{"t_ms":1e+}`, `{"t_ms":1.}`, `{"t_ms":.1}`,
+		`{"t_ms":+1}`, `{"t_ms":Inf}`, `{"t_ms":NaN}`, `{"t_ms":0x1p-2}`, `{"t_ms":1_000}`, `{"t_ms":1.5.5}`,
+		`{"ev":"}`, `{"ev":"a}`, `{"ev}`, `{"}`, `{"v":1`, `{`, `}`, `{}`, `{}}`, `[]`, `[{"v":1}]`, `"v"`, `1`, `true`, ``, ` `,
+		"\xef\xbb\xbf{\"v\":1}", // BOM
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) { checkAgainstJSON(t, line) })
+}
+
+func BenchmarkUnmarshalEvent(b *testing.B) {
+	for _, c := range []struct{ name, line string }{
+		{"canonical", `{"v":1,"t_ms":12345.678,"ev":"quality","chunk":12,"n":4217}`},
+		{"fallback", `{"v":1, "t_ms":12345.678,"ev":"quality","chunk":12,"n":4217}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			line := []byte(c.line)
+			var ev Event
+			b.SetBytes(int64(len(line)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := UnmarshalEvent(line, &ev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -95,11 +95,14 @@ go test -race -run '^TestQoEFeedback$' -count=1 -timeout 120s ./internal/experim
 go test -race -run '^TestWorkerCountInvariance$|^TestShardEquivalence$|^TestShardSubprocessEquivalence$' \
 	-count=1 -timeout 120s ./internal/popsim
 
-# Fuzz smoke: ten seconds per wire-format parser. The v3 framing work
-# (CRC trailers, hard length cap, resume bitmaps) lives or dies on these
-# parsers rejecting hostile bytes without panicking or over-allocating.
-for target in FuzzReadMessage FuzzParseTileData FuzzParseResume; do
-	go test -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME:-10s}" ./internal/proto
+# Fuzz smoke: ten seconds per parser of bytes we did not write. The v3
+# framing work (CRC trailers, hard length cap, resume bitmaps) lives or dies
+# on the wire parsers rejecting hostile bytes without panicking or
+# over-allocating; the trace-line decoder must agree with encoding/json on
+# every input, and the fold must account for every line of any body.
+for target in proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume \
+	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader; do
+	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "${FUZZTIME:-10s}" "./internal/${target%%:*}"
 done
 
 # Benchmark smoke: every benchmark must still run, and its timing is
@@ -112,6 +115,7 @@ trap 'rm -f "$raw"' EXIT
 go test -run '^$' -bench='Fig|Table|Tiling|Ext|ManyConn' -benchtime=1x . | tee "$raw"
 go test -run '^$' -bench='Decide|Overlap' -benchtime="${BENCHTIME_MICRO:-50x}" . | tee -a "$raw"
 go test -run '^$' -bench='Frame' -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/proto | tee -a "$raw"
+go test -run '^$' -bench='UnmarshalEvent' -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/obs | tee -a "$raw"
 go test -run '^$' -bench='IngestFold' -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/ingest | tee -a "$raw"
 go test -run '^$' -bench='PopulationSweep' -benchtime=1x ./internal/popsim | tee -a "$raw"
 if [ "$strict" = 1 ]; then
