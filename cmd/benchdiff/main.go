@@ -1,7 +1,9 @@
 // Command benchdiff manages the repository's benchmark baseline: it parses
 // `go test -bench` text output into a committed JSON baseline and compares
-// fresh runs against it, failing when a benchmark slows down by more than a
-// configurable threshold.
+// fresh runs against it, failing when a benchmark's ns/op or B/op grows by
+// more than a configurable threshold, when a baseline benchmark is missing,
+// or when a benchmark the baseline records as allocation-free allocates.
+// The last is a count, not a timing, so -warn does not excuse it.
 //
 // Usage:
 //
@@ -22,9 +24,12 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's parsed metrics.
+// Result is one benchmark's parsed metrics. Mem records that the run
+// reported B/op and allocs/op (-benchmem or b.ReportAllocs): without it a
+// zero cannot be told from "not measured".
 type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
+	Mem         bool    `json:"mem,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
@@ -72,6 +77,7 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 				res.BytesPerOp = v
 			case "allocs/op":
 				res.AllocsPerOp = v
+				res.Mem = true
 			}
 		}
 		if seenNs {
@@ -82,11 +88,16 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 }
 
 // compare reports every baseline benchmark against the fresh run, returning
-// the names of those whose ns/op grew by more than threshold (a ratio:
-// 1.5 = 50% slower) and the names present in the baseline but absent from
-// the fresh run. A missing benchmark is a gate failure in its own right —
-// a silently dropped benchmark would otherwise let its regression hide.
-func compare(base, fresh map[string]Result, threshold float64, w io.Writer) (regressions, missing []string) {
+// the names of those whose ns/op or B/op grew by more than threshold (a
+// ratio: 1.5 = 50% more), the names present in the baseline but absent from
+// the fresh run, and the names the baseline records at 0 allocs/op that now
+// allocate. A missing benchmark is a gate failure in its own right — a
+// silently dropped benchmark would otherwise let its regression hide.
+// Memory is compared only where both runs reported it, and B/op only where
+// the baseline allocates at least once per op: below that, B/op is a few
+// one-off allocations (a buffer growing to size) spread over however many
+// iterations ran, which is not a per-op cost.
+func compare(base, fresh map[string]Result, threshold float64, w io.Writer) (regressions, missing, allocating []string) {
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -95,21 +106,38 @@ func compare(base, fresh map[string]Result, threshold float64, w io.Writer) (reg
 	for _, name := range names {
 		b := base[name]
 		f, ok := fresh[name]
-		switch {
-		case !ok:
+		if !ok {
 			fmt.Fprintf(w, "MISSING  %-40s (in baseline, not in this run)\n", name)
 			missing = append(missing, name)
-		case b.NsPerOp <= 0:
+			continue
+		}
+		regressed := false
+		if b.NsPerOp <= 0 {
 			fmt.Fprintf(w, "SKIP     %-40s baseline has no timing\n", name)
-		default:
+		} else {
 			ratio := f.NsPerOp / b.NsPerOp
 			verdict := "ok"
 			if ratio > threshold {
 				verdict = "REGRESSION"
-				regressions = append(regressions, name)
+				regressed = true
 			}
 			fmt.Fprintf(w, "%-8s %-40s %12.0f -> %12.0f ns/op (x%.2f)\n",
 				verdict, name, b.NsPerOp, f.NsPerOp, ratio)
+		}
+		if b.Mem && f.Mem {
+			if b.AllocsPerOp > 0 && b.BytesPerOp > 0 && f.BytesPerOp/b.BytesPerOp > threshold {
+				fmt.Fprintf(w, "%-8s %-40s %12.0f -> %12.0f B/op (x%.2f)\n",
+					"REGRESSION", name, b.BytesPerOp, f.BytesPerOp, f.BytesPerOp/b.BytesPerOp)
+				regressed = true
+			}
+			if b.AllocsPerOp == 0 && f.AllocsPerOp > 0 {
+				fmt.Fprintf(w, "%-8s %-40s %12.0f -> %12.0f allocs/op, %.0f B/op (baseline is allocation-free)\n",
+					"ALLOCS", name, b.AllocsPerOp, f.AllocsPerOp, f.BytesPerOp)
+				allocating = append(allocating, name)
+			}
+		}
+		if regressed {
+			regressions = append(regressions, name)
 		}
 	}
 	extra := make([]string, 0)
@@ -123,7 +151,7 @@ func compare(base, fresh map[string]Result, threshold float64, w io.Writer) (reg
 		fmt.Fprintf(w, "NEW      %-40s %12.0f ns/op (not in baseline; rerun scripts/bench.sh)\n",
 			name, fresh[name].NsPerOp)
 	}
-	return regressions, missing
+	return regressions, missing, allocating
 }
 
 func parseFile(path string) (map[string]Result, error) {
@@ -172,8 +200,9 @@ func emitBaseline(rawPath, outPath, note string) error {
 
 // diff compares the fresh run at newPath against the baseline file; the
 // returned error is non-nil when a regression exceeds threshold or a
-// baseline benchmark is missing from the fresh run (and warn is off), so
-// main can exit nonzero.
+// baseline benchmark is missing from the fresh run (and warn is off), or
+// when an allocation-free benchmark now allocates (warn or not), so main
+// can exit nonzero.
 func diff(baselinePath, newPath string, threshold float64, warn bool, w io.Writer) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -187,7 +216,7 @@ func diff(baselinePath, newPath string, threshold float64, warn bool, w io.Write
 	if err != nil {
 		return err
 	}
-	regressions, missing := compare(base.Benchmarks, fresh, threshold, w)
+	regressions, missing, allocating := compare(base.Benchmarks, fresh, threshold, w)
 	var problems []string
 	if len(regressions) > 0 {
 		problems = append(problems, fmt.Sprintf("%d benchmark(s) regressed beyond x%.2f: %s",
@@ -197,16 +226,21 @@ func diff(baselinePath, newPath string, threshold float64, warn bool, w io.Write
 		problems = append(problems, fmt.Sprintf("%d baseline benchmark(s) missing from this run: %s",
 			len(missing), strings.Join(missing, ", ")))
 	}
+	if len(problems) > 0 && warn {
+		fmt.Fprintf(w, "WARNING (not failing): %s\n", strings.Join(problems, "; "))
+		problems = nil
+	}
+	if len(allocating) > 0 {
+		problems = append(problems, fmt.Sprintf("%d allocation-free benchmark(s) now allocate: %s",
+			len(allocating), strings.Join(allocating, ", ")))
+	}
 	if len(problems) == 0 {
-		fmt.Fprintf(w, "no regressions above x%.2f (%d benchmarks)\n", threshold, len(base.Benchmarks))
+		if len(regressions)+len(missing) == 0 {
+			fmt.Fprintf(w, "no regressions above x%.2f (%d benchmarks)\n", threshold, len(base.Benchmarks))
+		}
 		return nil
 	}
-	msg := strings.Join(problems, "; ")
-	if warn {
-		fmt.Fprintf(w, "WARNING (not failing): %s\n", msg)
-		return nil
-	}
-	return fmt.Errorf("%s", msg)
+	return fmt.Errorf("%s", strings.Join(problems, "; "))
 }
 
 func main() {
@@ -214,8 +248,8 @@ func main() {
 	out := flag.String("o", "BENCH_baseline.json", "baseline file to write in -emit mode")
 	baseline := flag.String("baseline", "", "committed baseline JSON to compare against")
 	fresh := flag.String("new", "", "raw `go test -bench` output of the fresh run")
-	threshold := flag.Float64("threshold", 1.5, "failure ratio: fail when ns/op exceeds baseline x this")
-	warn := flag.Bool("warn", false, "report regressions and missing benchmarks but exit 0 (for noisy CI timing)")
+	threshold := flag.Float64("threshold", 1.5, "failure ratio: fail when ns/op or B/op exceeds baseline x this")
+	warn := flag.Bool("warn", false, "report regressions and missing benchmarks but exit 0 (for noisy CI timing); a 0 -> N allocs/op change still fails")
 	note := flag.String("note", "", "free-form provenance note stored in the emitted baseline (label, date, commit)")
 	flag.Parse()
 

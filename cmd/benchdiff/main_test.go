@@ -33,8 +33,11 @@ func TestParseBench(t *testing.T) {
 	if !ok {
 		t.Fatal("GOMAXPROCS suffix not stripped")
 	}
-	if fig9.NsPerOp != 123456789 || fig9.BytesPerOp != 5000000 || fig9.AllocsPerOp != 40000 {
+	if fig9.NsPerOp != 123456789 || fig9.BytesPerOp != 5000000 || fig9.AllocsPerOp != 40000 || !fig9.Mem {
 		t.Fatalf("fig9 = %+v", fig9)
+	}
+	if res["BenchmarkFig2PredictionAccuracy"].Mem {
+		t.Fatal("a line without B/op and allocs/op parsed as a memory measurement")
 	}
 	if res["BenchmarkFig2PredictionAccuracy"].NsPerOp != 50000000 {
 		t.Fatalf("fig2 = %+v", res["BenchmarkFig2PredictionAccuracy"])
@@ -56,7 +59,7 @@ func TestCompareFlagsOnlyRealRegressions(t *testing.T) {
 		"BenchmarkD": {NsPerOp: 5},    // new, informational only
 	}
 	var buf bytes.Buffer
-	got, missing := compare(base, fresh, 1.5, &buf)
+	got, missing, _ := compare(base, fresh, 1.5, &buf)
 	if len(got) != 1 || got[0] != "BenchmarkB" {
 		t.Fatalf("regressions = %v, want [BenchmarkB]", got)
 	}
@@ -174,6 +177,107 @@ func TestDiffFailsOnMissingBenchmark(t *testing.T) {
 	}
 }
 
+// memBenchOutput is a -benchmem run: one allocation-free micro-benchmark,
+// one that allocates, one line without memory columns.
+const memBenchOutput = `BenchmarkDecideFull360-2   	      50	     36000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkManyConnStream-2  	       1	 900000000 ns/op	 4000000 B/op	   59000 allocs/op
+BenchmarkNoMem-2           	       1	      1000 ns/op
+`
+
+// TestDiffGatesAllocations: a benchmark the baseline records at 0
+// allocs/op that allocates in the fresh run fails the gate even under
+// -warn (it is a count, not a noisy timing), and B/op growth beyond the
+// threshold is a regression like ns/op. Memory is not compared where
+// either side did not report it.
+func TestDiffGatesAllocations(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	raw := write("raw.txt", memBenchOutput)
+	baseline := filepath.Join(dir, "baseline.json")
+	if err := emitBaseline(raw, baseline, ""); err != nil {
+		t.Fatal(err)
+	}
+	var bl Baseline
+	if data, err := os.ReadFile(baseline); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(data, &bl); err != nil {
+		t.Fatal(err)
+	}
+	if r := bl.Benchmarks["BenchmarkDecideFull360"]; !r.Mem || r.AllocsPerOp != 0 {
+		t.Fatalf("baseline lost the measured zero: %+v", r)
+	}
+	if bl.Benchmarks["BenchmarkNoMem"].Mem {
+		t.Fatal("baseline records memory for a benchmark that reported none")
+	}
+
+	var buf bytes.Buffer
+	if err := diff(baseline, raw, 1.5, false, &buf); err != nil {
+		t.Fatalf("identical run flagged: %v\n%s", err, buf.String())
+	}
+
+	// 0 -> 3 allocs/op on Decide, timing unchanged.
+	leaky := write("leaky.txt", strings.Replace(memBenchOutput,
+		"36000 ns/op	       0 B/op	       0 allocs/op", "36100 ns/op	     144 B/op	       3 allocs/op", 1))
+	for _, warn := range []bool{false, true} {
+		buf.Reset()
+		err := diff(baseline, leaky, 1.5, warn, &buf)
+		if err == nil {
+			t.Fatalf("warn=%v: diff passed a 0 -> 3 allocs/op regression:\n%s", warn, buf.String())
+		}
+		if !strings.Contains(err.Error(), "BenchmarkDecideFull360") || !strings.Contains(err.Error(), "allocat") {
+			t.Fatalf("warn=%v: error %q does not name the allocating benchmark", warn, err)
+		}
+		if !strings.Contains(buf.String(), "ALLOCS") {
+			t.Fatalf("warn=%v: report has no ALLOCS line:\n%s", warn, buf.String())
+		}
+	}
+
+	// B/op x3 on the macro, allocs and timing unchanged: a regression that
+	// -warn downgrades, like ns/op.
+	fat := write("fat.txt", strings.Replace(memBenchOutput, "4000000 B/op", "12000000 B/op", 1))
+	buf.Reset()
+	if err := diff(baseline, fat, 1.5, false, &buf); err == nil || !strings.Contains(err.Error(), "BenchmarkManyConnStream") {
+		t.Fatalf("diff passed a x3 B/op regression (err %v):\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "B/op (x3.00)") {
+		t.Fatalf("report does not show the B/op ratio:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := diff(baseline, fat, 1.5, true, &buf); err != nil {
+		t.Fatalf("warn mode failed on B/op growth: %v", err)
+	}
+	if !strings.Contains(buf.String(), "WARNING") {
+		t.Fatalf("warn mode did not report B/op growth:\n%s", buf.String())
+	}
+
+	// A fresh run without -benchmem cannot be compared on memory and must
+	// not be read as "0 allocs".
+	var noMem strings.Builder
+	for _, line := range strings.Split(memBenchOutput, "\n") {
+		if i := strings.Index(line, " ns/op"); i >= 0 {
+			line = line[:i+len(" ns/op")]
+		}
+		noMem.WriteString(line + "\n")
+	}
+	buf.Reset()
+	if err := diff(baseline, write("nomem.txt", noMem.String()), 1.5, false, &buf); err != nil {
+		t.Fatalf("run without memory columns flagged: %v", err)
+	}
+
+	// An old baseline that omitted zeros (no "mem") gates nothing on memory.
+	old := write("old.json", `{"benchmarks":{"BenchmarkDecideFull360":{"ns_per_op":36000}}}`)
+	buf.Reset()
+	if err := diff(old, leaky, 1.5, false, &buf); err != nil {
+		t.Fatalf("baseline without memory data gated allocations: %v", err)
+	}
+}
+
 // Example_baselineComparison shows the comparison underneath
 // `benchdiff -baseline ... -new ...`: each baseline benchmark is matched
 // against the fresh run and flagged once its ns/op ratio exceeds the
@@ -189,7 +293,7 @@ func Example_baselineComparison() {
 		"BenchmarkOverlapCapExact":    {NsPerOp: 6500},  // x2.10: regression
 		"BenchmarkOverlapTableLookup": {NsPerOp: 575},
 	}
-	regressions, _ := compare(baseline, fresh, 1.5, os.Stdout)
+	regressions, _, _ := compare(baseline, fresh, 1.5, os.Stdout)
 	fmt.Println("regressed:", regressions)
 	// Output:
 	// ok       BenchmarkDecideFull360                          36000 ->        39000 ns/op (x1.08)

@@ -46,8 +46,41 @@ type FlareOptions struct {
 // decision every 100 ms, urgently re-fetches tiles discovered to be needed
 // for imminent playback (at whatever quality still meets the deadline), and
 // stalls when a viewport tile misses its deadline.
+//
+// An instance carries per-session scratch reused across decisions (the
+// output list, the per-chunk tile sets, the centrality sort keys), so each
+// session needs its own instance and steady-state Decide calls allocate
+// nothing.
 type Flare struct {
 	opts FlareOptions
+
+	items     []player.RequestItem
+	vpTiles   []geom.TileID
+	outer     []geom.TileID
+	periphery []geom.TileID
+	inVP      []bool // by tile; all false between chunks
+	central   centralitySorter
+}
+
+// centralitySorter orders a chunk's viewport tiles by angular distance from
+// the predicted view center, ties by tile ID. Each distance is computed
+// once, into keys; a named type passed by pointer keeps sort.Sort
+// allocation-free.
+type centralitySorter struct{ keys []centralKey }
+
+type centralKey struct {
+	dist float64
+	id   geom.TileID
+}
+
+func (s *centralitySorter) Len() int      { return len(s.keys) }
+func (s *centralitySorter) Swap(i, j int) { s.keys[i], s.keys[j] = s.keys[j], s.keys[i] }
+func (s *centralitySorter) Less(i, j int) bool {
+	a, b := s.keys[i], s.keys[j]
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.id < b.id
 }
 
 // NewFlare creates the baseline with the paper's defaults.
@@ -89,18 +122,18 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 	// Urgent pass: tiles needed for the *current* viewport right now but
 	// never fetched — pick the quality that still meets the deadline
 	// (often the lowest; Fig 4's persistent low quality).
-	var urgent []player.RequestItem
+	items := f.items[:0]
 	var backlog int64
 	nowChunk := m.ChunkOfFrame(ctx.PlayFrame)
-	currentVP := ctx.Viewport.Tiles(ctx.Grid, ctx.Predict(ctx.Now))
-	for _, id := range currentVP {
+	f.vpTiles = ctx.Grid.AppendTilesInCap(f.vpTiles[:0], ctx.Predict(ctx.Now), ctx.Viewport.RadiusDeg)
+	for _, id := range f.vpTiles {
 		if _, ok := ctx.Received.BestPrimary(nowChunk, id); ok {
 			continue
 		}
 		q := abr.QualityForDeadline(func(q video.Quality) int64 {
 			return m.TileSize(nowChunk, id, q)
 		}, backlog, rate, 300*time.Millisecond, video.Lowest, video.Highest)
-		urgent = append(urgent, player.RequestItem{Stream: player.Primary, Chunk: nowChunk, Tile: id, Quality: q})
+		items = append(items, player.RequestItem{Stream: player.Primary, Chunk: nowChunk, Tile: id, Quality: q})
 		backlog += m.TileSize(nowChunk, id, q)
 	}
 
@@ -111,25 +144,30 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 	if lastFrame >= m.NumFrames() {
 		lastFrame = m.NumFrames() - 1
 	}
-	items := urgent
+	if n := m.NumTiles(); len(f.inVP) < n {
+		f.inVP = make([]bool, n)
+	}
 	for c := nowChunk; c <= m.ChunkOfFrame(lastFrame); c++ {
 		at := ctx.FrameDeadline(m.FirstFrame(c))
 		if at < ctx.Now {
 			at = ctx.Now
 		}
 		center := ctx.Predict(at)
-		vpTiles := ctx.Viewport.Tiles(ctx.Grid, center)
-		outer := ctx.Grid.TilesInCap(center, ctx.Viewport.RadiusDeg+f.opts.PeripheryDeg)
-		inVP := make(map[geom.TileID]bool, len(vpTiles))
+		f.vpTiles = ctx.Grid.AppendTilesInCap(f.vpTiles[:0], center, ctx.Viewport.RadiusDeg)
+		f.outer = ctx.Grid.AppendTilesInCap(f.outer[:0], center, ctx.Viewport.RadiusDeg+f.opts.PeripheryDeg)
+		vpTiles, periphery := f.vpTiles, f.periphery[:0]
 		for _, id := range vpTiles {
-			inVP[id] = true
+			f.inVP[id] = true
 		}
-		var periphery []geom.TileID
-		for _, id := range outer {
-			if !inVP[id] {
+		for _, id := range f.outer {
+			if !f.inVP[id] {
 				periphery = append(periphery, id)
 			}
 		}
+		for _, id := range vpTiles {
+			f.inVP[id] = false
+		}
+		f.periphery = periphery
 
 		budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur, 0)
 		qv := abr.MaxQualityFitting(func(q video.Quality) int64 {
@@ -146,22 +184,22 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 		qp := peripheryQuality(qv, f.opts.PeripheryDrop)
 
 		// Viewport tiles sorted by centrality so the most important tiles
-		// of each chunk transmit first.
-		sort.Slice(vpTiles, func(a, b int) bool {
-			da := geom.AngularDistance(ctx.Grid.Center(vpTiles[a]), center)
-			db := geom.AngularDistance(ctx.Grid.Center(vpTiles[b]), center)
-			if da != db {
-				return da < db
-			}
-			return vpTiles[a] < vpTiles[b]
-		})
+		// of each chunk transmit first. The order is total (IDs are
+		// distinct), so any sort yields the one permutation.
+		keys := f.central.keys[:0]
 		for _, id := range vpTiles {
-			items = append(items, player.RequestItem{Stream: player.Primary, Chunk: c, Tile: id, Quality: qv})
+			keys = append(keys, centralKey{dist: geom.AngularDistance(ctx.Grid.Center(id), center), id: id})
+		}
+		f.central.keys = keys
+		sort.Sort(&f.central)
+		for _, k := range keys {
+			items = append(items, player.RequestItem{Stream: player.Primary, Chunk: c, Tile: k.id, Quality: qv})
 		}
 		for _, id := range periphery {
 			items = append(items, player.RequestItem{Stream: player.Primary, Chunk: c, Tile: id, Quality: qp})
 		}
 	}
+	f.items = items
 	return items
 }
 

@@ -322,10 +322,15 @@ func TestPlayRetriesBusyServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _, _ = io.Copy(io.Discard, holdClient) }()
 	if err := proto.WriteHello(holdClient, proto.Hello{VideoID: "live"}); err != nil {
 		t.Fatal(err)
 	}
+	// The manifest is sent after admission: once it is here the slot is
+	// taken, whichever session goroutine the scheduler runs first.
+	if msg, err := proto.ReadMessage(holdClient); err != nil || msg.Type != proto.MsgManifest {
+		t.Fatalf("holder handshake: type %d, err %v", msg.Type, err)
+	}
+	go func() { _, _ = io.Copy(io.Discard, holdClient) }()
 	release := time.AfterFunc(300*time.Millisecond, func() {
 		_ = proto.WriteBye(holdClient)
 		holdClient.Close()

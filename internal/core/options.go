@@ -2,6 +2,16 @@
 // tile scheduler with proactive skipping (paper §3.1, Algorithm 1) and the
 // two-stream transmission design with a low-quality masking stream fetched
 // at a longer look-ahead (§3.2).
+//
+// Decide runs every 100 ms of every session, so the package is built around
+// doing each piece of work once: window and scheduler are per-session
+// scratch arenas (steady-state decisions allocate nothing), location scores
+// come from shared overlap tables, and the scheduler keeps the evaluation
+// of its fetch list — arrivals and running gain sums — beside the list, so
+// an insertion attempt recomputes only what the candidate being placed can
+// change. None of that may alter a decision: the scheduler as it was
+// before it cached anything is kept in scheduler_ref_test.go and the
+// production one must match it bit for bit.
 package core
 
 import (

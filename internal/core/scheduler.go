@@ -19,10 +19,18 @@ type fetchEntry struct {
 // position, and later entries are demoted or dropped when insertions push
 // them past their deadlines.
 //
+// A round tries ~C insertions and each one needs the arrival, the gain and
+// the running gain sums of every listed entry. Those only change where the
+// list changes, so the scheduler keeps them beside the list (arr,
+// prefixGain, totals — refreshed from the first changed slot by repair) and
+// an attempt recomputes only what depends on the candidate being placed.
+// Every sum is accumulated in one fixed order and shape, so a cached value
+// is the bits a from-scratch evaluation would produce; the from-scratch
+// evaluation lives on as the test oracle (scheduler_ref_test.go).
+//
 // Like window, a scheduler is a reusable scratch arena: reset() rebinds it
-// to the current window and every working buffer (candidate order, the
-// insertion-scan prefix/suffix sums, the double-buffered fetch list) is
-// retained across decisions, so steady-state runs allocate nothing.
+// to the current window and every working buffer is retained across
+// decisions, so steady-state runs allocate nothing.
 type scheduler struct {
 	w       *window
 	minQ    int
@@ -35,15 +43,30 @@ type scheduler struct {
 	floorTotal float64
 
 	list []fetchEntry
+	// The evaluation of list, kept current by repair:
+	//   arr[j]        instant list[j] completes
+	//   prefixGain[j] summed gain of list[:j], ((0 + u0) - f0 + u1) - f1 ...
+	//   totals[j]     floorTotal + (u0 - f0) + (u1 - f1) ... over list[:j]
+	// where u is an entry's utility at its arrival and f its skip floor.
+	// prefixGain and totals hold the same quantity in the two summation
+	// shapes the insertion scan and the list total have always used.
+	arr        []time.Duration
+	prefixGain []float64
+	totals     []float64
 
 	// Reusable run scratch.
 	spare       []fetchEntry // double buffer: insertAt builds here, then swaps
-	base        []fetchEntry // current list minus the candidate being placed
 	order       []*candidate
-	arrivals    []time.Duration
-	prefixGain  []float64
 	suffixShift []float64
+	shiftFrame  []int32
 	sorter      gainSorter
+
+	// Set by bestInsertion for a candidate that is already listed (at
+	// baseSlot): list minus that entry, and its arrivals and prefix gains.
+	base       []fetchEntry
+	baseSlot   int
+	baseArr    []time.Duration
+	basePrefix []float64
 }
 
 // newScheduler prepares a run over the window. baseOffset accounts for
@@ -55,27 +78,36 @@ func newScheduler(w *window, minQ video.Quality, baseOffset time.Duration) *sche
 }
 
 // reset rebinds the scheduler to a window for a fresh run, keeping the
-// scratch buffers of previous runs.
+// scratch buffers of previous runs. It stores on each candidate what a run
+// asks for thousands of times and never changes: its skip floor and its
+// transfer time at each quality.
 func (s *scheduler) reset(w *window, minQ video.Quality, baseOffset time.Duration) {
 	s.w = w
 	s.minQ = int(minQ)
 	s.maxQ = video.NumQualities - 1
 	s.baseOff = baseOffset
 	s.floorTotal = 0
-	s.list = s.list[:0]
 	for _, c := range w.cands {
-		s.floorTotal += c.utilityAt(w, -1, 0)
+		c.floor = c.full * c.maskScore
+		s.floorTotal += c.floor
+		for q := range c.size {
+			c.xfer[q] = s.transferTime(c.size[q])
+		}
 	}
+	s.list = s.list[:0]
+	s.arr = s.arr[:0]
+	s.prefixGain = append(s.prefixGain[:0], 0)
+	s.totals = append(s.totals[:0], s.floorTotal)
 }
 
 func (s *scheduler) transferTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / s.w.rate * float64(time.Second))
 }
 
-// totalUtility computes the utility of the whole assignment: every listed
-// tile at its arrival instant, plus the skip floor of unlisted candidates.
+// totalUtility is the utility of the whole assignment: every listed tile at
+// its arrival instant, plus the skip floor of unlisted candidates.
 func (s *scheduler) totalUtility() float64 {
-	return s.evalList(s.list)
+	return s.totals[len(s.list)]
 }
 
 // run executes the quality rounds and returns the final ordered fetch list.
@@ -106,8 +138,7 @@ func (s *scheduler) run() []fetchEntry {
 			if !ok {
 				continue
 			}
-			s.insertAt(c, q, pos)
-			best = s.demoteAndDrop()
+			best = s.repair(s.insertAt(c, q, pos))
 		}
 	}
 	return s.list
@@ -138,55 +169,50 @@ func (s *scheduler) optimisticGain(c *candidate, q int) float64 {
 // on curBest. Inserting c at position p leaves entries before p untouched
 // and shifts every later entry's arrival by exactly c's transfer time, so
 // one prefix-sum and one shifted-suffix-sum evaluate all positions in O(C)
-// — the amortization behind the paper's O(C²Q) bound. On success, s.base
-// holds the list without c, ready for insertAt.
+// — the amortization behind the paper's O(C²Q) bound. The prefix sums of
+// an unlisted candidate are the list's own; for a listed one they are
+// copied up to its slot and recomputed behind it, where its removal pulls
+// arrivals earlier. Only the shifted suffix is built per attempt.
 func (s *scheduler) bestInsertion(c *candidate, q int, curBest float64) (int, bool) {
-	// Working copy without c.
-	s.base = s.base[:0]
-	for _, e := range s.list {
-		if e.c != c {
-			s.base = append(s.base, e)
-		}
+	w := s.w
+	base, arrivals, prefixGain := s.list, s.arr, s.prefixGain
+	if c.inList {
+		base, arrivals, prefixGain = s.withoutListed(c)
 	}
-	n := len(s.base)
-	dt := s.transferTime(c.size[q])
+	n := len(base)
+	dt := c.xfer[q]
 
-	// arrivals[j]: when base entry j completes with no insertion;
-	// prefixGain[p]: summed gain of unshifted entries before p;
-	// suffixShift[p]: summed gain of entries from p on, pushed back by dt.
-	if cap(s.prefixGain) < n+1 {
-		s.arrivals = make([]time.Duration, n+1)
-		s.prefixGain = make([]float64, n+1)
+	// suffixShift[p]: summed gain of entries from p on, pushed back by dt;
+	// shiftFrame[j]: the window frame entry j then arrives in. Arrivals
+	// only grow along the list, so the frame is walked, not divided out.
+	if cap(s.suffixShift) < n+1 {
 		s.suffixShift = make([]float64, n+1)
+		s.shiftFrame = make([]int32, n)
 	}
-	arrivals := s.arrivals[:n]
-	prefixGain := s.prefixGain[:n+1]
 	suffixShift := s.suffixShift[:n+1]
-	prefixGain[0] = 0
+	shiftFrame := s.shiftFrame[:n]
 	suffixShift[n] = 0
-	at := s.w.t0 + s.baseOff
-	for j, e := range s.base {
-		at += s.transferTime(e.c.size[e.q])
-		arrivals[j] = at
-		floor := e.c.utilityAt(s.w, -1, 0)
-		prefixGain[j+1] = prefixGain[j] + e.c.utilityAt(s.w, e.q, at) - floor
+	wf := 0
+	if n > 0 {
+		wf = w.arrivalFrame(arrivals[n-1] + dt)
 	}
 	for j := n - 1; j >= 0; j-- {
-		e := s.base[j]
-		floor := e.c.utilityAt(s.w, -1, 0)
-		suffixShift[j] = suffixShift[j+1] + e.c.utilityAt(s.w, e.q, arrivals[j]+dt) - floor
+		e := base[j]
+		wf = w.frameNear(arrivals[j]+dt, wf)
+		shiftFrame[j] = int32(wf)
+		suffixShift[j] = suffixShift[j+1] + e.c.utilityFrom(w, e.q, wf) - e.c.floor
 	}
-	cFloor := c.utilityAt(s.w, -1, 0)
 
 	bestTotal := curBest
 	bestPos := -1
-	arrBefore := s.w.t0 + s.baseOff
+	wf = w.arrivalFrame(w.t0 + s.baseOff + dt)
 	for pos := 0; pos <= n; pos++ {
 		if pos > 0 {
-			arrBefore = arrivals[pos-1]
+			// c lands where base[pos-1] would have been pushed to.
+			wf = int(shiftFrame[pos-1])
 		}
 		total := s.floorTotal + prefixGain[pos] +
-			(c.utilityAt(s.w, q, arrBefore+dt) - cFloor) +
+			(c.utilityFrom(w, q, wf) - c.floor) +
 			suffixShift[pos]
 		if total > bestTotal+1e-9 {
 			bestTotal = total
@@ -196,78 +222,101 @@ func (s *scheduler) bestInsertion(c *candidate, q int, curBest float64) (int, bo
 	return bestPos, bestPos >= 0
 }
 
-// evalList computes the total utility of a tentative list: the skip-floor
-// total plus each listed entry's gain over its own floor at its arrival
-// instant. O(len(list)).
-func (s *scheduler) evalList(list []fetchEntry) float64 {
-	total := s.floorTotal
-	at := s.w.t0 + s.baseOff
-	for _, e := range list {
-		at += s.transferTime(e.c.size[e.q])
-		total += e.c.utilityAt(s.w, e.q, at) - e.c.utilityAt(s.w, -1, 0)
+// withoutListed fills s.base, s.baseArr and s.basePrefix with the list, its
+// arrivals and its prefix gains as they would be without listed candidate
+// c. Entries ahead of c's slot keep their cached values; entries behind it
+// arrive earlier by c's current transfer time.
+func (s *scheduler) withoutListed(c *candidate) ([]fetchEntry, []time.Duration, []float64) {
+	w := s.w
+	k := 0
+	for s.list[k].c != c {
+		k++
 	}
-	return total
+	s.baseSlot = k
+	s.base = append(append(s.base[:0], s.list[:k]...), s.list[k+1:]...)
+	arrivals := append(s.baseArr[:0], s.arr[:k]...)
+	prefixGain := append(s.basePrefix[:0], s.prefixGain[:k+1]...)
+	old := c.xfer[s.list[k].q]
+	wf := 0
+	if k+1 < len(s.list) {
+		wf = w.arrivalFrame(s.arr[k+1] - old)
+	}
+	for j, e := range s.base[k:] {
+		at := s.arr[k+1+j] - old
+		wf = w.frameNear(at, wf)
+		arrivals = append(arrivals, at)
+		prefixGain = append(prefixGain, prefixGain[k+j]+e.c.utilityFrom(w, e.q, wf)-e.c.floor)
+	}
+	s.baseArr, s.basePrefix = arrivals, prefixGain
+	return s.base, arrivals, prefixGain
 }
 
-// commit installs a list (copied into the scheduler's own buffer) and
-// refreshes assignment bookkeeping.
-func (s *scheduler) commit(list []fetchEntry) {
-	s.list = append(s.list[:0], list...)
-	for _, c := range s.w.cands {
-		c.inList = false
-		c.assigned = -1
+// insertAt installs the list a successful bestInsertion chose — the list
+// without c, with c@q inserted at pos — into the spare buffer and swaps it
+// in. It returns the first slot at which the new list differs from the old
+// one: everything the scheduler caches about earlier slots still holds.
+func (s *scheduler) insertAt(c *candidate, q, pos int) int {
+	base, from := s.list, pos
+	if c.inList {
+		base = s.base
+		if s.baseSlot < from {
+			from = s.baseSlot
+		}
 	}
-	for _, e := range s.list {
-		e.c.inList = true
-		e.c.assigned = e.q
-	}
-}
-
-// insertAt installs the list produced by a successful bestInsertion —
-// s.base with c@q inserted at pos — into the spare buffer, swaps it in,
-// and refreshes assignment bookkeeping.
-func (s *scheduler) insertAt(c *candidate, q, pos int) {
 	out := s.spare[:0]
-	out = append(out, s.base[:pos]...)
+	out = append(out, base[:pos]...)
 	out = append(out, fetchEntry{c: c, q: q})
-	out = append(out, s.base[pos:]...)
+	out = append(out, base[pos:]...)
 	s.spare = s.list[:0]
 	s.list = out
-	for _, cc := range s.w.cands {
-		cc.inList = false
-		cc.assigned = -1
-	}
-	for _, e := range s.list {
-		e.c.inList = true
-		e.c.assigned = e.q
-	}
+	c.inList = true
+	c.assigned = q
+	return from
 }
 
-// demoteAndDrop applies Algorithm 1's repair: entries whose marginal
-// utility fell to zero (their deadline passed due to upstream insertions)
-// are demoted quality step by quality step — shrinking their transfer time
-// and hence their arrival — and dropped entirely if even the lowest primary
-// quality earns nothing. Returns the resulting total utility.
-func (s *scheduler) demoteAndDrop() float64 {
-	out := s.list[:0]
-	at := s.w.t0 + s.baseOff
-	for _, e := range s.list {
-		arr := at + s.transferTime(e.c.size[e.q])
-		for e.c.marginalAt(s.w, e.q, arr) <= 0 && e.q > s.minQ {
+// repair applies Algorithm 1's repair to list[from:] — entries whose
+// marginal utility fell to zero (their deadline passed due to upstream
+// insertions) are demoted quality step by quality step, shrinking their
+// transfer time and hence their arrival, and dropped entirely if even the
+// lowest primary quality earns nothing — and in the same pass re-evaluates
+// the list from that slot. list[:from] must be as the previous repair left
+// it. Returns the resulting total utility.
+func (s *scheduler) repair(from int) float64 {
+	w := s.w
+	at := w.t0 + s.baseOff
+	if from > 0 {
+		at = s.arr[from-1]
+	}
+	out := s.list[:from]
+	arr := s.arr[:from]
+	prefixGain := s.prefixGain[:from+1]
+	totals := s.totals[:from+1]
+	wf := w.arrivalFrame(at)
+	for _, e := range s.list[from:] {
+		c := e.c
+		a := at + c.xfer[e.q]
+		wf = w.frameNear(a, wf)
+		for c.marginalFrom(w, e.q, wf) <= 0 && e.q > s.minQ {
 			e.q--
-			arr = at + s.transferTime(e.c.size[e.q])
+			a = at + c.xfer[e.q]
+			wf = w.frameNear(a, wf)
 		}
-		if e.c.marginalAt(s.w, e.q, arr) <= 0 {
+		if c.marginalFrom(w, e.q, wf) <= 0 {
 			// Dropped: subsequent arrivals move earlier automatically since
 			// `at` is not advanced.
-			e.c.inList = false
-			e.c.assigned = -1
+			c.inList = false
+			c.assigned = -1
 			continue
 		}
-		e.c.assigned = e.q
+		c.assigned = e.q
+		at = a
+		u := c.utilityFrom(w, e.q, wf)
+		j := len(out)
 		out = append(out, e)
-		at = arr
+		arr = append(arr, a)
+		prefixGain = append(prefixGain, prefixGain[j]+u-c.floor)
+		totals = append(totals, totals[j]+(u-c.floor))
 	}
-	s.list = out
-	return s.totalUtility()
+	s.list, s.arr, s.prefixGain, s.totals = out, arr, prefixGain, totals
+	return totals[len(out)]
 }

@@ -150,8 +150,29 @@ func TestSchedulerEmptyCandidates(t *testing.T) {
 	}
 }
 
+// commitList installs a feasible list (one repair leaves as it is) on a
+// freshly reset scheduler, bookkeeping and cached evaluation included.
+func commitList(t *testing.T, s *scheduler, list []fetchEntry) {
+	t.Helper()
+	s.list = append(s.list[:0], list...)
+	for _, e := range s.list {
+		e.c.inList = true
+		e.c.assigned = e.q
+	}
+	s.repair(0)
+	if len(s.list) != len(list) {
+		t.Fatalf("committed list is not feasible: repair kept %d of %d entries", len(s.list), len(list))
+	}
+	for i, e := range list {
+		if s.list[i] != e {
+			t.Fatalf("committed list is not feasible: repair changed entry %d", i)
+		}
+	}
+}
+
 func TestUtilityConsistencyAcrossEval(t *testing.T) {
-	// evalList over the committed list must equal totalUtility.
+	// A from-scratch evaluation of the final list must equal the total the
+	// scheduler carried through the run.
 	cands := []*candidate{
 		uniformCandidate(1, 3, testSizes, testScores, 30),
 		uniformCandidate(2, 2, testSizes, testScores, 30),
@@ -160,7 +181,7 @@ func TestUtilityConsistencyAcrossEval(t *testing.T) {
 	w := makeWindow(20000, cands)
 	s := newScheduler(w, video.Lowest+1, 0)
 	s.run()
-	if got, want := s.evalList(s.list), s.totalUtility(); got != want {
+	if got, want := refFor(s).evalList(s.list), s.totalUtility(); got != want {
 		t.Errorf("evalList %v != totalUtility %v", got, want)
 	}
 }
@@ -177,7 +198,7 @@ func TestBestInsertionMatchesBruteForce(t *testing.T) {
 	w := makeWindow(15000, cands)
 	s := newScheduler(w, video.Lowest+1, 0)
 	// Seed a list with two entries.
-	s.commit([]fetchEntry{{c: cands[0], q: 2}, {c: cands[1], q: 1}})
+	commitList(t, s, []fetchEntry{{c: cands[0], q: 2}, {c: cands[1], q: 1}})
 	cur := s.totalUtility()
 
 	c := cands[2]
@@ -186,7 +207,7 @@ func TestBestInsertionMatchesBruteForce(t *testing.T) {
 	if !ok {
 		t.Fatal("insertion rejected")
 	}
-	s.insertAt(c, q, pos)
+	s.repair(s.insertAt(c, q, pos))
 	fastList := s.list
 	fastTotal := s.totalUtility()
 
@@ -199,7 +220,7 @@ func TestBestInsertionMatchesBruteForce(t *testing.T) {
 		trial = append(trial, base[:pos]...)
 		trial = append(trial, fetchEntry{c: c, q: q})
 		trial = append(trial, base[pos:]...)
-		if total := s.evalList(trial); total > bestTotal+1e-9 {
+		if total := refFor(s).evalList(trial); total > bestTotal+1e-9 {
 			bestTotal = total
 			bestList = trial
 		}

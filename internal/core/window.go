@@ -70,6 +70,11 @@ type candidate struct {
 	inList bool
 	// sortKey is the scheduler's precomputed round sort key.
 	sortKey float64
+	// floor is the utility of skipping the tile (full × maskScore) and
+	// xfer[q] the time its quality-q encoding takes at the window's rate;
+	// scheduler.reset fills both.
+	floor float64
+	xfer  [video.NumQualities]time.Duration
 }
 
 // growF64 returns s resized to n, reusing capacity. Contents are undefined.
@@ -367,7 +372,7 @@ func (t *sessionTables) resolve(ctx *player.Context, o Options) {
 // arrivalFrame maps an arrival instant to the first window frame that can
 // display the tile; numFrames means "after the window" (no benefit).
 // Deadlines are uniformly frameDur apart, so the index is direct
-// arithmetic (this sits on the scheduler's hottest path).
+// arithmetic, corrected for rounding at the boundary by frameNear.
 func (w *window) arrivalFrame(at time.Duration) int {
 	if at <= w.deadlines[0] {
 		return 0
@@ -376,7 +381,14 @@ func (w *window) arrivalFrame(at time.Duration) int {
 	if wf > w.numFrames {
 		wf = w.numFrames
 	}
-	// Guard against deadline rounding at the boundary.
+	return w.frameNear(at, wf)
+}
+
+// frameNear is arrivalFrame by a walk from a guess instead of a division:
+// the first frame whose deadline is not before at. Deadlines never
+// decrease, so the answer does not depend on the guess; the scheduler's
+// inner loops pass the previous entry's frame, a step or two away.
+func (w *window) frameNear(at time.Duration, wf int) int {
 	for wf > 0 && w.deadlines[wf-1] >= at {
 		wf--
 	}
@@ -386,25 +398,19 @@ func (w *window) arrivalFrame(at time.Duration) int {
 	return wf
 }
 
-// utilityAt returns the total utility of candidate c fetched at quality q
-// arriving at instant `at`: masking covers frames before arrival, the
-// fetched quality the rest. Skipped (q < 0) yields the masking floor.
-func (c *candidate) utilityAt(w *window, q int, at time.Duration) float64 {
-	base := c.full * c.maskScore
-	if q < 0 {
-		return base
-	}
-	wf := w.arrivalFrame(at)
+// utilityFrom returns the total utility of candidate c fetched at quality q
+// and displayable from window frame wf on: masking covers the frames before
+// it, the fetched quality the rest.
+func (c *candidate) utilityFrom(w *window, q, wf int) float64 {
 	if wf >= w.numFrames {
-		return base
+		return c.floor
 	}
-	return base + c.cumL[wf]*(c.qscore[q]-c.maskScore)
+	return c.floor + c.cumL[wf]*(c.qscore[q]-c.maskScore)
 }
 
-// marginalAt returns only the gain over the skip floor (used for the
+// marginalFrom returns only the gain over the skip floor (used for the
 // zero-utility demote/drop rule of Algorithm 1).
-func (c *candidate) marginalAt(w *window, q int, at time.Duration) float64 {
-	wf := w.arrivalFrame(at)
+func (c *candidate) marginalFrom(w *window, q, wf int) float64 {
 	if wf >= w.numFrames {
 		return 0
 	}

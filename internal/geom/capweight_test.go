@@ -1,0 +1,119 @@
+package geom
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// capCases yields seeded cap centers that include both poles, the ±180° yaw
+// seam and tile corners, with radii over 0.5°–179.9° plus the RoI radii the
+// scheduler actually asks for.
+func capCases(rng *rand.Rand, n int) (centers []Orientation, radii []float64) {
+	edgeYaw := []float64{-180, 179.999999, -179.999999, 0, 90, -90}
+	edgePitch := []float64{90, -90, 89.999999, -89.999999, 0, 45}
+	fixedRadii := []float64{25, 50, 65, 0.5, 179.9}
+	for i := 0; i < n; i++ {
+		o := Orientation{Yaw: rng.Float64()*360 - 180, Pitch: rng.Float64()*180 - 90}
+		switch i % 4 {
+		case 1:
+			o.Yaw = edgeYaw[rng.Intn(len(edgeYaw))]
+		case 2:
+			o.Pitch = edgePitch[rng.Intn(len(edgePitch))]
+		}
+		r := 0.5 + rng.Float64()*179.4
+		if i%3 == 0 {
+			r = fixedRadii[rng.Intn(len(fixedRadii))]
+		}
+		centers = append(centers, o)
+		radii = append(radii, r)
+	}
+	return centers, radii
+}
+
+// TestCapWeightMatchesSampleLoop is the bit-identity proof of the tile
+// classifier: for every tile, capWeight (one dot product for most tiles)
+// returns exactly the bits of sampleWeight, the plain 16-sample loop that
+// was the only implementation before it.
+func TestCapWeightMatchesSampleLoop(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {4, 6}, {12, 12}, {24, 48}} {
+		g := NewGrid(dim[0], dim[1])
+		rng := rand.New(rand.NewSource(int64(dim[0]*100 + dim[1])))
+		centers, radii := capCases(rng, 20000)
+		walked, pairs := 0, 0
+		for i, c := range centers {
+			q := NewCapQuery(c, radii[i])
+			for id := 0; id < g.NumTiles(); id++ {
+				want := g.sampleWeight(TileID(id), q)
+				got := g.capWeight(TileID(id), q)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%dx%d tile %d, cap %+v r=%v: capWeight %v, sample loop %v",
+						dim[0], dim[1], id, c, radii[i], got, want)
+				}
+				if got != 0 && got != g.tileWeight[id] {
+					walked++
+				}
+				pairs++
+			}
+		}
+		t.Logf("%dx%d: %d tile x cap pairs, %.1f%% partially covered", dim[0], dim[1], pairs, 100*float64(walked)/float64(pairs))
+	}
+}
+
+// TestCapWalksMatchSampleLoop checks the public walks built on capWeight
+// against the sample loop, bit for bit and in order.
+func TestCapWalksMatchSampleLoop(t *testing.T) {
+	g := NewGrid(12, 12)
+	centers, radii := capCases(rand.New(rand.NewSource(7)), 2000)
+	var ids []TileID
+	var ws []float64
+	for i, c := range centers {
+		q := NewCapQuery(c, radii[i])
+		var wantIDs []TileID
+		var wantWs []float64
+		for id := 0; id < g.NumTiles(); id++ {
+			in := g.sampleWeight(TileID(id), q)
+			if frac := g.OverlapCapQ(TileID(id), q); math.Float64bits(frac) != math.Float64bits(in/g.tileWeight[id]) {
+				t.Fatalf("OverlapCapQ tile %d cap %+v r=%v: %v, sample loop %v", id, c, radii[i], frac, in/g.tileWeight[id])
+			}
+			if in > 0 {
+				wantIDs = append(wantIDs, TileID(id))
+				wantWs = append(wantWs, in)
+			}
+		}
+		ids, ws = g.AppendCapWeights(ids[:0], ws[:0], c, radii[i])
+		tiles := g.TilesInCap(c, radii[i])
+		if len(ids) != len(wantIDs) || len(tiles) != len(wantIDs) {
+			t.Fatalf("cap %+v r=%v: %d weighted, %d listed, sample loop %d", c, radii[i], len(ids), len(tiles), len(wantIDs))
+		}
+		for k := range wantIDs {
+			if ids[k] != wantIDs[k] || tiles[k] != wantIDs[k] || math.Float64bits(ws[k]) != math.Float64bits(wantWs[k]) {
+				t.Fatalf("cap %+v r=%v entry %d: got tile %d/%d weight %v, want tile %d weight %v",
+					c, radii[i], k, ids[k], tiles[k], ws[k], wantIDs[k], wantWs[k])
+			}
+		}
+	}
+}
+
+// TestCapClassifierSettlesMostTiles pins the mechanism, not just the
+// result: on the paper's grid and viewport the sample loop must be the
+// exception.
+func TestCapClassifierSettlesMostTiles(t *testing.T) {
+	g := NewGrid(12, 12)
+	rng := rand.New(rand.NewSource(11))
+	walked, pairs := 0, 0
+	for i := 0; i < 2000; i++ {
+		q := NewCapQuery(Orientation{Yaw: rng.Float64()*360 - 180, Pitch: rng.Float64()*120 - 60}, 50)
+		for id := 0; id < g.NumTiles(); id++ {
+			if g.capSide(TileID(id), q) == sideCrossed {
+				walked++
+			}
+			pairs++
+		}
+	}
+	share := float64(walked) / float64(pairs)
+	t.Logf("sample loop ran for %.1f%% of tile x cap pairs", 100*share)
+	if share > 0.25 {
+		t.Errorf("sample loop ran for %.1f%% of tile x cap pairs, want <= 25%%", 100*share)
+	}
+}

@@ -6,7 +6,16 @@
 //
 // Conventions: yaw is in degrees in [-180, 180) with 0 facing forward and
 // positive to the user's left; pitch is in degrees in [-90, 90] with +90 at
-// the zenith. Angular distances are great-circle distances in degrees.
+// the zenith. Angular distances are great-circle distances in degrees. A
+// cap of radius 180° or more is the whole sphere and one of 0° or less is
+// empty (NewCapQuery).
+//
+// Overlap is estimated on a fixed 4×4 sample lattice per tile. Every cap
+// walk (OverlapCap, TilesInCap, CapWeights, Coverage, the table build)
+// first tests the cap against a bounding cap stored per tile and runs the
+// 16-sample loop only for tiles the cap's edge may cross — about an eighth
+// of tile × cap pairs on the paper's 12×12 grid — returning for the rest what
+// the loop would have summed, bit for bit (capWeight).
 package geom
 
 import (
@@ -108,7 +117,25 @@ type Grid struct {
 	// tileWeight is the total solid-angle weight of each tile.
 	tileWeight []float64
 	centers    []Orientation
+	// bounds holds, per tile, the spherical cap that encloses its sample
+	// lattice; capWeight classifies a tile against a query cap with it.
+	bounds []tileBound
 }
+
+// tileBound is a cap around a tile's center that contains every sample of
+// the tile: the center's unit vector and the cosine and sine of the cap's
+// angular radius (the largest center-to-sample angle plus boundSlack).
+type tileBound struct {
+	center     Vec3
+	cosR, sinR float64
+}
+
+// boundSlack widens every tile's bounding cap, in radians. It is eight
+// orders of magnitude above the rounding error of the dot products and
+// products of cosines involved, so a tile classified as wholly inside or
+// wholly outside a query cap has every one of its samples on that side in
+// the sample loop's own floating-point comparison.
+const boundSlack = 1e-6
 
 // samplesPerAxis controls the overlap-estimation lattice resolution. A 4×4
 // lattice per tile keeps location-score computation cheap (16 dot products
@@ -127,6 +154,7 @@ func NewGrid(rows, cols int) *Grid {
 	g.sampleWeights = make([][]float64, n)
 	g.tileWeight = make([]float64, n)
 	g.centers = make([]Orientation, n)
+	g.bounds = make([]tileBound, n)
 	dyaw := 360.0 / float64(cols)
 	dpitch := 180.0 / float64(rows)
 	for r := 0; r < rows; r++ {
@@ -157,6 +185,18 @@ func NewGrid(rows, cols int) *Grid {
 			g.sampleVecs[id] = vecs
 			g.sampleWeights[id] = weights
 			g.tileWeight[id] = total
+			cv := g.centers[id].Unit()
+			minDot := 1.0
+			for _, v := range vecs {
+				if d := v.Dot(cv); d < minDot {
+					minDot = d
+				}
+			}
+			if minDot < -1 {
+				minDot = -1
+			}
+			rho := math.Acos(minDot) + boundSlack
+			g.bounds[id] = tileBound{center: cv, cosR: math.Cos(rho), sinR: math.Sin(rho)}
 		}
 	}
 	return g
@@ -204,49 +244,95 @@ func (g *Grid) SolidAngleWeight(id TileID) float64 { return g.tileWeight[id] }
 // location score: 1 if the tile region is completely inside the RoI, 0 if
 // disjoint, fractional at the boundary.
 func (g *Grid) OverlapCap(id TileID, center Orientation, radiusDeg float64) float64 {
-	if radiusDeg <= 0 {
-		return 0
-	}
-	if radiusDeg >= 180 {
-		return 1
-	}
-	cv := center.Unit()
-	cosR := math.Cos(radiusDeg * math.Pi / 180)
-	vecs := g.sampleVecs[id]
-	weights := g.sampleWeights[id]
-	in := 0.0
-	for k, v := range vecs {
-		if v.Dot(cv) >= cosR {
-			in += weights[k]
-		}
-	}
-	return in / g.tileWeight[id]
+	return g.OverlapCapQ(id, NewCapQuery(center, radiusDeg))
 }
 
 // CapQuery is a precomputed spherical-cap membership test: callers that
 // evaluate many tiles against the same cap avoid recomputing the center's
 // unit vector and the radius cosine per tile.
 type CapQuery struct {
-	v    Vec3
-	cosR float64
+	v Vec3
+	// A sample s is in the cap when s·v >= cosR. cosR is 2 for the empty
+	// cap and -2 for the whole sphere, so the test needs no special case.
+	cosR, sinR float64
 }
 
-// NewCapQuery precomputes a cap test for OverlapCapQ.
+// NewCapQuery precomputes a cap test for OverlapCapQ. A radius of 180° or
+// more is the whole sphere and a radius of 0° or less is empty — here, so
+// that every cap walk (OverlapCap, TilesInCap, CapWeights, Coverage, the
+// table build) agrees on both.
 func NewCapQuery(center Orientation, radiusDeg float64) CapQuery {
-	return CapQuery{v: center.Unit(), cosR: math.Cos(radiusDeg * math.Pi / 180)}
+	switch {
+	case radiusDeg <= 0:
+		return CapQuery{cosR: 2}
+	case radiusDeg >= 180:
+		return CapQuery{cosR: -2}
+	}
+	r := radiusDeg * math.Pi / 180
+	return CapQuery{v: center.Unit(), cosR: math.Cos(r), sinR: math.Sin(r)}
 }
 
-// OverlapCapQ is OverlapCap against a precomputed query.
-func (g *Grid) OverlapCapQ(id TileID, q CapQuery) float64 {
-	vecs := g.sampleVecs[id]
+// capWeight returns the solid-angle weight of tile id's samples inside the
+// cap, walking the samples only when capSide cannot settle the tile. The
+// wholly-inside answer is tileWeight, which NewGrid accumulated over the
+// same samples in the same order as sampleWeight does, so all three cases
+// return sampleWeight's bits.
+func (g *Grid) capWeight(id TileID, q CapQuery) float64 {
+	switch g.capSide(id, q) {
+	case sideOutside:
+		return 0
+	case sideInside:
+		return g.tileWeight[id]
+	}
+	return g.sampleWeight(id, q)
+}
+
+// Where a tile's samples lie relative to a query cap.
+const (
+	sideOutside = -1 // every sample outside
+	sideCrossed = 0  // undecided: the cap's edge may cross the tile
+	sideInside  = 1  // every sample inside
+)
+
+// capSide classifies tile id against the cap from one dot product: with
+// the tile's bounding cap of radius ρ centered at angle θ from the query's
+// center, θ > R+ρ puts every sample outside and θ <= R-ρ every sample
+// inside. Cosines decrease over [0°, 180°], so R+ρ < 180° reads
+// cos ρ > -cos R and ρ <= R reads cos R <= cos ρ.
+func (g *Grid) capSide(id TileID, q CapQuery) int {
+	switch { // the empty cap and the whole sphere have no R to compare
+	case q.cosR > 1:
+		return sideOutside
+	case q.cosR < -1:
+		return sideInside
+	}
+	b := &g.bounds[id]
+	d := b.center.Dot(q.v)
+	cc, ss := q.cosR*b.cosR, q.sinR*b.sinR
+	if b.cosR > -q.cosR && d < cc-ss { // θ > R+ρ
+		return sideOutside
+	}
+	if q.cosR <= b.cosR && d >= cc+ss { // θ <= R-ρ
+		return sideInside
+	}
+	return sideCrossed
+}
+
+// sampleWeight sums the weights of tile id's samples inside the cap.
+func (g *Grid) sampleWeight(id TileID, q CapQuery) float64 {
 	weights := g.sampleWeights[id]
 	in := 0.0
-	for k, v := range vecs {
+	for k, v := range g.sampleVecs[id] {
 		if v.Dot(q.v) >= q.cosR {
 			in += weights[k]
 		}
 	}
-	return in / g.tileWeight[id]
+	return in
+}
+
+// OverlapCapQ is OverlapCap against a precomputed query.
+func (g *Grid) OverlapCapQ(id TileID, q CapQuery) float64 {
+	return g.capWeight(id, q) / g.tileWeight[id]
 }
 
 // TilesInCap returns the IDs of all tiles with non-zero overlap with the
@@ -259,12 +345,9 @@ func (g *Grid) TilesInCap(center Orientation, radiusDeg float64) []TileID {
 // per-decision and per-frame loops can reuse one buffer instead of
 // allocating. The cap test is hoisted once for the whole grid walk.
 func (g *Grid) AppendTilesInCap(dst []TileID, center Orientation, radiusDeg float64) []TileID {
-	if radiusDeg <= 0 {
-		return dst
-	}
 	q := NewCapQuery(center, radiusDeg)
 	for id := 0; id < g.NumTiles(); id++ {
-		if g.OverlapCapQ(TileID(id), q) > 0 {
+		if g.capWeight(TileID(id), q) > 0 {
 			dst = append(dst, TileID(id))
 		}
 	}
@@ -292,19 +375,11 @@ func (v Viewport) Tiles(g *Grid, center Orientation) []TileID {
 // the given tile set when looking at center. It is used to compute the
 // blank-area metric: blank fraction = 1 - Coverage(available tiles).
 func (v Viewport) Coverage(g *Grid, center Orientation, have func(TileID) bool) float64 {
-	cv := center.Unit()
-	cosR := math.Cos(v.RadiusDeg * math.Pi / 180)
+	q := NewCapQuery(center, v.RadiusDeg)
 	total := 0.0
 	covered := 0.0
 	for id := 0; id < g.NumTiles(); id++ {
-		vecs := g.sampleVecs[id]
-		weights := g.sampleWeights[id]
-		inside := 0.0
-		for k, vec := range vecs {
-			if vec.Dot(cv) >= cosR {
-				inside += weights[k]
-			}
-		}
+		inside := g.capWeight(TileID(id), q)
 		if inside == 0 {
 			continue
 		}
@@ -329,18 +404,9 @@ func (g *Grid) CapWeights(center Orientation, radiusDeg float64) (ids []TileID, 
 // AppendCapWeights is CapWeights appending into caller-provided slices, so
 // the per-frame render accounting can reuse its buffers across frames.
 func (g *Grid) AppendCapWeights(ids []TileID, weights []float64, center Orientation, radiusDeg float64) ([]TileID, []float64) {
-	cv := center.Unit()
-	cosR := math.Cos(radiusDeg * math.Pi / 180)
+	q := NewCapQuery(center, radiusDeg)
 	for id := 0; id < g.NumTiles(); id++ {
-		vecs := g.sampleVecs[id]
-		ws := g.sampleWeights[id]
-		inside := 0.0
-		for k, v := range vecs {
-			if v.Dot(cv) >= cosR {
-				inside += ws[k]
-			}
-		}
-		if inside > 0 {
+		if inside := g.capWeight(TileID(id), q); inside > 0 {
 			ids = append(ids, TileID(id))
 			weights = append(weights, inside)
 		}

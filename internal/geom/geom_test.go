@@ -422,3 +422,61 @@ func TestNeighbors4(t *testing.T) {
 		t.Errorf("polar tile has %d neighbors", len(got))
 	}
 }
+
+// TestCapRadiusWholeSphereAndEmpty: a cap of 180° or more is the whole
+// sphere and one of 0° or less is empty on every cap walk, not only in
+// OverlapCap. Tiled masking asks for viewport radius + per-chunk head
+// displacement, which reaches 180° on the chunks with the most motion;
+// before the guard moved into NewCapQuery the cosine wrapped and those
+// chunks got the smallest masking region (131 of 144 tiles at 230°, none at
+// 360°).
+func TestCapRadiusWholeSphereAndEmpty(t *testing.T) {
+	g := NewGrid(12, 12)
+	o := Orientation{Yaw: 33, Pitch: -21}
+	for _, r := range []float64{180, 180.5, 230, 360, 1e6} {
+		if got := len(g.TilesInCap(o, r)); got != g.NumTiles() {
+			t.Errorf("TilesInCap(r=%v) = %d tiles, want all %d", r, got, g.NumTiles())
+		}
+		ids, ws := g.CapWeights(o, r)
+		if len(ids) != g.NumTiles() {
+			t.Errorf("CapWeights(r=%v) = %d tiles, want all %d", r, len(ids), g.NumTiles())
+		}
+		for k, id := range ids {
+			if ws[k] != g.SolidAngleWeight(id) {
+				t.Errorf("CapWeights(r=%v) tile %d weight %v, want its whole weight %v", r, id, ws[k], g.SolidAngleWeight(id))
+			}
+		}
+		q := NewCapQuery(o, r)
+		for id := 0; id < g.NumTiles(); id++ {
+			if a, b := g.OverlapCapQ(TileID(id), q), g.OverlapCap(TileID(id), o, r); a != 1 || b != 1 {
+				t.Fatalf("r=%v tile %d: OverlapCapQ %v, OverlapCap %v, want 1", r, id, a, b)
+			}
+		}
+		if got := (Viewport{RadiusDeg: r}).Coverage(g, o, func(id TileID) bool { return id%2 == 0 }); got <= 0.4 || got >= 0.6 {
+			t.Errorf("Coverage(r=%v) with every other tile = %v, want about half", r, got)
+		}
+	}
+	for _, r := range []float64{0, -1, -230} {
+		if got := g.TilesInCap(o, r); len(got) != 0 {
+			t.Errorf("TilesInCap(r=%v) = %d tiles, want none", r, len(got))
+		}
+		if ids, _ := g.CapWeights(o, r); len(ids) != 0 {
+			t.Errorf("CapWeights(r=%v) = %d tiles, want none", r, len(ids))
+		}
+		q := NewCapQuery(o, r)
+		for id := 0; id < g.NumTiles(); id++ {
+			if a, b := g.OverlapCapQ(TileID(id), q), g.OverlapCap(TileID(id), o, r); a != 0 || b != 0 {
+				t.Fatalf("r=%v tile %d: OverlapCapQ %v, OverlapCap %v, want 0", r, id, a, b)
+			}
+		}
+	}
+	// The region must not shrink as the radius grows through 180°.
+	prev := 0
+	for r := 100.0; r <= 260; r += 10 {
+		n := len(g.TilesInCap(o, r))
+		if n < prev {
+			t.Errorf("TilesInCap shrank from %d to %d tiles at r=%v", prev, n, r)
+		}
+		prev = n
+	}
+}

@@ -1,9 +1,11 @@
 // Micro-benchmarks for the per-decision fast path: Decide across the
-// masking variants (table-driven vs exact geometry), and the raw overlap
-// query underneath it (sampled spherical-cap integration vs the precomputed
-// table). Run with -benchmem: the Decide benchmarks must report zero
-// allocs/op in steady state — internal/core's TestDecideAllocationFree pins
-// the same property as a hard test.
+// masking variants (table-driven vs exact geometry) on a static context and
+// on one taken mid-session, Flare's Decide, and the raw overlap queries
+// underneath them (sampled spherical-cap integration, the cap walk, the
+// precomputed table). Run with -benchmem: the Decide benchmarks must report
+// zero allocs/op in steady state — internal/core's TestDecideAllocationFree
+// and internal/baseline's TestFlareDecideAllocationFree pin the same
+// property as hard tests, and cmd/benchdiff fails a 0 -> N change.
 package dragonfly_test
 
 import (
@@ -13,12 +15,15 @@ import (
 	"testing"
 	"time"
 
+	"dragonfly/internal/baseline"
 	"dragonfly/internal/core"
 	"dragonfly/internal/geom"
 	"dragonfly/internal/netem"
+	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/server"
+	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
 )
 
@@ -54,36 +59,122 @@ func perfContext(m *video.Manifest, mbps float64) *player.Context {
 	}
 }
 
-func benchDecide(b *testing.B, opts core.Options) {
-	d := core.New(opts)
+// benchDecide times a scheme's steady-state refinement on the drifting
+// context: one 3 s sweep of decisions first, so every scratch arena has
+// reached the capacity the timed sweeps need.
+func benchDecide(b *testing.B, s player.Scheme) {
 	ctx := perfContext(perfManifest(), 12)
-	for i := 0; i < 10; i++ { // warm the scratch arenas to steady state
+	for i := 0; i < 30; i++ {
 		ctx.Now = time.Duration(i) * 100 * time.Millisecond
-		d.Decide(ctx)
+		s.Decide(ctx)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Now = time.Duration(i%30) * 100 * time.Millisecond
-		d.Decide(ctx)
+		s.Decide(ctx)
 	}
 }
 
 // The paper's default configuration (full-360° masking).
-func BenchmarkDecideFull360(b *testing.B) { benchDecide(b, core.DefaultOptions()) }
+func BenchmarkDecideFull360(b *testing.B) { benchDecide(b, core.NewDefault()) }
 
 // Tiled masking, plain chunk order.
-func BenchmarkDecideTiled(b *testing.B) { benchDecide(b, core.Options{Masking: core.MaskTiled}) }
+func BenchmarkDecideTiled(b *testing.B) {
+	benchDecide(b, core.New(core.Options{Masking: core.MaskTiled}))
+}
 
 // Tiled masking ordered by the §3.1 utility scheduler.
 func BenchmarkDecideTiledScheduled(b *testing.B) {
-	benchDecide(b, core.Options{Masking: core.MaskTiled, MaskScheduled: true})
+	benchDecide(b, core.New(core.Options{Masking: core.MaskTiled, MaskScheduled: true}))
 }
 
 // The pre-table behavior: every overlap re-samples the sphere. The gap to
 // BenchmarkDecideFull360 is the overlap table's end-to-end win.
 func BenchmarkDecideExactGeometry(b *testing.B) {
-	benchDecide(b, core.Options{ExactGeometry: true})
+	benchDecide(b, core.New(core.Options{ExactGeometry: true}))
+}
+
+// midSessionProbe runs fn in place of one decision of a live simulated
+// session, handing it the engine's own context: the received set, the
+// regression predictor and the frame deadlines are what the session built
+// up to that point, not a static stand-in.
+type midSessionProbe struct {
+	player.Scheme
+	at, n int
+	fn    func(*player.Context)
+}
+
+func (p *midSessionProbe) Decide(ctx *player.Context) []player.RequestItem {
+	if p.n++; p.n == p.at {
+		p.fn(ctx)
+	}
+	return p.Scheme.Decide(ctx)
+}
+
+// BenchmarkDecideMidSession is the micro-benchmark that explains the
+// benchmark's core.decide_us_p50.full360: the static context of
+// BenchmarkDecideFull360 holds nothing yet, predicts a link that fits
+// everything and so yields a short list that is never repaired, while a
+// session's decisions run on a link that does not fit the top quality. This
+// one repeats the 70th decision (t = 6.9 s) of a session over the
+// highest-rate Table 3 video (v27, 12x12, 49.6 Mbps at QP22) on a flat
+// 16 Mbps link — about 45 candidates, about 43 of them listed, reported as
+// cands/op and listed/op — on the live context.
+func BenchmarkDecideMidSession(b *testing.B) {
+	e := video.Table3[len(video.Table3)-1]
+	m := video.Generate(video.GenParams{
+		ID: e.ID, NumChunks: 10,
+		TargetQP42Mbps: e.QP42Mbps, TargetQP22Mbps: e.QP22Mbps,
+		MotionLevel: e.MotionLevel, Seed: e.Seed,
+	})
+	d := core.NewDefault()
+	probe := &midSessionProbe{Scheme: d, at: 70, fn: func(ctx *player.Context) {
+		reg := obs.NewRegistry()
+		d.SetObs(reg)
+		d.Decide(ctx)
+		d.SetObs(nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.Decide(ctx)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(reg.Counter("core_candidates").Value()), "cands/op")
+		b.ReportMetric(float64(reg.Counter("core_listed").Value()), "listed/op")
+	}}
+	_, err := player.Run(player.Config{
+		Manifest:  m,
+		Head:      trace.GenerateHead(trace.HeadGenParams{UserID: "u", Class: trace.MotionMedium, Duration: 11 * time.Second, Seed: 4}),
+		Bandwidth: &trace.BandwidthTrace{ID: "flat", SamplePeriod: time.Second, Mbps: []float64{16}},
+		Scheme:    probe,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if probe.n < probe.at {
+		b.Fatalf("session ended after %d decisions, before the probe at %d", probe.n, probe.at)
+	}
+}
+
+// Flare's refinement: four chunks of viewport plus periphery, sorted by
+// centrality.
+func BenchmarkFlareDecide(b *testing.B) {
+	benchDecide(b, baseline.NewFlare(baseline.FlareOptions{}))
+}
+
+// The cap walk behind the player's per-frame viewport, Flare's tile sets
+// and the tiled-masking discovery: which of the 144 tiles a 50° cap
+// touches.
+func BenchmarkTilesInCap(b *testing.B) {
+	g := perfManifest().Grid()
+	buf := make([]geom.TileID, 0, g.NumTiles())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := geom.Orientation{Yaw: float64(i%360) - 180, Pitch: float64(i%7)*10 - 30}
+		buf = g.AppendTilesInCap(buf[:0], o, 50)
+	}
 }
 
 // One full-grid location pass, exact path: hoist the cap query once, then

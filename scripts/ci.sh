@@ -6,7 +6,8 @@
 # mid-stream disconnects, so -race here is load-bearing, not ceremony.
 #
 # Single-iteration timing is noisy, so the benchmark comparison only warns
-# by default; pass -strict to make a regression fail the gate.
+# by default; pass -strict to make a regression fail the gate. An
+# allocation-free benchmark that starts allocating fails it either way.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -109,15 +110,18 @@ done
 # checked against BENCH_baseline.json with cmd/benchdiff. The split
 # mirrors scripts/bench.sh: one iteration for the expensive experiment
 # sweeps, more for the microsecond-scale micro-benchmarks whose single
-# iteration is all warm-up noise.
+# iteration is all warm-up noise. -benchmem feeds benchdiff's allocation
+# gate: a benchmark the baseline holds at 0 allocs/op (Decide*, FlareDecide,
+# Overlap*, TilesInCap, UnmarshalEvent/canonical, FrameWritePreframed) that
+# allocates fails even in warn mode.
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
-go test -run '^$' -bench='Fig|Table|Tiling|Ext|ManyConn' -benchtime=1x . | tee "$raw"
-go test -run '^$' -bench='Decide|Overlap' -benchtime="${BENCHTIME_MICRO:-50x}" . | tee -a "$raw"
-go test -run '^$' -bench='Frame' -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/proto | tee -a "$raw"
-go test -run '^$' -bench='UnmarshalEvent' -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/obs | tee -a "$raw"
-go test -run '^$' -bench='IngestFold' -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/ingest | tee -a "$raw"
-go test -run '^$' -bench='PopulationSweep' -benchtime=1x ./internal/popsim | tee -a "$raw"
+go test -run '^$' -bench='Fig|Table|Tiling|Ext|ManyConn' -benchmem -benchtime=1x . | tee "$raw"
+go test -run '^$' -bench='Decide|Overlap|TilesInCap' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" . | tee -a "$raw"
+go test -run '^$' -bench='Frame' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/proto | tee -a "$raw"
+go test -run '^$' -bench='UnmarshalEvent' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/obs | tee -a "$raw"
+go test -run '^$' -bench='IngestFold' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/ingest | tee -a "$raw"
+go test -run '^$' -bench='PopulationSweep' -benchmem -benchtime=1x ./internal/popsim | tee -a "$raw"
 if [ "$strict" = 1 ]; then
 	go run ./cmd/benchdiff -baseline BENCH_baseline.json -new "$raw"
 else
