@@ -116,7 +116,7 @@ func TestWatcherBoundsPartialLine(t *testing.T) {
 	w := NewWatcher(agg, dir, time.Hour)
 
 	path := filepath.Join(dir, "flood.jsonl")
-	flood := bytes.Repeat([]byte{'x'}, maxPartialLine+4096) // no newline anywhere
+	flood := bytes.Repeat([]byte{'x'}, maxLine+4096) // no newline anywhere
 	if err := os.WriteFile(path, flood, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"dragonfly/internal/obs"
@@ -41,20 +42,35 @@ func observe(agg *Aggregator, reg *obs.Registry) foldState {
 	return foldState{ru, m}
 }
 
-// The four ways a trace stream reaches the aggregator (the watcher twice:
-// whole file in one scan, and cut mid-line across two).
+// raggedReader returns between 1 and max bytes per Read.
+type raggedReader struct {
+	r   io.Reader
+	rng *rand.Rand
+	max int
+}
+
+func (r *raggedReader) Read(p []byte) (int, error) {
+	return r.r.Read(p[:min(len(p), 1+r.rng.Intn(r.max))])
+}
+
+// The ways a trace stream reaches the aggregator: line by line, event by
+// event, and through the line splitter — FoldReader over readers that return
+// all they have, one byte, or 1..N bytes per Read, and the watcher with the
+// file landing in one scan, in two (cut mid-line) and in many. fold returns
+// the lines consumed, or -1 where the entry point does not count them.
 var foldEntryPoints = []struct {
 	name string
-	fold func(t *testing.T, agg *Aggregator, body []byte)
+	fold func(t *testing.T, agg *Aggregator, body []byte) int
 }{
-	{"Line", func(t *testing.T, agg *Aggregator, body []byte) {
+	{"Line", func(t *testing.T, agg *Aggregator, body []byte) int {
 		sf := agg.NewSession()
 		defer sf.Close()
 		for _, line := range bytes.Split(body, []byte("\n")) {
 			sf.Line(line)
 		}
+		return -1
 	}},
-	{"Event", func(t *testing.T, agg *Aggregator, body []byte) {
+	{"Event", func(t *testing.T, agg *Aggregator, body []byte) int {
 		sf := agg.NewSession()
 		defer sf.Close()
 		for _, line := range bytes.Split(body, []byte("\n")) {
@@ -67,24 +83,53 @@ var foldEntryPoints = []struct {
 			}
 			sf.Event(ev)
 		}
+		return -1
 	}},
-	{"FoldReader", func(t *testing.T, agg *Aggregator, body []byte) {
-		if _, err := agg.FoldReader(bytes.NewReader(body)); err != nil {
-			t.Fatalf("FoldReader: %v", err)
-		}
+	{"FoldReader", func(t *testing.T, agg *Aggregator, body []byte) int {
+		return foldReader(t, agg, bytes.NewReader(body))
 	}},
-	{"Watcher", func(t *testing.T, agg *Aggregator, body []byte) {
+	{"FoldReader/one-byte-reads", func(t *testing.T, agg *Aggregator, body []byte) int {
+		return foldReader(t, agg, iotest.OneByteReader(bytes.NewReader(body)))
+	}},
+	{"FoldReader/ragged-reads", func(t *testing.T, agg *Aggregator, body []byte) int {
+		return foldReader(t, agg, &raggedReader{bytes.NewReader(body), rand.New(rand.NewSource(11)), 3000})
+	}},
+	{"Watcher", func(t *testing.T, agg *Aggregator, body []byte) int {
 		watchInPieces(t, agg, body, len(body))
+		return -1
 	}},
-	{"Watcher/two-scans", func(t *testing.T, agg *Aggregator, body []byte) {
+	{"Watcher/two-scans", func(t *testing.T, agg *Aggregator, body []byte) int {
 		watchInPieces(t, agg, body, len(body)/2+7)
+		return -1
+	}},
+	{"Watcher/many-scans", func(t *testing.T, agg *Aggregator, body []byte) int {
+		watchInPieces(t, agg, body, len(body)/61+1)
+		return -1
 	}},
 }
 
+// splits reports whether a fold entry point goes through the line splitter.
+func splits(name string) bool {
+	return strings.HasPrefix(name, "FoldReader") || strings.HasPrefix(name, "Watcher")
+}
+
+func foldReader(t *testing.T, agg *Aggregator, r io.Reader) int {
+	t.Helper()
+	n, err := agg.FoldReader(r)
+	if err != nil {
+		t.Fatalf("FoldReader: %v", err)
+	}
+	return n
+}
+
 // watchInPieces appends body to a tailed file, cut bytes at a time, with a
-// scan after each append.
+// scan after each append. A tailer holds a last line without a newline back
+// as possibly half-written, so the writer here ends it.
 func watchInPieces(t *testing.T, agg *Aggregator, body []byte, cut int) {
 	t.Helper()
+	if !bytes.HasSuffix(body, []byte("\n")) {
+		body = append(body[:len(body):len(body)], '\n')
+	}
 	dir := t.TempDir()
 	w := NewWatcher(agg, dir, time.Hour)
 	f, err := os.Create(filepath.Join(dir, "s.jsonl"))
@@ -151,15 +196,17 @@ func qualityLines(b *strings.Builder, v, from, n int) {
 	}
 }
 
-// TestFoldEntryPointsAgree: the same stream folded line by line, event by
-// event, through FoldReader and through a Watcher leaves the same rollup
-// and the same ing_* metrics — over a real sweep's traces and over streams
-// built to put each piece of per-session state on a batch boundary.
+// TestFoldEntryPointsAgree: the same stream through every entry point leaves
+// the same rollup, the same ing_* metrics and the same line count — over a
+// real sweep's traces, over streams built to put each piece of per-session
+// state on a batch boundary, and over streams built to put every kind of
+// line end on a read boundary.
 func TestFoldEntryPointsAgree(t *testing.T) {
-	type want struct{ sessions, events, rejected int64 }
+	type want struct{ sessions, events, rejected, bad int64 }
 	type stream struct {
 		name  string
 		body  string
+		who   func(entryPoint string) bool // nil: every entry point
 		want  want
 		check func(t *testing.T, ru Rollup)
 	}
@@ -172,7 +219,7 @@ func TestFoldEntryPointsAgree(t *testing.T) {
 	}
 	streams = append(streams, stream{
 		name: "sim sweep traces", body: string(simBody),
-		want: want{int64(simSessions), simLines, 0},
+		want: want{int64(simSessions), simLines, 0, 0},
 	})
 
 	var b strings.Builder
@@ -182,7 +229,7 @@ func TestFoldEntryPointsAgree(t *testing.T) {
 	qualityLines(&b, 1, 0, maxPending+40)
 	streams = append(streams, stream{
 		name: "headerless, longer than maxPending", body: b.String(),
-		want: want{1, maxPending + 40, 3},
+		want: want{1, maxPending + 40, 3, 0},
 		check: func(t *testing.T, ru Rollup) {
 			if cr := ru.Cohorts[UnknownCohort]; cr.QualityDB.Count != maxPending+40 || cr.Events != maxPending+40 {
 				t.Errorf("unknown cohort = %d quality / %d events, want %d of each", cr.QualityDB.Count, cr.Events, maxPending+40)
@@ -199,7 +246,7 @@ func TestFoldEntryPointsAgree(t *testing.T) {
 	qualityLines(&b, 1, 0, 20)
 	streams = append(streams, stream{
 		name: "second header mid-body", body: b.String(),
-		want: want{2, foldBatchSize + 30 + 20 + 4, 0},
+		want: want{2, foldBatchSize + 30 + 20 + 4, 0, 0},
 		check: func(t *testing.T, ru Rollup) {
 			a, bb := ru.Cohorts["a:net"], ru.Cohorts["b:net"]
 			if a.QualityDB.Count != foldBatchSize+30 || bb.QualityDB.Count != 20 {
@@ -220,7 +267,7 @@ func TestFoldEntryPointsAgree(t *testing.T) {
 	}
 	streams = append(streams, stream{
 		name: "other schema versions interleaved", body: b.String(),
-		want: want{1, 1 + 2*foldBatchSize, 1 + foldBatchSize},
+		want: want{1, 1 + 2*foldBatchSize, 1 + foldBatchSize, 0},
 		check: func(t *testing.T, ru Rollup) {
 			if len(ru.Cohorts) != 1 || ru.Cohorts["a:net"].QualityDB.Count != 2*foldBatchSize {
 				t.Errorf("cohorts = %v, want a:net alone with %d quality samples", ru.Cohorts, 2*foldBatchSize)
@@ -236,7 +283,7 @@ func TestFoldEntryPointsAgree(t *testing.T) {
 	b.WriteString(`{"v":1,"t_ms":11300,"ev":"reconnect","n":3}` + "\n")
 	streams = append(streams, stream{
 		name: "outage open across a batch boundary", body: b.String(),
-		want: want{1, foldBatchSize + 11, 0},
+		want: want{1, foldBatchSize + 11, 0, 0},
 		check: func(t *testing.T, ru Rollup) {
 			if o := ru.Cohorts["a:net"].OutageMS; o.Count != 1 || o.P50 < 1200 || o.P50 > 1400 {
 				t.Errorf("outage dist = %+v, want one outage of 1300 ms", o)
@@ -250,7 +297,7 @@ func TestFoldEntryPointsAgree(t *testing.T) {
 	qualityLines(&b, 1, 0, 5)
 	streams = append(streams, stream{
 		name: "events ahead of the header", body: b.String(),
-		want: want{1, 16, 0},
+		want: want{1, 16, 0, 0},
 		check: func(t *testing.T, ru Rollup) {
 			// What came before the header is some other session's tail.
 			if cr := ru.Cohorts["a:net"]; cr.QualityDB.Count != 5 || cr.Events != 6 {
@@ -259,20 +306,82 @@ func TestFoldEntryPointsAgree(t *testing.T) {
 		},
 	})
 
+	notEvent := func(entryPoint string) bool { return entryPoint != "Event" }
+	header := func(cohort string) string {
+		return `{"v":1,"t_ms":0,"ev":"session","video":"v1","cohort":"` + cohort + `"}`
+	}
+	// longHeader is a:net's header grown to n bytes by its video id.
+	longHeader := func(n int) string {
+		return strings.Replace(header("a:net"), "v1", strings.Repeat("v", n-len(header("a:net"))+2), 1)
+	}
+
+	b.Reset()
+	b.WriteString(header("a:net") + "\r\n\r\n   \n\n\t\r\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, `{"v":1,"t_ms":%d,"ev":"quality","n":%d}`+"\r\n", i*33, 3000+i)
+	}
+	b.WriteString("not json\r\n")
+	b.WriteString(`{"v":1,"t_ms":2000,"ev":"stall"}`) // the stream ends without a newline
+	streams = append(streams, stream{
+		name: "CRLF, blank lines, no trailing newline", body: b.String(), who: notEvent,
+		want: want{1, 42, 0, 1},
+	})
+
+	b.Reset()
+	b.WriteString(longHeader(100_000) + "\n")
+	qualityLines(&b, 1, 0, 4000) // several read buffers of ordinary lines behind it
+	streams = append(streams, stream{
+		name: "a line longer than the read buffer", body: b.String(),
+		want: want{1, 4001, 0, 0},
+	})
+
+	b.Reset()
+	b.WriteString(header("a:net") + "\n")
+	qualityLines(&b, 1, 0, 300)
+	b.WriteString(strings.Repeat("x", 2<<20) + "\n")
+	b.WriteString(header("b:net") + "\n")
+	qualityLines(&b, 1, 0, 20)
+	streams = append(streams, stream{
+		name: "an over-long line between two sessions", body: b.String(), who: notEvent,
+		want: want{2, 322, 0, 1},
+		check: func(t *testing.T, ru Rollup) {
+			if a, bb := ru.Cohorts["a:net"], ru.Cohorts["b:net"]; a.QualityDB.Count != 300 || bb.QualityDB.Count != 20 {
+				t.Errorf("quality counts a=%d b=%d, want 300 and 20", a.QualityDB.Count, bb.QualityDB.Count)
+			}
+		},
+	})
+
+	// The bound is on the line, not on how the reads cut it: maxLine bytes
+	// are a line, one more is dropped. (Line has no bound: it is handed lines.)
+	streams = append(streams, stream{
+		name: "lines of maxLine and maxLine+1 bytes", who: splits,
+		body: longHeader(maxLine) + "\n" + longHeader(maxLine+1) + "\n" + `{"v":1,"t_ms":5,"ev":"stall"}` + "\n" + longHeader(maxLine+1),
+		want: want{1, 2, 0, 2},
+	})
+
 	for _, s := range streams {
 		t.Run(s.name, func(t *testing.T) {
 			var first foldState
-			for i, ep := range foldEntryPoints {
+			firstName := ""
+			wantLines := strings.Count(s.body, "\n")
+			if !strings.HasSuffix(s.body, "\n") {
+				wantLines++
+			}
+			for _, ep := range foldEntryPoints {
+				if s.who != nil && !s.who(ep.name) {
+					continue
+				}
 				reg := obs.NewRegistry()
 				agg := New(Config{Obs: reg})
-				ep.fold(t, agg, []byte(s.body))
+				if lines := ep.fold(t, agg, []byte(s.body)); lines >= 0 && lines != wantLines {
+					t.Errorf("%s consumed %d lines, the stream has %d", ep.name, lines, wantLines)
+				}
 				got := observe(agg, reg)
-				if i == 0 {
-					first = got
-					w := want{got.Metrics["ing_sessions"], got.Metrics["ing_events"], got.Metrics["ing_rejected_events"]}
-					if w != s.want || got.Metrics["ing_bad_lines"] != 0 {
-						t.Errorf("%s: sessions/events/rejected = %+v (bad lines %d), want %+v (0)",
-							ep.name, w, got.Metrics["ing_bad_lines"], s.want)
+				if firstName == "" {
+					first, firstName = got, ep.name
+					w := want{got.Metrics["ing_sessions"], got.Metrics["ing_events"], got.Metrics["ing_rejected_events"], got.Metrics["ing_bad_lines"]}
+					if w != s.want {
+						t.Errorf("%s: sessions/events/rejected/bad lines = %+v, want %+v", ep.name, w, s.want)
 					}
 					var sessions int64
 					for _, cr := range got.Rollup.Cohorts {
@@ -287,7 +396,7 @@ func TestFoldEntryPointsAgree(t *testing.T) {
 					continue
 				}
 				if !reflect.DeepEqual(got, first) {
-					t.Errorf("%s and %s disagree:\n%+v\n%+v", ep.name, foldEntryPoints[0].name, got, first)
+					t.Errorf("%s and %s disagree:\n%+v\n%+v", ep.name, firstName, got, first)
 				}
 			}
 		})
@@ -350,6 +459,41 @@ func TestPushBytesCountsChunkedBody(t *testing.T) {
 	post(bytes.NewReader(body))
 	if got := reg.Snapshot().Counters["ing_push_bytes"]; got != 2*int64(len(body)) {
 		t.Fatalf("ing_push_bytes after a sized push = %d, want %d", got, 2*len(body))
+	}
+}
+
+// TestPushSurvivesOverlongLine: a pushed body with a 2 MiB newline-free line
+// between two sessions loses that line and nothing else — as a tailed file
+// always has. (POST /ingest used to fold session A, answer 400 for the
+// scanner's ErrTooLong and never read session B.)
+func TestPushSurvivesOverlongLine(t *testing.T) {
+	reg := obs.NewRegistry()
+	agg := New(Config{Obs: reg})
+	ts := httptest.NewServer(agg.Handler())
+	defer ts.Close()
+	a, _ := sessionJSONL(t, "a:net", rand.New(rand.NewSource(1)), 30)
+	b, _ := sessionJSONL(t, "b:net", rand.New(rand.NewSource(2)), 30)
+	body := bytes.Join([][]byte{a, bytes.Repeat([]byte{'x'}, 2<<20), []byte("\n"), b}, nil)
+
+	resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /ingest: %v", err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	wantReply := fmt.Sprintf("{\"lines\":%d}\n", bytes.Count(body, []byte("\n")))
+	if resp.StatusCode != http.StatusOK || string(reply) != wantReply {
+		t.Errorf("POST /ingest = %v %q, want 200 %q", resp.Status, reply, wantReply)
+	}
+	ru := agg.Rollup()
+	if ru.Cohorts["a:net"].QualityDB.Count != 30 || ru.Cohorts["b:net"].QualityDB.Count != 30 {
+		t.Errorf("quality samples a=%d b=%d, want 30 of each",
+			ru.Cohorts["a:net"].QualityDB.Count, ru.Cohorts["b:net"].QualityDB.Count)
+	}
+	c := reg.Snapshot().Counters
+	if c["ing_sessions"] != 2 || c["ing_bad_lines"] != 1 || c["ing_push_errs"] != 0 || c["ing_push_bytes"] != int64(len(body)) {
+		t.Errorf("ing_sessions = %d, ing_bad_lines = %d, ing_push_errs = %d, ing_push_bytes = %d; want 2, 1, 0, %d",
+			c["ing_sessions"], c["ing_bad_lines"], c["ing_push_errs"], c["ing_push_bytes"], len(body))
 	}
 }
 
@@ -447,8 +591,9 @@ func TestConcurrentFoldReadersExactTotals(t *testing.T) {
 }
 
 // FuzzFoldReader feeds FoldReader bytes no writer of ours produced: it must
-// not panic, must report every line it scanned, and every scanned line must
-// be accounted for exactly once — blank, bad, rejected, or folded.
+// not panic, must report every line of the input, every line must be
+// accounted for exactly once — blank, bad, rejected, or folded — and none of
+// that may depend on how the reads cut the input.
 func FuzzFoldReader(f *testing.F) {
 	body, _ := sessionJSONL(f, "low:net", rand.New(rand.NewSource(9)), 4)
 	f.Add(body)
@@ -460,20 +605,18 @@ func FuzzFoldReader(f *testing.F) {
 	f.Add([]byte("{}\nnull\n[]\n{\"ev\":\"\"}\n{\"ev\":\"x\"}\n{\"v\":1,\"ev\":\"x\"}"))
 	f.Add([]byte("{\"v\":1,\"ev\":\"session\",\"cohort\":\"\\u00e9\"}\n{\"v\":1,\"ev\":\"outage\",\"t_ms\":1e999}\n"))
 	f.Add([]byte{0xff, 0x00, '\n', '{', '\n', '}'})
+	f.Add([]byte("{\r\n\r{\n {\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reg := obs.NewRegistry()
 		agg := New(Config{Obs: reg})
-		lines, err := agg.FoldReader(bytes.NewReader(data))
-		if err != nil {
-			return // a line past the 1 MiB cap; what came before it is folded
-		}
+		lines := foldReader(t, agg, bytes.NewReader(data))
 		segs := bytes.Split(data, []byte("\n"))
 		if len(segs[len(segs)-1]) == 0 {
 			segs = segs[:len(segs)-1] // no line after the last newline
 		}
 		blank := 0
 		for _, s := range segs {
-			if len(bytes.TrimSpace(s)) == 0 {
+			if len(s) <= maxLine && len(bytes.TrimSpace(s)) == 0 {
 				blank++
 			}
 		}
@@ -484,6 +627,16 @@ func FuzzFoldReader(f *testing.F) {
 		if got := c["ing_events"] + c["ing_rejected_events"] + c["ing_bad_lines"]; got != int64(lines-blank) {
 			t.Fatalf("%d lines (%d blank), but events %d + rejected %d + bad %d = %d",
 				lines, blank, c["ing_events"], c["ing_rejected_events"], c["ing_bad_lines"], got)
+		}
+
+		reg2 := obs.NewRegistry()
+		agg2 := New(Config{Obs: reg2})
+		ragged := &raggedReader{bytes.NewReader(data), rand.New(rand.NewSource(int64(len(data)))), 40}
+		if n := foldReader(t, agg2, ragged); n != lines {
+			t.Fatalf("FoldReader returned %d lines from ragged reads, %d from whole ones", n, lines)
+		}
+		if whole, cut := observe(agg, reg), observe(agg2, reg2); !reflect.DeepEqual(whole, cut) {
+			t.Fatalf("whole and ragged reads disagree:\n%+v\n%+v", whole, cut)
 		}
 	})
 }

@@ -23,7 +23,6 @@
 package ingest
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"sort"
@@ -213,7 +212,7 @@ func (sf *SessionFold) Event(ev obs.Event) {
 // unchanged for a blank line or a malformed one (counted ing_bad_lines).
 // It takes no lock: a batch is decoded before it is folded.
 func (sf *SessionFold) appendLine(evs []obs.Event, line []byte) []obs.Event {
-	if len(bytes.TrimSpace(line)) == 0 {
+	if len(line) == 0 || line[0] != '{' && len(bytes.TrimSpace(line)) == 0 {
 		return evs
 	}
 	n := len(evs)
@@ -332,8 +331,23 @@ func (sf *SessionFold) Close() { sf.closeSession() }
 // the granularity at which a stream in flight becomes visible to Rollup.
 const foldBatchSize = 256
 
-// foldScratch is the reusable working memory of one fold pass: the line
-// reader's buffer and the decoded batch.
+// maxLine bounds one trace line. A writer that stops mid-line holds at most
+// this much in the reader's carry; a newline-free flood (a corrupt or
+// non-JSONL stream) is dropped and counted (ing_bad_lines) instead of growing
+// the carry without bound.
+const maxLine = 1 << 20
+
+// lineCarry is what one read of a stream leaves for the next: the bytes
+// after the last newline, or — once they outgrew maxLine and were dropped —
+// the instruction to discard up to the next newline, where the stream is
+// back on a line boundary.
+type lineCarry struct {
+	partial  []byte
+	overflow bool
+}
+
+// foldScratch is the reusable working memory of one fold pass: the read
+// buffer the lines are split in and the decoded batch.
 type foldScratch struct {
 	buf []byte
 	evs []obs.Event
@@ -357,24 +371,71 @@ func (s *foldScratch) flush(sf *SessionFold) {
 	s.evs = s.evs[:0]
 }
 
+// foldLines reads r (named src in the log) to its end through s.buf and
+// hands every newline-ended line to s.line, joined with c where a read cut
+// it; what follows the last newline stays in c. It is the one line splitter:
+// FoldReader and the Watcher differ only in what they do with c afterwards,
+// and flush when they are done. It returns the newlines and the bytes
+// consumed, and r's error unless that is io.EOF.
+func (s *foldScratch) foldLines(sf *SessionFold, src string, r io.Reader, c *lineCarry) (lines int, read int64, err error) {
+	for err == nil {
+		var n int
+		n, err = r.Read(s.buf)
+		read += int64(n)
+		for chunk := s.buf[:n]; len(chunk) > 0; {
+			nl := bytes.IndexByte(chunk, '\n')
+			line, rest := chunk, []byte(nil)
+			if nl >= 0 {
+				line, rest = chunk[:nl], chunk[nl+1:]
+			}
+			switch {
+			case c.overflow: // more of a line already dropped
+			case len(c.partial)+len(line) > maxLine:
+				c.partial, c.overflow = c.partial[:0], true
+				sf.a.evBadLines.Inc()
+				sf.a.logf("ingest: %s: dropping line longer than %d bytes", src, maxLine)
+			case nl < 0 || len(c.partial) > 0:
+				c.partial = append(c.partial, line...)
+			default:
+				s.line(sf, line)
+			}
+			if nl >= 0 {
+				if len(c.partial) > 0 {
+					s.line(sf, c.partial)
+					c.partial = c.partial[:0]
+				}
+				c.overflow = false
+				lines++
+			}
+			chunk = rest
+		}
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	return lines, read, err
+}
+
 // FoldReader folds a complete JSONL stream (one or more sessions, each led
 // by its EvSession header) and returns the number of lines consumed. Lines
 // are decoded outside the aggregator's lock and folded foldBatchSize at a
-// time, the last batch at the end of the stream.
+// time, the last batch at the end of the stream. A line longer than 1 MiB is
+// dropped and counted (ing_bad_lines); the fold resumes after its newline.
+// The error is the reader's.
 func (a *Aggregator) FoldReader(r io.Reader) (int, error) {
 	sf := a.NewSession()
 	defer sf.Close()
 	s := scratchPool.Get().(*foldScratch)
 	defer scratchPool.Put(s)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(s.buf[:0], 1024*1024)
-	lines := 0
-	for sc.Scan() {
+	var c lineCarry
+	lines, _, err := s.foldLines(sf, "stream", r, &c)
+	if len(c.partial) > 0 || c.overflow {
+		// The stream's last line has no newline.
 		lines++
-		s.line(sf, sc.Bytes())
+		s.line(sf, c.partial)
 	}
 	s.flush(sf)
-	return lines, sc.Err()
+	return lines, err
 }
 
 // Distribution is the exported quantile summary of one sketch.

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"os"
@@ -21,14 +20,6 @@ var siteWatchRead = chaos.NewSite("ingest.watch.read")
 
 // DefaultWatchInterval is the directory rescan period when Config leaves it 0.
 const DefaultWatchInterval = 500 * time.Millisecond
-
-// maxPartialLine bounds the carried partial-line buffer per tailed file.
-// A writer that stops mid-line holds at most this much; a newline-free
-// flood (a corrupt or non-JSONL file matching the glob) is dropped and
-// counted (ing_bad_lines) instead of growing the buffer without bound.
-// It matches FoldReader's 1 MiB scanner cap — lines longer than this are
-// rejected by the fold anyway.
-const maxPartialLine = 1 << 20
 
 // Watcher tails every *.jsonl file in a directory, folding appended lines
 // into the Aggregator as servers write them. It is poll-based (stdlib
@@ -54,13 +45,9 @@ type Watcher struct {
 }
 
 type tailFile struct {
-	offset  int64
-	partial []byte // bytes after the last newline, carried to the next scan
-	// overflow marks a line that outgrew maxPartialLine: its buffered
-	// prefix was dropped and the remainder is discarded up to the next
-	// newline, re-synchronizing the tail on line boundaries.
-	overflow bool
-	sf       *SessionFold
+	offset    int64
+	lineCarry // a partial trailing line waits here for the scan its newline lands in
+	sf        *SessionFold
 }
 
 // NewWatcher tails dir into a. interval 0 means DefaultWatchInterval.
@@ -141,8 +128,8 @@ func (w *Watcher) Scan() error {
 	return nil
 }
 
-// consume folds everything past tf.offset, each read chunk's complete lines
-// as one batch (split at foldBatchSize events).
+// consume folds every complete line past tf.offset, foldBatchSize events at
+// a time.
 func (w *Watcher) consume(path string, tf *tailFile, scratch *foldScratch) error {
 	if err := siteWatchRead.Err(); err != nil {
 		return err
@@ -168,52 +155,9 @@ func (w *Watcher) consume(path string, tf *tailFile, scratch *foldScratch) error
 	if _, err := f.Seek(tf.offset, io.SeekStart); err != nil {
 		return err
 	}
-	buf := scratch.buf
-	for {
-		n, rerr := f.Read(buf)
-		if n > 0 {
-			tf.offset += int64(n)
-			w.cBytes.Add(int64(n))
-			chunk := buf[:n]
-			for {
-				nl := bytes.IndexByte(chunk, '\n')
-				if nl < 0 {
-					if tf.overflow {
-						break // still discarding an oversized line
-					}
-					if len(tf.partial)+len(chunk) > maxPartialLine {
-						// Bound the carry: drop the runaway line and
-						// discard until its newline instead of buffering
-						// a newline-free flood without limit.
-						tf.partial = tf.partial[:0]
-						tf.overflow = true
-						w.a.evBadLines.Inc()
-						w.a.logf("ingest: tail %s: dropping line longer than %d bytes", path, maxPartialLine)
-						break
-					}
-					tf.partial = append(tf.partial, chunk...)
-					break
-				}
-				line := chunk[:nl]
-				chunk = chunk[nl+1:]
-				if tf.overflow {
-					// The tail of the dropped oversized line; resync here.
-					tf.overflow = false
-					continue
-				}
-				if len(tf.partial) > 0 {
-					line = append(tf.partial, line...)
-					tf.partial = tf.partial[:0]
-				}
-				scratch.line(tf.sf, line)
-			}
-			scratch.flush(tf.sf)
-		}
-		if rerr == io.EOF {
-			return nil
-		}
-		if rerr != nil {
-			return rerr
-		}
-	}
+	_, n, err := scratch.foldLines(tf.sf, path, f, &tf.lineCarry)
+	scratch.flush(tf.sf)
+	tf.offset += n
+	w.cBytes.Add(n)
+	return err
 }

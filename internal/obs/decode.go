@@ -10,8 +10,8 @@ import (
 //
 // Lines in the canonical form — the one WriteJSONL emits: a single object,
 // no whitespace, the schema's lower-case keys at most once each, plain
-// printable-ASCII strings without escapes, plain decimal integers, any JSON
-// number for t_ms — are decoded by hand, without reflection or a heap
+// printable-ASCII strings without escapes, plain decimal integers, t_ms as
+// digits[.digits] — are decoded by hand, without reflection or a heap
 // event, and known event kinds come back as the package constants. Any
 // other byte sequence, valid JSON or not, is handed to json.Unmarshal. The
 // choice is made from the input alone; there is nothing to configure.
@@ -76,12 +76,7 @@ func decodeCanonical(b []byte, ev *Event) bool {
 			ev.N, i, ok = scanInt(b, i)
 		case "t_ms":
 			bit = keyTMS
-			end := scanNumber(b, i)
-			if end < 0 {
-				return false
-			}
-			f, err := strconv.ParseFloat(string(b[i:end]), 64)
-			ev.AtMS, i, ok = f, end, err == nil
+			ev.AtMS, i, ok = scanFloat(b, i)
 		case "ev":
 			var s []byte
 			bit = keyEv
@@ -145,42 +140,39 @@ func scanPlainInt(b []byte, i int) (int, int, bool) {
 	return int(v), i, ok && int64(int(v)) == v
 }
 
-// scanNumber returns the index after the JSON number at b[i:], or -1.
-func scanNumber(b []byte, i int) int {
-	if b[i] == '-' {
-		i++
-	}
-	if b[i] == '0' {
-		i++
-	} else if i = skipDigits(b, i); i < 0 {
-		return -1
-	}
-	if b[i] == '.' {
-		if i = skipDigits(b, i+1); i < 0 {
-			return -1
-		}
-	}
-	if b[i] == 'e' || b[i] == 'E' {
-		i++
-		if b[i] == '+' || b[i] == '-' {
-			i++
-		}
-		i = skipDigits(b, i)
-	}
-	return i
-}
+// pow10 holds the powers of ten scanFloat divides by, all exact in a float64.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14}
 
-// skipDigits returns the index after the run of digits at b[i:], or -1 if
-// there is none.
-func skipDigits(b []byte, i int) int {
+// scanFloat reads digits[.digits] at b[i:] — no sign, no exponent, which the
+// writer never emits and the caller finds no delimiter after — and returns
+// ParseFloat's value of it with the index after it. At most 15 digits, any
+// t_ms under eleven days, are exact as an integer mantissa over an exact
+// power of ten, so one correctly rounded division yields ParseFloat's bits.
+func scanFloat(b []byte, i int) (float64, int, bool) {
 	start := i
-	for b[i]-'0' <= 9 {
-		i++
+	var m uint64 // wraps past 19 digits, where it is not used
+	for ; b[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(b[i]-'0')
 	}
-	if i == start {
-		return -1
+	if i == start || (b[start] == '0' && i-start > 1) {
+		return 0, i, false
 	}
-	return i
+	digits, frac := i-start, 0
+	if b[i] == '.' {
+		point := i
+		for i++; b[i]-'0' <= 9; i++ {
+			m = m*10 + uint64(b[i]-'0')
+		}
+		if frac = i - point - 1; frac == 0 {
+			return 0, i, false
+		}
+		digits += frac
+	}
+	if digits <= 15 {
+		return float64(m) / pow10[frac], i, true
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return f, i, err == nil
 }
 
 // scanString reads a quoted string of printable ASCII without escapes at

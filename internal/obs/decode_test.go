@@ -3,7 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -60,6 +63,109 @@ func TestWriterOutputIsCanonical(t *testing.T) {
 	}
 }
 
+// tmsShapes are t_ms spellings on and around the edge of scanFloat's
+// grammar, each with the side of the canonical form it falls on:
+// digits[.digits] is canonical at any length, a sign or an exponent is
+// encoding/json's. Which canonical ones are divided and which are
+// ParseFloat's is not observable, only that both give ParseFloat's bits.
+var tmsShapes = []struct {
+	num       string
+	canonical bool
+}{
+	{"0", true},
+	{"0.000001", true}, // the writer's 1 ns
+	{"0.1", true},
+	{"33.333", true},
+	{"123456789.012345", true},  // 15 digits: divided
+	{"999999999999999", true},   // 15 digits, no fraction
+	{"0.00000000000001", true},  // 15 digits, the largest divisor
+	{"0.000000000000001", true}, // 16 digits: ParseFloat's from here down
+	{"1234567890.123456", true},
+	{"9007199254740993", true},  // 2^53+1: no float64 holds the mantissa
+	{"96170692039.84865", true}, // 16 digits for which mantissa/10^5 rounds twice, one ulp off
+	{"977578840506.4679", true},
+	{"4611686018427.388", true},  // the writer's 1<<62 ns
+	{"12345678901.234567", true}, // 17 digits
+	{"0.30000000000000004", true},
+	{"99999999999999999999", true}, // the uint64 mantissa wraps
+	{"123456789012345678901234567890.123456789012345678901234567890", true},
+	{"1e-06", false}, // what strconv's 'g' prints for 1 ns; json prints 0.000001
+	{"1E5", false},
+	{"1.5e+3", false},
+	{"1e999", false}, // out of range: json's error to report
+	{"-0", false},
+	{"-0.0", false},
+	{"-1.5", false},
+	{"1.", false}, // not JSON, from here down
+	{"01.5", false},
+	{".5", false},
+	{"-", false},
+	{"-.5", false},
+	{"1.e3", false},
+	{"1e", false},
+	{"1e+", false},
+	{"--1", false},
+}
+
+func tmsLine(num string) []byte {
+	return []byte(`{"v":1,"t_ms":` + num + `,"ev":"stall"}`)
+}
+
+// TestTMSBitIdentical: a t_ms that decodes has the bits strconv.ParseFloat
+// makes of the same bytes, and decodes exactly when json.Unmarshal accepts
+// the line — for the spellings in tmsShapes and for what the writer emits
+// for a million session times below 10^15 ns, every one of them short enough
+// to be divided rather than parsed.
+func TestTMSBitIdentical(t *testing.T) {
+	check := func(line []byte, num string) error {
+		t.Helper()
+		var ev Event
+		err := UnmarshalEvent(line, &ev)
+		want, _ := strconv.ParseFloat(num, 64)
+		if err == nil && math.Float64bits(ev.AtMS) != math.Float64bits(want) {
+			t.Fatalf("%s: t_ms = %v (%#x), ParseFloat = %v (%#x)",
+				line, ev.AtMS, math.Float64bits(ev.AtMS), want, math.Float64bits(want))
+		}
+		return err
+	}
+	for _, c := range tmsShapes {
+		_ = check(tmsLine(c.num), c.num) // json decides whether it decodes
+		checkAgainstJSON(t, tmsLine(c.num))
+	}
+
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 14
+	}
+	rng := rand.New(rand.NewSource(16))
+	var line []byte
+	for i := 0; i < n; i++ {
+		// Every magnitude from one digit of nanoseconds to fifteen.
+		at := time.Duration(rng.Int63n(int64(math.Pow10(1 + i%15))))
+		ms := float64(at) / float64(time.Millisecond) // Trace.Add's conversion
+		line = append(line[:0], `{"v":1,"t_ms":`...)
+		line = strconv.AppendFloat(line, ms, 'f', -1, 64)
+		num := string(line[len(`{"v":1,"t_ms":`):])
+		line = append(line, `,"ev":"quality"}`...)
+		if digits := len(num) - bytes.Count([]byte(num), []byte(".")); digits > 15 {
+			t.Fatalf("At = %d ns is written as %s: %d digits", at, num, digits)
+		}
+		if err := check(line, num); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if i%1024 == 0 {
+			// The line is the writer's, and json agrees on all of it.
+			tr := NewTrace(1)
+			tr.Record(at, EvQuality, 0)
+			var buf bytes.Buffer
+			if err := tr.WriteJSONL(&buf); err != nil || !bytes.Equal(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), line) {
+				t.Fatalf("At = %d ns: writer emits %q (error %v), test built %q", at, buf.Bytes(), err, line)
+			}
+			checkAgainstJSON(t, line)
+		}
+	}
+}
+
 // TestCanonicalFormBoundary pins which side of the hand-written decoder's
 // grammar an input falls on. Agreement with encoding/json on both sides is
 // FuzzUnmarshalEvent's job; this is about not losing the fast path (or
@@ -72,8 +178,6 @@ func TestCanonicalFormBoundary(t *testing.T) {
 		{`{"v":1,"t_ms":33.333,"ev":"quality","chunk":1,"n":4200}`, true},
 		{`{"v":1,"t_ms":0,"ev":"session","video":"v1","cohort":"low:belgian"}`, true},
 		{`{"ev":"quality","v":1}`, true}, // any key order
-		{`{"v":1,"t_ms":1e-7,"ev":"stall"}`, true},
-		{`{"v":1,"t_ms":-0.5E+3,"ev":"stall"}`, true},
 		{`{"v":1,"t_ms":0,"ev":"future-kind"}`, true},
 		{`{"v":-0,"t_ms":0,"ev":"stall","n":-999999999999999999}`, true},
 		{`{"v":1,"t_ms":0,"ev":""}`, true},
@@ -89,7 +193,9 @@ func TestCanonicalFormBoundary(t *testing.T) {
 		{`{"v":1,"t_ms":0,"ev":"stall","extra":1}`, false}, // json ignores unknown keys
 		{`{"v":1.0,"t_ms":0,"ev":"stall"}`, false},         // json refuses a float for an int
 		{`{"v":1e0,"t_ms":0,"ev":"stall"}`, false},
-		{`{"v":01,"t_ms":0,"ev":"stall"}`, false}, // not JSON
+		{`{"v":01,"t_ms":0,"ev":"stall"}`, false},      // not JSON
+		{`{"v":1,"t_ms":1e-7,"ev":"stall"}`, false},    // an exponent or a sign on t_ms: valid JSON the writer never emits
+		{`{"v":1,"t_ms":-0.5E+3,"ev":"stall"}`, false}, // (more t_ms spellings in tmsShapes)
 		{`{"v":1,"t_ms":01,"ev":"stall"}`, false},
 		{`{"v":1,"t_ms":.5,"ev":"stall"}`, false},
 		{`{"v":1,"t_ms":1.,"ev":"stall"}`, false},
@@ -122,6 +228,12 @@ func TestCanonicalFormBoundary(t *testing.T) {
 		var ev Event
 		if got := decodeCanonical([]byte(c.line), &ev); got != c.canonical {
 			t.Errorf("decodeCanonical(%s) = %v, want %v", c.line, got, c.canonical)
+		}
+	}
+	for _, c := range tmsShapes {
+		var ev Event
+		if got := decodeCanonical(tmsLine(c.num), &ev); got != c.canonical {
+			t.Errorf("decodeCanonical(%s) = %v, want %v", tmsLine(c.num), got, c.canonical)
 		}
 	}
 }
@@ -204,6 +316,9 @@ func FuzzUnmarshalEvent(f *testing.F) {
 		"\xef\xbb\xbf{\"v\":1}", // BOM
 	} {
 		f.Add([]byte(s))
+	}
+	for _, c := range tmsShapes {
+		f.Add(tmsLine(c.num))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) { checkAgainstJSON(t, line) })
 }
