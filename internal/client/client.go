@@ -1,13 +1,18 @@
 // Package client implements the real-time streaming client: it drives any
 // player.Scheme over the wire protocol against a tile server, replaying a
-// user head trace in wall-clock time and producing the same session metrics
-// as the discrete-event engine. This is the path exercised by the
+// user head trace in wall-clock time. The session itself — when to decide,
+// render, skip or stall, and all of its accounting — is player.Playback,
+// the same state machine the discrete-event engine steps; this package is
+// its wire driver: the wall clock, the handshake, the receiver, the
+// reconnector and request generations. Every goroutine steps the Playback
+// under the session mutex, deliveries first and then Advance, and writes to
+// the connection only after unlocking. This is the path exercised by the
 // cmd/dragonfly-client binary and the live-stream example.
 //
 // The client is fault tolerant: PlayResilient wraps the session in a
 // reconnector with read/write deadlines, exponential backoff with jitter,
-// and a per-outage attempt budget. During an outage the playback loop keeps
-// running in the NeverStall spirit — rendering from masking and accounting
+// and a per-outage attempt budget. During an outage the Playback keeps
+// being stepped — a NeverStall scheme renders from masking and accounts
 // holes as skips — and on reconnect the session resumes via proto.MsgResume
 // so already-held tiles are never re-downloaded.
 package client
@@ -24,7 +29,6 @@ import (
 	"dragonfly/internal/geom"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
-	"dragonfly/internal/predict"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/quality"
 	"dragonfly/internal/trace"
@@ -152,8 +156,8 @@ type PlayOptions struct {
 
 // Play streams videoID from the server behind conn using the given scheme,
 // replaying the head trace in real time, and returns the session metrics.
-// The connection is not re-established on failure; use PlayResilient for a
-// fault-tolerant session.
+// The connection is not re-established on failure (use PlayResilient for a
+// fault-tolerant session) and stays open on return: it is the caller's.
 func Play(conn net.Conn, videoID string, head *trace.HeadTrace, scheme player.Scheme, opts PlayOptions) (*player.Metrics, error) {
 	return play(conn, nil, videoID, head, scheme, opts)
 }
@@ -164,7 +168,8 @@ func Play(conn net.Conn, videoID string, head *trace.HeadTrace, scheme player.Sc
 // protocol, while playback keeps running on whatever is already held. The
 // initial dial runs through the same backoff-and-redial loop that absorbs
 // busy rejections, so a briefly absent backend (restart, failover gap)
-// delays the session start instead of killing it.
+// delays the session start instead of killing it. Every connection it
+// dials it also closes, whichever way the session ends.
 func PlayResilient(dial DialFunc, videoID string, head *trace.HeadTrace, scheme player.Scheme, opts PlayOptions) (*player.Metrics, error) {
 	if dial == nil {
 		return nil, fmt.Errorf("client: dial function is required")
@@ -178,17 +183,6 @@ func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, s
 	}
 	if conn == nil && dial == nil {
 		return nil, fmt.Errorf("client: a connection or dial function is required")
-	}
-	if len(head.Samples) == 0 || head.SamplePeriod <= 0 {
-		// The playback loop advances the head schedule by SamplePeriod; a
-		// degenerate trace would spin it forever.
-		return nil, fmt.Errorf("client: head trace needs samples and a positive sample period")
-	}
-	if opts.Viewport.RadiusDeg == 0 {
-		opts.Viewport = geom.DefaultViewport
-	}
-	if opts.AssumedStartMbps == 0 {
-		opts.AssumedStartMbps = 5
 	}
 	if opts.Cohort == "" {
 		opts.Cohort = head.ClassName() + ":net"
@@ -257,39 +251,40 @@ func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, s
 		time.Sleep(opts.Reconnect.delay(attempt, hsRng))
 	}
 
-	videoDur := time.Duration(m.NumFrames()) * time.Second / time.Duration(m.FPS)
-	if opts.MaxWall == 0 {
-		opts.MaxWall = 3*videoDur + 30*time.Second
+	pb, err := player.NewPlayback(player.Config{
+		Manifest:          m,
+		Head:              head,
+		Scheme:            scheme,
+		Metric:            opts.Metric,
+		Viewport:          opts.Viewport,
+		PredictorHistory:  opts.PredictorHistory,
+		PredictErrorDeg:   opts.PredictErrorDeg,
+		PredictErrorSeed:  opts.PredictErrorSeed,
+		AssumedStartMbps:  opts.AssumedStartMbps,
+		MaskInterpolation: opts.MaskInterpolation,
+		Trace:             opts.Trace,
+		MaxWall:           opts.MaxWall,
+	})
+	if err != nil {
+		if dial != nil {
+			conn.Close()
+		}
+		return nil, fmt.Errorf("client: %w", err)
 	}
-
 	s := &session{
-		conn:   conn,
-		dial:   dial,
-		rp:     opts.Reconnect,
-		rng:    rand.New(rand.NewSource(seed)),
-		m:      m,
-		head:   head,
-		scheme: scheme,
-		opts:   opts,
-		grid:   m.Grid(),
-		met: &player.Metrics{
-			SchemeName: scheme.Name(),
-			VideoID:    m.VideoID,
-			UserID:     head.UserID,
-		},
-		received:  player.NewReceived(m),
-		bwPred:    predict.NewBandwidth(0),
+		conn:      conn,
+		dial:      dial,
+		rp:        opts.Reconnect,
+		rng:       rand.New(rand.NewSource(seed)),
+		m:         m,
+		cohort:    opts.Cohort,
+		trace:     opts.Trace,
+		pb:        pb,
+		met:       pb.Metrics(),
 		delivered: make(chan struct{}, 1),
 		fatal:     make(chan error, 1),
 		start:     time.Now(),
 	}
-	if opts.PredictErrorDeg > 0 {
-		s.vpPred = predict.NewViewportWithError(opts.PredictorHistory, opts.PredictErrorDeg, opts.PredictErrorSeed)
-	} else {
-		s.vpPred = predict.NewViewport(opts.PredictorHistory)
-	}
-	s.acct = player.NewAccountant(m, s.grid, opts.Viewport, opts.Metric, s.met)
-	s.acct.Interpolate = opts.MaskInterpolation
 	s.met.BusyRejects = busyRejects
 	return s.run()
 }
@@ -343,37 +338,31 @@ type session struct {
 	rng  *rand.Rand // jitter source; reconnector goroutine only
 
 	m      *video.Manifest
-	head   *trace.HeadTrace
-	scheme player.Scheme
-	opts   PlayOptions
-	grid   *geom.Grid
+	cohort string
+	trace  *obs.Trace
 
 	start time.Time
 
-	mu         sync.Mutex
-	conn       net.Conn // nil while disconnected
-	connID     int      // generation token invalidating stale receivers
-	down       bool     // an outage is in progress
-	downAt     time.Duration
-	linkDead   bool // reconnect budget exhausted or server said goodbye
-	received   *player.Received
-	deliveries []player.Delivery
-	lastEvent  time.Duration // last send/receive instant, for throughput
-	bwPred     *predict.Bandwidth
-	lastReq    []player.RequestItem
-	// finished marks the session complete: late deliveries (the receiver
-	// may outlive Play when the caller keeps the connection open) are
-	// dropped instead of racing with the returned metrics.
+	mu sync.Mutex
+	// pb is the session proper; met is pb.Metrics(), for the counters that
+	// are the wire's (disconnects, outages, corruption). Both under mu.
+	pb        *player.Playback
+	met       *player.Metrics
+	conn      net.Conn // nil while disconnected
+	connID    int      // generation token invalidating stale receivers
+	down      bool     // an outage is in progress
+	downAt    time.Duration
+	linkDead  bool          // reconnect budget exhausted or server said goodbye
+	lastEvent time.Duration // last send/receive instant, for throughput
+	lastReq   []player.RequestItem
+	gen       uint32
+	// finished marks the session over: late deliveries (the receiver may
+	// outlive Play when the caller keeps the connection open) and late
+	// reconnects are dropped instead of racing with the returned metrics.
 	finished bool
-
-	vpPred *predict.Viewport
-	acct   *player.Accountant
-	met    *player.Metrics
 
 	delivered chan struct{}
 	fatal     chan error
-
-	gen uint32
 }
 
 func (s *session) now() time.Duration { return time.Since(s.start) }
@@ -424,40 +413,31 @@ func (s *session) receiver(conn net.Conn, id int) {
 		switch msg.Type {
 		case proto.MsgTileData:
 			at := s.now()
-			size := int64(len(msg.TileData.Payload))
-			// Verify the payload against the manifest checksum before
-			// marking the tile held: a corrupt tile is dropped (never
-			// rendered) and refetched by the next decide/resume cycle. The
-			// bytes still crossed the link, so they count toward received
-			// bytes and the throughput estimate.
-			if want, hasSum := msg.TileData.Item.Checksum(s.m); hasSum && proto.PayloadChecksum(msg.TileData.Payload) != want {
-				s.mu.Lock()
-				if !s.finished {
-					s.met.CorruptTiles++
-					s.met.BytesReceived += size
-					if at > s.lastEvent {
-						s.bwPred.ObserveTransfer(size, at-s.lastEvent)
-					}
-					s.lastEvent = at
-				}
-				s.mu.Unlock()
-				s.opts.Trace.Add(obs.Event{At: at, Kind: obs.EvCorrupt, Chunk: msg.TileData.Item.Chunk, Tile: int(msg.TileData.Item.Tile), N: size})
-				continue
+			it, size := msg.TileData.Item, int64(len(msg.TileData.Payload))
+			// A tile is held only if the manifest has it and its payload
+			// matches the manifest checksum. Anything else is dropped —
+			// never indexed, never rendered, refetched by a later
+			// decide/resume cycle — but its bytes still crossed the link,
+			// so they count as received and toward the throughput estimate.
+			intact := it.In(s.m)
+			if intact {
+				want, hasSum := it.Checksum(s.m)
+				intact = !hasSum || proto.PayloadChecksum(msg.TileData.Payload) == want
 			}
 			s.mu.Lock()
 			if s.finished {
 				s.mu.Unlock()
 				continue
 			}
-			s.received.Record(msg.TileData.Item, at)
-			s.deliveries = append(s.deliveries, player.Delivery{Item: msg.TileData.Item, Bytes: size})
-			s.met.BytesReceived += size
-			if at > s.lastEvent {
-				s.bwPred.ObserveTransfer(size, at-s.lastEvent)
+			if intact {
+				s.pb.Deliver(at, it, size, at-s.lastEvent, at)
+			} else {
+				s.met.CorruptTiles++
+				s.pb.Transferred(size, at-s.lastEvent)
+				s.trace.Add(obs.Event{At: at, Kind: obs.EvCorrupt, Chunk: it.Chunk, Tile: int(it.Tile), N: size})
 			}
 			s.lastEvent = at
 			s.mu.Unlock()
-			s.opts.Trace.Add(obs.Event{At: at, Kind: obs.EvFetch, Chunk: msg.TileData.Item.Chunk, Tile: int(msg.TileData.Item.Tile), N: size})
 			s.wakeLoop()
 		case proto.MsgPing:
 			// Heartbeat: the link is idle but alive.
@@ -469,7 +449,7 @@ func (s *session) receiver(conn net.Conn, id int) {
 				s.linkDead = true
 			}
 			s.mu.Unlock()
-			s.opts.Trace.Record(s.now(), obs.EvLinkDead, 0)
+			s.trace.Record(s.now(), obs.EvLinkDead, 0)
 			return
 		case proto.MsgError:
 			s.reportFatal(fmt.Errorf("client: server error: %s", msg.Error))
@@ -501,7 +481,7 @@ func (s *session) linkLost(id int, err error) {
 	old := s.conn
 	s.conn = nil
 	s.mu.Unlock()
-	s.opts.Trace.Record(downAt, obs.EvOutage, 0)
+	s.trace.Record(downAt, obs.EvOutage, 0)
 	if old != nil {
 		old.Close()
 	}
@@ -528,7 +508,7 @@ func (s *session) reconnectLoop() {
 			s.mu.Unlock()
 			break
 		}
-		sum := s.received.Summary()
+		sum := s.pb.Held()
 		s.mu.Unlock()
 
 		conn, err := chaosDial(s.dial)
@@ -562,7 +542,7 @@ func (s *session) reconnectLoop() {
 		gen := s.gen
 		s.mu.Unlock()
 
-		s.opts.Trace.Record(now, obs.EvReconnect, int64(sum.Count()))
+		s.trace.Record(now, obs.EvReconnect, int64(sum.Count()))
 		go s.receiver(conn, id)
 		// Re-issue the outstanding fetch list immediately rather than
 		// waiting for the next decision epoch.
@@ -575,7 +555,7 @@ func (s *session) reconnectLoop() {
 	s.mu.Lock()
 	s.linkDead = true
 	s.mu.Unlock()
-	s.opts.Trace.Record(s.now(), obs.EvLinkDead, 0)
+	s.trace.Record(s.now(), obs.EvLinkDead, 0)
 	s.wakeLoop()
 }
 
@@ -588,7 +568,7 @@ func (s *session) resume(conn net.Conn, sum player.HeldSummary) error {
 		Version: proto.ProtoVersion,
 		VideoID: s.m.VideoID,
 		Held:    sum,
-		Cohort:  s.opts.Cohort,
+		Cohort:  s.cohort,
 	}); err != nil {
 		return fmt.Errorf("client: resume: %w", err)
 	}
@@ -612,7 +592,7 @@ func (s *session) resume(conn net.Conn, sum player.HeldSummary) error {
 			s.mu.Lock()
 			s.met.BusyRejects++
 			s.mu.Unlock()
-			s.opts.Trace.Record(s.now(), obs.EvBusy, 0)
+			s.trace.Record(s.now(), obs.EvBusy, 0)
 			return fmt.Errorf("%w: %s", errBusy, msg.Error)
 		}
 		return fmt.Errorf("client: resume rejected: %s", msg.Error)
@@ -632,152 +612,40 @@ func (s *session) writeRequest(conn net.Conn, id int, gen uint32, items []player
 	}
 }
 
+// run steps the Playback in wall-clock time until it is over: Advance, ship
+// the fetch list if one was decided, then sleep until the next control
+// event or until the receiver or reconnector has something new.
 func (s *session) run() (*player.Metrics, error) {
-	s.mu.Lock()
-	conn, id := s.conn, s.connID
-	s.mu.Unlock()
-	go s.receiver(conn, id)
-
-	policy := s.scheme.StallPolicy()
-	interval := s.scheme.DecisionInterval()
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	frameDur := time.Second / time.Duration(s.m.FPS)
-	totalFrames := s.m.NumFrames()
-
-	var (
-		playFrame    int
-		stalled      = true // startup
-		startup      = true
-		stallStart   time.Duration
-		nextFrameAt  time.Duration
-		nextHead     time.Duration
-		nextDecision time.Duration
-	)
-
-	const startupGrace = time.Second
-
-	requirementMet := func(now time.Duration, chunk int, ids []geom.TileID) bool {
-		if startup && policy == player.NeverStall && now >= startupGrace {
-			return true
-		}
+	go s.receiver(s.conn, s.connID)
+	for {
 		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, id := range ids {
-			switch {
-			case startup || policy == player.StallOnMissingAny:
-				_, okP := s.received.BestPrimaryBy(chunk, id, now)
-				if !okP && !s.received.HasMaskingBy(chunk, id, now) {
-					return false
-				}
-			case policy == player.StallOnMissingMasking:
-				if !s.received.HasMaskingBy(chunk, id, now) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	renderFrame := func(now time.Duration) {
-		chunk := s.m.ChunkOfFrame(playFrame)
-		o := s.head.At(now)
-		s.mu.Lock()
-		skips, masks, blanks := s.met.PrimarySkipFrames, s.met.RenderedMasking, s.met.RenderedBlank
-		s.acct.RenderFrame(chunk, o, s.received, now)
-		skips, masks, blanks = s.met.PrimarySkipFrames-skips, s.met.RenderedMasking-masks, s.met.RenderedBlank-blanks
-		var score float64
-		scored := len(s.met.FrameScore) > 0
-		if scored {
-			score = s.met.FrameScore[len(s.met.FrameScore)-1]
-		}
-		s.mu.Unlock()
-		if s.opts.Trace != nil {
-			if scored {
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvQuality, Chunk: chunk, N: int64(score * 100)})
-			}
-			if skips > 0 {
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvSkip, Chunk: chunk})
-			}
-			if masks > 0 {
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvMask, Chunk: chunk, N: masks})
-			}
-			if blanks > 0 {
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvBlank, Chunk: chunk, N: blanks})
-			}
-		}
-		playFrame++
-		nextFrameAt = now + frameDur
-	}
-
-	tryResume := func(now time.Duration) {
-		if !stalled {
-			return
-		}
-		o := s.head.At(now)
-		ids := s.opts.Viewport.Tiles(s.grid, o)
-		chunk := s.m.ChunkOfFrame(playFrame)
-		if !requirementMet(now, chunk, ids) {
-			return
-		}
-		if startup {
-			s.met.StartupDelay = now
-			startup = false
-			s.opts.Trace.Record(now, obs.EvStartup, int64(now/time.Millisecond))
-		} else {
-			s.met.RebufferDuration += now - stallStart
-			s.met.StallIntervals = append(s.met.StallIntervals, player.StallInterval{Start: stallStart, End: now})
-			s.opts.Trace.Record(now, obs.EvResume, int64((now-stallStart)/time.Millisecond))
-		}
-		stalled = false
-		renderFrame(now)
-	}
-
-	for playFrame < totalFrames {
 		now := s.now()
-		if now >= s.opts.MaxWall {
-			s.met.Truncated = true
-			if stalled && !startup {
-				s.met.RebufferDuration += now - stallStart
+		if s.pb.Over(now) {
+			s.mu.Unlock()
+			return s.finish(true), nil
+		}
+		var (
+			conn net.Conn
+			id   int
+			gen  uint32
+		)
+		fetch, decided := s.pb.Advance(now)
+		if decided {
+			// Copy: fetch may alias scheme-owned buffers that the next
+			// decision overwrites, and the reconnector re-issues lastReq
+			// later — on its own if the link is down now (conn == nil).
+			s.lastReq = append(s.lastReq[:0], fetch...)
+			s.gen++
+			gen = s.gen
+			if now > s.lastEvent {
+				s.lastEvent = now
 			}
-			break
+			conn, id = s.conn, s.connID
 		}
-
-		// Feed head samples due by now.
-		for nextHead <= now {
-			s.vpPred.Observe(nextHead, s.head.At(nextHead))
-			nextHead += s.head.SamplePeriod
-		}
-		tryResume(now)
-		if now >= nextDecision {
-			s.decide(now, playFrame, stalled, nextFrameAt, frameDur)
-			nextDecision = now + interval
-		}
-		if !stalled && now >= nextFrameAt && playFrame < totalFrames {
-			o := s.head.At(now)
-			ids := s.opts.Viewport.Tiles(s.grid, o)
-			chunk := s.m.ChunkOfFrame(playFrame)
-			if policy != player.NeverStall && !requirementMet(now, chunk, ids) {
-				stalled = true
-				stallStart = now
-				s.met.StallEvents++
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvStall, Chunk: chunk})
-			} else {
-				renderFrame(now)
-			}
-		}
-		if playFrame >= totalFrames {
-			break
-		}
-
-		// Sleep until the next event, or wake on a delivery/reconnect.
-		wake := nextHead
-		if nextDecision < wake {
-			wake = nextDecision
-		}
-		if !stalled && nextFrameAt < wake {
-			wake = nextFrameAt
+		wake := s.pb.NextEvent()
+		s.mu.Unlock()
+		if conn != nil {
+			s.writeRequest(conn, id, gen, fetch)
 		}
 		if sleep := wake - s.now(); sleep > 0 {
 			timer := time.NewTimer(sleep)
@@ -787,75 +655,39 @@ func (s *session) run() (*player.Metrics, error) {
 				timer.Stop()
 			case err := <-s.fatal:
 				timer.Stop()
+				s.finish(false)
 				return nil, err
 			}
 		}
 	}
-
-	s.met.WallDuration = s.now()
-	s.met.PlayDuration = time.Duration(s.met.TotalFrames) * frameDur
-
-	s.mu.Lock()
-	s.finished = true
-	if s.down {
-		// Close the open outage interval: the session ended disconnected.
-		s.met.OutageDuration += s.now() - s.downAt
-		s.down = false
-	}
-	conn = s.conn
-	s.acct.FinishWastage(s.deliveries)
-	s.mu.Unlock()
-	if conn != nil {
-		_ = proto.WriteBye(conn)
-	}
-	return s.met, nil
 }
 
-// decide runs the scheme and ships the resulting fetch list; during an
-// outage the list is recorded and shipped by the reconnector instead.
-func (s *session) decide(now time.Duration, playFrame int, stalled bool, nextFrameAt time.Duration, frameDur time.Duration) {
+// finish ends the session on every return path. It marks the session
+// finished first, so the receiver and reconnector drop whatever comes
+// later, then releases the link: a goodbye on a clean end, and the
+// connection itself if the session dialed it — PlayResilient owns what it
+// dials, Play leaves the caller's connection open.
+func (s *session) finish(bye bool) *player.Metrics {
 	s.mu.Lock()
-	mbps := s.bwPred.PredictMbps()
+	s.finished = true
+	now := s.now()
+	if s.down {
+		// Close the open outage interval: the session ended disconnected.
+		s.met.OutageDuration += now - s.downAt
+		s.down = false
+	}
+	met := s.pb.Finish(now)
+	conn := s.conn
 	s.mu.Unlock()
-	if mbps <= 0 {
-		mbps = s.opts.AssumedStartMbps
+	if conn != nil {
+		if bye {
+			_ = proto.WriteBye(conn)
+		}
+		if s.dial != nil {
+			conn.Close()
+		}
 	}
-	base := nextFrameAt
-	if stalled {
-		base = now
-	}
-	ctx := &player.Context{
-		Now:           now,
-		PlayFrame:     playFrame,
-		Stalled:       stalled,
-		Manifest:      s.m,
-		Grid:          s.grid,
-		Viewport:      s.opts.Viewport,
-		Received:      s.received,
-		Predict:       s.vpPred.Predict,
-		PredictedMbps: mbps,
-		FrameDuration: frameDur,
-		FrameDeadline: func(frame int) time.Duration {
-			return base + time.Duration(frame-playFrame)*frameDur
-		},
-	}
-	s.mu.Lock()
-	items := s.scheme.Decide(ctx)
-	s.gen++
-	gen := s.gen
-	// Copy: Decide's result may alias scheme-owned buffers that the next
-	// decision overwrites, and the reconnector re-issues lastReq later.
-	s.lastReq = append(s.lastReq[:0], items...)
-	if now > s.lastEvent {
-		s.lastEvent = now
-	}
-	conn, id := s.conn, s.connID
-	s.mu.Unlock()
-	s.opts.Trace.Record(now, obs.EvDecide, int64(len(items)))
-	if conn == nil {
-		return // disconnected; the reconnector re-issues lastReq on resume
-	}
-	s.writeRequest(conn, id, gen, items)
+	return met
 }
 
 // DefaultDialTimeout bounds Dial when no explicit timeout is given.

@@ -1,0 +1,101 @@
+package client
+
+import (
+	"net"
+	"testing"
+	"time"
+
+	"dragonfly/internal/core"
+	"dragonfly/internal/leaktest"
+	"dragonfly/internal/player"
+	"dragonfly/internal/proto"
+	"dragonfly/internal/video"
+)
+
+// scriptedPeer plays the server's side of the handshake for m on one end of
+// a pipe, runs script, and then swallows every frame — Bye included —
+// without ever hanging up. gone is closed once its read fails, which on a
+// pipe means the client's end has been closed.
+func scriptedPeer(m *video.Manifest, script func(srv net.Conn)) (client net.Conn, gone <-chan struct{}) {
+	client, srv := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if msg, err := proto.ReadMessage(srv); err != nil || msg.Type != proto.MsgHello {
+			return
+		}
+		if err := proto.WriteManifest(srv, m); err != nil {
+			return
+		}
+		if script != nil {
+			script(srv)
+		}
+		for {
+			if _, err := proto.ReadMessage(srv); err != nil {
+				return
+			}
+		}
+	}()
+	return client, done
+}
+
+func oneSecondVideo() *video.Manifest {
+	return video.Generate(video.GenParams{ID: "live", Rows: 6, Cols: 6, NumChunks: 1, Seed: 77})
+}
+
+// A frame that is valid on the wire but names a tile the manifest does not
+// have (a confused or hostile server) is handled like a payload that fails
+// its checksum: counted, its bytes accounted, nothing held — and nothing
+// indexed with it, which would panic the receiver goroutine.
+func TestOutOfRangeTileCountedAsCorrupt(t *testing.T) {
+	m := oneSecondVideo()
+	conn, _ := scriptedPeer(m, func(srv net.Conn) {
+		_ = proto.WriteTileData(srv, proto.TileData{Item: player.RequestItem{Chunk: 9999}, Payload: make([]byte, 64)})
+	})
+	defer conn.Close()
+	met, err := Play(conn, "live", liveHead(time.Second), core.NewDefault(), PlayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met.CorruptTiles != 1 || met.CorruptFrames != 0 || met.BytesReceived != 64 || met.BytesUseful != 0 {
+		t.Errorf("CorruptTiles %d CorruptFrames %d BytesReceived %d BytesUseful %d, want 1 0 64 0",
+			met.CorruptTiles, met.CorruptFrames, met.BytesReceived, met.BytesUseful)
+	}
+	if met.TotalFrames != m.NumFrames() {
+		t.Errorf("rendered %d frames, want %d", met.TotalFrames, m.NumFrames())
+	}
+}
+
+// PlayResilient owns the connections it dials: on every return path the
+// last one is closed — and with it the receiver goroutine ends — even when
+// the peer never hangs up.
+func TestPlayResilientClosesWhatItDials(t *testing.T) {
+	cases := []struct {
+		name    string
+		script  func(srv net.Conn)
+		wantErr bool
+	}{
+		{name: "clean end, Bye swallowed"},
+		{name: "fatal server error", wantErr: true,
+			script: func(srv net.Conn) { _ = proto.WriteError(srv, "scripted failure") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer leaktest.Check(t)()
+			var gone <-chan struct{}
+			dial := func() (conn net.Conn, err error) {
+				conn, gone = scriptedPeer(oneSecondVideo(), tc.script)
+				return conn, nil
+			}
+			_, err := PlayResilient(dial, "live", liveHead(time.Second), core.NewDefault(), PlayOptions{})
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want an error: %v", err, tc.wantErr)
+			}
+			select {
+			case <-gone:
+			case <-time.After(2 * time.Second):
+				t.Error("the dialed connection is still open after PlayResilient returned")
+			}
+		})
+	}
+}

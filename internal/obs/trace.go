@@ -26,7 +26,7 @@ const (
 	EvReconnect EventKind = "reconnect" // link re-established (N = restored dedup entries)
 	EvOutage    EventKind = "outage"    // link lost; reconnector engaged
 	EvLinkDead  EventKind = "linkdead"  // reconnect budget exhausted or server goodbye
-	EvCorrupt   EventKind = "corrupt"   // tile payload failed checksum; dropped (N = bytes)
+	EvCorrupt   EventKind = "corrupt"   // tile failed its checksum or is not in the manifest; dropped (N = bytes)
 	EvBusy      EventKind = "busy"      // server fast-rejected the handshake (admission control)
 	EvSession   EventKind = "session"   // trace header: identifies the session's video and cohort
 	EvQuality   EventKind = "quality"   // frame rendered (N = viewport quality in centi-dB)

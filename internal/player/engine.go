@@ -2,93 +2,12 @@ package player
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"time"
 
-	"dragonfly/internal/decoder"
-	"dragonfly/internal/geom"
 	"dragonfly/internal/obs"
-	"dragonfly/internal/predict"
-	"dragonfly/internal/quality"
-	"dragonfly/internal/trace"
-	"dragonfly/internal/video"
 )
 
-// Config describes one streaming session: a scheme playing one video for
-// one user over one bandwidth trace.
-type Config struct {
-	Manifest  *video.Manifest
-	Head      *trace.HeadTrace
-	Bandwidth *trace.BandwidthTrace
-	Scheme    Scheme
-
-	// Metric drives both scheduling (through Context) and evaluation.
-	Metric quality.Metric
-
-	// Viewport defaults to geom.DefaultViewport when zero.
-	Viewport geom.Viewport
-
-	// PredictorHistory is the viewport-regression window (0 = default).
-	PredictorHistory time.Duration
-	// PredictErrorDeg injects uniform orientation noise into the predictor's
-	// observations (the Figs 21–23 sensitivity methodology); 0 disables.
-	PredictErrorDeg  float64
-	PredictErrorSeed int64
-
-	// AssumedStartMbps seeds scheduling before any throughput sample exists.
-	AssumedStartMbps float64
-
-	// Decoder optionally models the client's media-decode stage: delivered
-	// tiles become renderable only once decoded (nil = infinitely fast, as
-	// the paper's testbed provisions).
-	Decoder *decoder.Model
-
-	// MaskInterpolation enables the §3.2 future-work optimization: holes
-	// with no masking tile are synthesized from neighboring masking tiles.
-	MaskInterpolation bool
-
-	// Debug, when non-nil, receives a line per scheduling decision,
-	// delivery and stall transition — a session event log for inspecting
-	// scheme behavior.
-	Debug io.Writer
-
-	// Trace, when non-nil, receives structured session events (decisions,
-	// fetches, skips, masks, stalls) for JSONL export. Nil disables tracing
-	// at the cost of one branch per event.
-	Trace *obs.Trace
-
-	// MaxWall caps session wall time against pathological stalls
-	// (default: 3x the video duration plus 30 s).
-	MaxWall time.Duration
-}
-
-// Run plays the session to completion and returns its metrics.
-func Run(cfg Config) (*Metrics, error) {
-	if cfg.Manifest == nil || cfg.Head == nil || cfg.Bandwidth == nil || cfg.Scheme == nil {
-		return nil, errors.New("player: config requires Manifest, Head, Bandwidth and Scheme")
-	}
-	if len(cfg.Head.Samples) == 0 || cfg.Head.SamplePeriod <= 0 {
-		// A zero-length head trace would wedge the event loop (the head
-		// schedule never advances) and poison every ratio downstream.
-		return nil, errors.New("player: head trace needs samples and a positive sample period")
-	}
-	if cfg.Viewport.RadiusDeg == 0 {
-		cfg.Viewport = geom.DefaultViewport
-	}
-	if cfg.AssumedStartMbps == 0 {
-		cfg.AssumedStartMbps = 5
-	}
-	videoDur := time.Duration(cfg.Manifest.NumFrames()) * time.Second / time.Duration(cfg.Manifest.FPS)
-	if cfg.MaxWall == 0 {
-		cfg.MaxWall = 3*videoDur + 30*time.Second
-	}
-	e := newEngine(cfg)
-	e.run()
-	return e.finish(), nil
-}
-
-// transfer is the in-flight item at the head of the server's send queue.
+// transfer is the item at the head of the modelled server's send queue.
 type transfer struct {
 	item      RequestItem
 	size      int64
@@ -96,351 +15,60 @@ type transfer struct {
 	started   time.Duration
 }
 
-type engine struct {
-	cfg      Config
-	m        *video.Manifest
-	grid     *geom.Grid
-	frameDur time.Duration
-	policy   StallPolicy
-
-	now time.Duration
-
-	// Playback state.
-	playFrame   int
-	nextFrameAt time.Duration
-	stalled     bool
-	startup     bool
-	stallStart  time.Duration
-
-	// Event schedule.
-	nextHead     time.Duration
-	nextDecision time.Duration
-
-	// Network / server state.
-	queue    []RequestItem
-	inflight *transfer
-
-	sentPrimary  []int8 // max primary quality sent per (chunk, tile); -1 none
-	sentMaskTile []bool
-	sentMaskFull []bool
-
-	received   *Received
-	deliveries []Delivery
-	acct       *Accountant
-
-	vpPred *predict.Viewport
-	bwPred *predict.Bandwidth
-
-	// Reusable per-decision scratch: decide() refills ctx in place instead
-	// of allocating a Context (plus two method-value closures) per epoch,
-	// and the frame loop reuses vpTiles for viewport-tile discovery.
-	ctx     Context
-	vpTiles []geom.TileID
-
-	met *Metrics
-}
-
-func newEngine(cfg Config) *engine {
-	m := cfg.Manifest
-	tiles := m.NumTiles()
-	e := &engine{
-		cfg:          cfg,
-		m:            m,
-		grid:         m.Grid(),
-		frameDur:     time.Second / time.Duration(m.FPS),
-		policy:       cfg.Scheme.StallPolicy(),
-		stalled:      true, // startup: waiting for the first frame
-		startup:      true,
-		sentPrimary:  make([]int8, m.NumChunks*tiles),
-		sentMaskTile: make([]bool, m.NumChunks*tiles),
-		sentMaskFull: make([]bool, m.NumChunks),
-		received:     NewReceived(m),
-		bwPred:       predict.NewBandwidth(0),
-		met: &Metrics{
-			SchemeName: cfg.Scheme.Name(),
-			VideoID:    m.VideoID,
-			UserID:     cfg.Head.UserID,
-			TraceID:    cfg.Bandwidth.ID,
-			SkipHeat:   make([]int64, tiles),
-			BlankHeat:  make([]int64, tiles),
-			ViewHeat:   make([]int64, tiles),
-		},
+// Run plays the session to completion in virtual time and returns its
+// metrics: a Playback driven over a modelled server — the installed fetch
+// list, the redundancy rule and one transfer in flight on the trace-driven
+// link. A request takes effect the instant it is decided (zero RTT,
+// DESIGN.md §7).
+func Run(cfg Config) (*Metrics, error) {
+	if cfg.Bandwidth == nil {
+		return nil, errors.New("player: config requires Bandwidth")
 	}
-	for i := range e.sentPrimary {
-		e.sentPrimary[i] = -1
+	pb, err := NewPlayback(cfg)
+	if err != nil {
+		return nil, err
 	}
-	e.acct = NewAccountant(m, e.grid, cfg.Viewport, cfg.Metric, e.met)
-	e.acct.Interpolate = cfg.MaskInterpolation
-	if cfg.PredictErrorDeg > 0 {
-		e.vpPred = predict.NewViewportWithError(cfg.PredictorHistory, cfg.PredictErrorDeg, cfg.PredictErrorSeed)
-	} else {
-		e.vpPred = predict.NewViewport(cfg.PredictorHistory)
-	}
-	// The invariant Context fields — and the two method-value closures,
-	// which would otherwise allocate on every decision — are bound once.
-	e.ctx = Context{
-		Manifest:      m,
-		Grid:          e.grid,
-		Viewport:      cfg.Viewport,
-		Received:      e.received,
-		Predict:       e.vpPred.Predict,
-		FrameDuration: e.frameDur,
-		FrameDeadline: e.frameDeadline,
-	}
-	return e
-}
-
-func (e *engine) run() {
-	totalFrames := e.m.NumFrames()
-	headPeriod := e.cfg.Head.SamplePeriod
-	interval := e.cfg.Scheme.DecisionInterval()
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
+	m, bw := cfg.Manifest, cfg.Bandwidth
+	pb.met.TraceID = bw.ID
 	// Trace header: the cohort key (trace class x network class) fleet
 	// rollups aggregate this session under.
-	e.cfg.Trace.Add(obs.SessionEvent(e.m.VideoID, e.cfg.Head.ClassName()+":"+e.cfg.Bandwidth.NetClass()))
-	for e.playFrame < totalFrames {
-		if e.now >= e.cfg.MaxWall {
-			e.met.Truncated = true
-			if e.stalled && !e.startup {
-				e.met.RebufferDuration += e.now - e.stallStart
-				e.stalled = false
-			}
-			break
-		}
-		// Earliest control event.
-		tNext := e.nextHead
-		if e.nextDecision < tNext {
-			tNext = e.nextDecision
-		}
-		if !e.stalled && e.nextFrameAt < tNext {
-			tNext = e.nextFrameAt
-		}
-		if tNext > e.cfg.MaxWall {
-			tNext = e.cfg.MaxWall
-		}
+	cfg.Trace.Add(obs.SessionEvent(m.VideoID, cfg.Head.ClassName()+":"+bw.NetClass()))
 
-		// Advance the network to tNext, delivering at most one item (the
-		// loop re-enters for the rest).
-		e.promote()
-		if e.inflight != nil {
-			done := e.now + e.cfg.Bandwidth.TimeToTransfer(e.inflight.remaining, e.now)
-			if done <= tNext {
-				e.now = done
-				e.deliver()
-				e.tryResume()
-				continue
-			}
-			e.inflight.remaining -= e.cfg.Bandwidth.BytesBetween(e.now, tNext)
-		}
-		e.now = tNext
-
-		// Dispatch control events due now.
-		for e.now >= e.nextHead {
-			e.vpPred.Observe(e.nextHead, e.cfg.Head.At(e.nextHead))
-			e.nextHead += headPeriod
-		}
-		e.tryResume()
-		if e.now >= e.nextDecision {
-			e.decide()
-			e.nextDecision = e.now + interval
-		}
-		if !e.stalled && e.now >= e.nextFrameAt && e.playFrame < totalFrames {
-			e.renderOrStall()
-		}
-	}
-	if e.stalled && !e.startup && !e.met.Truncated {
-		// Video ended mid-stall (cannot happen: frames gate the loop), kept
-		// for safety.
-		e.met.RebufferDuration += e.now - e.stallStart
-	}
-	e.met.WallDuration = e.now
-	e.met.PlayDuration = time.Duration(e.met.TotalFrames) * e.frameDur
-}
-
-// promote moves the next sendable queued item into the in-flight slot,
-// applying the server's redundancy rule: a tile already transmitted on the
-// primary stream is never re-sent; masking-only tiles may be upgraded
-// (paper §3.3).
-func (e *engine) promote() {
-	if e.inflight != nil {
-		return
-	}
-	tiles := e.m.NumTiles()
-	for len(e.queue) > 0 {
-		it := e.queue[0]
-		e.queue = e.queue[1:]
-		switch {
-		case it.Stream == Primary:
-			ct := it.Chunk*tiles + int(it.Tile)
-			if e.sentPrimary[ct] >= 0 {
-				continue
-			}
-			e.sentPrimary[ct] = int8(it.Quality)
-		case it.Full360:
-			if e.sentMaskFull[it.Chunk] {
-				continue
-			}
-			e.sentMaskFull[it.Chunk] = true
-		default:
-			ct := it.Chunk*tiles + int(it.Tile)
-			if e.sentMaskTile[ct] || e.sentMaskFull[it.Chunk] {
-				continue
-			}
-			e.sentMaskTile[ct] = true
-		}
-		size := it.Size(e.m)
-		e.inflight = &transfer{item: it, size: size, remaining: float64(size), started: e.now}
-		return
-	}
-}
-
-func (e *engine) deliver() {
-	tr := e.inflight
-	e.inflight = nil
-	// Render availability is gated on decode completion when a decoder
-	// model is configured; throughput sampling still uses delivery time.
-	e.received.Record(tr.item, e.cfg.Decoder.DecodeDone(e.now, tr.size))
-	e.deliveries = append(e.deliveries, Delivery{Item: tr.item, Bytes: tr.size})
-	e.met.BytesReceived += tr.size
-	e.bwPred.ObserveTransfer(tr.size, e.now-tr.started)
-	e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvFetch, Chunk: tr.item.Chunk, Tile: int(tr.item.Tile), N: tr.size})
-	e.debugf("deliver %s chunk=%d tile=%d q=%d bytes=%d", tr.item.Stream, tr.item.Chunk, tr.item.Tile, tr.item.Quality, tr.size)
-}
-
-func (e *engine) decide() {
-	mbps := e.bwPred.PredictMbps()
-	if mbps <= 0 {
-		mbps = e.cfg.AssumedStartMbps
-	}
-	e.ctx.Now = e.now
-	e.ctx.PlayFrame = e.playFrame
-	e.ctx.Stalled = e.stalled
-	e.ctx.PredictedMbps = mbps
-	e.queue = e.cfg.Scheme.Decide(&e.ctx)
-	e.cfg.Trace.Record(e.now, obs.EvDecide, int64(len(e.queue)))
-	e.debugf("decide frame=%d stalled=%v est=%.1fMbps items=%d", e.playFrame, e.stalled, mbps, len(e.queue))
-}
-
-// debugf writes one event-log line when Config.Debug is set.
-func (e *engine) debugf(format string, args ...any) {
-	if e.cfg.Debug == nil {
-		return
-	}
-	fmt.Fprintf(e.cfg.Debug, "%8.3fs  ", e.now.Seconds())
-	fmt.Fprintf(e.cfg.Debug, format, args...)
-	fmt.Fprintln(e.cfg.Debug)
-}
-
-// frameDeadline estimates when the given frame starts rendering, assuming
-// no further stalls.
-func (e *engine) frameDeadline(frame int) time.Duration {
-	base := e.nextFrameAt
-	if e.stalled {
-		base = e.now
-	}
-	return base + time.Duration(frame-e.playFrame)*e.frameDur
-}
-
-// startupGrace caps how long a continuous-playback (NeverStall) scheme
-// waits for its first frame: after this, playback begins even with missing
-// tiles, matching the skip discipline.
-const startupGrace = time.Second
-
-// requirementMet checks the stall policy for the given viewport tiles.
-func (e *engine) requirementMet(chunk int, ids []geom.TileID, startup bool) bool {
-	if startup && e.policy == NeverStall && e.now >= startupGrace {
-		return true
-	}
-	for _, id := range ids {
-		switch {
-		case startup || e.policy == StallOnMissingAny:
-			_, okP := e.received.BestPrimaryBy(chunk, id, e.now)
-			if !okP && !e.received.HasMaskingBy(chunk, id, e.now) {
-				return false
-			}
-		case e.policy == StallOnMissingMasking:
-			if !e.received.HasMaskingBy(chunk, id, e.now) {
-				return false
+	var (
+		now      time.Duration
+		queue    []RequestItem
+		sent     = NewSent(m)
+		tr       transfer
+		inflight bool
+	)
+	for !pb.Over(now) {
+		next := pb.NextEvent()
+		for !inflight && len(queue) > 0 {
+			it := queue[0]
+			queue = queue[1:]
+			if sent.Admit(it) {
+				size := it.Size(m)
+				tr, inflight = transfer{it, size, float64(size), now}, true
 			}
 		}
-	}
-	return true
-}
-
-// tryResume ends a stall (or the startup wait) once the current viewport is
-// renderable again.
-func (e *engine) tryResume() {
-	if !e.stalled {
-		return
-	}
-	o := e.cfg.Head.At(e.now)
-	e.vpTiles = e.grid.AppendTilesInCap(e.vpTiles[:0], o, e.cfg.Viewport.RadiusDeg)
-	chunk := e.m.ChunkOfFrame(e.playFrame)
-	if !e.requirementMet(chunk, e.vpTiles, e.startup) {
-		return
-	}
-	if e.startup {
-		e.met.StartupDelay = e.now
-		e.startup = false
-		e.cfg.Trace.Record(e.now, obs.EvStartup, int64(e.now/time.Millisecond))
-		e.debugf("startup complete, playback begins")
-	} else {
-		e.met.RebufferDuration += e.now - e.stallStart
-		e.met.StallIntervals = append(e.met.StallIntervals, StallInterval{Start: e.stallStart, End: e.now})
-		e.cfg.Trace.Record(e.now, obs.EvResume, int64((e.now-e.stallStart)/time.Millisecond))
-		e.debugf("resume after %s stall", e.now-e.stallStart)
-	}
-	e.stalled = false
-	e.renderFrame()
-}
-
-// renderOrStall runs at a frame deadline: render it, or enter a stall if
-// the policy demands complete viewports.
-func (e *engine) renderOrStall() {
-	o := e.cfg.Head.At(e.now)
-	e.vpTiles = e.grid.AppendTilesInCap(e.vpTiles[:0], o, e.cfg.Viewport.RadiusDeg)
-	chunk := e.m.ChunkOfFrame(e.playFrame)
-	if e.policy != NeverStall && !e.requirementMet(chunk, e.vpTiles, false) {
-		e.stalled = true
-		e.stallStart = e.now
-		e.met.StallEvents++
-		e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvStall, Chunk: chunk})
-		e.debugf("stall frame=%d chunk=%d", e.playFrame, chunk)
-		return
-	}
-	e.renderFrame()
-}
-
-// renderFrame renders playFrame at the current instant and advances
-// playback.
-func (e *engine) renderFrame() {
-	o := e.cfg.Head.At(e.now)
-	chunk := e.m.ChunkOfFrame(e.playFrame)
-	skips, masks, blanks := e.met.PrimarySkipFrames, e.met.RenderedMasking, e.met.RenderedBlank
-	e.acct.RenderFrame(chunk, o, e.received, e.now)
-	if e.cfg.Trace != nil {
-		// Per-frame display events, derived from the accountant's deltas.
-		if n := len(e.met.FrameScore); n > 0 {
-			e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvQuality, Chunk: chunk, N: int64(e.met.FrameScore[n-1] * 100)})
+		// Move the link to the next control event or to the end of the
+		// transfer in flight, whichever comes first: at most one delivery,
+		// then Advance.
+		if inflight {
+			if done := now + bw.TimeToTransfer(tr.remaining, now); done <= next {
+				// Render availability is gated on decode completion when a
+				// decoder model is configured; throughput sampling still
+				// uses delivery time.
+				pb.Deliver(done, tr.item, tr.size, done-tr.started, cfg.Decoder.DecodeDone(done, tr.size))
+				next, inflight = done, false
+			} else {
+				tr.remaining -= bw.BytesBetween(now, next)
+			}
 		}
-		if e.met.PrimarySkipFrames > skips {
-			e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvSkip, Chunk: chunk})
-		}
-		if d := e.met.RenderedMasking - masks; d > 0 {
-			e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvMask, Chunk: chunk, N: d})
-		}
-		if d := e.met.RenderedBlank - blanks; d > 0 {
-			e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvBlank, Chunk: chunk, N: d})
+		now = next
+		if fetch, decided := pb.Advance(now); decided {
+			queue = fetch
 		}
 	}
-	e.playFrame++
-	e.nextFrameAt = e.now + e.frameDur
-}
-
-// finish computes the wastage accounting (§4.1) and returns the metrics.
-func (e *engine) finish() *Metrics {
-	e.acct.FinishWastage(e.deliveries)
-	return e.met
+	return pb.Finish(now), nil
 }

@@ -61,10 +61,10 @@ type Metrics struct {
 	ResumedTiles   int64
 
 	// Integrity and admission accounting (wire v3): tile payloads whose
-	// manifest checksum failed (dropped, never rendered, refetched via the
-	// next decide/resume cycle), frames torn down for a CRC-trailer
-	// mismatch, and handshakes the server fast-rejected with a retryable
-	// busy error before the client got through.
+	// manifest checksum failed or that the manifest does not have (dropped,
+	// never rendered, refetched via the next decide/resume cycle), frames
+	// torn down for a CRC-trailer mismatch, and handshakes the server
+	// fast-rejected with a retryable busy error before the client got through.
 	CorruptTiles  int64
 	CorruptFrames int64
 	BusyRejects   int64

@@ -479,6 +479,28 @@ func TestRequestItemSize(t *testing.T) {
 	}
 }
 
+func TestRequestItemIn(t *testing.T) {
+	m := smallManifest() // 6 chunks of 36 tiles
+	for _, tc := range []struct {
+		it RequestItem
+		in bool
+	}{
+		{RequestItem{Chunk: 5, Tile: 35, Quality: video.NumQualities - 1}, true},
+		{RequestItem{Stream: Masking, Chunk: 5, Full360: true, Tile: 99}, true}, // tile ignored
+		{RequestItem{Chunk: 6}, false},
+		{RequestItem{Chunk: -1}, false},
+		{RequestItem{Tile: 36}, false},
+		{RequestItem{Tile: -1}, false},
+		{RequestItem{Quality: video.NumQualities}, false},
+		{RequestItem{Stream: Masking, Chunk: 6, Full360: true}, false},
+		{RequestItem{Stream: Primary, Full360: true, Tile: 36}, false}, // primary state is per tile
+	} {
+		if got := tc.it.In(m); got != tc.in {
+			t.Errorf("%+v.In = %v, want %v", tc.it, got, tc.in)
+		}
+	}
+}
+
 func TestStreamKindString(t *testing.T) {
 	if Primary.String() != "primary" || Masking.String() != "masking" {
 		t.Error("stream kind names")

@@ -180,6 +180,70 @@ func (h HeldSummary) HasMaskFull(chunk int) bool {
 	return bitGet(h.MaskFull, chunk)
 }
 
+// Sent is the server's redundancy rule (§3.3) as state: a tile sent on the
+// primary stream is never re-sent; masking is sent once, and not after the
+// chunk's full-360° masking; a tile sent only as masking may still be
+// upgraded on the primary stream. The engine's server model and the real
+// server's send queue both filter their fetch lists through one.
+type Sent struct {
+	tiles    int
+	primary  []bool // [chunk*tiles + tile]
+	maskTile []bool // [chunk*tiles + tile]
+	maskFull []bool // [chunk]
+}
+
+// NewSent creates the state of a session that has been sent nothing.
+func NewSent(m *video.Manifest) *Sent {
+	tiles := m.NumTiles()
+	return &Sent{
+		tiles:    tiles,
+		primary:  make([]bool, m.NumChunks*tiles),
+		maskTile: make([]bool, m.NumChunks*tiles),
+		maskFull: make([]bool, m.NumChunks),
+	}
+}
+
+// mark sets b[i] and reports whether it was clear.
+func mark(b []bool, i int) bool {
+	was := b[i]
+	b[i] = true
+	return !was
+}
+
+// Admit reports whether the rule lets the item be transmitted and, if so,
+// marks it sent. The item must be In the manifest.
+func (s *Sent) Admit(it RequestItem) bool {
+	switch ct := it.Chunk*s.tiles + int(it.Tile); {
+	case it.Stream == Primary:
+		return mark(s.primary, ct)
+	case it.Full360:
+		return mark(s.maskFull, it.Chunk)
+	default:
+		return !s.maskFull[it.Chunk] && mark(s.maskTile, ct)
+	}
+}
+
+// Preload marks everything a resuming client reports holding as sent and
+// returns the number of entries newly marked.
+func (s *Sent) Preload(h HeldSummary) int64 {
+	var restored int64
+	for c := 0; c < len(s.maskFull) && c < h.NumChunks; c++ {
+		if h.HasMaskFull(c) && mark(s.maskFull, c) {
+			restored++
+		}
+		for tl := 0; tl < s.tiles && tl < h.NumTiles; tl++ {
+			ct := c*s.tiles + tl
+			if h.HasPrimary(c, tl) && mark(s.primary, ct) {
+				restored++
+			}
+			if h.HasMaskTile(c, tl) && mark(s.maskTile, ct) {
+				restored++
+			}
+		}
+	}
+	return restored
+}
+
 // Count is the total number of held entries across all three maps.
 func (h HeldSummary) Count() int {
 	n := 0

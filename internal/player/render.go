@@ -8,28 +8,26 @@ import (
 	"dragonfly/internal/video"
 )
 
-// Delivery logs one completed transfer for the wastage accounting.
-type Delivery struct {
-	Item  RequestItem
-	Bytes int64
+// delivery logs one completed transfer for the wastage accounting.
+type delivery struct {
+	item  RequestItem
+	bytes int64
 }
 
-// Accountant performs the per-frame render accounting and final wastage
-// computation of §4.1. It is shared between the discrete-event engine and
-// the real-time network client: both render viewports the same way, they
-// just drive time differently.
-type Accountant struct {
+// accountant performs the per-frame render accounting and final wastage
+// computation of §4.1 for a Playback.
+type accountant struct {
 	M        *Metrics
 	Manifest *video.Manifest
 	Grid     *geom.Grid
 	Viewport geom.Viewport
 	Metric   quality.Metric
 
-	// Interpolate enables the §3.2 future-work optimization: a viewport
+	// interpolate enables the §3.2 future-work optimization: a viewport
 	// tile with no renderable version is synthesized from its neighbors'
 	// masking tiles (when at least two are available) instead of showing
 	// black, at a quality penalty.
-	Interpolate bool
+	interpolate bool
 
 	// Render usage: which variants were ever shown (drives wastage).
 	renderedPrimaryQ []bool // [(chunk*tiles+tile)*Q+q]
@@ -42,19 +40,13 @@ type Accountant struct {
 	weights []float64
 }
 
-// NewAccountant initializes accounting for one session.
-func NewAccountant(m *video.Manifest, grid *geom.Grid, vp geom.Viewport, metric quality.Metric, met *Metrics) *Accountant {
+// newAccountant initializes accounting for one session into met.
+func newAccountant(m *video.Manifest, grid *geom.Grid, vp geom.Viewport, metric quality.Metric, met *Metrics) *accountant {
 	tiles := m.NumTiles()
-	if met.SkipHeat == nil {
-		met.SkipHeat = make([]int64, tiles)
-	}
-	if met.BlankHeat == nil {
-		met.BlankHeat = make([]int64, tiles)
-	}
-	if met.ViewHeat == nil {
-		met.ViewHeat = make([]int64, tiles)
-	}
-	return &Accountant{
+	met.SkipHeat = make([]int64, tiles)
+	met.BlankHeat = make([]int64, tiles)
+	met.ViewHeat = make([]int64, tiles)
+	return &accountant{
 		M:                met,
 		Manifest:         m,
 		Grid:             grid,
@@ -66,9 +58,9 @@ func NewAccountant(m *video.Manifest, grid *geom.Grid, vp geom.Viewport, metric 
 	}
 }
 
-// RenderFrame accounts one rendered viewport: the given chunk viewed from
+// renderFrame accounts one rendered viewport: the given chunk viewed from
 // orientation o, with availability evaluated at instant now.
-func (a *Accountant) RenderFrame(chunk int, o geom.Orientation, rcv *Received, now time.Duration) {
+func (a *accountant) renderFrame(chunk int, o geom.Orientation, rcv *Received, now time.Duration) {
 	a.ids, a.weights = a.Grid.AppendCapWeights(a.ids[:0], a.weights[:0], o, a.Viewport.RadiusDeg)
 	ids, weights := a.ids, a.weights
 	tiles := a.Manifest.NumTiles()
@@ -95,7 +87,7 @@ func (a *Accountant) RenderFrame(chunk int, o geom.Orientation, rcv *Received, n
 			acc.Add(w, a.scores.Score(chunk, id, video.Lowest))
 			continue
 		}
-		if a.Interpolate {
+		if a.interpolate {
 			if db, ok := a.interpolated(chunk, id, rcv, now); ok {
 				a.M.RenderedInterpolated++
 				acc.Add(w, db)
@@ -133,7 +125,7 @@ const interpolationPenaltyDB = 6
 // synthesized at the neighbors' mean masking quality minus a fixed penalty
 // (never below the black-render floor). The contributing neighbors' masking
 // deliveries count as rendered for the wastage accounting.
-func (a *Accountant) interpolated(chunk int, id geom.TileID, rcv *Received, now time.Duration) (float64, bool) {
+func (a *accountant) interpolated(chunk int, id geom.TileID, rcv *Received, now time.Duration) (float64, bool) {
 	tiles := a.Manifest.NumTiles()
 	var sum float64
 	var contributors []geom.TileID
@@ -156,12 +148,12 @@ func (a *Accountant) interpolated(chunk int, id geom.TileID, rcv *Received, now 
 	return db, true
 }
 
-// FinishWastage computes the useful-bytes accounting (§4.1) from the
+// finishWastage computes the useful-bytes accounting (§4.1) from the
 // delivery log: primary tiles are useful if rendered at exactly the
 // delivered quality; tiled masking if rendered from masking; a full-360°
 // masking chunk earns the cheaper of the tiled-equivalent encoding of its
 // rendered area or the whole chunk.
-func (a *Accountant) FinishWastage(deliveries []Delivery) {
+func (a *accountant) finishWastage(deliveries []delivery) {
 	tiles := a.Manifest.NumTiles()
 	maskFullUseful := func(chunk int) int64 {
 		var tiled int64
@@ -178,16 +170,16 @@ func (a *Accountant) FinishWastage(deliveries []Delivery) {
 	}
 	for _, d := range deliveries {
 		switch {
-		case d.Item.Stream == Primary:
-			ct := d.Item.Chunk*tiles + int(d.Item.Tile)
-			if a.renderedPrimaryQ[ct*video.NumQualities+int(d.Item.Quality)] {
-				a.M.BytesUseful += d.Bytes
+		case d.item.Stream == Primary:
+			ct := d.item.Chunk*tiles + int(d.item.Tile)
+			if a.renderedPrimaryQ[ct*video.NumQualities+int(d.item.Quality)] {
+				a.M.BytesUseful += d.bytes
 			}
-		case d.Item.Full360:
-			a.M.BytesUseful += maskFullUseful(d.Item.Chunk)
+		case d.item.Full360:
+			a.M.BytesUseful += maskFullUseful(d.item.Chunk)
 		default:
-			if a.renderedMasking[d.Item.Chunk*tiles+int(d.Item.Tile)] {
-				a.M.BytesUseful += d.Bytes
+			if a.renderedMasking[d.item.Chunk*tiles+int(d.item.Tile)] {
+				a.M.BytesUseful += d.bytes
 			}
 		}
 	}

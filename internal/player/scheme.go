@@ -1,8 +1,11 @@
-// Package player implements the playback engine shared by every scheme in
-// the evaluation: a discrete-event session simulator with byte-accurate
-// trace-driven network delivery, frame-granularity rendering, both playback
-// disciplines (continuous playback with skips, and stall-on-miss), and the
-// full metric accounting of paper §4.1.
+// Package player implements the playback loop shared by every scheme and
+// by both playback paths. Playback is the session state machine —
+// frame-granularity rendering, both playback disciplines (continuous
+// playback with skips, and stall-on-miss), the decision schedule and the
+// full metric accounting of paper §4.1 — and owns neither a clock nor a
+// link; a driver steps it: deliver what arrived, then Advance. Run is the
+// simulator's driver (a virtual clock, a modelled server send queue and
+// byte-accurate trace-driven delivery); internal/client is the wire's.
 //
 // Schemes (Dragonfly in internal/core, the baselines in internal/baseline)
 // plug in through the Scheme interface: every decision interval they emit
@@ -51,6 +54,17 @@ func (it RequestItem) Size(m *video.Manifest) int64 {
 		return m.Full360Size(it.Chunk, it.Quality)
 	}
 	return m.TileSize(it.Chunk, it.Tile, it.Quality)
+}
+
+// In reports whether the item names a variant the manifest has. Items read
+// off the wire must pass it before anything indexes the manifest, or state
+// shaped like it (Received, Sent), with them; the tile of a full-360°
+// masking chunk is ignored, as everywhere else.
+func (it RequestItem) In(m *video.Manifest) bool {
+	if it.Chunk < 0 || it.Chunk >= m.NumChunks || !it.Quality.Valid() {
+		return false
+	}
+	return it.Stream == Masking && it.Full360 || it.Tile >= 0 && int(it.Tile) < m.NumTiles()
 }
 
 // Checksum returns the manifest's CRC32-C for the item's payload and

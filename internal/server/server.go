@@ -378,19 +378,14 @@ type sendState struct {
 	queuedBytes int64
 	report      func(delta int64)
 
-	sentPrimary  []bool
-	sentMaskTile []bool
-	sentMaskFull []bool
+	sent *player.Sent // the redundancy rule (§3.3)
 }
 
 func newSendState(m *video.Manifest) *sendState {
-	tiles := m.NumTiles()
 	return &sendState{
-		wake:         make(chan struct{}, 1),
-		report:       func(int64) {},
-		sentPrimary:  make([]bool, m.NumChunks*tiles),
-		sentMaskTile: make([]bool, m.NumChunks*tiles),
-		sentMaskFull: make([]bool, m.NumChunks),
+		wake:   make(chan struct{}, 1),
+		report: func(int64) {},
+		sent:   player.NewSent(m),
 	}
 }
 
@@ -499,10 +494,7 @@ func shedQueue(items []player.RequestItem, max int, maxBytes int64, m *video.Man
 // the wire, and an out-of-range chunk or tile must shed as zero bytes (the
 // sender's next() skips it anyway), not panic the connection handler.
 func safeSize(it player.RequestItem, m *video.Manifest) int64 {
-	if it.Chunk < 0 || it.Chunk >= m.NumChunks || !it.Quality.Valid() {
-		return 0
-	}
-	if !it.Full360 && (int(it.Tile) < 0 || int(it.Tile) >= m.NumTiles()) {
+	if !it.In(m) {
 		return 0
 	}
 	return it.Size(m)
@@ -511,29 +503,10 @@ func safeSize(it player.RequestItem, m *video.Manifest) int64 {
 // preload marks the client-held items from a resume summary as already
 // sent, restoring the redundancy suppression of the pre-disconnect
 // session. It returns the number of entries restored.
-func (st *sendState) preload(h player.HeldSummary, m *video.Manifest) int64 {
+func (st *sendState) preload(h player.HeldSummary, _ *video.Manifest) int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tiles := m.NumTiles()
-	var restored int64
-	for c := 0; c < m.NumChunks && c < h.NumChunks; c++ {
-		if h.HasMaskFull(c) && !st.sentMaskFull[c] {
-			st.sentMaskFull[c] = true
-			restored++
-		}
-		for tl := 0; tl < tiles && tl < h.NumTiles; tl++ {
-			ct := c*tiles + tl
-			if h.HasPrimary(c, tl) && !st.sentPrimary[ct] {
-				st.sentPrimary[ct] = true
-				restored++
-			}
-			if h.HasMaskTile(c, tl) && !st.sentMaskTile[ct] {
-				st.sentMaskTile[ct] = true
-				restored++
-			}
-		}
-	}
-	return restored
+	return st.sent.Preload(h)
 }
 
 // next pops the next sendable item, applying the redundancy rule, or
@@ -542,37 +515,19 @@ func (st *sendState) preload(h player.HeldSummary, m *video.Manifest) int64 {
 func (st *sendState) next(m *video.Manifest) (it player.RequestItem, ok, done bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tiles := m.NumTiles()
 	for len(st.queue) > 0 {
 		it = st.queue[0]
 		st.queue = st.queue[1:]
-		if size := safeSize(it, m); size > 0 {
+		if !it.In(m) {
+			continue // malformed entry: installed as zero bytes, skipped here
+		}
+		if size := it.Size(m); size > 0 {
 			st.queuedBytes -= size
 			st.report(-size)
 		}
-		if it.Chunk < 0 || it.Chunk >= m.NumChunks || (!it.Full360 && int(it.Tile) >= tiles) {
-			continue // malformed entry; skip defensively
+		if st.sent.Admit(it) {
+			return it, true, false
 		}
-		switch {
-		case it.Stream == player.Primary:
-			ct := it.Chunk*tiles + int(it.Tile)
-			if st.sentPrimary[ct] {
-				continue
-			}
-			st.sentPrimary[ct] = true
-		case it.Full360:
-			if st.sentMaskFull[it.Chunk] {
-				continue
-			}
-			st.sentMaskFull[it.Chunk] = true
-		default:
-			ct := it.Chunk*tiles + int(it.Tile)
-			if st.sentMaskTile[ct] || st.sentMaskFull[it.Chunk] {
-				continue
-			}
-			st.sentMaskTile[ct] = true
-		}
-		return it, true, false
 	}
 	return player.RequestItem{}, false, st.closed
 }

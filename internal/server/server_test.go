@@ -96,6 +96,9 @@ func TestSendStateSkipsMalformed(t *testing.T) {
 	st.install(proto.Request{Generation: 1, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 999, Tile: 0, Quality: 1},
 		{Stream: player.Primary, Chunk: 0, Tile: 999, Quality: 1},
+		// Full360 excuses the tile of a masking chunk only: indexing the
+		// primary dedup state with this one would panic the handler.
+		{Stream: player.Primary, Chunk: 0, Full360: true, Tile: 999, Quality: 1},
 		{Stream: player.Primary, Chunk: 0, Tile: 3, Quality: 1},
 	}}, 0, 0, m)
 	it, ok, _ := st.next(m)

@@ -1,9 +1,10 @@
 #!/bin/sh
-# CI gate: formatting, vet, the full test suite under the race detector,
-# and a one-iteration benchmark smoke compared against the committed
-# baseline. The chaos tests (internal/client, internal/server,
-# internal/netem) exercise real goroutine-per-connection sessions with
-# mid-stream disconnects, so -race here is load-bearing, not ceremony.
+# CI gate: formatting, vet, the doc-drift gates, the full test suite once
+# under the race detector, a fuzz smoke, and a one-iteration benchmark smoke
+# compared against the committed baseline. The chaos tests (internal/client,
+# internal/server, internal/netem) exercise real goroutine-per-connection
+# sessions with mid-stream disconnects, so -race here is load-bearing, not
+# ceremony.
 #
 # Single-iteration timing is noisy, so the benchmark comparison only warns
 # by default; pass -strict to make a regression fail the gate. An
@@ -62,39 +63,22 @@ for s in $sites; do
 done
 [ "$sdrift" = 0 ] || exit 1
 
-go test -race -timeout 600s ./...
-
-# Chaos-soak gate: every registered failpoint site armed from one seeded
-# schedule over the full fleet + ingest stack, run once more explicitly
-# and uncached. Asserts zero rebuffering, no unexplained duplicate
-# primary sends, no corrupt tile held, zero telemetry drops, and snapshot
-# quarantine + recovery.
-go test -race -run '^TestChaosSoak$' -count=1 -timeout 120s ./internal/experiments
+# The whole suite once, uncached, under the race detector. This is also the
+# run that holds the seeded system gates — TestChaosSoak (every failpoint
+# site armed over the fleet + ingest stack), TestFleetChaos (balancer +
+# kill/cold-restart/drain, zero duplicate primary sends), TestQoEFeedback
+# (ingest -> rollup -> shed-budget loop) in internal/experiments, and the
+# popsim determinism trio (TestWorkerCountInvariance, TestShardEquivalence,
+# TestShardSubprocessEquivalence): the run passes no -short, so none of them
+# is skipped, and none is run a second time below.
+go test -race -count=1 -timeout 600s ./...
 
 # Disarmed-overhead gate: failpoints must stay free when nobody is
 # injecting — a disarmed site is one atomic load and zero allocations on
-# the hot path. (The benchdiff comparison below holds the timing side.)
+# the hot path. Its own run because it is the one gate taken without the
+# race detector's instrumentation, on the build that ships. (The benchdiff
+# comparison below holds the timing side.)
 go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
-
-# Fleet-chaos gate: the balancer + kill/cold-restart/drain proof runs once
-# more explicitly (and uncached) so a flake here is visible as its own
-# line, not buried in the suite. The seeded run asserts zero duplicate
-# primary sends fleet-wide and dead-member detection inside the probe
-# budget.
-go test -race -run '^TestFleetChaos$' -count=1 -timeout 120s ./internal/experiments
-
-# QoE-feedback gate: the closed loop (trace ingest -> cohort rollup ->
-# shed-budget feedback) proved once more explicitly and uncached. The
-# seeded run asserts rollup quantiles within the documented envelope and
-# strictly more shedding for the over-budget cohort.
-go test -race -run '^TestQoEFeedback$' -count=1 -timeout 120s ./internal/experiments
-
-# Population-determinism gate: the sweep engine's contract is that the
-# same seed yields an identical merged rollup for any worker count and for
-# any shard split — including real subprocess shards merged over the JSONL
-# snapshot format. Seeded, uncached, under -race.
-go test -race -run '^TestWorkerCountInvariance$|^TestShardEquivalence$|^TestShardSubprocessEquivalence$' \
-	-count=1 -timeout 120s ./internal/popsim
 
 # Fuzz smoke: ten seconds per parser of bytes we did not write. The v3
 # framing work (CRC trailers, hard length cap, resume bitmaps) lives or dies
