@@ -180,7 +180,8 @@ func TestPanoNeverRefines(t *testing.T) {
 	m := testManifest()
 	ctx := testContext(m, 10)
 	p := NewPano(PanoOptions{})
-	first := p.Decide(ctx)
+	// Copied: the list is valid only until the next Decide.
+	first := append([]player.RequestItem(nil), p.Decide(ctx)...)
 	// Move the prediction; chunk 0 assignment must not change.
 	ctx.Predict = func(time.Duration) geom.Orientation { return geom.Orientation{Yaw: 120} }
 	second := p.Decide(ctx)
@@ -193,6 +194,40 @@ func TestPanoNeverRefines(t *testing.T) {
 	for _, it := range second {
 		if it.Chunk == 0 && !firstC0[it] {
 			t.Fatal("Pano revised a committed chunk")
+		}
+	}
+}
+
+// TestPanoDecideAllocationFree pins what Pano keeps as scratch: a decision
+// that commits no new chunk re-emits the committed lists into the
+// scheme-owned output and allocates nothing. (Committing a chunk allocates
+// its list, once: that is state, not garbage.)
+func TestPanoDecideAllocationFree(t *testing.T) {
+	m := testManifest()
+	ctx := testContext(m, 10)
+	p := NewPano(PanoOptions{})
+	want := append([]player.RequestItem(nil), p.Decide(ctx)...)
+	if len(want) < 3*m.NumTiles() {
+		t.Fatalf("first decision lists %d items, want the look-ahead's chunks in full", len(want))
+	}
+	frame := 0
+	if n := testing.AllocsPerRun(100, func() {
+		// Play through the first chunk: the look-ahead reaches no new one.
+		frame = (frame + 1) % (m.ChunkFrames / 2)
+		ctx.PlayFrame = frame
+		ctx.Now = ctx.FrameDeadline(frame)
+		p.Decide(ctx)
+	}); n != 0 {
+		t.Errorf("Pano.Decide allocated %v per run with no new chunk to commit", n)
+	}
+	ctx.PlayFrame, ctx.Now = 0, 0
+	got := p.Decide(ctx)
+	if len(got) != len(want) {
+		t.Fatalf("re-emitted %d items, first decision %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("item %d re-emitted as %+v, first decision %+v", i, got[i], want[i])
 		}
 	}
 }

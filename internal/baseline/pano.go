@@ -31,12 +31,37 @@ type PanoOptions struct {
 // transmits the full 360° (non-viewport groups at the lowest quality),
 // decides once per chunk, never refines, and stalls on missing tiles
 // (Table 1).
+//
+// An instance carries per-session scratch reused across decisions (the
+// output list, the per-group working state), so each session needs its own
+// instance; a Decide that commits no new chunk allocates nothing.
 type Pano struct {
 	opts PanoOptions
 
 	// assigned caches the per-chunk decision: once made it is never
 	// revisited (Table 1 "Refine fetch decision: No").
 	assigned map[int][]player.RequestItem
+
+	items  []player.RequestItem
+	groups relevanceSorter
+}
+
+// groupState is assignChunk's working state for one tile group.
+type groupState struct {
+	tiles     []geom.TileID
+	relevance float64 // viewport-overlap weight of the group
+	q         video.Quality
+}
+
+// relevanceSorter orders a chunk's groups by descending relevance;
+// sort.Stable keeps ties in sensitivity order. A named type passed by
+// pointer keeps the sort allocation-free.
+type relevanceSorter struct{ states []groupState }
+
+func (s *relevanceSorter) Len() int      { return len(s.states) }
+func (s *relevanceSorter) Swap(i, j int) { s.states[i], s.states[j] = s.states[j], s.states[i] }
+func (s *relevanceSorter) Less(i, j int) bool {
+	return s.states[i].relevance > s.states[j].relevance
 }
 
 // NewPano creates the baseline with the paper's defaults.
@@ -82,10 +107,11 @@ func (p *Pano) Decide(ctx *player.Context) []player.RequestItem {
 			p.assigned[c] = p.assignChunk(ctx, c)
 		}
 	}
-	var items []player.RequestItem
+	items := p.items[:0]
 	for c := nowChunk; c <= m.ChunkOfFrame(lastFrame); c++ {
 		items = append(items, p.assigned[c]...)
 	}
+	p.items = items
 	return items
 }
 
@@ -105,28 +131,26 @@ func (p *Pano) assignChunk(ctx *player.Context, chunk int) []player.RequestItem 
 	center := ctx.Predict(at)
 
 	groups := video.GroupTiles(m, chunk, p.opts.Groups)
-	type groupState struct {
-		tiles     []geom.TileID
-		relevance float64 // viewport-overlap weight of the group
-		q         video.Quality
-	}
-	states := make([]*groupState, len(groups))
+	states := p.groups.states[:0]
+	relevant := geom.NewCapQuery(center, ctx.Viewport.RadiusDeg+10)
 	var spent int64
-	for i, g := range groups {
-		gs := &groupState{tiles: g, q: video.Lowest}
+	for _, g := range groups {
+		gs := groupState{tiles: g, q: video.Lowest}
 		for _, id := range g {
-			gs.relevance += ctx.Grid.OverlapCap(id, center, ctx.Viewport.RadiusDeg+10)
+			gs.relevance += ctx.Grid.OverlapCapQ(id, relevant)
 			spent += m.TileSize(chunk, id, video.Lowest)
 		}
-		states[i] = gs
+		states = append(states, gs)
 	}
+	p.groups.states = states
 
 	// Greedy upgrades: best marginal (relevance-weighted quality gain per
 	// extra byte) first.
 	for {
 		bestIdx, bestGain := -1, 0.0
 		var bestCost int64
-		for i, gs := range states {
+		for i := range states {
+			gs := &states[i]
 			if gs.q >= video.Highest || gs.relevance == 0 {
 				continue
 			}
@@ -156,8 +180,8 @@ func (p *Pano) assignChunk(ctx *player.Context, chunk int) []player.RequestItem 
 
 	// Emit: viewport-relevant groups first, then the rest, all at their
 	// assigned qualities (the whole 360° is transmitted).
-	sort.SliceStable(states, func(a, b int) bool { return states[a].relevance > states[b].relevance })
-	var items []player.RequestItem
+	sort.Stable(&p.groups)
+	items := make([]player.RequestItem, 0, m.NumTiles())
 	for _, gs := range states {
 		for _, id := range gs.tiles {
 			items = append(items, player.RequestItem{Stream: player.Primary, Chunk: chunk, Tile: id, Quality: gs.q})

@@ -57,7 +57,7 @@ func (d *Dragonfly) appendMaskingScheduled(ctx *player.Context, items []player.R
 	}
 	lastChunk := m.ChunkOfFrame(endFrame)
 	plan.resetSet(firstChunk, lastChunk-firstChunk+1, tiles)
-	w.candIdx = growI32(w.candIdx, (lastChunk-firstChunk+1)*tiles)
+	w.candIdx = grow(w.candIdx, (lastChunk-firstChunk+1)*tiles)
 	for i := range w.candIdx {
 		w.candIdx[i] = -1
 	}

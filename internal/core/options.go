@@ -6,12 +6,15 @@
 // Decide runs every 100 ms of every session, so the package is built around
 // doing each piece of work once: window and scheduler are per-session
 // scratch arenas (steady-state decisions allocate nothing), location scores
-// come from shared overlap tables, and the scheduler keeps the evaluation
-// of its fetch list — arrivals and running gain sums — beside the list, so
-// an insertion attempt recomputes only what the candidate being placed can
-// change. None of that may alter a decision: the scheduler as it was
-// before it cached anything is kept in scheduler_ref_test.go and the
-// production one must match it bit for bit.
+// come from shared overlap tables and are evaluated only at the samples a
+// tile's own chunk can see, and the scheduler keeps the evaluation of its
+// fetch list — arrivals and running gain sums — beside the list, so an
+// insertion attempt recomputes only what the candidate being placed can
+// change, walking arrivals to frames in the one direction they move. None
+// of that may alter a decision: the scheduler as it was before it cached
+// anything is kept in scheduler_ref_test.go, the score pass as it was
+// before it skipped anything in window_ref_test.go, and the production
+// code must match both bit for bit.
 package core
 
 import (

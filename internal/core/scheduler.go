@@ -28,9 +28,15 @@ type fetchEntry struct {
 // is the bits a from-scratch evaluation would produce; the from-scratch
 // evaluation lives on as the test oracle (scheduler_ref_test.go).
 //
+// The inner loops map arrivals to window frames by walking from the
+// neighbouring entry's frame, and each knows which way its arrivals move:
+// down along the shifted-suffix pass, up behind a removed entry, up from the
+// last kept entry in repair (frameDown, frameUp).
+//
 // Like window, a scheduler is a reusable scratch arena: reset() rebinds it
-// to the current window and every working buffer is retained across
-// decisions, so steady-state runs allocate nothing.
+// to the current window and sizes every working buffer for it — a
+// candidate is listed at most once, so nothing grows during a run — and the
+// buffers are retained across decisions: steady-state runs allocate nothing.
 type scheduler struct {
 	w       *window
 	minQ    int
@@ -94,10 +100,20 @@ func (s *scheduler) reset(w *window, minQ video.Quality, baseOffset time.Duratio
 			c.xfer[q] = s.transferTime(c.size[q])
 		}
 	}
-	s.list = s.list[:0]
-	s.arr = s.arr[:0]
-	s.prefixGain = append(s.prefixGain[:0], 0)
-	s.totals = append(s.totals[:0], s.floorTotal)
+	n := len(w.cands) // the longest the list can get
+	s.list = grow(s.list, n)[:0]
+	s.arr = grow(s.arr, n)[:0]
+	s.prefixGain = grow(s.prefixGain, n+1)[:1]
+	s.totals = grow(s.totals, n+1)[:1]
+	s.prefixGain[0] = 0
+	s.totals[0] = s.floorTotal
+	// Scratch the attempts cut to the length they need.
+	s.spare = grow(s.spare, n)
+	s.base = grow(s.base, n)
+	s.baseArr = grow(s.baseArr, n)
+	s.basePrefix = grow(s.basePrefix, n+1)
+	s.suffixShift = grow(s.suffixShift, n+1)
+	s.shiftFrame = grow(s.shiftFrame, n)
 }
 
 func (s *scheduler) transferTime(bytes int64) time.Duration {
@@ -184,40 +200,43 @@ func (s *scheduler) bestInsertion(c *candidate, q int, curBest float64) (int, bo
 
 	// suffixShift[p]: summed gain of entries from p on, pushed back by dt;
 	// shiftFrame[j]: the window frame entry j then arrives in. Arrivals
-	// only grow along the list, so the frame is walked, not divided out.
-	if cap(s.suffixShift) < n+1 {
-		s.suffixShift = make([]float64, n+1)
-		s.shiftFrame = make([]int32, n)
-	}
+	// only fall along this pass, so the frame is walked down, not divided
+	// out.
 	suffixShift := s.suffixShift[:n+1]
 	shiftFrame := s.shiftFrame[:n]
+	deadlines := w.deadlines
 	suffixShift[n] = 0
 	wf := 0
 	if n > 0 {
 		wf = w.arrivalFrame(arrivals[n-1] + dt)
 	}
+	acc := 0.0
 	for j := n - 1; j >= 0; j-- {
 		e := base[j]
-		wf = w.frameNear(arrivals[j]+dt, wf)
+		wf = frameDown(deadlines, arrivals[j]+dt, wf)
 		shiftFrame[j] = int32(wf)
-		suffixShift[j] = suffixShift[j+1] + e.c.utilityFrom(w, e.q, wf) - e.c.floor
+		acc = acc + e.c.utilityFrom(e.q, wf) - e.c.floor
+		suffixShift[j] = acc
 	}
 
+	// c lands at the head of the list, or where base[pos-1] would have been
+	// pushed to.
+	floor, dq, cumL := c.floor, c.qscore[q]-c.maskScore, c.cumL
 	bestTotal := curBest
 	bestPos := -1
 	wf = w.arrivalFrame(w.t0 + s.baseOff + dt)
-	for pos := 0; pos <= n; pos++ {
-		if pos > 0 {
-			// c lands where base[pos-1] would have been pushed to.
-			wf = int(shiftFrame[pos-1])
-		}
+	for pos := 0; ; pos++ {
 		total := s.floorTotal + prefixGain[pos] +
-			(c.utilityFrom(w, q, wf) - c.floor) +
+			(floor + cumL[wf]*dq - floor) +
 			suffixShift[pos]
 		if total > bestTotal+1e-9 {
 			bestTotal = total
 			bestPos = pos
 		}
+		if pos == n {
+			break
+		}
+		wf = int(shiftFrame[pos])
 	}
 	return bestPos, bestPos >= 0
 }
@@ -225,30 +244,37 @@ func (s *scheduler) bestInsertion(c *candidate, q int, curBest float64) (int, bo
 // withoutListed fills s.base, s.baseArr and s.basePrefix with the list, its
 // arrivals and its prefix gains as they would be without listed candidate
 // c. Entries ahead of c's slot keep their cached values; entries behind it
-// arrive earlier by c's current transfer time.
+// arrive earlier by c's current transfer time — later and later along the
+// list, so their frames are walked up.
 func (s *scheduler) withoutListed(c *candidate) ([]fetchEntry, []time.Duration, []float64) {
 	w := s.w
+	n := len(s.list) - 1
 	k := 0
 	for s.list[k].c != c {
 		k++
 	}
 	s.baseSlot = k
-	s.base = append(append(s.base[:0], s.list[:k]...), s.list[k+1:]...)
-	arrivals := append(s.baseArr[:0], s.arr[:k]...)
-	prefixGain := append(s.basePrefix[:0], s.prefixGain[:k+1]...)
-	old := c.xfer[s.list[k].q]
-	wf := 0
-	if k+1 < len(s.list) {
-		wf = w.arrivalFrame(s.arr[k+1] - old)
+	base, arrivals, prefixGain := s.base[:n], s.baseArr[:n], s.basePrefix[:n+1]
+	copy(base, s.list[:k])
+	copy(base[k:], s.list[k+1:])
+	copy(arrivals, s.arr[:k])
+	copy(prefixGain, s.prefixGain[:k+1])
+	if k < n {
+		old := c.xfer[s.list[k].q]
+		deadlines := w.deadlines
+		wf := w.arrivalFrame(s.arr[k+1] - old)
+		acc := prefixGain[k]
+		for j := k; j < n; j++ {
+			e := base[j]
+			at := s.arr[j+1] - old
+			wf = frameUp(deadlines, at, wf)
+			arrivals[j] = at
+			acc = acc + e.c.utilityFrom(e.q, wf) - e.c.floor
+			prefixGain[j+1] = acc
+		}
 	}
-	for j, e := range s.base[k:] {
-		at := s.arr[k+1+j] - old
-		wf = w.frameNear(at, wf)
-		arrivals = append(arrivals, at)
-		prefixGain = append(prefixGain, prefixGain[k+j]+e.c.utilityFrom(w, e.q, wf)-e.c.floor)
-	}
-	s.baseArr, s.basePrefix = arrivals, prefixGain
-	return s.base, arrivals, prefixGain
+	s.base, s.baseArr, s.basePrefix = base, arrivals, prefixGain
+	return base, arrivals, prefixGain
 }
 
 // insertAt installs the list a successful bestInsertion chose — the list
@@ -287,21 +313,26 @@ func (s *scheduler) repair(from int) float64 {
 	if from > 0 {
 		at = s.arr[from-1]
 	}
-	out := s.list[:from]
-	arr := s.arr[:from]
-	prefixGain := s.prefixGain[:from+1]
-	totals := s.totals[:from+1]
-	wf := w.arrivalFrame(at)
-	for _, e := range s.list[from:] {
+	n := len(s.list)
+	list, arr, prefixGain, totals := s.list, s.arr[:n], s.prefixGain[:n+1], s.totals[:n+1]
+	// An entry completes no earlier than the last one kept (at, in frame
+	// wfAt) whatever was demoted or dropped in between, so its frame is
+	// walked up from there.
+	deadlines := w.deadlines
+	wfAt := w.arrivalFrame(at)
+	k := from // entries kept so far
+	for _, e := range list[from:] {
 		c := e.c
 		a := at + c.xfer[e.q]
-		wf = w.frameNear(a, wf)
-		for c.marginalFrom(w, e.q, wf) <= 0 && e.q > s.minQ {
+		wf := frameUp(deadlines, a, wfAt)
+		gain := c.marginalFrom(e.q, wf)
+		for gain <= 0 && e.q > s.minQ {
 			e.q--
 			a = at + c.xfer[e.q]
-			wf = w.frameNear(a, wf)
+			wf = frameUp(deadlines, a, wfAt)
+			gain = c.marginalFrom(e.q, wf)
 		}
-		if c.marginalFrom(w, e.q, wf) <= 0 {
+		if gain <= 0 {
 			// Dropped: subsequent arrivals move earlier automatically since
 			// `at` is not advanced.
 			c.inList = false
@@ -309,14 +340,14 @@ func (s *scheduler) repair(from int) float64 {
 			continue
 		}
 		c.assigned = e.q
-		at = a
-		u := c.utilityFrom(w, e.q, wf)
-		j := len(out)
-		out = append(out, e)
-		arr = append(arr, a)
-		prefixGain = append(prefixGain, prefixGain[j]+u-c.floor)
-		totals = append(totals, totals[j]+(u-c.floor))
+		at, wfAt = a, wf
+		u := c.floor + gain // utilityFrom
+		list[k] = e
+		arr[k] = a
+		prefixGain[k+1] = prefixGain[k] + u - c.floor
+		totals[k+1] = totals[k] + (u - c.floor)
+		k++
 	}
-	s.list, s.arr, s.prefixGain, s.totals = out, arr, prefixGain, totals
-	return totals[len(out)]
+	s.list, s.arr, s.prefixGain, s.totals = list[:k], arr[:k], prefixGain[:k+1], totals[:k+1]
+	return totals[k]
 }

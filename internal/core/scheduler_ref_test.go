@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -330,6 +331,9 @@ func randomWindow(rng *rand.Rand, nCands, frames int, budget float64) *window {
 		w.cands = append(w.cands, c)
 	}
 	w.sortCands()
+	if tile, ok := checkEndsInZero(w); !ok {
+		panic(fmt.Sprintf("randomWindow: tile %d's cumL does not end in a zero at frame %d", tile, frames))
+	}
 	w.rate = budget * float64(midBytes) / (float64(frames) * frameDur.Seconds())
 	if w.rate < 1 {
 		w.rate = 1

@@ -44,25 +44,36 @@ type window struct {
 // candidate is one (chunk, tile) the scheduler may fetch in the primary
 // stream during this window.
 type candidate struct {
-	chunk int
-	tile  geom.TileID
+	// The scheduler's inner loops read cumL, floor, maskScore and qscore of
+	// every listed entry per insertion attempt; they lead the struct so
+	// that is two cache lines, not four.
 
 	// cumL[wf] is L_it: the total location score accrued if the tile is
 	// displayable from window frame wf onward (suffix sum of per-frame
-	// location scores, zero outside the tile's chunk).
+	// location scores, zero outside the tile's chunk). It has one element
+	// per window frame and a final zero: "after the window" earns nothing.
 	cumL []float64
-	// full is the cumulative score when the tile arrives before it is first
-	// needed (the maximum of cumL).
-	full float64
-
-	qscore [video.NumQualities]float64
-	size   [video.NumQualities]int64
-
+	// floor is the utility of skipping the tile (full × maskScore);
+	// scheduler.reset fills it.
+	floor float64
 	// maskScore is the quality score shown when the tile is skipped: the
 	// masking encoding if a masking stream exists (or already arrived),
 	// otherwise 0 (§3.1 "utility may be non-zero even if the tile is
 	// skipped").
 	maskScore float64
+	qscore    [video.NumQualities]float64
+
+	chunk int
+	tile  geom.TileID
+
+	// full is the cumulative score when the tile arrives before it is first
+	// needed (the maximum of cumL).
+	full float64
+
+	size [video.NumQualities]int64
+	// xfer[q] is the time the quality-q encoding takes at the window's
+	// rate; scheduler.reset fills it.
+	xfer [video.NumQualities]time.Duration
 
 	// assigned is the scheduler's current quality for the tile; -1 = skip.
 	assigned int
@@ -70,24 +81,15 @@ type candidate struct {
 	inList bool
 	// sortKey is the scheduler's precomputed round sort key.
 	sortKey float64
-	// floor is the utility of skipping the tile (full × maskScore) and
-	// xfer[q] the time its quality-q encoding takes at the window's rate;
-	// scheduler.reset fills both.
-	floor float64
-	xfer  [video.NumQualities]time.Duration
 }
 
-// growF64 returns s resized to n, reusing capacity. Contents are undefined.
-func growF64(s []float64, n int) []float64 {
+// grow returns s resized to n, reusing capacity. Contents are undefined.
+// A buffer that must grow takes a quarter more than asked: candidate counts
+// creep up over a session, and an exact fit would re-allocate the score
+// slab at every new maximum.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n, n+n/4)
 	}
 	return s[:n]
 }
@@ -134,12 +136,8 @@ func (w *window) prep(ctx *player.Context, o Options, tabs *sessionTables, wFram
 		w.rate = 1
 	}
 
-	if cap(w.deadlines) < wFrames {
-		w.deadlines = make([]time.Duration, wFrames)
-	} else {
-		w.deadlines = w.deadlines[:wFrames]
-	}
-	w.frameChunk = growI32(w.frameChunk, wFrames)
+	w.deadlines = grow(w.deadlines, wFrames)
+	w.frameChunk = grow(w.frameChunk, wFrames)
 	for wf := 0; wf < wFrames; wf++ {
 		frame := ctx.PlayFrame + wf
 		w.deadlines[wf] = ctx.FrameDeadline(frame)
@@ -152,23 +150,11 @@ func (w *window) prep(ctx *player.Context, o Options, tabs *sessionTables, wFram
 
 	nRoI := len(o.RoIs.RadiiDeg)
 	nSamples := (wFrames + step - 1) / step
-	if cap(w.sampleOri) < nSamples {
-		w.sampleOri = make([]geom.Orientation, nSamples)
-	} else {
-		w.sampleOri = w.sampleOri[:nSamples]
-	}
+	w.sampleOri = grow(w.sampleOri, nSamples)
 	if tabs.planes != nil {
-		if cap(w.lookups) < nSamples*nRoI {
-			w.lookups = make([]geom.PlaneLookup, nSamples*nRoI)
-		} else {
-			w.lookups = w.lookups[:nSamples*nRoI]
-		}
+		w.lookups = grow(w.lookups, nSamples*nRoI)
 	} else {
-		if cap(w.queries) < nSamples*nRoI {
-			w.queries = make([]geom.CapQuery, nSamples*nRoI)
-		} else {
-			w.queries = w.queries[:nSamples*nRoI]
-		}
+		w.queries = grow(w.queries, nSamples*nRoI)
 	}
 	for s := 0; s < nSamples; s++ {
 		ori := ctx.Predict(w.deadlines[s*step])
@@ -188,37 +174,70 @@ func (w *window) prep(ctx *player.Context, o Options, tabs *sessionTables, wFram
 
 // scoreSlab computes every slab candidate's per-frame location scores and
 // suffix-sums them into cumL (backed by the shared cumLBuf): l_if at each
-// sampled orientation, expanded per frame (samples hold for `step` frames,
-// zero outside the tile's chunk).
+// sampled orientation, held for `step` frames. A tile scores only over its
+// own chunk's frames, one contiguous run [lo, hi) of the window, so only
+// the samples that run touches are evaluated: cumL is zero from hi up
+// (cumL[wFrames] = 0 is the sentinel utilityFrom leans on), the running sum
+// inside the run and cumL[lo] below it — what adding 0.0 for every frame
+// outside the chunk would leave, bit for bit.
 func (w *window) scoreSlab(o Options, tabs *sessionTables, wFrames, nSamples, step int) {
 	nRoI := len(o.RoIs.RadiiDeg)
-	w.sampleSc = growF64(w.sampleSc, nSamples)
-	w.cumLBuf = growF64(w.cumLBuf, len(w.slab)*(wFrames+1))
+	w.sampleSc = grow(w.sampleSc, nSamples)
+	w.cumLBuf = grow(w.cumLBuf, len(w.slab)*(wFrames+1))
+	lo, hi, runChunk := 0, 0, -1
 	for i := range w.slab {
 		c := &w.slab[i]
-		for s := 0; s < nSamples; s++ {
-			if tabs.planes != nil {
+		if c.chunk != runChunk {
+			lo, hi = w.chunkRun(c.chunk)
+			runChunk = c.chunk
+		}
+		cumL := w.cumLBuf[i*(wFrames+1) : (i+1)*(wFrames+1)]
+		c.cumL = cumL
+		for wf := hi; wf <= wFrames; wf++ {
+			cumL[wf] = 0
+		}
+		sLo, sHi := 0, 0 // samples the run touches; none when it is empty
+		if lo < hi {
+			sLo, sHi = lo/step, (hi-1)/step+1
+		}
+		if tabs.planes != nil {
+			col := int(c.tile) % tabs.grid.Cols
+			rowBase := int(c.tile) - col
+			for s := sLo; s < sHi; s++ {
 				v := 0.0
-				for r := 0; r < nRoI; r++ {
-					v += w.lookups[s*nRoI+r].Overlap(c.tile)
+				for r := s * nRoI; r < (s+1)*nRoI; r++ {
+					v += w.lookups[r].OverlapAt(rowBase, col)
 				}
 				w.sampleSc[s] = v
-			} else {
+			}
+		} else {
+			for s := sLo; s < sHi; s++ {
 				w.sampleSc[s] = o.RoIs.LocationScoreQ(tabs.grid, c.tile, w.queries[s*nRoI:(s+1)*nRoI])
 			}
 		}
-		cumL := w.cumLBuf[i*(wFrames+1) : (i+1)*(wFrames+1)]
-		cumL[wFrames] = 0
-		for wf := wFrames - 1; wf >= 0; wf-- {
-			pf := 0.0
-			if w.frameChunk[wf] == int32(c.chunk) {
-				pf = w.sampleSc[wf/step]
-			}
-			cumL[wf] = cumL[wf+1] + pf
+		acc := 0.0
+		for wf := hi - 1; wf >= lo; wf-- {
+			acc += w.sampleSc[wf/step]
+			cumL[wf] = acc
 		}
-		c.cumL = cumL
-		c.full = cumL[0]
+		for wf := 0; wf < lo; wf++ {
+			cumL[wf] = acc
+		}
+		c.full = acc
 	}
+}
+
+// chunkRun returns the window frames [lo, hi) that belong to chunk; frames
+// of one chunk are contiguous. lo == hi when the chunk has none.
+func (w *window) chunkRun(chunk int) (lo, hi int) {
+	for lo < len(w.frameChunk) && w.frameChunk[lo] != int32(chunk) {
+		lo++
+	}
+	hi = lo
+	for hi < len(w.frameChunk) && w.frameChunk[hi] == int32(chunk) {
+		hi++
+	}
+	return lo, hi
 }
 
 // build fills the window for the current decision, reusing every scratch
@@ -247,7 +266,7 @@ func (w *window) build(ctx *player.Context, o Options, plan *maskPlan, tabs *ses
 		endFrame = lastFrame
 	}
 	span := m.ChunkOfFrame(endFrame) - firstChunk + 1
-	w.candIdx = growI32(w.candIdx, span*tiles)
+	w.candIdx = grow(w.candIdx, span*tiles)
 	for i := range w.candIdx {
 		w.candIdx[i] = -1
 	}
@@ -372,7 +391,7 @@ func (t *sessionTables) resolve(ctx *player.Context, o Options) {
 // arrivalFrame maps an arrival instant to the first window frame that can
 // display the tile; numFrames means "after the window" (no benefit).
 // Deadlines are uniformly frameDur apart, so the index is direct
-// arithmetic, corrected for rounding at the boundary by frameNear.
+// arithmetic, corrected for rounding at the boundary by a walk either way.
 func (w *window) arrivalFrame(at time.Duration) int {
 	if at <= w.deadlines[0] {
 		return 0
@@ -381,18 +400,26 @@ func (w *window) arrivalFrame(at time.Duration) int {
 	if wf > w.numFrames {
 		wf = w.numFrames
 	}
-	return w.frameNear(at, wf)
+	return frameUp(w.deadlines, at, frameDown(w.deadlines, at, wf))
 }
 
-// frameNear is arrivalFrame by a walk from a guess instead of a division:
-// the first frame whose deadline is not before at. Deadlines never
-// decrease, so the answer does not depend on the guess; the scheduler's
-// inner loops pass the previous entry's frame, a step or two away.
-func (w *window) frameNear(at time.Duration, wf int) int {
-	for wf > 0 && w.deadlines[wf-1] >= at {
+// frameDown and frameUp are arrivalFrame by a walk from a guess instead of
+// a division: the first frame whose deadline is not before at. Deadlines
+// never decrease, so walking down and then up finds it from any guess; the
+// scheduler's inner loops pass the neighbouring entry's frame, a step or
+// two away, and know which side of the answer it lies on, so each calls
+// only the half that can move. frameDown walks from a guess at or past the
+// answer.
+func frameDown(deadlines []time.Duration, at time.Duration, wf int) int {
+	for wf > 0 && deadlines[wf-1] >= at {
 		wf--
 	}
-	for wf < w.numFrames && w.deadlines[wf] < at {
+	return wf
+}
+
+// frameUp walks from a guess at or before the answer.
+func frameUp(deadlines []time.Duration, at time.Duration, wf int) int {
+	for wf < len(deadlines) && deadlines[wf] < at {
 		wf++
 	}
 	return wf
@@ -400,19 +427,14 @@ func (w *window) frameNear(at time.Duration, wf int) int {
 
 // utilityFrom returns the total utility of candidate c fetched at quality q
 // and displayable from window frame wf on: masking covers the frames before
-// it, the fetched quality the rest.
-func (c *candidate) utilityFrom(w *window, q, wf int) float64 {
-	if wf >= w.numFrames {
-		return c.floor
-	}
-	return c.floor + c.cumL[wf]*(c.qscore[q]-c.maskScore)
+// it, the fetched quality the rest. wf may be numFrames ("after the
+// window"): cumL ends in a zero there, so the sum is the floor.
+func (c *candidate) utilityFrom(q, wf int) float64 {
+	return c.floor + c.marginalFrom(q, wf)
 }
 
 // marginalFrom returns only the gain over the skip floor (used for the
 // zero-utility demote/drop rule of Algorithm 1).
-func (c *candidate) marginalFrom(w *window, q, wf int) float64 {
-	if wf >= w.numFrames {
-		return 0
-	}
+func (c *candidate) marginalFrom(q, wf int) float64 {
 	return c.cumL[wf] * (c.qscore[q] - c.maskScore)
 }

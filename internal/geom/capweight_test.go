@@ -117,3 +117,45 @@ func TestCapClassifierSettlesMostTiles(t *testing.T) {
 		t.Errorf("sample loop ran for %.1f%% of tile x cap pairs, want <= 25%%", 100*share)
 	}
 }
+
+// TestCapWeightsIDsEqualTilesInCap pins the fact that lets the player walk
+// the viewport cap once per frame and hand the result to both the stall
+// check (which asked AppendTilesInCap) and the render accounting (which
+// asked AppendCapWeights): the two walks list the same tiles in the same
+// order, and every weight is positive — on caps that include the poles, the
+// yaw seam, the empty cap (radius <= 0) and the whole sphere (>= 180).
+func TestCapWeightsIDsEqualTilesInCap(t *testing.T) {
+	g := NewGrid(12, 12)
+	rng := rand.New(rand.NewSource(18))
+	centers, radii := capCases(rng, 20000)
+	for i := range radii {
+		if i%10 == 9 {
+			radii[i] = []float64{0, -5, 180, 270, 1e-9, 179.9999999}[rng.Intn(6)]
+		}
+	}
+	var tiles, ids []TileID
+	var ws []float64
+	listed := 0
+	for i, c := range centers {
+		tiles = g.AppendTilesInCap(tiles[:0], c, radii[i])
+		ids, ws = g.AppendCapWeights(ids[:0], ws[:0], c, radii[i])
+		if len(ids) != len(tiles) || len(ws) != len(tiles) {
+			t.Fatalf("cap %+v r=%v: %d tiles listed, %d ids and %d weights", c, radii[i], len(tiles), len(ids), len(ws))
+		}
+		for k := range tiles {
+			if ids[k] != tiles[k] || !(ws[k] > 0) {
+				t.Fatalf("cap %+v r=%v entry %d: listed tile %d, weighted tile %d with weight %v", c, radii[i], k, tiles[k], ids[k], ws[k])
+			}
+		}
+		switch {
+		case radii[i] <= 0 && len(tiles) != 0:
+			t.Fatalf("cap %+v r=%v: empty cap lists %d tiles", c, radii[i], len(tiles))
+		case radii[i] >= 180 && len(tiles) != g.NumTiles():
+			t.Fatalf("cap %+v r=%v: whole sphere lists %d tiles", c, radii[i], len(tiles))
+		}
+		listed += len(tiles)
+	}
+	if listed < 20000 {
+		t.Errorf("only %d tiles listed over %d caps", listed, len(centers))
+	}
+}

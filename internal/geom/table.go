@@ -234,12 +234,18 @@ type PlaneLookup struct {
 
 // Overlap returns the overlap fraction of tile id. Allocation-free.
 func (l PlaneLookup) Overlap(id TileID) float64 {
-	c := int(id) % l.cols
-	c -= l.shift
+	col := int(id) % l.cols
+	return l.OverlapAt(int(id)-col, col)
+}
+
+// OverlapAt is Overlap for a tile given as its row base (id - id%Cols) and
+// column, for callers that put one tile to many lookups and split it once.
+func (l PlaneLookup) OverlapAt(rowBase, col int) float64 {
+	c := col - l.shift
 	if c < 0 {
 		c += l.cols
 	}
-	return l.vals[int(id)-int(id)%l.cols+c]
+	return l.vals[rowBase+c]
 }
 
 // AppendTiles appends the IDs of every tile with non-zero overlap to dst

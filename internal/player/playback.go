@@ -115,9 +115,10 @@ type Playback struct {
 
 	// Reusable scratch: decide refills ctx in place — its invariant fields
 	// and the two method values, which would otherwise allocate on every
-	// decision, are bound once — and the stall checks reuse vpTiles.
-	ctx     Context
-	vpTiles []geom.TileID
+	// decision, are bound once — and viewport refills vpTiles/vpWeights.
+	ctx       Context
+	vpTiles   []geom.TileID
+	vpWeights []float64
 
 	met *Metrics
 }
@@ -164,7 +165,7 @@ func NewPlayback(cfg Config) (*Playback, error) {
 	if p.interval <= 0 {
 		p.interval = 100 * time.Millisecond
 	}
-	p.acct = newAccountant(m, p.grid, cfg.Viewport, cfg.Metric, p.met)
+	p.acct = newAccountant(m, p.grid, cfg.Metric, p.met)
 	p.acct.interpolate = cfg.MaskInterpolation
 	if cfg.PredictErrorDeg > 0 {
 		p.vpPred = predict.NewViewportWithError(cfg.PredictorHistory, cfg.PredictErrorDeg, cfg.PredictErrorSeed)
@@ -261,7 +262,10 @@ func (p *Playback) Advance(now time.Duration) (fetch []RequestItem, decided bool
 // it ends a stall is decided by the next Advance.
 func (p *Playback) Deliver(now time.Duration, it RequestItem, bytes int64, elapsed, renderableAt time.Duration) {
 	p.received.Record(it, renderableAt)
-	p.deliveries = append(p.deliveries, delivery{item: it, bytes: bytes})
+	p.deliveries = append(p.deliveries, delivery{
+		bytes: bytes, chunk: int32(it.Chunk), tile: int32(it.Tile),
+		quality: uint8(it.Quality), stream: it.Stream, full360: it.Full360,
+	})
 	p.Transferred(bytes, elapsed)
 	p.cfg.Trace.Add(obs.Event{At: now, Kind: obs.EvFetch, Chunk: it.Chunk, Tile: int(it.Tile), N: bytes})
 	if p.cfg.Debug != nil { // checked here too: boxing the arguments allocates
@@ -328,15 +332,24 @@ func (p *Playback) frameDeadline(frame int) time.Duration {
 // tiles, matching the skip discipline.
 const startupGrace = time.Second
 
-// requirementMet checks the stall policy against the viewport at p.now:
-// may the frame of the given chunk render? Startup (the wait for the first
-// frame) holds every scheme to "some renderable version of every tile".
-func (p *Playback) requirementMet(chunk int) bool {
+// viewport walks the viewport cap at p.now: the tiles it touches and each
+// one's solid-angle weight inside it. The stall check and the render
+// accounting of one instant look at the same cap, so renderOrStall and
+// tryResume walk it once and hand the result to both.
+func (p *Playback) viewport() ([]geom.TileID, []float64) {
+	p.vpTiles, p.vpWeights = p.grid.AppendCapWeights(p.vpTiles[:0], p.vpWeights[:0], p.cfg.Head.At(p.now), p.cfg.Viewport.RadiusDeg)
+	return p.vpTiles, p.vpWeights
+}
+
+// requirementMet checks the stall policy against the viewport tiles at
+// p.now: may the frame of the given chunk render? Startup (the wait for the
+// first frame) holds every scheme to "some renderable version of every
+// tile".
+func (p *Playback) requirementMet(chunk int, vpTiles []geom.TileID) bool {
 	if p.startup && p.policy == NeverStall && p.now >= startupGrace {
 		return true
 	}
-	p.vpTiles = p.grid.AppendTilesInCap(p.vpTiles[:0], p.cfg.Head.At(p.now), p.cfg.Viewport.RadiusDeg)
-	for _, id := range p.vpTiles {
+	for _, id := range vpTiles {
 		switch {
 		case p.startup || p.policy == StallOnMissingAny:
 			_, okP := p.received.BestPrimaryBy(chunk, id, p.now)
@@ -355,7 +368,11 @@ func (p *Playback) requirementMet(chunk int) bool {
 // tryResume ends a stall (or the startup wait) once the current viewport is
 // renderable again.
 func (p *Playback) tryResume() {
-	if !p.stalled || !p.requirementMet(p.m.ChunkOfFrame(p.playFrame)) {
+	if !p.stalled {
+		return
+	}
+	ids, weights := p.viewport()
+	if !p.requirementMet(p.m.ChunkOfFrame(p.playFrame), ids) {
 		return
 	}
 	if p.startup {
@@ -370,14 +387,15 @@ func (p *Playback) tryResume() {
 		p.debugf(p.now, "resume after %s stall", p.now-p.stallStart)
 	}
 	p.stalled = false
-	p.renderFrame()
+	p.renderFrame(ids, weights)
 }
 
 // renderOrStall runs at a frame deadline: render it, or enter a stall if
 // the policy demands complete viewports.
 func (p *Playback) renderOrStall() {
 	chunk := p.m.ChunkOfFrame(p.playFrame)
-	if p.policy != NeverStall && !p.requirementMet(chunk) {
+	ids, weights := p.viewport()
+	if p.policy != NeverStall && !p.requirementMet(chunk, ids) {
 		p.stalled = true
 		p.stallStart = p.now
 		p.met.StallEvents++
@@ -385,14 +403,15 @@ func (p *Playback) renderOrStall() {
 		p.debugf(p.now, "stall frame=%d chunk=%d", p.playFrame, chunk)
 		return
 	}
-	p.renderFrame()
+	p.renderFrame(ids, weights)
 }
 
-// renderFrame renders playFrame at p.now and advances playback.
-func (p *Playback) renderFrame() {
+// renderFrame renders playFrame at p.now, seen through the viewport tiles
+// and weights of that instant, and advances playback.
+func (p *Playback) renderFrame(ids []geom.TileID, weights []float64) {
 	chunk := p.m.ChunkOfFrame(p.playFrame)
 	skips, masks, blanks := p.met.PrimarySkipFrames, p.met.RenderedMasking, p.met.RenderedBlank
-	p.acct.renderFrame(chunk, p.cfg.Head.At(p.now), p.received, p.now)
+	p.acct.renderFrame(chunk, ids, weights, p.received, p.now)
 	if p.cfg.Trace != nil {
 		// Per-frame display events, derived from the accountant's deltas.
 		if n := len(p.met.FrameScore); n > 0 {

@@ -8,10 +8,16 @@ import (
 	"dragonfly/internal/video"
 )
 
-// delivery logs one completed transfer for the wastage accounting.
+// delivery logs one completed transfer for the wastage accounting: the
+// item and its size, packed into 24 bytes (a RequestItem alone is 40) — the
+// log holds every tile a session received, all of every chunk under Pano.
 type delivery struct {
-	item  RequestItem
-	bytes int64
+	bytes   int64
+	chunk   int32
+	tile    int32 // unused for a full-360° chunk
+	quality uint8
+	stream  StreamKind
+	full360 bool
 }
 
 // accountant performs the per-frame render accounting and final wastage
@@ -20,7 +26,6 @@ type accountant struct {
 	M        *Metrics
 	Manifest *video.Manifest
 	Grid     *geom.Grid
-	Viewport geom.Viewport
 	Metric   quality.Metric
 
 	// interpolate enables the §3.2 future-work optimization: a viewport
@@ -33,15 +38,12 @@ type accountant struct {
 	renderedPrimaryQ []bool // [(chunk*tiles+tile)*Q+q]
 	renderedMasking  []bool // [chunk*tiles+tile]
 
-	// scores memoizes quality.TileScore for the whole manifest; ids/weights
-	// are the per-frame cap-weight scratch reused across RenderFrame calls.
-	scores  *quality.ScoreTable
-	ids     []geom.TileID
-	weights []float64
+	// scores memoizes quality.TileScore for the whole manifest.
+	scores *quality.ScoreTable
 }
 
 // newAccountant initializes accounting for one session into met.
-func newAccountant(m *video.Manifest, grid *geom.Grid, vp geom.Viewport, metric quality.Metric, met *Metrics) *accountant {
+func newAccountant(m *video.Manifest, grid *geom.Grid, metric quality.Metric, met *Metrics) *accountant {
 	tiles := m.NumTiles()
 	met.SkipHeat = make([]int64, tiles)
 	met.BlankHeat = make([]int64, tiles)
@@ -50,7 +52,6 @@ func newAccountant(m *video.Manifest, grid *geom.Grid, vp geom.Viewport, metric 
 		M:                met,
 		Manifest:         m,
 		Grid:             grid,
-		Viewport:         vp,
 		Metric:           metric,
 		renderedPrimaryQ: make([]bool, m.NumChunks*tiles*video.NumQualities),
 		renderedMasking:  make([]bool, m.NumChunks*tiles),
@@ -58,11 +59,11 @@ func newAccountant(m *video.Manifest, grid *geom.Grid, vp geom.Viewport, metric 
 	}
 }
 
-// renderFrame accounts one rendered viewport: the given chunk viewed from
-// orientation o, with availability evaluated at instant now.
-func (a *accountant) renderFrame(chunk int, o geom.Orientation, rcv *Received, now time.Duration) {
-	a.ids, a.weights = a.Grid.AppendCapWeights(a.ids[:0], a.weights[:0], o, a.Viewport.RadiusDeg)
-	ids, weights := a.ids, a.weights
+// renderFrame accounts one rendered viewport: the given chunk seen through
+// the viewport's tiles ids, each with its solid-angle weight inside the
+// viewport cap (Grid.CapWeights), with availability evaluated at instant
+// now.
+func (a *accountant) renderFrame(chunk int, ids []geom.TileID, weights []float64, rcv *Received, now time.Duration) {
 	tiles := a.Manifest.NumTiles()
 
 	var acc quality.ViewportAccumulator
@@ -76,7 +77,7 @@ func (a *accountant) renderFrame(chunk int, o geom.Orientation, rcv *Received, n
 		if q, ok := rcv.BestPrimaryBy(chunk, id, now); ok {
 			a.renderedPrimaryQ[ct*video.NumQualities+int(q)] = true
 			a.M.RenderedPrimaryByQuality[q]++
-			acc.Add(w, a.scores.Score(chunk, id, q))
+			acc.AddMSE(w, a.scores.MSE(chunk, id, q))
 			continue
 		}
 		primarySkip = true
@@ -84,7 +85,7 @@ func (a *accountant) renderFrame(chunk int, o geom.Orientation, rcv *Received, n
 		if rcv.HasMaskingBy(chunk, id, now) {
 			a.renderedMasking[ct] = true
 			a.M.RenderedMasking++
-			acc.Add(w, a.scores.Score(chunk, id, video.Lowest))
+			acc.AddMSE(w, a.scores.MSE(chunk, id, video.Lowest))
 			continue
 		}
 		if a.interpolate {
@@ -169,16 +170,16 @@ func (a *accountant) finishWastage(deliveries []delivery) {
 		return full
 	}
 	for _, d := range deliveries {
+		ct := int(d.chunk)*tiles + int(d.tile)
 		switch {
-		case d.item.Stream == Primary:
-			ct := d.item.Chunk*tiles + int(d.item.Tile)
-			if a.renderedPrimaryQ[ct*video.NumQualities+int(d.item.Quality)] {
+		case d.stream == Primary:
+			if a.renderedPrimaryQ[ct*video.NumQualities+int(d.quality)] {
 				a.M.BytesUseful += d.bytes
 			}
-		case d.item.Full360:
-			a.M.BytesUseful += maskFullUseful(d.item.Chunk)
+		case d.full360:
+			a.M.BytesUseful += maskFullUseful(int(d.chunk))
 		default:
-			if a.renderedMasking[d.item.Chunk*tiles+int(d.item.Tile)] {
+			if a.renderedMasking[ct] {
 				a.M.BytesUseful += d.bytes
 			}
 		}

@@ -74,16 +74,18 @@ func (v *Viewport) Observe(t time.Duration, o geom.Orientation) {
 	v.times = append(v.times, t.Seconds())
 	v.yaws = append(v.yaws, unwrapped)
 	v.pitches = append(v.pitches, o.Pitch)
-	// Evict samples older than the history window.
+	// Evict samples older than the history window, sliding the rest down
+	// in place: re-slicing from the front would walk the window off the end
+	// of its array and re-allocate it every window's worth of samples.
 	cut := t.Seconds() - v.history.Seconds()
 	i := 0
 	for i < len(v.times)-1 && v.times[i] < cut {
 		i++
 	}
 	if i > 0 {
-		v.times = v.times[i:]
-		v.yaws = v.yaws[i:]
-		v.pitches = v.pitches[i:]
+		v.times = v.times[:copy(v.times, v.times[i:])]
+		v.yaws = v.yaws[:copy(v.yaws, v.yaws[i:])]
+		v.pitches = v.pitches[:copy(v.pitches, v.pitches[i:])]
 	}
 }
 
@@ -183,7 +185,7 @@ func NewBandwidth(window int) *Bandwidth {
 	if window <= 0 {
 		window = DefaultBandwidthWindow
 	}
-	return &Bandwidth{window: window, Safety: 1}
+	return &Bandwidth{window: window, samples: make([]float64, 0, window), Safety: 1}
 }
 
 // ObserveTransfer records a completed transfer of the given size/duration.
@@ -200,10 +202,12 @@ func (b *Bandwidth) ObserveMbps(mbps float64) {
 	if mbps <= 0 || math.IsNaN(mbps) || math.IsInf(mbps, 0) {
 		return
 	}
-	b.samples = append(b.samples, mbps)
-	if len(b.samples) > b.window {
-		b.samples = b.samples[len(b.samples)-b.window:]
+	if n := len(b.samples); n >= b.window {
+		// Slide the newest window-1 samples down in place (see
+		// Viewport.Observe).
+		b.samples = b.samples[:copy(b.samples, b.samples[n-b.window+1:])]
 	}
+	b.samples = append(b.samples, mbps)
 }
 
 // PredictMbps returns the harmonic-mean estimate (times Safety), or 0 with

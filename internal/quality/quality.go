@@ -68,10 +68,16 @@ type ViewportAccumulator struct {
 // Add records one tile covering `weight` of the viewport with the given
 // quality score in dB. Non-positive weights are ignored.
 func (a *ViewportAccumulator) Add(weight, db float64) {
+	a.AddMSE(weight, MSEFromPSNR(db))
+}
+
+// AddMSE is Add for a score already converted with MSEFromPSNR (a
+// ScoreTable keeps the conversion of every variant beside its score).
+func (a *ViewportAccumulator) AddMSE(weight, mse float64) {
 	if weight <= 0 {
 		return
 	}
-	a.weightedMSE += weight * MSEFromPSNR(db)
+	a.weightedMSE += weight * mse
 	a.weight += weight
 }
 

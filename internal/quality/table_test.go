@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"math"
 	"testing"
 
 	"dragonfly/internal/geom"
@@ -56,5 +57,35 @@ func TestScoreTableLookupAllocationFree(t *testing.T) {
 		_ = tbl.Row(2, 5)
 	}); n != 0 {
 		t.Errorf("score lookups allocated %v per run", n)
+	}
+}
+
+// TestScoreTableMSEBits: the memoized conversion is the conversion — for
+// every variant under both metrics MSE(c, t, q) has the bits of
+// MSEFromPSNR(Score(c, t, q)), so an accumulator fed AddMSE ends where one
+// fed Add would.
+func TestScoreTableMSEBits(t *testing.T) {
+	man := scoredManifest()
+	for _, m := range []Metric{PSNR, PSPNR} {
+		tbl := NewScoreTable(man, m)
+		var memo, plain ViewportAccumulator
+		for c := 0; c < man.NumChunks; c++ {
+			for tile := 0; tile < man.NumTiles(); tile++ {
+				for q := video.Quality(0); q < video.NumQualities; q++ {
+					id := geom.TileID(tile)
+					got, want := tbl.MSE(c, id, q), MSEFromPSNR(tbl.Score(c, id, q))
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v chunk %d tile %d q %d: MSE %v (%#x), MSEFromPSNR(Score) %v (%#x)",
+							m, c, tile, q, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+					w := float64(tile%7) - 1 // some weights non-positive: both must ignore them
+					memo.AddMSE(w, got)
+					plain.Add(w, tbl.Score(c, id, q))
+				}
+			}
+		}
+		if a, b := memo.PSNR(), plain.PSNR(); math.Float64bits(a) != math.Float64bits(b) || memo.Empty() {
+			t.Errorf("%v: accumulated through AddMSE %v, through Add %v", m, a, b)
+		}
 	}
 }

@@ -5,7 +5,10 @@
 // precomputed table). Run with -benchmem: the Decide benchmarks must report
 // zero allocs/op in steady state — internal/core's TestDecideAllocationFree
 // and internal/baseline's TestFlareDecideAllocationFree pin the same
-// property as hard tests, and cmd/benchdiff fails a 0 -> N change.
+// property as hard tests, and cmd/benchdiff fails a 0 -> N change. Two more
+// of the family call unexported code and so live in their packages:
+// BenchmarkScoreSlab (internal/core) and BenchmarkRenderFrame
+// (internal/player); scripts/bench.sh and scripts/ci.sh run them alongside.
 package dragonfly_test
 
 import (

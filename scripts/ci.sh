@@ -96,12 +96,14 @@ done
 # sweeps, more for the microsecond-scale micro-benchmarks whose single
 # iteration is all warm-up noise. -benchmem feeds benchdiff's allocation
 # gate: a benchmark the baseline holds at 0 allocs/op (Decide*, FlareDecide,
-# Overlap*, TilesInCap, UnmarshalEvent/canonical, FrameWritePreframed) that
-# allocates fails even in warn mode.
+# Overlap*, TilesInCap, ScoreSlab/*, RenderFrame, UnmarshalEvent/canonical,
+# FrameWritePreframed) that allocates fails even in warn mode.
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 go test -run '^$' -bench='Fig|Table|Tiling|Ext|ManyConn' -benchmem -benchtime=1x . | tee "$raw"
 go test -run '^$' -bench='Decide|Overlap|TilesInCap' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" . | tee -a "$raw"
+go test -run '^$' -bench='ScoreSlab' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/core | tee -a "$raw"
+go test -run '^$' -bench='RenderFrame' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/player | tee -a "$raw"
 go test -run '^$' -bench='Frame' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/proto | tee -a "$raw"
 go test -run '^$' -bench='UnmarshalEvent' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/obs | tee -a "$raw"
 go test -run '^$' -bench='IngestFold' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/ingest | tee -a "$raw"
