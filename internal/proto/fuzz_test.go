@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"dragonfly/internal/player"
@@ -59,6 +60,14 @@ func FuzzReadMessage(f *testing.F) {
 		msg, err := ReadMessage(bytes.NewReader(raw))
 		if err == nil && msg == nil {
 			t.Fatal("nil message without error")
+		}
+		// The pooled path lays header, body and trailer out in a buffer
+		// another frame has used; it must reach the same verdict and
+		// decode the same message.
+		dirty := bytes.Repeat([]byte{0xEE}, 24)
+		pooled, _, perr := ReadMessageBuf(bytes.NewReader(raw), dirty)
+		if (err == nil) != (perr == nil) || !reflect.DeepEqual(msg, pooled) {
+			t.Fatalf("ReadMessage gives %+v, %v; ReadMessageBuf over a used buffer %+v, %v", msg, err, pooled, perr)
 		}
 		if err != nil {
 			return

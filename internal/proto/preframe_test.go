@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"dragonfly/internal/player"
@@ -86,6 +87,39 @@ func TestPreframeTileMatchesWriteTileData(t *testing.T) {
 	}
 }
 
+// TestPreframeZeroTileMatchesPreframeTile pins the zero form to the byte
+// oracle: for a payload of zeros, the head and the trailer computed from
+// the payload's length alone are the ones PreframeTile computes from its
+// bytes, up to the largest payload the frame cap admits.
+func TestPreframeZeroTileMatchesPreframeTile(t *testing.T) {
+	items := []player.RequestItem{
+		{Stream: player.Primary, Chunk: 0, Tile: 0, Quality: 0},
+		{Stream: player.Masking, Chunk: 59, Tile: 143, Quality: 4},
+		{Stream: player.Masking, Chunk: 7, Full360: true, Quality: 2},
+	}
+	zeros := make([]byte, maxTilePayload)
+	for _, it := range items {
+		for _, size := range []int{0, 1, 219, 1000, 128 << 10, 3<<20 + 12345, maxTilePayload} {
+			head, trailer := make([]byte, TileHeadSize), make([]byte, TileTrailerSize)
+			if err := PreframeZeroTile(head, trailer, it, int64(size)); err != nil {
+				t.Fatalf("PreframeZeroTile %+v size %d: %v", it, size, err)
+			}
+			wantHead, wantTrailer := make([]byte, TileHeadSize), make([]byte, TileTrailerSize)
+			if err := PreframeTile(wantHead, wantTrailer, it, zeros[:size]); err != nil {
+				t.Fatalf("PreframeTile %+v size %d: %v", it, size, err)
+			}
+			if !bytes.Equal(head, wantHead) || !bytes.Equal(trailer, wantTrailer) {
+				t.Fatalf("%+v size %d: zero form wrote %x / %x, literal zeros give %x / %x",
+					it, size, head, trailer, wantHead, wantTrailer)
+			}
+		}
+	}
+}
+
+// maxTilePayload is the largest payload a tile frame can carry under
+// MaxFrameSize.
+const maxTilePayload = MaxFrameSize - 1 - itemWireSize
+
 // TestPreframeTileRejectsBadSizes covers the error paths: short buffers
 // and over-cap frames.
 func TestPreframeTileRejectsBadSizes(t *testing.T) {
@@ -101,9 +135,16 @@ func TestPreframeTileRejectsBadSizes(t *testing.T) {
 	if err := PreframeTile(head, trailer, it, make([]byte, MaxFrameSize)); err == nil {
 		t.Fatal("over-cap payload accepted")
 	}
-	for _, b := range head {
+	// The zero form takes its size from a manifest, bytes we did not write:
+	// negative and near-MaxInt64 sizes are refused like any over-cap one.
+	for _, size := range []int64{-1, -5, maxTilePayload + 1, 1 << 40, math.MaxInt64} {
+		if err := PreframeZeroTile(head, trailer, it, size); err == nil {
+			t.Fatalf("zero payload of size %d accepted", size)
+		}
+	}
+	for _, b := range append(head, trailer...) {
 		if b != 0 {
-			t.Fatal("failed PreframeTile wrote into head; store relies on the zeroed-head sentinel")
+			t.Fatal("failed preframe wrote into head or trailer; store relies on the zeroed-head sentinel")
 		}
 	}
 }
@@ -170,13 +211,14 @@ func TestReadMessageBufAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Only fixed-cost allocations remain: the Message and TileData
-	// descriptors plus the 5-byte header and 4-byte trailer scratches
-	// (stack arrays that escape through io.ReadFull's interface call).
-	// The variable-size body buffer must not be among them —
-	// TestReadMessageBufReusesBuffer pins that it is recycled.
-	if allocs > 4 {
-		t.Fatalf("ReadMessageBuf allocates %.1f/op with a warm buffer, want <= 4 fixed-size", allocs)
+	// Only the two fixed-size descriptors remain, the Message and the
+	// TileData it points to. The header and trailer are read into the
+	// caller's buffer beside the body (as stack arrays they escaped through
+	// io.ReadFull's interface call, two more allocations a frame), and the
+	// variable-size body buffer is recycled —
+	// TestReadMessageBufReusesBuffer pins that.
+	if allocs > 2 {
+		t.Fatalf("ReadMessageBuf allocates %.1f/op with a warm buffer, want <= 2 fixed-size", allocs)
 	}
 }
 

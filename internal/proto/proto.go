@@ -246,24 +246,53 @@ func writeFrameChecked(w io.Writer, t MsgType, body []byte, withCRC bool) error 
 // the MsgTileData frame carrying payload. The concatenation
 // head || payload || trailer is byte-identical to the stream WriteTileData
 // produces, so a pre-framed tile can be served by reference (net.Buffers)
-// with zero per-send serialization or checksum work. internal/store builds
-// one such frame per tile variant at manifest load; the CRC — the ~30x
-// cost of a framed write (BenchmarkFrameWriteCRC) — is paid exactly once
-// per variant there instead of once per send.
+// with zero per-send serialization or checksum work. The CRC — the ~30x
+// cost of a framed write (BenchmarkFrameWriteCRC) — is paid once here
+// instead of once per send. internal/store frames its all-zero payloads
+// with PreframeZeroTile, which never reads them; this form, over real
+// bytes, serves WriteTileData and the store.frame corrupt failpoint, and is
+// the byte oracle the zero form is tested against.
 func PreframeTile(head, trailer []byte, it player.RequestItem, payload []byte) error {
+	sum, err := preframeHead(head, trailer, it, int64(len(payload)))
+	if err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(trailer[:TileTrailerSize], crc32.Update(sum, castagnoli, payload))
+	return nil
+}
+
+// PreframeZeroTile is PreframeTile for a payload of size zero bytes, without
+// the bytes: the head is the same, and the trailer is the head's CRC32-C
+// extended over size zeros by video.ExtendZeros — a handful of table steps
+// where PreframeTile makes one pass over the payload. A negative size is
+// rejected like an over-cap one, with head and trailer untouched.
+func PreframeZeroTile(head, trailer []byte, it player.RequestItem, size int64) error {
+	sum, err := preframeHead(head, trailer, it, size)
+	if err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(trailer[:TileTrailerSize], video.ExtendZeros(sum, size))
+	return nil
+}
+
+// preframeHead validates a tile frame of size payload bytes, writes its
+// head, and returns the CRC32-C of the checksummed head bytes (type and
+// item) for the caller to extend over the payload. It writes nothing on
+// error: the store reads a zeroed head as "variant not framed".
+func preframeHead(head, trailer []byte, it player.RequestItem, size int64) (uint32, error) {
 	if len(head) < TileHeadSize || len(trailer) < TileTrailerSize {
-		return fmt.Errorf("proto: preframe buffers too small (%d/%d bytes)", len(head), len(trailer))
+		return 0, fmt.Errorf("proto: preframe buffers too small (%d/%d bytes)", len(head), len(trailer))
 	}
-	if 1+itemWireSize+len(payload) > MaxFrameSize {
-		return fmt.Errorf("proto: frame too large (%d bytes)", itemWireSize+len(payload))
+	if size < 0 {
+		return 0, fmt.Errorf("proto: negative payload size %d", size)
 	}
-	binary.BigEndian.PutUint32(head[:4], uint32(1+itemWireSize+len(payload)))
+	if size > MaxFrameSize-1-itemWireSize { // compared on this side: size may be near MaxInt64
+		return 0, fmt.Errorf("proto: frame too large (%d-byte payload)", size)
+	}
+	binary.BigEndian.PutUint32(head[:4], uint32(1+itemWireSize+size))
 	head[4] = byte(MsgTileData)
 	encodeItem(head[frameHeaderSize:TileHeadSize], it)
-	sum := crc32.Checksum(head[4:TileHeadSize], castagnoli)
-	sum = crc32.Update(sum, castagnoli, payload)
-	binary.BigEndian.PutUint32(trailer[:TileTrailerSize], sum)
-	return nil
+	return crc32.Checksum(head[4:TileHeadSize], castagnoli), nil
 }
 
 // readChunk caps how much body memory is committed ahead of the bytes
@@ -280,86 +309,81 @@ func readFrame(r io.Reader) (MsgType, []byte, error) {
 // readFrameChecked is the de-framing core; withCRC false reads the legacy
 // wire-v2 layout.
 func readFrameChecked(r io.Reader, withCRC bool) (MsgType, []byte, error) {
-	return readFrameInto(r, nil, withCRC)
+	t, body, _, err := readFrameInto(r, nil, withCRC)
+	return t, body, err
 }
 
-// readFrameInto reads one framed message, reusing buf for the body when its
-// capacity suffices (a nil buf always allocates). The returned body aliases
-// buf (or replaces it when grown); the caller owns exactly one of the two.
-func readFrameInto(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// readFrameInto reads one framed message into buf, reallocating when its
+// capacity does not suffice (a nil buf always allocates), in two reads: the
+// header, then body and trailer together. The whole frame lies contiguous
+// in the buffer, so the checksum is one call over type and body, and no
+// header or trailer scratch escapes to the heap through io.ReadFull. The
+// returned body aliases the returned buffer, which replaces buf; the caller
+// owns exactly one of the two.
+func readFrameInto(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []byte, error) {
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, frameHeaderSize)
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	buf = buf[:frameHeaderSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, nil, buf, err
+	}
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n < 1 {
-		return 0, nil, fmt.Errorf("proto: bad frame length %d", n)
+		return 0, nil, buf, fmt.Errorf("proto: bad frame length %d", n)
 	}
 	if n > MaxFrameSize {
 		// Reject before allocating anything: the declared length is
 		// attacker-controlled (or one bit flip away from absurd).
-		return 0, nil, fmt.Errorf("proto: frame length %d: %w", n, ErrFrameTooLarge)
+		return 0, nil, buf, fmt.Errorf("proto: frame length %d: %w", n, ErrFrameTooLarge)
 	}
-	body, err := readBody(r, buf, int(n-1))
-	if err != nil {
-		return 0, nil, fmt.Errorf("proto: read body: %w", err)
-	}
+	end := frameHeaderSize + int(n-1) // of the body; the trailer follows it
+	frameEnd := end
 	if withCRC {
-		var trailer [trailerSize]byte
-		if _, err := io.ReadFull(r, trailer[:]); err != nil {
-			return 0, nil, fmt.Errorf("proto: read checksum: %w", err)
-		}
-		sum := crc32.Update(crc32.Checksum(hdr[4:5], castagnoli), castagnoli, body)
-		if sum != binary.BigEndian.Uint32(trailer[:]) {
-			return 0, nil, ErrChecksum
-		}
+		frameEnd += trailerSize
 	}
-	return MsgType(hdr[4]), body, nil
+	buf, err := readAppend(r, buf, frameEnd-frameHeaderSize)
+	if err != nil {
+		return 0, nil, buf, fmt.Errorf("proto: read body: %w", err)
+	}
+	if withCRC && crc32.Checksum(buf[4:end], castagnoli) != binary.BigEndian.Uint32(buf[end:]) {
+		return 0, nil, buf, ErrChecksum
+	}
+	return MsgType(buf[4]), buf[frameHeaderSize:end], buf, nil
 }
 
-// readBody reads exactly n body bytes into buf (reallocating when it is too
-// small), growing the buffer chunk by chunk so allocation tracks delivery,
-// not the declared length.
-func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
-	if cap(buf) >= n || n <= readChunk {
-		// The buffer already fits the declared length (nothing speculative
-		// about filling it), or the length is within one chunk of trust.
-		if cap(buf) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	if cap(buf) < readChunk {
-		buf = make([]byte, 0, readChunk)
-	}
-	body := buf[:0]
-	for len(body) < n {
-		c := n - len(body)
-		if c > readChunk {
+// readAppend reads exactly n more bytes onto the end of buf, reallocating
+// when its capacity is too small. A buffer that already fits the declared
+// length is filled in one read (nothing speculative about that); otherwise
+// it grows chunk by chunk, so allocation tracks delivery, not the declared
+// length.
+func readAppend(r io.Reader, buf []byte, n int) ([]byte, error) {
+	end := len(buf) + n
+	for len(buf) < end {
+		at := len(buf)
+		c := end - at
+		if c > readChunk && cap(buf) < end {
 			c = readChunk
 		}
-		off := len(body)
-		if cap(body) < off+c {
+		if cap(buf) < at+c {
 			// Double, capped at what remains: growth is paid for by bytes
-			// already received, never by the declared length alone.
-			grow := 2 * cap(body)
-			if grow > n {
-				grow = n
+			// already received, never by the declared length alone. (The
+			// first chunk is on trust, whatever the buffer held before.)
+			grow := 2 * cap(buf)
+			if grow < at+c {
+				grow = at + c
 			}
-			next := make([]byte, off, grow)
-			copy(next, body)
-			body = next
+			if grow > end {
+				grow = end
+			}
+			buf = append(make([]byte, 0, grow), buf...)
 		}
-		body = body[:off+c]
-		if _, err := io.ReadFull(r, body[off:]); err != nil {
-			return nil, err
+		buf = buf[:at+c]
+		if _, err := io.ReadFull(r, buf[at:]); err != nil {
+			return buf, err
 		}
 	}
-	return body, nil
+	return buf, nil
 }
 
 // WriteHello sends a Hello. The cohort label travels as an optional
@@ -621,7 +645,7 @@ func ReadMessage(r io.Reader) (*Message, error) {
 }
 
 // ReadMessageBuf reads and decodes the next frame like ReadMessage, but
-// reads the frame body into buf (growing it as needed) instead of a fresh
+// reads the frame into buf (growing it as needed) instead of a fresh
 // allocation, and returns the buffer to pass to the next call.
 //
 // Ownership contract: the returned Message aliases the returned buffer —
@@ -633,19 +657,16 @@ func ReadMessage(r io.Reader) (*Message, error) {
 // handshake's held summary) must use ReadMessage or copy first.
 //
 // This is the pooled-read fix for the tile hot path: a steady-state frame
-// read costs a few fixed-size allocations (the Message and payload
-// descriptors plus header/trailer scratch) instead of re-allocating the
-// body (~147 KB/op for a typical tile frame, the pre-fix
-// BenchmarkFrameReadCRC figure).
+// read costs two fixed-size allocations (the Message and the payload
+// descriptor; TestReadMessageBufAllocs) instead of re-allocating the body
+// (~147 KB/op for a typical tile frame, the pre-fix BenchmarkFrameReadCRC
+// figure).
 func ReadMessageBuf(r io.Reader, buf []byte) (*Message, []byte, error) {
-	t, body, err := readFrameInto(r, buf, true)
+	t, body, buf, err := readFrameInto(r, buf, true)
 	if err != nil {
 		return nil, buf, err
 	}
 	msg, err := decodeMessage(t, body)
-	if cap(body) > cap(buf) {
-		buf = body[:0]
-	}
 	return msg, buf, err
 }
 

@@ -3,12 +3,13 @@
 // + zero-copy send path"). At manifest load it pre-frames and
 // pre-checksums every MsgTileData wire frame the manifest can ever
 // produce — each (chunk, tile, quality) variant on both stream kinds,
-// plus the untiled full-360° masking variants — paying the CRC32-C
-// framing cost exactly once per frame instead of once per send. Sessions
-// then serve tiles by reference: a send is three slice headers appended
-// to a net.Buffers (head || payload || trailer) and one vectored write,
-// with zero per-send serialization or checksum work and zero
-// per-connection payload memory.
+// plus the untiled full-360° masking variants — so no send ever frames or
+// checksums anything; and because the payloads are zeros, the load
+// computes each frame's CRC32-C from the payload's length alone, never
+// from its bytes (New). Sessions then serve tiles by reference: a send is
+// three slice headers appended to a net.Buffers (head || payload ||
+// trailer) and one vectored write, with zero per-send serialization or
+// checksum work and zero per-connection payload memory.
 //
 // Memory model: the store keeps proto.TileFrameOverhead (20) bytes per
 // frame — the head and CRC trailer — plus ONE shared payload slab sized
@@ -18,7 +19,8 @@
 // (video.Generate), so the pre-framed trailer and the client's payload
 // verification agree bit for bit. A deployment serving real encoded tiles
 // would hold one payload slab per variant; heads, trailers, and the
-// serve-by-reference path are unchanged.
+// serve-by-reference path are unchanged, and New would frame each variant
+// with proto.PreframeTile over its bytes, one CRC pass per frame.
 //
 // Everything in a Store is immutable after New returns, so any number of
 // connection handlers may read it concurrently without synchronization;
@@ -70,12 +72,17 @@ type Store struct {
 }
 
 // New builds the store for a manifest, pre-framing every frame. This is
-// the warm-up cost of a manifest load: one CRC32-C pass over each frame's
-// payload length (hardware-accelerated; see docs/PERFORMANCE.md for the
-// cost model). A variant whose frame would exceed proto.MaxFrameSize —
-// impossible to send on this wire at all — is left unbuilt, and
-// AppendFrame reports it as out of range so senders skip it instead of
-// tearing the session down mid-stream.
+// the warm-up cost of a manifest load, and it is O(frames), not O(bytes):
+// the payloads are zeros, so each trailer is the head's CRC32-C carried
+// across the payload length by proto.PreframeZeroTile — under 100 ns a
+// frame all told, ~8 ms for the 86 700 frames of a minute of video at any
+// bitrate, never reading a payload byte (see "Cold start" in
+// docs/PERFORMANCE.md for the cost model). A variant whose frame
+// would exceed proto.MaxFrameSize — impossible to send on this wire at all
+// — is left unbuilt, and AppendFrame reports it as out of range so senders
+// skip it instead of tearing the session down mid-stream; the shared slab
+// is sized by the largest variant that was framed, so an absurd size in a
+// manifest costs nothing.
 func New(m *video.Manifest) *Store {
 	tiles := m.NumTiles()
 	nv := 2*m.NumChunks*tiles*video.NumQualities + m.NumChunks*video.NumQualities
@@ -86,20 +93,21 @@ func New(m *video.Manifest) *Store {
 		trailers: make([]byte, nv*proto.TileTrailerSize),
 	}
 	var maxSize int64
-	forEachFrame(m, func(_ int, it player.RequestItem) {
-		if size := it.Size(m); size > maxSize {
+	forEachFrame(m, func(i int, it player.RequestItem) {
+		head := s.heads[i*proto.TileHeadSize : (i+1)*proto.TileHeadSize]
+		trailer := s.trailers[i*proto.TileTrailerSize : (i+1)*proto.TileTrailerSize]
+		size := it.Size(m)
+		if proto.PreframeZeroTile(head, trailer, it, size) != nil {
+			// An unsendable variant leaves its head zeroed (a tile frame
+			// head always carries the nonzero MsgTileData type byte), which
+			// locate treats as absent.
+			return
+		}
+		if size > maxSize {
 			maxSize = size
 		}
 	})
 	s.payload = make([]byte, maxSize)
-	forEachFrame(m, func(i int, it player.RequestItem) {
-		head := s.heads[i*proto.TileHeadSize : (i+1)*proto.TileHeadSize]
-		trailer := s.trailers[i*proto.TileTrailerSize : (i+1)*proto.TileTrailerSize]
-		// An oversized variant leaves its head zeroed (a tile frame head
-		// always carries the nonzero MsgTileData type byte), which locate
-		// treats as absent.
-		_ = proto.PreframeTile(head, trailer, it, s.payload[:it.Size(m)])
-	})
 	return s
 }
 

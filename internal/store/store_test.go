@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -212,5 +215,154 @@ func TestMemoryBytesIsSharedSlabModel(t *testing.T) {
 	want := int64(s.NumFrames()*proto.TileFrameOverhead) + maxSize
 	if got := s.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	}
+}
+
+// v27 is the fleet_bulk fixture manifest: Table 3's highest-rate video at
+// the paper's 12x12 tiles and 60 one-second chunks, 86 700 frames over
+// 1.5 GB of payload.
+func v27() *video.Manifest {
+	return video.GenerateDataset(video.Table3[len(video.Table3)-1:])[0]
+}
+
+// TestFixtureFramesMatchLiteralZeros is the byte oracle for the operator
+// path at full scale: every head and trailer New computes from a payload's
+// length, for every frame of the benchmark's manifest, is what
+// proto.PreframeTile writes walking that many literal zero bytes.
+func TestFixtureFramesMatchLiteralZeros(t *testing.T) {
+	m := v27()
+	s := New(m)
+	if s.NumFrames() != 86700 {
+		t.Fatalf("fixture has %d frames, want 86700", s.NumFrames())
+	}
+	zeros := make([]byte, len(s.payload))
+	head, trailer := make([]byte, proto.TileHeadSize), make([]byte, proto.TileTrailerSize)
+	forEachFrame(m, func(i int, it player.RequestItem) {
+		if err := proto.PreframeTile(head, trailer, it, zeros[:it.Size(m)]); err != nil {
+			t.Fatalf("PreframeTile %+v: %v", it, err)
+		}
+		if !bytes.Equal(s.heads[i*proto.TileHeadSize:(i+1)*proto.TileHeadSize], head) ||
+			!bytes.Equal(s.trailers[i*proto.TileTrailerSize:(i+1)*proto.TileTrailerSize], trailer) {
+			t.Fatalf("frame %d (%+v, %d bytes) differs from PreframeTile over literal zeros", i, it, it.Size(m))
+		}
+	})
+}
+
+// TestOverCapVariantsUnserved pins the documented contract for variants
+// the wire cannot carry: they are unserved (WireSize 0) on every stream,
+// every other frame is served byte for byte as if they were not there, and
+// the slab is sized by what can be sent — so one absurd size in a manifest
+// file is not an allocation of that size.
+func TestOverCapVariantsUnserved(t *testing.T) {
+	m := testManifest(t)
+	// The cap counts a frame's type, item and payload: the head less its
+	// 4-byte length prefix, plus the payload.
+	const maxPayload = proto.MaxFrameSize - (proto.TileHeadSize - 4)
+	m.SetTileSize(1, 5, video.Quality(2), 1<<40)
+	m.SetTileSize(2, 0, video.Quality(0), math.MaxInt64)
+	m.SetFull360Size(0, video.Highest, maxPayload+1)
+	over := map[player.RequestItem]bool{
+		{Stream: player.Primary, Chunk: 1, Tile: 5, Quality: video.Quality(2)}:    true,
+		{Stream: player.Masking, Chunk: 1, Tile: 5, Quality: video.Quality(2)}:    true,
+		{Stream: player.Primary, Chunk: 2, Tile: 0, Quality: video.Quality(0)}:    true,
+		{Stream: player.Masking, Chunk: 2, Tile: 0, Quality: video.Quality(0)}:    true,
+		{Stream: player.Masking, Chunk: 0, Full360: true, Quality: video.Highest}: true,
+	}
+	s := New(m)
+	var maxSent int64
+	forEachFrame(m, func(_ int, it player.RequestItem) {
+		bufs, size, ok := s.Frame(it)
+		if over[it] {
+			if ok || size != 0 || len(bufs) != 0 || s.WireSize(it) != 0 {
+				t.Fatalf("over-cap variant %+v served (%d bytes, WireSize %d)", it, size, s.WireSize(it))
+			}
+			return
+		}
+		if !ok {
+			t.Fatalf("store cannot serve %+v, a neighbour of an over-cap variant", it)
+		}
+		var want bytes.Buffer
+		if err := proto.WriteTileData(&want, proto.TileData{Item: it, Payload: make([]byte, it.Size(m))}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(flatten(bufs), want.Bytes()) {
+			t.Fatalf("frame for %+v differs from WriteTileData output", it)
+		}
+		if it.Size(m) > maxSent {
+			maxSent = it.Size(m)
+		}
+	})
+	if got, want := s.MemoryBytes(), int64(s.NumFrames()*proto.TileFrameOverhead)+maxSent; got != want {
+		t.Fatalf("MemoryBytes = %d, want %d: the slab must be sized by the largest sendable variant", got, want)
+	}
+
+	// The boundary itself: the largest payload the cap admits is served.
+	m.SetFull360Size(0, video.Highest, maxPayload)
+	it := player.RequestItem{Stream: player.Masking, Chunk: 0, Full360: true, Quality: video.Highest}
+	if got := New(m).WireSize(it); got != proto.TileFrameOverhead+maxPayload {
+		t.Fatalf("WireSize at the cap = %d, want %d", got, proto.TileFrameOverhead+maxPayload)
+	}
+}
+
+// TestNewSurvivesAcceptedManifests: a manifest is bytes we did not write.
+// Whatever video.ReadManifest accepts — here a small manifest's JSON with
+// hostile values planted in both size arrays — New must build without
+// panicking and without sizing anything by an unsendable variant, and
+// every frame must then be either served at its manifest size or absent.
+func TestNewSurvivesAcceptedManifests(t *testing.T) {
+	var base bytes.Buffer
+	if _, err := testManifest(t).WriteTo(&base); err != nil {
+		t.Fatal(err)
+	}
+	hostile := []int64{-5, -1, 0, 1, proto.MaxFrameSize, 1 << 40, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(19))
+	accepted := 0
+	for trial := 0; trial < 60; trial++ {
+		var j map[string]json.RawMessage
+		if err := json.Unmarshal(base.Bytes(), &j); err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range []string{"sizes", "full360"} {
+			var arr []int64
+			if err := json.Unmarshal(j[field], &arr); err != nil {
+				t.Fatal(err)
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				arr[rng.Intn(len(arr))] = hostile[rng.Intn(len(hostile))]
+			}
+			j[field], _ = json.Marshal(arr)
+		}
+		raw, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := video.ReadManifest(bytes.NewReader(raw))
+		if err != nil {
+			continue // rejected at the door: nothing reaches the store
+		}
+		accepted++
+		s := New(m)
+		if s.MemoryBytes() > int64(s.NumFrames()*proto.TileFrameOverhead)+proto.MaxFrameSize {
+			t.Fatalf("trial %d: store of %d bytes, sized by an unsendable variant", trial, s.MemoryBytes())
+		}
+		forEachFrame(m, func(_ int, it player.RequestItem) {
+			if ws := s.WireSize(it); ws != 0 && ws != proto.TileFrameOverhead+it.Size(m) {
+				t.Fatalf("trial %d: WireSize(%+v) = %d for a %d-byte variant", trial, it, ws, it.Size(m))
+			}
+		})
+	}
+	if accepted == 0 || accepted == 60 {
+		t.Fatalf("%d of 60 hostile manifests accepted; the test wants both outcomes", accepted)
+	}
+}
+
+// BenchmarkStoreNew times the cold-start build of the fleet_bulk fixture's
+// store: 86 700 frames, O(frames) since the zero-payload operator.
+func BenchmarkStoreNew(b *testing.B) {
+	m := v27()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(m)
 	}
 }

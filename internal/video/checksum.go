@@ -2,6 +2,8 @@ package video
 
 import (
 	"hash/crc32"
+	"math/bits"
+	"sync"
 
 	"dragonfly/internal/geom"
 )
@@ -11,23 +13,61 @@ import (
 // verifies the exact bytes a client receives.
 var payloadCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// zeroBuf is a shared scratch block for checksumming synthetic payloads
-// (the generator's tile contents are all zeros; only the length varies).
-var zeroBuf [64 << 10]byte
+// zeroOps[k] advances a CRC32-C shift register past 2^k zero bytes. A zero
+// byte XORs nothing into the register, so it is a linear map over GF(2) —
+// multiplication by x^8 modulo the polynomial — and 2^k of them are that
+// map composed with itself 2^k times, stored like the byte-wise CRC table:
+// the image of register r is the XOR of zeroOps[k][j][byte j of r] over the
+// four bytes. The Castagnoli polynomial is (x+1) times an irreducible of
+// degree 31, and 2^31-1 is prime, so x^8 has order 2^31-1: run lengths
+// reduce modulo zeroPeriod (TestZeroOpsPeriod) and 31 operators, 124 KB,
+// built once on first use, cover every length.
+var (
+	zeroOps     [31][4][256]uint32
+	zeroOpsOnce sync.Once
+)
+
+const zeroPeriod = 1<<31 - 1
+
+func buildZeroOps() {
+	for j := 0; j < 4; j++ {
+		for v := 0; v < 256; v++ {
+			r := uint32(v) << (8 * j)
+			zeroOps[0][j][v] = payloadCastagnoli[byte(r)] ^ r>>8
+		}
+	}
+	for k := 1; k < len(zeroOps); k++ {
+		prev := &zeroOps[k-1]
+		for j := 0; j < 4; j++ {
+			for v := 0; v < 256; v++ {
+				zeroOps[k][j][v] = applyZeroOp(prev, applyZeroOp(prev, uint32(v)<<(8*j)))
+			}
+		}
+	}
+}
+
+func applyZeroOp(op *[4][256]uint32, r uint32) uint32 {
+	return op[0][byte(r)] ^ op[1][byte(r>>8)] ^ op[2][byte(r>>16)] ^ op[3][byte(r>>24)]
+}
+
+// ExtendZeros returns the CRC32-C of a message followed by n zero bytes,
+// given sum, the CRC32-C of the message: crc32.Update(sum, table, zeros)
+// without the zeros, in one table step per set bit of n instead of one
+// pass over n bytes. n <= 0 extends by nothing.
+func ExtendZeros(sum uint32, n int64) uint32 {
+	if n <= 0 {
+		return sum
+	}
+	zeroOpsOnce.Do(buildZeroOps)
+	r := ^sum
+	for left := uint64(n % zeroPeriod); left != 0; left &= left - 1 {
+		r = applyZeroOp(&zeroOps[bits.TrailingZeros64(left)], r)
+	}
+	return ^r
+}
 
 // zeroCRC returns the CRC32-C of n zero bytes without materializing them.
-func zeroCRC(n int64) uint32 {
-	sum := crc32.Checksum(nil, payloadCastagnoli)
-	for n > 0 {
-		c := n
-		if c > int64(len(zeroBuf)) {
-			c = int64(len(zeroBuf))
-		}
-		sum = crc32.Update(sum, payloadCastagnoli, zeroBuf[:c])
-		n -= c
-	}
-	return sum
-}
+func zeroCRC(n int64) uint32 { return ExtendZeros(0, n) }
 
 // HasChecksums reports whether the manifest carries per-variant payload
 // checksums. Manifests serialized before wire v3 do not; clients skip

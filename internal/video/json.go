@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"dragonfly/internal/geom"
 )
 
 // manifestJSON is the on-the-wire form of a Manifest. The flattened arrays
@@ -107,13 +105,14 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	if m.MaskDisplacement == nil {
 		m.MaskDisplacement = make([]float64, m.NumChunks)
 	}
-	for c := 0; c < m.NumChunks; c++ {
-		for t := 0; t < tiles; t++ {
-			for q := Quality(0); q < NumQualities; q++ {
-				if m.TileSize(c, geom.TileID(t), q) < 0 {
-					return nil, fmt.Errorf("video: manifest %q has negative tile size", j.VideoID)
-				}
-			}
+	for _, size := range m.sizes {
+		if size < 0 {
+			return nil, fmt.Errorf("video: manifest %q has negative tile size", j.VideoID)
+		}
+	}
+	for _, size := range m.full360 {
+		if size < 0 {
+			return nil, fmt.Errorf("video: manifest %q has negative full360 size", j.VideoID)
 		}
 	}
 	return m, nil

@@ -333,6 +333,32 @@ func TestReadManifestRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestReadManifestRejectsNegativeSizes: a size is a byte count the store
+// slices a payload by, in both arrays; full360 used to go unchecked and a
+// manifest with full360[i] = -5 panicked store.New.
+func TestReadManifestRejectsNegativeSizes(t *testing.T) {
+	m := Generate(GenParams{ID: "neg", Rows: 2, Cols: 2, NumChunks: 2, Seed: 4})
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"sizes", "full360"} {
+		var j map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &j); err != nil {
+			t.Fatal(err)
+		}
+		arr := j[field].([]any)
+		arr[len(arr)-2] = -5
+		raw, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadManifest(bytes.NewReader(raw)); err == nil {
+			t.Errorf("manifest with a negative entry in %q accepted", field)
+		}
+	}
+}
+
 func TestMedianHelper(t *testing.T) {
 	if got := median(nil); got != 0 {
 		t.Errorf("median(nil) = %v", got)

@@ -84,9 +84,12 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # framing work (CRC trailers, hard length cap, resume bitmaps) lives or dies
 # on the wire parsers rejecting hostile bytes without panicking or
 # over-allocating; the trace-line decoder must agree with encoding/json on
-# every input, and the fold must account for every line of any body.
+# every input, and the fold must account for every line of any body. The
+# last target is not a parser: the zero-run CRC operator every frame trailer
+# and manifest checksum now comes from must agree with hash/crc32 over
+# literal zeros for any prefix and length.
 for target in proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume \
-	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader; do
+	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader video:FuzzExtendZeros; do
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "${FUZZTIME:-10s}" "./internal/${target%%:*}"
 done
 
@@ -105,6 +108,8 @@ go test -run '^$' -bench='Decide|Overlap|TilesInCap' -benchmem -benchtime="${BEN
 go test -run '^$' -bench='ScoreSlab' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/core | tee -a "$raw"
 go test -run '^$' -bench='RenderFrame' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/player | tee -a "$raw"
 go test -run '^$' -bench='Frame' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/proto | tee -a "$raw"
+go test -run '^$' -bench='StoreNew' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/store | tee -a "$raw"
+go test -run '^$' -bench='Generate' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/video | tee -a "$raw"
 go test -run '^$' -bench='UnmarshalEvent' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/obs | tee -a "$raw"
 go test -run '^$' -bench='IngestFold' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/ingest | tee -a "$raw"
 go test -run '^$' -bench='PopulationSweep' -benchmem -benchtime=1x ./internal/popsim | tee -a "$raw"
