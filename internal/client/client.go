@@ -31,6 +31,7 @@ import (
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/quality"
+	"dragonfly/internal/retry"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
 )
@@ -103,13 +104,7 @@ func (p ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 	if max <= 0 {
 		max = 2 * time.Second
 	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
+	d := retry.Exp(base, max, attempt)
 	jitter := p.Jitter
 	if jitter == 0 {
 		jitter = 0.5

@@ -4,11 +4,11 @@ import (
 	"context"
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"dragonfly/internal/core"
+	"dragonfly/internal/fleettest"
 	"dragonfly/internal/netem"
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
@@ -17,85 +17,17 @@ import (
 	"dragonfly/internal/video"
 )
 
-// crashRig models a server process that can be SIGKILLed and restarted on
-// the same address mid-stream: the dialer always reaches whichever instance
-// is live, and a crash abruptly closes every server-side connection (no
-// goodbye, no drain) and swaps in a fresh server.Server with zero state.
-// The only thing that survives a crash is what the client holds — which is
-// exactly what the resume protocol must be able to rebuild from.
-type crashRig struct {
-	m  *video.Manifest
-	fl *netem.FaultLink
-
-	mu        sync.Mutex
-	srv       *server.Server
-	conns     []net.Conn
-	instances []*server.Server
-}
-
-func newCrashRig(m *video.Manifest, fl *netem.FaultLink) *crashRig {
-	r := &crashRig{m: m, fl: fl}
-	r.srv = r.freshServer()
-	r.instances = []*server.Server{r.srv}
-	return r
-}
-
-func (r *crashRig) freshServer() *server.Server {
-	s := server.New(r.m)
-	s.Heartbeat = 100 * time.Millisecond
-	return s
-}
-
-func (r *crashRig) dial() (net.Conn, error) {
-	clientConn, serverConn := r.fl.Pipe()
-	r.mu.Lock()
-	srv := r.srv
-	r.conns = append(r.conns, serverConn)
-	r.mu.Unlock()
-	go func() {
-		defer serverConn.Close()
-		_ = srv.HandleConn(serverConn)
-	}()
-	return clientConn, nil
-}
-
-// crash kills the process: every live server-side connection dies instantly
-// and all server state is gone. The replacement instance starts cold.
-func (r *crashRig) crash() {
-	r.mu.Lock()
-	conns := r.conns
-	r.conns = nil
-	r.srv = r.freshServer()
-	r.instances = append(r.instances, r.srv)
-	r.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// totals sums the send accounting across every instance that ever ran: a
-// duplicate primary sent by the restarted server shows up here.
-func (r *crashRig) totals() server.Counters {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var sum server.Counters
-	for _, s := range r.instances {
-		c := s.Counters()
-		sum.PrimarySent += c.PrimarySent
-		sum.MaskTileSent += c.MaskTileSent
-		sum.MaskFullSent += c.MaskFullSent
-		sum.Resumes += c.Resumes
-		sum.ResumedItems += c.ResumedItems
-		sum.CorruptFrames += c.CorruptFrames
-		sum.RejectedConns += c.RejectedConns
-	}
-	return sum
-}
-
-func (r *crashRig) generations() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.instances)
+// newCrashBackend is a server process that can be SIGKILLed and restarted
+// on the same address mid-stream (fleettest.Backend.Restart): every live
+// server-side connection dies instantly, no goodbye, no drain, and the
+// replacement instance starts cold. The only thing that survives a crash
+// is what the client holds — which is exactly what the resume protocol
+// must be able to rebuild from.
+func newCrashBackend(t *testing.T, m *video.Manifest, fl *netem.FaultLink) *fleettest.Backend {
+	b := fleettest.NewBackend(context.Background(), "live", m, fl.Pipe,
+		func(s *server.Server) { s.Heartbeat = 100 * time.Millisecond })
+	t.Cleanup(b.Kill)
+	return b
 }
 
 // TestPlayResilientSurvivesServerRestart crashes the serving process twice
@@ -109,14 +41,14 @@ func TestPlayResilientSurvivesServerRestart(t *testing.T) {
 		Link: netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}},
 	}
 	defer fl.Stop()
-	rig := newCrashRig(m, fl)
+	rig := newCrashBackend(t, m, fl)
 
 	for _, at := range []time.Duration{300 * time.Millisecond, 900 * time.Millisecond} {
-		timer := time.AfterFunc(at, rig.crash)
+		timer := time.AfterFunc(at, rig.Restart)
 		defer timer.Stop()
 	}
 
-	met, err := PlayResilient(rig.dial, "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{
+	met, err := PlayResilient(rig.Dial, "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{
 		Reconnect: ReconnectPolicy{
 			MaxAttempts: 8,
 			BaseDelay:   20 * time.Millisecond,
@@ -142,10 +74,12 @@ func TestPlayResilientSurvivesServerRestart(t *testing.T) {
 		t.Errorf("Disconnects = %d, want >= 2 (one per crash)", met.Disconnects)
 	}
 
-	if g := rig.generations(); g != 3 {
+	// Summed across every instance that ever ran: a duplicate primary sent
+	// by the restarted server shows up here.
+	c, g := rig.Totals()
+	if g != 3 {
 		t.Fatalf("ran %d server instances, want 3", g)
 	}
-	c := rig.totals()
 	// The replacement instances started with zero state; their knowledge of
 	// what the client holds can only have come from resume summaries.
 	if c.Resumes < 2 {
@@ -179,11 +113,11 @@ func TestPlayResilientSurvivesRestartAndCorruption(t *testing.T) {
 		Seed: 9,
 	}
 	defer fl.Stop()
-	rig := newCrashRig(m, fl)
-	timer := time.AfterFunc(850*time.Millisecond, rig.crash)
+	rig := newCrashBackend(t, m, fl)
+	timer := time.AfterFunc(850*time.Millisecond, rig.Restart)
 	defer timer.Stop()
 
-	met, err := PlayResilient(rig.dial, "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{
+	met, err := PlayResilient(rig.Dial, "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{
 		Reconnect: ReconnectPolicy{
 			MaxAttempts: 8,
 			BaseDelay:   20 * time.Millisecond,
@@ -210,7 +144,7 @@ func TestPlayResilientSurvivesRestartAndCorruption(t *testing.T) {
 	if met.Disconnects < 3 {
 		t.Errorf("Disconnects = %d, want >= 3", met.Disconnects)
 	}
-	c := rig.totals()
+	c, _ := rig.Totals()
 	maxPrimaries := int64(m.NumChunks * m.NumTiles())
 	if c.PrimarySent > maxPrimaries {
 		t.Errorf("%d primaries sent for %d slots: corruption chaos caused duplicate sends", c.PrimarySent, maxPrimaries)

@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"dragonfly/internal/retry"
 )
 
 // MultiDialer is a DialFunc source over a list of server addresses — the
@@ -116,6 +118,13 @@ func (d *MultiDialer) noteResult(addr string, ok bool) {
 		st = &addrState{}
 		d.state[addr] = st
 	}
+	st.notBefore = time.Now().Add(d.penalty(st.fails))
+	st.fails++
+}
+
+// penalty is how long an address sits out after its (fails+1)-th
+// consecutive failed dial.
+func (d *MultiDialer) penalty(fails int) time.Duration {
 	base := d.Backoff
 	if base <= 0 {
 		base = 100 * time.Millisecond
@@ -124,13 +133,5 @@ func (d *MultiDialer) noteResult(addr string, ok bool) {
 	if max <= 0 {
 		max = 2 * time.Second
 	}
-	penalty := base
-	for i := 0; i < st.fails && penalty < max; i++ {
-		penalty *= 2
-	}
-	if penalty > max {
-		penalty = max
-	}
-	st.fails++
-	st.notBefore = time.Now().Add(penalty)
+	return retry.Exp(base, max, fails)
 }

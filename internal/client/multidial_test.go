@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -133,5 +134,49 @@ func TestMultiDialerRetriesBackedOffAsLastResort(t *testing.T) {
 func TestMultiDialerNoAddrs(t *testing.T) {
 	if _, err := (&MultiDialer{}).Dial(); err == nil {
 		t.Fatal("empty address list did not error")
+	}
+}
+
+// TestBackoffDelaysPinned pins the reconnect delay and the per-address
+// dial penalty for attempts 0–8 to the values the hand-written doubling
+// loops produced before both moved onto retry.Exp (recorded at PR 19's
+// commit with the same RNG seed): a change to the shared arithmetic that
+// moves any client's schedule fails here, per call site.
+func TestBackoffDelaysPinned(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	for _, c := range []struct {
+		name string
+		p    ReconnectPolicy
+		want [9]int64
+	}{
+		{"defaults (50 ms → 2 s, jitter 0.5)", ReconnectPolicy{},
+			[9]int64{59325709, 103300024, 260409385, 441763740, 817527383, 1906554639, 2812877135, 2384445849, 2383044653}},
+		{"20 ms → 200 ms", ReconnectPolicy{BaseDelay: 20 * time.Millisecond, MaxDelay: 200 * time.Millisecond},
+			[9]int64{23730283, 41320009, 104163754, 176705496, 204381845, 238319329, 281287713, 238444584, 238304465}},
+		{"30 ms → 100 ms, no jitter", ReconnectPolicy{BaseDelay: 30 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Jitter: -1},
+			[9]int64{30 * ms, 60 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms}},
+	} {
+		rng := rand.New(rand.NewSource(42))
+		for attempt, want := range c.want {
+			if got := c.p.delay(attempt, rng); int64(got) != want {
+				t.Errorf("ReconnectPolicy %s: delay(%d) = %d ns, want %d", c.name, attempt, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		d    *MultiDialer
+		want [9]int64
+	}{
+		{"defaults (100 ms → 2 s)", &MultiDialer{},
+			[9]int64{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 2000 * ms, 2000 * ms, 2000 * ms, 2000 * ms}},
+		{"20 ms → 90 ms", &MultiDialer{Backoff: 20 * time.Millisecond, MaxBackoff: 90 * time.Millisecond},
+			[9]int64{20 * ms, 40 * ms, 80 * ms, 90 * ms, 90 * ms, 90 * ms, 90 * ms, 90 * ms, 90 * ms}},
+	} {
+		for fails, want := range c.want {
+			if got := c.d.penalty(fails); int64(got) != want {
+				t.Errorf("MultiDialer %s: penalty(%d) = %v, want %v", c.name, fails, got, time.Duration(want))
+			}
+		}
 	}
 }

@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
+	"dragonfly/internal/fleettest"
 	"dragonfly/internal/netem"
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
@@ -16,14 +18,15 @@ import (
 	"dragonfly/internal/video"
 )
 
-// ExtChaosParams scales the chaos experiment; the zero value runs the quick
-// default (one short video, corruption plus one mid-stream server restart).
-type ExtChaosParams struct {
-	Chunks   int // video length in chunks/seconds (default 3)
-	BitFlips int // in-flight payload corruptions (default 2)
-	Restarts int // server process kills mid-stream (default 1)
-	Seed     int64
-}
+// The chaos scenario: one short session over a link that corrupts
+// chaosBitFlips payloads spread over the first half of the session and
+// truncates one write later on — all while most tiles are still in flight
+// — with the server process killed and restarted cold a third of the way in.
+const (
+	chaosBitFlips   = 2
+	chaosTruncateAt = wireVideoDur * 3 / 5
+	chaosRestartAt  = wireVideoDur / 3
+)
 
 // ExtChaosOutcome summarizes the chaos run: the session metrics, the send
 // accounting summed over every server instance that ran, and the admission
@@ -50,138 +53,50 @@ type ExtChaosOutcome struct {
 // must rebuild its dedup state purely from the client's resume bitmap, and
 // the saturated server must fast-reject with a retryable busy error.
 func ExtChaos(env *Env, w io.Writer) (ExtChaosOutcome, error) {
-	return extChaos(env, w, ExtChaosParams{})
+	return extChaos(env, w, 1)
 }
 
-func extChaos(_ *Env, w io.Writer, p ExtChaosParams) (ExtChaosOutcome, error) {
-	if p.Chunks <= 0 {
-		p.Chunks = 3
-	}
-	if p.BitFlips <= 0 {
-		p.BitFlips = 2
-	}
-	if p.Restarts <= 0 {
-		p.Restarts = 1
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	m := video.Generate(video.GenParams{
-		ID: "chaos", Rows: 6, Cols: 6, NumChunks: p.Chunks,
-		TargetQP42Mbps: 0.8, TargetQP22Mbps: 6, Seed: 77,
-	})
-	videoDur := time.Duration(p.Chunks) * time.Second
-	head := trace.GenerateHead(trace.HeadGenParams{
-		UserID: "chaos-user", Class: trace.MotionLow, Duration: videoDur + time.Second, Seed: p.Seed,
-	})
+func extChaos(_ *Env, w io.Writer, seed int64) (ExtChaosOutcome, error) {
+	m := wireManifest("chaos")
+	head := wireHead("chaos-user", trace.MotionLow, seed)
 
-	// Corruption schedule: bit flips spread over the first half of the
-	// session plus one truncation, all while most tiles are still in flight.
 	sched := &netem.FaultSchedule{}
-	for i := 0; i < p.BitFlips; i++ {
-		at := videoDur / 2 * time.Duration(i+1) / time.Duration(p.BitFlips+1)
+	for i := 0; i < chaosBitFlips; i++ {
+		at := wireVideoDur / 2 * time.Duration(i+1) / (chaosBitFlips + 1)
 		sched.Events = append(sched.Events, netem.FaultEvent{At: at, Kind: netem.FaultBitFlip})
 	}
-	sched.Events = append(sched.Events, netem.FaultEvent{At: videoDur * 3 / 5, Kind: netem.FaultTruncate})
-
-	fl := &netem.FaultLink{
-		Link:     netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{8}}},
-		Schedule: sched,
-		Seed:     p.Seed,
-	}
+	sched.Events = append(sched.Events, netem.FaultEvent{At: chaosTruncateAt, Kind: netem.FaultTruncate})
+	fl := &netem.FaultLink{Link: constLink(8), Schedule: sched, Seed: seed}
 	defer fl.Stop()
 
-	// The restartable "process": the dialer reaches whichever instance is
-	// live; a restart abruptly closes all server conns and swaps in a cold
-	// server.Server whose only path back to the session state is the
+	// The restarted instance's only path back to the session state is the
 	// client's resume bitmap.
-	var (
-		mu        sync.Mutex
-		conns     []net.Conn
-		instances []*server.Server
-	)
-	fresh := func() *server.Server {
-		s := server.New(m)
-		s.Heartbeat = 100 * time.Millisecond
-		return s
-	}
-	srv := fresh()
-	instances = []*server.Server{srv}
-	dial := func() (net.Conn, error) {
-		clientConn, serverConn := fl.Pipe()
-		mu.Lock()
-		s := srv
-		conns = append(conns, serverConn)
-		mu.Unlock()
-		go func() {
-			defer serverConn.Close()
-			_ = s.HandleConn(serverConn)
-		}()
-		return clientConn, nil
-	}
-	restart := func() {
-		mu.Lock()
-		dead := conns
-		conns = nil
-		srv = fresh()
-		instances = append(instances, srv)
-		mu.Unlock()
-		for _, c := range dead {
-			c.Close()
-		}
-	}
-	for i := 0; i < p.Restarts; i++ {
-		at := videoDur / 3 * time.Duration(i+1)
-		t := time.AfterFunc(at, restart)
-		defer t.Stop()
-	}
+	b := fleettest.NewBackend(context.Background(), "chaos", m, fl.Pipe,
+		func(s *server.Server) { s.Heartbeat = 100 * time.Millisecond })
+	defer b.Kill()
+	restart := time.AfterFunc(chaosRestartAt, b.Restart)
+	defer restart.Stop()
 
-	met, err := client.PlayResilient(dial, "chaos", head, core.NewDefault(), client.PlayOptions{
-		Reconnect: client.ReconnectPolicy{
-			MaxAttempts: 8,
-			BaseDelay:   20 * time.Millisecond,
-			MaxDelay:    200 * time.Millisecond,
-			ReadTimeout: 400 * time.Millisecond,
-			Seed:        p.Seed,
-		},
-	})
+	met, err := client.PlayResilient(b.Dial, "chaos", head, core.NewDefault(), client.PlayOptions{Reconnect: wireReconnect(8, seed)})
 	if err != nil {
 		return ExtChaosOutcome{}, err
 	}
+	b.Kill() // quiesce before reading the totals
 
 	out := ExtChaosOutcome{Metrics: met}
-	mu.Lock()
-	out.Instances = len(instances)
-	for _, s := range instances {
-		c := s.Counters()
-		out.Totals.PrimarySent += c.PrimarySent
-		out.Totals.MaskTileSent += c.MaskTileSent
-		out.Totals.MaskFullSent += c.MaskFullSent
-		out.Totals.BytesSent += c.BytesSent
-		out.Totals.Resumes += c.Resumes
-		out.Totals.ResumedItems += c.ResumedItems
-		out.Totals.CorruptFrames += c.CorruptFrames
-		out.Totals.RejectedConns += c.RejectedConns
-	}
-	mu.Unlock()
-	out.ExcessPrimary = out.Totals.PrimarySent - int64(m.NumChunks*m.NumTiles())
-	if out.ExcessPrimary < 0 {
-		out.ExcessPrimary = 0
-	}
+	out.Totals, out.Instances = b.Totals()
+	out.ExcessPrimary = excessPrimary(out.Totals, 1, m)
 
 	// Admission probe: saturate a MaxConns=1 server with a raw session over
 	// TCP, then run a short client session that must be fast-rejected,
 	// back off, and complete once the slot frees.
-	probe, err := chaosAdmissionProbe(m, head, p.Seed)
+	out.RejectedConns, out.BusyRetries, err = chaosAdmissionProbe(m, head, seed)
 	if err != nil {
 		return ExtChaosOutcome{}, err
 	}
-	out.RejectedConns = probe.RejectedConns
-	out.BusyRetries = probe.BusyRetries
 
 	fprintf(w, "== Extension: chaos (corruption + server restart + admission) ==\n")
-	fprintf(w, "Live session: %d bit flips, 1 truncation, %d server restart(s) mid-stream.\n\n",
-		p.BitFlips, p.Restarts)
+	fprintf(w, "Live session: %d bit flips, 1 truncation, 1 server restart(s) mid-stream.\n\n", chaosBitFlips)
 	fprintf(w, "%-22s %10s\n", "metric", "value")
 	fprintf(w, "%-22s %10d\n", "frames rendered", met.TotalFrames)
 	fprintf(w, "%-22s %10.2f\n", "median PSNR (dB)", met.MedianScore())
@@ -198,68 +113,55 @@ func extChaos(_ *Env, w io.Writer, p ExtChaosParams) (ExtChaosOutcome, error) {
 	return out, nil
 }
 
-type chaosProbeResult struct {
-	RejectedConns int64
-	BusyRetries   int64
-}
-
 // chaosAdmissionProbe exercises MaxConns end to end over real TCP (the
 // fast-reject is written before the hello is read, which needs a buffered
 // transport): with the single slot held, the probing session is rejected
-// with a retryable busy error and completes after the holder leaves.
-func chaosAdmissionProbe(m *video.Manifest, head *trace.HeadTrace, seed int64) (chaosProbeResult, error) {
+// with a retryable busy error and completes after the holder leaves. It
+// returns the conns the server rejected and the busy retries the prober
+// absorbed.
+func chaosAdmissionProbe(m *video.Manifest, head *trace.HeadTrace, seed int64) (rejected, busyRetries int64, err error) {
 	srv := server.New(m)
 	srv.Heartbeat = 100 * time.Millisecond
 	srv.MaxConns = 1
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return chaosProbeResult{}, err
+		return 0, 0, err
 	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				_ = srv.HandleConn(conn)
-			}()
-		}
-	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // Serve closes l
+	go func() { _ = srv.Serve(ctx, l) }()
 	addr := l.Addr().String()
 
 	hold, err := net.Dial("tcp", addr)
 	if err != nil {
-		return chaosProbeResult{}, err
+		return 0, 0, err
+	}
+	defer hold.Close()
+	if err := proto.WriteHello(hold, proto.Hello{VideoID: m.VideoID}); err != nil {
+		return 0, 0, err
+	}
+	// The manifest is sent after admission: once it is here the holder has
+	// the slot, whichever session goroutine the scheduler runs first. A
+	// prober dialed any earlier can win the slot and get the holder
+	// rejected instead.
+	if msg, err := proto.ReadMessage(hold); err != nil {
+		return 0, 0, fmt.Errorf("holder handshake: %w", err)
+	} else if msg.Type != proto.MsgManifest {
+		return 0, 0, fmt.Errorf("holder handshake: message type %d, want manifest", msg.Type)
 	}
 	go func() { _, _ = io.Copy(io.Discard, hold) }()
-	if err := proto.WriteHello(hold, proto.Hello{VideoID: m.VideoID}); err != nil {
-		return chaosProbeResult{}, err
-	}
 	release := time.AfterFunc(300*time.Millisecond, func() {
 		_ = proto.WriteBye(hold)
 		hold.Close()
 	})
 	defer release.Stop()
 
-	met, err := client.PlayResilient(func() (net.Conn, error) {
-		return net.Dial("tcp", addr)
-	}, m.VideoID, head, core.NewDefault(), client.PlayOptions{
-		Reconnect: client.ReconnectPolicy{
-			MaxAttempts: 10,
-			BaseDelay:   50 * time.Millisecond,
-			MaxDelay:    200 * time.Millisecond,
-			ReadTimeout: 400 * time.Millisecond,
-			Seed:        seed,
-		},
-	})
+	rp := wireReconnect(10, seed)
+	rp.BaseDelay = 50 * time.Millisecond
+	met, err := client.PlayResilient(func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		m.VideoID, head, core.NewDefault(), client.PlayOptions{Reconnect: rp})
 	if err != nil {
-		return chaosProbeResult{}, err
+		return 0, 0, err
 	}
-	return chaosProbeResult{
-		RejectedConns: srv.Counters().RejectedConns,
-		BusyRetries:   met.BusyRejects,
-	}, nil
+	return srv.Counters().RejectedConns, met.BusyRejects, nil
 }

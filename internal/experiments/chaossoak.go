@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -10,33 +11,28 @@ import (
 	"sync"
 	"time"
 
-	"dragonfly/internal/balancer"
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
+	"dragonfly/internal/fleettest"
 	"dragonfly/internal/ingest"
 	"dragonfly/internal/netem"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
-	"dragonfly/internal/store"
 	"dragonfly/internal/trace"
-	"dragonfly/internal/video"
 )
 
-// ChaosSoakParams scales the failpoint soak; the zero value runs the
-// acceptance configuration: 3 servers behind a balancer plus a full
-// ingest tier, 6 clients, every registered failpoint site armed from one
-// seeded schedule, and one server killed and cold-restarted mid-stream.
-type ChaosSoakParams struct {
-	Servers int // fleet size (default 3)
-	Clients int // concurrent sessions (default 6)
-	Chunks  int // video length in chunks/seconds (default 3)
-	Seed    int64
+// The chaos-soak scenario: 3 servers behind a balancer plus a full ingest
+// tier, 6 clients, every registered failpoint site armed from one seeded
+// schedule, and one server killed and cold-restarted mid-stream.
+const (
+	soakServers = 3
+	soakClients = 6
 
-	KillAt    time.Duration // kill one server abruptly (default 600 ms)
-	RestartAt time.Duration // cold-restart it (default 1.2 s)
-}
+	soakKillAt    = 600 * time.Millisecond  // kill server 1 abruptly
+	soakRestartAt = 1200 * time.Millisecond // cold-restart it
+)
 
 // ChaosSoakOutcome is the fleet-wide accounting of one soak. The safety
 // assertions are exact: playback never stalls, every primary transmission
@@ -69,112 +65,6 @@ type ChaosSoakOutcome struct {
 	Quarantined            int64
 	SnapshotSessions       int64
 	SnapshotRecovered      bool
-}
-
-// soakBackend is one fleet member running a real accept loop (so the
-// server.accept failpoint is on the path) over in-memory pipes. Kill is
-// abrupt: the accept loop stops and every live connection is severed
-// mid-frame; restart brings up a cold instance on the same address whose
-// only way back to session state is the client's resume bitmap.
-type soakBackend struct {
-	addr     string
-	m        *video.Manifest
-	link     netem.Link
-	reg      *obs.Registry
-	traceDir string
-	qoe      server.QoESource
-	parent   context.Context
-
-	mu        sync.Mutex
-	alive     bool
-	cur       *server.Server
-	lis       *netem.PipeListener
-	cancel    context.CancelFunc
-	serveDone chan struct{}
-	conns     []net.Conn
-	instances []*server.Server
-}
-
-// soakTap records accepted server-side conns so kill can sever them.
-type soakTap struct {
-	net.Listener
-	b *soakBackend
-}
-
-func (t *soakTap) Accept() (net.Conn, error) {
-	c, err := t.Listener.Accept()
-	if err == nil {
-		t.b.mu.Lock()
-		t.b.conns = append(t.b.conns, c)
-		t.b.mu.Unlock()
-	}
-	return c, err
-}
-
-func (b *soakBackend) start() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := server.New(b.m)
-	s.Heartbeat = 100 * time.Millisecond
-	s.WriteTimeout = 250 * time.Millisecond
-	s.TraceDir = b.traceDir
-	s.QoE = b.qoe
-	s.Obs = b.reg
-	ictx, cancel := context.WithCancel(b.parent)
-	lis := netem.NewPipeListener(b.link)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = s.Serve(ictx, &soakTap{Listener: lis, b: b})
-	}()
-	b.cur, b.lis, b.cancel, b.serveDone = s, lis, cancel, done
-	b.alive = true
-	b.instances = append(b.instances, s)
-}
-
-func (b *soakBackend) dial() (net.Conn, error) {
-	b.mu.Lock()
-	if !b.alive {
-		b.mu.Unlock()
-		return nil, fmt.Errorf("%s: connection refused", b.addr)
-	}
-	lis := b.lis
-	b.mu.Unlock()
-	return lis.Dial()
-}
-
-func (b *soakBackend) kill() {
-	b.mu.Lock()
-	b.alive = false
-	cancel, done := b.cancel, b.serveDone
-	dead := b.conns
-	b.conns = nil
-	b.mu.Unlock()
-	cancel()
-	for _, c := range dead {
-		c.Close()
-	}
-	<-done
-}
-
-func (b *soakBackend) totals() (server.Counters, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t server.Counters
-	for _, s := range b.instances {
-		c := s.Counters()
-		t.PrimarySent += c.PrimarySent
-		t.MaskTileSent += c.MaskTileSent
-		t.MaskFullSent += c.MaskFullSent
-		t.BytesSent += c.BytesSent
-		t.Resumes += c.Resumes
-		t.ResumedItems += c.ResumedItems
-		t.CorruptFrames += c.CorruptFrames
-		t.RejectedConns += c.RejectedConns
-		t.Probes += c.Probes
-		t.WriteStallKills += c.WriteStallKills
-	}
-	return t, len(b.instances)
 }
 
 // soakRules is the all-tier schedule: every registered failpoint site is
@@ -212,44 +102,20 @@ func soakRules() []chaos.Rule {
 // delivered through the retry paths, and the snapshot tier recovered from
 // a corrupt rollup a faulted writer planted.
 func ExtChaosSoak(env *Env, w io.Writer) (ChaosSoakOutcome, error) {
-	return extChaosSoak(env, w, ChaosSoakParams{})
+	return extChaosSoak(env, w, 1)
 }
 
-func extChaosSoak(_ *Env, w io.Writer, p ChaosSoakParams) (ChaosSoakOutcome, error) {
-	if p.Servers <= 0 {
-		p.Servers = 3
-	}
-	if p.Clients <= 0 {
-		p.Clients = 6
-	}
-	if p.Chunks <= 0 {
-		p.Chunks = 3
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if p.KillAt <= 0 {
-		p.KillAt = 600 * time.Millisecond
-	}
-	if p.RestartAt <= 0 {
-		p.RestartAt = 1200 * time.Millisecond
-	}
-	out := ChaosSoakOutcome{Servers: p.Servers, Clients: p.Clients}
+func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
+	out := ChaosSoakOutcome{Servers: soakServers, Clients: soakClients}
 
-	rules := chaos.Schedule(p.Seed, soakRules())
+	rules := chaos.Schedule(seed, soakRules())
 	out.ArmedSites = len(rules)
 	if err := chaos.Arm(rules...); err != nil {
 		return out, fmt.Errorf("arm schedule: %w", err)
 	}
 	defer chaos.Disarm()
 
-	m := video.Generate(video.GenParams{
-		ID: "soak", Rows: 6, Cols: 6, NumChunks: p.Chunks,
-		TargetQP42Mbps: 0.8, TargetQP22Mbps: 6, Seed: 77,
-	})
-	store.Shared(m)
-	videoDur := time.Duration(p.Chunks) * time.Second
-	link := netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{16}}}
+	m := wireManifest("soak")
 
 	snapDir, err := os.MkdirTemp("", "dragonfly-soak-snap-")
 	if err != nil {
@@ -301,79 +167,47 @@ func extChaosSoak(_ *Env, w io.Writer, p ChaosSoakParams) (ChaosSoakOutcome, err
 		Interval: 150 * time.Millisecond,
 		MaxAge:   time.Minute,
 		Obs:      fbReg,
-		Seed:     p.Seed,
+		Seed:     seed,
 	})
-	fbDone := make(chan struct{})
-	go func() {
-		defer close(fbDone)
-		fb.Run(ctx)
-	}()
 
-	// The fleet: real accept loops behind a balancer, each member writing
-	// server-view traces a watcher tails into a second aggregator (the
-	// same registry, so the ing_* counters land in one place).
-	backends := make(map[string]*soakBackend, p.Servers)
-	var order []*soakBackend
-	var cfgs []balancer.BackendConfig
-	srvAgg := ingest.New(ingest.Config{Obs: ingReg})
-	var watchers []*ingest.Watcher
-	for i := 0; i < p.Servers; i++ {
-		addr := fmt.Sprintf("s%d", i)
-		dir := filepath.Join(traceRoot, addr)
-		b := &soakBackend{addr: addr, m: m, link: link, reg: obs.NewRegistry(),
-			traceDir: dir, qoe: fb, parent: ctx}
-		b.start()
-		backends[addr] = b
-		order = append(order, b)
-		adminListen, _, err := obs.ServeAdmin(ctx, "127.0.0.1:0", b.reg)
-		if err != nil {
-			return out, err
-		}
-		cfgs = append(cfgs, balancer.BackendConfig{Addr: addr, AdminAddr: adminListen.String()})
-		watchers = append(watchers, ingest.NewWatcher(srvAgg, dir, 100*time.Millisecond))
-	}
-	var watchWG sync.WaitGroup
-	for _, wt := range watchers {
-		watchWG.Add(1)
-		go func(wt *ingest.Watcher) {
-			defer watchWG.Done()
-			wt.Run(ctx)
-		}(wt)
-	}
-	snapDone := make(chan struct{})
-	go func() {
-		defer close(snapDone)
-		agg.RunSnapshots(ctx, snapDir, 150*time.Millisecond)
-	}()
-
-	rigDial := func(addr string, _ time.Duration) (net.Conn, error) {
-		b := backends[addr]
-		if b == nil {
-			return nil, fmt.Errorf("%s: no such backend", addr)
-		}
-		return b.dial()
-	}
-	lbReg := obs.NewRegistry()
-	bl, err := balancer.New(balancer.Config{
-		Backends:      cfgs,
-		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  250 * time.Millisecond,
-		FailThreshold: 2,
-		DialTimeout:   250 * time.Millisecond,
-		Obs:           lbReg,
-		Dial:          rigDial,
-	})
+	// The fleet: each member writes server-view traces a watcher tails
+	// into a second aggregator (the same registry, so the ing_* counters
+	// land in one place).
+	link := constLink(16)
+	f, err := fleettest.NewFleet(soakServers, m,
+		func() (net.Conn, net.Conn) { return netem.Pipe(link) },
+		func(addr string, s *server.Server) {
+			wireServer(s)
+			s.TraceDir = filepath.Join(traceRoot, addr)
+			s.QoE = fb
+		})
 	if err != nil {
 		return out, err
 	}
-	front := netem.NewPipeListener(netem.Link{})
-	go func() { _ = bl.Serve(ctx, front) }()
+	defer f.Close()
+
+	// The tier's background loops; tier.Wait after cancel joins them (the
+	// final snapshot lands after cancellation).
+	srvAgg := ingest.New(ingest.Config{Obs: ingReg})
+	var tier sync.WaitGroup
+	background := func(run func(context.Context)) {
+		tier.Add(1)
+		go func() {
+			defer tier.Done()
+			run(ctx)
+		}()
+	}
+	background(fb.Run)
+	background(func(ctx context.Context) { agg.RunSnapshots(ctx, snapDir, 150*time.Millisecond) })
+	for _, b := range f.Backends {
+		background(ingest.NewWatcher(srvAgg, filepath.Join(traceRoot, b.Addr), 100*time.Millisecond).Run)
+	}
 
 	// One abrupt kill and cold restart mid-stream, on top of the armed
 	// faults: resume under chaos.
-	victim := order[1%len(order)]
-	killT := time.AfterFunc(p.KillAt, victim.kill)
-	restartT := time.AfterFunc(p.RestartAt, victim.start)
+	victim := f.Backends[1]
+	killT := time.AfterFunc(soakKillAt, victim.Kill)
+	restartT := time.AfterFunc(soakRestartAt, victim.Restart)
 	defer killT.Stop()
 	defer restartT.Stop()
 
@@ -383,103 +217,49 @@ func extChaosSoak(_ *Env, w io.Writer, p ChaosSoakParams) (ChaosSoakOutcome, err
 		URL:       ingURL + "/ingest",
 		BaseDelay: 20 * time.Millisecond,
 		MaxDelay:  200 * time.Millisecond,
-		Seed:      p.Seed,
+		Seed:      seed,
 		Obs:       ingReg,
 	})
-
-	type result struct {
-		met *player.Metrics
-		err error
-	}
-	results := make([]result, p.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < p.Clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var dial client.DialFunc
-			if i%2 == 0 {
-				dial = front.Dial
-			} else {
-				addrs := make([]string, p.Servers)
-				for j := range addrs {
-					addrs[j] = order[(i+j)%p.Servers].addr
-				}
-				md := &client.MultiDialer{
-					Addrs:    addrs,
-					Backoff:  20 * time.Millisecond,
-					DialAddr: func(addr string, _ time.Duration) (net.Conn, error) { return rigDial(addr, 0) },
-				}
-				dial = md.Dial
-			}
-			head := trace.GenerateHead(trace.HeadGenParams{
-				UserID: fmt.Sprintf("soak-user-%d", i), Class: trace.MotionLow,
-				Duration: videoDur + time.Second, Seed: p.Seed + int64(i),
-			})
+	mets, err := playFleet(f, soakClients, "soak-user", seed, 16,
+		func(dial client.DialFunc, head *trace.HeadTrace, rp client.ReconnectPolicy) (*player.Metrics, error) {
 			tr := obs.NewTrace(0)
 			met, err := client.PlayResilient(dial, "soak", head, core.NewDefault(), client.PlayOptions{
-				Reconnect: client.ReconnectPolicy{
-					MaxAttempts:  16,
-					BaseDelay:    20 * time.Millisecond,
-					MaxDelay:     200 * time.Millisecond,
-					ReadTimeout:  400 * time.Millisecond,
-					WriteTimeout: 250 * time.Millisecond,
-					Seed:         p.Seed + int64(i),
-				},
-				Trace:  tr,
-				Cohort: "soak:fleet",
+				Reconnect: rp, Trace: tr, Cohort: "soak:fleet",
 			})
-			results[i] = result{met, err}
 			if err != nil {
-				return
+				return nil, err
 			}
-			var buf writerBuffer
-			if werr := tr.WriteJSONL(&buf); werr != nil {
-				results[i].err = werr
-				return
+			var buf bytes.Buffer
+			if err := tr.WriteJSONL(&buf); err != nil {
+				return nil, err
 			}
-			if perr := pusher.Push(ctx, buf.b); perr != nil {
-				results[i].err = fmt.Errorf("push trace: %w", perr)
+			if err := pusher.Push(ctx, buf.Bytes()); err != nil {
+				return nil, fmt.Errorf("push trace: %w", err)
 			}
-		}(i)
+			return met, nil
+		})
+	if err != nil {
+		return out, err
 	}
-	wg.Wait()
 
 	// Let the watchers fold the trailing server traces and the poller run
 	// against the fully-populated rollup before tearing the tier down.
 	time.Sleep(400 * time.Millisecond)
 	cancel()
-	<-snapDone // the final snapshot lands after cancellation
-	<-fbDone
-	watchWG.Wait()
+	tier.Wait()
+	f.Close()
 
-	for i, r := range results {
-		if r.err != nil {
-			return out, fmt.Errorf("client %d: %w", i, r.err)
-		}
-		if r.met.TotalFrames == m.NumFrames() && !r.met.Truncated {
+	for _, met := range mets {
+		if met.TotalFrames == m.NumFrames() && !met.Truncated {
 			out.Completed++
 		}
-		out.CorruptDetected += r.met.CorruptTiles
-		out.RebufferTotal += r.met.RebufferDuration
-		out.Disconnects += int64(r.met.Disconnects)
+		out.CorruptDetected += met.CorruptTiles
+		out.RebufferTotal += met.RebufferDuration
+		out.Disconnects += int64(met.Disconnects)
 	}
-	for _, b := range order {
-		t, n := b.totals()
-		out.Instances += n
-		out.Totals.PrimarySent += t.PrimarySent
-		out.Totals.Resumes += t.Resumes
-		out.Totals.ResumedItems += t.ResumedItems
-		out.Totals.BytesSent += t.BytesSent
-		out.Totals.Probes += t.Probes
-		out.Totals.WriteStallKills += t.WriteStallKills
-	}
-	budget := int64(p.Clients) * int64(m.NumChunks*m.NumTiles())
-	out.ExcessPrimary = out.Totals.PrimarySent - budget
-	if out.ExcessPrimary < 0 {
-		out.ExcessPrimary = 0
-	}
-	out.Routed = lbReg.Counter("lb_routed").Value()
+	out.Totals, out.Instances = f.Totals()
+	out.ExcessPrimary = excessPrimary(out.Totals, soakClients, m)
+	out.Routed = f.LB.Counter("lb_routed").Value()
 
 	out.InjectedTotal = chaos.TotalInjections()
 	for _, name := range chaos.SiteNames() {
@@ -509,7 +289,7 @@ func extChaosSoak(_ *Env, w io.Writer, p ChaosSoakParams) (ChaosSoakOutcome, err
 
 	fprintf(w, "== Extension: chaos-soak (all-tier failpoints + kill/restart under one seed) ==\n")
 	fprintf(w, "%d servers, %d clients; %d failpoint sites armed (seed %d); kill@%s restart@%s.\n\n",
-		p.Servers, p.Clients, out.ArmedSites, p.Seed, p.KillAt, p.RestartAt)
+		soakServers, soakClients, out.ArmedSites, seed, soakKillAt, soakRestartAt)
 	fprintf(w, "%-28s %10s\n", "metric", "value")
 	fprintf(w, "%-28s %10d\n", "sessions completed", out.Completed)
 	fprintf(w, "%-28s %10d\n", "server instances", out.Instances)
@@ -520,7 +300,7 @@ func extChaosSoak(_ *Env, w io.Writer, p ChaosSoakParams) (ChaosSoakOutcome, err
 	fprintf(w, "%-28s %10d\n", "excess primary sends", out.ExcessPrimary)
 	fprintf(w, "%-28s %10d\n", "corrupt tiles detected", out.CorruptDetected)
 	fprintf(w, "%-28s %10s\n", "rebuffer total", out.RebufferTotal.Round(time.Millisecond).String())
-	fprintf(w, "%-28s %10d\n", "push retries / drops", out.PushRetries)
+	fprintf(w, "%-28s %10d\n", "push retries", out.PushRetries)
 	fprintf(w, "%-28s %10d\n", "push drops", out.PushDrops)
 	fprintf(w, "%-28s %10d\n", "rollup sessions", out.RollupSessions)
 	fprintf(w, "%-28s %10d\n", "server traces folded", out.ServerTraceSessions)
@@ -529,13 +309,4 @@ func extChaosSoak(_ *Env, w io.Writer, p ChaosSoakParams) (ChaosSoakOutcome, err
 	fprintf(w, "%-28s %10d\n", "snapshots quarantined", out.Quarantined)
 	fprintf(w, "%-28s %10v\n", "snapshot recovered", out.SnapshotRecovered)
 	return out, nil
-}
-
-// writerBuffer is a minimal append-only io.Writer; the trace body is
-// handed to the pusher as one []byte.
-type writerBuffer struct{ b []byte }
-
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

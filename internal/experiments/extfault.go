@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -8,20 +9,16 @@ import (
 
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
+	"dragonfly/internal/fleettest"
 	"dragonfly/internal/netem"
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
 	"dragonfly/internal/trace"
-	"dragonfly/internal/video"
 )
 
-// ExtFaultParams scales the fault-tolerance experiment; the zero value runs
-// the quick default (one short video, three mid-stream disconnects).
-type ExtFaultParams struct {
-	Chunks      int // video length in chunks/seconds (default 3)
-	Disconnects int // hard link cuts per session (default 3)
-	Seed        int64
-}
+// faultDisconnects is how many times the ext-fault link is hard-cut per
+// session, spread over the first half of it.
+const faultDisconnects = 3
 
 // ExtFaultOutcome summarizes one live session under the fault script.
 type ExtFaultOutcome struct {
@@ -34,70 +31,39 @@ type ExtFaultOutcome struct {
 // with the reconnect/resume machinery on and once with a client that cannot
 // redial. Unlike the paper's experiments this exercises the real network
 // path in wall-clock time, so it is deliberately small.
-func ExtFaultTolerance(env *Env, w io.Writer) (map[string]ExtFaultOutcome, error) {
-	return extFaultTolerance(env, w, ExtFaultParams{})
-}
-
-func extFaultTolerance(_ *Env, w io.Writer, p ExtFaultParams) (map[string]ExtFaultOutcome, error) {
-	if p.Chunks <= 0 {
-		p.Chunks = 3
-	}
-	if p.Disconnects <= 0 {
-		p.Disconnects = 3
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	m := video.Generate(video.GenParams{
-		ID: "fault", Rows: 6, Cols: 6, NumChunks: p.Chunks,
-		TargetQP42Mbps: 0.8, TargetQP22Mbps: 6, Seed: 77,
-	})
-	videoDur := time.Duration(p.Chunks) * time.Second
-	head := trace.GenerateHead(trace.HeadGenParams{
-		UserID: "fault-user", Class: trace.MotionLow, Duration: videoDur + time.Second, Seed: p.Seed,
-	})
+func ExtFaultTolerance(_ *Env, w io.Writer) (map[string]ExtFaultOutcome, error) {
+	const seed = 1
+	m := wireManifest("fault")
+	head := wireHead("fault-user", trace.MotionLow, seed)
 	// Cut the link early and often: the first disconnect lands while most
 	// of the video is still on the server, so giving up is visibly costly.
 	sched := &netem.FaultSchedule{}
-	for i := 0; i < p.Disconnects; i++ {
-		at := videoDur / 2 * time.Duration(i+1) / time.Duration(p.Disconnects+1)
+	for i := 0; i < faultDisconnects; i++ {
+		at := wireVideoDur / 2 * time.Duration(i+1) / (faultDisconnects + 1)
 		sched.Events = append(sched.Events, netem.FaultEvent{At: at, Kind: netem.FaultDisconnect})
 	}
 
 	run := func(reconnect bool) (ExtFaultOutcome, error) {
-		srv := server.New(m)
-		srv.Heartbeat = 100 * time.Millisecond
-		fl := &netem.FaultLink{
-			Link:     netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{8}}},
-			Schedule: sched,
-		}
+		fl := &netem.FaultLink{Link: constLink(8), Schedule: sched}
 		defer fl.Stop()
+		b := fleettest.NewBackend(context.Background(), "fault", m, fl.Pipe,
+			func(s *server.Server) { s.Heartbeat = 100 * time.Millisecond })
+		defer b.Kill()
 		dials := 0
 		dial := func() (net.Conn, error) {
 			dials++
 			if !reconnect && dials > 1 {
 				return nil, fmt.Errorf("reconnect disabled")
 			}
-			clientConn, serverConn := fl.Pipe()
-			go func() {
-				defer serverConn.Close()
-				_ = srv.HandleConn(serverConn)
-			}()
-			return clientConn, nil
+			return b.Dial()
 		}
-		met, err := client.PlayResilient(dial, "fault", head, core.NewDefault(), client.PlayOptions{
-			Reconnect: client.ReconnectPolicy{
-				MaxAttempts: 6,
-				BaseDelay:   20 * time.Millisecond,
-				MaxDelay:    200 * time.Millisecond,
-				ReadTimeout: 400 * time.Millisecond,
-				Seed:        p.Seed,
-			},
-		})
+		met, err := client.PlayResilient(dial, "fault", head, core.NewDefault(), client.PlayOptions{Reconnect: wireReconnect(6, seed)})
 		if err != nil {
 			return ExtFaultOutcome{}, err
 		}
-		return ExtFaultOutcome{Metrics: met, Counters: srv.Counters()}, nil
+		b.Kill() // quiesce before reading the counters
+		c, _ := b.Totals()
+		return ExtFaultOutcome{Metrics: met, Counters: c}, nil
 	}
 
 	resilient, err := run(true)
@@ -117,16 +83,10 @@ func extFaultTolerance(_ *Env, w io.Writer, p ExtFaultParams) (map[string]ExtFau
 	for _, name := range sortedNames(out) {
 		o := out[name]
 		met := o.Metrics
-		// Primary transmissions beyond one per (chunk,tile) slot would mean
-		// the resume summaries failed to suppress re-sends.
-		excess := o.Counters.PrimarySent - int64(m.NumChunks*m.NumTiles())
-		if excess < 0 {
-			excess = 0
-		}
 		fprintf(w, "%-14s %7.2f  %8.1f  %7s  %7d  %8d  %7s  %8d\n",
 			name, met.MedianScore(), 100*met.MaskingShare(),
 			met.OutageDuration.Round(time.Millisecond), met.ResumedTiles,
-			excess, met.RebufferDuration.Round(time.Millisecond), met.TotalFrames)
+			excessPrimary(o.Counters, 1, m), met.RebufferDuration.Round(time.Millisecond), met.TotalFrames)
 	}
 	fprintf(w, "\nresilient: %d disconnects absorbed, %d resumes, %d dedup entries restored\n",
 		resilient.Metrics.Disconnects, resilient.Counters.Resumes, resilient.Counters.ResumedItems)

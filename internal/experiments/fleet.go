@@ -1,46 +1,32 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
-	"dragonfly/internal/balancer"
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
+	"dragonfly/internal/fleettest"
 	"dragonfly/internal/netem"
-	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
-	"dragonfly/internal/store"
 	"dragonfly/internal/trace"
-	"dragonfly/internal/video"
 )
 
-// FleetChaosParams scales the fleet-mode chaos experiment; the zero value
-// runs the acceptance configuration: 3 servers, 8 concurrent clients, one
-// server killed and cold-restarted, a second drained, all mid-stream.
-type FleetChaosParams struct {
-	Servers int // fleet size (default 3)
-	Clients int // concurrent sessions (default 8)
-	Chunks  int // video length in chunks/seconds (default 3)
-	Seed    int64
+// The fleet-chaos scenario: 3 servers, 8 concurrent clients, one server
+// killed and cold-restarted, a second drained, a third killed once the
+// restart is back — all mid-stream, at fixed offsets from the start.
+const (
+	fleetServers = 3
+	fleetClients = 8
 
-	// Balancer health-check knobs; the probe budget asserted on is
-	// FailThreshold x (ProbeInterval + ProbeTimeout) plus slack.
-	ProbeInterval time.Duration // default 50 ms
-	ProbeTimeout  time.Duration // default 250 ms
-	FailThreshold int           // default 2
-
-	// Fault schedule, relative to experiment start. Zero means default.
-	KillAt    time.Duration // kill server 1 abruptly (default 600 ms)
-	DrainAt   time.Duration // drain server 2 gracefully (default 1 s)
-	RestartAt time.Duration // cold-restart server 1 (default 1.4 s)
-	Kill2At   time.Duration // kill server 0, forcing failover onto the restarted instance (default 1.9 s)
-}
+	fleetKillAt     = 600 * time.Millisecond  // kill server 1 abruptly
+	fleetDrainAt    = time.Second             // drain server 2 gracefully
+	fleetRestartAt  = 1400 * time.Millisecond // cold-restart server 1
+	fleetKill2At    = 1900 * time.Millisecond // kill server 0, forcing failover onto the restarted instance
+	fleetRestart2At = fleetKill2At + 500*time.Millisecond
+)
 
 // FleetChaosOutcome is the fleet-wide accounting of one run.
 type FleetChaosOutcome struct {
@@ -71,112 +57,6 @@ type FleetChaosOutcome struct {
 	Recovered      bool
 }
 
-// rigBackend is one fleet member inside the in-memory rig: a restartable
-// server "process" reachable through shaped pipes. All instances of one
-// backend share an obs registry, so the balancer scrapes one admin
-// endpoint per member across restarts — exactly like a supervised process
-// coming back on the same port.
-type rigBackend struct {
-	addr string
-	m    *video.Manifest
-	link netem.Link
-	reg  *obs.Registry
-	ctx  context.Context
-
-	mu        sync.Mutex
-	cur       *server.Server
-	alive     bool
-	conns     []net.Conn
-	instances []*server.Server
-}
-
-func newRigBackend(ctx context.Context, addr string, m *video.Manifest, link netem.Link) *rigBackend {
-	b := &rigBackend{addr: addr, m: m, link: link, reg: obs.NewRegistry(), ctx: ctx}
-	b.cur = b.fresh()
-	b.alive = true
-	b.instances = []*server.Server{b.cur}
-	return b
-}
-
-func (b *rigBackend) fresh() *server.Server {
-	s := server.New(b.m)
-	s.Heartbeat = 100 * time.Millisecond
-	// Short write deadline: over unbuffered pipes a busy fast-reject and a
-	// client hello can write head-on; the deadline turns that into a
-	// retryable failure instead of a wedge.
-	s.WriteTimeout = 250 * time.Millisecond
-	s.Obs = b.reg
-	return s
-}
-
-// dial connects like TCP would: refused while the "process" is down,
-// otherwise a fresh shaped pipe served by the current instance.
-func (b *rigBackend) dial() (net.Conn, error) {
-	b.mu.Lock()
-	if !b.alive {
-		b.mu.Unlock()
-		return nil, fmt.Errorf("%s: connection refused", b.addr)
-	}
-	s := b.cur
-	clientConn, serverConn := netem.Pipe(b.link)
-	b.conns = append(b.conns, serverConn)
-	b.mu.Unlock()
-	go func() {
-		defer serverConn.Close()
-		_ = s.HandleConnContext(b.ctx, serverConn)
-	}()
-	return clientConn, nil
-}
-
-// kill downs the process abruptly: dials are refused and every live
-// connection is severed mid-frame.
-func (b *rigBackend) kill() {
-	b.mu.Lock()
-	b.alive = false
-	dead := b.conns
-	b.conns = nil
-	b.mu.Unlock()
-	for _, c := range dead {
-		c.Close()
-	}
-}
-
-// restart brings the backend up cold: a new instance whose only path back
-// to any session's state is the client's resume bitmap.
-func (b *rigBackend) restart() {
-	b.mu.Lock()
-	b.cur = b.fresh()
-	b.instances = append(b.instances, b.cur)
-	b.alive = true
-	b.mu.Unlock()
-}
-
-func (b *rigBackend) drain() {
-	b.mu.Lock()
-	s := b.cur
-	b.mu.Unlock()
-	s.Drain()
-}
-
-func (b *rigBackend) totals() (server.Counters, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t server.Counters
-	for _, s := range b.instances {
-		c := s.Counters()
-		t.PrimarySent += c.PrimarySent
-		t.MaskTileSent += c.MaskTileSent
-		t.MaskFullSent += c.MaskFullSent
-		t.BytesSent += c.BytesSent
-		t.Resumes += c.Resumes
-		t.ResumedItems += c.ResumedItems
-		t.CorruptFrames += c.CorruptFrames
-		t.RejectedConns += c.RejectedConns
-		t.Probes += c.Probes
-	}
-	return t, len(b.instances)
-}
-
 // ExtFleetChaos runs the fleet-mode chaos proof: a balancer fronting three
 // servers, eight concurrent clients streaming (half through the balancer,
 // half on static multi-address failover) while one server is killed and
@@ -185,135 +65,49 @@ func (b *rigBackend) totals() (server.Counters, int) {
 // summed fleet-wide, zero corrupt tiles, zero rebuffering, and dead-member
 // detection within the probe budget.
 func ExtFleetChaos(env *Env, w io.Writer) (FleetChaosOutcome, error) {
-	return extFleetChaos(env, w, FleetChaosParams{})
+	return extFleetChaos(env, w, 1)
 }
 
-func extFleetChaos(_ *Env, w io.Writer, p FleetChaosParams) (FleetChaosOutcome, error) {
-	if p.Servers <= 0 {
-		p.Servers = 3
-	}
-	if p.Clients <= 0 {
-		p.Clients = 8
-	}
-	if p.Chunks <= 0 {
-		p.Chunks = 3
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if p.ProbeInterval <= 0 {
-		p.ProbeInterval = 50 * time.Millisecond
-	}
-	if p.ProbeTimeout <= 0 {
-		p.ProbeTimeout = 250 * time.Millisecond
-	}
-	if p.FailThreshold <= 0 {
-		p.FailThreshold = 2
-	}
-	if p.KillAt <= 0 {
-		p.KillAt = 600 * time.Millisecond
-	}
-	if p.DrainAt <= 0 {
-		p.DrainAt = time.Second
-	}
-	if p.RestartAt <= 0 {
-		p.RestartAt = 1400 * time.Millisecond
-	}
-	if p.Kill2At <= 0 {
-		p.Kill2At = 1900 * time.Millisecond
-	}
-	out := FleetChaosOutcome{Servers: p.Servers, Clients: p.Clients}
-	out.ProbeBudget = time.Duration(p.FailThreshold)*(p.ProbeInterval+p.ProbeTimeout) + 150*time.Millisecond
+func extFleetChaos(_ *Env, w io.Writer, seed int64) (FleetChaosOutcome, error) {
+	out := FleetChaosOutcome{Servers: fleetServers, Clients: fleetClients}
+	out.ProbeBudget = fleettest.FailThreshold*(fleettest.ProbeInterval+fleettest.ProbeTimeout) + 150*time.Millisecond
 
-	m := video.Generate(video.GenParams{
-		ID: "fleet", Rows: 6, Cols: 6, NumChunks: p.Chunks,
-		TargetQP42Mbps: 0.8, TargetQP22Mbps: 6, Seed: 77,
-	})
-	// Pre-warm the shared tile store once before the fleet fans out — the
-	// same pattern as sim's table pre-warm: every backend (and every
-	// cold-restarted instance) then serves from the already-built frames
-	// instead of paying the per-manifest CRC framing cost inside the run.
-	store.Shared(m)
-	videoDur := time.Duration(p.Chunks) * time.Second
-	link := netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{16}}}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// The fleet, each member with an obs admin endpoint the balancer
-	// scrapes for queue depth.
-	backends := make(map[string]*rigBackend, p.Servers)
-	var cfgs []balancer.BackendConfig
-	var order []*rigBackend
-	for i := 0; i < p.Servers; i++ {
-		addr := fmt.Sprintf("s%d", i)
-		b := newRigBackend(ctx, addr, m, link)
-		backends[addr] = b
-		order = append(order, b)
-		adminListen, _, err := obs.ServeAdmin(ctx, "127.0.0.1:0", b.reg)
-		if err != nil {
-			return out, err
-		}
-		cfgs = append(cfgs, balancer.BackendConfig{Addr: addr, AdminAddr: adminListen.String()})
-	}
-	rigDial := func(addr string, _ time.Duration) (net.Conn, error) {
-		b := backends[addr]
-		if b == nil {
-			return nil, fmt.Errorf("%s: no such backend", addr)
-		}
-		return b.dial()
-	}
-
-	lbReg := obs.NewRegistry()
-	bl, err := balancer.New(balancer.Config{
-		Backends:      cfgs,
-		ProbeInterval: p.ProbeInterval,
-		ProbeTimeout:  p.ProbeTimeout,
-		FailThreshold: p.FailThreshold,
-		DialTimeout:   p.ProbeTimeout,
-		Obs:           lbReg,
-		Dial:          rigDial,
-	})
+	m := wireManifest("fleet")
+	link := constLink(16)
+	f, err := fleettest.NewFleet(fleetServers, m,
+		func() (net.Conn, net.Conn) { return netem.Pipe(link) },
+		func(_ string, s *server.Server) { wireServer(s) })
 	if err != nil {
 		return out, err
 	}
-	front := netem.NewPipeListener(netem.Link{})
-	go func() { _ = bl.Serve(ctx, front) }()
+	defer f.Close()
 
 	// Fault schedule. The second kill lands after the first victim's cold
 	// restart, so its survivors must resume onto an instance that has no
 	// memory of them — the resume bitmap is the proof.
-	var unhealthyAt sync.Once
-	var unhealthyAfter time.Duration
-	var unhealthyMu sync.Mutex
-	watchUnhealthy := func(addr string, from time.Time) {
+	victim, second, drained := f.Backends[1], f.Backends[0], f.Backends[2]
+	unhealthy := make(chan time.Duration, 1) // at most one send
+	watchUnhealthy := func(from time.Time) {
 		for time.Since(from) < 5*time.Second {
-			for _, st := range bl.Status() {
-				if st.Addr == addr && !st.Healthy {
-					unhealthyAt.Do(func() {
-						unhealthyMu.Lock()
-						unhealthyAfter = time.Since(from)
-						unhealthyMu.Unlock()
-					})
+			for _, st := range f.Balancer.Status() {
+				if st.Addr == victim.Addr && !st.Healthy {
+					unhealthy <- time.Since(from)
 					return
 				}
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	victim := order[1%len(order)]
-	second := order[0]
-	drained := order[2%len(order)]
 	timers := []*time.Timer{
-		time.AfterFunc(p.KillAt, func() {
+		time.AfterFunc(fleetKillAt, func() {
 			start := time.Now()
-			victim.kill()
-			go watchUnhealthy(victim.addr, start)
+			victim.Kill()
+			watchUnhealthy(start)
 		}),
-		time.AfterFunc(p.DrainAt, drained.drain),
-		time.AfterFunc(p.RestartAt, victim.restart),
-		time.AfterFunc(p.Kill2At, second.kill),
-		time.AfterFunc(p.Kill2At+500*time.Millisecond, second.restart),
+		time.AfterFunc(fleetDrainAt, drained.Drain),
+		time.AfterFunc(fleetRestartAt, victim.Restart),
+		time.AfterFunc(fleetKill2At, second.Kill),
+		time.AfterFunc(fleetRestart2At, second.Restart),
 	}
 	defer func() {
 		for _, t := range timers {
@@ -321,62 +115,21 @@ func extFleetChaos(_ *Env, w io.Writer, p FleetChaosParams) (FleetChaosOutcome, 
 		}
 	}()
 
-	// The client fleet: even indexes stream through the balancer, odd
-	// indexes use static multi-address failover, each starting its
-	// rotation at a different member for spread.
-	type result struct {
-		met *player.Metrics
-		err error
+	mets, err := playFleet(f, fleetClients, "fleet-user", seed, 12,
+		func(dial client.DialFunc, head *trace.HeadTrace, rp client.ReconnectPolicy) (*player.Metrics, error) {
+			return client.PlayResilient(dial, "fleet", head, core.NewDefault(), client.PlayOptions{Reconnect: rp})
+		})
+	if err != nil {
+		return out, err
 	}
-	results := make([]result, p.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < p.Clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var dial client.DialFunc
-			if i%2 == 0 {
-				dial = front.Dial
-			} else {
-				addrs := make([]string, p.Servers)
-				for j := range addrs {
-					addrs[j] = order[(i+j)%p.Servers].addr
-				}
-				md := &client.MultiDialer{
-					Addrs:    addrs,
-					Backoff:  20 * time.Millisecond,
-					DialAddr: func(addr string, _ time.Duration) (net.Conn, error) { return rigDial(addr, 0) },
-				}
-				dial = md.Dial
-			}
-			head := trace.GenerateHead(trace.HeadGenParams{
-				UserID: fmt.Sprintf("fleet-user-%d", i), Class: trace.MotionLow,
-				Duration: videoDur + time.Second, Seed: p.Seed + int64(i),
-			})
-			met, err := client.PlayResilient(dial, "fleet", head, core.NewDefault(), client.PlayOptions{
-				Reconnect: client.ReconnectPolicy{
-					MaxAttempts:  12,
-					BaseDelay:    20 * time.Millisecond,
-					MaxDelay:     200 * time.Millisecond,
-					ReadTimeout:  400 * time.Millisecond,
-					WriteTimeout: 250 * time.Millisecond,
-					Seed:         p.Seed + int64(i),
-				},
-			})
-			results[i] = result{met, err}
-		}(i)
-	}
-	wg.Wait()
 
 	// The restarted victims must be routable again.
 	recoverDeadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(recoverDeadline) && !out.Recovered {
 		healthy := 0
-		for _, st := range bl.Status() {
-			if st.Addr == victim.addr || st.Addr == second.addr {
-				if st.Healthy {
-					healthy++
-				}
+		for _, st := range f.Balancer.Status() {
+			if (st.Addr == victim.Addr || st.Addr == second.Addr) && st.Healthy {
+				healthy++
 			}
 		}
 		out.Recovered = healthy == 2
@@ -384,47 +137,29 @@ func extFleetChaos(_ *Env, w io.Writer, p FleetChaosParams) (FleetChaosOutcome, 
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	cancel()
+	select {
+	case out.UnhealthyAfter = <-unhealthy:
+	default: // never detected: UnhealthyAfter stays 0
+	}
+	f.Close() // quiesce the fleet before reading its totals
 
-	for i, r := range results {
-		if r.err != nil {
-			return out, fmt.Errorf("client %d: %w", i, r.err)
-		}
-		if r.met.TotalFrames == m.NumFrames() && !r.met.Truncated {
+	for _, met := range mets {
+		if met.TotalFrames == m.NumFrames() && !met.Truncated {
 			out.Completed++
 		}
-		out.CorruptTiles += r.met.CorruptTiles
-		out.RebufferTotal += r.met.RebufferDuration
-		out.Disconnects += int64(r.met.Disconnects)
-		out.BusyRetries += r.met.BusyRejects
+		out.CorruptTiles += met.CorruptTiles
+		out.RebufferTotal += met.RebufferDuration
+		out.Disconnects += int64(met.Disconnects)
+		out.BusyRetries += met.BusyRejects
 	}
-	for _, b := range order {
-		t, n := b.totals()
-		out.Instances += n
-		out.Totals.PrimarySent += t.PrimarySent
-		out.Totals.MaskTileSent += t.MaskTileSent
-		out.Totals.MaskFullSent += t.MaskFullSent
-		out.Totals.BytesSent += t.BytesSent
-		out.Totals.Resumes += t.Resumes
-		out.Totals.ResumedItems += t.ResumedItems
-		out.Totals.CorruptFrames += t.CorruptFrames
-		out.Totals.RejectedConns += t.RejectedConns
-		out.Totals.Probes += t.Probes
-	}
-	budget := int64(p.Clients) * int64(m.NumChunks*m.NumTiles())
-	out.ExcessPrimary = out.Totals.PrimarySent - budget
-	if out.ExcessPrimary < 0 {
-		out.ExcessPrimary = 0
-	}
-	unhealthyMu.Lock()
-	out.UnhealthyAfter = unhealthyAfter
-	unhealthyMu.Unlock()
-	out.Routed = lbReg.Counter("lb_routed").Value()
+	out.Totals, out.Instances = f.Totals()
+	out.ExcessPrimary = excessPrimary(out.Totals, fleetClients, m)
+	out.Routed = f.LB.Counter("lb_routed").Value()
 
 	fprintf(w, "== Extension: fleet-chaos (balancer + kill/restart/drain across a fleet) ==\n")
-	fprintf(w, "%d servers, %d clients (half via balancer, half static multi-address);\n", p.Servers, p.Clients)
+	fprintf(w, "%d servers, %d clients (half via balancer, half static multi-address);\n", fleetServers, fleetClients)
 	fprintf(w, "kill@%s drain@%s restart@%s kill2@%s.\n\n",
-		p.KillAt, p.DrainAt, p.RestartAt, p.Kill2At)
+		fleetKillAt, fleetDrainAt, fleetRestartAt, fleetKill2At)
 	fprintf(w, "%-26s %10s\n", "metric", "value")
 	fprintf(w, "%-26s %10d\n", "sessions completed", out.Completed)
 	fprintf(w, "%-26s %10d\n", "server instances", out.Instances)

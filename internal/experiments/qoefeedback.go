@@ -17,23 +17,18 @@ import (
 
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
+	"dragonfly/internal/fleettest"
 	"dragonfly/internal/ingest"
 	"dragonfly/internal/netem"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
-	"dragonfly/internal/store"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
 )
 
-// QoEFeedbackParams scales the QoE feedback-loop experiment; the zero
-// value runs the acceptance configuration.
-type QoEFeedbackParams struct {
-	SessionsPerCohort int // sessions per cohort per phase (default 3)
-	Chunks            int // video length in chunks/seconds (default 3)
-	Seed              int64
-}
+// The qoe-feedback scenario: 3 sessions per cohort in each phase.
+const qoeSessionsPerCohort = 3
 
 // QoEFeedbackOutcome is the accounting of one run: Phase A proves the
 // ingest rollup's quantiles against exact per-session statistics, Phase B
@@ -59,38 +54,30 @@ type QoEFeedbackOutcome struct {
 	ServerTraceShedP50    float64
 }
 
-// qoeRig is a minimal single-instance server endpoint: every dial spawns a
-// fresh shaped pipe served by the same server (no restarts — the chaos
-// rigs cover that; here the subject is the feedback loop).
-type qoeRig struct {
-	srv  *server.Server
-	link netem.Link
-	ctx  context.Context
-}
-
-func (r *qoeRig) dial() (net.Conn, error) {
-	clientConn, serverConn := netem.Pipe(r.link)
-	go func() {
-		defer serverConn.Close()
-		_ = r.srv.HandleConnContext(r.ctx, serverConn)
-	}()
-	return clientConn, nil
+// qoeBackend is a single server endpoint on its own link with its own
+// queue byte budget, server-view trace directory and QoE source (zero, ""
+// and nil leave each off). Nothing here restarts — the chaos experiments
+// cover that; the subject is the feedback loop.
+func qoeBackend(ctx context.Context, m *video.Manifest, link netem.Link,
+	maxQueueBytes int64, traceDir string, qoe server.QoESource) *fleettest.Backend {
+	return fleettest.NewBackend(ctx, "qoe", m,
+		func() (net.Conn, net.Conn) { return netem.Pipe(link) },
+		func(s *server.Server) {
+			wireServer(s)
+			s.MaxQueueBytes = maxQueueBytes
+			s.TraceDir = traceDir
+			s.QoE = qoe
+		})
 }
 
 // qoeSession streams one traced session and returns its metrics and trace.
-func qoeSession(rig *qoeRig, videoID, cohort string, head *trace.HeadTrace, seed int64) (*player.Metrics, *obs.Trace, error) {
+func qoeSession(b *fleettest.Backend, cohort string, head *trace.HeadTrace, seed int64) (*player.Metrics, *obs.Trace, error) {
 	tr := obs.NewTrace(0)
-	met, err := client.PlayResilient(rig.dial, videoID, head, core.NewDefault(), client.PlayOptions{
-		Reconnect: client.ReconnectPolicy{
-			MaxAttempts:  4,
-			BaseDelay:    20 * time.Millisecond,
-			MaxDelay:     200 * time.Millisecond,
-			ReadTimeout:  500 * time.Millisecond,
-			WriteTimeout: 250 * time.Millisecond,
-			Seed:         seed,
-		},
-		Trace:  tr,
-		Cohort: cohort,
+	rp := wireReconnect(4, seed)
+	rp.ReadTimeout = 500 * time.Millisecond
+	rp.WriteTimeout = 250 * time.Millisecond
+	met, err := client.PlayResilient(b.Dial, "qoe", head, core.NewDefault(), client.PlayOptions{
+		Reconnect: rp, Trace: tr, Cohort: cohort,
 	})
 	return met, tr, err
 }
@@ -106,27 +93,12 @@ func qoeSession(rig *qoeRig, videoID, cohort string, head *trace.HeadTrace, seed
 // written to a TraceDir are folded back through a directory watcher to
 // close the server half of the pipeline.
 func ExtQoEFeedback(env *Env, w io.Writer) (QoEFeedbackOutcome, error) {
-	return extQoEFeedback(env, w, QoEFeedbackParams{})
+	return extQoEFeedback(env, w, 1)
 }
 
-func extQoEFeedback(_ *Env, w io.Writer, p QoEFeedbackParams) (QoEFeedbackOutcome, error) {
-	if p.SessionsPerCohort <= 0 {
-		p.SessionsPerCohort = 3
-	}
-	if p.Chunks <= 0 {
-		p.Chunks = 3
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
+func extQoEFeedback(_ *Env, w io.Writer, seed int64) (QoEFeedbackOutcome, error) {
 	out := QoEFeedbackOutcome{OverCohort: "high:fast", UnderCohort: "low:slow"}
-
-	m := video.Generate(video.GenParams{
-		ID: "qoe", Rows: 6, Cols: 6, NumChunks: p.Chunks,
-		TargetQP42Mbps: 0.8, TargetQP22Mbps: 6, Seed: 77,
-	})
-	store.Shared(m) // pre-warm once; both phases' servers serve from it
-	videoDur := time.Duration(p.Chunks) * time.Second
+	m := wireManifest("qoe") // both phases' servers serve from the one warm store
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -143,20 +115,20 @@ func extQoEFeedback(_ *Env, w io.Writer, p QoEFeedbackParams) (QoEFeedbackOutcom
 	ingURL := "http://" + ingAddr.String()
 	// Traces travel through the hardened pusher, not a bare POST: the
 	// same bounded-retry path production producers use.
-	pusher := ingest.NewPusher(ingest.PushConfig{URL: ingURL + "/ingest", Seed: p.Seed, Obs: ingReg})
+	pusher := ingest.NewPusher(ingest.PushConfig{URL: ingURL + "/ingest", Seed: seed, Obs: ingReg})
 
 	// ---- Phase A: trace firehose in, rollup quantiles out. -------------
 	// One cohort streams over a fast link, the other over a starved one,
 	// so their viewport-quality distributions separate; every session's
 	// trace is pushed over HTTP, and the rollup must reproduce the exact
 	// pooled percentiles within the documented envelope.
-	fast := &qoeRig{srv: phaseServer(m, 0, ""), ctx: ctx,
-		link: netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}}}
-	slow := &qoeRig{srv: phaseServer(m, 0, ""), ctx: ctx,
-		link: netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{1.5}}}}
+	fast := qoeBackend(ctx, m, constLink(20), 0, "", nil)
+	defer fast.Kill()
+	slow := qoeBackend(ctx, m, constLink(1.5), 0, "", nil)
+	defer slow.Kill()
 
 	type cohortRun struct {
-		rig    *qoeRig
+		rig    *fleettest.Backend
 		cohort string
 		class  trace.MotionClass
 	}
@@ -164,49 +136,53 @@ func extQoEFeedback(_ *Env, w io.Writer, p QoEFeedbackParams) (QoEFeedbackOutcom
 		{fast, out.OverCohort, trace.MotionHigh},
 		{slow, out.UnderCohort, trace.MotionLow},
 	}
+	// playCohorts streams qoeSessionsPerCohort concurrent sessions per run
+	// and returns the first failure.
+	playCohorts := func(runs []cohortRun, session func(r cohortRun, i int) error) error {
+		errs := make([]error, len(runs)*qoeSessionsPerCohort)
+		var wg sync.WaitGroup
+		for j := range errs {
+			wg.Add(1)
+			go func(j int) {
+				defer wg.Done()
+				errs[j] = session(runs[j/qoeSessionsPerCohort], j%qoeSessionsPerCohort)
+			}(j)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	exact := map[string][]float64{}
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errc := make(chan error, 2*p.SessionsPerCohort)
-	for _, r := range runs {
-		for i := 0; i < p.SessionsPerCohort; i++ {
-			wg.Add(1)
-			go func(r cohortRun, i int) {
-				defer wg.Done()
-				head := trace.GenerateHead(trace.HeadGenParams{
-					UserID: fmt.Sprintf("qoe-%s-%d", r.cohort, i), Class: r.class,
-					Duration: videoDur + time.Second, Seed: p.Seed + int64(i),
-				})
-				met, tr, err := qoeSession(r.rig, "qoe", r.cohort, head, p.Seed+int64(i))
-				if err != nil {
-					errc <- fmt.Errorf("%s session %d: %w", r.cohort, i, err)
-					return
-				}
-				var buf bytes.Buffer
-				if err := tr.WriteJSONL(&buf); err != nil {
-					errc <- err
-					return
-				}
-				if err := pusher.Push(ctx, buf.Bytes()); err != nil {
-					errc <- fmt.Errorf("push trace: %w", err)
-					return
-				}
-				// The exact per-session statistic the rollup approximates:
-				// the wire carries centi-dB (score truncated to 0.01 dB), so
-				// pool the same rounding the trace saw.
-				mu.Lock()
-				for _, s := range met.FrameScore {
-					exact[r.cohort] = append(exact[r.cohort], float64(int64(s*100))/100)
-				}
-				mu.Unlock()
-			}(r, i)
+	err = playCohorts(runs, func(r cohortRun, i int) error {
+		head := wireHead(fmt.Sprintf("qoe-%s-%d", r.cohort, i), r.class, seed+int64(i))
+		met, tr, err := qoeSession(r.rig, r.cohort, head, seed+int64(i))
+		if err != nil {
+			return fmt.Errorf("%s session %d: %w", r.cohort, i, err)
 		}
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			return err
+		}
+		if err := pusher.Push(ctx, buf.Bytes()); err != nil {
+			return fmt.Errorf("push trace: %w", err)
+		}
+		// The exact per-session statistic the rollup approximates: the
+		// wire carries centi-dB (score truncated to 0.01 dB), so pool the
+		// same rounding the trace saw.
+		mu.Lock()
+		defer mu.Unlock()
+		for _, s := range met.FrameScore {
+			exact[r.cohort] = append(exact[r.cohort], float64(int64(s*100))/100)
+		}
+		return nil
+	})
+	if err != nil {
 		return out, err
-	default:
 	}
 
 	ru, err := fetchRollup(ingURL)
@@ -273,42 +249,35 @@ func extQoEFeedback(_ *Env, w io.Writer, p QoEFeedbackParams) (QoEFeedbackOutcom
 	// A byte budget well under one chunk's fetch list, so the shedder is
 	// active at neutral scale and the cohort scales visibly modulate it.
 	const phaseBBudget = 192 << 10
-	link := netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{6}}}
-	overRig := &qoeRig{srv: phaseServer(m, phaseBBudget, filepath.Join(traceRoot, "over")), ctx: ctx, link: link}
-	underRig := &qoeRig{srv: phaseServer(m, phaseBBudget, filepath.Join(traceRoot, "under")), ctx: ctx, link: link}
-	overRig.srv.QoE = fb
-	underRig.srv.QoE = fb
+	overDir, underDir := filepath.Join(traceRoot, "over"), filepath.Join(traceRoot, "under")
+	overRig := qoeBackend(ctx, m, constLink(6), phaseBBudget, overDir, fb)
+	defer overRig.Kill()
+	underRig := qoeBackend(ctx, m, constLink(6), phaseBBudget, underDir, fb)
+	defer underRig.Kill()
 
 	phaseB := []cohortRun{
 		{overRig, out.OverCohort, trace.MotionMedium},
 		{underRig, out.UnderCohort, trace.MotionMedium},
 	}
-	for _, r := range phaseB {
-		for i := 0; i < p.SessionsPerCohort; i++ {
-			wg.Add(1)
-			go func(r cohortRun, i int) {
-				defer wg.Done()
-				// Identical workloads: same head trace and seed per index,
-				// only the cohort label differs.
-				head := trace.GenerateHead(trace.HeadGenParams{
-					UserID: fmt.Sprintf("qoe-b-%d", i), Class: r.class,
-					Duration: videoDur + time.Second, Seed: p.Seed + 100 + int64(i),
-				})
-				if _, _, err := qoeSession(r.rig, "qoe", r.cohort, head, p.Seed+100+int64(i)); err != nil {
-					errc <- fmt.Errorf("phase B %s session %d: %w", r.cohort, i, err)
-				}
-			}(r, i)
+	err = playCohorts(phaseB, func(r cohortRun, i int) error {
+		// Identical workloads: same head trace and seed per index, only
+		// the cohort label differs.
+		head := wireHead(fmt.Sprintf("qoe-b-%d", i), r.class, seed+100+int64(i))
+		if _, _, err := qoeSession(r.rig, r.cohort, head, seed+100+int64(i)); err != nil {
+			return fmt.Errorf("phase B %s session %d: %w", r.cohort, i, err)
 		}
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
+		return nil
+	})
+	if err != nil {
 		return out, err
-	default:
 	}
 
-	overC := overRig.srv.Counters()
-	underC := underRig.srv.Counters()
+	// Kill waits for every session handler, so the server-view traces
+	// are on disk before the scan below.
+	overRig.Kill()
+	underRig.Kill()
+	overC, _ := overRig.Totals()
+	underC, _ := underRig.Totals()
 	out.OverShed = overC.ShedBytes
 	out.UnderShed = underC.ShedBytes
 	out.OverScaledInstalls = overC.QoEScaledInstalls
@@ -317,7 +286,7 @@ func extQoEFeedback(_ *Env, w io.Writer, p QoEFeedbackParams) (QoEFeedbackOutcom
 	// Fold the server-view traces back through the watch path: the same
 	// files a production ingest tier would tail with -watch.
 	srvAgg := ingest.New(ingest.Config{})
-	for _, dir := range []string{filepath.Join(traceRoot, "over"), filepath.Join(traceRoot, "under")} {
+	for _, dir := range []string{overDir, underDir} {
 		if err := ingest.NewWatcher(srvAgg, dir, time.Hour).Scan(); err != nil {
 			return out, fmt.Errorf("watch %s: %w", dir, err)
 		}
@@ -332,7 +301,7 @@ func extQoEFeedback(_ *Env, w io.Writer, p QoEFeedbackParams) (QoEFeedbackOutcom
 	}
 
 	fprintf(w, "== Extension: qoe-feedback (trace ingest -> cohort rollup -> shed-budget loop) ==\n")
-	fprintf(w, "%d sessions/cohort/phase, %d-chunk video; ingest at %s.\n\n", p.SessionsPerCohort, p.Chunks, ingURL)
+	fprintf(w, "%d sessions/cohort/phase, %d-chunk video; ingest at %s.\n\n", qoeSessionsPerCohort, wireChunks, ingURL)
 	fprintf(w, "%-30s %14s\n", "metric", "value")
 	fprintf(w, "%-30s %14d\n", "quality samples folded", out.QualitySamples)
 	fprintf(w, "%-30s %11.3f dB\n", "rollup quantile envelope", out.EnvelopeDB)
@@ -368,17 +337,6 @@ func nearestRank(samples []float64, p float64) float64 {
 		rank = len(s)
 	}
 	return s[rank-1]
-}
-
-// phaseServer builds one experiment server: tight budgets come from the
-// caller; traceDir empty disables server-view tracing.
-func phaseServer(m *video.Manifest, maxQueueBytes int64, traceDir string) *server.Server {
-	s := server.New(m)
-	s.Heartbeat = 100 * time.Millisecond
-	s.WriteTimeout = 250 * time.Millisecond
-	s.MaxQueueBytes = maxQueueBytes
-	s.TraceDir = traceDir
-	return s
 }
 
 func fetchRollup(baseURL string) (ingest.Rollup, error) {

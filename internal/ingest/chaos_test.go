@@ -490,3 +490,44 @@ func TestIngestTeardownNoLeak(t *testing.T) {
 		t.Errorf("soak never hit ingest.watch.read")
 	}
 }
+
+// TestRetryDelaysPinned pins the pusher's backoff for attempts 0–8 and
+// nine consecutive feedback retry delays to the values the hand-written
+// loop and the two inline ±50 % spreads produced before they moved onto
+// retry.Exp / retry.Jitter (recorded at PR 19's commit, same seeds).
+func TestRetryDelaysPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  PushConfig
+		want [9]int64
+	}{
+		{"defaults (100 ms → 2 s, seed 1)", PushConfig{URL: "x"},
+			[9]int64{110466028, 144050908, 232912010, 375085674, 739709997, 1898916916, 1131274038, 1313038509, 1193939037}},
+		{"20 ms → 200 ms, seed 11", PushConfig{URL: "x", BaseDelay: 20 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Seed: 11},
+			[9]int64{11829549, 26098590, 52638836, 85477451, 187980201, 122813799, 256959428, 283761414, 195617527}},
+	} {
+		p := NewPusher(c.cfg)
+		for attempt, want := range c.want {
+			if got := p.backoff(attempt); int64(got) != want {
+				t.Errorf("Pusher %s: backoff(%d) = %d ns, want %d", c.name, attempt, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		cfg  FeedbackConfig
+		want [9]int64
+	}{
+		{"defaults (250 ms, seed 1)", FeedbackConfig{URL: "x", TargetDB: 40},
+			[9]int64{370462090, 236035498, 170599774, 220995416, 322102496, 267570151, 197441206, 323816317, 240426451}},
+		{"150 ms interval (18.75 ms), seed 11", FeedbackConfig{URL: "x", TargetDB: 40, Interval: 150 * time.Millisecond, Seed: 11},
+			[9]int64{20442676, 16715210, 15613745, 20529014, 16945586, 25587758, 22494060, 22062861, 10509219}},
+	} {
+		f := NewFeedback(c.cfg)
+		for draw, want := range c.want {
+			if got := f.retryDelay(); int64(got) != want {
+				t.Errorf("Feedback %s: retryDelay draw %d = %d ns, want %d", c.name, draw, got, want)
+			}
+		}
+	}
+}

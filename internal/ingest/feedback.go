@@ -13,6 +13,7 @@ import (
 
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/obs"
+	"dragonfly/internal/retry"
 )
 
 // ingest.feedback.poll fails one rollup fetch attempt on the server's
@@ -197,8 +198,7 @@ func (f *Feedback) retryDelay() time.Duration {
 	f.rngMu.Lock()
 	j := f.rng.Float64()
 	f.rngMu.Unlock()
-	d := f.cfg.RetryDelay
-	return d/2 + time.Duration(j*float64(d))
+	return retry.Jitter(f.cfg.RetryDelay, j)
 }
 
 // pollOnce performs one fetch + apply.

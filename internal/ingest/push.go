@@ -13,6 +13,7 @@ import (
 
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/obs"
+	"dragonfly/internal/retry"
 )
 
 // ingest.push fails one POST /ingest attempt on the pusher's side — the
@@ -96,17 +97,10 @@ func NewPusher(cfg PushConfig) *Pusher {
 
 // backoff computes the jittered delay before retry attempt (1-based).
 func (p *Pusher) backoff(attempt int) time.Duration {
-	d := p.cfg.BaseDelay
-	for i := 1; i < attempt && d < p.cfg.MaxDelay; i++ {
-		d *= 2
-	}
-	if d > p.cfg.MaxDelay {
-		d = p.cfg.MaxDelay
-	}
 	p.mu.Lock()
 	j := p.rng.Float64()
 	p.mu.Unlock()
-	return d/2 + time.Duration(j*float64(d))
+	return retry.Jitter(retry.Exp(p.cfg.BaseDelay, p.cfg.MaxDelay, attempt-1), j)
 }
 
 // permanentStatus reports a response the retry loop must not repeat: the

@@ -205,6 +205,26 @@ type Counters struct {
 	WriteStallKills int64
 }
 
+// Add folds another snapshot into c, field by field: the one sum every
+// total across server instances (a restarted process, a fleet) goes
+// through, so no caller can forget a field.
+func (c *Counters) Add(o Counters) {
+	c.PrimarySent += o.PrimarySent
+	c.MaskTileSent += o.MaskTileSent
+	c.MaskFullSent += o.MaskFullSent
+	c.BytesSent += o.BytesSent
+	c.Pings += o.Pings
+	c.Resumes += o.Resumes
+	c.ResumedItems += o.ResumedItems
+	c.ShedItems += o.ShedItems
+	c.ShedBytes += o.ShedBytes
+	c.CorruptFrames += o.CorruptFrames
+	c.RejectedConns += o.RejectedConns
+	c.Probes += o.Probes
+	c.QoEScaledInstalls += o.QoEScaledInstalls
+	c.WriteStallKills += o.WriteStallKills
+}
+
 // Counters returns a snapshot of the server's send accounting.
 func (s *Server) Counters() Counters {
 	return Counters{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -918,5 +919,28 @@ func TestHandleConnCorruptFrameCounted(t *testing.T) {
 	<-done
 	if ctr := s.Counters(); ctr.CorruptFrames != 1 {
 		t.Fatalf("CorruptFrames = %d, want 1", ctr.CorruptFrames)
+	}
+}
+
+// TestCountersAddCoversEveryField fills every field of Counters with a
+// distinct value and checks Add doubles each one, by reflection: a counter
+// added to the struct later and forgotten in Add (the way six hand-written
+// cross-instance sums each forgot different fields) fails here.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("Counters.%s is %s; Add and this test assume int64 fields", v.Type().Field(i).Name, v.Field(i).Kind())
+		}
+		v.Field(i).SetInt(int64(100 + i))
+	}
+	sum := c
+	sum.Add(c)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Int(), int64(2*(100+i)); got != want {
+			t.Errorf("after Add, Counters.%s = %d, want %d", sv.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -67,8 +67,10 @@ done
 # run that holds the seeded system gates — TestChaosSoak (every failpoint
 # site armed over the fleet + ingest stack), TestFleetChaos (balancer +
 # kill/cold-restart/drain, zero duplicate primary sends), TestQoEFeedback
-# (ingest -> rollup -> shed-budget loop) in internal/experiments, and the
-# popsim determinism trio (TestWorkerCountInvariance, TestShardEquivalence,
+# (ingest -> rollup -> shed-budget loop), TestExtChaos (corruption + cold
+# restart + admission probe on one session) in internal/experiments, all
+# four on the internal/fleettest rig, and the popsim determinism trio
+# (TestWorkerCountInvariance, TestShardEquivalence,
 # TestShardSubprocessEquivalence): the run passes no -short, so none of them
 # is skipped, and none is run a second time below.
 go test -race -count=1 -timeout 600s ./...
