@@ -35,10 +35,7 @@ func main() {
 	flag.Parse()
 
 	reg := obs.NewRegistry()
-	cfg := ingest.DefaultConfig()
-	cfg.Obs = reg
-	cfg.Logf = log.Printf
-	agg := ingest.New(cfg)
+	agg := ingest.New(ingest.Config{Obs: reg, Logf: log.Printf})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

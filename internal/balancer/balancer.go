@@ -122,9 +122,6 @@ type Config struct {
 	// Dial overrides backend dialing (tests and in-memory rigs); nil
 	// dials TCP.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// FetchMetrics overrides the admin scrape; nil issues an HTTP GET to
-	// http://<AdminAddr>/metrics.
-	FetchMetrics func(adminAddr string) (obs.Snapshot, error)
 }
 
 // Balancer is the front tier. Create with New, then Serve.
@@ -357,10 +354,8 @@ func (bl *Balancer) exchangeProbe(b *backend) error {
 	}
 }
 
+// fetchMetrics scrapes http://<adminAddr>/metrics.
 func (bl *Balancer) fetchMetrics(adminAddr string) (obs.Snapshot, error) {
-	if bl.cfg.FetchMetrics != nil {
-		return bl.cfg.FetchMetrics(adminAddr)
-	}
 	var snap obs.Snapshot
 	httpc := http.Client{Timeout: bl.cfg.ProbeTimeout}
 	resp, err := httpc.Get("http://" + adminAddr + "/metrics")

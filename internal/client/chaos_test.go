@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -36,7 +37,7 @@ func faultDialer(srv *server.Server, fl *netem.FaultLink) DialFunc {
 		clientConn, serverConn := fl.Pipe()
 		go func() {
 			defer serverConn.Close()
-			_ = srv.HandleConn(serverConn)
+			_ = srv.HandleConnContext(context.Background(), serverConn)
 		}()
 		return clientConn, nil
 	}

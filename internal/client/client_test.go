@@ -35,7 +35,7 @@ func servePipe(t *testing.T, m *video.Manifest, link netem.Link) net.Conn {
 	srv := server.New(m)
 	go func() {
 		defer serverConn.Close()
-		_ = srv.HandleConn(serverConn)
+		_ = srv.HandleConnContext(context.Background(), serverConn)
 	}()
 	t.Cleanup(func() { clientConn.Close() })
 	return clientConn
@@ -193,7 +193,7 @@ func TestServerRedundancySuppression(t *testing.T) {
 	srv := server.New(m)
 	go func() {
 		defer serverConn.Close()
-		_ = srv.HandleConn(serverConn)
+		_ = srv.HandleConnContext(context.Background(), serverConn)
 	}()
 	defer clientConn.Close()
 

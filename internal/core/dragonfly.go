@@ -52,14 +52,8 @@ func New(opts Options) *Dragonfly {
 		d.RoIs = opts.RoIs
 	}
 	d.Masking = opts.Masking
-	if opts.TiledMaskFallbackDeg != 0 {
-		d.TiledMaskFallbackDeg = opts.TiledMaskFallbackDeg
-	}
-	if opts.FrameStep != 0 {
-		d.FrameStep = opts.FrameStep
-	}
-	if opts.MaxCandidates != 0 {
-		d.MaxCandidates = opts.MaxCandidates
+	if opts.frameStep > 0 {
+		d.frameStep = opts.frameStep
 	}
 	d.MaskScheduled = opts.MaskScheduled
 	d.ExactGeometry = opts.ExactGeometry
@@ -249,7 +243,7 @@ func (d *Dragonfly) appendMasking(ctx *player.Context, items []player.RequestIte
 	tiles := m.NumTiles()
 	plan.resetSet(firstChunk, lastChunk-firstChunk+1, tiles)
 	for c := firstChunk; c <= lastChunk; c++ {
-		disp := d.opts.TiledMaskFallbackDeg
+		disp := tiledMaskFallbackDeg
 		if c < len(m.MaskDisplacement) && m.MaskDisplacement[c] > 0 {
 			disp = m.MaskDisplacement[c]
 		}

@@ -39,10 +39,7 @@ func (d *Dragonfly) appendMaskingScheduled(ctx *player.Context, items []player.R
 	// Coarser frame sampling than the primary window: the masking stream's
 	// look-ahead is 3x longer and its tiles are small, so precision matters
 	// less than cost here.
-	step := d.opts.FrameStep * 3
-	if step < 3 {
-		step = 3
-	}
+	step := d.opts.frameStep * 3
 	nSamples := w.prep(ctx, d.opts, &d.tabs, wFrames, step)
 
 	// Candidate masking tiles: per chunk in the window, tiles within the
@@ -63,7 +60,7 @@ func (d *Dragonfly) appendMaskingScheduled(ctx *player.Context, items []player.R
 	}
 	w.slab = w.slab[:0]
 	for chunk := firstChunk; chunk <= lastChunk; chunk++ {
-		disp := d.opts.TiledMaskFallbackDeg
+		disp := tiledMaskFallbackDeg
 		if chunk < len(m.MaskDisplacement) && m.MaskDisplacement[chunk] > 0 {
 			disp = m.MaskDisplacement[chunk]
 		}
@@ -100,8 +97,8 @@ func (d *Dragonfly) appendMaskingScheduled(ctx *player.Context, items []player.R
 		}
 	}
 	w.sortCands()
-	if d.opts.MaxCandidates > 0 && len(w.cands) > d.opts.MaxCandidates {
-		w.cands = w.cands[:d.opts.MaxCandidates]
+	if len(w.cands) > maxCandidates {
+		w.cands = w.cands[:maxCandidates]
 	}
 
 	// One quality level: the scheduler's rounds reduce to ordering and

@@ -74,19 +74,16 @@ type Options struct {
 	// Masking selects the masking-stream strategy.
 	Masking MaskingStrategy
 
-	// TiledMaskFallbackDeg is the displacement bound used by MaskTiled when
-	// the manifest carries no per-chunk displacement.
-	TiledMaskFallbackDeg float64
-
 	// MaskScheduled applies the §3.1 utility scheduler to the tiled masking
 	// stream itself (the first §3.2 future-work optimization): masking
 	// fetches are ordered — and skipped — by utility instead of plain chunk
 	// order. Only meaningful with Masking == MaskTiled.
 	MaskScheduled bool
 
-	// FrameStep subsamples window frames when computing location scores
-	// (1 = every frame). Larger steps trade fidelity for speed.
-	FrameStep int
+	// frameStep subsamples window frames when computing location scores
+	// (1 = every frame; the default is 2). Larger steps trade fidelity for
+	// speed; only this package's tests set it.
+	frameStep int
 
 	// ExactGeometry disables the precomputed overlap tables and re-samples
 	// the sphere on every overlap query (the pre-table behavior). The
@@ -94,9 +91,6 @@ type Options struct {
 	// geom.TableParams); set this for bit-exact location scores at a
 	// significant per-decision cost.
 	ExactGeometry bool
-
-	// MaxCandidates bounds the per-decision candidate set for safety.
-	MaxCandidates int
 
 	// Name overrides the reported scheme name (for ablation variants).
 	Name string
@@ -107,18 +101,24 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+const (
+	// tiledMaskFallbackDeg is the displacement bound MaskTiled uses when the
+	// manifest carries no per-chunk displacement.
+	tiledMaskFallbackDeg = 40.0
+	// maxCandidates bounds the per-decision candidate set for safety.
+	maxCandidates = 220
+)
+
 // DefaultOptions returns the paper's evaluation configuration.
 func DefaultOptions() Options {
 	return Options{
-		Metric:               quality.PSNR,
-		PrimaryLookahead:     time.Second,
-		MaskingLookahead:     3 * time.Second,
-		DecisionInterval:     100 * time.Millisecond,
-		RoIs:                 geom.DefaultRoIs,
-		Masking:              MaskFull360,
-		TiledMaskFallbackDeg: 40,
-		FrameStep:            2,
-		MaxCandidates:        220,
+		Metric:           quality.PSNR,
+		PrimaryLookahead: time.Second,
+		MaskingLookahead: 3 * time.Second,
+		DecisionInterval: 100 * time.Millisecond,
+		RoIs:             geom.DefaultRoIs,
+		Masking:          MaskFull360,
+		frameStep:        2,
 	}
 }
 

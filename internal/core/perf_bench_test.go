@@ -33,11 +33,11 @@ func (p *decideProbe) Decide(ctx *player.Context) []player.RequestItem {
 // four chunks: most of each candidate's frames lie outside its chunk).
 func BenchmarkScoreSlab(b *testing.B) {
 	b.Run("primary", func(b *testing.B) {
-		benchScoreSlab(b, Options{}, func(d *Dragonfly) (*window, int) { return &d.w, d.opts.FrameStep })
+		benchScoreSlab(b, Options{}, func(d *Dragonfly) (*window, int) { return &d.w, d.opts.frameStep })
 	})
 	b.Run("masking", func(b *testing.B) {
 		benchScoreSlab(b, Options{Masking: MaskTiled, MaskScheduled: true},
-			func(d *Dragonfly) (*window, int) { return &d.mw, 3 * d.opts.FrameStep })
+			func(d *Dragonfly) (*window, int) { return &d.mw, 3 * d.opts.frameStep })
 	})
 }
 

@@ -249,10 +249,7 @@ func (w *window) build(ctx *player.Context, o Options, plan *maskPlan, tabs *ses
 		wFrames = 1
 	}
 	lastFrame := m.NumFrames() - 1
-	step := o.FrameStep
-	if step < 1 {
-		step = 1
-	}
+	step := o.frameStep
 	nRoI := len(o.RoIs.RadiiDeg)
 	nSamples := w.prep(ctx, o, tabs, wFrames, step)
 	useTable := tabs.planes != nil
@@ -329,8 +326,8 @@ func (w *window) build(ctx *player.Context, o Options, plan *maskPlan, tabs *ses
 		}
 	}
 	w.sortCands()
-	if o.MaxCandidates > 0 && len(w.cands) > o.MaxCandidates {
-		w.cands = w.cands[:o.MaxCandidates]
+	if len(w.cands) > maxCandidates {
+		w.cands = w.cands[:maxCandidates]
 	}
 }
 

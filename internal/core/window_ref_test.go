@@ -162,9 +162,9 @@ func TestBuiltWindowsEndInZero(t *testing.T) {
 	m := testManifest()
 	for _, o := range []Options{
 		{},
-		{ExactGeometry: true, FrameStep: 3},
+		{ExactGeometry: true, frameStep: 3},
 		{Masking: MaskTiled, MaskScheduled: true},
-		{Masking: MaskNone, FrameStep: 1},
+		{Masking: MaskNone, frameStep: 1},
 	} {
 		d := New(o)
 		windows := 0

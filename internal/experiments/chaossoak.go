@@ -134,9 +134,7 @@ func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
 	// The ingest tier: one aggregator serving /ingest + /rollup, with the
 	// snapshot loop and trace watchers alongside.
 	ingReg := obs.NewRegistry()
-	icfg := ingest.DefaultConfig()
-	icfg.Obs = ingReg
-	agg := ingest.New(icfg)
+	agg := ingest.New(ingest.Config{Obs: ingReg})
 	ingAddr, _, err := agg.Serve(ctx, "127.0.0.1:0")
 	if err != nil {
 		return out, err

@@ -105,9 +105,7 @@ func extQoEFeedback(_ *Env, w io.Writer, seed int64) (QoEFeedbackOutcome, error)
 
 	// The ingest tier: one aggregator serving /ingest + /rollup.
 	ingReg := obs.NewRegistry()
-	cfg := ingest.DefaultConfig()
-	cfg.Obs = ingReg
-	agg := ingest.New(cfg)
+	agg := ingest.New(ingest.Config{Obs: ingReg})
 	ingAddr, _, err := agg.Serve(ctx, "127.0.0.1:0")
 	if err != nil {
 		return out, err

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/leaktest"
 	"dragonfly/internal/obs"
+	"dragonfly/internal/stats"
 )
 
 // Chaos tests arm the process-global failpoint registry and therefore must
@@ -39,10 +41,7 @@ func TestWatcherSurvivesReadFaults(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	var logged atomic.Int64
-	cfg := DefaultConfig()
-	cfg.Obs = reg
-	cfg.Logf = func(string, ...any) { logged.Add(1) }
-	agg := New(cfg)
+	agg := New(Config{Obs: reg, Logf: func(string, ...any) { logged.Add(1) }})
 	w := NewWatcher(agg, dir, time.Hour)
 
 	path := filepath.Join(dir, "s0.jsonl")
@@ -110,9 +109,7 @@ func TestWatcherSurvivesFileDeletedMidTail(t *testing.T) {
 func TestWatcherBoundsPartialLine(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.Obs = reg
-	agg := New(cfg)
+	agg := New(Config{Obs: reg})
 	w := NewWatcher(agg, dir, time.Hour)
 
 	path := filepath.Join(dir, "flood.jsonl")
@@ -164,14 +161,14 @@ func TestFeedbackRejectsPoisonedCohorts(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: reg})
 	if err := f.Apply(Rollup{Cohorts: map[string]CohortRollup{
-		"neg-inf":  {Sessions: 5, QualityDB: Distribution{Count: 10, P50: math.Inf(-1)}},
-		"pos-inf":  {Sessions: 5, QualityDB: Distribution{Count: 10, P50: math.Inf(1)}},
-		"nan":      {Sessions: 5, QualityDB: Distribution{Count: 10, P50: math.NaN()}},
-		"negative": {Sessions: 5, QualityDB: Distribution{Count: 10, P50: -30}},
-		"nan-p90":  {Sessions: 5, QualityDB: Distribution{Count: 10, P50: 44, P90: math.NaN()}},
-		"bad-sess": {Sessions: -1, QualityDB: Distribution{Count: 10, P50: 44}},
-		"":         {Sessions: 5, QualityDB: Distribution{Count: 10, P50: 44}},
-		"good":     {Sessions: 5, QualityDB: Distribution{Count: 10, P50: 44}},
+		"neg-inf":  {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: math.Inf(-1)}},
+		"pos-inf":  {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: math.Inf(1)}},
+		"nan":      {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: math.NaN()}},
+		"negative": {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: -30}},
+		"nan-p90":  {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 44, P90: math.NaN()}},
+		"bad-sess": {Sessions: -1, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
+		"":         {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
+		"good":     {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
 	}}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -194,7 +191,7 @@ func TestFeedbackRejectsCrossVersionRollup(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: reg})
 	if err := f.Apply(Rollup{Cohorts: map[string]CohortRollup{
-		"c": {Sessions: 5, QualityDB: Distribution{Count: 10, P50: 44}},
+		"c": {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
 	}}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -205,7 +202,7 @@ func TestFeedbackRejectsCrossVersionRollup(t *testing.T) {
 		t.Fatalf("setup Apply did not take")
 	}
 	err := f.Apply(Rollup{SchemaVersion: obs.TraceSchemaVersion + 7, Cohorts: map[string]CohortRollup{
-		"c": {Sessions: 5, QualityDB: Distribution{Count: 10, P50: 20}},
+		"c": {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 20}},
 	}})
 	if err == nil {
 		t.Fatalf("cross-version rollup accepted")
@@ -348,9 +345,7 @@ func TestPusherDropsAfterBudget(t *testing.T) {
 func TestSnapshotQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.Obs = reg
-	agg := New(cfg)
+	agg := New(Config{Obs: reg})
 	body, _ := sessionJSONL(t, "low:net", rand.New(rand.NewSource(4)), 20)
 	if _, err := agg.FoldReader(bytes.NewReader(body)); err != nil {
 		t.Fatal(err)
@@ -421,9 +416,7 @@ func TestRunSnapshotsQuarantinesOnEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.Obs = reg
-	agg := New(cfg)
+	agg := New(Config{Obs: reg})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // entry work + final write only
 	agg.RunSnapshots(ctx, dir, time.Hour)
@@ -443,9 +436,7 @@ func TestIngestTeardownNoLeak(t *testing.T) {
 
 	dir := t.TempDir()
 	snapDir := t.TempDir()
-	cfg := DefaultConfig()
-	cfg.Obs = obs.NewRegistry()
-	agg := New(cfg)
+	agg := New(Config{Obs: obs.NewRegistry()})
 	if err := os.WriteFile(filepath.Join(dir, "s.jsonl"),
 		[]byte(`{"v":1,"t_ms":0,"ev":"session","cohort":"a:b"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -466,7 +457,7 @@ func TestIngestTeardownNoLeak(t *testing.T) {
 	f := NewFeedback(FeedbackConfig{
 		URL: "http://" + addr.String() + "/rollup", TargetDB: 40,
 		Interval: 10 * time.Millisecond, RetryDelay: time.Millisecond,
-		Obs: cfg.Obs,
+		Obs: agg.cfg.Obs,
 	})
 	finished := make(chan struct{})
 	go func() { w.Run(ctx); finished <- struct{}{} }()
@@ -530,4 +521,59 @@ func TestRetryDelaysPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzApplyRollup feeds the feedback poll's path — the /rollup body through
+// json.Unmarshal, then Apply — bytes no aggregator of ours produced. It must
+// not panic; a refused document leaves the scales in force as they were; an
+// accepted one yields only scales inside [minScale, maxScale], for at most
+// maxFeedbackCohorts cohorts, none of them from a cohort entry Apply says it
+// rejects.
+func FuzzApplyRollup(f *testing.F) {
+	agg := New(Config{})
+	body, _ := sessionJSONL(f, "low:net", rand.New(rand.NewSource(5)), 6)
+	if _, err := agg.FoldReader(bytes.NewReader(body)); err != nil {
+		f.Fatal(err)
+	}
+	good, err := json.Marshal(agg.Rollup())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(bytes.Replace(good, []byte(`"schema_version":1`), []byte(`"schema_version":2`), 1))
+	f.Add(bytes.Replace(good, []byte(`"p50":`), []byte(`"p50":-`), 1))
+	f.Add([]byte(`{"cohorts":{"":{"sessions":3,"quality_db":{"count":1,"p50":44}},"a":{"sessions":-1},"b":{"sessions":9,"quality_db":{"count":7,"p50":1e308,"p99":-0.0}}}}`))
+	f.Add([]byte(`{"cohorts":null,"schema_version":-1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ru Rollup
+		if json.Unmarshal(data, &ru) != nil {
+			return // pollOnce stops here, before Apply
+		}
+		fb := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: obs.NewRegistry()})
+		prior := Rollup{Cohorts: map[string]CohortRollup{
+			"prior": {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
+		}}
+		if err := fb.Apply(prior); err != nil {
+			t.Fatal(err)
+		}
+		want := fb.CohortScale("prior")
+		if err := fb.Apply(ru); err != nil {
+			if got := fb.CohortScale("prior"); got != want || len(fb.scales) != 1 {
+				t.Fatalf("refused (%v), but the scales changed: prior %v -> %v, %d cohorts", err, want, got, len(fb.scales))
+			}
+			return
+		}
+		if len(fb.scales) > maxFeedbackCohorts {
+			t.Fatalf("%d live scales, cap %d", len(fb.scales), maxFeedbackCohorts)
+		}
+		for name, s := range fb.scales {
+			cr, ok := ru.Cohorts[name]
+			if !ok || name == "" || cr.Sessions < 1 || cr.QualityDB.Count == 0 || !finiteQuality(cr.QualityDB) {
+				t.Fatalf("cohort %q steers (scale %v) on an entry that must not: %+v", name, s, cr)
+			}
+			if !(s >= minScale && s <= maxScale) {
+				t.Fatalf("cohort %q: scale %v outside [%v, %v]", name, s, minScale, maxScale)
+			}
+		}
+	})
 }

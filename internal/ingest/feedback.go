@@ -14,6 +14,7 @@ import (
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/retry"
+	"dragonfly/internal/stats"
 )
 
 // ingest.feedback.poll fails one rollup fetch attempt on the server's
@@ -38,18 +39,6 @@ type FeedbackConfig struct {
 	// rollup median sits above it are over budget and shed harder
 	// (scale < 1), cohorts below it are relaxed (scale > 1).
 	TargetDB float64
-	// DeadbandDB around the target maps to the neutral scale (default
-	// 0.5 dB — the rollup quantile envelope at default geometry is
-	// 0.25 dB, so the deadband absorbs sketch error before acting).
-	DeadbandDB float64
-	// GainPerDB is the scale change per dB beyond the deadband (default
-	// 0.15). MinScale/MaxScale clamp the result (defaults 0.25, 2.0).
-	GainPerDB          float64
-	MinScale, MaxScale float64
-
-	// MinSessions ignores cohorts with fewer folded sessions (default 1):
-	// a single session's median is noise, not a cohort signal.
-	MinSessions int64
 
 	// MaxAttempts bounds the tries inside one Poll cycle (default 3):
 	// transient fetch failures retry with jittered backoff (RetryDelay,
@@ -64,11 +53,22 @@ type FeedbackConfig struct {
 	// is conventionally the server's own, so scale decisions land next to
 	// the srv_shed_* counters they modulate.
 	Obs *obs.Registry
-
-	// HTTPClient overrides the poller's client (tests); nil uses a
-	// 2-second-timeout default.
-	HTTPClient *http.Client
 }
+
+// The controller's shape. A median within deadbandDB of the target maps to
+// the neutral scale: the rollup quantile envelope is 0.25 dB, so the
+// deadband absorbs sketch error before acting. Beyond it the scale moves
+// gainPerDB per dB, clamped to [minScale, maxScale].
+const (
+	deadbandDB = 0.5
+	gainPerDB  = 0.15
+	minScale   = 0.25
+	maxScale   = 2.0
+)
+
+// httpClient is the poller's and the pusher's client: its timeout keeps one
+// hung attempt from eating a whole poll cycle or push deadline.
+var httpClient = &http.Client{Timeout: 2 * time.Second}
 
 func (c *FeedbackConfig) fillDefaults() {
 	if c.Interval <= 0 {
@@ -76,21 +76,6 @@ func (c *FeedbackConfig) fillDefaults() {
 	}
 	if c.MaxAge <= 0 {
 		c.MaxAge = 3 * c.Interval
-	}
-	if c.DeadbandDB <= 0 {
-		c.DeadbandDB = 0.5
-	}
-	if c.GainPerDB <= 0 {
-		c.GainPerDB = 0.15
-	}
-	if c.MinScale <= 0 {
-		c.MinScale = 0.25
-	}
-	if c.MaxScale < c.MinScale {
-		c.MaxScale = 2.0
-	}
-	if c.MinSessions <= 0 {
-		c.MinSessions = 1
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -100,9 +85,6 @@ func (c *FeedbackConfig) fillDefaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: 2 * time.Second}
 	}
 }
 
@@ -212,7 +194,7 @@ func (f *Feedback) pollOnce(ctx context.Context) error {
 		f.cPollErrs.Inc()
 		return err
 	}
-	resp, err := f.cfg.HTTPClient.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		f.cPollErrs.Inc()
 		return err
@@ -275,7 +257,7 @@ func (f *Feedback) Apply(ru Rollup) error {
 			f.cRejCohorts.Inc()
 			continue
 		}
-		if cr.Sessions < f.cfg.MinSessions || cr.QualityDB.Count == 0 {
+		if cr.Sessions < 1 || cr.QualityDB.Count == 0 {
 			continue
 		}
 		scales[name] = f.scaleFor(cr.QualityDB.P50)
@@ -290,41 +272,33 @@ func (f *Feedback) Apply(ru Rollup) error {
 }
 
 // finiteQuality reports whether a quality distribution is usable for
-// steering: every field finite, counts and quantiles non-negative. The
-// quantiles are dB-vs-reference values that are non-negative by
-// construction on the fold side; NaN, ±Inf, or a negative here means the
-// document was corrupted or forged, and acting on it would clamp the
-// cohort's scale to an extreme.
-func finiteQuality(d Distribution) bool {
+// steering: every field finite and non-negative. The quantiles are
+// dB-vs-reference values that are non-negative by construction on the fold
+// side; NaN, ±Inf, or a negative here means the document was corrupted or
+// forged, and acting on it would clamp the cohort's scale to an extreme.
+func finiteQuality(d stats.SketchSummary) bool {
 	for _, v := range [...]float64{d.Mean, d.P10, d.P25, d.P50, d.P90, d.P99} {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			return false
 		}
 	}
-	return d.Count >= 0
+	return true
 }
 
 // scaleFor maps a cohort median quality to a shed-budget scale: 1 inside
 // the deadband, shrinking linearly as the cohort runs over its quality
-// budget, growing as it runs under, clamped to [MinScale, MaxScale].
+// budget, growing as it runs under, clamped to [minScale, maxScale].
 func (f *Feedback) scaleFor(p50 float64) float64 {
 	delta := p50 - f.cfg.TargetDB
 	switch {
-	case delta > f.cfg.DeadbandDB:
-		delta -= f.cfg.DeadbandDB
-	case delta < -f.cfg.DeadbandDB:
-		delta += f.cfg.DeadbandDB
+	case delta > deadbandDB:
+		delta -= deadbandDB
+	case delta < -deadbandDB:
+		delta += deadbandDB
 	default:
 		return 1
 	}
-	s := 1 - f.cfg.GainPerDB*delta
-	if s < f.cfg.MinScale {
-		s = f.cfg.MinScale
-	}
-	if s > f.cfg.MaxScale {
-		s = f.cfg.MaxScale
-	}
-	return s
+	return min(max(1-gainPerDB*delta, minScale), maxScale)
 }
 
 // CohortScale returns the shed-budget scale for a cohort: <1 sheds harder,

@@ -25,7 +25,6 @@ package ingest
 import (
 	"bytes"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -33,24 +32,8 @@ import (
 	"dragonfly/internal/stats"
 )
 
-// Config sizes the per-cohort sketches. Every bound is a sketch range in
-// the unit of its quantity; values beyond a range clamp into the edge bin
-// (see stats.Sketch). The zero value means DefaultConfig.
+// Config wires an Aggregator to its surroundings; the zero value is usable.
 type Config struct {
-	// Viewport quality sketch, dB. The bin width (Hi-Lo)/Bins is the
-	// documented rollup quantile error envelope: 0.25 dB by default.
-	QualityLoDB, QualityHiDB float64
-	QualityBins              int
-
-	StallMaxMS   float64 // per-stall length range, ms (default 30 s, 100 ms bins)
-	StallBins    int
-	StartupMaxMS float64 // startup delay range, ms (default 30 s, 100 ms bins)
-	StartupBins  int
-	OutageMaxMS  float64 // per-outage length range, ms (default 60 s, 200 ms bins)
-	OutageBins   int
-	ShedMaxBytes float64 // per-install shed volume range, bytes (default 64 MiB)
-	ShedBins     int
-
 	// Obs, when non-nil, receives the ing_* metrics (events, sessions,
 	// rejects, cohort count) for the admin endpoint.
 	Obs *obs.Registry
@@ -62,45 +45,38 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultConfig returns the production sketch geometry.
-func DefaultConfig() Config {
-	return Config{
-		QualityLoDB: 0, QualityHiDB: 80, QualityBins: 320,
-		StallMaxMS: 30_000, StallBins: 300,
-		StartupMaxMS: 30_000, StartupBins: 300,
-		OutageMaxMS: 60_000, OutageBins: 300,
-		ShedMaxBytes: 64 << 20, ShedBins: 256,
-	}
+// Indices into metrics and cohortAgg.dist.
+const (
+	mQuality = iota // dB per rendered frame
+	mStall          // ms per stall
+	mStartup        // ms
+	mOutage         // ms per outage
+	mShed           // bytes per shedding install
+	numMetrics
+)
+
+// metrics is the per-cohort metric table: each sketch's range in the unit
+// of its quantity and its bin count. Values beyond a range clamp into the
+// edge bin (stats.Sketch). The quality bin width, (hi-lo)/bins = 0.25 dB, is
+// the documented rollup quantile error envelope. Every walk over a cohort's
+// sketches reads this table; CohortRollup.dists maps its rows to the
+// exported fields.
+var metrics = [numMetrics]struct {
+	lo, hi float64
+	bins   int
+}{
+	mQuality: {0, 80, 320},
+	mStall:   {0, 30_000, 300},
+	mStartup: {0, 30_000, 300},
+	mOutage:  {0, 60_000, 300},
+	mShed:    {0, 64 << 20, 256},
 }
 
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.QualityHiDB <= c.QualityLoDB || c.QualityBins < 1 {
-		c.QualityLoDB, c.QualityHiDB, c.QualityBins = d.QualityLoDB, d.QualityHiDB, d.QualityBins
-	}
-	if c.StallMaxMS <= 0 || c.StallBins < 1 {
-		c.StallMaxMS, c.StallBins = d.StallMaxMS, d.StallBins
-	}
-	if c.StartupMaxMS <= 0 || c.StartupBins < 1 {
-		c.StartupMaxMS, c.StartupBins = d.StartupMaxMS, d.StartupBins
-	}
-	if c.OutageMaxMS <= 0 || c.OutageBins < 1 {
-		c.OutageMaxMS, c.OutageBins = d.OutageMaxMS, d.OutageBins
-	}
-	if c.ShedMaxBytes <= 0 || c.ShedBins < 1 {
-		c.ShedMaxBytes, c.ShedBins = d.ShedMaxBytes, d.ShedBins
-	}
-}
-
-// cohortAgg is the per-cohort fold state: one sketch per rollup quantity.
+// cohortAgg is the per-cohort fold state: one sketch per row of metrics.
 type cohortAgg struct {
 	sessions int64
 	events   int64
-	quality  *stats.Sketch // dB
-	stall    *stats.Sketch // ms per stall
-	startup  *stats.Sketch // ms
-	outage   *stats.Sketch // ms per outage
-	shed     *stats.Sketch // bytes per shedding install
+	dist     [numMetrics]*stats.Sketch
 }
 
 // Aggregator folds trace events into per-cohort sketches. All methods are
@@ -120,9 +96,8 @@ type Aggregator struct {
 	gCohorts   *obs.Gauge
 }
 
-// New creates an aggregator with the given sketch geometry.
+// New creates an aggregator.
 func New(cfg Config) *Aggregator {
-	cfg.fillDefaults()
 	r := cfg.Obs
 	return &Aggregator{
 		cfg:        cfg,
@@ -141,23 +116,15 @@ func (a *Aggregator) logf(format string, args ...any) {
 	}
 }
 
-func (a *Aggregator) newCohortAgg() *cohortAgg {
-	c := a.cfg
-	return &cohortAgg{
-		quality: stats.NewSketch(c.QualityLoDB, c.QualityHiDB, c.QualityBins),
-		stall:   stats.NewSketch(0, c.StallMaxMS, c.StallBins),
-		startup: stats.NewSketch(0, c.StartupMaxMS, c.StartupBins),
-		outage:  stats.NewSketch(0, c.OutageMaxMS, c.OutageBins),
-		shed:    stats.NewSketch(0, c.ShedMaxBytes, c.ShedBins),
-	}
-}
-
 // cohort returns the named cohort's fold state, creating it on first use.
 // Caller holds a.mu.
 func (a *Aggregator) cohort(name string) *cohortAgg {
 	ca := a.cohorts[name]
 	if ca == nil {
-		ca = a.newCohortAgg()
+		ca = &cohortAgg{}
+		for i, m := range metrics {
+			ca.dist[i] = stats.NewSketch(m.lo, m.hi, m.bins)
+		}
 		a.cohorts[name] = ca
 		a.gCohorts.Set(float64(len(a.cohorts)))
 	}
@@ -287,19 +254,19 @@ func (sf *SessionFold) fold(ev *obs.Event) {
 	ca.events++
 	switch ev.Kind {
 	case obs.EvQuality:
-		ca.quality.Add(float64(ev.N) / 100) // centi-dB on the wire
+		ca.dist[mQuality].Add(float64(ev.N) / 100) // centi-dB on the wire
 	case obs.EvResume:
-		ca.stall.Add(float64(ev.N))
+		ca.dist[mStall].Add(float64(ev.N))
 		sf.closeOutage(ev.AtMS)
 	case obs.EvStartup:
-		ca.startup.Add(float64(ev.N))
+		ca.dist[mStartup].Add(float64(ev.N))
 	case obs.EvOutage:
 		sf.inOutage = true
 		sf.outageAtMS = ev.AtMS
 	case obs.EvReconnect, obs.EvLinkDead:
 		sf.closeOutage(ev.AtMS)
 	case obs.EvShed:
-		ca.shed.Add(float64(ev.N))
+		ca.dist[mShed].Add(float64(ev.N))
 	}
 }
 
@@ -311,7 +278,7 @@ func (sf *SessionFold) closeOutage(atMS float64) {
 	}
 	sf.inOutage = false
 	if d := atMS - sf.outageAtMS; d >= 0 {
-		sf.ca.outage.Add(d)
+		sf.ca.dist[mOutage].Add(d)
 	}
 }
 
@@ -438,38 +405,23 @@ func (a *Aggregator) FoldReader(r io.Reader) (int, error) {
 	return lines, err
 }
 
-// Distribution is the exported quantile summary of one sketch.
-type Distribution struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P10   float64 `json:"p10"`
-	P25   float64 `json:"p25"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-func distOf(s *stats.Sketch) Distribution {
-	return Distribution{
-		Count: s.Count(),
-		Mean:  s.Mean(),
-		P10:   s.Quantile(10),
-		P25:   s.Quantile(25),
-		P50:   s.Quantile(50),
-		P90:   s.Quantile(90),
-		P99:   s.Quantile(99),
-	}
-}
-
 // CohortRollup is one cohort's exported aggregate.
 type CohortRollup struct {
-	Sessions  int64        `json:"sessions"`
-	Events    int64        `json:"events"`
-	QualityDB Distribution `json:"quality_db"`
-	StallMS   Distribution `json:"stall_ms"`
-	StartupMS Distribution `json:"startup_ms"`
-	OutageMS  Distribution `json:"outage_ms"`
-	ShedBytes Distribution `json:"shed_bytes"`
+	Sessions  int64               `json:"sessions"`
+	Events    int64               `json:"events"`
+	QualityDB stats.SketchSummary `json:"quality_db"`
+	StallMS   stats.SketchSummary `json:"stall_ms"`
+	StartupMS stats.SketchSummary `json:"startup_ms"`
+	OutageMS  stats.SketchSummary `json:"outage_ms"`
+	ShedBytes stats.SketchSummary `json:"shed_bytes"`
+}
+
+// dists lists the rollup's distributions in metrics order.
+func (c *CohortRollup) dists() [numMetrics]*stats.SketchSummary {
+	return [numMetrics]*stats.SketchSummary{
+		mQuality: &c.QualityDB, mStall: &c.StallMS, mStartup: &c.StartupMS,
+		mOutage: &c.OutageMS, mShed: &c.ShedBytes,
+	}
 }
 
 // Rollup is the /rollup document: every cohort's quantile summaries plus
@@ -486,34 +438,19 @@ type Rollup struct {
 func (a *Aggregator) Rollup() Rollup {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	q := metrics[mQuality]
 	out := Rollup{
 		SchemaVersion:   obs.TraceSchemaVersion,
 		GeneratedUnixMS: time.Now().UnixMilli(),
-		QualityEnvDB:    (a.cfg.QualityHiDB - a.cfg.QualityLoDB) / float64(a.cfg.QualityBins),
+		QualityEnvDB:    (q.hi - q.lo) / float64(q.bins),
 		Cohorts:         make(map[string]CohortRollup, len(a.cohorts)),
 	}
 	for name, ca := range a.cohorts {
-		out.Cohorts[name] = CohortRollup{
-			Sessions:  ca.sessions,
-			Events:    ca.events,
-			QualityDB: distOf(ca.quality),
-			StallMS:   distOf(ca.stall),
-			StartupMS: distOf(ca.startup),
-			OutageMS:  distOf(ca.outage),
-			ShedBytes: distOf(ca.shed),
+		cr := CohortRollup{Sessions: ca.sessions, Events: ca.events}
+		for i, d := range cr.dists() {
+			*d = ca.dist[i].Summary()
 		}
+		out.Cohorts[name] = cr
 	}
 	return out
-}
-
-// CohortNames returns the known cohorts, sorted.
-func (a *Aggregator) CohortNames() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	names := make([]string, 0, len(a.cohorts))
-	for n := range a.cohorts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -48,9 +48,7 @@ func sessionJSONL(t testing.TB, cohort string, rng *rand.Rand, frames int) ([]by
 
 func TestIngestFoldRollupMatchesExact(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.Obs = reg
-	agg := New(cfg)
+	agg := New(Config{Obs: reg})
 
 	rng := rand.New(rand.NewSource(7))
 	var exact []float64
@@ -114,9 +112,7 @@ func TestIngestFoldRollupMatchesExact(t *testing.T) {
 
 func TestIngestRejectsOtherSchemaVersions(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.Obs = reg
-	agg := New(cfg)
+	agg := New(Config{Obs: reg})
 	body := strings.Join([]string{
 		`{"v":2,"t_ms":0,"ev":"session","cohort":"low:net"}`,
 		`{"v":2,"t_ms":10,"ev":"quality","n":4200}`,
@@ -191,7 +187,7 @@ func TestIngestHTTPPushAndRollup(t *testing.T) {
 func TestFeedbackStaleDataIsNeutral(t *testing.T) {
 	f := NewFeedback(FeedbackConfig{URL: "http://invalid.invalid/rollup", TargetDB: 40, MaxAge: time.Millisecond})
 	ru := Rollup{Cohorts: map[string]CohortRollup{
-		"low:net": {Sessions: 5, QualityDB: Distribution{Count: 100, P50: 50}},
+		"low:net": {Sessions: 5, QualityDB: stats.SketchSummary{Count: 100, P50: 50}},
 	}}
 	f.Apply(ru)
 	if s := f.CohortScale("low:net"); s >= 1 {
@@ -206,10 +202,10 @@ func TestFeedbackStaleDataIsNeutral(t *testing.T) {
 func TestFeedbackScaleDirectionAndClamp(t *testing.T) {
 	f := NewFeedback(FeedbackConfig{TargetDB: 40})
 	f.Apply(Rollup{Cohorts: map[string]CohortRollup{
-		"over":     {Sessions: 2, QualityDB: Distribution{Count: 10, P50: 44}},
-		"under":    {Sessions: 2, QualityDB: Distribution{Count: 10, P50: 36}},
-		"in-band":  {Sessions: 2, QualityDB: Distribution{Count: 10, P50: 40.2}},
-		"way-over": {Sessions: 2, QualityDB: Distribution{Count: 10, P50: 79}},
+		"over":     {Sessions: 2, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
+		"under":    {Sessions: 2, QualityDB: stats.SketchSummary{Count: 10, P50: 36}},
+		"in-band":  {Sessions: 2, QualityDB: stats.SketchSummary{Count: 10, P50: 40.2}},
+		"way-over": {Sessions: 2, QualityDB: stats.SketchSummary{Count: 10, P50: 79}},
 	}})
 	if s := f.CohortScale("over"); s >= 1 {
 		t.Errorf("over scale = %v, want < 1", s)

@@ -28,23 +28,21 @@ type PushConfig struct {
 
 	// MaxAttempts bounds tries per Push (default 4). BaseDelay is the
 	// first backoff (default 100 ms), doubling up to MaxDelay (default
-	// 2 s) with ±50% deterministic jitter from Seed. Deadline caps one
-	// Push's total wall clock including backoffs (default 10 s) — a
-	// trace push must never wedge its caller behind a dead tier.
+	// 2 s) with ±50% deterministic jitter from Seed.
 	MaxAttempts int
 	BaseDelay   time.Duration
 	MaxDelay    time.Duration
-	Deadline    time.Duration
 	Seed        int64
 
 	// Obs, when non-nil, receives ing_push_retries / ing_push_drops.
 	Obs *obs.Registry
 	// Logf receives drop diagnostics; nil silences logging.
 	Logf func(format string, args ...any)
-	// HTTPClient overrides the poster (tests); nil uses a 2 s-timeout
-	// default so one hung attempt cannot eat the whole deadline.
-	HTTPClient *http.Client
 }
+
+// pushDeadline caps one Push's total wall clock including backoffs: a
+// trace push must never wedge its caller behind a dead tier.
+const pushDeadline = 10 * time.Second
 
 // Pusher delivers JSONL trace bodies to an ingest tier with bounded
 // jittered-backoff retry: transient failures (network errors, 5xx, 429)
@@ -74,12 +72,6 @@ func NewPusher(cfg PushConfig) *Pusher {
 	}
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 2 * time.Second
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = 10 * time.Second
-	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{Timeout: 2 * time.Second}
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -114,7 +106,7 @@ func permanentStatus(code int) bool {
 // batch was dropped (counted) and the error says why.
 func (p *Pusher) Push(ctx context.Context, body []byte) error {
 	p.cPushes.Inc()
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.Deadline)
+	ctx, cancel := context.WithTimeout(ctx, pushDeadline)
 	defer cancel()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -156,7 +148,7 @@ func (p *Pusher) attempt(ctx context.Context, body []byte) error {
 		return &permanentPushError{err}
 	}
 	req.Header.Set("Content-Type", "application/jsonl")
-	resp, err := p.cfg.HTTPClient.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -92,18 +92,6 @@ func (fs *FaultSchedule) Disconnects() int {
 	return n
 }
 
-// Corruptions counts the payload-corruption events (bit flips and
-// truncations) in the schedule.
-func (fs *FaultSchedule) Corruptions() int {
-	n := 0
-	for _, e := range fs.Events {
-		if e.Kind == FaultBitFlip || e.Kind == FaultTruncate {
-			n++
-		}
-	}
-	return n
-}
-
 // sorted returns the events ordered by At.
 func (fs *FaultSchedule) sorted() []FaultEvent {
 	evs := append([]FaultEvent(nil), fs.Events...)
@@ -160,82 +148,6 @@ func ReadFaultCSV(r io.Reader) (*FaultSchedule, error) {
 		})
 	}
 	return fs, nil
-}
-
-// WriteCSV emits the schedule in the ReadFaultCSV format, with header.
-func (fs *FaultSchedule) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_s", "kind", "duration_s", "extra_latency_ms"}); err != nil {
-		return err
-	}
-	for _, e := range fs.sorted() {
-		rec := []string{
-			strconv.FormatFloat(e.At.Seconds(), 'g', -1, 64),
-			e.Kind.String(),
-			strconv.FormatFloat(e.Duration.Seconds(), 'g', -1, 64),
-			strconv.FormatFloat(float64(e.ExtraLatency)/float64(time.Millisecond), 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// FaultGenParams seeds a random fault schedule.
-type FaultGenParams struct {
-	Seed     int64
-	Duration time.Duration // session span the events are spread over
-
-	Disconnects   int
-	Blackouts     int
-	BlackoutMean  time.Duration // mean blackout length (default 1 s)
-	Spikes        int
-	SpikeLatency  time.Duration // added latency per spike (default 200 ms)
-	SpikeDuration time.Duration // spike window (default 1 s)
-	BitFlips      int           // one-shot payload corruptions
-	Truncates     int           // one-shot half-write truncations
-}
-
-// GenerateFaults builds a seeded schedule: identical seeds replay the same
-// fault script, so every scheme in an experiment faces the same outages.
-func GenerateFaults(p FaultGenParams) *FaultSchedule {
-	rng := rand.New(rand.NewSource(p.Seed))
-	if p.BlackoutMean <= 0 {
-		p.BlackoutMean = time.Second
-	}
-	if p.SpikeLatency <= 0 {
-		p.SpikeLatency = 200 * time.Millisecond
-	}
-	if p.SpikeDuration <= 0 {
-		p.SpikeDuration = time.Second
-	}
-	at := func() time.Duration {
-		return time.Duration(rng.Float64() * float64(p.Duration))
-	}
-	fs := &FaultSchedule{}
-	for i := 0; i < p.Disconnects; i++ {
-		fs.Events = append(fs.Events, FaultEvent{At: at(), Kind: FaultDisconnect})
-	}
-	for i := 0; i < p.Blackouts; i++ {
-		d := time.Duration((0.5 + rng.Float64()) * float64(p.BlackoutMean))
-		fs.Events = append(fs.Events, FaultEvent{At: at(), Kind: FaultBlackout, Duration: d})
-	}
-	for i := 0; i < p.Spikes; i++ {
-		fs.Events = append(fs.Events, FaultEvent{
-			At: at(), Kind: FaultLatencySpike,
-			Duration: p.SpikeDuration, ExtraLatency: p.SpikeLatency,
-		})
-	}
-	for i := 0; i < p.BitFlips; i++ {
-		fs.Events = append(fs.Events, FaultEvent{At: at(), Kind: FaultBitFlip})
-	}
-	for i := 0; i < p.Truncates; i++ {
-		fs.Events = append(fs.Events, FaultEvent{At: at(), Kind: FaultTruncate})
-	}
-	fs.Events = fs.sorted()
-	return fs
 }
 
 // FaultLink injects a scheduled fault script into connections built on top

@@ -30,8 +30,7 @@ type Sweep struct {
 	// (across all shards).
 	Sessions int
 
-	Model    Model
-	Geometry Geometry // zero = DefaultGeometry
+	Model Model
 
 	Metric          quality.Metric
 	PredictErrorDeg float64
@@ -115,7 +114,7 @@ func Run(sw Sweep) (*Rollup, Stats, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	rollup := NewRollup(sw.Geometry)
+	rollup := NewRollup(Geometry{})
 	cSessions := sw.Obs.Counter("pop_sessions")
 	hSessionMS := sw.Obs.Histogram("pop_session_ms")
 

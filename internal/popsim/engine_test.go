@@ -191,27 +191,28 @@ func TestEngineObsMetrics(t *testing.T) {
 	}
 }
 
-// TestSimFoldReuse: the sim cross-product engine streams into the same
-// rollup type through Sweep.Fold — FoldSession is the shared adapter, so
-// grid sweeps and population sweeps aggregate identically.
+// TestSimFoldReuse: a sim cross-product sweep aggregates into the same
+// rollup type — its retained results fold with Rollup.Fold, so grid sweeps
+// and population sweeps summarize identically.
 func TestSimFoldReuse(t *testing.T) {
 	rollup := NewRollup(Geometry{})
 	model := DefaultModel(3)
 	model.Duration = 4 * time.Second
 	m0, m1 := model.Sample(0), model.Sample(1)
+	users := []*trace.HeadTrace{m0.Head, m1.Head}
+	bws := []*trace.BandwidthTrace{m0.Bandwidth, m1.Bandwidth}
 	res, err := sim.Run(sim.Sweep{
 		Videos:     []*video.Manifest{engineManifest()},
-		Users:      []*trace.HeadTrace{m0.Head, m1.Head},
-		Bandwidths: []*trace.BandwidthTrace{m0.Bandwidth, m1.Bandwidth},
+		Users:      users,
+		Bandwidths: bws,
 		Schemes:    []string{"dragonfly"},
 		Workers:    2,
-		Fold:       rollup.FoldSession,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != nil {
-		t.Fatal("fold-only sim sweep retained results")
+	for i, met := range res["Dragonfly"] { // (user, bandwidth) order
+		rollup.Fold("dragonfly", users[i/2].ClassName()+":"+bws[i%2].NetClass(), met)
 	}
 	if rollup.Sessions() != 4 { // 1 scheme x 1 video x 2 users x 2 bandwidths
 		t.Fatalf("rollup folded %d sessions, want 4", rollup.Sessions())

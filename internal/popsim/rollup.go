@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"dragonfly/internal/player"
-	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
 )
 
@@ -23,110 +21,53 @@ const (
 	MetricBlankRatio = "blank_ratio" // per-session mean blank-area fraction
 )
 
-// Geometry sizes the rollup sketches. The quality envelope matches the
-// ingest tier's (0.25 dB at the defaults); values outside a range clamp
-// into the edge bins (stats.Sketch). The zero value means DefaultGeometry.
+// Indices into metrics and cell.dist.
+const (
+	mQuality = iota
+	mStall
+	mStartup
+	mBlank
+	numMetrics
+)
+
+// metrics is the per-cell metric table: each distribution's snapshot name,
+// sketch range and bin count. The quality envelope matches the ingest
+// tier's (0.25 dB); values outside a range clamp into the edge bins
+// (stats.Sketch). Every walk over a cell's distributions reads this table;
+// CohortSummary.dists maps its rows to the exported fields.
+var metrics = [numMetrics]struct {
+	name   string
+	lo, hi float64
+	bins   int
+}{
+	mQuality: {MetricQualityDB, 0, 80, 320},
+	mStall:   {MetricStallMS, 0, 60_000, 300},
+	mStartup: {MetricStartupMS, 0, 30_000, 300},
+	mBlank:   {MetricBlankRatio, 0, 1, 200},
+}
+
+// Geometry and DefaultGeometry are what the frozen bench/popsweep.go still
+// names: the quality row of the metric table, and an argument NewRollup
+// ignores. They go when a benchmark PR updates that file (ROADMAP 4(g)).
 type Geometry struct {
 	QualityLoDB, QualityHiDB float64
 	QualityBins              int
-	StallMaxMS               float64
-	StallBins                int
-	StartupMaxMS             float64
-	StartupBins              int
-	BlankBins                int // range is always [0, 1]
 }
 
-// DefaultGeometry returns the production sketch geometry.
+// DefaultGeometry returns the quality sketch's range and bin count.
 func DefaultGeometry() Geometry {
-	return Geometry{
-		QualityLoDB: 0, QualityHiDB: 80, QualityBins: 320,
-		StallMaxMS: 60_000, StallBins: 300,
-		StartupMaxMS: 30_000, StartupBins: 300,
-		BlankBins: 200,
-	}
+	q := metrics[mQuality]
+	return Geometry{QualityLoDB: q.lo, QualityHiDB: q.hi, QualityBins: q.bins}
 }
 
-func (g *Geometry) fillDefaults() {
-	d := DefaultGeometry()
-	if g.QualityHiDB <= g.QualityLoDB || g.QualityBins < 1 {
-		g.QualityLoDB, g.QualityHiDB, g.QualityBins = d.QualityLoDB, d.QualityHiDB, d.QualityBins
-	}
-	if g.StallMaxMS <= 0 || g.StallBins < 1 {
-		g.StallMaxMS, g.StallBins = d.StallMaxMS, d.StallBins
-	}
-	if g.StartupMaxMS <= 0 || g.StartupBins < 1 {
-		g.StartupMaxMS, g.StartupBins = d.StartupMaxMS, d.StartupBins
-	}
-	if g.BlankBins < 1 {
-		g.BlankBins = d.BlankBins
-	}
-}
-
-// Dist is a stats.Sketch CDF paired with an exact fixed-point sum. The
-// sketch's bins carry the quantiles; SumMicro carries the mean in 1e-6
-// units of the clamped value. Both are integers, so folds and merges
-// commute exactly — the foundation of the engine's determinism contract
-// (identical rollups for any worker count or shard layout), which float
-// accumulation order would break.
-type Dist struct {
-	Sketch   *stats.Sketch
-	SumMicro int64
-}
-
-func newDist(lo, hi float64, bins int) *Dist {
-	return &Dist{Sketch: stats.NewSketch(lo, hi, bins)}
-}
-
-// Add folds one observation; NaN is ignored, out-of-range values clamp.
-func (d *Dist) Add(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	d.Sketch.Add(v)
-	if v < d.Sketch.Lo {
-		v = d.Sketch.Lo
-	}
-	if v > d.Sketch.Hi {
-		v = d.Sketch.Hi
-	}
-	d.SumMicro += int64(math.Round(v * 1e6))
-}
-
-// Merge folds other into d; geometries must match (stats.Sketch.Merge).
-func (d *Dist) Merge(other *Dist) error {
-	if other == nil {
-		return nil
-	}
-	if err := d.Sketch.Merge(other.Sketch); err != nil {
-		return err
-	}
-	d.SumMicro += other.SumMicro
-	return nil
-}
-
-// Count returns the number of folded observations.
-func (d *Dist) Count() uint64 { return d.Sketch.Count() }
-
-// Mean returns the mean of the folded (clamped) observations, computed
-// from the fixed-point sum so it is merge-order independent.
-func (d *Dist) Mean() float64 {
-	n := d.Sketch.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(d.SumMicro) / 1e6 / float64(n)
-}
-
-// Quantile returns the estimated p-th percentile (see stats.Sketch).
-func (d *Dist) Quantile(p float64) float64 { return d.Sketch.Quantile(p) }
-
-// cohortDists is the fold state of one (scheme, cohort) cell.
-type cohortDists struct {
+// cell is the fold state of one (scheme, cohort): a session count and one
+// sketch per row of metrics. Sketch state is integral (stats.Sketch), so
+// folds and merges commute exactly — the foundation of the engine's
+// determinism contract (identical rollups for any worker count or shard
+// layout).
+type cell struct {
 	sessions int64
-	quality  *Dist
-	stall    *Dist
-	startup  *Dist
-	blank    *Dist
+	dist     [numMetrics]*stats.Sketch
 }
 
 // Rollup is the streamed aggregate of a population sweep: per-(scheme,
@@ -134,34 +75,28 @@ type cohortDists struct {
 // O(schemes × cohorts × bins) and never grows with the session count.
 // All methods are safe for concurrent use.
 type Rollup struct {
-	geo Geometry
-
 	mu      sync.Mutex
-	schemes map[string]map[string]*cohortDists // scheme -> cohort -> dists
+	schemes map[string]map[string]*cell // scheme -> cohort -> cell
 }
 
-// NewRollup creates an empty rollup with the given sketch geometry.
-func NewRollup(geo Geometry) *Rollup {
-	geo.fillDefaults()
-	return &Rollup{geo: geo, schemes: map[string]map[string]*cohortDists{}}
+// NewRollup creates an empty rollup.
+func NewRollup(Geometry) *Rollup {
+	return &Rollup{schemes: map[string]map[string]*cell{}}
 }
 
 // cell returns the (scheme, cohort) fold state, creating it on first use.
 // Caller holds r.mu.
-func (r *Rollup) cell(scheme, cohort string) *cohortDists {
+func (r *Rollup) cell(scheme, cohort string) *cell {
 	cohorts := r.schemes[scheme]
 	if cohorts == nil {
-		cohorts = map[string]*cohortDists{}
+		cohorts = map[string]*cell{}
 		r.schemes[scheme] = cohorts
 	}
 	cd := cohorts[cohort]
 	if cd == nil {
-		g := r.geo
-		cd = &cohortDists{
-			quality: newDist(g.QualityLoDB, g.QualityHiDB, g.QualityBins),
-			stall:   newDist(0, g.StallMaxMS, g.StallBins),
-			startup: newDist(0, g.StartupMaxMS, g.StartupBins),
-			blank:   newDist(0, 1, g.BlankBins),
+		cd = &cell{}
+		for i, m := range metrics {
+			cd.dist[i] = stats.NewSketch(m.lo, m.hi, m.bins)
 		}
 		cohorts[cohort] = cd
 	}
@@ -177,26 +112,22 @@ func (r *Rollup) Fold(scheme, cohort string, m *player.Metrics) {
 	cd := r.cell(scheme, cohort)
 	cd.sessions++
 	for _, v := range m.FrameScore {
-		cd.quality.Add(v)
+		cd.dist[mQuality].Add(v)
 	}
-	cd.stall.Add(float64(m.RebufferDuration) / float64(time.Millisecond))
-	cd.startup.Add(float64(m.StartupDelay) / float64(time.Millisecond))
-	cd.blank.Add(m.MeanBlankArea())
-}
-
-// FoldSession adapts Fold to the sim.Sweep streaming hook, so a classic
-// cross-product sweep can aggregate into a population rollup:
-//
-//	sw.Fold = rollup.FoldSession
-func (r *Rollup) FoldSession(s sim.Session) {
-	r.Fold(s.Key, s.Cohort, s.Metrics)
+	cd.dist[mStall].Add(float64(m.RebufferDuration) / float64(time.Millisecond))
+	cd.dist[mStartup].Add(float64(m.StartupDelay) / float64(time.Millisecond))
+	cd.dist[mBlank].Add(m.MeanBlankArea())
 }
 
 // Sessions returns the total folded session count.
 func (r *Rollup) Sessions() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var n int64
+	return r.sessions()
+}
+
+// sessions is Sessions for a caller that holds r.mu.
+func (r *Rollup) sessions() (n int64) {
 	for _, cohorts := range r.schemes {
 		for _, cd := range cohorts {
 			n += cd.sessions
@@ -214,8 +145,9 @@ func (r *Rollup) StateBins() int {
 	n := 0
 	for _, cohorts := range r.schemes {
 		for _, cd := range cohorts {
-			n += len(cd.quality.Sketch.Bins) + len(cd.stall.Sketch.Bins) +
-				len(cd.startup.Sketch.Bins) + len(cd.blank.Sketch.Bins)
+			for _, d := range cd.dist {
+				n += len(d.Bins)
+			}
 		}
 	}
 	return n
@@ -236,13 +168,8 @@ func (r *Rollup) Merge(other *Rollup) error {
 		for cohort, ocd := range cohorts {
 			cd := r.cell(scheme, cohort)
 			cd.sessions += ocd.sessions
-			for _, pair := range []struct{ dst, src *Dist }{
-				{cd.quality, ocd.quality},
-				{cd.stall, ocd.stall},
-				{cd.startup, ocd.startup},
-				{cd.blank, ocd.blank},
-			} {
-				if err := pair.dst.Merge(pair.src); err != nil {
+			for i, d := range cd.dist {
+				if err := d.Merge(ocd.dist[i]); err != nil {
 					return fmt.Errorf("popsim: merge %s/%s: %w", scheme, cohort, err)
 				}
 			}
@@ -251,36 +178,20 @@ func (r *Rollup) Merge(other *Rollup) error {
 	return nil
 }
 
-// DistSummary is one distribution's exported quantile summary.
-type DistSummary struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P10   float64 `json:"p10"`
-	P25   float64 `json:"p25"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-func summaryOf(d *Dist) DistSummary {
-	return DistSummary{
-		Count: d.Count(),
-		Mean:  d.Mean(),
-		P10:   d.Quantile(10),
-		P25:   d.Quantile(25),
-		P50:   d.Quantile(50),
-		P90:   d.Quantile(90),
-		P99:   d.Quantile(99),
-	}
-}
-
 // CohortSummary is one (scheme, cohort) cell's exported aggregate.
 type CohortSummary struct {
-	Sessions   int64       `json:"sessions"`
-	QualityDB  DistSummary `json:"quality_db"`
-	StallMS    DistSummary `json:"stall_ms"`
-	StartupMS  DistSummary `json:"startup_ms"`
-	BlankRatio DistSummary `json:"blank_ratio"`
+	Sessions   int64               `json:"sessions"`
+	QualityDB  stats.SketchSummary `json:"quality_db"`
+	StallMS    stats.SketchSummary `json:"stall_ms"`
+	StartupMS  stats.SketchSummary `json:"startup_ms"`
+	BlankRatio stats.SketchSummary `json:"blank_ratio"`
+}
+
+// dists lists the summary's distributions in metrics order.
+func (c *CohortSummary) dists() [numMetrics]*stats.SketchSummary {
+	return [numMetrics]*stats.SketchSummary{
+		mQuality: &c.QualityDB, mStall: &c.StallMS, mStartup: &c.StartupMS, mBlank: &c.BlankRatio,
+	}
 }
 
 // Summary is the exported rollup document. Every number is computed from
@@ -296,21 +207,20 @@ type Summary struct {
 func (r *Rollup) Summary() Summary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	q := metrics[mQuality]
 	out := Summary{
-		QualityEnvDB: (r.geo.QualityHiDB - r.geo.QualityLoDB) / float64(r.geo.QualityBins),
+		QualityEnvDB: (q.hi - q.lo) / float64(q.bins),
 		Schemes:      make(map[string]map[string]CohortSummary, len(r.schemes)),
 	}
 	for scheme, cohorts := range r.schemes {
 		cs := make(map[string]CohortSummary, len(cohorts))
 		for cohort, cd := range cohorts {
 			out.Sessions += cd.sessions
-			cs[cohort] = CohortSummary{
-				Sessions:   cd.sessions,
-				QualityDB:  summaryOf(cd.quality),
-				StallMS:    summaryOf(cd.stall),
-				StartupMS:  summaryOf(cd.startup),
-				BlankRatio: summaryOf(cd.blank),
+			sum := CohortSummary{Sessions: cd.sessions}
+			for i, d := range sum.dists() {
+				*d = cd.dist[i].Summary()
 			}
+			cs[cohort] = sum
 		}
 		out.Schemes[scheme] = cs
 	}
@@ -354,58 +264,32 @@ type snapshotLine struct {
 }
 
 // WriteSnapshot serializes the rollup as the shard-report JSONL stream:
-// one header line, then one "cell" line and four "dist" lines per
-// (scheme, cohort), in sorted order. Only integer state crosses the
+// one header line, then one "cell" line and one "dist" line per metric for
+// each (scheme, cohort), in sorted order. Only integer state crosses the
 // boundary, so a merged coordinator rollup equals the single-process one.
 func (r *Rollup) WriteSnapshot(w io.Writer, shard, shards int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	var sessions int64
-	for _, cohorts := range r.schemes {
-		for _, cd := range cohorts {
-			sessions += cd.sessions
-		}
-	}
 	if err := enc.Encode(snapshotHeader{
-		V: SnapshotVersion, Kind: "popsim", Shard: shard, Shards: shards, Sessions: sessions,
+		V: SnapshotVersion, Kind: "popsim", Shard: shard, Shards: shards, Sessions: r.sessions(),
 	}); err != nil {
 		return err
 	}
-	schemes := make([]string, 0, len(r.schemes))
-	for s := range r.schemes {
-		schemes = append(schemes, s)
-	}
-	sort.Strings(schemes)
-	for _, scheme := range schemes {
+	for _, scheme := range sortedKeys(r.schemes) {
 		cohorts := r.schemes[scheme]
-		names := make([]string, 0, len(cohorts))
-		for c := range cohorts {
-			names = append(names, c)
-		}
-		sort.Strings(names)
-		for _, cohort := range names {
+		for _, cohort := range sortedKeys(cohorts) {
 			cd := cohorts[cohort]
 			if err := enc.Encode(snapshotLine{
 				V: SnapshotVersion, Kind: "cell", Scheme: scheme, Cohort: cohort, Sessions: cd.sessions,
 			}); err != nil {
 				return err
 			}
-			for _, md := range []struct {
-				metric string
-				dist   *Dist
-			}{
-				{MetricQualityDB, cd.quality},
-				{MetricStallMS, cd.stall},
-				{MetricStartupMS, cd.startup},
-				{MetricBlankRatio, cd.blank},
-			} {
-				s := md.dist.Sketch
+			for i, d := range cd.dist {
 				if err := enc.Encode(snapshotLine{
 					V: SnapshotVersion, Kind: "dist", Scheme: scheme, Cohort: cohort,
-					Metric: md.metric, Lo: s.Lo, Hi: s.Hi, N: s.N, SumMicro: md.dist.SumMicro,
-					Bins: s.Bins,
+					Metric: metrics[i].name, Lo: d.Lo, Hi: d.Hi, N: d.N, SumMicro: d.Sum, Bins: d.Bins,
 				}); err != nil {
 					return err
 				}
@@ -415,12 +299,25 @@ func (r *Rollup) WriteSnapshot(w io.Writer, shard, shards int) error {
 	return bw.Flush()
 }
 
-// MergeSnapshot folds one shard-report JSONL stream into the rollup,
-// checking the schema version of every line and each sketch's geometry
-// against the rollup's (stats.Sketch.Merge).
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// MergeSnapshot folds one shard-report JSONL stream into the rollup. A
+// shard report is outside input: every line's schema version, each
+// sketch's geometry against the metric table and its n against the sum of
+// its bins are checked, and a (scheme, cohort, metric) may appear once.
+// The stream is staged and merged whole, so on error r is unchanged.
 func (r *Rollup) MergeSnapshot(rd io.Reader) error {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	staged := NewRollup(Geometry{})
+	seen := map[[3]string]bool{}
 	sawHeader := false
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -434,37 +331,21 @@ func (r *Rollup) MergeSnapshot(rd io.Reader) error {
 		if sl.V != SnapshotVersion {
 			return fmt.Errorf("popsim: snapshot schema v%d, want v%d", sl.V, SnapshotVersion)
 		}
-		switch sl.Kind {
-		case "popsim":
+		if sl.Kind == "popsim" {
 			sawHeader = true
+			continue
+		}
+		key := [3]string{sl.Scheme, sl.Cohort, sl.Metric}
+		if seen[key] {
+			return fmt.Errorf("popsim: snapshot repeats %s/%s/%s", sl.Scheme, sl.Cohort, sl.Metric)
+		}
+		seen[key] = true
+		cd := staged.cell(sl.Scheme, sl.Cohort)
+		switch sl.Kind {
 		case "cell":
-			r.mu.Lock()
-			r.cell(sl.Scheme, sl.Cohort).sessions += sl.Sessions
-			r.mu.Unlock()
+			cd.sessions = sl.Sessions
 		case "dist":
-			in := &Dist{
-				Sketch:   &stats.Sketch{Lo: sl.Lo, Hi: sl.Hi, Bins: sl.Bins, N: sl.N},
-				SumMicro: sl.SumMicro,
-			}
-			r.mu.Lock()
-			cd := r.cell(sl.Scheme, sl.Cohort)
-			var dst *Dist
-			switch sl.Metric {
-			case MetricQualityDB:
-				dst = cd.quality
-			case MetricStallMS:
-				dst = cd.stall
-			case MetricStartupMS:
-				dst = cd.startup
-			case MetricBlankRatio:
-				dst = cd.blank
-			default:
-				r.mu.Unlock()
-				return fmt.Errorf("popsim: snapshot names unknown metric %q", sl.Metric)
-			}
-			err := dst.Merge(in)
-			r.mu.Unlock()
-			if err != nil {
+			if err := mergeLine(cd, &sl); err != nil {
 				return fmt.Errorf("popsim: snapshot %s/%s/%s: %w", sl.Scheme, sl.Cohort, sl.Metric, err)
 			}
 		default:
@@ -477,5 +358,27 @@ func (r *Rollup) MergeSnapshot(rd io.Reader) error {
 	if !sawHeader {
 		return fmt.Errorf("popsim: snapshot stream has no header line")
 	}
-	return nil
+	return r.Merge(staged)
+}
+
+// mergeLine folds one "dist" line into the staged cell's sketch of that
+// metric, refusing a count that its bins do not add up to.
+func mergeLine(cd *cell, sl *snapshotLine) error {
+	for i, m := range metrics {
+		if m.name != sl.Metric {
+			continue
+		}
+		var n uint64
+		for _, c := range sl.Bins {
+			n += c
+			if n < c {
+				return fmt.Errorf("bin counts overflow")
+			}
+		}
+		if n != sl.N {
+			return fmt.Errorf("n = %d but the bins hold %d", sl.N, n)
+		}
+		return cd.dist[i].Merge(&stats.Sketch{Lo: sl.Lo, Hi: sl.Hi, Bins: sl.Bins, N: sl.N, Sum: sl.SumMicro})
+	}
+	return fmt.Errorf("unknown metric")
 }

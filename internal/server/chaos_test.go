@@ -39,7 +39,7 @@ func startSession(t *testing.T, s *Server) (net.Conn, chan error) {
 	errCh := make(chan error, 1)
 	go func() {
 		defer srvConn.Close()
-		errCh <- s.HandleConn(srvConn)
+		errCh <- s.HandleConnContext(context.Background(), srvConn)
 	}()
 	t.Cleanup(func() { client.Close() })
 	go func() { _ = proto.WriteHello(client, proto.Hello{VideoID: "srv"}) }()

@@ -576,11 +576,6 @@ func (st *sendState) releaseQueued() {
 	st.signal()
 }
 
-// HandleConn runs one streaming session over an established connection.
-func (s *Server) HandleConn(conn net.Conn) error {
-	return s.HandleConnContext(context.Background(), conn)
-}
-
 // HandleConnContext runs one streaming session; on ctx cancellation the
 // sender drains the queued tiles, sends a Bye, and returns.
 func (s *Server) HandleConnContext(ctx context.Context, conn net.Conn) error {

@@ -137,7 +137,7 @@ func TestHandleConnRejectsNonHello(t *testing.T) {
 	s := New(testManifest())
 	client, srvConn := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- s.HandleConn(srvConn) }()
+	go func() { errCh <- s.HandleConnContext(context.Background(), srvConn) }()
 	if err := proto.WriteRequest(client, proto.Request{Generation: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestHandleConnUnknownVideo(t *testing.T) {
 	s := New(testManifest())
 	client, srvConn := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- s.HandleConn(srvConn) }()
+	go func() { errCh <- s.HandleConnContext(context.Background(), srvConn) }()
 	go func() { _ = proto.WriteHello(client, proto.Hello{VideoID: "ghost"}) }()
 	msg, err := proto.ReadMessage(client)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestHandleConnStreamsRequestedTiles(t *testing.T) {
 	client, srvConn := net.Pipe()
 	go func() {
 		defer srvConn.Close()
-		_ = s.HandleConn(srvConn)
+		_ = s.HandleConnContext(context.Background(), srvConn)
 	}()
 	defer client.Close()
 
@@ -708,7 +708,7 @@ func TestManyConnsSharedStore(t *testing.T) {
 			go func() {
 				defer close(handlerDone)
 				defer srvConn.Close()
-				_ = s.HandleConn(srvConn)
+				_ = s.HandleConnContext(context.Background(), srvConn)
 			}()
 			go func() { _ = proto.WriteHello(client, proto.Hello{VideoID: "srv"}) }()
 			msg, err := proto.ReadMessage(client)

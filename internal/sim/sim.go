@@ -107,32 +107,7 @@ type Sweep struct {
 	// TraceDir, when non-empty, writes one JSONL event trace per session to
 	// <TraceDir>/<scheme key>_<index>.jsonl (the directory is created).
 	TraceDir string
-
-	// Fold, when non-nil, receives every finished session as soon as it
-	// completes. It is invoked from a single collector goroutine, so fold
-	// state needs no locking of its own. Unless RetainResults is also set,
-	// Run returns nil Results and each session's metrics are dropped right
-	// after the fold — sweep memory stays O(fold state), not O(sessions).
-	// This is the streaming hook the population engine (internal/popsim)
-	// builds its sketch rollups on.
-	Fold FoldFunc
-
-	// RetainResults forces the Results map to be built even when Fold is
-	// set (both the stream and the retained map are wanted). It has no
-	// effect when Fold is nil: plain sweeps always retain.
-	RetainResults bool
 }
-
-// Session describes one finished session as handed to a Fold callback.
-type Session struct {
-	Key     string // sweep scheme key (registry or Extra)
-	Index   int    // stable index in the sweep's (video, user, bandwidth) order
-	Cohort  string // "<trace class>:<network class>" rollup key (docs/OBSERVABILITY.md)
-	Metrics *player.Metrics
-}
-
-// FoldFunc consumes finished sessions as a sweep streams them out.
-type FoldFunc func(Session)
 
 // Stats reports a sweep's execution profile.
 type Stats struct {
@@ -244,15 +219,13 @@ func run(sw Sweep) (Results, int, error) {
 	}
 	type outcome struct {
 		scheme string
-		cohort string
 		idx    int
 		met    *player.Metrics
 		err    error
 	}
 	jobCh := make(chan job)
 	// The collector drains outcomes as they finish, so the channel only
-	// needs to absorb scheduling jitter — not hold every session, which is
-	// what the streamed Fold path exists to avoid.
+	// needs to absorb scheduling jitter.
 	outCh := make(chan outcome, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -280,16 +253,12 @@ func run(sw Sweep) (Results, int, error) {
 				if err == nil && sw.TraceDir != "" {
 					err = writeSessionTrace(sw.TraceDir, j.scheme, j.idx, cfg.Trace)
 				}
-				cohort := j.cfg.Head.ClassName() + ":" + j.cfg.Bandwidth.NetClass()
-				outCh <- outcome{scheme: j.scheme, cohort: cohort, idx: j.idx, met: met, err: err}
+				outCh <- outcome{scheme: j.scheme, idx: j.idx, met: met, err: err}
 			}
 		}()
 	}
 
-	// One collector goroutine folds and/or retains outcomes as they land.
-	// Fold therefore runs single-threaded (the documented contract), and
-	// with a fold-only sweep nothing accumulates beyond the fold state.
-	retain := sw.Fold == nil || sw.RetainResults
+	// One collector goroutine gathers outcomes as they land.
 	var (
 		collectErr  error
 		sessions    int
@@ -309,12 +278,7 @@ func run(sw Sweep) (Results, int, error) {
 				continue // error pending; drop the rest
 			}
 			sessions++
-			if sw.Fold != nil {
-				sw.Fold(Session{Key: o.scheme, Index: o.idx, Cohort: o.cohort, Metrics: o.met})
-			}
-			if retain {
-				byScheme[o.scheme] = append(byScheme[o.scheme], o)
-			}
+			byScheme[o.scheme] = append(byScheme[o.scheme], o)
 		}
 	}()
 	for _, j := range jobs {
@@ -327,9 +291,6 @@ func run(sw Sweep) (Results, int, error) {
 
 	if collectErr != nil {
 		return nil, 0, collectErr
-	}
-	if !retain {
-		return nil, sessions, nil
 	}
 	res := Results{}
 	for key, outs := range byScheme {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -151,48 +150,5 @@ func TestRunSweepDecoderAndInterpolation(t *testing.T) {
 	}
 	if len(res["Dragonfly-Tiled"]) != 4 {
 		t.Fatalf("sessions: %d", len(res["Dragonfly-Tiled"]))
-	}
-}
-
-func TestResultsPersistence(t *testing.T) {
-	res, err := Run(smallSweep("flare"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteResults(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadResults(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := res["Flare"], got["Flare"]
-	if len(a) != len(b) {
-		t.Fatalf("session count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].MedianScore() != b[i].MedianScore() || a[i].TraceID != b[i].TraceID {
-			t.Fatal("round trip lost data")
-		}
-	}
-	if _, err := ReadResults(bytes.NewReader([]byte("{"))); err == nil {
-		t.Error("corrupt results accepted")
-	}
-	if _, err := ReadResults(bytes.NewReader([]byte(`{"X":[null]}`))); err == nil {
-		t.Error("null session accepted")
-	}
-}
-
-func TestMergeAndFilterResults(t *testing.T) {
-	a := Results{"S": {&player.Metrics{TraceID: "t1", FrameScore: []float64{10}}}}
-	b := Results{"S": {&player.Metrics{TraceID: "t2", FrameScore: []float64{50}}}}
-	merged := MergeResults(a, b)
-	if len(merged["S"]) != 2 {
-		t.Fatalf("merged sessions: %d", len(merged["S"]))
-	}
-	high := merged.Filter(func(m *player.Metrics) bool { return m.MeanScore() > 30 })
-	if len(high["S"]) != 1 || high["S"][0].TraceID != "t2" {
-		t.Fatalf("filter result: %+v", high["S"])
 	}
 }

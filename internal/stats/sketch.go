@@ -18,11 +18,22 @@ import (
 // clamped into the edge bins, so quantiles that fall in a saturated edge
 // bin report the range bound; size the range so the population's support
 // fits inside it. The zero Sketch is not usable; call NewSketch.
+//
+// All fold state is integral — bin counts plus a fixed-point sum — so Add
+// and Merge commute exactly: Mean and every quantile are bit-identical for
+// any fold order, worker count or shard layout, which a float sum's
+// accumulation order would break. Sum counts the clamped observations in
+// ticks of 1e-6, or in whole units when the range reaches past ±1e5 (a
+// byte count needs no fraction). Either way one Add moves Sum by at most
+// 1e11 ticks for any range within ±1e11, so the int64 holds 9.2e7
+// observations at the end of the range before it could wrap.
 type Sketch struct {
 	Lo, Hi float64  // value range covered by the bins
 	Bins   []uint64 // per-bin observation counts
 	N      uint64   // total observations
-	Sum    float64  // running sum (for Mean)
+	Sum    int64    // exact sum of the clamped observations, in ticks
+
+	ticks float64 // ticks per unit of value: 1e6 or 1, fixed by the range
 }
 
 // NewSketch creates a sketch covering [lo, hi] with the given number of
@@ -32,15 +43,19 @@ func NewSketch(lo, hi float64, bins int) *Sketch {
 	if hi <= lo || bins < 1 {
 		panic(fmt.Sprintf("stats: degenerate sketch geometry [%g, %g] / %d bins", lo, hi, bins))
 	}
-	return &Sketch{Lo: lo, Hi: hi, Bins: make([]uint64, bins)}
+	ticks := 1e6
+	if math.Max(math.Abs(lo), math.Abs(hi)) > 1e5 {
+		ticks = 1
+	}
+	return &Sketch{Lo: lo, Hi: hi, Bins: make([]uint64, bins), ticks: ticks}
 }
 
 // BinWidth returns the value span of one bin — the quantile error envelope.
 func (s *Sketch) BinWidth() float64 { return (s.Hi - s.Lo) / float64(len(s.Bins)) }
 
 // Add folds one observation. NaN is ignored; values outside [Lo, Hi] clamp
-// into the edge bins (Sum accumulates the clamped value, keeping Mean
-// inside the declared range).
+// into the edge bins (Sum accumulates the clamped value rounded to the
+// nearest tick, keeping Mean inside the declared range).
 func (s *Sketch) Add(v float64) {
 	if math.IsNaN(v) {
 		return
@@ -57,7 +72,7 @@ func (s *Sketch) Add(v float64) {
 	}
 	s.Bins[i]++
 	s.N++
-	s.Sum += v
+	s.Sum += int64(math.Round(v * s.ticks))
 }
 
 // Merge folds other into s. The two sketches must share a geometry
@@ -79,16 +94,14 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// Count returns the number of folded observations.
-func (s *Sketch) Count() uint64 { return s.N }
-
 // Mean returns the arithmetic mean of the folded (clamped) observations,
-// or 0 when empty.
+// exact to one tick and independent of fold and merge order, or 0 when
+// empty.
 func (s *Sketch) Mean() float64 {
 	if s.N == 0 {
 		return 0
 	}
-	return s.Sum / float64(s.N)
+	return float64(s.Sum) / s.ticks / float64(s.N)
 }
 
 // Quantile returns the estimated p-th percentile (p in [0, 100]) with
@@ -124,4 +137,29 @@ func (s *Sketch) Quantile(p float64) float64 {
 		cum += c
 	}
 	return s.Hi
+}
+
+// SketchSummary is the exported form of one distribution: what the ingest
+// /rollup document and the popsim summary both carry per metric.
+type SketchSummary struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	P10   float64 `json:"p10"`
+	P25   float64 `json:"p25"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
+}
+
+// Summary exports the sketch's count, mean and quantiles.
+func (s *Sketch) Summary() SketchSummary {
+	return SketchSummary{
+		Count: s.N,
+		Mean:  s.Mean(),
+		P10:   s.Quantile(10),
+		P25:   s.Quantile(25),
+		P50:   s.Quantile(50),
+		P90:   s.Quantile(90),
+		P99:   s.Quantile(99),
+	}
 }

@@ -44,8 +44,8 @@ func TestSketchQuantileEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if merged.Count() != uint64(len(exact)) {
-		t.Fatalf("merged count = %d, want %d", merged.Count(), len(exact))
+	if merged.N != uint64(len(exact)) {
+		t.Fatalf("merged count = %d, want %d", merged.N, len(exact))
 	}
 	envelope := merged.BinWidth()
 	for _, p := range []float64{1, 10, 25, 50, 75, 90, 99} {
@@ -56,8 +56,8 @@ func TestSketchQuantileEnvelope(t *testing.T) {
 				p, got, want, d, envelope)
 		}
 	}
-	if d := math.Abs(merged.Mean() - Mean(exact)); d > 1e-9 {
-		t.Errorf("mean drifted by %g (Sum should be exact)", d)
+	if d := math.Abs(merged.Mean() - Mean(exact)); d > 5e-7 {
+		t.Errorf("mean off by %g, more than the half tick each Add may round by", d)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestSketchClampsAndEdges(t *testing.T) {
 	for _, v := range []float64{-5, 0, 100, 250, math.NaN()} {
 		s.Add(v)
 	}
-	if s.Count() != 4 {
-		t.Fatalf("count = %d, want 4 (NaN ignored)", s.Count())
+	if s.N != 4 {
+		t.Fatalf("count = %d, want 4 (NaN ignored)", s.N)
 	}
 	if got := s.Quantile(100); got != 100 {
 		t.Errorf("p100 = %g, want 100", got)
@@ -89,5 +89,61 @@ func TestSketchClampsAndEdges(t *testing.T) {
 	empty := NewSketch(0, 1, 4)
 	if empty.Quantile(50) != 0 || empty.Mean() != 0 {
 		t.Error("empty sketch should report zeros")
+	}
+}
+
+// TestSketchMeanOrderIndependent holds at the type what popsim's
+// TestWorkerCountInvariance holds for a sweep: the same observations give a
+// bit-identical Mean (and Sum) in any order and across any two-way split
+// and merge, which a float accumulator does not.
+func TestSketchMeanOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	obs := make([]float64, 4000)
+	for i := range obs {
+		obs[i] = 45 + 30*rng.NormFloat64() // some beyond both ends of the range
+	}
+	fold := func(vs []float64) *Sketch {
+		s := NewSketch(0, 80, 320)
+		for _, v := range vs {
+			s.Add(v)
+		}
+		return s
+	}
+	want := fold(obs)
+	for trial := 0; trial < 20; trial++ {
+		rng.Shuffle(len(obs), func(i, j int) { obs[i], obs[j] = obs[j], obs[i] })
+		cut := rng.Intn(len(obs) + 1)
+		merged := fold(obs[:cut])
+		if err := merged.Merge(fold(obs[cut:])); err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]*Sketch{"permuted": fold(obs), "split and merged": merged} {
+			if got.Sum != want.Sum || math.Float64bits(got.Mean()) != math.Float64bits(want.Mean()) {
+				t.Fatalf("trial %d, %s: sum %d mean %v, want sum %d mean %v",
+					trial, name, got.Sum, got.Mean(), want.Sum, want.Mean())
+			}
+		}
+	}
+}
+
+// TestSketchSumBound pins the bound stated on the type with the widest
+// sketch in the tree, ingest's shed_bytes (0 to 64 MiB): ten million
+// observations at the top of the range leave the mean exact, where a sum in
+// 1e-6 ticks would have wrapped the int64 after 1.4e5 of them.
+func TestSketchSumBound(t *testing.T) {
+	const hi = 64 << 20
+	s := NewSketch(0, hi, 256)
+	for i := 0; i < 1e7; i++ {
+		s.Add(2 * hi) // clamps to hi
+	}
+	if s.Sum != 1e7*hi || s.Mean() != hi {
+		t.Fatalf("after 1e7 saturated adds: sum %d, mean %v, want mean %d exactly", s.Sum, s.Mean(), hi)
+	}
+	// The widest range that keeps 1e-6 ticks is the worst case of the bound.
+	if m := NewSketch(-1e5, 1e5, 10); m.ticks != 1e6 || math.MaxInt64/(1e5*m.ticks) < 9.2e7 {
+		t.Fatalf("a ±1e5 range sums in ticks of 1/%g", m.ticks)
+	}
+	if w := NewSketch(0, 1e5+1, 10); w.ticks != 1 {
+		t.Fatalf("a range past 1e5 sums in ticks of 1/%g, want whole units", w.ticks)
 	}
 }

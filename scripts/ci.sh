@@ -86,13 +86,18 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # framing work (CRC trailers, hard length cap, resume bitmaps) lives or dies
 # on the wire parsers rejecting hostile bytes without panicking or
 # over-allocating; the trace-line decoder must agree with encoding/json on
-# every input, and the fold must account for every line of any body. The
+# every input, and the fold must account for every line of any body. The two
+# rollup parsers — the /rollup body on the feedback poll and a popsim shard
+# report — must refuse what they refuse with their receiver unchanged. The
 # last target is not a parser: the zero-run CRC operator every frame trailer
 # and manifest checksum now comes from must agree with hash/crc32 over
-# literal zeros for any prefix and length.
+# literal zeros for any prefix and length. Minimising a new input is capped
+# at a second, so the ten seconds go on executing inputs (a shard report's
+# seed is kilobytes of bins).
 for target in proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume \
-	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader video:FuzzExtendZeros; do
-	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "${FUZZTIME:-10s}" "./internal/${target%%:*}"
+	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup \
+	popsim:FuzzMergeSnapshot video:FuzzExtendZeros; do
+	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "${FUZZTIME:-10s}" -fuzzminimizetime 1s "./internal/${target%%:*}"
 done
 
 # Benchmark smoke: every benchmark must still run, and its timing is
