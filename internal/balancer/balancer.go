@@ -106,12 +106,10 @@ type Config struct {
 	BreakerCooldown time.Duration
 
 	// SpliceStallBudget bounds the cumulative excess write time of each
-	// splice direction — the balancer's slowloris defense, mirroring
-	// Server.WriteStallBudget. Each copy write gets a free allowance of a
-	// tenth of the budget (at least 1 ms); beyond-allowance time
-	// accumulates and exhaustion severs the splice with ErrSpliceStall.
-	// The client's resume path recovers the session on a healthy member.
-	// 0 disables.
+	// splice direction — the balancer's slowloris defense, the same
+	// proto.StallMeter policy as Server.WriteStallBudget. Exhaustion
+	// severs the splice with ErrSpliceStall; the client's resume path
+	// recovers the session on a healthy member. 0 disables.
 	SpliceStallBudget time.Duration
 
 	// Obs, when non-nil, receives lb_* counters and gauges. Nil disables.
@@ -549,16 +547,12 @@ func (bl *Balancer) trackSplice(c net.Conn, add bool) {
 func (bl *Balancer) splice(clientConn, srvConn net.Conn) {
 	var cdst, sdst net.Conn = clientConn, srvConn
 	if bud := bl.cfg.SpliceStallBudget; bud > 0 {
-		th := bud / 10
-		if th < time.Millisecond {
-			th = time.Millisecond
-		}
 		trip := func() {
 			bl.cfg.Obs.Counter("lb_splice_stalls").Inc()
 			bl.logf("balancer: %v", ErrSpliceStall)
 		}
-		cdst = &stallConn{Conn: clientConn, budget: bud, thresh: th, onTrip: trip}
-		sdst = &stallConn{Conn: srvConn, budget: bud, thresh: th, onTrip: trip}
+		cdst = &stallConn{Conn: clientConn, meter: proto.NewStallMeter(bud), onTrip: trip}
+		sdst = &stallConn{Conn: srvConn, meter: proto.NewStallMeter(bud), onTrip: trip}
 	}
 	done := make(chan struct{})
 	go func() {
@@ -588,15 +582,13 @@ func (c spliceSrc) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// stallConn meters cumulative excess write time against a budget; see
-// Config.SpliceStallBudget. Each write gets thresh of blocking for free
-// and runs under a deadline of the remaining budget, so a fully hung peer
-// cannot out-wait the meter.
+// stallConn charges each write's blocking time to a proto.StallMeter; see
+// Config.SpliceStallBudget. Every write runs under a deadline of the
+// remaining budget plus its free allowance, so a fully hung peer cannot
+// out-wait the meter.
 type stallConn struct {
 	net.Conn
-	budget time.Duration
-	thresh time.Duration
-	spent  time.Duration
+	meter  proto.StallMeter
 	onTrip func()
 }
 
@@ -609,18 +601,16 @@ func (c *stallConn) trip() error {
 }
 
 func (c *stallConn) Write(p []byte) (int, error) {
-	rem := c.budget - c.spent
+	rem := c.meter.Remaining()
 	if rem <= 0 {
 		return 0, c.trip()
 	}
-	_ = c.Conn.SetWriteDeadline(time.Now().Add(rem + c.thresh))
+	_ = c.Conn.SetWriteDeadline(time.Now().Add(rem + c.meter.Allowance()))
 	start := time.Now()
 	n, err := c.Conn.Write(p)
-	if d := time.Since(start) - c.thresh; d > 0 {
-		c.spent += d
-	}
+	c.meter.Spend(time.Since(start))
 	if err != nil {
-		if c.spent >= c.budget {
+		if c.meter.Remaining() <= 0 {
 			return n, fmt.Errorf("%w (after %v)", c.trip(), err)
 		}
 		return n, err

@@ -28,16 +28,15 @@ import (
 	"dragonfly/internal/video"
 )
 
+// The periphery ring extends the fetched region peripheryDeg beyond the
+// viewport cap, at peripheryDrop quality levels below the viewport's.
+const peripheryDeg, peripheryDrop = 15, 2
+
 // FlareOptions configures the Flare baseline.
 type FlareOptions struct {
 	// Lookahead is how far ahead tiles are fetched (paper default: 3 s,
 	// with a 1 s sensitivity variant in §4.3).
 	Lookahead time.Duration
-	// PeripheryDeg extends the fetched region beyond the viewport cap.
-	PeripheryDeg float64
-	// PeripheryDrop is how many quality levels below the viewport quality
-	// the periphery ring is fetched at.
-	PeripheryDrop int
 	// Name overrides the reported name (for the 1 s variant).
 	Name string
 }
@@ -87,12 +86,6 @@ func (s *centralitySorter) Less(i, j int) bool {
 func NewFlare(opts FlareOptions) *Flare {
 	if opts.Lookahead == 0 {
 		opts.Lookahead = 3 * time.Second
-	}
-	if opts.PeripheryDeg == 0 {
-		opts.PeripheryDeg = 15
-	}
-	if opts.PeripheryDrop == 0 {
-		opts.PeripheryDrop = 2
 	}
 	return &Flare{opts: opts}
 }
@@ -154,7 +147,7 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 		}
 		center := ctx.Predict(at)
 		f.vpTiles = ctx.Grid.AppendTilesInCap(f.vpTiles[:0], center, ctx.Viewport.RadiusDeg)
-		f.outer = ctx.Grid.AppendTilesInCap(f.outer[:0], center, ctx.Viewport.RadiusDeg+f.opts.PeripheryDeg)
+		f.outer = ctx.Grid.AppendTilesInCap(f.outer[:0], center, ctx.Viewport.RadiusDeg+peripheryDeg)
 		vpTiles, periphery := f.vpTiles, f.periphery[:0]
 		for _, id := range vpTiles {
 			f.inVP[id] = true
@@ -175,13 +168,13 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 			for _, id := range vpTiles {
 				total += m.TileSize(c, id, q)
 			}
-			qp := peripheryQuality(q, f.opts.PeripheryDrop)
+			qp := peripheryQuality(q, peripheryDrop)
 			for _, id := range periphery {
 				total += m.TileSize(c, id, qp)
 			}
 			return total
 		}, budget, video.Lowest, video.Highest)
-		qp := peripheryQuality(qv, f.opts.PeripheryDrop)
+		qp := peripheryQuality(qv, peripheryDrop)
 
 		// Viewport tiles sorted by centrality so the most important tiles
 		// of each chunk transmit first. The order is total (IDs are

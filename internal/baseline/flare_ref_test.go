@@ -47,7 +47,7 @@ func flareDecideRef(f *Flare, ctx *player.Context) []player.RequestItem {
 		}
 		center := ctx.Predict(at)
 		vpTiles := ctx.Viewport.Tiles(ctx.Grid, center)
-		outer := ctx.Grid.TilesInCap(center, ctx.Viewport.RadiusDeg+f.opts.PeripheryDeg)
+		outer := ctx.Grid.TilesInCap(center, ctx.Viewport.RadiusDeg+peripheryDeg)
 		inVP := make(map[geom.TileID]bool, len(vpTiles))
 		for _, id := range vpTiles {
 			inVP[id] = true
@@ -65,13 +65,13 @@ func flareDecideRef(f *Flare, ctx *player.Context) []player.RequestItem {
 			for _, id := range vpTiles {
 				total += m.TileSize(c, id, q)
 			}
-			qp := peripheryQuality(q, f.opts.PeripheryDrop)
+			qp := peripheryQuality(q, peripheryDrop)
 			for _, id := range periphery {
 				total += m.TileSize(c, id, qp)
 			}
 			return total
 		}, budget, video.Lowest, video.Highest)
-		qp := peripheryQuality(qv, f.opts.PeripheryDrop)
+		qp := peripheryQuality(qv, peripheryDrop)
 
 		sort.Slice(vpTiles, func(a, b int) bool {
 			da := geom.AngularDistance(ctx.Grid.Center(vpTiles[a]), center)

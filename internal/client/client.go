@@ -26,11 +26,9 @@ import (
 	"time"
 
 	"dragonfly/internal/chaos"
-	"dragonfly/internal/geom"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
-	"dragonfly/internal/quality"
 	"dragonfly/internal/retry"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
@@ -117,21 +115,8 @@ func (p ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 
 // PlayOptions tunes a session.
 type PlayOptions struct {
-	Metric           quality.Metric
-	Viewport         geom.Viewport // zero = geom.DefaultViewport
-	PredictorHistory time.Duration
-	AssumedStartMbps float64
 	// MaxWall caps the session in wall-clock time (default: 3x video + 30 s).
 	MaxWall time.Duration
-
-	// MaskInterpolation enables neighbor interpolation of masking holes
-	// (§3.2 future work).
-	MaskInterpolation bool
-
-	// PredictErrorDeg injects uniform orientation noise into the viewport
-	// predictor (the Figs 21-23 methodology); 0 disables.
-	PredictErrorDeg  float64
-	PredictErrorSeed int64
 
 	// Reconnect enables fault tolerance (only effective through
 	// PlayResilient, which supplies the dialer).
@@ -223,42 +208,33 @@ func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, s
 			}
 			conn = c
 		}
-		m2, err := handshake(conn, videoID, opts.Cohort)
+		m2, err := handshake(conn, opts.Reconnect, videoID, opts.Cohort, nil)
 		if err == nil {
 			m = m2
 			break
 		}
+		conn.Close() // a failed handshake ends its connection, retried or not
 		retryable := errors.Is(err, errBusy) || errors.Is(err, errHandshakeLink)
 		if retryable && overBudget() {
-			conn.Close()
 			return nil, fmt.Errorf("client: handshake: %w (last error: %v)", ErrReconnectBudget, err)
 		}
 		if dial == nil || !retryable || attempt >= opts.Reconnect.MaxAttempts {
-			conn.Close()
 			return nil, err
 		}
 		if errors.Is(err, errBusy) {
 			busyRejects++
 			opts.Trace.Record(0, obs.EvBusy, int64(attempt+1))
 		}
-		conn.Close()
 		conn = nil
 		time.Sleep(opts.Reconnect.delay(attempt, hsRng))
 	}
 
 	pb, err := player.NewPlayback(player.Config{
-		Manifest:          m,
-		Head:              head,
-		Scheme:            scheme,
-		Metric:            opts.Metric,
-		Viewport:          opts.Viewport,
-		PredictorHistory:  opts.PredictorHistory,
-		PredictErrorDeg:   opts.PredictErrorDeg,
-		PredictErrorSeed:  opts.PredictErrorSeed,
-		AssumedStartMbps:  opts.AssumedStartMbps,
-		MaskInterpolation: opts.MaskInterpolation,
-		Trace:             opts.Trace,
-		MaxWall:           opts.MaxWall,
+		Manifest: m,
+		Head:     head,
+		Scheme:   scheme,
+		Trace:    opts.Trace,
+		MaxWall:  opts.MaxWall,
 	})
 	if err != nil {
 		if dial != nil {
@@ -295,36 +271,45 @@ var errBusy = errors.New("client: server busy")
 // server rejected nothing.
 var errHandshakeLink = errors.New("client: handshake link failure")
 
-// handshake sends the hello and reads the manifest on a fresh connection.
-func handshake(conn net.Conn, videoID, cohort string) (*video.Manifest, error) {
-	if err := proto.WriteHello(conn, proto.Hello{VideoID: videoID, Cohort: cohort}); err != nil {
-		// A fast-rejecting server writes its busy error and closes without
-		// reading the hello, so the write can fail with a broken pipe while
-		// the rejection sits unread in the receive buffer. Prefer the typed
-		// error if one is there.
-		if msg, rerr := proto.ReadMessage(conn); rerr == nil && msg.Type == proto.MsgError {
-			if proto.IsBusyText(msg.Error) {
-				return nil, fmt.Errorf("%w: %s", errBusy, msg.Error)
-			}
-			return nil, fmt.Errorf("client: server error: %s", msg.Error)
-		}
-		return nil, fmt.Errorf("%w: hello: %v", errHandshakeLink, err)
+// handshake opens a session on a fresh connection: the first message — a
+// hello, or a resume carrying what the client holds — goes out under the
+// write deadline, and the reply is read under the read deadline (10 s when
+// unset) and classified, here only: the manifest, errBusy, a server error,
+// or errHandshakeLink. The opening loop and the reconnector each retry it
+// their own way.
+func handshake(conn net.Conn, rp ReconnectPolicy, videoID, cohort string, held *player.HeldSummary) (*video.Manifest, error) {
+	if rp.WriteTimeout > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(rp.WriteTimeout))
 	}
-	msg, err := proto.ReadMessage(conn)
-	if err != nil {
-		return nil, fmt.Errorf("%w: read manifest: %v", errHandshakeLink, err)
+	var werr error
+	if held == nil {
+		werr = proto.WriteHello(conn, proto.Hello{VideoID: videoID, Cohort: cohort})
+	} else {
+		werr = proto.WriteResume(conn, proto.Resume{Version: proto.ProtoVersion, VideoID: videoID, Held: *held, Cohort: cohort})
 	}
-	switch msg.Type {
-	case proto.MsgManifest:
-		return msg.Manifest, nil
-	case proto.MsgError:
-		if proto.IsBusyText(msg.Error) {
-			return nil, fmt.Errorf("%w: %s", errBusy, msg.Error)
-		}
+	// Read even if the write failed: a fast-rejecting server writes its busy
+	// error and closes without reading, so the write can break while the
+	// rejection sits unread in the receive buffer — the error to report.
+	wait := rp.ReadTimeout
+	if wait <= 0 {
+		wait = 10 * time.Second
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(wait))
+	msg, rerr := proto.ReadMessage(conn)
+	_ = conn.SetReadDeadline(time.Time{})
+	switch {
+	case rerr == nil && msg.Type == proto.MsgError && proto.IsBusyText(msg.Error):
+		return nil, fmt.Errorf("%w: %s", errBusy, msg.Error)
+	case rerr == nil && msg.Type == proto.MsgError:
 		return nil, fmt.Errorf("client: server error: %s", msg.Error)
-	default:
+	case werr != nil:
+		return nil, fmt.Errorf("%w: write: %v", errHandshakeLink, werr)
+	case rerr != nil:
+		return nil, fmt.Errorf("%w: read manifest: %v", errHandshakeLink, rerr)
+	case msg.Type != proto.MsgManifest:
 		return nil, fmt.Errorf("client: expected manifest, got type %d", msg.Type)
 	}
+	return msg.Manifest, nil
 }
 
 type session struct {
@@ -554,46 +539,17 @@ func (s *session) reconnectLoop() {
 	s.wakeLoop()
 }
 
-// resume performs the resume handshake on a fresh connection.
+// resume is the handshake of a reconnect. A busy reject is counted; the
+// reconnect loop's backoff is exactly the retry the server asked for.
 func (s *session) resume(conn net.Conn, sum player.HeldSummary) error {
-	if s.rp.WriteTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.rp.WriteTimeout))
+	_, err := handshake(conn, s.rp, s.m.VideoID, s.cohort, &sum)
+	if errors.Is(err, errBusy) {
+		s.mu.Lock()
+		s.met.BusyRejects++
+		s.mu.Unlock()
+		s.trace.Record(s.now(), obs.EvBusy, 0)
 	}
-	if err := proto.WriteResume(conn, proto.Resume{
-		Version: proto.ProtoVersion,
-		VideoID: s.m.VideoID,
-		Held:    sum,
-		Cohort:  s.cohort,
-	}); err != nil {
-		return fmt.Errorf("client: resume: %w", err)
-	}
-	handshake := s.rp.ReadTimeout
-	if handshake <= 0 {
-		handshake = 10 * time.Second
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(handshake))
-	msg, err := proto.ReadMessage(conn)
-	if err != nil {
-		return fmt.Errorf("client: resume ack: %w", err)
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	switch msg.Type {
-	case proto.MsgManifest:
-		return nil
-	case proto.MsgError:
-		if proto.IsBusyText(msg.Error) {
-			// Admission control said try later; the reconnect loop's backoff
-			// is exactly the retry the server asked for.
-			s.mu.Lock()
-			s.met.BusyRejects++
-			s.mu.Unlock()
-			s.trace.Record(s.now(), obs.EvBusy, 0)
-			return fmt.Errorf("%w: %s", errBusy, msg.Error)
-		}
-		return fmt.Errorf("client: resume rejected: %s", msg.Error)
-	default:
-		return fmt.Errorf("client: resume expected manifest, got type %d", msg.Type)
-	}
+	return err
 }
 
 // writeRequest ships one fetch list on conn id, treating a failure as a

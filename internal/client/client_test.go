@@ -2,6 +2,8 @@ package client
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -102,6 +104,46 @@ func TestPlayUnknownVideo(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown video accepted")
 	}
+}
+
+// TestOpeningHandshakeHonorsDeadlines: a backend that accepts, swallows the
+// hello and never answers (a stalled accept, a wedged balancer member) must
+// cost the opening handshake one read deadline, not the session: Play fails
+// with the retryable link error, and PlayResilient, redialing into the same
+// silence, fails with ErrReconnectBudget once TotalBudget is gone. The
+// opening handshake used to run with no deadline at all.
+func TestOpeningHandshakeHonorsDeadlines(t *testing.T) {
+	silent := func() (net.Conn, error) {
+		c, s := net.Pipe()
+		go func() { _, _ = io.Copy(io.Discard, s) }()
+		t.Cleanup(func() { s.Close() })
+		return c, nil
+	}
+	policy := ReconnectPolicy{MaxAttempts: 1000, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
+		ReadTimeout: 100 * time.Millisecond, WriteTimeout: 100 * time.Millisecond, TotalBudget: 500 * time.Millisecond}
+	within := func(name string, play func() error, want error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- play() }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, want) {
+				t.Errorf("%s: %v, want %v", name, err, want)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s: still blocked in the opening handshake after 3 s", name)
+		}
+	}
+	within("Play", func() error {
+		conn, _ := silent()
+		defer conn.Close()
+		_, err := Play(conn, "live", liveHead(time.Second), core.NewDefault(), PlayOptions{Reconnect: policy})
+		return err
+	}, errHandshakeLink)
+	within("PlayResilient", func() error {
+		_, err := PlayResilient(silent, "live", liveHead(time.Second), core.NewDefault(), PlayOptions{Reconnect: policy})
+		return err
+	}, ErrReconnectBudget)
 }
 
 func TestPlayValidatesArgs(t *testing.T) {

@@ -122,32 +122,41 @@ func ReadFaultCSV(r io.Reader) (*FaultSchedule, error) {
 		if line == 1 && rec[0] == "at_s" {
 			continue
 		}
-		at, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil || at < 0 {
+		at, ok := faultSpan(rec[0], time.Second)
+		if !ok {
 			return nil, fmt.Errorf("netem: fault csv line %d: bad at %q", line, rec[0])
 		}
 		kind, err := ParseFaultKind(rec[1])
 		if err != nil {
 			return nil, fmt.Errorf("netem: fault csv line %d: %w", line, err)
 		}
-		dur, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil || dur < 0 {
+		dur, ok := faultSpan(rec[2], time.Second)
+		if !ok {
 			return nil, fmt.Errorf("netem: fault csv line %d: bad duration %q", line, rec[2])
 		}
-		lat, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil || lat < 0 {
+		lat, ok := faultSpan(rec[3], time.Millisecond)
+		if !ok {
 			return nil, fmt.Errorf("netem: fault csv line %d: bad latency %q", line, rec[3])
 		}
-		// Round rather than truncate: 8.2 s is not representable exactly in
-		// float64 and must not come back as 8.199999999 s.
-		fs.Events = append(fs.Events, FaultEvent{
-			At:           time.Duration(math.Round(at * float64(time.Second))),
-			Kind:         kind,
-			Duration:     time.Duration(math.Round(dur * float64(time.Second))),
-			ExtraLatency: time.Duration(math.Round(lat * float64(time.Millisecond))),
-		})
+		fs.Events = append(fs.Events, FaultEvent{At: at, Kind: kind, Duration: dur, ExtraLatency: lat})
 	}
 	return fs, nil
+}
+
+// maxFaultSpan bounds every time field of a fault script: generous for
+// sessions of minutes, and it keeps the float to Duration conversion from
+// wrapping negative (a negative offset fires its fault at once).
+const maxFaultSpan = 24 * time.Hour
+
+// faultSpan parses one time field, given in unit: finite, non-negative and
+// at most maxFaultSpan. It rounds rather than truncates: 8.2 s is not
+// representable exactly in float64 and must not come back as 8.199999999 s.
+func faultSpan(field string, unit time.Duration) (time.Duration, bool) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil || !(v >= 0 && v*float64(unit) <= float64(maxFaultSpan)) {
+		return 0, false // the negated form also refuses NaN
+	}
+	return time.Duration(math.Round(v * float64(unit))), true
 }
 
 // FaultLink injects a scheduled fault script into connections built on top

@@ -48,6 +48,15 @@ func TestReadFaultCSVErrors(t *testing.T) {
 		"1,spike,1,-5\n",         // negative latency
 		"1,spike,1\n",            // short record
 		"at_s,kind\n1,spike,1\n", // short header
+		// Non-finite and huge values pass a bare "< 0" check and wrap the
+		// float-to-Duration conversion negative.
+		"NaN,disconnect,0,0\n",
+		"Inf,disconnect,0,0\n",
+		"1e300,disconnect,0,0\n",
+		"1,blackout,NaN,0\n",
+		"1,blackout,1e300,0\n",
+		"1,spike,1,Inf\n",
+		"86401,disconnect,0,0\n", // past the one-day bound
 	} {
 		if _, err := ReadFaultCSV(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted %q", bad)
@@ -242,4 +251,28 @@ func TestFaultLinkTruncateDropsHalfButReportsFull(t *testing.T) {
 	if got != 16 {
 		t.Errorf("received %d bytes, want the truncated 16", got)
 	}
+}
+
+// FuzzReadFaultCSV: the parser reads operator-supplied files; it must never
+// panic, and every time field of an accepted event is non-negative and
+// within maxFaultSpan, so FaultLink.Wrap never arms a timer in the past.
+func FuzzReadFaultCSV(f *testing.F) {
+	f.Add("at_s,kind,duration_s,extra_latency_ms\n1.5,disconnect,0,0\n8.2,spike,1,300\n")
+	f.Add("NaN,disconnect,0,0\n")
+	f.Add("1,blackout,Inf,0\n")
+	f.Add("1,spike,1,1e300\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, raw string) {
+		fs, err := ReadFaultCSV(strings.NewReader(raw))
+		if err != nil {
+			return
+		}
+		for _, ev := range fs.Events {
+			for _, d := range []time.Duration{ev.At, ev.Duration, ev.ExtraLatency} {
+				if d < 0 || d > maxFaultSpan {
+					t.Fatalf("accepted event %+v has a time field outside [0, %v]", ev, maxFaultSpan)
+				}
+			}
+		}
+	})
 }

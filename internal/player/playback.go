@@ -30,16 +30,10 @@ type Config struct {
 	// Viewport defaults to geom.DefaultViewport when zero.
 	Viewport geom.Viewport
 
-	// PredictorHistory is the viewport-regression window (0 = default).
-	PredictorHistory time.Duration
 	// PredictErrorDeg injects uniform orientation noise into the predictor's
 	// observations (the Figs 21–23 sensitivity methodology); 0 disables.
 	PredictErrorDeg  float64
 	PredictErrorSeed int64
-
-	// AssumedStartMbps seeds scheduling before any throughput sample exists
-	// (default 5).
-	AssumedStartMbps float64
 
 	// Decoder optionally models the client's media-decode stage: delivered
 	// tiles become renderable only once decoded (nil = infinitely fast, as
@@ -138,9 +132,6 @@ func NewPlayback(cfg Config) (*Playback, error) {
 	if cfg.Viewport.RadiusDeg == 0 {
 		cfg.Viewport = geom.DefaultViewport
 	}
-	if cfg.AssumedStartMbps == 0 {
-		cfg.AssumedStartMbps = 5
-	}
 	if cfg.MaxWall == 0 {
 		videoDur := time.Duration(m.NumFrames()) * time.Second / time.Duration(m.FPS)
 		cfg.MaxWall = 3*videoDur + 30*time.Second
@@ -168,9 +159,9 @@ func NewPlayback(cfg Config) (*Playback, error) {
 	p.acct = newAccountant(m, p.grid, cfg.Metric, p.met)
 	p.acct.interpolate = cfg.MaskInterpolation
 	if cfg.PredictErrorDeg > 0 {
-		p.vpPred = predict.NewViewportWithError(cfg.PredictorHistory, cfg.PredictErrorDeg, cfg.PredictErrorSeed)
+		p.vpPred = predict.NewViewportWithError(0, cfg.PredictErrorDeg, cfg.PredictErrorSeed)
 	} else {
-		p.vpPred = predict.NewViewport(cfg.PredictorHistory)
+		p.vpPred = predict.NewViewport(0)
 	}
 	p.ctx = Context{
 		Manifest:      m,
@@ -290,10 +281,13 @@ func (p *Playback) Finish(now time.Duration) *Metrics {
 	return p.met
 }
 
+// assumedStartMbps seeds scheduling before any throughput sample exists.
+const assumedStartMbps = 5
+
 func (p *Playback) decide() []RequestItem {
 	mbps := p.bwPred.PredictMbps()
 	if mbps <= 0 {
-		mbps = p.cfg.AssumedStartMbps
+		mbps = assumedStartMbps
 	}
 	p.ctx.Now = p.now
 	p.ctx.PlayFrame = p.playFrame

@@ -26,7 +26,6 @@ import (
 
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/obs"
-	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/store"
 	"dragonfly/internal/video"
@@ -93,14 +92,11 @@ type Server struct {
 	// the handshake with a typed busy ErrorMsg that resilient clients
 	// treat as retryable-with-backoff. 0 means unlimited.
 	MaxConns int
-	// WriteStallBudget bounds the cumulative *excess* time a session may
-	// spend blocked in writes — the slowloris defense. Each write gets a
-	// free allowance of a tenth of the budget (at least 1 ms); time beyond
-	// the allowance accumulates, and when the total exceeds the budget the
-	// session is killed with ErrWriteStall, releasing its queue bytes.
-	// This is distinct from WriteTimeout: a peer that drains each write
-	// just inside the deadline can still pin queue memory for the whole
-	// session; the stall budget bounds that integral. 0 disables.
+	// WriteStallBudget bounds the cumulative excess time a session may
+	// spend blocked in writes — the slowloris defense WriteTimeout cannot
+	// be, metered by a proto.StallMeter (which states the policy). A
+	// session that exhausts it is killed with ErrWriteStall, releasing its
+	// queue bytes. 0 disables.
 	WriteStallBudget time.Duration
 
 	// QoE, when non-nil, scales each session's queue budgets by its
@@ -130,34 +126,6 @@ type Server struct {
 	Obs *obs.Registry
 
 	ctr counters
-}
-
-// connObs is the per-connection binding of the registry metrics: handles
-// are resolved once per connection so the tile-send hot loop updates them
-// with plain atomics, no map lookups. All handles are nil-safe.
-type connObs struct {
-	primary, maskTile, maskFull *obs.Counter
-	bytes, pings, shed          *obs.Counter
-	shedBytes, corruptFrames    *obs.Counter
-	qoeInstalls                 *obs.Counter
-	tileBytes, queueLen         *obs.Histogram
-}
-
-func (s *Server) bindConnObs() connObs {
-	r := s.Obs // nil registry hands out detached, nil-safe metrics
-	return connObs{
-		primary:       r.Counter("srv_primary_sent"),
-		maskTile:      r.Counter("srv_mask_tile_sent"),
-		maskFull:      r.Counter("srv_mask_full_sent"),
-		bytes:         r.Counter("srv_bytes_sent"),
-		pings:         r.Counter("srv_pings"),
-		shed:          r.Counter("srv_shed_items"),
-		shedBytes:     r.Counter("srv_shed_bytes"),
-		corruptFrames: r.Counter("srv_corrupt_frames"),
-		qoeInstalls:   r.Counter("srv_qoe_scaled_installs"),
-		tileBytes:     r.Histogram("srv_tile_bytes"),
-		queueLen:      r.Histogram("srv_queue_len"),
-	}
 }
 
 // counters aggregates send accounting across all connections.
@@ -269,8 +237,8 @@ func (s *Server) noteActive(delta int64) int64 {
 }
 
 // addQueuedBytes adjusts the fleet-visible queued-payload total and
-// mirrors it to the srv_queue_bytes gauge. It is the sendState report
-// callback: installs add, sends and teardown subtract.
+// mirrors it to the srv_queue_bytes gauge: a session's installs add, its
+// sends and teardown subtract.
 func (s *Server) addQueuedBytes(delta int64) {
 	s.Obs.Gauge("srv_queue_bytes").Set(float64(s.queuedBytes.Add(delta)))
 }
@@ -383,534 +351,71 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	}
 }
 
-// sendState is the per-connection queue shared between the request reader
-// and the tile sender.
-type sendState struct {
-	mu     sync.Mutex
-	wake   chan struct{}
-	queue  []player.RequestItem
-	gen    uint32
-	closed bool
-
-	// queuedBytes is the payload total of the installed queue; every
-	// change is pushed through report (a delta callback) so the server
-	// can keep a cross-connection srv_queue_bytes gauge current.
-	queuedBytes int64
-	report      func(delta int64)
-
-	sent *player.Sent // the redundancy rule (§3.3)
+// admit takes an admission slot, or says why not, before a client byte is
+// read: a saturated or draining server must shed load at once, unread.
+func (s *Server) admit() (busy string) {
+	if s.draining.Load() {
+		busy = "server draining"
+	} else if n := s.noteActive(1); s.MaxConns > 0 && n > int64(s.MaxConns) {
+		s.noteActive(-1)
+		busy = fmt.Sprintf("connection limit %d reached", s.MaxConns)
+	}
+	if busy != "" {
+		s.ctr.rejectedConns.Add(1)
+		s.Obs.Counter("srv_rejected_conns").Inc()
+	}
+	return busy
 }
 
-func newSendState(m *video.Manifest) *sendState {
-	return &sendState{
-		wake:   make(chan struct{}, 1),
-		report: func(int64) {},
-		sent:   player.NewSent(m),
-	}
-}
-
-func (st *sendState) signal() {
-	select {
-	case st.wake <- struct{}{}:
-	default:
-	}
-}
-
-// install replaces the queue if the request is at least as new ("when a new
-// request is received, the server discards the previous (older) request").
-// Generations compare with serial-number arithmetic so a long-lived session
-// survives uint32 wraparound, and an equal generation re-installs — the
-// idempotent replay a reconnecting client relies on. It returns how many
-// items (and payload bytes) were shed to fit the count and byte budgets.
-func (st *sendState) install(r proto.Request, maxQueue int, maxBytes int64, m *video.Manifest) (int, int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed || int32(r.Generation-st.gen) < 0 {
-		// Stale (out-of-order) requests are ignored.
-		return 0, 0
-	}
-	st.gen = r.Generation
-	items, shed, shedBytes := shedQueue(r.Items, maxQueue, maxBytes, m)
-	st.queue = items
-	var bytes int64
-	for _, it := range items {
-		bytes += safeSize(it, m)
-	}
-	if delta := bytes - st.queuedBytes; delta != 0 {
-		st.queuedBytes = bytes
-		st.report(delta)
-	}
-	st.signal()
-	return shed, shedBytes
-}
-
-// shedQueue drops the lowest-utility entries to fit the count cap and the
-// per-session byte budget. Fetch lists are ordered by descending utility
-// (the scheme contract), so the tail holds the least valuable items — but
-// masking entries are never dropped: they are the continuity floor, and
-// they consume budget that primaries then cannot. With a byte budget, an
-// oversized primary is shed while smaller lower-utility ones may still
-// fit; that is deliberate (more of the viewport covered per byte).
-func shedQueue(items []player.RequestItem, max int, maxBytes int64, m *video.Manifest) ([]player.RequestItem, int, int64) {
-	overCount := max > 0 && len(items) > max
-	if !overCount && maxBytes <= 0 {
-		return items, 0, 0
-	}
-	if !overCount {
-		var total int64
-		for _, it := range items {
-			total += safeSize(it, m)
-		}
-		if total <= maxBytes {
-			return items, 0, 0
-		}
-	}
-	countBudget := max
-	if max <= 0 {
-		countBudget = len(items)
-	}
-	byteBudget := maxBytes
-	for _, it := range items {
-		if it.Stream == player.Masking {
-			countBudget--
-			if maxBytes > 0 {
-				byteBudget -= safeSize(it, m)
-			}
-		}
-	}
-	// Masking alone may overrun either cap (it is never shed). Clamp the
-	// remaining budgets at zero: a negative byte budget would otherwise
-	// fail even the zero-size comparison below and shed malformed items
-	// that the contract says always fit the BYTE budget (next() drops
-	// them for free; they must not burn shed accounting as real tiles).
-	if countBudget < 0 {
-		countBudget = 0
-	}
-	if byteBudget < 0 {
-		byteBudget = 0
-	}
-	kept := make([]player.RequestItem, 0, len(items))
-	var shedBytes int64
-	for _, it := range items {
-		if it.Stream == player.Masking {
-			kept = append(kept, it)
-			continue
-		}
-		size := safeSize(it, m)
-		if countBudget > 0 && (maxBytes <= 0 || byteBudget >= size) {
-			kept = append(kept, it)
-			countBudget--
-			if maxBytes > 0 {
-				byteBudget -= size
-			}
-			continue
-		}
-		shedBytes += size
-	}
-	return kept, len(items) - len(kept), shedBytes
-}
-
-// safeSize is RequestItem.Size with bounds checks: request items come off
-// the wire, and an out-of-range chunk or tile must shed as zero bytes (the
-// sender's next() skips it anyway), not panic the connection handler.
-func safeSize(it player.RequestItem, m *video.Manifest) int64 {
-	if !it.In(m) {
-		return 0
-	}
-	return it.Size(m)
-}
-
-// preload marks the client-held items from a resume summary as already
-// sent, restoring the redundancy suppression of the pre-disconnect
-// session. It returns the number of entries restored.
-func (st *sendState) preload(h player.HeldSummary, _ *video.Manifest) int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.sent.Preload(h)
-}
-
-// next pops the next sendable item, applying the redundancy rule, or
-// returns false if the queue is (currently) exhausted. done reports the
-// connection was closed.
-func (st *sendState) next(m *video.Manifest) (it player.RequestItem, ok, done bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for len(st.queue) > 0 {
-		it = st.queue[0]
-		st.queue = st.queue[1:]
-		if !it.In(m) {
-			continue // malformed entry: installed as zero bytes, skipped here
-		}
-		if size := it.Size(m); size > 0 {
-			st.queuedBytes -= size
-			st.report(-size)
-		}
-		if st.sent.Admit(it) {
-			return it, true, false
-		}
-	}
-	return player.RequestItem{}, false, st.closed
-}
-
-func (st *sendState) close() {
-	st.mu.Lock()
-	st.closed = true
-	st.mu.Unlock()
-	st.signal()
-}
-
-// releaseQueued closes the state and returns its remaining byte
-// commitment through the report callback, so a session torn down with a
-// non-empty queue (write error, kill) does not leak srv_queue_bytes.
-// Installs racing with teardown are ignored by the closed check in
-// install, so the gauge cannot drift after release.
-func (st *sendState) releaseQueued() {
-	st.mu.Lock()
-	st.closed = true
-	rem := st.queuedBytes
-	st.queuedBytes = 0
-	if rem != 0 {
-		st.report(-rem)
-	}
-	st.mu.Unlock()
-	st.signal()
+// reject tells a peer why it gets no session, under the write deadline: a
+// peer that never reads must not hold the handler and its admission slot.
+func (s *Server) reject(conn net.Conn, text string) {
+	s.setWriteDeadline(conn)
+	_ = proto.WriteError(conn, text)
 }
 
 // HandleConnContext runs one streaming session; on ctx cancellation the
-// sender drains the queued tiles, sends a Bye, and returns.
+// sender drains the queued tiles, sends a Bye, and returns. It is the I/O
+// shell (conn, deadlines, clock, two loops) around the deciding session.
 func (s *Server) HandleConnContext(ctx context.Context, conn net.Conn) error {
-	// Admission control first, before reading a single client byte: a
-	// saturated or draining server must shed load instantly, not after a
-	// handshake's worth of work. The busy ErrorMsg is typed so resilient
-	// clients back off and retry instead of giving up.
-	if s.draining.Load() {
-		s.ctr.rejectedConns.Add(1)
-		s.Obs.Counter("srv_rejected_conns").Inc()
-		s.setWriteDeadline(conn)
-		_ = proto.WriteError(conn, proto.BusyText("server draining"))
-		return fmt.Errorf("server: rejected connection: draining")
-	}
-	if s.MaxConns > 0 {
-		if n := s.noteActive(1); n > int64(s.MaxConns) {
-			s.noteActive(-1)
-			s.ctr.rejectedConns.Add(1)
-			s.Obs.Counter("srv_rejected_conns").Inc()
-			s.setWriteDeadline(conn)
-			_ = proto.WriteError(conn, proto.BusyText(fmt.Sprintf("connection limit %d reached", s.MaxConns)))
-			return fmt.Errorf("server: rejected connection: limit %d reached", s.MaxConns)
-		}
-	} else {
-		s.noteActive(1)
+	if busy := s.admit(); busy != "" {
+		// Typed as busy so resilient clients back off and retry.
+		s.reject(conn, proto.BusyText(busy))
+		return fmt.Errorf("server: rejected connection: %s", busy)
 	}
 	defer s.noteActive(-1)
 	s.setReadDeadline(conn)
-	msg, err := proto.ReadMessage(conn)
+	first, err := proto.ReadMessage(conn)
 	if err != nil {
 		return fmt.Errorf("server: read hello: %w", err)
 	}
-	var (
-		m      *video.Manifest
-		ok     bool
-		held   *player.HeldSummary
-		cohort string
-	)
-	switch msg.Type {
-	case proto.MsgHello:
-		m, ok = s.manifests[msg.Hello.VideoID]
-		if !ok {
-			_ = proto.WriteError(conn, fmt.Sprintf("unknown video %q", msg.Hello.VideoID))
-			return fmt.Errorf("server: unknown video %q", msg.Hello.VideoID)
+	ss, pong, refuse, err := s.open(first)
+	switch {
+	case err != nil:
+		if refuse != "" {
+			s.reject(conn, refuse)
 		}
-		cohort = msg.Hello.Cohort
-	case proto.MsgResume:
-		r := msg.Resume
-		if r.Version != proto.ProtoVersion {
-			_ = proto.WriteError(conn, fmt.Sprintf("unsupported protocol version %d (want %d)", r.Version, proto.ProtoVersion))
-			return fmt.Errorf("server: resume with protocol version %d", r.Version)
-		}
-		m, ok = s.manifests[r.VideoID]
-		if !ok {
-			_ = proto.WriteError(conn, fmt.Sprintf("unknown video %q", r.VideoID))
-			return fmt.Errorf("server: unknown video %q", r.VideoID)
-		}
-		if r.Held.NumChunks != m.NumChunks || r.Held.NumTiles != m.NumTiles() {
-			_ = proto.WriteError(conn, "resume state does not match video geometry")
-			return fmt.Errorf("server: resume geometry %dx%d for %q", r.Held.NumChunks, r.Held.NumTiles, r.VideoID)
-		}
-		held = &r.Held
-		cohort = r.Cohort
-	case proto.MsgPing:
-		// Health probe (balancer or external checker): answer with a
-		// status pong and end the connection. The figure excludes the
-		// probe's own admission slot, so an idle server reports zero.
-		// A draining or saturated server never reaches here — admission
-		// busy-rejects first, which probers read as "alive but
-		// unroutable".
-		n := s.active.Load() - 1
-		if n < 0 {
-			n = 0
-		}
-		s.ctr.probes.Add(1)
-		s.Obs.Counter("srv_probes").Inc()
+		return err
+	case pong != nil:
 		s.setWriteDeadline(conn)
-		if err := proto.WritePong(conn, proto.Pong{Draining: s.draining.Load(), ActiveConns: uint32(n)}); err != nil {
+		if err := proto.WritePong(conn, *pong); err != nil {
 			return fmt.Errorf("server: send pong: %w", err)
 		}
 		return nil
-	default:
-		return fmt.Errorf("server: expected hello, got type %d", msg.Type)
 	}
+	defer ss.release()
 	s.setWriteDeadline(conn)
-	if err := proto.WriteManifest(conn, m); err != nil {
+	if err := proto.WriteManifest(conn, ss.m); err != nil {
 		return fmt.Errorf("server: send manifest: %w", err)
 	}
-
-	co := s.bindConnObs()
-	s.Obs.Counter("srv_conns_opened").Inc()
-	defer s.Obs.Counter("srv_conns_closed").Inc()
-
-	strace := s.startSessionTrace(m.VideoID, cohort)
-	defer strace.flush(s.Logf)
-
-	st := newSendState(m)
-	st.report = s.addQueuedBytes
-	defer st.releaseQueued()
-	if held != nil {
-		restored := st.preload(*held, m)
-		s.ctr.resumes.Add(1)
-		s.ctr.resumedItems.Add(restored)
-		s.Obs.Counter("srv_resumes").Inc()
-		s.Obs.Counter("srv_resumed_items").Add(restored)
-	}
-	// Graceful drain: cancellation closes the send state, so the sender
+	// Graceful drain: cancellation closes the session, so the sender
 	// flushes what is queued and says goodbye instead of vanishing.
-	stopWatch := context.AfterFunc(ctx, st.close)
+	stopWatch := context.AfterFunc(ctx, ss.close)
 	defer stopWatch()
-
-	maxQueue := s.MaxQueue
-	if maxQueue == 0 {
-		maxQueue = DefaultMaxQueue
-	}
-
-	// Request reader: installs each new fetch list until the client leaves.
-	// The frame body buffer is owned by this loop and recycled across
-	// reads (proto.ReadMessageBuf); nothing below retains the message past
-	// one iteration — the item slice install keeps is decoded into fresh
-	// memory by the proto layer, not aliased into the frame body.
 	readErr := make(chan error, 1)
-	go func() {
-		defer st.close()
-		var rbuf []byte
-		for {
-			s.setReadDeadline(conn)
-			var msg *proto.Message
-			var err error
-			msg, rbuf, err = proto.ReadMessageBuf(conn, rbuf)
-			if err != nil {
-				if errors.Is(err, proto.ErrChecksum) {
-					s.ctr.corruptFrames.Add(1)
-					co.corruptFrames.Inc()
-				}
-				readErr <- err
-				return
-			}
-			switch msg.Type {
-			case proto.MsgRequest:
-				co.queueLen.Observe(float64(len(msg.Request.Items)))
-				// The QoE feedback loop modulates this session's budgets by
-				// its cohort's scale, re-read per install so a fresh rollup
-				// takes effect within one request interval (~100 ms).
-				effQueue, effBytes := maxQueue, s.MaxQueueBytes
-				if scale := s.qoeScale(cohort); scale != 1 {
-					effQueue, effBytes = scaleBudgets(maxQueue, s.MaxQueueBytes, scale)
-					s.ctr.qoeInstalls.Add(1)
-					co.qoeInstalls.Inc()
-				}
-				if shed, shedBytes := st.install(*msg.Request, effQueue, effBytes, m); shed > 0 {
-					s.ctr.shedItems.Add(int64(shed))
-					s.ctr.shedBytes.Add(shedBytes)
-					co.shed.Add(int64(shed))
-					co.shedBytes.Add(shedBytes)
-					strace.shed(shedBytes)
-				}
-			case proto.MsgBye:
-				readErr <- nil
-				return
-			default:
-				readErr <- fmt.Errorf("server: unexpected message type %d", msg.Type)
-				return
-			}
-		}
-	}()
-
-	heartbeat := s.Heartbeat
-	if heartbeat == 0 {
-		heartbeat = DefaultHeartbeat
-	}
-
-	// Tile sender: drains the queue by reference from the shared tile
-	// store. A send appends pre-framed (head, payload, trailer) slices to
-	// a scratch net.Buffers and flushes the batch with one vectored
-	// write — zero per-send serialization or CRC work, zero per-session
-	// payload memory. Batching is bounded so one slow client holds at
-	// most one batch's worth of deadline, and a new (superseding) request
-	// takes effect at the next batch boundary.
-	tileStore := s.stores[m.VideoID]
-	const (
-		maxBatchFrames = 32
-		maxBatchBytes  = 1 << 20
-	)
-	var (
-		// scratch accumulates the batch; wire is the slice-header copy the
-		// vectored write consumes (net.Buffers.WriteTo reslices the value
-		// it runs on to zero capacity — writing through a copy keeps
-		// scratch's backing array reusable across batches).
-		scratch = make(net.Buffers, 0, 3*maxBatchFrames)
-		wire    net.Buffers
-		batch   = make([]player.RequestItem, 0, maxBatchFrames)
-		sizes   = make([]int64, 0, maxBatchFrames) // payload bytes per frame
-		ends    = make([]int64, 0, maxBatchFrames) // cumulative wire offsets
-	)
-	var idle *time.Timer
-	defer func() {
-		if idle != nil {
-			idle.Stop()
-		}
-	}()
-	// Write-stall (slowloris) accounting: each write is allowed
-	// stallThresh of blocking for free; the excess accumulates in
-	// stallSpent and exhausting stallBudget kills the session. Metering
-	// (the time.Now pair) is skipped entirely when the budget is off, so
-	// the default hot path is unchanged.
-	stallBudget := s.WriteStallBudget
-	stallThresh := stallBudget / 10
-	if stallBudget > 0 && stallThresh < time.Millisecond {
-		stallThresh = time.Millisecond
-	}
-	var stallSpent time.Duration
-	noteStall := func(d time.Duration) error {
-		if d <= stallThresh {
-			return nil
-		}
-		stallSpent += d - stallThresh
-		if stallSpent <= stallBudget {
-			return nil
-		}
-		st.close()
-		s.ctr.stallKills.Add(1)
-		s.Obs.Counter("srv_write_stall_kills").Inc()
-		return ErrWriteStall
-	}
-	for {
-		it, ok, done := st.next(m)
-		if done {
-			break
-		}
-		if !ok {
-			if heartbeat > 0 {
-				if idle == nil {
-					idle = time.NewTimer(heartbeat)
-				} else {
-					idle.Reset(heartbeat)
-				}
-				select {
-				case <-st.wake:
-					if !idle.Stop() {
-						<-idle.C
-					}
-				case <-idle.C:
-					s.setWriteDeadline(conn)
-					var start time.Time
-					if stallBudget > 0 {
-						start = time.Now()
-					}
-					if err := proto.WritePing(conn); err != nil {
-						st.close()
-						return fmt.Errorf("server: send ping: %w", err)
-					}
-					if stallBudget > 0 {
-						if err := noteStall(time.Since(start)); err != nil {
-							return fmt.Errorf("server: send ping: %w", err)
-						}
-					}
-					s.ctr.pings.Add(1)
-					co.pings.Inc()
-				}
-			} else {
-				<-st.wake
-			}
-			continue
-		}
-		// Gather: the popped item plus whatever is immediately sendable,
-		// up to the batch caps. Items the store cannot serve (beyond the
-		// frame cap, or a full-360° requested on the primary stream) are
-		// skipped, mirroring next()'s treatment of malformed entries.
-		scratch = scratch[:0]
-		batch = batch[:0]
-		sizes = sizes[:0]
-		ends = ends[:0]
-		var wireBytes int64
-		drained := false
-		for {
-			if bufs, fsize, okf := tileStore.AppendFrame(scratch, it); okf {
-				scratch = bufs
-				wireBytes += fsize
-				batch = append(batch, it)
-				sizes = append(sizes, fsize-proto.TileFrameOverhead)
-				ends = append(ends, wireBytes)
-			}
-			if len(batch) >= maxBatchFrames || wireBytes >= maxBatchBytes {
-				break
-			}
-			if it, ok, done = st.next(m); !ok {
-				drained = done
-				break
-			}
-		}
-		if len(batch) > 0 {
-			s.setWriteDeadline(conn)
-			wire = scratch
-			var start time.Time
-			if stallBudget > 0 {
-				start = time.Now()
-			}
-			n, err := writeBatch(conn, wire)
-			// Credit only frames the connection fully accepted; on a
-			// partial write the torn tail was never delivered, and the
-			// dedup invariants the chaos tests pin are send upper bounds.
-			sent := 0
-			for sent < len(ends) && ends[sent] <= n {
-				sent++
-			}
-			for i := 0; i < sent; i++ {
-				switch fr := batch[i]; {
-				case fr.Stream == player.Primary:
-					s.ctr.primarySent.Add(1)
-					co.primary.Inc()
-				case fr.Full360:
-					s.ctr.maskFullSent.Add(1)
-					co.maskFull.Inc()
-				default:
-					s.ctr.maskTileSent.Add(1)
-					co.maskTile.Inc()
-				}
-				s.ctr.bytesSent.Add(sizes[i])
-				co.bytes.Add(sizes[i])
-				co.tileBytes.Observe(float64(sizes[i]))
-			}
-			if err != nil {
-				st.close()
-				return fmt.Errorf("server: send tile: %w", err)
-			}
-			if stallBudget > 0 {
-				if err := noteStall(time.Since(start)); err != nil {
-					return fmt.Errorf("server: send tile: %w", err)
-				}
-			}
-		}
-		if drained {
-			break
-		}
+	go func() { readErr <- s.receive(conn, ss) }()
+	if err := s.send(conn, ss); err != nil {
+		return err
 	}
 	// Best-effort goodbye: on graceful drain it tells the client the
 	// remaining queue has been flushed and nothing more is coming.
@@ -927,6 +432,90 @@ func (s *Server) HandleConnContext(ctx context.Context, conn net.Conn) error {
 		return err
 	}
 	return nil
+}
+
+// receive is the request reader: it hands each fetch list to the session
+// until the client leaves, and closes the session on the way out so the
+// sender flushes and stops. The frame body buffer is recycled across reads
+// (proto.ReadMessageBuf); nothing retains a message past one iteration —
+// the items the session keeps are decoded into fresh memory, not aliased.
+func (s *Server) receive(conn net.Conn, ss *session) error {
+	defer ss.close()
+	var rbuf []byte
+	for {
+		s.setReadDeadline(conn)
+		msg, buf, err := proto.ReadMessageBuf(conn, rbuf)
+		if err != nil {
+			if errors.Is(err, proto.ErrChecksum) {
+				ss.corruptFrame()
+			}
+			return err
+		}
+		rbuf = buf
+		switch msg.Type {
+		case proto.MsgRequest:
+			ss.request(*msg.Request)
+		case proto.MsgBye:
+			return nil
+		default:
+			return fmt.Errorf("server: unexpected message type %d", msg.Type)
+		}
+	}
+}
+
+// send is the tile sender: one vectored write on the raw conn per batch the
+// session gathers, heartbeats while idle, until done or a write fails.
+func (s *Server) send(conn net.Conn, ss *session) error {
+	heartbeat := s.Heartbeat
+	if heartbeat == 0 {
+		heartbeat = DefaultHeartbeat
+	}
+	var idle *time.Timer
+	defer func() {
+		if idle != nil {
+			idle.Stop()
+		}
+	}()
+	for {
+		wire, done := ss.nextBatch()
+		if len(wire) > 0 {
+			s.setWriteDeadline(conn)
+			start := time.Now()
+			n, err := writeBatch(conn, wire)
+			if err := ss.wrote(n, time.Since(start), err); err != nil {
+				return err
+			}
+		}
+		switch {
+		case done:
+			return nil
+		case len(wire) > 0:
+			continue
+		case heartbeat < 0:
+			<-ss.wake
+			continue
+		}
+		if idle == nil {
+			idle = time.NewTimer(heartbeat)
+		} else {
+			idle.Reset(heartbeat)
+		}
+		select {
+		case <-ss.wake:
+			if !idle.Stop() {
+				<-idle.C
+			}
+		case <-idle.C:
+			s.setWriteDeadline(conn)
+			start := time.Now()
+			if err := proto.WritePing(conn); err != nil {
+				return fmt.Errorf("server: send ping: %w", err)
+			}
+			if err := ss.pinged(time.Since(start)); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // writeBatch flushes one gathered batch. Disarmed (always, in production)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,34 +31,34 @@ func TestVideos(t *testing.T) {
 
 func TestSendStateSupersession(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	st.install(proto.Request{Generation: 1, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 0, Quality: 1},
 		{Stream: player.Primary, Chunk: 0, Tile: 1, Quality: 1},
-	}}, 0, 0, m)
+	}}, 0, 0)
 	// A newer request replaces the queue wholesale.
 	st.install(proto.Request{Generation: 2, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 2, Quality: 3},
-	}}, 0, 0, m)
-	it, ok, done := st.next(m)
+	}}, 0, 0)
+	it, ok, done := st.next()
 	if !ok || done || it.Tile != 2 {
 		t.Fatalf("next = %+v ok=%v done=%v", it, ok, done)
 	}
-	if _, ok, _ := st.next(m); ok {
+	if _, ok, _ := st.next(); ok {
 		t.Fatal("superseded items survived")
 	}
 }
 
 func TestSendStateIgnoresStaleGeneration(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	st.install(proto.Request{Generation: 5, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 7, Quality: 1},
-	}}, 0, 0, m)
+	}}, 0, 0)
 	st.install(proto.Request{Generation: 3, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 9, Quality: 1},
-	}}, 0, 0, m)
-	it, ok, _ := st.next(m)
+	}}, 0, 0)
+	it, ok, _ := st.next()
 	if !ok || it.Tile != 7 {
 		t.Fatalf("stale generation replaced queue: %+v", it)
 	}
@@ -65,7 +66,7 @@ func TestSendStateIgnoresStaleGeneration(t *testing.T) {
 
 func TestSendStateRedundancyRules(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	items := []player.RequestItem{
 		{Stream: player.Masking, Chunk: 0, Tile: 1, Quality: 0},
 		{Stream: player.Primary, Chunk: 0, Tile: 1, Quality: 2}, // upgrade over masking: allowed
@@ -74,10 +75,10 @@ func TestSendStateRedundancyRules(t *testing.T) {
 		{Stream: player.Masking, Chunk: 0, Tile: 2, Quality: 0},       // covered by full-360: dropped
 		{Stream: player.Masking, Chunk: 0, Full360: true, Quality: 0}, // duplicate full: dropped
 	}
-	st.install(proto.Request{Generation: 1, Items: items}, 0, 0, m)
+	st.install(proto.Request{Generation: 1, Items: items}, 0, 0)
 	var sent []player.RequestItem
 	for {
-		it, ok, done := st.next(m)
+		it, ok, done := st.next()
 		if done || !ok {
 			break
 		}
@@ -93,7 +94,7 @@ func TestSendStateRedundancyRules(t *testing.T) {
 
 func TestSendStateSkipsMalformed(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	st.install(proto.Request{Generation: 1, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 999, Tile: 0, Quality: 1},
 		{Stream: player.Primary, Chunk: 0, Tile: 999, Quality: 1},
@@ -101,8 +102,8 @@ func TestSendStateSkipsMalformed(t *testing.T) {
 		// primary dedup state with this one would panic the handler.
 		{Stream: player.Primary, Chunk: 0, Full360: true, Tile: 999, Quality: 1},
 		{Stream: player.Primary, Chunk: 0, Tile: 3, Quality: 1},
-	}}, 0, 0, m)
-	it, ok, _ := st.next(m)
+	}}, 0, 0)
+	it, ok, _ := st.next()
 	if !ok || it.Tile != 3 {
 		t.Fatalf("malformed items not skipped: %+v", it)
 	}
@@ -110,11 +111,11 @@ func TestSendStateSkipsMalformed(t *testing.T) {
 
 func TestSendStateCloseUnblocks(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	done := make(chan struct{})
 	go func() {
 		for {
-			_, ok, closed := st.next(m)
+			_, ok, closed := st.next()
 			if closed {
 				close(done)
 				return
@@ -168,6 +169,53 @@ func TestHandleConnUnknownVideo(t *testing.T) {
 	srvConn.Close()
 }
 
+// TestRejectHonorsWriteDeadline: a peer whose first message is refused and
+// which then never reads must not hold the handler, and its admission slot,
+// in the reject write. Every refusal goes through the one reject, under the
+// write deadline; four of them used to write with none.
+func TestRejectHonorsWriteDeadline(t *testing.T) {
+	m := testManifest()
+	held := player.NewReceived(m).Summary()
+	wrongGeometry := player.NewReceived(video.Generate(video.GenParams{ID: "other", Rows: 2, Cols: 2, NumChunks: 1, Seed: 1})).Summary()
+	firsts := map[string]func(c net.Conn) error{
+		"hello for an unknown video": func(c net.Conn) error {
+			return proto.WriteHello(c, proto.Hello{VideoID: "ghost"})
+		},
+		"resume for an unknown video": func(c net.Conn) error {
+			return proto.WriteResume(c, proto.Resume{Version: proto.ProtoVersion, VideoID: "ghost", Held: held})
+		},
+		"resume with a bad version": func(c net.Conn) error {
+			return proto.WriteResume(c, proto.Resume{Version: proto.ProtoVersion + 1, VideoID: "srv", Held: held})
+		},
+		"resume with the wrong geometry": func(c net.Conn) error {
+			return proto.WriteResume(c, proto.Resume{Version: proto.ProtoVersion, VideoID: "srv", Held: wrongGeometry})
+		},
+	}
+	for name, first := range firsts {
+		s := New(m)
+		s.WriteTimeout = 50 * time.Millisecond
+		client, srvConn := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- s.HandleConnContext(context.Background(), srvConn) }()
+		if err := first(client); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		select {
+		case err := <-done:
+			if err == nil || strings.Contains(err.Error(), "read hello") {
+				t.Errorf("%s: handler returned %v, want a refusal", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: handler still in the reject write 2 s after a 50 ms deadline (ActiveConns = %d)", name, s.ActiveConns())
+		}
+		if n := s.ActiveConns(); n != 0 {
+			t.Errorf("%s: ActiveConns = %d after the reject", name, n)
+		}
+		client.Close()
+		srvConn.Close()
+	}
+}
+
 func TestHandleConnStreamsRequestedTiles(t *testing.T) {
 	m := testManifest()
 	s := New(m)
@@ -219,16 +267,16 @@ func TestHandleConnStreamsRequestedTiles(t *testing.T) {
 
 func TestSendStateEqualGenerationReplay(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	st.install(proto.Request{Generation: 7, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 1, Quality: 1},
-	}}, 0, 0, m)
+	}}, 0, 0)
 	// A reconnecting client replays its last request with the same
 	// generation; the replay must install (idempotent), not be dropped.
 	st.install(proto.Request{Generation: 7, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 2, Quality: 1},
-	}}, 0, 0, m)
-	it, ok, _ := st.next(m)
+	}}, 0, 0)
+	it, ok, _ := st.next()
 	if !ok || it.Tile != 2 {
 		t.Fatalf("equal-generation replay ignored: %+v ok=%v", it, ok)
 	}
@@ -236,35 +284,35 @@ func TestSendStateEqualGenerationReplay(t *testing.T) {
 
 func TestSendStateGenerationWraparound(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	st.install(proto.Request{Generation: ^uint32(0) - 1, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 1, Quality: 1},
-	}}, 0, 0, m)
+	}}, 0, 0)
 	// 3 is "newer" than 2^32-2 under serial-number arithmetic.
 	st.install(proto.Request{Generation: 3, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 2, Quality: 1},
-	}}, 0, 0, m)
-	it, ok, _ := st.next(m)
+	}}, 0, 0)
+	it, ok, _ := st.next()
 	if !ok || it.Tile != 2 {
 		t.Fatalf("wrapped generation treated as stale: %+v ok=%v", it, ok)
 	}
 	// And the pre-wrap generation is now stale.
 	st.install(proto.Request{Generation: ^uint32(0) - 5, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 3, Quality: 1},
-	}}, 0, 0, m)
-	if _, ok, _ := st.next(m); ok {
+	}}, 0, 0)
+	if _, ok, _ := st.next(); ok {
 		t.Fatal("pre-wrap generation accepted after wraparound")
 	}
 }
 
 func TestSendStateInstallAfterClose(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	st.close()
 	st.install(proto.Request{Generation: 1, Items: []player.RequestItem{
 		{Stream: player.Primary, Chunk: 0, Tile: 1, Quality: 1},
-	}}, 0, 0, m)
-	it, ok, done := st.next(m)
+	}}, 0, 0)
+	it, ok, done := st.next()
 	if ok || !done {
 		t.Fatalf("install after close queued work: %+v ok=%v done=%v", it, ok, done)
 	}
@@ -306,7 +354,7 @@ func TestShedQueueKeepsMasking(t *testing.T) {
 
 func TestSendStatePreload(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	held := player.HeldSummary{
 		NumChunks: m.NumChunks,
 		NumTiles:  m.NumTiles(),
@@ -317,7 +365,7 @@ func TestSendStatePreload(t *testing.T) {
 	held.Primary[0] |= 1 << 3 // chunk 0, tile 3
 	held.MaskFull[0] |= 1 << 1
 
-	if n := st.preload(held, m); n != 2 {
+	if n := st.preload(held); n != 2 {
 		t.Fatalf("preload restored %d entries, want 2", n)
 	}
 	st.install(proto.Request{Generation: 1, Items: []player.RequestItem{
@@ -325,12 +373,12 @@ func TestSendStatePreload(t *testing.T) {
 		{Stream: player.Masking, Chunk: 1, Full360: true},       // held: suppressed
 		{Stream: player.Masking, Chunk: 1, Tile: 0, Quality: 0}, // covered by held full-360
 		{Stream: player.Primary, Chunk: 0, Tile: 4, Quality: 2}, // not held: sent
-	}}, 0, 0, m)
-	it, ok, _ := st.next(m)
+	}}, 0, 0)
+	it, ok, _ := st.next()
 	if !ok || it.Tile != 4 || it.Stream != player.Primary {
 		t.Fatalf("preload did not suppress held items: %+v ok=%v", it, ok)
 	}
-	if _, ok, _ := st.next(m); ok {
+	if _, ok, _ := st.next(); ok {
 		t.Fatal("suppressed items leaked past preload")
 	}
 }
@@ -757,7 +805,7 @@ func TestManyConnsSharedStore(t *testing.T) {
 
 func TestSendStatePreloadIdempotent(t *testing.T) {
 	m := testManifest()
-	st := newSendState(m)
+	st := newSession(New(m), m, "")
 	held := player.HeldSummary{
 		NumChunks: m.NumChunks,
 		NumTiles:  m.NumTiles(),
@@ -769,12 +817,12 @@ func TestSendStatePreloadIdempotent(t *testing.T) {
 	held.MaskTile[0] |= 1 << 2
 	held.MaskFull[0] |= 1 << 0
 
-	if n := st.preload(held, m); n != 3 {
+	if n := st.preload(held); n != 3 {
 		t.Fatalf("first preload restored %d, want 3", n)
 	}
 	// A duplicate summary (same entries) restores nothing new — the resume
 	// counter never double-counts a reconnecting client's held tiles.
-	if n := st.preload(held, m); n != 0 {
+	if n := st.preload(held); n != 0 {
 		t.Fatalf("second preload restored %d, want 0", n)
 	}
 }

@@ -44,6 +44,9 @@ func FuzzReadIntervalLog(f *testing.F) {
 	f.Add("1000 100000\n2000 200000\n", true)
 	f.Add("0,4000\n1000,8000\n", false)
 	f.Add("garbage\n", false)
+	f.Add("1000 0\n0 0", false)     // a timestamp before the first line's indexed bin -1
+	f.Add("0 5\n9e12 5\n", false)   // two valid timestamps 285 years apart: 9e9 bins
+	f.Add("NaN 5\n0 5\n1 5", false) // NaN as a Duration is the most negative one
 	f.Fuzz(func(t *testing.T, raw string, asBytes bool) {
 		tr, err := ReadIntervalLog(strings.NewReader(raw), IntervalLogOptions{
 			TimestampCol: 0, ValueCol: 1, ValueIsBytes: asBytes,

@@ -13,14 +13,12 @@ import (
 // IntervalLogOptions describes the column layout of a throughput log of the
 // kind the paper's datasets ship ([45] Belgian 4G, [40] Irish 5G): one
 // line per measurement interval, whitespace- or comma-separated, with a
-// timestamp column and a bytes-transferred (or kbps/mbps) column.
+// timestamp column (in milliseconds, as both datasets log it) and a
+// bytes-transferred (or kbps/mbps) column.
 type IntervalLogOptions struct {
 	// TimestampCol and ValueCol are zero-based column indexes.
 	TimestampCol int
 	ValueCol     int
-	// TimestampUnit converts the timestamp column to a duration (e.g.
-	// time.Millisecond for epoch-milliseconds). Default: time.Millisecond.
-	TimestampUnit time.Duration
 	// ValueIsBytes interprets the value column as bytes transferred during
 	// the interval; otherwise it is taken as kilobits per second.
 	ValueIsBytes bool
@@ -32,14 +30,16 @@ type IntervalLogOptions struct {
 	ID    string
 }
 
+// maxIntervalBins bounds the imported trace (48 days at the default 1 s), so
+// two far-apart timestamps cannot make the importer allocate gigabytes of
+// empty bins.
+const maxIntervalBins = 1 << 22
+
 // ReadIntervalLog parses a raw throughput measurement log into a uniformly
 // sampled BandwidthTrace: measurements are bucketed into Resample-sized
 // bins (relative to the first timestamp) and averaged. Lines that fail to
 // parse are skipped; the log must yield at least two usable measurements.
 func ReadIntervalLog(r io.Reader, o IntervalLogOptions) (*BandwidthTrace, error) {
-	if o.TimestampUnit == 0 {
-		o.TimestampUnit = time.Millisecond
-	}
 	if o.Resample == 0 {
 		o.Resample = time.Second
 	}
@@ -70,10 +70,12 @@ func ReadIntervalLog(r io.Reader, o IntervalLogOptions) (*BandwidthTrace, error)
 		}
 		tsRaw, err1 := strconv.ParseFloat(fields[o.TimestampCol], 64)
 		val, err2 := strconv.ParseFloat(fields[o.ValueCol], 64)
-		if err1 != nil || err2 != nil || val < 0 {
+		// 9e12 ms is the year 2255 and the last timestamp whose nanoseconds
+		// fit a Duration; the negated form also skips NaN.
+		if err1 != nil || err2 != nil || val < 0 || !(tsRaw >= 0 && tsRaw <= 9e12) {
 			continue
 		}
-		ts := time.Duration(tsRaw * float64(o.TimestampUnit))
+		ts := time.Duration(tsRaw * float64(time.Millisecond))
 		if first {
 			firstTS = ts
 			prevTS = ts
@@ -106,14 +108,19 @@ func ReadIntervalLog(r io.Reader, o IntervalLogOptions) (*BandwidthTrace, error)
 	}
 	sort.Slice(samples, func(a, b int) bool { return samples[a].at < samples[b].at })
 
-	// Bucket into uniform bins; empty bins inherit the previous bin's rate
-	// (measurement gaps, not outages, in these datasets).
-	last := samples[len(samples)-1].at
-	n := int(last/o.Resample) + 1
+	// Bucket into uniform bins from the first line's timestamp, or from an
+	// earlier one if the log is out of order; empty bins inherit the
+	// previous bin's rate (measurement gaps, not outages, in these datasets).
+	base := min(samples[0].at, 0)
+	span := samples[len(samples)-1].at - base
+	if span/o.Resample >= maxIntervalBins {
+		return nil, fmt.Errorf("trace: interval log spans %v, over %d bins of %v", span, maxIntervalBins, o.Resample)
+	}
+	n := int(span/o.Resample) + 1
 	sums := make([]float64, n)
 	counts := make([]int, n)
 	for _, s := range samples {
-		i := int(s.at / o.Resample)
+		i := int((s.at - base) / o.Resample)
 		sums[i] += s.mbps
 		counts[i]++
 	}

@@ -69,6 +69,13 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	if len(j.QPs) != NumQualities {
 		return nil, fmt.Errorf("video: manifest %q has %d quality levels, want %d", j.VideoID, len(j.QPs), NumQualities)
 	}
+	// Sizes has one entry per (chunk, tile, quality), so no dimension can
+	// exceed its length. Dividing that down, not multiplying them up, keeps
+	// a 2^32 × 2^32 grid from wrapping to 0 tiles and matching empty arrays.
+	n := len(j.Sizes) / NumQualities
+	if j.Rows > n || j.Cols > n/j.Rows || j.NumChunks > n/(j.Rows*j.Cols) {
+		return nil, fmt.Errorf("video: manifest %q arrays have wrong length", j.VideoID)
+	}
 	tiles := j.Rows * j.Cols
 	wantTQ := j.NumChunks * tiles * NumQualities
 	if len(j.Sizes) != wantTQ || len(j.PSNR) != wantTQ || len(j.PSPNR) != wantTQ {

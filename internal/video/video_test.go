@@ -318,6 +318,12 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// overflowManifest declares a 2^32 × 2^32 grid: multiplied unchecked the
+// tile count wraps to 0, every length check passes against empty arrays,
+// and the client is handed a manifest with no tiles.
+const overflowManifest = `{"video_id":"x","rows":4294967296,"cols":4294967296,"fps":30,"chunk_frames":30,"num_chunks":1,` +
+	`"qps":[42,37,32,27,22],"sizes":[],"psnr":[],"pspnr":[],"black_psnr":[],"full360":[1,1,1,1,1]}`
+
 func TestReadManifestRejectsCorrupt(t *testing.T) {
 	cases := []string{
 		``,
@@ -325,6 +331,7 @@ func TestReadManifestRejectsCorrupt(t *testing.T) {
 		`{"video_id":"x","rows":0,"cols":12,"fps":30,"chunk_frames":30,"num_chunks":1}`,
 		`{"video_id":"x","rows":2,"cols":2,"fps":30,"chunk_frames":30,"num_chunks":1,"qps":[42,37,32,27,22],"sizes":[1],"psnr":[1],"pspnr":[1],"black_psnr":[1],"full360":[1]}`,
 		`{"video_id":"x","rows":2,"cols":2,"fps":30,"chunk_frames":30,"num_chunks":1,"qps":[42]}`,
+		overflowManifest,
 	}
 	for i, c := range cases {
 		if _, err := ReadManifest(bytes.NewReader([]byte(c))); err == nil {
@@ -485,4 +492,39 @@ func TestReadManifestRejectsPartialChecksums(t *testing.T) {
 	if legacy.HasChecksums() {
 		t.Error("legacy manifest claims checksums")
 	}
+}
+
+// FuzzReadManifest: the client reads the manifest off the wire. The parser
+// must never panic; a manifest it accepts has exactly one size per (chunk,
+// tile, quality) — counted by division, so a wrapped product cannot pass —
+// and re-encodes to something it accepts again.
+func FuzzReadManifest(f *testing.F) {
+	var good bytes.Buffer
+	_, _ = Generate(GenParams{ID: "fz", Rows: 2, Cols: 2, NumChunks: 2, Seed: 4}).WriteTo(&good)
+	f.Add(good.Bytes())
+	f.Add([]byte(overflowManifest))
+	f.Add([]byte(`{"video_id":"x","rows":-1}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := ReadManifest(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		n := len(m.sizes)
+		for _, d := range []int{m.Rows, m.Cols, m.NumChunks, NumQualities} {
+			if d <= 0 || n%d != 0 {
+				t.Fatalf("accepted %dx%d x %d chunks with %d sizes", m.Rows, m.Cols, m.NumChunks, len(m.sizes))
+			}
+			n /= d
+		}
+		if n != 1 {
+			t.Fatalf("accepted %dx%d x %d chunks with %d sizes", m.Rows, m.Cols, m.NumChunks, len(m.sizes))
+		}
+		var out bytes.Buffer
+		if _, err := m.WriteTo(&out); err != nil {
+			t.Fatalf("accepted manifest failed to encode: %v", err)
+		}
+		if _, err := ReadManifest(&out); err != nil {
+			t.Fatalf("round trip rejected: %v", err)
+		}
+	})
 }

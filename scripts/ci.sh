@@ -89,37 +89,32 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # every input, and the fold must account for every line of any body. The two
 # rollup parsers — the /rollup body on the feedback poll and a popsim shard
 # report — must refuse what they refuse with their receiver unchanged. The
-# last target is not a parser: the zero-run CRC operator every frame trailer
+# manifest the client reads off the wire and the operator's fault script must
+# come out of their parsers with every dimension and time field in range, and
+# the two trace importers usable or refused. The last target is not a parser: the zero-run CRC operator every frame trailer
 # and manifest checksum now comes from must agree with hash/crc32 over
 # literal zeros for any prefix and length. Minimising a new input is capped
 # at a second, so the ten seconds go on executing inputs (a shard report's
 # seed is kilobytes of bins).
 for target in proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume \
 	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup \
-	popsim:FuzzMergeSnapshot video:FuzzExtendZeros; do
+	popsim:FuzzMergeSnapshot video:FuzzReadManifest netem:FuzzReadFaultCSV \
+	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzExtendZeros; do
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "${FUZZTIME:-10s}" -fuzzminimizetime 1s "./internal/${target%%:*}"
 done
 
 # Benchmark smoke: every benchmark must still run, and its timing is
-# checked against BENCH_baseline.json with cmd/benchdiff. The split
-# mirrors scripts/bench.sh: one iteration for the expensive experiment
-# sweeps, more for the microsecond-scale micro-benchmarks whose single
-# iteration is all warm-up noise. -benchmem feeds benchdiff's allocation
-# gate: a benchmark the baseline holds at 0 allocs/op (Decide*, FlareDecide,
-# Overlap*, TilesInCap, ScoreSlab/*, RenderFrame, UnmarshalEvent/canonical,
-# FrameWritePreframed) that allocates fails even in warn mode.
+# checked against BENCH_baseline.json with cmd/benchdiff. The list and its
+# split are scripts/benchrun.sh, shared with scripts/bench.sh: one iteration
+# for the expensive experiment sweeps, more for the microsecond-scale
+# micro-benchmarks whose single iteration is all warm-up noise. -benchmem
+# feeds benchdiff's allocation gate: a benchmark the baseline holds at 0
+# allocs/op (Decide*, FlareDecide, Overlap*, TilesInCap, ScoreSlab/*,
+# RenderFrame, UnmarshalEvent/canonical, FrameWritePreframed) that allocates
+# fails even in warn mode.
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
-go test -run '^$' -bench='Fig|Table|Tiling|Ext|ManyConn' -benchmem -benchtime=1x . | tee "$raw"
-go test -run '^$' -bench='Decide|Overlap|TilesInCap' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" . | tee -a "$raw"
-go test -run '^$' -bench='ScoreSlab' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/core | tee -a "$raw"
-go test -run '^$' -bench='RenderFrame' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/player | tee -a "$raw"
-go test -run '^$' -bench='Frame' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/proto | tee -a "$raw"
-go test -run '^$' -bench='StoreNew' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/store | tee -a "$raw"
-go test -run '^$' -bench='Generate' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/video | tee -a "$raw"
-go test -run '^$' -bench='UnmarshalEvent' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/obs | tee -a "$raw"
-go test -run '^$' -bench='IngestFold' -benchmem -benchtime="${BENCHTIME_MICRO:-50x}" ./internal/ingest | tee -a "$raw"
-go test -run '^$' -bench='PopulationSweep' -benchmem -benchtime=1x ./internal/popsim | tee -a "$raw"
+sh scripts/benchrun.sh 1x "${BENCHTIME_MICRO:-50x}" | tee "$raw"
 if [ "$strict" = 1 ]; then
 	go run ./cmd/benchdiff -baseline BENCH_baseline.json -new "$raw"
 else
