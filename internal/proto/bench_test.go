@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/player"
+	"dragonfly/internal/video"
 )
 
 // The framing benchmarks measure the CRC32-C trailer's cost on the tile
@@ -114,6 +115,43 @@ func BenchmarkFrameReadReuse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Reset(frame)
 		if _, buf, err = ReadMessageBuf(r, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// v8 is the wire_refine manifest: Table 3's v8 at 60 one-second chunks,
+// 2.4 MB of JSON on the wire.
+func v8() *video.Manifest { return video.GenerateDataset(video.Table3[3:4])[0] }
+
+// BenchmarkWriteManifest times the server's end of a handshake: the
+// manifest encoded into its frame and written.
+func BenchmarkWriteManifest(b *testing.B) {
+	m := v8()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteManifest(io.Discard, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadManifest times the client's end: the frame read into a
+// fresh buffer, as a handshake reads it, and the manifest decoded.
+func BenchmarkReadManifest(b *testing.B) {
+	var wire bytes.Buffer
+	if err := WriteManifest(&wire, v8()); err != nil {
+		b.Fatal(err)
+	}
+	frame := wire.Bytes()
+	r := bytes.NewReader(frame)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(frame)
+		if msg, err := ReadMessage(r); err != nil || msg.Manifest == nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/player"
+	"dragonfly/internal/video"
 )
 
 // writeRecorder counts Write calls and keeps the bytes, to pin the
@@ -236,5 +237,87 @@ func TestReadMessageBufChecksum(t *testing.T) {
 	frame[TileHeadSize+100] ^= 0x01
 	if _, _, err := ReadMessageBuf(bytes.NewReader(frame), nil); err != ErrChecksum {
 		t.Fatalf("corrupt frame returned %v, want ErrChecksum", err)
+	}
+}
+
+// TestReadMessageBufRisingFramesDouble: a reused buffer meeting frames of
+// ever-larger size doubles instead of reallocating to each new maximum, so
+// N rising frames reallocate O(log N) times, and it never grows past twice
+// the largest frame it has held.
+func TestReadMessageBufRisingFramesDouble(t *testing.T) {
+	const frames = 64
+	var wire bytes.Buffer
+	for i := 1; i <= frames; i++ {
+		if err := WriteTileData(&wire, TileData{
+			Item:    player.RequestItem{Stream: player.Primary, Chunk: i, Tile: 2, Quality: 3},
+			Payload: bytes.Repeat([]byte{byte(i)}, 4096*i),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bytes.NewReader(wire.Bytes())
+	var buf []byte
+	reallocs, largest := 0, 0
+	for i := 1; i <= frames; i++ {
+		before := cap(buf)
+		msg, b, err := ReadMessageBuf(r, buf)
+		if err != nil || msg.TileData.Item.Chunk != i || len(msg.TileData.Payload) != 4096*i {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		largest = max(largest, len(b))
+		if cap(b) != before {
+			reallocs++
+		}
+		if cap(b) > 2*largest {
+			t.Fatalf("frame %d grew the buffer to %d bytes; no frame so far needed more than %d", i, cap(b), largest)
+		}
+		buf = b
+	}
+	// log2(64) = 6 doublings from the first frame's size, plus that first
+	// allocation.
+	if reallocs > 8 {
+		t.Fatalf("%d rising frames reallocated the buffer %d times, want O(log n)", frames, reallocs)
+	}
+}
+
+// TestManifestSurvivesBufferReuse: a manifest decoded through
+// ReadMessageBuf owns its memory. The next frame read into the same buffer
+// overwrites every byte the manifest was decoded from, and the manifest is
+// unchanged.
+func TestManifestSurvivesBufferReuse(t *testing.T) {
+	m := video.Generate(video.GenParams{ID: "alias", Rows: 3, Cols: 4, NumChunks: 5, Seed: 2})
+	var wire bytes.Buffer
+	if err := WriteManifest(&wire, m); err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTileData(&wire, TileData{
+		Item: player.RequestItem{Stream: player.Primary, Chunk: 0, Tile: 0, Quality: 0},
+		// The same frame length as the manifest's, so it fills the buffer.
+		Payload: bytes.Repeat([]byte{0xEE}, len(want)-itemWireSize),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(wire.Bytes())
+	msg, buf, err := ReadMessageBuf(r, nil)
+	if err != nil || msg.Manifest == nil {
+		t.Fatalf("manifest frame: %v", err)
+	}
+	got, first := msg.Manifest, &buf[0]
+	if msg, buf, err = ReadMessageBuf(r, buf); err != nil || msg.TileData == nil {
+		t.Fatalf("tile frame: %v", err)
+	}
+	if &buf[0] != first {
+		t.Fatal("the tile frame was not read into the manifest's buffer")
+	}
+	after, err := got.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, want) {
+		t.Fatal("the decoded manifest changed when its frame buffer was reused")
 	}
 }

@@ -20,7 +20,6 @@
 package proto
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -223,17 +222,22 @@ func writeFrameChecked(w io.Writer, t MsgType, body []byte, withCRC bool) error 
 	if len(body)+1 > MaxFrameSize {
 		return fmt.Errorf("proto: frame too large (%d bytes)", len(body))
 	}
-	n := frameHeaderSize + len(body)
-	if withCRC {
-		n += trailerSize
+	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(body)+trailerSize)
+	return sealFrame(w, t, append(frame, body...), withCRC)
+}
+
+// sealFrame completes a frame assembled in place — frameHeaderSize bytes
+// reserved, then the body — by filling in its header and appending its
+// trailer, and emits it with one Write.
+func sealFrame(w io.Writer, t MsgType, frame []byte, withCRC bool) error {
+	body := len(frame) - frameHeaderSize
+	if body+1 > MaxFrameSize {
+		return fmt.Errorf("proto: frame too large (%d bytes)", body)
 	}
-	frame := make([]byte, n)
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)+1))
+	binary.BigEndian.PutUint32(frame[:4], uint32(body+1))
 	frame[4] = byte(t)
-	copy(frame[frameHeaderSize:], body)
 	if withCRC {
-		sum := crc32.Checksum(frame[4:frameHeaderSize+len(body)], castagnoli)
-		binary.BigEndian.PutUint32(frame[frameHeaderSize+len(body):], sum)
+		frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame[4:], castagnoli))
 	}
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("proto: write frame: %w", err)
@@ -359,6 +363,12 @@ func readFrameInto(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []by
 // length.
 func readAppend(r io.Reader, buf []byte, n int) ([]byte, error) {
 	end := len(buf) + n
+	// Growth may overshoot the frame up to twice what earlier frames
+	// already paid for, so a reused buffer meeting ever-larger frames
+	// doubles — O(log n) reallocations — instead of reallocating to each
+	// new maximum. A fresh buffer has paid for nothing and stops at the
+	// frame's end.
+	limit := max(end, 2*cap(buf))
 	for len(buf) < end {
 		at := len(buf)
 		c := end - at
@@ -366,15 +376,15 @@ func readAppend(r io.Reader, buf []byte, n int) ([]byte, error) {
 			c = readChunk
 		}
 		if cap(buf) < at+c {
-			// Double, capped at what remains: growth is paid for by bytes
+			// Double, capped at the limit: growth is paid for by bytes
 			// already received, never by the declared length alone. (The
 			// first chunk is on trust, whatever the buffer held before.)
 			grow := 2 * cap(buf)
 			if grow < at+c {
 				grow = at + c
 			}
-			if grow > end {
-				grow = end
+			if grow > limit {
+				grow = limit
 			}
 			buf = append(make([]byte, 0, grow), buf...)
 		}
@@ -420,13 +430,15 @@ func parseHello(body []byte) (Hello, error) {
 	return h, nil
 }
 
-// WriteManifest sends the manifest as JSON.
+// WriteManifest sends the manifest as JSON. The body is encoded straight
+// into the frame behind its reserved header, so header, body and trailer
+// share one buffer and one Write.
 func WriteManifest(w io.Writer, m *video.Manifest) error {
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	frame, err := m.AppendJSON(make([]byte, frameHeaderSize))
+	if err != nil {
 		return err
 	}
-	return writeFrame(w, MsgManifest, buf.Bytes())
+	return sealFrame(w, MsgManifest, frame, true)
 }
 
 // itemWireSize is the encoded size of one request item.
@@ -682,7 +694,7 @@ func decodeMessage(t MsgType, body []byte) (*Message, error) {
 		}
 		msg.Hello = &h
 	case MsgManifest:
-		m, err := video.ReadManifest(bytes.NewReader(body))
+		m, err := video.DecodeManifest(body)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,8 @@ import (
 	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
+	"dragonfly/internal/store"
+	"dragonfly/internal/video"
 )
 
 // openSession completes a hello handshake against a handler running on the
@@ -133,6 +135,42 @@ func TestLoadGauges(t *testing.T) {
 	}
 	s.Drain()
 	waitGauge(t, s.Obs, "srv_draining", 1)
+}
+
+// TestStoreBytesCountsSlabOnce: the two videos of one server share the
+// process's zero slab, and srv_store_bytes counts it once — each store's
+// heads and trailers plus the larger of the two stores' largest variants,
+// not the sum of their MemoryBytes.
+func TestStoreBytesCountsSlabOnce(t *testing.T) {
+	a := testManifest()
+	b := video.Generate(video.GenParams{ID: "srv2", Rows: 3, Cols: 5, NumChunks: 4, Seed: 7})
+	s := New(a, b)
+	s.Obs = obs.NewRegistry()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Serve(ctx, l) // publishes the gauge, then stops at once
+
+	largest := func(m *video.Manifest) (n int64) {
+		for c := 0; c < m.NumChunks; c++ {
+			for q := video.Quality(0); q < video.NumQualities; q++ {
+				n = max(n, m.Full360Size(c, q))
+				for tl := 0; tl < m.NumTiles(); tl++ {
+					n = max(n, m.TileSize(c, geom.TileID(tl), q))
+				}
+			}
+		}
+		return n
+	}
+	sa, sb := store.Shared(a), store.Shared(b)
+	want := sa.MemoryBytes() + sb.MemoryBytes() - min(largest(a), largest(b))
+	if got := s.Obs.Snapshot().Gauges["srv_store_bytes"]; got != float64(want) {
+		t.Fatalf("srv_store_bytes = %v, want %d (heads and trailers of both stores plus one slab); the per-store sum is %d",
+			got, want, sa.MemoryBytes()+sb.MemoryBytes())
+	}
 }
 
 func TestQueueBytesReleasedOnTeardown(t *testing.T) {

@@ -302,13 +302,14 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	s.addQueuedBytes(0)
 	// srv_store_bytes is the resident footprint of the shared tile
 	// stores — the process-wide cost of serving these manifests to any
-	// number of sessions. It is distinct from srv_queue_bytes, which
-	// counts pending transmission over shared (not duplicated) buffers.
-	var storeBytes int64
+	// number of sessions, the zero slab they share counted once. It is
+	// distinct from srv_queue_bytes, which counts pending transmission
+	// over shared (not duplicated) buffers.
+	stores := make([]*store.Store, 0, len(s.stores))
 	for _, ts := range s.stores {
-		storeBytes += ts.MemoryBytes()
+		stores = append(stores, ts)
 	}
-	s.Obs.Gauge("srv_store_bytes").Set(float64(storeBytes))
+	s.Obs.Gauge("srv_store_bytes").Set(float64(store.Footprint(stores...)))
 	if s.draining.Load() {
 		s.Obs.Gauge("srv_draining").Set(1)
 	} else {

@@ -12,18 +12,20 @@
 // checksum work and zero per-connection payload memory.
 //
 // Memory model: the store keeps proto.TileFrameOverhead (20) bytes per
-// frame — the head and CRC trailer — plus ONE shared payload slab sized
-// to the largest variant. Payload bytes are synthetic zeros: the
+// frame — the head and CRC trailer — and cuts every payload from ONE zero
+// slab shared by every store in the process, sized to the largest variant
+// any of them frames. Payload bytes are synthetic zeros: the
 // schedulers only ever consume tile SIZES from the manifest, and the
 // manifest's payload checksums are computed over the same zero bytes
 // (video.Generate), so the pre-framed trailer and the client's payload
 // verification agree bit for bit. A deployment serving real encoded tiles
-// would hold one payload slab per variant; heads, trailers, and the
+// would hold one payload buffer per variant; heads, trailers, and the
 // serve-by-reference path are unchanged, and New would frame each variant
 // with proto.PreframeTile over its bytes, one CRC pass per frame.
 //
 // Everything in a Store is immutable after New returns, so any number of
-// connection handlers may read it concurrently without synchronization;
+// connection handlers may read it concurrently without locks (the shared
+// zero slab, which a later New may replace, is read atomically);
 // Shared deduplicates stores process-wide per manifest, the same pattern
 // as geom.SharedTable and quality.Scores.
 package store
@@ -31,6 +33,7 @@ package store
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dragonfly/internal/chaos"
@@ -67,8 +70,36 @@ type Store struct {
 	heads    []byte
 	trailers []byte
 
-	// payload is the shared zero slab every frame's payload is cut from.
-	payload []byte
+	// payload is the largest payload the store frames: the prefix of the
+	// process-wide zero slab its frames are cut from.
+	payload int64
+}
+
+// zeroSlab is the one zero slab every store's payloads are cut from. It
+// only grows — New swaps in a longer one when its manifest needs more — and
+// AppendFrame loads it atomically on every call, so a store built against
+// a shorter slab serves from the current one and nothing pins an old one.
+var (
+	zeroSlab     atomic.Pointer[[]byte]
+	zeroSlabGrow sync.Mutex
+)
+
+// slab returns the current zero slab.
+func slab() []byte {
+	if p := zeroSlab.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// growSlab makes the zero slab at least n bytes long.
+func growSlab(n int64) {
+	zeroSlabGrow.Lock()
+	defer zeroSlabGrow.Unlock()
+	if int64(len(slab())) < n {
+		b := make([]byte, n)
+		zeroSlab.Store(&b)
+	}
 }
 
 // New builds the store for a manifest, pre-framing every frame. This is
@@ -81,7 +112,7 @@ type Store struct {
 // would exceed proto.MaxFrameSize — impossible to send on this wire at all
 // — is left unbuilt, and AppendFrame reports it as out of range so senders
 // skip it instead of tearing the session down mid-stream; the shared slab
-// is sized by the largest variant that was framed, so an absurd size in a
+// grows only to the largest variant that was framed, so an absurd size in a
 // manifest costs nothing.
 func New(m *video.Manifest) *Store {
 	tiles := m.NumTiles()
@@ -92,7 +123,6 @@ func New(m *video.Manifest) *Store {
 		heads:    make([]byte, nv*proto.TileHeadSize),
 		trailers: make([]byte, nv*proto.TileTrailerSize),
 	}
-	var maxSize int64
 	forEachFrame(m, func(i int, it player.RequestItem) {
 		head := s.heads[i*proto.TileHeadSize : (i+1)*proto.TileHeadSize]
 		trailer := s.trailers[i*proto.TileTrailerSize : (i+1)*proto.TileTrailerSize]
@@ -103,11 +133,11 @@ func New(m *video.Manifest) *Store {
 			// locate treats as absent.
 			return
 		}
-		if size > maxSize {
-			maxSize = size
+		if size > s.payload {
+			s.payload = size
 		}
 	})
-	s.payload = make([]byte, maxSize)
+	growSlab(s.payload)
 	return s
 }
 
@@ -200,7 +230,7 @@ func (s *Store) AppendFrame(bufs net.Buffers, it player.RequestItem) (net.Buffer
 	if size > 0 {
 		// Zero-length buffers are skipped: an empty Write blocks on
 		// rendezvous transports (net.Pipe) and costs a syscall for nothing.
-		bufs = append(bufs, s.payload[:size])
+		bufs = append(bufs, slab()[:size])
 	}
 	bufs = append(bufs, s.trailers[idx*proto.TileTrailerSize:(idx+1)*proto.TileTrailerSize])
 	return bufs, int64(proto.TileFrameOverhead) + size, true
@@ -224,8 +254,7 @@ func (s *Store) appendFaulted(bufs net.Buffers, it player.RequestItem, idx int, 
 		}
 		head := make([]byte, proto.TileHeadSize)
 		trailer := make([]byte, proto.TileTrailerSize)
-		payload := make([]byte, size)
-		copy(payload, s.payload[:size])
+		payload := make([]byte, size) // the slab's bytes: zeros
 		payload[int(f.Tick%uint64(size))] ^= 0x01
 		if err := proto.PreframeTile(head, trailer, it, payload); err != nil {
 			return bufs, 0, false
@@ -237,7 +266,7 @@ func (s *Store) appendFaulted(bufs net.Buffers, it player.RequestItem, idx int, 
 	}
 	bufs = append(bufs, s.heads[idx*proto.TileHeadSize:(idx+1)*proto.TileHeadSize])
 	if size > 0 {
-		bufs = append(bufs, s.payload[:size])
+		bufs = append(bufs, slab()[:size])
 	}
 	bufs = append(bufs, s.trailers[idx*proto.TileTrailerSize:(idx+1)*proto.TileTrailerSize])
 	return bufs, int64(proto.TileFrameOverhead) + size, true
@@ -268,12 +297,27 @@ func (s *Store) Manifest() *video.Manifest { return s.m }
 // NumFrames reports how many pre-framed wire frames the store holds.
 func (s *Store) NumFrames() int { return len(s.heads) / proto.TileHeadSize }
 
-// MemoryBytes reports the store's resident footprint: per-frame heads
-// and trailers plus the one shared payload slab. This is the process-wide
-// cost of serving the manifest to ANY number of concurrent sessions — the
-// number the srv_store_bytes gauge exposes.
+// MemoryBytes reports the store's resident footprint: its per-frame heads
+// and trailers, plus the part of the process-wide zero slab its frames are
+// cut from (its largest variant). This is the cost of serving the manifest
+// to ANY number of concurrent sessions. The slab is one per process, so a
+// sum of MemoryBytes over stores counts it once per store; Footprint counts
+// it once.
 func (s *Store) MemoryBytes() int64 {
-	return int64(len(s.heads) + len(s.trailers) + len(s.payload))
+	return int64(len(s.heads)+len(s.trailers)) + s.payload
+}
+
+// Footprint reports the resident footprint of a set of stores: each one's
+// heads and trailers, plus the shared zero slab once, at the length the
+// largest of them reads. It is the srv_store_bytes gauge of a server
+// holding those stores.
+func Footprint(stores ...*Store) int64 {
+	var n, widest int64
+	for _, s := range stores {
+		n += int64(len(s.heads) + len(s.trailers))
+		widest = max(widest, s.payload)
+	}
+	return n + widest
 }
 
 // storeHolder defers construction so concurrent Shared callers block on

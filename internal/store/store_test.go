@@ -235,7 +235,7 @@ func TestFixtureFramesMatchLiteralZeros(t *testing.T) {
 	if s.NumFrames() != 86700 {
 		t.Fatalf("fixture has %d frames, want 86700", s.NumFrames())
 	}
-	zeros := make([]byte, len(s.payload))
+	zeros := make([]byte, s.payload)
 	head, trailer := make([]byte, proto.TileHeadSize), make([]byte, proto.TileTrailerSize)
 	forEachFrame(m, func(i int, it player.RequestItem) {
 		if err := proto.PreframeTile(head, trailer, it, zeros[:it.Size(m)]); err != nil {
@@ -364,5 +364,122 @@ func BenchmarkStoreNew(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		New(m)
+	}
+}
+
+// freshSlab starts a test from no slab, so the slab lengths it sees are its
+// own (an earlier test grows the slab to the frame cap); the longer slab is
+// kept on cleanup. Nothing in this package runs in parallel.
+func freshSlab(t *testing.T) {
+	old := zeroSlab.Load()
+	zeroSlab.Store(nil)
+	t.Cleanup(func() {
+		if old != nil && len(*old) > len(slab()) {
+			zeroSlab.Store(old)
+		}
+	})
+}
+
+// TestStoresShareOneSlab: every store cuts its payloads from one process
+// zero slab. Two stores serve their largest variants from the same bytes;
+// a later build that needs a longer slab replaces it, and the earlier store
+// then serves every frame byte for byte from the new slab, pinning nothing
+// of the old one.
+func TestStoresShareOneSlab(t *testing.T) {
+	freshSlab(t)
+	m := testManifest(t)
+	a, b := New(m), New(testManifest(t))
+	it := player.RequestItem{Stream: player.Masking, Chunk: 1, Full360: true, Quality: video.Highest}
+	fa, _, _ := a.Frame(it)
+	fb, _, _ := b.Frame(it)
+	if &fa[1][0] != &fb[1][0] || &fa[1][0] != &slab()[0] {
+		t.Fatal("two stores of one manifest serve payloads from different buffers")
+	}
+	if got, want := int64(len(slab())), a.payload; got != want {
+		t.Fatalf("slab of %d bytes after two builds, want the largest variant's %d", got, want)
+	}
+
+	big := testManifest(t)
+	big.SetFull360Size(0, video.Highest, 3*a.payload)
+	New(big)
+	if got := int64(len(slab())); got != 3*a.payload {
+		t.Fatalf("slab of %d bytes after a larger build, want %d", got, 3*a.payload)
+	}
+	checked := 0
+	forEachFrame(m, func(_ int, it player.RequestItem) {
+		bufs, _, ok := a.Frame(it)
+		if !ok {
+			t.Fatalf("earlier store cannot serve %+v", it)
+		}
+		if len(bufs) == 3 && &bufs[1][0] != &slab()[0] {
+			t.Fatalf("earlier store serves %+v from an old slab", it)
+		}
+		var want bytes.Buffer
+		if err := proto.WriteTileData(&want, proto.TileData{Item: it, Payload: make([]byte, it.Size(m))}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(flatten(bufs), want.Bytes()) {
+			t.Fatalf("earlier store's frame for %+v differs from WriteTileData output", it)
+		}
+		checked++
+	})
+	if checked != a.NumFrames() {
+		t.Fatalf("checked %d frames, store holds %d", checked, a.NumFrames())
+	}
+}
+
+// TestSlabGrowsUnderReaders: builds that grow the shared slab run while
+// other goroutines serve frames from an existing store; under -race this
+// holds the atomic swap to its contract, and every frame served stays
+// CRC-valid whichever slab it was cut from.
+func TestSlabGrowsUnderReaders(t *testing.T) {
+	freshSlab(t)
+	m := testManifest(t)
+	s := New(m)
+	base := s.payload
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bufs := make([][]byte, 0, 3)
+			forEachFrame(m, func(_ int, it player.RequestItem) {
+				bufs, _, _ = s.AppendFrame(bufs[:0], it)
+				if _, err := proto.ReadMessage(bytes.NewReader(flatten(bufs))); err != nil {
+					errs <- err
+				}
+			})
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := int64(1); k <= 4; k++ {
+			big := testManifest(t)
+			big.SetFull360Size(0, video.Highest, base+k<<10)
+			New(big)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("frame served while the slab grew: %v", err)
+	}
+}
+
+// TestFootprintCountsSlabOnce: a set of stores costs each one's heads and
+// trailers plus one slab, as long as the largest variant among them.
+func TestFootprintCountsSlabOnce(t *testing.T) {
+	a := New(testManifest(t))
+	big := testManifest(t)
+	big.SetFull360Size(2, video.Highest, 2*a.payload)
+	b := New(big)
+	frames := int64((a.NumFrames() + b.NumFrames()) * proto.TileFrameOverhead)
+	if got, want := Footprint(a, b), frames+2*a.payload; got != want {
+		t.Fatalf("Footprint = %d, want %d", got, want)
+	}
+	if got, want := Footprint(a, b), a.MemoryBytes()+b.MemoryBytes()-a.payload; got != want {
+		t.Fatalf("Footprint = %d, want the sum of MemoryBytes less the smaller slab share, %d", got, want)
 	}
 }

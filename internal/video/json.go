@@ -29,9 +29,9 @@ type manifestJSON struct {
 	Full360Checksums []uint32 `json:"full360_checksums,omitempty"`
 }
 
-// WriteTo serializes the manifest as JSON.
-func (m *Manifest) WriteTo(w io.Writer) (int64, error) {
-	j := manifestJSON{
+// wire returns the manifest's on-the-wire form, sharing its arrays.
+func (m *Manifest) wire() manifestJSON {
+	return manifestJSON{
 		VideoID:          m.VideoID,
 		Rows:             m.Rows,
 		Cols:             m.Cols,
@@ -48,21 +48,69 @@ func (m *Manifest) WriteTo(w io.Writer) (int64, error) {
 		Checksums:        m.checksums,
 		Full360Checksums: m.full360Checksums,
 	}
-	b, err := json.Marshal(j)
+}
+
+// WriteTo serializes the manifest as JSON.
+func (m *Manifest) WriteTo(w io.Writer) (int64, error) {
+	b, err := m.AppendJSON(nil)
 	if err != nil {
-		return 0, fmt.Errorf("video: marshal manifest: %w", err)
+		return 0, err
 	}
 	n, err := w.Write(b)
 	return int64(n), err
 }
 
-// ReadManifest parses a JSON manifest and validates its dimensions.
-func ReadManifest(r io.Reader) (*Manifest, error) {
-	var j manifestJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&j); err != nil {
-		return nil, fmt.Errorf("video: decode manifest: %w", err)
+// AppendJSON appends the manifest's JSON encoding to dst: exactly the bytes
+// json.Marshal produces for its wire form, grown into dst once. The
+// encoding is written by hand (see codec.go); a manifest the hand encoder
+// declines — a video id that needs escaping, a NaN or infinite metric — is
+// left to json.Marshal, which escapes the id and rejects the non-finite
+// value.
+func (m *Manifest) AppendJSON(dst []byte) ([]byte, error) {
+	if b, ok := appendCanonical(dst, m); ok {
+		return b, nil
 	}
+	b, err := json.Marshal(m.wire())
+	if err != nil {
+		return dst, fmt.Errorf("video: marshal manifest: %w", err)
+	}
+	return append(dst, b...), nil
+}
+
+// ReadManifest reads a JSON manifest to the end of r and decodes it with
+// DecodeManifest.
+func ReadManifest(r io.Reader) (*Manifest, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("video: read manifest: %w", err)
+	}
+	return DecodeManifest(b)
+}
+
+// DecodeManifest parses a JSON manifest and validates its dimensions. The
+// contract is json.Unmarshal's into the wire form, followed by the
+// validation: b holds exactly one JSON value (trailing whitespace allowed),
+// and the result owns its memory — nothing aliases b.
+//
+// A body in the canonical form — the one AppendJSON emits: its key order,
+// no whitespace, a video id of printable ASCII without escapes — is decoded
+// by hand, without reflection. Any other byte sequence, valid JSON or not,
+// is handed to json.Unmarshal. The choice is made from the bytes alone;
+// there is nothing to configure.
+func DecodeManifest(b []byte) (*Manifest, error) {
+	var j manifestJSON
+	if !decodeCanonical(b, &j) {
+		j = manifestJSON{}
+		if err := json.Unmarshal(b, &j); err != nil {
+			return nil, fmt.Errorf("video: decode manifest: %w", err)
+		}
+	}
+	return j.manifest()
+}
+
+// manifest validates the wire form's dimensions and builds the Manifest
+// over its arrays.
+func (j *manifestJSON) manifest() (*Manifest, error) {
 	if j.Rows <= 0 || j.Cols <= 0 || j.FPS <= 0 || j.ChunkFrames <= 0 || j.NumChunks <= 0 {
 		return nil, fmt.Errorf("video: manifest %q has invalid dimensions", j.VideoID)
 	}

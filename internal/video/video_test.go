@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -325,6 +326,13 @@ const overflowManifest = `{"video_id":"x","rows":4294967296,"cols":4294967296,"f
 	`"qps":[42,37,32,27,22],"sizes":[],"psnr":[],"pspnr":[],"black_psnr":[],"full360":[1,1,1,1,1]}`
 
 func TestReadManifestRejectsCorrupt(t *testing.T) {
+	var good bytes.Buffer
+	if _, err := Generate(GenParams{ID: "tr", Rows: 2, Cols: 2, NumChunks: 2, Seed: 4}).WriteTo(&good); err != nil {
+		t.Fatal(err)
+	}
+	// The same manifest outside the canonical form (a space after the
+	// opening brace), which only encoding/json decodes.
+	spaced := "{ " + good.String()[1:]
 	cases := []string{
 		``,
 		`{`,
@@ -332,10 +340,23 @@ func TestReadManifestRejectsCorrupt(t *testing.T) {
 		`{"video_id":"x","rows":2,"cols":2,"fps":30,"chunk_frames":30,"num_chunks":1,"qps":[42,37,32,27,22],"sizes":[1],"psnr":[1],"pspnr":[1],"black_psnr":[1],"full360":[1]}`,
 		`{"video_id":"x","rows":2,"cols":2,"fps":30,"chunk_frames":30,"num_chunks":1,"qps":[42]}`,
 		overflowManifest,
+		// A body is exactly one JSON value: bytes after the object were
+		// once ignored by the stream decoder, on either path.
+		good.String() + "garbage",
+		good.String() + "]]]",
+		good.String() + `{"video_id":"y"}`,
+		spaced + "garbage",
+		spaced + `{"video_id":"y"}`,
 	}
 	for i, c := range cases {
 		if _, err := ReadManifest(bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("case %d: corrupt manifest accepted", i)
+		}
+	}
+	// Trailing whitespace is json.Unmarshal's rule, and stays accepted.
+	for _, c := range []string{good.String() + " \n", spaced + "\t"} {
+		if _, err := ReadManifest(bytes.NewReader([]byte(c))); err != nil {
+			t.Errorf("manifest with trailing whitespace rejected: %v", err)
 		}
 	}
 }
@@ -495,17 +516,28 @@ func TestReadManifestRejectsPartialChecksums(t *testing.T) {
 }
 
 // FuzzReadManifest: the client reads the manifest off the wire. The parser
-// must never panic; a manifest it accepts has exactly one size per (chunk,
-// tile, quality) — counted by division, so a wrapped product cannot pass —
-// and re-encodes to something it accepts again.
+// must never panic and must agree with encoding/json — the same error
+// nil-ness and a deeply equal manifest, whichever path decoded it; a
+// manifest it accepts has exactly one size per (chunk, tile, quality) —
+// counted by division, so a wrapped product cannot pass — and re-encodes to
+// something it accepts again.
 func FuzzReadManifest(f *testing.F) {
 	var good bytes.Buffer
 	_, _ = Generate(GenParams{ID: "fz", Rows: 2, Cols: 2, NumChunks: 2, Seed: 4}).WriteTo(&good)
 	f.Add(good.Bytes())
 	f.Add([]byte(overflowManifest))
 	f.Add([]byte(`{"video_id":"x","rows":-1}`))
+	legacy := NewManifest("lg", 1, 2, 30, 30, 1)
+	legacy.MaskDisplacement = nil
+	raw, _ := legacy.AppendJSON(nil)
+	f.Add(raw)
+	f.Add(append(raw, " garbage"...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, err := ReadManifest(bytes.NewReader(raw))
+		want, werr := decodeJSON(raw)
+		if (err == nil) != (werr == nil) || !reflect.DeepEqual(m, want) {
+			t.Fatalf("DecodeManifest = (%v), encoding/json = (%v), or the manifests differ", err, werr)
+		}
 		if err != nil {
 			return
 		}

@@ -17,7 +17,7 @@ run 'Fig|Table|Tiling|Ext|ManyConn' "$macro" .
 run 'Decide|Overlap|TilesInCap' "$micro" .
 run 'ScoreSlab' "$micro" ./internal/core
 run 'RenderFrame' "$micro" ./internal/player
-run 'Frame' "$micro" ./internal/proto
+run 'Frame|Manifest' "$micro" ./internal/proto
 run 'StoreNew' "$micro" ./internal/store
 run 'Generate' "$micro" ./internal/video
 run 'UnmarshalEvent' "$micro" ./internal/obs

@@ -91,15 +91,18 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # report — must refuse what they refuse with their receiver unchanged. The
 # manifest the client reads off the wire and the operator's fault script must
 # come out of their parsers with every dimension and time field in range, and
-# the two trace importers usable or refused. The last target is not a parser: the zero-run CRC operator every frame trailer
-# and manifest checksum now comes from must agree with hash/crc32 over
-# literal zeros for any prefix and length. Minimising a new input is capped
-# at a second, so the ten seconds go on executing inputs (a shard report's
-# seed is kilobytes of bins).
+# the two trace importers usable or refused. The manifest's hand codec must
+# agree with encoding/json in both directions: the reader on any body, the
+# writer on any float64. The last target is not a parser: the zero-run CRC
+# operator every frame trailer and manifest checksum now comes from must
+# agree with hash/crc32 over literal zeros for any prefix and length.
+# Minimising a new input is capped at a second, so the ten seconds go on
+# executing inputs (a shard report's seed is kilobytes of bins).
 for target in proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume \
 	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup \
 	popsim:FuzzMergeSnapshot video:FuzzReadManifest netem:FuzzReadFaultCSV \
-	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzExtendZeros; do
+	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzAppendManifestFloat \
+	video:FuzzExtendZeros; do
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "${FUZZTIME:-10s}" -fuzzminimizetime 1s "./internal/${target%%:*}"
 done
 
