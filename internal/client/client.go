@@ -69,9 +69,6 @@ type ReconnectPolicy struct {
 	// attempt up to MaxDelay (default 2 s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Jitter adds a uniform random fraction of the delay (default 0.5),
-	// decorrelating reconnection herds; negative disables jitter.
-	Jitter float64
 	// ReadTimeout is the per-read idle deadline. The server heartbeats
 	// while its queue is idle, so a link silent for longer than this is
 	// treated as dead. 0 disables the deadline.
@@ -92,6 +89,10 @@ type ReconnectPolicy struct {
 	TotalBudget time.Duration
 }
 
+// reconnectJitter is the largest uniform random fraction of the delay a
+// reconnect adds, decorrelating reconnection herds.
+const reconnectJitter = 0.5
+
 // delay computes the backoff before the given (0-based) attempt.
 func (p ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 	base := p.BaseDelay
@@ -103,14 +104,7 @@ func (p ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 		max = 2 * time.Second
 	}
 	d := retry.Exp(base, max, attempt)
-	jitter := p.Jitter
-	if jitter == 0 {
-		jitter = 0.5
-	}
-	if jitter > 0 {
-		d += time.Duration(float64(d) * jitter * rng.Float64())
-	}
-	return d
+	return d + time.Duration(float64(d)*reconnectJitter*rng.Float64())
 }
 
 // PlayOptions tunes a session.

@@ -29,9 +29,8 @@ type MultiDialer struct {
 	Timeout time.Duration
 	// Backoff is the first per-address penalty after a failed dial
 	// (default 100 ms); it doubles per consecutive failure up to
-	// MaxBackoff (default 2 s) and resets on success.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// maxDialBackoff and resets on success.
+	Backoff time.Duration
 	// DialAddr overrides the network dial, for tests and in-memory rigs;
 	// nil uses DialTimeout (TCP).
 	DialAddr func(addr string, timeout time.Duration) (net.Conn, error)
@@ -122,6 +121,9 @@ func (d *MultiDialer) noteResult(addr string, ok bool) {
 	st.fails++
 }
 
+// maxDialBackoff caps the per-address penalty.
+const maxDialBackoff = 2 * time.Second
+
 // penalty is how long an address sits out after its (fails+1)-th
 // consecutive failed dial.
 func (d *MultiDialer) penalty(fails int) time.Duration {
@@ -129,9 +131,5 @@ func (d *MultiDialer) penalty(fails int) time.Duration {
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
-	max := d.MaxBackoff
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	return retry.Exp(base, max, fails)
+	return retry.Exp(base, maxDialBackoff, fails)
 }

@@ -141,7 +141,9 @@ func TestMultiDialerNoAddrs(t *testing.T) {
 // dial penalty for attempts 0–8 to the values the hand-written doubling
 // loops produced before both moved onto retry.Exp (recorded at PR 19's
 // commit with the same RNG seed): a change to the shared arithmetic that
-// moves any client's schedule fails here, per call site.
+// moves any client's schedule fails here, per call site. Any reconnect
+// delay stays within [d, 1.5d] of its unjittered doubling d, and every
+// dial penalty is capped at 2 s.
 func TestBackoffDelaysPinned(t *testing.T) {
 	const ms = int64(time.Millisecond)
 	for _, c := range []struct {
@@ -153,13 +155,21 @@ func TestBackoffDelaysPinned(t *testing.T) {
 			[9]int64{59325709, 103300024, 260409385, 441763740, 817527383, 1906554639, 2812877135, 2384445849, 2383044653}},
 		{"20 ms → 200 ms", ReconnectPolicy{BaseDelay: 20 * time.Millisecond, MaxDelay: 200 * time.Millisecond},
 			[9]int64{23730283, 41320009, 104163754, 176705496, 204381845, 238319329, 281287713, 238444584, 238304465}},
-		{"30 ms → 100 ms, no jitter", ReconnectPolicy{BaseDelay: 30 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Jitter: -1},
-			[9]int64{30 * ms, 60 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms}},
 	} {
 		rng := rand.New(rand.NewSource(42))
 		for attempt, want := range c.want {
 			if got := c.p.delay(attempt, rng); int64(got) != want {
 				t.Errorf("ReconnectPolicy %s: delay(%d) = %d ns, want %d", c.name, attempt, got, want)
+			}
+		}
+	}
+	p := ReconnectPolicy{BaseDelay: 30 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
+	rng := rand.New(rand.NewSource(7))
+	for attempt := 0; attempt < 9; attempt++ {
+		d := min(30*time.Millisecond<<attempt, 100*time.Millisecond)
+		for k := 0; k < 50; k++ {
+			if got := p.delay(attempt, rng); got < d || got > d+d/2 {
+				t.Fatalf("ReconnectPolicy 30 ms → 100 ms: delay(%d) = %v, want in [%v, %v]", attempt, got, d, d+d/2)
 			}
 		}
 	}
@@ -170,8 +180,8 @@ func TestBackoffDelaysPinned(t *testing.T) {
 	}{
 		{"defaults (100 ms → 2 s)", &MultiDialer{},
 			[9]int64{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 2000 * ms, 2000 * ms, 2000 * ms, 2000 * ms}},
-		{"20 ms → 90 ms", &MultiDialer{Backoff: 20 * time.Millisecond, MaxBackoff: 90 * time.Millisecond},
-			[9]int64{20 * ms, 40 * ms, 80 * ms, 90 * ms, 90 * ms, 90 * ms, 90 * ms, 90 * ms, 90 * ms}},
+		{"20 ms → 2 s", &MultiDialer{Backoff: 20 * time.Millisecond},
+			[9]int64{20 * ms, 40 * ms, 80 * ms, 160 * ms, 320 * ms, 640 * ms, 1280 * ms, 2000 * ms, 2000 * ms}},
 	} {
 		for fails, want := range c.want {
 			if got := c.d.penalty(fails); int64(got) != want {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dragonfly/internal/popsim"
-	"dragonfly/internal/sim"
 )
 
 // PopulationParams scales the population-sweep experiment; the zero value
@@ -67,7 +66,7 @@ func ExtPopulationWith(env *Env, w io.Writer, p PopulationParams) (PopulationOut
 	if err != nil {
 		return PopulationOutcome{}, err
 	}
-	env.LastSweep = sim.Stats{Sessions: st.Sessions, Wall: st.Wall, SessionsPerSec: st.SessionsPerSec}
+	env.LastSweep = st
 
 	// Re-run as two shards and merge through the snapshot wire format —
 	// the same path dragonfly-popsim -shards takes across processes.

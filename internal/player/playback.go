@@ -2,8 +2,6 @@ package player
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"time"
 
 	"dragonfly/internal/decoder"
@@ -44,11 +42,6 @@ type Config struct {
 	// with no masking tile are synthesized from neighboring masking tiles.
 	MaskInterpolation bool
 
-	// Debug, when non-nil, receives a line per scheduling decision,
-	// delivery and stall transition — a session event log for inspecting
-	// scheme behavior.
-	Debug io.Writer
-
 	// Trace, when non-nil, receives structured session events (decisions,
 	// fetches, skips, masks, stalls) for JSONL export. Nil disables tracing
 	// at the cost of one branch per event.
@@ -62,10 +55,10 @@ type Config struct {
 // Playback is the session state machine of §3.3, written once: playback
 // position and stall state, the control-event schedule (head samples,
 // decision epochs, frame deadlines), both predictors, the received-tile
-// state and the §4.1 accounting, with every trace and debug line they
-// emit. It owns neither a clock nor a link. A driver supplies both and
-// steps it with one protocol — report what the link delivered, then
-// Advance to the current instant:
+// state and the §4.1 accounting, with every trace event they emit. It owns
+// neither a clock nor a link. A driver supplies both and steps it with one
+// protocol — report what the link delivered, then Advance to the current
+// instant:
 //
 //	for !p.Over(now) {
 //		// let now reach p.NextEvent() or the next delivery, whichever
@@ -259,9 +252,6 @@ func (p *Playback) Deliver(now time.Duration, it RequestItem, bytes int64, elaps
 	})
 	p.Transferred(bytes, elapsed)
 	p.cfg.Trace.Add(obs.Event{At: now, Kind: obs.EvFetch, Chunk: it.Chunk, Tile: int(it.Tile), N: bytes})
-	if p.cfg.Debug != nil { // checked here too: boxing the arguments allocates
-		p.debugf(now, "deliver %s chunk=%d tile=%d q=%d bytes=%d", it.Stream, it.Chunk, it.Tile, it.Quality, bytes)
-	}
 }
 
 // Transferred accounts bytes that crossed the link in elapsed but yielded
@@ -295,20 +285,7 @@ func (p *Playback) decide() []RequestItem {
 	p.ctx.PredictedMbps = mbps
 	fetch := p.cfg.Scheme.Decide(&p.ctx)
 	p.cfg.Trace.Record(p.now, obs.EvDecide, int64(len(fetch)))
-	if p.cfg.Debug != nil { // as in Deliver
-		p.debugf(p.now, "decide frame=%d stalled=%v est=%.1fMbps items=%d", p.playFrame, p.stalled, mbps, len(fetch))
-	}
 	return fetch
-}
-
-// debugf writes one event-log line when Config.Debug is set.
-func (p *Playback) debugf(now time.Duration, format string, args ...any) {
-	if p.cfg.Debug == nil {
-		return
-	}
-	fmt.Fprintf(p.cfg.Debug, "%8.3fs  ", now.Seconds())
-	fmt.Fprintf(p.cfg.Debug, format, args...)
-	fmt.Fprintln(p.cfg.Debug)
 }
 
 // frameDeadline estimates when the given frame starts rendering, assuming
@@ -373,12 +350,10 @@ func (p *Playback) tryResume() {
 		p.met.StartupDelay = p.now
 		p.startup = false
 		p.cfg.Trace.Record(p.now, obs.EvStartup, int64(p.now/time.Millisecond))
-		p.debugf(p.now, "startup complete, playback begins")
 	} else {
 		p.met.RebufferDuration += p.now - p.stallStart
 		p.met.StallIntervals = append(p.met.StallIntervals, StallInterval{Start: p.stallStart, End: p.now})
 		p.cfg.Trace.Record(p.now, obs.EvResume, int64((p.now-p.stallStart)/time.Millisecond))
-		p.debugf(p.now, "resume after %s stall", p.now-p.stallStart)
 	}
 	p.stalled = false
 	p.renderFrame(ids, weights)
@@ -394,7 +369,6 @@ func (p *Playback) renderOrStall() {
 		p.stallStart = p.now
 		p.met.StallEvents++
 		p.cfg.Trace.Add(obs.Event{At: p.now, Kind: obs.EvStall, Chunk: chunk})
-		p.debugf(p.now, "stall frame=%d chunk=%d", p.playFrame, chunk)
 		return
 	}
 	p.renderFrame(ids, weights)

@@ -1,9 +1,7 @@
 package player
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -261,28 +259,6 @@ func TestMaskInterpolationFillsHoles(t *testing.T) {
 	if interp.MedianScore() <= plain.MedianScore() {
 		t.Errorf("interpolation should raise quality over black holes: %.2f vs %.2f",
 			interp.MedianScore(), plain.MedianScore())
-	}
-}
-
-func TestDebugEventLog(t *testing.T) {
-	m := video.Generate(video.GenParams{ID: "dbg", Rows: 4, Cols: 4, NumChunks: 2, Seed: 7})
-	var log bytes.Buffer
-	_, err := Run(Config{
-		Manifest:  m,
-		Head:      staticHead(2 * time.Second),
-		Bandwidth: flatBandwidth(50),
-		Scheme: &testScheme{name: "all", interval: 100 * time.Millisecond, policy: NeverStall,
-			decide: fetchEverything(video.Lowest)},
-		Debug: &log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := log.String()
-	for _, want := range []string{"decide frame=", "deliver primary", "startup complete"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("debug log missing %q", want)
-		}
 	}
 }
 

@@ -2,11 +2,8 @@ package popsim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
-	"dragonfly/internal/geom"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/quality"
@@ -46,158 +43,85 @@ type Sweep struct {
 	Obs *obs.Registry
 }
 
-// Stats reports a sweep's execution profile.
-type Stats struct {
-	Sessions       int           // sessions executed in this shard
-	Wall           time.Duration // sweep wall-clock time
-	SessionsPerSec float64       // throughput (0 when Wall is 0)
-}
+// Stats reports a sweep's execution profile; Sessions counts this shard's.
+type Stats = sim.Stats
 
 // Run executes this shard's slice of the population sweep, streaming
 // every finished session into the returned rollup. Same seed ⇒ identical
 // rollup for any Workers value, and merging all shards of any ShardCount
 // split reproduces the single-process rollup exactly (see the package
-// comment for why).
+// comment for why). Pool call j samples member ShardIndex + j·ShardCount,
+// plays it under every scheme, each built by its factory immediately before
+// its session, and folds each result.
 func Run(sw Sweep) (*Rollup, Stats, error) {
-	started := time.Now()
-	if len(sw.Videos) == 0 {
-		return nil, Stats{}, fmt.Errorf("popsim: sweep needs at least one video")
-	}
-	if sw.Sessions <= 0 {
-		return nil, Stats{}, fmt.Errorf("popsim: sweep needs a positive population size")
-	}
-	if len(sw.Schemes) == 0 {
-		return nil, Stats{}, fmt.Errorf("popsim: sweep needs at least one scheme")
-	}
-	if err := sw.Model.Validate(); err != nil {
+	if err := sw.validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	if sw.ShardCount <= 0 {
-		sw.ShardCount = 1
-	}
-	if sw.ShardIndex < 0 || sw.ShardIndex >= sw.ShardCount {
-		return nil, Stats{}, fmt.Errorf("popsim: shard %d of %d out of range", sw.ShardIndex, sw.ShardCount)
-	}
-
-	// Resolve factories up front; the registry key doubles as the rollup
-	// key, so duplicate display names cannot collide here.
-	reg := sim.Registry()
-	type schemeRun struct {
-		key     string
-		factory sim.SchemeFactory
-	}
-	schemes := make([]schemeRun, 0, len(sw.Schemes))
-	for _, key := range sw.Schemes {
-		factory, ok := sw.Extra[key]
-		if !ok {
-			factory, ok = reg[key]
-		}
-		if !ok {
-			return nil, Stats{}, fmt.Errorf("popsim: unknown scheme %q", key)
-		}
-		schemes = append(schemes, schemeRun{key: key, factory: factory})
-	}
-
-	// Pre-warm the process-wide shared tables once per manifest (the sim
-	// pattern): workers then stay on the read-only fast path instead of
-	// stampeding the lazy construction.
-	for _, v := range sw.Videos {
-		g := v.Grid()
-		tab := geom.SharedTable(g, geom.TableParams{})
-		geom.DefaultRoIs.Planes(tab)
-		tab.Plane(geom.DefaultViewport.RadiusDeg)
-		quality.Scores(v, sw.Metric)
-	}
-
-	workers := sw.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// The registry key doubles as the rollup key, so duplicate display
+	// names cannot collide here.
+	schemes, err := sim.Resolve(sw.Schemes, sw.Extra)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 
 	rollup := NewRollup(Geometry{})
 	cSessions := sw.Obs.Counter("pop_sessions")
 	hSessionMS := sw.Obs.Histogram("pop_session_ms")
-
-	idxCh := make(chan int, workers)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		failed   = make(chan struct{})
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			close(failed)
-		})
-	}
-	aborted := func() bool {
-		select {
-		case <-failed:
-			return true
-		default:
-			return false
-		}
-	}
-	sessions := 0
-	var sessionsMu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ran := 0
-			defer func() {
-				sessionsMu.Lock()
-				sessions += ran
-				sessionsMu.Unlock()
-			}()
-			for i := range idxCh {
-				if aborted() {
-					continue // drain without working
-				}
-				// The member's traces live only for this loop iteration:
-				// sampled, played under every scheme, folded, dropped.
-				mem := sw.Model.Sample(i)
-				manifest := sw.Videos[i%len(sw.Videos)]
-				for _, sr := range schemes {
-					sessionStart := time.Now()
-					met, err := player.Run(player.Config{
-						Manifest:         manifest,
-						Head:             mem.Head,
-						Bandwidth:        mem.Bandwidth,
-						Scheme:           sr.factory(),
-						Metric:           sw.Metric,
-						PredictErrorDeg:  sw.PredictErrorDeg,
-						PredictErrorSeed: int64(i + 1),
-					})
-					if err != nil {
-						fail(fmt.Errorf("popsim: member %d scheme %s: %w", i, sr.key, err))
-						break
-					}
-					hSessionMS.Observe(float64(time.Since(sessionStart)) / float64(time.Millisecond))
-					cSessions.Inc()
-					ran++
-					rollup.Fold(sr.key, mem.Cohort, met)
-				}
+	members := (sw.Sessions - sw.ShardIndex + sw.ShardCount - 1) / sw.ShardCount
+	st, err := sim.Pool(sw.Videos, sw.Metric, sw.Workers, members, len(schemes), func(j int) error {
+		// The member's traces live only for this call: sampled, played
+		// under every scheme, folded, dropped.
+		i := sw.ShardIndex + j*sw.ShardCount
+		mem := sw.Model.Sample(i)
+		for _, s := range schemes {
+			sessionStart := time.Now()
+			met, err := player.Run(player.Config{
+				Manifest:         sw.Videos[i%len(sw.Videos)],
+				Head:             mem.Head,
+				Bandwidth:        mem.Bandwidth,
+				Scheme:           s.Factory(),
+				Metric:           sw.Metric,
+				PredictErrorDeg:  sw.PredictErrorDeg,
+				PredictErrorSeed: int64(i + 1),
+			})
+			if err != nil {
+				return fmt.Errorf("popsim: member %d scheme %s: %w", i, s.Key, err)
 			}
-		}()
-	}
-	for i := sw.ShardIndex; i < sw.Sessions; i += sw.ShardCount {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, Stats{}, firstErr
-	}
-
-	st := Stats{Sessions: sessions, Wall: time.Since(started)}
-	if secs := st.Wall.Seconds(); secs > 0 {
-		st.SessionsPerSec = float64(st.Sessions) / secs
+			hSessionMS.Observe(float64(time.Since(sessionStart)) / float64(time.Millisecond))
+			cSessions.Inc()
+			rollup.Fold(s.Key, mem.Cohort, met)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	sw.Obs.Gauge("pop_sessions_per_sec").Set(st.SessionsPerSec)
 	sw.Obs.Gauge("pop_cohorts").Set(float64(countCohorts(rollup)))
 	return rollup, st, nil
+}
+
+// validate checks the sweep and defaults ShardCount to one shard.
+func (sw *Sweep) validate() error {
+	if len(sw.Videos) == 0 {
+		return fmt.Errorf("popsim: sweep needs at least one video")
+	}
+	if sw.Sessions <= 0 {
+		return fmt.Errorf("popsim: sweep needs a positive population size")
+	}
+	if len(sw.Schemes) == 0 {
+		return fmt.Errorf("popsim: sweep needs at least one scheme")
+	}
+	if err := sw.Model.Validate(); err != nil {
+		return err
+	}
+	if sw.ShardCount <= 0 {
+		sw.ShardCount = 1
+	}
+	if sw.ShardIndex < 0 || sw.ShardIndex >= sw.ShardCount {
+		return fmt.Errorf("popsim: shard %d of %d out of range", sw.ShardIndex, sw.ShardCount)
+	}
+	return nil
 }
 
 func countCohorts(r *Rollup) int {

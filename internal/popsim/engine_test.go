@@ -6,10 +6,12 @@ import (
 	"os"
 	"os/exec"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dragonfly/internal/obs"
+	"dragonfly/internal/player"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
@@ -229,6 +231,38 @@ func TestSimFoldReuse(t *testing.T) {
 	}
 }
 
+// TestFactoryOncePerSession pins the contract the pop_sweep benchmark
+// times its ops by: a scheme factory runs exactly once per session, and
+// with one worker each call finds exactly as many finished sessions as
+// calls before it, so none is made while resolving keys or ahead of the
+// session it builds for.
+func TestFactoryOncePerSession(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		sw := engineSweep(3, 6, workers, 0, 1)
+		sw.Obs = obs.NewRegistry()
+		finished := sw.Obs.Counter("pop_sessions")
+		var calls atomic.Int64
+		sw.Extra = map[string]sim.SchemeFactory{}
+		for _, key := range sw.Schemes {
+			inner := sim.Registry()[key]
+			sw.Extra[key] = func() player.Scheme {
+				n := calls.Add(1) - 1
+				if done := finished.Value(); workers == 1 && done != n {
+					t.Errorf("factory call %d found %d finished sessions", n, done)
+				}
+				return inner()
+			}
+		}
+		_, st, err := Run(sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Load(); got != int64(st.Sessions) || st.Sessions != 12 {
+			t.Errorf("workers %d: %d factory calls for %d sessions, want 12 each", workers, got, st.Sessions)
+		}
+	}
+}
+
 func TestEngineErrors(t *testing.T) {
 	if _, _, err := Run(Sweep{}); err == nil {
 		t.Error("empty sweep accepted")
@@ -237,6 +271,11 @@ func TestEngineErrors(t *testing.T) {
 	sw.Schemes = []string{"no-such-scheme"}
 	if _, _, err := Run(sw); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+	// A repeated key used to fold every member twice.
+	sw.Schemes = []string{"dragonfly", "dragonfly"}
+	if _, _, err := Run(sw); err == nil {
+		t.Error("repeated scheme key accepted")
 	}
 	sw = engineSweep(1, 4, 1, 5, 4)
 	if _, _, err := Run(sw); err == nil {

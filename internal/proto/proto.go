@@ -161,11 +161,6 @@ type TileData struct {
 	Payload []byte
 }
 
-// ErrorMsg reports a fatal server error.
-type ErrorMsg struct {
-	Text string
-}
-
 // Resume reopens a session after a disconnect. Held summarizes the tile
 // variants the client already has at exactly the granularity of the
 // server's dedup arrays, so a resumed session never re-downloads them.
@@ -187,7 +182,7 @@ type Resume struct {
 type Pong struct {
 	// Draining reports the server is refusing new sessions (drain mode).
 	// Note a draining server usually fast-rejects the probe with a busy
-	// ErrorMsg before reading it, so probers must treat a busy reject as
+	// MsgError before reading it, so probers must treat a busy reject as
 	// "alive but draining" too; the flag exists for probes that do get a
 	// pong back.
 	Draining bool

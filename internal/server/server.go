@@ -89,7 +89,7 @@ type Server struct {
 	// entries always fit. 0 disables the byte budget.
 	MaxQueueBytes int64
 	// MaxConns caps concurrent sessions. Beyond it the server fast-rejects
-	// the handshake with a typed busy ErrorMsg that resilient clients
+	// the handshake with a typed busy MsgError that resilient clients
 	// treat as retryable-with-backoff. 0 means unlimited.
 	MaxConns int
 	// WriteStallBudget bounds the cumulative excess time a session may

@@ -29,8 +29,8 @@ func TestRunRejectsDisplayNameCollision(t *testing.T) {
 	}
 }
 
-// TestRunAllowsRepeatedKey: listing the same key twice is not a collision
-// (it resolves to one factory), and distinct names keep working.
+// TestRunAllowsDistinctExtraNames: an Extra factory under its own display
+// name plays beside the registry scheme it is derived from.
 func TestRunAllowsDistinctExtraNames(t *testing.T) {
 	sw := smallSweep("dragonfly", "dragonfly-x")
 	sw.Extra = map[string]SchemeFactory{

@@ -2,22 +2,18 @@
 // traces, bandwidth traces and schemes that produces the hundreds of
 // sessions behind each of the paper's evaluation figures (§4.3 runs 770
 // sessions per comparison). Sessions are independent, so the sweep fans
-// out across a bounded worker pool.
+// out across Pool, the one worker pool under sim, popsim and the user study.
 package sim
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"dragonfly/internal/baseline"
 	"dragonfly/internal/core"
 	"dragonfly/internal/decoder"
-	"dragonfly/internal/geom"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/quality"
@@ -109,13 +105,6 @@ type Sweep struct {
 	TraceDir string
 }
 
-// Stats reports a sweep's execution profile.
-type Stats struct {
-	Sessions       int           // sessions executed
-	Wall           time.Duration // sweep wall-clock time
-	SessionsPerSec float64       // throughput (0 when Wall is 0)
-}
-
 // Results maps scheme display name to its session metrics, in a stable
 // (video, user, bandwidth) order.
 type Results map[string][]*player.Metrics
@@ -129,183 +118,84 @@ func Run(sw Sweep) (Results, error) {
 // RunWithStats executes the sweep and also reports its execution profile
 // (session count, wall time, throughput).
 func RunWithStats(sw Sweep) (Results, Stats, error) {
-	started := time.Now()
-	res, sessions, err := run(sw)
-	stats := Stats{Wall: time.Since(started), Sessions: sessions}
-	if secs := stats.Wall.Seconds(); secs > 0 {
-		stats.SessionsPerSec = float64(stats.Sessions) / secs
-	}
-	if err == nil {
-		sw.Obs.Counter("sim_sessions").Add(int64(stats.Sessions))
-		sw.Obs.Gauge("sim_sessions_per_sec").Set(stats.SessionsPerSec)
-	}
-	return res, stats, err
-}
-
-func run(sw Sweep) (Results, int, error) {
-	reg := Registry()
-	type job struct {
-		scheme  string
-		factory SchemeFactory
-		cfg     player.Config
-		idx     int
-	}
-	var jobs []job
 	perScheme := len(sw.Videos) * len(sw.Users) * len(sw.Bandwidths)
 	if perScheme == 0 {
-		return nil, 0, fmt.Errorf("sim: sweep needs videos, users and bandwidth traces")
+		return nil, Stats{}, fmt.Errorf("sim: sweep needs videos, users and bandwidth traces")
+	}
+	schemes, err := Resolve(sw.Schemes, sw.Extra)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	if sw.TraceDir != "" {
 		if err := os.MkdirAll(sw.TraceDir, 0o755); err != nil {
-			return nil, 0, fmt.Errorf("sim: trace dir: %w", err)
+			return nil, Stats{}, fmt.Errorf("sim: trace dir: %w", err)
 		}
 	}
 	// Results are keyed by the scheme's display name, so two sweep keys
 	// resolving to the same name (e.g. an Extra factory shadowing a registry
 	// scheme) would silently overwrite each other's sessions. Detect the
 	// collision up front, before any session runs.
+	res := make(Results, len(schemes))
+	out := make([][]*player.Metrics, len(schemes))
 	keyByName := map[string]string{}
-	for _, key := range sw.Schemes {
-		factory, ok := sw.Extra[key]
-		if !ok {
-			factory, ok = reg[key]
+	for k, s := range schemes {
+		name := s.Factory().Name()
+		if prev, ok := keyByName[name]; ok {
+			return nil, Stats{}, fmt.Errorf("sim: scheme keys %q and %q share display name %q; their results would overwrite each other", prev, s.Key, name)
 		}
-		if !ok {
-			return nil, 0, fmt.Errorf("sim: unknown scheme %q", key)
-		}
-		name := factory().Name()
-		if prev, ok := keyByName[name]; ok && prev != key {
-			return nil, 0, fmt.Errorf("sim: scheme keys %q and %q share display name %q; their results would overwrite each other", prev, key, name)
-		}
-		keyByName[name] = key
-		i := 0
-		for _, v := range sw.Videos {
-			for _, u := range sw.Users {
-				for _, b := range sw.Bandwidths {
-					jobs = append(jobs, job{
-						scheme:  key,
-						factory: factory,
-						idx:     i,
-						cfg: player.Config{
-							Manifest:         v,
-							Head:             u,
-							Bandwidth:        b,
-							Metric:           sw.Metric,
-							PredictErrorDeg:  sw.PredictErrorDeg,
-							PredictErrorSeed: int64(i + 1),
-						},
-					})
-					i++
-				}
-			}
-		}
+		keyByName[name] = s.Key
+		out[k] = make([]*player.Metrics, perScheme)
+		res[name] = out[k]
 	}
 
-	// Pre-warm the process-wide shared tables once per manifest before the
-	// workers start: the overlap tables and score tables are built lazily
-	// behind sync.Once, so building them here keeps every worker on the
-	// read-only fast path instead of stampeding the same construction.
-	for _, v := range sw.Videos {
-		g := v.Grid()
-		tab := geom.SharedTable(g, geom.TableParams{})
-		geom.DefaultRoIs.Planes(tab)
-		tab.Plane(geom.DefaultViewport.RadiusDeg)
-		quality.Scores(v, sw.Metric)
-	}
-
-	workers := sw.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type outcome struct {
-		scheme string
-		idx    int
-		met    *player.Metrics
-		err    error
-	}
-	jobCh := make(chan job)
-	// The collector drains outcomes as they finish, so the channel only
-	// needs to absorb scheduling jitter.
-	outCh := make(chan outcome, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				cfg := j.cfg
-				cfg.Scheme = j.factory()
-				if sw.Decoder != nil {
-					cfg.Decoder = sw.Decoder()
-				}
-				cfg.MaskInterpolation = sw.MaskInterpolation
-				if sw.Obs != nil {
-					if o, ok := cfg.Scheme.(interface{ SetObs(*obs.Registry) }); ok {
-						o.SetObs(sw.Obs)
-					}
-				}
-				if sw.TraceDir != "" {
-					cfg.Trace = obs.NewTrace(0)
-				}
-				sessionStart := time.Now()
-				met, err := player.Run(cfg)
-				sw.Obs.Histogram("sim_session_ms").Observe(float64(time.Since(sessionStart)) / float64(time.Millisecond))
-				if err == nil && sw.TraceDir != "" {
-					err = writeSessionTrace(sw.TraceDir, j.scheme, j.idx, cfg.Trace)
-				}
-				outCh <- outcome{scheme: j.scheme, idx: j.idx, met: met, err: err}
-			}
-		}()
-	}
-
-	// One collector goroutine gathers outcomes as they land.
-	var (
-		collectErr  error
-		sessions    int
-		byScheme    = map[string][]outcome{}
-		collectDone = make(chan struct{})
-	)
-	go func() {
-		defer close(collectDone)
-		for o := range outCh {
-			if o.err != nil {
-				if collectErr == nil {
-					collectErr = o.err
-				}
-				continue
-			}
-			if collectErr != nil {
-				continue // error pending; drop the rest
-			}
-			sessions++
-			byScheme[o.scheme] = append(byScheme[o.scheme], o)
+	// Job j plays scheme j/perScheme on combination j%perScheme.
+	hSessionMS := sw.Obs.Histogram("sim_session_ms")
+	stats, err := Pool(sw.Videos, sw.Metric, sw.Workers, len(schemes)*perScheme, 1, func(j int) error {
+		k, i := j/perScheme, j%perScheme
+		cfg := sw.config(schemes[k].Factory(), i)
+		sessionStart := time.Now()
+		met, err := player.Run(cfg)
+		hSessionMS.Observe(float64(time.Since(sessionStart)) / float64(time.Millisecond))
+		if err == nil && sw.TraceDir != "" {
+			err = writeSessionTrace(sw.TraceDir, schemes[k].Key, i, cfg.Trace)
 		}
-	}()
-	for _, j := range jobs {
-		jobCh <- j
+		out[k][i] = met
+		return err
+	})
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	close(jobCh)
-	wg.Wait()
-	close(outCh)
-	<-collectDone
+	sw.Obs.Counter("sim_sessions").Add(int64(stats.Sessions))
+	sw.Obs.Gauge("sim_sessions_per_sec").Set(stats.SessionsPerSec)
+	return res, stats, nil
+}
 
-	if collectErr != nil {
-		return nil, 0, collectErr
+// config builds the session that plays scheme on combination i of the
+// (video, user, bandwidth) product, in that nesting order.
+func (sw *Sweep) config(scheme player.Scheme, i int) player.Config {
+	nU, nB := len(sw.Users), len(sw.Bandwidths)
+	cfg := player.Config{
+		Manifest:          sw.Videos[i/(nU*nB)],
+		Head:              sw.Users[i/nB%nU],
+		Bandwidth:         sw.Bandwidths[i%nB],
+		Scheme:            scheme,
+		Metric:            sw.Metric,
+		PredictErrorDeg:   sw.PredictErrorDeg,
+		PredictErrorSeed:  int64(i + 1),
+		MaskInterpolation: sw.MaskInterpolation,
 	}
-	res := Results{}
-	for key, outs := range byScheme {
-		sort.Slice(outs, func(a, b int) bool { return outs[a].idx < outs[b].idx })
-		name := outs[0].met.SchemeName
-		if _, dup := res[name]; dup {
-			return nil, 0, fmt.Errorf("sim: duplicate display name %q (key %q)", name, key)
-		}
-		mets := make([]*player.Metrics, len(outs))
-		for i, o := range outs {
-			mets[i] = o.met
-		}
-		res[name] = mets
+	if sw.Decoder != nil {
+		cfg.Decoder = sw.Decoder()
 	}
-	return res, sessions, nil
+	if sw.Obs != nil {
+		if o, ok := scheme.(interface{ SetObs(*obs.Registry) }); ok {
+			o.SetObs(sw.Obs)
+		}
+	}
+	if sw.TraceDir != "" {
+		cfg.Trace = obs.NewTrace(0)
+	}
+	return cfg
 }
 
 // writeSessionTrace dumps one session's event trace as JSONL.

@@ -103,6 +103,10 @@ func TestRunSweepErrors(t *testing.T) {
 	if _, err := Run(sw); err == nil {
 		t.Error("unknown scheme accepted")
 	}
+	// A repeated key used to play every session twice under one name.
+	if _, err := Run(smallSweep("dragonfly", "dragonfly")); err == nil {
+		t.Error("repeated scheme key accepted")
+	}
 }
 
 func TestPooledFrameScores(t *testing.T) {

@@ -109,20 +109,6 @@ func CDF(xs []float64, maxPoints int) []CDFPoint {
 	return out
 }
 
-// FractionAtLeast returns the fraction of values >= threshold.
-func FractionAtLeast(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x >= threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // FractionAbove returns the fraction of values > threshold.
 func FractionAbove(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {

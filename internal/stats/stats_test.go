@@ -105,13 +105,10 @@ func TestCDF(t *testing.T) {
 
 func TestFractions(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
-	if got := FractionAtLeast(xs, 3); got != 0.5 {
-		t.Errorf("FractionAtLeast = %v", got)
-	}
 	if got := FractionAbove(xs, 3); got != 0.25 {
 		t.Errorf("FractionAbove = %v", got)
 	}
-	if FractionAtLeast(nil, 0) != 0 || FractionAbove(nil, 0) != 0 {
+	if FractionAbove(nil, 0) != 0 {
 		t.Error("empty fractions")
 	}
 }

@@ -15,12 +15,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"time"
 
 	"dragonfly/internal/baseline"
 	"dragonfly/internal/core"
 	"dragonfly/internal/player"
+	"dragonfly/internal/quality"
+	"dragonfly/internal/sim"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
 )
@@ -62,7 +62,6 @@ type Config struct {
 	Videos   []*video.Manifest       // paper: 5 (two of the seven withheld)
 	Traces   []*trace.BandwidthTrace // paper: 5 Belgian traces
 	Seed     int64
-	Workers  int
 }
 
 // Results holds every session of the study.
@@ -73,14 +72,12 @@ type Results struct {
 	Heads []*trace.HeadTrace
 }
 
-// schemeFactories returns the three systems of the study; Dragonfly uses
-// the tiled masking strategy as in §4.5.
-func schemeFactories() map[string]func() player.Scheme {
-	return map[string]func() player.Scheme{
-		"Dragonfly": func() player.Scheme { return core.New(core.Options{Masking: core.MaskTiled, Name: "Dragonfly"}) },
-		"Flare":     func() player.Scheme { return baseline.NewFlare(baseline.FlareOptions{}) },
-		"Pano":      func() player.Scheme { return baseline.NewPano(baseline.PanoOptions{}) },
-	}
+// studySchemes are the three systems of the study, keyed by the name its
+// records carry; Dragonfly uses the tiled masking strategy as in §4.5.
+var studySchemes = []sim.Keyed{
+	{Key: "Dragonfly", Factory: func() player.Scheme { return core.New(core.Options{Masking: core.MaskTiled, Name: "Dragonfly"}) }},
+	{Key: "Flare", Factory: func() player.Scheme { return baseline.NewFlare(baseline.FlareOptions{}) }},
+	{Key: "Pano", Factory: func() player.Scheme { return baseline.NewPano(baseline.PanoOptions{}) }},
 }
 
 // Run executes the study: every participant views every video once per
@@ -91,9 +88,6 @@ func Run(cfg Config) (*Results, error) {
 	}
 	if len(cfg.Videos) == 0 || len(cfg.Traces) == 0 {
 		return nil, fmt.Errorf("study: config requires videos and traces")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
@@ -109,13 +103,10 @@ func Run(cfg Config) (*Results, error) {
 		})
 	}
 
-	factories := schemeFactories()
-	schemeNames := []string{"Dragonfly", "Flare", "Pano"}
-
 	type job struct {
 		user   int
 		video  *video.Manifest
-		scheme string
+		scheme sim.Keyed
 		tr     *trace.BandwidthTrace
 		noise  float64
 	}
@@ -123,7 +114,7 @@ func Run(cfg Config) (*Results, error) {
 	for u := 0; u < cfg.NumUsers; u++ {
 		for _, v := range cfg.Videos {
 			tr := cfg.Traces[rng.Intn(len(cfg.Traces))]
-			for _, s := range schemeNames {
+			for _, s := range studySchemes {
 				jobs = append(jobs, job{user: u, video: v, scheme: s, tr: tr,
 					noise: rng.NormFloat64() * 0.3})
 			}
@@ -131,46 +122,32 @@ func Run(cfg Config) (*Results, error) {
 	}
 
 	records := make([]SessionRecord, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	errCh := make(chan error, 1)
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			met, err := player.Run(player.Config{
-				Manifest:  j.video,
-				Head:      heads[j.user],
-				Bandwidth: j.tr,
-				Scheme:    factories[j.scheme](),
-			})
-			if err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-				return
-			}
-			mos := MOS(met) + bias[j.user] + j.noise
-			records[i] = SessionRecord{
-				User:     j.user,
-				VideoID:  j.video.VideoID,
-				Scheme:   j.scheme,
-				TraceID:  j.tr.ID,
-				Metrics:  met,
-				MOS:      mos,
-				Rating:   clampRating(mos),
-				Feedback: Classify(met),
-			}
-		}(i, j)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	_, err := sim.Pool(cfg.Videos, quality.PSNR, 0, len(jobs), 1, func(i int) error {
+		j := jobs[i]
+		met, err := player.Run(player.Config{
+			Manifest:  j.video,
+			Head:      heads[j.user],
+			Bandwidth: j.tr,
+			Scheme:    j.scheme.Factory(),
+		})
+		if err != nil {
+			return err
+		}
+		mos := MOS(met) + bias[j.user] + j.noise
+		records[i] = SessionRecord{
+			User:     j.user,
+			VideoID:  j.video.VideoID,
+			Scheme:   j.scheme.Key,
+			TraceID:  j.tr.ID,
+			Metrics:  met,
+			MOS:      mos,
+			Rating:   clampRating(mos),
+			Feedback: Classify(met),
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	return &Results{Sessions: records, Heads: heads}, nil
 }
@@ -321,12 +298,6 @@ func MOSPerVideo(records []SessionRecord) map[string]float64 {
 	return out
 }
 
-// DefaultStudyTraces picks the study's five Belgian traces.
-func DefaultStudyTraces() []*trace.BandwidthTrace {
-	all := trace.DefaultBelgianTraces(5)
-	return all
-}
-
 // DefaultStudyVideos returns the five study videos: the paper withheld two
 // of the seven emulation videos, including the highest-bitrate one (§4.5).
 func DefaultStudyVideos(all []*video.Manifest) []*video.Manifest {
@@ -342,7 +313,3 @@ func DefaultStudyVideos(all []*video.Manifest) []*video.Manifest {
 	}
 	return out
 }
-
-// SessionWallTime is a helper exposing wall duration for Fig 16 style
-// displacement comparisons.
-func SessionWallTime(m *player.Metrics) time.Duration { return m.WallDuration }

@@ -69,11 +69,17 @@ done
 # kill/cold-restart/drain, zero duplicate primary sends), TestQoEFeedback
 # (ingest -> rollup -> shed-budget loop), TestExtChaos (corruption + cold
 # restart + admission probe on one session) in internal/experiments, all
-# four on the internal/fleettest rig, and the popsim determinism trio
-# (TestWorkerCountInvariance, TestShardEquivalence,
-# TestShardSubprocessEquivalence): the run passes no -short, so none of them
-# is skipped, and none is run a second time below.
+# four on the internal/fleettest rig, and the sweep determinism gates
+# (popsim's TestWorkerCountInvariance, TestShardEquivalence and
+# TestShardSubprocessEquivalence, and sim's TestSimWorkerCountInvariance):
+# the run passes no -short, so none of them is skipped, and none is run a
+# second time below.
 go test -race -count=1 -timeout 600s ./...
+
+# The benchmark is its own module, so ./... above neither builds nor tests
+# it. Its TestRunsRepeatExactly is the only check of session_count_exact,
+# which holds popsim to one scheme-factory call per session.
+(cd bench && go vet ./... && go test -count=1 ./...)
 
 # Disarmed-overhead gate: failpoints must stay free when nobody is
 # injecting — a disarmed site is one atomic load and zero allocations on
