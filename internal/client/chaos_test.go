@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/netem"
+	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
 	"dragonfly/internal/trace"
@@ -275,4 +277,76 @@ func TestPlayResilientMidSessionBudgetDegrades(t *testing.T) {
 		t.Errorf("schedule cut the link but Disconnects = 0")
 	}
 	checkAccounting(t, met)
+}
+
+// TestTotalBudgetSpansOpeningAndOutages: TotalBudget is one ledger, as its
+// doc says. Refused dials spend two thirds of it before the first
+// handshake; the link is then cut and every later dial refused, and the
+// outage must be abandoned within what is left of the budget — not after
+// a fresh full budget of its own.
+func TestTotalBudgetSpansOpeningAndOutages(t *testing.T) {
+	const budget, refuseFor = 1500 * time.Millisecond, time.Second
+	m := liveManifest()
+	srv := server.New(m)
+	srv.Heartbeat = 100 * time.Millisecond
+	fl := &netem.FaultLink{
+		Link: netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}},
+		Schedule: &netem.FaultSchedule{Events: []netem.FaultEvent{
+			{At: 300 * time.Millisecond, Kind: netem.FaultDisconnect},
+		}},
+	}
+	defer fl.Stop()
+
+	inner := faultDialer(srv, fl)
+	start := time.Now()
+	var (
+		mu     sync.Mutex
+		opened time.Duration // when the one dial that got through was made
+	)
+	dial := func() (net.Conn, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if elapsed := time.Since(start); opened == 0 && elapsed >= refuseFor {
+			opened = elapsed
+			return inner()
+		}
+		return nil, errors.New("connection refused")
+	}
+	tr := obs.NewTrace(0)
+	met, err := PlayResilient(dial, "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{
+		Reconnect: ReconnectPolicy{
+			MaxAttempts: 1 << 20,
+			BaseDelay:   10 * time.Millisecond,
+			MaxDelay:    50 * time.Millisecond,
+			ReadTimeout: 400 * time.Millisecond,
+			TotalBudget: budget,
+			Seed:        11,
+		},
+		Trace: tr,
+	})
+	if err != nil {
+		t.Fatalf("the opening phase fit the budget, so playback must not fail: %v", err)
+	}
+	if met.Disconnects != 1 {
+		t.Fatalf("Disconnects = %d, want the one scheduled cut", met.Disconnects)
+	}
+	var outage, dead time.Duration = -1, -1
+	for _, e := range tr.Events() {
+		switch {
+		case e.Kind == obs.EvOutage && outage < 0:
+			outage = e.At
+		case e.Kind == obs.EvLinkDead && dead < 0:
+			dead = e.At
+		}
+	}
+	if outage < 0 || dead < 0 {
+		t.Fatalf("trace has outage at %v and link death at %v; want both", outage, dead)
+	}
+	mu.Lock()
+	left := budget - opened
+	mu.Unlock()
+	if spent := dead - outage; spent > left+200*time.Millisecond {
+		t.Errorf("outage abandoned after %v; the opening phase spent %v of the %v budget, leaving %v",
+			spent, budget-left, budget, left)
+	}
 }

@@ -11,13 +11,16 @@
 //
 // The client is fault tolerant: PlayResilient wraps the session in a
 // reconnector with read/write deadlines, exponential backoff with jitter,
-// and a per-outage attempt budget. During an outage the Playback keeps
+// a per-outage attempt budget and one wall-clock budget for all the time
+// spent offline. The opening dial and every reconnect are one retry loop
+// (session.connect on retry.Do). During an outage the Playback keeps
 // being stepped — a NeverStall scheme renders from masking and accounts
 // holes as skips — and on reconnect the session resumes via proto.MsgResume
 // so already-held tiles are never re-downloaded.
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -49,14 +52,6 @@ var siteClientDial = chaos.NewSite("client.dial")
 // when the budget runs out before the first successful handshake.
 var ErrReconnectBudget = errors.New("client: total reconnect budget exhausted")
 
-// chaosDial is the failpoint-fronted dial every connect path uses.
-func chaosDial(dial DialFunc) (net.Conn, error) {
-	if err := siteClientDial.Err(); err != nil {
-		return nil, err
-	}
-	return dial()
-}
-
 // ReconnectPolicy tunes the client's fault tolerance. The zero value
 // disables reconnection: a connection error ends the session, as it always
 // did for plain Play.
@@ -77,23 +72,20 @@ type ReconnectPolicy struct {
 	WriteTimeout time.Duration
 	// Seed feeds the jitter RNG so experiments replay deterministically.
 	Seed int64
-	// TotalBudget caps the total wall-clock time the session may spend
-	// disconnected, summed across the opening dial and every outage.
+	// TotalBudget caps the wall-clock time the session may spend
+	// disconnected: one ledger across the opening dial and every outage,
+	// each connect phase running under a deadline for what is left.
 	// Exhaustion before the first successful handshake fails the session
-	// with a typed ErrReconnectBudget — a permanently dead fleet surfaces
-	// as a prompt, classifiable error instead of an unbounded retry loop.
-	// Mid-session exhaustion declares the link dead and playback carries
-	// on with what is held (the same degradation as running out of
-	// MaxAttempts — continuity is never sacrificed to a timer). 0 means
-	// no wall-clock cap.
+	// with a typed ErrReconnectBudget, so a permanently dead fleet surfaces
+	// as a prompt, classifiable error. Mid-session exhaustion declares the
+	// link dead and playback carries on with what is held, as when
+	// MaxAttempts runs out. 0 means no wall-clock cap.
 	TotalBudget time.Duration
 }
 
-// reconnectJitter is the largest uniform random fraction of the delay a
-// reconnect adds, decorrelating reconnection herds.
-const reconnectJitter = 0.5
-
-// delay computes the backoff before the given (0-based) attempt.
+// delay computes the backoff before the given (0-based) attempt: the
+// capped doubling plus up to half again at random, which decorrelates
+// reconnection herds.
 func (p ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 	base := p.BaseDelay
 	if base <= 0 {
@@ -104,14 +96,11 @@ func (p ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 		max = 2 * time.Second
 	}
 	d := retry.Exp(base, max, attempt)
-	return d + time.Duration(float64(d)*reconnectJitter*rng.Float64())
+	return d + time.Duration(float64(d)*0.5*rng.Float64())
 }
 
-// PlayOptions tunes a session.
+// PlayOptions tunes a session; its wall-clock cap is the player's default.
 type PlayOptions struct {
-	// MaxWall caps the session in wall-clock time (default: 3x video + 30 s).
-	MaxWall time.Duration
-
 	// Reconnect enables fault tolerance (only effective through
 	// PlayResilient, which supplies the dialer).
 	Reconnect ReconnectPolicy
@@ -140,23 +129,17 @@ func Play(conn net.Conn, videoID string, head *trace.HeadTrace, scheme player.Sc
 // survives connection faults: on a read/write error or idle timeout it
 // redials with exponential backoff and resumes the session via the resume
 // protocol, while playback keeps running on whatever is already held. The
-// initial dial runs through the same backoff-and-redial loop that absorbs
-// busy rejections, so a briefly absent backend (restart, failover gap)
-// delays the session start instead of killing it. Every connection it
-// dials it also closes, whichever way the session ends.
+// initial dial runs through the same backoff-and-redial loop, which also
+// absorbs busy rejections, so a briefly absent backend (restart, failover
+// gap) delays the session start instead of killing it. Every connection
+// it dials it also closes, whichever way the session ends.
 func PlayResilient(dial DialFunc, videoID string, head *trace.HeadTrace, scheme player.Scheme, opts PlayOptions) (*player.Metrics, error) {
-	if dial == nil {
-		return nil, fmt.Errorf("client: dial function is required")
-	}
 	return play(nil, dial, videoID, head, scheme, opts)
 }
 
 func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, scheme player.Scheme, opts PlayOptions) (*player.Metrics, error) {
-	if head == nil || scheme == nil {
-		return nil, fmt.Errorf("client: head trace and scheme are required")
-	}
-	if conn == nil && dial == nil {
-		return nil, fmt.Errorf("client: a connection or dial function is required")
+	if head == nil || scheme == nil || conn == nil && dial == nil {
+		return nil, fmt.Errorf("client: a head trace, a scheme and a connection or dial function are required")
 	}
 	if opts.Cohort == "" {
 		opts.Cohort = head.ClassName() + ":net"
@@ -165,92 +148,37 @@ func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, s
 	// later event; handshake retries (EvBusy) come after it by design.
 	opts.Trace.Add(obs.SessionEvent(videoID, opts.Cohort))
 
-	// The opening dial and handshake retry failed connects and busy
-	// rejections (admission control: connection limit or drain) with the
-	// same backoff the reconnector uses, when a dialer is available to
-	// re-establish the link. MaxAttempts of zero keeps the historical
-	// single-shot behavior: the first failure of either kind is fatal.
 	seed := opts.Reconnect.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	hsRng := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
-	// TotalBudget walls the whole opening phase: a fleet that refuses every
-	// dial fails with a typed, classifiable error when the clock runs out,
-	// even if MaxAttempts would have allowed further tries.
-	var dialDeadline time.Time
-	if b := opts.Reconnect.TotalBudget; b > 0 {
-		dialDeadline = time.Now().Add(b)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := &session{
+		conn:      conn,
+		dial:      dial,
+		rp:        opts.Reconnect,
+		rng:       rand.New(rand.NewSource(seed)),
+		ctx:       ctx,
+		cancel:    cancel,
+		videoID:   videoID,
+		cohort:    opts.Cohort,
+		trace:     opts.Trace,
+		delivered: make(chan struct{}, 1),
+		fatal:     make(chan error, 1),
 	}
-	overBudget := func() bool {
-		return !dialDeadline.IsZero() && !time.Now().Before(dialDeadline)
+	conn, m, err := s.connect(nil)
+	if err != nil {
+		return nil, err
 	}
-	var m *video.Manifest
-	var busyRejects int64
-	for attempt := 0; ; attempt++ {
-		if conn == nil {
-			c, err := chaosDial(dial)
-			if err != nil {
-				if overBudget() {
-					return nil, fmt.Errorf("client: dial: %w (last error: %v)", ErrReconnectBudget, err)
-				}
-				if attempt >= opts.Reconnect.MaxAttempts {
-					return nil, fmt.Errorf("client: dial: %w", err)
-				}
-				time.Sleep(opts.Reconnect.delay(attempt, hsRng))
-				continue
-			}
-			conn = c
-		}
-		m2, err := handshake(conn, opts.Reconnect, videoID, opts.Cohort, nil)
-		if err == nil {
-			m = m2
-			break
-		}
-		conn.Close() // a failed handshake ends its connection, retried or not
-		retryable := errors.Is(err, errBusy) || errors.Is(err, errHandshakeLink)
-		if retryable && overBudget() {
-			return nil, fmt.Errorf("client: handshake: %w (last error: %v)", ErrReconnectBudget, err)
-		}
-		if dial == nil || !retryable || attempt >= opts.Reconnect.MaxAttempts {
-			return nil, err
-		}
-		if errors.Is(err, errBusy) {
-			busyRejects++
-			opts.Trace.Record(0, obs.EvBusy, int64(attempt+1))
-		}
-		conn = nil
-		time.Sleep(opts.Reconnect.delay(attempt, hsRng))
-	}
-
-	pb, err := player.NewPlayback(player.Config{
-		Manifest: m,
-		Head:     head,
-		Scheme:   scheme,
-		Trace:    opts.Trace,
-		MaxWall:  opts.MaxWall,
-	})
+	pb, err := player.NewPlayback(player.Config{Manifest: m, Head: head, Scheme: scheme, Trace: opts.Trace})
 	if err != nil {
 		if dial != nil {
 			conn.Close()
 		}
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	s := &session{
-		conn:      conn,
-		dial:      dial,
-		rp:        opts.Reconnect,
-		rng:       rand.New(rand.NewSource(seed)),
-		m:         m,
-		cohort:    opts.Cohort,
-		trace:     opts.Trace,
-		pb:        pb,
-		met:       pb.Metrics(),
-		delivered: make(chan struct{}, 1),
-		fatal:     make(chan error, 1),
-		start:     time.Now(),
-	}
-	s.met.BusyRejects = busyRejects
+	s.conn, s.m, s.pb, s.met, s.start = conn, m, pb, pb.Metrics(), time.Now()
 	return s.run()
 }
 
@@ -269,8 +197,7 @@ var errHandshakeLink = errors.New("client: handshake link failure")
 // hello, or a resume carrying what the client holds — goes out under the
 // write deadline, and the reply is read under the read deadline (10 s when
 // unset) and classified, here only: the manifest, errBusy, a server error,
-// or errHandshakeLink. The opening loop and the reconnector each retry it
-// their own way.
+// or errHandshakeLink. session.connect retries it.
 func handshake(conn net.Conn, rp ReconnectPolicy, videoID, cohort string, held *player.HeldSummary) (*video.Manifest, error) {
 	if rp.WriteTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(rp.WriteTimeout))
@@ -309,13 +236,19 @@ func handshake(conn net.Conn, rp ReconnectPolicy, videoID, cohort string, held *
 type session struct {
 	dial DialFunc
 	rp   ReconnectPolicy
-	rng  *rand.Rand // jitter source; reconnector goroutine only
+	rng  *rand.Rand // jitter source; one connect phase at a time
+	// ctx ends with the session (finish cancels it under mu): late
+	// deliveries and reconnects check it under mu and drop, since the
+	// receiver may outlive Play, and a pending backoff returns at once.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	m      *video.Manifest
-	cohort string
-	trace  *obs.Trace
+	videoID string
+	m       *video.Manifest
+	cohort  string
+	trace   *obs.Trace
 
-	start time.Time
+	start time.Time // zero until the opening handshake succeeds
 
 	mu sync.Mutex
 	// pb is the session proper; met is pb.Metrics(), for the counters that
@@ -330,16 +263,21 @@ type session struct {
 	lastEvent time.Duration // last send/receive instant, for throughput
 	lastReq   []player.RequestItem
 	gen       uint32
-	// finished marks the session over: late deliveries (the receiver may
-	// outlive Play when the caller keeps the connection open) and late
-	// reconnects are dropped instead of racing with the returned metrics.
-	finished bool
+	busy      int64         // busy rejects, opening phase included
+	offline   time.Duration // TotalBudget's ledger: every connect phase that succeeded
 
 	delivered chan struct{}
 	fatal     chan error
 }
 
-func (s *session) now() time.Duration { return time.Since(s.start) }
+// now is the session clock. It starts when the opening handshake succeeds
+// and reads zero before.
+func (s *session) now() time.Duration {
+	if s.start.IsZero() {
+		return 0
+	}
+	return time.Since(s.start)
+}
 
 func (s *session) wakeLoop() {
 	select {
@@ -399,7 +337,7 @@ func (s *session) receiver(conn net.Conn, id int) {
 				intact = !hasSum || proto.PayloadChecksum(msg.TileData.Payload) == want
 			}
 			s.mu.Lock()
-			if s.finished {
+			if s.ctx.Err() != nil {
 				s.mu.Unlock()
 				continue
 			}
@@ -439,7 +377,7 @@ func (s *session) receiver(conn net.Conn, id int) {
 // session, otherwise the start of an outage with a reconnector behind it.
 func (s *session) linkLost(id int, err error) {
 	s.mu.Lock()
-	if s.finished || id != s.connID || s.down || s.linkDead {
+	if s.ctx.Err() != nil || id != s.connID || s.down || s.linkDead {
 		s.mu.Unlock()
 		return
 	}
@@ -459,91 +397,119 @@ func (s *session) linkLost(id int, err error) {
 	if old != nil {
 		old.Close()
 	}
-	go s.reconnectLoop()
+	go s.reconnect()
 }
 
-// reconnectLoop dials with jittered exponential backoff and resumes the
-// session; when the attempt budget runs out the link is declared dead and
-// playback carries on with what is held.
-func (s *session) reconnectLoop() {
-	for attempt := 0; attempt < s.rp.MaxAttempts; attempt++ {
-		time.Sleep(s.rp.delay(attempt, s.rng))
-		s.mu.Lock()
-		if s.finished {
-			s.mu.Unlock()
-			return
+// connect dials and handshakes until a server takes the session: the
+// opening phase (held nil: a hello) and every reconnect (a resume with
+// what is held). Opening is a first try plus MaxAttempts retries; a
+// reconnect's first try was the lost link, so its caller has waited
+// delay(0) and its MaxAttempts dials are all retries. A server error is
+// final only when opening: on resume the next dial may reach another
+// member. The phase runs under what is left of TotalBudget, counted from
+// when the session went offline, and bills its time to that one ledger
+// when it succeeds. connect closes every connection it gives up on.
+func (s *session) connect(held *player.HeldSummary) (net.Conn, *video.Manifest, error) {
+	tries, lost := s.rp.MaxAttempts+1, 0
+	s.mu.Lock()
+	from, conn := time.Now(), s.conn // nil but for Play's opening phase
+	if held != nil {
+		tries, lost, from = s.rp.MaxAttempts, 1, s.start.Add(s.downAt)
+	}
+	ctx, cancel := s.ctx, context.CancelFunc(func() {})
+	if b := s.rp.TotalBudget; b > 0 {
+		ctx, cancel = context.WithDeadline(s.ctx, from.Add(b-s.offline))
+	}
+	s.mu.Unlock()
+	defer cancel()
+
+	var m *video.Manifest
+	err := retry.Do(ctx, tries, func(k int) time.Duration { return s.rp.delay(k-1+lost, s.rng) }, func(k int) error {
+		var err error
+		if conn == nil {
+			if err = siteClientDial.Err(); err == nil {
+				conn, err = s.dial()
+			}
+			if err != nil {
+				return fmt.Errorf("client: dial: %w", err)
+			}
 		}
-		// TotalBudget counts disconnected wall-clock across all outages:
-		// what earlier outages already billed plus the current one so far.
-		// Exhaustion degrades exactly like running out of MaxAttempts —
-		// the link is declared dead below and playback continues on what
-		// is held.
-		if b := s.rp.TotalBudget; b > 0 && s.met.OutageDuration+(s.now()-s.downAt) > b {
+		if m, err = handshake(conn, s.rp, s.videoID, s.cohort, held); err == nil {
+			s.mu.Lock()
+			s.offline += time.Since(from)
 			s.mu.Unlock()
-			break
+			return nil
 		}
-		sum := s.pb.Held()
+		conn.Close() // a failed handshake ends its connection, retried or not
+		conn = nil
+		busy := errors.Is(err, errBusy)
+		if busy {
+			s.mu.Lock()
+			s.busy++
+			s.mu.Unlock()
+			s.trace.Record(s.now(), obs.EvBusy, int64(k+1))
+		}
+		if s.dial == nil || held == nil && !busy && !errors.Is(err, errHandshakeLink) {
+			return retry.Permanent(err) // Play has no dialer; a refused hello is final
+		}
+		return err
+	})
+	if err != nil && ctx.Err() == context.DeadlineExceeded {
+		err = fmt.Errorf("%w (last error: %v)", ErrReconnectBudget, err)
+	}
+	return conn, m, err
+}
+
+// reconnect recovers from one outage. On success the new link replaces the
+// lost one and the outstanding fetch list is re-issued at once; when the
+// attempts or TotalBudget run out the link is declared dead and playback
+// carries on with what is held.
+func (s *session) reconnect() {
+	retry.Sleep(s.ctx, s.rp.delay(0, s.rng)) // cut short if the session ends; connect then fails at once
+	s.mu.Lock()
+	held := s.pb.Held()
+	s.mu.Unlock()
+	conn, _, err := s.connect(&held)
+
+	s.mu.Lock()
+	if s.ctx.Err() != nil {
 		s.mu.Unlock()
-
-		conn, err := chaosDial(s.dial)
-		if err != nil {
-			continue
-		}
-		if err := s.resume(conn, sum); err != nil {
+		if conn != nil {
 			conn.Close()
-			continue
 		}
-
-		s.mu.Lock()
-		if s.finished {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.connID++
-		id := s.connID
-		s.conn = conn
-		s.down = false
-		now := s.now()
-		s.met.OutageDuration += now - s.downAt
-		s.met.ResumedTiles += int64(sum.Count())
-		// Do not bill the outage to the throughput predictor.
-		s.lastEvent = now
-		// Copy while holding the lock: lastReq's backing array is reused by
-		// the next decision, and the wire write below happens unlocked.
-		req := append([]player.RequestItem(nil), s.lastReq...)
-		s.gen++
-		gen := s.gen
+		return
+	}
+	if err != nil {
+		s.linkDead = true
 		s.mu.Unlock()
-
-		s.trace.Record(now, obs.EvReconnect, int64(sum.Count()))
-		go s.receiver(conn, id)
-		// Re-issue the outstanding fetch list immediately rather than
-		// waiting for the next decision epoch.
-		if len(req) > 0 {
-			s.writeRequest(conn, id, gen, req)
-		}
+		s.trace.Record(s.now(), obs.EvLinkDead, 0)
 		s.wakeLoop()
 		return
 	}
-	s.mu.Lock()
-	s.linkDead = true
+	s.connID++
+	id := s.connID
+	s.conn = conn
+	s.down = false
+	now := s.now()
+	s.met.OutageDuration += now - s.downAt
+	s.met.ResumedTiles += int64(held.Count())
+	// Do not bill the outage to the throughput predictor.
+	s.lastEvent = now
+	// Copy while holding the lock: lastReq's backing array is reused by
+	// the next decision, and the wire write below happens unlocked.
+	req := append([]player.RequestItem(nil), s.lastReq...)
+	s.gen++
+	gen := s.gen
 	s.mu.Unlock()
-	s.trace.Record(s.now(), obs.EvLinkDead, 0)
-	s.wakeLoop()
-}
 
-// resume is the handshake of a reconnect. A busy reject is counted; the
-// reconnect loop's backoff is exactly the retry the server asked for.
-func (s *session) resume(conn net.Conn, sum player.HeldSummary) error {
-	_, err := handshake(conn, s.rp, s.m.VideoID, s.cohort, &sum)
-	if errors.Is(err, errBusy) {
-		s.mu.Lock()
-		s.met.BusyRejects++
-		s.mu.Unlock()
-		s.trace.Record(s.now(), obs.EvBusy, 0)
+	s.trace.Record(now, obs.EvReconnect, int64(held.Count()))
+	go s.receiver(conn, id)
+	// Re-issue the outstanding fetch list immediately rather than
+	// waiting for the next decision epoch.
+	if len(req) > 0 {
+		s.writeRequest(conn, id, gen, req)
 	}
-	return err
+	s.wakeLoop()
 }
 
 // writeRequest ships one fetch list on conn id, treating a failure as a
@@ -607,20 +573,22 @@ func (s *session) run() (*player.Metrics, error) {
 	}
 }
 
-// finish ends the session on every return path. It marks the session
-// finished first, so the receiver and reconnector drop whatever comes
-// later, then releases the link: a goodbye on a clean end, and the
-// connection itself if the session dialed it — PlayResilient owns what it
-// dials, Play leaves the caller's connection open.
+// finish ends the session on every return path. It ends the session's
+// context first, so the receiver and reconnector drop whatever comes later
+// and a pending backoff returns at once, then releases the link: a goodbye
+// on a clean end, and the connection itself if the session dialed it —
+// PlayResilient owns what it dials, Play leaves the caller's connection
+// open.
 func (s *session) finish(bye bool) *player.Metrics {
 	s.mu.Lock()
-	s.finished = true
+	s.cancel()
 	now := s.now()
 	if s.down {
 		// Close the open outage interval: the session ended disconnected.
 		s.met.OutageDuration += now - s.downAt
 		s.down = false
 	}
+	s.met.BusyRejects = s.busy
 	met := s.pb.Finish(now)
 	conn := s.conn
 	s.mu.Unlock()

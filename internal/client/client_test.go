@@ -79,9 +79,7 @@ func TestPlayFlareOverPipeStallsOnSlowLink(t *testing.T) {
 		SamplePeriod: time.Second, Mbps: []float64{2, 0.3, 0.3, 8, 8, 8},
 	}}
 	conn := servePipe(t, m, link)
-	met, err := Play(conn, "live", liveHead(4*time.Second), baseline.NewFlare(baseline.FlareOptions{}), PlayOptions{
-		MaxWall: 20 * time.Second,
-	})
+	met, err := Play(conn, "live", liveHead(4*time.Second), baseline.NewFlare(baseline.FlareOptions{}), PlayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

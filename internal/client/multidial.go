@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -83,23 +84,18 @@ func (d *MultiDialer) plan() ([]string, error) {
 	}
 	start := d.next % len(d.Addrs)
 	d.next = start + 1
+	// An eligible address retries at the zero time, so one stable sort by
+	// retry time keeps the rotation order among the eligible and among ties.
 	now := time.Now()
-	eligible := make([]string, 0, len(d.Addrs))
-	var backedOff []string
-	for i := 0; i < len(d.Addrs); i++ {
-		addr := d.Addrs[(start+i)%len(d.Addrs)]
+	retryAt := func(addr string) time.Time {
 		if st := d.state[addr]; st != nil && now.Before(st.notBefore) {
-			backedOff = append(backedOff, addr)
-			continue
+			return st.notBefore
 		}
-		eligible = append(eligible, addr)
+		return time.Time{}
 	}
-	for i := 1; i < len(backedOff); i++ {
-		for j := i; j > 0 && d.state[backedOff[j]].notBefore.Before(d.state[backedOff[j-1]].notBefore); j-- {
-			backedOff[j], backedOff[j-1] = backedOff[j-1], backedOff[j]
-		}
-	}
-	return append(eligible, backedOff...), nil
+	addrs := slices.Concat(d.Addrs[start:], d.Addrs[:start])
+	slices.SortStableFunc(addrs, func(a, b string) int { return retryAt(a).Compare(retryAt(b)) })
+	return addrs, nil
 }
 
 func (d *MultiDialer) noteResult(addr string, ok bool) {

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -63,6 +65,42 @@ func TestOutOfRangeTileCountedAsCorrupt(t *testing.T) {
 	}
 	if met.TotalFrames != m.NumFrames() {
 		t.Errorf("rendered %d frames, want %d", met.TotalFrames, m.NumFrames())
+	}
+}
+
+// A session that ends mid-outage takes its reconnector with it: a backoff
+// of seconds still pending when the video has played out is cut short, not
+// slept out. Four sessions run side by side so that their reconnectors,
+// had they stayed, would stand out above the checker's slack.
+func TestSessionEndStopsPendingBackoff(t *testing.T) {
+	defer leaktest.CheckTimeout(t, 300*time.Millisecond)()
+	const sessions = 4
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		go func() {
+			dials := 0
+			dial := func() (net.Conn, error) {
+				if dials++; dials > 1 {
+					return nil, errors.New("no second dial expected")
+				}
+				// The peer hangs up right after the manifest: an outage
+				// from the first instant, and nothing held to play.
+				conn, _ := scriptedPeer(oneSecondVideo(), func(srv net.Conn) { srv.Close() })
+				return conn, nil
+			}
+			met, err := PlayResilient(dial, "live", liveHead(time.Second), core.NewDefault(), PlayOptions{
+				Reconnect: ReconnectPolicy{MaxAttempts: 3, BaseDelay: 3 * time.Second, MaxDelay: 3 * time.Second},
+			})
+			if err == nil && met.Disconnects != 1 {
+				err = fmt.Errorf("Disconnects = %d, want 1", met.Disconnects)
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < sessions; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -156,23 +156,10 @@ func (f *Feedback) Poll(ctx context.Context) error {
 	f.cPolls.Inc()
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.Interval)
 	defer cancel()
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		lastErr = f.pollOnce(ctx)
-		if lastErr == nil {
-			return nil
-		}
-		if attempt >= f.cfg.MaxAttempts {
-			break
-		}
+	return retry.Do(ctx, f.cfg.MaxAttempts, func(int) time.Duration {
 		f.cRetries.Inc()
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("%v (cycle deadline: %w)", lastErr, ctx.Err())
-		case <-time.After(f.retryDelay()):
-		}
-	}
-	return lastErr
+		return f.retryDelay()
+	}, func(int) error { return f.pollOnce(ctx) })
 }
 
 // retryDelay is RetryDelay with ±50% deterministic jitter.

@@ -3,7 +3,6 @@ package ingest
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -95,12 +94,6 @@ func (p *Pusher) backoff(attempt int) time.Duration {
 	return retry.Jitter(retry.Exp(p.cfg.BaseDelay, p.cfg.MaxDelay, attempt-1), j)
 }
 
-// permanentStatus reports a response the retry loop must not repeat: the
-// server understood the request and rejected the body itself.
-func permanentStatus(code int) bool {
-	return code >= 400 && code < 500 && code != http.StatusTooManyRequests
-}
-
 // Push posts one JSONL trace body, retrying transient failures inside the
 // configured budgets. The returned error is nil on delivery; otherwise the
 // batch was dropped (counted) and the error says why.
@@ -108,34 +101,18 @@ func (p *Pusher) Push(ctx context.Context, body []byte) error {
 	p.cPushes.Inc()
 	ctx, cancel := context.WithTimeout(ctx, pushDeadline)
 	defer cancel()
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		lastErr = p.attempt(ctx, body)
-		if lastErr == nil {
-			return nil
-		}
-		var perm *permanentPushError
-		if errors.As(lastErr, &perm) {
-			break
-		}
-		if attempt >= p.cfg.MaxAttempts {
-			break
-		}
+	err := retry.Do(ctx, p.cfg.MaxAttempts, func(k int) time.Duration {
 		p.cRetries.Inc()
-		select {
-		case <-ctx.Done():
-			lastErr = fmt.Errorf("%v (deadline: %w)", lastErr, ctx.Err())
-			attempt = p.cfg.MaxAttempts // budget gone
-		case <-time.After(p.backoff(attempt)):
-			continue
-		}
-		break
+		return p.backoff(k)
+	}, func(int) error { return p.attempt(ctx, body) })
+	if err == nil {
+		return nil
 	}
 	p.cDrops.Inc()
 	if p.cfg.Logf != nil {
-		p.cfg.Logf("ingest: push %s: dropping %d-byte batch: %v", p.cfg.URL, len(body), lastErr)
+		p.cfg.Logf("ingest: push %s: dropping %d-byte batch: %v", p.cfg.URL, len(body), err)
 	}
-	return fmt.Errorf("ingest: push %s: %w", p.cfg.URL, lastErr)
+	return fmt.Errorf("ingest: push %s: %w", p.cfg.URL, err)
 }
 
 // attempt performs one POST.
@@ -145,7 +122,7 @@ func (p *Pusher) attempt(ctx context.Context, body []byte) error {
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.cfg.URL, bytes.NewReader(body))
 	if err != nil {
-		return &permanentPushError{err}
+		return retry.Permanent(err)
 	}
 	req.Header.Set("Content-Type", "application/jsonl")
 	resp, err := httpClient.Do(req)
@@ -158,14 +135,8 @@ func (p *Pusher) attempt(ctx context.Context, body []byte) error {
 		return nil
 	}
 	serr := fmt.Errorf("status %s", resp.Status)
-	if permanentStatus(resp.StatusCode) {
-		return &permanentPushError{serr}
+	if c := resp.StatusCode; c >= 400 && c < 500 && c != http.StatusTooManyRequests {
+		return retry.Permanent(serr) // the server refused the body itself
 	}
 	return serr
 }
-
-// permanentPushError marks a failure retrying cannot fix.
-type permanentPushError struct{ err error }
-
-func (e *permanentPushError) Error() string { return e.err.Error() }
-func (e *permanentPushError) Unwrap() error { return e.err }

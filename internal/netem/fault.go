@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -90,13 +89,6 @@ func (fs *FaultSchedule) Disconnects() int {
 		}
 	}
 	return n
-}
-
-// sorted returns the events ordered by At.
-func (fs *FaultSchedule) sorted() []FaultEvent {
-	evs := append([]FaultEvent(nil), fs.Events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	return evs
 }
 
 // ReadFaultCSV parses a fault schedule. The format (EXPERIMENTS.md) is

@@ -25,9 +25,6 @@ type Config struct {
 	// Metric drives both scheduling (through Context) and evaluation.
 	Metric quality.Metric
 
-	// Viewport defaults to geom.DefaultViewport when zero.
-	Viewport geom.Viewport
-
 	// PredictErrorDeg injects uniform orientation noise into the predictor's
 	// observations (the Figs 21–23 sensitivity methodology); 0 disables.
 	PredictErrorDeg  float64
@@ -122,9 +119,6 @@ func NewPlayback(cfg Config) (*Playback, error) {
 		return nil, errors.New("player: head trace needs samples and a positive sample period")
 	}
 	m := cfg.Manifest
-	if cfg.Viewport.RadiusDeg == 0 {
-		cfg.Viewport = geom.DefaultViewport
-	}
 	if cfg.MaxWall == 0 {
 		videoDur := time.Duration(m.NumFrames()) * time.Second / time.Duration(m.FPS)
 		cfg.MaxWall = 3*videoDur + 30*time.Second
@@ -159,7 +153,7 @@ func NewPlayback(cfg Config) (*Playback, error) {
 	p.ctx = Context{
 		Manifest:      m,
 		Grid:          p.grid,
-		Viewport:      cfg.Viewport,
+		Viewport:      geom.DefaultViewport,
 		Received:      p.received,
 		Predict:       p.vpPred.Predict,
 		FrameDuration: p.frameDur,
@@ -308,7 +302,7 @@ const startupGrace = time.Second
 // accounting of one instant look at the same cap, so renderOrStall and
 // tryResume walk it once and hand the result to both.
 func (p *Playback) viewport() ([]geom.TileID, []float64) {
-	p.vpTiles, p.vpWeights = p.grid.AppendCapWeights(p.vpTiles[:0], p.vpWeights[:0], p.cfg.Head.At(p.now), p.cfg.Viewport.RadiusDeg)
+	p.vpTiles, p.vpWeights = p.grid.AppendCapWeights(p.vpTiles[:0], p.vpWeights[:0], p.cfg.Head.At(p.now), geom.DefaultViewport.RadiusDeg)
 	return p.vpTiles, p.vpWeights
 }
 

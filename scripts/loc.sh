@@ -3,17 +3,43 @@
 # own module, sized separately): the figure ROADMAP.md and CHANGES.md quote
 # when a PR claims the tree got smaller. The total equals
 #   find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+# After the total come the ten longest non-test functions over the same
+# files, ROADMAP.md's longest-function table: a function runs from its
+# `func` line to the first `}` in column one.
 set -eu
 cd "$(dirname "$0")/.."
 
-find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
-	sort |
-	while read -r f; do
-		echo "$(dirname "$f" | sed 's|^\./||') $(wc -l <"$f")"
-	done |
+files=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | sort)
+
+for f in $files; do
+	echo "$(dirname "$f" | sed 's|^\./||') $(wc -l <"$f")"
+done |
 	awk '{ n[$1] += $2; total += $2 }
 	END {
 		for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"
 		close("sort -k2")
 		printf "%7d  total\n", total
 	}'
+
+echo
+echo "longest functions:"
+awk '/^func .*\{$/ {
+		name = substr($0, 6)
+		recv = ""
+		if (name ~ /^\(/) {
+			recv = name
+			sub(/\).*/, "", recv)
+			sub(/.*[ *]/, "", recv)
+			sub(/\[.*/, "", recv)
+			recv = recv "."
+			sub(/^\([^)]*\) /, "", name)
+		}
+		sub(/[[(].*/, "", name)
+		dir = FILENAME
+		sub(/\/[^\/]*$/, "", dir)
+		sub(/^\.\//, "", dir)
+		fn = dir " " recv name
+		start = FNR
+	}
+	/^}/ && start { printf "%7d  %s\n", FNR - start + 1, fn; start = 0 }' $files |
+	sort -k1,1nr -k2 | head -10
