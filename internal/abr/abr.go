@@ -23,13 +23,13 @@ import (
 const DefaultSafety = 0.9
 
 // ChunkBudget returns the byte budget for one chunk of the given duration
-// at the predicted throughput. A non-positive safety falls back to
-// DefaultSafety.
+// at the predicted throughput. A non-positive or NaN safety falls back to
+// DefaultSafety, and a non-positive or NaN throughput budgets nothing.
 func ChunkBudget(predictedMbps float64, chunkDur time.Duration, safety float64) int64 {
-	if safety <= 0 {
+	if !(safety > 0) {
 		safety = DefaultSafety
 	}
-	if predictedMbps < 0 {
+	if !(predictedMbps > 0) {
 		predictedMbps = 0
 	}
 	return int64(predictedMbps * 1e6 / 8 * chunkDur.Seconds() * safety)
@@ -49,9 +49,10 @@ func MaxQualityFitting(cost func(video.Quality) int64, budget int64, minQ, maxQ 
 // QualityForDeadline picks the highest quality in [minQ, maxQ] whose
 // transfer (bytes at the given rate, after the given backlog) completes
 // before the deadline; it returns minQ if even that is late (the caller
-// fetches at minimum quality and hopes, as Flare does — §2, Fig 4).
+// fetches at minimum quality and hopes, as Flare does — §2, Fig 4). A
+// non-positive or NaN rate fits nothing.
 func QualityForDeadline(size func(video.Quality) int64, backlogBytes int64, rateBytesPerSec float64, timeLeft time.Duration, minQ, maxQ video.Quality) video.Quality {
-	if rateBytesPerSec <= 0 {
+	if !(rateBytesPerSec > 0) {
 		return minQ
 	}
 	budget := int64(rateBytesPerSec*timeLeft.Seconds()) - backlogBytes

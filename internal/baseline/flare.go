@@ -55,9 +55,7 @@ type Flare struct {
 
 	items     []player.RequestItem
 	vpTiles   []geom.TileID
-	outer     []geom.TileID
 	periphery []geom.TileID
-	inVP      []bool // by tile; all false between chunks
 	central   centralitySorter
 }
 
@@ -137,30 +135,15 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 	if lastFrame >= m.NumFrames() {
 		lastFrame = m.NumFrames() - 1
 	}
-	if n := m.NumTiles(); len(f.inVP) < n {
-		f.inVP = make([]bool, n)
-	}
 	for c := nowChunk; c <= m.ChunkOfFrame(lastFrame); c++ {
 		at := ctx.FrameDeadline(m.FirstFrame(c))
 		if at < ctx.Now {
 			at = ctx.Now
 		}
 		center := ctx.Predict(at)
-		f.vpTiles = ctx.Grid.AppendTilesInCap(f.vpTiles[:0], center, ctx.Viewport.RadiusDeg)
-		f.outer = ctx.Grid.AppendTilesInCap(f.outer[:0], center, ctx.Viewport.RadiusDeg+peripheryDeg)
-		vpTiles, periphery := f.vpTiles, f.periphery[:0]
-		for _, id := range vpTiles {
-			f.inVP[id] = true
-		}
-		for _, id := range f.outer {
-			if !f.inVP[id] {
-				periphery = append(periphery, id)
-			}
-		}
-		for _, id := range vpTiles {
-			f.inVP[id] = false
-		}
-		f.periphery = periphery
+		f.vpTiles, f.periphery = ctx.Grid.AppendTilesInRing(f.vpTiles[:0], f.periphery[:0],
+			center, ctx.Viewport.RadiusDeg, ctx.Viewport.RadiusDeg+peripheryDeg)
+		vpTiles, periphery := f.vpTiles, f.periphery
 
 		budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur, 0)
 		qv := abr.MaxQualityFitting(func(q video.Quality) int64 {
@@ -179,9 +162,9 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 		// Viewport tiles sorted by centrality so the most important tiles
 		// of each chunk transmit first. The order is total (IDs are
 		// distinct), so any sort yields the one permutation.
-		keys := f.central.keys[:0]
+		keys, u := f.central.keys[:0], center.Unit()
 		for _, id := range vpTiles {
-			keys = append(keys, centralKey{dist: geom.AngularDistance(ctx.Grid.Center(id), center), id: id})
+			keys = append(keys, centralKey{dist: ctx.Grid.CenterDistance(id, u), id: id})
 		}
 		f.central.keys = keys
 		sort.Sort(&f.central)

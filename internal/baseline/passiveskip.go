@@ -76,12 +76,13 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 			at = ctx.Now
 		}
 		center := ctx.Predict(at)
+		u := center.Unit()
 		for _, id := range ctx.Grid.TilesInCap(center, ctx.Viewport.RadiusDeg+15) {
 			if _, ok := ctx.Received.BestPrimary(c, id); ok {
 				continue
 			}
 			wants = append(wants, want{chunk: c, tile: id,
-				dist: geom.AngularDistance(ctx.Grid.Center(id), center)})
+				dist: ctx.Grid.CenterDistance(id, u)})
 		}
 	}
 	sort.Slice(wants, func(a, b int) bool {

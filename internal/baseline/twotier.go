@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dragonfly/internal/abr"
-	"dragonfly/internal/geom"
 	"dragonfly/internal/player"
 	"dragonfly/internal/video"
 )
@@ -115,9 +114,10 @@ func (t *TwoTier) assignChunk(ctx *player.Context, chunk int) []player.RequestIt
 		return total
 	}, budget, video.Lowest+1, video.Highest)
 
+	u := center.Unit()
 	sort.Slice(vpTiles, func(a, b int) bool {
-		da := geom.AngularDistance(ctx.Grid.Center(vpTiles[a]), center)
-		db := geom.AngularDistance(ctx.Grid.Center(vpTiles[b]), center)
+		da := ctx.Grid.CenterDistance(vpTiles[a], u)
+		db := ctx.Grid.CenterDistance(vpTiles[b], u)
 		if da != db {
 			return da < db
 		}

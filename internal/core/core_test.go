@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -175,6 +176,41 @@ func TestSchedulerSkipsOnSlowLink(t *testing.T) {
 		if e.c.marginalAt(w, e.q, at) <= 0 {
 			t.Errorf("scheduled tile %d arrives too late to matter", e.c.tile)
 		}
+	}
+}
+
+// TestDecideNaNBandwidthIsFloor: a NaN throughput estimate plans as the
+// 1 B/s floor, exactly as 0 does. Both rate floors (the window's and the
+// masking backlog's) once let NaN through `rate < 1`, and time.Duration of
+// NaN made every transfer instant on amd64: 15 items, 11 of them at the top
+// quality, where 0 decides 4 and none at the top. +Inf still fits
+// everything.
+func TestDecideNaNBandwidthIsFloor(t *testing.T) {
+	m := testManifest()
+	decide := func(mbps float64) []player.RequestItem {
+		return New(DefaultOptions()).Decide(staticContext(m, mbps))
+	}
+	floor, nan := decide(0), decide(math.NaN())
+	if len(nan) != len(floor) {
+		t.Fatalf("NaN decides %d items, 0 decides %d", len(nan), len(floor))
+	}
+	for i := range floor {
+		if nan[i] != floor[i] {
+			t.Fatalf("item %d: NaN decides %+v, 0 decides %+v", i, nan[i], floor[i])
+		}
+	}
+	primaries := 0
+	for _, it := range decide(math.Inf(1)) {
+		if it.Stream != player.Primary {
+			continue
+		}
+		primaries++
+		if it.Quality != video.Highest {
+			t.Fatalf("+Inf decides %+v below the top quality", it)
+		}
+	}
+	if primaries <= len(floor) {
+		t.Errorf("+Inf decides %d primary items, no more than the floor's %d items", primaries, len(floor))
 	}
 }
 

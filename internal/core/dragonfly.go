@@ -107,11 +107,7 @@ func (d *Dragonfly) Decide(ctx *player.Context) []player.RequestItem {
 	for i := range items {
 		maskBytes += items[i].Size(ctx.Manifest)
 	}
-	rate := ctx.PredictedMbps * 1e6 / 8
-	if rate < 1 {
-		rate = 1
-	}
-	baseOff := time.Duration(float64(maskBytes) / rate * float64(time.Second))
+	baseOff := time.Duration(float64(maskBytes) / byteRate(ctx.PredictedMbps) * float64(time.Second))
 
 	d.w.build(ctx, d.opts, &d.plan, &d.tabs)
 	d.sched.reset(&d.w, d.opts.minPrimaryQuality(), baseOff)

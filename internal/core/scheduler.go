@@ -61,18 +61,18 @@ type scheduler struct {
 	totals     []float64
 
 	// Reusable run scratch.
-	spare       []fetchEntry // double buffer: insertAt builds here, then swaps
 	order       []*candidate
 	suffixShift []float64
 	shiftFrame  []int32
 	sorter      gainSorter
 
 	// Set by bestInsertion for a candidate that is already listed (at
-	// baseSlot): list minus that entry, and its arrivals and prefix gains.
-	base       []fetchEntry
-	baseSlot   int
-	baseArr    []time.Duration
-	basePrefix []float64
+	// c.slot): the arrival of each entry behind it, list[c.slot+1+i], and
+	// the prefix gain through it, once c is removed — tailArr[i] and
+	// tailPrefix[i]. Everything ahead of the slot is read from arr and
+	// prefixGain in place.
+	tailArr    []time.Duration
+	tailPrefix []float64
 }
 
 // newScheduler prepares a run over the window. baseOffset accounts for
@@ -108,10 +108,8 @@ func (s *scheduler) reset(w *window, minQ video.Quality, baseOffset time.Duratio
 	s.prefixGain[0] = 0
 	s.totals[0] = s.floorTotal
 	// Scratch the attempts cut to the length they need.
-	s.spare = grow(s.spare, n)
-	s.base = grow(s.base, n)
-	s.baseArr = grow(s.baseArr, n)
-	s.basePrefix = grow(s.basePrefix, n+1)
+	s.tailArr = grow(s.tailArr, n)
+	s.tailPrefix = grow(s.tailPrefix, n)
 	s.suffixShift = grow(s.suffixShift, n+1)
 	s.shiftFrame = grow(s.shiftFrame, n)
 }
@@ -185,116 +183,132 @@ func (s *scheduler) optimisticGain(c *candidate, q int) float64 {
 // on curBest. Inserting c at position p leaves entries before p untouched
 // and shifts every later entry's arrival by exactly c's transfer time, so
 // one prefix-sum and one shifted-suffix-sum evaluate all positions in O(C)
-// — the amortization behind the paper's O(C²Q) bound. The prefix sums of
-// an unlisted candidate are the list's own; for a listed one they are
-// copied up to its slot and recomputed behind it, where its removal pulls
-// arrivals earlier. Only the shifted suffix is built per attempt.
+// — the amortization behind the paper's O(C²Q) bound. The list without c is
+// never built: ahead of c's slot it is the list itself, with the list's own
+// arrivals and prefix sums, and behind it the entries one slot further on,
+// whose arrivals and prefix sums removeListed recomputes into the tail
+// scratch. Only the shifted suffix is built per attempt.
 func (s *scheduler) bestInsertion(c *candidate, q int, curBest float64) (int, bool) {
 	w := s.w
-	base, arrivals, prefixGain := s.list, s.arr, s.prefixGain
+	list := s.list
+	n, k := len(list), len(list) // entries without c; c's slot
 	if c.inList {
-		base, arrivals, prefixGain = s.withoutListed(c)
+		n, k = n-1, c.slot
+		s.removeListed(c)
 	}
-	n := len(base)
 	dt := c.xfer[q]
 
 	// suffixShift[p]: summed gain of entries from p on, pushed back by dt;
 	// shiftFrame[j]: the window frame entry j then arrives in. Arrivals
 	// only fall along this pass, so the frame is walked down, not divided
-	// out.
+	// out. Entry j of the list without c is list[j] at arr[j] ahead of c's
+	// slot and list[j+1] at tailArr[j-k] from it on.
 	suffixShift := s.suffixShift[:n+1]
 	shiftFrame := s.shiftFrame[:n]
 	deadlines := w.deadlines
 	suffixShift[n] = 0
 	wf := 0
-	if n > 0 {
-		wf = w.arrivalFrame(arrivals[n-1] + dt)
-	}
 	acc := 0.0
-	for j := n - 1; j >= 0; j-- {
-		e := base[j]
-		wf = frameDown(deadlines, arrivals[j]+dt, wf)
+	if n > k {
+		tailArr := s.tailArr[:n-k]
+		wf = w.arrivalFrame(tailArr[n-k-1] + dt)
+		for j := n - 1; j >= k; j-- {
+			e := list[j+1]
+			wf = frameDown(deadlines, tailArr[j-k]+dt, wf)
+			shiftFrame[j] = int32(wf)
+			acc = acc + e.c.utilityFrom(e.q, wf) - e.c.floor
+			suffixShift[j] = acc
+		}
+	} else if k > 0 {
+		wf = w.arrivalFrame(s.arr[k-1] + dt)
+	}
+	arr := s.arr[:k]
+	for j := k - 1; j >= 0; j-- {
+		e := list[j]
+		wf = frameDown(deadlines, arr[j]+dt, wf)
 		shiftFrame[j] = int32(wf)
 		acc = acc + e.c.utilityFrom(e.q, wf) - e.c.floor
 		suffixShift[j] = acc
 	}
 
-	// c lands at the head of the list, or where base[pos-1] would have been
-	// pushed to.
+	// c lands at the head of the list, or where entry pos-1 would have been
+	// pushed to: positions up to c's slot take the list's own prefix sums,
+	// the ones behind it the tail's.
 	floor, dq, cumL := c.floor, c.qscore[q]-c.maskScore, c.cumL
 	bestTotal := curBest
 	bestPos := -1
 	wf = w.arrivalFrame(w.t0 + s.baseOff + dt)
-	for pos := 0; ; pos++ {
-		total := s.floorTotal + prefixGain[pos] +
+	for pos, prefix := range s.prefixGain[:k+1] {
+		total := s.floorTotal + prefix +
 			(floor + cumL[wf]*dq - floor) +
 			suffixShift[pos]
 		if total > bestTotal+1e-9 {
 			bestTotal = total
 			bestPos = pos
 		}
-		if pos == n {
-			break
+		if pos < n {
+			wf = int(shiftFrame[pos])
 		}
-		wf = int(shiftFrame[pos])
+	}
+	for pos := k + 1; pos <= n; pos++ {
+		total := s.floorTotal + s.tailPrefix[pos-k-1] +
+			(floor + cumL[wf]*dq - floor) +
+			suffixShift[pos]
+		if total > bestTotal+1e-9 {
+			bestTotal = total
+			bestPos = pos
+		}
+		if pos < n {
+			wf = int(shiftFrame[pos])
+		}
 	}
 	return bestPos, bestPos >= 0
 }
 
-// withoutListed fills s.base, s.baseArr and s.basePrefix with the list, its
-// arrivals and its prefix gains as they would be without listed candidate
-// c. Entries ahead of c's slot keep their cached values; entries behind it
-// arrive earlier by c's current transfer time — later and later along the
+// removeListed fills the tail scratch with the arrivals and prefix gains of
+// the entries behind listed candidate c as they would be without it: each
+// arrives earlier by c's current transfer time — later and later along the
 // list, so their frames are walked up.
-func (s *scheduler) withoutListed(c *candidate) ([]fetchEntry, []time.Duration, []float64) {
+func (s *scheduler) removeListed(c *candidate) {
+	k := c.slot
+	tail := s.list[k+1:]
+	if len(tail) == 0 {
+		return
+	}
 	w := s.w
-	n := len(s.list) - 1
-	k := 0
-	for s.list[k].c != c {
-		k++
+	arr, tailArr, tailPrefix := s.arr[k+1:k+1+len(tail)], s.tailArr[:len(tail)], s.tailPrefix[:len(tail)]
+	old := c.xfer[s.list[k].q]
+	deadlines := w.deadlines
+	wf := w.arrivalFrame(arr[0] - old)
+	acc := s.prefixGain[k]
+	for i, e := range tail {
+		at := arr[i] - old
+		wf = frameUp(deadlines, at, wf)
+		tailArr[i] = at
+		acc = acc + e.c.utilityFrom(e.q, wf) - e.c.floor
+		tailPrefix[i] = acc
 	}
-	s.baseSlot = k
-	base, arrivals, prefixGain := s.base[:n], s.baseArr[:n], s.basePrefix[:n+1]
-	copy(base, s.list[:k])
-	copy(base[k:], s.list[k+1:])
-	copy(arrivals, s.arr[:k])
-	copy(prefixGain, s.prefixGain[:k+1])
-	if k < n {
-		old := c.xfer[s.list[k].q]
-		deadlines := w.deadlines
-		wf := w.arrivalFrame(s.arr[k+1] - old)
-		acc := prefixGain[k]
-		for j := k; j < n; j++ {
-			e := base[j]
-			at := s.arr[j+1] - old
-			wf = frameUp(deadlines, at, wf)
-			arrivals[j] = at
-			acc = acc + e.c.utilityFrom(e.q, wf) - e.c.floor
-			prefixGain[j+1] = acc
-		}
-	}
-	s.base, s.baseArr, s.basePrefix = base, arrivals, prefixGain
-	return base, arrivals, prefixGain
 }
 
-// insertAt installs the list a successful bestInsertion chose — the list
-// without c, with c@q inserted at pos — into the spare buffer and swaps it
-// in. It returns the first slot at which the new list differs from the old
-// one: everything the scheduler caches about earlier slots still holds.
+// insertAt installs in place the list a successful bestInsertion chose —
+// the list without c, with c@q inserted at pos — shifting only the entries
+// between c's old slot and pos. It returns the first slot at which the new
+// list differs from the old one: everything the scheduler caches about
+// earlier slots still holds.
 func (s *scheduler) insertAt(c *candidate, q, pos int) int {
-	base, from := s.list, pos
-	if c.inList {
-		base = s.base
-		if s.baseSlot < from {
-			from = s.baseSlot
-		}
+	list, from := s.list, pos
+	switch k := c.slot; {
+	case !c.inList:
+		list = list[:len(list)+1]
+		copy(list[pos+1:], list[pos:])
+	case pos <= k:
+		copy(list[pos+1:k+1], list[pos:k])
+	default:
+		copy(list[k:pos], list[k+1:pos+1])
+		from = k
 	}
-	out := s.spare[:0]
-	out = append(out, base[:pos]...)
-	out = append(out, fetchEntry{c: c, q: q})
-	out = append(out, base[pos:]...)
-	s.spare = s.list[:0]
-	s.list = out
+	list[pos] = fetchEntry{c: c, q: q}
+	s.list = list
 	c.inList = true
 	c.assigned = q
 	return from
@@ -317,10 +331,12 @@ func (s *scheduler) repair(from int) float64 {
 	list, arr, prefixGain, totals := s.list, s.arr[:n], s.prefixGain[:n+1], s.totals[:n+1]
 	// An entry completes no earlier than the last one kept (at, in frame
 	// wfAt) whatever was demoted or dropped in between, so its frame is
-	// walked up from there.
+	// walked up from there. The two running sums are the values just
+	// stored, carried in registers.
 	deadlines := w.deadlines
 	wfAt := w.arrivalFrame(at)
 	k := from // entries kept so far
+	prefix, total := prefixGain[k], totals[k]
 	for _, e := range list[from:] {
 		c := e.c
 		a := at + c.xfer[e.q]
@@ -339,15 +355,17 @@ func (s *scheduler) repair(from int) float64 {
 			c.assigned = -1
 			continue
 		}
-		c.assigned = e.q
+		c.assigned, c.slot = e.q, k
 		at, wfAt = a, wf
 		u := c.floor + gain // utilityFrom
 		list[k] = e
 		arr[k] = a
-		prefixGain[k+1] = prefixGain[k] + u - c.floor
-		totals[k+1] = totals[k] + (u - c.floor)
+		prefix = prefix + u - c.floor
+		total = total + (u - c.floor)
+		prefixGain[k+1] = prefix
+		totals[k+1] = total
 		k++
 	}
-	s.list, s.arr, s.prefixGain, s.totals = list[:k], arr[:k], prefixGain[:k+1], totals[:k+1]
-	return totals[k]
+	s.list, s.arr, s.prefixGain, s.totals = s.list[:k], s.arr[:k], s.prefixGain[:k+1], s.totals[:k+1]
+	return total
 }

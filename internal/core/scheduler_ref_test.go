@@ -434,9 +434,10 @@ func TestSchedulerMatchesReference(t *testing.T) {
 // TestInsertionScanMatchesReference drives both schedulers through the
 // rounds in lockstep and compares what each insertion attempt computed,
 // not only what it decided: the chosen position, and the arrivals, prefix
-// gains and shifted suffix gains behind it, bit for bit. A sum accumulated
-// in another order differs in the last place and almost never flips a
-// decision, so only this catches it.
+// gains and shifted suffix gains behind it, bit for bit (ahead of a listed
+// candidate's slot as the list's own cache, behind it as the tail scratch).
+// A sum accumulated in another order differs in the last place and almost
+// never flips a decision, so only this catches it.
 func TestInsertionScanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	var s scheduler
@@ -474,20 +475,28 @@ func TestInsertionScanMatchesReference(t *testing.T) {
 				if pos != refPos || ok != refOK {
 					t.Fatalf("window %d q%d tile %d: position %d %v, reference %d %v", i, q, c.tile, pos, ok, refPos, refOK)
 				}
-				arrivals, prefixGain := s.arr, s.prefixGain
+				// The list without c: up to c's slot k it is the list's own
+				// cache, behind it the tail scratch bestInsertion filled.
+				n, k := len(s.list), len(s.list)
 				if listed {
-					arrivals, prefixGain = s.baseArr, s.basePrefix
+					n, k = n-1, c.slot
 				}
-				n := len(ref.base)
-				if len(arrivals) != n || len(prefixGain) != n+1 {
-					t.Fatalf("window %d q%d tile %d: %d arrivals, %d prefix gains for %d entries", i, q, c.tile, len(arrivals), len(prefixGain), n)
+				if n != len(ref.base) || listed && s.list[k].c != c {
+					t.Fatalf("window %d q%d tile %d: slot %d of %d entries, reference %d without it", i, q, c.tile, k, len(s.list), len(ref.base))
 				}
 				for p := 0; p <= n; p++ {
-					if p < n && arrivals[p] != ref.arrivals[p] {
-						t.Fatalf("window %d q%d tile %d: arrival %d is %v, reference %v", i, q, c.tile, p, arrivals[p], ref.arrivals[p])
+					prefix := s.prefixGain[min(p, k)]
+					if p > k {
+						prefix = s.tailPrefix[p-k-1]
 					}
-					if math.Float64bits(prefixGain[p]) != math.Float64bits(ref.prefixGain[p]) {
-						t.Fatalf("window %d q%d tile %d: prefixGain[%d] %v, reference %v", i, q, c.tile, p, prefixGain[p], ref.prefixGain[p])
+					if math.Float64bits(prefix) != math.Float64bits(ref.prefixGain[p]) {
+						t.Fatalf("window %d q%d tile %d: prefixGain[%d] %v, reference %v", i, q, c.tile, p, prefix, ref.prefixGain[p])
+					}
+					switch {
+					case p < k && s.arr[p] != ref.arrivals[p]:
+						t.Fatalf("window %d q%d tile %d: arrival %d is %v, reference %v", i, q, c.tile, p, s.arr[p], ref.arrivals[p])
+					case p >= k && p < n && s.tailArr[p-k] != ref.arrivals[p]:
+						t.Fatalf("window %d q%d tile %d: arrival %d is %v behind slot %d, reference %v", i, q, c.tile, p, s.tailArr[p-k], k, ref.arrivals[p])
 					}
 					if math.Float64bits(s.suffixShift[p]) != math.Float64bits(ref.suffixShift[p]) {
 						t.Fatalf("window %d q%d tile %d: suffixShift[%d] %v, reference %v", i, q, c.tile, p, s.suffixShift[p], ref.suffixShift[p])

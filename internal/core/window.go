@@ -77,10 +77,25 @@ type candidate struct {
 
 	// assigned is the scheduler's current quality for the tile; -1 = skip.
 	assigned int
-	// inList marks membership in the scheduler's current fetch list.
+	// inList marks membership in the scheduler's current fetch list, and
+	// slot is then the tile's index in it (kept by repair).
 	inList bool
+	slot   int
 	// sortKey is the scheduler's precomputed round sort key.
 	sortKey float64
+}
+
+// byteRate converts a predicted throughput in Mbit/s to the bytes per
+// second the scheduler plans with, floored at 1 B/s. The floor is written
+// so that NaN takes it too: NaN would otherwise reach time.Duration, whose
+// conversion of NaN is implementation-defined (on amd64 every transfer
+// became instant). +Inf passes: everything fits.
+func byteRate(mbps float64) float64 {
+	rate := mbps * 1e6 / 8
+	if !(rate >= 1) {
+		return 1
+	}
+	return rate
 }
 
 // grow returns s resized to n, reusing capacity. Contents are undefined.
@@ -128,12 +143,9 @@ func (w *window) prep(ctx *player.Context, o Options, tabs *sessionTables, wFram
 	w.t0 = ctx.Now
 	w.numFrames = wFrames
 	w.frameDur = ctx.FrameDuration
-	w.rate = ctx.PredictedMbps * 1e6 / 8
+	w.rate = byteRate(ctx.PredictedMbps)
 	if w.frameDur <= 0 {
 		w.frameDur = time.Second / time.Duration(m.FPS)
-	}
-	if w.rate < 1 {
-		w.rate = 1
 	}
 
 	w.deadlines = grow(w.deadlines, wFrames)

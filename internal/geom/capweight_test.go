@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -158,4 +159,73 @@ func TestCapWeightsIDsEqualTilesInCap(t *testing.T) {
 	if listed < 20000 {
 		t.Errorf("only %d tiles listed over %d caps", listed, len(centers))
 	}
+}
+
+// FuzzCapWalk holds every walk over the grid to the full-grid sample loop
+// for any center and radius bits — NaN, ±Inf, |pitch| > 90 (walked where
+// the center's vector points), radii ≤ 0 (empty) and ≥ 180 (whole sphere):
+// AppendTilesInCap, AppendCapWeights, Coverage and AppendTilesInRing list
+// the same tiles in the same order with the same weight bits, and
+// OverlapCapQ returns the loop's fraction for every tile, on the paper's
+// 12×12 grid and a 24×48 one.
+func FuzzCapWalk(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, s := range [][3]float64{
+		{0, 0, 50}, {12, 3, 65}, {-180, 90, 25}, {179.999999, -89.999999, 50},
+		{33, 120, 80}, {-75, -95, 40}, {10, 269, 30}, {1e300, -1e-300, 1e-9},
+		{nan, 0, 50}, {0, inf, 50}, {0, 0, nan}, {-inf, 0, inf}, {0, 0, -inf},
+		{0, 0, 0}, {0, 0, -5}, {0, 0, 180}, {0, 0, 179.9999999}, {0, 0, 89.9999},
+	} {
+		f.Add(s[0], s[1], s[2])
+	}
+	grids := []*Grid{NewGrid(12, 12), NewGrid(24, 48)}
+	have := func(id TileID) bool { return id%3 != 0 }
+	f.Fuzz(func(t *testing.T, yaw, pitch, radius float64) {
+		c := Orientation{Yaw: yaw, Pitch: pitch}
+		q := NewCapQuery(c, radius)
+		qo := NewCapQuery(c, radius+15)
+		for _, g := range grids {
+			var wantIDs, wantRing []TileID
+			var wantWs []float64
+			total, covered := 0.0, 0.0
+			for id := TileID(0); int(id) < g.NumTiles(); id++ {
+				in := g.sampleWeight(id, q)
+				if got, want := g.OverlapCapQ(id, q), in/g.tileWeight[id]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%dx%d tile %d: OverlapCapQ %v, sample loop %v", g.Rows, g.Cols, id, got, want)
+				}
+				if in > 0 {
+					wantIDs, wantWs = append(wantIDs, id), append(wantWs, in)
+					total += in
+					if have(id) {
+						covered += in
+					}
+				} else if g.sampleWeight(id, qo) > 0 {
+					wantRing = append(wantRing, id)
+				}
+			}
+			wantCov := 1.0
+			if total != 0 {
+				wantCov = covered / total
+			}
+
+			tiles := g.AppendTilesInCap(nil, c, radius)
+			ids, ws := g.AppendCapWeights(nil, nil, c, radius)
+			inner, ring := g.AppendTilesInRing(nil, nil, c, radius, radius+15)
+			if !slices.Equal(tiles, wantIDs) || !slices.Equal(ids, wantIDs) || !slices.Equal(inner, wantIDs) {
+				t.Fatalf("%dx%d cap %+v r=%v: TilesInCap %v, CapWeights %v, ring's inner %v, sample loop %v",
+					g.Rows, g.Cols, c, radius, tiles, ids, inner, wantIDs)
+			}
+			if !slices.Equal(ring, wantRing) {
+				t.Fatalf("%dx%d cap %+v r=%v: ring %v, sample loop %v", g.Rows, g.Cols, c, radius, ring, wantRing)
+			}
+			for k := range ws {
+				if math.Float64bits(ws[k]) != math.Float64bits(wantWs[k]) {
+					t.Fatalf("%dx%d cap %+v r=%v tile %d: weight %v, sample loop %v", g.Rows, g.Cols, c, radius, ids[k], ws[k], wantWs[k])
+				}
+			}
+			if got := (Viewport{RadiusDeg: radius}).Coverage(g, c, have); math.Float64bits(got) != math.Float64bits(wantCov) {
+				t.Fatalf("%dx%d cap %+v r=%v: Coverage %v, sample loop %v", g.Rows, g.Cols, c, radius, got, wantCov)
+			}
+		}
+	})
 }

@@ -11,11 +11,13 @@
 // empty (NewCapQuery).
 //
 // Overlap is estimated on a fixed 4×4 sample lattice per tile. Every cap
-// walk (OverlapCap, TilesInCap, CapWeights, Coverage, the table build)
+// query (OverlapCap, TilesInCap, CapWeights, Coverage, the table build)
 // first tests the cap against a bounding cap stored per tile and runs the
 // 16-sample loop only for tiles the cap's edge may cross — about an eighth
 // of tile × cap pairs on the paper's 12×12 grid — returning for the rest what
-// the loop would have summed, bit for bit (capWeight).
+// the loop would have summed, bit for bit (capWeight). The walks over the
+// grid are one walk (walkCap) that never classifies a tile in a row or a
+// column the cap cannot reach.
 package geom
 
 import (
@@ -89,7 +91,12 @@ func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 // AngularDistance returns the great-circle distance between two orientations
 // in degrees, in [0, 180].
 func AngularDistance(a, b Orientation) float64 {
-	d := a.Unit().Dot(b.Unit())
+	return angleDeg(a.Unit().Dot(b.Unit()))
+}
+
+// angleDeg is the angle in degrees whose cosine is the dot product d of two
+// unit vectors, clamped against rounding.
+func angleDeg(d float64) float64 {
 	if d > 1 {
 		d = 1
 	} else if d < -1 {
@@ -120,6 +127,10 @@ type Grid struct {
 	// bounds holds, per tile, the spherical cap that encloses its sample
 	// lattice; capWeight classifies a tile against a query cap with it.
 	bounds []tileBound
+	// rowPitch holds, per row, the lowest and highest pitch of its samples
+	// in radians, and dyawRad the column width: walkCap's reach tests.
+	rowPitch [][2]float64
+	dyawRad  float64
 }
 
 // tileBound is a cap around a tile's center that contains every sample of
@@ -155,9 +166,12 @@ func NewGrid(rows, cols int) *Grid {
 	g.tileWeight = make([]float64, n)
 	g.centers = make([]Orientation, n)
 	g.bounds = make([]tileBound, n)
+	g.rowPitch = make([][2]float64, rows)
 	dyaw := 360.0 / float64(cols)
 	dpitch := 180.0 / float64(rows)
+	g.dyawRad = dyaw * math.Pi / 180
 	for r := 0; r < rows; r++ {
+		g.rowPitch[r] = [2]float64{math.Inf(1), math.Inf(-1)}
 		for c := 0; c < cols; c++ {
 			id := r*cols + c
 			yaw0 := -180 + float64(c)*dyaw
@@ -176,7 +190,10 @@ func NewGrid(rows, cols int) *Grid {
 						Yaw:   NormalizeYaw(yaw0 + (float64(sy)+0.5)*dyaw/samplesPerAxis),
 						Pitch: pitch0 + (float64(sp)+0.5)*dpitch/samplesPerAxis,
 					}
-					w := math.Cos(o.Pitch * math.Pi / 180)
+					p := o.Pitch * math.Pi / 180
+					g.rowPitch[r][0] = math.Min(g.rowPitch[r][0], p)
+					g.rowPitch[r][1] = math.Max(g.rowPitch[r][1], p)
+					w := math.Cos(p)
 					vecs = append(vecs, o.Unit())
 					weights = append(weights, w)
 					total += w
@@ -227,6 +244,13 @@ func (g *Grid) TileAt(o Orientation) TileID {
 
 // Center returns the orientation at the center of a tile.
 func (g *Grid) Center(id TileID) Orientation { return g.centers[id] }
+
+// CenterDistance is AngularDistance(g.Center(id), o) for u = o.Unit(), bit
+// for bit, from the unit vector of the tile's center NewGrid cached: callers
+// that rank many tiles around one orientation convert it once.
+func (g *Grid) CenterDistance(id TileID, u Vec3) float64 {
+	return angleDeg(g.bounds[id].center.Dot(u))
+}
 
 // RowCol splits a TileID into its row and column.
 func (g *Grid) RowCol(id TileID) (row, col int) {
@@ -330,6 +354,24 @@ func (g *Grid) sampleWeight(id TileID, q CapQuery) float64 {
 	return in
 }
 
+// capHas reports whether any of tile id's samples lies inside the cap,
+// stopping at the first: capWeight > 0, as every sample weighs more than
+// zero.
+func (g *Grid) capHas(id TileID, q CapQuery) bool {
+	switch g.capSide(id, q) {
+	case sideOutside:
+		return false
+	case sideInside:
+		return true
+	}
+	for _, v := range g.sampleVecs[id] {
+		if v.Dot(q.v) >= q.cosR {
+			return true
+		}
+	}
+	return false
+}
+
 // OverlapCapQ is OverlapCap against a precomputed query.
 func (g *Grid) OverlapCapQ(id TileID, q CapQuery) float64 {
 	return g.capWeight(id, q) / g.tileWeight[id]
@@ -346,12 +388,96 @@ func (g *Grid) TilesInCap(center Orientation, radiusDeg float64) []TileID {
 // allocating. The cap test is hoisted once for the whole grid walk.
 func (g *Grid) AppendTilesInCap(dst []TileID, center Orientation, radiusDeg float64) []TileID {
 	q := NewCapQuery(center, radiusDeg)
-	for id := 0; id < g.NumTiles(); id++ {
-		if g.capWeight(TileID(id), q) > 0 {
-			dst = append(dst, TileID(id))
+	g.walkCap(q, func(id TileID) {
+		if g.capHas(id, q) {
+			dst = append(dst, id)
+		}
+	})
+	return dst
+}
+
+// AppendTilesInRing appends to in the tiles of the cap of radius r at center
+// and to ring the tiles of the cap of radius outer ≥ r that are not in it:
+// the two AppendTilesInCap lists and their difference, in the same order,
+// from one walk of the outer cap. Both caps test each sample against the
+// same center vector, so every sample inside the inner cap is inside the
+// outer one.
+func (g *Grid) AppendTilesInRing(in, ring []TileID, center Orientation, r, outer float64) ([]TileID, []TileID) {
+	qi, qo := NewCapQuery(center, r), NewCapQuery(center, outer)
+	g.walkCap(qo, func(id TileID) {
+		switch {
+		case g.capHas(id, qi):
+			in = append(in, id)
+		case g.capHas(id, qo):
+			ring = append(ring, id)
+		}
+	})
+	return in, ring
+}
+
+// walkCap is the one walk over the grid under every cap query: it calls
+// visit, in ascending tile order, for the tiles of every row and column a
+// sample inside q can lie in (capReach), and visit classifies them. The
+// empty cap visits nothing.
+func (g *Grid) walkCap(q CapQuery, visit func(id TileID)) {
+	if q.cosR > 1 {
+		return
+	}
+	lo, hi, spans := g.capReach(q)
+	for r := 0; r < g.Rows; r++ {
+		if g.rowPitch[r][1] < lo || g.rowPitch[r][0] > hi {
+			continue
+		}
+		for _, span := range spans {
+			for id := r*g.Cols + span[0]; id < r*g.Cols+span[1]; id++ {
+				visit(TileID(id))
+			}
 		}
 	}
-	return dst
+}
+
+// capReach bounds where a sample inside cap q can lie: at a pitch in
+// [lo, hi] (radians) and in the columns of two ascending spans [from, to).
+// Both bounds come from q.v, the vector the sample loop tests against, so an
+// Orientation with |pitch| > 90 is walked where its vector points.
+//
+// A sample the loop counts inside satisfies s·v >= cos R in floating point,
+// which puts it less than 1e-7 rad beyond R from v (the worst case is
+// R → 0); the reach R + boundSlack covers that. Any point within angle d of
+// v lies within d of v's pitch, so rows whose samples all lie farther than
+// the reach in pitch are skipped. Where the reach holds no pole, every
+// point of the cap is within asin(sin reach / cos pitch) of v's yaw (the
+// cap's tangent meridians; the width grows at least as fast as the reach),
+// widened by boundSlack again, and the columns wholly outside that yaw
+// range are skipped too. NaN leaves both bounds open: the classifier then
+// decides every tile.
+func (g *Grid) capReach(q CapQuery) (lo, hi float64, spans [2][2]int) {
+	spans[0] = [2]int{0, g.Cols}
+	if q.cosR < -1 { // the whole sphere
+		return math.Inf(-1), math.Inf(1), spans
+	}
+	v := q.v
+	reach := math.Atan2(q.sinR, q.cosR) + boundSlack
+	eq := math.Hypot(v.X, v.Y) // cos of v's pitch
+	pitch := math.Atan2(v.Z, eq)
+	lo, hi = pitch-reach, pitch+reach
+	if !(eq > 0 && hi < math.Pi/2-boundSlack && lo > -math.Pi/2+boundSlack) {
+		return lo, hi, spans // the reach holds a pole: every yaw
+	}
+	half := math.Asin(math.Sin(reach)/eq) + boundSlack
+	yaw := math.Atan2(v.Y, v.X)
+	c0 := int(math.Floor((yaw - half + math.Pi) / g.dyawRad))
+	c1 := int(math.Floor((yaw+half+math.Pi)/g.dyawRad)) + 1 // exclusive
+	switch {
+	case c1-c0 >= g.Cols: // every column
+	case c0 < 0: // wraps below column 0
+		spans = [2][2]int{{0, c1}, {c0 + g.Cols, g.Cols}}
+	case c1 > g.Cols: // wraps past the last column
+		spans = [2][2]int{{0, c1 - g.Cols}, {c0, g.Cols}}
+	default:
+		spans[0] = [2]int{c0, c1}
+	}
+	return lo, hi, spans
 }
 
 // Viewport describes the user-visible region as a spherical cap. Tile-based
@@ -375,19 +501,17 @@ func (v Viewport) Tiles(g *Grid, center Orientation) []TileID {
 // the given tile set when looking at center. It is used to compute the
 // blank-area metric: blank fraction = 1 - Coverage(available tiles).
 func (v Viewport) Coverage(g *Grid, center Orientation, have func(TileID) bool) float64 {
-	q := NewCapQuery(center, v.RadiusDeg)
 	total := 0.0
 	covered := 0.0
-	for id := 0; id < g.NumTiles(); id++ {
-		inside := g.capWeight(TileID(id), q)
-		if inside == 0 {
-			continue
+	q := NewCapQuery(center, v.RadiusDeg)
+	g.walkCap(q, func(id TileID) {
+		if inside := g.capWeight(id, q); inside > 0 {
+			total += inside
+			if have(id) {
+				covered += inside
+			}
 		}
-		total += inside
-		if have(TileID(id)) {
-			covered += inside
-		}
-	}
+	})
 	if total == 0 {
 		return 1
 	}
@@ -405,12 +529,12 @@ func (g *Grid) CapWeights(center Orientation, radiusDeg float64) (ids []TileID, 
 // the per-frame render accounting can reuse its buffers across frames.
 func (g *Grid) AppendCapWeights(ids []TileID, weights []float64, center Orientation, radiusDeg float64) ([]TileID, []float64) {
 	q := NewCapQuery(center, radiusDeg)
-	for id := 0; id < g.NumTiles(); id++ {
-		if inside := g.capWeight(TileID(id), q); inside > 0 {
-			ids = append(ids, TileID(id))
+	g.walkCap(q, func(id TileID) {
+		if inside := g.capWeight(id, q); inside > 0 {
+			ids = append(ids, id)
 			weights = append(weights, inside)
 		}
-	}
+	})
 	return ids, weights
 }
 

@@ -162,13 +162,13 @@ func buildPlane(g *Grid, p TableParams, radiusDeg float64) *CapPlane {
 			bucket := ys*pl.pitchSteps + ps
 			row := pl.data[bucket*n : (bucket+1)*n]
 			var ids []TileID
-			for id := 0; id < n; id++ {
-				v := g.OverlapCapQ(TileID(id), q)
-				row[id] = v
-				if v > 0 {
-					ids = append(ids, TileID(id))
+			// Tiles the walk skips keep data's zero, the bits of 0/tileWeight.
+			g.walkCap(q, func(id TileID) {
+				if v := g.OverlapCapQ(id, q); v > 0 {
+					row[id] = v
+					ids = append(ids, id)
 				}
-			}
+			})
 			pl.nonzero[bucket] = ids
 		}
 	}

@@ -168,15 +168,28 @@ func BenchmarkFlareDecide(b *testing.B) {
 
 // The cap walk behind the player's per-frame viewport, Flare's tile sets
 // and the tiled-masking discovery: which of the 144 tiles a 50° cap
-// touches.
+// touches, centered at pitches −30…30° (mid), 60…80° (high) and on or
+// beside a pole (polar). The walk skips the rows and columns the cap cannot
+// reach: mid is where that removes the most; high and polar caps reach a
+// pole, so every column is walked, and high is where the fewest rows go.
 func BenchmarkTilesInCap(b *testing.B) {
 	g := perfManifest().Grid()
 	buf := make([]geom.TileID, 0, g.NumTiles())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := geom.Orientation{Yaw: float64(i%360) - 180, Pitch: float64(i%7)*10 - 30}
-		buf = g.AppendTilesInCap(buf[:0], o, 50)
+	for _, bc := range []struct {
+		name    string
+		pitches []float64
+	}{
+		{"mid", []float64{-30, -20, -10, 0, 10, 20, 30}},
+		{"high", []float64{60, 65, 70, 75, 80}},
+		{"polar", []float64{90, 87, -85, -90}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				o := geom.Orientation{Yaw: float64(i%360) - 180, Pitch: bc.pitches[i%len(bc.pitches)]}
+				buf = g.AppendTilesInCap(buf[:0], o, 50)
+			}
+		})
 	}
 }
 

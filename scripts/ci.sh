@@ -63,6 +63,36 @@ for s in $sites; do
 done
 [ "$sdrift" = 0 ] || exit 1
 
+# The fuzz smoke's targets, as package:Target (the smoke itself runs below).
+fuzz_targets="proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume
+	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup
+	popsim:FuzzMergeSnapshot video:FuzzReadManifest netem:FuzzReadFaultCSV
+	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzAppendManifestFloat
+	video:FuzzExtendZeros geom:FuzzCapWalk"
+
+# Fuzz drift gate: every fuzz target under internal/ must be in the fuzz
+# smoke's list and named in docs/RESILIENCE.md, so a new one is neither left
+# out of CI nor missing from the list of what CI fuzzes.
+fdrift=0
+for f in $(grep -rl --include='*_test.go' '^func Fuzz' internal); do
+	pkg=${f#internal/}
+	pkg=${pkg%%/*}
+	for fn in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$f"); do
+		case " $(echo $fuzz_targets) " in
+		*" $pkg:$fn "*) ;;
+		*)
+			echo "fuzz target $pkg:$fn missing from the fuzz smoke in scripts/ci.sh" >&2
+			fdrift=1
+			;;
+		esac
+		if ! grep -qF "\`${fn}\`" docs/RESILIENCE.md; then
+			echo "fuzz target $pkg:$fn missing from docs/RESILIENCE.md" >&2
+			fdrift=1
+		fi
+	done
+done
+[ "$fdrift" = 0 ] || exit 1
+
 # The whole suite once, uncached, under the race detector. This is also the
 # run that holds the seeded system gates — TestChaosSoak (every failpoint
 # site armed over the fleet + ingest stack), TestFleetChaos (balancer +
@@ -99,16 +129,14 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # come out of their parsers with every dimension and time field in range, and
 # the two trace importers usable or refused. The manifest's hand codec must
 # agree with encoding/json in both directions: the reader on any body, the
-# writer on any float64. The last target is not a parser: the zero-run CRC
-# operator every frame trailer and manifest checksum now comes from must
-# agree with hash/crc32 over literal zeros for any prefix and length.
+# writer on any float64. The last two targets are not parsers: the zero-run
+# CRC operator every frame trailer and manifest checksum now comes from must
+# agree with hash/crc32 over literal zeros for any prefix and length, and
+# the culled cap walk under every tile-set query must list what the
+# full-grid sample loop lists, bit for bit, for any center and radius.
 # Minimising a new input is capped at a second, so the ten seconds go on
 # executing inputs (a shard report's seed is kilobytes of bins).
-for target in proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume \
-	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup \
-	popsim:FuzzMergeSnapshot video:FuzzReadManifest netem:FuzzReadFaultCSV \
-	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzAppendManifestFloat \
-	video:FuzzExtendZeros; do
+for target in $fuzz_targets; do
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "${FUZZTIME:-10s}" -fuzzminimizetime 1s "./internal/${target%%:*}"
 done
 
