@@ -14,7 +14,8 @@ type Fig12Result struct {
 	Schemes map[string]SchemeSummary
 	// MeanBlankArea per scheme (Fig 12b).
 	MeanBlankArea map[string]float64
-	Raw           sim.Results
+	// Raw keeps the sessions Fig13SkipAnalysis reads.
+	Raw sim.Results
 }
 
 // Fig12Ablation reproduces Figure 12: Dragonfly against the Table 2
@@ -23,7 +24,7 @@ type Fig12Result struct {
 // PassiveSkip; NoMask comparable at the median but with an incomplete-
 // viewport tail (~10% of viewports) and the lowest wastage.
 func Fig12Ablation(env *Env, w io.Writer) (*Fig12Result, error) {
-	res, err := env.sweep(sim.Sweep{
+	res, sums, err := env.sweep("fig12", sim.Sweep{
 		Videos:     env.Videos,
 		Users:      env.Users,
 		Bandwidths: env.Belgian,
@@ -32,18 +33,12 @@ func Fig12Ablation(env *Env, w io.Writer) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig12Result{Schemes: map[string]SchemeSummary{}, MeanBlankArea: map[string]float64{}, Raw: res}
+	out := &Fig12Result{Schemes: sums, MeanBlankArea: map[string]float64{}, Raw: res}
 	for name, sessions := range res {
-		out.Schemes[name] = Summarize(name, sessions)
 		out.MeanBlankArea[name] = stats.Mean(sim.SessionStat(sessions,
 			func(m *player.Metrics) float64 { return m.MeanBlankArea() }))
 	}
 	printFig12(w, out)
-	if env.CSVDir != "" {
-		if err := DumpResultCDFs(env.CSVDir, "fig12", res); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }
 
@@ -53,27 +48,15 @@ func printFig12(w io.Writer, r *Fig12Result) {
 	fprintf(w, "       NoMask matches the median but ~10%% of its viewports are incomplete;\n")
 	fprintf(w, "       NoMask has the lowest wastage (no masking stream).\n\n")
 	fprintf(w, "%-12s %9s %9s %9s | %10s %10s | %9s\n",
-		"variant", "medPSNR", "p10PSNR", "p1PSNR", "incmpFr%%", "blankArea", "medWaste")
+		"variant", "medPSNR", "p10PSNR", "minPSNR", "incmpFr%%", "blankArea", "medWaste")
 	for _, name := range sortedNames(r.Schemes) {
 		s := r.Schemes[name]
 		fprintf(w, "%-12s %8.2f  %8.2f  %8.2f  | %9.2f%% %9.4f%% | %7.1f%%\n",
-			s.Name, s.Score.Median, s.Score.P10, percentileOfSummaryTail(s),
+			s.Name, s.Score.Median, s.Score.P10, s.Score.Min,
 			s.MedianIncompletePct, 100*r.MeanBlankArea[name], s.MedianWastagePct)
 	}
-	if d, ok := r.Schemes["Dragonfly"]; ok {
-		fprintf(w, "\nMeasured median-PSNR gains of Dragonfly:")
-		for _, base := range []string{"PassiveSkip", "PerChunk", "NoMask"} {
-			if b, ok := r.Schemes[base]; ok {
-				fprintf(w, "  vs %s: %+.2f dB", base, d.Score.Median-b.Score.Median)
-			}
-		}
-		fprintf(w, "\n")
-	}
+	printGains(w, r.Schemes, "PassiveSkip", "PerChunk", "NoMask")
 }
-
-// percentileOfSummaryTail reports the low tail (min) that exposes NoMask's
-// incomplete-viewport degradation in Fig 12(a)'s zoomed region.
-func percentileOfSummaryTail(s SchemeSummary) float64 { return s.Score.Min }
 
 // Fig13Result holds the proactive-vs-passive skip analysis (§4.4).
 type Fig13Result struct {

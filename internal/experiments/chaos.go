@@ -45,27 +45,19 @@ type ExtChaosOutcome struct {
 	BusyRetries   int64
 }
 
-// ExtChaos runs the integrity/crash-survival extension: a live session over
+// extChaos runs the integrity/crash-survival extension: a live session over
 // a link that flips bits and truncates writes mid-stream while the serving
 // process is killed and restarted cold, followed by an admission-control
 // probe against a saturated server. Every corruption must surface as a
 // clean link error (never a rendered corrupt tile), the restarted server
 // must rebuild its dedup state purely from the client's resume bitmap, and
 // the saturated server must fast-reject with a retryable busy error.
-func ExtChaos(env *Env, w io.Writer) (ExtChaosOutcome, error) {
-	return extChaos(env, w, 1)
-}
-
-func extChaos(_ *Env, w io.Writer, seed int64) (ExtChaosOutcome, error) {
+func extChaos(w io.Writer, seed int64) (ExtChaosOutcome, error) {
 	m := wireManifest("chaos")
 	head := wireHead("chaos-user", trace.MotionLow, seed)
 
-	sched := &netem.FaultSchedule{}
-	for i := 0; i < chaosBitFlips; i++ {
-		at := wireVideoDur / 2 * time.Duration(i+1) / (chaosBitFlips + 1)
-		sched.Events = append(sched.Events, netem.FaultEvent{At: at, Kind: netem.FaultBitFlip})
-	}
-	sched.Events = append(sched.Events, netem.FaultEvent{At: chaosTruncateAt, Kind: netem.FaultTruncate})
+	sched := &netem.FaultSchedule{Events: append(spreadFaults(chaosBitFlips, netem.FaultBitFlip),
+		netem.FaultEvent{At: chaosTruncateAt, Kind: netem.FaultTruncate})}
 	fl := &netem.FaultLink{Link: constLink(8), Schedule: sched, Seed: seed}
 	defer fl.Stop()
 
@@ -128,8 +120,17 @@ func chaosAdmissionProbe(m *video.Manifest, head *trace.HeadTrace, seed int64) (
 		return 0, 0, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel() // Serve closes l
-	go func() { _ = srv.Serve(ctx, l) }()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve(ctx, l)
+	}()
+	// Runs after the holder's conn is closed below: Serve closes l, waits
+	// for its session handlers, and returns.
+	defer func() {
+		cancel()
+		<-served
+	}()
 	addr := l.Addr().String()
 
 	hold, err := net.Dial("tcp", addr)

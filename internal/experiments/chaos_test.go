@@ -20,7 +20,7 @@ import (
 //     before the prober dials, is never the one rejected.
 func TestExtChaos(t *testing.T) {
 	var buf bytes.Buffer
-	out, err := extChaos(nil, &buf, 7)
+	out, err := extChaos(&buf, 7)
 	if err != nil {
 		t.Fatalf("chaos: %v\n%s", err, buf.String())
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/client"
-	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
 	"dragonfly/internal/ingest"
 	"dragonfly/internal/netem"
@@ -21,6 +19,7 @@ import (
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
 	"dragonfly/internal/trace"
+	"dragonfly/internal/video"
 )
 
 // The chaos-soak scenario: 3 servers behind a balancer plus a full ingest
@@ -93,7 +92,7 @@ func soakRules() []chaos.Rule {
 	}
 }
 
-// ExtChaosSoak runs the seeded all-tier failpoint soak: a balancer-fronted
+// extChaosSoak runs the seeded all-tier failpoint soak: a balancer-fronted
 // fleet, a live ingest tier (HTTP push, trace watchers, periodic snapshots,
 // QoE feedback poller) and concurrent clients, with every registered
 // failpoint armed from one seeded schedule and one server killed and
@@ -101,11 +100,7 @@ func soakRules() []chaos.Rule {
 // unexplained duplicate primary sends, no corrupt tile held, all telemetry
 // delivered through the retry paths, and the snapshot tier recovered from
 // a corrupt rollup a faulted writer planted.
-func ExtChaosSoak(env *Env, w io.Writer) (ChaosSoakOutcome, error) {
-	return extChaosSoak(env, w, 1)
-}
-
-func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
+func extChaosSoak(w io.Writer, seed int64) (ChaosSoakOutcome, error) {
 	out := ChaosSoakOutcome{Servers: soakServers, Clients: soakClients}
 
 	rules := chaos.Schedule(seed, soakRules())
@@ -130,16 +125,45 @@ func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
-	// The ingest tier: one aggregator serving /ingest + /rollup, with the
-	// snapshot loop and trace watchers alongside.
-	ingReg := obs.NewRegistry()
-	agg := ingest.New(ingest.Config{Obs: ingReg})
-	ingAddr, _, err := agg.Serve(ctx, "127.0.0.1:0")
+	t, err := startSoakTier(ctx, m, seed, snapDir, traceRoot)
 	if err != nil {
 		return out, err
 	}
-	ingURL := "http://" + ingAddr.String()
+	defer t.fleet.Close()
+
+	mets, err := t.soak(ctx, seed)
+	if err != nil {
+		return out, err
+	}
+	// Let the watchers fold the trailing server traces and the poller run
+	// against the fully-populated rollup before tearing the tier down.
+	time.Sleep(400 * time.Millisecond)
+	cancel()
+	t.loops.Wait() // the final snapshot lands after cancellation
+	t.fleet.Close()
+
+	t.account(&out, mets, m, snapDir)
+	printChaosSoak(w, out, seed)
+	return out, nil
+}
+
+// soakTier is the soak's stack: the ingest tier with its QoE feedback
+// poller, snapshot loop and server-trace watchers, and the fleet whose
+// members write those traces.
+type soakTier struct {
+	ing    *ingestTier
+	fbReg  *obs.Registry
+	srvAgg *ingest.Aggregator // folds the server-view traces; shares ing.reg, so the ing_* counters land in one place
+	fleet  *fleettest.Fleet
+	loops  sync.WaitGroup // the background loops, joined after their ctx is cancelled
+}
+
+// startSoakTier brings the stack up and starts its background loops.
+func startSoakTier(ctx context.Context, m *video.Manifest, seed int64, snapDir, traceRoot string) (*soakTier, error) {
+	ing, err := startIngest(ctx, seed)
+	if err != nil {
+		return nil, err
+	}
 
 	// Plant the crash state the snapshot quarantine exists to recover
 	// from: the armed ingest.snapshot.write corrupt fault silently
@@ -147,32 +171,30 @@ func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
 	// writer (or rotting disk) leaves behind for the next process.
 	planted := false
 	for i := 0; i < 16 && !planted; i++ {
-		if _, err := agg.WriteSnapshot(snapDir); err != nil {
-			return out, fmt.Errorf("plant snapshot: %w", err)
+		if _, err := ing.agg.WriteSnapshot(snapDir); err != nil {
+			return nil, fmt.Errorf("plant snapshot: %w", err)
 		}
 		planted = chaos.Injections("ingest.snapshot.write") > 0
 	}
 	if !planted {
-		return out, fmt.Errorf("snapshot corrupt fault never fired")
+		return nil, fmt.Errorf("snapshot corrupt fault never fired")
 	}
 
 	// The QoE feedback poller; its retry loop absorbs the armed
 	// ingest.feedback.poll faults without ever steering on partial data.
-	fbReg := obs.NewRegistry()
+	t := &soakTier{ing: ing, fbReg: obs.NewRegistry(), srvAgg: ingest.New(ingest.Config{Obs: ing.reg})}
 	fb := ingest.NewFeedback(ingest.FeedbackConfig{
-		URL:      ingURL + "/rollup",
+		URL:      ing.url + "/rollup",
 		TargetDB: 50,
 		Interval: 150 * time.Millisecond,
 		MaxAge:   time.Minute,
-		Obs:      fbReg,
+		Obs:      t.fbReg,
 		Seed:     seed,
 	})
 
-	// The fleet: each member writes server-view traces a watcher tails
-	// into a second aggregator (the same registry, so the ing_* counters
-	// land in one place).
+	// The fleet: each member writes server-view traces a watcher tails.
 	link := constLink(16)
-	f, err := fleettest.NewFleet(soakServers, m,
+	t.fleet, err = fleettest.NewFleet(soakServers, m,
 		func() (net.Conn, net.Conn) { return netem.Pipe(link) },
 		func(addr string, s *server.Server) {
 			wireServer(s)
@@ -180,73 +202,42 @@ func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
 			s.QoE = fb
 		})
 	if err != nil {
-		return out, err
+		return nil, err
 	}
-	defer f.Close()
 
-	// The tier's background loops; tier.Wait after cancel joins them (the
-	// final snapshot lands after cancellation).
-	srvAgg := ingest.New(ingest.Config{Obs: ingReg})
-	var tier sync.WaitGroup
 	background := func(run func(context.Context)) {
-		tier.Add(1)
+		t.loops.Add(1)
 		go func() {
-			defer tier.Done()
+			defer t.loops.Done()
 			run(ctx)
 		}()
 	}
 	background(fb.Run)
-	background(func(ctx context.Context) { agg.RunSnapshots(ctx, snapDir, 150*time.Millisecond) })
-	for _, b := range f.Backends {
-		background(ingest.NewWatcher(srvAgg, filepath.Join(traceRoot, b.Addr), 100*time.Millisecond).Run)
+	background(func(ctx context.Context) { ing.agg.RunSnapshots(ctx, snapDir, 150*time.Millisecond) })
+	for _, b := range t.fleet.Backends {
+		background(ingest.NewWatcher(t.srvAgg, filepath.Join(traceRoot, b.Addr), 100*time.Millisecond).Run)
 	}
+	return t, nil
+}
 
-	// One abrupt kill and cold restart mid-stream, on top of the armed
-	// faults: resume under chaos.
-	victim := f.Backends[1]
+// soak is the scenario: one abrupt kill and cold restart mid-stream, on
+// top of the armed faults (resume under chaos), while the clients stream
+// and push their traces — the armed ingest.push faults are absorbed by
+// the pusher's retry budget.
+func (t *soakTier) soak(ctx context.Context, seed int64) ([]*player.Metrics, error) {
+	victim := t.fleet.Backends[1]
 	killT := time.AfterFunc(soakKillAt, victim.Kill)
 	restartT := time.AfterFunc(soakRestartAt, victim.Restart)
 	defer killT.Stop()
 	defer restartT.Stop()
-
-	// Client traces reach the ingest tier through the hardened pusher —
-	// the armed ingest.push faults are absorbed by its retry budget.
-	pusher := ingest.NewPusher(ingest.PushConfig{
-		URL:       ingURL + "/ingest",
-		BaseDelay: 20 * time.Millisecond,
-		MaxDelay:  200 * time.Millisecond,
-		Seed:      seed,
-		Obs:       ingReg,
-	})
-	mets, err := playFleet(f, soakClients, "soak-user", seed, 16,
+	return playFleet(t.fleet, soakClients, "soak-user", seed, 16,
 		func(dial client.DialFunc, head *trace.HeadTrace, rp client.ReconnectPolicy) (*player.Metrics, error) {
-			tr := obs.NewTrace(0)
-			met, err := client.PlayResilient(dial, "soak", head, core.NewDefault(), client.PlayOptions{
-				Reconnect: rp, Trace: tr, Cohort: "soak:fleet",
-			})
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := tr.WriteJSONL(&buf); err != nil {
-				return nil, err
-			}
-			if err := pusher.Push(ctx, buf.Bytes()); err != nil {
-				return nil, fmt.Errorf("push trace: %w", err)
-			}
-			return met, nil
+			return t.ing.play(ctx, dial, "soak", head, rp, "soak:fleet")
 		})
-	if err != nil {
-		return out, err
-	}
+}
 
-	// Let the watchers fold the trailing server traces and the poller run
-	// against the fully-populated rollup before tearing the tier down.
-	time.Sleep(400 * time.Millisecond)
-	cancel()
-	tier.Wait()
-	f.Close()
-
+// account reads the outcome off the quiesced stack.
+func (t *soakTier) account(out *ChaosSoakOutcome, mets []*player.Metrics, m *video.Manifest, snapDir string) {
 	for _, met := range mets {
 		if met.TotalFrames == m.NumFrames() && !met.Truncated {
 			out.Completed++
@@ -255,9 +246,9 @@ func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
 		out.RebufferTotal += met.RebufferDuration
 		out.Disconnects += int64(met.Disconnects)
 	}
-	out.Totals, out.Instances = f.Totals()
+	out.Totals, out.Instances = t.fleet.Totals()
 	out.ExcessPrimary = excessPrimary(out.Totals, soakClients, m)
-	out.Routed = f.LB.Counter("lb_routed").Value()
+	out.Routed = t.fleet.LB.Counter("lb_routed").Value()
 
 	out.InjectedTotal = chaos.TotalInjections()
 	for _, name := range chaos.SiteNames() {
@@ -266,16 +257,16 @@ func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
 		}
 	}
 
-	out.PushRetries = ingReg.Counter("ing_push_retries").Value()
-	out.PushDrops = ingReg.Counter("ing_push_drops").Value()
-	out.WatchErrs = ingReg.Counter("ing_watch_errs").Value()
-	out.Quarantined = ingReg.Counter("ing_quarantined").Value()
-	out.PollRetries = fbReg.Counter("srv_qoe_poll_retries").Value()
-	out.PollErrs = fbReg.Counter("srv_qoe_poll_errs").Value()
-	for _, cr := range agg.Rollup().Cohorts {
+	out.PushRetries = t.ing.reg.Counter("ing_push_retries").Value()
+	out.PushDrops = t.ing.reg.Counter("ing_push_drops").Value()
+	out.WatchErrs = t.ing.reg.Counter("ing_watch_errs").Value()
+	out.Quarantined = t.ing.reg.Counter("ing_quarantined").Value()
+	out.PollRetries = t.fbReg.Counter("srv_qoe_poll_retries").Value()
+	out.PollErrs = t.fbReg.Counter("srv_qoe_poll_errs").Value()
+	for _, cr := range t.ing.agg.Rollup().Cohorts {
 		out.RollupSessions += cr.Sessions
 	}
-	for _, cr := range srvAgg.Rollup().Cohorts {
+	for _, cr := range t.srvAgg.Rollup().Cohorts {
 		out.ServerTraceSessions += cr.Sessions
 	}
 	if snap, rerr := ingest.ReadSnapshot(snapDir); rerr == nil {
@@ -284,7 +275,9 @@ func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
 			out.SnapshotSessions += cr.Sessions
 		}
 	}
+}
 
+func printChaosSoak(w io.Writer, out ChaosSoakOutcome, seed int64) {
 	fprintf(w, "== Extension: chaos-soak (all-tier failpoints + kill/restart under one seed) ==\n")
 	fprintf(w, "%d servers, %d clients; %d failpoint sites armed (seed %d); kill@%s restart@%s.\n\n",
 		soakServers, soakClients, out.ArmedSites, seed, soakKillAt, soakRestartAt)
@@ -306,5 +299,4 @@ func extChaosSoak(_ *Env, w io.Writer, seed int64) (ChaosSoakOutcome, error) {
 	fprintf(w, "%-28s %10d\n", "poll retries", out.PollRetries)
 	fprintf(w, "%-28s %10d\n", "snapshots quarantined", out.Quarantined)
 	fprintf(w, "%-28s %10v\n", "snapshot recovered", out.SnapshotRecovered)
-	return out, nil
 }

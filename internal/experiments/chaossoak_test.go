@@ -22,7 +22,7 @@ import (
 // Must not run in t.Parallel: the failpoint registry is process-global.
 func TestChaosSoak(t *testing.T) {
 	var buf bytes.Buffer
-	out, err := extChaosSoak(nil, &buf, 11)
+	out, err := extChaosSoak(&buf, 11)
 	if err != nil {
 		t.Fatalf("chaos-soak: %v\n%s", err, buf.String())
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"dragonfly/internal/player"
 	"dragonfly/internal/sim"
@@ -40,11 +39,7 @@ func WriteCDFCSV(path string, series map[string][]float64, maxPoints int) (err e
 // Flush error is checked; fmt errors inside the loop are sticky on the
 // bufio.Writer, so checking Flush catches them all.
 func writeCDFTo(w io.Writer, series map[string][]float64, maxPoints int) error {
-	names := make([]string, 0, len(series))
-	for n := range series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedNames(series)
 	cdfs := make([][]stats.CDFPoint, len(names))
 	rows := 0
 	for i, n := range names {

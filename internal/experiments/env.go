@@ -43,14 +43,28 @@ type Env struct {
 }
 
 // sweep runs one sim sweep with the environment's observability settings
-// (metrics registry, session trace directory) injected, recording its
-// execution profile in LastSweep.
-func (e *Env) sweep(sw sim.Sweep) (sim.Results, error) {
+// (metrics registry, session trace directory) injected, records its
+// execution profile in LastSweep, and summarizes every scheme in it. A
+// non-empty csvPrefix marks a distribution figure: with CSVDir set, its
+// CDF series are dumped there under that prefix.
+func (e *Env) sweep(csvPrefix string, sw sim.Sweep) (sim.Results, map[string]SchemeSummary, error) {
 	sw.Obs = e.Obs
 	sw.TraceDir = e.TraceDir
 	res, stats, err := sim.RunWithStats(sw)
 	e.LastSweep = stats
-	return res, err
+	if err != nil {
+		return nil, nil, err
+	}
+	sums := make(map[string]SchemeSummary, len(res))
+	for name, sessions := range res {
+		sums[name] = Summarize(name, sessions)
+	}
+	if csvPrefix != "" && e.CSVDir != "" {
+		if err := DumpResultCDFs(e.CSVDir, csvPrefix, res); err != nil {
+			return nil, nil, err
+		}
+	}
+	return res, sums, nil
 }
 
 // DefaultEnv builds the paper-scale environment: 7 videos × 10 users × 11

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -113,6 +114,23 @@ func TestFig12And13SmallScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := abl.Schemes["Dragonfly"]
+	// The fourth column is the minimum per-frame quality, and its header
+	// says so: stats.Summary has no first percentile to print.
+	var header, row []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		switch f := strings.Fields(line); {
+		case len(f) > 3 && f[0] == "variant":
+			header = f
+		case len(f) > 3 && f[0] == "Dragonfly":
+			row = f
+		}
+	}
+	if header == nil || header[3] != "minPSNR" {
+		t.Errorf("Fig 12 header %q: fourth column should be minPSNR", header)
+	}
+	if want := fmt.Sprintf("%.2f", d.Score.Min); row == nil || row[3] != want {
+		t.Errorf("Fig 12 Dragonfly row %q: fourth column should be Score.Min %s", row, want)
+	}
 	// Dragonfly beats PerChunk and PassiveSkip in median quality.
 	for _, other := range []string{"PerChunk", "PassiveSkip"} {
 		if s, ok := abl.Schemes[other]; ok && d.Score.Median <= s.Score.Median {

@@ -12,7 +12,6 @@ import (
 	"dragonfly/internal/predict"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
-	"dragonfly/internal/trace"
 )
 
 // This file contains extension experiments beyond the paper's figures:
@@ -77,28 +76,25 @@ func ExtDecisionInterval(env *Env, w io.Writer) (map[string]SchemeSummary, error
 			return core.New(core.Options{DecisionInterval: iv, Name: fmt.Sprintf("Dragonfly@%s", iv)})
 		}
 	}
-	res, err := env.sweep(sim.Sweep{
+	res, out, err := env.sweep("", sim.Sweep{
 		Videos:     env.Videos,
-		Users:      limitUsers(env.Users, 5),
-		Bandwidths: limitTraces(env.Belgian, 5),
+		Users:      limit(env.Users, 5),
+		Bandwidths: limit(env.Belgian, 5),
 		Schemes:    keys,
 		Extra:      extra,
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]SchemeSummary{}
 	fprintf(w, "== Extension: decision-interval sweep (100 ms -> per chunk) ==\n")
 	fprintf(w, "%-18s %9s %10s %9s\n", "variant", "medPSNR", "skipVP%%", "medWaste")
 	for _, iv := range intervals {
 		name := fmt.Sprintf("Dragonfly@%s", iv)
-		sessions := res[name]
-		if sessions == nil {
+		s, ok := out[name]
+		if !ok {
 			continue
 		}
-		s := Summarize(name, sessions)
-		out[name] = s
-		skip := stats.Mean(sim.SessionStat(sessions, func(m *player.Metrics) float64 {
+		skip := stats.Mean(sim.SessionStat(res[name], func(m *player.Metrics) float64 {
 			return m.PrimarySkipFramePct()
 		}))
 		fprintf(w, "%-18s %8.2f  %9.2f  %7.1f%%\n", name, s.Score.Median, skip, s.MedianWastagePct)
@@ -117,10 +113,10 @@ func ExtDecodeStage(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
 	fprintf(w, "%-16s %9s %10s %11s\n", "decoder", "medPSNR", "incmpFr%%", "maskShare%%")
 	for _, rate := range rates {
 		rate := rate
-		res, err := env.sweep(sim.Sweep{
+		res, sums, err := env.sweep("", sim.Sweep{
 			Videos:     env.Videos[:1],
-			Users:      limitUsers(env.Users, 3),
-			Bandwidths: limitTraces(env.Belgian, 3),
+			Users:      limit(env.Users, 3),
+			Bandwidths: limit(env.Belgian, 3),
 			Schemes:    []string{"dragonfly"},
 			Decoder: func() *decoder.Model {
 				if rate == 0 {
@@ -132,17 +128,16 @@ func ExtDecodeStage(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-		sessions := res["Dragonfly"]
-		name := "infinite"
+		s := sums["Dragonfly"]
+		s.Name = "infinite"
 		if rate > 0 {
-			name = fmt.Sprintf("%.0f MB/s", rate)
+			s.Name = fmt.Sprintf("%.0f MB/s", rate)
 		}
-		s := Summarize(name, sessions)
-		out[name] = s
-		maskShare := stats.Mean(sim.SessionStat(sessions, func(m *player.Metrics) float64 {
+		out[s.Name] = s
+		maskShare := stats.Mean(sim.SessionStat(res["Dragonfly"], func(m *player.Metrics) float64 {
 			return 100 * m.MaskingShare()
 		}))
-		fprintf(w, "%-16s %8.2f  %9.3f  %10.2f\n", name, s.Score.Median, s.MedianIncompletePct, maskShare)
+		fprintf(w, "%-16s %8.2f  %9.3f  %10.2f\n", s.Name, s.Score.Median, s.MedianIncompletePct, maskShare)
 	}
 	fprintf(w, "Decode only matters once throughput nears the stream rate; the paper's\n")
 	fprintf(w, "testbed assumption (decode never binds) holds for realistic decoders.\n")
@@ -170,27 +165,24 @@ func ExtRoIGeometry(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
 			return core.New(core.Options{RoIs: v.rois, Name: "RoI-" + v.key})
 		}
 	}
-	res, err := env.sweep(sim.Sweep{
+	_, out, err := env.sweep("", sim.Sweep{
 		Videos:     env.Videos,
-		Users:      limitUsers(env.Users, 5),
-		Bandwidths: limitTraces(env.Belgian, 5),
+		Users:      limit(env.Users, 5),
+		Bandwidths: limit(env.Belgian, 5),
 		Schemes:    keys,
 		Extra:      extra,
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]SchemeSummary{}
 	fprintf(w, "== Extension: RoI geometry ablation ==\n")
 	fprintf(w, "%-18s %9s %10s %9s\n", "variant", "medPSNR", "p10PSNR", "medWaste")
 	for _, v := range variants {
 		name := "RoI-" + v.key
-		sessions := res[name]
-		if sessions == nil {
+		s, ok := out[name]
+		if !ok {
 			continue
 		}
-		s := Summarize(name, sessions)
-		out[name] = s
 		fprintf(w, "%-18s %8.2f  %9.2f  %7.1f%%\n", name, s.Score.Median, s.Score.P10, s.MedianWastagePct)
 	}
 	fprintf(w, "Concentric rings weight central tiles; a wider guard band trades wastage\n")
@@ -198,16 +190,11 @@ func ExtRoIGeometry(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
 	return out, nil
 }
 
-func limitUsers(users []*trace.HeadTrace, n int) []*trace.HeadTrace {
-	if len(users) > n {
-		return users[:n]
+// limit is xs cut to at most n entries: the reduced sweeps take the first
+// users and traces of the environment.
+func limit[T any](xs []T, n int) []T {
+	if len(xs) > n {
+		return xs[:n]
 	}
-	return users
-}
-
-func limitTraces(traces []*trace.BandwidthTrace, n int) []*trace.BandwidthTrace {
-	if len(traces) > n {
-		return traces[:n]
-	}
-	return traces
+	return xs
 }

@@ -37,11 +37,7 @@ func ExtFaultTolerance(_ *Env, w io.Writer) (map[string]ExtFaultOutcome, error) 
 	head := wireHead("fault-user", trace.MotionLow, seed)
 	// Cut the link early and often: the first disconnect lands while most
 	// of the video is still on the server, so giving up is visibly costly.
-	sched := &netem.FaultSchedule{}
-	for i := 0; i < faultDisconnects; i++ {
-		at := wireVideoDur / 2 * time.Duration(i+1) / (faultDisconnects + 1)
-		sched.Events = append(sched.Events, netem.FaultEvent{At: at, Kind: netem.FaultDisconnect})
-	}
+	sched := &netem.FaultSchedule{Events: spreadFaults(faultDisconnects, netem.FaultDisconnect)}
 
 	run := func(reconnect bool) (ExtFaultOutcome, error) {
 		fl := &netem.FaultLink{Link: constLink(8), Schedule: sched}

@@ -12,20 +12,20 @@ import (
 // on top of the Fig 19 comparison: utility-scheduled tiled masking, and
 // neighbor interpolation of masking holes.
 func ExtMaskingOptimizations(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
-	run := func(schemes []string, interp bool) (sim.Results, error) {
-		return env.sweep(sim.Sweep{
+	run := func(schemes []string, interp bool) (sim.Results, map[string]SchemeSummary, error) {
+		return env.sweep("", sim.Sweep{
 			Videos:            env.Videos,
-			Users:             limitUsers(env.Users, 5),
-			Bandwidths:        limitTraces(env.Belgian, 5),
+			Users:             limit(env.Users, 5),
+			Bandwidths:        limit(env.Belgian, 5),
 			Schemes:           schemes,
 			MaskInterpolation: interp,
 		})
 	}
-	base, err := run([]string{"dragonfly-tiled", "dragonfly-tiled-sched"}, false)
+	_, base, err := run([]string{"dragonfly-tiled", "dragonfly-tiled-sched"}, false)
 	if err != nil {
 		return nil, err
 	}
-	interp, err := run([]string{"dragonfly-tiled"}, true)
+	interpRes, interp, err := run([]string{"dragonfly-tiled"}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -34,8 +34,8 @@ func ExtMaskingOptimizations(env *Env, w io.Writer) (map[string]SchemeSummary, e
 	fprintf(w, "== Extension: §3.2 masking optimizations ==\n")
 	fprintf(w, "Paper (future work): schedule masking tiles by utility; interpolate masking holes.\n\n")
 	fprintf(w, "%-26s %9s %10s %11s %9s\n", "variant", "medPSNR", "incmpFr%%", "sess.incmp", "medWaste")
-	printRow := func(label string, sessions []*player.Metrics) {
-		s := Summarize(label, sessions)
+	printRow := func(label string, s SchemeSummary) {
+		s.Name = label
 		out[label] = s
 		fprintf(w, "%-26s %8.2f  %9.3f  %9.0f%%  %7.1f%%\n",
 			label, s.Score.Median, s.MedianIncompletePct, 100*s.SessionsWithIncomplete, s.MedianWastagePct)
@@ -44,7 +44,7 @@ func ExtMaskingOptimizations(env *Env, w io.Writer) (map[string]SchemeSummary, e
 	printRow("tiled + utility sched", base["Dragonfly-TiledSched"])
 	printRow("tiled + interpolation", interp["Dragonfly-Tiled"])
 
-	interpolatedTiles := stats.Mean(sim.SessionStat(interp["Dragonfly-Tiled"], func(m *player.Metrics) float64 {
+	interpolatedTiles := stats.Mean(sim.SessionStat(interpRes["Dragonfly-Tiled"], func(m *player.Metrics) float64 {
 		return float64(m.RenderedInterpolated)
 	}))
 	fprintf(w, "\nInterpolated tile renders per session (mean): %.1f\n", interpolatedTiles)

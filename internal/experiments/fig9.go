@@ -52,16 +52,13 @@ func Summarize(name string, sessions []*player.Metrics) SchemeSummary {
 // Fig9Result holds the main-comparison outcome.
 type Fig9Result struct {
 	Schemes map[string]SchemeSummary
-	// Raw keeps the sessions for downstream experiments (Fig 13 reuses the
-	// Fig 9 sweep).
-	Raw sim.Results
 }
 
 // Fig9MainComparison reproduces Figure 9: Dragonfly vs Flare, Pano and
 // Two-tier on the Belgian traces, plus the 1-second look-ahead variants of
 // the wastage discussion (§4.3).
 func Fig9MainComparison(env *Env, w io.Writer) (*Fig9Result, error) {
-	res, err := env.sweep(sim.Sweep{
+	_, sums, err := env.sweep("fig9", sim.Sweep{
 		Videos:     env.Videos,
 		Users:      env.Users,
 		Bandwidths: env.Belgian,
@@ -70,16 +67,8 @@ func Fig9MainComparison(env *Env, w io.Writer) (*Fig9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig9Result{Schemes: map[string]SchemeSummary{}, Raw: res}
-	for name, sessions := range res {
-		out.Schemes[name] = Summarize(name, sessions)
-	}
+	out := &Fig9Result{Schemes: sums}
 	printFig9(w, out)
-	if env.CSVDir != "" {
-		if err := DumpResultCDFs(env.CSVDir, "fig9", res); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }
 
@@ -98,14 +87,21 @@ func printFig9(w io.Writer, r *Fig9Result) {
 			s.MedianIncompletePct, 100*s.SessionsWithIncomplete,
 			s.MedianWastagePct)
 	}
-	d, okD := r.Schemes["Dragonfly"]
-	if okD {
-		fprintf(w, "\nMeasured median-PSNR gains of Dragonfly:")
-		for _, base := range []string{"Flare", "Pano", "Two-tier"} {
-			if b, ok := r.Schemes[base]; ok {
-				fprintf(w, "  vs %s: %+.2f dB", base, d.Score.Median-b.Score.Median)
-			}
-		}
-		fprintf(w, "\n")
+	printGains(w, r.Schemes, "Flare", "Pano", "Two-tier")
+}
+
+// printGains prints Dragonfly's median-quality gain over each of bases
+// present in schemes; it prints nothing without a Dragonfly row.
+func printGains(w io.Writer, schemes map[string]SchemeSummary, bases ...string) {
+	d, ok := schemes["Dragonfly"]
+	if !ok {
+		return
 	}
+	fprintf(w, "\nMeasured median-PSNR gains of Dragonfly:")
+	for _, base := range bases {
+		if b, ok := schemes[base]; ok {
+			fprintf(w, "  vs %s: %+.2f dB", base, d.Score.Median-b.Score.Median)
+		}
+	}
+	fprintf(w, "\n")
 }

@@ -57,18 +57,14 @@ type FleetChaosOutcome struct {
 	Recovered      bool
 }
 
-// ExtFleetChaos runs the fleet-mode chaos proof: a balancer fronting three
+// extFleetChaos runs the fleet-mode chaos proof: a balancer fronting three
 // servers, eight concurrent clients streaming (half through the balancer,
 // half on static multi-address failover) while one server is killed and
 // cold-restarted, a second is drained mid-stream, and a third is killed
 // once the restarted one is back — asserting zero duplicate primary sends
 // summed fleet-wide, zero corrupt tiles, zero rebuffering, and dead-member
 // detection within the probe budget.
-func ExtFleetChaos(env *Env, w io.Writer) (FleetChaosOutcome, error) {
-	return extFleetChaos(env, w, 1)
-}
-
-func extFleetChaos(_ *Env, w io.Writer, seed int64) (FleetChaosOutcome, error) {
+func extFleetChaos(w io.Writer, seed int64) (FleetChaosOutcome, error) {
 	out := FleetChaosOutcome{Servers: fleetServers, Clients: fleetClients}
 	out.ProbeBudget = fleettest.FailThreshold*(fleettest.ProbeInterval+fleettest.ProbeTimeout) + 150*time.Millisecond
 
@@ -87,22 +83,13 @@ func extFleetChaos(_ *Env, w io.Writer, seed int64) (FleetChaosOutcome, error) {
 	// memory of them — the resume bitmap is the proof.
 	victim, second, drained := f.Backends[1], f.Backends[0], f.Backends[2]
 	unhealthy := make(chan time.Duration, 1) // at most one send
-	watchUnhealthy := func(from time.Time) {
-		for time.Since(from) < 5*time.Second {
-			for _, st := range f.Balancer.Status() {
-				if st.Addr == victim.Addr && !st.Healthy {
-					unhealthy <- time.Since(from)
-					return
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
 	timers := []*time.Timer{
 		time.AfterFunc(fleetKillAt, func() {
 			start := time.Now()
 			victim.Kill()
-			watchUnhealthy(start)
+			if awaitHealth(f, 5*time.Second, map[string]bool{victim.Addr: false}) {
+				unhealthy <- time.Since(start)
+			}
 		}),
 		time.AfterFunc(fleetDrainAt, drained.Drain),
 		time.AfterFunc(fleetRestartAt, victim.Restart),
@@ -124,19 +111,7 @@ func extFleetChaos(_ *Env, w io.Writer, seed int64) (FleetChaosOutcome, error) {
 	}
 
 	// The restarted victims must be routable again.
-	recoverDeadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(recoverDeadline) && !out.Recovered {
-		healthy := 0
-		for _, st := range f.Balancer.Status() {
-			if (st.Addr == victim.Addr || st.Addr == second.Addr) && st.Healthy {
-				healthy++
-			}
-		}
-		out.Recovered = healthy == 2
-		if !out.Recovered {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	out.Recovered = awaitHealth(f, 2*time.Second, map[string]bool{victim.Addr: true, second.Addr: true})
 	select {
 	case out.UnhealthyAfter = <-unhealthy:
 	default: // never detected: UnhealthyAfter stays 0
@@ -155,7 +130,11 @@ func extFleetChaos(_ *Env, w io.Writer, seed int64) (FleetChaosOutcome, error) {
 	out.Totals, out.Instances = f.Totals()
 	out.ExcessPrimary = excessPrimary(out.Totals, fleetClients, m)
 	out.Routed = f.LB.Counter("lb_routed").Value()
+	printFleetChaos(w, out)
+	return out, nil
+}
 
+func printFleetChaos(w io.Writer, out FleetChaosOutcome) {
 	fprintf(w, "== Extension: fleet-chaos (balancer + kill/restart/drain across a fleet) ==\n")
 	fprintf(w, "%d servers, %d clients (half via balancer, half static multi-address);\n", fleetServers, fleetClients)
 	fprintf(w, "kill@%s drain@%s restart@%s kill2@%s.\n\n",
@@ -174,5 +153,4 @@ func extFleetChaos(_ *Env, w io.Writer, seed int64) (FleetChaosOutcome, error) {
 	fprintf(w, "%-26s %10s\n", "unhealthy detected in", out.UnhealthyAfter.Round(time.Millisecond).String())
 	fprintf(w, "%-26s %10s\n", "probe budget", out.ProbeBudget.Round(time.Millisecond).String())
 	fprintf(w, "%-26s %10v\n", "killed members recovered", out.Recovered)
-	return out, nil
 }

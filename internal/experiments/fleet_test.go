@@ -19,7 +19,7 @@ import (
 //   - the dead member is marked unhealthy within the probe budget.
 func TestFleetChaos(t *testing.T) {
 	var buf bytes.Buffer
-	out, err := extFleetChaos(nil, &buf, 7)
+	out, err := extFleetChaos(&buf, 7)
 	if err != nil {
 		t.Fatalf("fleet-chaos: %v\n%s", err, buf.String())
 	}

@@ -124,13 +124,10 @@ func ExtPopulationWith(env *Env, w io.Writer, p PopulationParams) (PopulationOut
 
 	fprintf(w, "\n  %d sessions folded across %d cohorts (sketch envelope %.2f dB)\n",
 		out.Sessions, out.Cohorts, sum.QualityEnvDB)
-	if out.ShardsEqual {
-		fprintf(w, "  2-shard snapshot merge reproduces the whole sweep byte-for-byte\n")
-	} else {
-		fprintf(w, "  WARNING: 2-shard merge diverged from the whole sweep\n")
-	}
 	if !out.ShardsEqual {
+		fprintf(w, "  WARNING: 2-shard merge diverged from the whole sweep\n")
 		return out, fmt.Errorf("population: shard merge diverged from single-process sweep")
 	}
+	fprintf(w, "  2-shard snapshot merge reproduces the whole sweep byte-for-byte\n")
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -20,8 +19,6 @@ import (
 	"dragonfly/internal/fleettest"
 	"dragonfly/internal/ingest"
 	"dragonfly/internal/netem"
-	"dragonfly/internal/obs"
-	"dragonfly/internal/player"
 	"dragonfly/internal/server"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
@@ -70,19 +67,31 @@ func qoeBackend(ctx context.Context, m *video.Manifest, link netem.Link,
 		})
 }
 
-// qoeSession streams one traced session and returns its metrics and trace.
-func qoeSession(b *fleettest.Backend, cohort string, head *trace.HeadTrace, seed int64) (*player.Metrics, *obs.Trace, error) {
-	tr := obs.NewTrace(0)
+// qoeReconnect is a qoe-feedback client's reconnect policy.
+func qoeReconnect(seed int64) client.ReconnectPolicy {
 	rp := wireReconnect(4, seed)
 	rp.ReadTimeout = 500 * time.Millisecond
 	rp.WriteTimeout = 250 * time.Millisecond
-	met, err := client.PlayResilient(b.Dial, "qoe", head, core.NewDefault(), client.PlayOptions{
-		Reconnect: rp, Trace: tr, Cohort: cohort,
-	})
-	return met, tr, err
+	return rp
 }
 
-// ExtQoEFeedback runs the fleet QoE feedback-loop proof end to end:
+// qoeCohort is one cohort of a phase: the backend its clients stream
+// from, the label they announce, and their head-motion class.
+type qoeCohort struct {
+	rig    *fleettest.Backend
+	cohort string
+	class  trace.MotionClass
+}
+
+// playCohorts runs qoeSessionsPerCohort concurrent sessions per cohort and
+// returns the first failure.
+func playCohorts(cohorts []qoeCohort, session func(c qoeCohort, i int) error) error {
+	return fanOut(len(cohorts)*qoeSessionsPerCohort, func(j int) error {
+		return session(cohorts[j/qoeSessionsPerCohort], j%qoeSessionsPerCohort)
+	})
+}
+
+// extQoEFeedback runs the fleet QoE feedback-loop proof end to end:
 // traced client sessions on a fast and a slow link push JSONL traces to a
 // live ingest service, whose /rollup quantiles are checked against the
 // exact pooled per-session statistics within the documented envelope
@@ -92,82 +101,48 @@ func qoeSession(b *fleettest.Backend, cohort string, head *trace.HeadTrace, seed
 // sheds more than the under-budget one's (Phase B). Server-view traces
 // written to a TraceDir are folded back through a directory watcher to
 // close the server half of the pipeline.
-func ExtQoEFeedback(env *Env, w io.Writer) (QoEFeedbackOutcome, error) {
-	return extQoEFeedback(env, w, 1)
-}
-
-func extQoEFeedback(_ *Env, w io.Writer, seed int64) (QoEFeedbackOutcome, error) {
+func extQoEFeedback(w io.Writer, seed int64) (QoEFeedbackOutcome, error) {
 	out := QoEFeedbackOutcome{OverCohort: "high:fast", UnderCohort: "low:slow"}
 	m := wireManifest("qoe") // both phases' servers serve from the one warm store
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
-	// The ingest tier: one aggregator serving /ingest + /rollup.
-	ingReg := obs.NewRegistry()
-	agg := ingest.New(ingest.Config{Obs: ingReg})
-	ingAddr, _, err := agg.Serve(ctx, "127.0.0.1:0")
+	ing, err := startIngest(ctx, seed)
 	if err != nil {
 		return out, err
 	}
-	ingURL := "http://" + ingAddr.String()
-	// Traces travel through the hardened pusher, not a bare POST: the
-	// same bounded-retry path production producers use.
-	pusher := ingest.NewPusher(ingest.PushConfig{URL: ingURL + "/ingest", Seed: seed, Obs: ingReg})
+	if err := qoeRollupPhase(ctx, ing, m, seed, &out); err != nil {
+		return out, err
+	}
+	if err := qoeLoopPhase(ctx, ing.url, m, seed, &out); err != nil {
+		return out, err
+	}
+	printQoEFeedback(w, out, ing.url)
+	return out, nil
+}
 
-	// ---- Phase A: trace firehose in, rollup quantiles out. -------------
-	// One cohort streams over a fast link, the other over a starved one,
-	// so their viewport-quality distributions separate; every session's
-	// trace is pushed over HTTP, and the rollup must reproduce the exact
-	// pooled percentiles within the documented envelope.
+// qoeRollupPhase is Phase A: trace firehose in, rollup quantiles out. One
+// cohort streams over a fast link, the other over a starved one, so their
+// viewport-quality distributions separate; every session's trace is
+// pushed over HTTP, and the rollup must reproduce the exact pooled
+// percentiles within the documented envelope.
+func qoeRollupPhase(ctx context.Context, ing *ingestTier, m *video.Manifest, seed int64, out *QoEFeedbackOutcome) error {
 	fast := qoeBackend(ctx, m, constLink(20), 0, "", nil)
 	defer fast.Kill()
 	slow := qoeBackend(ctx, m, constLink(1.5), 0, "", nil)
 	defer slow.Kill()
-
-	type cohortRun struct {
-		rig    *fleettest.Backend
-		cohort string
-		class  trace.MotionClass
-	}
-	runs := []cohortRun{
+	cohorts := []qoeCohort{
 		{fast, out.OverCohort, trace.MotionHigh},
 		{slow, out.UnderCohort, trace.MotionLow},
 	}
-	// playCohorts streams qoeSessionsPerCohort concurrent sessions per run
-	// and returns the first failure.
-	playCohorts := func(runs []cohortRun, session func(r cohortRun, i int) error) error {
-		errs := make([]error, len(runs)*qoeSessionsPerCohort)
-		var wg sync.WaitGroup
-		for j := range errs {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				errs[j] = session(runs[j/qoeSessionsPerCohort], j%qoeSessionsPerCohort)
-			}(j)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+
 	exact := map[string][]float64{}
 	var mu sync.Mutex
-	err = playCohorts(runs, func(r cohortRun, i int) error {
-		head := wireHead(fmt.Sprintf("qoe-%s-%d", r.cohort, i), r.class, seed+int64(i))
-		met, tr, err := qoeSession(r.rig, r.cohort, head, seed+int64(i))
+	err := playCohorts(cohorts, func(c qoeCohort, i int) error {
+		head := wireHead(fmt.Sprintf("qoe-%s-%d", c.cohort, i), c.class, seed+int64(i))
+		met, err := ing.play(ctx, c.rig.Dial, "qoe", head, qoeReconnect(seed+int64(i)), c.cohort)
 		if err != nil {
-			return fmt.Errorf("%s session %d: %w", r.cohort, i, err)
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteJSONL(&buf); err != nil {
-			return err
-		}
-		if err := pusher.Push(ctx, buf.Bytes()); err != nil {
-			return fmt.Errorf("push trace: %w", err)
+			return fmt.Errorf("%s session %d: %w", c.cohort, i, err)
 		}
 		// The exact per-session statistic the rollup approximates: the
 		// wire carries centi-dB (score truncated to 0.01 dB), so pool the
@@ -175,26 +150,26 @@ func extQoEFeedback(_ *Env, w io.Writer, seed int64) (QoEFeedbackOutcome, error)
 		mu.Lock()
 		defer mu.Unlock()
 		for _, s := range met.FrameScore {
-			exact[r.cohort] = append(exact[r.cohort], float64(int64(s*100))/100)
+			exact[c.cohort] = append(exact[c.cohort], float64(int64(s*100))/100)
 		}
 		return nil
 	})
 	if err != nil {
-		return out, err
+		return err
 	}
 
-	ru, err := fetchRollup(ingURL)
+	ru, err := fetchRollup(ing.url)
 	if err != nil {
-		return out, err
+		return err
 	}
 	out.EnvelopeDB = ru.QualityEnvDB
 	for cohort, samples := range exact {
 		cr, ok := ru.Cohorts[cohort]
 		if !ok {
-			return out, fmt.Errorf("cohort %q missing from rollup", cohort)
+			return fmt.Errorf("cohort %q missing from rollup", cohort)
 		}
 		if cr.QualityDB.Count != uint64(len(samples)) {
-			return out, fmt.Errorf("cohort %q: rollup folded %d quality samples, clients rendered %d",
+			return fmt.Errorf("cohort %q: rollup folded %d quality samples, clients rendered %d",
 				cohort, cr.QualityDB.Count, len(samples))
 		}
 		out.QualitySamples += cr.QualityDB.Count
@@ -209,65 +184,68 @@ func extQoEFeedback(_ *Env, w io.Writer, seed int64) (QoEFeedbackOutcome, error)
 		}
 	}
 	if out.MaxQuantileErrDB > out.EnvelopeDB {
-		return out, fmt.Errorf("rollup quantile error %.3f dB exceeds envelope %.3f dB",
+		return fmt.Errorf("rollup quantile error %.3f dB exceeds envelope %.3f dB",
 			out.MaxQuantileErrDB, out.EnvelopeDB)
 	}
 	out.OverP50DB = ru.Cohorts[out.OverCohort].QualityDB.P50
 	out.UnderP50DB = ru.Cohorts[out.UnderCohort].QualityDB.P50
 	if out.OverP50DB <= out.UnderP50DB {
-		return out, fmt.Errorf("cohorts failed to separate: fast p50 %.2f <= slow p50 %.2f",
+		return fmt.Errorf("cohorts failed to separate: fast p50 %.2f <= slow p50 %.2f",
 			out.OverP50DB, out.UnderP50DB)
 	}
+	return nil
+}
 
-	// ---- Phase B: close the loop. --------------------------------------
-	// Budget midway between the cohort medians: the fast cohort is over
-	// it (shed harder), the slow one under (relax). Two identical servers
-	// with the same tight byte budget serve identical workloads — the
-	// only difference is the cohort label their clients announce.
+// qoeLoopPhase is Phase B: close the loop. The quality budget sits midway
+// between the cohort medians: the fast cohort is over it (shed harder),
+// the slow one under (relax). Two identical servers with the same tight
+// byte budget serve identical workloads — the only difference is the
+// cohort label their clients announce.
+func qoeLoopPhase(ctx context.Context, ingURL string, m *video.Manifest, seed int64, out *QoEFeedbackOutcome) error {
 	out.TargetDB = (out.OverP50DB + out.UnderP50DB) / 2
-	fbReg := obs.NewRegistry()
 	fb := ingest.NewFeedback(ingest.FeedbackConfig{
 		URL:      ingURL + "/rollup",
 		TargetDB: out.TargetDB,
 		MaxAge:   time.Minute, // one poll feeds the whole phase
-		Obs:      fbReg,
 	})
 	if err := fb.Poll(ctx); err != nil {
-		return out, fmt.Errorf("feedback poll: %w", err)
+		return fmt.Errorf("feedback poll: %w", err)
 	}
 	out.OverScale = fb.CohortScale(out.OverCohort)
 	out.UnderScale = fb.CohortScale(out.UnderCohort)
 
 	traceRoot, err := os.MkdirTemp("", "dragonfly-qoe-")
 	if err != nil {
-		return out, err
+		return err
 	}
 	defer os.RemoveAll(traceRoot)
 
 	// A byte budget well under one chunk's fetch list, so the shedder is
 	// active at neutral scale and the cohort scales visibly modulate it.
-	const phaseBBudget = 192 << 10
+	const budget = 192 << 10
 	overDir, underDir := filepath.Join(traceRoot, "over"), filepath.Join(traceRoot, "under")
-	overRig := qoeBackend(ctx, m, constLink(6), phaseBBudget, overDir, fb)
+	overRig := qoeBackend(ctx, m, constLink(6), budget, overDir, fb)
 	defer overRig.Kill()
-	underRig := qoeBackend(ctx, m, constLink(6), phaseBBudget, underDir, fb)
+	underRig := qoeBackend(ctx, m, constLink(6), budget, underDir, fb)
 	defer underRig.Kill()
 
-	phaseB := []cohortRun{
+	err = playCohorts([]qoeCohort{
 		{overRig, out.OverCohort, trace.MotionMedium},
 		{underRig, out.UnderCohort, trace.MotionMedium},
-	}
-	err = playCohorts(phaseB, func(r cohortRun, i int) error {
+	}, func(c qoeCohort, i int) error {
 		// Identical workloads: same head trace and seed per index, only
 		// the cohort label differs.
-		head := wireHead(fmt.Sprintf("qoe-b-%d", i), r.class, seed+100+int64(i))
-		if _, _, err := qoeSession(r.rig, r.cohort, head, seed+100+int64(i)); err != nil {
-			return fmt.Errorf("phase B %s session %d: %w", r.cohort, i, err)
+		s := seed + 100 + int64(i)
+		head := wireHead(fmt.Sprintf("qoe-b-%d", i), c.class, s)
+		if _, err := client.PlayResilient(c.rig.Dial, "qoe", head, core.NewDefault(), client.PlayOptions{
+			Reconnect: qoeReconnect(s), Cohort: c.cohort,
+		}); err != nil {
+			return fmt.Errorf("phase B %s session %d: %w", c.cohort, i, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return out, err
+		return err
 	}
 
 	// Kill waits for every session handler, so the server-view traces
@@ -286,7 +264,7 @@ func extQoEFeedback(_ *Env, w io.Writer, seed int64) (QoEFeedbackOutcome, error)
 	srvAgg := ingest.New(ingest.Config{})
 	for _, dir := range []string{overDir, underDir} {
 		if err := ingest.NewWatcher(srvAgg, dir, time.Hour).Scan(); err != nil {
-			return out, fmt.Errorf("watch %s: %w", dir, err)
+			return fmt.Errorf("watch %s: %w", dir, err)
 		}
 	}
 	sru := srvAgg.Rollup()
@@ -297,7 +275,10 @@ func extQoEFeedback(_ *Env, w io.Writer, seed int64) (QoEFeedbackOutcome, error)
 		out.ServerTraceShedFolded = cr.ShedBytes.Count
 		out.ServerTraceShedP50 = cr.ShedBytes.P50
 	}
+	return nil
+}
 
+func printQoEFeedback(w io.Writer, out QoEFeedbackOutcome, ingURL string) {
 	fprintf(w, "== Extension: qoe-feedback (trace ingest -> cohort rollup -> shed-budget loop) ==\n")
 	fprintf(w, "%d sessions/cohort/phase, %d-chunk video; ingest at %s.\n\n", qoeSessionsPerCohort, wireChunks, ingURL)
 	fprintf(w, "%-30s %14s\n", "metric", "value")
@@ -315,7 +296,6 @@ func extQoEFeedback(_ *Env, w io.Writer, seed int64) (QoEFeedbackOutcome, error)
 	fprintf(w, "%-30s %14d\n", "scaled installs (under)", out.UnderScaledInstalls)
 	fprintf(w, "%-30s %14d\n", "server traces refolded", out.ServerTraceSessions)
 	fprintf(w, "%-30s %14d\n", "server shed events folded", out.ServerTraceShedFolded)
-	return out, nil
 }
 
 // nearestRank is the exact nearest-rank percentile — the rank convention

@@ -13,7 +13,7 @@ import (
 // under-budget one under otherwise identical workloads.
 func TestQoEFeedback(t *testing.T) {
 	var buf bytes.Buffer
-	out, err := extQoEFeedback(nil, &buf, 7)
+	out, err := extQoEFeedback(&buf, 7)
 	if err != nil {
 		t.Fatalf("qoe-feedback: %v\n%s", err, buf.String())
 	}

@@ -21,7 +21,7 @@ func All(numStudyUsers int) []Experiment {
 			Run: func(env *Env, w io.Writer) error { _, err := Fig5YawDuringStalls(env, w); return err }},
 		{ID: "table1", Description: "scheme design matrix",
 			Run: func(env *Env, w io.Writer) error { Table1SchemeMatrix(w); return nil }},
-		{ID: "fig9", Description: "main comparison on Belgian traces (incl. Fig 13 skip analysis inputs)",
+		{ID: "fig9", Description: "main comparison on Belgian traces (incl. 1 s look-ahead variants)",
 			Run: func(env *Env, w io.Writer) error { _, err := Fig9MainComparison(env, w); return err }},
 		{ID: "fig10", Description: "PSPNR-optimizing variants",
 			Run: func(env *Env, w io.Writer) error { _, err := Fig10PSPNR(env, w); return err }},
@@ -73,14 +73,15 @@ func All(numStudyUsers int) []Experiment {
 			Run: func(env *Env, w io.Writer) error { _, err := ExtMaskingOptimizations(env, w); return err }},
 		{ID: "ext-fault", Description: "extension: fault tolerance (reconnect + resume vs no-reconnect)",
 			Run: func(env *Env, w io.Writer) error { _, err := ExtFaultTolerance(env, w); return err }},
+		// The registry runs these four under seed 1; their tests run others.
 		{ID: "chaos", Description: "extension: corruption + server-restart chaos with admission-control probe",
-			Run: func(env *Env, w io.Writer) error { _, err := ExtChaos(env, w); return err }},
+			Run: func(_ *Env, w io.Writer) error { _, err := extChaos(w, 1); return err }},
 		{ID: "fleet-chaos", Description: "extension: balancer-fronted fleet with kill/cold-restart/drain mid-stream",
-			Run: func(env *Env, w io.Writer) error { _, err := ExtFleetChaos(env, w); return err }},
+			Run: func(_ *Env, w io.Writer) error { _, err := extFleetChaos(w, 1); return err }},
 		{ID: "chaos-soak", Description: "extension: all-tier seeded failpoint soak (fleet + ingest + feedback under injected faults)",
-			Run: func(env *Env, w io.Writer) error { _, err := ExtChaosSoak(env, w); return err }},
+			Run: func(_ *Env, w io.Writer) error { _, err := extChaosSoak(w, 1); return err }},
 		{ID: "qoe-feedback", Description: "extension: trace ingest -> cohort rollup -> QoE shed-budget feedback loop",
-			Run: func(env *Env, w io.Writer) error { _, err := ExtQoEFeedback(env, w); return err }},
+			Run: func(_ *Env, w io.Writer) error { _, err := extQoEFeedback(w, 1); return err }},
 		{ID: "population", Description: "extension: population-scale sweep with streamed sketch aggregation (internal/popsim)",
 			Run: func(env *Env, w io.Writer) error { _, err := ExtPopulation(env, w); return err }},
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"math"
 	"time"
 
 	"dragonfly/internal/geom"
@@ -15,7 +16,7 @@ import (
 // Belgian traces. The paper: Dragonfly achieves higher PSPNR across
 // viewports, improving by over 2 dB for 69% of viewports.
 func Fig10PSPNR(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
-	res, err := env.sweep(sim.Sweep{
+	_, out, err := env.sweep("", sim.Sweep{
 		Videos:     env.Videos,
 		Users:      env.Users,
 		Bandwidths: env.Belgian,
@@ -24,10 +25,6 @@ func Fig10PSPNR(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	out := map[string]SchemeSummary{}
-	for name, sessions := range res {
-		out[name] = Summarize(name, sessions)
 	}
 	fprintf(w, "== Figure 10: PSPNR-optimizing variants ==\n")
 	fprintf(w, "Paper: Dragonfly-PSPNR beats Pano-PSPNR; >2 dB better for 69%% of viewports.\n\n")
@@ -49,7 +46,7 @@ func Fig10PSPNR(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
 // board, and Pano hit hardest by the abrupt near-zero dips while
 // Dragonfly's masking absorbs them.
 func Fig11Irish(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
-	res, err := env.sweep(sim.Sweep{
+	_, out, err := env.sweep("fig11", sim.Sweep{
 		Videos:     env.Videos,
 		Users:      env.Users,
 		Bandwidths: env.Irish,
@@ -57,15 +54,6 @@ func Fig11Irish(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	out := map[string]SchemeSummary{}
-	for name, sessions := range res {
-		out[name] = Summarize(name, sessions)
-	}
-	if env.CSVDir != "" {
-		if err := DumpResultCDFs(env.CSVDir, "fig11", res); err != nil {
-			return nil, err
-		}
 	}
 	fprintf(w, "== Figure 11: Irish 5G traces ==\n")
 	fprintf(w, "Paper: same trends as Belgian, slightly worse; Pano rebuffers more on dips.\n\n")
@@ -83,7 +71,7 @@ func Fig11Irish(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
 // seeing slightly more incomplete frames and slightly more overhead
 // (low-quality tiled encodings are less efficient).
 func Fig19MaskingStrategies(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
-	res, err := env.sweep(sim.Sweep{
+	_, out, err := env.sweep("", sim.Sweep{
 		Videos:     env.Videos,
 		Users:      env.Users,
 		Bandwidths: env.Belgian,
@@ -91,10 +79,6 @@ func Fig19MaskingStrategies(env *Env, w io.Writer) (map[string]SchemeSummary, er
 	})
 	if err != nil {
 		return nil, err
-	}
-	out := map[string]SchemeSummary{}
-	for name, sessions := range res {
-		out[name] = Summarize(name, sessions)
 	}
 	fprintf(w, "== Figure 19: masking strategies (full-360° vs tiled) ==\n")
 	fprintf(w, "Paper: comparable PSNR; tiled masking has slightly more incomplete frames and overhead.\n\n")
@@ -121,19 +105,12 @@ type Fig21to23Row struct {
 // viewports.
 func Fig21to23ErrorSensitivity(env *Env, w io.Writer) ([]Fig21to23Row, error) {
 	// The paper uses a reduced sweep here (7 videos, 5 users, 5 traces).
-	users := env.Users
-	if len(users) > 5 {
-		users = users[:5]
-	}
-	traces := env.Belgian
-	if len(traces) > 5 {
-		traces = traces[:5]
-	}
+	users, traces := limit(env.Users, 5), limit(env.Belgian, 5)
 	var rows []Fig21to23Row
 	fprintf(w, "== Figures 21-23: sensitivity to motion-prediction error ==\n")
 	fprintf(w, "Paper: Dragonfly stays highest-PSNR and lowest-overhead for D = 5, 20, 40 degrees.\n\n")
 	for _, d := range []float64{5, 20, 40} {
-		res, err := env.sweep(sim.Sweep{
+		_, sums, err := env.sweep("", sim.Sweep{
 			Videos:          env.Videos,
 			Users:           users,
 			Bandwidths:      traces,
@@ -143,10 +120,7 @@ func Fig21to23ErrorSensitivity(env *Env, w io.Writer) ([]Fig21to23Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Fig21to23Row{ErrorDeg: d, Schemes: map[string]SchemeSummary{}}
-		for name, sessions := range res {
-			row.Schemes[name] = Summarize(name, sessions)
-		}
+		row := Fig21to23Row{ErrorDeg: d, Schemes: sums}
 		rows = append(rows, row)
 		fprintf(w, "D = %.0f degrees:\n", d)
 		fprintf(w, "  %-12s %9s | %9s | %9s | %10s\n", "scheme", "medPSNR", "medRebuf", "medWaste", "sess.incmp")
@@ -172,7 +146,7 @@ type Fig5Result struct {
 // is why pausing for all tiles backfires.
 func Fig5YawDuringStalls(env *Env, w io.Writer) (*Fig5Result, error) {
 	// Flare on the most constrained traces produces the stalls.
-	res, err := env.sweep(sim.Sweep{
+	res, _, err := env.sweep("", sim.Sweep{
 		Videos:     env.Videos[:1],
 		Users:      env.Users,
 		Bandwidths: env.Belgian,
@@ -201,7 +175,7 @@ func Fig5YawDuringStalls(env *Env, w io.Writer) (*Fig5Result, error) {
 			prev := user.At(iv.Start)
 			for t := iv.Start + user.SamplePeriod; t <= iv.End; t += user.SamplePeriod {
 				cur := user.At(t)
-				disp += absFloat(geom.YawDelta(prev.Yaw, cur.Yaw))
+				disp += math.Abs(geom.YawDelta(prev.Yaw, cur.Yaw))
 				prev = cur
 			}
 			yaws = append(yaws, disp)
@@ -218,11 +192,4 @@ func Fig5YawDuringStalls(env *Env, w io.Writer) (*Fig5Result, error) {
 	fprintf(w, "Flare stalls observed: %d; mean |yaw| during a stall: %.1f deg (max %.1f); mean stall %.2fs\n",
 		out.StallCount, out.MeanYawDuringStall, out.MaxYawDuringStall, out.MeanStallDuration.Seconds())
 	return out, nil
-}
-
-func absFloat(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

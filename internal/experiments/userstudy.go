@@ -38,14 +38,10 @@ type FeedbackShares struct {
 // numUsers scales the study (26 in the paper).
 func RunUserStudy(env *Env, numUsers int, w io.Writer) (*StudyOutcome, error) {
 	videos := study.DefaultStudyVideos(env.Videos)
-	traces := env.Belgian
-	if len(traces) > 5 {
-		traces = traces[:5]
-	}
 	res, err := study.Run(study.Config{
 		NumUsers: numUsers,
 		Videos:   videos,
-		Traces:   traces,
+		Traces:   limit(env.Belgian, 5),
 		Seed:     42,
 	})
 	if err != nil {
@@ -79,37 +75,7 @@ func RunUserStudy(env *Env, numUsers int, w io.Writer) (*StudyOutcome, error) {
 		}
 		out.MedianPSNR[name] = stats.Median(pooled)
 
-		var fs FeedbackShares
-		n := float64(len(records))
-		for _, r := range records {
-			if r.Feedback.Blankness == study.LevelGood {
-				fs.BlanksNoneOrFew++
-			}
-			if r.Feedback.Blankness == study.LevelBad {
-				fs.BlanksMany++
-			}
-			if r.Feedback.Reactivity == study.LevelGood {
-				fs.ReactFast++
-			}
-			if r.Feedback.Reactivity == study.LevelBad {
-				fs.ReactSlow++
-			}
-			if r.Feedback.Quality == study.LevelGood {
-				fs.QualityHigh++
-			}
-			if r.Feedback.Quality == study.LevelBad {
-				fs.QualityLow++
-			}
-		}
-		if n > 0 {
-			fs.BlanksNoneOrFew /= n
-			fs.BlanksMany /= n
-			fs.ReactFast /= n
-			fs.ReactSlow /= n
-			fs.QualityHigh /= n
-			fs.QualityLow /= n
-		}
-		out.Feedback[name] = fs
+		out.Feedback[name] = feedbackShares(records)
 	}
 
 	// Fig 15: aggregate Dragonfly unavailability heat (fraction of views
@@ -136,6 +102,41 @@ func RunUserStudy(env *Env, numUsers int, w io.Writer) (*StudyOutcome, error) {
 
 	printStudy(w, out)
 	return out, nil
+}
+
+// feedbackShares splits one system's sessions by the Fig 17 feedback
+// levels.
+func feedbackShares(records []study.SessionRecord) FeedbackShares {
+	var fs FeedbackShares
+	for _, r := range records {
+		if r.Feedback.Blankness == study.LevelGood {
+			fs.BlanksNoneOrFew++
+		}
+		if r.Feedback.Blankness == study.LevelBad {
+			fs.BlanksMany++
+		}
+		if r.Feedback.Reactivity == study.LevelGood {
+			fs.ReactFast++
+		}
+		if r.Feedback.Reactivity == study.LevelBad {
+			fs.ReactSlow++
+		}
+		if r.Feedback.Quality == study.LevelGood {
+			fs.QualityHigh++
+		}
+		if r.Feedback.Quality == study.LevelBad {
+			fs.QualityLow++
+		}
+	}
+	if n := float64(len(records)); n > 0 {
+		fs.BlanksNoneOrFew /= n
+		fs.BlanksMany /= n
+		fs.ReactFast /= n
+		fs.ReactSlow /= n
+		fs.QualityHigh /= n
+		fs.QualityLow /= n
+	}
+	return fs
 }
 
 func printStudy(w io.Writer, out *StudyOutcome) {

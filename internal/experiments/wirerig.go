@@ -1,13 +1,18 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"dragonfly/internal/client"
+	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
+	"dragonfly/internal/ingest"
 	"dragonfly/internal/netem"
+	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
 	"dragonfly/internal/store"
@@ -15,9 +20,11 @@ import (
 	"dragonfly/internal/video"
 )
 
-// What the four networked experiments (chaos, fleet-chaos, chaos-soak,
-// qoe-feedback) share beyond internal/fleettest: the video they stream,
-// the links they shape, the client fan-out over a fleet, and the
+// What the five networked experiments (ext-fault, chaos, fleet-chaos,
+// chaos-soak, qoe-feedback) share beyond internal/fleettest: the video
+// they stream, the links they shape, the fault scripts they spread over
+// it, the concurrent fan-out of sessions, the wait on the balancer's
+// health view, the ingest tier with its traced sessions, and the
 // duplicate-send figure. client is imported here and not by fleettest.
 
 // wireChunks is the length, in chunks (= seconds of wall clock per
@@ -73,6 +80,37 @@ func wireReconnect(attempts int, seed int64) client.ReconnectPolicy {
 	}
 }
 
+// spreadFaults is n fault events of one kind spread evenly over the first
+// half of the video, while most of its tiles are still in flight.
+func spreadFaults(n int, kind netem.FaultKind) []netem.FaultEvent {
+	evs := make([]netem.FaultEvent, n)
+	for i := range evs {
+		evs[i] = netem.FaultEvent{At: wireVideoDur / 2 * time.Duration(i+1) / time.Duration(n+1), Kind: kind}
+	}
+	return evs
+}
+
+// fanOut runs job(0) … job(n-1) concurrently, waits for all of them and
+// returns the lowest-index failure.
+func fanOut(n int, job func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = job(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // playFleet runs n concurrent resilient sessions against the fleet and
 // waits for all of them: even indexes stream through the balancer, odd
 // indexes use static multi-address failover, each starting its rotation
@@ -82,33 +120,99 @@ func wireReconnect(attempts int, seed int64) client.ReconnectPolicy {
 func playFleet(f *fleettest.Fleet, n int, user string, seed int64, attempts int,
 	play func(dial client.DialFunc, head *trace.HeadTrace, rp client.ReconnectPolicy) (*player.Metrics, error)) ([]*player.Metrics, error) {
 	mets := make([]*player.Metrics, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dial := client.DialFunc(f.Front.Dial)
-			if i%2 == 1 {
-				addrs := make([]string, len(f.Backends))
-				for j := range addrs {
-					addrs[j] = f.Backends[(i+j)%len(addrs)].Addr
-				}
-				dial = (&client.MultiDialer{Addrs: addrs, Backoff: 20 * time.Millisecond, DialAddr: f.Dial}).Dial
+	err := fanOut(n, func(i int) error {
+		dial := client.DialFunc(f.Front.Dial)
+		if i%2 == 1 {
+			addrs := make([]string, len(f.Backends))
+			for j := range addrs {
+				addrs[j] = f.Backends[(i+j)%len(addrs)].Addr
 			}
-			head := wireHead(fmt.Sprintf("%s-%d", user, i), trace.MotionLow, seed+int64(i))
-			rp := wireReconnect(attempts, seed+int64(i))
-			rp.WriteTimeout = 250 * time.Millisecond
-			mets[i], errs[i] = play(dial, head, rp)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("client %d: %w", i, err)
+			dial = (&client.MultiDialer{Addrs: addrs, Backoff: 20 * time.Millisecond, DialAddr: f.Dial}).Dial
 		}
+		head := wireHead(fmt.Sprintf("%s-%d", user, i), trace.MotionLow, seed+int64(i))
+		rp := wireReconnect(attempts, seed+int64(i))
+		rp.WriteTimeout = 250 * time.Millisecond
+		met, err := play(dial, head, rp)
+		if err != nil {
+			return fmt.Errorf("client %d: %w", i, err)
+		}
+		mets[i] = met
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return mets, nil
+}
+
+// awaitHealth polls the fleet balancer every 2 ms until it rates each
+// member in want as healthy or not as want says, and reports false if
+// limit passes first.
+func awaitHealth(f *fleettest.Fleet, limit time.Duration, want map[string]bool) bool {
+	for deadline := time.Now().Add(limit); ; time.Sleep(2 * time.Millisecond) {
+		held := 0
+		for _, st := range f.Balancer.Status() {
+			if h, ok := want[st.Addr]; ok && h == st.Healthy {
+				held++
+			}
+		}
+		if held == len(want) {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+}
+
+// ingestTier is a live ingest service on loopback (one aggregator serving
+// /ingest and /rollup) and the pusher that delivers client traces to it:
+// the hardened bounded-retry path production producers use, not a bare
+// POST. reg holds the ing_* counters of both.
+type ingestTier struct {
+	reg    *obs.Registry
+	agg    *ingest.Aggregator
+	url    string
+	pusher *ingest.Pusher
+}
+
+// startIngest serves an ingest tier until ctx is cancelled.
+func startIngest(ctx context.Context, seed int64) (*ingestTier, error) {
+	reg := obs.NewRegistry()
+	agg := ingest.New(ingest.Config{Obs: reg})
+	addr, _, err := agg.Serve(ctx, "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	url := "http://" + addr.String()
+	return &ingestTier{reg: reg, agg: agg, url: url, pusher: ingest.NewPusher(ingest.PushConfig{
+		URL:       url + "/ingest",
+		BaseDelay: 20 * time.Millisecond,
+		MaxDelay:  200 * time.Millisecond,
+		Seed:      seed,
+		Obs:       reg,
+	})}, nil
+}
+
+// play streams one traced resilient session announcing cohort and pushes
+// its JSONL trace to the tier.
+func (t *ingestTier) play(ctx context.Context, dial client.DialFunc, videoID string,
+	head *trace.HeadTrace, rp client.ReconnectPolicy, cohort string) (*player.Metrics, error) {
+	tr := obs.NewTrace(0)
+	met, err := client.PlayResilient(dial, videoID, head, core.NewDefault(), client.PlayOptions{
+		Reconnect: rp, Trace: tr, Cohort: cohort,
+	})
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		return nil, err
+	}
+	if err := t.pusher.Push(ctx, buf.Bytes()); err != nil {
+		return nil, fmt.Errorf("push trace: %w", err)
+	}
+	return met, nil
 }
 
 // excessPrimary is the duplicate-send figure: primary transmissions beyond

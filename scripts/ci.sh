@@ -93,6 +93,31 @@ for f in $(grep -rl --include='*_test.go' '^func Fuzz' internal); do
 done
 [ "$fdrift" = 0 ] || exit 1
 
+# Experiment-index drift gate: DESIGN.md §4 is how a reader finds the code
+# behind a figure. Every `experiments.<Name>` the reference documents cite
+# must be a function internal/experiments declares, and every registry ID
+# outside the paper's figures and tables (fig*, table*, tiling) must have a
+# row in DESIGN.md's extension table.
+eprod=$(ls internal/experiments/*.go | grep -v '_test\.go$')
+edrift=0
+for n in $(grep -ohE 'experiments\.[A-Z][A-Za-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md docs/*.md |
+	sed 's/^experiments\.//' | sort -u); do
+	if ! grep -qE "^func ${n}[[(]" $eprod; then
+		echo "docs cite experiments.$n, which internal/experiments does not declare" >&2
+		edrift=1
+	fi
+done
+for id in $(sed -n 's/.*{ID: "\([^"]*\)".*/\1/p' internal/experiments/registry.go); do
+	case "$id" in
+	fig* | table* | tiling) continue ;;
+	esac
+	if ! grep -qF "| $id |" DESIGN.md; then
+		echo "experiment '$id' is missing from DESIGN.md's extension table" >&2
+		edrift=1
+	fi
+done
+[ "$edrift" = 0 ] || exit 1
+
 # The whole suite once, uncached, under the race detector. This is also the
 # run that holds the seeded system gates — TestChaosSoak (every failpoint
 # site armed over the fleet + ingest stack), TestFleetChaos (balancer +
