@@ -1,18 +1,16 @@
 // Command dragonfly-balancer fronts a fleet of dragonfly-server instances:
 // it health-checks every backend with wire-protocol ping probes, routes
-// each new session to the least-loaded healthy member (scraping queue
-// depth from the servers' admin endpoints when available), and steers
+// each new session to the least-loaded healthy member (by the session
+// count and queued bytes each probe's pong reports), and steers
 // reconnecting clients away from dead or draining hosts — the client's
 // resume bitmap rebuilds its session on the new server for free.
 //
 // Usage:
 //
 //	dragonfly-balancer -addr :7360 -backends 10.0.0.1:7361,10.0.0.2:7361
-//	dragonfly-balancer -backends "10.0.0.1:7361@10.0.0.1:8080,10.0.0.2:7361"
 //
-// A backend given as addr@admin also has its obs /metrics endpoint scraped
-// for the srv_queue_bytes load signal; without @admin the score uses the
-// probe-reported session count alone.
+// Each backend is its streaming address alone; the older addr@admin form
+// is refused, since the load it scraped now arrives on the probe.
 package main
 
 import (
@@ -31,16 +29,12 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7360", "listen address for client sessions")
-	backends := flag.String("backends", "", "comma-separated backend list, each addr or addr@adminAddr")
+	backends := flag.String("backends", "", "comma-separated backend streaming addresses")
 	probeInterval := flag.Duration("probe-interval", balancer.DefaultProbeInterval, "health-check period per backend")
 	probeTimeout := flag.Duration("probe-timeout", balancer.DefaultProbeTimeout, "per-probe dial+exchange deadline")
 	failThreshold := flag.Int("fail-threshold", balancer.DefaultFailThreshold, "consecutive probe failures before a backend is unhealthy")
-	recoverThreshold := flag.Int("recover-threshold", balancer.DefaultRecoverThreshold, "consecutive probe successes before an unhealthy backend is routable again")
 	dialTimeout := flag.Duration("dial-timeout", balancer.DefaultDialTimeout, "backend connect timeout when routing a session")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive dial/probe failures before a member's circuit opens (0 = 2x fail-threshold, negative = off)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open circuit skips a member before the half-open trial (0 = 4x probe-interval)")
 	spliceStallBudget := flag.Duration("splice-stall-budget", 0, "cumulative excess write-stall time per spliced session before a slowloris peer is severed (0 = off)")
-	metricsMaxAge := flag.Duration("metrics-max-age", 0, "trust window for backend load data before falling back to round-robin (0 = 4x probe interval)")
 	adminAddr := flag.String("admin", "", "admin HTTP listen address serving the balancer's own /metrics (empty = off)")
 	flag.Parse()
 
@@ -53,11 +47,10 @@ func main() {
 		if spec == "" {
 			continue
 		}
-		bc := balancer.BackendConfig{Addr: spec}
-		if at := strings.IndexByte(spec, '@'); at >= 0 {
-			bc.Addr, bc.AdminAddr = spec[:at], spec[at+1:]
+		if strings.Contains(spec, "@") {
+			log.Fatalf("backend %q: addr@admin is no longer accepted; give the streaming address alone (load arrives on the probe pong)", spec)
 		}
-		cfgs = append(cfgs, bc)
+		cfgs = append(cfgs, balancer.BackendConfig{Addr: spec})
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -89,12 +82,8 @@ func main() {
 		ProbeInterval:     *probeInterval,
 		ProbeTimeout:      *probeTimeout,
 		FailThreshold:     *failThreshold,
-		RecoverThreshold:  *recoverThreshold,
 		DialTimeout:       *dialTimeout,
-		BreakerThreshold:  *breakerThreshold,
-		BreakerCooldown:   *breakerCooldown,
 		SpliceStallBudget: *spliceStallBudget,
-		MetricsMaxAge:     *metricsMaxAge,
 		Obs:               reg,
 		Logf:              log.Printf,
 	})

@@ -107,14 +107,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if sessionTrace != nil {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			log.Fatalf("session trace: %v", err)
-		}
-		if err := sessionTrace.WriteJSONL(f); err != nil {
-			log.Fatalf("session trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := sessionTrace.WriteFile(*traceFile); err != nil {
 			log.Fatalf("session trace: %v", err)
 		}
 		log.Printf("wrote %d events (%d dropped) to %s", sessionTrace.Len(), sessionTrace.Dropped(), *traceFile)

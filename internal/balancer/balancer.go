@@ -1,28 +1,26 @@
 // Package balancer implements the Dragonfly fleet front tier: a TCP
 // balancer that tracks N backend tile servers, actively health-checks them
-// (dial + proto.MsgPing probe with timeout and consecutive-failure
-// thresholds), routes new sessions to the least-loaded healthy member, and
+// (dial + proto.MsgPing probe with a timeout and a consecutive-failure
+// threshold), routes new sessions to the least-loaded healthy member, and
 // steers reconnecting clients away from dead or draining backends. It
 // needs no session state of its own: the client's held-tile bitmap is the
 // only durable session state, so failover is literally "route the resume
 // handshake somewhere healthy" — proto.MsgResume rebuilds the new host's
 // dedup state for free.
 //
-// Load scoring reads each backend's probe pong (active sessions, drain
-// flag) and, when an admin address is configured, the obs /metrics
-// endpoint (srv_queue_bytes). When every routable backend's load data has
-// gone stale the balancer falls back to round-robin rather than trusting
-// old numbers.
+// The probe is the balancer's one source of truth about a member: its
+// outcome sets the member's failure count (health), and its pong carries
+// the load the score reads (active sessions, queued bytes, drain flag).
+// When every routable backend's load data has gone stale the balancer
+// falls back to round-robin rather than trusting old numbers.
 package balancer
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,6 +28,7 @@ import (
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/proto"
+	"dragonfly/internal/retry"
 )
 
 // Failpoints (docs/RESILIENCE.md, "Failpoint catalog"): balancer.dial
@@ -49,11 +48,10 @@ var ErrSpliceStall = errors.New("balancer: splice write-stall budget exhausted")
 
 // Defaults for Config's zero values.
 const (
-	DefaultProbeInterval    = 500 * time.Millisecond
-	DefaultProbeTimeout     = time.Second
-	DefaultFailThreshold    = 3
-	DefaultRecoverThreshold = 1
-	DefaultDialTimeout      = 2 * time.Second
+	DefaultProbeInterval = 500 * time.Millisecond
+	DefaultProbeTimeout  = time.Second
+	DefaultFailThreshold = 3
+	DefaultDialTimeout   = 2 * time.Second
 )
 
 // QueueBytesPerConn converts queued backlog bytes into active-connection
@@ -65,9 +63,6 @@ const QueueBytesPerConn = 4 << 20
 type BackendConfig struct {
 	// Addr is the streaming (wire protocol) address.
 	Addr string
-	// AdminAddr is the obs admin endpoint for queue-bytes scraping; empty
-	// disables scraping and the score uses active connections only.
-	AdminAddr string
 }
 
 // Config tunes a Balancer. The zero value of every field has a sensible
@@ -75,35 +70,20 @@ type BackendConfig struct {
 type Config struct {
 	Backends []BackendConfig
 
-	// ProbeInterval is the health-check period per backend; ProbeTimeout
-	// bounds each probe's dial+exchange. A backend is marked unhealthy
-	// after FailThreshold consecutive probe failures and healthy again
-	// after RecoverThreshold consecutive successes, so the worst-case
-	// detection budget is FailThreshold×(ProbeInterval+ProbeTimeout).
-	ProbeInterval    time.Duration
-	ProbeTimeout     time.Duration
-	FailThreshold    int
-	RecoverThreshold int
+	// ProbeInterval is the health-check period per healthy backend;
+	// ProbeTimeout bounds each probe's dial+exchange. A backend is
+	// unhealthy from its FailThreshold-th consecutive failure (probe or
+	// route dial) until its next good probe, so the worst-case detection
+	// budget is FailThreshold×(ProbeInterval+ProbeTimeout). Past the
+	// threshold the probe period doubles per further failure, up to
+	// 4×ProbeInterval, and the same 4×ProbeInterval is how old load data
+	// may be before the picker stops trusting it.
+	ProbeInterval time.Duration
+	ProbeTimeout  time.Duration
+	FailThreshold int
 
 	// DialTimeout bounds the backend dial when routing a session.
 	DialTimeout time.Duration
-	// MetricsMaxAge is how old a backend's load data may be before the
-	// picker stops trusting it (default 4×ProbeInterval).
-	MetricsMaxAge time.Duration
-
-	// BreakerThreshold is the consecutive-failure count (probe or route
-	// dial) at which a backend's circuit breaker trips: probing and
-	// routing to the member stop entirely for BreakerCooldown, then a
-	// single half-open probe trial decides between recovery (the normal
-	// RecoverThreshold path) and re-tripping. The breaker sits behind the
-	// health state — the default threshold of 2×FailThreshold means a
-	// member is first marked unhealthy (stops receiving sessions), and
-	// only sustained failure beyond that stops the prober from burning
-	// dials on it. 0 means 2×FailThreshold; negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before the
-	// half-open trial. 0 means 4×ProbeInterval.
-	BreakerCooldown time.Duration
 
 	// SpliceStallBudget bounds the cumulative excess write time of each
 	// splice direction — the balancer's slowloris defense, the same
@@ -133,32 +113,19 @@ type Balancer struct {
 	splices map[net.Conn]struct{}
 }
 
-// backend is the tracked state of one fleet member. The health fields are
+// backend is the tracked state of one fleet member. The probe fields are
 // guarded by mu; routed is the balancer's own live splice count.
 type backend struct {
 	cfg    BackendConfig
 	routed atomic.Int64
 
 	mu         sync.Mutex
-	healthy    bool
+	failStreak int // consecutive probe and route-dial failures
 	draining   bool
-	failStreak int
-	okStreak   int
-	active     int64 // sessions reported by the last probe pong
-	queueBytes float64
-	loadAt     time.Time // when active/draining were last refreshed
+	active     int64     // sessions reported by the last probe pong
+	queueBytes float64   // queued payload reported by the last probe pong
+	loadAt     time.Time // when the load fields were last refreshed
 	lastErr    error
-	// openUntil is the circuit breaker: while in the future, probes and
-	// routing skip this member entirely. The first probe after expiry is
-	// the half-open trial.
-	openUntil time.Time
-}
-
-// breakerOpen reports whether the member's circuit is open right now.
-func (b *backend) breakerOpen() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return time.Now().Before(b.openUntil)
 }
 
 // BackendStatus is a point-in-time view of one backend, for status
@@ -167,7 +134,6 @@ type BackendStatus struct {
 	Addr        string
 	Healthy     bool
 	Draining    bool
-	BreakerOpen bool
 	ActiveConns int64
 	QueueBytes  int64
 	Routed      int64
@@ -188,20 +154,8 @@ func New(cfg Config) (*Balancer, error) {
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = DefaultFailThreshold
 	}
-	if cfg.RecoverThreshold <= 0 {
-		cfg.RecoverThreshold = DefaultRecoverThreshold
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.MetricsMaxAge <= 0 {
-		cfg.MetricsMaxAge = 4 * cfg.ProbeInterval
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 2 * cfg.FailThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 4 * cfg.ProbeInterval
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -210,10 +164,10 @@ func New(cfg Config) (*Balancer, error) {
 	}
 	bl := &Balancer{cfg: cfg, splices: make(map[net.Conn]struct{})}
 	for _, bc := range cfg.Backends {
-		// Optimistic start: members begin healthy (but with stale load
-		// data), so the first sessions round-robin while the first probe
-		// round confirms liveness.
-		bl.backends = append(bl.backends, &backend{cfg: bc, healthy: true})
+		// Optimistic start: members begin healthy (no failures yet) but
+		// with stale load data, so the first sessions round-robin while the
+		// first probe round confirms liveness.
+		bl.backends = append(bl.backends, &backend{cfg: bc})
 	}
 	bl.setHealthyGauge()
 	return bl, nil
@@ -225,11 +179,15 @@ func (bl *Balancer) logf(format string, args ...any) {
 	}
 }
 
+// healthy reports whether b's failure count is below the threshold.
+// Callers hold b.mu.
+func (bl *Balancer) healthy(b *backend) bool { return b.failStreak < bl.cfg.FailThreshold }
+
 func (bl *Balancer) setHealthyGauge() {
 	n := 0
 	for _, b := range bl.backends {
 		b.mu.Lock()
-		if b.healthy {
+		if bl.healthy(b) {
 			n++
 		}
 		b.mu.Unlock()
@@ -244,9 +202,8 @@ func (bl *Balancer) Status() []BackendStatus {
 		b.mu.Lock()
 		st := BackendStatus{
 			Addr:        b.cfg.Addr,
-			Healthy:     b.healthy,
+			Healthy:     bl.healthy(b),
 			Draining:    b.draining,
-			BreakerOpen: time.Now().Before(b.openUntil),
 			ActiveConns: b.active,
 			QueueBytes:  int64(b.queueBytes),
 			Routed:      b.routed.Load(),
@@ -273,16 +230,22 @@ func (bl *Balancer) StartProbes(ctx context.Context) {
 func (bl *Balancer) probeLoop(ctx context.Context, b *backend) {
 	// First probe immediately: a balancer fronting a dead member should
 	// learn so within one probe budget of starting, not one interval later.
-	t := time.NewTicker(bl.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
+	for ctx.Err() == nil {
 		bl.probeOnce(b)
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
+		b.mu.Lock()
+		n := b.failStreak
+		b.mu.Unlock()
+		retry.Sleep(ctx, bl.probeWait(n))
 	}
+}
+
+// probeWait is the pause before a member's next probe after failStreak
+// consecutive failures: ProbeInterval while it is healthy, then doubling
+// per failure past FailThreshold up to 4×ProbeInterval, so a dead member
+// costs a dial every few intervals instead of every one while its first
+// good probe still brings it back.
+func (bl *Balancer) probeWait(failStreak int) time.Duration {
+	return retry.Exp(bl.cfg.ProbeInterval, 4*bl.cfg.ProbeInterval, failStreak-bl.cfg.FailThreshold)
 }
 
 // probeOnce performs one health check: dial, MsgPing, read the reply. A
@@ -290,28 +253,12 @@ func (bl *Balancer) probeLoop(ctx context.Context, b *backend) {
 // is alive but unroutable (draining or saturated — admission control
 // fast-rejects before reading the probe); anything else is a failure.
 func (bl *Balancer) probeOnce(b *backend) {
-	if b.breakerOpen() {
-		// Open circuit: don't burn a dial on a member that just failed
-		// BreakerThreshold times in a row. The first probe after the
-		// cooldown is the half-open trial.
-		bl.cfg.Obs.Counter("lb_breaker_skips").Inc()
-		return
-	}
 	bl.cfg.Obs.Counter("lb_probes").Inc()
 	err := bl.exchangeProbe(b)
 	if err != nil {
 		bl.cfg.Obs.Counter("lb_probe_fail").Inc()
-		bl.noteProbe(b, false, err)
-		return
 	}
-	bl.noteProbe(b, true, nil)
-	if b.cfg.AdminAddr != "" {
-		if snap, err := bl.fetchMetrics(b.cfg.AdminAddr); err == nil {
-			b.mu.Lock()
-			b.queueBytes = snap.Gauges["srv_queue_bytes"]
-			b.mu.Unlock()
-		}
-	}
+	bl.noteProbe(b, err)
 }
 
 func (bl *Balancer) exchangeProbe(b *backend) error {
@@ -337,6 +284,7 @@ func (bl *Balancer) exchangeProbe(b *backend) error {
 	case msg.Type == proto.MsgPing && msg.Ping != nil:
 		b.mu.Lock()
 		b.active = int64(msg.Ping.ActiveConns)
+		b.queueBytes = float64(msg.Ping.QueueBytes)
 		b.draining = msg.Ping.Draining
 		b.loadAt = time.Now()
 		b.mu.Unlock()
@@ -352,59 +300,22 @@ func (bl *Balancer) exchangeProbe(b *backend) error {
 	}
 }
 
-// fetchMetrics scrapes http://<adminAddr>/metrics.
-func (bl *Balancer) fetchMetrics(adminAddr string) (obs.Snapshot, error) {
-	var snap obs.Snapshot
-	httpc := http.Client{Timeout: bl.cfg.ProbeTimeout}
-	resp, err := httpc.Get("http://" + adminAddr + "/metrics")
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("balancer: metrics status %s", resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	return snap, err
-}
-
-// noteProbe applies one health observation (active probe or passive route
-// failure) to the backend's streaks and flips its state at the configured
-// thresholds.
-func (bl *Balancer) noteProbe(b *backend, ok bool, err error) {
+// noteProbe applies one health observation (active probe, or passive
+// route-dial failure when err is non-nil): a success clears the member's
+// failure count, a failure adds one, and the member is healthy while the
+// count is below FailThreshold.
+func (bl *Balancer) noteProbe(b *backend, err error) {
 	b.mu.Lock()
 	b.lastErr = err
-	var flipped bool
-	if ok {
+	was := bl.healthy(b)
+	if err == nil {
 		b.failStreak = 0
-		b.okStreak++
-		if !b.healthy && b.okStreak >= bl.cfg.RecoverThreshold {
-			b.healthy = true
-			flipped = true
-		}
 	} else {
-		b.okStreak = 0
 		b.failStreak++
-		if b.healthy && b.failStreak >= bl.cfg.FailThreshold {
-			b.healthy = false
-			flipped = true
-		}
-		// Circuit breaker: sustained failure past the (stricter) breaker
-		// threshold opens the member's circuit for the cooldown — a
-		// half-open failure lands here again and re-opens it.
-		if bl.cfg.BreakerThreshold > 0 && b.failStreak >= bl.cfg.BreakerThreshold {
-			now := time.Now()
-			if !now.Before(b.openUntil) { // was closed (or just expired): a fresh trip
-				bl.cfg.Obs.Counter("lb_breaker_open").Inc()
-				bl.logf("balancer: backend %s breaker open for %v after %d consecutive failures",
-					b.cfg.Addr, bl.cfg.BreakerCooldown, b.failStreak)
-			}
-			b.openUntil = now.Add(bl.cfg.BreakerCooldown)
-		}
 	}
-	healthy := b.healthy
+	healthy := bl.healthy(b)
 	b.mu.Unlock()
-	if !flipped {
+	if healthy == was {
 		return
 	}
 	bl.setHealthyGauge()
@@ -431,16 +342,19 @@ func (b *backend) score() float64 {
 	return float64(n) + b.queueBytes/QueueBytesPerConn
 }
 
-func (b *backend) routable() bool {
+func (bl *Balancer) routable(b *backend) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.healthy && !b.draining && !time.Now().Before(b.openUntil)
+	return bl.healthy(b) && !b.draining
 }
 
-func (b *backend) loadFresh(maxAge time.Duration) bool {
+// loadFresh reports whether b's load data is recent enough to score on:
+// no older than 4×ProbeInterval, several missed probes for a healthy
+// member.
+func (bl *Balancer) loadFresh(b *backend) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return !b.loadAt.IsZero() && time.Since(b.loadAt) <= maxAge
+	return !b.loadAt.IsZero() && time.Since(b.loadAt) <= 4*bl.cfg.ProbeInterval
 }
 
 // pick selects the routing target: the lowest-scoring routable backend
@@ -450,7 +364,7 @@ func (b *backend) loadFresh(maxAge time.Duration) bool {
 func (bl *Balancer) pick(exclude map[*backend]bool) *backend {
 	var candidates []*backend
 	for _, b := range bl.backends {
-		if !exclude[b] && b.routable() {
+		if !exclude[b] && bl.routable(b) {
 			candidates = append(candidates, b)
 		}
 	}
@@ -459,7 +373,7 @@ func (bl *Balancer) pick(exclude map[*backend]bool) *backend {
 	}
 	var fresh []*backend
 	for _, b := range candidates {
-		if b.loadFresh(bl.cfg.MetricsMaxAge) {
+		if bl.loadFresh(b) {
 			fresh = append(fresh, b)
 		}
 	}
@@ -498,7 +412,7 @@ func (bl *Balancer) route(ctx context.Context, clientConn net.Conn) {
 			// Passive detection: a failed route dial is as telling as a
 			// failed probe, and it arrives sooner.
 			bl.cfg.Obs.Counter("lb_route_dial_fail").Inc()
-			bl.noteProbe(b, false, fmt.Errorf("route dial: %w", err))
+			bl.noteProbe(b, fmt.Errorf("route dial: %w", err))
 			exclude[b] = true
 			continue
 		}
@@ -514,7 +428,8 @@ func (bl *Balancer) route(ctx context.Context, clientConn net.Conn) {
 
 // dialBackend opens the routing connection to a member, with the
 // balancer.dial failpoint in front so chaos runs can make a live member
-// look dead to the router (and charge its breaker) without touching it.
+// look dead to the router (and charge its failure count) without touching
+// it.
 func (bl *Balancer) dialBackend(b *backend) (net.Conn, error) {
 	if err := siteDial.Err(); err != nil {
 		return nil, err

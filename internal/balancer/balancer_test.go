@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"dragonfly/internal/geom"
 	"dragonfly/internal/netem"
+	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/server"
 	"dragonfly/internal/video"
@@ -52,7 +54,7 @@ func (f *fleet) dial(addr string, _ time.Duration) (net.Conn, error) {
 	if s == nil {
 		return nil, errors.New("connection refused")
 	}
-	c, srv := net.Pipe()
+	c, srv := netem.Pipe(netem.Link{})
 	go func() {
 		defer srv.Close()
 		_ = s.HandleConnContext(context.Background(), srv)
@@ -165,6 +167,60 @@ func TestPickStaleLoadFallsBackToRoundRobin(t *testing.T) {
 	}
 	if seen["a"] != 2 || seen["b"] != 2 {
 		t.Fatalf("round-robin distribution = %v, want a:2 b:2", seen)
+	}
+}
+
+// TestProbeLoadSteersPick is the load signal end to end: two real servers
+// each hold one session, and a's has an installed request it cannot send
+// (its client stopped reading). One probe per member carries each server's
+// queued bytes in its pong, so pick chooses b although both report one
+// session.
+func TestProbeLoadSteersPick(t *testing.T) {
+	f := newFleet("a", "b")
+	open := func(addr string) net.Conn {
+		f.get(addr).WriteTimeout = 0 // a's blocked send must hold its queue
+		c, err := f.dial(addr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		go func() { _ = proto.WriteHello(c, proto.Hello{VideoID: "srv"}) }()
+		if msg, err := proto.ReadMessage(c); err != nil || msg.Type != proto.MsgManifest {
+			t.Fatalf("%s: handshake %v / %+v", addr, err, msg)
+		}
+		return c
+	}
+	busy := open("a")
+	open("b")
+	m := testManifest()
+	var items []player.RequestItem
+	for c := 0; c < m.NumChunks; c++ {
+		for tl := 0; tl < m.NumTiles(); tl++ {
+			items = append(items, player.RequestItem{Stream: player.Primary, Chunk: c, Tile: geom.TileID(tl), Quality: video.NumQualities - 1})
+		}
+	}
+	if err := proto.WriteRequest(busy, proto.Request{Generation: 1, Items: items}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); f.get("a").QueuedBytes() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("server a never queued the request")
+		}
+	}
+
+	bl, err := New(Config{Backends: backendConfigs("a", "b"), ProbeTimeout: time.Second, Dial: f.dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bl.backends {
+		bl.probeOnce(b)
+	}
+	st := bl.Status()
+	if st[0].ActiveConns != 1 || st[1].ActiveConns != 1 || st[0].QueueBytes <= 0 || st[1].QueueBytes != 0 {
+		t.Fatalf("probed status %+v, want one session each and queued bytes on a only", st)
+	}
+	if b := bl.pick(nil); b != bl.backends[1] {
+		t.Fatalf("pick = %s, want the idle member b", b.cfg.Addr)
 	}
 }
 

@@ -24,101 +24,56 @@ func armBalancer(t *testing.T, rules ...chaos.Rule) {
 	t.Cleanup(chaos.Disarm)
 }
 
-// TestBreakerTripsSkipsAndRecovers drives the full circuit-breaker arc
-// with injected probe faults against a perfectly healthy member: failures
-// past BreakerThreshold open the circuit, open-circuit probes are skipped
-// without burning a dial, the first probe after the cooldown is the
-// half-open trial, and a healthy trial recovers the member.
-func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
+// TestFailureCountBacksOffAndRecovers drives a member's health arc with
+// injected probe faults against a perfectly healthy server. The probe wait
+// is a pure function of the failure count: ProbeInterval below
+// FailThreshold, then doubling to the 4×ProbeInterval cap. The member is
+// unroutable from the threshold on, stays so while failures continue, and
+// is routable again after the first good probe.
+func TestFailureCountBacksOffAndRecovers(t *testing.T) {
 	f := newFleet("a")
 	reg := obs.NewRegistry()
+	const interval = 10 * time.Millisecond
 	bl, err := New(Config{
-		Backends:        backendConfigs("a"),
-		FailThreshold:   2, // breaker default: 2×2 = 4 consecutive failures
-		ProbeInterval:   10 * time.Millisecond,
-		BreakerCooldown: 50 * time.Millisecond,
-		Obs:             reg,
-		Dial:            f.dial,
+		Backends:      backendConfigs("a"),
+		FailThreshold: 2,
+		ProbeInterval: interval,
+		Obs:           reg,
+		Dial:          f.dial,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := bl.backends[0]
+	for n, want := range []time.Duration{interval, interval, interval, 2 * interval, 4 * interval, 4 * interval, 4 * interval} {
+		if got := bl.probeWait(n); got != want {
+			t.Errorf("probeWait(%d) = %v, want %v", n, got, want)
+		}
+	}
 
 	// Probes are driven by hand so every transition is deterministic.
+	b := bl.backends[0]
 	armBalancer(t, chaos.Rule{Site: "balancer.probe", Kind: chaos.FaultError, Count: 4})
-	for i := 0; i < 4; i++ {
+	for i := 1; i <= 4; i++ {
 		bl.probeOnce(b)
-	}
-	st := bl.Status()[0]
-	if st.Healthy {
-		t.Fatalf("member healthy after 4 injected probe failures")
-	}
-	if !st.BreakerOpen {
-		t.Fatalf("breaker not open after BreakerThreshold failures")
+		healthy := i < 2
+		if st := bl.Status()[0]; st.Healthy != healthy || bl.routable(b) != healthy {
+			t.Fatalf("after %d failures: status %+v, routable %v; want healthy and routable = %v",
+				i, st, bl.routable(b), healthy)
+		}
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["lb_breaker_open"]; got != 1 {
-		t.Errorf("lb_breaker_open = %d, want 1", got)
+	if snap.Counters["lb_probe_fail"] != 4 || snap.Counters["lb_unhealthy"] != 1 {
+		t.Errorf("lb_probe_fail = %d, lb_unhealthy = %d; want 4 and 1",
+			snap.Counters["lb_probe_fail"], snap.Counters["lb_unhealthy"])
 	}
 
-	// Open circuit: the probe is skipped entirely — no dial, no exchange.
-	probesBefore := snap.Counters["lb_probes"]
+	// The failpoint budget is spent: the next probe reaches the server.
 	bl.probeOnce(b)
-	snap = reg.Snapshot()
-	if got := snap.Counters["lb_breaker_skips"]; got != 1 {
-		t.Errorf("lb_breaker_skips = %d, want 1", got)
+	if st := bl.Status()[0]; !st.Healthy || !bl.routable(b) {
+		t.Fatalf("first good probe did not recover the member: %+v", st)
 	}
-	if snap.Counters["lb_probes"] != probesBefore {
-		t.Errorf("open-circuit probe still burned a dial")
-	}
-	if b.routable() {
-		t.Errorf("open-circuit member still routable")
-	}
-
-	// Cooldown expires; the failpoint budget is spent, so the half-open
-	// trial reaches the (healthy) member and recovery proceeds normally.
-	time.Sleep(60 * time.Millisecond)
-	bl.probeOnce(b)
-	st = bl.Status()[0]
-	if !st.Healthy || st.BreakerOpen {
-		t.Fatalf("half-open trial did not recover: %+v", st)
-	}
-	if !b.routable() {
-		t.Errorf("recovered member not routable")
-	}
-}
-
-// TestBreakerHalfOpenFailureReTrips: a failed half-open trial counts as a
-// fresh trip (the streak persists past the threshold) and the circuit
-// opens again for a full cooldown.
-func TestBreakerHalfOpenFailureReTrips(t *testing.T) {
-	f := newFleet("a")
-	reg := obs.NewRegistry()
-	bl, err := New(Config{
-		Backends:        backendConfigs("a"),
-		FailThreshold:   1, // breaker at 2 consecutive failures
-		BreakerCooldown: 30 * time.Millisecond,
-		Obs:             reg,
-		Dial:            f.dial,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := bl.backends[0]
-	armBalancer(t, chaos.Rule{Site: "balancer.probe", Kind: chaos.FaultError, Count: 3})
-	bl.probeOnce(b)
-	bl.probeOnce(b) // trips
-	if !bl.Status()[0].BreakerOpen {
-		t.Fatal("breaker not open after threshold")
-	}
-	time.Sleep(40 * time.Millisecond)
-	bl.probeOnce(b) // half-open trial fails → fresh trip
-	if !bl.Status()[0].BreakerOpen {
-		t.Fatal("failed half-open trial left the breaker closed")
-	}
-	if got := reg.Snapshot().Counters["lb_breaker_open"]; got != 2 {
-		t.Errorf("lb_breaker_open = %d, want 2 (initial trip + re-trip)", got)
+	if got := reg.Snapshot().Counters["lb_recovered"]; got != 1 {
+		t.Errorf("lb_recovered = %d, want 1", got)
 	}
 }
 

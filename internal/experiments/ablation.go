@@ -48,7 +48,7 @@ func printFig12(w io.Writer, r *Fig12Result) {
 	fprintf(w, "       NoMask matches the median but ~10%% of its viewports are incomplete;\n")
 	fprintf(w, "       NoMask has the lowest wastage (no masking stream).\n\n")
 	fprintf(w, "%-12s %9s %9s %9s | %10s %10s | %9s\n",
-		"variant", "medPSNR", "p10PSNR", "minPSNR", "incmpFr%%", "blankArea", "medWaste")
+		"variant", "medPSNR", "p10PSNR", "minPSNR", "incmpFr%", "blankArea", "medWaste")
 	for _, name := range sortedNames(r.Schemes) {
 		s := r.Schemes[name]
 		fprintf(w, "%-12s %8.2f  %8.2f  %8.2f  | %9.2f%% %9.4f%% | %7.1f%%\n",
@@ -110,7 +110,7 @@ func Fig13SkipAnalysis(abl *Fig12Result, w io.Writer) *Fig13Result {
 	fprintf(w, "       yet renders 83.4%% of tiles at top quality vs PassiveSkip's 53.6%%\n")
 	fprintf(w, "       (masked tiles: 6.74%% vs 2.17%%).\n\n")
 	fprintf(w, "%-12s %12s %12s %12s | per-quality shares (low..high)\n",
-		"variant", "skipVP%%", "maskedTiles%%", "topQuality%%")
+		"variant", "skipVP%", "maskedTiles%", "topQuality%")
 	for _, name := range sortedNames(out.PrimarySkipViewportPct) {
 		fprintf(w, "%-12s %11.2f%% %11.2f%% %11.2f%% |", name,
 			out.PrimarySkipViewportPct[name], out.MaskedTileShare[name], out.TopQualityShare[name])

@@ -87,7 +87,7 @@ func ExtDecisionInterval(env *Env, w io.Writer) (map[string]SchemeSummary, error
 		return nil, err
 	}
 	fprintf(w, "== Extension: decision-interval sweep (100 ms -> per chunk) ==\n")
-	fprintf(w, "%-18s %9s %10s %9s\n", "variant", "medPSNR", "skipVP%%", "medWaste")
+	fprintf(w, "%-18s %9s %10s %9s\n", "variant", "medPSNR", "skipVP%", "medWaste")
 	for _, iv := range intervals {
 		name := fmt.Sprintf("Dragonfly@%s", iv)
 		s, ok := out[name]
@@ -110,7 +110,7 @@ func ExtDecodeStage(env *Env, w io.Writer) (map[string]SchemeSummary, error) {
 	rates := []float64{0, 100, 20, 5} // MB/s of compressed input; 0 = infinite
 	out := map[string]SchemeSummary{}
 	fprintf(w, "== Extension: client decode-stage sensitivity ==\n")
-	fprintf(w, "%-16s %9s %10s %11s\n", "decoder", "medPSNR", "incmpFr%%", "maskShare%%")
+	fprintf(w, "%-16s %9s %10s %11s\n", "decoder", "medPSNR", "incmpFr%", "maskShare%")
 	for _, rate := range rates {
 		rate := rate
 		res, sums, err := env.sweep("", sim.Sweep{

@@ -33,7 +33,7 @@ func ExtMaskingOptimizations(env *Env, w io.Writer) (map[string]SchemeSummary, e
 	out := map[string]SchemeSummary{}
 	fprintf(w, "== Extension: §3.2 masking optimizations ==\n")
 	fprintf(w, "Paper (future work): schedule masking tiles by utility; interpolate masking holes.\n\n")
-	fprintf(w, "%-26s %9s %10s %11s %9s\n", "variant", "medPSNR", "incmpFr%%", "sess.incmp", "medWaste")
+	fprintf(w, "%-26s %9s %10s %11s %9s\n", "variant", "medPSNR", "incmpFr%", "sess.incmp", "medWaste")
 	printRow := func(label string, s SchemeSummary) {
 		s.Name = label
 		out[label] = s

@@ -82,7 +82,7 @@ func Fig19MaskingStrategies(env *Env, w io.Writer) (map[string]SchemeSummary, er
 	}
 	fprintf(w, "== Figure 19: masking strategies (full-360° vs tiled) ==\n")
 	fprintf(w, "Paper: comparable PSNR; tiled masking has slightly more incomplete frames and overhead.\n\n")
-	fprintf(w, "%-16s %9s | %10s %11s | %9s\n", "variant", "medPSNR", "incmpFr%%", "sess.incmp", "medWaste")
+	fprintf(w, "%-16s %9s | %10s %11s | %9s\n", "variant", "medPSNR", "incmpFr%", "sess.incmp", "medWaste")
 	for _, name := range sortedNames(out) {
 		s := out[name]
 		fprintf(w, "%-16s %8.2f  | %9.3f%% %9.0f%%  | %7.1f%%\n",

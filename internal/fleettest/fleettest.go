@@ -25,9 +25,9 @@ import (
 
 // Backend is one fleet member: a server process reachable through pipes
 // from one constructor, killed abruptly and restarted cold on the same
-// address. Every instance shares Reg, so a balancer scrapes one admin
-// endpoint per member across restarts — exactly like a supervised process
-// coming back on the same port. A dialed conn reaches the server one way:
+// address. Every instance shares Reg, so a member's metrics read as one
+// series across restarts — exactly like a supervised process coming back
+// on the same port. A dialed conn reaches the server one way:
 // through the instance's real accept loop (server.Serve), so the accept
 // failpoint and the fresh-instance gauge publish are on every rig's path.
 type Backend struct {
@@ -207,8 +207,10 @@ const (
 	FailThreshold = 2
 )
 
-// Fleet is N backends named s0…s(N-1), each with an obs admin endpoint on
-// loopback the balancer scrapes for load, and a balancer serving Front.
+// Fleet is N backends named s0…s(N-1) and a balancer serving Front. The
+// balancer reaches each member only through Dial's pipes, probes included,
+// and reads each member's load off its probe pong, so the rig opens no
+// socket.
 type Fleet struct {
 	Backends []*Backend
 	Balancer *balancer.Balancer
@@ -217,7 +219,6 @@ type Fleet struct {
 
 	cancel context.CancelFunc
 	closed sync.Once
-	admins []<-chan error
 	served chan struct{} // Balancer.Serve returned; nil until it starts
 }
 
@@ -233,13 +234,7 @@ func NewFleet(n int, m *video.Manifest, pipe func() (client, server net.Conn),
 		addr := fmt.Sprintf("s%d", i)
 		b := NewBackend(ctx, addr, m, pipe, func(s *server.Server) { configure(addr, s) })
 		f.Backends = append(f.Backends, b)
-		admin, done, err := obs.ServeAdmin(ctx, "127.0.0.1:0", b.Reg)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.admins = append(f.admins, done)
-		cfgs = append(cfgs, balancer.BackendConfig{Addr: addr, AdminAddr: admin.String()})
+		cfgs = append(cfgs, balancer.BackendConfig{Addr: addr})
 	}
 	bl, err := balancer.New(balancer.Config{
 		Backends:      cfgs,
@@ -286,8 +281,8 @@ func (f *Fleet) Totals() (total server.Counters, instances int) {
 	return total, instances
 }
 
-// Close stops the balancer, every backend and the admin endpoints, and
-// returns once their serve loops have. Calling it again is a no-op.
+// Close stops the balancer and every backend, and returns once their
+// serve loops have. Calling it again is a no-op.
 func (f *Fleet) Close() {
 	f.closed.Do(func() {
 		f.cancel()
@@ -296,9 +291,6 @@ func (f *Fleet) Close() {
 		}
 		for _, b := range f.Backends {
 			b.Kill()
-		}
-		for _, done := range f.admins {
-			<-done
 		}
 	})
 }

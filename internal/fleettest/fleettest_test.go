@@ -147,7 +147,7 @@ func TestDrainBusyRejectsNextDial(t *testing.T) {
 
 // TestFleetCloseLeavesNoGoroutines: a fleet that has routed a session,
 // lost a member and got it back tears down completely — balancer, probe
-// loops, accept loops, session handlers, admin endpoints.
+// loops, accept loops, session handlers.
 func TestFleetCloseLeavesNoGoroutines(t *testing.T) {
 	defer leaktest.Check(t)()
 	f, err := NewFleet(3, testManifest(), net.Pipe, func(_ string, s *server.Server) { testServer(s) })

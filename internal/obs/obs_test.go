@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -204,6 +206,33 @@ func TestTraceWriteJSONL(t *testing.T) {
 	}
 	if e.Kind != EvFetch || e.Chunk != 3 || e.Tile != 7 || e.N != 4096 || e.AtMS != 2000 {
 		t.Fatalf("decoded event = %+v", e)
+	}
+}
+
+// TestTraceWriteFile: the file holds exactly WriteJSONL's bytes and no
+// temporary is left beside it; a failed write leaves neither.
+func TestTraceWriteFile(t *testing.T) {
+	tr := NewTrace(8)
+	tr.Add(SessionEvent("v1", "low:lte"))
+	tr.Add(Event{At: time.Second, Kind: EvFetch, N: 10})
+	var want bytes.Buffer
+	if err := tr.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "s.jsonl")
+	if err := tr.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file = %q, %v; want %q", got, err, want.Bytes())
+	}
+	if err := tr.WriteFile(filepath.Join(dir, "missing", "s.jsonl")); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("directory holds %d entries, want only s.jsonl", len(ents))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -154,4 +155,24 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile writes the trace as JSONL to path+".tmp" and renames it into
+// place, so a reader tailing the directory never sees a torn file. On
+// error the temporary file is removed. Nil-safe (writes an empty file).
+func (t *Trace) WriteFile(path string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = t.WriteJSONL(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, path)
 }

@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -13,7 +15,8 @@ import (
 // `go test -fuzz FuzzReadMessage ./internal/proto` for a real campaign;
 // under plain `go test` the seed corpus below runs as regression cases.
 func FuzzReadMessage(f *testing.F) {
-	// Seed with valid frames of every type plus known-bad shapes.
+	// Seed with valid frames of every type, every golden vector under
+	// testdata/, plus known-bad shapes.
 	var hello, req, tile, bye, ping, resume bytes.Buffer
 	_ = WriteHello(&hello, Hello{VideoID: "v1"})
 	_ = WriteRequest(&req, Request{Generation: 3, Items: []player.RequestItem{
@@ -37,6 +40,17 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(bye.Bytes())
 	f.Add(ping.Bytes())
 	f.Add(resume.Bytes())
+	golden, err := filepath.Glob("testdata/*.golden")
+	if err != nil || len(golden) == 0 {
+		f.Fatalf("no golden vectors to seed from: %v", err)
+	}
+	for _, path := range golden {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 	f.Add([]byte{0, 0, 0, 1, 99})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
 	f.Add([]byte{})

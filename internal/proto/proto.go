@@ -60,9 +60,10 @@ const (
 	// heartbeat, letting the client distinguish an idle link from a dead
 	// one. Sent by a client (or balancer) as the *first* message of a
 	// connection it is a health probe: the server answers with a status
-	// pong (a MsgPing whose body carries drain state and active-session
-	// count) and ends the session. Receivers ignore bodies they do not
-	// understand, so the status body is wire-compatible with plain pings.
+	// pong (a MsgPing whose body carries drain state, active-session
+	// count and queued bytes) and ends the session. Receivers ignore
+	// bodies they do not understand, so the status body is
+	// wire-compatible with plain pings.
 	MsgPing
 )
 
@@ -187,13 +188,20 @@ type Pong struct {
 	// pong back.
 	Draining bool
 	// ActiveConns is the server's in-flight session count at probe time,
-	// excluding the probe connection itself — a load signal for balancers
-	// with no admin-endpoint access.
+	// excluding the probe connection itself.
 	ActiveConns uint32
+	// QueueBytes is the payload committed across the server's fetch queues
+	// at probe time (its srv_queue_bytes gauge). A trailing field: a pong
+	// from a server that predates it decodes with 0.
+	QueueBytes uint64
 }
 
-// pongWireSize is the encoded size of a status pong body.
-const pongWireSize = 1 + 4
+// Status pong body layouts: the drain flag and session count, then the
+// queued bytes the body grew by. Readers decode the prefix they know.
+const (
+	pongBaseSize = 1 + 4
+	pongWireSize = pongBaseSize + 8
+)
 
 // writeFrame emits one framed message with its CRC32-C trailer.
 func writeFrame(w io.Writer, t MsgType, body []byte) error {
@@ -616,6 +624,7 @@ func WritePong(w io.Writer, p Pong) error {
 		body[0] = 1
 	}
 	binary.BigEndian.PutUint32(body[1:], p.ActiveConns)
+	binary.BigEndian.PutUint64(body[pongBaseSize:], p.QueueBytes)
 	return writeFrame(w, MsgPing, body)
 }
 
@@ -717,10 +726,13 @@ func decodeMessage(t MsgType, body []byte) (*Message, error) {
 		// A status pong carries a body; heartbeats are empty. Unknown
 		// (longer) bodies still decode the known prefix, so the pong can
 		// grow fields without breaking old readers.
-		if len(body) >= pongWireSize {
+		if len(body) >= pongBaseSize {
 			msg.Ping = &Pong{
 				Draining:    body[0] == 1,
-				ActiveConns: binary.BigEndian.Uint32(body[1:5]),
+				ActiveConns: binary.BigEndian.Uint32(body[1:pongBaseSize]),
+			}
+			if len(body) >= pongWireSize {
+				msg.Ping.QueueBytes = binary.BigEndian.Uint64(body[pongBaseSize:pongWireSize])
 			}
 		}
 	case MsgError:

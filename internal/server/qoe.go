@@ -101,9 +101,9 @@ func (t *sessionTrace) shed(n int64) {
 	t.tr.Add(obs.Event{At: time.Since(t.start), Kind: obs.EvShed, N: n})
 }
 
-// flush writes the trace file (atomically, via rename) so a tailing
-// ingest watcher never reads a torn line. Errors are reported through
-// logf and otherwise dropped — tracing must never fail a session.
+// flush writes the trace file (atomically, via obs.Trace.WriteFile) so a
+// tailing ingest watcher never reads a torn line. Errors are reported
+// through logf and otherwise dropped — tracing must never fail a session.
 func (t *sessionTrace) flush(logf func(string, ...any)) {
 	if t == nil {
 		return
@@ -120,19 +120,5 @@ func (t *sessionTrace) write() error {
 	if err := os.MkdirAll(filepath.Dir(t.path), 0o755); err != nil {
 		return err
 	}
-	tmp := t.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := t.tr.WriteJSONL(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, t.path)
+	return t.tr.WriteFile(t.path)
 }

@@ -114,8 +114,8 @@ type Server struct {
 	// flips on Drain() and fast-rejects new sessions while in-flight ones
 	// run to completion. queuedBytes sums the payload bytes committed
 	// across all live fetch queues; together they feed the
-	// srv_active_conns / srv_draining / srv_queue_bytes gauges the
-	// balancer reads off the admin endpoint to score backend load.
+	// srv_active_conns / srv_draining / srv_queue_bytes gauges, and the
+	// probe pong the balancer scores backend load by carries all three.
 	active      atomic.Int64
 	draining    atomic.Bool
 	queuedBytes atomic.Int64

@@ -114,7 +114,8 @@ func (s *Server) open(first *proto.Message) (ss *session, pong *proto.Pong, refu
 		s.ctr.probes.Add(1)
 		s.Obs.Counter("srv_probes").Inc()
 		n := max(s.active.Load()-1, 0)
-		return nil, &proto.Pong{Draining: s.draining.Load(), ActiveConns: uint32(n)}, "", nil
+		return nil, &proto.Pong{Draining: s.draining.Load(), ActiveConns: uint32(n),
+			QueueBytes: uint64(s.queuedBytes.Load())}, "", nil
 	default:
 		return nil, nil, "", fmt.Errorf("server: expected hello, got type %d", first.Type)
 	}

@@ -199,19 +199,9 @@ func (sw *Sweep) config(scheme player.Scheme, i int) player.Config {
 }
 
 // writeSessionTrace dumps one session's event trace as JSONL.
-func writeSessionTrace(dir, key string, idx int, tr *obs.Trace) (err error) {
-	path := filepath.Join(dir, fmt.Sprintf("%s_%04d.jsonl", key, idx))
-	f, err := os.Create(path)
-	if err != nil {
+func writeSessionTrace(dir, key string, idx int, tr *obs.Trace) error {
+	if err := tr.WriteFile(filepath.Join(dir, fmt.Sprintf("%s_%04d.jsonl", key, idx))); err != nil {
 		return fmt.Errorf("sim: session trace: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("sim: session trace %s: %w", path, cerr)
-		}
-	}()
-	if err := tr.WriteJSONL(f); err != nil {
-		return fmt.Errorf("sim: session trace %s: %w", path, err)
 	}
 	return nil
 }

@@ -5,7 +5,9 @@
 #   find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 # After the total come the ten longest non-test functions over the same
 # files, ROADMAP.md's longest-function table: a function runs from its
-# `func` line to the first `}` in column one.
+# `func` line to the first `}` in column one. Last come the command-line
+# flags each daemon defines (calls like flag.String or flag.DurationVar)
+# and their sum, ROADMAP.md's flag count.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -43,3 +45,13 @@ awk '/^func .*\{$/ {
 	}
 	/^}/ && start { printf "%7d  %s\n", FNR - start + 1, fn; start = 0 }' $files |
 	sort -k1,1nr -k2 | head -10
+
+echo
+echo "daemon flags:"
+for d in server client balancer ingest; do
+	echo "$d $(cat cmd/dragonfly-$d/*.go |
+		grep -oE 'flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|Text|Uint|Uint64)?(Var)?\(' |
+		wc -l)"
+done |
+	awk '{ printf "%7d  %s\n", $2, $1; total += $2 }
+	END { printf "%7d  total\n", total }'
