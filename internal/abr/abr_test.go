@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -8,16 +9,67 @@ import (
 )
 
 func TestChunkBudget(t *testing.T) {
-	// 8 Mbps for 1 s at safety 1.0 = 1e6 bytes.
-	if got := ChunkBudget(8, time.Second, 1); got != 1e6 {
+	// 8 Mbps for 1 s = 1e6 bytes, discounted by DefaultSafety.
+	if got := ChunkBudget(8, time.Second); got != int64(1e6*DefaultSafety) {
 		t.Errorf("budget = %d", got)
 	}
-	// Default safety applies when non-positive.
-	if got := ChunkBudget(8, time.Second, 0); got != int64(1e6*DefaultSafety) {
-		t.Errorf("default-safety budget = %d", got)
-	}
-	if got := ChunkBudget(-5, time.Second, 1); got != 0 {
+	if got := ChunkBudget(-5, time.Second); got != 0 {
 		t.Errorf("negative rate budget = %d", got)
+	}
+}
+
+// TestBudgetsAtExtremeRates pins both budget functions at rates no trace
+// reaches: a rate too large to count in bytes fits everything, and one
+// that is not positive, or meets no time left, fits nothing. A plain
+// int64 conversion turns +Inf and 1e300 into math.MinInt64 on amd64,
+// which fitted nothing.
+func TestBudgetsAtExtremeRates(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		mbps float64
+		want int64
+	}{
+		{inf, math.MaxInt64},
+		{1e300, math.MaxInt64},
+		{math.Inf(-1), 0},
+		{math.NaN(), 0},
+		{0, 0},
+	} {
+		if got := ChunkBudget(tc.mbps, time.Second); got != tc.want {
+			t.Errorf("ChunkBudget(%v Mbps, 1s) = %d, want %d", tc.mbps, got, tc.want)
+		}
+	}
+	if got := ChunkBudget(inf, 0); got != 0 {
+		t.Errorf("ChunkBudget(+Inf, 0) = %d, want 0", got)
+	}
+
+	sizes := [video.NumQualities]int64{1000, 2000, 4000, 8000, 16000}
+	size := func(q video.Quality) int64 { return sizes[q] }
+	fitting := func(budget int64) video.Quality {
+		return MaxQualityFitting(size, budget, video.Lowest, video.Highest)
+	}
+	if got := fitting(ChunkBudget(inf, time.Second)); got != video.Highest {
+		t.Errorf("+Inf budget fits quality %d, want %d", got, video.Highest)
+	}
+	for _, tc := range []struct {
+		rate     float64
+		timeLeft time.Duration
+		want     video.Quality
+	}{
+		{inf, time.Second, video.Highest},
+		{1e300, time.Second, video.Highest},
+		{math.Inf(-1), time.Second, video.Lowest},
+		{math.NaN(), time.Second, video.Lowest},
+		{0, time.Second, video.Lowest},
+		{inf, 0, video.Lowest},
+		{inf, -time.Second, video.Lowest},
+		{1e6, 0, video.Lowest},
+		{1e6, -time.Second, video.Lowest},
+	} {
+		got := QualityForDeadline(size, 5000, tc.rate, tc.timeLeft, video.Lowest, video.Highest)
+		if got != tc.want {
+			t.Errorf("QualityForDeadline(rate %v, %v left) = %d, want %d", tc.rate, tc.timeLeft, got, tc.want)
+		}
 	}
 }
 
@@ -53,78 +105,5 @@ func TestQualityForDeadline(t *testing.T) {
 	// Dead link: minimum.
 	if got := QualityForDeadline(size, 0, 0, time.Second, 0, 4); got != 0 {
 		t.Errorf("dead link quality = %d", got)
-	}
-}
-
-func ladderCost(q video.Quality) int64 {
-	sizes := [video.NumQualities]int64{50_000, 100_000, 200_000, 400_000, 800_000}
-	return sizes[q]
-}
-
-func TestRateBasedAlgorithm(t *testing.T) {
-	r := RateBased{Safety: 1}
-	if r.Name() != "rate" {
-		t.Error("name")
-	}
-	// 8 Mbps x 1 s = 1e6 bytes: the whole ladder fits -> highest.
-	if got := r.Choose(8, 0, time.Second, ladderCost); got != video.NumQualities-1 {
-		t.Errorf("fast link chose %d", got)
-	}
-	// 1 Mbps = 125 kB: q1 (100 kB) fits, q2 (200 kB) does not.
-	if got := r.Choose(1, 0, time.Second, ladderCost); got != 1 {
-		t.Errorf("slow link chose %d", got)
-	}
-}
-
-func TestBufferBasedAlgorithm(t *testing.T) {
-	b := BufferBased{Reservoir: time.Second, Cushion: 4 * time.Second}
-	if b.Name() != "bba" {
-		t.Error("name")
-	}
-	if got := b.Choose(100, 500*time.Millisecond, time.Second, ladderCost); got != 0 {
-		t.Errorf("below reservoir chose %d", got)
-	}
-	if got := b.Choose(0.1, 10*time.Second, time.Second, ladderCost); got != video.NumQualities-1 {
-		t.Errorf("above cushion chose %d", got)
-	}
-	mid := b.Choose(5, 3*time.Second, time.Second, ladderCost)
-	if mid <= 0 || mid >= video.NumQualities-1 {
-		t.Errorf("mid buffer chose %d, want interior level", mid)
-	}
-	// Monotone in buffer.
-	prev := video.Quality(0)
-	for ms := 0; ms <= 8000; ms += 250 {
-		q := b.Choose(5, time.Duration(ms)*time.Millisecond, time.Second, ladderCost)
-		if q < prev {
-			t.Fatalf("BBA not monotone in buffer at %dms", ms)
-		}
-		prev = q
-	}
-}
-
-func TestMPCAlgorithm(t *testing.T) {
-	m := MPC{}
-	if m.Name() != "mpc" {
-		t.Error("name")
-	}
-	// Plenty of bandwidth and buffer: highest.
-	if got := m.Choose(50, 3*time.Second, time.Second, ladderCost); got != video.NumQualities-1 {
-		t.Errorf("ample chose %d", got)
-	}
-	// Dead link: lowest.
-	if got := m.Choose(0, 0, time.Second, ladderCost); got != 0 {
-		t.Errorf("dead link chose %d", got)
-	}
-	// Thin buffer + marginal rate: MPC backs off below what rate-based picks.
-	rb := RateBased{Safety: 1}.Choose(1.8, 0, time.Second, ladderCost)
-	mpc := m.Choose(1.8, 100*time.Millisecond, time.Second, ladderCost)
-	if mpc > rb {
-		t.Errorf("MPC (%d) more aggressive than rate-based (%d) with no buffer", mpc, rb)
-	}
-	// More buffer should never decrease MPC's choice.
-	lo := m.Choose(2, 200*time.Millisecond, time.Second, ladderCost)
-	hi := m.Choose(2, 4*time.Second, time.Second, ladderCost)
-	if hi < lo {
-		t.Errorf("MPC not monotone in buffer: %d -> %d", lo, hi)
 	}
 }

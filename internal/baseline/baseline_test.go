@@ -247,7 +247,7 @@ func TestPanoNames(t *testing.T) {
 func TestTwoTierStreams(t *testing.T) {
 	m := testManifest()
 	ctx := testContext(m, 10)
-	tt := NewTwoTier(TwoTierOptions{})
+	tt := NewTwoTier()
 	if tt.StallPolicy() != player.StallOnMissingMasking {
 		t.Error("Two-tier stalls on missing base stream")
 	}
@@ -282,7 +282,7 @@ func TestTwoTierStreams(t *testing.T) {
 func TestTwoTierCommitsOnce(t *testing.T) {
 	m := testManifest()
 	ctx := testContext(m, 10)
-	tt := NewTwoTier(TwoTierOptions{})
+	tt := NewTwoTier()
 	tt.Decide(ctx)
 	ctx.Predict = func(time.Duration) geom.Orientation { return geom.Orientation{Yaw: 90} }
 	second := tt.Decide(ctx)
@@ -337,7 +337,7 @@ func TestBaselinesEndToEnd(t *testing.T) {
 	schemes := []func() player.Scheme{
 		func() player.Scheme { return NewFlare(FlareOptions{}) },
 		func() player.Scheme { return NewPano(PanoOptions{}) },
-		func() player.Scheme { return NewTwoTier(TwoTierOptions{}) },
+		func() player.Scheme { return NewTwoTier() },
 		func() player.Scheme { return NewPassiveSkip() },
 	}
 	for _, mk := range schemes {
@@ -423,7 +423,7 @@ func TestTwoTierBudgetAccountsForMasking(t *testing.T) {
 	// quality must stay low; with ample bandwidth it rises.
 	m := testManifest()
 	quality := func(mbps float64) video.Quality {
-		tt := NewTwoTier(TwoTierOptions{})
+		tt := NewTwoTier()
 		items := tt.Decide(testContext(m, mbps))
 		for _, it := range items {
 			if it.Stream == player.Primary {
@@ -446,7 +446,7 @@ func TestTwoTierBudgetAccountsForMasking(t *testing.T) {
 func TestPanoGroupsShareQuality(t *testing.T) {
 	m := testManifest()
 	ctx := testContext(m, 10)
-	p := NewPano(PanoOptions{Groups: 8})
+	p := NewPano(PanoOptions{})
 	items := p.Decide(ctx)
 	// Rebuild the chunk-0 groups and verify all members of each group were
 	// requested at one quality.
@@ -456,7 +456,7 @@ func TestPanoGroupsShareQuality(t *testing.T) {
 			byTile[it.Tile] = it.Quality
 		}
 	}
-	for _, group := range video.GroupTiles(m, 0, 8) {
+	for _, group := range video.GroupTiles(m, 0, video.DefaultGroupCount) {
 		q, seen := video.Quality(0), false
 		for _, id := range group {
 			got, ok := byTile[id]

@@ -32,6 +32,11 @@ import (
 // viewport cap, at peripheryDrop quality levels below the viewport's.
 const peripheryDeg, peripheryDrop = 15, 2
 
+// Two-tier and PassiveSkip fetch the full-360° base stream over the
+// paper's masking look-ahead and the viewport over its primary look-ahead
+// (§4.2).
+const maskingLookahead, primaryLookahead = 3 * time.Second, time.Second
+
 // FlareOptions configures the Flare baseline.
 type FlareOptions struct {
 	// Lookahead is how far ahead tiles are fetched (paper default: 3 s,
@@ -145,7 +150,7 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 			center, ctx.Viewport.RadiusDeg, ctx.Viewport.RadiusDeg+peripheryDeg)
 		vpTiles, periphery := f.vpTiles, f.periphery
 
-		budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur, 0)
+		budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur)
 		qv := abr.MaxQualityFitting(func(q video.Quality) int64 {
 			total := int64(0)
 			for _, id := range vpTiles {

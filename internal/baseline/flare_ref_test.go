@@ -59,7 +59,7 @@ func flareDecideRef(f *Flare, ctx *player.Context) []player.RequestItem {
 			}
 		}
 
-		budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur, 0)
+		budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur)
 		qv := abr.MaxQualityFitting(func(q video.Quality) int64 {
 			total := int64(0)
 			for _, id := range vpTiles {

@@ -19,11 +19,7 @@ type PanoOptions struct {
 	// Lookahead is how far ahead chunks are committed (3 s default; §4.3
 	// evaluates a 1 s variant).
 	Lookahead time.Duration
-	// Groups is the number of variable tile groups per chunk (Pano groups
-	// tiles of similar quality sensitivity and fetches each group at one
-	// quality).
-	Groups int
-	Name   string
+	Name      string
 }
 
 // Pano runs a traditional chunk-level ABR, then assigns per-group tile
@@ -68,9 +64,6 @@ func (s *relevanceSorter) Less(i, j int) bool {
 func NewPano(opts PanoOptions) *Pano {
 	if opts.Lookahead == 0 {
 		opts.Lookahead = 3 * time.Second
-	}
-	if opts.Groups == 0 {
-		opts.Groups = video.DefaultGroupCount
 	}
 	return &Pano{opts: opts, assigned: make(map[int][]player.RequestItem)}
 }
@@ -122,7 +115,7 @@ func (p *Pano) Decide(ctx *player.Context) []player.RequestItem {
 func (p *Pano) assignChunk(ctx *player.Context, chunk int) []player.RequestItem {
 	m := ctx.Manifest
 	chunkDur := time.Duration(m.ChunkFrames) * ctx.FrameDuration
-	budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur, 0)
+	budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur)
 
 	at := ctx.FrameDeadline(m.FirstFrame(chunk))
 	if at < ctx.Now {
@@ -130,7 +123,7 @@ func (p *Pano) assignChunk(ctx *player.Context, chunk int) []player.RequestItem 
 	}
 	center := ctx.Predict(at)
 
-	groups := video.GroupTiles(m, chunk, p.opts.Groups)
+	groups := video.GroupTiles(m, chunk, video.DefaultGroupCount)
 	states := p.groups.states[:0]
 	relevant := geom.NewCapQuery(center, ctx.Viewport.RadiusDeg+10)
 	var spent int64

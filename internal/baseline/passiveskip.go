@@ -16,16 +16,23 @@ import (
 // at a uniform budget-fitting quality, and simply skip whatever misses its
 // deadline. Comparing it against Dragonfly isolates the value of
 // utility-driven proactive skipping (§4.4).
+//
+// An instance carries the primary stream's candidate list as per-session
+// scratch reused across decisions, so each session needs its own instance.
 type PassiveSkip struct {
-	maskingLookahead time.Duration
-	primaryLookahead time.Duration
+	wants []passiveWant
+}
+
+// passiveWant is one primary-stream candidate tile.
+type passiveWant struct {
+	chunk int
+	tile  geom.TileID
+	dist  float64
 }
 
 // NewPassiveSkip creates the variant with the paper's look-aheads (3 s
 // masking, 1 s primary).
-func NewPassiveSkip() *PassiveSkip {
-	return &PassiveSkip{maskingLookahead: 3 * time.Second, primaryLookahead: time.Second}
-}
+func NewPassiveSkip() *PassiveSkip { return &PassiveSkip{} }
 
 // Name implements player.Scheme.
 func (p *PassiveSkip) Name() string { return "PassiveSkip" }
@@ -42,7 +49,7 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 
 	// Masking stream, identical to Dragonfly's full-360° strategy.
 	nowChunk := m.ChunkOfFrame(ctx.PlayFrame)
-	maskLast := ctx.PlayFrame + int(p.maskingLookahead.Seconds()*float64(m.FPS))
+	maskLast := ctx.PlayFrame + int(maskingLookahead.Seconds()*float64(m.FPS))
 	if maskLast >= m.NumFrames() {
 		maskLast = m.NumFrames() - 1
 	}
@@ -60,16 +67,11 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 	// region) over the short window, strictly deadline-ordered, at one
 	// uniform quality that fits the budget left after masking. No
 	// prioritization, no proactive skips.
-	primLast := ctx.PlayFrame + int(p.primaryLookahead.Seconds()*float64(m.FPS))
+	primLast := ctx.PlayFrame + int(primaryLookahead.Seconds()*float64(m.FPS))
 	if primLast >= m.NumFrames() {
 		primLast = m.NumFrames() - 1
 	}
-	type want struct {
-		chunk int
-		tile  geom.TileID
-		dist  float64
-	}
-	var wants []want
+	wants := p.wants[:0]
 	for c := nowChunk; c <= m.ChunkOfFrame(primLast); c++ {
 		at := ctx.FrameDeadline(m.FirstFrame(c))
 		if at < ctx.Now {
@@ -81,10 +83,11 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 			if _, ok := ctx.Received.BestPrimary(c, id); ok {
 				continue
 			}
-			wants = append(wants, want{chunk: c, tile: id,
+			wants = append(wants, passiveWant{chunk: c, tile: id,
 				dist: ctx.Grid.CenterDistance(id, u)})
 		}
 	}
+	p.wants = wants
 	sort.Slice(wants, func(a, b int) bool {
 		if wants[a].chunk != wants[b].chunk {
 			return wants[a].chunk < wants[b].chunk
@@ -95,7 +98,7 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 		return wants[a].tile < wants[b].tile
 	})
 
-	budget := abr.ChunkBudget(ctx.PredictedMbps, p.primaryLookahead, 0) - maskBytes
+	budget := abr.ChunkBudget(ctx.PredictedMbps, primaryLookahead) - maskBytes
 	if budget < 0 {
 		budget = 0
 	}

@@ -9,44 +9,23 @@ import (
 	"dragonfly/internal/video"
 )
 
-// TwoTierOptions configures the Two-tier baseline [43].
-type TwoTierOptions struct {
-	// MaskingLookahead is the base (full-360°, lowest-quality) stream's
-	// look-ahead (paper: 3 s); PrimaryLookahead the enhancement stream's
-	// (1 s).
-	MaskingLookahead time.Duration
-	PrimaryLookahead time.Duration
-	Name             string
-}
-
 // TwoTier streams a low-quality full-360° base plus a uniform-quality
 // enhancement for the predicted viewport. Unlike Dragonfly it picks one
 // quality for all enhancement tiles, decides once per chunk without
 // refinement, passively skips enhancement tiles that miss their deadline,
 // and stalls when the base stream itself is late (Table 1).
 type TwoTier struct {
-	opts     TwoTierOptions
 	assigned map[int][]player.RequestItem
 }
 
-// NewTwoTier creates the baseline with the paper's defaults.
-func NewTwoTier(opts TwoTierOptions) *TwoTier {
-	if opts.MaskingLookahead == 0 {
-		opts.MaskingLookahead = 3 * time.Second
-	}
-	if opts.PrimaryLookahead == 0 {
-		opts.PrimaryLookahead = time.Second
-	}
-	return &TwoTier{opts: opts, assigned: make(map[int][]player.RequestItem)}
+// NewTwoTier creates the baseline with the paper's look-aheads (3 s base,
+// 1 s enhancement).
+func NewTwoTier() *TwoTier {
+	return &TwoTier{assigned: make(map[int][]player.RequestItem)}
 }
 
 // Name implements player.Scheme.
-func (t *TwoTier) Name() string {
-	if t.opts.Name != "" {
-		return t.opts.Name
-	}
-	return "Two-tier"
-}
+func (t *TwoTier) Name() string { return "Two-tier" }
 
 // DecisionInterval implements player.Scheme: per-chunk decisions.
 func (t *TwoTier) DecisionInterval() time.Duration { return time.Second }
@@ -62,7 +41,7 @@ func (t *TwoTier) Decide(ctx *player.Context) []player.RequestItem {
 	nowChunk := m.ChunkOfFrame(ctx.PlayFrame)
 
 	// Base stream: full-360° chunks across the long look-ahead.
-	maskLast := ctx.PlayFrame + int(t.opts.MaskingLookahead.Seconds()*float64(m.FPS))
+	maskLast := ctx.PlayFrame + int(maskingLookahead.Seconds()*float64(m.FPS))
 	if maskLast >= m.NumFrames() {
 		maskLast = m.NumFrames() - 1
 	}
@@ -75,7 +54,7 @@ func (t *TwoTier) Decide(ctx *player.Context) []player.RequestItem {
 
 	// Enhancement stream: one-shot per-chunk assignment over the short
 	// look-ahead.
-	primLast := ctx.PlayFrame + int(t.opts.PrimaryLookahead.Seconds()*float64(m.FPS))
+	primLast := ctx.PlayFrame + int(primaryLookahead.Seconds()*float64(m.FPS))
 	if primLast >= m.NumFrames() {
 		primLast = m.NumFrames() - 1
 	}
@@ -94,7 +73,7 @@ func (t *TwoTier) Decide(ctx *player.Context) []player.RequestItem {
 func (t *TwoTier) assignChunk(ctx *player.Context, chunk int) []player.RequestItem {
 	m := ctx.Manifest
 	chunkDur := time.Duration(m.ChunkFrames) * ctx.FrameDuration
-	budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur, 0) - m.Full360Size(chunk, video.Lowest)
+	budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur) - m.Full360Size(chunk, video.Lowest)
 	if budget < 0 {
 		budget = 0
 	}

@@ -21,6 +21,11 @@ import (
 type Dragonfly struct {
 	opts Options
 
+	// obs, when non-nil, receives scheduler metrics: refinement counts,
+	// listed/skipped candidate counters and the per-refinement total-utility
+	// histogram. Nil disables instrumentation at no cost.
+	obs *obs.Registry
+
 	// Per-session scratch, all reused across decisions.
 	tabs    sessionTables
 	plan    maskPlan
@@ -39,12 +44,6 @@ func New(opts Options) *Dragonfly {
 	if opts.Metric != d.Metric {
 		d.Metric = opts.Metric
 	}
-	if opts.PrimaryLookahead != 0 {
-		d.PrimaryLookahead = opts.PrimaryLookahead
-	}
-	if opts.MaskingLookahead != 0 {
-		d.MaskingLookahead = opts.MaskingLookahead
-	}
 	if opts.DecisionInterval != 0 {
 		d.DecisionInterval = opts.DecisionInterval
 	}
@@ -58,7 +57,6 @@ func New(opts Options) *Dragonfly {
 	d.MaskScheduled = opts.MaskScheduled
 	d.ExactGeometry = opts.ExactGeometry
 	d.Name = opts.Name
-	d.Obs = opts.Obs
 	return &Dragonfly{opts: d}
 }
 
@@ -67,7 +65,7 @@ func NewDefault() *Dragonfly { return New(DefaultOptions()) }
 
 // SetObs attaches a metrics registry after construction. The sim harness
 // uses it to wire its sweep-wide registry into factory-built schemes.
-func (d *Dragonfly) SetObs(r *obs.Registry) { d.opts.Obs = r }
+func (d *Dragonfly) SetObs(r *obs.Registry) { d.obs = r }
 
 // Name implements player.Scheme.
 func (d *Dragonfly) Name() string {
@@ -113,7 +111,7 @@ func (d *Dragonfly) Decide(ctx *player.Context) []player.RequestItem {
 	d.sched.reset(&d.w, d.opts.minPrimaryQuality(), baseOff)
 	list := d.sched.run()
 
-	if r := d.opts.Obs; r != nil {
+	if r := d.obs; r != nil {
 		r.Counter("core_decisions").Inc()
 		r.Counter("core_candidates").Add(int64(len(d.w.cands)))
 		r.Counter("core_listed").Add(int64(len(list)))
@@ -213,7 +211,7 @@ func (d *Dragonfly) appendMasking(ctx *player.Context, items []player.RequestIte
 	}
 	m := ctx.Manifest
 	firstChunk := m.ChunkOfFrame(ctx.PlayFrame)
-	lastFrame := ctx.PlayFrame + int(d.opts.MaskingLookahead.Seconds()*float64(m.FPS))
+	lastFrame := ctx.PlayFrame + int(maskingLookahead.Seconds()*float64(m.FPS))
 	if lastFrame >= m.NumFrames() {
 		lastFrame = m.NumFrames() - 1
 	}

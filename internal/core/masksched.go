@@ -30,7 +30,7 @@ func (d *Dragonfly) planMaskingScheduled(ctx *player.Context) ([]player.RequestI
 func (d *Dragonfly) appendMaskingScheduled(ctx *player.Context, items []player.RequestItem, plan *maskPlan) []player.RequestItem {
 	m := ctx.Manifest
 	w := &d.mw
-	wFrames := int(d.opts.MaskingLookahead.Seconds()*float64(m.FPS) + 0.5)
+	wFrames := int(maskingLookahead.Seconds()*float64(m.FPS) + 0.5)
 	if wFrames < 1 {
 		wFrames = 1
 	}

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"dragonfly/internal/geom"
-	"dragonfly/internal/obs"
 	"dragonfly/internal/quality"
 	"dragonfly/internal/video"
 )
@@ -59,11 +58,6 @@ type Options struct {
 	// "Q_iq can be set based on any quality metric").
 	Metric quality.Metric
 
-	// PrimaryLookahead is the scheduling window W of the primary stream
-	// (paper: 1 s); MaskingLookahead that of the masking stream (3 s).
-	PrimaryLookahead time.Duration
-	MaskingLookahead time.Duration
-
 	// DecisionInterval is how often fetch decisions are refined (100 ms;
 	// one chunk for the PerChunk variant).
 	DecisionInterval time.Duration
@@ -94,14 +88,13 @@ type Options struct {
 
 	// Name overrides the reported scheme name (for ablation variants).
 	Name string
-
-	// Obs, when non-nil, receives scheduler metrics: refinement counts,
-	// listed/skipped candidate counters and the per-refinement total-utility
-	// histogram. Nil disables instrumentation at no cost.
-	Obs *obs.Registry
 }
 
 const (
+	// primaryLookahead is the scheduling window W of the primary stream,
+	// maskingLookahead that of the masking stream (§3, §4.2).
+	primaryLookahead = time.Second
+	maskingLookahead = 3 * time.Second
 	// tiledMaskFallbackDeg is the displacement bound MaskTiled uses when the
 	// manifest carries no per-chunk displacement.
 	tiledMaskFallbackDeg = 40.0
@@ -113,8 +106,6 @@ const (
 func DefaultOptions() Options {
 	return Options{
 		Metric:           quality.PSNR,
-		PrimaryLookahead: time.Second,
-		MaskingLookahead: 3 * time.Second,
 		DecisionInterval: 100 * time.Millisecond,
 		RoIs:             geom.DefaultRoIs,
 		Masking:          MaskFull360,

@@ -256,7 +256,7 @@ func (w *window) chunkRun(chunk int) (lo, hi int) {
 // buffer from the previous build.
 func (w *window) build(ctx *player.Context, o Options, plan *maskPlan, tabs *sessionTables) {
 	m := ctx.Manifest
-	wFrames := int(o.PrimaryLookahead.Seconds()*float64(m.FPS) + 0.5)
+	wFrames := int(primaryLookahead.Seconds()*float64(m.FPS) + 0.5)
 	if wFrames < 1 {
 		wFrames = 1
 	}

@@ -9,14 +9,6 @@ import (
 	"dragonfly/internal/popsim"
 )
 
-// PopulationParams scales the population-sweep experiment; the zero value
-// runs the acceptance configuration.
-type PopulationParams struct {
-	Members  int           // population size (default 24)
-	Duration time.Duration // per-member trace duration (default 10s)
-	Seed     int64         // population seed (default 11)
-}
-
 // PopulationOutcome is the accounting of one population sweep run.
 type PopulationOutcome struct {
 	Sessions     int64              // sessions folded (members x schemes)
@@ -31,28 +23,19 @@ type PopulationOutcome struct {
 // re-executes as two merged shards to exhibit the determinism contract
 // (same seed ⇒ identical merged rollup, any shard split).
 func ExtPopulation(env *Env, w io.Writer) (PopulationOutcome, error) {
-	return ExtPopulationWith(env, w, PopulationParams{})
-}
-
-// ExtPopulationWith is ExtPopulation with explicit scaling.
-func ExtPopulationWith(env *Env, w io.Writer, p PopulationParams) (PopulationOutcome, error) {
-	if p.Members <= 0 {
-		p.Members = 24
-	}
-	if p.Duration <= 0 {
-		p.Duration = 10 * time.Second
-	}
-	if p.Seed == 0 {
-		p.Seed = 11
-	}
-	model := popsim.DefaultModel(p.Seed)
-	model.Duration = p.Duration
+	const (
+		members  = 24
+		duration = 10 * time.Second
+		seed     = 11
+	)
+	model := popsim.DefaultModel(seed)
+	model.Duration = duration
 	schemes := []string{"dragonfly", "pano"}
 	sweep := func(shardIdx, shardCount int) (*popsim.Rollup, popsim.Stats, error) {
 		return popsim.Run(popsim.Sweep{
 			Videos:     env.Videos[:1],
 			Schemes:    schemes,
-			Sessions:   p.Members,
+			Sessions:   members,
 			Model:      model,
 			ShardIndex: shardIdx,
 			ShardCount: shardCount,
@@ -61,7 +44,7 @@ func ExtPopulationWith(env *Env, w io.Writer, p PopulationParams) (PopulationOut
 	}
 
 	fprintf(w, "Extension: population-scale sweep (%d members x %d schemes, seed %d)\n",
-		p.Members, len(schemes), p.Seed)
+		members, len(schemes), seed)
 	whole, st, err := sweep(0, 1)
 	if err != nil {
 		return PopulationOutcome{}, err

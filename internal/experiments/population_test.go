@@ -4,22 +4,20 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
-// TestExtPopulation runs the population-sweep experiment at test scale and
-// checks its shard-merge determinism claim and report shape.
+// TestExtPopulation runs the population-sweep experiment in its acceptance
+// configuration and checks its shard-merge determinism claim and report
+// shape.
 func TestExtPopulation(t *testing.T) {
 	env := testEnv()
 	var buf bytes.Buffer
-	out, err := ExtPopulationWith(env, &buf, PopulationParams{
-		Members: 8, Duration: 4 * time.Second, Seed: 5,
-	})
+	out, err := ExtPopulation(env, &buf)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
-	if out.Sessions != 16 { // 8 members x 2 schemes
-		t.Fatalf("folded %d sessions, want 16", out.Sessions)
+	if out.Sessions != 48 { // 24 members x 2 schemes
+		t.Fatalf("folded %d sessions, want 48", out.Sessions)
 	}
 	if !out.ShardsEqual {
 		t.Fatal("2-shard merge diverged from the whole sweep")
@@ -38,7 +36,7 @@ func TestExtPopulation(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, report)
 		}
 	}
-	if env.LastSweep.Sessions != 16 {
-		t.Errorf("LastSweep recorded %d sessions, want 16", env.LastSweep.Sessions)
+	if env.LastSweep.Sessions != 48 {
+		t.Errorf("LastSweep recorded %d sessions, want 48", env.LastSweep.Sessions)
 	}
 }

@@ -40,20 +40,21 @@ type FeedbackConfig struct {
 	// (scale < 1), cohorts below it are relaxed (scale > 1).
 	TargetDB float64
 
-	// MaxAttempts bounds the tries inside one Poll cycle (default 3):
-	// transient fetch failures retry with jittered backoff (RetryDelay,
-	// default Interval/8, ±50% jitter from Seed) under a whole-cycle
-	// deadline of one Interval, so a slow tier can never make polls
-	// overlap. Seed feeds the jitter RNG for deterministic replays.
-	MaxAttempts int
-	RetryDelay  time.Duration
-	Seed        int64
+	// Seed feeds the jitter RNG of the poll's retries for deterministic
+	// replays (see pollAttempts).
+	Seed int64
 
 	// Obs, when non-nil, receives the srv_qoe_* metrics — this registry
 	// is conventionally the server's own, so scale decisions land next to
 	// the srv_shed_* counters they modulate.
 	Obs *obs.Registry
 }
+
+// pollAttempts bounds the tries inside one Poll cycle: transient fetch
+// failures retry after Interval/8 with ±50% jitter from Seed, under a
+// whole-cycle deadline of one Interval, so a slow tier can never make
+// polls overlap.
+const pollAttempts = 3
 
 // The controller's shape. A median within deadbandDB of the target maps to
 // the neutral scale: the rollup quantile envelope is 0.25 dB, so the
@@ -76,12 +77,6 @@ func (c *FeedbackConfig) fillDefaults() {
 	}
 	if c.MaxAge <= 0 {
 		c.MaxAge = 3 * c.Interval
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = c.Interval / 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -148,7 +143,7 @@ func (f *Feedback) Run(ctx context.Context) {
 }
 
 // Poll fetches the rollup and recomputes every cohort's scale, retrying
-// transient fetch failures up to MaxAttempts inside a whole-cycle deadline
+// transient fetch failures up to pollAttempts inside a whole-cycle deadline
 // of one Interval. A cycle that exhausts its budget is fail-static: the
 // previous scales stand, and sustained failure ages them past MaxAge into
 // the neutral fallback.
@@ -156,18 +151,18 @@ func (f *Feedback) Poll(ctx context.Context) error {
 	f.cPolls.Inc()
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.Interval)
 	defer cancel()
-	return retry.Do(ctx, f.cfg.MaxAttempts, func(int) time.Duration {
+	return retry.Do(ctx, pollAttempts, func(int) time.Duration {
 		f.cRetries.Inc()
 		return f.retryDelay()
 	}, func(int) error { return f.pollOnce(ctx) })
 }
 
-// retryDelay is RetryDelay with ±50% deterministic jitter.
+// retryDelay is Interval/8 with ±50% deterministic jitter.
 func (f *Feedback) retryDelay() time.Duration {
 	f.rngMu.Lock()
 	j := f.rng.Float64()
 	f.rngMu.Unlock()
-	return retry.Jitter(f.cfg.RetryDelay, j)
+	return retry.Jitter(f.cfg.Interval/8, j)
 }
 
 // pollOnce performs one fetch + apply.

@@ -25,23 +25,23 @@ type PushConfig struct {
 	// URL is the ingest service's /ingest endpoint.
 	URL string
 
-	// MaxAttempts bounds tries per Push (default 4). BaseDelay is the
-	// first backoff (default 100 ms), doubling up to MaxDelay (default
-	// 2 s) with ±50% deterministic jitter from Seed.
-	MaxAttempts int
-	BaseDelay   time.Duration
-	MaxDelay    time.Duration
-	Seed        int64
+	// BaseDelay is the first backoff (default 100 ms), doubling up to
+	// MaxDelay (default 2 s) with ±50% deterministic jitter from Seed.
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
+	Seed      int64
 
 	// Obs, when non-nil, receives ing_push_retries / ing_push_drops.
 	Obs *obs.Registry
-	// Logf receives drop diagnostics; nil silences logging.
-	Logf func(format string, args ...any)
 }
 
-// pushDeadline caps one Push's total wall clock including backoffs: a
-// trace push must never wedge its caller behind a dead tier.
-const pushDeadline = 10 * time.Second
+const (
+	// pushAttempts bounds the tries per Push.
+	pushAttempts = 4
+	// pushDeadline caps one Push's total wall clock including backoffs: a
+	// trace push must never wedge its caller behind a dead tier.
+	pushDeadline = 10 * time.Second
+)
 
 // Pusher delivers JSONL trace bodies to an ingest tier with bounded
 // jittered-backoff retry: transient failures (network errors, 5xx, 429)
@@ -63,9 +63,6 @@ type Pusher struct {
 
 // NewPusher validates cfg and builds a pusher.
 func NewPusher(cfg PushConfig) *Pusher {
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
 	if cfg.BaseDelay <= 0 {
 		cfg.BaseDelay = 100 * time.Millisecond
 	}
@@ -101,7 +98,7 @@ func (p *Pusher) Push(ctx context.Context, body []byte) error {
 	p.cPushes.Inc()
 	ctx, cancel := context.WithTimeout(ctx, pushDeadline)
 	defer cancel()
-	err := retry.Do(ctx, p.cfg.MaxAttempts, func(k int) time.Duration {
+	err := retry.Do(ctx, pushAttempts, func(k int) time.Duration {
 		p.cRetries.Inc()
 		return p.backoff(k)
 	}, func(int) error { return p.attempt(ctx, body) })
@@ -109,9 +106,6 @@ func (p *Pusher) Push(ctx context.Context, body []byte) error {
 		return nil
 	}
 	p.cDrops.Inc()
-	if p.cfg.Logf != nil {
-		p.cfg.Logf("ingest: push %s: dropping %d-byte batch: %v", p.cfg.URL, len(body), err)
-	}
 	return fmt.Errorf("ingest: push %s: %w", p.cfg.URL, err)
 }
 

@@ -98,7 +98,8 @@ func (fs *FaultSchedule) Disconnects() int {
 //	4.0,blackout,2.0,0
 //	8.2,spike,1.0,300
 //
-// with an optional header row; kind is blackout, disconnect, or spike.
+// with an optional header row; kind is any name ParseFaultKind accepts:
+// disconnect, blackout, spike, bitflip or truncate.
 func ReadFaultCSV(r io.Reader) (*FaultSchedule, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 4

@@ -13,7 +13,8 @@ import (
 
 // Sweep describes one population sweep: every scheme plays every sampled
 // member of the population (so schemes are compared on identical traffic,
-// as the paper's evaluation does).
+// as the paper's evaluation does), scored in PSNR with the unperturbed
+// viewport predictor.
 type Sweep struct {
 	// Videos round-robins over the population by session index.
 	Videos []*video.Manifest
@@ -29,9 +30,7 @@ type Sweep struct {
 
 	Model Model
 
-	Metric          quality.Metric
-	PredictErrorDeg float64
-	Workers         int // 0 = GOMAXPROCS
+	Workers int // 0 = GOMAXPROCS
 
 	// ShardIndex/ShardCount select this process's strided slice of the
 	// population: member i runs here when i % ShardCount == ShardIndex.
@@ -68,7 +67,7 @@ func Run(sw Sweep) (*Rollup, Stats, error) {
 	cSessions := sw.Obs.Counter("pop_sessions")
 	hSessionMS := sw.Obs.Histogram("pop_session_ms")
 	members := (sw.Sessions - sw.ShardIndex + sw.ShardCount - 1) / sw.ShardCount
-	st, err := sim.Pool(sw.Videos, sw.Metric, sw.Workers, members, len(schemes), func(j int) error {
+	st, err := sim.Pool(sw.Videos, quality.PSNR, sw.Workers, members, len(schemes), func(j int) error {
 		// The member's traces live only for this call: sampled, played
 		// under every scheme, folded, dropped.
 		i := sw.ShardIndex + j*sw.ShardCount
@@ -76,13 +75,11 @@ func Run(sw Sweep) (*Rollup, Stats, error) {
 		for _, s := range schemes {
 			sessionStart := time.Now()
 			met, err := player.Run(player.Config{
-				Manifest:         sw.Videos[i%len(sw.Videos)],
-				Head:             mem.Head,
-				Bandwidth:        mem.Bandwidth,
-				Scheme:           s.Factory(),
-				Metric:           sw.Metric,
-				PredictErrorDeg:  sw.PredictErrorDeg,
-				PredictErrorSeed: int64(i + 1),
+				Manifest:  sw.Videos[i%len(sw.Videos)],
+				Head:      mem.Head,
+				Bandwidth: mem.Bandwidth,
+				Scheme:    s.Factory(),
+				Metric:    quality.PSNR,
 			})
 			if err != nil {
 				return fmt.Errorf("popsim: member %d scheme %s: %w", i, s.Key, err)

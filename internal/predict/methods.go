@@ -40,15 +40,15 @@ func (s *Static) Predict(time.Duration) geom.Orientation {
 	return s.last
 }
 
+// decayHalfLife is the horizon over which Decay's extrapolated velocity
+// halves.
+const decayHalfLife = 700 * time.Millisecond
+
 // Decay extrapolates with the recent angular velocity attenuated
 // exponentially over the prediction horizon: head motion persists briefly
 // but rarely continues for seconds, so damping the velocity tempers the
 // linear model's overshoot at long windows.
 type Decay struct {
-	// HalfLife is the horizon over which the extrapolated velocity halves
-	// (default 700 ms).
-	HalfLife time.Duration
-
 	lastT       time.Duration
 	last        geom.Orientation
 	velYaw      float64 // deg/s, EWMA-smoothed
@@ -80,10 +80,7 @@ func (d *Decay) Predict(at time.Duration) geom.Orientation {
 	if horizon <= 0 {
 		return d.last
 	}
-	hl := d.HalfLife.Seconds()
-	if hl <= 0 {
-		hl = 0.7
-	}
+	hl := decayHalfLife.Seconds()
 	// Integral of v0 * 2^(-t/hl) from 0 to horizon.
 	lambda := math.Ln2 / hl
 	travel := (1 - math.Exp(-lambda*horizon)) / lambda

@@ -173,8 +173,6 @@ func Accuracy(h *trace.HeadTrace, g *geom.Grid, vp geom.Viewport, window, step t
 type Bandwidth struct {
 	window  int
 	samples []float64 // Mbps, most recent last
-	// Safety discounts the estimate; 1 = no discount.
-	Safety float64
 }
 
 // DefaultBandwidthWindow is the number of throughput samples retained.
@@ -185,7 +183,7 @@ func NewBandwidth(window int) *Bandwidth {
 	if window <= 0 {
 		window = DefaultBandwidthWindow
 	}
-	return &Bandwidth{window: window, samples: make([]float64, 0, window), Safety: 1}
+	return &Bandwidth{window: window, samples: make([]float64, 0, window)}
 }
 
 // ObserveTransfer records a completed transfer of the given size/duration.
@@ -210,8 +208,8 @@ func (b *Bandwidth) ObserveMbps(mbps float64) {
 	b.samples = append(b.samples, mbps)
 }
 
-// PredictMbps returns the harmonic-mean estimate (times Safety), or 0 with
-// no observations.
+// PredictMbps returns the harmonic-mean estimate, or 0 with no
+// observations.
 func (b *Bandwidth) PredictMbps() float64 {
 	if len(b.samples) == 0 {
 		return 0
@@ -220,42 +218,5 @@ func (b *Bandwidth) PredictMbps() float64 {
 	for _, s := range b.samples {
 		inv += 1 / s
 	}
-	h := float64(len(b.samples)) / inv
-	if b.Safety > 0 {
-		h *= b.Safety
-	}
-	return h
+	return float64(len(b.samples)) / inv
 }
-
-// PredictBytes returns the bytes deliverable over dur at the estimate.
-func (b *Bandwidth) PredictBytes(dur time.Duration) float64 {
-	return b.PredictMbps() * 1e6 / 8 * dur.Seconds()
-}
-
-// EWMA is an exponentially weighted moving-average throughput estimator,
-// provided as an alternative to the harmonic mean for ablations.
-type EWMA struct {
-	Alpha float64 // weight of the newest sample, in (0, 1]
-	value float64
-	init  bool
-}
-
-// ObserveMbps folds a new sample into the average.
-func (e *EWMA) ObserveMbps(mbps float64) {
-	if mbps <= 0 || math.IsNaN(mbps) || math.IsInf(mbps, 0) {
-		return
-	}
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 0.3
-	}
-	if !e.init {
-		e.value = mbps
-		e.init = true
-		return
-	}
-	e.value = a*mbps + (1-a)*e.value
-}
-
-// PredictMbps returns the current average (0 before any observation).
-func (e *EWMA) PredictMbps() float64 { return e.value }

@@ -190,42 +190,6 @@ func TestBandwidthIgnoresDegenerate(t *testing.T) {
 	}
 }
 
-func TestBandwidthSafety(t *testing.T) {
-	b := NewBandwidth(0)
-	b.Safety = 0.5
-	b.ObserveMbps(10)
-	if got := b.PredictMbps(); math.Abs(got-5) > 1e-9 {
-		t.Errorf("safety-discounted estimate = %v, want 5", got)
-	}
-}
-
-func TestPredictBytes(t *testing.T) {
-	b := NewBandwidth(0)
-	b.ObserveMbps(8)
-	if got := b.PredictBytes(time.Second); math.Abs(got-1e6) > 1 {
-		t.Errorf("PredictBytes = %v, want 1e6", got)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := &EWMA{Alpha: 0.5}
-	if e.PredictMbps() != 0 {
-		t.Error("uninitialized EWMA should be 0")
-	}
-	e.ObserveMbps(10)
-	if e.PredictMbps() != 10 {
-		t.Errorf("first sample: %v", e.PredictMbps())
-	}
-	e.ObserveMbps(20)
-	if math.Abs(e.PredictMbps()-15) > 1e-9 {
-		t.Errorf("EWMA = %v, want 15", e.PredictMbps())
-	}
-	e.ObserveMbps(-1) // ignored
-	if math.Abs(e.PredictMbps()-15) > 1e-9 {
-		t.Error("EWMA accepted bad sample")
-	}
-}
-
 func BenchmarkViewportPredict(b *testing.B) {
 	p := NewViewport(0)
 	for i := 0; i < 25; i++ {

@@ -2,8 +2,10 @@
 // client's opening dial and reconnector, the trace pusher and the feedback
 // poller call it instead of keeping their own sleep, attempt count and
 // deadline check — and the arithmetic their waits come from: Exp, the one
-// capped doubling, and Jitter, the one ±50 % spread. Callers keep their
-// own defaults, budgets and RNGs.
+// capped doubling, and Jitter, a ±50 % spread around it. Jitter is the
+// pusher's and the poller's spread; the client's reconnect delay draws its
+// own, [d, 1.5d), so no retry comes sooner than the doubling. Callers keep
+// their own defaults, budgets and RNGs.
 package retry
 
 import (

@@ -33,7 +33,7 @@ func Registry() map[string]SchemeFactory {
 		"dragonfly": func() player.Scheme { return core.NewDefault() },
 		"flare":     func() player.Scheme { return baseline.NewFlare(baseline.FlareOptions{}) },
 		"pano":      func() player.Scheme { return baseline.NewPano(baseline.PanoOptions{}) },
-		"twotier":   func() player.Scheme { return baseline.NewTwoTier(baseline.TwoTierOptions{}) },
+		"twotier":   func() player.Scheme { return baseline.NewTwoTier() },
 
 		// PSPNR-optimizing variants (§4.3, Fig 10).
 		"dragonfly-pspnr": func() player.Scheme {

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"dragonfly/internal/baseline"
 	"dragonfly/internal/core"
 	"dragonfly/internal/decoder"
+	"dragonfly/internal/geom"
 	"dragonfly/internal/player"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
@@ -48,6 +52,52 @@ func TestRegistryComplete(t *testing.T) {
 		// Factories must return fresh instances.
 		if f() == s {
 			t.Errorf("%q factory returned a shared instance", key)
+		}
+	}
+}
+
+// TestRegistryDecidesAtInfiniteRate hands every registered scheme a
+// +Inf throughput estimate. Each must decide without panicking, and each
+// baseline, whose budgets come from internal/abr, must decide exactly what
+// it decides at 1e6 Mbps, a rate at which every budget fits: an infinite
+// rate means everything fits, not nothing.
+func TestRegistryDecidesAtInfiniteRate(t *testing.T) {
+	m := video.Generate(video.GenParams{
+		ID: "inf", Rows: 6, Cols: 6, NumChunks: 6,
+		TargetQP42Mbps: 1, TargetQP22Mbps: 8, Seed: 21,
+	})
+	decide := func(f SchemeFactory, mbps float64) (player.Scheme, []player.RequestItem) {
+		s := f()
+		items := s.Decide(&player.Context{
+			PlayFrame:     45,
+			Now:           1500 * time.Millisecond,
+			Manifest:      m,
+			Grid:          m.Grid(),
+			Viewport:      geom.DefaultViewport,
+			Received:      player.NewReceived(m),
+			Predict:       func(time.Duration) geom.Orientation { return geom.Orientation{Yaw: 30} },
+			PredictedMbps: mbps,
+			FrameDuration: time.Second / 30,
+			FrameDeadline: func(frame int) time.Duration { return time.Duration(frame) * time.Second / 30 },
+		})
+		return s, slices.Clone(items)
+	}
+	reg := Registry()
+	keys := make([]string, 0, len(reg))
+	for key := range reg {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		s, atInf := decide(reg[key], math.Inf(1))
+		if len(atInf) == 0 {
+			t.Errorf("%s: no fetches at +Inf Mbps", key)
+		}
+		switch s.(type) {
+		case *baseline.Flare, *baseline.Pano, *baseline.TwoTier, *baseline.PassiveSkip:
+			if _, atHuge := decide(reg[key], 1e6); !slices.Equal(atInf, atHuge) {
+				t.Errorf("%s: decides differently at +Inf Mbps than at 1e6 Mbps:\n+Inf %v\n1e6  %v", key, atInf, atHuge)
+			}
 		}
 	}
 }

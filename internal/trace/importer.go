@@ -22,27 +22,25 @@ type IntervalLogOptions struct {
 	// ValueIsBytes interprets the value column as bytes transferred during
 	// the interval; otherwise it is taken as kilobits per second.
 	ValueIsBytes bool
-	// Resample is the uniform sample period of the resulting trace.
-	// Default: 1 second.
-	Resample time.Duration
 	// Comma switches the separator from whitespace to commas.
 	Comma bool
 	ID    string
 }
 
-// maxIntervalBins bounds the imported trace (48 days at the default 1 s), so
-// two far-apart timestamps cannot make the importer allocate gigabytes of
-// empty bins.
-const maxIntervalBins = 1 << 22
+const (
+	// intervalBin is the uniform sample period of an imported trace.
+	intervalBin = time.Second
+	// maxIntervalBins bounds the imported trace (48 days of 1 s bins), so
+	// two far-apart timestamps cannot make the importer allocate gigabytes
+	// of empty bins.
+	maxIntervalBins = 1 << 22
+)
 
 // ReadIntervalLog parses a raw throughput measurement log into a uniformly
-// sampled BandwidthTrace: measurements are bucketed into Resample-sized
-// bins (relative to the first timestamp) and averaged. Lines that fail to
-// parse are skipped; the log must yield at least two usable measurements.
+// sampled BandwidthTrace: measurements are bucketed into 1 s bins
+// (relative to the first timestamp) and averaged. Lines that fail to parse
+// are skipped; the log must yield at least two usable measurements.
 func ReadIntervalLog(r io.Reader, o IntervalLogOptions) (*BandwidthTrace, error) {
-	if o.Resample == 0 {
-		o.Resample = time.Second
-	}
 	type sample struct {
 		at   time.Duration
 		mbps float64
@@ -113,14 +111,14 @@ func ReadIntervalLog(r io.Reader, o IntervalLogOptions) (*BandwidthTrace, error)
 	// previous bin's rate (measurement gaps, not outages, in these datasets).
 	base := min(samples[0].at, 0)
 	span := samples[len(samples)-1].at - base
-	if span/o.Resample >= maxIntervalBins {
-		return nil, fmt.Errorf("trace: interval log spans %v, over %d bins of %v", span, maxIntervalBins, o.Resample)
+	if span/intervalBin >= maxIntervalBins {
+		return nil, fmt.Errorf("trace: interval log spans %v, over %d bins of %v", span, maxIntervalBins, intervalBin)
 	}
-	n := int(span/o.Resample) + 1
+	n := int(span/intervalBin) + 1
 	sums := make([]float64, n)
 	counts := make([]int, n)
 	for _, s := range samples {
-		i := int((s.at - base) / o.Resample)
+		i := int((s.at - base) / intervalBin)
 		sums[i] += s.mbps
 		counts[i]++
 	}
@@ -138,5 +136,5 @@ func ReadIntervalLog(r io.Reader, o IntervalLogOptions) (*BandwidthTrace, error)
 	if id == "" {
 		id = "imported"
 	}
-	return &BandwidthTrace{ID: id, SamplePeriod: o.Resample, Mbps: mbps}, nil
+	return &BandwidthTrace{ID: id, SamplePeriod: intervalBin, Mbps: mbps}, nil
 }

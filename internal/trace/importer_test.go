@@ -104,7 +104,7 @@ func TestReadIntervalLogRejectsEmpty(t *testing.T) {
 func TestReadIntervalLogResample(t *testing.T) {
 	log := "0 4000\n500 8000\n1000 12000\n1500 16000\n"
 	tr, err := ReadIntervalLog(strings.NewReader(log), IntervalLogOptions{
-		TimestampCol: 0, ValueCol: 1, Resample: time.Second,
+		TimestampCol: 0, ValueCol: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 #!/bin/sh
-# CI gate: formatting, vet, the doc-drift gates, the full test suite once
-# under the race detector, a fuzz smoke, and a one-iteration benchmark smoke
-# compared against the committed baseline. The chaos tests (internal/client,
-# internal/server, internal/netem) exercise real goroutine-per-connection
-# sessions with mid-stream disconnects, so -race here is load-bearing, not
-# ceremony.
+# CI gate: formatting, vet, the doc-drift gates, the settings ratchet, the
+# full test suite once under the race detector, a fuzz smoke, and a
+# one-iteration benchmark smoke compared against the committed baseline.
+# The chaos tests (internal/client, internal/server, internal/netem)
+# exercise real goroutine-per-connection sessions with mid-stream
+# disconnects, so -race here is load-bearing, not ceremony.
 #
 # Single-iteration timing is noisy, so the benchmark comparison only warns
 # by default; pass -strict to make a regression fail the gate. An
@@ -117,6 +117,15 @@ for id in $(sed -n 's/.*{ID: "\([^"]*\)".*/\1/p' internal/experiments/registry.g
 	fi
 done
 [ "$edrift" = 0 ] || exit 1
+
+# Settings ratchet: every exported field of an exported internal/ struct
+# whose type name ends in Options, Config, Policy or Sweep must be set by
+# name by some non-test file outside its package (bench/ counts), or be
+# listed with its reason in scripts/unset_settings.txt. A knob nobody sets
+# is a constant beside its reader. The audit is a test behind the
+# settingsaudit build tag, so the plain suite neither builds nor runs it; it
+# fails on an unlisted unset setting and on a listed one it no longer finds.
+go test -tags settingsaudit -run '^TestSettingsAudit$' -count=1 .
 
 # The whole suite once, uncached, under the race detector. This is also the
 # run that holds the seeded system gates — TestChaosSoak (every failpoint
