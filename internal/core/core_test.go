@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -522,5 +523,28 @@ func TestDragonflyTiledSchedEndToEnd(t *testing.T) {
 	}
 	if met.RebufferDuration != 0 {
 		t.Error("scheduled masking variant stalled")
+	}
+}
+
+// TestNonFinitePredictionDecidesAsExact: a predicted orientation with a NaN
+// or infinite coordinate overlaps no tile on the exact path, and the table
+// path must agree instead of indexing its plane at int(NaN) (a panic) or
+// reading the north pole's bucket (a NaN pitch).
+func TestNonFinitePredictionDecidesAsExact(t *testing.T) {
+	m := video.Generate(video.GenParams{ID: "nan", NumChunks: 3, Seed: 3}) // 12x12
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, o := range []geom.Orientation{{Yaw: nan}, {Pitch: nan}, {Yaw: inf, Pitch: 10}, {Yaw: 20, Pitch: -inf}} {
+		ctx := staticContext(m, 10)
+		ctx.Predict = func(time.Duration) geom.Orientation { return o }
+		exact := DefaultOptions()
+		exact.ExactGeometry = true
+		got := New(DefaultOptions()).Decide(ctx)
+		want := New(exact).Decide(ctx)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("prediction %+v: table path decided %v, exact path %v", o, got, want)
+		}
+		if w := buildWindow(ctx, DefaultOptions(), nil); len(w.slab) != 0 {
+			t.Errorf("prediction %+v: %d table-path candidates, want none", o, len(w.slab))
+		}
 	}
 }

@@ -33,7 +33,7 @@ type window struct {
 	candIdx    []int32            // [(chunk-firstChunk)*tiles + tile] -> slab index, -1 empty, -2 rejected
 	sampleOri  []geom.Orientation // predicted orientation of sample s
 	queries    []geom.CapQuery    // exact path: [s*nRoI + r]
-	lookups    []geom.PlaneLookup // table path: [s*nRoI + r]
+	lookups    []geom.PlaneLookup // table path: [s]
 	frameChunk []int32            // chunk of window frame wf, -1 past the video
 	tileBuf    []geom.TileID      // per-sample cap-tile discovery buffer
 	sampleSc   []float64          // per-sample location score of one candidate
@@ -134,9 +134,9 @@ func buildWindow(ctx *player.Context, o Options, maskingPlanned func(chunk int, 
 // prep sizes the window for a look-ahead of wFrames frames sampled every
 // `step` frames: per-frame deadlines and chunk membership, and the
 // predicted orientation per sampled frame (held for `step` frames) with
-// the RoI overlap machinery hoisted per sample — table lookups when the
-// session has overlap tables, precomputed cap queries otherwise. Returns
-// the number of samples.
+// the RoI overlap machinery hoisted per sample — one lookup of the RoI
+// set's plane when the session has overlap tables, precomputed cap queries
+// otherwise. Returns the number of samples.
 func (w *window) prep(ctx *player.Context, o Options, tabs *sessionTables, wFrames, step int) int {
 	m := ctx.Manifest
 	lastFrame := m.NumFrames() - 1
@@ -163,18 +163,16 @@ func (w *window) prep(ctx *player.Context, o Options, tabs *sessionTables, wFram
 	nRoI := len(o.RoIs.RadiiDeg)
 	nSamples := (wFrames + step - 1) / step
 	w.sampleOri = grow(w.sampleOri, nSamples)
-	if tabs.planes != nil {
-		w.lookups = grow(w.lookups, nSamples*nRoI)
+	if tabs.plane != nil {
+		w.lookups = grow(w.lookups, nSamples)
 	} else {
 		w.queries = grow(w.queries, nSamples*nRoI)
 	}
 	for s := 0; s < nSamples; s++ {
 		ori := ctx.Predict(w.deadlines[s*step])
 		w.sampleOri[s] = ori
-		if tabs.planes != nil {
-			for r, pl := range tabs.planes {
-				w.lookups[s*nRoI+r] = pl.Lookup(ori)
-			}
+		if tabs.plane != nil {
+			w.lookups[s] = tabs.plane.Lookup(ori)
 		} else {
 			for r, rad := range o.RoIs.RadiiDeg {
 				w.queries[s*nRoI+r] = geom.NewCapQuery(ori, rad)
@@ -212,15 +210,10 @@ func (w *window) scoreSlab(o Options, tabs *sessionTables, wFrames, nSamples, st
 		if lo < hi {
 			sLo, sHi = lo/step, (hi-1)/step+1
 		}
-		if tabs.planes != nil {
-			col := int(c.tile) % tabs.grid.Cols
-			rowBase := int(c.tile) - col
+		if tabs.plane != nil {
+			row, col := tabs.grid.RowCol(c.tile)
 			for s := sLo; s < sHi; s++ {
-				v := 0.0
-				for r := s * nRoI; r < (s+1)*nRoI; r++ {
-					v += w.lookups[r].OverlapAt(rowBase, col)
-				}
-				w.sampleSc[s] = v
+				w.sampleSc[s] = w.lookups[s].OverlapAt(row, col)
 			}
 		} else {
 			for s := sLo; s < sHi; s++ {
@@ -262,12 +255,14 @@ func (w *window) build(ctx *player.Context, o Options, plan *maskPlan, tabs *ses
 	}
 	lastFrame := m.NumFrames() - 1
 	step := o.frameStep
-	nRoI := len(o.RoIs.RadiiDeg)
 	nSamples := w.prep(ctx, o, tabs, wFrames, step)
-	useTable := tabs.planes != nil
+	useTable := tabs.plane != nil
 
 	// Candidate set: tiles within the outermost RoI of any sampled frame,
-	// deduplicated per (chunk, tile) through the flat candIdx map.
+	// deduplicated per (chunk, tile) through the flat candIdx map. On the
+	// table path they are the RoI plane's non-zero tiles: the caps share one
+	// center vector and their radii increase, so every tile an inner cap
+	// touches the outermost one touches too.
 	tiles := m.NumTiles()
 	firstChunk := m.ChunkOfFrame(ctx.PlayFrame)
 	endFrame := ctx.PlayFrame + wFrames - 1
@@ -289,7 +284,7 @@ func (w *window) build(ctx *player.Context, o Options, plan *maskPlan, tabs *ses
 		chunk := m.ChunkOfFrame(frame)
 		rel := chunk - firstChunk
 		if useTable {
-			w.tileBuf = w.lookups[s*nRoI+nRoI-1].AppendTiles(w.tileBuf[:0])
+			w.tileBuf = w.lookups[s].AppendTiles(w.tileBuf[:0])
 		} else {
 			w.tileBuf = tabs.grid.AppendTilesInCap(w.tileBuf[:0], w.sampleOri[s], outer)
 		}
@@ -370,7 +365,7 @@ func (s *fullSorter) Less(i, j int) bool {
 }
 
 // sessionTables holds the per-session resolution of the process-wide
-// read-only tables: the shared overlap planes for the RoI radii (nil when
+// read-only tables: the shared overlap plane of the RoI set (nil when
 // Options.ExactGeometry re-samples the sphere instead) and the memoized
 // quality scores. Resolution is guarded by pointer comparison so Decide
 // pays it only when the manifest changes.
@@ -378,7 +373,7 @@ type sessionTables struct {
 	grid   *geom.Grid
 	man    *video.Manifest
 	metric quality.Metric
-	planes []*geom.CapPlane // one per RoI radius; nil => exact path
+	plane  *geom.CapPlane // the RoI set's location scores; nil => exact path
 	scores *quality.ScoreTable
 }
 
@@ -391,9 +386,9 @@ func (t *sessionTables) resolve(ctx *player.Context, o Options) {
 	t.metric = o.Metric
 	t.scores = quality.Scores(ctx.Manifest, o.Metric)
 	if o.ExactGeometry {
-		t.planes = nil
+		t.plane = nil
 	} else {
-		t.planes = o.RoIs.Planes(geom.SharedTable(ctx.Grid, geom.TableParams{}))
+		t.plane = geom.SharedTable(ctx.Grid, geom.TableParams{}).RoIPlane(o.RoIs)
 	}
 }
 

@@ -15,18 +15,30 @@ import (
 // scoreSlabRef is window.scoreSlab as it stood before it learned that a
 // tile scores only over its own chunk's frames: every candidate evaluated
 // at every sample of the window, 0.0 added for every frame outside its
-// chunk. Kept verbatim as the oracle for TestScoreSlabMatchesReference.
+// chunk. Kept verbatim as the oracle for TestScoreSlabMatchesReference,
+// except that on the table path it sums the per-radius planes itself, one
+// lookup per (sample, radius), where the window now reads one plane of
+// the whole RoI set.
 func (w *window) scoreSlabRef(o Options, tabs *sessionTables, wFrames, nSamples, step int) {
 	nRoI := len(o.RoIs.RadiiDeg)
+	var lookups []geom.PlaneLookup // [s*nRoI + r]
+	if tabs.plane != nil {
+		tab := geom.SharedTable(tabs.grid, geom.TableParams{})
+		for s := 0; s < nSamples; s++ {
+			for _, r := range o.RoIs.RadiiDeg {
+				lookups = append(lookups, tab.Plane(r).Lookup(w.sampleOri[s]))
+			}
+		}
+	}
 	w.sampleSc = grow(w.sampleSc, nSamples)
 	w.cumLBuf = grow(w.cumLBuf, len(w.slab)*(wFrames+1))
 	for i := range w.slab {
 		c := &w.slab[i]
 		for s := 0; s < nSamples; s++ {
-			if tabs.planes != nil {
+			if tabs.plane != nil {
 				v := 0.0
 				for r := 0; r < nRoI; r++ {
-					v += w.lookups[s*nRoI+r].Overlap(c.tile)
+					v += lookups[s*nRoI+r].Overlap(c.tile)
 				}
 				w.sampleSc[s] = v
 			} else {

@@ -35,26 +35,26 @@ func ExampleRoISet_LocationScore() {
 	// behind user: 0.00
 }
 
-// ExampleSharedTable shows the table-driven fast path for cap overlaps:
-// resolve the process-wide table for a grid geometry, pick the plane for a
-// cap radius, then answer per-tile overlap queries from a lookup instead of
-// re-sampling the sphere. The lookup agrees with the exact OverlapCap up to
-// the table's quantization (see TestOverlapTableAccuracy).
+// ExampleSharedTable shows the table-driven fast path for location
+// scores: resolve the process-wide table for a grid geometry, pick the
+// plane for an RoI set, then answer per-tile queries from a lookup instead
+// of re-sampling the sphere. The lookup agrees with the exact LocationScore
+// up to the table's quantization (see TestOverlapTableAccuracy).
 func ExampleSharedTable() {
 	grid := geom.NewGrid(12, 12)
 	table := geom.SharedTable(grid, geom.TableParams{}) // default quantization
-	plane := table.Plane(geom.DefaultViewport.RadiusDeg)
+	plane := table.RoIPlane(geom.DefaultRoIs)
 
 	center := geom.Orientation{Yaw: 0, Pitch: 0}
 	lookup := plane.Lookup(center) // hoist out of per-tile loops
 	tile := grid.TileAt(center)
 	fmt.Printf("table:  %.2f\n", lookup.Overlap(tile))
-	fmt.Printf("exact:  %.2f\n", grid.OverlapCap(tile, center, plane.Radius()))
-	fmt.Printf("tiles in cap: %d\n", len(lookup.AppendTiles(nil)))
+	fmt.Printf("exact:  %.2f\n", geom.DefaultRoIs.LocationScore(grid, tile, center))
+	fmt.Printf("tiles in outer cap: %d\n", len(lookup.AppendTiles(nil)))
 	// Output:
-	// table:  1.00
-	// exact:  1.00
-	// tiles in cap: 28
+	// table:  2.75
+	// exact:  2.75
+	// tiles in outer cap: 42
 }
 
 // ExampleYawDelta demonstrates shortest-arc yaw differences across the

@@ -3,7 +3,9 @@ package geom
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"unsafe"
 )
 
 // This file implements precomputed overlap tables: the spherical-cap overlap
@@ -17,6 +19,13 @@ import (
 // exactly one tile column maps tile (r, c) onto tile (r, c+1). A table
 // therefore only needs yaw resolution within a single tile column; the
 // column shift is applied at lookup time.
+//
+// A plane holds one RoI set's location score — the in-order sum of the
+// tile's overlaps with each of the set's caps — so the scheduler reads one
+// value where it would otherwise sum one per radius. Most cells of a plane
+// are zero (a 65° cap touches about a third of the tiles), so a plane keeps
+// only the cells a cap touches: per (bucket, row), the cyclic run of
+// base-frame columns that hold non-zero values, with those values packed.
 //
 // Accuracy: a table lookup evaluates the exact OverlapCap at the nearest
 // quantized center. With the default TableParams the quantized center is
@@ -43,7 +52,7 @@ type TableParams struct {
 
 // The default quantization: 16 steps per tile edge keeps the quantized
 // center within ~1.2° of the true center on the paper's 12×12 grid while a
-// 3-radius RoI table stays around 10 MB.
+// DefaultRoIs plane stays around 1.75 MB.
 const (
 	DefaultYawStepsPerTile   = 16
 	DefaultPitchStepsPerTile = 16
@@ -59,7 +68,7 @@ func (p TableParams) withDefaults() TableParams {
 	return p
 }
 
-// OverlapTable caches CapPlanes — one per cap radius — for one grid
+// OverlapTable caches CapPlanes — one per RoI set — for one grid
 // geometry. Planes are built lazily on first request and are immutable
 // afterwards, so a table can be shared by any number of concurrent
 // sessions (see SharedTable).
@@ -68,13 +77,13 @@ type OverlapTable struct {
 	p TableParams
 
 	mu     sync.Mutex
-	planes map[int64]*CapPlane // keyed by radius in micro-degrees
+	planes []*CapPlane // a handful at most: searched by radii
 }
 
 // NewOverlapTable creates an empty table for the grid. Most callers want
 // SharedTable instead, which reuses tables process-wide.
 func NewOverlapTable(g *Grid, p TableParams) *OverlapTable {
-	return &OverlapTable{g: g, p: p.withDefaults(), planes: make(map[int64]*CapPlane)}
+	return &OverlapTable{g: g, p: p.withDefaults()}
 }
 
 // tableKey identifies a table by grid geometry and quantization — not by
@@ -88,7 +97,7 @@ var sharedTables sync.Map // tableKey -> *OverlapTable
 
 // SharedTable returns the process-wide overlap table for the grid's
 // dimensions, creating it on first use. Sweeps with hundreds of sessions
-// over the same tiling build each radius plane exactly once.
+// over the same tiling build each plane exactly once.
 func SharedTable(g *Grid, p TableParams) *OverlapTable {
 	key := tableKey{rows: g.Rows, cols: g.Cols, p: p.withDefaults()}
 	if t, ok := sharedTables.Load(key); ok {
@@ -98,95 +107,139 @@ func SharedTable(g *Grid, p TableParams) *OverlapTable {
 	return t.(*OverlapTable)
 }
 
-// Plane returns the table plane for one cap radius, building it on first
-// use. Safe for concurrent use.
-func (t *OverlapTable) Plane(radiusDeg float64) *CapPlane {
-	key := int64(math.Round(radiusDeg * 1e6))
+// RoIPlane returns the plane of the RoI set's location score, building it
+// on first use: per tile, the radii's overlaps added to 0.0 in radius
+// order. Safe for concurrent use.
+func (t *OverlapTable) RoIPlane(rs RoISet) *CapPlane {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if pl, ok := t.planes[key]; ok {
-		return pl
+	for _, pl := range t.planes {
+		if slices.EqualFunc(pl.rois.RadiiDeg, rs.RadiiDeg, sameBits) {
+			return pl
+		}
 	}
-	pl := buildPlane(t.g, t.p, radiusDeg)
-	t.planes[key] = pl
+	pl := buildPlane(t.g, t.p, rs)
+	t.planes = append(t.planes, pl)
 	return pl
 }
 
-// Planes resolves one plane per RoI radius, in radius order — the
-// per-session setup for table-driven location scores.
-func (rs RoISet) Planes(t *OverlapTable) []*CapPlane {
-	out := make([]*CapPlane, len(rs.RadiiDeg))
-	for i, r := range rs.RadiiDeg {
-		out[i] = t.Plane(r)
-	}
-	return out
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// Plane returns the plane of one cap radius: RoIPlane of a one-radius set.
+func (t *OverlapTable) Plane(radiusDeg float64) *CapPlane {
+	return t.RoIPlane(RoISet{RadiiDeg: []float64{radiusDeg}})
 }
 
-// CapPlane is the precomputed overlap table for one (grid, radius): for
-// every quantized center orientation, the exact overlap fraction of every
-// tile with the spherical cap at that center. Immutable after build.
+// CapPlane is the precomputed location score of one (grid, RoI set): for
+// every quantized center orientation, the in-order sum of every tile's
+// exact overlap fractions with the set's caps at that center. Immutable
+// after build.
 type CapPlane struct {
 	g          *Grid
-	radiusDeg  float64
+	rois       RoISet
 	yawSteps   int     // buckets within one tile column width
 	pitchSteps int     // buckets over the full 180° pitch range
 	dyawTile   float64 // 360 / Cols
 
-	// data[(ys*pitchSteps+ps)*numTiles + tile] is the overlap of `tile`
-	// with the cap centered in the base column (yaw bucket ys of column 0).
-	data []float64
-	// nonzero[ys*pitchSteps+ps] lists the base-frame tiles with data > 0,
-	// in ascending tile order.
-	nonzero [][]TileID
+	// runs[bucket*Rows + row] locates the non-zero values of one grid row
+	// for the cap centered in the base column (yaw bucket ys of column 0,
+	// bucket = ys*pitchSteps + ps); every column outside the run reads 0.
+	runs []planeRun
+	vals []float64
+	// none is one empty run per row: the lookup of a non-finite center.
+	none []planeRun
 }
 
-func buildPlane(g *Grid, p TableParams, radiusDeg float64) *CapPlane {
+// planeRun is the cyclic run of base-frame columns start, start+1, …
+// (mod Cols) of one row, n long, whose values are vals[off : off+n]. It
+// holds every non-zero value of the row and starts and ends on one; a zero
+// inside it is stored. An offset past 2^32 would need a 32 GiB vals.
+type planeRun struct{ off, start, n uint32 }
+
+func buildPlane(g *Grid, p TableParams, rs RoISet) *CapPlane {
 	p = p.withDefaults()
 	pl := &CapPlane{
 		g:          g,
-		radiusDeg:  radiusDeg,
+		rois:       RoISet{RadiiDeg: slices.Clone(rs.RadiiDeg)},
 		yawSteps:   p.YawStepsPerTile,
 		pitchSteps: p.PitchStepsPerTile * g.Rows,
 		dyawTile:   360.0 / float64(g.Cols),
 	}
 	n := g.NumTiles()
 	buckets := pl.yawSteps * pl.pitchSteps
-	pl.data = make([]float64, buckets*n)
-	pl.nonzero = make([][]TileID, buckets)
+	pl.runs = make([]planeRun, buckets*g.Rows)
+	pl.none = make([]planeRun, g.Rows)
+	sum := make([]float64, n)
+	vals := make([]float64, 0, buckets*n) // every cell: no growth; trimmed below
 	dpitch := 180.0 / float64(pl.pitchSteps)
 	for ys := 0; ys < pl.yawSteps; ys++ {
 		yaw := NormalizeYaw(-180 + (float64(ys)+0.5)*pl.dyawTile/float64(pl.yawSteps))
 		for ps := 0; ps < pl.pitchSteps; ps++ {
 			center := Orientation{Yaw: yaw, Pitch: 90 - (float64(ps)+0.5)*dpitch}
-			q := NewCapQuery(center, radiusDeg)
+			clear(sum)
+			for _, r := range rs.RadiiDeg {
+				q := NewCapQuery(center, r)
+				// A tile the walk skips, or whose overlap is 0, adds
+				// nothing: x + 0 is x for the non-negative sums here.
+				g.walkCap(q, func(id TileID) {
+					if v := g.OverlapCapQ(id, q); v > 0 {
+						sum[id] += v
+					}
+				})
+			}
 			bucket := ys*pl.pitchSteps + ps
-			row := pl.data[bucket*n : (bucket+1)*n]
-			var ids []TileID
-			// Tiles the walk skips keep data's zero, the bits of 0/tileWeight.
-			g.walkCap(q, func(id TileID) {
-				if v := g.OverlapCapQ(id, q); v > 0 {
-					row[id] = v
-					ids = append(ids, id)
-				}
-			})
-			pl.nonzero[bucket] = ids
+			for row := 0; row < g.Rows; row++ {
+				cells := sum[row*g.Cols : (row+1)*g.Cols]
+				start, cnt := cyclicRun(cells)
+				pl.runs[bucket*g.Rows+row] = planeRun{off: uint32(len(vals)), start: uint32(start), n: uint32(cnt)}
+				end := start + cnt
+				vals = append(vals, cells[start:min(end, g.Cols)]...)
+				vals = append(vals, cells[:max(end-g.Cols, 0)]...) // the part that wraps
+			}
 		}
 	}
+	pl.vals = append([]float64(nil), vals...)
 	return pl
 }
 
-// Radius returns the cap radius the plane was built for, in degrees.
-func (pl *CapPlane) Radius() float64 { return pl.radiusDeg }
+// cyclicRun returns the shortest cyclic run of cells [start, start+n)
+// (mod len(cells)) that holds every positive cell: the complement of the
+// longest cyclic run of zeros. n is 0 when no cell is positive.
+func cyclicRun(cells []float64) (start, n int) {
+	first := slices.IndexFunc(cells, func(v float64) bool { return v > 0 })
+	if first < 0 {
+		return 0, 0
+	}
+	cols := len(cells)
+	start, gap, prev := first, 0, 0
+	for k := 1; k <= cols; k++ { // k == cols revisits first, closing the wrap
+		c := (first + k) % cols
+		if cells[c] > 0 {
+			if k-prev-1 > gap {
+				start, gap = c, k-prev-1
+			}
+			prev = k
+		}
+	}
+	return start, cols - gap
+}
 
-// MemoryBytes reports the approximate size of the plane's overlap array,
-// for capacity planning (docs/PERFORMANCE.md).
-func (pl *CapPlane) MemoryBytes() int { return 8 * len(pl.data) }
+// MemoryBytes reports the bytes the plane holds — its packed values and
+// its run headers — for capacity planning (docs/PERFORMANCE.md).
+func (pl *CapPlane) MemoryBytes() int {
+	return 8*len(pl.vals) + int(unsafe.Sizeof(planeRun{}))*(len(pl.runs)+len(pl.none))
+}
 
 // Lookup quantizes a center orientation into the plane's bucket and column
-// shift. The returned PlaneLookup answers per-tile overlap queries with a
-// single array read; callers evaluating many tiles against one center
-// should hoist the Lookup out of the loop.
+// shift. The returned PlaneLookup answers per-tile queries with a run
+// header and an array read; callers evaluating many tiles against one
+// center should hoist the Lookup out of the loop. A center with a NaN or
+// infinite coordinate overlaps nothing, as on the exact path, whose cap
+// vector is then NaN.
 func (pl *CapPlane) Lookup(center Orientation) PlaneLookup {
+	if !isFinite(center.Yaw) || !isFinite(center.Pitch) {
+		return PlaneLookup{runs: pl.none, cols: pl.g.Cols}
+	}
 	o := center.Normalize()
 	u := (o.Yaw + 180) / pl.dyawTile
 	shift := int(u)
@@ -208,63 +261,83 @@ func (pl *CapPlane) Lookup(center Orientation) PlaneLookup {
 		ps = 0
 	}
 	bucket := ys*pl.pitchSteps + ps
-	n := pl.g.NumTiles()
+	rows := pl.g.Rows
 	return PlaneLookup{
-		vals:  pl.data[bucket*n : (bucket+1)*n],
-		ids:   pl.nonzero[bucket],
+		runs:  pl.runs[bucket*rows : (bucket+1)*rows],
+		vals:  pl.vals,
 		shift: shift,
 		cols:  pl.g.Cols,
 	}
 }
 
-// Overlap is the table-driven OverlapCap: the overlap fraction of tile id
-// with the cap at the quantized center.
-func (pl *CapPlane) Overlap(id TileID, center Orientation) float64 {
-	return pl.Lookup(center).Overlap(id)
-}
+// isFinite reports whether x is neither NaN nor infinite.
+func isFinite(x float64) bool { return x-x == 0 }
 
 // PlaneLookup is a resolved (plane, quantized center) pair. The zero value
 // is not meaningful; obtain one from CapPlane.Lookup.
 type PlaneLookup struct {
+	runs  []planeRun // one per grid row
 	vals  []float64
-	ids   []TileID
 	shift int
 	cols  int
 }
 
-// Overlap returns the overlap fraction of tile id. Allocation-free.
+// Overlap returns the plane's value for tile id. Allocation-free.
 func (l PlaneLookup) Overlap(id TileID) float64 {
-	col := int(id) % l.cols
-	return l.OverlapAt(int(id)-col, col)
+	row := int(id) / l.cols
+	return l.OverlapAt(row, int(id)-row*l.cols)
 }
 
-// OverlapAt is Overlap for a tile given as its row base (id - id%Cols) and
-// column, for callers that put one tile to many lookups and split it once.
-func (l PlaneLookup) OverlapAt(rowBase, col int) float64 {
-	c := col - l.shift
-	if c < 0 {
-		c += l.cols
+// OverlapAt is Overlap for the tile at (row, col), for callers that put
+// one tile to many lookups and split it once.
+func (l PlaneLookup) OverlapAt(row, col int) float64 {
+	r := l.runs[row]
+	k := col - l.shift - int(r.start) // position in the run, in (-2·cols, cols)
+	if k < 0 {
+		k += l.cols
+		if k < 0 {
+			k += l.cols
+		}
 	}
-	return l.vals[rowBase+c]
+	if k >= int(r.n) {
+		return 0
+	}
+	return l.vals[int(r.off)+k]
 }
 
-// AppendTiles appends the IDs of every tile with non-zero overlap to dst
-// and returns it — the table-driven TilesInCap, allocation-free once dst
-// has capacity. Tiles are appended in base-frame order, which is
+// AppendTiles appends the IDs of every tile with a non-zero value to dst
+// and returns it — the table-driven TilesInCap of the outermost radius,
+// allocation-free once dst has capacity. Tiles are appended in base-frame
+// order (row by row, columns ascending before the shift), which is
 // deterministic for a given center bucket.
 func (l PlaneLookup) AppendTiles(dst []TileID) []TileID {
-	for _, base := range l.ids {
-		c := int(base)%l.cols + l.shift
-		if c >= l.cols {
-			c -= l.cols
+	for row, r := range l.runs {
+		// Positions [0, split) are columns start…Cols-1; [split, n) wrap
+		// round to columns 0…, which come first in base-frame order.
+		split := min(int(r.n), l.cols-int(r.start))
+		dst = l.appendRun(dst, row, r, split, int(r.n), -split)
+		dst = l.appendRun(dst, row, r, 0, split, int(r.start))
+	}
+	return dst
+}
+
+// appendRun appends the tiles at positions [from, to) of one row's run
+// whose values are non-zero; position k is base-frame column k+base.
+func (l PlaneLookup) appendRun(dst []TileID, row int, r planeRun, from, to, base int) []TileID {
+	for k, v := range l.vals[int(r.off)+from : int(r.off)+to] {
+		if v > 0 {
+			c := from + k + base + l.shift
+			if c >= l.cols {
+				c -= l.cols
+			}
+			dst = append(dst, TileID(row*l.cols+c))
 		}
-		dst = append(dst, TileID(int(base)-int(base)%l.cols+c))
 	}
 	return dst
 }
 
 // String implements fmt.Stringer for diagnostics.
 func (pl *CapPlane) String() string {
-	return fmt.Sprintf("geom.CapPlane{r=%.1f° grid=%dx%d buckets=%dx%d %d KiB}",
-		pl.radiusDeg, pl.g.Rows, pl.g.Cols, pl.yawSteps, pl.pitchSteps, pl.MemoryBytes()/1024)
+	return fmt.Sprintf("geom.CapPlane{r=%v° grid=%dx%d buckets=%dx%d %d KiB}",
+		pl.rois.RadiiDeg, pl.g.Rows, pl.g.Cols, pl.yawSteps, pl.pitchSteps, pl.MemoryBytes()/1024)
 }

@@ -32,7 +32,7 @@ func sweepError(g *Grid, pl *CapPlane, centers []Orientation) (maxErr, meanErr f
 	for _, c := range centers {
 		lk := pl.Lookup(c)
 		for id := 0; id < g.NumTiles(); id++ {
-			exact := g.OverlapCap(TileID(id), c, pl.Radius())
+			exact := pl.rois.LocationScore(g, TileID(id), c)
 			got := lk.Overlap(TileID(id))
 			d := math.Abs(got - exact)
 			if d > maxErr {

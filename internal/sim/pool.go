@@ -62,9 +62,7 @@ type Stats struct {
 func Pool(videos []*video.Manifest, metric quality.Metric, workers, n, perCall int, do func(i int) error) (Stats, error) {
 	started := time.Now()
 	for _, v := range videos {
-		tab := geom.SharedTable(v.Grid(), geom.TableParams{})
-		geom.DefaultRoIs.Planes(tab)
-		tab.Plane(geom.DefaultViewport.RadiusDeg)
+		geom.SharedTable(v.Grid(), geom.TableParams{}).RoIPlane(geom.DefaultRoIs)
 		quality.Scores(v, metric)
 	}
 	if workers <= 0 {

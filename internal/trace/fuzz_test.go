@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzReadHeadCSV exercises the head-trace parser with arbitrary input: it
-// must never panic, and anything it accepts must round-trip.
+// must never panic, anything it accepts must round-trip, and every sample
+// it accepts is finite.
 func FuzzReadHeadCSV(f *testing.F) {
 	var good bytes.Buffer
 	_ = WriteHeadCSV(&good, GenerateHead(HeadGenParams{UserID: "s", Seed: 1, Duration: 200e6}))
@@ -16,6 +18,8 @@ func FuzzReadHeadCSV(f *testing.F) {
 	f.Add("")
 	f.Add("0,999999,2\n")
 	f.Add("# period_ms=banana\n0,1,2\n")
+	f.Add("0,NaN,2\n")
+	f.Add("0,1,-Inf\n")
 
 	f.Fuzz(func(t *testing.T, raw string) {
 		h, err := ReadHeadCSV(strings.NewReader(raw))
@@ -24,6 +28,11 @@ func FuzzReadHeadCSV(f *testing.F) {
 		}
 		if len(h.Samples) == 0 || h.SamplePeriod <= 0 {
 			t.Fatal("accepted trace is unusable")
+		}
+		for i, o := range h.Samples {
+			if math.IsNaN(o.Yaw) || math.IsInf(o.Yaw, 0) || math.IsNaN(o.Pitch) || math.IsInf(o.Pitch, 0) {
+				t.Fatalf("accepted sample %d is %+v", i, o)
+			}
 		}
 		var out bytes.Buffer
 		if err := WriteHeadCSV(&out, h); err != nil {

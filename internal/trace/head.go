@@ -241,12 +241,14 @@ func WriteHeadCSV(w io.Writer, h *HeadTrace) error {
 }
 
 // ReadHeadCSV parses a trace written by WriteHeadCSV. Unknown sample spacing
-// is inferred from the first two rows.
+// is inferred from the first two rows. A NaN or infinite yaw or pitch is
+// refused: no head points there, and the scheduler's geometry has no
+// answer for it.
 func ReadHeadCSV(r io.Reader) (*HeadTrace, error) {
 	sc := bufio.NewScanner(r)
 	h := &HeadTrace{SamplePeriod: HeadSamplePeriod}
 	var times []int64
-	for sc.Scan() {
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
@@ -281,6 +283,9 @@ func ReadHeadCSV(r io.Reader) (*HeadTrace, error) {
 		pitch, err := strconv.ParseFloat(parts[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: bad pitch %q: %w", parts[2], err)
+		}
+		if math.IsNaN(yaw) || math.IsInf(yaw, 0) || math.IsNaN(pitch) || math.IsInf(pitch, 0) {
+			return nil, fmt.Errorf("trace: head trace line %d %q: yaw and pitch must be finite", lineNo, line)
 		}
 		times = append(times, tms)
 		h.Samples = append(h.Samples, geom.Orientation{Yaw: yaw, Pitch: pitch}.Normalize())

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -149,6 +151,23 @@ func TestReadHeadCSVRejectsBad(t *testing.T) {
 	for i, s := range []string{"", "1,2", "x,1,2", "0,nan-ish,2\n", "0,1\n"} {
 		if _, err := ReadHeadCSV(bytes.NewReader([]byte(s))); err == nil && i != 3 {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+}
+
+// TestReadHeadCSVRejectsNonFinite: strconv.ParseFloat accepts NaN, Inf and
+// -Inf, which no head points at; each is refused with an error naming its
+// line, as yaw and as pitch.
+func TestReadHeadCSVRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity"} {
+		for _, row := range []string{"33,%s,2", "33,1,%s"} {
+			body := "# user=x\n0,1,2\n" + fmt.Sprintf(row, v) + "\n66,3,4\n"
+			_, err := ReadHeadCSV(strings.NewReader(body))
+			if err == nil {
+				t.Errorf("%q accepted", body)
+			} else if !strings.Contains(err.Error(), "line 3") {
+				t.Errorf("%q: error %q does not name line 3", body, err)
+			}
 		}
 	}
 }

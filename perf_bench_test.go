@@ -210,6 +210,17 @@ func BenchmarkOverlapCapExact(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkOverlapRoIPlaneBuild builds the DefaultRoIs location-score
+// plane of the 12×12 grid from scratch: what the first session over a
+// tiling (or sim.Pool's pre-warm) pays once per process.
+func BenchmarkOverlapRoIPlaneBuild(b *testing.B) {
+	g := perfManifest().Grid()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		geom.NewOverlapTable(g, geom.TableParams{}).RoIPlane(geom.DefaultRoIs)
+	}
+}
+
 // BenchmarkManyConnStream is the many-connection macro benchmark behind
 // the shared tile store: 8 concurrent sessions over in-process pipe
 // connections (netem.PipeListener, unshaped) each stream every tile of
@@ -305,7 +316,8 @@ func streamSession(lst *netem.PipeListener, items []player.RequestItem) error {
 }
 
 // The same full-grid pass through the precomputed table: one orientation
-// quantization, then an array read per tile.
+// quantization, then a run header and an array read per tile. No session
+// reads a one-radius plane by tile id; this prices the table's read path.
 func BenchmarkOverlapTableLookup(b *testing.B) {
 	g := perfManifest().Grid()
 	pl := geom.SharedTable(g, geom.TableParams{}).Plane(75)

@@ -68,7 +68,7 @@ fuzz_targets="proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResum
 	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup
 	popsim:FuzzMergeSnapshot video:FuzzReadManifest netem:FuzzReadFaultCSV
 	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzAppendManifestFloat
-	video:FuzzExtendZeros geom:FuzzCapWalk"
+	video:FuzzExtendZeros geom:FuzzCapWalk geom:FuzzRoIPlane"
 
 # Fuzz drift gate: every fuzz target under internal/ must be in the fuzz
 # smoke's list and named in docs/RESILIENCE.md, so a new one is neither left
@@ -163,11 +163,12 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # come out of their parsers with every dimension and time field in range, and
 # the two trace importers usable or refused. The manifest's hand codec must
 # agree with encoding/json in both directions: the reader on any body, the
-# writer on any float64. The last two targets are not parsers: the zero-run
+# writer on any float64. The last three targets are not parsers: the zero-run
 # CRC operator every frame trailer and manifest checksum now comes from must
-# agree with hash/crc32 over literal zeros for any prefix and length, and
-# the culled cap walk under every tile-set query must list what the
-# full-grid sample loop lists, bit for bit, for any center and radius.
+# agree with hash/crc32 over literal zeros for any prefix and length, the
+# culled cap walk under every tile-set query must list what the full-grid
+# sample loop lists, bit for bit, for any center and radius, and the packed
+# RoI plane must read the sum of the dense per-radius planes it replaced.
 # Minimising a new input is capped at a second, so the ten seconds go on
 # executing inputs (a shard report's seed is kilobytes of bins).
 for target in $fuzz_targets; do
