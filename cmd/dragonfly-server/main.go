@@ -125,9 +125,6 @@ func main() {
 		cancel()
 	}()
 	if *qoeRollup != "" {
-		if srv.Obs == nil {
-			srv.Obs = obs.NewRegistry()
-		}
 		fb := ingest.NewFeedback(ingest.FeedbackConfig{
 			URL:      *qoeRollup,
 			Interval: *qoePoll,
@@ -139,9 +136,6 @@ func main() {
 		log.Printf("QoE feedback: polling %s every %s (target %.1f dB)", *qoeRollup, *qoePoll, *qoeTarget)
 	}
 	if *adminAddr != "" {
-		if srv.Obs == nil {
-			srv.Obs = obs.NewRegistry()
-		}
 		adminListen, adminErr, err := obs.ServeAdmin(ctx, *adminAddr, srv.Obs)
 		if err != nil {
 			log.Fatalf("admin listener: %v", err)

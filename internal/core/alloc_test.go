@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dragonfly/internal/geom"
+	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/video"
 )
@@ -31,7 +32,7 @@ func movingContext(m *video.Manifest, mbps float64) *player.Context {
 
 // TestDecideAllocationFree pins the tentpole property: after warm-up, a
 // decision refinement reuses its scratch buffers and allocates nothing, for
-// every masking variant.
+// every masking variant, and with a metrics registry attached.
 func TestDecideAllocationFree(t *testing.T) {
 	m := testManifest()
 	for c := range m.MaskDisplacement {
@@ -43,10 +44,14 @@ func TestDecideAllocationFree(t *testing.T) {
 		"tiledSched": {Masking: MaskTiled, MaskScheduled: true},
 		"none":       {Masking: MaskNone},
 		"exact":      {ExactGeometry: true},
+		"registry":   DefaultOptions(),
 	}
 	for name, opts := range variants {
 		t.Run(name, func(t *testing.T) {
 			d := New(opts)
+			if name == "registry" {
+				d.SetObs(obs.NewRegistry())
+			}
 			ctx := movingContext(m, 8)
 			// Warm up until every scratch buffer has reached steady-state
 			// capacity (the head keeps moving, so capacities must absorb
@@ -136,5 +141,45 @@ func TestDecideTablePathMatchesExactShape(t *testing.T) {
 		if nt*2 < ne || ne*2 < nt {
 			t.Errorf("step %d: item counts diverge badly: table %d vs exact %d", i, nt, ne)
 		}
+	}
+}
+
+// TestDecideCountsOncePerDecision: with a registry attached, every
+// decision moves each core_* metric exactly once, by what that decision
+// listed, skipped and planned.
+func TestDecideCountsOncePerDecision(t *testing.T) {
+	m := testManifest()
+	for c := range m.MaskDisplacement {
+		m.MaskDisplacement[c] = 20
+	}
+	reg := obs.NewRegistry()
+	d := New(Options{Masking: MaskTiled})
+	d.SetObs(reg)
+	ctx := movingContext(m, 8)
+	var want [5]int64 // decisions, candidates, listed, skipped, mask items
+	for i := 0; i < 20; i++ {
+		ctx.Now = time.Duration(i) * 100 * time.Millisecond
+		var listed, masked int64
+		for _, it := range d.Decide(ctx) {
+			if it.Stream == player.Primary {
+				listed++
+			} else {
+				masked++
+			}
+		}
+		cands := int64(len(d.w.cands))
+		want = [5]int64{want[0] + 1, want[1] + cands, want[2] + listed, want[3] + cands - listed, want[4] + masked}
+		snap := reg.Snapshot()
+		for j, name := range []string{"core_decisions", "core_candidates", "core_listed", "core_skipped", "core_mask_items"} {
+			if got := snap.Counters[name]; got != want[j] {
+				t.Fatalf("decision %d: %s = %d, want %d", i, name, got, want[j])
+			}
+		}
+		if got := snap.Histograms["core_utility"].Count; got != want[0] {
+			t.Fatalf("decision %d: core_utility observed %d times, want %d", i, got, want[0])
+		}
+	}
+	if want[4] == 0 || want[3] == 0 {
+		t.Fatalf("no masking item or skipped candidate in 20 decisions (%v): the test proves little", want)
 	}
 }

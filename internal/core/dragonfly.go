@@ -21,10 +21,11 @@ import (
 type Dragonfly struct {
 	opts Options
 
-	// obs, when non-nil, receives scheduler metrics: refinement counts,
-	// listed/skipped candidate counters and the per-refinement total-utility
-	// histogram. Nil disables instrumentation at no cost.
-	obs *obs.Registry
+	// met, when SetObs has bound it, receives scheduler metrics:
+	// refinement counts, listed/skipped candidate counters and the
+	// per-refinement total-utility histogram. Nil disables instrumentation
+	// at no cost.
+	met *decideMetrics
 
 	// Per-session scratch, all reused across decisions.
 	tabs    sessionTables
@@ -63,9 +64,25 @@ func New(opts Options) *Dragonfly {
 // NewDefault creates Dragonfly with the paper's evaluation configuration.
 func NewDefault() *Dragonfly { return New(DefaultOptions()) }
 
+// decideMetrics are the registry handles Decide updates, resolved once
+// per instance so a decision looks nothing up by name.
+type decideMetrics struct {
+	decisions, candidates, listed, skipped, maskItems *obs.Counter
+	utility                                           *obs.Histogram
+}
+
 // SetObs attaches a metrics registry after construction. The sim harness
 // uses it to wire its sweep-wide registry into factory-built schemes.
-func (d *Dragonfly) SetObs(r *obs.Registry) { d.obs = r }
+func (d *Dragonfly) SetObs(r *obs.Registry) {
+	d.met = &decideMetrics{
+		decisions:  r.Counter("core_decisions"),
+		candidates: r.Counter("core_candidates"),
+		listed:     r.Counter("core_listed"),
+		skipped:    r.Counter("core_skipped"),
+		maskItems:  r.Counter("core_mask_items"),
+		utility:    r.Histogram("core_utility"),
+	}
+}
 
 // Name implements player.Scheme.
 func (d *Dragonfly) Name() string {
@@ -111,13 +128,13 @@ func (d *Dragonfly) Decide(ctx *player.Context) []player.RequestItem {
 	d.sched.reset(&d.w, d.opts.minPrimaryQuality(), baseOff)
 	list := d.sched.run()
 
-	if r := d.obs; r != nil {
-		r.Counter("core_decisions").Inc()
-		r.Counter("core_candidates").Add(int64(len(d.w.cands)))
-		r.Counter("core_listed").Add(int64(len(list)))
-		r.Counter("core_skipped").Add(int64(len(d.w.cands) - len(list)))
-		r.Counter("core_mask_items").Add(int64(len(items)))
-		r.Histogram("core_utility").Observe(d.sched.totalUtility())
+	if m := d.met; m != nil {
+		m.decisions.Inc()
+		m.candidates.Add(int64(len(d.w.cands)))
+		m.listed.Add(int64(len(list)))
+		m.skipped.Add(int64(len(d.w.cands) - len(list)))
+		m.maskItems.Add(int64(len(items)))
+		m.utility.Observe(d.sched.totalUtility())
 	}
 
 	for _, e := range list {
@@ -139,8 +156,7 @@ type maskPlan struct {
 	mode       maskPlanMode
 	firstChunk int
 	tiles      int
-	set        []bool                      // [(chunk-firstChunk)*tiles + tile]; planSet only
-	fn         func(int, geom.TileID) bool // planFunc only (tests)
+	set        []bool // [(chunk-firstChunk)*tiles + tile]; planSet only
 }
 
 type maskPlanMode int
@@ -149,7 +165,6 @@ const (
 	planNone maskPlanMode = iota // no masking stream
 	planAll                      // full-360: every tile covered
 	planSet                      // tiled: bitmap membership
-	planFunc                     // caller-supplied predicate
 )
 
 // covered reports whether the masking plan includes the tile.
@@ -163,8 +178,6 @@ func (p *maskPlan) covered(chunk int, tile geom.TileID) bool {
 			return false
 		}
 		return p.set[rel*p.tiles+int(tile)]
-	case planFunc:
-		return p.fn(chunk, tile)
 	default:
 		return false
 	}
@@ -185,17 +198,6 @@ func (p *maskPlan) resetSet(firstChunk, chunks, tiles int) {
 	for i := range p.set {
 		p.set[i] = false
 	}
-}
-
-// planMasking returns the masking fetches still needed for chunks whose
-// playback intersects the masking look-ahead, ordered by chunk, plus a
-// membership predicate used as the scheduler's skip floor. Decide uses the
-// allocation-free appendMasking directly; this wrapper keeps the
-// predicate-returning shape for tests and one-shot callers.
-func (d *Dragonfly) planMasking(ctx *player.Context) ([]player.RequestItem, func(int, geom.TileID) bool) {
-	var p maskPlan
-	items := d.appendMasking(ctx, nil, &p)
-	return items, func(chunk int, tile geom.TileID) bool { return p.covered(chunk, tile) }
 }
 
 // appendMasking appends the needed masking fetches to items and fills plan

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dragonfly/internal/geom"
 	"dragonfly/internal/player"
 	"dragonfly/internal/video"
 )
@@ -13,16 +12,6 @@ import (
 // plain chunk order: the same greedy utility machinery orders the masking
 // fetches (single quality level, so only the ordering and skipping degrees
 // of freedom apply) over the masking look-ahead.
-
-// planMaskingScheduled builds the utility-ordered tiled masking plan.
-// Decide uses the allocation-free appendMaskingScheduled directly; this
-// wrapper keeps the predicate-returning shape for tests.
-func (d *Dragonfly) planMaskingScheduled(ctx *player.Context) ([]player.RequestItem, func(int, geom.TileID) bool) {
-	d.tabs.resolve(ctx, d.opts)
-	var p maskPlan
-	items := d.appendMaskingScheduled(ctx, nil, &p)
-	return items, func(chunk int, tile geom.TileID) bool { return p.covered(chunk, tile) }
-}
 
 // appendMaskingScheduled appends the utility-ordered tiled masking fetches
 // to items and records coverage in plan. It reuses the instance's masking

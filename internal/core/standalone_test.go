@@ -1,0 +1,42 @@
+package core
+
+import (
+	"dragonfly/internal/geom"
+	"dragonfly/internal/player"
+)
+
+// One-shot entry points to the decision path's pieces for the tests:
+// Decide reuses per-session scratch for each of them.
+
+// buildWindow precomputes deadlines, predictions and candidate scores into
+// a fresh window, with masking (when enabled) planned everywhere.
+func buildWindow(ctx *player.Context, o Options) *window {
+	var tabs sessionTables
+	tabs.resolve(ctx, o)
+	plan := maskPlan{mode: planAll}
+	if o.Masking == MaskNone {
+		plan.mode = planNone
+	}
+	w := &window{}
+	w.build(ctx, o, &plan, &tabs)
+	return w
+}
+
+// planMasking returns the masking fetches still needed for chunks whose
+// playback intersects the masking look-ahead, ordered by chunk, plus a
+// membership predicate used as the scheduler's skip floor. Decide uses the
+// allocation-free appendMasking directly.
+func (d *Dragonfly) planMasking(ctx *player.Context) ([]player.RequestItem, func(int, geom.TileID) bool) {
+	var p maskPlan
+	items := d.appendMasking(ctx, nil, &p)
+	return items, func(chunk int, tile geom.TileID) bool { return p.covered(chunk, tile) }
+}
+
+// planMaskingScheduled builds the utility-ordered tiled masking plan.
+// Decide uses the allocation-free appendMaskingScheduled directly.
+func (d *Dragonfly) planMaskingScheduled(ctx *player.Context) ([]player.RequestItem, func(int, geom.TileID) bool) {
+	d.tabs.resolve(ctx, d.opts)
+	var p maskPlan
+	items := d.appendMaskingScheduled(ctx, nil, &p)
+	return items, func(chunk int, tile geom.TileID) bool { return p.covered(chunk, tile) }
+}

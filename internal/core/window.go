@@ -109,28 +109,6 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// buildWindow precomputes deadlines, predictions and candidate scores into
-// a fresh window. Standalone entry point (tests, one-shot callers); Decide
-// reuses a per-session window via (*window).build. A nil maskingPlanned
-// with masking enabled means "planned everywhere".
-func buildWindow(ctx *player.Context, o Options, maskingPlanned func(chunk int, tile geom.TileID) bool) *window {
-	var tabs sessionTables
-	tabs.resolve(ctx, o)
-	var plan maskPlan
-	switch {
-	case o.Masking == MaskNone:
-		plan.mode = planNone
-	case maskingPlanned == nil:
-		plan.mode = planAll
-	default:
-		plan.mode = planFunc
-		plan.fn = maskingPlanned
-	}
-	w := &window{}
-	w.build(ctx, o, &plan, &tabs)
-	return w
-}
-
 // prep sizes the window for a look-ahead of wFrames frames sampled every
 // `step` frames: per-frame deadlines and chunk membership, and the
 // predicted orientation per sampled frame (held for `step` frames) with

@@ -42,8 +42,9 @@ type Backend struct {
 	life sync.Mutex // serializes Kill and Restart, held across their waits
 
 	mu        sync.Mutex
-	cur       *instance // nil while the process is down
-	instances []*server.Server
+	cur       *instance      // nil while the process is down
+	latest    *server.Server // the last instance started, live or dead
+	instances int            // instances started: restarts + 1
 }
 
 // NewBackend starts the first instance. pipe builds each connection
@@ -171,8 +172,8 @@ func (b *Backend) Restart() {
 		_ = s.Serve(ctx, in) // returns the cancellation Kill (or ctx) caused
 	}()
 	b.mu.Lock()
-	b.cur = in
-	b.instances = append(b.instances, s)
+	b.cur, b.latest = in, s
+	b.instances++
 	b.mu.Unlock()
 }
 
@@ -187,16 +188,14 @@ func (b *Backend) Drain() {
 	}
 }
 
-// Totals sums the send accounting over every instance that ever ran on
-// this address, dead ones included — a duplicate primary sent by a
-// restarted server shows up here — and reports how many there were.
+// Totals is the send accounting of every instance that ever ran on this
+// address, dead ones included — a duplicate primary sent by a restarted
+// server shows up here — and how many there were. Every instance counts
+// into the shared Reg, so the latest reads the sum.
 func (b *Backend) Totals() (total server.Counters, instances int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, s := range b.instances {
-		total.Add(s.Counters())
-	}
-	return total, len(b.instances)
+	return b.latest.Counters(), b.instances
 }
 
 // Health-check settings of a Fleet's balancer. A dead member is marked

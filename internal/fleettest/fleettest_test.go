@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dragonfly/internal/leaktest"
+	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/server"
 	"dragonfly/internal/video"
@@ -89,29 +90,66 @@ func TestKillRefusesDialsAndSeversConns(t *testing.T) {
 	b.Kill() // down already: a no-op, not a hang
 }
 
-// TestRestartIsColdAndTotalsRemember: the restarted instance has zero
-// state, Totals still counts what the dead one did, and the registry — the
-// thing a balancer scrapes — is the same across the restart.
+// fetchTile asks the session on c for one primary tile, reads it, and ends
+// the session. The server's Bye follows its count of the tile, so Totals
+// includes it once fetchTile returns.
+func fetchTile(t *testing.T, c net.Conn, it player.RequestItem) {
+	t.Helper()
+	if err := proto.WriteRequest(c, proto.Request{Generation: 1, Items: []player.RequestItem{it}}); err != nil {
+		t.Fatalf("write request: %v", err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var got bool
+	for {
+		msg, err := proto.ReadMessage(c)
+		if err != nil {
+			t.Fatalf("fetching tile %+v: %v", it, err)
+		}
+		switch msg.Type {
+		case proto.MsgTileData:
+			if msg.TileData.Item != it {
+				t.Fatalf("got tile %+v, want %+v", msg.TileData.Item, it)
+			}
+			got = true
+			if err := proto.WriteBye(c); err != nil {
+				t.Fatalf("write bye: %v", err)
+			}
+		case proto.MsgBye:
+			if !got {
+				t.Fatalf("session ended without tile %+v", it)
+			}
+			return
+		}
+	}
+}
+
+// TestRestartIsColdAndTotalsRemember: the restarted instance is a new
+// server with no sessions, which re-sends to a plain hello a tile the dead
+// instance had sent; Totals still counts what the dead one did, and the
+// registry — the thing a balancer scrapes — is the same across the restart.
 func TestRestartIsColdAndTotalsRemember(t *testing.T) {
 	defer leaktest.Check(t)()
 	b := newTestBackend()
 	defer b.Kill()
 	probe(t, b)
-	if tot, n := b.Totals(); n != 1 || tot.Probes != 1 {
-		t.Fatalf("before restart: totals %+v over %d instances, want 1 probe over 1", tot, n)
+	tile := player.RequestItem{Stream: player.Primary, Chunk: 1, Tile: 5, Quality: 2}
+	fetchTile(t, openSession(t, b), tile)
+	if tot, n := b.Totals(); n != 1 || tot.Probes != 1 || tot.PrimarySent != 1 {
+		t.Fatalf("before restart: totals %+v over %d instances, want 1 probe and 1 primary over 1", tot, n)
 	}
-	reg := b.Reg
+	dead, reg := b.cur.srv, b.Reg
 
 	b.Restart()
-	if got := b.cur.srv.Counters(); got != (server.Counters{}) {
-		t.Errorf("restarted instance started with counters %+v, want zero", got)
+	if s := b.cur.srv; s == dead || s.ActiveConns() != 0 {
+		t.Fatalf("restart kept the old instance (%v) or its %d sessions", s == dead, s.ActiveConns())
 	}
-	if tot, n := b.Totals(); n != 2 || tot.Probes != 1 {
-		t.Errorf("after restart: totals %+v over %d instances, want the dead instance's 1 probe over 2", tot, n)
+	if tot, n := b.Totals(); n != 2 || tot.Probes != 1 || tot.PrimarySent != 1 {
+		t.Errorf("after restart: totals %+v over %d instances, want the dead instance's probe and primary over 2", tot, n)
 	}
+	fetchTile(t, openSession(t, b), tile)
 	probe(t, b)
-	if tot, _ := b.Totals(); tot.Probes != 2 {
-		t.Errorf("after a probe of the new instance: %d probes, want 2", tot.Probes)
+	if tot, _ := b.Totals(); tot.Probes != 2 || tot.PrimarySent != 2 {
+		t.Errorf("after the new instance's probe and re-send: %+v, want 2 probes and 2 primaries", tot)
 	}
 	if b.Reg != reg || reg.Counter("srv_probes").Value() != 2 {
 		t.Errorf("registry not shared across the restart: srv_probes = %d, want 2", reg.Counter("srv_probes").Value())

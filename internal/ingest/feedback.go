@@ -198,14 +198,16 @@ func (f *Feedback) pollOnce(ctx context.Context) error {
 	return nil
 }
 
-// maxFeedbackCohorts bounds one rollup's cohort count on the consuming
-// side: the server multiplies budgets by at most this many live scales, so
-// a runaway (or hostile) rollup cannot allocate an unbounded scale map or
+// maxFeedbackCohorts and maxCohortNameLen bound the cohorts a rollup holds
+// and their names, on both sides: the fold keeps within them (an
+// aggregator never builds sketches for an unbounded set of labels), and
+// Feedback refuses what exceeds them in a rollup from elsewhere, so the
+// server multiplies budgets by at most this many live scales and cannot
 // mint an unbounded srv_qoe_scale_* gauge family.
-const maxFeedbackCohorts = 1024
-
-// maxCohortNameLen matches the sanity bound on the fold side.
-const maxCohortNameLen = 128
+const (
+	maxFeedbackCohorts = 1024
+	maxCohortNameLen   = 128
+)
 
 // Apply validates an already-fetched rollup and recomputes scales from it
 // (the poll path and in-process tests share it). Validation is the wall

@@ -640,3 +640,75 @@ func FuzzFoldReader(f *testing.F) {
 		}
 	})
 }
+
+// pushBody posts body to agg's /ingest and fails the test unless it is
+// accepted.
+func pushBody(t *testing.T, agg *Aggregator, body []byte) {
+	t.Helper()
+	ts := httptest.NewServer(agg.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /ingest: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /ingest = %v", resp.Status)
+	}
+}
+
+// TestPushOfManyLabelsKeepsCohortCap: a push of 1 100 sessions, each with
+// its own label, folds into exactly maxFeedbackCohorts cohorts — the last
+// slot is UnknownCohort's, holding the 77 refused sessions — with every
+// session counted, so a Feedback reading the rollup truncates nothing.
+// (The fold used to build five sketches per label, without bound.)
+func TestPushOfManyLabelsKeepsCohortCap(t *testing.T) {
+	reg := obs.NewRegistry()
+	agg := New(Config{Obs: reg})
+	const sessions = 1100
+	var body bytes.Buffer
+	for i := 0; i < sessions; i++ {
+		fmt.Fprintf(&body, "{\"v\":%d,\"t_ms\":0,\"ev\":\"session\",\"cohort\":\"label-%04d\"}\n", obs.TraceSchemaVersion, i)
+		fmt.Fprintf(&body, "{\"v\":%d,\"t_ms\":10,\"ev\":\"quality\",\"n\":4200}\n", obs.TraceSchemaVersion)
+	}
+	pushBody(t, agg, body.Bytes())
+
+	ru := agg.Rollup()
+	var folded int64
+	for _, cr := range ru.Cohorts {
+		folded += cr.Sessions
+	}
+	refused := int64(sessions - (maxFeedbackCohorts - 1))
+	if len(ru.Cohorts) != maxFeedbackCohorts || folded != sessions || ru.Cohorts[UnknownCohort].Sessions != refused {
+		t.Errorf("%d cohorts holding %d sessions, %d unknown; want %d holding %d, %d unknown",
+			len(ru.Cohorts), folded, ru.Cohorts[UnknownCohort].Sessions, maxFeedbackCohorts, sessions, refused)
+	}
+	if c := reg.Snapshot().Counters; c["ing_sessions"] != sessions || c["ing_rejected_cohorts"] != refused {
+		t.Errorf("ing_sessions = %d, ing_rejected_cohorts = %d; want %d, %d",
+			c["ing_sessions"], c["ing_rejected_cohorts"], sessions, refused)
+	}
+	fbReg := obs.NewRegistry()
+	if err := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: fbReg}).Apply(ru); err != nil {
+		t.Fatal(err)
+	}
+	if got := fbReg.Snapshot().Counters["srv_qoe_rejected_cohorts"]; got != 0 {
+		t.Errorf("Feedback refused %d cohorts of the capped rollup, want 0", got)
+	}
+}
+
+// TestOverlongLabelFoldsUnknown: a 200-byte cohort label is refused and its
+// session folds under UnknownCohort.
+func TestOverlongLabelFoldsUnknown(t *testing.T) {
+	reg := obs.NewRegistry()
+	agg := New(Config{Obs: reg})
+	body, _ := sessionJSONL(t, strings.Repeat("x", 200), rand.New(rand.NewSource(1)), 30)
+	pushBody(t, agg, body)
+
+	ru := agg.Rollup()
+	if cr, ok := ru.Cohorts[UnknownCohort]; len(ru.Cohorts) != 1 || !ok || cr.Sessions != 1 || cr.QualityDB.Count != 30 {
+		t.Errorf("rollup cohorts %v, want one session of 30 samples under %q", ru.Cohorts, UnknownCohort)
+	}
+	if got := reg.Snapshot().Counters["ing_rejected_cohorts"]; got != 1 {
+		t.Errorf("ing_rejected_cohorts = %d, want 1", got)
+	}
+}

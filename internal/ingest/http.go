@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dragonfly/internal/chaos"
+	"dragonfly/internal/obs"
 )
 
 // Handler returns the ingest service's HTTP surface:
@@ -80,30 +81,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // DefaultTraceCap ring bound is well under 1 MiB of JSONL).
 const maxPushBytes = 32 << 20
 
-// Serve listens on addr and serves Handler until ctx is done. It returns
-// the bound address (useful with ":0") and a channel yielding the server's
-// exit error, mirroring obs.ServeAdmin.
+// Serve listens on addr and serves Handler until ctx is done (obs.Serve).
 func (a *Aggregator) Serve(ctx context.Context, addr string) (net.Addr, <-chan error, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: a.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	done := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutCtx)
-	}()
-	go func() {
-		err := srv.Serve(l)
-		if err == http.ErrServerClosed {
-			err = nil
-		}
-		done <- err
-	}()
-	return l.Addr(), done, nil
+	return obs.Serve(ctx, addr, a.Handler())
 }
 
 // SnapshotFile is the rollup document's filename inside the snapshot dir.

@@ -93,6 +93,7 @@ type Aggregator struct {
 	evSessions *obs.Counter
 	evRejected *obs.Counter
 	evBadLines *obs.Counter
+	evRejCoh   *obs.Counter
 	gCohorts   *obs.Gauge
 }
 
@@ -106,6 +107,7 @@ func New(cfg Config) *Aggregator {
 		evSessions: r.Counter("ing_sessions"),
 		evRejected: r.Counter("ing_rejected_events"),
 		evBadLines: r.Counter("ing_bad_lines"),
+		evRejCoh:   r.Counter("ing_rejected_cohorts"),
 		gCohorts:   r.Gauge("ing_cohorts"),
 	}
 }
@@ -117,17 +119,31 @@ func (a *Aggregator) logf(format string, args ...any) {
 }
 
 // cohort returns the named cohort's fold state, creating it on first use.
-// Caller holds a.mu.
+// A label is the client's to choose, and each new one costs five sketches,
+// so a name over maxCohortNameLen, or a new name once the rollup holds
+// maxFeedbackCohorts cohorts (a slot is kept for UnknownCohort), folds
+// under UnknownCohort instead, counted in ing_rejected_cohorts: a Feedback
+// reading the rollup then never truncates it. Caller holds a.mu.
 func (a *Aggregator) cohort(name string) *cohortAgg {
-	ca := a.cohorts[name]
-	if ca == nil {
-		ca = &cohortAgg{}
-		for i, m := range metrics {
-			ca.dist[i] = stats.NewSketch(m.lo, m.hi, m.bins)
-		}
-		a.cohorts[name] = ca
-		a.gCohorts.Set(float64(len(a.cohorts)))
+	if ca := a.cohorts[name]; ca != nil {
+		return ca
 	}
+	if name != UnknownCohort {
+		named := len(a.cohorts)
+		if _, ok := a.cohorts[UnknownCohort]; ok {
+			named--
+		}
+		if len(name) > maxCohortNameLen || named >= maxFeedbackCohorts-1 {
+			a.evRejCoh.Inc()
+			return a.cohort(UnknownCohort)
+		}
+	}
+	ca := &cohortAgg{}
+	for i, m := range metrics {
+		ca.dist[i] = stats.NewSketch(m.lo, m.hi, m.bins)
+	}
+	a.cohorts[name] = ca
+	a.gCohorts.Set(float64(len(a.cohorts)))
 	return ca
 }
 

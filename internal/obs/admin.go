@@ -37,15 +37,22 @@ func Handler(reg *Registry) http.Handler {
 	return mux
 }
 
-// ServeAdmin listens on addr and serves the admin endpoint until ctx is
-// done, then shuts the listener down. It returns the bound address (useful
-// with ":0") and a channel that yields the server's exit error.
+// ServeAdmin listens on addr and serves the admin endpoint (Handler) until
+// ctx is done; see Serve.
 func ServeAdmin(ctx context.Context, addr string, reg *Registry) (net.Addr, <-chan error, error) {
+	return Serve(ctx, addr, Handler(reg))
+}
+
+// Serve listens on addr and serves h until ctx is done, then shuts the
+// listener down. It returns the bound address (useful with ":0") and a
+// channel that yields the server's exit error. It is the one HTTP shell
+// under the admin endpoint and the ingest tier.
+func Serve(ctx context.Context, addr string, h http.Handler) (net.Addr, <-chan error, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("obs: admin listen %s: %w", addr, err)
+		return nil, nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(reg), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	done := make(chan error, 1)
 	go func() {
 		<-ctx.Done()

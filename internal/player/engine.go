@@ -37,7 +37,7 @@ func Run(cfg Config) (*Metrics, error) {
 	var (
 		now      time.Duration
 		queue    []RequestItem
-		sent     = NewSent(m)
+		sent     = NewHeldSummary(m)
 		tr       transfer
 		inflight bool
 	)

@@ -111,9 +111,10 @@ func (r *Received) HasFullMasking(chunk int) bool {
 }
 
 // HeldSummary is a compact bitmap snapshot of which tile variants a client
-// holds, independent of quality level — exactly the granularity of the
-// server's redundancy-suppression state, so a reconnecting client can ship
-// it in a resume handshake and never re-download a held tile.
+// holds, independent of quality level. It is also the server's
+// redundancy-suppression state (Admit), so a reconnecting client can ship
+// it in a resume handshake and the new server Merges it in as is: a held
+// tile is never re-downloaded.
 type HeldSummary struct {
 	NumChunks, NumTiles int
 	// Primary and MaskTile are bitmaps over chunk*NumTiles+tile; MaskFull
@@ -126,17 +127,22 @@ type HeldSummary struct {
 func bitGet(b []byte, i int) bool { return b[i>>3]&(1<<uint(i&7)) != 0 }
 func bitSet(b []byte, i int)      { b[i>>3] |= 1 << uint(i&7) }
 
+// NewHeldSummary returns the summary of a session that holds nothing.
+func NewHeldSummary(m *video.Manifest) HeldSummary {
+	perTile := (m.NumChunks*m.NumTiles() + 7) / 8
+	return HeldSummary{
+		NumChunks: m.NumChunks,
+		NumTiles:  m.NumTiles(),
+		Primary:   make([]byte, perTile),
+		MaskTile:  make([]byte, perTile),
+		MaskFull:  make([]byte, (m.NumChunks+7)/8),
+	}
+}
+
 // Summary captures the current held state as bitmaps.
 func (r *Received) Summary() HeldSummary {
-	tiles := r.m.NumTiles()
-	h := HeldSummary{
-		NumChunks: r.m.NumChunks,
-		NumTiles:  tiles,
-		Primary:   make([]byte, (r.m.NumChunks*tiles+7)/8),
-		MaskTile:  make([]byte, (r.m.NumChunks*tiles+7)/8),
-		MaskFull:  make([]byte, (r.m.NumChunks+7)/8),
-	}
-	for ct := 0; ct < r.m.NumChunks*tiles; ct++ {
+	h := NewHeldSummary(r.m)
+	for ct := 0; ct < r.m.NumChunks*h.NumTiles; ct++ {
 		for q := 0; q < video.NumQualities; q++ {
 			if r.primaryAt[ct*video.NumQualities+q] != notReceived {
 				bitSet(h.Primary, ct)
@@ -180,68 +186,54 @@ func (h HeldSummary) HasMaskFull(chunk int) bool {
 	return bitGet(h.MaskFull, chunk)
 }
 
-// Sent is the server's redundancy rule (§3.3) as state: a tile sent on the
-// primary stream is never re-sent; masking is sent once, and not after the
-// chunk's full-360° masking; a tile sent only as masking may still be
-// upgraded on the primary stream. The engine's server model and the real
-// server's send queue both filter their fetch lists through one.
-type Sent struct {
-	tiles    int
-	primary  []bool // [chunk*tiles + tile]
-	maskTile []bool // [chunk*tiles + tile]
-	maskFull []bool // [chunk]
-}
-
-// NewSent creates the state of a session that has been sent nothing.
-func NewSent(m *video.Manifest) *Sent {
-	tiles := m.NumTiles()
-	return &Sent{
-		tiles:    tiles,
-		primary:  make([]bool, m.NumChunks*tiles),
-		maskTile: make([]bool, m.NumChunks*tiles),
-		maskFull: make([]bool, m.NumChunks),
+// Admit is the server's redundancy rule (§3.3) with the summary as its
+// state: a tile sent on the primary stream is never re-sent; masking is
+// sent once, and not after the chunk's full-360° masking; a tile sent only
+// as masking may still be upgraded on the primary stream. It reports
+// whether the rule lets the item be transmitted and, if so, marks it held.
+// The engine's server model and the real server's send queue both filter
+// their fetch lists through one. The item must be In the manifest.
+func (h *HeldSummary) Admit(it RequestItem) bool {
+	switch ct := it.Chunk*h.NumTiles + int(it.Tile); {
+	case it.Stream == Primary:
+		return markBit(h.Primary, ct)
+	case it.Full360:
+		return markBit(h.MaskFull, it.Chunk)
+	default:
+		return !bitGet(h.MaskFull, it.Chunk) && markBit(h.MaskTile, ct)
 	}
 }
 
-// mark sets b[i] and reports whether it was clear.
-func mark(b []bool, i int) bool {
-	was := b[i]
-	b[i] = true
+// markBit sets bit i of b and reports whether it was clear.
+func markBit(b []byte, i int) bool {
+	was := bitGet(b, i)
+	bitSet(b, i)
 	return !was
 }
 
-// Admit reports whether the rule lets the item be transmitted and, if so,
-// marks it sent. The item must be In the manifest.
-func (s *Sent) Admit(it RequestItem) bool {
-	switch ct := it.Chunk*s.tiles + int(it.Tile); {
-	case it.Stream == Primary:
-		return mark(s.primary, ct)
-	case it.Full360:
-		return mark(s.maskFull, it.Chunk)
-	default:
-		return !s.maskFull[it.Chunk] && mark(s.maskTile, ct)
-	}
+// Merge ORs in what a resuming client reports holding and returns the
+// number of entries newly set. o must be Valid with h's dimensions (the
+// server checks a resume's geometry first); the padding bits past them in
+// each bitmap's last byte are ignored.
+func (h *HeldSummary) Merge(o HeldSummary) int64 {
+	n := h.NumChunks * h.NumTiles
+	return orBits(h.Primary, o.Primary, n) + orBits(h.MaskTile, o.MaskTile, n) +
+		orBits(h.MaskFull, o.MaskFull, h.NumChunks)
 }
 
-// Preload marks everything a resuming client reports holding as sent and
-// returns the number of entries newly marked.
-func (s *Sent) Preload(h HeldSummary) int64 {
-	var restored int64
-	for c := 0; c < len(s.maskFull) && c < h.NumChunks; c++ {
-		if h.HasMaskFull(c) && mark(s.maskFull, c) {
-			restored++
+// orBits ORs the first n bits of src into dst and returns how many of them
+// were clear in dst.
+func orBits(dst, src []byte, n int) int64 {
+	var set int64
+	for i := 0; i < n; i += 8 {
+		b := src[i>>3] &^ dst[i>>3]
+		if n-i < 8 {
+			b &= 1<<uint(n-i) - 1
 		}
-		for tl := 0; tl < s.tiles && tl < h.NumTiles; tl++ {
-			ct := c*s.tiles + tl
-			if h.HasPrimary(c, tl) && mark(s.primary, ct) {
-				restored++
-			}
-			if h.HasMaskTile(c, tl) && mark(s.maskTile, ct) {
-				restored++
-			}
-		}
+		dst[i>>3] |= b
+		set += int64(bits.OnesCount8(b))
 	}
-	return restored
+	return set
 }
 
 // Count is the total number of held entries across all three maps.

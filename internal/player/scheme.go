@@ -58,7 +58,7 @@ func (it RequestItem) Size(m *video.Manifest) int64 {
 
 // In reports whether the item names a variant the manifest has. Items read
 // off the wire must pass it before anything indexes the manifest, or state
-// shaped like it (Received, Sent), with them; the tile of a full-360°
+// shaped like it (Received, HeldSummary), with them; the tile of a full-360°
 // masking chunk is ignored, as everywhere else.
 func (it RequestItem) In(m *video.Manifest) bool {
 	if it.Chunk < 0 || it.Chunk >= m.NumChunks || !it.Quality.Valid() {

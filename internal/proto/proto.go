@@ -163,8 +163,9 @@ type TileData struct {
 }
 
 // Resume reopens a session after a disconnect. Held summarizes the tile
-// variants the client already has at exactly the granularity of the
-// server's dedup arrays, so a resumed session never re-downloads them.
+// variants the client already has in the very form of the server's
+// redundancy state, which merges it in, so a resumed session never
+// re-downloads them.
 type Resume struct {
 	Version uint8
 	VideoID string

@@ -71,8 +71,8 @@ func TestHandleConnProbe(t *testing.T) {
 	if msg.Ping == nil || msg.Ping.ActiveConns != 1 {
 		t.Fatalf("pong with one session = %+v, want 1 conn", msg.Ping)
 	}
-	if ctr := s.Counters(); ctr.Probes != 2 {
-		t.Fatalf("Probes = %d, want 2", ctr.Probes)
+	if tally := s.Counters(); tally.Probes != 2 {
+		t.Fatalf("Probes = %d, want 2", tally.Probes)
 	}
 
 	// A draining server busy-rejects the probe before reading it; probers

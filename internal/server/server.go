@@ -120,30 +120,12 @@ type Server struct {
 	draining    atomic.Bool
 	queuedBytes atomic.Int64
 
-	// Obs, when non-nil, mirrors the send accounting into a metrics
-	// registry (srv_* counters, tile-size and queue-length histograms) for
-	// the admin endpoint. Nil disables the mirroring.
+	// Obs is the server's only ledger: every srv_* counter, gauge and
+	// histogram lives here, the admin endpoint serves it, and Counters
+	// reads it back. New creates it, so it is never nil. A caller that
+	// shares one registry (across a restarted process's instances, or with
+	// an admin endpoint or QoE poller) assigns it before Serve.
 	Obs *obs.Registry
-
-	ctr counters
-}
-
-// counters aggregates send accounting across all connections.
-type counters struct {
-	primarySent   atomic.Int64
-	maskTileSent  atomic.Int64
-	maskFullSent  atomic.Int64
-	bytesSent     atomic.Int64
-	pings         atomic.Int64
-	resumes       atomic.Int64
-	resumedItems  atomic.Int64
-	shedItems     atomic.Int64
-	shedBytes     atomic.Int64
-	corruptFrames atomic.Int64
-	rejectedConns atomic.Int64
-	probes        atomic.Int64
-	qoeInstalls   atomic.Int64
-	stallKills    atomic.Int64
 }
 
 // Counters is a snapshot of the server's send accounting; the chaos tests
@@ -193,23 +175,25 @@ func (c *Counters) Add(o Counters) {
 	c.WriteStallKills += o.WriteStallKills
 }
 
-// Counters returns a snapshot of the server's send accounting.
+// Counters returns a snapshot of the server's send accounting, read back
+// from the registry.
 func (s *Server) Counters() Counters {
+	c := func(name string) int64 { return s.Obs.Counter(name).Value() }
 	return Counters{
-		PrimarySent:       s.ctr.primarySent.Load(),
-		MaskTileSent:      s.ctr.maskTileSent.Load(),
-		MaskFullSent:      s.ctr.maskFullSent.Load(),
-		BytesSent:         s.ctr.bytesSent.Load(),
-		Pings:             s.ctr.pings.Load(),
-		Resumes:           s.ctr.resumes.Load(),
-		ResumedItems:      s.ctr.resumedItems.Load(),
-		ShedItems:         s.ctr.shedItems.Load(),
-		ShedBytes:         s.ctr.shedBytes.Load(),
-		CorruptFrames:     s.ctr.corruptFrames.Load(),
-		RejectedConns:     s.ctr.rejectedConns.Load(),
-		Probes:            s.ctr.probes.Load(),
-		QoEScaledInstalls: s.ctr.qoeInstalls.Load(),
-		WriteStallKills:   s.ctr.stallKills.Load(),
+		PrimarySent:       c("srv_primary_sent"),
+		MaskTileSent:      c("srv_mask_tile_sent"),
+		MaskFullSent:      c("srv_mask_full_sent"),
+		BytesSent:         c("srv_bytes_sent"),
+		Pings:             c("srv_pings"),
+		Resumes:           c("srv_resumes"),
+		ResumedItems:      c("srv_resumed_items"),
+		ShedItems:         c("srv_shed_items"),
+		ShedBytes:         c("srv_shed_bytes"),
+		CorruptFrames:     c("srv_corrupt_frames"),
+		RejectedConns:     c("srv_rejected_conns"),
+		Probes:            c("srv_probes"),
+		QoEScaledInstalls: c("srv_qoe_scaled_installs"),
+		WriteStallKills:   c("srv_write_stall_kills"),
 	}
 }
 
@@ -236,13 +220,6 @@ func (s *Server) noteActive(delta int64) int64 {
 	return n
 }
 
-// addQueuedBytes adjusts the fleet-visible queued-payload total and
-// mirrors it to the srv_queue_bytes gauge: a session's installs add, its
-// sends and teardown subtract.
-func (s *Server) addQueuedBytes(delta int64) {
-	s.Obs.Gauge("srv_queue_bytes").Set(float64(s.queuedBytes.Add(delta)))
-}
-
 // QueuedBytes reports the payload bytes currently committed across all
 // live fetch queues.
 func (s *Server) QueuedBytes() int64 { return s.queuedBytes.Load() }
@@ -256,6 +233,7 @@ func New(manifests ...*video.Manifest) *Server {
 	s := &Server{
 		manifests: make(map[string]*video.Manifest, len(manifests)),
 		stores:    make(map[string]*store.Store, len(manifests)),
+		Obs:       obs.NewRegistry(),
 	}
 	for _, m := range manifests {
 		s.manifests[m.VideoID] = m
@@ -299,7 +277,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	// scraping a fresh (or restarted) instance reads zeros, not absent
 	// keys it would have to treat as stale data.
 	s.noteActive(0)
-	s.addQueuedBytes(0)
+	s.Obs.Gauge("srv_queue_bytes").Set(float64(s.queuedBytes.Load()))
 	// srv_store_bytes is the resident footprint of the shared tile
 	// stores — the process-wide cost of serving these manifests to any
 	// number of sessions, the zero slab they share counted once. It is
@@ -362,7 +340,6 @@ func (s *Server) admit() (busy string) {
 		busy = fmt.Sprintf("connection limit %d reached", s.MaxConns)
 	}
 	if busy != "" {
-		s.ctr.rejectedConns.Add(1)
 		s.Obs.Counter("srv_rejected_conns").Inc()
 	}
 	return busy

@@ -424,9 +424,9 @@ func TestHandleConnResume(t *testing.T) {
 	if msg.Type != proto.MsgTileData || msg.TileData.Item.Tile != 6 {
 		t.Fatalf("resumed session re-sent held tile: %+v", msg.TileData)
 	}
-	ctr := s.Counters()
-	if ctr.Resumes != 1 || ctr.ResumedItems != 1 {
-		t.Errorf("counters = %+v, want 1 resume / 1 restored", ctr)
+	tally := s.Counters()
+	if tally.Resumes != 1 || tally.ResumedItems != 1 {
+		t.Errorf("counters = %+v, want 1 resume / 1 restored", tally)
 	}
 	_ = proto.WriteBye(client)
 }
@@ -797,9 +797,9 @@ func TestManyConnsSharedStore(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	ctr := s.Counters()
-	if ctr.PrimarySent != sessions*int64(tiles) || ctr.MaskTileSent != sessions*int64(tiles) || ctr.MaskFullSent != sessions {
-		t.Fatalf("counters %+v do not match %d sessions x full request", ctr, sessions)
+	tally := s.Counters()
+	if tally.PrimarySent != sessions*int64(tiles) || tally.MaskTileSent != sessions*int64(tiles) || tally.MaskFullSent != sessions {
+		t.Fatalf("counters %+v do not match %d sessions x full request", tally, sessions)
 	}
 }
 
@@ -864,8 +864,8 @@ func TestHandleConnMaxConns(t *testing.T) {
 	if err := <-done2; err == nil {
 		t.Fatal("rejected handshake reported no error")
 	}
-	if ctr := s.Counters(); ctr.RejectedConns != 1 {
-		t.Fatalf("RejectedConns = %d, want 1", ctr.RejectedConns)
+	if tally := s.Counters(); tally.RejectedConns != 1 {
+		t.Fatalf("RejectedConns = %d, want 1", tally.RejectedConns)
 	}
 
 	// Releasing the slot readmits.
@@ -965,8 +965,8 @@ func TestHandleConnCorruptFrameCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	if ctr := s.Counters(); ctr.CorruptFrames != 1 {
-		t.Fatalf("CorruptFrames = %d, want 1", ctr.CorruptFrames)
+	if tally := s.Counters(); tally.CorruptFrames != 1 {
+		t.Fatalf("CorruptFrames = %d, want 1", tally.CorruptFrames)
 	}
 }
 

@@ -38,20 +38,21 @@ type session struct {
 	stall  proto.StallMeter
 
 	// The registry metrics, resolved once per session so the send loop
-	// updates them with plain atomics, no map lookups. All are nil-safe.
+	// updates them with plain atomics, no map lookups.
 	primary, maskTile, maskFull *obs.Counter
 	bytes, pings, shed          *obs.Counter
 	shedBytes, corruptFrames    *obs.Counter
 	qoeInstalls                 *obs.Counter
 	tileBytes, queueLen         *obs.Histogram
+	queueBytes                  *obs.Gauge
 
 	mu          sync.Mutex
 	wake        chan struct{}
 	queue       []player.RequestItem
 	gen         uint32
 	closed      bool
-	queuedBytes int64        // payload total of queue, mirrored into srv.queuedBytes
-	sent        *player.Sent // the redundancy rule (§3.3)
+	queuedBytes int64              // payload total of queue, mirrored into srv.queuedBytes
+	sent        player.HeldSummary // what was sent or resumed: the redundancy rule's state (§3.3)
 
 	// The batch nextBatch gathered last: scratch is its wire form, ends the
 	// cumulative wire offset after each frame, for wrote to credit by.
@@ -61,7 +62,7 @@ type session struct {
 }
 
 func newSession(s *Server, m *video.Manifest, cohort string) *session {
-	r := s.Obs // a nil registry hands out detached, nil-safe metrics
+	r := s.Obs
 	return &session{
 		srv:    s,
 		m:      m,
@@ -80,9 +81,10 @@ func newSession(s *Server, m *video.Manifest, cohort string) *session {
 		qoeInstalls:   r.Counter("srv_qoe_scaled_installs"),
 		tileBytes:     r.Histogram("srv_tile_bytes"),
 		queueLen:      r.Histogram("srv_queue_len"),
+		queueBytes:    r.Gauge("srv_queue_bytes"),
 
 		wake:    make(chan struct{}, 1),
-		sent:    player.NewSent(m),
+		sent:    player.NewHeldSummary(m),
 		scratch: make(net.Buffers, 0, 3*maxBatchFrames),
 		batch:   make([]player.RequestItem, 0, maxBatchFrames),
 		ends:    make([]int64, 0, maxBatchFrames),
@@ -111,7 +113,6 @@ func (s *Server) open(first *proto.Message) (ss *session, pong *proto.Pong, refu
 		// server reports zero. A draining or saturated server never gets
 		// here — admission busy-rejects first, which probers read as
 		// "alive but unroutable".
-		s.ctr.probes.Add(1)
 		s.Obs.Counter("srv_probes").Inc()
 		n := max(s.active.Load()-1, 0)
 		return nil, &proto.Pong{Draining: s.draining.Load(), ActiveConns: uint32(n),
@@ -132,11 +133,8 @@ func (s *Server) open(first *proto.Message) (ss *session, pong *proto.Pong, refu
 	s.Obs.Counter("srv_conns_opened").Inc()
 	ss.trace = s.startSessionTrace(videoID, cohort)
 	if held != nil {
-		restored := ss.preload(*held)
-		s.ctr.resumes.Add(1)
-		s.ctr.resumedItems.Add(restored)
 		s.Obs.Counter("srv_resumes").Inc()
-		s.Obs.Counter("srv_resumed_items").Add(restored)
+		s.Obs.Counter("srv_resumed_items").Add(ss.preload(*held))
 	}
 	return ss, nil, "", nil
 }
@@ -149,11 +147,11 @@ func (ss *session) signal() {
 }
 
 // setQueued moves the session's byte commitment to n, and the server-wide
-// total by the same delta. Callers hold mu.
+// total (and its srv_queue_bytes gauge) by the same delta. Callers hold mu.
 func (ss *session) setQueued(n int64) {
 	if delta := n - ss.queuedBytes; delta != 0 {
 		ss.queuedBytes = n
-		ss.srv.addQueuedBytes(delta)
+		ss.queueBytes.Set(float64(ss.srv.queuedBytes.Add(delta)))
 	}
 }
 
@@ -169,12 +167,9 @@ func (ss *session) request(r proto.Request) {
 	}
 	if scale := s.qoeScale(ss.cohort); scale != 1 {
 		maxQueue, maxBytes = scaleBudgets(maxQueue, maxBytes, scale)
-		s.ctr.qoeInstalls.Add(1)
 		ss.qoeInstalls.Inc()
 	}
 	if shed, shedBytes := ss.install(r, maxQueue, maxBytes); shed > 0 {
-		s.ctr.shedItems.Add(int64(shed))
-		s.ctr.shedBytes.Add(shedBytes)
 		ss.shed.Add(int64(shed))
 		ss.shedBytes.Add(shedBytes)
 		ss.trace.shed(shedBytes)
@@ -282,13 +277,13 @@ func safeSize(it player.RequestItem, m *video.Manifest) int64 {
 	return it.Size(m)
 }
 
-// preload marks the client-held items from a resume summary as already
-// sent, restoring the redundancy suppression of the pre-disconnect
-// session. It returns the number of entries restored.
+// preload merges a resume summary into the session's sent state, restoring
+// the redundancy suppression of the pre-disconnect session. It returns the
+// number of entries restored.
 func (ss *session) preload(h player.HeldSummary) int64 {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return ss.sent.Preload(h)
+	return ss.sent.Merge(h)
 }
 
 // next pops the next sendable item, applying the redundancy rule, or
@@ -343,25 +338,21 @@ func (ss *session) nextBatch() (wire net.Buffers, done bool) {
 // the chaos tests pin are send upper bounds — and a write that succeeded is
 // then charged to the stall budget.
 func (ss *session) wrote(n int64, elapsed time.Duration, werr error) error {
-	ctr, prev := &ss.srv.ctr, int64(0)
+	var prev int64
 	for i, end := range ss.ends {
 		if end > n {
 			break
 		}
 		switch fr := ss.batch[i]; {
 		case fr.Stream == player.Primary:
-			ctr.primarySent.Add(1)
 			ss.primary.Inc()
 		case fr.Full360:
-			ctr.maskFullSent.Add(1)
 			ss.maskFull.Inc()
 		default:
-			ctr.maskTileSent.Add(1)
 			ss.maskTile.Inc()
 		}
 		size := end - prev - proto.TileFrameOverhead
 		prev = end
-		ctr.bytesSent.Add(size)
 		ss.bytes.Add(size)
 		ss.tileBytes.Observe(float64(size))
 	}
@@ -376,7 +367,6 @@ func (ss *session) pinged(elapsed time.Duration) error {
 	if err := ss.charge(elapsed, "ping"); err != nil {
 		return err
 	}
-	ss.srv.ctr.pings.Add(1)
 	ss.pings.Inc()
 	return nil
 }
@@ -387,14 +377,12 @@ func (ss *session) charge(elapsed time.Duration, what string) error {
 	if !ss.stall.Spend(elapsed) {
 		return nil
 	}
-	ss.srv.ctr.stallKills.Add(1)
 	ss.srv.Obs.Counter("srv_write_stall_kills").Inc()
 	return fmt.Errorf("server: send %s: %w", what, ErrWriteStall)
 }
 
 // corruptFrame counts an inbound frame whose CRC trailer did not match.
 func (ss *session) corruptFrame() {
-	ss.srv.ctr.corruptFrames.Add(1)
 	ss.corruptFrames.Inc()
 }
 

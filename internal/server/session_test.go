@@ -226,19 +226,19 @@ func TestWroteCreditsOnlyWholeFrames(t *testing.T) {
 	if err := ss.wrote(ss.ends[1]+7, time.Second, torn); !errors.Is(err, torn) {
 		t.Fatalf("wrote = %v, want the write's own error", err)
 	}
-	ctr := s.Counters()
-	if ctr.PrimarySent != 2 || ctr.MaskFullSent != 0 || ctr.BytesSent != items[0].Size(m)+items[1].Size(m) {
-		t.Fatalf("after a tear inside frame 3: %+v, want 2 primaries and their bytes only", ctr)
+	tally := s.Counters()
+	if tally.PrimarySent != 2 || tally.MaskFullSent != 0 || tally.BytesSent != items[0].Size(m)+items[1].Size(m) {
+		t.Fatalf("after a tear inside frame 3: %+v, want 2 primaries and their bytes only", tally)
 	}
-	if ctr.WriteStallKills != 0 {
+	if tally.WriteStallKills != 0 {
 		t.Fatal("a failed write was charged to the stall budget")
 	}
 	// The whole batch delivered credits every frame, by kind.
 	if err := ss.wrote(ss.ends[3], 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ctr := s.Counters(); ctr.PrimarySent != 5 || ctr.MaskFullSent != 1 {
-		t.Fatalf("after a full write: %+v", ctr)
+	if tally := s.Counters(); tally.PrimarySent != 5 || tally.MaskFullSent != 1 {
+		t.Fatalf("after a full write: %+v", tally)
 	}
 }
 
@@ -321,6 +321,76 @@ func TestQueuedBytesZeroOnEveryExit(t *testing.T) {
 		}
 		if s.QueuedBytes() != 0 || ss.queuedBytes != 0 {
 			t.Errorf("%s: queued bytes server %d / session %d after release", name, s.QueuedBytes(), ss.queuedBytes)
+		}
+	}
+}
+
+// halfScale is a QoE source that halves every cohort's budgets.
+type halfScale struct{}
+
+func (halfScale) CohortScale(string) float64 { return 0.5 }
+
+// TestCountersAreTheRegistry drives one server through every event its
+// send accounting counts — a probe, a busy reject, a resume, a QoE-scaled
+// install that sheds, sends of each kind, a ping, a corrupt frame and a
+// write-stall kill — and demands each Counters field equal its srv_*
+// counter in the registry snapshot the admin endpoint serves.
+func TestCountersAreTheRegistry(t *testing.T) {
+	m := testManifest()
+	s := New(m)
+	s.MaxQueue, s.WriteStallBudget, s.QoE = 8, time.Millisecond, halfScale{}
+	if _, pong, _, err := s.open(&proto.Message{Type: proto.MsgPing}); err != nil || pong == nil {
+		t.Fatalf("probe: pong %v, err %v", pong, err)
+	}
+	s.Drain()
+	if busy := s.admit(); busy == "" {
+		t.Fatal("a draining server admitted a session")
+	}
+	held := player.NewReceived(m)
+	held.Record(player.RequestItem{Stream: player.Primary, Chunk: 2, Tile: 3}, 0)
+	ss, _, _, err := s.open(&proto.Message{Type: proto.MsgResume,
+		Resume: &proto.Resume{Version: proto.ProtoVersion, VideoID: m.VideoID, Cohort: "c", Held: held.Summary()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := append([]player.RequestItem{
+		{Stream: player.Masking, Chunk: 0, Full360: true},
+		{Stream: player.Masking, Chunk: 1, Tile: 2},
+	}, primaries(5)...)
+	ss.request(proto.Request{Generation: 1, Items: items})
+	ss.nextBatch()
+	if err := ss.wrote(ss.ends[len(ss.ends)-1], 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.pinged(0); err != nil {
+		t.Fatal(err)
+	}
+	ss.corruptFrame()
+	if err := ss.pinged(time.Second); !errors.Is(err, ErrWriteStall) {
+		t.Fatalf("a 1 s ping under a 1 ms budget: %v", err)
+	}
+	ss.release()
+
+	snap := s.Obs.Snapshot().Counters
+	got := s.Counters()
+	for name, v := range map[string]int64{
+		"srv_primary_sent":        got.PrimarySent,
+		"srv_mask_tile_sent":      got.MaskTileSent,
+		"srv_mask_full_sent":      got.MaskFullSent,
+		"srv_bytes_sent":          got.BytesSent,
+		"srv_pings":               got.Pings,
+		"srv_resumes":             got.Resumes,
+		"srv_resumed_items":       got.ResumedItems,
+		"srv_shed_items":          got.ShedItems,
+		"srv_shed_bytes":          got.ShedBytes,
+		"srv_corrupt_frames":      got.CorruptFrames,
+		"srv_rejected_conns":      got.RejectedConns,
+		"srv_probes":              got.Probes,
+		"srv_qoe_scaled_installs": got.QoEScaledInstalls,
+		"srv_write_stall_kills":   got.WriteStallKills,
+	} {
+		if v == 0 || snap[name] != v {
+			t.Errorf("%s: Counters reads %d, registry %d; want equal and non-zero", name, v, snap[name])
 		}
 	}
 }
