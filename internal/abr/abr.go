@@ -19,19 +19,19 @@ import (
 	"dragonfly/internal/video"
 )
 
-// DefaultSafety discounts the throughput estimate when budgeting, absorbing
+// defaultSafety discounts the throughput estimate when budgeting, absorbing
 // prediction error as rate-based ABRs do.
-const DefaultSafety = 0.9
+const defaultSafety = 0.9
 
 // ChunkBudget returns the byte budget for one chunk of the given duration
-// at the predicted throughput, discounted by DefaultSafety. A non-positive
+// at the predicted throughput, discounted by defaultSafety. A non-positive
 // or NaN throughput budgets nothing; one too large to count in bytes
 // (+Inf included) budgets math.MaxInt64, so everything fits.
 func ChunkBudget(predictedMbps float64, chunkDur time.Duration) int64 {
 	if !(predictedMbps > 0) {
 		predictedMbps = 0
 	}
-	return saturate(predictedMbps * 1e6 / 8 * chunkDur.Seconds() * DefaultSafety)
+	return saturate(predictedMbps * 1e6 / 8 * chunkDur.Seconds() * defaultSafety)
 }
 
 // saturate converts a byte count to int64, clamping it to the int64 range.

@@ -9,8 +9,8 @@ import (
 )
 
 func TestChunkBudget(t *testing.T) {
-	// 8 Mbps for 1 s = 1e6 bytes, discounted by DefaultSafety.
-	if got := ChunkBudget(8, time.Second); got != int64(1e6*DefaultSafety) {
+	// 8 Mbps for 1 s = 1e6 bytes, discounted by defaultSafety.
+	if got := ChunkBudget(8, time.Second); got != int64(1e6*defaultSafety) {
 		t.Errorf("budget = %d", got)
 	}
 	if got := ChunkBudget(-5, time.Second); got != 0 {

@@ -41,10 +41,10 @@ var (
 	siteSplice = chaos.NewSite("balancer.splice")
 )
 
-// ErrSpliceStall reports a splice torn down for exhausting the
+// errSpliceStall reports a splice torn down for exhausting the
 // SpliceStallBudget: the peer accepted bytes too slowly for too long and
 // the splice was severed rather than left pinning balancer resources.
-var ErrSpliceStall = errors.New("balancer: splice write-stall budget exhausted")
+var errSpliceStall = errors.New("balancer: splice write-stall budget exhausted")
 
 // Defaults for Config's zero values.
 const (
@@ -54,10 +54,10 @@ const (
 	DefaultDialTimeout   = 2 * time.Second
 )
 
-// QueueBytesPerConn converts queued backlog bytes into active-connection
+// queueBytesPerConn converts queued backlog bytes into active-connection
 // equivalents for the load score: a backend with 4 MB of committed queue
 // is as loaded as one with one more session.
-const QueueBytesPerConn = 4 << 20
+const queueBytesPerConn = 4 << 20
 
 // BackendConfig names one fleet member.
 type BackendConfig struct {
@@ -88,7 +88,7 @@ type Config struct {
 	// SpliceStallBudget bounds the cumulative excess write time of each
 	// splice direction — the balancer's slowloris defense, the same
 	// proto.StallMeter policy as Server.WriteStallBudget. Exhaustion
-	// severs the splice with ErrSpliceStall; the client's resume path
+	// severs the splice with errSpliceStall; the client's resume path
 	// recovers the session on a healthy member. 0 disables.
 	SpliceStallBudget time.Duration
 
@@ -217,9 +217,9 @@ func (bl *Balancer) Status() []BackendStatus {
 	return out
 }
 
-// StartProbes launches the per-backend health-check loops; they stop when
+// startProbes launches the per-backend health-check loops; they stop when
 // ctx is done. Serve calls this; calling it again is a no-op.
-func (bl *Balancer) StartProbes(ctx context.Context) {
+func (bl *Balancer) startProbes(ctx context.Context) {
 	bl.start.Do(func() {
 		for _, b := range bl.backends {
 			go bl.probeLoop(ctx, b)
@@ -339,7 +339,7 @@ func (b *backend) score() float64 {
 	if r := b.routed.Load(); r > n {
 		n = r
 	}
-	return float64(n) + b.queueBytes/QueueBytesPerConn
+	return float64(n) + b.queueBytes/queueBytesPerConn
 }
 
 func (bl *Balancer) routable(b *backend) bool {
@@ -455,7 +455,7 @@ func (bl *Balancer) trackSplice(c net.Conn, add bool) {
 //
 // With SpliceStallBudget set, both destination conns are wrapped in a
 // stall meter: a peer that blocks writes beyond the budget severs the
-// splice (ErrSpliceStall, lb_splice_stalls) instead of pinning the
+// splice (errSpliceStall, lb_splice_stalls) instead of pinning the
 // balancer goroutines and the backend's queue bytes indefinitely. The
 // balancer.splice failpoint rides the server→client read side, severing
 // or stalling mid-stream to exercise exactly that recovery.
@@ -464,7 +464,7 @@ func (bl *Balancer) splice(clientConn, srvConn net.Conn) {
 	if bud := bl.cfg.SpliceStallBudget; bud > 0 {
 		trip := func() {
 			bl.cfg.Obs.Counter("lb_splice_stalls").Inc()
-			bl.logf("balancer: %v", ErrSpliceStall)
+			bl.logf("balancer: %v", errSpliceStall)
 		}
 		cdst = &stallConn{Conn: clientConn, meter: proto.NewStallMeter(bud), onTrip: trip}
 		sdst = &stallConn{Conn: srvConn, meter: proto.NewStallMeter(bud), onTrip: trip}
@@ -512,7 +512,7 @@ func (c *stallConn) trip() error {
 		c.onTrip()
 		c.onTrip = nil
 	}
-	return ErrSpliceStall
+	return errSpliceStall
 }
 
 func (c *stallConn) Write(p []byte) (int, error) {
@@ -538,7 +538,7 @@ func (c *stallConn) Write(p []byte) (int, error) {
 // listener fails or ctx is done; cancellation also severs the active
 // splices so Serve's callers can tear down promptly.
 func (bl *Balancer) Serve(ctx context.Context, l net.Listener) error {
-	bl.StartProbes(ctx)
+	bl.startProbes(ctx)
 	go func() {
 		<-ctx.Done()
 		l.Close()

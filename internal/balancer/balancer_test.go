@@ -54,12 +54,22 @@ func (f *fleet) dial(addr string, _ time.Duration) (net.Conn, error) {
 	if s == nil {
 		return nil, errors.New("connection refused")
 	}
-	c, srv := netem.Pipe(netem.Link{})
+	l := netem.NewPipeListener(netem.Link{})
+	return dialServe(s, l, l.Dial)
+}
+
+// dialServe opens one session on srv through l: Serve accepts the dialled
+// connection, stops accepting once l is closed, and returns when that
+// session ends.
+func dialServe(srv *server.Server, l net.Listener, dial func() (net.Conn, error)) (net.Conn, error) {
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		defer srv.Close()
-		_ = s.HandleConnContext(context.Background(), srv)
+		defer cancel()
+		_ = srv.Serve(ctx, l)
 	}()
-	return c, nil
+	c, err := dial()
+	l.Close()
+	return c, err
 }
 
 func backendConfigs(addrs ...string) []BackendConfig {
@@ -87,7 +97,7 @@ func TestDeadBackendUnhealthyWithinProbeBudget(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	start := time.Now()
-	bl.StartProbes(ctx)
+	bl.startProbes(ctx)
 
 	budget := time.Duration(cfg.FailThreshold)*(cfg.ProbeInterval+cfg.ProbeTimeout) + 150*time.Millisecond
 	deadline := time.Now().Add(budget)
@@ -139,7 +149,7 @@ func TestPickPrefersLowLoad(t *testing.T) {
 		b.mu.Unlock()
 	}
 	set(0, 5, 0)
-	set(1, 1, 100*QueueBytesPerConn) // light on conns, heavy backlog
+	set(1, 1, 100*queueBytesPerConn) // light on conns, heavy backlog
 	set(2, 3, 0)
 	if b := bl.pick(nil); b != bl.backends[2] {
 		t.Fatalf("pick = %s, want c (lowest score)", b.cfg.Addr)
@@ -202,7 +212,7 @@ func TestProbeLoadSteersPick(t *testing.T) {
 	if err := proto.WriteRequest(busy, proto.Request{Generation: 1, Items: items}); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(2 * time.Second); f.get("a").QueuedBytes() == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(2 * time.Second); f.get("a").Obs.Snapshot().Gauges["srv_queue_bytes"] == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("server a never queued the request")
 		}

@@ -55,8 +55,8 @@ import (
 type Kind uint8
 
 const (
-	// FaultNone means the site is disarmed (the zero Fault).
-	FaultNone Kind = iota
+	// faultNone means the site is disarmed (the zero Fault).
+	faultNone Kind = iota
 	// FaultError makes the site return a typed error.
 	FaultError
 	// FaultDelay stalls the site for Fault.Delay before proceeding normally.
@@ -73,7 +73,7 @@ const (
 // String returns the kind's catalog name ("error", "delay", ...).
 func (k Kind) String() string {
 	switch k {
-	case FaultNone:
+	case faultNone:
 		return "none"
 	case FaultError:
 		return "error"
@@ -105,13 +105,13 @@ type Fault struct {
 }
 
 // Active reports whether a fault was injected.
-func (f Fault) Active() bool { return f.Kind != FaultNone }
+func (f Fault) Active() bool { return f.Kind != faultNone }
 
 // Rule arms one fault pattern at one site. The zero values of After/Every/
 // Count mean "from the first hit", "every eligible hit", "unlimited".
 type Rule struct {
 	Site  string        // registered site name (Arm fails on unknown names)
-	Kind  Kind          // fault to inject; FaultNone rules are rejected
+	Kind  Kind          // fault to inject; faultNone rules are rejected
 	Err   error         // optional override; default is "<site>: chaos: injected fault"
 	Delay time.Duration // FaultDelay duration; default 10ms
 	Frac  float64       // FaultPartial delivered fraction; default 0.5, clamped to [0,1)
@@ -158,13 +158,6 @@ func NewSite(name string) *Site {
 	reg[name] = s
 	return s
 }
-
-// Name returns the registered site name.
-func (s *Site) Name() string { return s.name }
-
-// Injections returns how many faults this site has injected since the last
-// Arm of it (Arm resets the counter so a test observes only its own run).
-func (s *Site) Injections() uint64 { return s.injected.Load() }
 
 // Fault records a hit and returns the fault to inject, if any. Disarmed
 // sites pay one atomic load and return the zero Fault.
@@ -219,7 +212,7 @@ func (s *Site) Err() error {
 	}
 	f := s.eval(st)
 	switch f.Kind {
-	case FaultNone:
+	case faultNone:
 		return nil
 	case FaultDelay:
 		time.Sleep(f.Delay)
@@ -231,14 +224,14 @@ func (s *Site) Err() error {
 
 // Arm installs the given rules, replacing any prior rules at the named
 // sites (other sites are untouched) and resetting those sites' hit and
-// injection counters. Unknown site names or FaultNone kinds fail the whole
+// injection counters. Unknown site names or faultNone kinds fail the whole
 // call without arming anything.
 func Arm(rules ...Rule) error {
 	regMu.Lock()
 	defer regMu.Unlock()
 	bySite := map[string][]*armedRule{}
 	for _, r := range rules {
-		if r.Kind == FaultNone {
+		if r.Kind == faultNone {
 			return fmt.Errorf("chaos: rule for %q has no fault kind", r.Site)
 		}
 		if _, ok := reg[r.Site]; !ok {

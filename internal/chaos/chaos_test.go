@@ -39,7 +39,7 @@ func TestDisarmedHitZeroAlloc(t *testing.T) {
 
 func TestErrorRulePhase(t *testing.T) {
 	s := testSite(t)
-	if err := Arm(Rule{Site: s.Name(), Kind: FaultError, After: 3, Every: 5, Count: 2}); err != nil {
+	if err := Arm(Rule{Site: s.name, Kind: FaultError, After: 3, Every: 5, Count: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var fired []int
@@ -62,18 +62,18 @@ func TestErrorRulePhase(t *testing.T) {
 			t.Fatalf("fired on hits %v, want %v", fired, want)
 		}
 	}
-	if got := s.Injections(); got != 2 {
+	if got := s.injected.Load(); got != 2 {
 		t.Fatalf("Injections() = %d, want 2", got)
 	}
-	if got := Injections(s.Name()); got != 2 {
-		t.Fatalf("Injections(%q) = %d, want 2", s.Name(), got)
+	if got := Injections(s.name); got != 2 {
+		t.Fatalf("Injections(%q) = %d, want 2", s.name, got)
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	s := testSite(t)
 	run := func() []uint64 {
-		if err := Arm(Rule{Site: s.Name(), Kind: FaultError, After: 2, Every: 3}); err != nil {
+		if err := Arm(Rule{Site: s.name, Kind: FaultError, After: 2, Every: 3}); err != nil {
 			t.Fatal(err)
 		}
 		var ticks []uint64
@@ -98,8 +98,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestFaultDefaults(t *testing.T) {
 	s := testSite(t)
 	if err := Arm(
-		Rule{Site: s.Name(), Kind: FaultPartial, Count: 1},
-		Rule{Site: s.Name(), Kind: FaultDelay, Count: 1},
+		Rule{Site: s.name, Kind: FaultPartial, Count: 1},
+		Rule{Site: s.name, Kind: FaultDelay, Count: 1},
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFaultDefaults(t *testing.T) {
 
 func TestErrAppliesDelayInline(t *testing.T) {
 	s := testSite(t)
-	if err := Arm(Rule{Site: s.Name(), Kind: FaultDelay, Delay: 20 * time.Millisecond, Count: 1}); err != nil {
+	if err := Arm(Rule{Site: s.name, Kind: FaultDelay, Delay: 20 * time.Millisecond, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -138,8 +138,8 @@ func TestArmRejectsUnknownSiteAndNoneKind(t *testing.T) {
 	if err := Arm(Rule{Site: "no.such.site", Kind: FaultError}); err == nil {
 		t.Fatal("Arm accepted an unknown site")
 	}
-	if err := Arm(Rule{Site: s.Name()}); err == nil {
-		t.Fatal("Arm accepted a FaultNone rule")
+	if err := Arm(Rule{Site: s.name}); err == nil {
+		t.Fatal("Arm accepted a faultNone rule")
 	}
 	// A failed Arm must not have armed anything.
 	if err := s.Err(); err != nil {
@@ -149,7 +149,7 @@ func TestArmRejectsUnknownSiteAndNoneKind(t *testing.T) {
 
 func TestDisarmStopsInjection(t *testing.T) {
 	s := testSite(t)
-	if err := Arm(Rule{Site: s.Name(), Kind: FaultError}); err != nil {
+	if err := Arm(Rule{Site: s.name, Kind: FaultError}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Err(); err == nil {
@@ -159,21 +159,21 @@ func TestDisarmStopsInjection(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Fatalf("disarmed site injected: %v", err)
 	}
-	if got := s.Injections(); got != 1 {
+	if got := s.injected.Load(); got != 1 {
 		t.Fatalf("Injections() = %d after Disarm, want 1 (counter stays readable)", got)
 	}
 }
 
 func TestArmResetsCounters(t *testing.T) {
 	s := testSite(t)
-	if err := Arm(Rule{Site: s.Name(), Kind: FaultError, Count: 1}); err != nil {
+	if err := Arm(Rule{Site: s.name, Kind: FaultError, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
 	_ = s.Err()
-	if err := Arm(Rule{Site: s.Name(), Kind: FaultError, Count: 1}); err != nil {
+	if err := Arm(Rule{Site: s.name, Kind: FaultError, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Injections(); got != 0 {
+	if got := s.injected.Load(); got != 0 {
 		t.Fatalf("Injections() = %d after re-Arm, want 0", got)
 	}
 	if err := s.Err(); err == nil {
@@ -184,7 +184,7 @@ func TestArmResetsCounters(t *testing.T) {
 func TestConcurrentHitsBoundedCount(t *testing.T) {
 	s := testSite(t)
 	const count = 7
-	if err := Arm(Rule{Site: s.Name(), Kind: FaultError, Count: count}); err != nil {
+	if err := Arm(Rule{Site: s.name, Kind: FaultError, Count: count}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -198,7 +198,7 @@ func TestConcurrentHitsBoundedCount(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.Injections(); got != count {
+	if got := s.injected.Load(); got != count {
 		t.Fatalf("Injections() = %d under concurrency, want exactly %d", got, count)
 	}
 }
@@ -238,7 +238,7 @@ func TestSiteNamesSorted(t *testing.T) {
 	names := SiteNames()
 	found := false
 	for i, n := range names {
-		if n == a.Name() {
+		if n == a.name {
 			found = true
 		}
 		if i > 0 && names[i-1] > n {
@@ -246,6 +246,6 @@ func TestSiteNamesSorted(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("SiteNames missing %q", a.Name())
+		t.Fatalf("SiteNames missing %q", a.name)
 	}
 }

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -31,17 +30,14 @@ func chaosSchedule() *netem.FaultSchedule {
 	}}
 }
 
-// faultDialer returns a DialFunc that opens a fresh shaped pipe through fl
-// and runs a server session on the far end, modelling reconnections to the
-// same server over the same faulty path.
+// faultDialer returns a DialFunc that opens a fresh pipe whose server side
+// is shaped and fault-injected by fl, and runs a server session on the far
+// end, modelling reconnections to the same server over the same faulty
+// path.
 func faultDialer(srv *server.Server, fl *netem.FaultLink) DialFunc {
 	return func() (net.Conn, error) {
-		clientConn, serverConn := fl.Pipe()
-		go func() {
-			defer serverConn.Close()
-			_ = srv.HandleConnContext(context.Background(), serverConn)
-		}()
-		return clientConn, nil
+		l := netem.NewPipeListener(netem.Link{})
+		return dialServe(srv, &netem.FaultListener{Listener: l, FL: fl}, l.Dial)
 	}
 }
 
@@ -198,7 +194,7 @@ func TestPlayResilientBeatsNoReconnect(t *testing.T) {
 // TestPlayResilientDeadFleetBudget is the satellite test for the total
 // reconnect budget: a fleet that refuses every dial (an always-refuse
 // client.dial failpoint) must fail the session with the typed
-// ErrReconnectBudget once TotalBudget elapses, no matter how many attempts
+// errReconnectBudget once TotalBudget elapses, no matter how many attempts
 // the per-outage policy would still allow.
 func TestPlayResilientDeadFleetBudget(t *testing.T) {
 	if err := chaos.Arm(chaos.Rule{Site: "client.dial", Kind: chaos.FaultError}); err != nil {
@@ -219,8 +215,8 @@ func TestPlayResilientDeadFleetBudget(t *testing.T) {
 			Seed:        3,
 		},
 	})
-	if !errors.Is(err, ErrReconnectBudget) {
-		t.Fatalf("err = %v, want ErrReconnectBudget", err)
+	if !errors.Is(err, errReconnectBudget) {
+		t.Fatalf("err = %v, want errReconnectBudget", err)
 	}
 	// The typed budget error is the %w chain; the last dial error rides
 	// along as text only, so callers classify on the budget, not the cause.

@@ -46,11 +46,11 @@ type DialFunc func() (net.Conn, error)
 // can refuse or stall connections fleet-wide (docs/RESILIENCE.md).
 var siteClientDial = chaos.NewSite("client.dial")
 
-// ErrReconnectBudget reports that ReconnectPolicy.TotalBudget elapsed with
+// errReconnectBudget reports that ReconnectPolicy.TotalBudget elapsed with
 // the client still unable to reach a server: the fleet is, as far as this
 // session can tell, permanently dead. PlayResilient returns it (wrapped)
 // when the budget runs out before the first successful handshake.
-var ErrReconnectBudget = errors.New("client: total reconnect budget exhausted")
+var errReconnectBudget = errors.New("client: total reconnect budget exhausted")
 
 // ReconnectPolicy tunes the client's fault tolerance. The zero value
 // disables reconnection: a connection error ends the session, as it always
@@ -76,7 +76,7 @@ type ReconnectPolicy struct {
 	// disconnected: one ledger across the opening dial and every outage,
 	// each connect phase running under a deadline for what is left.
 	// Exhaustion before the first successful handshake fails the session
-	// with a typed ErrReconnectBudget, so a permanently dead fleet surfaces
+	// with a typed errReconnectBudget, so a permanently dead fleet surfaces
 	// as a prompt, classifiable error. Mid-session exhaustion declares the
 	// link dead and playback carries on with what is held, as when
 	// MaxAttempts runs out. 0 means no wall-clock cap.
@@ -455,7 +455,7 @@ func (s *session) connect(held *player.HeldSummary) (net.Conn, *video.Manifest, 
 		return err
 	})
 	if err != nil && ctx.Err() == context.DeadlineExceeded {
-		err = fmt.Errorf("%w (last error: %v)", ErrReconnectBudget, err)
+		err = fmt.Errorf("%w (last error: %v)", errReconnectBudget, err)
 	}
 	return conn, m, err
 }

@@ -33,14 +33,27 @@ func liveHead(d time.Duration) *trace.HeadTrace {
 // servePipe runs a server session over an in-memory shaped pipe.
 func servePipe(t *testing.T, m *video.Manifest, link netem.Link) net.Conn {
 	t.Helper()
-	clientConn, serverConn := netem.Pipe(link)
-	srv := server.New(m)
-	go func() {
-		defer serverConn.Close()
-		_ = srv.HandleConnContext(context.Background(), serverConn)
-	}()
+	l := netem.NewPipeListener(link)
+	clientConn, err := dialServe(server.New(m), l, l.Dial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { clientConn.Close() })
 	return clientConn
+}
+
+// dialServe opens one session on srv through l: Serve accepts the dialled
+// connection, stops accepting once l is closed, and returns when that
+// session ends.
+func dialServe(srv *server.Server, l net.Listener, dial func() (net.Conn, error)) (net.Conn, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		defer cancel()
+		_ = srv.Serve(ctx, l)
+	}()
+	c, err := dial()
+	l.Close()
+	return c, err
 }
 
 func TestPlayDragonflyOverPipe(t *testing.T) {
@@ -108,7 +121,7 @@ func TestPlayUnknownVideo(t *testing.T) {
 // hello and never answers (a stalled accept, a wedged balancer member) must
 // cost the opening handshake one read deadline, not the session: Play fails
 // with the retryable link error, and PlayResilient, redialing into the same
-// silence, fails with ErrReconnectBudget once TotalBudget is gone. The
+// silence, fails with errReconnectBudget once TotalBudget is gone. The
 // opening handshake used to run with no deadline at all.
 func TestOpeningHandshakeHonorsDeadlines(t *testing.T) {
 	silent := func() (net.Conn, error) {
@@ -141,7 +154,7 @@ func TestOpeningHandshakeHonorsDeadlines(t *testing.T) {
 	within("PlayResilient", func() error {
 		_, err := PlayResilient(silent, "live", liveHead(time.Second), core.NewDefault(), PlayOptions{Reconnect: policy})
 		return err
-	}, ErrReconnectBudget)
+	}, errReconnectBudget)
 }
 
 func TestPlayValidatesArgs(t *testing.T) {
@@ -229,12 +242,11 @@ func TestServerRedundancySuppression(t *testing.T) {
 	// Issue overlapping requests directly over the protocol and count the
 	// server's transmissions.
 	m := liveManifest()
-	clientConn, serverConn := net.Pipe()
-	srv := server.New(m)
-	go func() {
-		defer serverConn.Close()
-		_ = srv.HandleConnContext(context.Background(), serverConn)
-	}()
+	l := netem.NewPipeListener(netem.Link{})
+	clientConn, err := dialServe(server.New(m), l, l.Dial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer clientConn.Close()
 
 	met, err := Play(clientConn, "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{})

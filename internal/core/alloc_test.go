@@ -39,12 +39,12 @@ func TestDecideAllocationFree(t *testing.T) {
 		m.MaskDisplacement[c] = 20
 	}
 	variants := map[string]Options{
-		"full360":    DefaultOptions(),
+		"full360":    defaultOptions(),
 		"tiled":      {Masking: MaskTiled},
 		"tiledSched": {Masking: MaskTiled, MaskScheduled: true},
 		"none":       {Masking: MaskNone},
 		"exact":      {ExactGeometry: true},
-		"registry":   DefaultOptions(),
+		"registry":   defaultOptions(),
 	}
 	for name, opts := range variants {
 		t.Run(name, func(t *testing.T) {
@@ -82,7 +82,7 @@ func TestMaskingPlannerAllocationFree(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"tiled":      {Masking: MaskTiled},
 		"tiledSched": {Masking: MaskTiled, MaskScheduled: true},
-		"full360":    DefaultOptions(),
+		"full360":    defaultOptions(),
 	} {
 		t.Run(name, func(t *testing.T) {
 			d := New(opts)

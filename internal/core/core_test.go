@@ -38,7 +38,7 @@ func staticContext(m *video.Manifest, mbps float64) *player.Context {
 func TestBuildWindowCandidates(t *testing.T) {
 	m := testManifest()
 	ctx := staticContext(m, 10)
-	w := buildWindow(ctx, DefaultOptions())
+	w := buildWindow(ctx, defaultOptions())
 	if len(w.cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -79,7 +79,7 @@ func TestBuildWindowSkipsReceivedPrimary(t *testing.T) {
 	ctx := staticContext(m, 10)
 	center := ctx.Grid.TileAt(geom.Orientation{})
 	ctx.Received.Record(player.RequestItem{Stream: player.Primary, Chunk: 0, Tile: center, Quality: video.Highest}, 0)
-	w := buildWindow(ctx, DefaultOptions())
+	w := buildWindow(ctx, defaultOptions())
 	for _, c := range w.cands {
 		if c.tile == center && c.chunk == 0 {
 			t.Error("already-sent primary tile still a candidate")
@@ -91,7 +91,7 @@ func TestWindowSpansTwoChunks(t *testing.T) {
 	m := testManifest()
 	ctx := staticContext(m, 10)
 	ctx.PlayFrame = 15 // mid-chunk: the 1 s window covers chunks 0 and 1
-	w := buildWindow(ctx, DefaultOptions())
+	w := buildWindow(ctx, defaultOptions())
 	chunks := map[int]bool{}
 	for _, c := range w.cands {
 		chunks[c.chunk] = true
@@ -104,7 +104,7 @@ func TestWindowSpansTwoChunks(t *testing.T) {
 func TestArrivalFrame(t *testing.T) {
 	m := testManifest()
 	ctx := staticContext(m, 10)
-	w := buildWindow(ctx, DefaultOptions())
+	w := buildWindow(ctx, defaultOptions())
 	if got := w.arrivalFrame(0); got != 0 {
 		t.Errorf("arrivalFrame(0) = %d", got)
 	}
@@ -122,7 +122,7 @@ func TestArrivalFrame(t *testing.T) {
 func TestUtilityAt(t *testing.T) {
 	m := testManifest()
 	ctx := staticContext(m, 10)
-	w := buildWindow(ctx, DefaultOptions())
+	w := buildWindow(ctx, defaultOptions())
 	c := w.cands[0]
 	floor := c.utilityAt(w, -1, 0)
 	early := c.utilityAt(w, int(video.Highest), 0)
@@ -144,7 +144,7 @@ func TestUtilityAt(t *testing.T) {
 func TestSchedulerFillsHighQualityWhenFast(t *testing.T) {
 	m := testManifest()
 	ctx := staticContext(m, 1000)
-	w := buildWindow(ctx, DefaultOptions())
+	w := buildWindow(ctx, defaultOptions())
 	s := newScheduler(w, video.Lowest+1, 0)
 	list := s.run()
 	if len(list) == 0 {
@@ -164,7 +164,7 @@ func TestSchedulerFillsHighQualityWhenFast(t *testing.T) {
 func TestSchedulerSkipsOnSlowLink(t *testing.T) {
 	m := testManifest()
 	ctx := staticContext(m, 0.8) // slower than even the lowest tier needs
-	w := buildWindow(ctx, DefaultOptions())
+	w := buildWindow(ctx, defaultOptions())
 	s := newScheduler(w, video.Lowest+1, 0)
 	list := s.run()
 	if len(list) >= len(w.cands) {
@@ -189,7 +189,7 @@ func TestSchedulerSkipsOnSlowLink(t *testing.T) {
 func TestDecideNaNBandwidthIsFloor(t *testing.T) {
 	m := testManifest()
 	decide := func(mbps float64) []player.RequestItem {
-		return New(DefaultOptions()).Decide(staticContext(m, mbps))
+		return New(defaultOptions()).Decide(staticContext(m, mbps))
 	}
 	floor, nan := decide(0), decide(math.NaN())
 	if len(nan) != len(floor) {
@@ -218,7 +218,7 @@ func TestDecideNaNBandwidthIsFloor(t *testing.T) {
 func TestSchedulerPrefersCentralTiles(t *testing.T) {
 	m := testManifest()
 	ctx := staticContext(m, 3)
-	w := buildWindow(ctx, DefaultOptions())
+	w := buildWindow(ctx, defaultOptions())
 	s := newScheduler(w, video.Lowest+1, 0)
 	list := s.run()
 	if len(list) == 0 {
@@ -256,7 +256,7 @@ func TestSchedulerUtilityNeverDecreases(t *testing.T) {
 	m := testManifest()
 	for _, mbps := range []float64{1, 3, 8, 20} {
 		ctx := staticContext(m, mbps)
-		w := buildWindow(ctx, DefaultOptions())
+		w := buildWindow(ctx, defaultOptions())
 		s := newScheduler(w, video.Lowest+1, 0)
 		before := s.totalUtility()
 		s.run()
@@ -270,11 +270,11 @@ func TestSchedulerUtilityNeverDecreases(t *testing.T) {
 func TestSchedulerBaseOffsetDelaysArrivals(t *testing.T) {
 	m := testManifest()
 	ctx := staticContext(m, 3)
-	w1 := buildWindow(ctx, DefaultOptions())
+	w1 := buildWindow(ctx, defaultOptions())
 	s1 := newScheduler(w1, video.Lowest+1, 0)
 	n1 := len(s1.run())
 	ctx2 := staticContext(m, 3)
-	w2 := buildWindow(ctx2, DefaultOptions())
+	w2 := buildWindow(ctx2, defaultOptions())
 	s2 := newScheduler(w2, video.Lowest+1, 800*time.Millisecond)
 	n2 := len(s2.run())
 	if n2 > n1 {
@@ -366,20 +366,20 @@ func TestVariantConfiguration(t *testing.T) {
 		t.Error("PerChunk config wrong")
 	}
 	noMask := New(Options{Masking: MaskNone, Name: "NoMask"})
-	if noMask.Options().minPrimaryQuality() != video.Lowest {
+	if noMask.opts.minPrimaryQuality() != video.Lowest {
 		t.Error("NoMask should use all five qualities")
 	}
-	if NewDefault().Options().minPrimaryQuality() != video.Lowest+1 {
+	if NewDefault().opts.minPrimaryQuality() != video.Lowest+1 {
 		t.Error("masking variants reserve the lowest quality")
 	}
 	pspnr := New(Options{Metric: quality.PSPNR})
-	if pspnr.Options().Metric != quality.PSPNR {
+	if pspnr.opts.Metric != quality.PSPNR {
 		t.Error("metric not applied")
 	}
 }
 
 func TestMaskingStrategyString(t *testing.T) {
-	if MaskFull360.String() != "full360" || MaskTiled.String() != "tiled" || MaskNone.String() != "none" {
+	if maskFull360.String() != "full360" || MaskTiled.String() != "tiled" || MaskNone.String() != "none" {
 		t.Error("strategy names")
 	}
 }
@@ -536,14 +536,14 @@ func TestNonFinitePredictionDecidesAsExact(t *testing.T) {
 	for _, o := range []geom.Orientation{{Yaw: nan}, {Pitch: nan}, {Yaw: inf, Pitch: 10}, {Yaw: 20, Pitch: -inf}} {
 		ctx := staticContext(m, 10)
 		ctx.Predict = func(time.Duration) geom.Orientation { return o }
-		exact := DefaultOptions()
+		exact := defaultOptions()
 		exact.ExactGeometry = true
-		got := New(DefaultOptions()).Decide(ctx)
+		got := New(defaultOptions()).Decide(ctx)
 		want := New(exact).Decide(ctx)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("prediction %+v: table path decided %v, exact path %v", o, got, want)
 		}
-		if w := buildWindow(ctx, DefaultOptions()); len(w.slab) != 0 {
+		if w := buildWindow(ctx, defaultOptions()); len(w.slab) != 0 {
 			t.Errorf("prediction %+v: %d table-path candidates, want none", o, len(w.slab))
 		}
 	}

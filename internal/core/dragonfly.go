@@ -41,7 +41,7 @@ type Dragonfly struct {
 
 // New creates a Dragonfly instance (or an ablation variant, per Options).
 func New(opts Options) *Dragonfly {
-	d := DefaultOptions()
+	d := defaultOptions()
 	if opts.Metric != d.Metric {
 		d.Metric = opts.Metric
 	}
@@ -62,7 +62,7 @@ func New(opts Options) *Dragonfly {
 }
 
 // NewDefault creates Dragonfly with the paper's evaluation configuration.
-func NewDefault() *Dragonfly { return New(DefaultOptions()) }
+func NewDefault() *Dragonfly { return New(defaultOptions()) }
 
 // decideMetrics are the registry handles Decide updates, resolved once
 // per instance so a decision looks nothing up by name.
@@ -91,9 +91,6 @@ func (d *Dragonfly) Name() string {
 	}
 	return "Dragonfly"
 }
-
-// Options returns the active configuration.
-func (d *Dragonfly) Options() Options { return d.opts }
 
 // DecisionInterval implements player.Scheme.
 func (d *Dragonfly) DecisionInterval() time.Duration { return d.opts.DecisionInterval }
@@ -219,7 +216,7 @@ func (d *Dragonfly) appendMasking(ctx *player.Context, items []player.RequestIte
 	}
 	lastChunk := m.ChunkOfFrame(lastFrame)
 
-	if d.opts.Masking == MaskFull360 {
+	if d.opts.Masking == maskFull360 {
 		plan.mode = planAll
 		for c := firstChunk; c <= lastChunk; c++ {
 			if !ctx.Received.HasFullMasking(c) {

@@ -29,9 +29,9 @@ import (
 type MaskingStrategy int
 
 const (
-	// MaskFull360 transmits the whole chunk untiled at the lowest quality —
+	// maskFull360 transmits the whole chunk untiled at the lowest quality —
 	// the strategy of the paper's emulation experiments.
-	MaskFull360 MaskingStrategy = iota
+	maskFull360 MaskingStrategy = iota
 	// MaskTiled transmits lowest-quality tiles within a per-chunk
 	// displacement bound around the predicted viewport — the strategy of
 	// the paper's user study.
@@ -102,13 +102,13 @@ const (
 	maxCandidates = 220
 )
 
-// DefaultOptions returns the paper's evaluation configuration.
-func DefaultOptions() Options {
+// defaultOptions returns the paper's evaluation configuration.
+func defaultOptions() Options {
 	return Options{
 		Metric:           quality.PSNR,
 		DecisionInterval: 100 * time.Millisecond,
 		RoIs:             geom.DefaultRoIs,
-		Masking:          MaskFull360,
+		Masking:          maskFull360,
 		frameStep:        2,
 	}
 }

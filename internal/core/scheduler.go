@@ -75,14 +75,6 @@ type scheduler struct {
 	tailPrefix []float64
 }
 
-// newScheduler prepares a run over the window. baseOffset accounts for
-// masking-stream bytes queued ahead of the primary fetches.
-func newScheduler(w *window, minQ video.Quality, baseOffset time.Duration) *scheduler {
-	s := &scheduler{}
-	s.reset(w, minQ, baseOffset)
-	return s
-}
-
 // reset rebinds the scheduler to a window for a fresh run, keeping the
 // scratch buffers of previous runs. It stores on each candidate what a run
 // asks for thousands of times and never changes: its skip floor and its

@@ -1,12 +1,23 @@
 package core
 
 import (
+	"time"
+
 	"dragonfly/internal/geom"
 	"dragonfly/internal/player"
+	"dragonfly/internal/video"
 )
 
 // One-shot entry points to the decision path's pieces for the tests:
 // Decide reuses per-session scratch for each of them.
+
+// newScheduler prepares a run over the window. baseOffset accounts for
+// masking-stream bytes queued ahead of the primary fetches.
+func newScheduler(w *window, minQ video.Quality, baseOffset time.Duration) *scheduler {
+	s := &scheduler{}
+	s.reset(w, minQ, baseOffset)
+	return s
+}
 
 // buildWindow precomputes deadlines, predictions and candidate scores into
 // a fresh window, with masking (when enabled) planned everywhere.

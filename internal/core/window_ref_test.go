@@ -96,7 +96,7 @@ func TestScoreSlabMatchesReference(t *testing.T) {
 	pastEnd, empty, elems := 0, 0, 0
 	const windows = 2400
 	for i := 0; i < windows; i++ {
-		o := DefaultOptions()
+		o := defaultOptions()
 		o.ExactGeometry = i%2 == 1
 		tb := &tabs[i%2]
 		tb.resolve(ctx, o)

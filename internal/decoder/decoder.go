@@ -41,18 +41,3 @@ func (m *Model) DecodeDone(deliveredAt time.Duration, bytes int64) time.Duration
 	m.busyUntil = start + cost
 	return m.busyUntil
 }
-
-// Busy reports the decoder's current backlog horizon.
-func (m *Model) Busy() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return m.busyUntil
-}
-
-// Reset clears the backlog (for reuse across sessions).
-func (m *Model) Reset() {
-	if m != nil {
-		m.busyUntil = 0
-	}
-}

@@ -10,10 +10,6 @@ func TestNilAndDisabledPassThrough(t *testing.T) {
 	if got := nilModel.DecodeDone(time.Second, 1e6); got != time.Second {
 		t.Errorf("nil model delayed decode: %v", got)
 	}
-	if nilModel.Busy() != 0 {
-		t.Error("nil model busy")
-	}
-	nilModel.Reset() // must not panic
 
 	disabled := &Model{}
 	if got := disabled.DecodeDone(time.Second, 1e6); got != time.Second {
@@ -37,8 +33,8 @@ func TestSerialDecodeBacklog(t *testing.T) {
 	if third != 11*time.Second {
 		t.Fatalf("third decode done at %v, want 11s", third)
 	}
-	if m.Busy() != third {
-		t.Errorf("busy = %v, want %v", m.Busy(), third)
+	if m.busyUntil != third {
+		t.Errorf("busy = %v, want %v", m.busyUntil, third)
 	}
 }
 
@@ -47,14 +43,5 @@ func TestPerTileOverhead(t *testing.T) {
 	done := m.DecodeDone(0, 1000) // ~1 microsecond of payload
 	if done < 5*time.Millisecond || done > 6*time.Millisecond {
 		t.Errorf("overhead not applied: %v", done)
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := &Model{ThroughputMBps: 1}
-	m.DecodeDone(0, 1e6)
-	m.Reset()
-	if m.Busy() != 0 {
-		t.Error("reset did not clear backlog")
 	}
 }

@@ -28,10 +28,10 @@ const (
 	chaosRestartAt  = wireVideoDur / 3
 )
 
-// ExtChaosOutcome summarizes the chaos run: the session metrics, the send
+// extChaosOutcome summarizes the chaos run: the session metrics, the send
 // accounting summed over every server instance that ran, and the admission
 // probe results.
-type ExtChaosOutcome struct {
+type extChaosOutcome struct {
 	Metrics *player.Metrics
 	// Totals sums counters across all server instances; PrimarySent beyond
 	// one per (chunk,tile) slot would mean a restarted server re-sent tiles
@@ -52,7 +52,7 @@ type ExtChaosOutcome struct {
 // clean link error (never a rendered corrupt tile), the restarted server
 // must rebuild its dedup state purely from the client's resume bitmap, and
 // the saturated server must fast-reject with a retryable busy error.
-func extChaos(w io.Writer, seed int64) (ExtChaosOutcome, error) {
+func extChaos(w io.Writer, seed int64) (extChaosOutcome, error) {
 	m := wireManifest("chaos")
 	head := wireHead("chaos-user", trace.MotionLow, seed)
 
@@ -71,11 +71,11 @@ func extChaos(w io.Writer, seed int64) (ExtChaosOutcome, error) {
 
 	met, err := client.PlayResilient(b.Dial, "chaos", head, core.NewDefault(), client.PlayOptions{Reconnect: wireReconnect(8, seed)})
 	if err != nil {
-		return ExtChaosOutcome{}, err
+		return extChaosOutcome{}, err
 	}
 	b.Kill() // quiesce before reading the totals
 
-	out := ExtChaosOutcome{Metrics: met}
+	out := extChaosOutcome{Metrics: met}
 	out.Totals, out.Instances = b.Totals()
 	out.ExcessPrimary = excessPrimary(out.Totals, 1, m)
 
@@ -84,7 +84,7 @@ func extChaos(w io.Writer, seed int64) (ExtChaosOutcome, error) {
 	// back off, and complete once the slot frees.
 	out.RejectedConns, out.BusyRetries, err = chaosAdmissionProbe(m, head, seed)
 	if err != nil {
-		return ExtChaosOutcome{}, err
+		return extChaosOutcome{}, err
 	}
 
 	fprintf(w, "== Extension: chaos (corruption + server restart + admission) ==\n")

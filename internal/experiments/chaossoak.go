@@ -33,13 +33,13 @@ const (
 	soakRestartAt = 1200 * time.Millisecond // cold-restart it
 )
 
-// ChaosSoakOutcome is the fleet-wide accounting of one soak. The safety
+// chaosSoakOutcome is the fleet-wide accounting of one soak. The safety
 // assertions are exact: playback never stalls, every primary transmission
 // beyond one per (client, chunk, tile) slot is explained by a detected
 // payload corruption (a corrupt tile is dropped, never held, and its slot
 // legitimately re-sent), and the snapshot tier quarantines the corrupt
 // rollup a faulted writer left behind and recovers a healthy one.
-type ChaosSoakOutcome struct {
+type chaosSoakOutcome struct {
 	Servers, Clients int
 	Completed        int // sessions that rendered every frame untruncated
 	Instances        int // server instances across restarts
@@ -100,8 +100,8 @@ func soakRules() []chaos.Rule {
 // unexplained duplicate primary sends, no corrupt tile held, all telemetry
 // delivered through the retry paths, and the snapshot tier recovered from
 // a corrupt rollup a faulted writer planted.
-func extChaosSoak(w io.Writer, seed int64) (ChaosSoakOutcome, error) {
-	out := ChaosSoakOutcome{Servers: soakServers, Clients: soakClients}
+func extChaosSoak(w io.Writer, seed int64) (chaosSoakOutcome, error) {
+	out := chaosSoakOutcome{Servers: soakServers, Clients: soakClients}
 
 	rules := chaos.Schedule(seed, soakRules())
 	out.ArmedSites = len(rules)
@@ -237,7 +237,7 @@ func (t *soakTier) soak(ctx context.Context, seed int64) ([]*player.Metrics, err
 }
 
 // account reads the outcome off the quiesced stack.
-func (t *soakTier) account(out *ChaosSoakOutcome, mets []*player.Metrics, m *video.Manifest, snapDir string) {
+func (t *soakTier) account(out *chaosSoakOutcome, mets []*player.Metrics, m *video.Manifest, snapDir string) {
 	for _, met := range mets {
 		if met.TotalFrames == m.NumFrames() && !met.Truncated {
 			out.Completed++
@@ -277,7 +277,7 @@ func (t *soakTier) account(out *ChaosSoakOutcome, mets []*player.Metrics, m *vid
 	}
 }
 
-func printChaosSoak(w io.Writer, out ChaosSoakOutcome, seed int64) {
+func printChaosSoak(w io.Writer, out chaosSoakOutcome, seed int64) {
 	fprintf(w, "== Extension: chaos-soak (all-tier failpoints + kill/restart under one seed) ==\n")
 	fprintf(w, "%d servers, %d clients; %d failpoint sites armed (seed %d); kill@%s restart@%s.\n\n",
 		soakServers, soakClients, out.ArmedSites, seed, soakKillAt, soakRestartAt)

@@ -12,14 +12,14 @@ import (
 	"dragonfly/internal/stats"
 )
 
-// WriteCDFCSV writes one empirical CDF per column: the header names the
+// writeCDFCSV writes one empirical CDF per column: the header names the
 // series, each row holds (value, cumulative fraction) pairs — the series a
 // plotting tool needs to redraw the paper's distribution figures.
 //
 // Every write error is propagated (including short writes surfaced only at
 // Flush and errors surfaced at Close), so a disk-full run fails loudly
 // instead of leaving a silently truncated CSV behind.
-func WriteCDFCSV(path string, series map[string][]float64, maxPoints int) (err error) {
+func writeCDFCSV(path string, series map[string][]float64, maxPoints int) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("experiments: create %s: %w", path, err)
@@ -72,10 +72,10 @@ func writeCDFTo(w io.Writer, series map[string][]float64, maxPoints int) error {
 	return bw.Flush()
 }
 
-// DumpResultCDFs writes the three Fig 9-style distributions of a sweep
+// dumpResultCDFs writes the three Fig 9-style distributions of a sweep
 // result — per-frame quality, per-session rebuffering ratio, per-session
 // wastage — as CSV files under dir with the given prefix.
-func DumpResultCDFs(dir, prefix string, res sim.Results) error {
+func dumpResultCDFs(dir, prefix string, res sim.Results) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: mkdir %s: %w", dir, err)
 	}
@@ -87,11 +87,11 @@ func DumpResultCDFs(dir, prefix string, res sim.Results) error {
 		rebuf[name] = sim.SessionStat(sessions, func(m *player.Metrics) float64 { return 100 * m.RebufferRatio() })
 		waste[name] = sim.SessionStat(sessions, func(m *player.Metrics) float64 { return m.WastagePct() })
 	}
-	if err := WriteCDFCSV(filepath.Join(dir, prefix+"_quality_cdf.csv"), quality, 200); err != nil {
+	if err := writeCDFCSV(filepath.Join(dir, prefix+"_quality_cdf.csv"), quality, 200); err != nil {
 		return err
 	}
-	if err := WriteCDFCSV(filepath.Join(dir, prefix+"_rebuffer_cdf.csv"), rebuf, 200); err != nil {
+	if err := writeCDFCSV(filepath.Join(dir, prefix+"_rebuffer_cdf.csv"), rebuf, 200); err != nil {
 		return err
 	}
-	return WriteCDFCSV(filepath.Join(dir, prefix+"_wastage_cdf.csv"), waste, 200)
+	return writeCDFCSV(filepath.Join(dir, prefix+"_wastage_cdf.csv"), waste, 200)
 }

@@ -46,7 +46,7 @@ func TestWriteCDFCSVCreateError(t *testing.T) {
 	dir := t.TempDir()
 	// The target path is a directory: os.Create must fail and the error
 	// must carry the path.
-	err := WriteCDFCSV(dir, map[string][]float64{"a": {1}}, 10)
+	err := writeCDFCSV(dir, map[string][]float64{"a": {1}}, 10)
 	if err == nil {
 		t.Fatal("creating a CSV over a directory succeeded")
 	}
@@ -58,7 +58,7 @@ func TestWriteCDFCSVCreateError(t *testing.T) {
 func TestWriteCDFCSVRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cdf.csv")
 	series := map[string][]float64{"q": {3, 1, 2}, "w": {5, 4}}
-	if err := WriteCDFCSV(path, series, 10); err != nil {
+	if err := writeCDFCSV(path, series, 10); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

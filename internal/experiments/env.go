@@ -57,10 +57,10 @@ func (e *Env) sweep(csvPrefix string, sw sim.Sweep) (sim.Results, map[string]Sch
 	}
 	sums := make(map[string]SchemeSummary, len(res))
 	for name, sessions := range res {
-		sums[name] = Summarize(name, sessions)
+		sums[name] = summarize(name, sessions)
 	}
 	if csvPrefix != "" && e.CSVDir != "" {
-		if err := DumpResultCDFs(e.CSVDir, csvPrefix, res); err != nil {
+		if err := dumpResultCDFs(e.CSVDir, csvPrefix, res); err != nil {
 			return nil, nil, err
 		}
 	}

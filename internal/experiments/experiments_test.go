@@ -447,7 +447,7 @@ func TestExtFaultTolerance(t *testing.T) {
 func TestWriteCDFCSV(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/test_cdf.csv"
-	if err := WriteCDFCSV(path, map[string][]float64{
+	if err := writeCDFCSV(path, map[string][]float64{
 		"a": {3, 1, 2},
 		"b": {10, 20},
 	}, 0); err != nil {
@@ -481,7 +481,7 @@ func TestDumpResultCDFs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := DumpResultCDFs(dir, "smoke", res); err != nil {
+	if err := dumpResultCDFs(dir, "smoke", res); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{"smoke_quality_cdf.csv", "smoke_rebuffer_cdf.csv", "smoke_wastage_cdf.csv"} {

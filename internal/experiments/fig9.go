@@ -31,8 +31,8 @@ type SchemeSummary struct {
 	Sessions int
 }
 
-// Summarize computes a SchemeSummary from session metrics.
-func Summarize(name string, sessions []*player.Metrics) SchemeSummary {
+// summarize computes a SchemeSummary from session metrics.
+func summarize(name string, sessions []*player.Metrics) SchemeSummary {
 	rebuf := sim.SessionStat(sessions, func(m *player.Metrics) float64 { return 100 * m.RebufferRatio() })
 	incomplete := sim.SessionStat(sessions, func(m *player.Metrics) float64 { return m.IncompleteFramePct() })
 	waste := sim.SessionStat(sessions, func(m *player.Metrics) float64 { return m.WastagePct() })

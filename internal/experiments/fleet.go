@@ -28,8 +28,8 @@ const (
 	fleetRestart2At = fleetKill2At + 500*time.Millisecond
 )
 
-// FleetChaosOutcome is the fleet-wide accounting of one run.
-type FleetChaosOutcome struct {
+// fleetChaosOutcome is the fleet-wide accounting of one run.
+type fleetChaosOutcome struct {
 	Servers, Clients int
 	Completed        int // sessions that rendered every frame untruncated
 	Instances        int // server instances across all restarts
@@ -64,8 +64,8 @@ type FleetChaosOutcome struct {
 // once the restarted one is back — asserting zero duplicate primary sends
 // summed fleet-wide, zero corrupt tiles, zero rebuffering, and dead-member
 // detection within the probe budget.
-func extFleetChaos(w io.Writer, seed int64) (FleetChaosOutcome, error) {
-	out := FleetChaosOutcome{Servers: fleetServers, Clients: fleetClients}
+func extFleetChaos(w io.Writer, seed int64) (fleetChaosOutcome, error) {
+	out := fleetChaosOutcome{Servers: fleetServers, Clients: fleetClients}
 	out.ProbeBudget = fleettest.FailThreshold*(fleettest.ProbeInterval+fleettest.ProbeTimeout) + 150*time.Millisecond
 
 	m := wireManifest("fleet")
@@ -134,7 +134,7 @@ func extFleetChaos(w io.Writer, seed int64) (FleetChaosOutcome, error) {
 	return out, nil
 }
 
-func printFleetChaos(w io.Writer, out FleetChaosOutcome) {
+func printFleetChaos(w io.Writer, out fleetChaosOutcome) {
 	fprintf(w, "== Extension: fleet-chaos (balancer + kill/restart/drain across a fleet) ==\n")
 	fprintf(w, "%d servers, %d clients (half via balancer, half static multi-address);\n", fleetServers, fleetClients)
 	fprintf(w, "kill@%s drain@%s restart@%s kill2@%s.\n\n",

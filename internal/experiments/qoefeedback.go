@@ -27,11 +27,11 @@ import (
 // The qoe-feedback scenario: 3 sessions per cohort in each phase.
 const qoeSessionsPerCohort = 3
 
-// QoEFeedbackOutcome is the accounting of one run: Phase A proves the
+// qoeFeedbackOutcome is the accounting of one run: Phase A proves the
 // ingest rollup's quantiles against exact per-session statistics, Phase B
 // proves the closed loop steers shedding apart for over- vs under-budget
 // cohorts.
-type QoEFeedbackOutcome struct {
+type qoeFeedbackOutcome struct {
 	OverCohort, UnderCohort string
 
 	// Phase A: rollup accuracy.
@@ -101,8 +101,8 @@ func playCohorts(cohorts []qoeCohort, session func(c qoeCohort, i int) error) er
 // sheds more than the under-budget one's (Phase B). Server-view traces
 // written to a TraceDir are folded back through a directory watcher to
 // close the server half of the pipeline.
-func extQoEFeedback(w io.Writer, seed int64) (QoEFeedbackOutcome, error) {
-	out := QoEFeedbackOutcome{OverCohort: "high:fast", UnderCohort: "low:slow"}
+func extQoEFeedback(w io.Writer, seed int64) (qoeFeedbackOutcome, error) {
+	out := qoeFeedbackOutcome{OverCohort: "high:fast", UnderCohort: "low:slow"}
 	m := wireManifest("qoe") // both phases' servers serve from the one warm store
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -126,7 +126,7 @@ func extQoEFeedback(w io.Writer, seed int64) (QoEFeedbackOutcome, error) {
 // viewport-quality distributions separate; every session's trace is
 // pushed over HTTP, and the rollup must reproduce the exact pooled
 // percentiles within the documented envelope.
-func qoeRollupPhase(ctx context.Context, ing *ingestTier, m *video.Manifest, seed int64, out *QoEFeedbackOutcome) error {
+func qoeRollupPhase(ctx context.Context, ing *ingestTier, m *video.Manifest, seed int64, out *qoeFeedbackOutcome) error {
 	fast := qoeBackend(ctx, m, constLink(20), 0, "", nil)
 	defer fast.Kill()
 	slow := qoeBackend(ctx, m, constLink(1.5), 0, "", nil)
@@ -201,7 +201,7 @@ func qoeRollupPhase(ctx context.Context, ing *ingestTier, m *video.Manifest, see
 // the slow one under (relax). Two identical servers with the same tight
 // byte budget serve identical workloads — the only difference is the
 // cohort label their clients announce.
-func qoeLoopPhase(ctx context.Context, ingURL string, m *video.Manifest, seed int64, out *QoEFeedbackOutcome) error {
+func qoeLoopPhase(ctx context.Context, ingURL string, m *video.Manifest, seed int64, out *qoeFeedbackOutcome) error {
 	out.TargetDB = (out.OverP50DB + out.UnderP50DB) / 2
 	fb := ingest.NewFeedback(ingest.FeedbackConfig{
 		URL:      ingURL + "/rollup",
@@ -278,7 +278,7 @@ func qoeLoopPhase(ctx context.Context, ingURL string, m *video.Manifest, seed in
 	return nil
 }
 
-func printQoEFeedback(w io.Writer, out QoEFeedbackOutcome, ingURL string) {
+func printQoEFeedback(w io.Writer, out qoeFeedbackOutcome, ingURL string) {
 	fprintf(w, "== Extension: qoe-feedback (trace ingest -> cohort rollup -> shed-budget loop) ==\n")
 	fprintf(w, "%d sessions/cohort/phase, %d-chunk video; ingest at %s.\n\n", qoeSessionsPerCohort, wireChunks, ingURL)
 	fprintf(w, "%-30s %14s\n", "metric", "value")

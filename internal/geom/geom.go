@@ -11,7 +11,7 @@
 // empty (NewCapQuery).
 //
 // Overlap is estimated on a fixed 4×4 sample lattice per tile. Every cap
-// query (OverlapCap, TilesInCap, CapWeights, Coverage, the table build)
+// query (OverlapCapQ, TilesInCap, AppendCapWeights, the table build)
 // first tests the cap against a bounding cap stored per tile and runs the
 // 16-sample loop only for tiles the cap's edge may cross — about an eighth
 // of tile × cap pairs on the paper's 12×12 grid — returning for the rest what
@@ -85,13 +85,13 @@ func (o Orientation) Unit() Vec3 {
 	}
 }
 
-// Dot returns the dot product of two vectors.
-func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
+// dot returns the dot product of two vectors.
+func (v Vec3) dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
 // AngularDistance returns the great-circle distance between two orientations
 // in degrees, in [0, 180].
 func AngularDistance(a, b Orientation) float64 {
-	return angleDeg(a.Unit().Dot(b.Unit()))
+	return angleDeg(a.Unit().dot(b.Unit()))
 }
 
 // angleDeg is the angle in degrees whose cosine is the dot product d of two
@@ -205,7 +205,7 @@ func NewGrid(rows, cols int) *Grid {
 			cv := g.centers[id].Unit()
 			minDot := 1.0
 			for _, v := range vecs {
-				if d := v.Dot(cv); d < minDot {
+				if d := v.dot(cv); d < minDot {
 					minDot = d
 				}
 			}
@@ -249,7 +249,7 @@ func (g *Grid) Center(id TileID) Orientation { return g.centers[id] }
 // for bit, from the unit vector of the tile's center NewGrid cached: callers
 // that rank many tiles around one orientation convert it once.
 func (g *Grid) CenterDistance(id TileID, u Vec3) float64 {
-	return angleDeg(g.bounds[id].center.Dot(u))
+	return angleDeg(g.bounds[id].center.dot(u))
 }
 
 // RowCol splits a TileID into its row and column.
@@ -261,15 +261,6 @@ func (g *Grid) RowCol(id TileID) (row, col int) {
 // cos(pitch) over its sample lattice). Tiles near the poles weigh less: an
 // equirectangular tile covers less of the sphere there.
 func (g *Grid) SolidAngleWeight(id TileID) float64 { return g.tileWeight[id] }
-
-// OverlapCap estimates the fraction of tile id's spherical area that lies
-// within the spherical cap of the given angular radius (degrees) centered at
-// center. The result is in [0, 1]. This is the l_irf term of the paper's
-// location score: 1 if the tile region is completely inside the RoI, 0 if
-// disjoint, fractional at the boundary.
-func (g *Grid) OverlapCap(id TileID, center Orientation, radiusDeg float64) float64 {
-	return g.OverlapCapQ(id, NewCapQuery(center, radiusDeg))
-}
 
 // CapQuery is a precomputed spherical-cap membership test: callers that
 // evaluate many tiles against the same cap avoid recomputing the center's
@@ -283,8 +274,8 @@ type CapQuery struct {
 
 // NewCapQuery precomputes a cap test for OverlapCapQ. A radius of 180° or
 // more is the whole sphere and a radius of 0° or less is empty — here, so
-// that every cap walk (OverlapCap, TilesInCap, CapWeights, Coverage, the
-// table build) agrees on both.
+// that every cap walk (OverlapCapQ, TilesInCap, AppendCapWeights, the table
+// build) agrees on both.
 func NewCapQuery(center Orientation, radiusDeg float64) CapQuery {
 	switch {
 	case radiusDeg <= 0:
@@ -331,7 +322,7 @@ func (g *Grid) capSide(id TileID, q CapQuery) int {
 		return sideInside
 	}
 	b := &g.bounds[id]
-	d := b.center.Dot(q.v)
+	d := b.center.dot(q.v)
 	cc, ss := q.cosR*b.cosR, q.sinR*b.sinR
 	if b.cosR > -q.cosR && d < cc-ss { // θ > R+ρ
 		return sideOutside
@@ -347,7 +338,7 @@ func (g *Grid) sampleWeight(id TileID, q CapQuery) float64 {
 	weights := g.sampleWeights[id]
 	in := 0.0
 	for k, v := range g.sampleVecs[id] {
-		if v.Dot(q.v) >= q.cosR {
+		if v.dot(q.v) >= q.cosR {
 			in += weights[k]
 		}
 	}
@@ -365,14 +356,17 @@ func (g *Grid) capHas(id TileID, q CapQuery) bool {
 		return true
 	}
 	for _, v := range g.sampleVecs[id] {
-		if v.Dot(q.v) >= q.cosR {
+		if v.dot(q.v) >= q.cosR {
 			return true
 		}
 	}
 	return false
 }
 
-// OverlapCapQ is OverlapCap against a precomputed query.
+// OverlapCapQ estimates the fraction of tile id's spherical area that lies
+// within the spherical cap q. The result is in [0, 1]. This is the l_irf
+// term of the paper's location score: 1 if the tile region is completely
+// inside the RoI, 0 if disjoint, fractional at the boundary.
 func (g *Grid) OverlapCapQ(id TileID, q CapQuery) float64 {
 	return g.capWeight(id, q) / g.tileWeight[id]
 }
@@ -497,36 +491,10 @@ func (v Viewport) Tiles(g *Grid, center Orientation) []TileID {
 	return g.TilesInCap(center, v.RadiusDeg)
 }
 
-// Coverage returns the fraction of the viewport cap's solid angle covered by
-// the given tile set when looking at center. It is used to compute the
-// blank-area metric: blank fraction = 1 - Coverage(available tiles).
-func (v Viewport) Coverage(g *Grid, center Orientation, have func(TileID) bool) float64 {
-	total := 0.0
-	covered := 0.0
-	q := NewCapQuery(center, v.RadiusDeg)
-	g.walkCap(q, func(id TileID) {
-		if inside := g.capWeight(id, q); inside > 0 {
-			total += inside
-			if have(id) {
-				covered += inside
-			}
-		}
-	})
-	if total == 0 {
-		return 1
-	}
-	return covered / total
-}
-
-// CapWeights returns, for every tile with non-zero overlap with the cap at
-// center, the tile's solid-angle weight inside the cap. The weights are the
-// per-tile contributions used to aggregate viewport quality area-true.
-func (g *Grid) CapWeights(center Orientation, radiusDeg float64) (ids []TileID, weights []float64) {
-	return g.AppendCapWeights(nil, nil, center, radiusDeg)
-}
-
-// AppendCapWeights is CapWeights appending into caller-provided slices, so
-// the per-frame render accounting can reuse its buffers across frames.
+// AppendCapWeights appends, for every tile with non-zero overlap with the
+// cap at center, the tile and its solid-angle weight inside the cap: the
+// per-tile contributions that aggregate viewport quality area-true. The
+// per-frame render accounting reuses its buffers across frames.
 func (g *Grid) AppendCapWeights(ids []TileID, weights []float64, center Orientation, radiusDeg float64) ([]TileID, []float64) {
 	q := NewCapQuery(center, radiusDeg)
 	g.walkCap(q, func(id TileID) {
@@ -551,29 +519,10 @@ type RoISet struct {
 // band outside it.
 var DefaultRoIs = RoISet{RadiiDeg: []float64{25, 50, 65}}
 
-// LocationScore computes l_if = Σ_r l_irf for one tile and one predicted view
-// center: the sum over RoIs of the tile's fractional overlap with each RoI.
-// With C concentric RoIs the score is in [0, C], higher for tiles nearer the
-// predicted viewport center.
-func (rs RoISet) LocationScore(g *Grid, id TileID, center Orientation) float64 {
-	s := 0.0
-	for _, r := range rs.RadiiDeg {
-		s += g.OverlapCap(id, center, r)
-	}
-	return s
-}
-
-// Queries precomputes the per-RoI cap tests for one view center, for use
-// with LocationScoreQ in tight loops.
-func (rs RoISet) Queries(center Orientation) []CapQuery {
-	out := make([]CapQuery, len(rs.RadiiDeg))
-	for i, r := range rs.RadiiDeg {
-		out[i] = NewCapQuery(center, r)
-	}
-	return out
-}
-
-// LocationScoreQ is LocationScore against precomputed queries.
+// LocationScoreQ computes l_if = Σ_r l_irf for one tile against one
+// predicted view center's per-RoI cap queries: the sum over RoIs of the
+// tile's fractional overlap with each RoI. With C concentric RoIs the score
+// is in [0, C], higher for tiles nearer the predicted viewport center.
 func (rs RoISet) LocationScoreQ(g *Grid, id TileID, queries []CapQuery) float64 {
 	s := 0.0
 	for _, q := range queries {

@@ -109,7 +109,7 @@ func TestUnitVectorIsUnit(t *testing.T) {
 		}
 		o := Orientation{NormalizeYaw(yaw), ClampPitch(math.Mod(pitch, 90))}
 		v := o.Unit()
-		return math.Abs(v.Dot(v)-1) < 1e-9
+		return math.Abs(v.dot(v)-1) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

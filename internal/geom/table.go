@@ -12,7 +12,7 @@ import (
 // fractions that drive the location score (§3.1) evaluated once per
 // quantized view orientation instead of re-sampling the sphere on every
 // call. Dragonfly's scheduler refines fetch decisions every 100 ms and
-// walks the whole tile grid each time, so OverlapCap sits on the hottest
+// walks the whole tile grid each time, so OverlapCapQ sits on the hottest
 // path of every session; viewport-adaptive systems classically amortize it
 // with per-tile weight tables, and the equirectangular tiling makes that
 // cheap here because the grid is yaw-periodic: rotating the cap center by
@@ -27,7 +27,7 @@ import (
 // only the cells a cap touches: per (bucket, row), the cyclic run of
 // base-frame columns that hold non-zero values, with those values packed.
 //
-// Accuracy: a table lookup evaluates the exact OverlapCap at the nearest
+// Accuracy: a table lookup evaluates the exact OverlapCapQ at the nearest
 // quantized center. With the default TableParams the quantized center is
 // within ~1.2° of the true center on the paper's 12×12 grid. Because the
 // exact path itself resolves overlap on a 4×4 sample lattice (1/16 steps),
@@ -35,18 +35,18 @@ import (
 // can reach ≈ 0.44 on a tile whose edge is nearly tangent to the cap
 // boundary, where a sub-bucket center shift flips several lattice samples
 // at once; see TestOverlapTableAccuracy for the measured envelope. Callers
-// that cannot tolerate quantization keep using OverlapCap / OverlapCapQ —
-// the exact path remains the fallback and the reference in tests.
+// that cannot tolerate quantization keep using OverlapCapQ — the exact
+// path remains the fallback and the reference in tests.
 
 // TableParams sets the overlap-table quantization. Finer steps cost
 // memory and build time linearly and shrink the quantization error
 // proportionally; see docs/PERFORMANCE.md for the measured trade-off.
 type TableParams struct {
 	// YawStepsPerTile is the number of yaw buckets within one tile column
-	// width (360°/Cols). 0 means DefaultYawStepsPerTile.
+	// width (360°/Cols). 0 means defaultYawStepsPerTile.
 	YawStepsPerTile int
 	// PitchStepsPerTile is the number of pitch buckets within one tile row
-	// height (180°/Rows). 0 means DefaultPitchStepsPerTile.
+	// height (180°/Rows). 0 means defaultPitchStepsPerTile.
 	PitchStepsPerTile int
 }
 
@@ -54,16 +54,16 @@ type TableParams struct {
 // center within ~1.2° of the true center on the paper's 12×12 grid while a
 // DefaultRoIs plane stays around 1.75 MB.
 const (
-	DefaultYawStepsPerTile   = 16
-	DefaultPitchStepsPerTile = 16
+	defaultYawStepsPerTile   = 16
+	defaultPitchStepsPerTile = 16
 )
 
 func (p TableParams) withDefaults() TableParams {
 	if p.YawStepsPerTile <= 0 {
-		p.YawStepsPerTile = DefaultYawStepsPerTile
+		p.YawStepsPerTile = defaultYawStepsPerTile
 	}
 	if p.PitchStepsPerTile <= 0 {
-		p.PitchStepsPerTile = DefaultPitchStepsPerTile
+		p.PitchStepsPerTile = defaultPitchStepsPerTile
 	}
 	return p
 }
@@ -224,9 +224,9 @@ func cyclicRun(cells []float64) (start, n int) {
 	return start, cols - gap
 }
 
-// MemoryBytes reports the bytes the plane holds — its packed values and
+// memoryBytes reports the bytes the plane holds — its packed values and
 // its run headers — for capacity planning (docs/PERFORMANCE.md).
-func (pl *CapPlane) MemoryBytes() int {
+func (pl *CapPlane) memoryBytes() int {
 	return 8*len(pl.vals) + int(unsafe.Sizeof(planeRun{}))*(len(pl.runs)+len(pl.none))
 }
 
@@ -339,5 +339,5 @@ func (l PlaneLookup) appendRun(dst []TileID, row int, r planeRun, from, to, base
 // String implements fmt.Stringer for diagnostics.
 func (pl *CapPlane) String() string {
 	return fmt.Sprintf("geom.CapPlane{r=%v° grid=%dx%d buckets=%dx%d %d KiB}",
-		pl.rois.RadiiDeg, pl.g.Rows, pl.g.Cols, pl.yawSteps, pl.pitchSteps, pl.MemoryBytes()/1024)
+		pl.rois.RadiiDeg, pl.g.Rows, pl.g.Cols, pl.yawSteps, pl.pitchSteps, pl.memoryBytes()/1024)
 }

@@ -209,7 +209,7 @@ func TestRoIPlaneMatchesDense(t *testing.T) {
 				}
 			}
 			t.Logf("%dx%d %v: %d (bucket, shift) pairs, %d KiB packed against %d KiB dense",
-				g.Rows, g.Cols, rs.RadiiDeg, checked, pl.MemoryBytes()/1024, len(rs.RadiiDeg)*8*len(dps[0].data)/1024)
+				g.Rows, g.Cols, rs.RadiiDeg, checked, pl.memoryBytes()/1024, len(rs.RadiiDeg)*8*len(dps[0].data)/1024)
 		}
 	}
 }
@@ -273,9 +273,9 @@ func FuzzRoIPlane(f *testing.F) {
 }
 
 // TestRoIPlaneFootprint pins what the DefaultRoIs plane holds on the
-// paper's 12×12 grid: its MemoryBytes, against the 3 × 3.4 MiB of the dense
+// paper's 12×12 grid: its memoryBytes, against the 3 × 3.4 MiB of the dense
 // per-radius planes it replaces, and the heap it really takes — the live
-// heap grows by MemoryBytes, within 2 %, when the plane is built.
+// heap grows by memoryBytes, within 2 %, when the plane is built.
 func TestRoIPlaneFootprint(t *testing.T) {
 	const want = 1_751_632 // bytes
 	g := NewGrid(12, 12)
@@ -288,15 +288,15 @@ func TestRoIPlaneFootprint(t *testing.T) {
 	liveHeap(&before)
 	pl := buildPlane(g, TableParams{}, DefaultRoIs)
 	liveHeap(&after)
-	if got := pl.MemoryBytes(); got != want {
+	if got := pl.memoryBytes(); got != want {
 		t.Errorf("12x12 DefaultRoIs plane holds %d bytes, pinned %d", got, want)
 	}
-	dense := 3 * 8 * DefaultYawStepsPerTile * DefaultPitchStepsPerTile * g.Rows * g.NumTiles()
+	dense := 3 * 8 * defaultYawStepsPerTile * defaultPitchStepsPerTile * g.Rows * g.NumTiles()
 	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if d := math.Abs(float64(grew-int64(pl.MemoryBytes()))) / float64(pl.MemoryBytes()); d > 0.02 {
-		t.Errorf("building the plane grew the live heap by %d bytes, %.1f%% off its MemoryBytes %d", grew, 100*d, pl.MemoryBytes())
+	if d := math.Abs(float64(grew-int64(pl.memoryBytes()))) / float64(pl.memoryBytes()); d > 0.02 {
+		t.Errorf("building the plane grew the live heap by %d bytes, %.1f%% off its memoryBytes %d", grew, 100*d, pl.memoryBytes())
 	}
-	t.Logf("12x12 DefaultRoIs: %d bytes packed (%.3f× the %d of three dense planes); heap grew %d", pl.MemoryBytes(), float64(pl.MemoryBytes())/float64(dense), dense, grew)
+	t.Logf("12x12 DefaultRoIs: %d bytes packed (%.3f× the %d of three dense planes); heap grew %d", pl.memoryBytes(), float64(pl.memoryBytes())/float64(dense), dense, grew)
 	runtime.KeepAlive(pl)
 }
 

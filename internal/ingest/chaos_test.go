@@ -160,7 +160,7 @@ func TestWatcherBoundsPartialLine(t *testing.T) {
 func TestFeedbackRejectsPoisonedCohorts(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: reg})
-	if err := f.Apply(Rollup{Cohorts: map[string]CohortRollup{
+	if err := f.apply(Rollup{Cohorts: map[string]CohortRollup{
 		"neg-inf":  {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: math.Inf(-1)}},
 		"pos-inf":  {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: math.Inf(1)}},
 		"nan":      {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: math.NaN()}},
@@ -170,7 +170,7 @@ func TestFeedbackRejectsPoisonedCohorts(t *testing.T) {
 		"":         {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
 		"good":     {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
 	}}); err != nil {
-		t.Fatalf("Apply: %v", err)
+		t.Fatalf("apply: %v", err)
 	}
 	for _, name := range []string{"neg-inf", "pos-inf", "nan", "negative", "nan-p90", "bad-sess"} {
 		if s := f.CohortScale(name); s != 1 {
@@ -190,18 +190,18 @@ func TestFeedbackRejectsPoisonedCohorts(t *testing.T) {
 func TestFeedbackRejectsCrossVersionRollup(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: reg})
-	if err := f.Apply(Rollup{Cohorts: map[string]CohortRollup{
+	if err := f.apply(Rollup{Cohorts: map[string]CohortRollup{
 		"c": {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
 	}}); err != nil {
-		t.Fatalf("Apply: %v", err)
+		t.Fatalf("apply: %v", err)
 	}
 	before := f.CohortScale("c")
 	if before >= 1 {
 		// sanity: applied
 	} else if before == 1 {
-		t.Fatalf("setup Apply did not take")
+		t.Fatalf("setup apply did not take")
 	}
-	err := f.Apply(Rollup{SchemaVersion: obs.TraceSchemaVersion + 7, Cohorts: map[string]CohortRollup{
+	err := f.apply(Rollup{SchemaVersion: obs.TraceSchemaVersion + 7, Cohorts: map[string]CohortRollup{
 		"c": {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 20}},
 	}})
 	if err == nil {
@@ -223,7 +223,7 @@ func TestFeedbackPollRetriesTransientFaults(t *testing.T) {
 	if _, err := agg.FoldReader(bytes.NewReader(body)); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(agg.Handler())
+	ts := httptest.NewServer(agg.handler())
 	defer ts.Close()
 
 	reg := obs.NewRegistry()
@@ -355,11 +355,11 @@ func TestSnapshotQuarantine(t *testing.T) {
 	if _, err := ReadSnapshot(dir); err == nil {
 		t.Fatalf("torn snapshot parsed")
 	}
-	quarantined, err := agg.QuarantineSnapshot(dir)
+	quarantined, err := agg.quarantineSnapshot(dir)
 	if err != nil || !quarantined {
-		t.Fatalf("QuarantineSnapshot = %v, %v; want true, nil", quarantined, err)
+		t.Fatalf("quarantineSnapshot = %v, %v; want true, nil", quarantined, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, SnapshotFile+CorruptSuffix)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, snapshotFile+corruptSuffix)); err != nil {
 		t.Fatalf("quarantined evidence missing: %v", err)
 	}
 
@@ -372,12 +372,12 @@ func TestSnapshotQuarantine(t *testing.T) {
 	if _, err := ReadSnapshot(dir); err == nil {
 		t.Fatalf("corrupted snapshot parsed")
 	}
-	if q, err := agg.QuarantineSnapshot(dir); err != nil || !q {
-		t.Fatalf("QuarantineSnapshot(corrupt) = %v, %v; want true, nil", q, err)
+	if q, err := agg.quarantineSnapshot(dir); err != nil || !q {
+		t.Fatalf("quarantineSnapshot(corrupt) = %v, %v; want true, nil", q, err)
 	}
 
 	// Stale temp file from a crash mid-write.
-	tmp := filepath.Join(dir, SnapshotFile+".tmp")
+	tmp := filepath.Join(dir, snapshotFile+".tmp")
 	if err := os.WriteFile(tmp, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -385,8 +385,8 @@ func TestSnapshotQuarantine(t *testing.T) {
 	if _, err := agg.WriteSnapshot(dir); err != nil {
 		t.Fatalf("healthy WriteSnapshot: %v", err)
 	}
-	if q, err := agg.QuarantineSnapshot(dir); err != nil || q {
-		t.Fatalf("healthy QuarantineSnapshot = %v, %v; want false, nil", q, err)
+	if q, err := agg.quarantineSnapshot(dir); err != nil || q {
+		t.Fatalf("healthy quarantineSnapshot = %v, %v; want false, nil", q, err)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("stale .tmp survived quarantine: %v", err)
@@ -408,7 +408,7 @@ func TestSnapshotQuarantine(t *testing.T) {
 // operator in the loop.
 func TestRunSnapshotsQuarantinesOnEntry(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), []byte("{\"torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("{\"torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
@@ -520,10 +520,10 @@ func TestRetryDelaysPinned(t *testing.T) {
 }
 
 // FuzzApplyRollup feeds the feedback poll's path — the /rollup body through
-// json.Unmarshal, then Apply — bytes no aggregator of ours produced. It must
+// json.Unmarshal, then apply — bytes no aggregator of ours produced. It must
 // not panic; a refused document leaves the scales in force as they were; an
 // accepted one yields only scales inside [minScale, maxScale], for at most
-// maxFeedbackCohorts cohorts, none of them from a cohort entry Apply says it
+// maxFeedbackCohorts cohorts, none of them from a cohort entry apply says it
 // rejects.
 func FuzzApplyRollup(f *testing.F) {
 	agg := New(Config{})
@@ -543,17 +543,17 @@ func FuzzApplyRollup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ru Rollup
 		if json.Unmarshal(data, &ru) != nil {
-			return // pollOnce stops here, before Apply
+			return // pollOnce stops here, before apply
 		}
 		fb := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: obs.NewRegistry()})
 		prior := Rollup{Cohorts: map[string]CohortRollup{
 			"prior": {Sessions: 5, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
 		}}
-		if err := fb.Apply(prior); err != nil {
+		if err := fb.apply(prior); err != nil {
 			t.Fatal(err)
 		}
 		want := fb.CohortScale("prior")
-		if err := fb.Apply(ru); err != nil {
+		if err := fb.apply(ru); err != nil {
 			if got := fb.CohortScale("prior"); got != want || len(fb.scales) != 1 {
 				t.Fatalf("refused (%v), but the scales changed: prior %v -> %v, %d cohorts", err, want, got, len(fb.scales))
 			}

@@ -96,6 +96,7 @@ type Feedback struct {
 	mu      sync.RWMutex
 	scales  map[string]float64
 	fetched time.Time
+	family  map[string]*obs.Gauge // srv_qoe_scale_<label>, by sanitized label
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -116,6 +117,7 @@ func NewFeedback(cfg FeedbackConfig) *Feedback {
 	return &Feedback{
 		cfg:         cfg,
 		scales:      map[string]float64{},
+		family:      map[string]*obs.Gauge{},
 		rng:         rand.New(rand.NewSource(cfg.Seed ^ 0x7f4a7c15)),
 		cPolls:      r.Counter("srv_qoe_polls"),
 		cPollErrs:   r.Counter("srv_qoe_poll_errs"),
@@ -191,7 +193,7 @@ func (f *Feedback) pollOnce(ctx context.Context) error {
 		f.cPollErrs.Inc()
 		return err
 	}
-	if err := f.Apply(ru); err != nil {
+	if err := f.apply(ru); err != nil {
 		f.cPollErrs.Inc()
 		return err
 	}
@@ -202,14 +204,15 @@ func (f *Feedback) pollOnce(ctx context.Context) error {
 // and their names, on both sides: the fold keeps within them (an
 // aggregator never builds sketches for an unbounded set of labels), and
 // Feedback refuses what exceeds them in a rollup from elsewhere, so the
-// server multiplies budgets by at most this many live scales and cannot
-// mint an unbounded srv_qoe_scale_* gauge family.
+// server multiplies budgets by at most this many live scales. The
+// srv_qoe_scale_* gauge family holds at most this many names over a
+// Feedback's lifetime (publish).
 const (
 	maxFeedbackCohorts = 1024
 	maxCohortNameLen   = 128
 )
 
-// Apply validates an already-fetched rollup and recomputes scales from it
+// apply validates an already-fetched rollup and recomputes scales from it
 // (the poll path and in-process tests share it). Validation is the wall
 // between telemetry and steering: a rollup from a different schema version
 // is refused whole (srv_qoe_rejected_rollups), and any cohort carrying a
@@ -218,7 +221,7 @@ const (
 // document degrades to neutral instead of pinning shed budgets at a clamp.
 // SchemaVersion 0 is accepted for in-process rollups that never crossed a
 // serialization boundary.
-func (f *Feedback) Apply(ru Rollup) error {
+func (f *Feedback) apply(ru Rollup) error {
 	if ru.SchemaVersion != 0 && ru.SchemaVersion != obs.TraceSchemaVersion {
 		f.cRejRollups.Inc()
 		return fmt.Errorf("ingest: rollup schema version %d (want %d): refusing to steer",
@@ -245,14 +248,45 @@ func (f *Feedback) Apply(ru Rollup) error {
 			continue
 		}
 		scales[name] = f.scaleFor(cr.QualityDB.P50)
-		f.cfg.Obs.Gauge("srv_qoe_scale_" + SanitizeMetricLabel(name)).Set(scales[name])
 	}
 	f.mu.Lock()
 	f.scales = scales
 	f.fetched = time.Now()
+	f.publish(names, scales)
 	f.mu.Unlock()
 	f.gCohorts.Set(float64(len(scales)))
 	return nil
+}
+
+// publish sets the srv_qoe_scale_<cohort> family to scales, taking the
+// cohorts in names' order, and every other gauge of the family to the
+// neutral 1, which is what CohortScale reads for a cohort the latest rollup
+// lacks. A cohort gets a gauge only while the family holds fewer than
+// maxFeedbackCohorts: the registry never drops a gauge, so the family is
+// bounded over the Feedback's lifetime, not per rollup. The caller holds
+// f.mu.
+func (f *Feedback) publish(names []string, scales map[string]float64) {
+	next := make(map[string]float64, len(f.family))
+	for label := range f.family {
+		next[label] = 1
+	}
+	for _, name := range names {
+		s, ok := scales[name]
+		if !ok {
+			continue
+		}
+		label := sanitizeMetricLabel(name)
+		if f.family[label] == nil {
+			if len(f.family) >= maxFeedbackCohorts {
+				continue
+			}
+			f.family[label] = f.cfg.Obs.Gauge("srv_qoe_scale_" + label)
+		}
+		next[label] = s
+	}
+	for label, v := range next {
+		f.family[label].Set(v)
+	}
 }
 
 // finiteQuality reports whether a quality distribution is usable for
@@ -304,10 +338,10 @@ func (f *Feedback) CohortScale(cohort string) float64 {
 	return s
 }
 
-// SanitizeMetricLabel maps an arbitrary cohort string onto the metric-name
+// sanitizeMetricLabel maps an arbitrary cohort string onto the metric-name
 // alphabet [a-z0-9_] so it can suffix the srv_qoe_scale_ gauge family
 // ("low:belgian" → "low_belgian").
-func SanitizeMetricLabel(s string) string {
+func sanitizeMetricLabel(s string) string {
 	out := make([]byte, len(s))
 	for i := 0; i < len(s); i++ {
 		c := s[i]

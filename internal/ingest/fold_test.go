@@ -63,16 +63,16 @@ var foldEntryPoints = []struct {
 	fold func(t *testing.T, agg *Aggregator, body []byte) int
 }{
 	{"Line", func(t *testing.T, agg *Aggregator, body []byte) int {
-		sf := agg.NewSession()
-		defer sf.Close()
+		sf := agg.newSession()
+		defer sf.closeSession()
 		for _, line := range bytes.Split(body, []byte("\n")) {
 			sf.Line(line)
 		}
 		return -1
 	}},
 	{"Event", func(t *testing.T, agg *Aggregator, body []byte) int {
-		sf := agg.NewSession()
-		defer sf.Close()
+		sf := agg.newSession()
+		defer sf.closeSession()
 		for _, line := range bytes.Split(body, []byte("\n")) {
 			if len(line) == 0 {
 				continue
@@ -231,7 +231,7 @@ func TestFoldEntryPointsAgree(t *testing.T) {
 		name: "headerless, longer than maxPending", body: b.String(),
 		want: want{1, maxPending + 40, 3, 0},
 		check: func(t *testing.T, ru Rollup) {
-			if cr := ru.Cohorts[UnknownCohort]; cr.QualityDB.Count != maxPending+40 || cr.Events != maxPending+40 {
+			if cr := ru.Cohorts[unknownCohort]; cr.QualityDB.Count != maxPending+40 || cr.Events != maxPending+40 {
 				t.Errorf("unknown cohort = %d quality / %d events, want %d of each", cr.QualityDB.Count, cr.Events, maxPending+40)
 			}
 		},
@@ -433,7 +433,7 @@ func TestBlankLinesSkippedAtEveryEntryPoint(t *testing.T) {
 func TestPushBytesCountsChunkedBody(t *testing.T) {
 	reg := obs.NewRegistry()
 	agg := New(Config{Obs: reg})
-	ts := httptest.NewServer(agg.Handler())
+	ts := httptest.NewServer(agg.handler())
 	defer ts.Close()
 	body, _ := sessionJSONL(t, "low:net", rand.New(rand.NewSource(5)), 30)
 
@@ -469,7 +469,7 @@ func TestPushBytesCountsChunkedBody(t *testing.T) {
 func TestPushSurvivesOverlongLine(t *testing.T) {
 	reg := obs.NewRegistry()
 	agg := New(Config{Obs: reg})
-	ts := httptest.NewServer(agg.Handler())
+	ts := httptest.NewServer(agg.handler())
 	defer ts.Close()
 	a, _ := sessionJSONL(t, "a:net", rand.New(rand.NewSource(1)), 30)
 	b, _ := sessionJSONL(t, "b:net", rand.New(rand.NewSource(2)), 30)
@@ -501,7 +501,7 @@ func TestPushSurvivesOverlongLine(t *testing.T) {
 // writers emit costs no allocation — not for the event, not for its kind.
 func TestSessionFoldLineZeroAlloc(t *testing.T) {
 	agg := New(Config{Obs: obs.NewRegistry()})
-	sf := agg.NewSession()
+	sf := agg.newSession()
 	sf.Line([]byte(`{"v":1,"t_ms":0,"ev":"session","video":"v1","cohort":"low:net"}`))
 	lines := [][]byte{
 		[]byte(`{"v":1,"t_ms":1234.567,"ev":"quality","chunk":3,"n":4211}`),
@@ -514,7 +514,7 @@ func TestSessionFoldLineZeroAlloc(t *testing.T) {
 			sf.Line(line)
 		}
 	}); n != 0 {
-		t.Fatalf("SessionFold.Line allocates %v per %d canonical lines, want 0", n, len(lines))
+		t.Fatalf("sessionFold.Line allocates %v per %d canonical lines, want 0", n, len(lines))
 	}
 	if cr := agg.Rollup().Cohorts["low:net"]; cr.QualityDB.Count == 0 || cr.OutageMS.Count != cr.QualityDB.Count {
 		t.Fatalf("lines were not folded: %+v", cr)
@@ -645,7 +645,7 @@ func FuzzFoldReader(f *testing.F) {
 // accepted.
 func pushBody(t *testing.T, agg *Aggregator, body []byte) {
 	t.Helper()
-	ts := httptest.NewServer(agg.Handler())
+	ts := httptest.NewServer(agg.handler())
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", bytes.NewReader(body))
 	if err != nil {
@@ -659,7 +659,7 @@ func pushBody(t *testing.T, agg *Aggregator, body []byte) {
 
 // TestPushOfManyLabelsKeepsCohortCap: a push of 1 100 sessions, each with
 // its own label, folds into exactly maxFeedbackCohorts cohorts — the last
-// slot is UnknownCohort's, holding the 77 refused sessions — with every
+// slot is unknownCohort's, holding the 77 refused sessions — with every
 // session counted, so a Feedback reading the rollup truncates nothing.
 // (The fold used to build five sketches per label, without bound.)
 func TestPushOfManyLabelsKeepsCohortCap(t *testing.T) {
@@ -679,16 +679,16 @@ func TestPushOfManyLabelsKeepsCohortCap(t *testing.T) {
 		folded += cr.Sessions
 	}
 	refused := int64(sessions - (maxFeedbackCohorts - 1))
-	if len(ru.Cohorts) != maxFeedbackCohorts || folded != sessions || ru.Cohorts[UnknownCohort].Sessions != refused {
+	if len(ru.Cohorts) != maxFeedbackCohorts || folded != sessions || ru.Cohorts[unknownCohort].Sessions != refused {
 		t.Errorf("%d cohorts holding %d sessions, %d unknown; want %d holding %d, %d unknown",
-			len(ru.Cohorts), folded, ru.Cohorts[UnknownCohort].Sessions, maxFeedbackCohorts, sessions, refused)
+			len(ru.Cohorts), folded, ru.Cohorts[unknownCohort].Sessions, maxFeedbackCohorts, sessions, refused)
 	}
 	if c := reg.Snapshot().Counters; c["ing_sessions"] != sessions || c["ing_rejected_cohorts"] != refused {
 		t.Errorf("ing_sessions = %d, ing_rejected_cohorts = %d; want %d, %d",
 			c["ing_sessions"], c["ing_rejected_cohorts"], sessions, refused)
 	}
 	fbReg := obs.NewRegistry()
-	if err := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: fbReg}).Apply(ru); err != nil {
+	if err := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: fbReg}).apply(ru); err != nil {
 		t.Fatal(err)
 	}
 	if got := fbReg.Snapshot().Counters["srv_qoe_rejected_cohorts"]; got != 0 {
@@ -697,7 +697,7 @@ func TestPushOfManyLabelsKeepsCohortCap(t *testing.T) {
 }
 
 // TestOverlongLabelFoldsUnknown: a 200-byte cohort label is refused and its
-// session folds under UnknownCohort.
+// session folds under unknownCohort.
 func TestOverlongLabelFoldsUnknown(t *testing.T) {
 	reg := obs.NewRegistry()
 	agg := New(Config{Obs: reg})
@@ -705,8 +705,8 @@ func TestOverlongLabelFoldsUnknown(t *testing.T) {
 	pushBody(t, agg, body)
 
 	ru := agg.Rollup()
-	if cr, ok := ru.Cohorts[UnknownCohort]; len(ru.Cohorts) != 1 || !ok || cr.Sessions != 1 || cr.QualityDB.Count != 30 {
-		t.Errorf("rollup cohorts %v, want one session of 30 samples under %q", ru.Cohorts, UnknownCohort)
+	if cr, ok := ru.Cohorts[unknownCohort]; len(ru.Cohorts) != 1 || !ok || cr.Sessions != 1 || cr.QualityDB.Count != 30 {
+		t.Errorf("rollup cohorts %v, want one session of 30 samples under %q", ru.Cohorts, unknownCohort)
 	}
 	if got := reg.Snapshot().Counters["ing_rejected_cohorts"]; got != 1 {
 		t.Errorf("ing_rejected_cohorts = %d, want 1", got)

@@ -15,7 +15,7 @@ import (
 	"dragonfly/internal/obs"
 )
 
-// Handler returns the ingest service's HTTP surface:
+// handler returns the ingest service's HTTP surface:
 //
 //	POST /ingest   fold a JSONL trace body (one or more sessions)
 //	GET  /rollup   the current per-cohort Rollup as JSON
@@ -23,7 +23,7 @@ import (
 //
 // Like the obs admin handler it is meant for a trusted listener and
 // performs no authentication.
-func (a *Aggregator) Handler() http.Handler {
+func (a *Aggregator) handler() http.Handler {
 	r := a.cfg.Obs
 	cPush := r.Counter("ing_push_reqs")
 	cPushBytes := r.Counter("ing_push_bytes")
@@ -78,23 +78,23 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // maxPushBytes bounds one POST /ingest body (a session trace at the
-// DefaultTraceCap ring bound is well under 1 MiB of JSONL).
+// defaultTraceCap ring bound is well under 1 MiB of JSONL).
 const maxPushBytes = 32 << 20
 
 // Serve listens on addr and serves Handler until ctx is done (obs.Serve).
 func (a *Aggregator) Serve(ctx context.Context, addr string) (net.Addr, <-chan error, error) {
-	return obs.Serve(ctx, addr, a.Handler())
+	return obs.Serve(ctx, addr, a.handler())
 }
 
-// SnapshotFile is the rollup document's filename inside the snapshot dir.
-const SnapshotFile = "rollup.json"
+// snapshotFile is the rollup document's filename inside the snapshot dir.
+const snapshotFile = "rollup.json"
 
 // ingest.snapshot.write is the disk-tier snapshot failpoint: error fails
 // the write cleanly (ENOSPC-style), partial leaves a torn rollup.json in
 // place — the state a crash mid-write on a filesystem without atomic
 // rename semantics (or a previous, rename-less version) leaves behind —
 // and corrupt silently flips a byte in an otherwise successful write.
-// QuarantineSnapshot is the recovery the torn/corrupt kinds exist to test.
+// quarantineSnapshot is the recovery the torn/corrupt kinds exist to test.
 var siteSnapWrite = chaos.NewSite("ingest.snapshot.write")
 
 // WriteSnapshot writes the current rollup to dir/rollup.json via a
@@ -108,7 +108,7 @@ func (a *Aggregator) WriteSnapshot(dir string) (string, error) {
 		return "", err
 	}
 	data = append(data, '\n')
-	final := filepath.Join(dir, SnapshotFile)
+	final := filepath.Join(dir, snapshotFile)
 	if f := siteSnapWrite.Fault(); f.Active() {
 		return snapshotFaulted(final, data, f)
 	}
@@ -160,13 +160,13 @@ func snapshotFaulted(final string, data []byte, f chaos.Fault) (string, error) {
 // RunSnapshots writes a snapshot every interval until ctx is done, then
 // writes one final snapshot so the file reflects everything folded. On
 // entry it quarantines any corrupt or torn snapshot a previous process
-// left behind (QuarantineSnapshot), so the tier never serves — or keeps
+// left behind (quarantineSnapshot), so the tier never serves — or keeps
 // alive on disk — a document it cannot itself parse. A failed write is
 // logged and counted, never fatal: the next tick retries.
 func (a *Aggregator) RunSnapshots(ctx context.Context, dir string, interval time.Duration) {
 	cSnaps := a.cfg.Obs.Counter("ing_snapshots")
 	cErrs := a.cfg.Obs.Counter("ing_snapshot_errs")
-	if _, err := a.QuarantineSnapshot(dir); err != nil {
+	if _, err := a.quarantineSnapshot(dir); err != nil {
 		a.logf("ingest: snapshot quarantine %s: %v", dir, err)
 	}
 	write := func() {

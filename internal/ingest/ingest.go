@@ -121,21 +121,21 @@ func (a *Aggregator) logf(format string, args ...any) {
 // cohort returns the named cohort's fold state, creating it on first use.
 // A label is the client's to choose, and each new one costs five sketches,
 // so a name over maxCohortNameLen, or a new name once the rollup holds
-// maxFeedbackCohorts cohorts (a slot is kept for UnknownCohort), folds
-// under UnknownCohort instead, counted in ing_rejected_cohorts: a Feedback
+// maxFeedbackCohorts cohorts (a slot is kept for unknownCohort), folds
+// under unknownCohort instead, counted in ing_rejected_cohorts: a Feedback
 // reading the rollup then never truncates it. Caller holds a.mu.
 func (a *Aggregator) cohort(name string) *cohortAgg {
 	if ca := a.cohorts[name]; ca != nil {
 		return ca
 	}
-	if name != UnknownCohort {
+	if name != unknownCohort {
 		named := len(a.cohorts)
-		if _, ok := a.cohorts[UnknownCohort]; ok {
+		if _, ok := a.cohorts[unknownCohort]; ok {
 			named--
 		}
 		if len(name) > maxCohortNameLen || named >= maxFeedbackCohorts-1 {
 			a.evRejCoh.Inc()
-			return a.cohort(UnknownCohort)
+			return a.cohort(unknownCohort)
 		}
 	}
 	ca := &cohortAgg{}
@@ -147,54 +147,38 @@ func (a *Aggregator) cohort(name string) *cohortAgg {
 	return ca
 }
 
-// maxPending bounds the events a SessionFold buffers while waiting for the
+// maxPending bounds the events a sessionFold buffers while waiting for the
 // EvSession header (writers emit it first, but a tailer may join a
 // truncated or foreign stream); overflow classifies the session "unknown".
 const maxPending = 256
 
-// UnknownCohort is the rollup key for sessions whose trace carried no
+// unknownCohort is the rollup key for sessions whose trace carried no
 // usable EvSession header.
-const UnknownCohort = "unknown"
+const unknownCohort = "unknown"
 
-// SessionFold is the per-session (per-file, per-push-body) streaming fold
+// sessionFold is the per-session (per-file, per-push-body) streaming fold
 // state: it remembers the session's cohort and the open outage, and hands
 // each event to the shared Aggregator. Not safe for concurrent use itself;
 // distinct SessionFolds may run concurrently.
-type SessionFold struct {
+type sessionFold struct {
 	a       *Aggregator
 	ca      *cohortAgg // the session's cohort; nil until a header or maxPending settles it
 	pending []obs.Event
 
 	inOutage   bool
 	outageAtMS float64
-
-	one [1]obs.Event // Line's and Event's batch of one
 }
 
-// NewSession starts folding one session trace stream.
-func (a *Aggregator) NewSession() *SessionFold {
-	return &SessionFold{a: a}
-}
-
-// Line folds one JSONL line. Whitespace-only lines are skipped, malformed
-// JSON counts as a bad line, and wrong-schema-version events are rejected
-// (counted, never folded) — the trace versioning policy in
-// docs/OBSERVABILITY.md.
-func (sf *SessionFold) Line(line []byte) {
-	sf.foldBatch(sf.appendLine(sf.one[:0], line))
-}
-
-// Event folds one already-decoded event.
-func (sf *SessionFold) Event(ev obs.Event) {
-	sf.one[0] = ev
-	sf.foldBatch(sf.one[:])
+// newSession starts folding one session trace stream.
+func (a *Aggregator) newSession() *sessionFold {
+	return &sessionFold{a: a}
 }
 
 // appendLine decodes one JSONL line into the next free slot of evs (the
 // caller keeps len(evs) < cap(evs)) and returns evs extended by it, or evs
 // unchanged for a blank line or a malformed one (counted ing_bad_lines).
 // It takes no lock: a batch is decoded before it is folded.
-func (sf *SessionFold) appendLine(evs []obs.Event, line []byte) []obs.Event {
+func (sf *sessionFold) appendLine(evs []obs.Event, line []byte) []obs.Event {
 	if len(line) == 0 || line[0] != '{' && len(bytes.TrimSpace(line)) == 0 {
 		return evs
 	}
@@ -209,8 +193,9 @@ func (sf *SessionFold) appendLine(evs []obs.Event, line []byte) []obs.Event {
 
 // foldBatch folds decoded events in order under one acquisition of the
 // aggregator's lock, and adds to the shared ing_* counters once. Every
-// entry point — Line, Event, FoldReader, the Watcher — folds through it.
-func (sf *SessionFold) foldBatch(evs []obs.Event) {
+// entry point — FoldReader, the Watcher and the tests' Line and Event —
+// folds through it.
+func (sf *sessionFold) foldBatch(evs []obs.Event) {
 	if len(evs) == 0 {
 		return
 	}
@@ -228,7 +213,7 @@ func (sf *SessionFold) foldBatch(evs []obs.Event) {
 		case ev.Kind == obs.EvSession:
 			cohort := ev.Cohort
 			if cohort == "" {
-				cohort = UnknownCohort
+				cohort = unknownCohort
 			}
 			// A new header mid-stream starts a new session (push bodies may
 			// concatenate several sessions back to back). Events buffered
@@ -247,7 +232,7 @@ func (sf *SessionFold) foldBatch(evs []obs.Event) {
 		default:
 			// The buffer says this stream has no header: give up on
 			// classification.
-			sf.ca = a.cohort(UnknownCohort)
+			sf.ca = a.cohort(unknownCohort)
 			sf.ca.sessions++
 			sessions++
 			for j := range sf.pending {
@@ -265,7 +250,7 @@ func (sf *SessionFold) foldBatch(evs []obs.Event) {
 
 // fold applies one event to the session's cohort sketches. sf.ca is set and
 // the caller holds a.mu.
-func (sf *SessionFold) fold(ev *obs.Event) {
+func (sf *sessionFold) fold(ev *obs.Event) {
 	ca := sf.ca
 	ca.events++
 	switch ev.Kind {
@@ -288,7 +273,7 @@ func (sf *SessionFold) fold(ev *obs.Event) {
 
 // closeOutage pairs the open outage, if any, with the event that ends it.
 // Same preconditions as fold.
-func (sf *SessionFold) closeOutage(atMS float64) {
+func (sf *sessionFold) closeOutage(atMS float64) {
 	if !sf.inOutage {
 		return
 	}
@@ -298,16 +283,14 @@ func (sf *SessionFold) closeOutage(atMS float64) {
 	}
 }
 
-// closeSession flushes end-of-stream state (an outage the trace never saw
-// close stays unfolded: its length is unknown, not zero).
-func (sf *SessionFold) closeSession() {
+// closeSession ends the stream, flushing end-of-stream state (an outage
+// the trace never saw close stays unfolded: its length is unknown, not
+// zero). Call it when the trace source is done (file deleted, push body
+// fully read); it is safe to skip for tailed files that may grow.
+func (sf *sessionFold) closeSession() {
 	sf.inOutage = false
 	sf.pending = nil
 }
-
-// Close ends the stream. Call when the trace source is done (file deleted,
-// push body fully read); safe to skip for tailed files that may grow.
-func (sf *SessionFold) Close() { sf.closeSession() }
 
 // foldBatchSize is how many decoded events FoldReader and the Watcher
 // gather before taking the aggregator's lock once for all of them, and so
@@ -341,7 +324,7 @@ var scratchPool = sync.Pool{New: func() any {
 }}
 
 // line decodes one line into the batch and folds the batch once it is full.
-func (s *foldScratch) line(sf *SessionFold, line []byte) {
+func (s *foldScratch) line(sf *sessionFold, line []byte) {
 	s.evs = sf.appendLine(s.evs, line)
 	if len(s.evs) == cap(s.evs) {
 		s.flush(sf)
@@ -349,7 +332,7 @@ func (s *foldScratch) line(sf *SessionFold, line []byte) {
 }
 
 // flush folds the batch gathered so far and empties it.
-func (s *foldScratch) flush(sf *SessionFold) {
+func (s *foldScratch) flush(sf *sessionFold) {
 	sf.foldBatch(s.evs)
 	s.evs = s.evs[:0]
 }
@@ -360,7 +343,7 @@ func (s *foldScratch) flush(sf *SessionFold) {
 // FoldReader and the Watcher differ only in what they do with c afterwards,
 // and flush when they are done. It returns the newlines and the bytes
 // consumed, and r's error unless that is io.EOF.
-func (s *foldScratch) foldLines(sf *SessionFold, src string, r io.Reader, c *lineCarry) (lines int, read int64, err error) {
+func (s *foldScratch) foldLines(sf *sessionFold, src string, r io.Reader, c *lineCarry) (lines int, read int64, err error) {
 	for err == nil {
 		var n int
 		n, err = r.Read(s.buf)
@@ -406,8 +389,8 @@ func (s *foldScratch) foldLines(sf *SessionFold, src string, r io.Reader, c *lin
 // dropped and counted (ing_bad_lines); the fold resumes after its newline.
 // The error is the reader's.
 func (a *Aggregator) FoldReader(r io.Reader) (int, error) {
-	sf := a.NewSession()
-	defer sf.Close()
+	sf := a.newSession()
+	defer sf.closeSession()
 	s := scratchPool.Get().(*foldScratch)
 	defer scratchPool.Put(s)
 	var c lineCarry

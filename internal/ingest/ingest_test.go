@@ -143,9 +143,9 @@ func TestIngestHeaderlessStreamFoldsAsUnknown(t *testing.T) {
 	if _, err := agg.FoldReader(strings.NewReader(b.String())); err != nil {
 		t.Fatalf("FoldReader: %v", err)
 	}
-	cr, ok := agg.Rollup().Cohorts[UnknownCohort]
+	cr, ok := agg.Rollup().Cohorts[unknownCohort]
 	if !ok {
-		t.Fatalf("no %q cohort", UnknownCohort)
+		t.Fatalf("no %q cohort", unknownCohort)
 	}
 	if cr.QualityDB.Count != maxPending+10 {
 		t.Errorf("quality count = %d, want %d (buffered events must fold too)", cr.QualityDB.Count, maxPending+10)
@@ -154,7 +154,7 @@ func TestIngestHeaderlessStreamFoldsAsUnknown(t *testing.T) {
 
 func TestIngestHTTPPushAndRollup(t *testing.T) {
 	agg := New(Config{})
-	ts := httptest.NewServer(agg.Handler())
+	ts := httptest.NewServer(agg.handler())
 	defer ts.Close()
 
 	rng := rand.New(rand.NewSource(3))
@@ -189,7 +189,7 @@ func TestFeedbackStaleDataIsNeutral(t *testing.T) {
 	ru := Rollup{Cohorts: map[string]CohortRollup{
 		"low:net": {Sessions: 5, QualityDB: stats.SketchSummary{Count: 100, P50: 50}},
 	}}
-	f.Apply(ru)
+	f.apply(ru)
 	if s := f.CohortScale("low:net"); s >= 1 {
 		t.Fatalf("fresh scale = %v, want < 1", s)
 	}
@@ -201,7 +201,7 @@ func TestFeedbackStaleDataIsNeutral(t *testing.T) {
 
 func TestFeedbackScaleDirectionAndClamp(t *testing.T) {
 	f := NewFeedback(FeedbackConfig{TargetDB: 40})
-	f.Apply(Rollup{Cohorts: map[string]CohortRollup{
+	f.apply(Rollup{Cohorts: map[string]CohortRollup{
 		"over":     {Sessions: 2, QualityDB: stats.SketchSummary{Count: 10, P50: 44}},
 		"under":    {Sessions: 2, QualityDB: stats.SketchSummary{Count: 10, P50: 36}},
 		"in-band":  {Sessions: 2, QualityDB: stats.SketchSummary{Count: 10, P50: 40.2}},
@@ -218,6 +218,58 @@ func TestFeedbackScaleDirectionAndClamp(t *testing.T) {
 	}
 	if s := f.CohortScale("way-over"); s != 0.25 {
 		t.Errorf("way-over scale = %v, want MinScale 0.25", s)
+	}
+}
+
+// TestFeedbackScaleGaugesStayBounded: the srv_qoe_scale_* family holds at
+// most maxFeedbackCohorts gauges over a Feedback's lifetime, not per poll.
+// Each of five polls names 1 024 cohorts no earlier poll named; the first
+// poll's cohorts take the family's slots and the later ones mint none.
+func TestFeedbackScaleGaugesStayBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: reg})
+	for poll := 0; poll < 5; poll++ {
+		ru := Rollup{Cohorts: map[string]CohortRollup{}}
+		for i := 0; i < maxFeedbackCohorts; i++ {
+			ru.Cohorts[fmt.Sprintf("p%d-c%d", poll, i)] = CohortRollup{Sessions: 1, QualityDB: stats.SketchSummary{Count: 1, P50: 44}}
+		}
+		if err := f.apply(ru); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	for name := range reg.Snapshot().Gauges {
+		if strings.HasPrefix(name, "srv_qoe_scale_") {
+			n++
+		}
+	}
+	if n != maxFeedbackCohorts {
+		t.Fatalf("%d srv_qoe_scale_* gauges after five polls of %d new cohorts each, want %d", n, maxFeedbackCohorts, maxFeedbackCohorts)
+	}
+}
+
+// TestFeedbackScaleGaugeOfDroppedCohortIsNeutral: a cohort the latest
+// rollup lacks reads the neutral 1 on its gauge, as CohortScale reads it,
+// not the scale of the last rollup that named it.
+func TestFeedbackScaleGaugeOfDroppedCohortIsNeutral(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: reg})
+	over := CohortRollup{Sessions: 2, QualityDB: stats.SketchSummary{Count: 10, P50: 44}}
+	if err := f.apply(Rollup{Cohorts: map[string]CohortRollup{"low:net": over, "high:net": over}}); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(label string) float64 { return reg.Snapshot().Gauges["srv_qoe_scale_"+label] }
+	if s := f.CohortScale("low:net"); s >= 1 || gauge("low_net") != s {
+		t.Fatalf("poll 1: scale %v, gauge %v; want one scale below 1 on both", s, gauge("low_net"))
+	}
+	if err := f.apply(Rollup{Cohorts: map[string]CohortRollup{"high:net": over}}); err != nil {
+		t.Fatal(err)
+	}
+	if s, g := f.CohortScale("low:net"), gauge("low_net"); s != 1 || g != s {
+		t.Errorf("poll 2, cohort dropped: scale %v, gauge %v; want both 1", s, g)
+	}
+	if s, g := f.CohortScale("high:net"), gauge("high_net"); s >= 1 || g != s {
+		t.Errorf("poll 2, cohort kept: scale %v, gauge %v; want one scale below 1 on both", s, g)
 	}
 }
 
@@ -276,7 +328,7 @@ func TestIngestWatcherTailsAndRotates(t *testing.T) {
 // package under -race).
 func TestIngestMultiWriterRace(t *testing.T) {
 	agg := New(Config{Obs: obs.NewRegistry()})
-	ts := httptest.NewServer(agg.Handler())
+	ts := httptest.NewServer(agg.handler())
 	defer ts.Close()
 
 	const writers = 8

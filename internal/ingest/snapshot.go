@@ -9,16 +9,16 @@ import (
 	"dragonfly/internal/obs"
 )
 
-// CorruptSuffix is appended to a quarantined snapshot's name; the damaged
+// corruptSuffix is appended to a quarantined snapshot's name; the damaged
 // document is preserved for post-mortem instead of deleted.
-const CorruptSuffix = ".corrupt"
+const corruptSuffix = ".corrupt"
 
 // ReadSnapshot loads and validates dir/rollup.json: the document must be
 // whole JSON and carry the trace schema version this build folds. Torn,
 // corrupt, or cross-version snapshots return an error — callers must never
 // act on a rollup the tier cannot vouch for.
 func ReadSnapshot(dir string) (Rollup, error) {
-	path := filepath.Join(dir, SnapshotFile)
+	path := filepath.Join(dir, snapshotFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Rollup{}, err
@@ -34,7 +34,7 @@ func ReadSnapshot(dir string) (Rollup, error) {
 	return ru, nil
 }
 
-// QuarantineSnapshot is the startup recovery for snapshot state a dead
+// quarantineSnapshot is the startup recovery for snapshot state a dead
 // process left behind: a stale .tmp (a write that never reached its
 // rename) is removed, and a rollup.json that fails ReadSnapshot — torn
 // mid-write, bit-rotted, or written by a different schema version — is
@@ -44,8 +44,8 @@ func ReadSnapshot(dir string) (Rollup, error) {
 //
 // Returns whether a quarantine happened; quarantines are counted in
 // ing_quarantined and logged with the parse error.
-func (a *Aggregator) QuarantineSnapshot(dir string) (bool, error) {
-	final := filepath.Join(dir, SnapshotFile)
+func (a *Aggregator) quarantineSnapshot(dir string) (bool, error) {
+	final := filepath.Join(dir, snapshotFile)
 	if err := os.Remove(final + ".tmp"); err == nil {
 		a.logf("ingest: removed stale snapshot temp file %s.tmp", final)
 	}
@@ -56,10 +56,10 @@ func (a *Aggregator) QuarantineSnapshot(dir string) (bool, error) {
 	if os.IsNotExist(rerr) {
 		return false, nil // no snapshot at all: a clean first start
 	}
-	if err := os.Rename(final, final+CorruptSuffix); err != nil {
+	if err := os.Rename(final, final+corruptSuffix); err != nil {
 		return false, fmt.Errorf("ingest: quarantine %s: %w", final, err)
 	}
 	a.cfg.Obs.Counter("ing_quarantined").Inc()
-	a.logf("ingest: quarantined snapshot %s -> %s%s: %v", final, final, CorruptSuffix, rerr)
+	a.logf("ingest: quarantined snapshot %s -> %s%s: %v", final, final, corruptSuffix, rerr)
 	return true, nil
 }

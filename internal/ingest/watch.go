@@ -47,7 +47,7 @@ type Watcher struct {
 type tailFile struct {
 	offset    int64
 	lineCarry // a partial trailing line waits here for the scan its newline lands in
-	sf        *SessionFold
+	sf        *sessionFold
 }
 
 // NewWatcher tails dir into a. interval 0 means DefaultWatchInterval.
@@ -105,7 +105,7 @@ func (w *Watcher) Scan() error {
 		seen[path] = true
 		tf := w.files[path]
 		if tf == nil {
-			tf = &tailFile{sf: w.a.NewSession()}
+			tf = &tailFile{sf: w.a.newSession()}
 			w.files[path] = tf
 		}
 		if err := w.consume(path, tf, scratch); err != nil {
@@ -120,7 +120,7 @@ func (w *Watcher) Scan() error {
 	}
 	for path, tf := range w.files {
 		if !seen[path] {
-			tf.sf.Close()
+			tf.sf.closeSession()
 			delete(w.files, path)
 		}
 	}
@@ -141,8 +141,8 @@ func (w *Watcher) consume(path string, tf *tailFile, scratch *foldScratch) error
 	if fi.Size() < tf.offset {
 		// Truncated or rotated in place: restart with fresh session state.
 		w.cRotates.Inc()
-		tf.sf.Close()
-		*tf = tailFile{sf: w.a.NewSession()}
+		tf.sf.closeSession()
+		*tf = tailFile{sf: w.a.newSession()}
 	}
 	if fi.Size() == tf.offset {
 		return nil

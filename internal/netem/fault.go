@@ -18,12 +18,12 @@ import (
 type FaultKind uint8
 
 const (
-	// FaultBlackout zeroes the link bandwidth for Duration.
-	FaultBlackout FaultKind = iota
+	// faultBlackout zeroes the link bandwidth for Duration.
+	faultBlackout FaultKind = iota
 	// FaultDisconnect hard-closes the live connection at At.
 	FaultDisconnect
-	// FaultLatencySpike adds ExtraLatency to writes during Duration.
-	FaultLatencySpike
+	// faultLatencySpike adds ExtraLatency to writes during Duration.
+	faultLatencySpike
 	// FaultBitFlip corrupts one random bit of the first write at or after
 	// At — the in-flight corruption the wire CRC must catch. One-shot.
 	FaultBitFlip
@@ -35,11 +35,11 @@ const (
 // String implements fmt.Stringer.
 func (k FaultKind) String() string {
 	switch k {
-	case FaultBlackout:
+	case faultBlackout:
 		return "blackout"
 	case FaultDisconnect:
 		return "disconnect"
-	case FaultLatencySpike:
+	case faultLatencySpike:
 		return "spike"
 	case FaultBitFlip:
 		return "bitflip"
@@ -49,15 +49,15 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("faultkind(%d)", uint8(k))
 }
 
-// ParseFaultKind parses the CSV spelling of a fault kind.
-func ParseFaultKind(s string) (FaultKind, error) {
+// parseFaultKind parses the CSV spelling of a fault kind.
+func parseFaultKind(s string) (FaultKind, error) {
 	switch s {
 	case "blackout":
-		return FaultBlackout, nil
+		return faultBlackout, nil
 	case "disconnect":
 		return FaultDisconnect, nil
 	case "spike":
-		return FaultLatencySpike, nil
+		return faultLatencySpike, nil
 	case "bitflip":
 		return FaultBitFlip, nil
 	case "truncate":
@@ -98,7 +98,7 @@ func (fs *FaultSchedule) Disconnects() int {
 //	4.0,blackout,2.0,0
 //	8.2,spike,1.0,300
 //
-// with an optional header row; kind is any name ParseFaultKind accepts:
+// with an optional header row; kind is any name parseFaultKind accepts:
 // disconnect, blackout, spike, bitflip or truncate.
 func ReadFaultCSV(r io.Reader) (*FaultSchedule, error) {
 	cr := csv.NewReader(r)
@@ -119,7 +119,7 @@ func ReadFaultCSV(r io.Reader) (*FaultSchedule, error) {
 		if !ok {
 			return nil, fmt.Errorf("netem: fault csv line %d: bad at %q", line, rec[0])
 		}
-		kind, err := ParseFaultKind(rec[1])
+		kind, err := parseFaultKind(rec[1])
 		if err != nil {
 			return nil, fmt.Errorf("netem: fault csv line %d: %w", line, err)
 		}
@@ -174,10 +174,10 @@ type FaultLink struct {
 	rng     *rand.Rand
 }
 
-// Wrap shapes inner with the link and attaches it to the fault timeline as
+// wrap shapes inner with the link and attaches it to the fault timeline as
 // the live connection.
-func (fl *FaultLink) Wrap(inner net.Conn) net.Conn {
-	fc := &faultConn{Conn: NewConn(inner, fl.Link), fl: fl}
+func (fl *FaultLink) wrap(inner net.Conn) net.Conn {
+	fc := &faultConn{Conn: newConn(inner, fl.Link), fl: fl}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if !fl.armed {
@@ -201,7 +201,7 @@ func (fl *FaultLink) Wrap(inner net.Conn) net.Conn {
 // reconnections over the same faulty path.
 func (fl *FaultLink) Pipe() (client, server net.Conn) {
 	c, s := net.Pipe()
-	return c, fl.Wrap(s)
+	return c, fl.wrap(s)
 }
 
 // Stop cancels any pending fault timers (test cleanup).
@@ -237,13 +237,13 @@ func (fl *FaultLink) writeDelay() time.Duration {
 	var d time.Duration
 	for _, ev := range fl.Schedule.Events {
 		switch ev.Kind {
-		case FaultBlackout:
+		case faultBlackout:
 			if el >= ev.At && el < ev.At+ev.Duration {
 				if rem := ev.At + ev.Duration - el; rem > d {
 					d = rem
 				}
 			}
-		case FaultLatencySpike:
+		case faultLatencySpike:
 			if el >= ev.At && el < ev.At+ev.Duration {
 				d += ev.ExtraLatency
 			}
@@ -322,5 +322,5 @@ func (l *FaultListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.FL.Wrap(c), nil
+	return l.FL.wrap(c), nil
 }

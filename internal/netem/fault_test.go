@@ -10,8 +10,8 @@ import (
 func TestFaultCSVRoundTrip(t *testing.T) {
 	fs := &FaultSchedule{Events: []FaultEvent{
 		{At: 1500 * time.Millisecond, Kind: FaultDisconnect},
-		{At: 4 * time.Second, Kind: FaultBlackout, Duration: 2 * time.Second},
-		{At: 8200 * time.Millisecond, Kind: FaultLatencySpike, Duration: time.Second, ExtraLatency: 300 * time.Millisecond},
+		{At: 4 * time.Second, Kind: faultBlackout, Duration: 2 * time.Second},
+		{At: 8200 * time.Millisecond, Kind: faultLatencySpike, Duration: time.Second, ExtraLatency: 300 * time.Millisecond},
 	}}
 	got, err := ReadFaultCSV(strings.NewReader(`at_s,kind,duration_s,extra_latency_ms
 1.5,disconnect,0,0
@@ -65,13 +65,13 @@ func TestReadFaultCSVErrors(t *testing.T) {
 }
 
 func TestParseFaultKind(t *testing.T) {
-	for _, k := range []FaultKind{FaultBlackout, FaultDisconnect, FaultLatencySpike} {
-		got, err := ParseFaultKind(k.String())
+	for _, k := range []FaultKind{faultBlackout, FaultDisconnect, faultLatencySpike} {
+		got, err := parseFaultKind(k.String())
 		if err != nil || got != k {
-			t.Errorf("ParseFaultKind(%q) = %v, %v", k.String(), got, err)
+			t.Errorf("parseFaultKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseFaultKind("nope"); err == nil {
+	if _, err := parseFaultKind("nope"); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
@@ -115,7 +115,7 @@ func TestFaultLinkDisconnectClosesCurrentConn(t *testing.T) {
 
 func TestFaultLinkBlackoutStallsWrites(t *testing.T) {
 	fl := &FaultLink{Schedule: &FaultSchedule{Events: []FaultEvent{
-		{At: 0, Kind: FaultBlackout, Duration: 300 * time.Millisecond},
+		{At: 0, Kind: faultBlackout, Duration: 300 * time.Millisecond},
 	}}}
 	defer fl.Stop()
 	c, s := fl.Pipe()
@@ -139,7 +139,7 @@ func TestFaultLinkBlackoutStallsWrites(t *testing.T) {
 
 func TestFaultLinkSpikeDelaysWrites(t *testing.T) {
 	fl := &FaultLink{Schedule: &FaultSchedule{Events: []FaultEvent{
-		{At: 0, Kind: FaultLatencySpike, Duration: time.Second, ExtraLatency: 150 * time.Millisecond},
+		{At: 0, Kind: faultLatencySpike, Duration: time.Second, ExtraLatency: 150 * time.Millisecond},
 	}}}
 	defer fl.Stop()
 	c, s := fl.Pipe()
@@ -255,7 +255,7 @@ func TestFaultLinkTruncateDropsHalfButReportsFull(t *testing.T) {
 
 // FuzzReadFaultCSV: the parser reads operator-supplied files; it must never
 // panic, and every time field of an accepted event is non-negative and
-// within maxFaultSpan, so FaultLink.Wrap never arms a timer in the past.
+// within maxFaultSpan, so FaultLink.wrap never arms a timer in the past.
 func FuzzReadFaultCSV(f *testing.F) {
 	f.Add("at_s,kind,duration_s,extra_latency_ms\n1.5,disconnect,0,0\n8.2,spike,1,300\n")
 	f.Add("NaN,disconnect,0,0\n")

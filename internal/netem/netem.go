@@ -38,8 +38,8 @@ type Conn struct {
 // faithfully at the cost of more sleeps.
 const chunkSize = 16 << 10
 
-// NewConn wraps inner with the given link shaping.
-func NewConn(inner net.Conn, link Link) *Conn {
+// newConn wraps inner with the given link shaping.
+func newConn(inner net.Conn, link Link) *Conn {
 	return &Conn{Conn: inner, link: link, start: time.Now()}
 }
 
@@ -95,7 +95,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewConn(c, l.link), nil
+	return newConn(c, l.link), nil
 }
 
 // Pipe returns an in-memory client/server connection pair whose
@@ -103,5 +103,5 @@ func (l *Listener) Accept() (net.Conn, error) {
 // substitute for a real shaped TCP path.
 func Pipe(link Link) (client, server net.Conn) {
 	c, s := net.Pipe()
-	return c, NewConn(s, link)
+	return c, newConn(s, link)
 }

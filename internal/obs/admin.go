@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// Handler returns the admin endpoint: a mux serving
+// handler returns the admin endpoint: a mux serving
 //
 //	/metrics       the registry snapshot as JSON
 //	/healthz       a liveness probe
@@ -17,7 +17,7 @@ import (
 //
 // It is meant for a loopback or otherwise trusted listener; it performs no
 // authentication.
-func Handler(reg *Registry) http.Handler {
+func handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -40,7 +40,7 @@ func Handler(reg *Registry) http.Handler {
 // ServeAdmin listens on addr and serves the admin endpoint (Handler) until
 // ctx is done; see Serve.
 func ServeAdmin(ctx context.Context, addr string, reg *Registry) (net.Addr, <-chan error, error) {
-	return Serve(ctx, addr, Handler(reg))
+	return Serve(ctx, addr, handler(reg))
 }
 
 // Serve listens on addr and serves h until ctx is done, then shuts the

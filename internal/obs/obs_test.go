@@ -30,7 +30,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("rate")
 	g.Set(3.5)
-	if got := g.Value(); got != 3.5 {
+	if got := g.value(); got != 3.5 {
 		t.Fatalf("gauge = %v, want 3.5", got)
 	}
 }
@@ -240,7 +240,7 @@ func TestAdminHandlerMetricsAndPprof(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("server_primary_sent").Add(42)
 	reg.Histogram("tile_bytes", 10, 100).Observe(50)
-	srv := httptest.NewServer(Handler(reg))
+	srv := httptest.NewServer(handler(reg))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")

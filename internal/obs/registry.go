@@ -51,8 +51,8 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Value returns the last stored value. Nil-safe (0).
-func (g *Gauge) Value() float64 {
+// value returns the last stored value. Nil-safe (0).
+func (g *Gauge) value() float64 {
 	if g == nil {
 		return 0
 	}
@@ -72,16 +72,16 @@ type Histogram struct {
 	max     atomicMax
 }
 
-// DefaultHistogramBounds is an exponential ladder that suits most of the
+// defaultHistogramBounds is an exponential ladder that suits most of the
 // quantities the repo observes (bytes, milliseconds, queue lengths).
-var DefaultHistogramBounds = []float64{
+var defaultHistogramBounds = []float64{
 	1, 2.5, 5, 10, 25, 50, 100, 250, 500,
 	1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6,
 }
 
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
-		bounds = DefaultHistogramBounds
+		bounds = defaultHistogramBounds
 	}
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
@@ -106,14 +106,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 	h.min.observe(v)
 	h.max.observe(v)
-}
-
-// Count returns the number of observations. Nil-safe (0).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // atomicFloat is a CAS-looped float64 accumulator.
@@ -226,7 +218,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it on first use with the
-// given bucket upper bounds (DefaultHistogramBounds when none are given).
+// given bucket upper bounds (defaultHistogramBounds when none are given).
 // Bounds are fixed at creation; later calls with different bounds return
 // the existing histogram.
 func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
@@ -285,7 +277,7 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Counters[name] = c.Value()
 	}
 	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
+		snap.Gauges[name] = g.value()
 	}
 	for name, h := range r.histograms {
 		hs := HistogramSnapshot{

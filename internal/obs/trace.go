@@ -65,8 +65,8 @@ func SessionEvent(videoID, cohort string) Event {
 	return Event{Kind: EvSession, Video: videoID, Cohort: cohort}
 }
 
-// DefaultTraceCap bounds a session trace when NewTrace is given 0.
-const DefaultTraceCap = 8192
+// defaultTraceCap bounds a session trace when NewTrace is given 0.
+const defaultTraceCap = 8192
 
 // Trace is a bounded per-session event log. When full, the oldest events
 // are overwritten (a ring), and Dropped counts the overwritten entries so
@@ -80,10 +80,10 @@ type Trace struct {
 	dropped int64
 }
 
-// NewTrace creates a trace holding at most capacity events (0 = DefaultTraceCap).
+// NewTrace creates a trace holding at most capacity events (0 = defaultTraceCap).
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
-		capacity = DefaultTraceCap
+		capacity = defaultTraceCap
 	}
 	return &Trace{events: make([]Event, 0, capacity)}
 }

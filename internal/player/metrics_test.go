@@ -55,7 +55,7 @@ func TestRatioAccessorsPartialSessions(t *testing.T) {
 // never advanced); now it is rejected up front.
 func TestRunRejectsDegenerateHeadTrace(t *testing.T) {
 	degenerate := []*trace.HeadTrace{
-		{UserID: "u", SamplePeriod: trace.HeadSamplePeriod},                              // no samples
+		{UserID: "u", SamplePeriod: headPeriod},                                          // no samples
 		{UserID: "u", Samples: make([]geom.Orientation, 10)},                             // zero period
 		{UserID: "u", Samples: make([]geom.Orientation, 10), SamplePeriod: -time.Second}, // negative period
 	}

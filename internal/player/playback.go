@@ -168,7 +168,7 @@ func NewPlayback(cfg Config) (*Playback, error) {
 func (p *Playback) Metrics() *Metrics { return p.met }
 
 // Held snapshots which tiles the session holds, for a resume handshake.
-func (p *Playback) Held() HeldSummary { return p.received.Summary() }
+func (p *Playback) Held() HeldSummary { return p.received.summary() }
 
 // played reports whether the last frame has rendered.
 func (p *Playback) played() bool { return p.playFrame >= p.m.NumFrames() }
@@ -317,12 +317,12 @@ func (p *Playback) requirementMet(chunk int, vpTiles []geom.TileID) bool {
 	for _, id := range vpTiles {
 		switch {
 		case p.startup || p.policy == StallOnMissingAny:
-			_, okP := p.received.BestPrimaryBy(chunk, id, p.now)
-			if !okP && !p.received.HasMaskingBy(chunk, id, p.now) {
+			_, okP := p.received.bestPrimaryBy(chunk, id, p.now)
+			if !okP && !p.received.hasMaskingBy(chunk, id, p.now) {
 				return false
 			}
 		case p.policy == StallOnMissingMasking:
-			if !p.received.HasMaskingBy(chunk, id, p.now) {
+			if !p.received.hasMaskingBy(chunk, id, p.now) {
 				return false
 			}
 		}

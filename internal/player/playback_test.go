@@ -46,7 +46,7 @@ func newPlayback(t *testing.T, policy player.StallPolicy, maxWall time.Duration)
 	t.Helper()
 	s := &silentScheme{policy: policy}
 	pb, err := player.NewPlayback(player.Config{
-		Manifest: twoChunks(), Head: stillHead(2*time.Second, trace.HeadSamplePeriod), Scheme: s, MaxWall: maxWall,
+		Manifest: twoChunks(), Head: stillHead(2*time.Second, 40*time.Millisecond), Scheme: s, MaxWall: maxWall,
 	})
 	if err != nil {
 		t.Fatal(err)

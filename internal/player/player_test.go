@@ -36,11 +36,15 @@ func smallManifest() *video.Manifest {
 	})
 }
 
+// headPeriod is the synthetic head traces' sampling period, the HMD's 40 ms
+// (paper §4.5).
+const headPeriod = 40 * time.Millisecond
+
 func staticHead(d time.Duration) *trace.HeadTrace {
-	n := int(d/trace.HeadSamplePeriod) + 1
+	n := int(d/headPeriod) + 1
 	return &trace.HeadTrace{
 		UserID:       "static",
-		SamplePeriod: trace.HeadSamplePeriod,
+		SamplePeriod: headPeriod,
 		Samples:      make([]geom.Orientation, n),
 	}
 }
@@ -515,27 +519,27 @@ func TestReceivedState(t *testing.T) {
 	}
 	r.Record(RequestItem{Stream: Primary, Chunk: 0, Tile: 0, Quality: 1}, 2*time.Second)
 	r.Record(RequestItem{Stream: Primary, Chunk: 0, Tile: 0, Quality: 3}, 4*time.Second)
-	if q, ok := r.BestPrimaryBy(0, 0, 3*time.Second); !ok || q != 1 {
-		t.Errorf("BestPrimaryBy(3s) = %d,%v", q, ok)
+	if q, ok := r.bestPrimaryBy(0, 0, 3*time.Second); !ok || q != 1 {
+		t.Errorf("bestPrimaryBy(3s) = %d,%v", q, ok)
 	}
-	if q, ok := r.BestPrimaryBy(0, 0, 5*time.Second); !ok || q != 3 {
-		t.Errorf("BestPrimaryBy(5s) = %d,%v", q, ok)
+	if q, ok := r.bestPrimaryBy(0, 0, 5*time.Second); !ok || q != 3 {
+		t.Errorf("bestPrimaryBy(5s) = %d,%v", q, ok)
 	}
-	if _, ok := r.BestPrimaryBy(0, 0, time.Second); ok {
+	if _, ok := r.bestPrimaryBy(0, 0, time.Second); ok {
 		t.Error("too-early lookup succeeded")
 	}
-	if !r.HasPrimary(0, 0, 1) || r.HasPrimary(0, 0, 2) {
-		t.Error("HasPrimary exact-variant check wrong")
+	if r.primaryAt[r.pIdx(0, 0, 1)] == notReceived || r.primaryAt[r.pIdx(0, 0, 2)] != notReceived {
+		t.Error("exact-variant check wrong")
 	}
 	r.Record(RequestItem{Stream: Masking, Chunk: 1, Tile: 5, Quality: 0}, time.Second)
-	if !r.HasMaskingBy(1, 5, time.Second) || r.HasMaskingBy(1, 5, 500*time.Millisecond) {
+	if !r.hasMaskingBy(1, 5, time.Second) || r.hasMaskingBy(1, 5, 500*time.Millisecond) {
 		t.Error("tiled masking availability wrong")
 	}
 	if r.HasMasking(1, 6) {
 		t.Error("unfetched tile has masking")
 	}
 	r.Record(RequestItem{Stream: Masking, Chunk: 2, Full360: true, Quality: 0}, time.Second)
-	if !r.HasMaskingBy(2, 17, time.Second) {
+	if !r.hasMaskingBy(2, 17, time.Second) {
 		t.Error("full-360 masking should cover every tile")
 	}
 	if !r.HasFullMasking(2) || r.HasFullMasking(3) {
@@ -547,12 +551,12 @@ func TestMovingUserChangesViewport(t *testing.T) {
 	m := smallManifest()
 	// User rotating steadily; fetch-everything scheme; verify ViewHeat is
 	// spread across many tiles.
-	n := int(6*time.Second/trace.HeadSamplePeriod) + 1
+	n := int(6*time.Second/headPeriod) + 1
 	samples := make([]geom.Orientation, n)
 	for i := range samples {
 		samples[i] = geom.Orientation{Yaw: geom.NormalizeYaw(float64(i) * 2), Pitch: 0}
 	}
-	head := &trace.HeadTrace{UserID: "spin", SamplePeriod: trace.HeadSamplePeriod, Samples: samples}
+	head := &trace.HeadTrace{UserID: "spin", SamplePeriod: headPeriod, Samples: samples}
 	s := &testScheme{name: "all", interval: 100 * time.Millisecond, policy: NeverStall,
 		decide: fetchEverything(video.Lowest)}
 	met, err := Run(Config{Manifest: m, Head: head, Bandwidth: flatBandwidth(1000), Scheme: s})

@@ -268,14 +268,14 @@ func TestStallCascadeOnHeadMovement(t *testing.T) {
 	// for the old viewport do not resume playback (the paper's cascade).
 	m := video.Generate(video.GenParams{ID: "cascade", Rows: 6, Cols: 6, NumChunks: 4,
 		TargetQP42Mbps: 1, TargetQP22Mbps: 8, Seed: 17})
-	n := int(4*time.Second/trace.HeadSamplePeriod) + 1
+	n := int(4*time.Second/headPeriod) + 1
 	samples := make([]geom.Orientation, n)
 	for i := range samples {
-		if time.Duration(i)*trace.HeadSamplePeriod > 1500*time.Millisecond {
+		if time.Duration(i)*headPeriod > 1500*time.Millisecond {
 			samples[i] = geom.Orientation{Yaw: -170} // turned around
 		}
 	}
-	head := &trace.HeadTrace{UserID: "turner", SamplePeriod: trace.HeadSamplePeriod, Samples: samples}
+	head := &trace.HeadTrace{UserID: "turner", SamplePeriod: headPeriod, Samples: samples}
 
 	// The scheme only ever fetches the front tiles: once the user turns,
 	// the requirement can never be met again and the session truncates

@@ -67,9 +67,9 @@ func (r *Received) Record(it RequestItem, at time.Duration) {
 	}
 }
 
-// BestPrimaryBy returns the highest primary quality of the tile that had
+// bestPrimaryBy returns the highest primary quality of the tile that had
 // arrived by instant t, and whether any arrived.
-func (r *Received) BestPrimaryBy(chunk int, tile geom.TileID, t time.Duration) (video.Quality, bool) {
+func (r *Received) bestPrimaryBy(chunk int, tile geom.TileID, t time.Duration) (video.Quality, bool) {
 	for q := video.Quality(video.NumQualities - 1); q >= 0; q-- {
 		at := r.primaryAt[r.pIdx(chunk, tile, q)]
 		if at != notReceived && at <= t {
@@ -79,20 +79,14 @@ func (r *Received) BestPrimaryBy(chunk int, tile geom.TileID, t time.Duration) (
 	return 0, false
 }
 
-// HasPrimary reports whether the exact primary variant has arrived (at any
-// time so far).
-func (r *Received) HasPrimary(chunk int, tile geom.TileID, q video.Quality) bool {
-	return r.primaryAt[r.pIdx(chunk, tile, q)] != notReceived
-}
-
 // BestPrimary returns the highest primary quality held for the tile.
 func (r *Received) BestPrimary(chunk int, tile geom.TileID) (video.Quality, bool) {
-	return r.BestPrimaryBy(chunk, tile, 1<<62)
+	return r.bestPrimaryBy(chunk, tile, 1<<62)
 }
 
-// HasMaskingBy reports whether a masking version (tiled or full-360°) of the
+// hasMaskingBy reports whether a masking version (tiled or full-360°) of the
 // tile had arrived by instant t.
-func (r *Received) HasMaskingBy(chunk int, tile geom.TileID, t time.Duration) bool {
+func (r *Received) hasMaskingBy(chunk int, tile geom.TileID, t time.Duration) bool {
 	if at := r.maskFullAt[chunk]; at != notReceived && at <= t {
 		return true
 	}
@@ -102,7 +96,7 @@ func (r *Received) HasMaskingBy(chunk int, tile geom.TileID, t time.Duration) bo
 
 // HasMasking reports whether any masking version of the tile has arrived.
 func (r *Received) HasMasking(chunk int, tile geom.TileID) bool {
-	return r.HasMaskingBy(chunk, tile, 1<<62)
+	return r.hasMaskingBy(chunk, tile, 1<<62)
 }
 
 // HasFullMasking reports whether the full-360° masking chunk has arrived.
@@ -139,8 +133,8 @@ func NewHeldSummary(m *video.Manifest) HeldSummary {
 	}
 }
 
-// Summary captures the current held state as bitmaps.
-func (r *Received) Summary() HeldSummary {
+// summary captures the current held state as bitmaps.
+func (r *Received) summary() HeldSummary {
 	h := NewHeldSummary(r.m)
 	for ct := 0; ct < r.m.NumChunks*h.NumTiles; ct++ {
 		for q := 0; q < video.NumQualities; q++ {
@@ -169,21 +163,6 @@ func (h HeldSummary) Valid() bool {
 	perTile := (h.NumChunks*h.NumTiles + 7) / 8
 	perChunk := (h.NumChunks + 7) / 8
 	return len(h.Primary) == perTile && len(h.MaskTile) == perTile && len(h.MaskFull) == perChunk
-}
-
-// HasPrimary reports whether any primary variant of the tile is held.
-func (h HeldSummary) HasPrimary(chunk, tile int) bool {
-	return bitGet(h.Primary, chunk*h.NumTiles+tile)
-}
-
-// HasMaskTile reports whether the tiled masking variant is held.
-func (h HeldSummary) HasMaskTile(chunk, tile int) bool {
-	return bitGet(h.MaskTile, chunk*h.NumTiles+tile)
-}
-
-// HasMaskFull reports whether the full-360° masking chunk is held.
-func (h HeldSummary) HasMaskFull(chunk int) bool {
-	return bitGet(h.MaskFull, chunk)
 }
 
 // Admit is the server's redundancy rule (§3.3) with the summary as its

@@ -74,7 +74,7 @@ func (a *accountant) renderFrame(chunk int, ids []geom.TileID, weights []float64
 		totalW += w
 		a.M.ViewHeat[id]++
 		ct := chunk*tiles + int(id)
-		if q, ok := rcv.BestPrimaryBy(chunk, id, now); ok {
+		if q, ok := rcv.bestPrimaryBy(chunk, id, now); ok {
 			a.renderedPrimaryQ[ct*video.NumQualities+int(q)] = true
 			a.M.RenderedPrimaryByQuality[q]++
 			acc.AddMSE(w, a.scores.MSE(chunk, id, q))
@@ -82,7 +82,7 @@ func (a *accountant) renderFrame(chunk int, ids []geom.TileID, weights []float64
 		}
 		primarySkip = true
 		a.M.SkipHeat[id]++
-		if rcv.HasMaskingBy(chunk, id, now) {
+		if rcv.hasMaskingBy(chunk, id, now) {
 			a.renderedMasking[ct] = true
 			a.M.RenderedMasking++
 			acc.AddMSE(w, a.scores.MSE(chunk, id, video.Lowest))
@@ -131,7 +131,7 @@ func (a *accountant) interpolated(chunk int, id geom.TileID, rcv *Received, now 
 	var sum float64
 	var contributors []geom.TileID
 	for _, n := range a.Grid.Neighbors4(id) {
-		if rcv.HasMaskingBy(chunk, n, now) {
+		if rcv.hasMaskingBy(chunk, n, now) {
 			sum += a.scores.Score(chunk, n, video.Lowest)
 			contributors = append(contributors, n)
 		}

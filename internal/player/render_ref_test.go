@@ -16,7 +16,7 @@ import (
 // The per-frame path as it stood before a Playback walked the viewport cap
 // once per instant: the stall check listed the cap's tiles with
 // AppendTilesInCap, the render accounting walked the same cap again with
-// AppendCapWeights, and every tile's score went through MSEFromPSNR
+// AppendCapWeights, and every tile's score went through mseFromPSNR
 // (ViewportAccumulator.Add) per frame. Kept verbatim — modulo taking the
 // playback state it read as arguments — as the oracle for
 // TestOneViewportWalkMatchesTwo.
@@ -28,12 +28,12 @@ func refRequirementMet(grid *geom.Grid, vp geom.Viewport, policy StallPolicy, st
 	for _, id := range grid.AppendTilesInCap(nil, o, vp.RadiusDeg) {
 		switch {
 		case startup || policy == StallOnMissingAny:
-			_, okP := rcv.BestPrimaryBy(chunk, id, now)
-			if !okP && !rcv.HasMaskingBy(chunk, id, now) {
+			_, okP := rcv.bestPrimaryBy(chunk, id, now)
+			if !okP && !rcv.hasMaskingBy(chunk, id, now) {
 				return false
 			}
 		case policy == StallOnMissingMasking:
-			if !rcv.HasMaskingBy(chunk, id, now) {
+			if !rcv.hasMaskingBy(chunk, id, now) {
 				return false
 			}
 		}
@@ -53,7 +53,7 @@ func refRenderFrame(a *accountant, vp geom.Viewport, chunk int, o geom.Orientati
 		totalW += w
 		a.M.ViewHeat[id]++
 		ct := chunk*tiles + int(id)
-		if q, ok := rcv.BestPrimaryBy(chunk, id, now); ok {
+		if q, ok := rcv.bestPrimaryBy(chunk, id, now); ok {
 			a.renderedPrimaryQ[ct*video.NumQualities+int(q)] = true
 			a.M.RenderedPrimaryByQuality[q]++
 			acc.Add(w, a.scores.Score(chunk, id, q))
@@ -61,7 +61,7 @@ func refRenderFrame(a *accountant, vp geom.Viewport, chunk int, o geom.Orientati
 		}
 		primarySkip = true
 		a.M.SkipHeat[id]++
-		if rcv.HasMaskingBy(chunk, id, now) {
+		if rcv.hasMaskingBy(chunk, id, now) {
 			a.renderedMasking[ct] = true
 			a.M.RenderedMasking++
 			acc.Add(w, a.scores.Score(chunk, id, video.Lowest))

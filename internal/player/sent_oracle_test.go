@@ -61,15 +61,15 @@ func (s *Sent) Admit(it RequestItem) bool {
 func (s *Sent) Preload(h HeldSummary) int64 {
 	var restored int64
 	for c := 0; c < len(s.maskFull) && c < h.NumChunks; c++ {
-		if h.HasMaskFull(c) && mark(s.maskFull, c) {
+		if bitGet(h.MaskFull, c) && mark(s.maskFull, c) {
 			restored++
 		}
 		for tl := 0; tl < s.tiles && tl < h.NumTiles; tl++ {
 			ct := c*s.tiles + tl
-			if h.HasPrimary(c, tl) && mark(s.primary, ct) {
+			if bitGet(h.Primary, c*h.NumTiles+tl) && mark(s.primary, ct) {
 				restored++
 			}
-			if h.HasMaskTile(c, tl) && mark(s.maskTile, ct) {
+			if bitGet(h.MaskTile, c*h.NumTiles+tl) && mark(s.maskTile, ct) {
 				restored++
 			}
 		}

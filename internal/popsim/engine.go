@@ -109,7 +109,7 @@ func (sw *Sweep) validate() error {
 	if len(sw.Schemes) == 0 {
 		return fmt.Errorf("popsim: sweep needs at least one scheme")
 	}
-	if err := sw.Model.Validate(); err != nil {
+	if err := sw.Model.validate(); err != nil {
 		return err
 	}
 	if sw.ShardCount <= 0 {

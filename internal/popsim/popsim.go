@@ -120,9 +120,9 @@ func BelgianClass() NetClass {
 	}
 }
 
-// IrishClass returns the 5G-like network class calibrated to the Irish
+// irishClass returns the 5G-like network class calibrated to the Irish
 // dataset: higher and flatter bandwidth with abrupt near-zero dips.
-func IrishClass() NetClass {
+func irishClass() NetClass {
 	return NetClass{
 		Name: "irish",
 		Params: trace.BandwidthGenParams{
@@ -149,14 +149,14 @@ func DefaultModel(seed int64) Model {
 		},
 		Nets: []NetWeight{
 			{Class: BelgianClass(), Weight: 1},
-			{Class: IrishClass(), Weight: 1},
+			{Class: irishClass(), Weight: 1},
 		},
 		Seed: seed,
 	}
 }
 
-// Validate reports whether the model can sample members.
-func (m Model) Validate() error {
+// validate reports whether the model can sample members.
+func (m Model) validate() error {
 	if len(m.Motion) == 0 || len(m.Nets) == 0 {
 		return fmt.Errorf("popsim: model needs at least one motion and one network class")
 	}

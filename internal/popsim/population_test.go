@@ -58,7 +58,7 @@ func TestMixtureWeights(t *testing.T) {
 	}
 	m.Nets = []NetWeight{
 		{Class: BelgianClass(), Weight: 0.7},
-		{Class: IrishClass(), Weight: 0.3},
+		{Class: irishClass(), Weight: 0.3},
 	}
 	const n = 4000
 	motion := map[string]int{}
@@ -135,7 +135,7 @@ func TestFilterApplied(t *testing.T) {
 }
 
 func TestModelValidate(t *testing.T) {
-	if err := DefaultModel(1).Validate(); err != nil {
+	if err := DefaultModel(1).validate(); err != nil {
 		t.Fatalf("default model invalid: %v", err)
 	}
 	bad := []Model{
@@ -146,7 +146,7 @@ func TestModelValidate(t *testing.T) {
 		{Motion: []MotionWeight{{Weight: 1}}, Nets: []NetWeight{{Weight: 1}}}, // unnamed net class
 	}
 	for i, m := range bad {
-		if err := m.Validate(); err == nil {
+		if err := m.validate(); err == nil {
 			t.Errorf("bad model %d accepted", i)
 		}
 	}

@@ -15,10 +15,10 @@ import (
 
 // Metric names of the per-(scheme, cohort) distributions a rollup tracks.
 const (
-	MetricQualityDB  = "quality_db"  // per-frame viewport quality, dB
-	MetricStallMS    = "stall_ms"    // per-session rebuffering total, ms
-	MetricStartupMS  = "startup_ms"  // per-session startup delay, ms
-	MetricBlankRatio = "blank_ratio" // per-session mean blank-area fraction
+	metricQualityDB  = "quality_db"  // per-frame viewport quality, dB
+	metricStallMS    = "stall_ms"    // per-session rebuffering total, ms
+	metricStartupMS  = "startup_ms"  // per-session startup delay, ms
+	metricBlankRatio = "blank_ratio" // per-session mean blank-area fraction
 )
 
 // Indices into metrics and cell.dist.
@@ -40,10 +40,10 @@ var metrics = [numMetrics]struct {
 	lo, hi float64
 	bins   int
 }{
-	mQuality: {MetricQualityDB, 0, 80, 320},
-	mStall:   {MetricStallMS, 0, 60_000, 300},
-	mStartup: {MetricStartupMS, 0, 30_000, 300},
-	mBlank:   {MetricBlankRatio, 0, 1, 200},
+	mQuality: {metricQualityDB, 0, 80, 320},
+	mStall:   {metricStallMS, 0, 60_000, 300},
+	mStartup: {metricStartupMS, 0, 30_000, 300},
+	mBlank:   {metricBlankRatio, 0, 1, 200},
 }
 
 // Geometry and DefaultGeometry are what the frozen bench/popsweep.go still
@@ -136,23 +136,6 @@ func (r *Rollup) sessions() (n int64) {
 	return n
 }
 
-// StateBins returns the total number of allocated sketch bins — the
-// memory-model observable: it depends only on which (scheme, cohort)
-// cells exist, never on how many sessions were folded into them.
-func (r *Rollup) StateBins() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, cohorts := range r.schemes {
-		for _, cd := range cohorts {
-			for _, d := range cd.dist {
-				n += len(d.Bins)
-			}
-		}
-	}
-	return n
-}
-
 // Merge folds other into r. Geometries must match cell by cell; cells
 // missing from r are created. Merging commutes with folding, so shard
 // order does not matter.
@@ -233,10 +216,10 @@ func (r *Rollup) SummaryJSON() ([]byte, error) {
 	return json.MarshalIndent(r.Summary(), "", "  ")
 }
 
-// SnapshotVersion is the shard-snapshot schema version ("v" on every
+// snapshotVersion is the shard-snapshot schema version ("v" on every
 // line). It follows the same versioning policy as the obs session-trace
 // schema (docs/OBSERVABILITY.md): readers reject any other version.
-const SnapshotVersion = 1
+const snapshotVersion = 1
 
 // snapshotHeader is the first line of a shard snapshot.
 type snapshotHeader struct {
@@ -273,7 +256,7 @@ func (r *Rollup) WriteSnapshot(w io.Writer, shard, shards int) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(snapshotHeader{
-		V: SnapshotVersion, Kind: "popsim", Shard: shard, Shards: shards, Sessions: r.sessions(),
+		V: snapshotVersion, Kind: "popsim", Shard: shard, Shards: shards, Sessions: r.sessions(),
 	}); err != nil {
 		return err
 	}
@@ -282,13 +265,13 @@ func (r *Rollup) WriteSnapshot(w io.Writer, shard, shards int) error {
 		for _, cohort := range sortedKeys(cohorts) {
 			cd := cohorts[cohort]
 			if err := enc.Encode(snapshotLine{
-				V: SnapshotVersion, Kind: "cell", Scheme: scheme, Cohort: cohort, Sessions: cd.sessions,
+				V: snapshotVersion, Kind: "cell", Scheme: scheme, Cohort: cohort, Sessions: cd.sessions,
 			}); err != nil {
 				return err
 			}
 			for i, d := range cd.dist {
 				if err := enc.Encode(snapshotLine{
-					V: SnapshotVersion, Kind: "dist", Scheme: scheme, Cohort: cohort,
+					V: snapshotVersion, Kind: "dist", Scheme: scheme, Cohort: cohort,
 					Metric: metrics[i].name, Lo: d.Lo, Hi: d.Hi, N: d.N, SumMicro: d.Sum, Bins: d.Bins,
 				}); err != nil {
 					return err
@@ -328,8 +311,8 @@ func (r *Rollup) MergeSnapshot(rd io.Reader) error {
 		if err := json.Unmarshal(line, &sl); err != nil {
 			return fmt.Errorf("popsim: snapshot line: %w", err)
 		}
-		if sl.V != SnapshotVersion {
-			return fmt.Errorf("popsim: snapshot schema v%d, want v%d", sl.V, SnapshotVersion)
+		if sl.V != snapshotVersion {
+			return fmt.Errorf("popsim: snapshot schema v%d, want v%d", sl.V, snapshotVersion)
 		}
 		if sl.Kind == "popsim" {
 			sawHeader = true

@@ -27,8 +27,8 @@ func ExampleViewport() {
 // schedulers budget against.
 func ExampleBandwidth() {
 	b := predict.NewBandwidth(0)
-	b.ObserveMbps(5)
-	b.ObserveMbps(20)
+	b.ObserveTransfer(625_000, time.Second)   // 5 Mbps
+	b.ObserveTransfer(2_500_000, time.Second) // 20 Mbps
 	fmt.Printf("harmonic mean of 5 and 20 Mbps: %.0f Mbps\n", b.PredictMbps())
 	// Output:
 	// harmonic mean of 5 and 20 Mbps: 8 Mbps

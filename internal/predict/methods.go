@@ -111,7 +111,7 @@ func MethodAccuracy(p OrientationPredictor, h *trace.HeadTrace, g *geom.Grid, vp
 	}
 	var out []float64
 	end := h.Duration() - window
-	next := DefaultHistory
+	next := defaultHistory
 	for i, s := range h.Samples {
 		t := time.Duration(i) * h.SamplePeriod
 		p.Observe(t, s)

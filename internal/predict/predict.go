@@ -34,15 +34,15 @@ type Viewport struct {
 	shiftRng *rand.Rand
 }
 
-// DefaultHistory is the regression window. Flare and Pano fit over the most
+// defaultHistory is the regression window. Flare and Pano fit over the most
 // recent fraction of a second of samples.
-const DefaultHistory = 500 * time.Millisecond
+const defaultHistory = 500 * time.Millisecond
 
 // NewViewport creates a predictor with the given history window (0 means
-// DefaultHistory).
+// defaultHistory).
 func NewViewport(history time.Duration) *Viewport {
 	if history <= 0 {
-		history = DefaultHistory
+		history = defaultHistory
 	}
 	return &Viewport{history: history}
 }
@@ -138,7 +138,7 @@ func Accuracy(h *trace.HeadTrace, g *geom.Grid, vp geom.Viewport, window, step t
 	end := h.Duration() - window
 	pred := NewViewport(0)
 	// Feed samples as time advances; evaluate at each step boundary.
-	next := DefaultHistory // give the regression a little warm-up
+	next := defaultHistory // give the regression a little warm-up
 	for i, s := range h.Samples {
 		t := time.Duration(i) * h.SamplePeriod
 		pred.Observe(t, s)
@@ -175,13 +175,13 @@ type Bandwidth struct {
 	samples []float64 // Mbps, most recent last
 }
 
-// DefaultBandwidthWindow is the number of throughput samples retained.
-const DefaultBandwidthWindow = 8
+// defaultBandwidthWindow is the number of throughput samples retained.
+const defaultBandwidthWindow = 8
 
 // NewBandwidth creates a throughput predictor (window 0 means default).
 func NewBandwidth(window int) *Bandwidth {
 	if window <= 0 {
-		window = DefaultBandwidthWindow
+		window = defaultBandwidthWindow
 	}
 	return &Bandwidth{window: window, samples: make([]float64, 0, window)}
 }
@@ -192,11 +192,11 @@ func (b *Bandwidth) ObserveTransfer(bytes int64, dur time.Duration) {
 	if bytes <= 0 || dur <= 0 {
 		return
 	}
-	b.ObserveMbps(float64(bytes) * 8 / dur.Seconds() / 1e6)
+	b.observeMbps(float64(bytes) * 8 / dur.Seconds() / 1e6)
 }
 
-// ObserveMbps records a throughput sample directly.
-func (b *Bandwidth) ObserveMbps(mbps float64) {
+// observeMbps records a throughput sample directly.
+func (b *Bandwidth) observeMbps(mbps float64) {
 	if mbps <= 0 || math.IsNaN(mbps) || math.IsInf(mbps, 0) {
 		return
 	}

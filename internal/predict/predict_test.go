@@ -121,7 +121,7 @@ func TestErrorInjectionHurtsAccuracy(t *testing.T) {
 		for i, s := range h.Samples {
 			tt := time.Duration(i) * h.SamplePeriod
 			pred.Observe(tt, s)
-			if i%10 == 0 && tt+time.Second < h.Duration() && tt > DefaultHistory {
+			if i%10 == 0 && tt+time.Second < h.Duration() && tt > defaultHistory {
 				predicted := pred.Predict(tt + time.Second)
 				actual := h.At(tt + time.Second)
 				actualTiles := vp.Tiles(g, actual)
@@ -150,14 +150,14 @@ func TestErrorInjectionHurtsAccuracy(t *testing.T) {
 
 func TestBandwidthHarmonicMean(t *testing.T) {
 	b := NewBandwidth(4)
-	b.ObserveMbps(10)
-	b.ObserveMbps(10)
+	b.observeMbps(10)
+	b.observeMbps(10)
 	if got := b.PredictMbps(); math.Abs(got-10) > 1e-9 {
 		t.Errorf("constant samples: %v", got)
 	}
 	b2 := NewBandwidth(4)
-	b2.ObserveMbps(5)
-	b2.ObserveMbps(20)
+	b2.observeMbps(5)
+	b2.observeMbps(20)
 	// Harmonic mean of 5 and 20 = 8.
 	if got := b2.PredictMbps(); math.Abs(got-8) > 1e-9 {
 		t.Errorf("harmonic mean = %v, want 8", got)
@@ -166,9 +166,9 @@ func TestBandwidthHarmonicMean(t *testing.T) {
 
 func TestBandwidthWindowEviction(t *testing.T) {
 	b := NewBandwidth(2)
-	b.ObserveMbps(1)
-	b.ObserveMbps(100)
-	b.ObserveMbps(100)
+	b.observeMbps(1)
+	b.observeMbps(100)
+	b.observeMbps(100)
 	// The 1 Mbps sample has been evicted.
 	if got := b.PredictMbps(); math.Abs(got-100) > 1e-9 {
 		t.Errorf("eviction failed: %v", got)
@@ -179,8 +179,8 @@ func TestBandwidthIgnoresDegenerate(t *testing.T) {
 	b := NewBandwidth(0)
 	b.ObserveTransfer(0, time.Second)
 	b.ObserveTransfer(100, 0)
-	b.ObserveMbps(-3)
-	b.ObserveMbps(math.NaN())
+	b.observeMbps(-3)
+	b.observeMbps(math.NaN())
 	if got := b.PredictMbps(); got != 0 {
 		t.Errorf("degenerate observations produced estimate %v", got)
 	}

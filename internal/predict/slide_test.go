@@ -83,7 +83,7 @@ func TestSlidingWindowsMatchReslicing(t *testing.T) {
 			if rng.Intn(50) == 0 {
 				mbps = []float64{0, -1, math.NaN(), math.Inf(1)}[rng.Intn(4)]
 			}
-			got.ObserveMbps(mbps)
+			got.observeMbps(mbps)
 			resliceObserveMbps(want, mbps)
 			if a, b := got.PredictMbps(), want.PredictMbps(); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("window %d, observation %d: PredictMbps %v (%#x), re-slicing reference %v (%#x)",
@@ -115,19 +115,19 @@ func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 	b := NewBandwidth(0)
 	mbps := 10.0
 	observeMbps := func() {
-		for i := 0; i < 4*DefaultBandwidthWindow; i++ {
+		for i := 0; i < 4*defaultBandwidthWindow; i++ {
 			mbps += 0.5
-			b.ObserveMbps(mbps)
+			b.observeMbps(mbps)
 		}
 	}
 	observeMbps()
 	if n := testing.AllocsPerRun(50, observeMbps); n != 0 {
-		t.Errorf("Bandwidth.ObserveMbps allocates %v per %d observations in steady state", n, 4*DefaultBandwidthWindow)
+		t.Errorf("Bandwidth.observeMbps allocates %v per %d observations in steady state", n, 4*defaultBandwidthWindow)
 	}
 
 	v := NewViewport(0)
 	const period = 10 * time.Millisecond
-	perRun := 4 * int(DefaultHistory/period)
+	perRun := 4 * int(defaultHistory/period)
 	at := time.Duration(0)
 	observe := func() {
 		for i := 0; i < perRun; i++ {

@@ -122,7 +122,10 @@ func BenchmarkFrameReadReuse(b *testing.B) {
 
 // v8 is the wire_refine manifest: Table 3's v8 at 60 one-second chunks,
 // 2.4 MB of JSON on the wire.
-func v8() *video.Manifest { return video.GenerateDataset(video.Table3[3:4])[0] }
+func v8() *video.Manifest {
+	e := video.Table3[3]
+	return video.Generate(video.GenParams{ID: e.ID, TargetQP42Mbps: e.QP42Mbps, TargetQP22Mbps: e.QP22Mbps, MotionLevel: e.MotionLevel, Seed: e.Seed})
+}
 
 // BenchmarkWriteManifest times the server's end of a handshake: the
 // manifest encoded into its frame and written.

@@ -79,7 +79,7 @@ func (r failOnReadReader) Read([]byte) (int, error) {
 }
 
 // TestReadFrameRejectsOverCapLengthBeforeReading feeds a length prefix
-// beyond MaxFrameSize: the frame must be rejected with ErrFrameTooLarge
+// beyond MaxFrameSize: the frame must be rejected with errFrameTooLarge
 // without a single body read (and therefore without any body allocation).
 func TestReadFrameRejectsOverCapLengthBeforeReading(t *testing.T) {
 	var hdr [5]byte
@@ -87,8 +87,8 @@ func TestReadFrameRejectsOverCapLengthBeforeReading(t *testing.T) {
 	hdr[4] = byte(MsgTileData)
 	r := io.MultiReader(bytes.NewReader(hdr[:]), failOnReadReader{t})
 	_, _, err := readFrame(r)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	if !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("err = %v, want errFrameTooLarge", err)
 	}
 }
 

@@ -122,10 +122,10 @@ func PayloadChecksum(payload []byte) uint32 {
 // on it separate corruption from ordinary resets.
 var ErrChecksum = errors.New("proto: frame checksum mismatch")
 
-// ErrFrameTooLarge reports a declared frame length beyond MaxFrameSize;
+// errFrameTooLarge reports a declared frame length beyond MaxFrameSize;
 // it is returned before any body allocation, so a corrupted or hostile
 // length prefix cannot commit gigabytes of memory.
-var ErrFrameTooLarge = errors.New("proto: frame exceeds length cap")
+var errFrameTooLarge = errors.New("proto: frame exceeds length cap")
 
 // busyPrefix tags transient admission-control rejections (connection
 // limit, drain mode). It travels inside MsgError text so the wire format
@@ -343,7 +343,7 @@ func readFrameInto(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []by
 	if n > MaxFrameSize {
 		// Reject before allocating anything: the declared length is
 		// attacker-controlled (or one bit flip away from absurd).
-		return 0, nil, buf, fmt.Errorf("proto: frame length %d: %w", n, ErrFrameTooLarge)
+		return 0, nil, buf, fmt.Errorf("proto: frame length %d: %w", n, errFrameTooLarge)
 	}
 	end := frameHeaderSize + int(n-1) // of the body; the trailer follows it
 	frameEnd := end

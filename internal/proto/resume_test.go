@@ -45,24 +45,17 @@ func TestResumeRoundTrip(t *testing.T) {
 	if got.Count() != 4 {
 		t.Errorf("Count = %d, want 4", got.Count())
 	}
-	for _, tc := range []struct {
-		want        bool
-		chunk, tile int
-		kind        string
-		check       func(int, int) bool
+	for _, b := range []struct {
+		kind      string
+		got, sent []byte
 	}{
-		{check: got.HasPrimary, chunk: 0, tile: 1, want: true, kind: "primary"},
-		{check: got.HasPrimary, chunk: 2, tile: 3, want: true, kind: "primary"},
-		{check: got.HasPrimary, chunk: 1, tile: 1, want: false, kind: "primary"},
-		{check: got.HasMaskTile, chunk: 1, tile: 2, want: true, kind: "masktile"},
-		{check: got.HasMaskTile, chunk: 0, tile: 0, want: false, kind: "masktile"},
+		{"primary", got.Primary, h.Primary},
+		{"masktile", got.MaskTile, h.MaskTile},
+		{"full-360", got.MaskFull, h.MaskFull},
 	} {
-		if tc.check(tc.chunk, tc.tile) != tc.want {
-			t.Errorf("%s(%d,%d) != %v", tc.kind, tc.chunk, tc.tile, tc.want)
+		if !bytes.Equal(b.got, b.sent) {
+			t.Errorf("%s bits %08b, sent %08b", b.kind, b.got, b.sent)
 		}
-	}
-	if !got.HasMaskFull(0) || got.HasMaskFull(1) {
-		t.Error("full-360 bits corrupted")
 	}
 }
 

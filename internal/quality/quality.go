@@ -11,22 +11,22 @@ import (
 	"dragonfly/internal/video"
 )
 
-// MaxPixel is the peak pixel value for 8-bit video.
-const MaxPixel = 255.0
+// maxPixel is the peak pixel value for 8-bit video.
+const maxPixel = 255.0
 
-// MSEFromPSNR converts a PSNR in dB to mean squared error.
-func MSEFromPSNR(db float64) float64 {
-	return MaxPixel * MaxPixel * math.Pow(10, -db/10)
+// mseFromPSNR converts a PSNR in dB to mean squared error.
+func mseFromPSNR(db float64) float64 {
+	return maxPixel * maxPixel * math.Pow(10, -db/10)
 }
 
-// PSNRFromMSE converts mean squared error to PSNR in dB. Zero or negative
+// psnrFromMSE converts mean squared error to PSNR in dB. Zero or negative
 // MSE (a perfect reconstruction) saturates at 60 dB, matching the cap used
 // when generating manifests.
-func PSNRFromMSE(mse float64) float64 {
+func psnrFromMSE(mse float64) float64 {
 	if mse <= 0 {
 		return 60
 	}
-	return 10 * math.Log10(MaxPixel*MaxPixel/mse)
+	return 10 * math.Log10(maxPixel*maxPixel/mse)
 }
 
 // Metric selects which per-tile quality score drives scheduling and
@@ -68,10 +68,10 @@ type ViewportAccumulator struct {
 // Add records one tile covering `weight` of the viewport with the given
 // quality score in dB. Non-positive weights are ignored.
 func (a *ViewportAccumulator) Add(weight, db float64) {
-	a.AddMSE(weight, MSEFromPSNR(db))
+	a.AddMSE(weight, mseFromPSNR(db))
 }
 
-// AddMSE is Add for a score already converted with MSEFromPSNR (a
+// AddMSE is Add for a score already converted with mseFromPSNR (a
 // ScoreTable keeps the conversion of every variant beside its score).
 func (a *ViewportAccumulator) AddMSE(weight, mse float64) {
 	if weight <= 0 {
@@ -88,8 +88,5 @@ func (a *ViewportAccumulator) PSNR() float64 {
 	if a.weight == 0 {
 		return 0
 	}
-	return PSNRFromMSE(a.weightedMSE / a.weight)
+	return psnrFromMSE(a.weightedMSE / a.weight)
 }
-
-// Empty reports whether nothing has been accumulated.
-func (a *ViewportAccumulator) Empty() bool { return a.weight == 0 }

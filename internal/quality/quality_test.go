@@ -12,7 +12,7 @@ import (
 func TestPSNRMSERoundTrip(t *testing.T) {
 	f := func(dbRaw uint8) bool {
 		db := 5 + float64(dbRaw%50) // 5..55 dB
-		back := PSNRFromMSE(MSEFromPSNR(db))
+		back := psnrFromMSE(mseFromPSNR(db))
 		return math.Abs(back-db) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -22,16 +22,16 @@ func TestPSNRMSERoundTrip(t *testing.T) {
 
 func TestPSNRFromMSEKnownValues(t *testing.T) {
 	// MSE 255² => 0 dB; MSE 650.25 (=255²/100) => 20 dB.
-	if got := PSNRFromMSE(255 * 255); math.Abs(got) > 1e-9 {
+	if got := psnrFromMSE(255 * 255); math.Abs(got) > 1e-9 {
 		t.Errorf("PSNR(255^2) = %v, want 0", got)
 	}
-	if got := PSNRFromMSE(650.25); math.Abs(got-20) > 1e-9 {
+	if got := psnrFromMSE(650.25); math.Abs(got-20) > 1e-9 {
 		t.Errorf("PSNR(650.25) = %v, want 20", got)
 	}
-	if got := PSNRFromMSE(0); got != 60 {
+	if got := psnrFromMSE(0); got != 60 {
 		t.Errorf("PSNR(0) = %v, want cap 60", got)
 	}
-	if got := PSNRFromMSE(-1); got != 60 {
+	if got := psnrFromMSE(-1); got != 60 {
 		t.Errorf("PSNR(-1) = %v, want cap 60", got)
 	}
 }
@@ -60,7 +60,7 @@ func TestTileScoreSelectsMetric(t *testing.T) {
 
 func TestViewportAccumulator(t *testing.T) {
 	var a ViewportAccumulator
-	if !a.Empty() || a.PSNR() != 0 {
+	if a.weight != 0 || a.PSNR() != 0 {
 		t.Error("zero accumulator should be empty")
 	}
 	a.Add(1, 40)
@@ -76,7 +76,7 @@ func TestViewportAccumulator(t *testing.T) {
 		t.Errorf("aggregate %v should be well below arithmetic mean %v", got, arithmetic)
 	}
 	// The exact value: mean MSE of 40 dB and 10 dB tiles.
-	want := PSNRFromMSE((MSEFromPSNR(40) + MSEFromPSNR(10)) / 2)
+	want := psnrFromMSE((mseFromPSNR(40) + mseFromPSNR(10)) / 2)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("aggregate = %v, want %v", got, want)
 	}
@@ -94,7 +94,7 @@ func TestViewportAccumulatorWeights(t *testing.T) {
 	var c ViewportAccumulator
 	c.Add(-1, 30) // ignored
 	c.Add(0, 50)  // ignored
-	if !c.Empty() {
+	if c.weight != 0 {
 		t.Error("non-positive weights should be ignored")
 	}
 }

@@ -12,14 +12,14 @@ import (
 // indices and branches on the metric on every call; the scheduler evaluates
 // tile scores thousands of times per decision, so the flat copy keeps the
 // hot path to a single bounds-checked load. Beside each score it keeps
-// MSEFromPSNR of it, which the per-frame viewport accounting would
+// mseFromPSNR of it, which the per-frame viewport accounting would
 // otherwise recompute (a math.Pow) per tile per frame. Immutable after
 // build.
 type ScoreTable struct {
 	metric Metric
 	tiles  int
 	scores []float64 // [(chunk*tiles+tile)*NumQualities + q]
-	mse    []float64 // MSEFromPSNR(scores[i])
+	mse    []float64 // mseFromPSNR(scores[i])
 }
 
 // NewScoreTable builds the table by evaluating TileScore for every
@@ -37,7 +37,7 @@ func NewScoreTable(man *video.Manifest, metric Metric) *ScoreTable {
 		for tile := 0; tile < tiles; tile++ {
 			for q := 0; q < video.NumQualities; q++ {
 				t.scores[i] = TileScore(metric, man, c, geom.TileID(tile), video.Quality(q))
-				t.mse[i] = MSEFromPSNR(t.scores[i])
+				t.mse[i] = mseFromPSNR(t.scores[i])
 				i++
 			}
 		}
@@ -45,15 +45,12 @@ func NewScoreTable(man *video.Manifest, metric Metric) *ScoreTable {
 	return t
 }
 
-// Metric returns the metric the table was built for.
-func (t *ScoreTable) Metric() Metric { return t.metric }
-
 // Score returns the memoized TileScore of the variant.
 func (t *ScoreTable) Score(chunk int, tile geom.TileID, q video.Quality) float64 {
 	return t.scores[(chunk*t.tiles+int(tile))*video.NumQualities+int(q)]
 }
 
-// MSE returns MSEFromPSNR(Score(chunk, tile, q)), memoized.
+// MSE returns mseFromPSNR(Score(chunk, tile, q)), memoized.
 func (t *ScoreTable) MSE(chunk int, tile geom.TileID, q video.Quality) float64 {
 	return t.mse[(chunk*t.tiles+int(tile))*video.NumQualities+int(q)]
 }

@@ -16,8 +16,8 @@ func TestScoreTableMatchesTileScore(t *testing.T) {
 	man := scoredManifest()
 	for _, m := range []Metric{PSNR, PSPNR} {
 		tbl := NewScoreTable(man, m)
-		if tbl.Metric() != m {
-			t.Fatalf("metric %v stored as %v", m, tbl.Metric())
+		if tbl.metric != m {
+			t.Fatalf("metric %v stored as %v", m, tbl.metric)
 		}
 		for c := 0; c < man.NumChunks; c++ {
 			for tile := 0; tile < man.NumTiles(); tile++ {
@@ -62,7 +62,7 @@ func TestScoreTableLookupAllocationFree(t *testing.T) {
 
 // TestScoreTableMSEBits: the memoized conversion is the conversion — for
 // every variant under both metrics MSE(c, t, q) has the bits of
-// MSEFromPSNR(Score(c, t, q)), so an accumulator fed AddMSE ends where one
+// mseFromPSNR(Score(c, t, q)), so an accumulator fed AddMSE ends where one
 // fed Add would.
 func TestScoreTableMSEBits(t *testing.T) {
 	man := scoredManifest()
@@ -73,9 +73,9 @@ func TestScoreTableMSEBits(t *testing.T) {
 			for tile := 0; tile < man.NumTiles(); tile++ {
 				for q := video.Quality(0); q < video.NumQualities; q++ {
 					id := geom.TileID(tile)
-					got, want := tbl.MSE(c, id, q), MSEFromPSNR(tbl.Score(c, id, q))
+					got, want := tbl.MSE(c, id, q), mseFromPSNR(tbl.Score(c, id, q))
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%v chunk %d tile %d q %d: MSE %v (%#x), MSEFromPSNR(Score) %v (%#x)",
+						t.Fatalf("%v chunk %d tile %d q %d: MSE %v (%#x), mseFromPSNR(Score) %v (%#x)",
 							m, c, tile, q, got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 					w := float64(tile%7) - 1 // some weights non-positive: both must ignore them
@@ -84,7 +84,7 @@ func TestScoreTableMSEBits(t *testing.T) {
 				}
 			}
 		}
-		if a, b := memo.PSNR(), plain.PSNR(); math.Float64bits(a) != math.Float64bits(b) || memo.Empty() {
+		if a, b := memo.PSNR(), plain.PSNR(); math.Float64bits(a) != math.Float64bits(b) || memo.weight == 0 {
 			t.Errorf("%v: accumulated through AddMSE %v, through Add %v", m, a, b)
 		}
 	}

@@ -49,7 +49,6 @@ func Permanent(err error) error { return permanent{err} }
 type permanent struct{ err error }
 
 func (p permanent) Error() string { return p.err.Error() }
-func (p permanent) Unwrap() error { return p.err }
 
 // Sleep waits d, or until ctx ends if that comes first.
 func Sleep(ctx context.Context, d time.Duration) {

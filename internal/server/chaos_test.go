@@ -39,7 +39,7 @@ func startSession(t *testing.T, s *Server) (net.Conn, chan error) {
 	errCh := make(chan error, 1)
 	go func() {
 		defer srvConn.Close()
-		errCh <- s.HandleConnContext(context.Background(), srvConn)
+		errCh <- s.handleConn(context.Background(), srvConn)
 	}()
 	t.Cleanup(func() { client.Close() })
 	go func() { _ = proto.WriteHello(client, proto.Hello{VideoID: "srv"}) }()
@@ -156,7 +156,7 @@ func TestSendWriteCorruptCaughtByFrameCRC(t *testing.T) {
 
 // TestWriteStallBudgetKillsSlowloris is the server slowloris defense: a
 // client that accepts bytes too slowly for too long is killed with the
-// typed ErrWriteStall and counted, releasing its queue bytes, instead of
+// typed errWriteStall and counted, releasing its queue bytes, instead of
 // pinning a sender goroutine at the peer's pace forever.
 func TestWriteStallBudgetKillsSlowloris(t *testing.T) {
 	s := New(testManifest())
@@ -186,8 +186,8 @@ func TestWriteStallBudgetKillsSlowloris(t *testing.T) {
 	}()
 	select {
 	case err := <-errCh:
-		if !errors.Is(err, ErrWriteStall) {
-			t.Fatalf("HandleConn = %v, want ErrWriteStall", err)
+		if !errors.Is(err, errWriteStall) {
+			t.Fatalf("HandleConn = %v, want errWriteStall", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("slowloris session never killed")

@@ -25,7 +25,7 @@ func openSession(t *testing.T, s *Server) (net.Conn, chan error) {
 	done := make(chan error, 1)
 	go func() {
 		defer srv.Close()
-		done <- s.HandleConnContext(context.Background(), srv)
+		done <- s.handleConn(context.Background(), srv)
 	}()
 	go func() { _ = proto.WriteHello(c, proto.Hello{VideoID: "srv"}) }()
 	if msg, err := proto.ReadMessage(c); err != nil || msg.Type != proto.MsgManifest {
@@ -44,7 +44,7 @@ func TestHandleConnProbe(t *testing.T) {
 		defer c.Close()
 		go func() {
 			defer srv.Close()
-			_ = s.HandleConnContext(context.Background(), srv)
+			_ = s.handleConn(context.Background(), srv)
 		}()
 		go func() { _ = proto.WritePing(c) }()
 		msg, err := proto.ReadMessage(c)
@@ -140,7 +140,7 @@ func TestLoadGauges(t *testing.T) {
 // TestStoreBytesCountsSlabOnce: the two videos of one server share the
 // process's zero slab, and srv_store_bytes counts it once — each store's
 // heads and trailers plus the larger of the two stores' largest variants,
-// not the sum of their MemoryBytes.
+// not the sum of their own footprints.
 func TestStoreBytesCountsSlabOnce(t *testing.T) {
 	a := testManifest()
 	b := video.Generate(video.GenParams{ID: "srv2", Rows: 3, Cols: 5, NumChunks: 4, Seed: 7})
@@ -166,10 +166,10 @@ func TestStoreBytesCountsSlabOnce(t *testing.T) {
 		return n
 	}
 	sa, sb := store.Shared(a), store.Shared(b)
-	want := sa.MemoryBytes() + sb.MemoryBytes() - min(largest(a), largest(b))
+	want := store.Footprint(sa) + store.Footprint(sb) - min(largest(a), largest(b))
 	if got := s.Obs.Snapshot().Gauges["srv_store_bytes"]; got != float64(want) {
 		t.Fatalf("srv_store_bytes = %v, want %d (heads and trailers of both stores plus one slab); the per-store sum is %d",
-			got, want, sa.MemoryBytes()+sb.MemoryBytes())
+			got, want, store.Footprint(sa)+store.Footprint(sb))
 	}
 }
 
@@ -195,7 +195,7 @@ func TestQueueBytesReleasedOnTeardown(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("session with stalled reader ended without error")
 	}
-	if qb := s.QueuedBytes(); qb != 0 {
+	if qb := s.queuedBytes.Load(); qb != 0 {
 		t.Fatalf("QueuedBytes = %d after teardown, want 0", qb)
 	}
 	waitGauge(t, s.Obs, "srv_queue_bytes", 0)

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -45,10 +44,10 @@ var (
 	siteSendWrite = chaos.NewSite("server.send.write")
 )
 
-// ErrWriteStall reports a session torn down for exhausting its
+// errWriteStall reports a session torn down for exhausting its
 // WriteStallBudget: the peer accepted bytes too slowly for too long
 // (slowloris) and the session was killed to release its queue commitment.
-var ErrWriteStall = errors.New("server: write-stall budget exhausted")
+var errWriteStall = errors.New("server: write-stall budget exhausted")
 
 // DefaultHeartbeat is the idle-ping period used when Heartbeat is zero.
 const DefaultHeartbeat = time.Second
@@ -95,7 +94,7 @@ type Server struct {
 	// WriteStallBudget bounds the cumulative excess time a session may
 	// spend blocked in writes — the slowloris defense WriteTimeout cannot
 	// be, metered by a proto.StallMeter (which states the policy). A
-	// session that exhausts it is killed with ErrWriteStall, releasing its
+	// session that exhausts it is killed with errWriteStall, releasing its
 	// queue bytes. 0 disables.
 	WriteStallBudget time.Duration
 
@@ -150,7 +149,7 @@ type Counters struct {
 	// QoEScaledInstalls counts request installs whose queue budgets were
 	// adjusted by a non-neutral cohort scale from the QoE feedback loop.
 	QoEScaledInstalls int64
-	// WriteStallKills counts sessions torn down with ErrWriteStall for
+	// WriteStallKills counts sessions torn down with errWriteStall for
 	// exhausting WriteStallBudget.
 	WriteStallKills int64
 }
@@ -206,9 +205,6 @@ func (s *Server) Drain() {
 	s.Obs.Gauge("srv_draining").Set(1)
 }
 
-// Draining reports whether the server is refusing new sessions.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // ActiveConns reports the number of in-flight sessions.
 func (s *Server) ActiveConns() int64 { return s.active.Load() }
 
@@ -219,10 +215,6 @@ func (s *Server) noteActive(delta int64) int64 {
 	s.Obs.Gauge("srv_active_conns").Set(float64(n))
 	return n
 }
-
-// QueuedBytes reports the payload bytes currently committed across all
-// live fetch queues.
-func (s *Server) QueuedBytes() int64 { return s.queuedBytes.Load() }
 
 // New creates a server for the given videos. It warms the shared tile
 // store for each manifest here, at load time, so the per-manifest CRC
@@ -323,7 +315,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 		go func() {
 			defer wg.Done()
 			defer conn.Close()
-			if err := s.HandleConnContext(ctx, conn); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, context.Canceled) {
+			if err := s.handleConn(ctx, conn); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, context.Canceled) {
 				s.logf("server: connection ended: %v", err)
 			}
 		}()
@@ -352,10 +344,10 @@ func (s *Server) reject(conn net.Conn, text string) {
 	_ = proto.WriteError(conn, text)
 }
 
-// HandleConnContext runs one streaming session; on ctx cancellation the
+// handleConn runs one streaming session; on ctx cancellation the
 // sender drains the queued tiles, sends a Bye, and returns. It is the I/O
 // shell (conn, deadlines, clock, two loops) around the deciding session.
-func (s *Server) HandleConnContext(ctx context.Context, conn net.Conn) error {
+func (s *Server) handleConn(ctx context.Context, conn net.Conn) error {
 	if busy := s.admit(); busy != "" {
 		// Typed as busy so resilient clients back off and retry.
 		s.reject(conn, proto.BusyText(busy))
@@ -544,14 +536,4 @@ func writeBatch(conn net.Conn, wire net.Buffers) (int64, error) {
 		err = f.Err
 	}
 	return int64(n), err
-}
-
-// ListenAndServe listens on addr and serves until ctx is done.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	log.Printf("dragonfly server listening on %s (videos: %v)", l.Addr(), s.Videos())
-	return s.Serve(ctx, l)
 }

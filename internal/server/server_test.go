@@ -138,7 +138,7 @@ func TestHandleConnRejectsNonHello(t *testing.T) {
 	s := New(testManifest())
 	client, srvConn := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- s.HandleConnContext(context.Background(), srvConn) }()
+	go func() { errCh <- s.handleConn(context.Background(), srvConn) }()
 	if err := proto.WriteRequest(client, proto.Request{Generation: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestHandleConnUnknownVideo(t *testing.T) {
 	s := New(testManifest())
 	client, srvConn := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- s.HandleConnContext(context.Background(), srvConn) }()
+	go func() { errCh <- s.handleConn(context.Background(), srvConn) }()
 	go func() { _ = proto.WriteHello(client, proto.Hello{VideoID: "ghost"}) }()
 	msg, err := proto.ReadMessage(client)
 	if err != nil {
@@ -175,8 +175,8 @@ func TestHandleConnUnknownVideo(t *testing.T) {
 // write deadline; four of them used to write with none.
 func TestRejectHonorsWriteDeadline(t *testing.T) {
 	m := testManifest()
-	held := player.NewReceived(m).Summary()
-	wrongGeometry := player.NewReceived(video.Generate(video.GenParams{ID: "other", Rows: 2, Cols: 2, NumChunks: 1, Seed: 1})).Summary()
+	held := player.NewHeldSummary(m)
+	wrongGeometry := player.NewHeldSummary(video.Generate(video.GenParams{ID: "other", Rows: 2, Cols: 2, NumChunks: 1, Seed: 1}))
 	firsts := map[string]func(c net.Conn) error{
 		"hello for an unknown video": func(c net.Conn) error {
 			return proto.WriteHello(c, proto.Hello{VideoID: "ghost"})
@@ -196,7 +196,7 @@ func TestRejectHonorsWriteDeadline(t *testing.T) {
 		s.WriteTimeout = 50 * time.Millisecond
 		client, srvConn := net.Pipe()
 		done := make(chan error, 1)
-		go func() { done <- s.HandleConnContext(context.Background(), srvConn) }()
+		go func() { done <- s.handleConn(context.Background(), srvConn) }()
 		if err := first(client); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -222,7 +222,7 @@ func TestHandleConnStreamsRequestedTiles(t *testing.T) {
 	client, srvConn := net.Pipe()
 	go func() {
 		defer srvConn.Close()
-		_ = s.HandleConnContext(context.Background(), srvConn)
+		_ = s.handleConn(context.Background(), srvConn)
 	}()
 	defer client.Close()
 
@@ -389,7 +389,7 @@ func TestHandleConnResume(t *testing.T) {
 	client, srvConn := net.Pipe()
 	go func() {
 		defer srvConn.Close()
-		_ = s.HandleConnContext(context.Background(), srvConn)
+		_ = s.handleConn(context.Background(), srvConn)
 	}()
 	defer client.Close()
 
@@ -438,11 +438,11 @@ func TestHandleConnResumeVersionMismatch(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		defer srvConn.Close()
-		errCh <- s.HandleConnContext(context.Background(), srvConn)
+		errCh <- s.handleConn(context.Background(), srvConn)
 	}()
 	defer client.Close()
 
-	held := player.NewReceived(m).Summary()
+	held := player.NewHeldSummary(m)
 	go func() {
 		_ = proto.WriteResume(client, proto.Resume{Version: proto.ProtoVersion + 1, VideoID: "srv", Held: held})
 	}()
@@ -465,7 +465,7 @@ func TestHandleConnContextCancelDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- s.HandleConnContext(ctx, srvConn) }()
+	go func() { done <- s.handleConn(ctx, srvConn) }()
 	defer client.Close()
 
 	go func() { _ = proto.WriteHello(client, proto.Hello{VideoID: "srv"}) }()
@@ -756,7 +756,7 @@ func TestManyConnsSharedStore(t *testing.T) {
 			go func() {
 				defer close(handlerDone)
 				defer srvConn.Close()
-				_ = s.HandleConnContext(context.Background(), srvConn)
+				_ = s.handleConn(context.Background(), srvConn)
 			}()
 			go func() { _ = proto.WriteHello(client, proto.Hello{VideoID: "srv"}) }()
 			msg, err := proto.ReadMessage(client)
@@ -837,7 +837,7 @@ func TestHandleConnMaxConns(t *testing.T) {
 	done1 := make(chan error, 1)
 	go func() {
 		defer srv1.Close()
-		done1 <- s.HandleConnContext(context.Background(), srv1)
+		done1 <- s.handleConn(context.Background(), srv1)
 	}()
 	defer c1.Close()
 	go func() { _ = proto.WriteHello(c1, proto.Hello{VideoID: "srv"}) }()
@@ -851,7 +851,7 @@ func TestHandleConnMaxConns(t *testing.T) {
 	done2 := make(chan error, 1)
 	go func() {
 		defer srv2.Close()
-		done2 <- s.HandleConnContext(context.Background(), srv2)
+		done2 <- s.handleConn(context.Background(), srv2)
 	}()
 	defer c2.Close()
 	msg, err := proto.ReadMessage(c2)
@@ -880,7 +880,7 @@ func TestHandleConnMaxConns(t *testing.T) {
 	c3, srv3 := net.Pipe()
 	go func() {
 		defer srv3.Close()
-		_ = s.HandleConnContext(context.Background(), srv3)
+		_ = s.handleConn(context.Background(), srv3)
 	}()
 	defer c3.Close()
 	go func() { _ = proto.WriteHello(c3, proto.Hello{VideoID: "srv"}) }()
@@ -900,7 +900,7 @@ func TestHandleConnDrain(t *testing.T) {
 	done1 := make(chan error, 1)
 	go func() {
 		defer srv1.Close()
-		done1 <- s.HandleConnContext(context.Background(), srv1)
+		done1 <- s.handleConn(context.Background(), srv1)
 	}()
 	defer c1.Close()
 	go func() { _ = proto.WriteHello(c1, proto.Hello{VideoID: "srv"}) }()
@@ -909,14 +909,14 @@ func TestHandleConnDrain(t *testing.T) {
 	}
 
 	s.Drain()
-	if !s.Draining() {
-		t.Fatal("Draining() false after Drain()")
+	if !s.draining.Load() {
+		t.Fatal("draining false after Drain()")
 	}
 
 	c2, srv2 := net.Pipe()
 	go func() {
 		defer srv2.Close()
-		_ = s.HandleConnContext(context.Background(), srv2)
+		_ = s.handleConn(context.Background(), srv2)
 	}()
 	defer c2.Close()
 	msg, err := proto.ReadMessage(c2)
@@ -950,7 +950,7 @@ func TestHandleConnCorruptFrameCounted(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		defer srv.Close()
-		done <- s.HandleConnContext(context.Background(), srv)
+		done <- s.handleConn(context.Background(), srv)
 	}()
 	defer c.Close()
 	go func() { _ = proto.WriteHello(c, proto.Hello{VideoID: "srv"}) }()

@@ -372,13 +372,13 @@ func (ss *session) pinged(elapsed time.Duration) error {
 }
 
 // charge spends one write's blocking time from the stall budget; the
-// write that exhausts it kills the session with ErrWriteStall.
+// write that exhausts it kills the session with errWriteStall.
 func (ss *session) charge(elapsed time.Duration, what string) error {
 	if !ss.stall.Spend(elapsed) {
 		return nil
 	}
 	ss.srv.Obs.Counter("srv_write_stall_kills").Inc()
-	return fmt.Errorf("server: send %s: %w", what, ErrWriteStall)
+	return fmt.Errorf("server: send %s: %w", what, errWriteStall)
 }
 
 // corruptFrame counts an inbound frame whose CRC trailer did not match.

@@ -94,11 +94,12 @@ func (r *refModel) preload(h player.HeldSummary) (restored int64) {
 			r.sent[k], restored = true, restored+1
 		}
 	}
+	bit := func(b []byte, i int) bool { return b[i>>3]&(1<<uint(i&7)) != 0 }
 	for c := 0; c < r.m.NumChunks; c++ {
-		mark(h.HasMaskFull(c), player.RequestItem{Stream: player.Masking, Chunk: c, Full360: true})
+		mark(bit(h.MaskFull, c), player.RequestItem{Stream: player.Masking, Chunk: c, Full360: true})
 		for tl := 0; tl < r.m.NumTiles(); tl++ {
-			mark(h.HasPrimary(c, tl), player.RequestItem{Stream: player.Primary, Chunk: c, Tile: geom.TileID(tl)})
-			mark(h.HasMaskTile(c, tl), player.RequestItem{Stream: player.Masking, Chunk: c, Tile: geom.TileID(tl)})
+			mark(bit(h.Primary, c*h.NumTiles+tl), player.RequestItem{Stream: player.Primary, Chunk: c, Tile: geom.TileID(tl)})
+			mark(bit(h.MaskTile, c*h.NumTiles+tl), player.RequestItem{Stream: player.Masking, Chunk: c, Tile: geom.TileID(tl)})
 		}
 	}
 	return restored
@@ -128,13 +129,21 @@ func randomItem(rng *rand.Rand, m *video.Manifest) player.RequestItem {
 }
 
 func randomHeld(rng *rand.Rand, m *video.Manifest) player.HeldSummary {
-	r := player.NewReceived(m)
+	h := player.NewHeldSummary(m)
+	set := func(b []byte, i int) { b[i>>3] |= 1 << uint(i&7) }
 	for i := rng.Intn(6); i > 0; i-- {
 		if it := randomItem(rng, m); it.In(m) {
-			r.Record(it, 0)
+			switch ct := it.Chunk*h.NumTiles + int(it.Tile); {
+			case it.Stream == player.Masking && it.Full360:
+				set(h.MaskFull, it.Chunk)
+			case it.Stream == player.Masking:
+				set(h.MaskTile, ct)
+			default:
+				set(h.Primary, ct)
+			}
 		}
 	}
-	return r.Summary()
+	return h
 }
 
 // TestSessionMatchesModel drives seeded random sequences of requests
@@ -195,8 +204,8 @@ func TestSessionMatchesModel(t *testing.T) {
 			for _, it := range ref.queue {
 				queued += ref.size(it)
 			}
-			if ss.queuedBytes != queued || s.QueuedBytes() != queued {
-				t.Fatalf("seed %d step %d: queued bytes session %d / server %d, model %d", seed, step, ss.queuedBytes, s.QueuedBytes(), queued)
+			if ss.queuedBytes != queued || s.queuedBytes.Load() != queued {
+				t.Fatalf("seed %d step %d: queued bytes session %d / server %d, model %d", seed, step, ss.queuedBytes, s.queuedBytes.Load(), queued)
 			}
 		}
 	}
@@ -243,7 +252,7 @@ func TestWroteCreditsOnlyWholeFrames(t *testing.T) {
 }
 
 // TestStallBudgetKillsExactlyOnExhaustion: the session dies with
-// ErrWriteStall at the first write (tile batch or ping) that takes the
+// errWriteStall at the first write (tile batch or ping) that takes the
 // accumulated excess over its allowance past the budget, and not before —
 // for a budget under 10 ms (the 1 ms allowance floor) and one over it.
 func TestStallBudgetKillsExactlyOnExhaustion(t *testing.T) {
@@ -270,7 +279,7 @@ func TestStallBudgetKillsExactlyOnExhaustion(t *testing.T) {
 				}
 				continue
 			}
-			if !errors.Is(err, ErrWriteStall) {
+			if !errors.Is(err, errWriteStall) {
 				t.Fatalf("budget %v: excess %v went unpunished: %v", budget, excess, err)
 			}
 			break
@@ -300,7 +309,7 @@ func TestQueuedBytesZeroOnEveryExit(t *testing.T) {
 		},
 		"stall kill": func(ss *session) {
 			ss.nextBatch()
-			if err := ss.wrote(ss.ends[len(ss.ends)-1], time.Hour, nil); !errors.Is(err, ErrWriteStall) {
+			if err := ss.wrote(ss.ends[len(ss.ends)-1], time.Hour, nil); !errors.Is(err, errWriteStall) {
 				t.Errorf("an hour in one write: %v", err)
 			}
 		},
@@ -310,7 +319,7 @@ func TestQueuedBytesZeroOnEveryExit(t *testing.T) {
 		s.WriteStallBudget = time.Second
 		ss := newSession(s, m, "")
 		ss.request(proto.Request{Generation: 1, Items: primaries(12)})
-		if s.QueuedBytes() == 0 {
+		if s.queuedBytes.Load() == 0 {
 			t.Fatalf("%s: nothing queued", name)
 		}
 		exit(ss)
@@ -319,8 +328,8 @@ func TestQueuedBytesZeroOnEveryExit(t *testing.T) {
 		if _, done := ss.nextBatch(); !done {
 			t.Errorf("%s: released session not done", name)
 		}
-		if s.QueuedBytes() != 0 || ss.queuedBytes != 0 {
-			t.Errorf("%s: queued bytes server %d / session %d after release", name, s.QueuedBytes(), ss.queuedBytes)
+		if s.queuedBytes.Load() != 0 || ss.queuedBytes != 0 {
+			t.Errorf("%s: queued bytes server %d / session %d after release", name, s.queuedBytes.Load(), ss.queuedBytes)
 		}
 	}
 }
@@ -346,10 +355,10 @@ func TestCountersAreTheRegistry(t *testing.T) {
 	if busy := s.admit(); busy == "" {
 		t.Fatal("a draining server admitted a session")
 	}
-	held := player.NewReceived(m)
-	held.Record(player.RequestItem{Stream: player.Primary, Chunk: 2, Tile: 3}, 0)
+	held := player.NewHeldSummary(m)
+	held.Admit(player.RequestItem{Stream: player.Primary, Chunk: 2, Tile: 3})
 	ss, _, _, err := s.open(&proto.Message{Type: proto.MsgResume,
-		Resume: &proto.Resume{Version: proto.ProtoVersion, VideoID: m.VideoID, Cohort: "c", Held: held.Summary()}})
+		Resume: &proto.Resume{Version: proto.ProtoVersion, VideoID: m.VideoID, Cohort: "c", Held: held}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +375,7 @@ func TestCountersAreTheRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss.corruptFrame()
-	if err := ss.pinged(time.Second); !errors.Is(err, ErrWriteStall) {
+	if err := ss.pinged(time.Second); !errors.Is(err, errWriteStall) {
 		t.Fatalf("a 1 s ping under a 1 ms budget: %v", err)
 	}
 	ss.release()

@@ -50,8 +50,8 @@ func NewSketch(lo, hi float64, bins int) *Sketch {
 	return &Sketch{Lo: lo, Hi: hi, Bins: make([]uint64, bins), ticks: ticks}
 }
 
-// BinWidth returns the value span of one bin — the quantile error envelope.
-func (s *Sketch) BinWidth() float64 { return (s.Hi - s.Lo) / float64(len(s.Bins)) }
+// binWidth returns the value span of one bin — the quantile error envelope.
+func (s *Sketch) binWidth() float64 { return (s.Hi - s.Lo) / float64(len(s.Bins)) }
 
 // Add folds one observation. NaN is ignored; values outside [Lo, Hi] clamp
 // into the edge bins (Sum accumulates the clamped value rounded to the
@@ -66,7 +66,7 @@ func (s *Sketch) Add(v float64) {
 	if v > s.Hi {
 		v = s.Hi
 	}
-	i := int((v - s.Lo) / s.BinWidth())
+	i := int((v - s.Lo) / s.binWidth())
 	if i >= len(s.Bins) { // v == Hi lands one past the end
 		i = len(s.Bins) - 1
 	}
@@ -94,20 +94,20 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// Mean returns the arithmetic mean of the folded (clamped) observations,
+// mean returns the arithmetic mean of the folded (clamped) observations,
 // exact to one tick and independent of fold and merge order, or 0 when
 // empty.
-func (s *Sketch) Mean() float64 {
+func (s *Sketch) mean() float64 {
 	if s.N == 0 {
 		return 0
 	}
 	return float64(s.Sum) / s.ticks / float64(s.N)
 }
 
-// Quantile returns the estimated p-th percentile (p in [0, 100]) with
+// quantile returns the estimated p-th percentile (p in [0, 100]) with
 // linear interpolation across the containing bin, or 0 when the sketch is
 // empty. See the type comment for the error envelope.
-func (s *Sketch) Quantile(p float64) float64 {
+func (s *Sketch) quantile(p float64) float64 {
 	if s.N == 0 {
 		return 0
 	}
@@ -124,7 +124,7 @@ func (s *Sketch) Quantile(p float64) float64 {
 		rank = 1
 	}
 	var cum uint64
-	w := s.BinWidth()
+	w := s.binWidth()
 	for i, c := range s.Bins {
 		if c == 0 {
 			continue
@@ -155,11 +155,11 @@ type SketchSummary struct {
 func (s *Sketch) Summary() SketchSummary {
 	return SketchSummary{
 		Count: s.N,
-		Mean:  s.Mean(),
-		P10:   s.Quantile(10),
-		P25:   s.Quantile(25),
-		P50:   s.Quantile(50),
-		P90:   s.Quantile(90),
-		P99:   s.Quantile(99),
+		Mean:  s.mean(),
+		P10:   s.quantile(10),
+		P25:   s.quantile(25),
+		P50:   s.quantile(50),
+		P90:   s.quantile(90),
+		P99:   s.quantile(99),
 	}
 }

@@ -47,16 +47,16 @@ func TestSketchQuantileEnvelope(t *testing.T) {
 	if merged.N != uint64(len(exact)) {
 		t.Fatalf("merged count = %d, want %d", merged.N, len(exact))
 	}
-	envelope := merged.BinWidth()
+	envelope := merged.binWidth()
 	for _, p := range []float64{1, 10, 25, 50, 75, 90, 99} {
-		got := merged.Quantile(p)
+		got := merged.quantile(p)
 		want := Percentile(exact, p)
 		if d := math.Abs(got - want); d > envelope {
 			t.Errorf("p%g: sketch %.3f vs exact %.3f, |diff| %.3f > envelope %.3f",
 				p, got, want, d, envelope)
 		}
 	}
-	if d := math.Abs(merged.Mean() - Mean(exact)); d > 5e-7 {
+	if d := math.Abs(merged.mean() - Mean(exact)); d > 5e-7 {
 		t.Errorf("mean off by %g, more than the half tick each Add may round by", d)
 	}
 }
@@ -80,14 +80,14 @@ func TestSketchClampsAndEdges(t *testing.T) {
 	if s.N != 4 {
 		t.Fatalf("count = %d, want 4 (NaN ignored)", s.N)
 	}
-	if got := s.Quantile(100); got != 100 {
+	if got := s.quantile(100); got != 100 {
 		t.Errorf("p100 = %g, want 100", got)
 	}
-	if got := s.Quantile(0); got > s.BinWidth() {
+	if got := s.quantile(0); got > s.binWidth() {
 		t.Errorf("p0 = %g, want inside the first bin", got)
 	}
 	empty := NewSketch(0, 1, 4)
-	if empty.Quantile(50) != 0 || empty.Mean() != 0 {
+	if empty.quantile(50) != 0 || empty.mean() != 0 {
 		t.Error("empty sketch should report zeros")
 	}
 }
@@ -118,9 +118,9 @@ func TestSketchMeanOrderIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, got := range map[string]*Sketch{"permuted": fold(obs), "split and merged": merged} {
-			if got.Sum != want.Sum || math.Float64bits(got.Mean()) != math.Float64bits(want.Mean()) {
+			if got.Sum != want.Sum || math.Float64bits(got.mean()) != math.Float64bits(want.mean()) {
 				t.Fatalf("trial %d, %s: sum %d mean %v, want sum %d mean %v",
-					trial, name, got.Sum, got.Mean(), want.Sum, want.Mean())
+					trial, name, got.Sum, got.mean(), want.Sum, want.mean())
 			}
 		}
 	}
@@ -136,8 +136,8 @@ func TestSketchSumBound(t *testing.T) {
 	for i := 0; i < 1e7; i++ {
 		s.Add(2 * hi) // clamps to hi
 	}
-	if s.Sum != 1e7*hi || s.Mean() != hi {
-		t.Fatalf("after 1e7 saturated adds: sum %d, mean %v, want mean %d exactly", s.Sum, s.Mean(), hi)
+	if s.Sum != 1e7*hi || s.mean() != hi {
+		t.Fatalf("after 1e7 saturated adds: sum %d, mean %v, want mean %d exactly", s.Sum, s.mean(), hi)
 	}
 	// The widest range that keeps 1e-6 ticks is the worst case of the bound.
 	if m := NewSketch(-1e5, 1e5, 10); m.ticks != 1e6 || math.MaxInt64/(1e5*m.ticks) < 9.2e7 {

@@ -55,8 +55,8 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// StdDev returns the sample standard deviation (0 for fewer than 2 values).
-func StdDev(xs []float64) float64 {
+// stdDev returns the sample standard deviation (0 for fewer than 2 values).
+func stdDev(xs []float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
@@ -81,7 +81,7 @@ func MeanCI95(xs []float64) (mean, halfWidth float64) {
 	if n < 2 {
 		return m, 0
 	}
-	return m, 1.96 * StdDev(xs) / math.Sqrt(float64(n))
+	return m, 1.96 * stdDev(xs) / math.Sqrt(float64(n))
 }
 
 // CDFPoint is one (value, cumulative fraction) sample of an empirical CDF.

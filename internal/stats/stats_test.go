@@ -61,11 +61,11 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 }
 
 func TestStdDevAndCI(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
+	if stdDev([]float64{5}) != 0 {
 		t.Error("singleton stddev")
 	}
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := StdDev(xs); math.Abs(got-2.138) > 0.01 {
+	if got := stdDev(xs); math.Abs(got-2.138) > 0.01 {
 		t.Errorf("stddev = %v", got)
 	}
 	m, hw := MeanCI95(xs)

@@ -278,39 +278,11 @@ func (s *Store) Frame(it player.RequestItem) (net.Buffers, int64, bool) {
 	return s.AppendFrame(nil, it)
 }
 
-// WireSize returns the full on-the-wire size of the item's frame
-// (payload plus proto.TileFrameOverhead), or 0 for items the store cannot
-// serve. This is the honest unit for queued-bytes backlog accounting:
-// with buffers shared process-wide, queued bytes measure pending
-// transmission, not duplicated per-session memory.
-func (s *Store) WireSize(it player.RequestItem) int64 {
-	_, size, ok := s.locate(it)
-	if !ok {
-		return 0
-	}
-	return int64(proto.TileFrameOverhead) + size
-}
-
-// Manifest returns the manifest the store was built from.
-func (s *Store) Manifest() *video.Manifest { return s.m }
-
-// NumFrames reports how many pre-framed wire frames the store holds.
-func (s *Store) NumFrames() int { return len(s.heads) / proto.TileHeadSize }
-
-// MemoryBytes reports the store's resident footprint: its per-frame heads
-// and trailers, plus the part of the process-wide zero slab its frames are
-// cut from (its largest variant). This is the cost of serving the manifest
-// to ANY number of concurrent sessions. The slab is one per process, so a
-// sum of MemoryBytes over stores counts it once per store; Footprint counts
-// it once.
-func (s *Store) MemoryBytes() int64 {
-	return int64(len(s.heads)+len(s.trailers)) + s.payload
-}
-
 // Footprint reports the resident footprint of a set of stores: each one's
-// heads and trailers, plus the shared zero slab once, at the length the
-// largest of them reads. It is the srv_store_bytes gauge of a server
-// holding those stores.
+// per-frame heads and trailers, plus the process-wide zero slab their frames
+// are cut from, once, at the length the largest of them reads. That is the
+// cost of serving the manifests to any number of concurrent sessions, and
+// the srv_store_bytes gauge of a server holding those stores.
 func Footprint(stores ...*Store) int64 {
 	var n, widest int64
 	for _, s := range stores {

@@ -129,7 +129,7 @@ func TestSharedReturnsSameStore(t *testing.T) {
 			t.Fatalf("Shared returned distinct stores for one manifest")
 		}
 	}
-	if stores[0].Manifest() != m {
+	if stores[0].m != m {
 		t.Fatalf("shared store bound to wrong manifest")
 	}
 }
@@ -201,7 +201,7 @@ func TestAppendFrameSteadyStateZeroWork(t *testing.T) {
 	}
 }
 
-// MemoryBytes sanity: the footprint is per-frame overhead plus one
+// Footprint sanity: one store's footprint is per-frame overhead plus one
 // payload slab, NOT payloads times frames.
 func TestMemoryBytesIsSharedSlabModel(t *testing.T) {
 	m := testManifest(t)
@@ -213,8 +213,8 @@ func TestMemoryBytesIsSharedSlabModel(t *testing.T) {
 		}
 	})
 	want := int64(s.NumFrames()*proto.TileFrameOverhead) + maxSize
-	if got := s.MemoryBytes(); got != want {
-		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	if got := Footprint(s); got != want {
+		t.Fatalf("Footprint = %d, want %d", got, want)
 	}
 }
 
@@ -222,7 +222,8 @@ func TestMemoryBytesIsSharedSlabModel(t *testing.T) {
 // the paper's 12x12 tiles and 60 one-second chunks, 86 700 frames over
 // 1.5 GB of payload.
 func v27() *video.Manifest {
-	return video.GenerateDataset(video.Table3[len(video.Table3)-1:])[0]
+	e := video.Table3[len(video.Table3)-1]
+	return video.Generate(video.GenParams{ID: e.ID, TargetQP42Mbps: e.QP42Mbps, TargetQP22Mbps: e.QP22Mbps, MotionLevel: e.MotionLevel, Seed: e.Seed})
 }
 
 // TestFixtureFramesMatchLiteralZeros is the byte oracle for the operator
@@ -292,8 +293,8 @@ func TestOverCapVariantsUnserved(t *testing.T) {
 			maxSent = it.Size(m)
 		}
 	})
-	if got, want := s.MemoryBytes(), int64(s.NumFrames()*proto.TileFrameOverhead)+maxSent; got != want {
-		t.Fatalf("MemoryBytes = %d, want %d: the slab must be sized by the largest sendable variant", got, want)
+	if got, want := Footprint(s), int64(s.NumFrames()*proto.TileFrameOverhead)+maxSent; got != want {
+		t.Fatalf("Footprint = %d, want %d: the slab must be sized by the largest sendable variant", got, want)
 	}
 
 	// The boundary itself: the largest payload the cap admits is served.
@@ -305,7 +306,7 @@ func TestOverCapVariantsUnserved(t *testing.T) {
 }
 
 // TestNewSurvivesAcceptedManifests: a manifest is bytes we did not write.
-// Whatever video.ReadManifest accepts — here a small manifest's JSON with
+// Whatever video.DecodeManifest accepts — here a small manifest's JSON with
 // hostile values planted in both size arrays — New must build without
 // panicking and without sizing anything by an unsendable variant, and
 // every frame must then be either served at its manifest size or absent.
@@ -336,14 +337,14 @@ func TestNewSurvivesAcceptedManifests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := video.ReadManifest(bytes.NewReader(raw))
+		m, err := video.DecodeManifest(raw)
 		if err != nil {
 			continue // rejected at the door: nothing reaches the store
 		}
 		accepted++
 		s := New(m)
-		if s.MemoryBytes() > int64(s.NumFrames()*proto.TileFrameOverhead)+proto.MaxFrameSize {
-			t.Fatalf("trial %d: store of %d bytes, sized by an unsendable variant", trial, s.MemoryBytes())
+		if Footprint(s) > int64(s.NumFrames()*proto.TileFrameOverhead)+proto.MaxFrameSize {
+			t.Fatalf("trial %d: store of %d bytes, sized by an unsendable variant", trial, Footprint(s))
 		}
 		forEachFrame(m, func(_ int, it player.RequestItem) {
 			if ws := s.WireSize(it); ws != 0 && ws != proto.TileFrameOverhead+it.Size(m) {
@@ -479,7 +480,7 @@ func TestFootprintCountsSlabOnce(t *testing.T) {
 	if got, want := Footprint(a, b), frames+2*a.payload; got != want {
 		t.Fatalf("Footprint = %d, want %d", got, want)
 	}
-	if got, want := Footprint(a, b), a.MemoryBytes()+b.MemoryBytes()-a.payload; got != want {
-		t.Fatalf("Footprint = %d, want the sum of MemoryBytes less the smaller slab share, %d", got, want)
+	if got, want := Footprint(a, b), Footprint(a)+Footprint(b)-a.payload; got != want {
+		t.Fatalf("Footprint = %d, want the sum of single-store footprints less the smaller slab share, %d", got, want)
 	}
 }

@@ -32,7 +32,7 @@ type Level3 int
 // Many; for reactivity, Fast/Medium/Slow; for quality, High/Medium/Low.
 const (
 	LevelGood Level3 = iota // no blanks / fast / high quality
-	LevelMid
+	levelMid
 	LevelBad // many blanks / slow / low quality
 )
 
@@ -133,7 +133,7 @@ func Run(cfg Config) (*Results, error) {
 		if err != nil {
 			return err
 		}
-		mos := MOS(met) + bias[j.user] + j.noise
+		mos := opinionScore(met) + bias[j.user] + j.noise
 		records[i] = SessionRecord{
 			User:     j.user,
 			VideoID:  j.video.VideoID,
@@ -142,7 +142,7 @@ func Run(cfg Config) (*Results, error) {
 			Metrics:  met,
 			MOS:      mos,
 			Rating:   clampRating(mos),
-			Feedback: Classify(met),
+			Feedback: classify(met),
 		}
 		return nil
 	})
@@ -152,12 +152,12 @@ func Run(cfg Config) (*Results, error) {
 	return &Results{Sessions: records, Heads: heads}, nil
 }
 
-// MOS maps objective session metrics to a continuous opinion score. The
+// opinionScore maps objective session metrics to a continuous opinion score. The
 // shape follows standard QoE models (e.g. ITU-T P.1203): a saturating map
 // from perceptual quality, with super-linear penalties for rebuffering and
 // blank regions — the three factors the study's qualitative feedback
 // categorizes.
-func MOS(m *player.Metrics) float64 {
+func opinionScore(m *player.Metrics) float64 {
 	// Quality term: mean viewport score in dB -> 1..5 (saturating).
 	q := m.MeanScore()
 	base := 1 + 4/(1+math.Exp(-(q-38.5)/3.2))
@@ -219,9 +219,9 @@ func clampRating(mos float64) int {
 	return r
 }
 
-// Classify derives the qualitative-feedback categories of Fig 17 from the
+// classify derives the qualitative-feedback categories of Fig 17 from the
 // session metrics.
-func Classify(m *player.Metrics) Feedback {
+func classify(m *player.Metrics) Feedback {
 	var f Feedback
 
 	// Blankness: skip schemes blank when tiles are missing; stall schemes
@@ -231,7 +231,7 @@ func Classify(m *player.Metrics) Feedback {
 	case blankSignal < 0.05:
 		f.Blankness = LevelGood
 	case blankSignal < 0.35:
-		f.Blankness = LevelMid
+		f.Blankness = levelMid
 	default:
 		f.Blankness = LevelBad
 	}
@@ -243,7 +243,7 @@ func Classify(m *player.Metrics) Feedback {
 	case reactSignal < 0.3:
 		f.Reactivity = LevelGood
 	case reactSignal < 1.1:
-		f.Reactivity = LevelMid
+		f.Reactivity = levelMid
 	default:
 		f.Reactivity = LevelBad
 	}
@@ -253,7 +253,7 @@ func Classify(m *player.Metrics) Feedback {
 	case m.MeanScore() >= 41:
 		f.Quality = LevelGood
 	case m.MeanScore() >= 35:
-		f.Quality = LevelMid
+		f.Quality = levelMid
 	default:
 		f.Quality = LevelBad
 	}

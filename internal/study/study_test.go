@@ -84,7 +84,7 @@ func TestMOSMonotonicity(t *testing.T) {
 		PlayDuration: time.Minute,
 		WallDuration: time.Minute,
 	}
-	good := MOS(base)
+	good := opinionScore(base)
 	if good < 4 {
 		t.Errorf("high-quality clean session MOS = %.2f, want >= 4", good)
 	}
@@ -92,29 +92,29 @@ func TestMOSMonotonicity(t *testing.T) {
 	rebuf := *base
 	rebuf.RebufferDuration = 3 * time.Second
 	rebuf.StallEvents = 5
-	if MOS(&rebuf) >= good {
+	if opinionScore(&rebuf) >= good {
 		t.Error("rebuffering did not lower MOS")
 	}
 
 	blank := *base
 	blank.FrameBlank = []float64{0.2, 0.2, 0.2}
-	if MOS(&blank) >= good {
+	if opinionScore(&blank) >= good {
 		t.Error("blank area did not lower MOS")
 	}
 
 	lowQ := *base
 	lowQ.FrameScore = []float64{30, 30, 30}
-	if MOS(&lowQ) >= good {
+	if opinionScore(&lowQ) >= good {
 		t.Error("low quality did not lower MOS")
 	}
-	if MOS(&lowQ) > 2.5 {
-		t.Errorf("30 dB session MOS = %.2f, want <= 2.5", MOS(&lowQ))
+	if opinionScore(&lowQ) > 2.5 {
+		t.Errorf("30 dB session MOS = %.2f, want <= 2.5", opinionScore(&lowQ))
 	}
 
 	masked := *base
 	masked.RenderedMasking = 50
 	masked.RenderedPrimaryByQuality[video.Highest] = 50
-	if MOS(&masked) >= good {
+	if opinionScore(&masked) >= good {
 		t.Error("masked tiles did not lower MOS")
 	}
 }
@@ -129,7 +129,7 @@ func TestMOSBounds(t *testing.T) {
 		WallDuration:     time.Minute,
 		StallEvents:      100,
 	}
-	if got := MOS(horrible); got != 1 {
+	if got := opinionScore(horrible); got != 1 {
 		t.Errorf("worst-case MOS = %v, want 1", got)
 	}
 	perfect := &player.Metrics{
@@ -138,14 +138,14 @@ func TestMOSBounds(t *testing.T) {
 		PlayDuration: time.Minute,
 		WallDuration: time.Minute,
 	}
-	if got := MOS(perfect); got < 4.5 || got > 5 {
+	if got := opinionScore(perfect); got < 4.5 || got > 5 {
 		t.Errorf("best-case MOS = %v", got)
 	}
 }
 
 func TestClassify(t *testing.T) {
 	clean := &player.Metrics{FrameScore: []float64{46}, TotalFrames: 1, PlayDuration: time.Minute}
-	f := Classify(clean)
+	f := classify(clean)
 	if f.Blankness != LevelGood || f.Reactivity != LevelGood || f.Quality != LevelGood {
 		t.Errorf("clean session classified %+v", f)
 	}
@@ -155,7 +155,7 @@ func TestClassify(t *testing.T) {
 		RebufferDuration: 6 * time.Second, PlayDuration: time.Minute,
 		WallDuration: 66 * time.Second, StallEvents: 8,
 	}
-	f = Classify(stally)
+	f = classify(stally)
 	if f.Reactivity != LevelBad {
 		t.Errorf("stally session reactivity = %v, want bad", f.Reactivity)
 	}
@@ -167,7 +167,7 @@ func TestClassify(t *testing.T) {
 		FrameScore: []float64{30}, FrameBlank: []float64{0.15},
 		TotalFrames: 1, PlayDuration: time.Minute,
 	}
-	f = Classify(blanky)
+	f = classify(blanky)
 	if f.Blankness == LevelGood || f.Quality != LevelBad {
 		t.Errorf("blanky session classified %+v", f)
 	}
@@ -224,8 +224,8 @@ func TestMOSReactivityDipPenalty(t *testing.T) {
 		PlayDuration: time.Minute,
 		WallDuration: time.Minute,
 	}
-	if MOS(choppy) >= MOS(steady) {
+	if opinionScore(choppy) >= opinionScore(steady) {
 		t.Errorf("choppy quality should rate below steady: %.2f vs %.2f",
-			MOS(choppy), MOS(steady))
+			opinionScore(choppy), opinionScore(steady))
 	}
 }

@@ -49,9 +49,9 @@ func (b *BandwidthTrace) Duration() time.Duration {
 	return time.Duration(len(b.Mbps)) * b.SamplePeriod
 }
 
-// At returns the bandwidth in Mbps at time t. Times past the end wrap
+// at returns the bandwidth in Mbps at time t. Times past the end wrap
 // around, so a trace can back a session longer than itself.
-func (b *BandwidthTrace) At(t time.Duration) float64 {
+func (b *BandwidthTrace) at(t time.Duration) float64 {
 	if len(b.Mbps) == 0 {
 		return 0
 	}
@@ -75,7 +75,7 @@ func (b *BandwidthTrace) BytesBetween(t0, t1 time.Duration) float64 {
 		if next > t1 {
 			next = t1
 		}
-		total += b.At(t) * 1e6 / 8 * (next - t).Seconds()
+		total += b.at(t) * 1e6 / 8 * (next - t).Seconds()
 		t = next
 	}
 	return total
@@ -99,7 +99,7 @@ func (b *BandwidthTrace) TimeToTransfer(bytes float64, from time.Duration) time.
 	limit := from + time.Hour
 	for t < limit {
 		next := t.Truncate(b.SamplePeriod) + b.SamplePeriod
-		rate := b.At(t) * 1e6 / 8 // bytes per second
+		rate := b.at(t) * 1e6 / 8 // bytes per second
 		span := (next - t).Seconds()
 		capacity := rate * span
 		if capacity >= remaining {
@@ -115,9 +115,9 @@ func (b *BandwidthTrace) TimeToTransfer(bytes float64, from time.Duration) time.
 	return time.Hour
 }
 
-// Percentile returns the p-th percentile bandwidth (p in [0, 100]) using
+// percentile returns the p-th percentile bandwidth (p in [0, 100]) using
 // nearest-rank on the sorted samples.
-func (b *BandwidthTrace) Percentile(p float64) float64 {
+func (b *BandwidthTrace) percentile(p float64) float64 {
 	if len(b.Mbps) == 0 {
 		return 0
 	}
@@ -148,42 +148,12 @@ func (b *BandwidthTrace) Mean() float64 {
 	return s / float64(len(b.Mbps))
 }
 
-// Crop returns the sub-trace covering [start, start+dur), clamped to the
-// trace bounds.
-func (b *BandwidthTrace) Crop(start, dur time.Duration) *BandwidthTrace {
-	i0 := int(start / b.SamplePeriod)
-	i1 := int((start + dur) / b.SamplePeriod)
-	if i0 < 0 {
-		i0 = 0
-	}
-	if i1 > len(b.Mbps) {
-		i1 = len(b.Mbps)
-	}
-	if i0 > i1 {
-		i0 = i1
-	}
-	return &BandwidthTrace{
-		ID:           fmt.Sprintf("%s[%ds+%ds]", b.ID, int(start.Seconds()), int(dur.Seconds())),
-		SamplePeriod: b.SamplePeriod,
-		Mbps:         append([]float64(nil), b.Mbps[i0:i1]...),
-	}
-}
-
 // Capped returns a copy with every sample limited to capMbps, as the paper
 // caps all samples to 28 Mbps (§4.2).
 func (b *BandwidthTrace) Capped(capMbps float64) *BandwidthTrace {
 	out := &BandwidthTrace{ID: b.ID, SamplePeriod: b.SamplePeriod, Mbps: make([]float64, len(b.Mbps))}
 	for i, v := range b.Mbps {
 		out.Mbps[i] = math.Min(v, capMbps)
-	}
-	return out
-}
-
-// Scaled returns a copy with every sample multiplied by f.
-func (b *BandwidthTrace) Scaled(f float64) *BandwidthTrace {
-	out := &BandwidthTrace{ID: b.ID, SamplePeriod: b.SamplePeriod, Mbps: make([]float64, len(b.Mbps))}
-	for i, v := range b.Mbps {
-		out.Mbps[i] = v * f
 	}
 	return out
 }
@@ -263,10 +233,10 @@ var DefaultIrishFilter = FilterOptions{MinP10Mbps: 7, MaxHighMbps: 28, HighPct: 
 func Filter(traces []*BandwidthTrace, o FilterOptions) []*BandwidthTrace {
 	var out []*BandwidthTrace
 	for _, tr := range traces {
-		if tr.Percentile(10) < o.MinP10Mbps {
+		if tr.percentile(10) < o.MinP10Mbps {
 			continue
 		}
-		if tr.Percentile(o.HighPct) > o.MaxHighMbps {
+		if tr.percentile(o.HighPct) > o.MaxHighMbps {
 			continue
 		}
 		out = append(out, tr.Capped(o.CapMbps))

@@ -17,9 +17,9 @@ import (
 	"dragonfly/internal/geom"
 )
 
-// HeadSamplePeriod is the orientation sampling period: the Oculus HMD sends
+// headSamplePeriod is the orientation sampling period: the Oculus HMD sends
 // user coordinates every 40 ms (paper §4.5).
-const HeadSamplePeriod = 40 * time.Millisecond
+const headSamplePeriod = 40 * time.Millisecond
 
 // HeadTrace is a time series of head orientations sampled at a fixed period.
 type HeadTrace struct {
@@ -124,7 +124,7 @@ func GenerateHead(p HeadGenParams) *HeadTrace {
 		p.Duration = time.Minute
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	n := int(p.Duration/HeadSamplePeriod) + 1
+	n := int(p.Duration/headSamplePeriod) + 1
 	samples := make([]geom.Orientation, n)
 
 	var sigmaV, saccadeRate, saccadeMag float64
@@ -137,7 +137,7 @@ func GenerateHead(p HeadGenParams) *HeadTrace {
 		sigmaV, saccadeRate, saccadeMag = 20, 0.25, 110
 	}
 
-	dt := HeadSamplePeriod.Seconds()
+	dt := headSamplePeriod.Seconds()
 	yaw := rng.Float64()*360 - 180
 	pitch := rng.NormFloat64() * 8
 	vYaw := 0.0 // deg/s
@@ -171,7 +171,7 @@ func GenerateHead(p HeadGenParams) *HeadTrace {
 			pitch = -60
 		}
 	}
-	return &HeadTrace{UserID: p.UserID, SamplePeriod: HeadSamplePeriod, Samples: samples, ClassLabel: p.Class.String()}
+	return &HeadTrace{UserID: p.UserID, SamplePeriod: headSamplePeriod, Samples: samples, ClassLabel: p.Class.String()}
 }
 
 // DefaultUserTraces generates n user traces with a deterministic mix of
@@ -246,7 +246,7 @@ func WriteHeadCSV(w io.Writer, h *HeadTrace) error {
 // answer for it.
 func ReadHeadCSV(r io.Reader) (*HeadTrace, error) {
 	sc := bufio.NewScanner(r)
-	h := &HeadTrace{SamplePeriod: HeadSamplePeriod}
+	h := &HeadTrace{SamplePeriod: headSamplePeriod}
 	var times []int64
 	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())

@@ -27,7 +27,7 @@ func TestHeadAtZeroSamplePeriod(t *testing.T) {
 	if got := h.At(time.Second); got.Yaw != 30 {
 		t.Fatalf("At(1s) = %+v, want last sample", got)
 	}
-	neg := &HeadTrace{Samples: []geom.Orientation{{Yaw: 5}}, SamplePeriod: -HeadSamplePeriod}
+	neg := &HeadTrace{Samples: []geom.Orientation{{Yaw: 5}}, SamplePeriod: -headSamplePeriod}
 	if got := neg.At(time.Minute); got.Yaw != 5 {
 		t.Fatalf("At with negative period = %+v, want the only sample", got)
 	}

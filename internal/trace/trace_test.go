@@ -120,7 +120,7 @@ func TestMaxDisplacementPerChunk(t *testing.T) {
 		}
 	}
 	// A static user yields zero displacement.
-	static := &HeadTrace{SamplePeriod: HeadSamplePeriod, Samples: make([]geom.Orientation, 100)}
+	static := &HeadTrace{SamplePeriod: headSamplePeriod, Samples: make([]geom.Orientation, 100)}
 	d0 := MaxDisplacementPerChunk([]*HeadTrace{static}, time.Second, 2)
 	if d0[0] != 0 || d0[1] != 0 {
 		t.Errorf("static user displacement = %v", d0)
@@ -174,16 +174,16 @@ func TestReadHeadCSVRejectsNonFinite(t *testing.T) {
 
 func TestBandwidthAtAndWrap(t *testing.T) {
 	b := &BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{10, 20, 30}}
-	if b.At(0) != 10 || b.At(1500*time.Millisecond) != 20 || b.At(2*time.Second) != 30 {
+	if b.at(0) != 10 || b.at(1500*time.Millisecond) != 20 || b.at(2*time.Second) != 30 {
 		t.Error("At basic lookup wrong")
 	}
-	if b.At(3*time.Second) != 10 {
+	if b.at(3*time.Second) != 10 {
 		t.Error("At should wrap")
 	}
-	if b.At(-time.Second) != 10 {
+	if b.at(-time.Second) != 10 {
 		t.Error("At negative should clamp")
 	}
-	if (&BandwidthTrace{}).At(0) != 0 {
+	if (&BandwidthTrace{}).at(0) != 0 {
 		t.Error("empty trace should return 0")
 	}
 }
@@ -220,26 +220,22 @@ func TestBytesBetweenAdditiveProperty(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	b := &BandwidthTrace{Mbps: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}
-	if got := b.Percentile(0); got != 1 {
+	if got := b.percentile(0); got != 1 {
 		t.Errorf("p0 = %v", got)
 	}
-	if got := b.Percentile(100); got != 10 {
+	if got := b.percentile(100); got != 10 {
 		t.Errorf("p100 = %v", got)
 	}
-	if got := b.Percentile(50); got != 5 {
+	if got := b.percentile(50); got != 5 {
 		t.Errorf("p50 = %v", got)
 	}
-	if got := b.Percentile(90); got != 9 {
+	if got := b.percentile(90); got != 9 {
 		t.Errorf("p90 = %v", got)
 	}
 }
 
-func TestCropAndCap(t *testing.T) {
+func TestCapped(t *testing.T) {
 	b := &BandwidthTrace{ID: "x", SamplePeriod: time.Second, Mbps: []float64{5, 50, 15, 40}}
-	c := b.Crop(time.Second, 2*time.Second)
-	if len(c.Mbps) != 2 || c.Mbps[0] != 50 || c.Mbps[1] != 15 {
-		t.Errorf("crop = %v", c.Mbps)
-	}
 	capped := b.Capped(28)
 	for _, v := range capped.Mbps {
 		if v > 28 {
@@ -275,11 +271,11 @@ func TestDefaultBelgianTraces(t *testing.T) {
 		t.Fatalf("got %d Belgian traces, want 11", len(traces))
 	}
 	for _, tr := range traces {
-		if tr.Percentile(10) < 7 {
-			t.Errorf("%s: p10 = %v < 7", tr.ID, tr.Percentile(10))
+		if tr.percentile(10) < 7 {
+			t.Errorf("%s: p10 = %v < 7", tr.ID, tr.percentile(10))
 		}
-		if tr.Percentile(100) > 28 {
-			t.Errorf("%s: max %v > cap", tr.ID, tr.Percentile(100))
+		if tr.percentile(100) > 28 {
+			t.Errorf("%s: max %v > cap", tr.ID, tr.percentile(100))
 		}
 		if d := tr.Duration(); d != time.Minute {
 			t.Errorf("%s: duration %v", tr.ID, d)
@@ -340,13 +336,5 @@ func TestGenerateBandwidthDeterministic(t *testing.T) {
 		if a.Mbps[i] != b.Mbps[i] {
 			t.Fatal("nondeterministic bandwidth generation")
 		}
-	}
-}
-
-func TestScaled(t *testing.T) {
-	b := &BandwidthTrace{Mbps: []float64{2, 4}, SamplePeriod: time.Second}
-	s := b.Scaled(2.5)
-	if s.Mbps[0] != 5 || s.Mbps[1] != 10 {
-		t.Errorf("scaled = %v", s.Mbps)
 	}
 }

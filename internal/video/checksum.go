@@ -91,8 +91,8 @@ func (m *Manifest) TileChecksum(chunk int, tile geom.TileID, q Quality) uint32 {
 	return m.checksums[m.index(chunk, tile, q)]
 }
 
-// SetTileChecksum sets the payload checksum of the tile variant.
-func (m *Manifest) SetTileChecksum(chunk int, tile geom.TileID, q Quality, sum uint32) {
+// setTileChecksum sets the payload checksum of the tile variant.
+func (m *Manifest) setTileChecksum(chunk int, tile geom.TileID, q Quality, sum uint32) {
 	if len(m.checksums) == 0 {
 		m.allocChecksums()
 	}
@@ -111,8 +111,8 @@ func (m *Manifest) Full360Checksum(chunk int, q Quality) uint32 {
 	return m.full360Checksums[chunk*NumQualities+int(q)]
 }
 
-// SetFull360Checksum sets the payload checksum of the untiled chunk.
-func (m *Manifest) SetFull360Checksum(chunk int, q Quality, sum uint32) {
+// setFull360Checksum sets the payload checksum of the untiled chunk.
+func (m *Manifest) setFull360Checksum(chunk int, q Quality, sum uint32) {
 	if len(m.full360Checksums) == 0 {
 		m.allocChecksums()
 	}

@@ -38,7 +38,7 @@ func appendCanonical(dst []byte, m *Manifest) ([]byte, bool) {
 	b = strconv.AppendInt(b, int64(m.ChunkFrames), 10)
 	b = append(b, `,"num_chunks":`...)
 	b = strconv.AppendInt(b, int64(m.NumChunks), 10)
-	b = appendInts(append(b, `,"qps":`...), QPs[:])
+	b = appendInts(append(b, `,"qps":`...), qps[:])
 	b = appendInts(append(b, `,"sizes":`...), m.sizes)
 	b = appendFloats(append(b, `,"psnr":`...), m.psnr)
 	b = appendFloats(append(b, `,"pspnr":`...), m.pspnr)

@@ -53,7 +53,7 @@ func checkEncoding(t *testing.T, name string, m *Manifest) {
 // without checksums, nil against empty arrays, a video id that needs
 // escaping, and the float boundaries where json.Marshal switches format.
 func TestManifestEncodingMatchesJSON(t *testing.T) {
-	for _, m := range GenerateDataset(Table3) {
+	for _, m := range DefaultDataset() {
 		if m.NumChunks != 60 {
 			t.Fatalf("%s has %d chunks, want 60", m.VideoID, m.NumChunks)
 		}
@@ -102,7 +102,7 @@ func FuzzAppendManifestFloat(f *testing.F) {
 	for _, x := range []float64{0, 1e-6, 1e21, 5e-324, math.MaxFloat64, 38.123456789012345, math.NaN()} {
 		f.Add(math.Float64bits(x))
 	}
-	m := NewManifest("float", 1, 1, 30, 30, 1)
+	m := newManifest("float", 1, 1, 30, 30, 1)
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		x := math.Float64frombits(bits)
 		m.MaskDisplacement[0] = x

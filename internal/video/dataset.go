@@ -26,13 +26,8 @@ var Table3 = []DatasetEntry{
 // DefaultDataset generates the seven Table 3 videos with the paper's
 // evaluation configuration (12×12 tiles, 1-second chunks, 1-minute videos).
 func DefaultDataset() []*Manifest {
-	return GenerateDataset(Table3)
-}
-
-// GenerateDataset synthesizes one manifest per entry.
-func GenerateDataset(entries []DatasetEntry) []*Manifest {
-	out := make([]*Manifest, 0, len(entries))
-	for _, e := range entries {
+	out := make([]*Manifest, 0, len(Table3))
+	for _, e := range Table3 {
 		out = append(out, Generate(GenParams{
 			ID:             e.ID,
 			TargetQP42Mbps: e.QP42Mbps,

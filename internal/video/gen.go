@@ -78,7 +78,7 @@ const perTileHeaderBytes = 220
 func Generate(p GenParams) *Manifest {
 	p.fillDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
-	m := NewManifest(p.ID, p.Rows, p.Cols, p.FPS, p.ChunkFrames, p.NumChunks)
+	m := newManifest(p.ID, p.Rows, p.Cols, p.FPS, p.ChunkFrames, p.NumChunks)
 	tiles := m.NumTiles()
 
 	// Static spatial complexity field in (0.1, 1]: a sum of low-frequency
@@ -197,7 +197,7 @@ func Generate(p GenParams) *Manifest {
 				qp := q.QP()
 				psnr := psnr22 - slope*float64(qp-22)
 				psnr = math.Max(18, math.Min(52, psnr))
-				m.SetTilePSNR(chunk, tid, q, psnr)
+				m.setTilePSNR(chunk, tid, q, psnr)
 				// PSPNR: distortion below the JND threshold is imperceptible.
 				// Textured tiles (higher JND) mask more of their distortion;
 				// the proportional floor keeps the perceptible error tied to
@@ -205,12 +205,12 @@ func Generate(p GenParams) *Manifest {
 				mse := 255 * 255 * math.Pow(10, -psnr/10)
 				perceptible := math.Max(mse-jnd*jnd*0.3, mse*0.15)
 				pspnr := 10 * math.Log10(255*255/perceptible)
-				m.SetTilePSPNR(chunk, tid, q, math.Min(pspnr, 60))
+				m.setTilePSPNR(chunk, tid, q, math.Min(pspnr, 60))
 			}
 			// Black-render penalty: MSE against black grows with luminance.
 			l := lum[t] * 150
 			mseBlack := l*l + 1500*c // mean² plus content variance
-			m.SetBlackPSNR(chunk, tid, 10*math.Log10(255*255/mseBlack))
+			m.setBlackPSNR(chunk, tid, 10*math.Log10(255*255/mseBlack))
 		}
 	}
 
@@ -223,10 +223,10 @@ func Generate(p GenParams) *Manifest {
 	m.allocChecksums()
 	for chunk := 0; chunk < p.NumChunks; chunk++ {
 		for q := Quality(0); q < NumQualities; q++ {
-			m.SetFull360Checksum(chunk, q, zeroCRC(m.Full360Size(chunk, q)))
+			m.setFull360Checksum(chunk, q, zeroCRC(m.Full360Size(chunk, q)))
 			for t := 0; t < tiles; t++ {
 				tid := geom.TileID(t)
-				m.SetTileChecksum(chunk, tid, q, zeroCRC(m.TileSize(chunk, tid, q)))
+				m.setTileChecksum(chunk, tid, q, zeroCRC(m.TileSize(chunk, tid, q)))
 			}
 		}
 	}

@@ -64,10 +64,10 @@ func GroupTiles(m *Manifest, chunk, n int) [][]geom.TileID {
 // rates (paper Fig 20: the F/V overhead ratio shrinks at high quality).
 var groupCompressionSaving = [NumQualities]float64{0.85, 0.80, 0.70, 0.55, 0.40}
 
-// GroupSize returns the encoded size of a tile group at quality q: the sum
+// groupSize returns the encoded size of a tile group at quality q: the sum
 // of the member tiles' payloads minus the recovered tiling overhead, plus a
 // single header instead of one per tile.
-func GroupSize(m *Manifest, chunk int, group []geom.TileID, q Quality) int64 {
+func groupSize(m *Manifest, chunk int, group []geom.TileID, q Quality) int64 {
 	var payload int64
 	for _, t := range group {
 		payload += m.TileSize(chunk, t, q) - perTileHeaderBytes
@@ -94,7 +94,7 @@ func groupScale(n int) float64 {
 func GroupedChunkSize(m *Manifest, chunk int, groups [][]geom.TileID, q Quality) int64 {
 	var total int64
 	for _, g := range groups {
-		total += GroupSize(m, chunk, g, q)
+		total += groupSize(m, chunk, g, q)
 	}
 	return total
 }

@@ -38,7 +38,7 @@ func (m *Manifest) wire() manifestJSON {
 		FPS:              m.FPS,
 		ChunkFrames:      m.ChunkFrames,
 		NumChunks:        m.NumChunks,
-		QPs:              QPs[:],
+		QPs:              qps[:],
 		Sizes:            m.sizes,
 		PSNR:             m.psnr,
 		PSPNR:            m.pspnr,
@@ -75,16 +75,6 @@ func (m *Manifest) AppendJSON(dst []byte) ([]byte, error) {
 		return dst, fmt.Errorf("video: marshal manifest: %w", err)
 	}
 	return append(dst, b...), nil
-}
-
-// ReadManifest reads a JSON manifest to the end of r and decodes it with
-// DecodeManifest.
-func ReadManifest(r io.Reader) (*Manifest, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("video: read manifest: %w", err)
-	}
-	return DecodeManifest(b)
 }
 
 // DecodeManifest parses a JSON manifest and validates its dimensions. The

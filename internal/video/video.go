@@ -25,9 +25,9 @@ type Quality int
 // NumQualities is the number of encoded quality levels per tile.
 const NumQualities = 5
 
-// QPs maps Quality to the H.264/H.265 quantization parameter of that level,
+// qps maps Quality to the H.264/H.265 quantization parameter of that level,
 // matching the paper's encodings (§4.2).
-var QPs = [NumQualities]int{42, 37, 32, 27, 22}
+var qps = [NumQualities]int{42, 37, 32, 27, 22}
 
 // Lowest and Highest name the extreme quality levels.
 const (
@@ -43,7 +43,7 @@ func (q Quality) QP() int {
 	if !q.Valid() {
 		panic(fmt.Sprintf("video: invalid quality %d", q))
 	}
-	return QPs[q]
+	return qps[q]
 }
 
 // Manifest describes one video: its tiling, chunking, and the size and
@@ -92,9 +92,9 @@ type Manifest struct {
 	grid     *geom.Grid
 }
 
-// NewManifest allocates an empty manifest with the given dimensions. All
+// newManifest allocates an empty manifest with the given dimensions. All
 // sizes and metrics start at zero; the generator fills them in.
-func NewManifest(id string, rows, cols, fps, chunkFrames, numChunks int) *Manifest {
+func newManifest(id string, rows, cols, fps, chunkFrames, numChunks int) *Manifest {
 	if rows <= 0 || cols <= 0 || fps <= 0 || chunkFrames <= 0 || numChunks <= 0 {
 		panic("video: invalid manifest dimensions")
 	}
@@ -167,8 +167,8 @@ func (m *Manifest) TilePSNR(chunk int, tile geom.TileID, q Quality) float64 {
 	return m.psnr[m.index(chunk, tile, q)]
 }
 
-// SetTilePSNR sets the PSNR in dB of the tile variant.
-func (m *Manifest) SetTilePSNR(chunk int, tile geom.TileID, q Quality, db float64) {
+// setTilePSNR sets the PSNR in dB of the tile variant.
+func (m *Manifest) setTilePSNR(chunk int, tile geom.TileID, q Quality, db float64) {
 	m.psnr[m.index(chunk, tile, q)] = db
 }
 
@@ -177,8 +177,8 @@ func (m *Manifest) TilePSPNR(chunk int, tile geom.TileID, q Quality) float64 {
 	return m.pspnr[m.index(chunk, tile, q)]
 }
 
-// SetTilePSPNR sets the PSPNR in dB of the tile variant.
-func (m *Manifest) SetTilePSPNR(chunk int, tile geom.TileID, q Quality, db float64) {
+// setTilePSPNR sets the PSPNR in dB of the tile variant.
+func (m *Manifest) setTilePSPNR(chunk int, tile geom.TileID, q Quality, db float64) {
 	m.pspnr[m.index(chunk, tile, q)] = db
 }
 
@@ -189,8 +189,8 @@ func (m *Manifest) BlackPSNR(chunk int, tile geom.TileID) float64 {
 	return m.blackPSNR[chunk*m.NumTiles()+int(tile)]
 }
 
-// SetBlackPSNR sets the black-render PSNR of a tile.
-func (m *Manifest) SetBlackPSNR(chunk int, tile geom.TileID, db float64) {
+// setBlackPSNR sets the black-render PSNR of a tile.
+func (m *Manifest) setBlackPSNR(chunk int, tile geom.TileID, db float64) {
 	m.blackPSNR[chunk*m.NumTiles()+int(tile)] = db
 }
 

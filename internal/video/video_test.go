@@ -24,7 +24,7 @@ func TestQualityQP(t *testing.T) {
 	prev := 100
 	for q := Quality(0); q < NumQualities; q++ {
 		if q.QP() >= prev {
-			t.Fatalf("QPs not strictly decreasing at %d", q)
+			t.Fatalf("qps not strictly decreasing at %d", q)
 		}
 		prev = q.QP()
 	}
@@ -281,7 +281,7 @@ func TestFixedVsGroupedOverheadShrinks(t *testing.T) {
 func TestGroupSizeSingleton(t *testing.T) {
 	m := testManifest(t)
 	id := geom.TileID(7)
-	got := GroupSize(m, 0, []geom.TileID{id}, Quality(2))
+	got := groupSize(m, 0, []geom.TileID{id}, Quality(2))
 	want := m.TileSize(0, id, Quality(2))
 	if got != want {
 		t.Errorf("singleton group size %d != tile size %d", got, want)
@@ -295,7 +295,7 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(&buf)
+	got, err := DecodeManifest(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +349,13 @@ func TestReadManifestRejectsCorrupt(t *testing.T) {
 		spaced + `{"video_id":"y"}`,
 	}
 	for i, c := range cases {
-		if _, err := ReadManifest(bytes.NewReader([]byte(c))); err == nil {
+		if _, err := DecodeManifest([]byte(c)); err == nil {
 			t.Errorf("case %d: corrupt manifest accepted", i)
 		}
 	}
 	// Trailing whitespace is json.Unmarshal's rule, and stays accepted.
 	for _, c := range []string{good.String() + " \n", spaced + "\t"} {
-		if _, err := ReadManifest(bytes.NewReader([]byte(c))); err != nil {
+		if _, err := DecodeManifest([]byte(c)); err != nil {
 			t.Errorf("manifest with trailing whitespace rejected: %v", err)
 		}
 	}
@@ -381,7 +381,7 @@ func TestReadManifestRejectsNegativeSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadManifest(bytes.NewReader(raw)); err == nil {
+		if _, err := DecodeManifest(raw); err == nil {
 			t.Errorf("manifest with a negative entry in %q accepted", field)
 		}
 	}
@@ -461,7 +461,7 @@ func TestManifestChecksums(t *testing.T) {
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(&buf)
+	got, err := DecodeManifest(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestReadManifestRejectsPartialChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(bytes.NewReader(raw)); err == nil {
+	if _, err := DecodeManifest(raw); err == nil {
 		t.Error("manifest with partial checksum arrays accepted")
 	}
 	// Dropping both is the documented pre-v3 form and must stay readable.
@@ -506,7 +506,7 @@ func TestReadManifestRejectsPartialChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := ReadManifest(bytes.NewReader(raw))
+	legacy, err := DecodeManifest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,13 +527,13 @@ func FuzzReadManifest(f *testing.F) {
 	f.Add(good.Bytes())
 	f.Add([]byte(overflowManifest))
 	f.Add([]byte(`{"video_id":"x","rows":-1}`))
-	legacy := NewManifest("lg", 1, 2, 30, 30, 1)
+	legacy := newManifest("lg", 1, 2, 30, 30, 1)
 	legacy.MaskDisplacement = nil
 	raw, _ := legacy.AppendJSON(nil)
 	f.Add(raw)
 	f.Add(append(raw, " garbage"...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := ReadManifest(bytes.NewReader(raw))
+		m, err := DecodeManifest(raw)
 		want, werr := decodeJSON(raw)
 		if (err == nil) != (werr == nil) || !reflect.DeepEqual(m, want) {
 			t.Fatalf("DecodeManifest = (%v), encoding/json = (%v), or the manifests differ", err, werr)
@@ -555,7 +555,7 @@ func FuzzReadManifest(f *testing.F) {
 		if _, err := m.WriteTo(&out); err != nil {
 			t.Fatalf("accepted manifest failed to encode: %v", err)
 		}
-		if _, err := ReadManifest(&out); err != nil {
+		if _, err := DecodeManifest(out.Bytes()); err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
 	})

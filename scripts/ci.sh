@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: formatting, vet, the doc-drift gates, the settings ratchet, the
-# full test suite once under the race detector, a fuzz smoke, and a
-# one-iteration benchmark smoke compared against the committed baseline.
+# CI gate: formatting, vet, the doc-drift gates, the settings and export
+# ratchets, the full test suite once under the race detector, a fuzz smoke,
+# and a one-iteration benchmark smoke compared against the committed
+# baseline.
 # The chaos tests (internal/client, internal/server, internal/netem)
 # exercise real goroutine-per-connection sessions with mid-stream
 # disconnects, so -race here is load-bearing, not ceremony.
@@ -122,10 +123,24 @@ done
 # whose type name ends in Options, Config, Policy or Sweep must be set by
 # name by some non-test file outside its package (bench/ counts), or be
 # listed with its reason in scripts/unset_settings.txt. A knob nobody sets
-# is a constant beside its reader. The audit is a test behind the
-# settingsaudit build tag, so the plain suite neither builds nor runs it; it
-# fails on an unlisted unset setting and on a listed one it no longer finds.
-go test -tags settingsaudit -run '^TestSettingsAudit$' -count=1 .
+# is a constant beside its reader.
+# Export ratchet: every other exported internal/ name (function, type,
+# constant, variable, method; struct fields aside) must be named by some
+# non-test file outside its package (bench/ counts), or be listed with its
+# reason in scripts/unused_exports.txt. A method is also used when its type
+# implements an interface the program declares, names or imports that has
+# it, and a type when a used or listed name's signature, type or exported
+# fields carry it. In leaktest and fleettest, which exist for tests, tests
+# count as callers; the experiments the reference documents cite are
+# exempt. Each finding says what to do: delete a name nothing names, move
+# one only its own tests name into a _test.go file, unexport one only its
+# own package names. TestExportAuditFixture holds those rules to
+# testdata/exportaudit, one name per rule.
+# Both audits are tests behind the settingsaudit build tag, so the plain
+# suite neither builds nor runs them, and both run on one type-checked load
+# of the repository. Each fails on an unlisted finding and on a listed name
+# it no longer finds, so both lists only shrink.
+go test -tags settingsaudit -run '^Test(Settings|Export)Audit' -count=1 .
 
 # The whole suite once, uncached, under the race detector. This is also the
 # run that holds the seeded system gates — TestChaosSoak (every failpoint

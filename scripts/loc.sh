@@ -1,8 +1,9 @@
 #!/bin/sh
 # Non-test Go lines per package and in total, bench/ excluded (it is its
-# own module, sized separately): the figure ROADMAP.md and CHANGES.md quote
-# when a PR claims the tree got smaller. The total equals
-#   find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+# own module, sized separately) and so are testdata/ fixtures (the go tool
+# builds none of them): the figure ROADMAP.md and CHANGES.md quote when a
+# PR claims the tree got smaller. The total equals
+#   find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 # After the total come the ten longest non-test functions over the same
 # files, ROADMAP.md's longest-function table: a function runs from its
 # `func` line to the first `}` in column one. Last come the command-line
@@ -11,7 +12,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-files=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | sort)
+files=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | sort)
 
 for f in $files; do
 	echo "$(dirname "$f" | sed 's|^\./||') $(wc -l <"$f")"

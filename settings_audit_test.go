@@ -1,16 +1,18 @@
 //go:build settingsaudit
 
-// The settings ratchet, run by scripts/ci.sh as
+// The settings ratchet, run by scripts/ci.sh beside the export ratchet
+// (export_audit_test.go) as
 //
-//	go test -tags settingsaudit -run '^TestSettingsAudit$' .
+//	go test -tags settingsaudit -run '^Test(Settings|Export)Audit' .
 //
 // A setting is an exported field of an exported struct under internal/
-// whose type name ends in Options, Config, Policy or Sweep. The audit
-// type-checks every non-test file of the module and of bench/ and lists
-// each setting that no file outside the setting's own package sets by
-// name, as a composite-literal key or on the left of an assignment. Every
-// listed setting must have a line, with its reason, in
-// scripts/unset_settings.txt; a setting that gains a caller must leave it.
+// whose type name ends in Options, Config, Policy or Sweep. The audit reads
+// every non-test file of the module and of bench/, from the one load both
+// audits share (loadRepo), and lists each setting that no file outside the
+// setting's own package sets by name, as a composite-literal key or on the
+// left of an assignment. Every listed setting must have a line, with its
+// reason, in scripts/unset_settings.txt; a setting that gains a caller must
+// leave it.
 // A knob nobody sets is a constant waiting to be written beside its reader.
 package dragonfly_test
 
@@ -27,6 +29,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,7 +37,7 @@ const unsetSettingsList = "scripts/unset_settings.txt"
 
 func TestSettingsAudit(t *testing.T) {
 	found := unsetSettings(t)
-	allowed := readUnsetSettings(t)
+	allowed := readReasonList(t, unsetSettingsList)
 	for _, name := range found {
 		if !allowed[name] {
 			t.Errorf("%s is set by no caller outside its package: make it a constant beside its reader, or add it with its reason to %s", name, unsetSettingsList)
@@ -46,10 +49,10 @@ func TestSettingsAudit(t *testing.T) {
 	}
 }
 
-// readUnsetSettings parses the committed list: one setting per line, then
+// readReasonList parses a committed ratchet list: one name per line, then
 // its reason; blank lines and lines starting with '#' are ignored.
-func readUnsetSettings(t *testing.T) map[string]bool {
-	f, err := os.Open(unsetSettingsList)
+func readReasonList(t *testing.T, path string) map[string]bool {
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func readUnsetSettings(t *testing.T) map[string]bool {
 		}
 		name, reason, _ := strings.Cut(line, " ")
 		if strings.TrimSpace(reason) == "" {
-			t.Errorf("%s: %s carries no reason", unsetSettingsList, name)
+			t.Errorf("%s: %s carries no reason", path, name)
 		}
 		out[name] = true
 	}
@@ -76,27 +79,7 @@ func readUnsetSettings(t *testing.T) map[string]bool {
 // unsetSettings returns the sorted settings, as pkg.Type.Field with pkg
 // relative to internal/, that no file outside their package sets.
 func unsetSettings(t *testing.T) []string {
-	l := &loader{
-		fset:  token.NewFileSet(),
-		dirs:  map[string]string{},
-		pkgs:  map[string]*types.Package{},
-		files: map[*types.Package][]*ast.File{},
-		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	l.addModule(t, ".", "dragonfly", "bench")
-	l.addModule(t, "bench", "dragonfly/bench", "")
-	paths := make([]string, 0, len(l.dirs))
-	for p := range l.dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := l.Import(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	l := loadRepo(t)
 	set := map[*types.Var]bool{}
 	for pkg, files := range l.files {
 		mark := func(id *ast.Ident) {
@@ -132,7 +115,7 @@ func unsetSettings(t *testing.T) []string {
 	}
 
 	var out []string
-	for _, p := range paths {
+	for _, p := range l.paths {
 		rel, ok := strings.CutPrefix(p, "dragonfly/internal/")
 		if !ok {
 			continue
@@ -140,7 +123,7 @@ func unsetSettings(t *testing.T) []string {
 		scope := l.pkgs[p].Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || !isSettingsType(name) {
+			if !ok || !tn.Exported() || l.inTest(tn) || !isSettingsType(name) {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -167,31 +150,103 @@ func isSettingsType(name string) bool {
 	return false
 }
 
+// repoLoad is the one load of the repository both audits read: the module
+// and bench/, each package with its tests.
+var repoLoad struct {
+	once sync.Once
+	l    *loader
+	err  error
+}
+
+func loadRepo(t *testing.T) *loader {
+	repoLoad.once.Do(func() {
+		repoLoad.l, repoLoad.err = load(module{".", "dragonfly", "bench"}, module{"bench", "dragonfly/bench", ""})
+	})
+	if repoLoad.err != nil {
+		t.Fatal(repoLoad.err)
+	}
+	return repoLoad.l
+}
+
+// module is a tree to load: its root directory, its module path, and a
+// nested module under root to leave out.
+type module struct{ root, path, skip string }
+
+// srcFile is one parsed file, with the import path of its directory; an
+// external test file's is the path of the package it tests.
+type srcFile struct {
+	f    *ast.File
+	dir  string
+	test bool
+}
+
 // loader type-checks the repository's packages from source, each once, so
-// a field has one object however many packages reach it. The standard
-// library comes from the source importer.
+// a name has one object however many packages reach it. A package is
+// checked with its in-package test files, and its external test package
+// after every package is loaded. The standard library comes from the
+// source importer.
 type loader struct {
 	fset  *token.FileSet
 	dirs  map[string]string // import path -> directory
+	paths []string          // the sorted keys of dirs
 	pkgs  map[string]*types.Package
-	files map[*types.Package][]*ast.File
+	files map[*types.Package][]*ast.File // non-test files only
+	srcs  []srcFile
 	info  *types.Info
 	std   types.Importer
 }
 
+func load(mods ...module) (*loader, error) {
+	l := &loader{
+		fset:  token.NewFileSet(),
+		dirs:  map[string]string{},
+		pkgs:  map[string]*types.Package{},
+		files: map[*types.Package][]*ast.File{},
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	for _, m := range mods {
+		if err := l.addModule(m); err != nil {
+			return nil, err
+		}
+	}
+	for p := range l.dirs {
+		l.paths = append(l.paths, p)
+	}
+	sort.Strings(l.paths)
+	for _, p := range l.paths {
+		if _, err := l.Import(p); err != nil {
+			return nil, err
+		}
+	}
+	for _, p := range l.paths {
+		bp, err := build.ImportDir(l.dirs[p], 0)
+		if err != nil || len(bp.XTestGoFiles) == 0 {
+			continue
+		}
+		if _, err := l.check(p+"_test", p, bp.XTestGoFiles, true); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
 // addModule registers every directory under root that holds Go files,
 // skipping testdata, hidden directories and the nested module skip.
-func (l *loader) addModule(t *testing.T, root, modPath, skip string) {
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+func (l *loader) addModule(m module) error {
+	return filepath.WalkDir(m.root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
 		name := d.Name()
-		if path != root && (path == skip || name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+		if path != m.root && (path == m.skip || name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		rel, _ := filepath.Rel(root, path)
-		imp := modPath
+		rel, _ := filepath.Rel(m.root, path)
+		imp := m.path
 		if rel != "." {
 			imp += "/" + filepath.ToSlash(rel)
 		}
@@ -200,9 +255,11 @@ func (l *loader) addModule(t *testing.T, root, modPath, skip string) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// inTest reports whether obj is declared in a _test.go file.
+func (l *loader) inTest(obj types.Object) bool {
+	return strings.HasSuffix(l.fset.Position(obj.Pos()).Filename, "_test.go")
 }
 
 // Import implements types.Importer.
@@ -218,9 +275,20 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	p, err := l.check(path, path, append(bp.GoFiles, bp.TestGoFiles...), false)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	return p, nil
+}
+
+// check parses names in dir's directory and type-checks them as one
+// package. dir is the import path the files are filed under.
+func (l *loader) check(path, dir string, names []string, xtest bool) (*types.Package, error) {
 	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(l.dirs[dir], name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +299,12 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.pkgs[path] = p
-	l.files[p] = files
+	for i, f := range files {
+		test := xtest || strings.HasSuffix(names[i], "_test.go")
+		l.srcs = append(l.srcs, srcFile{f, dir, test})
+		if !test {
+			l.files[p] = append(l.files[p], f)
+		}
+	}
 	return p, nil
 }
