@@ -465,8 +465,14 @@ func (s *session) connect(held *player.HeldSummary) (net.Conn, *video.Manifest, 
 // attempts or TotalBudget run out the link is declared dead and playback
 // carries on with what is held.
 func (s *session) reconnect() {
-	retry.Sleep(s.ctx, s.rp.delay(0, s.rng)) // cut short if the session ends; connect then fails at once
+	retry.Sleep(s.ctx, s.rp.delay(0, s.rng)) // cut short if the session ends
 	s.mu.Lock()
+	if s.ctx.Err() != nil {
+		// The session has finished (finish cancels under mu before Finish),
+		// and its Playback's tile state belongs to the next session.
+		s.mu.Unlock()
+		return
+	}
 	held := s.pb.Held()
 	s.mu.Unlock()
 	conn, _, err := s.connect(&held)

@@ -104,6 +104,59 @@ func TestSessionEndStopsPendingBackoff(t *testing.T) {
 	}
 }
 
+// A session that ends while its reconnector waits out a backoff leaves its
+// Playback alone: Finish hands the tile state on to the next session, so
+// the reconnector checks that the session is still running before it reads
+// what is held for a resume. Each session here holds tiles when its link
+// drops, ends mid-backoff, and is followed at once by a session on the same
+// manifest that starts in the storage the first gave back while the first
+// one's reconnector wakes. Reading the finished Playback panics, and under
+// -race a read of the storage the next session writes is reported.
+func TestFinishDuringBackoffReadsNoTiles(t *testing.T) {
+	defer leaktest.CheckTimeout(t, 300*time.Millisecond)()
+	const sessions = 4
+	m := oneSecondVideo()
+	held := []player.RequestItem{{Stream: player.Masking, Full360: true}, {Tile: 7}}
+	heldBytes := held[0].Size(m) + held[1].Size(m)
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		go func() {
+			dial := func() (net.Conn, error) {
+				// Chunk 0's full-360° masking and one primary tile (the
+				// generator's payloads are zeros), then the peer hangs up.
+				conn, _ := scriptedPeer(m, func(srv net.Conn) {
+					for _, it := range held {
+						_ = proto.WriteTileData(srv, proto.TileData{Item: it, Payload: make([]byte, it.Size(m))})
+					}
+					srv.Close()
+				})
+				return conn, nil
+			}
+			met, err := PlayResilient(dial, "live", liveHead(time.Second), core.NewDefault(), PlayOptions{
+				Reconnect: ReconnectPolicy{MaxAttempts: 3, BaseDelay: 3 * time.Second, MaxDelay: 3 * time.Second},
+			})
+			if err == nil && (met.Disconnects != 1 || met.ResumedTiles != 0 || met.BytesReceived != heldBytes || met.CorruptTiles != 0) {
+				err = fmt.Errorf("Disconnects %d ResumedTiles %d BytesReceived %d CorruptTiles %d, want 1 0 %d 0",
+					met.Disconnects, met.ResumedTiles, met.BytesReceived, met.CorruptTiles, heldBytes)
+			}
+			if err == nil {
+				conn, _ := scriptedPeer(m, nil)
+				met, err = Play(conn, "live", liveHead(time.Second), core.NewDefault(), PlayOptions{})
+				conn.Close()
+				if err == nil && met.TotalFrames != m.NumFrames() {
+					err = fmt.Errorf("the next session rendered %d frames, want %d", met.TotalFrames, m.NumFrames())
+				}
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < sessions; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // PlayResilient owns the connections it dials: on every return path the
 // last one is closed — and with it the receiver goroutine ends — even when
 // the peer never hangs up.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"dragonfly/internal/geom"
@@ -13,11 +14,15 @@ import (
 // look-ahead plus a utility-scheduled primary stream with proactive
 // skipping, refined every decision interval.
 //
-// An instance carries per-session scratch state (reusable window, scheduler
-// and output buffers, and the session's resolved overlap/score tables), so
-// each session needs its own instance and Decide must not be called
-// concurrently — the same contract the sim harness already follows by
-// building one scheme per session.
+// An instance holds what outlives a decision: its options, its metric
+// handles, the session's resolved overlap/score tables and the
+// double-buffered output list a Decide result aliases. Everything a
+// decision builds and discards (the masking plan, both windows and
+// schedulers) is a scratch that Decide borrows from a process-wide pool
+// and returns before it does, so it outlives the session while nothing of
+// a decision carries into the next. Each session still needs its own
+// instance, and Decide must not be called concurrently on one — the
+// contract the sim harness follows by building one scheme per session.
 type Dragonfly struct {
 	opts Options
 
@@ -27,17 +32,27 @@ type Dragonfly struct {
 	// at no cost.
 	met *decideMetrics
 
-	// Per-session scratch, all reused across decisions.
-	tabs    sessionTables
+	tabs  sessionTables
+	items [2][]player.RequestItem // double-buffered Decide output
+	flip  int
+}
+
+// scratch is one decision's working storage. Every field is rebuilt from
+// the Context by the decision that uses it, so a scratch last used by
+// another instance (another session, other Options) decides the same.
+type scratch struct {
 	plan    maskPlan
 	w       window    // primary-stream window
 	sched   scheduler // primary-stream scheduler
 	mw      window    // masking-stream window (MaskScheduled)
 	msched  scheduler // masking-stream scheduler (MaskScheduled)
 	tileBuf []geom.TileID
-	items   [2][]player.RequestItem // double-buffered Decide output
-	flip    int
 }
+
+// scratchPool holds the scratches between decisions. Steady-state
+// decisions take back one that has reached its working size, and the pool
+// empties itself across garbage collections.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // New creates a Dragonfly instance (or an ablation variant, per Options).
 func New(opts Options) *Dragonfly {
@@ -107,13 +122,21 @@ func (d *Dragonfly) StallPolicy() player.StallPolicy { return player.NeverStall 
 // next Decide call on this instance (see player.Scheme); steady-state calls
 // allocate nothing.
 func (d *Dragonfly) Decide(ctx *player.Context) []player.RequestItem {
+	s := scratchPool.Get().(*scratch)
+	items := d.decide(ctx, s)
+	scratchPool.Put(s)
+	return items
+}
+
+// decide is Decide on the scratch s.
+func (d *Dragonfly) decide(ctx *player.Context, s *scratch) []player.RequestItem {
 	d.tabs.resolve(ctx, d.opts)
 	idx := d.flip
 	d.flip = 1 - d.flip
 
 	// Masking first (earliest-deadline chunks lead), then the utility-
 	// ordered primary fetches.
-	items := d.appendMasking(ctx, d.items[idx][:0], &d.plan)
+	items := d.appendMasking(ctx, d.items[idx][:0], s)
 
 	var maskBytes int64
 	for i := range items {
@@ -121,17 +144,17 @@ func (d *Dragonfly) Decide(ctx *player.Context) []player.RequestItem {
 	}
 	baseOff := time.Duration(float64(maskBytes) / byteRate(ctx.PredictedMbps) * float64(time.Second))
 
-	d.w.build(ctx, d.opts, &d.plan, &d.tabs)
-	d.sched.reset(&d.w, d.opts.minPrimaryQuality(), baseOff)
-	list := d.sched.run()
+	s.w.build(ctx, d.opts, &s.plan, &d.tabs)
+	s.sched.reset(&s.w, d.opts.minPrimaryQuality(), baseOff)
+	list := s.sched.run()
 
 	if m := d.met; m != nil {
 		m.decisions.Inc()
-		m.candidates.Add(int64(len(d.w.cands)))
+		m.candidates.Add(int64(len(s.w.cands)))
 		m.listed.Add(int64(len(list)))
-		m.skipped.Add(int64(len(d.w.cands) - len(list)))
+		m.skipped.Add(int64(len(s.w.cands) - len(list)))
 		m.maskItems.Add(int64(len(items)))
-		m.utility.Observe(d.sched.totalUtility())
+		m.utility.Observe(s.sched.totalUtility())
 	}
 
 	for _, e := range list {
@@ -197,16 +220,17 @@ func (p *maskPlan) resetSet(firstChunk, chunks, tiles int) {
 	}
 }
 
-// appendMasking appends the needed masking fetches to items and fills plan
-// with the coverage predicate state.
-func (d *Dragonfly) appendMasking(ctx *player.Context, items []player.RequestItem, plan *maskPlan) []player.RequestItem {
+// appendMasking appends the needed masking fetches to items and fills
+// s.plan with the coverage predicate state.
+func (d *Dragonfly) appendMasking(ctx *player.Context, items []player.RequestItem, s *scratch) []player.RequestItem {
+	plan := &s.plan
 	if d.opts.Masking == MaskNone {
 		plan.mode = planNone
 		return items
 	}
 	d.tabs.resolve(ctx, d.opts)
 	if d.opts.Masking == MaskTiled && d.opts.MaskScheduled {
-		return d.appendMaskingScheduled(ctx, items, plan)
+		return d.appendMaskingScheduled(ctx, items, s)
 	}
 	m := ctx.Manifest
 	firstChunk := m.ChunkOfFrame(ctx.PlayFrame)
@@ -246,9 +270,9 @@ func (d *Dragonfly) appendMasking(ctx *player.Context, items []player.RequestIte
 			at = ctx.Now
 		}
 		center := ctx.Predict(at)
-		d.tileBuf = ctx.Grid.AppendTilesInCap(d.tileBuf[:0], center, radius)
+		s.tileBuf = ctx.Grid.AppendTilesInCap(s.tileBuf[:0], center, radius)
 		rel := c - firstChunk
-		for _, id := range d.tileBuf {
+		for _, id := range s.tileBuf {
 			plan.set[rel*tiles+int(id)] = true
 			if !ctx.Received.HasMasking(c, id) {
 				items = append(items, player.RequestItem{

@@ -14,11 +14,11 @@ import (
 // of freedom apply) over the masking look-ahead.
 
 // appendMaskingScheduled appends the utility-ordered tiled masking fetches
-// to items and records coverage in plan. It reuses the instance's masking
-// window and scheduler scratch (d.mw, d.msched).
-func (d *Dragonfly) appendMaskingScheduled(ctx *player.Context, items []player.RequestItem, plan *maskPlan) []player.RequestItem {
+// to items and records coverage in s.plan, on the masking window and
+// scheduler of the scratch (s.mw, s.msched).
+func (d *Dragonfly) appendMaskingScheduled(ctx *player.Context, items []player.RequestItem, s *scratch) []player.RequestItem {
 	m := ctx.Manifest
-	w := &d.mw
+	w, plan := &s.mw, &s.plan
 	wFrames := int(maskingLookahead.Seconds()*float64(m.FPS) + 0.5)
 	if wFrames < 1 {
 		wFrames = 1
@@ -92,9 +92,9 @@ func (d *Dragonfly) appendMaskingScheduled(ctx *player.Context, items []player.R
 
 	// One quality level: the scheduler's rounds reduce to ordering and
 	// skipping, exactly the degrees of freedom §3.2 asks for.
-	d.msched.reset(w, video.Lowest, 0)
-	d.msched.maxQ = int(video.Lowest)
-	list := d.msched.run()
+	s.msched.reset(w, video.Lowest, 0)
+	s.msched.maxQ = int(video.Lowest)
+	list := s.msched.run()
 
 	for _, e := range list {
 		items = append(items, player.RequestItem{

@@ -11,17 +11,18 @@ import (
 
 // decideProbe calls after, with the count of decisions so far, after every
 // decision of a live simulated session: on the engine's own context, with
-// the windows that decision built still in place.
+// the windows that decision built still in place in the probe's scratch.
 type decideProbe struct {
 	*Dragonfly
+	s     scratch
 	n     int
-	after func(n int, ctx *player.Context)
+	after func(n int, ctx *player.Context, s *scratch)
 }
 
 func (p *decideProbe) Decide(ctx *player.Context) []player.RequestItem {
-	items := p.Dragonfly.Decide(ctx)
+	items := p.Dragonfly.decide(ctx, &p.s)
 	p.n++
-	p.after(p.n, ctx)
+	p.after(p.n, ctx, &p.s)
 	return items
 }
 
@@ -33,15 +34,15 @@ func (p *decideProbe) Decide(ctx *player.Context) []player.RequestItem {
 // four chunks: most of each candidate's frames lie outside its chunk).
 func BenchmarkScoreSlab(b *testing.B) {
 	b.Run("primary", func(b *testing.B) {
-		benchScoreSlab(b, Options{}, func(d *Dragonfly) (*window, int) { return &d.w, d.opts.frameStep })
+		benchScoreSlab(b, Options{}, func(d *Dragonfly, s *scratch) (*window, int) { return &s.w, d.opts.frameStep })
 	})
 	b.Run("masking", func(b *testing.B) {
 		benchScoreSlab(b, Options{Masking: MaskTiled, MaskScheduled: true},
-			func(d *Dragonfly) (*window, int) { return &d.mw, 3 * d.opts.frameStep })
+			func(d *Dragonfly, s *scratch) (*window, int) { return &s.mw, 3 * d.opts.frameStep })
 	})
 }
 
-func benchScoreSlab(b *testing.B, o Options, pick func(*Dragonfly) (w *window, step int)) {
+func benchScoreSlab(b *testing.B, o Options, pick func(*Dragonfly, *scratch) (w *window, step int)) {
 	e := video.Table3[len(video.Table3)-1]
 	m := video.Generate(video.GenParams{
 		ID: e.ID, NumChunks: 10,
@@ -50,11 +51,11 @@ func benchScoreSlab(b *testing.B, o Options, pick func(*Dragonfly) (w *window, s
 	})
 	d := New(o)
 	const at = 70
-	probe := &decideProbe{Dragonfly: d, after: func(n int, _ *player.Context) {
+	probe := &decideProbe{Dragonfly: d, after: func(n int, _ *player.Context, s *scratch) {
 		if n != at {
 			return
 		}
-		w, step := pick(d)
+		w, step := pick(d, s)
 		nSamples := len(w.sampleOri)
 		b.ReportAllocs()
 		b.ResetTimer()

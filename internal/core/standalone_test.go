@@ -38,16 +38,16 @@ func buildWindow(ctx *player.Context, o Options) *window {
 // membership predicate used as the scheduler's skip floor. Decide uses the
 // allocation-free appendMasking directly.
 func (d *Dragonfly) planMasking(ctx *player.Context) ([]player.RequestItem, func(int, geom.TileID) bool) {
-	var p maskPlan
-	items := d.appendMasking(ctx, nil, &p)
-	return items, func(chunk int, tile geom.TileID) bool { return p.covered(chunk, tile) }
+	var s scratch
+	items := d.appendMasking(ctx, nil, &s)
+	return items, func(chunk int, tile geom.TileID) bool { return s.plan.covered(chunk, tile) }
 }
 
 // planMaskingScheduled builds the utility-ordered tiled masking plan.
 // Decide uses the allocation-free appendMaskingScheduled directly.
 func (d *Dragonfly) planMaskingScheduled(ctx *player.Context) ([]player.RequestItem, func(int, geom.TileID) bool) {
 	d.tabs.resolve(ctx, d.opts)
-	var p maskPlan
-	items := d.appendMaskingScheduled(ctx, nil, &p)
-	return items, func(chunk int, tile geom.TileID) bool { return p.covered(chunk, tile) }
+	var s scratch
+	items := d.appendMaskingScheduled(ctx, nil, &s)
+	return items, func(chunk int, tile geom.TileID) bool { return s.plan.covered(chunk, tile) }
 }

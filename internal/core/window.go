@@ -16,9 +16,10 @@ import (
 //
 // A window doubles as a reusable scratch arena: Decide runs every 100 ms
 // for the whole session, so all per-build slices (candidate slab, sampled
-// orientations, score buffers) are retained and reused across builds. After
-// the first few decisions the build allocates nothing
-// (TestDecideAllocationFree pins this).
+// orientations, score buffers) are retained and reused across builds — and,
+// through the pooled scratch a window lives in, across sessions. After the
+// first few decisions the build allocates nothing (TestDecideAllocationFree
+// pins this).
 type window struct {
 	t0        time.Duration
 	numFrames int

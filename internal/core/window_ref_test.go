@@ -180,10 +180,10 @@ func TestBuiltWindowsEndInZero(t *testing.T) {
 	} {
 		d := New(o)
 		windows := 0
-		probe := &decideProbe{Dragonfly: d, after: func(_ int, ctx *player.Context) {
-			built := []*window{&d.w}
+		probe := &decideProbe{Dragonfly: d, after: func(_ int, ctx *player.Context, s *scratch) {
+			built := []*window{&s.w}
 			if o.MaskScheduled {
-				built = append(built, &d.mw)
+				built = append(built, &s.mw)
 			}
 			for _, w := range built {
 				if tile, ok := checkEndsInZero(w); !ok {

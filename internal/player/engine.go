@@ -21,12 +21,22 @@ type transfer struct {
 // link. A request takes effect the instant it is decided (zero RTT,
 // DESIGN.md §7).
 func Run(cfg Config) (*Metrics, error) {
+	pb, end, err := simulate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return pb.Finish(end), nil
+}
+
+// simulate is Run up to Finish: it returns the session at its last
+// instant, over but not yet finished.
+func simulate(cfg Config) (*Playback, time.Duration, error) {
 	if cfg.Bandwidth == nil {
-		return nil, errors.New("player: config requires Bandwidth")
+		return nil, 0, errors.New("player: config requires Bandwidth")
 	}
 	pb, err := NewPlayback(cfg)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	m, bw := cfg.Manifest, cfg.Bandwidth
 	pb.met.TraceID = bw.ID
@@ -70,5 +80,5 @@ func Run(cfg Config) (*Metrics, error) {
 			queue = fetch
 		}
 	}
-	return pb.Finish(now), nil
+	return pb, now, nil
 }

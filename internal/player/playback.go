@@ -2,6 +2,7 @@ package player
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"dragonfly/internal/decoder"
@@ -90,9 +91,9 @@ type Playback struct {
 	nextHead     time.Duration
 	nextDecision time.Duration
 
-	received   *Received
-	deliveries []delivery
-	acct       *accountant
+	received *Received
+	acct     *accountant
+	store    *storage // what received and acct are carved from, and the delivery log
 
 	vpPred *predict.Viewport
 	bwPred *predict.Bandwidth
@@ -105,6 +106,28 @@ type Playback struct {
 	vpWeights []float64
 
 	met *Metrics
+}
+
+// storage is a session's manifest-sized state: Received's three arrival
+// maps as one array, the accountant's two render bitmaps as one, and the
+// delivery log. NewPlayback borrows a set from storagePool and Finish gives
+// it back, so back-to-back sessions over one manifest size it once; the
+// pool empties itself across garbage collections.
+type storage struct {
+	arrivals   []time.Duration
+	rendered   []bool
+	deliveries []delivery
+}
+
+var storagePool = sync.Pool{New: func() any { return new(storage) }}
+
+// resize returns s with length n, reusing its capacity. Contents are
+// undefined.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NewPlayback validates cfg, applies its defaults and returns a session
@@ -123,6 +146,10 @@ func NewPlayback(cfg Config) (*Playback, error) {
 		videoDur := time.Duration(m.NumFrames()) * time.Second / time.Duration(m.FPS)
 		cfg.MaxWall = 3*videoDur + 30*time.Second
 	}
+	st := storagePool.Get().(*storage)
+	st.arrivals = resize(st.arrivals, arrivalsLen(m))
+	st.rendered = resize(st.rendered, renderedLen(m))
+	st.deliveries = st.deliveries[:0]
 	p := &Playback{
 		cfg:      cfg,
 		m:        m,
@@ -132,7 +159,8 @@ func NewPlayback(cfg Config) (*Playback, error) {
 		policy:   cfg.Scheme.StallPolicy(),
 		stalled:  true,
 		startup:  true,
-		received: NewReceived(m),
+		received: newReceived(m, st.arrivals),
+		store:    st,
 		bwPred:   predict.NewBandwidth(0),
 		met: &Metrics{
 			SchemeName: cfg.Scheme.Name(),
@@ -143,7 +171,7 @@ func NewPlayback(cfg Config) (*Playback, error) {
 	if p.interval <= 0 {
 		p.interval = 100 * time.Millisecond
 	}
-	p.acct = newAccountant(m, p.grid, cfg.Metric, p.met)
+	p.acct = newAccountant(m, p.grid, cfg.Metric, p.met, st.rendered)
 	p.acct.interpolate = cfg.MaskInterpolation
 	if cfg.PredictErrorDeg > 0 {
 		p.vpPred = predict.NewViewportWithError(0, cfg.PredictErrorDeg, cfg.PredictErrorSeed)
@@ -240,7 +268,7 @@ func (p *Playback) Advance(now time.Duration) (fetch []RequestItem, decided bool
 // it ends a stall is decided by the next Advance.
 func (p *Playback) Deliver(now time.Duration, it RequestItem, bytes int64, elapsed, renderableAt time.Duration) {
 	p.received.Record(it, renderableAt)
-	p.deliveries = append(p.deliveries, delivery{
+	p.store.deliveries = append(p.store.deliveries, delivery{
 		bytes: bytes, chunk: int32(it.Chunk), tile: int32(it.Tile),
 		quality: uint8(it.Quality), stream: it.Stream, full360: it.Full360,
 	})
@@ -257,11 +285,18 @@ func (p *Playback) Transferred(bytes int64, elapsed time.Duration) {
 }
 
 // Finish closes the session at instant now: durations and the wastage
-// accounting of §4.1. The Playback must not be stepped afterwards.
+// accounting of §4.1. It hands the session's storage on to the next
+// NewPlayback, so the Playback must not be used afterwards: whatever then
+// reads or records tiles (Held, Deliver, a render, a second Finish) panics
+// rather than touch another session's.
 func (p *Playback) Finish(now time.Duration) *Metrics {
 	p.met.WallDuration = now
 	p.met.PlayDuration = time.Duration(p.met.TotalFrames) * p.frameDur
-	p.acct.finishWastage(p.deliveries)
+	p.acct.finishWastage(p.store.deliveries)
+	storagePool.Put(p.store)
+	p.store = nil
+	p.received.primaryAt, p.received.maskTileAt, p.received.maskFullAt = nil, nil, nil
+	p.acct.renderedPrimaryQ, p.acct.renderedMasking = nil, nil
 	return p.met
 }
 

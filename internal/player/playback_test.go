@@ -1,8 +1,11 @@
 package player_test
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/geom"
@@ -191,13 +194,32 @@ func TestPlaybackLateAdvanceRendersOneFrame(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector, which makes sync.Pool drop a
+// random quarter of what is Put in it: storage a pool should hand back is
+// sometimes built anew there.
+var raceEnabled bool
+
+// listScheme asks for the same fetch list at every decision.
+type listScheme struct{ items []player.RequestItem }
+
+func (s *listScheme) Name() string                                { return "list" }
+func (s *listScheme) DecisionInterval() time.Duration             { return 100 * time.Millisecond }
+func (s *listScheme) StallPolicy() player.StallPolicy             { return player.NeverStall }
+func (s *listScheme) Decide(*player.Context) []player.RequestItem { return s.items }
+
 // The decision path allocates nothing per epoch, for either driver: Advance
 // refills one Context in place, binds its two method values once and reuses
 // its viewport-tile scratch. The head is sampled once a second so the
 // predictor's growing history stays out of the measurement.
 func TestPlaybackAdvanceDecisionZeroAlloc(t *testing.T) {
+	var scheme player.Scheme = core.NewDefault()
+	if raceEnabled {
+		// Dragonfly borrows its decision scratch from a sync.Pool; a
+		// scheme without one leaves the pin on the Playback's own path.
+		scheme = &listScheme{items: []player.RequestItem{{Tile: 7}}}
+	}
 	pb, err := player.NewPlayback(player.Config{
-		Manifest: twoChunks(), Head: stillHead(2*time.Second, time.Second), Scheme: core.NewDefault(),
+		Manifest: twoChunks(), Head: stillHead(2*time.Second, time.Second), Scheme: scheme,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,5 +235,46 @@ func TestPlaybackAdvanceDecisionZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("a decision-epoch Advance allocates %v times, want 0", allocs)
+	}
+}
+
+// Back-to-back sessions over one manifest size its storage once. With the
+// collector off, so that the pool keeps what Finish gives back, the first
+// Run allocates at least the primary arrival map (chunks × tiles ×
+// qualities instants) and a second Run less than that map alone.
+func TestSessionStorageReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of its Puts under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m := video.Generate(video.GenParams{ID: "reuse", NumChunks: 10, Seed: 3})
+	s := &listScheme{}
+	for c := 0; c < m.NumChunks; c++ {
+		for tile := 0; tile < m.NumTiles(); tile++ {
+			s.items = append(s.items, player.RequestItem{Chunk: c, Tile: geom.TileID(tile)})
+		}
+	}
+	cfg := player.Config{
+		Manifest: m, Head: stillHead(11*time.Second, time.Second), Scheme: s,
+		Bandwidth: &trace.BandwidthTrace{ID: "flat", SamplePeriod: time.Second, Mbps: []float64{50}},
+	}
+	bound := uint64(m.NumChunks*m.NumTiles()*video.NumQualities) * uint64(unsafe.Sizeof(time.Duration(0)))
+	var allocated [2]uint64
+	for i := range allocated {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		met, err := player.Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.BytesReceived == 0 {
+			t.Fatal("nothing was delivered")
+		}
+		allocated[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	if allocated[0] < bound || allocated[1] >= bound {
+		t.Errorf("Runs allocated %d then %d bytes; want the first at least, and the second below, the %d-byte primary arrival map",
+			allocated[0], allocated[1], bound)
 	}
 }

@@ -24,23 +24,31 @@ type Received struct {
 
 // NewReceived creates an empty received-state for a manifest.
 func NewReceived(m *video.Manifest) *Received {
-	tiles := m.NumTiles()
-	r := &Received{
+	return newReceived(m, make([]time.Duration, arrivalsLen(m)))
+}
+
+// arrivalsLen is the length of the one arrival array a Received over m
+// carves its three maps from.
+func arrivalsLen(m *video.Manifest) int {
+	ct := m.NumChunks * m.NumTiles()
+	return ct*(video.NumQualities+1) + m.NumChunks
+}
+
+// newReceived carves an empty received-state for m out of arrivals, which
+// must be arrivalsLen(m) long: the primary map, then the tiled masking
+// map, then the full-360° one.
+func newReceived(m *video.Manifest, arrivals []time.Duration) *Received {
+	for i := range arrivals {
+		arrivals[i] = notReceived
+	}
+	ct := m.NumChunks * m.NumTiles()
+	p := ct * video.NumQualities
+	return &Received{
 		m:          m,
-		primaryAt:  make([]time.Duration, m.NumChunks*tiles*video.NumQualities),
-		maskTileAt: make([]time.Duration, m.NumChunks*tiles),
-		maskFullAt: make([]time.Duration, m.NumChunks),
+		primaryAt:  arrivals[:p:p],
+		maskTileAt: arrivals[p : p+ct : p+ct],
+		maskFullAt: arrivals[p+ct:],
 	}
-	for i := range r.primaryAt {
-		r.primaryAt[i] = notReceived
-	}
-	for i := range r.maskTileAt {
-		r.maskTileAt[i] = notReceived
-	}
-	for i := range r.maskFullAt {
-		r.maskFullAt[i] = notReceived
-	}
-	return r
 }
 
 func (r *Received) pIdx(chunk int, tile geom.TileID, q video.Quality) int {

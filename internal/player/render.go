@@ -42,21 +42,33 @@ type accountant struct {
 	scores *quality.ScoreTable
 }
 
-// newAccountant initializes accounting for one session into met.
-func newAccountant(m *video.Manifest, grid *geom.Grid, metric quality.Metric, met *Metrics) *accountant {
+// newAccountant initializes accounting for one session into met. Its two
+// render bitmaps are carved from rendered, which must be renderedLen(m)
+// long, and start all false.
+func newAccountant(m *video.Manifest, grid *geom.Grid, metric quality.Metric, met *Metrics, rendered []bool) *accountant {
+	clear(rendered)
 	tiles := m.NumTiles()
 	met.SkipHeat = make([]int64, tiles)
 	met.BlankHeat = make([]int64, tiles)
 	met.ViewHeat = make([]int64, tiles)
+	met.FrameScore = make([]float64, 0, m.NumFrames())
+	met.FrameBlank = make([]float64, 0, m.NumFrames())
+	p := m.NumChunks * tiles * video.NumQualities
 	return &accountant{
 		M:                met,
 		Manifest:         m,
 		Grid:             grid,
 		Metric:           metric,
-		renderedPrimaryQ: make([]bool, m.NumChunks*tiles*video.NumQualities),
-		renderedMasking:  make([]bool, m.NumChunks*tiles),
+		renderedPrimaryQ: rendered[:p:p],
+		renderedMasking:  rendered[p:],
 		scores:           quality.Scores(m, metric),
 	}
+}
+
+// renderedLen is the length of the one array an accountant over m carves
+// its two render bitmaps from.
+func renderedLen(m *video.Manifest) int {
+	return m.NumChunks * m.NumTiles() * (video.NumQualities + 1)
 }
 
 // renderFrame accounts one rendered viewport: the given chunk seen through

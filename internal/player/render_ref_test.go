@@ -152,25 +152,21 @@ func TestOneViewportWalkMatchesTwo(t *testing.T) {
 		{"NeverStall interpolating", NeverStall, true, true, 1.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var rcv *Received
-			decide := lazy(tc.policy, tc.masking)
-			s := &testScheme{name: "lazy", interval: 100 * time.Millisecond, policy: tc.policy,
-				decide: func(ctx *Context) []RequestItem {
-					rcv = ctx.Received
-					return decide(ctx)
-				}}
+			s := &testScheme{name: "lazy", interval: 100 * time.Millisecond, policy: tc.policy, decide: lazy(tc.policy, tc.masking)}
 			tr := obs.NewTrace(1 << 16)
 			cfg := Config{Manifest: m, Head: head, Bandwidth: flatBandwidth(tc.mbps), Scheme: s, Trace: tr, MaskInterpolation: tc.interpolate}
-			met, err := Run(cfg)
+			// The session's Received is read before Finish hands it on.
+			pb, end, err := simulate(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rcv := pb.received
 			if tr.Dropped() != 0 {
 				t.Fatalf("trace dropped %d events", tr.Dropped())
 			}
 
 			var shadowMet Metrics
-			shadow := newAccountant(m, m.Grid(), cfg.Metric, &shadowMet)
+			shadow := newAccountant(m, m.Grid(), cfg.Metric, &shadowMet, make([]bool, renderedLen(m)))
 			shadow.interpolate = tc.interpolate
 			vp := geom.DefaultViewport
 			frames, stalls := 0, 0
@@ -191,6 +187,7 @@ func TestOneViewportWalkMatchesTwo(t *testing.T) {
 					stalls++
 				}
 			}
+			met := pb.Finish(end)
 			if frames != m.NumFrames() || stalls != met.StallEvents {
 				t.Fatalf("replayed %d frames and %d stalls; the session rendered %d of %d and stalled %d times", frames, stalls, met.TotalFrames, m.NumFrames(), met.StallEvents)
 			}
