@@ -239,7 +239,9 @@ func TestPlaybackAdvanceDecisionZeroAlloc(t *testing.T) {
 }
 
 // Back-to-back sessions over one manifest size its storage once. With the
-// collector off, so that the pool keeps what Finish gives back, the first
+// collector off, so that the pool keeps what Finish gives back, and on one
+// P, so that the second Run's Get looks where the first Run's Put went (a
+// goroutine preempted onto another P misses a pool's per-P slot), the first
 // Run allocates at least the primary arrival map (chunks × tiles ×
 // qualities instants) and a second Run less than that map alone.
 func TestSessionStorageReused(t *testing.T) {
@@ -247,6 +249,7 @@ func TestSessionStorageReused(t *testing.T) {
 		t.Skip("sync.Pool drops a random quarter of its Puts under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m := video.Generate(video.GenParams{ID: "reuse", NumChunks: 10, Seed: 3})
 	s := &listScheme{}
 	for c := 0; c < m.NumChunks; c++ {

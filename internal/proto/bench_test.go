@@ -140,8 +140,9 @@ func BenchmarkWriteManifest(b *testing.B) {
 	}
 }
 
-// BenchmarkReadManifest times the client's end: the frame read into a
-// fresh buffer, as a handshake reads it, and the manifest decoded.
+// BenchmarkReadManifest times the client's end: the frame read through
+// ReadMessage, as a handshake reads it, into the pooled buffer the last
+// read gave back, and the manifest decoded.
 func BenchmarkReadManifest(b *testing.B) {
 	var wire bytes.Buffer
 	if err := WriteManifest(&wire, v8()); err != nil {

@@ -70,18 +70,40 @@ func FuzzReadMessage(f *testing.F) {
 	_ = writeFrameChecked(&v2, MsgHello, []byte{2, 'v', '1'}, false)
 	f.Add(v2.Bytes())
 
+	// ReadMessage borrows its buffer from a pool. Reading a frame unrelated
+	// to any input before each read of the input leaves that buffer, which
+	// the read borrows next, full of other bytes.
+	var unrelated bytes.Buffer
+	_ = WriteTileData(&unrelated, TileData{
+		Item:    player.RequestItem{Stream: player.Primary, Chunk: 5, Tile: 6, Quality: 1},
+		Payload: bytes.Repeat([]byte{0xEE}, 16<<10),
+	})
+	dirtyPool := func(t *testing.T) {
+		if _, err := ReadMessage(bytes.NewReader(unrelated.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		dirtyPool(t)
 		msg, err := ReadMessage(bytes.NewReader(raw))
 		if err == nil && msg == nil {
 			t.Fatal("nil message without error")
 		}
-		// The pooled path lays header, body and trailer out in a buffer
-		// another frame has used; it must reach the same verdict and
-		// decode the same message.
+		// The unrelated frame refills the buffer the message was read from,
+		// and the message must not change: ReadMessageBuf, which lays
+		// header, body and trailer out in a buffer another frame has used,
+		// must reach the same verdict and decode the same message.
+		dirtyPool(t)
 		dirty := bytes.Repeat([]byte{0xEE}, 24)
 		pooled, _, perr := ReadMessageBuf(bytes.NewReader(raw), dirty)
 		if (err == nil) != (perr == nil) || !reflect.DeepEqual(msg, pooled) {
 			t.Fatalf("ReadMessage gives %+v, %v; ReadMessageBuf over a used buffer %+v, %v", msg, err, pooled, perr)
+		}
+		// A second ReadMessage, over the dirtied pool, agrees with the first.
+		again, aerr := ReadMessage(bytes.NewReader(raw))
+		if (err == nil) != (aerr == nil) || !reflect.DeepEqual(msg, again) {
+			t.Fatalf("ReadMessage gives %+v, %v; again over a dirty pool %+v, %v", msg, err, again, aerr)
 		}
 		if err != nil {
 			return

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/player"
+	"dragonfly/internal/video"
 )
 
 // TestFrameChecksumDetectsBitFlips flips every bit of a framed message in
@@ -117,6 +118,41 @@ func TestReadFrameHostileLengthPrefixAllocation(t *testing.T) {
 	// the prefix claimed.
 	if alloced := after.TotalAlloc - before.TotalAlloc; alloced > 4*readChunk {
 		t.Fatalf("hostile 48 MB prefix allocated %d bytes, want <= %d", alloced, 4*readChunk)
+	}
+}
+
+// TestReadMessageHostileLengthPrefixAllocation holds ReadMessage's borrowed
+// buffer to the same guard. With the pool warm from a manifest read, a
+// manifest header claiming 48 MB over a stream that delivers 64 bytes
+// allocates at most 4*readChunk, and the buffer goes back to the pool on
+// the error path: the next such read borrows it and allocates less than
+// one chunk.
+func TestReadMessageHostileLengthPrefixAllocation(t *testing.T) {
+	var wire bytes.Buffer
+	if err := WriteManifest(&wire, video.Generate(video.GenParams{ID: "warm", Rows: 3, Cols: 4, NumChunks: 5, Seed: 2})); err != nil {
+		t.Fatal(err)
+	}
+	soloPool(t)
+	if _, err := ReadMessage(&wire); err != nil {
+		t.Fatal(err)
+	}
+	const claimed = 48 << 20
+	var hdr [5]byte
+	binary.BigEndian.PutUint32(hdr[:4], claimed)
+	hdr[4] = byte(MsgManifest)
+	hostile := append(hdr[:], bytes.Repeat([]byte{0xAB}, 64)...)
+	for i, limit := range []uint64{4 * readChunk, readChunk} {
+		var err error
+		alloced := allocated(func() { _, err = ReadMessage(bytes.NewReader(hostile)) })
+		if err == nil {
+			t.Fatal("hostile frame accepted")
+		}
+		if i == 1 && raceEnabled {
+			return // the pool may have dropped the buffer
+		}
+		if alloced > limit {
+			t.Fatalf("hostile 48 MB prefix, read %d: allocated %d bytes, want <= %d", i+1, alloced, limit)
+		}
 	}
 }
 

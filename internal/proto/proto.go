@@ -20,12 +20,15 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strings"
+	"sync"
 
 	"dragonfly/internal/geom"
 	"dragonfly/internal/player"
@@ -204,6 +207,23 @@ const (
 	pongWireSize = pongBaseSize + 8
 )
 
+// framePool holds the buffers frames are assembled in (every write that
+// goes through sealFrame) and read into (ReadMessage), so a handshake's
+// multi-MB manifest frame is not allocated afresh at each end of every
+// session start. It holds buffers, never a frame's bytes: a buffer is
+// borrowed for one call and back in the pool before the call returns. The
+// collector empties a sync.Pool, so an idle process pins no frame.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// borrowFrame takes a buffer from framePool with frameHeaderSize bytes
+// reserved for the header; the writer appends the body behind them and
+// hands the buffer to sealFrame, which returns it to the pool.
+func borrowFrame() *[]byte {
+	fb := framePool.Get().(*[]byte)
+	*fb = slices.Grow((*fb)[:0], frameHeaderSize)[:frameHeaderSize]
+	return fb
+}
+
 // writeFrame emits one framed message with its CRC32-C trailer.
 func writeFrame(w io.Writer, t MsgType, body []byte) error {
 	return writeFrameChecked(w, t, body, true)
@@ -226,14 +246,19 @@ func writeFrameChecked(w io.Writer, t MsgType, body []byte, withCRC bool) error 
 	if len(body)+1 > MaxFrameSize {
 		return fmt.Errorf("proto: frame too large (%d bytes)", len(body))
 	}
-	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(body)+trailerSize)
-	return sealFrame(w, t, append(frame, body...), withCRC)
+	fb := borrowFrame()
+	*fb = append(*fb, body...)
+	return sealFrame(w, t, fb, withCRC)
 }
 
-// sealFrame completes a frame assembled in place — frameHeaderSize bytes
-// reserved, then the body — by filling in its header and appending its
-// trailer, and emits it with one Write.
-func sealFrame(w io.Writer, t MsgType, frame []byte, withCRC bool) error {
+// sealFrame completes a frame assembled in place in the borrowed *fb —
+// frameHeaderSize bytes reserved, then the body — by filling in its header
+// and appending its trailer, emits it with one Write, and returns the
+// buffer to framePool. That is safe because an io.Writer must not retain
+// the slice it is given.
+func sealFrame(w io.Writer, t MsgType, fb *[]byte, withCRC bool) error {
+	defer framePool.Put(fb)
+	frame := *fb
 	body := len(frame) - frameHeaderSize
 	if body+1 > MaxFrameSize {
 		return fmt.Errorf("proto: frame too large (%d bytes)", body)
@@ -242,6 +267,7 @@ func sealFrame(w io.Writer, t MsgType, frame []byte, withCRC bool) error {
 	frame[4] = byte(t)
 	if withCRC {
 		frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame[4:], castagnoli))
+		*fb = frame
 	}
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("proto: write frame: %w", err)
@@ -323,11 +349,11 @@ func readFrameChecked(r io.Reader, withCRC bool) (MsgType, []byte, error) {
 
 // readFrameInto reads one framed message into buf, reallocating when its
 // capacity does not suffice (a nil buf always allocates), in two reads: the
-// header, then body and trailer together. The whole frame lies contiguous
-// in the buffer, so the checksum is one call over type and body, and no
-// header or trailer scratch escapes to the heap through io.ReadFull. The
-// returned body aliases the returned buffer, which replaces buf; the caller
-// owns exactly one of the two.
+// header, then body and trailer together (readBody). The whole frame lies
+// contiguous in the buffer, so the checksum is one call over type and
+// body, and no header or trailer scratch escapes to the heap through
+// io.ReadFull. The returned body aliases the returned buffer, which
+// replaces buf; the caller owns exactly one of the two.
 func readFrameInto(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []byte, error) {
 	if cap(buf) < frameHeaderSize {
 		buf = make([]byte, frameHeaderSize)
@@ -336,6 +362,13 @@ func readFrameInto(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []by
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, buf, err
 	}
+	return readBody(r, buf, withCRC)
+}
+
+// readBody reads the body and trailer of the frame whose header is buf,
+// onto the end of buf, and verifies the trailer; its results are
+// readFrameInto's.
+func readBody(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []byte, error) {
 	n := binary.BigEndian.Uint32(buf[:4])
 	if n < 1 {
 		return 0, nil, buf, fmt.Errorf("proto: bad frame length %d", n)
@@ -410,12 +443,15 @@ func WriteHello(w io.Writer, h Hello) error {
 	if len(h.Cohort) > 255 {
 		return fmt.Errorf("proto: cohort label too long")
 	}
-	body := append([]byte{byte(len(h.VideoID))}, h.VideoID...)
+	fb := borrowFrame()
+	frame := append(*fb, byte(len(h.VideoID)))
+	frame = append(frame, h.VideoID...)
 	if h.Cohort != "" {
-		body = append(body, byte(len(h.Cohort)))
-		body = append(body, h.Cohort...)
+		frame = append(frame, byte(len(h.Cohort)))
+		frame = append(frame, h.Cohort...)
 	}
-	return writeFrame(w, MsgHello, body)
+	*fb = frame
+	return sealFrame(w, MsgHello, fb, true)
 }
 
 func parseHello(body []byte) (Hello, error) {
@@ -435,14 +471,19 @@ func parseHello(body []byte) (Hello, error) {
 }
 
 // WriteManifest sends the manifest as JSON. The body is encoded straight
-// into the frame behind its reserved header, so header, body and trailer
-// share one buffer and one Write.
+// into a pooled frame buffer behind its reserved header, so header, body
+// and trailer share one buffer and one Write, and a server sending the
+// manifest at every session start reuses the buffer instead of allocating
+// one frame's worth each time.
 func WriteManifest(w io.Writer, m *video.Manifest) error {
-	frame, err := m.AppendJSON(make([]byte, frameHeaderSize))
+	fb := borrowFrame()
+	frame, err := m.AppendJSON(*fb)
+	*fb = frame
 	if err != nil {
+		framePool.Put(fb)
 		return err
 	}
-	return sealFrame(w, MsgManifest, frame, true)
+	return sealFrame(w, MsgManifest, fb, true)
 }
 
 // itemWireSize is the encoded size of one request item.
@@ -477,15 +518,20 @@ func decodeItem(buf []byte) (player.RequestItem, error) {
 	return it, nil
 }
 
-// WriteRequest sends a fetch list.
+// WriteRequest sends a fetch list. The items are encoded straight into a
+// pooled frame buffer behind its reserved header, as WriteManifest does,
+// so a steady stream of requests allocates nothing per write.
 func WriteRequest(w io.Writer, r Request) error {
-	body := make([]byte, 4+4+len(r.Items)*itemWireSize)
-	binary.BigEndian.PutUint32(body[:4], r.Generation)
-	binary.BigEndian.PutUint32(body[4:8], uint32(len(r.Items)))
+	body := 4 + 4 + len(r.Items)*itemWireSize
+	fb := borrowFrame()
+	frame := slices.Grow(*fb, body+trailerSize)[:frameHeaderSize+body]
+	binary.BigEndian.PutUint32(frame[frameHeaderSize:], r.Generation)
+	binary.BigEndian.PutUint32(frame[frameHeaderSize+4:], uint32(len(r.Items)))
 	for i, it := range r.Items {
-		encodeItem(body[8+i*itemWireSize:], it)
+		encodeItem(frame[frameHeaderSize+8+i*itemWireSize:], it)
 	}
-	return writeFrame(w, MsgRequest, body)
+	*fb = frame
+	return sealFrame(w, MsgRequest, fb, true)
 }
 
 func parseRequest(body []byte) (Request, error) {
@@ -548,28 +594,27 @@ func WriteResume(w io.Writer, r Resume) error {
 	if len(r.VideoID) > 255 {
 		return fmt.Errorf("proto: video id too long")
 	}
+	if len(r.Cohort) > 255 {
+		return fmt.Errorf("proto: cohort label too long")
+	}
 	h := r.Held
 	if !h.Valid() {
 		return fmt.Errorf("proto: inconsistent held summary (%dx%d chunks/tiles)", h.NumChunks, h.NumTiles)
 	}
-	body := make([]byte, 0, 10+len(r.VideoID)+len(h.Primary)+len(h.MaskTile)+len(h.MaskFull))
-	body = append(body, r.Version, byte(len(r.VideoID)))
-	body = append(body, r.VideoID...)
-	var dims [8]byte
-	binary.BigEndian.PutUint32(dims[:4], uint32(h.NumChunks))
-	binary.BigEndian.PutUint32(dims[4:], uint32(h.NumTiles))
-	body = append(body, dims[:]...)
-	body = append(body, h.Primary...)
-	body = append(body, h.MaskTile...)
-	body = append(body, h.MaskFull...)
+	fb := borrowFrame()
+	frame := append(*fb, r.Version, byte(len(r.VideoID)))
+	frame = append(frame, r.VideoID...)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(h.NumChunks))
+	frame = binary.BigEndian.AppendUint32(frame, uint32(h.NumTiles))
+	frame = append(frame, h.Primary...)
+	frame = append(frame, h.MaskTile...)
+	frame = append(frame, h.MaskFull...)
 	if r.Cohort != "" {
-		if len(r.Cohort) > 255 {
-			return fmt.Errorf("proto: cohort label too long")
-		}
-		body = append(body, byte(len(r.Cohort)))
-		body = append(body, r.Cohort...)
+		frame = append(frame, byte(len(r.Cohort)))
+		frame = append(frame, r.Cohort...)
 	}
-	return writeFrame(w, MsgResume, body)
+	*fb = frame
+	return sealFrame(w, MsgResume, fb, true)
 }
 
 // maxResumeDim bounds the chunk/tile counts a resume may claim, keeping
@@ -650,13 +695,26 @@ type Message struct {
 	Error    string
 }
 
-// ReadMessage reads and decodes the next frame. The frame body is freshly
-// allocated, so the returned message owns its memory; loops on the tile
-// hot path should prefer ReadMessageBuf.
+// ReadMessage reads and decodes the next frame. The returned message owns
+// its memory: the frame is read into a buffer borrowed from a pool once its
+// header has arrived, so a reader blocked on an idle link holds none, and
+// the buffer goes back before ReadMessage returns, after the bytes the
+// message keeps (a tile payload, a resume's held bitmaps) are copied out.
+// Loops on the tile hot path should prefer ReadMessageBuf.
 func ReadMessage(r io.Reader) (*Message, error) {
-	t, body, err := readFrame(r)
+	var hdr [frameHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	fb := framePool.Get().(*[]byte)
+	defer framePool.Put(fb)
+	t, body, buf, err := readBody(r, append((*fb)[:0], hdr[:]...), true)
+	*fb = buf
 	if err != nil {
 		return nil, err
+	}
+	if t == MsgTileData || t == MsgResume {
+		body = bytes.Clone(body) // their decoders alias the body
 	}
 	return decodeMessage(t, body)
 }

@@ -197,8 +197,9 @@ done
 # micro-benchmarks whose single iteration is all warm-up noise. -benchmem
 # feeds benchdiff's allocation gate: a benchmark the baseline holds at 0
 # allocs/op (Decide*, FlareDecide, Overlap*, TilesInCap, ScoreSlab/*,
-# RenderFrame, UnmarshalEvent/canonical, FrameWritePreframed) that allocates
-# fails even in warn mode.
+# RenderFrame, UnmarshalEvent/canonical, FrameWritePreframed, and the pooled
+# FrameWriteCRC, FrameWriteNoCRC and WriteManifest) that allocates fails
+# even in warn mode.
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 sh scripts/benchrun.sh 1x "${BENCHTIME_MICRO:-50x}" | tee "$raw"
