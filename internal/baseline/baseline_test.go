@@ -198,10 +198,10 @@ func TestPanoNeverRefines(t *testing.T) {
 	}
 }
 
-// TestPanoDecideAllocationFree pins what Pano keeps as scratch: a decision
-// that commits no new chunk re-emits the committed lists into the
-// scheme-owned output and allocates nothing. (Committing a chunk allocates
-// its list, once: that is state, not garbage.)
+// TestPanoDecideAllocationFree pins what Pano keeps as scratch: once the
+// first decision has sized the session's chunk plans and the Context's
+// fetch lists, a decision allocates nothing — one that commits no new
+// chunk and re-emits the committed plans, and one that commits a chunk.
 func TestPanoDecideAllocationFree(t *testing.T) {
 	m := testManifest()
 	ctx := testContext(m, 10)
@@ -229,6 +229,71 @@ func TestPanoDecideAllocationFree(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("item %d re-emitted as %+v, first decision %+v", i, got[i], want[i])
 		}
+	}
+
+	// Forget every commitment and play the video through, a decision per
+	// chunk: every one of them commits a chunk.
+	commits := 0
+	if n := testing.AllocsPerRun(20, func() {
+		clear(p.plans)
+		for c := 0; c < m.NumChunks; c++ {
+			ctx.PlayFrame = m.FirstFrame(c)
+			ctx.Now = ctx.FrameDeadline(ctx.PlayFrame)
+			p.Decide(ctx)
+		}
+		commits = 0
+		for _, plan := range p.plans {
+			if plan.n != 0 {
+				commits++
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Pano.Decide allocated %v per played-through video committing its chunks", n)
+	}
+	if commits != m.NumChunks {
+		t.Errorf("the played-through video committed %d chunks, want %d", commits, m.NumChunks)
+	}
+}
+
+// TestTwoTierDecideAllocationFree pins Two-tier's steady state: once its
+// look-ahead's chunks are committed, a decision re-emits their plans into
+// the Context's fetch list and allocates nothing.
+func TestTwoTierDecideAllocationFree(t *testing.T) {
+	ctx := flareSession(8)
+	tt := NewTwoTier()
+	step := 0
+	decide := func() {
+		// Refine through the first chunk: no new chunk to commit.
+		ctx.Now = time.Duration(step%10) * 100 * time.Millisecond
+		ctx.PlayFrame = (step % 10) * 3
+		step++
+		tt.Decide(ctx)
+	}
+	for i := 0; i < 10; i++ {
+		decide()
+	}
+	if n := testing.AllocsPerRun(80, decide); n != 0 {
+		t.Errorf("TwoTier.Decide allocated %v per run in steady state", n)
+	}
+}
+
+// TestPassiveSkipDecideAllocationFree pins PassiveSkip's steady state at
+// zero allocations per decision, like Flare's.
+func TestPassiveSkipDecideAllocationFree(t *testing.T) {
+	ctx := flareSession(8)
+	p := NewPassiveSkip()
+	step := 0
+	decide := func() {
+		ctx.Now = time.Duration(step%40) * 100 * time.Millisecond
+		ctx.PlayFrame = (step % 40) * 3
+		step++
+		p.Decide(ctx)
+	}
+	for i := 0; i < 40; i++ { // one full sweep sizes every scratch buffer
+		decide()
+	}
+	if n := testing.AllocsPerRun(80, decide); n != 0 {
+		t.Errorf("PassiveSkip.Decide allocated %v per run in steady state", n)
 	}
 }
 

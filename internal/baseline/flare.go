@@ -13,9 +13,10 @@
 // PassiveSkip keeps Dragonfly's continuous (never-stall) playback and
 // skips only passively, at the render deadline.
 //
-// Schemes here follow the same Decide contract as internal/core: the
-// returned fetch list may alias scheme-owned buffers and the *Context is
-// caller-owned, so neither may be retained across decisions.
+// Schemes here follow the same Decide contract as internal/core: each
+// builds its fetch list in the Context's FetchList buffer, valid through
+// the next Decide on that Context, and the *Context is caller-owned, so a
+// scheme keeps nothing of it across decisions.
 package baseline
 
 import (
@@ -52,13 +53,12 @@ type FlareOptions struct {
 // stalls when a viewport tile misses its deadline.
 //
 // An instance carries per-session scratch reused across decisions (the
-// output list, the per-chunk tile sets, the centrality sort keys), so each
-// session needs its own instance and steady-state Decide calls allocate
-// nothing.
+// per-chunk tile sets, the centrality sort keys), so each session needs its
+// own instance; the fetch list is built in the Context's FetchList buffer,
+// and steady-state Decide calls allocate nothing.
 type Flare struct {
 	opts FlareOptions
 
-	items     []player.RequestItem
 	vpTiles   []geom.TileID
 	periphery []geom.TileID
 	central   centralitySorter
@@ -118,7 +118,8 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 	// Urgent pass: tiles needed for the *current* viewport right now but
 	// never fetched — pick the quality that still meets the deadline
 	// (often the lowest; Fig 4's persistent low quality).
-	items := f.items[:0]
+	buf := ctx.FetchList()
+	items := (*buf)[:0]
 	var backlog int64
 	nowChunk := m.ChunkOfFrame(ctx.PlayFrame)
 	f.vpTiles = ctx.Grid.AppendTilesInCap(f.vpTiles[:0], ctx.Predict(ctx.Now), ctx.Viewport.RadiusDeg)
@@ -180,7 +181,7 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 			items = append(items, player.RequestItem{Stream: player.Primary, Chunk: c, Tile: id, Quality: qp})
 		}
 	}
-	f.items = items
+	*buf = items
 	return items
 }
 

@@ -47,7 +47,7 @@ func flareDecideRef(f *Flare, ctx *player.Context) []player.RequestItem {
 		}
 		center := ctx.Predict(at)
 		vpTiles := ctx.Viewport.Tiles(ctx.Grid, center)
-		outer := ctx.Grid.TilesInCap(center, ctx.Viewport.RadiusDeg+peripheryDeg)
+		outer := ctx.Grid.AppendTilesInCap(nil, center, ctx.Viewport.RadiusDeg+peripheryDeg)
 		inVP := make(map[geom.TileID]bool, len(vpTiles))
 		for _, id := range vpTiles {
 			inVP[id] = true

@@ -28,18 +28,28 @@ type PanoOptions struct {
 // decides once per chunk, never refines, and stalls on missing tiles
 // (Table 1).
 //
-// An instance carries per-session scratch reused across decisions (the
-// output list, the per-group working state), so each session needs its own
-// instance; a Decide that commits no new chunk allocates nothing.
+// A committed chunk is kept as its plan — its groups in emission order,
+// each with one quality — over the manifest's TileGroups, and Decide
+// re-emits the look-ahead's plans into the Context's FetchList buffer. An
+// instance carries per-session state (the plans, sized on the first
+// decision) and scratch reused across decisions (the greedy's per-group
+// working state), so each session needs its own instance; after the first
+// decision, Decide allocates nothing.
 type Pano struct {
 	opts PanoOptions
 
-	// assigned caches the per-chunk decision: once made it is never
-	// revisited (Table 1 "Refine fetch decision: No").
-	assigned map[int][]player.RequestItem
-
-	items  []player.RequestItem
+	// plans[c] is chunk c's decision: once made it is never revisited
+	// (Table 1 "Refine fetch decision: No").
+	plans  []chunkPlan
 	groups relevanceSorter
+}
+
+// chunkPlan is one committed chunk: n groups in emission order, each with
+// its index in the chunk's TileGroups and its quality.
+type chunkPlan struct {
+	n     uint8 // 0 until the chunk is committed
+	group [video.DefaultGroupCount]uint8
+	q     [video.DefaultGroupCount]uint8
 }
 
 // groupState is assignChunk's working state for one tile group.
@@ -47,6 +57,7 @@ type groupState struct {
 	tiles     []geom.TileID
 	relevance float64 // viewport-overlap weight of the group
 	q         video.Quality
+	index     uint8 // the group's index in the chunk's TileGroups
 }
 
 // relevanceSorter orders a chunk's groups by descending relevance;
@@ -65,7 +76,7 @@ func NewPano(opts PanoOptions) *Pano {
 	if opts.Lookahead == 0 {
 		opts.Lookahead = 3 * time.Second
 	}
-	return &Pano{opts: opts, assigned: make(map[int][]player.RequestItem)}
+	return &Pano{opts: opts}
 }
 
 // Name implements player.Scheme.
@@ -90,29 +101,38 @@ func (p *Pano) StallPolicy() player.StallPolicy { return player.StallOnMissingAn
 // already been transmitted).
 func (p *Pano) Decide(ctx *player.Context) []player.RequestItem {
 	m := ctx.Manifest
+	if len(p.plans) != m.NumChunks {
+		p.plans = make([]chunkPlan, m.NumChunks)
+	}
 	nowChunk := m.ChunkOfFrame(ctx.PlayFrame)
 	lastFrame := ctx.PlayFrame + int(p.opts.Lookahead.Seconds()*float64(m.FPS))
 	if lastFrame >= m.NumFrames() {
 		lastFrame = m.NumFrames() - 1
 	}
+	buf := ctx.FetchList()
+	items := (*buf)[:0]
 	for c := nowChunk; c <= m.ChunkOfFrame(lastFrame); c++ {
-		if _, done := p.assigned[c]; !done {
-			p.assigned[c] = p.assignChunk(ctx, c)
+		plan := &p.plans[c]
+		if plan.n == 0 {
+			p.assignChunk(ctx, c, plan)
+		}
+		groups := m.TileGroups(c)
+		for k := range plan.n {
+			q := video.Quality(plan.q[k])
+			for _, id := range groups.Group(int(plan.group[k])) {
+				items = append(items, player.RequestItem{Stream: player.Primary, Chunk: c, Tile: id, Quality: q})
+			}
 		}
 	}
-	items := p.items[:0]
-	for c := nowChunk; c <= m.ChunkOfFrame(lastFrame); c++ {
-		items = append(items, p.assigned[c]...)
-	}
-	p.items = items
+	*buf = items
 	return items
 }
 
-// assignChunk makes the one-shot decision for a chunk: group tiles by
-// quality sensitivity, start everything at the lowest quality, then
-// greedily upgrade the group with the best viewport-weighted quality gain
-// per byte until the ABR budget is exhausted.
-func (p *Pano) assignChunk(ctx *player.Context, chunk int) []player.RequestItem {
+// assignChunk makes the one-shot decision for a chunk into plan: group
+// tiles by quality sensitivity, start everything at the lowest quality,
+// then greedily upgrade the group with the best viewport-weighted quality
+// gain per byte until the ABR budget is exhausted.
+func (p *Pano) assignChunk(ctx *player.Context, chunk int, plan *chunkPlan) {
 	m := ctx.Manifest
 	chunkDur := time.Duration(m.ChunkFrames) * ctx.FrameDuration
 	budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur)
@@ -123,13 +143,13 @@ func (p *Pano) assignChunk(ctx *player.Context, chunk int) []player.RequestItem 
 	}
 	center := ctx.Predict(at)
 
-	groups := video.GroupTiles(m, chunk, video.DefaultGroupCount)
+	groups := m.TileGroups(chunk)
 	states := p.groups.states[:0]
 	relevant := geom.NewCapQuery(center, ctx.Viewport.RadiusDeg+10)
 	var spent int64
-	for _, g := range groups {
-		gs := groupState{tiles: g, q: video.Lowest}
-		for _, id := range g {
+	for i := range groups.Len() {
+		gs := groupState{tiles: groups.Group(i), q: video.Lowest, index: uint8(i)}
+		for _, id := range gs.tiles {
 			gs.relevance += ctx.Grid.OverlapCapQ(id, relevant)
 			spent += m.TileSize(chunk, id, video.Lowest)
 		}
@@ -171,14 +191,11 @@ func (p *Pano) assignChunk(ctx *player.Context, chunk int) []player.RequestItem 
 		spent += bestCost
 	}
 
-	// Emit: viewport-relevant groups first, then the rest, all at their
-	// assigned qualities (the whole 360° is transmitted).
+	// Emission order: viewport-relevant groups first, then the rest, all
+	// at their assigned qualities (the whole 360° is transmitted).
 	sort.Stable(&p.groups)
-	items := make([]player.RequestItem, 0, m.NumTiles())
-	for _, gs := range states {
-		for _, id := range gs.tiles {
-			items = append(items, player.RequestItem{Stream: player.Primary, Chunk: chunk, Tile: id, Quality: gs.q})
-		}
+	plan.n = uint8(len(states))
+	for k, gs := range states {
+		plan.group[k], plan.q[k] = gs.index, uint8(gs.q)
 	}
-	return items
 }

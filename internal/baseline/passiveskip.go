@@ -17,10 +17,13 @@ import (
 // deadline. Comparing it against Dragonfly isolates the value of
 // utility-driven proactive skipping (§4.4).
 //
-// An instance carries the primary stream's candidate list as per-session
-// scratch reused across decisions, so each session needs its own instance.
+// An instance carries the primary stream's candidate list and cap tiles
+// as per-session scratch reused across decisions, so each session needs
+// its own instance; the fetch list is built in the Context's FetchList
+// buffer, and steady-state Decide calls allocate nothing.
 type PassiveSkip struct {
-	wants []passiveWant
+	tiles []geom.TileID
+	wants wantSorter
 }
 
 // passiveWant is one primary-stream candidate tile.
@@ -28,6 +31,25 @@ type passiveWant struct {
 	chunk int
 	tile  geom.TileID
 	dist  float64
+}
+
+// wantSorter orders candidates by deadline (chunk), then by angular
+// distance from the predicted view center, ties by tile ID: a total order,
+// so any sort yields the one permutation. A named type passed by pointer
+// keeps sort.Sort allocation-free.
+type wantSorter struct{ wants []passiveWant }
+
+func (s *wantSorter) Len() int      { return len(s.wants) }
+func (s *wantSorter) Swap(i, j int) { s.wants[i], s.wants[j] = s.wants[j], s.wants[i] }
+func (s *wantSorter) Less(i, j int) bool {
+	a, b := s.wants[i], s.wants[j]
+	if a.chunk != b.chunk {
+		return a.chunk < b.chunk
+	}
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.tile < b.tile
 }
 
 // NewPassiveSkip creates the variant with the paper's look-aheads (3 s
@@ -53,7 +75,8 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 	if maskLast >= m.NumFrames() {
 		maskLast = m.NumFrames() - 1
 	}
-	var items []player.RequestItem
+	buf := ctx.FetchList()
+	items := (*buf)[:0]
 	var maskBytes int64
 	for c := nowChunk; c <= m.ChunkOfFrame(maskLast); c++ {
 		if !ctx.Received.HasFullMasking(c) {
@@ -71,7 +94,7 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 	if primLast >= m.NumFrames() {
 		primLast = m.NumFrames() - 1
 	}
-	wants := p.wants[:0]
+	wants := p.wants.wants[:0]
 	for c := nowChunk; c <= m.ChunkOfFrame(primLast); c++ {
 		at := ctx.FrameDeadline(m.FirstFrame(c))
 		if at < ctx.Now {
@@ -79,7 +102,8 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 		}
 		center := ctx.Predict(at)
 		u := center.Unit()
-		for _, id := range ctx.Grid.TilesInCap(center, ctx.Viewport.RadiusDeg+15) {
+		p.tiles = ctx.Grid.AppendTilesInCap(p.tiles[:0], center, ctx.Viewport.RadiusDeg+15)
+		for _, id := range p.tiles {
 			if _, ok := ctx.Received.BestPrimary(c, id); ok {
 				continue
 			}
@@ -87,16 +111,8 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 				dist: ctx.Grid.CenterDistance(id, u)})
 		}
 	}
-	p.wants = wants
-	sort.Slice(wants, func(a, b int) bool {
-		if wants[a].chunk != wants[b].chunk {
-			return wants[a].chunk < wants[b].chunk
-		}
-		if wants[a].dist != wants[b].dist {
-			return wants[a].dist < wants[b].dist
-		}
-		return wants[a].tile < wants[b].tile
-	})
+	p.wants.wants = wants
+	sort.Sort(&p.wants)
 
 	budget := abr.ChunkBudget(ctx.PredictedMbps, primaryLookahead) - maskBytes
 	if budget < 0 {
@@ -113,5 +129,6 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 	for _, w := range wants {
 		items = append(items, player.RequestItem{Stream: player.Primary, Chunk: w.chunk, Tile: w.tile, Quality: q})
 	}
+	*buf = items
 	return items
 }

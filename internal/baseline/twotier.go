@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dragonfly/internal/abr"
+	"dragonfly/internal/geom"
 	"dragonfly/internal/player"
 	"dragonfly/internal/video"
 )
@@ -14,15 +15,30 @@ import (
 // quality for all enhancement tiles, decides once per chunk without
 // refinement, passively skips enhancement tiles that miss their deadline,
 // and stalls when the base stream itself is late (Table 1).
+//
+// An instance carries per-session state (the committed chunks' plans and
+// their tiles) and scratch (the centrality sort keys), so each session
+// needs its own instance; the fetch list is built in the Context's
+// FetchList buffer, and a Decide that commits no new chunk allocates
+// nothing.
 type TwoTier struct {
-	assigned map[int][]player.RequestItem
+	// plans[c] is chunk c's enhancement decision, made once.
+	plans   []tierPlan
+	tiles   []geom.TileID // every plan's tiles, chunk after chunk
+	central centralitySorter
+}
+
+// tierPlan is one committed chunk: its enhancement quality and its
+// viewport tiles, tiles[lo:hi] in centrality order.
+type tierPlan struct {
+	lo, hi int32
+	q      video.Quality
+	done   bool
 }
 
 // NewTwoTier creates the baseline with the paper's look-aheads (3 s base,
 // 1 s enhancement).
-func NewTwoTier() *TwoTier {
-	return &TwoTier{assigned: make(map[int][]player.RequestItem)}
-}
+func NewTwoTier() *TwoTier { return &TwoTier{} }
 
 // Name implements player.Scheme.
 func (t *TwoTier) Name() string { return "Two-tier" }
@@ -38,6 +54,9 @@ func (t *TwoTier) StallPolicy() player.StallPolicy { return player.StallOnMissin
 // Decide implements player.Scheme.
 func (t *TwoTier) Decide(ctx *player.Context) []player.RequestItem {
 	m := ctx.Manifest
+	if len(t.plans) != m.NumChunks {
+		t.plans = make([]tierPlan, m.NumChunks)
+	}
 	nowChunk := m.ChunkOfFrame(ctx.PlayFrame)
 
 	// Base stream: full-360° chunks across the long look-ahead.
@@ -45,7 +64,8 @@ func (t *TwoTier) Decide(ctx *player.Context) []player.RequestItem {
 	if maskLast >= m.NumFrames() {
 		maskLast = m.NumFrames() - 1
 	}
-	var items []player.RequestItem
+	buf := ctx.FetchList()
+	items := (*buf)[:0]
 	for c := nowChunk; c <= m.ChunkOfFrame(maskLast); c++ {
 		if !ctx.Received.HasFullMasking(c) {
 			items = append(items, player.RequestItem{Stream: player.Masking, Chunk: c, Full360: true, Quality: video.Lowest})
@@ -59,18 +79,23 @@ func (t *TwoTier) Decide(ctx *player.Context) []player.RequestItem {
 		primLast = m.NumFrames() - 1
 	}
 	for c := nowChunk; c <= m.ChunkOfFrame(primLast); c++ {
-		if _, done := t.assigned[c]; !done {
-			t.assigned[c] = t.assignChunk(ctx, c)
+		plan := &t.plans[c]
+		if !plan.done {
+			t.assignChunk(ctx, c, plan)
 		}
-		items = append(items, t.assigned[c]...)
+		for _, id := range t.tiles[plan.lo:plan.hi] {
+			items = append(items, player.RequestItem{Stream: player.Primary, Chunk: c, Tile: id, Quality: plan.q})
+		}
 	}
+	*buf = items
 	return items
 }
 
-// assignChunk picks the uniform enhancement quality for one chunk: the
-// highest level whose predicted-viewport cost fits the budget left after
-// the base stream.
-func (t *TwoTier) assignChunk(ctx *player.Context, chunk int) []player.RequestItem {
+// assignChunk picks the uniform enhancement quality for one chunk into
+// plan: the highest level whose predicted-viewport cost fits the budget
+// left after the base stream, over the viewport's tiles in centrality
+// order.
+func (t *TwoTier) assignChunk(ctx *player.Context, chunk int, plan *tierPlan) {
 	m := ctx.Manifest
 	chunkDur := time.Duration(m.ChunkFrames) * ctx.FrameDuration
 	budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur) - m.Full360Size(chunk, video.Lowest)
@@ -83,7 +108,9 @@ func (t *TwoTier) assignChunk(ctx *player.Context, chunk int) []player.RequestIt
 		at = ctx.Now
 	}
 	center := ctx.Predict(at)
-	vpTiles := ctx.Viewport.Tiles(ctx.Grid, center)
+	lo := len(t.tiles)
+	t.tiles = ctx.Grid.AppendTilesInCap(t.tiles, center, ctx.Viewport.RadiusDeg)
+	vpTiles := t.tiles[lo:]
 
 	q := abr.MaxQualityFitting(func(q video.Quality) int64 {
 		total := int64(0)
@@ -93,18 +120,16 @@ func (t *TwoTier) assignChunk(ctx *player.Context, chunk int) []player.RequestIt
 		return total
 	}, budget, video.Lowest+1, video.Highest)
 
-	u := center.Unit()
-	sort.Slice(vpTiles, func(a, b int) bool {
-		da := ctx.Grid.CenterDistance(vpTiles[a], u)
-		db := ctx.Grid.CenterDistance(vpTiles[b], u)
-		if da != db {
-			return da < db
-		}
-		return vpTiles[a] < vpTiles[b]
-	})
-	items := make([]player.RequestItem, 0, len(vpTiles))
+	// The centrality order is total (IDs are distinct), so any sort yields
+	// the one permutation.
+	keys, u := t.central.keys[:0], center.Unit()
 	for _, id := range vpTiles {
-		items = append(items, player.RequestItem{Stream: player.Primary, Chunk: chunk, Tile: id, Quality: q})
+		keys = append(keys, centralKey{dist: ctx.Grid.CenterDistance(id, u), id: id})
 	}
-	return items
+	t.central.keys = keys
+	sort.Sort(&t.central)
+	for i, k := range keys {
+		vpTiles[i] = k.id
+	}
+	*plan = tierPlan{lo: int32(lo), hi: int32(len(t.tiles)), q: q, done: true}
 }

@@ -548,9 +548,9 @@ func (s *session) run() (*player.Metrics, error) {
 		)
 		fetch, decided := s.pb.Advance(now)
 		if decided {
-			// Copy: fetch may alias scheme-owned buffers that the next
-			// decision overwrites, and the reconnector re-issues lastReq
-			// later — on its own if the link is down now (conn == nil).
+			// Copy: fetch aliases a buffer the decision after next
+			// overwrites, and the reconnector re-issues lastReq later —
+			// on its own if the link is down now (conn == nil).
 			s.lastReq = append(s.lastReq[:0], fetch...)
 			s.gen++
 			gen = s.gen

@@ -15,14 +15,15 @@ import (
 // skipping, refined every decision interval.
 //
 // An instance holds what outlives a decision: its options, its metric
-// handles, the session's resolved overlap/score tables and the
-// double-buffered output list a Decide result aliases. Everything a
-// decision builds and discards (the masking plan, both windows and
-// schedulers) is a scratch that Decide borrows from a process-wide pool
-// and returns before it does, so it outlives the session while nothing of
-// a decision carries into the next. Each session still needs its own
-// instance, and Decide must not be called concurrently on one — the
-// contract the sim harness follows by building one scheme per session.
+// handles and the session's resolved overlap/score tables. The fetch list
+// is built in the Context's FetchList buffer, which the session's storage
+// owns. Everything a decision builds and discards (the masking plan, both
+// windows and schedulers) is a scratch that Decide borrows from a
+// process-wide pool and returns before it does, so it outlives the
+// session while nothing of a decision carries into the next. Each session
+// still needs its own instance, and Decide must not be called concurrently
+// on one — the contract the sim harness follows by building one scheme per
+// session.
 type Dragonfly struct {
 	opts Options
 
@@ -32,9 +33,7 @@ type Dragonfly struct {
 	// at no cost.
 	met *decideMetrics
 
-	tabs  sessionTables
-	items [2][]player.RequestItem // double-buffered Decide output
-	flip  int
+	tabs sessionTables
 }
 
 // scratch is one decision's working storage. Every field is rebuilt from
@@ -118,9 +117,9 @@ func (d *Dragonfly) StallPolicy() player.StallPolicy { return player.NeverStall 
 // over the short look-ahead, with the masking backlog counted against the
 // bandwidth budget (§3.2's bandwidth split).
 //
-// The returned slice aliases a per-instance buffer and is valid until the
-// next Decide call on this instance (see player.Scheme); steady-state calls
-// allocate nothing.
+// The returned slice aliases the Context's FetchList buffer and is valid
+// through the next Decide on that Context (see player.Scheme);
+// steady-state calls allocate nothing.
 func (d *Dragonfly) Decide(ctx *player.Context) []player.RequestItem {
 	s := scratchPool.Get().(*scratch)
 	items := d.decide(ctx, s)
@@ -131,12 +130,11 @@ func (d *Dragonfly) Decide(ctx *player.Context) []player.RequestItem {
 // decide is Decide on the scratch s.
 func (d *Dragonfly) decide(ctx *player.Context, s *scratch) []player.RequestItem {
 	d.tabs.resolve(ctx, d.opts)
-	idx := d.flip
-	d.flip = 1 - d.flip
 
 	// Masking first (earliest-deadline chunks lead), then the utility-
 	// ordered primary fetches.
-	items := d.appendMasking(ctx, d.items[idx][:0], s)
+	buf := ctx.FetchList()
+	items := d.appendMasking(ctx, (*buf)[:0], s)
 
 	var maskBytes int64
 	for i := range items {
@@ -165,7 +163,7 @@ func (d *Dragonfly) decide(ctx *player.Context, s *scratch) []player.RequestItem
 			Quality: video.Quality(e.q),
 		})
 	}
-	d.items[idx] = items
+	*buf = items
 	return items
 }
 

@@ -83,7 +83,7 @@ func TestCapWalksMatchSampleLoop(t *testing.T) {
 			}
 		}
 		ids, ws = g.AppendCapWeights(ids[:0], ws[:0], c, radii[i])
-		tiles := g.TilesInCap(c, radii[i])
+		tiles := g.AppendTilesInCap(nil, c, radii[i])
 		if len(ids) != len(wantIDs) || len(tiles) != len(wantIDs) {
 			t.Fatalf("cap %+v r=%v: %d weighted, %d listed, sample loop %d", c, radii[i], len(ids), len(tiles), len(wantIDs))
 		}

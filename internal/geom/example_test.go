@@ -6,12 +6,12 @@ import (
 	"dragonfly/internal/geom"
 )
 
-// ExampleGrid_TilesInCap lists how many tiles of the paper's 12x12 grid a
-// viewport-sized cap touches, looking straight ahead.
-func ExampleGrid_TilesInCap() {
+// ExampleGrid_AppendTilesInCap lists how many tiles of the paper's 12x12
+// grid a viewport-sized cap touches, looking straight ahead.
+func ExampleGrid_AppendTilesInCap() {
 	grid := geom.NewGrid(12, 12)
 	forward := geom.Orientation{Yaw: 0, Pitch: 0}
-	tiles := grid.TilesInCap(forward, geom.DefaultViewport.RadiusDeg)
+	tiles := grid.AppendTilesInCap(nil, forward, geom.DefaultViewport.RadiusDeg)
 	fmt.Printf("a %v-degree viewport cap touches %d of %d tiles\n",
 		geom.DefaultViewport.RadiusDeg, len(tiles), grid.NumTiles())
 	// Output:

@@ -371,15 +371,10 @@ func (g *Grid) OverlapCapQ(id TileID, q CapQuery) float64 {
 	return g.capWeight(id, q) / g.tileWeight[id]
 }
 
-// TilesInCap returns the IDs of all tiles with non-zero overlap with the
-// spherical cap centered at center with the given angular radius.
-func (g *Grid) TilesInCap(center Orientation, radiusDeg float64) []TileID {
-	return g.AppendTilesInCap(make([]TileID, 0, 32), center, radiusDeg)
-}
-
-// AppendTilesInCap is TilesInCap appending into a caller-provided slice, so
-// per-decision and per-frame loops can reuse one buffer instead of
-// allocating. The cap test is hoisted once for the whole grid walk.
+// AppendTilesInCap appends to dst the IDs of all tiles with non-zero
+// overlap with the spherical cap centered at center with the given angular
+// radius, so per-decision and per-frame loops can reuse one buffer instead
+// of allocating. The cap test is hoisted once for the whole grid walk.
 func (g *Grid) AppendTilesInCap(dst []TileID, center Orientation, radiusDeg float64) []TileID {
 	q := NewCapQuery(center, radiusDeg)
 	g.walkCap(q, func(id TileID) {
@@ -488,7 +483,7 @@ var DefaultViewport = Viewport{RadiusDeg: 50}
 
 // Tiles returns the tiles visible from the given orientation.
 func (v Viewport) Tiles(g *Grid, center Orientation) []TileID {
-	return g.TilesInCap(center, v.RadiusDeg)
+	return g.AppendTilesInCap(make([]TileID, 0, 32), center, v.RadiusDeg)
 }
 
 // AppendCapWeights appends, for every tile with non-zero overlap with the

@@ -209,7 +209,7 @@ func TestOverlapCapZeroWhenFar(t *testing.T) {
 
 func TestTilesInCapSubsetAndSymmetric(t *testing.T) {
 	g := NewGrid(12, 12)
-	tiles := g.TilesInCap(Orientation{0, 0}, 50)
+	tiles := g.AppendTilesInCap(nil, Orientation{0, 0}, 50)
 	if len(tiles) == 0 || len(tiles) >= g.NumTiles() {
 		t.Fatalf("unexpected viewport tile count %d", len(tiles))
 	}
@@ -354,7 +354,7 @@ func TestCapWeightsConsistentWithCoverage(t *testing.T) {
 		total += weights[i]
 	}
 	// Tiles in CapWeights must match TilesInCap.
-	if got := g.TilesInCap(center, 50); len(got) != len(ids) {
+	if got := g.AppendTilesInCap(nil, center, 50); len(got) != len(ids) {
 		t.Errorf("CapWeights found %d tiles, TilesInCap %d", len(ids), len(got))
 	}
 	if total <= 0 {
@@ -434,7 +434,7 @@ func TestCapRadiusWholeSphereAndEmpty(t *testing.T) {
 	g := NewGrid(12, 12)
 	o := Orientation{Yaw: 33, Pitch: -21}
 	for _, r := range []float64{180, 180.5, 230, 360, 1e6} {
-		if got := len(g.TilesInCap(o, r)); got != g.NumTiles() {
+		if got := len(g.AppendTilesInCap(nil, o, r)); got != g.NumTiles() {
 			t.Errorf("TilesInCap(r=%v) = %d tiles, want all %d", r, got, g.NumTiles())
 		}
 		ids, ws := g.CapWeights(o, r)
@@ -457,7 +457,7 @@ func TestCapRadiusWholeSphereAndEmpty(t *testing.T) {
 		}
 	}
 	for _, r := range []float64{0, -1, -230} {
-		if got := g.TilesInCap(o, r); len(got) != 0 {
+		if got := g.AppendTilesInCap(nil, o, r); len(got) != 0 {
 			t.Errorf("TilesInCap(r=%v) = %d tiles, want none", r, len(got))
 		}
 		if ids, _ := g.CapWeights(o, r); len(ids) != 0 {
@@ -473,7 +473,7 @@ func TestCapRadiusWholeSphereAndEmpty(t *testing.T) {
 	// The region must not shrink as the radius grows through 180°.
 	prev := 0
 	for r := 100.0; r <= 260; r += 10 {
-		n := len(g.TilesInCap(o, r))
+		n := len(g.AppendTilesInCap(nil, o, r))
 		if n < prev {
 			t.Errorf("TilesInCap shrank from %d to %d tiles at r=%v", prev, n, r)
 		}

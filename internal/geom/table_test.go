@@ -183,11 +183,11 @@ func TestSharedTableIdentity(t *testing.T) {
 func TestAppendTilesInCapMatchesTilesInCap(t *testing.T) {
 	g := NewGrid(12, 12)
 	c := Orientation{Yaw: 170, Pitch: -30}
-	want := g.TilesInCap(c, 50)
+	want := Viewport{RadiusDeg: 50}.Tiles(g, c)
 	buf := make([]TileID, 0, 8)
 	got := g.AppendTilesInCap(buf[:0], c, 50)
 	if len(got) != len(want) {
-		t.Fatalf("AppendTilesInCap len %d != TilesInCap len %d", len(got), len(want))
+		t.Fatalf("AppendTilesInCap len %d != Viewport.Tiles len %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {

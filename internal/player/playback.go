@@ -109,14 +109,16 @@ type Playback struct {
 }
 
 // storage is a session's manifest-sized state: Received's three arrival
-// maps as one array, the accountant's two render bitmaps as one, and the
-// delivery log. NewPlayback borrows a set from storagePool and Finish gives
-// it back, so back-to-back sessions over one manifest size it once; the
-// pool empties itself across garbage collections.
+// maps as one array, the accountant's two render bitmaps as one, the
+// delivery log and the Context's two fetch-list buffers. NewPlayback
+// borrows a set from storagePool and Finish gives it back, so back-to-back
+// sessions over one manifest size it once; the pool empties itself across
+// garbage collections.
 type storage struct {
 	arrivals   []time.Duration
 	rendered   []bool
 	deliveries []delivery
+	fetch      [2][]RequestItem
 }
 
 var storagePool = sync.Pool{New: func() any { return new(storage) }}
@@ -186,6 +188,7 @@ func NewPlayback(cfg Config) (*Playback, error) {
 		Predict:       p.vpPred.Predict,
 		FrameDuration: p.frameDur,
 		FrameDeadline: p.frameDeadline,
+		lists:         st.fetch,
 	}
 	return p, nil
 }
@@ -242,7 +245,8 @@ func (p *Playback) NextEvent() time.Duration {
 // deadline has passed. It renders at most one frame per call, scheduling
 // the next a frame after now: a driver that arrives late skips no frame
 // and bursts none. When decided is true, fetch replaces the outstanding
-// request; it may alias scheme-owned memory valid until the next decision.
+// request; it may alias the session's storage and stays valid through the
+// next decision.
 func (p *Playback) Advance(now time.Duration) (fetch []RequestItem, decided bool) {
 	p.now = now
 	for now >= p.nextHead {
@@ -293,6 +297,7 @@ func (p *Playback) Finish(now time.Duration) *Metrics {
 	p.met.WallDuration = now
 	p.met.PlayDuration = time.Duration(p.met.TotalFrames) * p.frameDur
 	p.acct.finishWastage(p.store.deliveries)
+	p.store.fetch, p.ctx.lists = p.ctx.lists, [2][]RequestItem{}
 	storagePool.Put(p.store)
 	p.store = nil
 	p.received.primaryAt, p.received.maskTileAt, p.received.maskFullAt = nil, nil, nil

@@ -207,6 +207,16 @@ func (s *listScheme) DecisionInterval() time.Duration             { return 100 *
 func (s *listScheme) StallPolicy() player.StallPolicy             { return player.NeverStall }
 func (s *listScheme) Decide(*player.Context) []player.RequestItem { return s.items }
 
+// buildScheme builds listScheme's list anew at every decision, in the
+// Context's fetch-list buffer, as every registered scheme builds its own.
+type buildScheme struct{ listScheme }
+
+func (s *buildScheme) Decide(ctx *player.Context) []player.RequestItem {
+	buf := ctx.FetchList()
+	*buf = append((*buf)[:0], s.items...)
+	return *buf
+}
+
 // The decision path allocates nothing per epoch, for either driver: Advance
 // refills one Context in place, binds its two method values once and reuses
 // its viewport-tile scratch. The head is sampled once a second so the
@@ -243,7 +253,9 @@ func TestPlaybackAdvanceDecisionZeroAlloc(t *testing.T) {
 // P, so that the second Run's Get looks where the first Run's Put went (a
 // goroutine preempted onto another P misses a pool's per-P slot), the first
 // Run allocates at least the primary arrival map (chunks × tiles ×
-// qualities instants) and a second Run less than that map alone.
+// qualities instants) and a second Run less than that map alone, and less
+// than the one fetch list its scheme builds at every decision (every tile
+// of every chunk) alone: both fetch-list buffers come from the pool too.
 func TestSessionStorageReused(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random quarter of its Puts under the race detector")
@@ -251,7 +263,7 @@ func TestSessionStorageReused(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m := video.Generate(video.GenParams{ID: "reuse", NumChunks: 10, Seed: 3})
-	s := &listScheme{}
+	s := &buildScheme{}
 	for c := 0; c < m.NumChunks; c++ {
 		for tile := 0; tile < m.NumTiles(); tile++ {
 			s.items = append(s.items, player.RequestItem{Chunk: c, Tile: geom.TileID(tile)})
@@ -262,6 +274,7 @@ func TestSessionStorageReused(t *testing.T) {
 		Bandwidth: &trace.BandwidthTrace{ID: "flat", SamplePeriod: time.Second, Mbps: []float64{50}},
 	}
 	bound := uint64(m.NumChunks*m.NumTiles()*video.NumQualities) * uint64(unsafe.Sizeof(time.Duration(0)))
+	listBound := uint64(len(s.items)) * uint64(unsafe.Sizeof(player.RequestItem{}))
 	var allocated [2]uint64
 	for i := range allocated {
 		var before, after runtime.MemStats
@@ -279,5 +292,9 @@ func TestSessionStorageReused(t *testing.T) {
 	if allocated[0] < bound || allocated[1] >= bound {
 		t.Errorf("Runs allocated %d then %d bytes; want the first at least, and the second below, the %d-byte primary arrival map",
 			allocated[0], allocated[1], bound)
+	}
+	if allocated[0] < 2*listBound || allocated[1] >= listBound {
+		t.Errorf("Runs allocated %d then %d bytes; want the first at least two, and the second below one, %d-byte fetch list",
+			allocated[0], allocated[1], listBound)
 	}
 }

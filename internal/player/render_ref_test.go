@@ -123,13 +123,13 @@ func TestOneViewportWalkMatchesTwo(t *testing.T) {
 			primaryDeg := 60.0
 			if policy == NeverStall {
 				primaryDeg = 35
-				for _, id := range ctx.Grid.TilesInCap(center, 90) {
+				for _, id := range ctx.Grid.AppendTilesInCap(nil, center, 90) {
 					if id%2 == 0 {
 						items = append(items, RequestItem{Stream: Masking, Chunk: c, Tile: id})
 					}
 				}
 			}
-			for _, id := range ctx.Grid.TilesInCap(center, primaryDeg) {
+			for _, id := range ctx.Grid.AppendTilesInCap(nil, center, primaryDeg) {
 				if masking && id%5 == 0 {
 					items = append(items, RequestItem{Stream: Masking, Chunk: c, Tile: id})
 					continue

@@ -121,6 +121,22 @@ type Context struct {
 	FrameDeadline func(frame int) time.Duration
 
 	FrameDuration time.Duration
+
+	// lists are the two fetch-list buffers FetchList alternates between.
+	// A Playback lends its session's pair from the pooled storage.
+	lists [2][]RequestItem
+	flip  uint8
+}
+
+// FetchList returns the buffer a Decide builds its fetch list in: the one
+// the previous Decide on this Context did not use. The scheme appends to
+// (*buf)[:0] and stores the grown slice back in *buf, so the list it
+// returns stays valid through the next Decide on this Context and its
+// capacity serves the one after that. Contents past the scheme's own
+// appends are undefined.
+func (c *Context) FetchList() *[]RequestItem {
+	c.flip ^= 1
+	return &c.lists[c.flip]
 }
 
 // Scheme is a 360° streaming algorithm under test.
@@ -137,10 +153,11 @@ type Scheme interface {
 	// (re-sending only tiles previously delivered at masking quality), so
 	// schemes may re-state their full intent each epoch.
 	//
-	// The returned slice may alias buffers owned by the scheme and is only
-	// valid until the next Decide call on the same instance; callers that
-	// keep the list across decisions must copy it. The *Context may
-	// likewise be reused by the caller across decisions, so schemes must
-	// not retain it past the call.
+	// The returned slice may alias the Context's FetchList buffers or
+	// memory the scheme owns. It stays valid through the next Decide on
+	// the same Context, which is what a driver holding the outstanding
+	// request needs; callers that keep a list longer must copy it. The
+	// *Context is caller-owned and reused across decisions, so schemes
+	// must not retain it past the call.
 	Decide(ctx *Context) []RequestItem
 }

@@ -31,31 +31,64 @@ func GroupTiles(m *Manifest, chunk, n int) [][]geom.TileID {
 	if n <= 0 {
 		n = DefaultGroupCount
 	}
-	if n > tiles {
-		n = tiles
+	g := Groups{order: sensitivityOrder(m, chunk, make([]geom.TileID, tiles)), n: min(n, tiles)}
+	groups := make([][]geom.TileID, g.n)
+	for i := range groups {
+		groups[i] = g.Group(i)
 	}
-	ids := make([]geom.TileID, tiles)
+	return groups
+}
+
+// Groups is one chunk's grouping as GroupTiles cuts it: the chunk's tiles
+// in ascending sensitivity order (ties by ID), split into Len contiguous
+// runs.
+type Groups struct {
+	order []geom.TileID
+	n     int
+}
+
+// Len returns the number of groups.
+func (g Groups) Len() int { return g.n }
+
+// Group returns group i's tiles in sensitivity order. The slice shares the
+// grouping's memory and must not be written.
+func (g Groups) Group(i int) []geom.TileID {
+	lo, hi := i*len(g.order)/g.n, (i+1)*len(g.order)/g.n
+	return g.order[lo:hi:hi]
+}
+
+// TileGroups returns the chunk's grouping into DefaultGroupCount groups,
+// the groups GroupTiles(m, chunk, DefaultGroupCount) lists. The manifest
+// builds every chunk's at once, on the first call, and holds them: a
+// grouping depends on the manifest alone, so every session over it shares
+// one.
+func (m *Manifest) TileGroups(chunk int) Groups {
+	tiles := m.NumTiles()
+	m.groupsOnce.Do(func() {
+		m.groupOrder = make([]geom.TileID, m.NumChunks*tiles)
+		for c := 0; c < m.NumChunks; c++ {
+			sensitivityOrder(m, c, m.groupOrder[c*tiles:(c+1)*tiles])
+		}
+	})
+	return Groups{order: m.groupOrder[chunk*tiles : (chunk+1)*tiles], n: min(DefaultGroupCount, tiles)}
+}
+
+// sensitivityOrder fills ids, one slot per tile, with the chunk's tiles in
+// ascending quality sensitivity, ties by ID, and returns it.
+func sensitivityOrder(m *Manifest, chunk int, ids []geom.TileID) []geom.TileID {
+	sens := make([]float64, len(ids))
 	for i := range ids {
 		ids[i] = geom.TileID(i)
+		sens[i] = QualitySensitivity(m, chunk, ids[i])
 	}
 	sort.Slice(ids, func(a, b int) bool {
-		sa := QualitySensitivity(m, chunk, ids[a])
-		sb := QualitySensitivity(m, chunk, ids[b])
+		sa, sb := sens[ids[a]], sens[ids[b]]
 		if sa != sb {
 			return sa < sb
 		}
 		return ids[a] < ids[b]
 	})
-	groups := make([][]geom.TileID, 0, n)
-	for g := 0; g < n; g++ {
-		lo := g * tiles / n
-		hi := (g + 1) * tiles / n
-		if lo == hi {
-			continue
-		}
-		groups = append(groups, append([]geom.TileID(nil), ids[lo:hi]...))
-	}
-	return groups
+	return ids
 }
 
 // groupCompressionSaving is the fraction of the fixed-tiling overhead that

@@ -90,6 +90,12 @@ type Manifest struct {
 	// manifest should share one grid.
 	gridOnce sync.Once
 	grid     *geom.Grid
+
+	// TileGroups cache: every chunk's tiles in sensitivity order, chunk
+	// after chunk, built on the first call (Pano's), so set-up never pays
+	// for it and it is freed with the manifest.
+	groupsOnce sync.Once
+	groupOrder []geom.TileID
 }
 
 // newManifest allocates an empty manifest with the given dimensions. All

@@ -1,11 +1,12 @@
 // Micro-benchmarks for the per-decision fast path: Decide across the
 // masking variants (table-driven vs exact geometry) on a static context and
-// on one taken mid-session, Flare's Decide, and the raw overlap queries
+// on one taken mid-session, the Flare, Pano and Two-tier baselines' Decide,
+// and the raw overlap queries
 // underneath them (sampled spherical-cap integration, the cap walk, the
 // precomputed table). Run with -benchmem: the Decide benchmarks must report
 // zero allocs/op in steady state — internal/core's TestDecideAllocationFree
-// and internal/baseline's TestFlareDecideAllocationFree pin the same
-// property as hard tests, and cmd/benchdiff fails a 0 -> N change. Two more
+// and internal/baseline's Test*DecideAllocationFree pin the same property
+// as hard tests, and cmd/benchdiff fails a 0 -> N change. Two more
 // of the family call unexported code and so live in their packages:
 // BenchmarkScoreSlab (internal/core) and BenchmarkRenderFrame
 // (internal/player); scripts/bench.sh and scripts/ci.sh run them alongside.
@@ -164,6 +165,43 @@ func BenchmarkDecideMidSession(b *testing.B) {
 // centrality.
 func BenchmarkFlareDecide(b *testing.B) {
 	benchDecide(b, baseline.NewFlare(baseline.FlareOptions{}))
+}
+
+// Pano's per-chunk commitment on a reused Context: every op is the
+// decision at the start of the next chunk, which commits the one chunk
+// that has entered its 3 s look-ahead and re-emits the look-ahead's plans
+// (4 chunks × 144 tiles). When the video runs out, a fresh instance's first
+// decision (the opening four commitments and the plans' sizing) runs with
+// the timer stopped.
+func BenchmarkPanoDecide(b *testing.B) {
+	m := perfManifest()
+	ctx := perfContext(m, 12)
+	warm := baseline.NewPano(baseline.PanoOptions{}) // sizes both fetch lists
+	warm.Decide(ctx)
+	warm.Decide(ctx)
+	var p *baseline.Pano
+	chunk := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p == nil || chunk+3 >= m.NumChunks-1 {
+			b.StopTimer()
+			p, chunk = baseline.NewPano(baseline.PanoOptions{}), 0
+			ctx.PlayFrame, ctx.Now = 0, 0
+			p.Decide(ctx)
+			b.StartTimer()
+		}
+		chunk++
+		ctx.PlayFrame = m.FirstFrame(chunk)
+		ctx.Now = ctx.FrameDeadline(ctx.PlayFrame)
+		p.Decide(ctx)
+	}
+}
+
+// Two-tier's refinement between commitments: the base stream's 3 s of
+// full-360° chunks and the committed enhancement plans re-emitted.
+func BenchmarkTwoTierDecide(b *testing.B) {
+	benchDecide(b, baseline.NewTwoTier())
 }
 
 // The cap walk behind the player's per-frame viewport, Flare's tile sets

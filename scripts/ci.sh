@@ -196,10 +196,10 @@ done
 # for the expensive experiment sweeps, more for the microsecond-scale
 # micro-benchmarks whose single iteration is all warm-up noise. -benchmem
 # feeds benchdiff's allocation gate: a benchmark the baseline holds at 0
-# allocs/op (Decide*, FlareDecide, Overlap*, TilesInCap, ScoreSlab/*,
-# RenderFrame, UnmarshalEvent/canonical, FrameWritePreframed, and the pooled
-# FrameWriteCRC, FrameWriteNoCRC and WriteManifest) that allocates fails
-# even in warn mode.
+# allocs/op (Decide*, FlareDecide, PanoDecide, TwoTierDecide, Overlap*,
+# TilesInCap, ScoreSlab/*, RenderFrame, UnmarshalEvent/canonical,
+# FrameWritePreframed, and the pooled FrameWriteCRC, FrameWriteNoCRC and
+# WriteManifest) that allocates fails even in warn mode.
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 sh scripts/benchrun.sh 1x "${BENCHTIME_MICRO:-50x}" | tee "$raw"
