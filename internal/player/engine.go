@@ -16,10 +16,10 @@ type transfer struct {
 }
 
 // Run plays the session to completion in virtual time and returns its
-// metrics: a Playback driven over a modelled server — the installed fetch
-// list, the redundancy rule and one transfer in flight on the trace-driven
-// link. A request takes effect the instant it is decided (zero RTT,
-// DESIGN.md §7).
+// metrics: a Playback driven over a modelled server — the tile server's
+// SendQueue with no budgets, and one transfer in flight on the
+// trace-driven link. A request takes effect the instant it is decided
+// (zero RTT, DESIGN.md §7).
 func Run(cfg Config) (*Metrics, error) {
 	pb, end, err := simulate(cfg)
 	if err != nil {
@@ -46,17 +46,15 @@ func simulate(cfg Config) (*Playback, time.Duration, error) {
 
 	var (
 		now      time.Duration
-		queue    []RequestItem
-		sent     = NewHeldSummary(m)
+		queue    = NewSendQueue(m)
+		gen      uint32
 		tr       transfer
 		inflight bool
 	)
 	for !pb.Over(now) {
 		next := pb.NextEvent()
-		for !inflight && len(queue) > 0 {
-			it := queue[0]
-			queue = queue[1:]
-			if sent.Admit(it) {
+		if !inflight {
+			if it, ok := queue.Pop(); ok {
 				size := it.Size(m)
 				tr, inflight = transfer{it, size, float64(size), now}, true
 			}
@@ -77,7 +75,8 @@ func simulate(cfg Config) (*Playback, time.Duration, error) {
 		}
 		now = next
 		if fetch, decided := pb.Advance(now); decided {
-			queue = fetch
+			gen++
+			queue.Install(gen, fetch, 0, 0)
 		}
 	}
 	return pb, now, nil

@@ -113,9 +113,9 @@ func (r *Received) HasFullMasking(chunk int) bool {
 }
 
 // HeldSummary is a compact bitmap snapshot of which tile variants a client
-// holds, independent of quality level. It is also the server's
-// redundancy-suppression state (Admit), so a reconnecting client can ship
-// it in a resume handshake and the new server Merges it in as is: a held
+// holds, independent of quality level. It is also a SendQueue's
+// redundancy-suppression state (admit), so a reconnecting client can ship
+// it in a resume handshake and the new server merges it in as is: a held
 // tile is never re-downloaded.
 type HeldSummary struct {
 	NumChunks, NumTiles int
@@ -129,8 +129,8 @@ type HeldSummary struct {
 func bitGet(b []byte, i int) bool { return b[i>>3]&(1<<uint(i&7)) != 0 }
 func bitSet(b []byte, i int)      { b[i>>3] |= 1 << uint(i&7) }
 
-// NewHeldSummary returns the summary of a session that holds nothing.
-func NewHeldSummary(m *video.Manifest) HeldSummary {
+// newHeldSummary returns the summary of a session that holds nothing.
+func newHeldSummary(m *video.Manifest) HeldSummary {
 	perTile := (m.NumChunks*m.NumTiles() + 7) / 8
 	return HeldSummary{
 		NumChunks: m.NumChunks,
@@ -143,7 +143,7 @@ func NewHeldSummary(m *video.Manifest) HeldSummary {
 
 // summary captures the current held state as bitmaps.
 func (r *Received) summary() HeldSummary {
-	h := NewHeldSummary(r.m)
+	h := newHeldSummary(r.m)
 	for ct := 0; ct < r.m.NumChunks*h.NumTiles; ct++ {
 		for q := 0; q < video.NumQualities; q++ {
 			if r.primaryAt[ct*video.NumQualities+q] != notReceived {
@@ -173,14 +173,13 @@ func (h HeldSummary) Valid() bool {
 	return len(h.Primary) == perTile && len(h.MaskTile) == perTile && len(h.MaskFull) == perChunk
 }
 
-// Admit is the server's redundancy rule (§3.3) with the summary as its
+// admit is the server's redundancy rule (§3.3) with the summary as its
 // state: a tile sent on the primary stream is never re-sent; masking is
 // sent once, and not after the chunk's full-360° masking; a tile sent only
 // as masking may still be upgraded on the primary stream. It reports
 // whether the rule lets the item be transmitted and, if so, marks it held.
-// The engine's server model and the real server's send queue both filter
-// their fetch lists through one. The item must be In the manifest.
-func (h *HeldSummary) Admit(it RequestItem) bool {
+// The item must be In the manifest.
+func (h *HeldSummary) admit(it RequestItem) bool {
 	switch ct := it.Chunk*h.NumTiles + int(it.Tile); {
 	case it.Stream == Primary:
 		return markBit(h.Primary, ct)
@@ -198,11 +197,11 @@ func markBit(b []byte, i int) bool {
 	return !was
 }
 
-// Merge ORs in what a resuming client reports holding and returns the
+// merge ORs in what a resuming client reports holding and returns the
 // number of entries newly set. o must be Valid with h's dimensions (the
 // server checks a resume's geometry first); the padding bits past them in
 // each bitmap's last byte are ignored.
-func (h *HeldSummary) Merge(o HeldSummary) int64 {
+func (h *HeldSummary) merge(o HeldSummary) int64 {
 	n := h.NumChunks * h.NumTiles
 	return orBits(h.Primary, o.Primary, n) + orBits(h.MaskTile, o.MaskTile, n) +
 		orBits(h.MaskFull, o.MaskFull, h.NumChunks)

@@ -149,7 +149,7 @@ type Scheme interface {
 	// StallPolicy selects the playback discipline.
 	StallPolicy() StallPolicy
 	// Decide returns the ordered fetch list that replaces the outstanding
-	// request. The engine's server model drops entries already sent
+	// request. The server's SendQueue drops entries already sent
 	// (re-sending only tiles previously delivered at masking quality), so
 	// schemes may re-state their full intent each epoch.
 	//

@@ -81,7 +81,7 @@ func (s *Sent) Preload(h HeldSummary) int64 {
 // random, so the padding bits past the dimensions are set about half the
 // time, as a peer's bitmap may have them.
 func randomPaddedSummary(rng *rand.Rand, m *video.Manifest) HeldSummary {
-	h := NewHeldSummary(m)
+	h := newHeldSummary(m)
 	for _, b := range [][]byte{h.Primary, h.MaskTile, h.MaskFull} {
 		for i := range b {
 			// Sparse in-range bits keep most of the sequence admissible.
@@ -96,22 +96,22 @@ func randomPaddedSummary(rng *rand.Rand, m *video.Manifest) HeldSummary {
 
 // TestHeldSummaryRuleMatchesSent plays seeded random item sequences, with
 // resume summaries merged in along the way, through HeldSummary and the
-// oracle Sent on grids whose bitmaps end in padding. Every Admit, every
-// Merge count and the final held sets must agree.
+// oracle Sent on grids whose bitmaps end in padding. Every admit, every
+// merge count and the final held sets must agree.
 func TestHeldSummaryRuleMatchesSent(t *testing.T) {
 	var padded int
 	for _, g := range []struct{ rows, cols, chunks int }{{1, 1, 1}, {3, 3, 3}, {2, 5, 7}, {4, 4, 2}, {3, 7, 9}} {
 		m := video.Generate(video.GenParams{ID: "held", Rows: g.rows, Cols: g.cols, NumChunks: g.chunks, Seed: 1})
 		for seed := int64(1); seed <= 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			h, s := NewHeldSummary(m), NewSent(m)
+			h, s := newHeldSummary(m), NewSent(m)
 			for step := 0; step < 300; step++ {
 				if rng.Intn(25) == 0 {
 					o := randomPaddedSummary(rng, m)
-					if empty := NewHeldSummary(m); int64(o.Count()) != empty.Merge(o) {
+					if empty := newHeldSummary(m); int64(o.Count()) != empty.merge(o) {
 						padded++
 					}
-					if got, want := h.Merge(o), s.Preload(o); got != want {
+					if got, want := h.merge(o), s.Preload(o); got != want {
 						t.Fatalf("%dx%dx%d seed %d step %d: Merge set %d, Preload %d", g.rows, g.cols, g.chunks, seed, step, got, want)
 					}
 					continue
@@ -129,7 +129,7 @@ func TestHeldSummaryRuleMatchesSent(t *testing.T) {
 				case 1, 2:
 					it.Stream = Masking
 				}
-				if got, want := h.Admit(it), s.Admit(it); got != want {
+				if got, want := h.admit(it), s.Admit(it); got != want {
 					t.Fatalf("%dx%dx%d seed %d step %d: Admit(%+v) = %v, Sent %v", g.rows, g.cols, g.chunks, seed, step, it, got, want)
 				}
 			}

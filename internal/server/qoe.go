@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -35,35 +36,35 @@ type QoESource interface {
 
 // qoeScale resolves the effective budget scale for a session's cohort:
 // neutral when no source is wired, the session carried no cohort, or the
-// source misbehaves (non-positive scale).
+// source misbehaves (a scale not positive and finite).
 func (s *Server) qoeScale(cohort string) float64 {
 	if s.QoE == nil || cohort == "" {
 		return 1
 	}
 	sc := s.QoE.CohortScale(cohort)
-	if !(sc > 0) { // catches 0, negatives, NaN
+	if !(sc > 0) || math.IsInf(sc, 1) { // catches 0, negatives, NaN, +Inf
 		return 1
 	}
 	return sc
 }
 
-// scaleBudgets applies a QoE scale to the static queue budgets. The count
-// cap never scales below 1 (a session must always be able to hold one
-// item), and a disabled byte budget (0) stays disabled — scaling cannot
-// conjure a bound the operator did not set.
+// scaleBudgets applies a QoE scale to the static queue budgets. A scaled
+// budget is at least 1 (a session must always be able to hold one item) and
+// saturates rather than overflows; a disabled byte budget (0) stays
+// disabled — scaling cannot conjure a bound the operator did not set.
 func scaleBudgets(maxQueue int, maxBytes int64, scale float64) (int, int64) {
-	q := int(float64(maxQueue) * scale)
-	if q < 1 {
-		q = 1
-	}
-	b := maxBytes
 	if maxBytes > 0 {
-		b = int64(float64(maxBytes) * scale)
-		if b < 1 {
-			b = 1
-		}
+		maxBytes = scaleBudget(maxBytes, scale)
 	}
-	return q, b
+	return int(scaleBudget(int64(maxQueue), scale)), maxBytes
+}
+
+// scaleBudget is n*scale, at least 1 and at most math.MaxInt64.
+func scaleBudget(n int64, scale float64) int64 {
+	if f := float64(n) * scale; f < math.MaxInt64 {
+		return max(int64(f), 1)
+	}
+	return math.MaxInt64
 }
 
 // sessionTrace is the server-view JSONL trace of one session: the

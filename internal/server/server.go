@@ -77,15 +77,12 @@ type Server struct {
 	// letting clients distinguish an idle link from a dead one.
 	// 0 means DefaultHeartbeat; negative disables pings.
 	Heartbeat time.Duration
-	// MaxQueue caps the installed fetch list; oversized requests are shed
-	// lowest-utility-first (the tail of the ordered list), but masking
-	// entries are never dropped — they are the continuity floor continuous
-	// playback relies on. 0 means DefaultMaxQueue.
+	// MaxQueue caps the installed fetch list: player.SendQueue.Install
+	// sheds lowest utility first, and never masking, the continuity floor
+	// continuous playback relies on. 0 means DefaultMaxQueue.
 	MaxQueue int
-	// MaxQueueBytes caps the payload bytes an installed fetch list may
-	// commit the session to — the per-session memory/backlog budget. It
-	// feeds the same lowest-utility-first shedder as MaxQueue; masking
-	// entries always fit. 0 disables the byte budget.
+	// MaxQueueBytes caps the payload bytes a fetch list may commit the
+	// session to, shed the same way. 0 disables the byte budget.
 	MaxQueueBytes int64
 	// MaxConns caps concurrent sessions. Beyond it the server fast-rejects
 	// the handshake with a typed busy MsgError that resilient clients

@@ -175,8 +175,8 @@ func TestHandleConnUnknownVideo(t *testing.T) {
 // write deadline; four of them used to write with none.
 func TestRejectHonorsWriteDeadline(t *testing.T) {
 	m := testManifest()
-	held := player.NewHeldSummary(m)
-	wrongGeometry := player.NewHeldSummary(video.Generate(video.GenParams{ID: "other", Rows: 2, Cols: 2, NumChunks: 1, Seed: 1}))
+	held := emptyHeld(m)
+	wrongGeometry := emptyHeld(video.Generate(video.GenParams{ID: "other", Rows: 2, Cols: 2, NumChunks: 1, Seed: 1}))
 	firsts := map[string]func(c net.Conn) error{
 		"hello for an unknown video": func(c net.Conn) error {
 			return proto.WriteHello(c, proto.Hello{VideoID: "ghost"})
@@ -318,40 +318,6 @@ func TestSendStateInstallAfterClose(t *testing.T) {
 	}
 }
 
-func TestShedQueueKeepsMasking(t *testing.T) {
-	m := testManifest()
-	items := []player.RequestItem{
-		{Stream: player.Primary, Chunk: 0, Tile: 0, Quality: 1},
-		{Stream: player.Masking, Chunk: 0, Full360: true},
-		{Stream: player.Primary, Chunk: 0, Tile: 1, Quality: 1},
-		{Stream: player.Masking, Chunk: 1, Full360: true},
-		{Stream: player.Primary, Chunk: 0, Tile: 2, Quality: 1},
-		{Stream: player.Primary, Chunk: 0, Tile: 3, Quality: 1},
-	}
-	kept, shed, _ := shedQueue(items, 3, 0, m)
-	if shed != 3 || len(kept) != 3 {
-		t.Fatalf("kept %d shed %d, want 3/3", len(kept), shed)
-	}
-	// Both masking entries survive; the single primary slot goes to the
-	// highest-utility (earliest) primary.
-	masks := 0
-	for _, it := range kept {
-		if it.Stream == player.Masking {
-			masks++
-		}
-	}
-	if masks != 2 {
-		t.Fatalf("shedding dropped masking entries: %+v", kept)
-	}
-	if kept[0].Stream != player.Primary || kept[0].Tile != 0 {
-		t.Fatalf("lowest-utility primary kept instead of head: %+v", kept)
-	}
-	// Under the cap, nothing is shed.
-	if _, shed, _ := shedQueue(items, 10, 0, m); shed != 0 {
-		t.Fatalf("shed %d below cap", shed)
-	}
-}
-
 func TestSendStatePreload(t *testing.T) {
 	m := testManifest()
 	st := newSession(New(m), m, "")
@@ -442,7 +408,7 @@ func TestHandleConnResumeVersionMismatch(t *testing.T) {
 	}()
 	defer client.Close()
 
-	held := player.NewHeldSummary(m)
+	held := emptyHeld(m)
 	go func() {
 		_ = proto.WriteResume(client, proto.Resume{Version: proto.ProtoVersion + 1, VideoID: "srv", Held: held})
 	}()
@@ -606,115 +572,6 @@ func readNonPing(c net.Conn) (*proto.Message, error) {
 		if err != nil || msg.Type != proto.MsgPing {
 			return msg, err
 		}
-	}
-}
-
-func TestShedQueueEmpty(t *testing.T) {
-	m := testManifest()
-	kept, shed, shedBytes := shedQueue(nil, 3, 1024, m)
-	if len(kept) != 0 || shed != 0 || shedBytes != 0 {
-		t.Fatalf("empty queue shed %d items / %d bytes", shed, shedBytes)
-	}
-}
-
-func TestShedQueueByteBudget(t *testing.T) {
-	m := testManifest()
-	big := player.RequestItem{Stream: player.Primary, Chunk: 0, Tile: 0, Quality: video.NumQualities - 1}
-	small := player.RequestItem{Stream: player.Primary, Chunk: 0, Tile: 1, Quality: 0}
-	if big.Size(m) <= small.Size(m) {
-		t.Fatalf("manifest sizes not ordered: big=%d small=%d", big.Size(m), small.Size(m))
-	}
-	// Budget fits the small primary but not the big one: the oversized
-	// higher-utility item is shed while the smaller one still rides along.
-	budget := small.Size(m)
-	kept, shed, shedBytes := shedQueue([]player.RequestItem{big, small}, 0, budget, m)
-	if shed != 1 || shedBytes != big.Size(m) {
-		t.Fatalf("shed %d items / %d bytes, want 1 / %d", shed, shedBytes, big.Size(m))
-	}
-	if len(kept) != 1 || kept[0].Tile != 1 {
-		t.Fatalf("kept = %+v, want only the small primary", kept)
-	}
-	// Under the budget, nothing is shed.
-	if _, shed, _ := shedQueue([]player.RequestItem{big, small}, 0, big.Size(m)+small.Size(m), m); shed != 0 {
-		t.Fatalf("shed %d under budget", shed)
-	}
-}
-
-func TestShedQueueBudgetSmallerThanOneTile(t *testing.T) {
-	m := testManifest()
-	items := []player.RequestItem{
-		{Stream: player.Primary, Chunk: 0, Tile: 0, Quality: 2},
-		{Stream: player.Masking, Chunk: 0, Full360: true, Quality: 0},
-		{Stream: player.Primary, Chunk: 0, Tile: 1, Quality: 2},
-	}
-	// A budget of one byte fits no primary at all — but the masking entry
-	// (the continuity floor) survives regardless.
-	kept, shed, _ := shedQueue(items, 0, 1, m)
-	if shed != 2 {
-		t.Fatalf("shed %d, want both primaries", shed)
-	}
-	if len(kept) != 1 || kept[0].Stream != player.Masking {
-		t.Fatalf("kept = %+v, want only masking", kept)
-	}
-}
-
-func TestShedQueueShedEverything(t *testing.T) {
-	m := testManifest()
-	items := []player.RequestItem{
-		{Stream: player.Primary, Chunk: 0, Tile: 0, Quality: 1},
-		{Stream: player.Primary, Chunk: 0, Tile: 1, Quality: 1},
-		{Stream: player.Primary, Chunk: 0, Tile: 2, Quality: 1},
-	}
-	var wantBytes int64
-	for _, it := range items {
-		wantBytes += it.Size(m)
-	}
-	kept, shed, shedBytes := shedQueue(items, 0, 1, m)
-	if len(kept) != 0 || shed != len(items) || shedBytes != wantBytes {
-		t.Fatalf("kept=%d shed=%d bytes=%d, want 0/%d/%d", len(kept), shed, shedBytes, len(items), wantBytes)
-	}
-}
-
-func TestShedQueueMalformedItemsShedAsZeroBytes(t *testing.T) {
-	m := testManifest()
-	items := []player.RequestItem{
-		{Stream: player.Primary, Chunk: 999, Tile: 0, Quality: 1}, // out of range
-		{Stream: player.Primary, Chunk: 0, Tile: 999, Quality: 1}, // out of range
-	}
-	// Hostile wire items must not panic the shedder; they cost zero budget.
-	kept, _, shedBytes := shedQueue(items, 0, 1, m)
-	if shedBytes != 0 {
-		t.Fatalf("malformed items accounted %d bytes", shedBytes)
-	}
-	if len(kept) != 2 {
-		// Zero-size items always fit the byte budget; next() drops them.
-		t.Fatalf("kept = %+v", kept)
-	}
-}
-
-func TestShedQueueMaskingOverBudgetClampsAtZero(t *testing.T) {
-	m := testManifest()
-	mask := player.RequestItem{Stream: player.Masking, Chunk: 0, Full360: true, Quality: video.NumQualities - 1}
-	zero := player.RequestItem{Stream: player.Primary, Chunk: 999, Tile: 0, Quality: 1} // out of range: zero bytes
-	// The masking entry alone overruns the byte budget (it is never shed),
-	// driving the remaining primary byte budget NEGATIVE before the fix.
-	// The zero-size primary must still ride along — zero-size items always
-	// fit the byte budget (TestShedQueueMalformedItemsShedAsZeroBytes) and
-	// next() drops them for free; un-clamped, the negative budget shed it
-	// and mis-counted it as a real shed decision.
-	if mask.Size(m) <= 1 {
-		t.Fatalf("masking item too small to overrun the budget: %d", mask.Size(m))
-	}
-	kept, shed, shedBytes := shedQueue([]player.RequestItem{mask, zero}, 10, 1, m)
-	if len(kept) != 2 || shed != 0 || shedBytes != 0 {
-		t.Fatalf("kept=%d shed=%d bytes=%d, want both items kept (negative budget not clamped)",
-			len(kept), shed, shedBytes)
-	}
-	// Real primaries still cannot squeeze past an exhausted budget.
-	prim := player.RequestItem{Stream: player.Primary, Chunk: 0, Tile: 0, Quality: 1}
-	kept, shed, _ = shedQueue([]player.RequestItem{mask, prim}, 10, 1, m)
-	if len(kept) != 1 || shed != 1 {
-		t.Fatalf("kept=%d shed=%d, want the primary shed under an exhausted budget", len(kept), shed)
 	}
 }
 

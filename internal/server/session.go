@@ -21,14 +21,15 @@ const (
 	maxBatchBytes  = 1 << 20
 )
 
-// session is everything one streaming session decides (§3.3: a new request
-// supersedes the old one, a transmitted primary tile is never re-sent,
-// masking is never shed), with no socket and no clock in it. The shell in
-// server.go owns those and calls in: open, then request from its reader and
-// nextBatch / wrote / pinged from its sender, then release. Durations come
-// in as arguments; what to do next goes out as return values. Only the
-// queue (under mu) is shared by the two sides; the batch and the stall
-// meter are the sender's alone.
+// session is one streaming session with no socket and no clock in it: the
+// §3.3 send queue (player.SendQueue, the one player.Run's modelled server
+// runs) under a lock, with the server's budgets, metrics, trace and
+// batching around it. The shell in server.go owns the socket and the clock
+// and calls in: open, then request from its reader and nextBatch / wrote /
+// pinged from its sender, then release. Durations come in as arguments;
+// what to do next goes out as return values. Only the queue (under mu) is
+// shared by the two sides; the batch and the stall meter are the sender's
+// alone.
 type session struct {
 	srv    *Server
 	m      *video.Manifest
@@ -48,11 +49,9 @@ type session struct {
 
 	mu          sync.Mutex
 	wake        chan struct{}
-	queue       []player.RequestItem
-	gen         uint32
+	queue       player.SendQueue
 	closed      bool
-	queuedBytes int64              // payload total of queue, mirrored into srv.queuedBytes
-	sent        player.HeldSummary // what was sent or resumed: the redundancy rule's state (§3.3)
+	queuedBytes int64 // the queue's payload total as last mirrored into srv.queuedBytes
 
 	// The batch nextBatch gathered last: scratch is its wire form, ends the
 	// cumulative wire offset after each frame, for wrote to credit by.
@@ -84,7 +83,7 @@ func newSession(s *Server, m *video.Manifest, cohort string) *session {
 		queueBytes:    r.Gauge("srv_queue_bytes"),
 
 		wake:    make(chan struct{}, 1),
-		sent:    player.NewHeldSummary(m),
+		queue:   player.NewSendQueue(m),
 		scratch: make(net.Buffers, 0, 3*maxBatchFrames),
 		batch:   make([]player.RequestItem, 0, maxBatchFrames),
 		ends:    make([]int64, 0, maxBatchFrames),
@@ -146,13 +145,12 @@ func (ss *session) signal() {
 	}
 }
 
-// setQueued moves the session's byte commitment to n, and the server-wide
-// total (and its srv_queue_bytes gauge) by the same delta. Callers hold mu.
-func (ss *session) setQueued(n int64) {
-	if delta := n - ss.queuedBytes; delta != 0 {
-		ss.queuedBytes = n
-		ss.queueBytes.Set(float64(ss.srv.queuedBytes.Add(delta)))
-	}
+// mirror moves srv.queuedBytes (and the srv_queue_bytes gauge) by the
+// queue's change in payload total since the last call. Callers hold mu.
+func (ss *session) mirror() {
+	n := ss.queue.Queued()
+	ss.queueBytes.Set(float64(ss.srv.queuedBytes.Add(n - ss.queuedBytes)))
+	ss.queuedBytes = n
 }
 
 // request installs a fetch list under the session's budgets. The QoE
@@ -176,134 +174,36 @@ func (ss *session) request(r proto.Request) {
 	}
 }
 
-// install replaces the queue if the request is at least as new ("when a new
-// request is received, the server discards the previous (older) request").
-// Generations compare with serial-number arithmetic so a long-lived session
-// survives uint32 wraparound, and an equal generation re-installs — the
-// idempotent replay a reconnecting client relies on. It returns how many
-// items (and payload bytes) were shed to fit the count and byte budgets.
+// install is SendQueue.Install on an open session: it returns how many
+// items and payload bytes were shed.
 func (ss *session) install(r proto.Request, maxQueue int, maxBytes int64) (int, int64) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.closed || int32(r.Generation-ss.gen) < 0 {
-		// Stale (out-of-order) requests are ignored.
+	if ss.closed {
 		return 0, 0
 	}
-	ss.gen = r.Generation
-	items, shed, shedBytes := shedQueue(r.Items, maxQueue, maxBytes, ss.m)
-	ss.queue = items
-	var bytes int64
-	for _, it := range items {
-		bytes += safeSize(it, ss.m)
-	}
-	ss.setQueued(bytes)
+	shed, shedBytes := ss.queue.Install(r.Generation, r.Items, maxQueue, maxBytes)
+	ss.mirror()
 	ss.signal()
 	return shed, shedBytes
 }
 
-// shedQueue drops the lowest-utility entries to fit the count cap and the
-// per-session byte budget. Fetch lists are ordered by descending utility
-// (the scheme contract), so the tail holds the least valuable items — but
-// masking entries are never dropped: they are the continuity floor, and
-// they consume budget that primaries then cannot. With a byte budget, an
-// oversized primary is shed while smaller lower-utility ones may still
-// fit; that is deliberate (more of the viewport covered per byte).
-func shedQueue(items []player.RequestItem, max int, maxBytes int64, m *video.Manifest) ([]player.RequestItem, int, int64) {
-	overCount := max > 0 && len(items) > max
-	if !overCount && maxBytes <= 0 {
-		return items, 0, 0
-	}
-	if !overCount {
-		var total int64
-		for _, it := range items {
-			total += safeSize(it, m)
-		}
-		if total <= maxBytes {
-			return items, 0, 0
-		}
-	}
-	countBudget := max
-	if max <= 0 {
-		countBudget = len(items)
-	}
-	byteBudget := maxBytes
-	for _, it := range items {
-		if it.Stream == player.Masking {
-			countBudget--
-			if maxBytes > 0 {
-				byteBudget -= safeSize(it, m)
-			}
-		}
-	}
-	// Masking alone may overrun either cap (it is never shed). Clamp the
-	// remaining budgets at zero: a negative byte budget would otherwise
-	// fail even the zero-size comparison below and shed malformed items
-	// that the contract says always fit the BYTE budget (next() drops
-	// them for free; they must not burn shed accounting as real tiles).
-	if countBudget < 0 {
-		countBudget = 0
-	}
-	if byteBudget < 0 {
-		byteBudget = 0
-	}
-	kept := make([]player.RequestItem, 0, len(items))
-	var shedBytes int64
-	for _, it := range items {
-		if it.Stream == player.Masking {
-			kept = append(kept, it)
-			continue
-		}
-		size := safeSize(it, m)
-		if countBudget > 0 && (maxBytes <= 0 || byteBudget >= size) {
-			kept = append(kept, it)
-			countBudget--
-			if maxBytes > 0 {
-				byteBudget -= size
-			}
-			continue
-		}
-		shedBytes += size
-	}
-	return kept, len(items) - len(kept), shedBytes
-}
-
-// safeSize is RequestItem.Size with bounds checks: request items come off
-// the wire, and an out-of-range chunk or tile must shed as zero bytes (the
-// sender's next() skips it anyway), not panic the connection handler.
-func safeSize(it player.RequestItem, m *video.Manifest) int64 {
-	if !it.In(m) {
-		return 0
-	}
-	return it.Size(m)
-}
-
-// preload merges a resume summary into the session's sent state, restoring
-// the redundancy suppression of the pre-disconnect session. It returns the
-// number of entries restored.
+// preload merges a resume summary into the queue, restoring the redundancy
+// suppression of the pre-disconnect session, and returns the entries new.
 func (ss *session) preload(h player.HeldSummary) int64 {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return ss.sent.Merge(h)
+	return ss.queue.Merge(h)
 }
 
-// next pops the next sendable item, applying the redundancy rule, or
-// returns false if the queue is (currently) exhausted. done reports the
-// session was closed.
+// next pops the next sendable item, or returns false if the queue is
+// (currently) exhausted. done reports the session was closed.
 func (ss *session) next() (it player.RequestItem, ok, done bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	for len(ss.queue) > 0 {
-		it = ss.queue[0]
-		ss.queue = ss.queue[1:]
-		if !it.In(ss.m) {
-			continue // malformed entry: installed as zero bytes, skipped here
-		}
-		ss.setQueued(ss.queuedBytes - it.Size(ss.m))
-		if ss.sent.Admit(it) {
-			return it, true, false
-		}
-	}
-	return player.RequestItem{}, false, ss.closed
+	it, ok = ss.queue.Pop()
+	ss.mirror()
+	return it, ok, !ok && ss.closed
 }
 
 // nextBatch gathers what is sendable right now, up to the batch caps, by
@@ -401,8 +301,8 @@ func (ss *session) close() {
 func (ss *session) release() {
 	ss.close()
 	ss.mu.Lock()
-	ss.queue = nil
-	ss.setQueued(0)
+	ss.queue = player.SendQueue{} // empty, and install refuses a closed session
+	ss.mirror()
 	ss.mu.Unlock()
 	ss.trace.flush(ss.srv.Logf)
 	ss.srv.Obs.Counter("srv_conns_closed").Inc()

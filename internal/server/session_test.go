@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -128,9 +129,19 @@ func randomItem(rng *rand.Rand, m *video.Manifest) player.RequestItem {
 	return it
 }
 
+// emptyHeld is the resume summary of a client that holds nothing, built
+// the way proto decodes one.
+func emptyHeld(m *video.Manifest) player.HeldSummary {
+	perTile := (m.NumChunks*m.NumTiles() + 7) / 8
+	return player.HeldSummary{NumChunks: m.NumChunks, NumTiles: m.NumTiles(),
+		Primary: make([]byte, perTile), MaskTile: make([]byte, perTile), MaskFull: make([]byte, (m.NumChunks+7)/8)}
+}
+
+// set sets bit i of a summary's bitmap.
+func set(b []byte, i int) { b[i>>3] |= 1 << uint(i&7) }
+
 func randomHeld(rng *rand.Rand, m *video.Manifest) player.HeldSummary {
-	h := player.NewHeldSummary(m)
-	set := func(b []byte, i int) { b[i>>3] |= 1 << uint(i&7) }
+	h := emptyHeld(m)
 	for i := rng.Intn(6); i > 0; i-- {
 		if it := randomItem(rng, m); it.In(m) {
 			switch ct := it.Chunk*h.NumTiles + int(it.Tile); {
@@ -334,10 +345,29 @@ func TestQueuedBytesZeroOnEveryExit(t *testing.T) {
 	}
 }
 
-// halfScale is a QoE source that halves every cohort's budgets.
-type halfScale struct{}
+// fixedScale is a QoE source that scales every cohort's budgets by itself.
+type fixedScale float64
 
-func (halfScale) CohortScale(string) float64 { return 0.5 }
+func (f fixedScale) CohortScale(string) float64 { return float64(f) }
+
+// TestQoERelaxNeverSheds: a scale above 1 relaxes the budgets however large
+// it is, and an infinite one is neutral. Neither may overflow the scaled
+// budgets into their 1-item and 1-byte floors, which shed every primary.
+func TestQoERelaxNeverSheds(t *testing.T) {
+	m := testManifest()
+	for _, scale := range []float64{math.Inf(1), 1e300, 3e15} {
+		s := New(m)
+		s.MaxQueueBytes, s.QoE = 1<<30, fixedScale(scale)
+		ss := newSession(s, m, "c")
+		ss.request(proto.Request{Generation: 1, Items: primaries(12)})
+		if shed := s.Counters().ShedItems; shed != 0 {
+			t.Errorf("scale %g shed %d of 12 primaries", scale, shed)
+		}
+		if got := s.Counters().QoEScaledInstalls; (got == 0) != math.IsInf(scale, 1) {
+			t.Errorf("scale %g counted %d scaled installs, want 1 unless infinite", scale, got)
+		}
+	}
+}
 
 // TestCountersAreTheRegistry drives one server through every event its
 // send accounting counts — a probe, a busy reject, a resume, a QoE-scaled
@@ -347,7 +377,7 @@ func (halfScale) CohortScale(string) float64 { return 0.5 }
 func TestCountersAreTheRegistry(t *testing.T) {
 	m := testManifest()
 	s := New(m)
-	s.MaxQueue, s.WriteStallBudget, s.QoE = 8, time.Millisecond, halfScale{}
+	s.MaxQueue, s.WriteStallBudget, s.QoE = 8, time.Millisecond, fixedScale(0.5)
 	if _, pong, _, err := s.open(&proto.Message{Type: proto.MsgPing}); err != nil || pong == nil {
 		t.Fatalf("probe: pong %v, err %v", pong, err)
 	}
@@ -355,8 +385,8 @@ func TestCountersAreTheRegistry(t *testing.T) {
 	if busy := s.admit(); busy == "" {
 		t.Fatal("a draining server admitted a session")
 	}
-	held := player.NewHeldSummary(m)
-	held.Admit(player.RequestItem{Stream: player.Primary, Chunk: 2, Tile: 3})
+	held := emptyHeld(m)
+	set(held.Primary, 2*m.NumTiles()+3)
 	ss, _, _, err := s.open(&proto.Message{Type: proto.MsgResume,
 		Resume: &proto.Resume{Version: proto.ProtoVersion, VideoID: m.VideoID, Cohort: "c", Held: held}})
 	if err != nil {

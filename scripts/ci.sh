@@ -69,7 +69,7 @@ fuzz_targets="proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResum
 	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup
 	popsim:FuzzMergeSnapshot video:FuzzReadManifest netem:FuzzReadFaultCSV
 	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzAppendManifestFloat
-	video:FuzzExtendZeros geom:FuzzCapWalk geom:FuzzRoIPlane"
+	video:FuzzExtendZeros geom:FuzzCapWalk geom:FuzzRoIPlane player:FuzzSendQueue"
 
 # Fuzz drift gate: every fuzz target under internal/ must be in the fuzz
 # smoke's list and named in docs/RESILIENCE.md, so a new one is neither left
@@ -182,8 +182,10 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # CRC operator every frame trailer and manifest checksum now comes from must
 # agree with hash/crc32 over literal zeros for any prefix and length, the
 # culled cap walk under every tile-set query must list what the full-grid
-# sample loop lists, bit for bit, for any center and radius, and the packed
-# RoI plane must read the sum of the dense per-radius planes it replaced.
+# sample loop lists, bit for bit, for any center and radius, the packed
+# RoI plane must read the sum of the dense per-radius planes it replaced,
+# and the §3.3 send queue must keep its byte total, its masking and its
+# send-once rule under any installs, pops and resume merges.
 # Minimising a new input is capped at a second, so the ten seconds go on
 # executing inputs (a shard report's seed is kilobytes of bins).
 for target in $fuzz_targets; do
