@@ -6,7 +6,7 @@
 //
 //	dragonfly-server -addr :7360                   # serve the Table 3 dataset
 //	dragonfly-server -addr :7360 -bw trace.csv     # shape downstream bandwidth
-//	dragonfly-server -addr :7360 -faults f.csv     # replay a fault script
+//	dragonfly-server -addr :7360 -faults f.csv     # arm fault rules (chaos.ReadRules)
 package main
 
 import (
@@ -20,6 +20,7 @@ import (
 	"syscall"
 	"time"
 
+	"dragonfly/internal/chaos"
 	"dragonfly/internal/ingest"
 	"dragonfly/internal/netem"
 	"dragonfly/internal/obs"
@@ -33,7 +34,7 @@ func main() {
 	bwFile := flag.String("bw", "", "bandwidth trace CSV to shape each connection (empty = unshaped)")
 	latency := flag.Duration("latency", 0, "one-way propagation delay to add")
 	chunks := flag.Int("chunks", 60, "chunks per generated video (60 = 1 minute)")
-	faultFile := flag.String("faults", "", "fault schedule CSV to replay on the link (see EXPERIMENTS.md)")
+	faultFile := flag.String("faults", "", "fault rule CSV armed at startup, e.g. on the link's netem.link.write site (see EXPERIMENTS.md)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "per-connection read deadline (0 = none)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline (0 = none)")
 	heartbeat := flag.Duration("heartbeat", server.DefaultHeartbeat, "idle-link ping interval (negative = off)")
@@ -95,17 +96,19 @@ func main() {
 	if *faultFile != "" {
 		f, err := os.Open(*faultFile)
 		if err != nil {
-			log.Fatalf("open fault schedule: %v", err)
+			log.Fatalf("open fault rules: %v", err)
 		}
-		sched, err := netem.ReadFaultCSV(f)
+		rules, err := chaos.ReadRules(f)
 		f.Close()
-		if err != nil {
-			log.Fatalf("parse fault schedule: %v", err)
+		if err == nil {
+			err = chaos.Arm(rules...)
 		}
-		fl := &netem.FaultLink{Link: link, Schedule: sched}
-		listener = &netem.FaultListener{Listener: l, FL: fl}
-		fmt.Printf("injecting %d faults (%d disconnects)\n", len(sched.Events), sched.Disconnects())
-	} else if link.Trace != nil || link.Latency > 0 {
+		if err != nil {
+			log.Fatalf("fault rules: %v", err)
+		}
+		fmt.Printf("armed %d fault rules\n", len(rules))
+	}
+	if *faultFile != "" || link.Trace != nil || link.Latency > 0 {
 		listener = netem.WrapListener(l, link)
 	}
 

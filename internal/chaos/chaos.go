@@ -18,11 +18,12 @@
 //
 // The registry is built for production code paths that are benchmarked to
 // zero allocations: when a site is disarmed (the common case — always, in
-// production) the check is a single atomic pointer load returning the zero
-// Fault by value. No locks, no allocations, no time calls. TestDisarmedHitZeroAlloc
-// pins this with testing.AllocsPerRun, and the repo-level
-// BenchmarkManyConnStream / BenchmarkFrameWritePreframed baselines pin the
-// end-to-end send path that crosses several sites per frame.
+// production, unless an operator drills with a rule file) the check is a
+// single atomic pointer load returning the zero Fault by value. No locks,
+// no allocations, no time calls. TestDisarmedHitZeroAlloc pins this with
+// testing.AllocsPerRun, and the repo-level BenchmarkManyConnStream /
+// BenchmarkFrameWritePreframed baselines pin the end-to-end send path that
+// crosses several sites per frame.
 //
 // # Determinism
 //
@@ -35,9 +36,11 @@
 // one without global state.
 //
 // Arm installs a rule set atomically across the named sites and Disarm
-// removes every rule everywhere; both are test-only operations and may not
-// be called concurrently with each other (hits may race with both, that is
-// the point). Tests that arm sites must not run in t.Parallel with other
+// removes every rule everywhere. Tests and soaks call both; the one
+// production caller is dragonfly-server -faults, which arms the rules
+// ReadRules parses once at startup, before it serves. Neither may be called
+// concurrently with the other (hits may race with both, that is the
+// point). Tests that arm sites must not run in t.Parallel with other
 // tests of the same process — the registry is process-global by design,
 // mirroring the single-process failpoint registries of gofail and friends.
 package chaos
@@ -62,7 +65,9 @@ const (
 	// FaultDelay stalls the site for Fault.Delay before proceeding normally.
 	FaultDelay
 	// FaultPartial makes a write-shaped site deliver only Fault.Frac of its
-	// payload and then fail. Error-shaped sites treat it as FaultError.
+	// payload and then fail. A link (netem.link.write) reports full success
+	// instead: the silent loss a checksummed stream must surface.
+	// Error-shaped sites treat it as FaultError.
 	FaultPartial
 	// FaultCorrupt makes a payload-shaped site flip a byte (deterministically
 	// chosen from Fault.Tick) and carry on as if the write succeeded.
@@ -194,7 +199,7 @@ func (s *Site) eval(st *siteState) Fault {
 		if f.Kind == FaultDelay && f.Delay <= 0 {
 			f.Delay = 10 * time.Millisecond
 		}
-		if f.Kind == FaultPartial && (f.Frac <= 0 || f.Frac >= 1) {
+		if f.Kind == FaultPartial && !(f.Frac > 0 && f.Frac < 1) { // the negated form also catches NaN
 			f.Frac = 0.5
 		}
 		return f
@@ -224,8 +229,8 @@ func (s *Site) Err() error {
 
 // Arm installs the given rules, replacing any prior rules at the named
 // sites (other sites are untouched) and resetting those sites' hit and
-// injection counters. Unknown site names or faultNone kinds fail the whole
-// call without arming anything.
+// injection counters. Unknown site names, faultNone kinds and negative hit
+// counts fail the whole call without arming anything.
 func Arm(rules ...Rule) error {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -233,6 +238,10 @@ func Arm(rules ...Rule) error {
 	for _, r := range rules {
 		if r.Kind == faultNone {
 			return fmt.Errorf("chaos: rule for %q has no fault kind", r.Site)
+		}
+		if r.After < 0 || r.Every < 0 || r.Count < 0 {
+			return fmt.Errorf("chaos: rule for %q has a negative hit count (after %d, every %d, count %d)",
+				r.Site, r.After, r.Every, r.Count)
 		}
 		if _, ok := reg[r.Site]; !ok {
 			return fmt.Errorf("chaos: unknown site %q", r.Site)
@@ -293,8 +302,8 @@ func TotalInjections() uint64 {
 	return n
 }
 
-// splitmix64 is the same pure-function generator the popsim and netem
-// seeding uses: deterministic, stateless, well-mixed.
+// splitmix64 is the same pure-function generator the popsim seeding
+// uses: deterministic, stateless, well-mixed.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -100,6 +101,8 @@ func TestFaultDefaults(t *testing.T) {
 	if err := Arm(
 		Rule{Site: s.name, Kind: FaultPartial, Count: 1},
 		Rule{Site: s.name, Kind: FaultDelay, Count: 1},
+		// NaN passes a plain "<= 0 || >= 1" range check unchanged.
+		Rule{Site: s.name, Kind: FaultPartial, Frac: math.NaN(), Count: 1},
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +116,9 @@ func TestFaultDefaults(t *testing.T) {
 	f = s.Fault()
 	if f.Kind != FaultDelay || f.Delay != 10*time.Millisecond {
 		t.Fatalf("second fault = %+v, want delay 10ms", f)
+	}
+	if f = s.Fault(); f.Kind != FaultPartial || f.Frac != 0.5 {
+		t.Fatalf("third fault = %+v, want a NaN frac defaulted to 0.5", f)
 	}
 	if f = s.Fault(); f.Active() {
 		t.Fatalf("exhausted rules still fired: %+v", f)
@@ -135,11 +141,18 @@ func TestErrAppliesDelayInline(t *testing.T) {
 
 func TestArmRejectsUnknownSiteAndNoneKind(t *testing.T) {
 	s := testSite(t)
-	if err := Arm(Rule{Site: "no.such.site", Kind: FaultError}); err == nil {
-		t.Fatal("Arm accepted an unknown site")
-	}
-	if err := Arm(Rule{Site: s.name}); err == nil {
-		t.Fatal("Arm accepted a faultNone rule")
+	for _, r := range []Rule{
+		{Site: "no.such.site", Kind: FaultError},
+		{Site: s.name}, // faultNone
+		// Negative hit counts misfire: Count -1 fires on every hit, After
+		// -1 wraps to never, Every -3 fires on every hit.
+		{Site: s.name, Kind: FaultError, Count: -1},
+		{Site: s.name, Kind: FaultError, After: -1},
+		{Site: s.name, Kind: FaultError, Every: -3},
+	} {
+		if err := Arm(r); err == nil {
+			t.Errorf("Arm accepted %+v", r)
+		}
 	}
 	// A failed Arm must not have armed anything.
 	if err := s.Err(); err != nil {

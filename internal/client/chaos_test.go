@@ -20,24 +20,37 @@ import (
 	"dragonfly/internal/video"
 )
 
-// chaosSchedule cuts the link three times early in the session, while the
-// client still has most of the video left to fetch.
-func chaosSchedule() *netem.FaultSchedule {
-	return &netem.FaultSchedule{Events: []netem.FaultEvent{
-		{At: 250 * time.Millisecond, Kind: netem.FaultDisconnect},
-		{At: 700 * time.Millisecond, Kind: netem.FaultDisconnect},
-		{At: 1300 * time.Millisecond, Kind: netem.FaultDisconnect},
-	}}
+// chaosLink is the 20 Mbps path the chaos tests cut.
+var chaosLink = netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}}
+
+// linkCuts is the rule that severs the link on the (after+1)-th write the
+// servers send over it and then on every every-th one, count times: the
+// hit count runs on across reconnections, so each cut lands on whichever
+// connection is live.
+func linkCuts(after, every, count int) chaos.Rule {
+	return chaos.Rule{Site: "netem.link.write", Kind: chaos.FaultError, After: after, Every: every, Count: count}
 }
 
-// faultDialer returns a DialFunc that opens a fresh pipe whose server side
-// is shaped and fault-injected by fl, and runs a server session on the far
-// end, modelling reconnections to the same server over the same faulty
-// path.
-func faultDialer(srv *server.Server, fl *netem.FaultLink) DialFunc {
+// chaosCuts is how many times armChaosCuts cuts the link: on the 31st, 61st
+// and 91st of the ~170 writes a session's server sends, while the client
+// still has most of the video left to fetch.
+const chaosCuts = 3
+
+func armChaosCuts(t *testing.T) {
+	t.Helper()
+	if err := chaos.Arm(linkCuts(30, 30, chaosCuts)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(chaos.Disarm)
+}
+
+// faultDialer returns a DialFunc that opens a fresh shaped pipe and runs a
+// server session on the far end, modelling reconnections to the same
+// server over the same path; the armed netem.link.write rules cut it.
+func faultDialer(srv *server.Server) DialFunc {
 	return func() (net.Conn, error) {
-		l := netem.NewPipeListener(netem.Link{})
-		return dialServe(srv, &netem.FaultListener{Listener: l, FL: fl}, l.Dial)
+		l := netem.NewPipeListener(chaosLink)
+		return dialServe(srv, l, l.Dial)
 	}
 }
 
@@ -64,14 +77,9 @@ func TestPlayResilientSurvivesChaos(t *testing.T) {
 	m := liveManifest()
 	srv := server.New(m)
 	srv.Heartbeat = 100 * time.Millisecond
-	sched := chaosSchedule()
-	fl := &netem.FaultLink{
-		Link:     netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}},
-		Schedule: sched,
-	}
-	defer fl.Stop()
+	armChaosCuts(t)
 
-	met, err := PlayResilient(faultDialer(srv, fl), "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{
+	met, err := PlayResilient(faultDialer(srv), "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{
 		Reconnect: ReconnectPolicy{
 			MaxAttempts: 8,
 			BaseDelay:   20 * time.Millisecond,
@@ -95,9 +103,12 @@ func TestPlayResilientSurvivesChaos(t *testing.T) {
 		t.Error("session truncated")
 	}
 
-	// Every scheduled disconnect must have been observed and recovered from.
-	if met.Disconnects < sched.Disconnects() {
-		t.Errorf("Disconnects = %d, want >= %d", met.Disconnects, sched.Disconnects())
+	// Every scheduled cut must have been made, observed and recovered from.
+	if n := chaos.Injections("netem.link.write"); n != chaosCuts {
+		t.Errorf("link cuts made = %d, want %d", n, chaosCuts)
+	}
+	if met.Disconnects < chaosCuts {
+		t.Errorf("Disconnects = %d, want >= %d", met.Disconnects, chaosCuts)
 	}
 	if met.OutageDuration <= 0 {
 		t.Errorf("OutageDuration = %v, want > 0", met.OutageDuration)
@@ -112,8 +123,8 @@ func TestPlayResilientSurvivesChaos(t *testing.T) {
 	// the server counted was fully read (and recorded) by the client and is
 	// therefore present in the next resume summary.
 	c := srv.Counters()
-	if c.Resumes < int64(sched.Disconnects()) {
-		t.Errorf("server Resumes = %d, want >= %d", c.Resumes, sched.Disconnects())
+	if c.Resumes < chaosCuts {
+		t.Errorf("server Resumes = %d, want >= %d", c.Resumes, chaosCuts)
 	}
 	if c.ResumedItems <= 0 {
 		t.Errorf("server ResumedItems = %d, want > 0", c.ResumedItems)
@@ -134,13 +145,9 @@ func TestPlayResilientBeatsNoReconnect(t *testing.T) {
 		m := liveManifest()
 		srv := server.New(m)
 		srv.Heartbeat = 100 * time.Millisecond
-		fl := &netem.FaultLink{
-			Link:     netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}},
-			Schedule: chaosSchedule(),
-		}
-		defer fl.Stop()
+		armChaosCuts(t)
 
-		dial := faultDialer(srv, fl)
+		dial := faultDialer(srv)
 		if !reconnect {
 			// The first dial succeeds; every reconnection attempt fails, so
 			// the budget drains and the session plays out what it holds.
@@ -237,7 +244,8 @@ func TestPlayResilientDeadFleetBudget(t *testing.T) {
 // and masking, it does not error out.
 func TestPlayResilientMidSessionBudgetDegrades(t *testing.T) {
 	// After: 1 lets the opening dial through; every later dial is refused.
-	if err := chaos.Arm(chaos.Rule{Site: "client.dial", Kind: chaos.FaultError, After: 1}); err != nil {
+	if err := chaos.Arm(chaos.Rule{Site: "client.dial", Kind: chaos.FaultError, After: 1},
+		linkCuts(60, 0, 1)); err != nil {
 		t.Fatalf("chaos.Arm: %v", err)
 	}
 	t.Cleanup(chaos.Disarm)
@@ -245,15 +253,8 @@ func TestPlayResilientMidSessionBudgetDegrades(t *testing.T) {
 	m := liveManifest()
 	srv := server.New(m)
 	srv.Heartbeat = 100 * time.Millisecond
-	fl := &netem.FaultLink{
-		Link: netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}},
-		Schedule: &netem.FaultSchedule{Events: []netem.FaultEvent{
-			{At: 400 * time.Millisecond, Kind: netem.FaultDisconnect},
-		}},
-	}
-	defer fl.Stop()
 
-	met, err := PlayResilient(faultDialer(srv, fl), "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{
+	met, err := PlayResilient(faultDialer(srv), "live", liveHead(4*time.Second), core.NewDefault(), PlayOptions{
 		Reconnect: ReconnectPolicy{
 			MaxAttempts: 1 << 20,
 			BaseDelay:   10 * time.Millisecond,
@@ -285,15 +286,12 @@ func TestTotalBudgetSpansOpeningAndOutages(t *testing.T) {
 	m := liveManifest()
 	srv := server.New(m)
 	srv.Heartbeat = 100 * time.Millisecond
-	fl := &netem.FaultLink{
-		Link: netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}},
-		Schedule: &netem.FaultSchedule{Events: []netem.FaultEvent{
-			{At: 300 * time.Millisecond, Kind: netem.FaultDisconnect},
-		}},
+	if err := chaos.Arm(linkCuts(50, 0, 1)); err != nil {
+		t.Fatal(err)
 	}
-	defer fl.Stop()
+	t.Cleanup(chaos.Disarm)
 
-	inner := faultDialer(srv, fl)
+	inner := faultDialer(srv)
 	start := time.Now()
 	var (
 		mu     sync.Mutex
@@ -325,6 +323,9 @@ func TestTotalBudgetSpansOpeningAndOutages(t *testing.T) {
 	}
 	if met.Disconnects != 1 {
 		t.Fatalf("Disconnects = %d, want the one scheduled cut", met.Disconnects)
+	}
+	if n := chaos.Injections("netem.link.write"); n != 1 {
+		t.Fatalf("link cuts made = %d, want 1", n)
 	}
 	var outage, dead time.Duration = -1, -1
 	for _, e := range tr.Events() {

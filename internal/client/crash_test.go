@@ -7,13 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"dragonfly/internal/chaos"
 	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
 	"dragonfly/internal/netem"
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/server"
-	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
 )
 
@@ -23,8 +23,9 @@ import (
 // replacement instance starts cold. The only thing that survives a crash
 // is what the client holds — which is exactly what the resume protocol
 // must be able to rebuild from.
-func newCrashBackend(t *testing.T, m *video.Manifest, fl *netem.FaultLink) *fleettest.Backend {
-	b := fleettest.NewBackend(context.Background(), "live", m, fl.Pipe,
+func newCrashBackend(t *testing.T, m *video.Manifest) *fleettest.Backend {
+	b := fleettest.NewBackend(context.Background(), "live", m,
+		func() (net.Conn, net.Conn) { return netem.Pipe(chaosLink) },
 		func(s *server.Server) { s.Heartbeat = 100 * time.Millisecond })
 	t.Cleanup(b.Kill)
 	return b
@@ -37,11 +38,7 @@ func newCrashBackend(t *testing.T, m *video.Manifest, fl *netem.FaultLink) *flee
 // every server instance that ran.
 func TestPlayResilientSurvivesServerRestart(t *testing.T) {
 	m := liveManifest()
-	fl := &netem.FaultLink{
-		Link: netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}},
-	}
-	defer fl.Stop()
-	rig := newCrashBackend(t, m, fl)
+	rig := newCrashBackend(t, m)
 
 	for _, at := range []time.Duration{300 * time.Millisecond, 900 * time.Millisecond} {
 		timer := time.AfterFunc(at, rig.Restart)
@@ -103,17 +100,15 @@ func TestPlayResilientSurvivesServerRestart(t *testing.T) {
 // stalls outside the fault windows.
 func TestPlayResilientSurvivesRestartAndCorruption(t *testing.T) {
 	m := liveManifest()
-	fl := &netem.FaultLink{
-		Link: netem.Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{20}}},
-		Schedule: &netem.FaultSchedule{Events: []netem.FaultEvent{
-			{At: 200 * time.Millisecond, Kind: netem.FaultBitFlip},
-			{At: 600 * time.Millisecond, Kind: netem.FaultTruncate},
-			{At: 1100 * time.Millisecond, Kind: netem.FaultBitFlip},
-		}},
-		Seed: 9,
+	// Bit flips in the 31st and 91st writes, a silent truncation of the 61st.
+	if err := chaos.Arm(
+		chaos.Rule{Site: "netem.link.write", Kind: chaos.FaultCorrupt, After: 30, Every: 60, Count: 2},
+		chaos.Rule{Site: "netem.link.write", Kind: chaos.FaultPartial, After: 60, Count: 1},
+	); err != nil {
+		t.Fatal(err)
 	}
-	defer fl.Stop()
-	rig := newCrashBackend(t, m, fl)
+	t.Cleanup(chaos.Disarm)
+	rig := newCrashBackend(t, m)
 	timer := time.AfterFunc(850*time.Millisecond, rig.Restart)
 	defer timer.Stop()
 
@@ -141,6 +136,9 @@ func TestPlayResilientSurvivesRestartAndCorruption(t *testing.T) {
 	}
 	// Each corruption (and the crash) costs the link: the client must have
 	// torn down and recovered, never rendering a corrupted payload.
+	if n := chaos.Injections("netem.link.write"); n != 3 {
+		t.Errorf("link faults injected = %d, want the 3 armed", n)
+	}
 	if met.Disconnects < 3 {
 		t.Errorf("Disconnects = %d, want >= 3", met.Disconnects)
 	}

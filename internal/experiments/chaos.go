@@ -7,6 +7,7 @@ import (
 	"net"
 	"time"
 
+	"dragonfly/internal/chaos"
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
@@ -18,15 +19,11 @@ import (
 	"dragonfly/internal/video"
 )
 
-// The chaos scenario: one short session over a link that corrupts
-// chaosBitFlips payloads spread over the first half of the session and
-// truncates one write later on — all while most tiles are still in flight
-// — with the server process killed and restarted cold a third of the way in.
-const (
-	chaosBitFlips   = 2
-	chaosTruncateAt = wireVideoDur * 3 / 5
-	chaosRestartAt  = wireVideoDur / 3
-)
+// The chaos scenario: one short session over a link that flips a bit in
+// two writes and silently truncates a third, spread over the first half of
+// the session while most tiles are still in flight, with the server
+// process killed and restarted cold a third of the way in.
+const chaosRestartAt = wireVideoDur / 3
 
 // extChaosOutcome summarizes the chaos run: the session metrics, the send
 // accounting summed over every server instance that ran, and the admission
@@ -56,14 +53,15 @@ func extChaos(w io.Writer, seed int64) (extChaosOutcome, error) {
 	m := wireManifest("chaos")
 	head := wireHead("chaos-user", trace.MotionLow, seed)
 
-	sched := &netem.FaultSchedule{Events: append(spreadFaults(chaosBitFlips, netem.FaultBitFlip),
-		netem.FaultEvent{At: chaosTruncateAt, Kind: netem.FaultTruncate})}
-	fl := &netem.FaultLink{Link: constLink(8), Schedule: sched, Seed: seed}
-	defer fl.Stop()
+	if err := chaos.Arm(linkFaults(seed, chaos.FaultCorrupt, chaos.FaultCorrupt, chaos.FaultPartial)...); err != nil {
+		return extChaosOutcome{}, err
+	}
+	defer chaos.Disarm()
 
 	// The restarted instance's only path back to the session state is the
 	// client's resume bitmap.
-	b := fleettest.NewBackend(context.Background(), "chaos", m, fl.Pipe,
+	link := constLink(8)
+	b := fleettest.NewBackend(context.Background(), "chaos", m, func() (net.Conn, net.Conn) { return netem.Pipe(link) },
 		func(s *server.Server) { s.Heartbeat = 100 * time.Millisecond })
 	defer b.Kill()
 	restart := time.AfterFunc(chaosRestartAt, b.Restart)
@@ -88,7 +86,7 @@ func extChaos(w io.Writer, seed int64) (extChaosOutcome, error) {
 	}
 
 	fprintf(w, "== Extension: chaos (corruption + server restart + admission) ==\n")
-	fprintf(w, "Live session: %d bit flips, 1 truncation, 1 server restart(s) mid-stream.\n\n", chaosBitFlips)
+	fprintf(w, "Live session: 2 bit flips, 1 truncation, 1 server restart(s) mid-stream.\n\n")
 	fprintf(w, "%-22s %10s\n", "metric", "value")
 	fprintf(w, "%-22s %10d\n", "frames rendered", met.TotalFrames)
 	fprintf(w, "%-22s %10.2f\n", "median PSNR (dB)", met.MedianScore())

@@ -89,6 +89,9 @@ func soakRules() []chaos.Rule {
 		{Site: "ingest.watch.read", Kind: chaos.FaultError, Every: 1, Count: 2},
 		{Site: "ingest.snapshot.write", Kind: chaos.FaultCorrupt, Every: 1, Count: 1},
 		{Site: "ingest.push", Kind: chaos.FaultError, Every: 1, Count: 2},
+		// Seeded, and last, so the rows above keep the placements
+		// chaos.Schedule gives them by index.
+		{Site: "netem.link.write", Kind: chaos.FaultError, Count: 1},
 	}
 }
 

@@ -3,7 +3,23 @@ package experiments
 import (
 	"bytes"
 	"testing"
+
+	"dragonfly/internal/chaos"
 )
+
+// TestSoakArmsEverySite: the soak arms every registered failpoint, so a
+// site added without a soakRules row fails here.
+func TestSoakArmsEverySite(t *testing.T) {
+	armed := map[string]bool{}
+	for _, r := range soakRules() {
+		armed[r.Site] = true
+	}
+	for _, name := range chaos.SiteNames() {
+		if !armed[name] {
+			t.Errorf("site %q is registered but soakRules does not arm it", name)
+		}
+	}
+}
 
 // TestChaosSoak is the all-tier failpoint soak from the issue: every
 // registered failpoint site armed from one seeded schedule over a

@@ -7,6 +7,7 @@ import (
 	"net"
 	"time"
 
+	"dragonfly/internal/chaos"
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
@@ -15,10 +16,6 @@ import (
 	"dragonfly/internal/server"
 	"dragonfly/internal/trace"
 )
-
-// faultDisconnects is how many times the ext-fault link is hard-cut per
-// session, spread over the first half of it.
-const faultDisconnects = 3
 
 // ExtFaultOutcome summarizes one live session under the fault script.
 type ExtFaultOutcome struct {
@@ -37,12 +34,15 @@ func ExtFaultTolerance(_ *Env, w io.Writer) (map[string]ExtFaultOutcome, error) 
 	head := wireHead("fault-user", trace.MotionLow, seed)
 	// Cut the link early and often: the first disconnect lands while most
 	// of the video is still on the server, so giving up is visibly costly.
-	sched := &netem.FaultSchedule{Events: spreadFaults(faultDisconnects, netem.FaultDisconnect)}
+	cuts := linkFaults(seed, chaos.FaultError, chaos.FaultError, chaos.FaultError)
+	link := constLink(8)
 
 	run := func(reconnect bool) (ExtFaultOutcome, error) {
-		fl := &netem.FaultLink{Link: constLink(8), Schedule: sched}
-		defer fl.Stop()
-		b := fleettest.NewBackend(context.Background(), "fault", m, fl.Pipe,
+		if err := chaos.Arm(cuts...); err != nil {
+			return ExtFaultOutcome{}, err
+		}
+		defer chaos.Disarm()
+		b := fleettest.NewBackend(context.Background(), "fault", m, func() (net.Conn, net.Conn) { return netem.Pipe(link) },
 			func(s *server.Server) { s.Heartbeat = 100 * time.Millisecond })
 		defer b.Kill()
 		dials := 0
@@ -73,7 +73,7 @@ func ExtFaultTolerance(_ *Env, w io.Writer) (map[string]ExtFaultOutcome, error) 
 	out := map[string]ExtFaultOutcome{"resilient": resilient, "no-reconnect": cutoff}
 
 	fprintf(w, "== Extension: fault tolerance (reconnect + resume) ==\n")
-	fprintf(w, "Live sessions over a %d-cut link; same fault script for both variants.\n\n", sched.Disconnects())
+	fprintf(w, "Live sessions over a %d-cut link; same fault script for both variants.\n\n", len(cuts))
 	fprintf(w, "%-14s %8s %9s %8s %8s %9s %8s %9s\n",
 		"variant", "medPSNR", "masked%", "outage", "resumed", "reTxPrim", "rebuf", "frames")
 	for _, name := range sortedNames(out) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"dragonfly/internal/chaos"
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
@@ -80,14 +81,20 @@ func wireReconnect(attempts int, seed int64) client.ReconnectPolicy {
 	}
 }
 
-// spreadFaults is n fault events of one kind spread evenly over the first
-// half of the video, while most of its tiles are still in flight.
-func spreadFaults(n int, kind netem.FaultKind) []netem.FaultEvent {
-	evs := make([]netem.FaultEvent, n)
-	for i := range evs {
-		evs[i] = netem.FaultEvent{At: wireVideoDur / 2 * time.Duration(i+1) / time.Duration(n+1), Kind: kind}
+// linkFaults is one netem.link.write fault per kind, the i-th on about the
+// 30(i+1)-th write the servers send: spread over the first half of a
+// session's ~170 writes, while most of its tiles are still in flight.
+// chaos.Schedule staggers each by a seeded 0–7 writes.
+func linkFaults(seed int64, kinds ...chaos.Kind) []chaos.Rule {
+	rules := make([]chaos.Rule, len(kinds))
+	for i, k := range kinds {
+		rules[i] = chaos.Rule{Site: "netem.link.write", Kind: k, Count: 1}
 	}
-	return evs
+	rules = chaos.Schedule(seed, rules)
+	for i := range rules {
+		rules[i].After += 30 * (i + 1)
+	}
+	return rules
 }
 
 // fanOut runs job(0) … job(n-1) concurrently, waits for all of them and

@@ -48,9 +48,10 @@ type Backend struct {
 }
 
 // NewBackend starts the first instance. pipe builds each connection
-// (netem.Pipe over a link, or a FaultLink's Pipe); configure sets up every
-// fresh server.Server before it serves (its Obs is already Reg). Cancelling ctx stops
-// whatever instance is running; Kill also waits for it.
+// (netem.Pipe over a link, whose writes the armed netem.link.write rules
+// fault); configure sets up every fresh server.Server before it serves
+// (its Obs is already Reg). Cancelling ctx stops whatever instance is
+// running; Kill also waits for it.
 func NewBackend(ctx context.Context, addr string, m *video.Manifest,
 	pipe func() (client, server net.Conn), configure func(*server.Server)) *Backend {
 	b := &Backend{Addr: addr, Reg: obs.NewRegistry(), ctx: ctx, m: m, pipe: pipe, configure: configure}

@@ -2,6 +2,8 @@
 // net.Conn connections — the role Mahimahi plays in the paper's testbed
 // (§4.5). Writes through a shaped connection are paced so the delivered
 // throughput follows a bandwidth trace, with optional propagation delay.
+// Link faults (cuts, stalls, corruption) are the netem.link.write chaos
+// site, placed by hit count like every other injected fault.
 package netem
 
 import (
@@ -9,8 +11,14 @@ import (
 	"sync"
 	"time"
 
+	"dragonfly/internal/chaos"
 	"dragonfly/internal/trace"
 )
+
+// siteLinkWrite is hit once per Conn.Write, shaped or not. Armed, error
+// severs the connection, delay stalls the write, corrupt flips one bit of
+// it, and partial transmits a prefix while reporting full success.
+var siteLinkWrite = chaos.NewSite("netem.link.write")
 
 // Link describes the emulated path.
 type Link struct {
@@ -46,6 +54,40 @@ func newConn(inner net.Conn, link Link) *Conn {
 // Write paces p through the emulated link, then writes it to the inner
 // connection.
 func (c *Conn) Write(p []byte) (int, error) {
+	if f := siteLinkWrite.Fault(); f.Active() {
+		return c.faultWrite(p, f)
+	}
+	return c.pace(p)
+}
+
+// faultWrite applies one injected link fault to p. The flipped bit is a
+// pure function of the hit number and len(p), so a rule set replays the
+// same damage; a partial write reports len(p), the silent loss a
+// checksummed stream must surface.
+func (c *Conn) faultWrite(p []byte, f chaos.Fault) (int, error) {
+	switch f.Kind {
+	case chaos.FaultDelay:
+		time.Sleep(f.Delay)
+	case chaos.FaultCorrupt:
+		if len(p) > 0 {
+			bit := f.Tick % uint64(8*len(p))
+			p = append([]byte(nil), p...)
+			p[bit/8] ^= 1 << (bit % 8)
+		}
+	case chaos.FaultPartial:
+		if n, err := c.pace(p[:int(float64(len(p))*f.Frac)]); err != nil {
+			return n, err
+		}
+		return len(p), nil
+	default:
+		c.Conn.Close()
+		return 0, f.Err
+	}
+	return c.pace(p)
+}
+
+// pace is Write without the failpoint.
+func (c *Conn) pace(p []byte) (int, error) {
 	if c.link.Trace == nil {
 		return c.Conn.Write(p)
 	}

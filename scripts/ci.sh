@@ -67,7 +67,7 @@ done
 # The fuzz smoke's targets, as package:Target (the smoke itself runs below).
 fuzz_targets="proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume
 	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup
-	popsim:FuzzMergeSnapshot video:FuzzReadManifest netem:FuzzReadFaultCSV
+	popsim:FuzzMergeSnapshot video:FuzzReadManifest chaos:FuzzReadRules
 	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzAppendManifestFloat
 	video:FuzzExtendZeros geom:FuzzCapWalk geom:FuzzRoIPlane player:FuzzSendQueue"
 
