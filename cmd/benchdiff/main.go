@@ -2,8 +2,11 @@
 // `go test -bench` text output into a committed JSON baseline and compares
 // fresh runs against it, failing when a benchmark's ns/op or B/op grows by
 // more than a configurable threshold, when a baseline benchmark is missing,
-// or when a benchmark the baseline records as allocation-free allocates.
-// The last is a count, not a timing, so -warn does not excuse it.
+// or when its allocs/op leaves the baseline's band: above it (an
+// allocation-free benchmark that allocates at all), or so far below it that
+// the baseline is stale. -warn reports the timing, B/op and missing-benchmark
+// failures without failing; allocation counts repeat where timings do not,
+// so it never excuses one.
 //
 // Usage:
 //
@@ -87,17 +90,42 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 	return out, sc.Err()
 }
 
-// compare reports every baseline benchmark against the fresh run, returning
-// the names of those whose ns/op or B/op grew by more than threshold (a
-// ratio: 1.5 = 50% more), the names present in the baseline but absent from
-// the fresh run, and the names the baseline records at 0 allocs/op that now
-// allocate. A missing benchmark is a gate failure in its own right — a
-// silently dropped benchmark would otherwise let its regression hide.
-// Memory is compared only where both runs reported it, and B/op only where
-// the baseline allocates at least once per op: below that, B/op is a few
-// one-off allocations (a buffer growing to size) spread over however many
+// The allocs/op band. A fresh run fails above baseline × allocGrowth +
+// allocSlack, and a baseline is stale above fresh × allocStale + allocSlack,
+// so a change that saves allocations re-takes the baseline with it. From the
+// committed snapshots BENCH_pr14 … BENCH_pr40, between adjacent ones where
+// no change meant to move the count: micro-benchmarks repeat it exactly;
+// the simulated macros that allocate ≥ 100 times per op moved it at most
+// 3.8 % (ManyConnStream, BENCH_pr23 to BENCH_pr27); and the tiny macros run
+// once swing by 3 allocations (Fig18QualitySensitivity 16–19,
+// Table1SchemeMatrix and Table2VariantMatrix 2–5, Table3VideoBitrates
+// 48–50). An allocation-free baseline admits no allocation at all.
+const (
+	allocGrowth = 1.05
+	allocStale  = 1.25
+	allocSlack  = 3
+)
+
+// findings is compare's verdict, by benchmark name.
+type findings struct {
+	regressions []string // ns/op or B/op beyond the threshold
+	missing     []string // in the baseline, absent from the fresh run
+	allocating  []string // allocs/op above the baseline's band
+	stale       []string // allocs/op so far below the baseline that it is stale
+}
+
+// compare reports every baseline benchmark against the fresh run: those
+// whose ns/op or B/op grew by more than threshold (a ratio: 1.5 = 50% more),
+// those present in the baseline but absent from the fresh run, and those
+// whose allocs/op left the baseline's band (allocGrowth, allocStale). A
+// missing benchmark is a gate failure in its own right — a silently dropped
+// benchmark would otherwise let its regression hide. Memory is compared
+// only where both runs reported it, and B/op only where the baseline
+// allocates at least once per op: below that, B/op is a few one-off
+// allocations (a buffer growing to size) spread over however many
 // iterations ran, which is not a per-op cost.
-func compare(base, fresh map[string]Result, threshold float64, w io.Writer) (regressions, missing, allocating []string) {
+func compare(base, fresh map[string]Result, threshold float64, w io.Writer) findings {
+	var fs findings
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -108,7 +136,7 @@ func compare(base, fresh map[string]Result, threshold float64, w io.Writer) (reg
 		f, ok := fresh[name]
 		if !ok {
 			fmt.Fprintf(w, "MISSING  %-40s (in baseline, not in this run)\n", name)
-			missing = append(missing, name)
+			fs.missing = append(fs.missing, name)
 			continue
 		}
 		regressed := false
@@ -130,14 +158,23 @@ func compare(base, fresh map[string]Result, threshold float64, w io.Writer) (reg
 					"REGRESSION", name, b.BytesPerOp, f.BytesPerOp, f.BytesPerOp/b.BytesPerOp)
 				regressed = true
 			}
-			if b.AllocsPerOp == 0 && f.AllocsPerOp > 0 {
+			switch {
+			case b.AllocsPerOp == 0 && f.AllocsPerOp > 0:
 				fmt.Fprintf(w, "%-8s %-40s %12.0f -> %12.0f allocs/op, %.0f B/op (baseline is allocation-free)\n",
 					"ALLOCS", name, b.AllocsPerOp, f.AllocsPerOp, f.BytesPerOp)
-				allocating = append(allocating, name)
+				fs.allocating = append(fs.allocating, name)
+			case f.AllocsPerOp > b.AllocsPerOp*allocGrowth+allocSlack:
+				fmt.Fprintf(w, "%-8s %-40s %12.0f -> %12.0f allocs/op (above baseline x%.2f + %d)\n",
+					"ALLOCS", name, b.AllocsPerOp, f.AllocsPerOp, allocGrowth, allocSlack)
+				fs.allocating = append(fs.allocating, name)
+			case b.AllocsPerOp > f.AllocsPerOp*allocStale+allocSlack:
+				fmt.Fprintf(w, "%-8s %-40s %12.0f -> %12.0f allocs/op (baseline above this run x%.2f + %d; rerun scripts/bench.sh)\n",
+					"STALE", name, b.AllocsPerOp, f.AllocsPerOp, allocStale, allocSlack)
+				fs.stale = append(fs.stale, name)
 			}
 		}
 		if regressed {
-			regressions = append(regressions, name)
+			fs.regressions = append(fs.regressions, name)
 		}
 	}
 	extra := make([]string, 0)
@@ -151,7 +188,7 @@ func compare(base, fresh map[string]Result, threshold float64, w io.Writer) (reg
 		fmt.Fprintf(w, "NEW      %-40s %12.0f ns/op (not in baseline; rerun scripts/bench.sh)\n",
 			name, fresh[name].NsPerOp)
 	}
-	return regressions, missing, allocating
+	return fs
 }
 
 func parseFile(path string) (map[string]Result, error) {
@@ -201,8 +238,8 @@ func emitBaseline(rawPath, outPath, note string) error {
 // diff compares the fresh run at newPath against the baseline file; the
 // returned error is non-nil when a regression exceeds threshold or a
 // baseline benchmark is missing from the fresh run (and warn is off), or
-// when an allocation-free benchmark now allocates (warn or not), so main
-// can exit nonzero.
+// when a benchmark's allocs/op leaves the baseline's band (warn or not), so
+// main can exit nonzero.
 func diff(baselinePath, newPath string, threshold float64, warn bool, w io.Writer) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -216,26 +253,30 @@ func diff(baselinePath, newPath string, threshold float64, warn bool, w io.Write
 	if err != nil {
 		return err
 	}
-	regressions, missing, allocating := compare(base.Benchmarks, fresh, threshold, w)
+	fs := compare(base.Benchmarks, fresh, threshold, w)
 	var problems []string
-	if len(regressions) > 0 {
+	if len(fs.regressions) > 0 {
 		problems = append(problems, fmt.Sprintf("%d benchmark(s) regressed beyond x%.2f: %s",
-			len(regressions), threshold, strings.Join(regressions, ", ")))
+			len(fs.regressions), threshold, strings.Join(fs.regressions, ", ")))
 	}
-	if len(missing) > 0 {
+	if len(fs.missing) > 0 {
 		problems = append(problems, fmt.Sprintf("%d baseline benchmark(s) missing from this run: %s",
-			len(missing), strings.Join(missing, ", ")))
+			len(fs.missing), strings.Join(fs.missing, ", ")))
 	}
 	if len(problems) > 0 && warn {
 		fmt.Fprintf(w, "WARNING (not failing): %s\n", strings.Join(problems, "; "))
 		problems = nil
 	}
-	if len(allocating) > 0 {
-		problems = append(problems, fmt.Sprintf("%d allocation-free benchmark(s) now allocate: %s",
-			len(allocating), strings.Join(allocating, ", ")))
+	if len(fs.allocating) > 0 {
+		problems = append(problems, fmt.Sprintf("%d benchmark(s) allocate above the baseline's band: %s",
+			len(fs.allocating), strings.Join(fs.allocating, ", ")))
+	}
+	if len(fs.stale) > 0 {
+		problems = append(problems, fmt.Sprintf("%d benchmark(s) allocate far below a stale baseline (rerun scripts/bench.sh): %s",
+			len(fs.stale), strings.Join(fs.stale, ", ")))
 	}
 	if len(problems) == 0 {
-		if len(regressions)+len(missing) == 0 {
+		if len(fs.regressions)+len(fs.missing) == 0 {
 			fmt.Fprintf(w, "no regressions above x%.2f (%d benchmarks)\n", threshold, len(base.Benchmarks))
 		}
 		return nil
@@ -249,7 +290,7 @@ func main() {
 	baseline := flag.String("baseline", "", "committed baseline JSON to compare against")
 	fresh := flag.String("new", "", "raw `go test -bench` output of the fresh run")
 	threshold := flag.Float64("threshold", 1.5, "failure ratio: fail when ns/op or B/op exceeds baseline x this")
-	warn := flag.Bool("warn", false, "report regressions and missing benchmarks but exit 0 (for noisy CI timing); a 0 -> N allocs/op change still fails")
+	warn := flag.Bool("warn", false, "report ns/op and B/op regressions and missing benchmarks but exit 0 (for noisy CI timing); allocs/op outside the baseline's band still fails")
 	note := flag.String("note", "", "free-form provenance note stored in the emitted baseline (label, date, commit)")
 	flag.Parse()
 

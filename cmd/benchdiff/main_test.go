@@ -59,11 +59,11 @@ func TestCompareFlagsOnlyRealRegressions(t *testing.T) {
 		"BenchmarkD": {NsPerOp: 5},    // new, informational only
 	}
 	var buf bytes.Buffer
-	got, missing, _ := compare(base, fresh, 1.5, &buf)
-	if len(got) != 1 || got[0] != "BenchmarkB" {
+	fs := compare(base, fresh, 1.5, &buf)
+	if got := fs.regressions; len(got) != 1 || got[0] != "BenchmarkB" {
 		t.Fatalf("regressions = %v, want [BenchmarkB]", got)
 	}
-	if len(missing) != 1 || missing[0] != "BenchmarkC" {
+	if missing := fs.missing; len(missing) != 1 || missing[0] != "BenchmarkC" {
 		t.Fatalf("missing = %v, want [BenchmarkC]", missing)
 	}
 	out := buf.String()
@@ -278,6 +278,60 @@ func TestDiffGatesAllocations(t *testing.T) {
 	}
 }
 
+// bandBenchOutput is a -benchmem run of one macro and the two tiny macros
+// whose single iteration swings by a few allocations.
+const bandBenchOutput = `BenchmarkManyConnStream-2           	       1	 900000000 ns/op	 4000000 B/op	   59000 allocs/op
+BenchmarkFig18QualitySensitivity-2  	       1	     31814 ns/op	    3208 B/op	      16 allocs/op
+BenchmarkTable2VariantMatrix-2      	       1	      9000 ns/op	     600 B/op	       5 allocs/op
+`
+
+// TestDiffGatesAllocationBand: allocs/op fails above baseline x1.05 + 3
+// and, the baseline then being stale, below it by more than x1.25 + 3 —
+// both with or without -warn — while the tiny macros' swing of three
+// allocations and a macro's drift inside the band pass.
+func TestDiffGatesAllocationBand(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "baseline.json")
+	raw := filepath.Join(dir, "raw.txt")
+	if err := os.WriteFile(raw, []byte(bandBenchOutput), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := emitBaseline(raw, baseline, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		old, new  string // one replacement in bandBenchOutput
+		fails     string // the report's verdict for a failing run; "" passes
+		benchmark string
+	}{
+		{"macro drift inside the band", "59000 allocs", "61900 allocs", "", ""},
+		{"macro above the band", "59000 allocs", "61960 allocs", "ALLOCS", "BenchmarkManyConnStream"},
+		{"macro win the baseline still covers", "59000 allocs", "47200 allocs", "", ""},
+		{"macro win that makes the baseline stale", "59000 allocs", "47100 allocs", "STALE", "BenchmarkManyConnStream"},
+		{"tiny macro up by three", "16 allocs", "19 allocs", "", ""},
+		{"tiny macro up by four", "16 allocs", "20 allocs", "ALLOCS", "BenchmarkFig18QualitySensitivity"},
+		{"tiny macro down by three", "5 allocs", "2 allocs", "", ""},
+	} {
+		fresh := filepath.Join(dir, "fresh.txt")
+		if err := os.WriteFile(fresh, []byte(strings.Replace(bandBenchOutput, c.old, c.new, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, warn := range []bool{false, true} {
+			var buf bytes.Buffer
+			err := diff(baseline, fresh, 1.5, warn, &buf)
+			switch {
+			case c.fails == "" && err != nil:
+				t.Errorf("%s, warn=%v: failed: %v\n%s", c.name, warn, err, buf.String())
+			case c.fails != "" && err == nil:
+				t.Errorf("%s, warn=%v: passed:\n%s", c.name, warn, buf.String())
+			case c.fails != "" && (!strings.Contains(err.Error(), c.benchmark) || !strings.Contains(buf.String(), c.fails)):
+				t.Errorf("%s, warn=%v: error %q or report does not name %s as %s:\n%s", c.name, warn, err, c.benchmark, c.fails, buf.String())
+			}
+		}
+	}
+}
+
 // Example_baselineComparison shows the comparison underneath
 // `benchdiff -baseline ... -new ...`: each baseline benchmark is matched
 // against the fresh run and flagged once its ns/op ratio exceeds the
@@ -293,8 +347,8 @@ func Example_baselineComparison() {
 		"BenchmarkOverlapCapExact":    {NsPerOp: 6500},  // x2.10: regression
 		"BenchmarkOverlapTableLookup": {NsPerOp: 575},
 	}
-	regressions, _, _ := compare(baseline, fresh, 1.5, os.Stdout)
-	fmt.Println("regressed:", regressions)
+	fs := compare(baseline, fresh, 1.5, os.Stdout)
+	fmt.Println("regressed:", fs.regressions)
 	// Output:
 	// ok       BenchmarkDecideFull360                          36000 ->        39000 ns/op (x1.08)
 	// REGRESSION BenchmarkOverlapCapExact                         3100 ->         6500 ns/op (x2.10)

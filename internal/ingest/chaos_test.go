@@ -3,7 +3,6 @@ package ingest
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -520,29 +519,25 @@ func TestRetryDelaysPinned(t *testing.T) {
 }
 
 // FuzzApplyRollup feeds the feedback poll's path — the /rollup body through
-// json.Unmarshal, then apply — bytes no aggregator of ours produced. It must
+// decodeRollup, then apply — bytes no aggregator of ours produced. It must
 // not panic; a refused document leaves the scales in force as they were; an
 // accepted one yields only scales inside [minScale, maxScale], for at most
 // maxFeedbackCohorts cohorts, none of them from a cohort entry apply says it
-// rejects.
+// rejects. The seeds are the golden rollup vector and edits of it.
 func FuzzApplyRollup(f *testing.F) {
-	agg := New(Config{})
-	body, _ := sessionJSONL(f, "low:net", rand.New(rand.NewSource(5)), 6)
-	if _, err := agg.FoldReader(bytes.NewReader(body)); err != nil {
-		f.Fatal(err)
-	}
-	good, err := json.Marshal(agg.Rollup())
+	good, err := os.ReadFile(goldenRollupPath)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add(bytes.Replace(good, []byte(`"schema_version":1`), []byte(`"schema_version":2`), 1))
-	f.Add(bytes.Replace(good, []byte(`"p50":`), []byte(`"p50":-`), 1))
+	f.Add(bytes.Replace(good, []byte(`"schema_version": 1`), []byte(`"schema_version": 2`), 1))
+	f.Add(bytes.Replace(good, []byte(`"p50": `), []byte(`"p50": -`), 1))
+	f.Add(append(bytes.Clone(good), `{}`...))
 	f.Add([]byte(`{"cohorts":{"":{"sessions":3,"quality_db":{"count":1,"p50":44}},"a":{"sessions":-1},"b":{"sessions":9,"quality_db":{"count":7,"p50":1e308,"p99":-0.0}}}}`))
 	f.Add([]byte(`{"cohorts":null,"schema_version":-1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ru Rollup
-		if json.Unmarshal(data, &ru) != nil {
+		ru, err := decodeRollup(data)
+		if err != nil {
 			return // pollOnce stops here, before apply
 		}
 		fb := NewFeedback(FeedbackConfig{TargetDB: 40, Obs: obs.NewRegistry()})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -188,10 +189,16 @@ func (f *Feedback) pollOnce(ctx context.Context) error {
 		f.cPollErrs.Inc()
 		return fmt.Errorf("ingest: rollup %s: %s", f.cfg.URL, resp.Status)
 	}
-	var ru Rollup
-	if err := json.NewDecoder(resp.Body).Decode(&ru); err != nil {
+	doc := getDoc()
+	defer docPool.Put(doc)
+	if _, err := doc.ReadFrom(io.LimitReader(resp.Body, maxRollupBytes+1)); err != nil {
 		f.cPollErrs.Inc()
 		return err
+	}
+	ru, err := decodeRollup(doc.Bytes())
+	if err != nil {
+		f.cPollErrs.Inc()
+		return fmt.Errorf("ingest: rollup %s: %w", f.cfg.URL, err)
 	}
 	if err := f.apply(ru); err != nil {
 		f.cPollErrs.Inc()
@@ -211,6 +218,25 @@ const (
 	maxFeedbackCohorts = 1024
 	maxCohortNameLen   = 128
 )
+
+// maxRollupBytes bounds a /rollup body the poll reads. The largest document
+// a tier of ours writes, maxFeedbackCohorts cohorts under maxCohortNameLen
+// names with every number at its longest spelling, is 2.4 MiB
+// (TestMaxRollupFitsLargestRollup); a body past the bound is refused before
+// it is decoded, so a broken or hostile endpoint can neither make the server
+// hold an unbounded document nor leave a pooled buffer that large.
+const maxRollupBytes = 4 << 20
+
+// decodeRollup is the poll's decoder of a /rollup body: one JSON document of
+// at most maxRollupBytes, with nothing but white space after it.
+func decodeRollup(data []byte) (Rollup, error) {
+	var ru Rollup
+	if len(data) > maxRollupBytes {
+		return ru, fmt.Errorf("body over %d bytes", maxRollupBytes)
+	}
+	err := json.Unmarshal(data, &ru)
+	return ru, err
+}
 
 // apply validates an already-fetched rollup and recomputes scales from it
 // (the poll path and in-process tests share it). Validation is the wall

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"dragonfly/internal/chaos"
@@ -51,18 +53,49 @@ func (a *Aggregator) handler() http.Handler {
 	})
 	mux.HandleFunc("/rollup", func(w http.ResponseWriter, req *http.Request) {
 		cRollups.Inc()
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(a.Rollup()); err != nil {
+		doc := getDoc()
+		defer docPool.Put(doc)
+		if err := encodeRollup(doc, a.Rollup()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(doc.Bytes())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// docPool holds the buffers a rollup document is encoded into (for
+// /rollup and WriteSnapshot) and read into (Feedback's poll), so a round
+// trip allocates none of them once the pool is warm. A document the poll
+// reads is bounded by maxRollupBytes, and one the tier writes by its cohort
+// cap, so no pooled buffer grows without bound.
+var docPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// getDoc returns an empty buffer from docPool; Put it back when done with
+// its bytes.
+func getDoc() *bytes.Buffer {
+	b := docPool.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+// encodeRollup appends ru to dst as the one rollup document /rollup serves
+// and rollup.json holds: two-space indented JSON and a newline, the bytes
+// json.MarshalIndent(ru, "", "  ") and a '\n' make. The compact encoding
+// goes through a pooled buffer and json.Indent re-indents it, which is what
+// MarshalIndent does in buffers of its own.
+func encodeRollup(dst *bytes.Buffer, ru Rollup) error {
+	compact := getDoc()
+	defer docPool.Put(compact)
+	if err := json.NewEncoder(compact).Encode(ru); err != nil {
+		return err
+	}
+	return json.Indent(dst, compact.Bytes(), "", "  ")
 }
 
 // countingReader counts the bytes read through it.
@@ -103,11 +136,12 @@ func (a *Aggregator) WriteSnapshot(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	data, err := json.MarshalIndent(a.Rollup(), "", "  ")
-	if err != nil {
+	doc := getDoc()
+	defer docPool.Put(doc)
+	if err := encodeRollup(doc, a.Rollup()); err != nil {
 		return "", err
 	}
-	data = append(data, '\n')
+	data := doc.Bytes()
 	final := filepath.Join(dir, snapshotFile)
 	if f := siteSnapWrite.Fault(); f.Active() {
 		return snapshotFaulted(final, data, f)
@@ -126,7 +160,8 @@ func (a *Aggregator) WriteSnapshot(dir string) (string, error) {
 // partial and corrupt kinds deliberately bypass the tmp+rename discipline:
 // they plant the on-disk states (torn document, silent bit rot) that
 // discipline normally rules out, so the startup quarantine path has
-// something real to recover from.
+// something real to recover from. data is WriteSnapshot's pooled buffer:
+// no kind keeps it past the return, and corrupt flips its byte in a copy.
 func snapshotFaulted(final string, data []byte, f chaos.Fault) (string, error) {
 	switch f.Kind {
 	case chaos.FaultDelay:

@@ -118,6 +118,12 @@ func (p *Pusher) attempt(ctx context.Context, body []byte) error {
 	if err != nil {
 		return retry.Permanent(err)
 	}
+	// Chunked, not sized: the transport wraps a sized body in an
+	// io.LimitReader, which hides the bytes.Reader's WriteTo and costs a
+	// fresh 32 KB io.Copy buffer per push; a chunked body is written in one
+	// call. The GetBody NewRequestWithContext set still lets the transport
+	// resend the whole body on a kept-alive connection the server closed.
+	req.ContentLength = -1
 	req.Header.Set("Content-Type", "application/jsonl")
 	resp, err := httpClient.Do(req)
 	if err != nil {

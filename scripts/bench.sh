@@ -17,7 +17,8 @@
 # handshake (WriteManifest, ReadManifest), the two cold-start builds —
 # internal/store's StoreNew and internal/video's Generate — the internal/obs
 # trace-line decoder UnmarshalEvent/{canonical,fallback}, and the
-# internal/ingest trace-fold path IngestFold) run BENCHTIME_MICRO
+# internal/ingest trace-fold path IngestFold and push/poll round trip
+# PushPoll) run BENCHTIME_MICRO
 # iterations (default 50x) — a single iteration of a ~µs benchmark is
 # dominated by warm-up noise, which would trip the gate. The
 # FrameWriteCRC/FrameWriteNoCRC (and Read) pairs also document the CRC32-C

@@ -21,7 +21,7 @@ run 'Frame|Manifest' "$micro" ./internal/proto
 run 'StoreNew' "$micro" ./internal/store
 run 'Generate' "$micro" ./internal/video
 run 'UnmarshalEvent' "$micro" ./internal/obs
-run 'IngestFold' "$micro" ./internal/ingest
+run 'IngestFold|PushPoll' "$micro" ./internal/ingest
 # Population macro: 10k streamed sessions through the sharded sweep engine
 # (sketch aggregation keeps memory flat, so this times throughput, not GC).
 run 'PopulationSweep' "$macro" ./internal/popsim
