@@ -3,26 +3,21 @@
 // plays every member under every scheme, and streams the finished sessions
 // into per-(scheme, cohort) quantile sketches. Memory stays bounded by the
 // sketch geometry, so million-session populations run in a fixed footprint.
-// Same seed ⇒ identical merged rollup for any -workers or -shards value
-// (see docs/PERFORMANCE.md, "Population sweeps").
+// Same seed ⇒ identical rollup for any -workers value (see
+// docs/PERFORMANCE.md, "Population sweeps").
 //
 // Usage:
 //
 //	dragonfly-popsim -sessions 100000 -schemes dragonfly,pano -seed 7
-//	dragonfly-popsim -sessions 1000000 -shards 4 -out rollup.json
-//	dragonfly-popsim -shard-index 2 -shard-count 4 -snapshot -   # one shard
+//	dragonfly-popsim -sessions 1000000 -workers 4 -out rollup.json
 package main
 
 import (
-	"bytes"
 	"flag"
 	"io"
 	"log"
 	"os"
-	"os/exec"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dragonfly/internal/obs"
@@ -36,12 +31,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "population seed (same seed = identical rollup)")
 	duration := flag.Duration("duration", 30*time.Second, "per-member trace duration")
 	scale := flag.String("scale", "small", "video dataset scale: small (one 8x8 video) or full (paper's 7 videos)")
-	workers := flag.Int("workers", 0, "simulation workers per process (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "spawn this many shard subprocesses and merge their snapshots")
-	shardIndex := flag.Int("shard-index", 0, "run only this shard of -shard-count (subprocess mode)")
-	shardCount := flag.Int("shard-count", 0, "total shards this process is one of (0 = whole population)")
-	out := flag.String("out", "-", "file for the merged rollup summary JSON ('-' = stdout)")
-	snapshot := flag.String("snapshot", "", "write the mergeable JSONL sketch snapshot instead of the summary ('-' = stdout)")
+	workers := flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
+	out := flag.String("out", "-", "file for the rollup summary JSON ('-' = stdout)")
 	metricsOut := flag.String("metrics-out", "", "file to dump the pop_* metrics registry as JSON on exit")
 	flag.Parse()
 
@@ -53,100 +44,26 @@ func main() {
 	model := popsim.DefaultModel(*seed)
 	model.Duration = *duration
 
-	if *shards > 1 {
-		if *shardCount != 0 {
-			log.Fatal("-shards (coordinator) and -shard-count (subprocess) are mutually exclusive")
-		}
-		coordinate(*shards, *out, *snapshot)
-		return
-	}
-
 	reg := obs.NewRegistry()
 	sw := popsim.Sweep{
-		Videos:     videosFor(*scale),
-		Schemes:    keys,
-		Sessions:   *sessions,
-		Model:      model,
-		Workers:    *workers,
-		ShardIndex: *shardIndex,
-		ShardCount: *shardCount,
-		Obs:        reg,
+		Videos:   videosFor(*scale),
+		Schemes:  keys,
+		Sessions: *sessions,
+		Model:    model,
+		Workers:  *workers,
+		Obs:      reg,
 	}
 	rollup, st, err := popsim.Run(sw)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("shard %d/%d: %d sessions in %s (%.0f sessions/sec)",
-		sw.ShardIndex, max(sw.ShardCount, 1), st.Sessions, st.Wall.Round(time.Millisecond), st.SessionsPerSec)
+	log.Printf("%d sessions in %s (%.0f sessions/sec)",
+		st.Sessions, st.Wall.Round(time.Millisecond), st.SessionsPerSec)
 
 	if *metricsOut != "" {
 		writeTo(*metricsOut, func(w io.Writer) error { return reg.WriteJSON(w) })
 	}
-	if *snapshot != "" {
-		writeTo(*snapshot, func(w io.Writer) error {
-			return rollup.WriteSnapshot(w, sw.ShardIndex, max(sw.ShardCount, 1))
-		})
-		return
-	}
 	writeSummary(*out, rollup)
-}
-
-// coordinate re-execs this binary once per shard (forwarding every flag the
-// shards need), merges the snapshots the children write to stdout, and
-// prints the combined rollup. Children run concurrently; merge order is
-// irrelevant by construction, but we keep shard order for tidy logs.
-func coordinate(shards int, out, snapshot string) {
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	args := shardArgs()
-	outs := make([]bytes.Buffer, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for shard := 0; shard < shards; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			cmd := exec.Command(exe, append(args,
-				"-shard-index", strconv.Itoa(shard),
-				"-shard-count", strconv.Itoa(shards),
-				"-snapshot", "-")...)
-			cmd.Stdout = &outs[shard]
-			cmd.Stderr = os.Stderr
-			errs[shard] = cmd.Run()
-		}(shard)
-	}
-	wg.Wait()
-	merged := popsim.NewRollup(popsim.Geometry{})
-	for shard := 0; shard < shards; shard++ {
-		if errs[shard] != nil {
-			log.Fatalf("shard %d: %v", shard, errs[shard])
-		}
-		if err := merged.MergeSnapshot(&outs[shard]); err != nil {
-			log.Fatalf("shard %d snapshot: %v", shard, err)
-		}
-	}
-	log.Printf("merged %d shards: %d sessions total", shards, merged.Sessions())
-	if snapshot != "" {
-		writeTo(snapshot, func(w io.Writer) error { return merged.WriteSnapshot(w, 0, 1) })
-		return
-	}
-	writeSummary(out, merged)
-}
-
-// shardArgs rebuilds the flag list to forward to shard subprocesses —
-// everything the user set except the coordinator/output flags.
-func shardArgs() []string {
-	var args []string
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "shards", "out", "snapshot", "metrics-out", "shard-index", "shard-count":
-			return
-		}
-		args = append(args, "-"+f.Name, f.Value.String())
-	})
-	return args
 }
 
 func videosFor(scale string) []*video.Manifest {

@@ -13,7 +13,7 @@ import (
 type PopulationOutcome struct {
 	Sessions     int64              // sessions folded (members x schemes)
 	Cohorts      int                // distinct (motion x network) cohorts sampled
-	ShardsEqual  bool               // 2-shard snapshot merge reproduced the whole sweep
+	ShardsEqual  bool               // 2-shard merge reproduced the whole sweep
 	BestSchemeDB map[string]float64 // per-scheme median viewport quality across cohorts
 }
 
@@ -51,19 +51,13 @@ func ExtPopulation(env *Env, w io.Writer) (PopulationOutcome, error) {
 	}
 	env.LastSweep = st
 
-	// Re-run as two shards and merge through the snapshot wire format —
-	// the same path dragonfly-popsim -shards takes across processes.
 	merged := popsim.NewRollup(popsim.Geometry{})
 	for shard := 0; shard < 2; shard++ {
 		part, _, err := sweep(shard, 2)
 		if err != nil {
 			return PopulationOutcome{}, err
 		}
-		var snap bytes.Buffer
-		if err := part.WriteSnapshot(&snap, shard, 2); err != nil {
-			return PopulationOutcome{}, err
-		}
-		if err := merged.MergeSnapshot(&snap); err != nil {
+		if err := merged.Merge(part); err != nil {
 			return PopulationOutcome{}, err
 		}
 	}
@@ -111,6 +105,8 @@ func ExtPopulation(env *Env, w io.Writer) (PopulationOutcome, error) {
 		fprintf(w, "  WARNING: 2-shard merge diverged from the whole sweep\n")
 		return out, fmt.Errorf("population: shard merge diverged from single-process sweep")
 	}
+	// The line predates Rollup.Merge as the one merge; its bytes are pinned
+	// (pinnedOutput), so it keeps the word "snapshot".
 	fprintf(w, "  2-shard snapshot merge reproduces the whole sweep byte-for-byte\n")
 	return out, nil
 }

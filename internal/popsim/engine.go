@@ -32,9 +32,13 @@ type Sweep struct {
 
 	Workers int // 0 = GOMAXPROCS
 
-	// ShardIndex/ShardCount select this process's strided slice of the
-	// population: member i runs here when i % ShardCount == ShardIndex.
-	// Zero ShardCount means the whole population (one shard).
+	// ShardIndex/ShardCount select a strided slice of the population:
+	// member i runs here when i % ShardCount == ShardIndex. Zero
+	// ShardCount means the whole population (one shard). Workers are the
+	// way to parallelise a sweep; the fields stay because merging the
+	// shards of a split and comparing with the whole sweep is the test of
+	// the determinism contract (TestShardEquivalence, the population
+	// experiment, the pop_sweep benchmark's shard-merge check).
 	ShardIndex, ShardCount int
 
 	// Obs, when non-nil, receives the pop_* metrics (session counter,

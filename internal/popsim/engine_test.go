@@ -2,9 +2,6 @@ package popsim
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"os/exec"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,8 +31,8 @@ func engineManifest() *video.Manifest {
 	return engineManifestVal
 }
 
-// engineSweep is the fixture both the in-process tests and the re-exec'd
-// shard children build, so every process simulates the same population.
+// engineSweep is the engine tests' fixture: one population for every
+// worker count and shard split.
 func engineSweep(seed int64, sessions, workers, shardIdx, shardCount int) Sweep {
 	model := DefaultModel(seed)
 	model.Duration = 4 * time.Second
@@ -48,32 +45,6 @@ func engineSweep(seed int64, sessions, workers, shardIdx, shardCount int) Sweep 
 		ShardIndex: shardIdx,
 		ShardCount: shardCount,
 	}
-}
-
-// shardChildEnv is the re-exec hook: when set, TestMain runs one shard of
-// the fixture sweep, writes its snapshot to stdout and exits — the test
-// binary doubles as the shard subprocess.
-const shardChildEnv = "POPSIM_SHARD_CHILD"
-
-func TestMain(m *testing.M) {
-	if spec := os.Getenv(shardChildEnv); spec != "" {
-		var seed int64
-		var sessions, shardIdx, shardCount int
-		if _, err := fmt.Sscanf(spec, "%d/%d/%d/%d", &seed, &sessions, &shardIdx, &shardCount); err != nil {
-			fmt.Fprintf(os.Stderr, "popsim shard child: bad spec %q: %v\n", spec, err)
-			os.Exit(2)
-		}
-		rollup, _, err := Run(engineSweep(seed, sessions, 2, shardIdx, shardCount))
-		if err == nil {
-			err = rollup.WriteSnapshot(os.Stdout, shardIdx, shardCount)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "popsim shard child:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
 }
 
 // TestWorkerCountInvariance is half the determinism contract: the same
@@ -96,8 +67,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestShardEquivalence is the other half: a 4-way strided shard split,
-// snapshotted and merged in any order, reproduces the single-process
-// rollup exactly.
+// merged in any order, reproduces the single-process rollup exactly.
 func TestShardEquivalence(t *testing.T) {
 	whole, _, err := Run(engineSweep(7, 14, 4, 0, 1))
 	if err != nil {
@@ -111,58 +81,12 @@ func TestShardEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var snap bytes.Buffer
-		if err := part.WriteSnapshot(&snap, shard, shards); err != nil {
-			t.Fatal(err)
-		}
-		if err := merged.MergeSnapshot(&snap); err != nil {
+		if err := merged.Merge(part); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !bytes.Equal(summaryJSON(t, merged), summaryJSON(t, whole)) {
 		t.Fatal("merged 4-shard rollup differs from the single-process rollup")
-	}
-}
-
-// TestShardSubprocessEquivalence drives the real multi-process path: four
-// shard subprocesses (this test binary re-exec'd) report snapshots over
-// stdout and the merged result must equal the in-process sweep.
-func TestShardSubprocessEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess shards skipped in -short mode")
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		seed     = 21
-		sessions = 10
-		shards   = 4
-	)
-	whole, _, err := Run(engineSweep(seed, sessions, 4, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := NewRollup(Geometry{})
-	for shard := 0; shard < shards; shard++ {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			shardChildEnv+"="+fmt.Sprintf("%d/%d/%d/%d", int64(seed), sessions, shard, shards))
-		var out, errb bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &errb
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("shard %d: %v\n%s", shard, err, errb.String())
-		}
-		if err := merged.MergeSnapshot(&out); err != nil {
-			t.Fatalf("shard %d snapshot: %v", shard, err)
-		}
-	}
-	if !bytes.Equal(summaryJSON(t, merged), summaryJSON(t, whole)) {
-		t.Fatal("merged subprocess-shard rollup differs from the single-process rollup")
-	}
-	if merged.Sessions() != int64(sessions)*2 {
-		t.Fatalf("merged %d sessions, want %d", merged.Sessions(), sessions*2)
 	}
 }
 

@@ -17,11 +17,6 @@
 // fixed-point micro-unit sum), so concurrent folds and shard merges
 // commute exactly, with none of the order sensitivity of float
 // accumulation.
-//
-// For populations too big for one process, shards run as subprocesses
-// (cmd/dragonfly-popsim -shards) over a strided session-index split and
-// report their sketch state as a versioned JSONL snapshot, which the
-// coordinator merges with geometry-checked stats.Sketch.Merge.
 package popsim
 
 import (

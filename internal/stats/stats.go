@@ -33,7 +33,11 @@ func Mean(xs []float64) float64 {
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Percentile returns the p-th percentile (p in [0, 100]) with linear
-// interpolation between order statistics; 0 for empty input.
+// interpolation between order statistics; 0 for empty input. It is the
+// repository's one interpolated percentile. player's percentileOf (floor
+// index) and trace's BandwidthTrace.percentile (nearest rank) compute
+// different statistics that pinned figures depend on, so they stay
+// separate.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0

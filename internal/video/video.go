@@ -11,10 +11,10 @@ package video
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"dragonfly/internal/geom"
+	"dragonfly/internal/stats"
 )
 
 // Quality indexes an encoding level, ascending: 0 is the lowest quality
@@ -233,18 +233,5 @@ func (m *Manifest) MedianFull360Mbps(q Quality) float64 {
 	for c := 0; c < m.NumChunks; c++ {
 		rates[c] = float64(m.Full360Size(c, q)) * 8 / secs / 1e6
 	}
-	return median(rates)
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return stats.Median(rates)
 }

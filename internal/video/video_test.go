@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"dragonfly/internal/geom"
+	"dragonfly/internal/stats"
 )
 
 func testManifest(t testing.TB) *Manifest {
@@ -387,14 +388,16 @@ func TestReadManifestRejectsNegativeSizes(t *testing.T) {
 	}
 }
 
+// TestMedianHelper: MedianFull360Mbps's median is stats.Median, which
+// averages the two middle values of an even count.
 func TestMedianHelper(t *testing.T) {
-	if got := median(nil); got != 0 {
+	if got := stats.Median(nil); got != 0 {
 		t.Errorf("median(nil) = %v", got)
 	}
-	if got := median([]float64{3, 1, 2}); got != 2 {
+	if got := stats.Median([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("median odd = %v", got)
 	}
-	if got := median([]float64{4, 1, 2, 3}); got != 2.5 {
+	if got := stats.Median([]float64{4, 1, 2, 3}); got != 2.5 {
 		t.Errorf("median even = %v", got)
 	}
 }

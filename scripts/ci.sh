@@ -68,7 +68,7 @@ done
 # The fuzz smoke's targets, as package:Target (the smoke itself runs below).
 fuzz_targets="proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume
 	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup
-	popsim:FuzzMergeSnapshot video:FuzzReadManifest chaos:FuzzReadRules
+	video:FuzzReadManifest chaos:FuzzReadRules
 	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzAppendManifestFloat
 	video:FuzzExtendZeros geom:FuzzCapWalk geom:FuzzRoIPlane player:FuzzSendQueue"
 
@@ -120,6 +120,76 @@ for id in $(sed -n 's/.*{ID: "\([^"]*\)".*/\1/p' internal/experiments/registry.g
 done
 [ "$edrift" = 0 ] || exit 1
 
+# Flag drift gate: a command line the reference documents or a command's
+# usage comment shows is one a reader pastes. Every -flag after an
+# invocation of a command under cmd/ (`go run ./cmd/<c>`, a binary path
+# ending in /<c>, or a bare <c>) must be a flag cmd/<c> defines. An
+# invocation runs to the end of its line, backslash-continued lines joined,
+# or to the first | & ; # < > ) or closing backtick. `go build`, `go test`
+# and `go vet` of a ./cmd path are not invocations.
+cmds=$(ls cmd)
+flagdefs=$(for c in $cmds; do
+	grep -ohE 'flag\.[A-Za-z0-9]+\((&[A-Za-z0-9_.]+, *)?"[a-z0-9-]+"' $(ls cmd/$c/*.go | grep -v '_test\.go$') |
+		sed -E "s/.*\"([a-z0-9-]+)\"\$/$c:\1/"
+done)
+awk -v cmds="$cmds" -v defs="$flagdefs" '
+	function check(s, where, i, c, rest, pre, k, nt, toks, tok, f) {
+		for (i = 1; i <= ncmd; i++) {
+			c = cmd[i]
+			rest = s
+			while (match(rest, "(^|[ \t`(/])" c "[ \t]")) {
+				pre = substr(rest, 1, RSTART)
+				rest = substr(rest, RSTART + RLENGTH)
+				if (pre ~ /go[ \t]+(build|test|vet)[^&|;`]*$/)
+					continue
+				nt = split(rest, toks, /[ \t]+/)
+				for (k = 1; k <= nt; k++) {
+					tok = toks[k]
+					if (tok ~ /^[|&;#<>)`]/)
+						break
+					if (tok ~ /^--?[a-z]/) {
+						f = tok
+						sub(/^--?/, "", f)
+						sub(/[^a-z0-9-].*$/, "", f)
+						if (!((c ":" f) in def)) {
+							print where ": cmd/" c " defines no -" f > "/dev/stderr"
+							bad = 1
+						}
+					}
+					if (tok ~ /[|&;<>)`]/)
+						break
+				}
+			}
+		}
+	}
+	BEGIN {
+		ncmd = split(cmds, cmd, /[ \t\n]+/)
+		nd = split(defs, d, /\n/)
+		for (i = 1; i <= nd; i++)
+			def[d[i]] = 1
+	}
+	FNR == 1 { buf = "" }
+	{
+		line = $0
+		if (FILENAME ~ /\.go$/) {
+			if (line !~ /^[ \t]*\/\//) {
+				buf = ""
+				next
+			}
+			sub(/^[ \t]*\/\//, "", line)
+		}
+		if (buf == "")
+			at = FNR
+		if (line ~ /\\$/) {
+			buf = buf substr(line, 1, length(line) - 1) " "
+			next
+		}
+		check(buf line, FILENAME ":" at)
+		buf = ""
+	}
+	END { exit bad }
+' README.md DESIGN.md EXPERIMENTS.md docs/*.md $(ls cmd/*/*.go | grep -v '_test\.go$')
+
 # Settings ratchet: every exported field of an exported internal/ struct
 # whose type name ends in Options, Config, Policy or Sweep must be set by
 # name by some non-test file outside its package (bench/ counts), or be
@@ -150,8 +220,8 @@ go test -tags settingsaudit -run '^Test(Settings|Export)Audit' -count=1 .
 # (ingest -> rollup -> shed-budget loop), TestExtChaos (corruption + cold
 # restart + admission probe on one session) in internal/experiments, all
 # four on the internal/fleettest rig, and the sweep determinism gates
-# (popsim's TestWorkerCountInvariance, TestShardEquivalence and
-# TestShardSubprocessEquivalence, and sim's TestSimWorkerCountInvariance):
+# (popsim's TestWorkerCountInvariance and TestShardEquivalence, and sim's
+# TestSimWorkerCountInvariance):
 # the run passes no -short, so none of them is skipped, and none is run a
 # second time below.
 go test -race -count=1 -timeout 600s ./...
@@ -172,9 +242,9 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # framing work (CRC trailers, hard length cap, resume bitmaps) lives or dies
 # on the wire parsers rejecting hostile bytes without panicking or
 # over-allocating; the trace-line decoder must agree with encoding/json on
-# every input, and the fold must account for every line of any body. The two
-# rollup parsers — the /rollup body on the feedback poll and a popsim shard
-# report — must refuse what they refuse with their receiver unchanged. The
+# every input, and the fold must account for every line of any body. The
+# rollup parser of the /rollup body on the feedback poll must refuse what it
+# refuses with its receiver unchanged. The
 # manifest the client reads off the wire and the operator's fault script must
 # come out of their parsers with every dimension and time field in range, and
 # the two trace importers usable or refused. The manifest's hand codec must
@@ -188,7 +258,7 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # and the §3.3 send queue must keep its byte total, its masking and its
 # send-once rule under any installs, pops and resume merges.
 # Minimising a new input is capped at a second, so the ten seconds go on
-# executing inputs (a shard report's seed is kilobytes of bins).
+# executing inputs (a rollup seed is kilobytes).
 for target in $fuzz_targets; do
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "${FUZZTIME:-10s}" -fuzzminimizetime 1s "./internal/${target%%:*}"
 done

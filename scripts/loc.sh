@@ -7,8 +7,8 @@
 # After the total come the ten longest non-test functions over the same
 # files, ROADMAP.md's longest-function table: a function runs from its
 # `func` line to the first `}` in column one. Last come the command-line
-# flags each daemon defines (calls like flag.String or flag.DurationVar)
-# and their sum, ROADMAP.md's flag count.
+# flags each command under cmd/ defines (calls like flag.String or
+# flag.DurationVar) and their sum, ROADMAP.md's flag count.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -48,9 +48,9 @@ awk '/^func .*\{$/ {
 	sort -k1,1nr -k2 | head -10
 
 echo
-echo "daemon flags:"
-for d in server client balancer ingest; do
-	echo "$d $(cat cmd/dragonfly-$d/*.go |
+echo "command flags:"
+for d in $(ls cmd); do
+	echo "$d $(cat $(ls cmd/$d/*.go | grep -v '_test\.go$') |
 		grep -oE 'flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|Text|Uint|Uint64)?(Var)?\(' |
 		wc -l)"
 done |
