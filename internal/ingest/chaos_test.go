@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -330,6 +331,73 @@ func TestPusherDropsAfterBudget(t *testing.T) {
 	}
 	if got := snap.Counters["ing_push_drops"]; got != 1 {
 		t.Errorf("ing_push_drops = %d, want 1", got)
+	}
+}
+
+// TestPusherCutsHungAttempt: an attempt the tier never answers is cut at
+// attemptTimeout (2 s) by the attempt's own deadline, and the push goes on
+// to a retry that delivers. The two run in parallel with each other and
+// after every chaos test.
+func TestPusherCutsHungAttempt(t *testing.T) {
+	t.Parallel()
+	var calls atomic.Int64
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			select { // hung: held until the client gives up, or the test ends
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	reg := obs.NewRegistry()
+	p := NewPusher(PushConfig{URL: ts.URL, Obs: reg, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
+	start := time.Now()
+	if err := p.Push(context.Background(), []byte(`{"v":1}`)); err != nil {
+		t.Fatalf("Push: %v", err)
+	}
+	if took := time.Since(start); took < attemptTimeout || took > attemptTimeout+time.Second {
+		t.Errorf("Push took %v, want the hung attempt cut at %v and one quick retry", took, attemptTimeout)
+	}
+	snap := reg.Snapshot()
+	if calls.Load() != 2 || snap.Counters["ing_push_retries"] != 1 || snap.Counters["ing_push_drops"] != 0 {
+		t.Errorf("%d attempts, ing_push_retries %d, ing_push_drops %d; want 2, 1, 0",
+			calls.Load(), snap.Counters["ing_push_retries"], snap.Counters["ing_push_drops"])
+	}
+}
+
+// TestPusherGivesUpAtDeadline: a push whose backoffs would run past
+// pushDeadline (a one-hour BaseDelay) is given up on by pushDeadline
+// (10 s): the wait is cut at the budget, no attempt starts after it, and
+// the batch is dropped with the last attempt's error.
+func TestPusherGivesUpAtDeadline(t *testing.T) {
+	t.Parallel()
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		http.Error(w, "restarting", http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+
+	reg := obs.NewRegistry()
+	p := NewPusher(PushConfig{URL: ts.URL, Obs: reg, BaseDelay: time.Hour, MaxDelay: time.Hour})
+	start := time.Now()
+	err := p.Push(context.Background(), []byte(`{"v":1}`))
+	if took := time.Since(start); took < pushDeadline || took > pushDeadline+time.Second {
+		t.Errorf("Push took %v, want it given up on at %v", took, pushDeadline)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "503") {
+		t.Errorf("Push error = %v, want the last attempt's 503 and context.DeadlineExceeded", err)
+	}
+	snap := reg.Snapshot()
+	if calls.Load() != 1 || snap.Counters["ing_push_retries"] != 1 || snap.Counters["ing_push_drops"] != 1 {
+		t.Errorf("%d attempts, ing_push_retries %d, ing_push_drops %d; want 1, 1, 1",
+			calls.Load(), snap.Counters["ing_push_retries"], snap.Counters["ing_push_drops"])
 	}
 }
 

@@ -68,9 +68,10 @@ const (
 	maxScale   = 2.0
 )
 
-// httpClient is the poller's and the pusher's client: its timeout keeps one
-// hung attempt from eating a whole poll cycle or push deadline.
-var httpClient = &http.Client{Timeout: 2 * time.Second}
+// httpClient is the poller's and the pusher's client. It has no Timeout of
+// its own: each attempt's context carries the attempt's one deadline
+// (tryWithin), where a Timeout would add a second context and timer.
+var httpClient = &http.Client{}
 
 func (c *FeedbackConfig) fillDefaults() {
 	if c.Interval <= 0 {
@@ -152,12 +153,10 @@ func (f *Feedback) Run(ctx context.Context) {
 // the neutral fallback.
 func (f *Feedback) Poll(ctx context.Context) error {
 	f.cPolls.Inc()
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.Interval)
-	defer cancel()
-	return retry.Do(ctx, pollAttempts, func(int) time.Duration {
+	return tryWithin(ctx, time.Now().Add(f.cfg.Interval), pollAttempts, func(int) time.Duration {
 		f.cRetries.Inc()
 		return f.retryDelay()
-	}, func(int) error { return f.pollOnce(ctx) })
+	}, f.pollOnce)
 }
 
 // retryDelay is Interval/8 with ±50% deterministic jitter.
@@ -168,7 +167,7 @@ func (f *Feedback) retryDelay() time.Duration {
 	return retry.Jitter(f.cfg.Interval/8, j)
 }
 
-// pollOnce performs one fetch + apply.
+// pollOnce performs one fetch + apply under ctx, the attempt's deadline.
 func (f *Feedback) pollOnce(ctx context.Context) error {
 	if err := siteFeedbackPoll.Err(); err != nil {
 		f.cPollErrs.Inc()

@@ -41,7 +41,36 @@ const (
 	// pushDeadline caps one Push's total wall clock including backoffs: a
 	// trace push must never wedge its caller behind a dead tier.
 	pushDeadline = 10 * time.Second
+	// attemptTimeout caps one HTTP attempt of a push or a poll, so one hung
+	// attempt cannot eat a whole push deadline or poll cycle.
+	attemptTimeout = 2 * time.Second
 )
+
+// tryWithin is retry.Do under a budget that ends at end, with a single
+// deadline per attempt: the earlier of attemptTimeout from the attempt's
+// start and end. A wait is cut short at end, and no attempt starts past
+// it; the call then fails with the last attempt's error and
+// context.DeadlineExceeded. The attempt's deadline is the only timer it
+// runs: httpClient sets none of its own.
+func tryWithin(ctx context.Context, end time.Time, attempts int, wait func(k int) time.Duration, try func(context.Context) error) error {
+	var last error
+	return retry.Do(ctx, attempts, func(k int) time.Duration {
+		return min(wait(k), time.Until(end))
+	}, func(int) error {
+		now := time.Now()
+		if !now.Before(end) {
+			return retry.Permanent(fmt.Errorf("%w (%w)", last, context.DeadlineExceeded))
+		}
+		deadline := now.Add(attemptTimeout)
+		if end.Before(deadline) {
+			deadline = end
+		}
+		actx, cancel := context.WithDeadline(ctx, deadline)
+		defer cancel()
+		last = try(actx)
+		return last
+	})
+}
 
 // Pusher delivers JSONL trace bodies to an ingest tier with bounded
 // jittered-backoff retry: transient failures (network errors, 5xx, 429)
@@ -96,12 +125,10 @@ func (p *Pusher) backoff(attempt int) time.Duration {
 // batch was dropped (counted) and the error says why.
 func (p *Pusher) Push(ctx context.Context, body []byte) error {
 	p.cPushes.Inc()
-	ctx, cancel := context.WithTimeout(ctx, pushDeadline)
-	defer cancel()
-	err := retry.Do(ctx, pushAttempts, func(k int) time.Duration {
+	err := tryWithin(ctx, time.Now().Add(pushDeadline), pushAttempts, func(k int) time.Duration {
 		p.cRetries.Inc()
 		return p.backoff(k)
-	}, func(int) error { return p.attempt(ctx, body) })
+	}, func(ctx context.Context) error { return p.attempt(ctx, body) })
 	if err == nil {
 		return nil
 	}
@@ -109,7 +136,7 @@ func (p *Pusher) Push(ctx context.Context, body []byte) error {
 	return fmt.Errorf("ingest: push %s: %w", p.cfg.URL, err)
 }
 
-// attempt performs one POST.
+// attempt performs one POST under ctx, the attempt's deadline.
 func (p *Pusher) attempt(ctx context.Context, body []byte) error {
 	if err := sitePush.Err(); err != nil {
 		return err

@@ -208,9 +208,9 @@ const (
 )
 
 // framePool holds the buffers frames are assembled in (every write that
-// goes through sealFrame) and read into (ReadMessage), so a handshake's
-// multi-MB manifest frame is not allocated afresh at each end of every
-// session start. It holds buffers, never a frame's bytes: a buffer is
+// goes through sealFrame, and WriteManifest) and read into (ReadMessage),
+// so a multi-MB manifest frame is not allocated afresh at each read or
+// write of it. It holds buffers, never a frame's bytes: a buffer is
 // borrowed for one call and back in the pool before the call returns. The
 // collector empties a sync.Pool, so an idle process pins no frame.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
@@ -252,27 +252,37 @@ func writeFrameChecked(w io.Writer, t MsgType, body []byte, withCRC bool) error 
 }
 
 // sealFrame completes a frame assembled in place in the borrowed *fb —
-// frameHeaderSize bytes reserved, then the body — by filling in its header
-// and appending its trailer, emits it with one Write, and returns the
-// buffer to framePool. That is safe because an io.Writer must not retain
-// the slice it is given.
+// frameHeaderSize bytes reserved, then the body — with seal, emits it with
+// one Write, and returns the buffer to framePool. That is safe because an
+// io.Writer must not retain the slice it is given.
 func sealFrame(w io.Writer, t MsgType, fb *[]byte, withCRC bool) error {
 	defer framePool.Put(fb)
-	frame := *fb
-	body := len(frame) - frameHeaderSize
-	if body+1 > MaxFrameSize {
-		return fmt.Errorf("proto: frame too large (%d bytes)", body)
+	frame, err := seal(*fb, 0, t, withCRC)
+	if err != nil {
+		return err
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(body+1))
-	frame[4] = byte(t)
-	if withCRC {
-		frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame[4:], castagnoli))
-		*fb = frame
-	}
+	*fb = frame
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("proto: write frame: %w", err)
 	}
 	return nil
+}
+
+// seal completes the frame that starts at b[start:] — frameHeaderSize bytes
+// reserved, then the body — by filling in its header and, withCRC, appending
+// its trailer.
+func seal(b []byte, start int, t MsgType, withCRC bool) ([]byte, error) {
+	frame := b[start:]
+	body := len(frame) - frameHeaderSize
+	if body+1 > MaxFrameSize {
+		return b, fmt.Errorf("proto: frame too large (%d bytes)", body)
+	}
+	binary.BigEndian.PutUint32(frame[:4], uint32(body+1))
+	frame[4] = byte(t)
+	if withCRC {
+		b = binary.BigEndian.AppendUint32(b, crc32.Checksum(frame[4:], castagnoli))
+	}
+	return b, nil
 }
 
 // PreframeTile fills head[:TileHeadSize] with the frame header and encoded
@@ -470,20 +480,40 @@ func parseHello(body []byte) (Hello, error) {
 	return h, nil
 }
 
-// WriteManifest sends the manifest as JSON. The body is encoded straight
-// into a pooled frame buffer behind its reserved header, so header, body
-// and trailer share one buffer and one Write, and a server sending the
-// manifest at every session start reuses the buffer instead of allocating
-// one frame's worth each time.
+// WriteManifest sends the manifest as JSON. The frame is assembled by
+// AppendManifestFrame in a pooled buffer, so header, body and trailer share
+// one buffer and one Write, and a caller writing the manifest again reuses
+// the buffer instead of allocating one frame's worth each time.
 func WriteManifest(w io.Writer, m *video.Manifest) error {
-	fb := borrowFrame()
-	frame, err := m.AppendJSON(*fb)
+	fb := framePool.Get().(*[]byte)
+	defer framePool.Put(fb)
+	frame, err := AppendManifestFrame((*fb)[:0], m)
 	*fb = frame
 	if err != nil {
-		framePool.Put(fb)
 		return err
 	}
-	return sealFrame(w, MsgManifest, fb, true)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("proto: write frame: %w", err)
+	}
+	return nil
+}
+
+// AppendManifestFrame appends the manifest's sealed MsgManifest frame —
+// header, canonical JSON body, CRC32-C trailer — to dst: byte for byte what
+// WriteManifest writes. On error dst is returned unextended. It is the one
+// manifest encoder: WriteManifest frames with it, and internal/store keeps
+// its result to serve every session of a video from one encode.
+func AppendManifestFrame(dst []byte, m *video.Manifest) ([]byte, error) {
+	start := len(dst)
+	b, err := m.AppendJSON(append(dst, make([]byte, frameHeaderSize)...))
+	if err != nil {
+		return dst[:start], err
+	}
+	b, err = seal(b, start, MsgManifest, true)
+	if err != nil {
+		return dst[:start], err
+	}
+	return b, nil
 }
 
 // itemWireSize is the encoded size of one request item.

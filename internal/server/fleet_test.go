@@ -138,9 +138,8 @@ func TestLoadGauges(t *testing.T) {
 }
 
 // TestStoreBytesCountsSlabOnce: the two videos of one server share the
-// process's zero slab, and srv_store_bytes counts it once — each store's
-// heads and trailers plus the larger of the two stores' largest variants,
-// not the sum of their own footprints.
+// process's zero block, and srv_store_bytes counts it once — each store's
+// heads and trailers plus one block, not the sum of their own footprints.
 func TestStoreBytesCountsSlabOnce(t *testing.T) {
 	a := testManifest()
 	b := video.Generate(video.GenParams{ID: "srv2", Rows: 3, Cols: 5, NumChunks: 4, Seed: 7})
@@ -154,22 +153,12 @@ func TestStoreBytesCountsSlabOnce(t *testing.T) {
 	cancel()
 	_ = s.Serve(ctx, l) // publishes the gauge, then stops at once
 
-	largest := func(m *video.Manifest) (n int64) {
-		for c := 0; c < m.NumChunks; c++ {
-			for q := video.Quality(0); q < video.NumQualities; q++ {
-				n = max(n, m.Full360Size(c, q))
-				for tl := 0; tl < m.NumTiles(); tl++ {
-					n = max(n, m.TileSize(c, geom.TileID(tl), q))
-				}
-			}
-		}
-		return n
-	}
 	sa, sb := store.Shared(a), store.Shared(b)
-	want := store.Footprint(sa) + store.Footprint(sb) - min(largest(a), largest(b))
-	if got := s.Obs.Snapshot().Gauges["srv_store_bytes"]; got != float64(want) {
-		t.Fatalf("srv_store_bytes = %v, want %d (heads and trailers of both stores plus one slab); the per-store sum is %d",
-			got, want, store.Footprint(sa)+store.Footprint(sb))
+	one := store.Footprint()
+	want := store.Footprint(sa) + store.Footprint(sb) - one
+	if got := s.Obs.Snapshot().Gauges["srv_store_bytes"]; got != float64(want) || one == 0 {
+		t.Fatalf("srv_store_bytes = %v, want %d (heads and trailers of both stores plus one %d-byte block); the per-store sum is %d",
+			got, want, one, store.Footprint(sa)+store.Footprint(sb))
 	}
 }
 

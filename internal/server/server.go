@@ -371,8 +371,14 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) error {
 		return nil
 	}
 	defer ss.release()
+	// The store's one encode of the manifest frame, held by the session
+	// until release so every session of the video that overlaps it is
+	// served the same bytes without encoding.
+	if ss.manifest, err = ss.tiles.ManifestFrame(); err != nil {
+		return fmt.Errorf("server: send manifest: %w", err)
+	}
 	s.setWriteDeadline(conn)
-	if err := proto.WriteManifest(conn, ss.m); err != nil {
+	if _, err := conn.Write(ss.manifest); err != nil {
 		return fmt.Errorf("server: send manifest: %w", err)
 	}
 	// Graceful drain: cancellation closes the session, so the sender

@@ -31,12 +31,15 @@ const (
 // shared by the two sides; the batch and the stall meter are the sender's
 // alone.
 type session struct {
-	srv    *Server
-	m      *video.Manifest
-	tiles  *store.Store
-	cohort string
-	trace  *sessionTrace
-	stall  proto.StallMeter
+	srv   *Server
+	m     *video.Manifest
+	tiles *store.Store
+	// manifest is the sealed manifest frame the session was opened with,
+	// held until release: the store keeps it only while a session does.
+	manifest []byte
+	cohort   string
+	trace    *sessionTrace
+	stall    proto.StallMeter
 
 	// The registry metrics, resolved once per session so the send loop
 	// updates them with plain atomics, no map lookups.
@@ -304,6 +307,7 @@ func (ss *session) release() {
 	ss.queue = player.SendQueue{} // empty, and install refuses a closed session
 	ss.mirror()
 	ss.mu.Unlock()
+	ss.manifest = nil
 	ss.trace.flush(ss.srv.Logf)
 	ss.srv.Obs.Counter("srv_conns_closed").Inc()
 }

@@ -74,7 +74,7 @@ func TestAppendFrameFaultKinds(t *testing.T) {
 		t.Fatalf("no injections recorded")
 	}
 
-	// The shared slab must be untouched: a fresh append serves the
+	// The zero block must be untouched: a fresh append serves the
 	// baseline bytes again.
 	b2, _, ok2 := s.AppendFrame(nil, it)
 	if !ok2 || !bytes.Equal(flatten(b2), want) {

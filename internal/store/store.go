@@ -12,9 +12,11 @@
 // checksum work and zero per-connection payload memory.
 //
 // Memory model: the store keeps proto.TileFrameOverhead (20) bytes per
-// frame — the head and CRC trailer — and cuts every payload from ONE zero
-// slab shared by every store in the process, sized to the largest variant
-// any of them frames. Payload bytes are synthetic zeros: the
+// frame — the head and CRC trailer — and cuts every payload from ONE fixed
+// zero block of zeroBlockSize bytes, a package-level array every store in
+// the process shares: a payload longer than the block is that many
+// references to it in the net.Buffers, so no variant, however large, costs
+// a byte of heap. Payload bytes are synthetic zeros: the
 // schedulers only ever consume tile SIZES from the manifest, and the
 // manifest's payload checksums are computed over the same zero bytes
 // (video.Generate), so the pre-framed trailer and the client's payload
@@ -23,9 +25,15 @@
 // serve-by-reference path are unchanged, and New would frame each variant
 // with proto.PreframeTile over its bytes, one CRC pass per frame.
 //
-// Everything in a Store is immutable after New returns, so any number of
-// connection handlers may read it concurrently without locks (the shared
-// zero slab, which a later New may replace, is read atomically);
+// The store also serves the manifest's own sealed MsgManifest frame
+// (ManifestFrame), encoded by the first session of the video and shared by
+// every session that overlaps it. The store keeps it behind a weak pointer
+// and each session holds it until it ends, so the collector reclaims it once
+// no session does: an idle server pins no manifest frame.
+//
+// Everything in a Store but the held manifest frame is immutable after New
+// returns, so any number of connection handlers may read it concurrently
+// without locks; the frame is found or encoded under the store's lock.
 // Shared deduplicates stores process-wide per manifest, the same pattern
 // as geom.SharedTable and quality.Scores.
 package store
@@ -33,8 +41,9 @@ package store
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
+	"unsafe"
+	"weak"
 
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/geom"
@@ -54,7 +63,8 @@ import (
 var siteFrame = chaos.NewSite("store.frame")
 
 // Store holds the pre-framed wire buffers of every tile frame of one
-// manifest. It is immutable after construction; see the package comment.
+// manifest, and the manifest frame while a session holds it; see the
+// package comment.
 type Store struct {
 	m     *video.Manifest
 	tiles int
@@ -70,36 +80,34 @@ type Store struct {
 	heads    []byte
 	trailers []byte
 
-	// payload is the largest payload the store frames: the prefix of the
-	// process-wide zero slab its frames are cut from.
-	payload int64
+	// mu guards the manifest frame's weak pointer. It points at the first
+	// byte of the sealed frame, frameLen bytes long, so the plain []byte a
+	// session holds is what keeps the frame alive, and ManifestFrame
+	// rebuilds that slice from it while one does.
+	mu       sync.Mutex
+	frame    weak.Pointer[byte]
+	frameLen int
 }
 
-// zeroSlab is the one zero slab every store's payloads are cut from. It
-// only grows — New swaps in a longer one when its manifest needs more — and
-// AppendFrame loads it atomically on every call, so a store built against
-// a shorter slab serves from the current one and nothing pins an old one.
-var (
-	zeroSlab     atomic.Pointer[[]byte]
-	zeroSlabGrow sync.Mutex
-)
+// zeroBlockSize is the length of the zero block every payload is cut from.
+const zeroBlockSize = 1 << 20
 
-// slab returns the current zero slab.
-func slab() []byte {
-	if p := zeroSlab.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+// zeros is the zero block: payloads are cut from it as many times as they
+// need, and nothing ever writes it.
+var zeros [zeroBlockSize]byte
 
-// growSlab makes the zero slab at least n bytes long.
-func growSlab(n int64) {
-	zeroSlabGrow.Lock()
-	defer zeroSlabGrow.Unlock()
-	if int64(len(slab())) < n {
-		b := make([]byte, n)
-		zeroSlab.Store(&b)
+// appendPayload appends a size-byte zero payload to bufs as references to
+// the zero block. A zero-length payload appends nothing: an empty Write
+// blocks on rendezvous transports (net.Pipe) and costs a syscall for
+// nothing.
+func appendPayload(bufs net.Buffers, size int64) net.Buffers {
+	for ; size > zeroBlockSize; size -= zeroBlockSize {
+		bufs = append(bufs, zeros[:])
 	}
+	if size > 0 {
+		bufs = append(bufs, zeros[:size])
+	}
+	return bufs
 }
 
 // New builds the store for a manifest, pre-framing every frame. This is
@@ -111,9 +119,7 @@ func growSlab(n int64) {
 // docs/PERFORMANCE.md for the cost model). A variant whose frame
 // would exceed proto.MaxFrameSize — impossible to send on this wire at all
 // — is left unbuilt, and AppendFrame reports it as out of range so senders
-// skip it instead of tearing the session down mid-stream; the shared slab
-// grows only to the largest variant that was framed, so an absurd size in a
-// manifest costs nothing.
+// skip it instead of tearing the session down mid-stream.
 func New(m *video.Manifest) *Store {
 	tiles := m.NumTiles()
 	nv := 2*m.NumChunks*tiles*video.NumQualities + m.NumChunks*video.NumQualities
@@ -127,17 +133,11 @@ func New(m *video.Manifest) *Store {
 		head := s.heads[i*proto.TileHeadSize : (i+1)*proto.TileHeadSize]
 		trailer := s.trailers[i*proto.TileTrailerSize : (i+1)*proto.TileTrailerSize]
 		size := it.Size(m)
-		if proto.PreframeZeroTile(head, trailer, it, size) != nil {
-			// An unsendable variant leaves its head zeroed (a tile frame
-			// head always carries the nonzero MsgTileData type byte), which
-			// locate treats as absent.
-			return
-		}
-		if size > s.payload {
-			s.payload = size
-		}
+		// An unsendable variant leaves its head zeroed (a tile frame head
+		// always carries the nonzero MsgTileData type byte), which locate
+		// treats as absent.
+		_ = proto.PreframeZeroTile(head, trailer, it, size)
 	})
-	growSlab(s.payload)
 	return s
 }
 
@@ -226,14 +226,15 @@ func (s *Store) AppendFrame(bufs net.Buffers, it player.RequestItem) (net.Buffer
 	if f := siteFrame.Fault(); f.Active() {
 		return s.appendFaulted(bufs, it, idx, size, f)
 	}
+	return s.appendStored(bufs, idx, size), int64(proto.TileFrameOverhead) + size, true
+}
+
+// appendStored appends frame idx's head, its size-byte payload from the
+// zero block and its trailer.
+func (s *Store) appendStored(bufs net.Buffers, idx int, size int64) net.Buffers {
 	bufs = append(bufs, s.heads[idx*proto.TileHeadSize:(idx+1)*proto.TileHeadSize])
-	if size > 0 {
-		// Zero-length buffers are skipped: an empty Write blocks on
-		// rendezvous transports (net.Pipe) and costs a syscall for nothing.
-		bufs = append(bufs, slab()[:size])
-	}
-	bufs = append(bufs, s.trailers[idx*proto.TileTrailerSize:(idx+1)*proto.TileTrailerSize])
-	return bufs, int64(proto.TileFrameOverhead) + size, true
+	bufs = appendPayload(bufs, size)
+	return append(bufs, s.trailers[idx*proto.TileTrailerSize:(idx+1)*proto.TileTrailerSize])
 }
 
 // appendFaulted is the armed store.frame slow path. Error and partial
@@ -254,7 +255,7 @@ func (s *Store) appendFaulted(bufs net.Buffers, it player.RequestItem, idx int, 
 		}
 		head := make([]byte, proto.TileHeadSize)
 		trailer := make([]byte, proto.TileTrailerSize)
-		payload := make([]byte, size) // the slab's bytes: zeros
+		payload := make([]byte, size) // the zero block's bytes
 		payload[int(f.Tick%uint64(size))] ^= 0x01
 		if err := proto.PreframeTile(head, trailer, it, payload); err != nil {
 			return bufs, 0, false
@@ -264,12 +265,7 @@ func (s *Store) appendFaulted(bufs net.Buffers, it player.RequestItem, idx int, 
 	default: // error, partial: the frame is withheld this pass
 		return bufs, 0, false
 	}
-	bufs = append(bufs, s.heads[idx*proto.TileHeadSize:(idx+1)*proto.TileHeadSize])
-	if size > 0 {
-		bufs = append(bufs, slab()[:size])
-	}
-	bufs = append(bufs, s.trailers[idx*proto.TileTrailerSize:(idx+1)*proto.TileTrailerSize])
-	return bufs, int64(proto.TileFrameOverhead) + size, true
+	return s.appendStored(bufs, idx, size), int64(proto.TileFrameOverhead) + size, true
 }
 
 // Frame returns the item's complete pre-framed wire buffers; a convenience
@@ -278,18 +274,44 @@ func (s *Store) Frame(it player.RequestItem) (net.Buffers, int64, bool) {
 	return s.AppendFrame(nil, it)
 }
 
+// ManifestFrame returns the manifest's sealed MsgManifest frame, byte for
+// byte what proto.WriteManifest writes, for a session to send with one
+// Write. The first caller after no session held the frame encodes it, under
+// the store's lock, so concurrent session starts of one video encode once.
+// The store keeps only a weak pointer to the frame: the caller holds the
+// returned slice for as long as its session runs — which keeps the frame
+// for every session that starts meanwhile — and must never write through
+// it. Once no session holds it the collector reclaims it.
+func (s *Store) ManifestFrame() ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.frame.Value(); p != nil {
+		return unsafe.Slice(p, s.frameLen), nil
+	}
+	frame, err := appendManifestFrame(nil, s.m)
+	if err != nil {
+		return nil, err
+	}
+	s.frame, s.frameLen = weak.Make(&frame[0]), len(frame)
+	return frame, nil
+}
+
+// appendManifestFrame is the encoder ManifestFrame calls, a variable so the
+// tests can count encodes.
+var appendManifestFrame = proto.AppendManifestFrame
+
 // Footprint reports the resident footprint of a set of stores: each one's
-// per-frame heads and trailers, plus the process-wide zero slab their frames
-// are cut from, once, at the length the largest of them reads. That is the
-// cost of serving the manifests to any number of concurrent sessions, and
-// the srv_store_bytes gauge of a server holding those stores.
+// per-frame heads and trailers, plus the zero block their payloads are cut
+// from, once. That is the cost of serving the manifests' tiles to any
+// number of concurrent sessions, and the srv_store_bytes gauge of a server
+// holding those stores. A manifest frame lives only while sessions hold it
+// and is not counted.
 func Footprint(stores ...*Store) int64 {
-	var n, widest int64
+	n := int64(len(zeros))
 	for _, s := range stores {
 		n += int64(len(s.heads) + len(s.trailers))
-		widest = max(widest, s.payload)
 	}
-	return n + widest
+	return n
 }
 
 // storeHolder defers construction so concurrent Shared callers block on

@@ -201,18 +201,11 @@ func TestAppendFrameSteadyStateZeroWork(t *testing.T) {
 	}
 }
 
-// Footprint sanity: one store's footprint is per-frame overhead plus one
-// payload slab, NOT payloads times frames.
+// Footprint sanity: one store's footprint is per-frame overhead plus the
+// one zero block, NOT payloads times frames.
 func TestMemoryBytesIsSharedSlabModel(t *testing.T) {
-	m := testManifest(t)
-	s := New(m)
-	var maxSize int64
-	forEachFrame(m, func(_ int, it player.RequestItem) {
-		if sz := it.Size(m); sz > maxSize {
-			maxSize = sz
-		}
-	})
-	want := int64(s.NumFrames()*proto.TileFrameOverhead) + maxSize
+	s := New(testManifest(t))
+	want := int64(s.NumFrames()*proto.TileFrameOverhead) + zeroBlockSize
 	if got := Footprint(s); got != want {
 		t.Fatalf("Footprint = %d, want %d", got, want)
 	}
@@ -236,10 +229,12 @@ func TestFixtureFramesMatchLiteralZeros(t *testing.T) {
 	if s.NumFrames() != 86700 {
 		t.Fatalf("fixture has %d frames, want 86700", s.NumFrames())
 	}
-	zeros := make([]byte, s.payload)
+	var largest int64
+	forEachFrame(m, func(_ int, it player.RequestItem) { largest = max(largest, it.Size(m)) })
+	literal := make([]byte, largest)
 	head, trailer := make([]byte, proto.TileHeadSize), make([]byte, proto.TileTrailerSize)
 	forEachFrame(m, func(i int, it player.RequestItem) {
-		if err := proto.PreframeTile(head, trailer, it, zeros[:it.Size(m)]); err != nil {
+		if err := proto.PreframeTile(head, trailer, it, literal[:it.Size(m)]); err != nil {
 			t.Fatalf("PreframeTile %+v: %v", it, err)
 		}
 		if !bytes.Equal(s.heads[i*proto.TileHeadSize:(i+1)*proto.TileHeadSize], head) ||
@@ -252,8 +247,8 @@ func TestFixtureFramesMatchLiteralZeros(t *testing.T) {
 // TestOverCapVariantsUnserved pins the documented contract for variants
 // the wire cannot carry: they are unserved (WireSize 0) on every stream,
 // every other frame is served byte for byte as if they were not there, and
-// the slab is sized by what can be sent — so one absurd size in a manifest
-// file is not an allocation of that size.
+// the footprint is what it is without them — so one absurd size in a
+// manifest file is not an allocation of that size.
 func TestOverCapVariantsUnserved(t *testing.T) {
 	m := testManifest(t)
 	// The cap counts a frame's type, item and payload: the head less its
@@ -270,7 +265,6 @@ func TestOverCapVariantsUnserved(t *testing.T) {
 		{Stream: player.Masking, Chunk: 0, Full360: true, Quality: video.Highest}: true,
 	}
 	s := New(m)
-	var maxSent int64
 	forEachFrame(m, func(_ int, it player.RequestItem) {
 		bufs, size, ok := s.Frame(it)
 		if over[it] {
@@ -289,12 +283,9 @@ func TestOverCapVariantsUnserved(t *testing.T) {
 		if !bytes.Equal(flatten(bufs), want.Bytes()) {
 			t.Fatalf("frame for %+v differs from WriteTileData output", it)
 		}
-		if it.Size(m) > maxSent {
-			maxSent = it.Size(m)
-		}
 	})
-	if got, want := Footprint(s), int64(s.NumFrames()*proto.TileFrameOverhead)+maxSent; got != want {
-		t.Fatalf("Footprint = %d, want %d: the slab must be sized by the largest sendable variant", got, want)
+	if got, want := Footprint(s), Footprint(New(testManifest(t))); got != want {
+		t.Fatalf("Footprint = %d, want %d: an over-cap variant must cost nothing", got, want)
 	}
 
 	// The boundary itself: the largest payload the cap admits is served.
@@ -343,7 +334,7 @@ func TestNewSurvivesAcceptedManifests(t *testing.T) {
 		}
 		accepted++
 		s := New(m)
-		if Footprint(s) > int64(s.NumFrames()*proto.TileFrameOverhead)+proto.MaxFrameSize {
+		if Footprint(s) != int64(s.NumFrames()*proto.TileFrameOverhead)+zeroBlockSize {
 			t.Fatalf("trial %d: store of %d bytes, sized by an unsendable variant", trial, Footprint(s))
 		}
 		forEachFrame(m, func(_ int, it player.RequestItem) {
@@ -368,119 +359,78 @@ func BenchmarkStoreNew(b *testing.B) {
 	}
 }
 
-// freshSlab starts a test from no slab, so the slab lengths it sees are its
-// own (an earlier test grows the slab to the frame cap); the longer slab is
-// kept on cleanup. Nothing in this package runs in parallel.
-func freshSlab(t *testing.T) {
-	old := zeroSlab.Load()
-	zeroSlab.Store(nil)
-	t.Cleanup(func() {
-		if old != nil && len(*old) > len(slab()) {
-			zeroSlab.Store(old)
+// TestStoresShareOneSlab: every store cuts its payloads from the one zero
+// block. Two stores serve their largest variants from the same bytes, and a
+// variant longer than the block is served as repeated references to it
+// (TestLongPayloadsMatchLiteralZeros holds those frames' bytes).
+func TestStoresShareOneSlab(t *testing.T) {
+	m := testManifest(t)
+	big := testManifest(t)
+	big.SetFull360Size(0, video.Highest, 3*zeroBlockSize+7)
+	a, b := New(m), New(big)
+	it := player.RequestItem{Stream: player.Masking, Chunk: 0, Full360: true, Quality: video.Highest}
+	for _, s := range []*Store{a, b} {
+		bufs, _, _ := s.Frame(it)
+		for _, p := range bufs[1 : len(bufs)-1] {
+			if &p[0] != &zeros[0] {
+				t.Fatalf("a payload buffer of %+v is not cut from the zero block", it)
+			}
 		}
-	})
+	}
+	if bufs, _, _ := b.Frame(it); len(bufs) != 2+4 {
+		t.Fatalf("a payload of 3 blocks and 7 bytes is %d payload buffers, want 4", len(bufs)-2)
+	}
 }
 
-// TestStoresShareOneSlab: every store cuts its payloads from one process
-// zero slab. Two stores serve their largest variants from the same bytes;
-// a later build that needs a longer slab replaces it, and the earlier store
-// then serves every frame byte for byte from the new slab, pinning nothing
-// of the old one.
-func TestStoresShareOneSlab(t *testing.T) {
-	freshSlab(t)
+// TestLongPayloadsMatchLiteralZeros: payloads at and around multiples of
+// the zero block frame to exactly the bytes proto.PreframeTile writes over
+// that many real zeros, and are as many block references as they need.
+func TestLongPayloadsMatchLiteralZeros(t *testing.T) {
+	sizes := []int64{zeroBlockSize - 1, zeroBlockSize, zeroBlockSize + 1, 2 * zeroBlockSize, 4*zeroBlockSize + 4321}
 	m := testManifest(t)
-	a, b := New(m), New(testManifest(t))
-	it := player.RequestItem{Stream: player.Masking, Chunk: 1, Full360: true, Quality: video.Highest}
-	fa, _, _ := a.Frame(it)
-	fb, _, _ := b.Frame(it)
-	if &fa[1][0] != &fb[1][0] || &fa[1][0] != &slab()[0] {
-		t.Fatal("two stores of one manifest serve payloads from different buffers")
+	for c, size := range sizes[:m.NumChunks] {
+		m.SetFull360Size(c, video.Highest, size)
 	}
-	if got, want := int64(len(slab())), a.payload; got != want {
-		t.Fatalf("slab of %d bytes after two builds, want the largest variant's %d", got, want)
+	m.SetTileSize(0, 3, video.Highest, sizes[3])
+	m.SetTileSize(1, 4, video.Highest, sizes[4])
+	s := New(m)
+	items := []player.RequestItem{
+		{Stream: player.Masking, Chunk: 0, Full360: true, Quality: video.Highest},
+		{Stream: player.Masking, Chunk: 1, Full360: true, Quality: video.Highest},
+		{Stream: player.Masking, Chunk: 2, Full360: true, Quality: video.Highest},
+		{Stream: player.Primary, Chunk: 0, Tile: 3, Quality: video.Highest},
+		{Stream: player.Masking, Chunk: 1, Tile: 4, Quality: video.Highest},
 	}
-
-	big := testManifest(t)
-	big.SetFull360Size(0, video.Highest, 3*a.payload)
-	New(big)
-	if got := int64(len(slab())); got != 3*a.payload {
-		t.Fatalf("slab of %d bytes after a larger build, want %d", got, 3*a.payload)
-	}
-	checked := 0
-	forEachFrame(m, func(_ int, it player.RequestItem) {
-		bufs, _, ok := a.Frame(it)
-		if !ok {
-			t.Fatalf("earlier store cannot serve %+v", it)
-		}
-		if len(bufs) == 3 && &bufs[1][0] != &slab()[0] {
-			t.Fatalf("earlier store serves %+v from an old slab", it)
-		}
-		var want bytes.Buffer
-		if err := proto.WriteTileData(&want, proto.TileData{Item: it, Payload: make([]byte, it.Size(m))}); err != nil {
+	literal := make([]byte, sizes[len(sizes)-1])
+	head, trailer := make([]byte, proto.TileHeadSize), make([]byte, proto.TileTrailerSize)
+	for _, it := range items {
+		size := it.Size(m)
+		if err := proto.PreframeTile(head, trailer, it, literal[:size]); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(flatten(bufs), want.Bytes()) {
-			t.Fatalf("earlier store's frame for %+v differs from WriteTileData output", it)
+		want := append(append(append([]byte(nil), head...), literal[:size]...), trailer...)
+		bufs, n, ok := s.Frame(it)
+		if !ok || n != int64(len(want)) || !bytes.Equal(flatten(bufs), want) {
+			t.Fatalf("%+v, a %d-byte payload: frame differs from PreframeTile over literal zeros", it, size)
 		}
-		checked++
-	})
-	if checked != a.NumFrames() {
-		t.Fatalf("checked %d frames, store holds %d", checked, a.NumFrames())
-	}
-}
-
-// TestSlabGrowsUnderReaders: builds that grow the shared slab run while
-// other goroutines serve frames from an existing store; under -race this
-// holds the atomic swap to its contract, and every frame served stays
-// CRC-valid whichever slab it was cut from.
-func TestSlabGrowsUnderReaders(t *testing.T) {
-	freshSlab(t)
-	m := testManifest(t)
-	s := New(m)
-	base := s.payload
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bufs := make([][]byte, 0, 3)
-			forEachFrame(m, func(_ int, it player.RequestItem) {
-				bufs, _, _ = s.AppendFrame(bufs[:0], it)
-				if _, err := proto.ReadMessage(bytes.NewReader(flatten(bufs))); err != nil {
-					errs <- err
-				}
-			})
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for k := int64(1); k <= 4; k++ {
-			big := testManifest(t)
-			big.SetFull360Size(0, video.Highest, base+k<<10)
-			New(big)
+		if blocks := (size + zeroBlockSize - 1) / zeroBlockSize; int64(len(bufs)) != 2+blocks {
+			t.Fatalf("%+v, a %d-byte payload, is %d buffers, want head, %d block references and trailer", it, size, len(bufs), blocks)
 		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("frame served while the slab grew: %v", err)
 	}
 }
 
 // TestFootprintCountsSlabOnce: a set of stores costs each one's heads and
-// trailers plus one slab, as long as the largest variant among them.
+// trailers plus the one zero block, whatever their largest variants.
 func TestFootprintCountsSlabOnce(t *testing.T) {
 	a := New(testManifest(t))
 	big := testManifest(t)
-	big.SetFull360Size(2, video.Highest, 2*a.payload)
+	big.SetFull360Size(2, video.Highest, 5*zeroBlockSize)
 	b := New(big)
 	frames := int64((a.NumFrames() + b.NumFrames()) * proto.TileFrameOverhead)
-	if got, want := Footprint(a, b), frames+2*a.payload; got != want {
+	if got, want := Footprint(a, b), frames+zeroBlockSize; got != want {
 		t.Fatalf("Footprint = %d, want %d", got, want)
 	}
-	if got, want := Footprint(a, b), Footprint(a)+Footprint(b)-a.payload; got != want {
-		t.Fatalf("Footprint = %d, want the sum of single-store footprints less the smaller slab share, %d", got, want)
+	if got, want := Footprint(a, b), Footprint(a)+Footprint(b)-zeroBlockSize; got != want {
+		t.Fatalf("Footprint = %d, want the sum of single-store footprints less one block, %d", got, want)
 	}
 }

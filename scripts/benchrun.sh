@@ -19,6 +19,7 @@ run 'ScoreSlab' "$micro" ./internal/core
 run 'RenderFrame' "$micro" ./internal/player
 run 'Frame|Manifest' "$micro" ./internal/proto
 run 'StoreNew' "$micro" ./internal/store
+run 'SessionStart' "$micro" ./internal/server
 run 'Generate' "$micro" ./internal/video
 run 'UnmarshalEvent' "$micro" ./internal/obs
 run 'IngestFold|PushPoll' "$micro" ./internal/ingest
