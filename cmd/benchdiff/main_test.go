@@ -355,3 +355,71 @@ func Example_baselineComparison() {
 	// ok       BenchmarkOverlapTableLookup                       580 ->          575 ns/op (x0.99)
 	// regressed: [BenchmarkOverlapCapExact]
 }
+
+// TestTrajectory: every benchmark of the newest snapshot gets an allocs/op
+// and an ns/op row across the snapshots in PR order (pr2 before pr10, not
+// as the names sort), blank where a snapshot lacks the benchmark or did not
+// measure allocations; a benchmark the newest snapshot lacks is not listed.
+func TestTrajectory(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, b map[string]Result) {
+		data, err := json.Marshal(Baseline{Benchmarks: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("BENCH_pr2.json", map[string]Result{
+		"BenchmarkKept":    {NsPerOp: 900, Mem: true, AllocsPerOp: 5},
+		"BenchmarkDropped": {NsPerOp: 10, Mem: true, AllocsPerOp: 1},
+		"BenchmarkNoMem":   {NsPerOp: 70},
+	})
+	write("BENCH_pr10.json", map[string]Result{
+		"BenchmarkKept":  {NsPerOp: 600, Mem: true, AllocsPerOp: 3},
+		"BenchmarkNew":   {NsPerOp: 40, Mem: true},
+		"BenchmarkNoMem": {NsPerOp: 80, Mem: true},
+	})
+	write("BENCH_baseline.json", map[string]Result{"BenchmarkKept": {NsPerOp: 1}})
+
+	var out bytes.Buffer
+	if err := trajectory(dir, &out); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"benchmark|metric|pr2|pr10",
+		"BenchmarkKept|allocs/op|5|3",
+		"BenchmarkKept|ns/op|900|600",
+		"BenchmarkNew|allocs/op||0",
+		"BenchmarkNew|ns/op||40",
+		"BenchmarkNoMem|allocs/op||0",
+		"BenchmarkNoMem|ns/op|70|80",
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("trajectory printed %d lines, want %d:\n%s", len(lines), len(want), out.String())
+	}
+	// Columns are what the header's words start at.
+	var cols []int
+	for i := range lines[0] {
+		if lines[0][i] != ' ' && (i == 0 || lines[0][i-1] == ' ') {
+			cols = append(cols, i)
+		}
+	}
+	for i, line := range lines {
+		cells := make([]string, len(cols))
+		for c, at := range cols {
+			end := len(line)
+			if c+1 < len(cols) {
+				end = min(cols[c+1], len(line))
+			}
+			if at < end {
+				cells[c] = strings.TrimSpace(line[at:end])
+			}
+		}
+		if got := strings.Join(cells, "|"); got != want[i] {
+			t.Errorf("line %d = %q, want %q", i, got, want[i])
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -98,7 +99,8 @@ type Feedback struct {
 	mu      sync.RWMutex
 	scales  map[string]float64
 	fetched time.Time
-	family  map[string]*obs.Gauge // srv_qoe_scale_<label>, by sanitized label
+	family  map[string]*obs.Gauge // srv_qoe_scale_<label>, by label
+	labels  map[string]string     // each cohort with a gauge, to its label
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -120,6 +122,7 @@ func NewFeedback(cfg FeedbackConfig) *Feedback {
 		cfg:         cfg,
 		scales:      map[string]float64{},
 		family:      map[string]*obs.Gauge{},
+		labels:      map[string]string{},
 		rng:         rand.New(rand.NewSource(cfg.Seed ^ 0x7f4a7c15)),
 		cPolls:      r.Counter("srv_qoe_polls"),
 		cPollErrs:   r.Counter("srv_qoe_poll_errs"),
@@ -288,8 +291,8 @@ func (f *Feedback) apply(ru Rollup) error {
 // neutral 1, which is what CohortScale reads for a cohort the latest rollup
 // lacks. A cohort gets a gauge only while the family holds fewer than
 // maxFeedbackCohorts: the registry never drops a gauge, so the family is
-// bounded over the Feedback's lifetime, not per rollup. The caller holds
-// f.mu.
+// bounded over the Feedback's lifetime, not per rollup. A cohort keeps the
+// label it was first given (metricLabel). The caller holds f.mu.
 func (f *Feedback) publish(names []string, scales map[string]float64) {
 	next := make(map[string]float64, len(f.family))
 	for label := range f.family {
@@ -300,11 +303,13 @@ func (f *Feedback) publish(names []string, scales map[string]float64) {
 		if !ok {
 			continue
 		}
-		label := sanitizeMetricLabel(name)
-		if f.family[label] == nil {
+		label, ok := f.labels[name]
+		if !ok {
 			if len(f.family) >= maxFeedbackCohorts {
 				continue
 			}
+			label = f.metricLabel(name)
+			f.labels[name] = label
 			f.family[label] = f.cfg.Obs.Gauge("srv_qoe_scale_" + label)
 		}
 		next[label] = s
@@ -312,6 +317,26 @@ func (f *Feedback) publish(names []string, scales map[string]float64) {
 	for label, v := range next {
 		f.family[label].Set(v)
 	}
+}
+
+// metricLabel picks a new cohort's label: its name sanitized to the metric
+// alphabet, or, where another cohort already owns that label ("a:b" and
+// "a_b" both sanitize to "a_b"), the label with "_" and the eight hex
+// digits of the name's FNV-1a appended, until the label is free. The
+// caller holds f.mu.
+func (f *Feedback) metricLabel(name string) string {
+	label := sanitizeMetricLabel(name)
+	if f.family[label] == nil {
+		return label
+	}
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	suffix := fmt.Sprintf("_%08x", h.Sum32())
+	label += suffix
+	for f.family[label] != nil { // a name spelled like a suffixed label
+		label += suffix
+	}
+	return label
 }
 
 // finiteQuality reports whether a quality distribution is usable for

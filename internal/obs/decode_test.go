@@ -40,6 +40,13 @@ func writerLines(t testing.TB) [][]byte {
 	return bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
 }
 
+// decodeCanonical reports whether line is exactly one canonical-form event,
+// the lines UnmarshalEvent decodes by hand, decoding it into ev.
+func decodeCanonical(line []byte, ev *Event) bool {
+	n := DecodeEvent(line, ev)
+	return n != 0 && n == len(line)
+}
+
 // TestWriterOutputIsCanonical: every line our writer emits, for every event
 // kind, is decoded by hand — the fallback is for bytes we did not write —
 // and decodes to what encoding/json makes of it.
@@ -59,6 +66,32 @@ func TestWriterOutputIsCanonical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s\n hand-written %+v\n encoding/json %+v", line, got, want)
+		}
+	}
+}
+
+// TestDecodeEventAtBufferStart: DecodeEvent reads a writer's line at the
+// start of a longer buffer and returns its length whatever follows it, and
+// finds no event in any cut of the line — the object must close inside the
+// slice, not at a sentinel beyond it.
+func TestDecodeEventAtBufferStart(t *testing.T) {
+	for _, line := range writerLines(t) {
+		var want Event
+		if !decodeCanonical(line, &want) {
+			t.Fatalf("writer line took the fallback: %s", line)
+		}
+		for _, tail := range []string{"\n", "\r\n", "x", "}", `{"v":1,"t_ms":0,"ev":"stall"}`} {
+			var got Event
+			buf := append(line[:len(line):len(line)], tail...)
+			if n := DecodeEvent(buf, &got); n != len(line) || !reflect.DeepEqual(got, want) {
+				t.Errorf("%q: DecodeEvent = %d, %+v; want %d, %+v", buf, n, got, len(line), want)
+			}
+		}
+		for k := range line {
+			var got Event
+			if n := DecodeEvent(line[:k:k], &got); n != 0 {
+				t.Errorf("%q: DecodeEvent = %d on a cut line, want 0", line[:k], n)
+			}
 		}
 	}
 }
@@ -177,13 +210,16 @@ func TestCanonicalFormBoundary(t *testing.T) {
 	}{
 		{`{"v":1,"t_ms":33.333,"ev":"quality","chunk":1,"n":4200}`, true},
 		{`{"v":1,"t_ms":0,"ev":"session","video":"v1","cohort":"low:belgian"}`, true},
-		{`{"ev":"quality","v":1}`, true}, // any key order
 		{`{"v":1,"t_ms":0,"ev":"future-kind"}`, true},
 		{`{"v":-0,"t_ms":0,"ev":"stall","n":-999999999999999999}`, true},
 		{`{"v":1,"t_ms":0,"ev":""}`, true},
 
 		{``, false},
 		{`{}`, false},
+		{`{"ev":"quality","v":1}`, false}, // a key out of the writer's order
+		{`{"v":1,"t_ms":0,"ev":"fetch","n":7,"chunk":3}`, false},            // an optional one too
+		{`{"v":1,"t_ms":0,"ev":"session","cohort":"c","video":"v"}`, false}, // and the header's
+		{`{"v":1,"ev":"stall"}`, false},                                     // t_ms is never omitted
 		{`{"v":1,"t_ms":0,"ev":"stall"} `, false},
 		{` {"v":1,"t_ms":0,"ev":"stall"}`, false},
 		{`{"v": 1,"t_ms":0,"ev":"stall"}`, false},
