@@ -53,28 +53,13 @@ func main() {
 		cfgs = append(cfgs, balancer.BackendConfig{Addr: spec})
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		log.Printf("signal: shutting down")
-		cancel()
-	}()
-
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	reg := obs.NewRegistry()
 	if *adminAddr != "" {
-		adminListen, adminErr, err := obs.ServeAdmin(ctx, *adminAddr, reg)
-		if err != nil {
+		if err := obs.ServeAdmin(ctx, *adminAddr, reg, log.Printf); err != nil {
 			log.Fatalf("admin listener: %v", err)
 		}
-		go func() {
-			if err := <-adminErr; err != nil {
-				log.Printf("admin listener: %v", err)
-			}
-		}()
-		log.Printf("admin endpoint on http://%s (/metrics, /debug/pprof/)", adminListen)
 	}
 
 	bl, err := balancer.New(balancer.Config{
@@ -109,4 +94,5 @@ func main() {
 	if err := bl.ListenAndServe(ctx, *addr); err != nil && ctx.Err() == nil {
 		log.Fatal(err)
 	}
+	log.Printf("signal: shutting down")
 }

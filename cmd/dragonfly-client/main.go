@@ -40,6 +40,9 @@ func main() {
 	traceFile := flag.String("trace", "", "write the session's event trace as JSONL to this file")
 	cohort := flag.String("cohort", "", "fleet-rollup cohort label sent in the handshake (default \"<motion class>:net\")")
 	flag.Parse()
+	if *duration <= 0 {
+		log.Fatalf("-duration %v: want a positive duration", *duration)
+	}
 
 	factory, ok := sim.Registry()[*schemeKey]
 	if !ok {
@@ -58,15 +61,9 @@ func main() {
 			log.Fatalf("parse head trace: %v", err)
 		}
 	} else {
-		class := trace.MotionMedium
-		switch *motion {
-		case "low":
-			class = trace.MotionLow
-		case "high":
-			class = trace.MotionHigh
-		case "medium":
-		default:
-			log.Fatalf("unknown motion class %q", *motion)
+		class, err := trace.ParseMotionClass(*motion)
+		if err != nil {
+			log.Fatal(err)
 		}
 		head = trace.GenerateHead(trace.HeadGenParams{
 			UserID: "cli-user", Class: class, Duration: *duration, Seed: *seed,

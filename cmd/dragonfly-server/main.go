@@ -49,16 +49,12 @@ func main() {
 	qoeTarget := flag.Float64("qoe-target", 40, "per-cohort viewport-quality budget in dB for the feedback loop")
 	flag.Parse()
 
+	if *chunks < 1 {
+		log.Fatalf("-chunks %d: a video needs at least one chunk", *chunks)
+	}
 	var manifests []*video.Manifest
 	for _, e := range video.Table3 {
-		manifests = append(manifests, video.Generate(video.GenParams{
-			ID:             e.ID,
-			NumChunks:      *chunks,
-			TargetQP42Mbps: e.QP42Mbps,
-			TargetQP22Mbps: e.QP22Mbps,
-			MotionLevel:    e.MotionLevel,
-			Seed:           e.Seed,
-		}))
+		manifests = append(manifests, e.Manifest(*chunks))
 	}
 	srv := server.New(manifests...)
 	srv.Logf = log.Printf
@@ -139,16 +135,9 @@ func main() {
 		log.Printf("QoE feedback: polling %s every %s (target %.1f dB)", *qoeRollup, *qoePoll, *qoeTarget)
 	}
 	if *adminAddr != "" {
-		adminListen, adminErr, err := obs.ServeAdmin(ctx, *adminAddr, srv.Obs)
-		if err != nil {
+		if err := obs.ServeAdmin(ctx, *adminAddr, srv.Obs, log.Printf); err != nil {
 			log.Fatalf("admin listener: %v", err)
 		}
-		go func() {
-			if err := <-adminErr; err != nil {
-				log.Printf("admin listener: %v", err)
-			}
-		}()
-		log.Printf("admin endpoint on http://%s (/metrics, /debug/pprof/)", adminListen)
 	}
 	log.Printf("dragonfly server on %s serving %v", l.Addr(), srv.Videos())
 	if err := srv.Serve(ctx, listener); err != nil && ctx.Err() == nil {

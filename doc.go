@@ -11,8 +11,9 @@
 // internal/client), and the evaluation harness (internal/sim,
 // internal/study, internal/experiments, internal/stats).
 //
-// Executables are under cmd/ and runnable examples under examples/; see
-// README.md for a tour and EXPERIMENTS.md for the paper-versus-measured
-// record of every reproduced table and figure. The benchmarks in
-// bench_test.go regenerate each evaluation artifact at a reduced scale.
+// Executables are under cmd/, and Example (example_test.go) is the
+// quickstart session; see README.md for a tour and EXPERIMENTS.md for the
+// paper-versus-measured record of every reproduced table and figure. The
+// benchmarks in bench_test.go regenerate each evaluation artifact at a
+// reduced scale.
 package dragonfly

@@ -54,7 +54,7 @@ var errReconnectBudget = errors.New("client: total reconnect budget exhausted")
 
 // ReconnectPolicy tunes the client's fault tolerance. The zero value
 // disables reconnection: a connection error ends the session, as it always
-// did for plain Play.
+// does for a session on a caller's connection.
 type ReconnectPolicy struct {
 	// MaxAttempts is the dial budget per outage; 0 disables reconnection.
 	// When the budget is exhausted the session keeps playing what it holds
@@ -117,16 +117,9 @@ type PlayOptions struct {
 	Cohort string
 }
 
-// Play streams videoID from the server behind conn using the given scheme,
-// replaying the head trace in real time, and returns the session metrics.
-// The connection is not re-established on failure (use PlayResilient for a
-// fault-tolerant session) and stays open on return: it is the caller's.
-func Play(conn net.Conn, videoID string, head *trace.HeadTrace, scheme player.Scheme, opts PlayOptions) (*player.Metrics, error) {
-	return play(conn, nil, videoID, head, scheme, opts)
-}
-
-// PlayResilient dials the server and streams videoID like Play, but
-// survives connection faults: on a read/write error or idle timeout it
+// PlayResilient dials the server and streams videoID, replaying the head
+// trace in real time, and returns the session metrics. It survives
+// connection faults: on a read/write error or idle timeout it
 // redials with exponential backoff and resumes the session via the resume
 // protocol, while playback keeps running on whatever is already held. The
 // initial dial runs through the same backoff-and-redial loop, which also
@@ -239,7 +232,7 @@ type session struct {
 	rng  *rand.Rand // jitter source; one connect phase at a time
 	// ctx ends with the session (finish cancels it under mu): late
 	// deliveries and reconnects check it under mu and drop, since the
-	// receiver may outlive Play, and a pending backoff returns at once.
+	// receiver may outlive play, and a pending backoff returns at once.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -373,8 +366,9 @@ func (s *session) receiver(conn net.Conn, id int) {
 	}
 }
 
-// linkLost handles a connection failure on conn id: fatal for a plain Play
-// session, otherwise the start of an outage with a reconnector behind it.
+// linkLost handles a connection failure on conn id: fatal for a session
+// with no dialer, otherwise the start of an outage with a reconnector
+// behind it.
 func (s *session) linkLost(id int, err error) {
 	s.mu.Lock()
 	if s.ctx.Err() != nil || id != s.connID || s.down || s.linkDead {
@@ -412,7 +406,7 @@ func (s *session) linkLost(id int, err error) {
 func (s *session) connect(held *player.HeldSummary) (net.Conn, *video.Manifest, error) {
 	tries, lost := s.rp.MaxAttempts+1, 0
 	s.mu.Lock()
-	from, conn := time.Now(), s.conn // nil but for Play's opening phase
+	from, conn := time.Now(), s.conn // a caller's connection on the first connect, else nil
 	if held != nil {
 		tries, lost, from = s.rp.MaxAttempts, 1, s.start.Add(s.downAt)
 	}
@@ -450,7 +444,7 @@ func (s *session) connect(held *player.HeldSummary) (net.Conn, *video.Manifest, 
 			s.trace.Record(s.now(), obs.EvBusy, int64(k+1))
 		}
 		if s.dial == nil || held == nil && !busy && !errors.Is(err, errHandshakeLink) {
-			return retry.Permanent(err) // Play has no dialer; a refused hello is final
+			return retry.Permanent(err) // no dialer, or a refused hello: final
 		}
 		return err
 	})
@@ -583,8 +577,7 @@ func (s *session) run() (*player.Metrics, error) {
 // context first, so the receiver and reconnector drop whatever comes later
 // and a pending backoff returns at once, then releases the link: a goodbye
 // on a clean end, and the connection itself if the session dialed it —
-// PlayResilient owns what it dials, Play leaves the caller's connection
-// open.
+// PlayResilient owns what it dials; a caller's connection stays open.
 func (s *session) finish(bye bool) *player.Metrics {
 	s.mu.Lock()
 	s.cancel()
@@ -609,13 +602,8 @@ func (s *session) finish(bye bool) *player.Metrics {
 	return met
 }
 
-// DefaultDialTimeout bounds Dial when no explicit timeout is given.
+// DefaultDialTimeout bounds a dial that is given no timeout of its own.
 const DefaultDialTimeout = 10 * time.Second
-
-// Dial connects to a Dragonfly server over TCP with the default timeout.
-func Dial(addr string) (net.Conn, error) {
-	return DialTimeout(addr, DefaultDialTimeout)
-}
 
 // DialTimeout connects to a Dragonfly server over TCP, failing after the
 // given timeout instead of hanging on an unresponsive address.

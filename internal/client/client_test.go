@@ -18,6 +18,13 @@ import (
 	"dragonfly/internal/video"
 )
 
+// Play streams videoID from the server behind conn over one connection:
+// the session is not re-established on failure, and conn stays open on
+// return. The tests drive a single link's behaviour through it.
+func Play(conn net.Conn, videoID string, head *trace.HeadTrace, scheme player.Scheme, opts PlayOptions) (*player.Metrics, error) {
+	return play(conn, nil, videoID, head, scheme, opts)
+}
+
 func liveManifest() *video.Manifest {
 	// 3 seconds of 6x6 video keeps real-time tests quick.
 	return video.Generate(video.GenParams{
@@ -182,7 +189,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	defer cancel()
 	go func() { _ = srv.Serve(ctx, l) }()
 
-	conn, err := Dial(inner.Addr().String())
+	conn, err := DialTimeout(inner.Addr().String(), DefaultDialTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +224,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 	results := make(chan result, 3)
 	for i := 0; i < 3; i++ {
 		go func(i int) {
-			conn, err := Dial(inner.Addr().String())
+			conn, err := DialTimeout(inner.Addr().String(), DefaultDialTimeout)
 			if err != nil {
 				results <- result{err: err}
 				return

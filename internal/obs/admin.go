@@ -37,10 +37,22 @@ func handler(reg *Registry) http.Handler {
 	return mux
 }
 
-// ServeAdmin listens on addr and serves the admin endpoint (Handler) until
-// ctx is done; see Serve.
-func ServeAdmin(ctx context.Context, addr string, reg *Registry) (net.Addr, <-chan error, error) {
-	return Serve(ctx, addr, handler(reg))
+// ServeAdmin listens on addr and serves the admin endpoint (handler) until
+// ctx is done; see Serve. It is the admin shell of every daemon: it logs
+// the address it bound, and the server's exit error if there is one,
+// through logf.
+func ServeAdmin(ctx context.Context, addr string, reg *Registry, logf func(format string, args ...any)) error {
+	bound, done, err := Serve(ctx, addr, handler(reg))
+	if err != nil {
+		return err
+	}
+	logf("admin endpoint on http://%s (/metrics, /debug/pprof/)", bound)
+	go func() {
+		if err := <-done; err != nil {
+			logf("admin listener: %v", err)
+		}
+	}()
+	return nil
 }
 
 // Serve listens on addr and serves h until ctx is done, then shuts the

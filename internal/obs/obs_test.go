@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -277,22 +278,42 @@ func TestAdminHandlerMetricsAndPprof(t *testing.T) {
 func TestServeAdminLifecycle(t *testing.T) {
 	reg := NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
-	addr, done, err := ServeAdmin(ctx, "127.0.0.1:0", reg)
-	if err != nil {
+	defer cancel()
+	lines := make(chan string, 4)
+	logf := func(format string, args ...any) { lines <- fmt.Sprintf(format, args...) }
+	if err := ServeAdmin(ctx, "127.0.0.1:0", reg, logf); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + addr.String() + "/metrics")
+	var addr string
+	if line := <-lines; !strings.HasPrefix(line, "admin endpoint on http://") {
+		t.Fatalf("first log line %q does not give the bound address", line)
+	} else {
+		addr, _, _ = strings.Cut(strings.TrimPrefix(line, "admin endpoint on http://"), " ")
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	cancel()
-	select {
-	case err := <-done:
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c, err := net.Dial("tcp", addr)
 		if err != nil {
-			t.Fatalf("admin server exit: %v", err)
+			break
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("admin server did not shut down")
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("admin server did not shut down")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	select {
+	case line := <-lines:
+		t.Fatalf("a clean shutdown logged %q", line)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := ServeAdmin(context.Background(), addr+"x", reg, logf); err == nil {
+		t.Error("a bad listen address was taken")
 	}
 }

@@ -100,36 +100,19 @@ type Model struct {
 // draw is accepted (capped) if none passes, keeping Sample total.
 const maxFilterAttempts = 32
 
-// BelgianClass returns the 4G-like network class calibrated to the
-// Belgian HTTP logs (the trace.DefaultBelgianTraces envelope).
-func BelgianClass() NetClass {
-	return NetClass{
-		Name: "belgian",
-		Params: trace.BandwidthGenParams{
-			StateMeansMbps: []float64{9, 13, 18, 24},
-			SwitchPerSec:   0.25,
-			NoiseFrac:      0.15,
-		},
-		MeanScale: 0.12,
-		Filter:    trace.DefaultBelgianFilter,
-	}
-}
+// BelgianClass returns the 4G-like network class: trace.Belgian's
+// template and filter, with each member's means jittered by up to ±12 %.
+func BelgianClass() NetClass { return profileClass(trace.Belgian, 0.12) }
 
-// irishClass returns the 5G-like network class calibrated to the Irish
-// dataset: higher and flatter bandwidth with abrupt near-zero dips.
-func irishClass() NetClass {
-	return NetClass{
-		Name: "irish",
-		Params: trace.BandwidthGenParams{
-			StateMeansMbps: []float64{14, 20, 26},
-			SwitchPerSec:   0.12,
-			NoiseFrac:      0.10,
-			DipPerSec:      0.06,
-			DipLen:         1500 * time.Millisecond,
-		},
-		MeanScale: 0.10,
-		Filter:    trace.DefaultIrishFilter,
-	}
+// irishClass returns the 5G-like network class: trace.Irish's template and
+// filter, with each member's means jittered by up to ±10 %.
+func irishClass() NetClass { return profileClass(trace.Irish, 0.10) }
+
+// profileClass widens a trace profile into a network class. Params shares
+// the profile's StateMeansMbps slice: Sample copies the means before it
+// scales them, so no member writes through to the profile.
+func profileClass(p trace.NetProfile, meanScale float64) NetClass {
+	return NetClass{Name: p.Name, Params: p.Params, MeanScale: meanScale, Filter: p.Filter}
 }
 
 // DefaultModel is the paper-shaped population: motion classes in equal

@@ -223,12 +223,6 @@ type FilterOptions struct {
 	CapMbps     float64
 }
 
-// DefaultBelgianFilter matches §4.2 for the Belgian dataset.
-var DefaultBelgianFilter = FilterOptions{MinP10Mbps: 7, MaxHighMbps: 28, HighPct: 90, CapMbps: 28}
-
-// DefaultIrishFilter matches footnote 4 for the Irish dataset.
-var DefaultIrishFilter = FilterOptions{MinP10Mbps: 7, MaxHighMbps: 28, HighPct: 75, CapMbps: 28}
-
 // Filter applies the selection rule and cap, returning the surviving traces.
 func Filter(traces []*BandwidthTrace, o FilterOptions) []*BandwidthTrace {
 	var out []*BandwidthTrace
@@ -244,41 +238,75 @@ func Filter(traces []*BandwidthTrace, o FilterOptions) []*BandwidthTrace {
 	return out
 }
 
-// DefaultBelgianTraces generates and filters 4G-like traces until n survive.
-// The generator mimics the Belgian HTTP/4G logs: moderate means with
-// transport-mode-driven state changes.
-func DefaultBelgianTraces(n int) []*BandwidthTrace {
+// NetProfile is one of the paper's two cellular datasets as the generator
+// models it: a name, the generator template (each trace sets its ID, Seed
+// and Duration) and the §4.2 selection filter and cap.
+type NetProfile struct {
+	Name   string
+	Params BandwidthGenParams
+	Filter FilterOptions
+}
+
+// Belgian is the 4G-like profile: the generator mimics the Belgian HTTP/4G
+// logs, moderate means with transport-mode-driven state changes, and the
+// filter matches §4.2.
+var Belgian = NetProfile{
+	Name:   "belgian",
+	Params: BandwidthGenParams{StateMeansMbps: []float64{9, 13, 18, 24}, SwitchPerSec: 0.25, NoiseFrac: 0.15},
+	Filter: FilterOptions{MinP10Mbps: 7, MaxHighMbps: 28, HighPct: 90, CapMbps: 28},
+}
+
+// Irish is the 5G-like profile: higher and flatter bandwidth, but with
+// abrupt near-zero dips; the filter matches footnote 4.
+var Irish = NetProfile{
+	Name: "irish",
+	Params: BandwidthGenParams{
+		StateMeansMbps: []float64{14, 20, 26}, SwitchPerSec: 0.12, NoiseFrac: 0.10,
+		DipPerSec: 0.06, DipLen: 1500 * time.Millisecond,
+	},
+	Filter: FilterOptions{MinP10Mbps: 7, MaxHighMbps: 28, HighPct: 75, CapMbps: 28},
+}
+
+// NetProfileByName returns the profile called name: "belgian" or "irish".
+func NetProfileByName(name string) (NetProfile, error) {
+	for _, p := range []NetProfile{Belgian, Irish} {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return NetProfile{}, fmt.Errorf("unknown profile %q", name)
+}
+
+// Generate synthesizes the profile's unfiltered trace for seed, d long (0
+// takes the generator's default), with ID "<name>-<seed>".
+func (p NetProfile) Generate(seed int64, d time.Duration) *BandwidthTrace {
+	params := p.Params
+	params.ID = fmt.Sprintf("%s-%d", p.Name, seed)
+	params.Seed = seed
+	params.Duration = d
+	return GenerateBandwidth(params)
+}
+
+// filtered generates the profile's traces for the seeds from first up to
+// end and keeps those that pass its filter, until n survive.
+func (p NetProfile) filtered(n int, first, end int64) []*BandwidthTrace {
 	var out []*BandwidthTrace
-	for seed := int64(1); len(out) < n && seed < int64(n)*50; seed++ {
-		tr := GenerateBandwidth(BandwidthGenParams{
-			ID:             fmt.Sprintf("belgian-%d", seed),
-			Seed:           seed,
-			StateMeansMbps: []float64{9, 13, 18, 24},
-			SwitchPerSec:   0.25,
-			NoiseFrac:      0.15,
-		})
-		out = append(out, Filter([]*BandwidthTrace{tr}, DefaultBelgianFilter)...)
+	for seed := first; len(out) < n && seed < end; seed++ {
+		out = append(out, Filter([]*BandwidthTrace{p.Generate(seed, 0)}, p.Filter)...)
 	}
 	return out
 }
 
-// DefaultIrishTraces generates and filters 5G-like traces until n survive:
-// higher and flatter bandwidth, but with abrupt near-zero dips.
+// DefaultBelgianTraces returns the first n Belgian traces, from seed 1 on,
+// that survive the filter.
+func DefaultBelgianTraces(n int) []*BandwidthTrace {
+	return Belgian.filtered(n, 1, int64(n)*50)
+}
+
+// DefaultIrishTraces returns the first n Irish traces, from seed 10001 on,
+// that survive the filter.
 func DefaultIrishTraces(n int) []*BandwidthTrace {
-	var out []*BandwidthTrace
-	for seed := int64(10001); len(out) < n && seed < 10001+int64(n)*80; seed++ {
-		tr := GenerateBandwidth(BandwidthGenParams{
-			ID:             fmt.Sprintf("irish-%d", seed),
-			Seed:           seed,
-			StateMeansMbps: []float64{14, 20, 26},
-			SwitchPerSec:   0.12,
-			NoiseFrac:      0.10,
-			DipPerSec:      0.06,
-			DipLen:         1500 * time.Millisecond,
-		})
-		out = append(out, Filter([]*BandwidthTrace{tr}, DefaultIrishFilter)...)
-	}
-	return out
+	return Irish.filtered(n, 10001, 10001+int64(n)*80)
 }
 
 // WriteBandwidthCSV writes "t_ms,mbps" rows.

@@ -37,7 +37,7 @@ func ExampleFilter() {
 		return &trace.BandwidthTrace{ID: fmt.Sprintf("%v-mbps", mbps), SamplePeriod: time.Second, Mbps: s}
 	}
 	candidates := []*trace.BandwidthTrace{steady(3), steady(15), steady(80)}
-	kept := trace.Filter(candidates, trace.DefaultBelgianFilter)
+	kept := trace.Filter(candidates, trace.Belgian.Filter)
 	for _, tr := range kept {
 		fmt.Println(tr.ID)
 	}

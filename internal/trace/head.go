@@ -106,6 +106,16 @@ func (c MotionClass) String() string {
 	}
 }
 
+// ParseMotionClass is the inverse of MotionClass.String.
+func ParseMotionClass(s string) (MotionClass, error) {
+	for c := MotionLow; c <= MotionHigh; c++ {
+		if c.String() == s {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown motion class %q", s)
+}
+
 // HeadGenParams parameterizes the synthetic head-motion generator.
 type HeadGenParams struct {
 	UserID   string

@@ -251,9 +251,34 @@ func TestFilter(t *testing.T) {
 	good := &BandwidthTrace{ID: "good", SamplePeriod: time.Second, Mbps: constant(12, 60)}
 	tooSlow := &BandwidthTrace{ID: "slow", SamplePeriod: time.Second, Mbps: constant(3, 60)}
 	tooFast := &BandwidthTrace{ID: "fast", SamplePeriod: time.Second, Mbps: constant(80, 60)}
-	out := Filter([]*BandwidthTrace{good, tooSlow, tooFast}, DefaultBelgianFilter)
+	out := Filter([]*BandwidthTrace{good, tooSlow, tooFast}, Belgian.Filter)
 	if len(out) != 1 || out[0].ID != "good" {
 		t.Fatalf("filter kept %d traces", len(out))
+	}
+}
+
+func TestNetProfileByName(t *testing.T) {
+	for _, want := range []NetProfile{Belgian, Irish} {
+		got, err := NetProfileByName(want.Name)
+		if err != nil || got.Name != want.Name || got.Filter != want.Filter {
+			t.Errorf("NetProfileByName(%q) = %+v, %v", want.Name, got, err)
+		}
+	}
+	if _, err := NetProfileByName("Belgian"); err == nil || !strings.Contains(err.Error(), `"Belgian"`) {
+		t.Errorf("an unknown name gave %v, want an error naming it", err)
+	}
+}
+
+func TestParseMotionClassInvertsString(t *testing.T) {
+	for c := MotionLow; c <= MotionHigh; c++ {
+		if got, err := ParseMotionClass(c.String()); err != nil || got != c {
+			t.Errorf("ParseMotionClass(%q) = %v, %v", c.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "unknown", "High"} {
+		if _, err := ParseMotionClass(bad); err == nil {
+			t.Errorf("ParseMotionClass(%q) took it", bad)
+		}
 	}
 }
 

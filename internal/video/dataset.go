@@ -1,5 +1,10 @@
 package video
 
+import (
+	"fmt"
+	"strings"
+)
+
 // DatasetEntry records one video of the paper's evaluation set with its
 // Table 3 bitrate targets and a qualitative motion level (the dataset of
 // [34] classifies videos by camera motion and moving objects).
@@ -23,18 +28,37 @@ var Table3 = []DatasetEntry{
 	{ID: "v27", QP42Mbps: 4.6, QP22Mbps: 49.6, MotionLevel: 0.85, Seed: 127},
 }
 
-// DefaultDataset generates the seven Table 3 videos with the paper's
-// evaluation configuration (12×12 tiles, 1-second chunks, 1-minute videos).
+// Table3Entry returns the Table 3 row of the video called id.
+func Table3Entry(id string) (DatasetEntry, error) {
+	ids := make([]string, len(Table3))
+	for i, e := range Table3 {
+		if e.ID == id {
+			return e, nil
+		}
+		ids[i] = e.ID
+	}
+	return DatasetEntry{}, fmt.Errorf("unknown video %q (Table 3 has %s)", id, strings.Join(ids, " "))
+}
+
+// Manifest generates the entry's video with the paper's evaluation
+// configuration (12×12 tiles, 1-second chunks) and numChunks chunks; 0
+// takes Generate's default of 60, the paper's one-minute videos.
+func (e DatasetEntry) Manifest(numChunks int) *Manifest {
+	return Generate(GenParams{
+		ID:             e.ID,
+		NumChunks:      numChunks,
+		TargetQP42Mbps: e.QP42Mbps,
+		TargetQP22Mbps: e.QP22Mbps,
+		MotionLevel:    e.MotionLevel,
+		Seed:           e.Seed,
+	})
+}
+
+// DefaultDataset generates the seven Table 3 videos as one-minute videos.
 func DefaultDataset() []*Manifest {
 	out := make([]*Manifest, 0, len(Table3))
 	for _, e := range Table3 {
-		out = append(out, Generate(GenParams{
-			ID:             e.ID,
-			TargetQP42Mbps: e.QP42Mbps,
-			TargetQP22Mbps: e.QP22Mbps,
-			MotionLevel:    e.MotionLevel,
-			Seed:           e.Seed,
-		}))
+		out = append(out, e.Manifest(0))
 	}
 	return out
 }
