@@ -69,7 +69,7 @@ func main() {
 func videosFor(scale string) []*video.Manifest {
 	switch scale {
 	case "full":
-		return video.DefaultDataset()
+		return video.Dataset(0)
 	case "small":
 		return []*video.Manifest{video.Generate(video.GenParams{
 			ID: "pop1", Rows: 8, Cols: 8, NumChunks: 15,

@@ -13,10 +13,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -30,6 +32,19 @@ import (
 )
 
 func main() {
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], sigc, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the daemon: it prints the address it bound to stdout and serves
+// until the second signal on sigs. The first drains: in-flight sessions
+// finish while new connections get a retryable busy error.
+func run(args []string, sigs <-chan os.Signal, stdout io.Writer) error {
+	// Named flag, as in dragonfly-ingest, so the gates in scripts/ find it.
+	flag := flag.NewFlagSet("dragonfly-server", flag.ExitOnError)
 	addr := flag.String("addr", "127.0.0.1:7360", "listen address")
 	bwFile := flag.String("bw", "", "bandwidth trace CSV to shape each connection (empty = unshaped)")
 	latency := flag.Duration("latency", 0, "one-way propagation delay to add")
@@ -47,16 +62,17 @@ func main() {
 	qoeRollup := flag.String("qoe-rollup", "", "ingest /rollup URL to poll for per-cohort shed-budget scales (empty = off)")
 	qoePoll := flag.Duration("qoe-poll", 2*time.Second, "rollup poll interval; data older than 3x is treated as stale (neutral scales)")
 	qoeTarget := flag.Float64("qoe-target", 40, "per-cohort viewport-quality budget in dB for the feedback loop")
-	flag.Parse()
+	flag.Parse(args)
 
 	if *chunks < 1 {
-		log.Fatalf("-chunks %d: a video needs at least one chunk", *chunks)
+		return fmt.Errorf("-chunks %d: a video needs at least one chunk", *chunks)
 	}
-	var manifests []*video.Manifest
-	for _, e := range video.Table3 {
-		manifests = append(manifests, e.Manifest(*chunks))
+	for _, name := range []string{"max-queue", "max-queue-bytes", "max-conns"} {
+		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s %s: want 0 or more", name, v)
+		}
 	}
-	srv := server.New(manifests...)
+	srv := server.New(video.Dataset(*chunks)...)
 	srv.Logf = log.Printf
 	srv.ReadTimeout = *readTimeout
 	srv.WriteTimeout = *writeTimeout
@@ -67,32 +83,25 @@ func main() {
 	srv.WriteStallBudget = *writeStallBudget
 	srv.TraceDir = *traceDir
 
-	var link netem.Link
+	link := netem.Link{Latency: *latency}
 	if *bwFile != "" {
 		f, err := os.Open(*bwFile)
 		if err != nil {
-			log.Fatalf("open bandwidth trace: %v", err)
+			return fmt.Errorf("open bandwidth trace: %w", err)
 		}
 		tr, err := trace.ReadBandwidthCSV(f)
 		f.Close()
 		if err != nil {
-			log.Fatalf("parse bandwidth trace: %v", err)
+			return fmt.Errorf("parse bandwidth trace: %w", err)
 		}
 		link.Trace = tr
-		fmt.Printf("shaping downstream with %s (mean %.1f Mbps over %s)\n",
+		fmt.Fprintf(stdout, "shaping downstream with %s (mean %.1f Mbps over %s)\n",
 			tr.ID, tr.Mean(), tr.Duration().Round(time.Second))
 	}
-	link.Latency = *latency
-
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
-	var listener net.Listener = l
 	if *faultFile != "" {
 		f, err := os.Open(*faultFile)
 		if err != nil {
-			log.Fatalf("open fault rules: %v", err)
+			return fmt.Errorf("open fault rules: %w", err)
 		}
 		rules, err := chaos.ReadRules(f)
 		f.Close()
@@ -100,29 +109,13 @@ func main() {
 			err = chaos.Arm(rules...)
 		}
 		if err != nil {
-			log.Fatalf("fault rules: %v", err)
+			return fmt.Errorf("fault rules: %w", err)
 		}
-		fmt.Printf("armed %d fault rules\n", len(rules))
-	}
-	if *faultFile != "" || link.Trace != nil || link.Latency > 0 {
-		listener = netem.WrapListener(l, link)
+		fmt.Fprintf(stdout, "armed %d fault rules\n", len(rules))
 	}
 
-	// First signal drains: in-flight sessions finish while new connections
-	// are fast-rejected with a retryable busy error. A second signal exits.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		log.Printf("draining: %d active sessions, rejecting new connections (signal again to exit)",
-			srv.ActiveConns())
-		srv.Drain()
-		<-sigc
-		log.Printf("second signal: shutting down")
-		cancel()
-	}()
 	if *qoeRollup != "" {
 		fb := ingest.NewFeedback(ingest.FeedbackConfig{
 			URL:      *qoeRollup,
@@ -136,11 +129,28 @@ func main() {
 	}
 	if *adminAddr != "" {
 		if err := obs.ServeAdmin(ctx, *adminAddr, srv.Obs, log.Printf); err != nil {
-			log.Fatalf("admin listener: %v", err)
+			return fmt.Errorf("admin listener: %w", err)
 		}
 	}
-	log.Printf("dragonfly server on %s serving %v", l.Addr(), srv.Videos())
-	if err := srv.Serve(ctx, listener); err != nil && ctx.Err() == nil {
-		log.Fatal(err)
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fmt.Errorf("listen: %w", err)
 	}
+	if *faultFile != "" || link.Trace != nil || link.Latency > 0 {
+		l = netem.WrapListener(l, link)
+	}
+	go func() {
+		<-sigs
+		log.Printf("draining: %d active sessions, rejecting new connections (signal again to exit)",
+			srv.ActiveConns())
+		srv.Drain()
+		<-sigs
+		log.Printf("second signal: shutting down")
+		cancel()
+	}()
+	fmt.Fprintf(stdout, "dragonfly server on %s serving %v\n", l.Addr(), srv.Videos())
+	if err := srv.Serve(ctx, l); err != nil && ctx.Err() == nil {
+		return err
+	}
+	return nil
 }

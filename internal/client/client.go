@@ -6,8 +6,8 @@
 // its wire driver: the wall clock, the handshake, the receiver, the
 // reconnector and request generations. Every goroutine steps the Playback
 // under the session mutex, deliveries first and then Advance, and writes to
-// the connection only after unlocking. This is the path exercised by the
-// cmd/dragonfly-client binary and the live-stream example.
+// the connection only after unlocking. This is the path the
+// cmd/dragonfly-client binary runs.
 //
 // The client is fault tolerant: PlayResilient wraps the session in a
 // reconnector with read/write deadlines, exponential backoff with jitter,
@@ -37,8 +37,8 @@ import (
 	"dragonfly/internal/video"
 )
 
-// DialFunc re-establishes a server connection; the reconnector calls it on
-// every recovery attempt.
+// DialFunc opens a server connection; the session calls it for its opening
+// dial and on every recovery attempt.
 type DialFunc func() (net.Conn, error)
 
 // client.dial fronts every dial the client performs — the opening
@@ -53,8 +53,8 @@ var siteClientDial = chaos.NewSite("client.dial")
 var errReconnectBudget = errors.New("client: total reconnect budget exhausted")
 
 // ReconnectPolicy tunes the client's fault tolerance. The zero value
-// disables reconnection: a connection error ends the session, as it always
-// does for a session on a caller's connection.
+// disables reconnection: the opening dial and handshake are tried once, and
+// the first connection error ends the session.
 type ReconnectPolicy struct {
 	// MaxAttempts is the dial budget per outage; 0 disables reconnection.
 	// When the budget is exhausted the session keeps playing what it holds
@@ -101,8 +101,8 @@ func (p ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 
 // PlayOptions tunes a session; its wall-clock cap is the player's default.
 type PlayOptions struct {
-	// Reconnect enables fault tolerance (only effective through
-	// PlayResilient, which supplies the dialer).
+	// Reconnect tunes fault tolerance; its zero value dials once and ends
+	// the session at the first link loss.
 	Reconnect ReconnectPolicy
 
 	// Trace, when non-nil, receives structured session events (fetches,
@@ -127,12 +127,8 @@ type PlayOptions struct {
 // gap) delays the session start instead of killing it. Every connection
 // it dials it also closes, whichever way the session ends.
 func PlayResilient(dial DialFunc, videoID string, head *trace.HeadTrace, scheme player.Scheme, opts PlayOptions) (*player.Metrics, error) {
-	return play(nil, dial, videoID, head, scheme, opts)
-}
-
-func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, scheme player.Scheme, opts PlayOptions) (*player.Metrics, error) {
-	if head == nil || scheme == nil || conn == nil && dial == nil {
-		return nil, fmt.Errorf("client: a head trace, a scheme and a connection or dial function are required")
+	if head == nil || scheme == nil || dial == nil {
+		return nil, fmt.Errorf("client: a head trace, a scheme and a dial function are required")
 	}
 	if opts.Cohort == "" {
 		opts.Cohort = head.ClassName() + ":net"
@@ -148,7 +144,6 @@ func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, s
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := &session{
-		conn:      conn,
 		dial:      dial,
 		rp:        opts.Reconnect,
 		rng:       rand.New(rand.NewSource(seed)),
@@ -166,9 +161,7 @@ func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, s
 	}
 	pb, err := player.NewPlayback(player.Config{Manifest: m, Head: head, Scheme: scheme, Trace: opts.Trace})
 	if err != nil {
-		if dial != nil {
-			conn.Close()
-		}
+		conn.Close()
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	s.conn, s.m, s.pb, s.met, s.start = conn, m, pb, pb.Metrics(), time.Now()
@@ -176,7 +169,7 @@ func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, s
 }
 
 // errBusy marks a handshake rejected by server admission control (connection
-// limit or drain); it is retryable with backoff when a dialer is available.
+// limit or drain); it is retryable with backoff.
 var errBusy = errors.New("client: server busy")
 
 // errHandshakeLink marks a handshake that died at the transport level —
@@ -367,15 +360,15 @@ func (s *session) receiver(conn net.Conn, id int) {
 }
 
 // linkLost handles a connection failure on conn id: fatal for a session
-// with no dialer, otherwise the start of an outage with a reconnector
-// behind it.
+// with no reconnect budget, otherwise the start of an outage with a
+// reconnector behind it.
 func (s *session) linkLost(id int, err error) {
 	s.mu.Lock()
 	if s.ctx.Err() != nil || id != s.connID || s.down || s.linkDead {
 		s.mu.Unlock()
 		return
 	}
-	if s.dial == nil || s.rp.MaxAttempts <= 0 {
+	if s.rp.MaxAttempts <= 0 {
 		s.mu.Unlock()
 		s.reportFatal(fmt.Errorf("client: connection: %w", err))
 		return
@@ -406,7 +399,7 @@ func (s *session) linkLost(id int, err error) {
 func (s *session) connect(held *player.HeldSummary) (net.Conn, *video.Manifest, error) {
 	tries, lost := s.rp.MaxAttempts+1, 0
 	s.mu.Lock()
-	from, conn := time.Now(), s.conn // a caller's connection on the first connect, else nil
+	from := time.Now()
 	if held != nil {
 		tries, lost, from = s.rp.MaxAttempts, 1, s.start.Add(s.downAt)
 	}
@@ -417,16 +410,15 @@ func (s *session) connect(held *player.HeldSummary) (net.Conn, *video.Manifest, 
 	s.mu.Unlock()
 	defer cancel()
 
+	var conn net.Conn
 	var m *video.Manifest
 	err := retry.Do(ctx, tries, func(k int) time.Duration { return s.rp.delay(k-1+lost, s.rng) }, func(k int) error {
-		var err error
-		if conn == nil {
-			if err = siteClientDial.Err(); err == nil {
-				conn, err = s.dial()
-			}
-			if err != nil {
-				return fmt.Errorf("client: dial: %w", err)
-			}
+		err := siteClientDial.Err()
+		if err == nil {
+			conn, err = s.dial()
+		}
+		if err != nil {
+			return fmt.Errorf("client: dial: %w", err)
 		}
 		if m, err = handshake(conn, s.rp, s.videoID, s.cohort, held); err == nil {
 			s.mu.Lock()
@@ -443,8 +435,8 @@ func (s *session) connect(held *player.HeldSummary) (net.Conn, *video.Manifest, 
 			s.mu.Unlock()
 			s.trace.Record(s.now(), obs.EvBusy, int64(k+1))
 		}
-		if s.dial == nil || held == nil && !busy && !errors.Is(err, errHandshakeLink) {
-			return retry.Permanent(err) // no dialer, or a refused hello: final
+		if held == nil && !busy && !errors.Is(err, errHandshakeLink) {
+			return retry.Permanent(err) // a refused hello: final
 		}
 		return err
 	})
@@ -576,8 +568,8 @@ func (s *session) run() (*player.Metrics, error) {
 // finish ends the session on every return path. It ends the session's
 // context first, so the receiver and reconnector drop whatever comes later
 // and a pending backoff returns at once, then releases the link: a goodbye
-// on a clean end, and the connection itself if the session dialed it —
-// PlayResilient owns what it dials; a caller's connection stays open.
+// on a clean end, then the connection itself, since the session owns every
+// connection it dials.
 func (s *session) finish(bye bool) *player.Metrics {
 	s.mu.Lock()
 	s.cancel()
@@ -595,9 +587,7 @@ func (s *session) finish(bye bool) *player.Metrics {
 		if bye {
 			_ = proto.WriteBye(conn)
 		}
-		if s.dial != nil {
-			conn.Close()
-		}
+		conn.Close()
 	}
 	return met
 }
@@ -605,9 +595,9 @@ func (s *session) finish(bye bool) *player.Metrics {
 // DefaultDialTimeout bounds a dial that is given no timeout of its own.
 const DefaultDialTimeout = 10 * time.Second
 
-// DialTimeout connects to a Dragonfly server over TCP, failing after the
+// dialTimeout connects to a Dragonfly server over TCP, failing after the
 // given timeout instead of hanging on an unresponsive address.
-func DialTimeout(addr string, timeout time.Duration) (net.Conn, error) {
+func dialTimeout(addr string, timeout time.Duration) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)

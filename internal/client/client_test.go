@@ -18,11 +18,22 @@ import (
 	"dragonfly/internal/video"
 )
 
-// Play streams videoID from the server behind conn over one connection:
-// the session is not re-established on failure, and conn stays open on
-// return. The tests drive a single link's behaviour through it.
+// Play streams videoID from the server behind conn over that one
+// connection: a one-shot dialer hands conn to PlayResilient with no
+// reconnect budget, so the first link loss ends the session, and the
+// session closes conn when it ends. The tests drive a single link's
+// behaviour through it.
 func Play(conn net.Conn, videoID string, head *trace.HeadTrace, scheme player.Scheme, opts PlayOptions) (*player.Metrics, error) {
-	return play(conn, nil, videoID, head, scheme, opts)
+	var dialed bool
+	dial := func() (net.Conn, error) {
+		if dialed {
+			return nil, errors.New("one-shot dialer: already dialed")
+		}
+		dialed = true
+		return conn, nil
+	}
+	opts.Reconnect.MaxAttempts = 0
+	return PlayResilient(dial, videoID, head, scheme, opts)
 }
 
 func liveManifest() *video.Manifest {
@@ -189,7 +200,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	defer cancel()
 	go func() { _ = srv.Serve(ctx, l) }()
 
-	conn, err := DialTimeout(inner.Addr().String(), DefaultDialTimeout)
+	conn, err := dialTimeout(inner.Addr().String(), DefaultDialTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +235,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 	results := make(chan result, 3)
 	for i := 0; i < 3; i++ {
 		go func(i int) {
-			conn, err := DialTimeout(inner.Addr().String(), DefaultDialTimeout)
+			conn, err := dialTimeout(inner.Addr().String(), DefaultDialTimeout)
 			if err != nil {
 				results <- result{err: err}
 				return

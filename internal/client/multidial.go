@@ -33,7 +33,7 @@ type MultiDialer struct {
 	// maxDialBackoff and resets on success.
 	Backoff time.Duration
 	// DialAddr overrides the network dial, for tests and in-memory rigs;
-	// nil uses DialTimeout (TCP).
+	// nil dials TCP.
 	DialAddr func(addr string, timeout time.Duration) (net.Conn, error)
 
 	mu    sync.Mutex
@@ -59,7 +59,7 @@ func (d *MultiDialer) Dial() (net.Conn, error) {
 	}
 	dialAddr := d.DialAddr
 	if dialAddr == nil {
-		dialAddr = DialTimeout
+		dialAddr = dialTimeout
 	}
 	var lastErr error
 	for _, addr := range candidates {

@@ -70,7 +70,7 @@ func (e *Env) sweep(csvPrefix string, sw sim.Sweep) (sim.Results, map[string]Sch
 // DefaultEnv builds the paper-scale environment: 7 videos × 10 users × 11
 // Belgian traces (770 sessions per scheme in Fig 9) and 10 Irish traces.
 func DefaultEnv() *Env {
-	videos := video.DefaultDataset()
+	videos := video.Dataset(0)
 	users := trace.DefaultUserTraces(10)
 	env := &Env{
 		Videos:  videos,

@@ -52,7 +52,7 @@ var errWriteStall = errors.New("server: write-stall budget exhausted")
 // DefaultHeartbeat is the idle-ping period used when Heartbeat is zero.
 const DefaultHeartbeat = time.Second
 
-// DefaultMaxQueue bounds the installed fetch list when MaxQueue is zero.
+// DefaultMaxQueue bounds the installed fetch list when MaxQueue is <= 0.
 const DefaultMaxQueue = 4096
 
 // Server serves a library of video manifests.
@@ -79,7 +79,7 @@ type Server struct {
 	Heartbeat time.Duration
 	// MaxQueue caps the installed fetch list: player.SendQueue.Install
 	// sheds lowest utility first, and never masking, the continuity floor
-	// continuous playback relies on. 0 means DefaultMaxQueue.
+	// continuous playback relies on. 0 or less means DefaultMaxQueue.
 	MaxQueue int
 	// MaxQueueBytes caps the payload bytes a fetch list may commit the
 	// session to, shed the same way. 0 disables the byte budget.

@@ -163,7 +163,7 @@ func (ss *session) request(r proto.Request) {
 	s := ss.srv
 	ss.queueLen.Observe(float64(len(r.Items)))
 	maxQueue, maxBytes := s.MaxQueue, s.MaxQueueBytes
-	if maxQueue == 0 {
+	if maxQueue <= 0 {
 		maxQueue = DefaultMaxQueue
 	}
 	if scale := s.qoeScale(ss.cohort); scale != 1 {

@@ -369,6 +369,25 @@ func TestQoERelaxNeverSheds(t *testing.T) {
 	}
 }
 
+// TestNonPositiveMaxQueueIsTheDefault: a MaxQueue of 0 or less is
+// DefaultMaxQueue at every QoE scale. A negative one used to reach the
+// queue as "no bound" at a neutral scale and be floored to a 1-item queue
+// at any other, shedding 11 of 12 primaries at 0.5 and at a relaxing 1.5.
+func TestNonPositiveMaxQueueIsTheDefault(t *testing.T) {
+	m := testManifest()
+	for _, maxQueue := range []int{0, -1} {
+		for _, scale := range []float64{1, 0.5, 1.5} {
+			s := New(m)
+			s.MaxQueue, s.QoE = maxQueue, fixedScale(scale)
+			ss := newSession(s, m, "c")
+			ss.request(proto.Request{Generation: 1, Items: primaries(12)})
+			if shed := s.Counters().ShedItems; shed != 0 {
+				t.Errorf("MaxQueue %d at scale %g shed %d of 12 primaries", maxQueue, scale, shed)
+			}
+		}
+	}
+}
+
 // TestCountersAreTheRegistry drives one server through every event its
 // send accounting counts — a probe, a busy reject, a resume, a QoE-scaled
 // install that sheds, sends of each kind, a ping, a corrupt frame and a

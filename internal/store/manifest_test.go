@@ -52,7 +52,7 @@ func withoutChecksums(t *testing.T, m *video.Manifest) *video.Manifest {
 // chunks, a manifest without checksums, and a video id json.Marshal
 // escapes (the encoder's encoding/json path).
 func TestManifestFrameMatchesWriteManifest(t *testing.T) {
-	ms := video.DefaultDataset()
+	ms := video.Dataset(0)
 	small := video.Generate(video.GenParams{ID: "frame", Rows: 2, Cols: 3, NumChunks: 4, Seed: 5})
 	ms = append(ms, withoutChecksums(t, small),
 		video.Generate(video.GenParams{ID: `v<8>&"q"`, Rows: 2, Cols: 3, NumChunks: 4, Seed: 5}))

@@ -197,7 +197,7 @@ func TestHelpers(t *testing.T) {
 }
 
 func TestDefaultStudyVideos(t *testing.T) {
-	all := video.DefaultDataset()
+	all := video.Dataset(0)
 	got := DefaultStudyVideos(all)
 	if len(got) != 5 {
 		t.Fatalf("got %d study videos", len(got))

@@ -53,7 +53,7 @@ func checkEncoding(t *testing.T, name string, m *Manifest) {
 // without checksums, nil against empty arrays, a video id that needs
 // escaping, and the float boundaries where json.Marshal switches format.
 func TestManifestEncodingMatchesJSON(t *testing.T) {
-	for _, m := range DefaultDataset() {
+	for _, m := range Dataset(0) {
 		if m.NumChunks != 60 {
 			t.Fatalf("%s has %d chunks, want 60", m.VideoID, m.NumChunks)
 		}

@@ -54,11 +54,12 @@ func (e DatasetEntry) Manifest(numChunks int) *Manifest {
 	})
 }
 
-// DefaultDataset generates the seven Table 3 videos as one-minute videos.
-func DefaultDataset() []*Manifest {
+// Dataset generates the seven Table 3 videos with numChunks chunks each; 0
+// gives the paper's one-minute videos.
+func Dataset(numChunks int) []*Manifest {
 	out := make([]*Manifest, 0, len(Table3))
 	for _, e := range Table3 {
-		out = append(out, e.Manifest(0))
+		out = append(out, e.Manifest(numChunks))
 	}
 	return out
 }

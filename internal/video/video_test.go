@@ -193,7 +193,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestDefaultDataset(t *testing.T) {
-	ds := DefaultDataset()
+	ds := Dataset(0)
 	if len(ds) != 7 {
 		t.Fatalf("dataset has %d videos, want 7", len(ds))
 	}

@@ -130,6 +130,7 @@ done
 cmds=$(ls cmd)
 flagdefs=$(for c in $cmds; do
 	grep -ohE 'flag\.[A-Za-z0-9]+\((&[A-Za-z0-9_.]+, *)?"[a-z0-9-]+"' $(ls cmd/$c/*.go | grep -v '_test\.go$') |
+		grep -v '^flag\.NewFlagSet(' |
 		sed -E "s/.*\"([a-z0-9-]+)\"\$/$c:\1/"
 done)
 awk -v cmds="$cmds" -v defs="$flagdefs" '
@@ -189,6 +190,18 @@ awk -v cmds="$cmds" -v defs="$flagdefs" '
 	}
 	END { exit bad }
 ' README.md DESIGN.md EXPERIMENTS.md docs/*.md $(ls cmd/*/*.go | grep -v '_test\.go$')
+
+# Flag documentation gate: every flag a command under cmd/ defines must
+# appear as -name in the reference documents, so that each flag has an
+# operator procedure a reader can find.
+fdoc=0
+for def in $flagdefs; do
+	if ! grep -qE -- "(^|[^A-Za-z0-9_-])-${def#*:}([^A-Za-z0-9_-]|\$)" README.md DESIGN.md EXPERIMENTS.md docs/*.md; then
+		echo "cmd/${def%%:*} defines -${def#*:}, which README.md, DESIGN.md, EXPERIMENTS.md and docs/ never name" >&2
+		fdoc=1
+	fi
+done
+[ "$fdoc" = 0 ] || exit 1
 
 # Settings ratchet: every exported field of an exported internal/ struct
 # whose type name ends in Options, Config, Policy or Sweep must be set by
