@@ -16,7 +16,10 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -28,18 +31,27 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the daemon: it prints the address it bound to stdout and routes
+// sessions until ctx is done. The probe and dial tuning is
+// balancer.Config's zero value.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	// Named flag, as in dragonfly-ingest, so the gates in scripts/ find it.
+	flag := flag.NewFlagSet("dragonfly-balancer", flag.ExitOnError)
 	addr := flag.String("addr", "127.0.0.1:7360", "listen address for client sessions")
 	backends := flag.String("backends", "", "comma-separated backend streaming addresses")
-	probeInterval := flag.Duration("probe-interval", balancer.DefaultProbeInterval, "health-check period per backend")
-	probeTimeout := flag.Duration("probe-timeout", balancer.DefaultProbeTimeout, "per-probe dial+exchange deadline")
-	failThreshold := flag.Int("fail-threshold", balancer.DefaultFailThreshold, "consecutive probe failures before a backend is unhealthy")
-	dialTimeout := flag.Duration("dial-timeout", balancer.DefaultDialTimeout, "backend connect timeout when routing a session")
 	spliceStallBudget := flag.Duration("splice-stall-budget", 0, "cumulative excess write-stall time per spliced session before a slowloris peer is severed (0 = off)")
 	adminAddr := flag.String("admin", "", "admin HTTP listen address serving the balancer's own /metrics (empty = off)")
-	flag.Parse()
+	flag.Parse(args)
 
-	if *backends == "" {
-		log.Fatal("at least one -backends entry is required")
+	if *spliceStallBudget < 0 {
+		return fmt.Errorf("-splice-stall-budget %v: want 0 or more", *spliceStallBudget)
 	}
 	var cfgs []balancer.BackendConfig
 	for _, spec := range strings.Split(*backends, ",") {
@@ -48,32 +60,32 @@ func main() {
 			continue
 		}
 		if strings.Contains(spec, "@") {
-			log.Fatalf("backend %q: addr@admin is no longer accepted; give the streaming address alone (load arrives on the probe pong)", spec)
+			return fmt.Errorf("backend %q: addr@admin is no longer accepted; give the streaming address alone (load arrives on the probe pong)", spec)
 		}
 		cfgs = append(cfgs, balancer.BackendConfig{Addr: spec})
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	reg := obs.NewRegistry()
-	if *adminAddr != "" {
-		if err := obs.ServeAdmin(ctx, *adminAddr, reg, log.Printf); err != nil {
-			log.Fatalf("admin listener: %v", err)
-		}
+	if len(cfgs) == 0 {
+		return fmt.Errorf("-backends %q: at least one backend address is required", *backends)
 	}
-
+	reg := obs.NewRegistry()
 	bl, err := balancer.New(balancer.Config{
 		Backends:          cfgs,
-		ProbeInterval:     *probeInterval,
-		ProbeTimeout:      *probeTimeout,
-		FailThreshold:     *failThreshold,
-		DialTimeout:       *dialTimeout,
 		SpliceStallBudget: *spliceStallBudget,
 		Obs:               reg,
 		Logf:              log.Printf,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+
+	if *adminAddr != "" {
+		if err := obs.ServeAdmin(ctx, *adminAddr, reg, log.Printf); err != nil {
+			return fmt.Errorf("admin listener: %w", err)
+		}
+	}
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fmt.Errorf("listen: %w", err)
 	}
 	// Periodic status line: one glance tells which members carry traffic.
 	go func() {
@@ -91,8 +103,10 @@ func main() {
 			}
 		}
 	}()
-	if err := bl.ListenAndServe(ctx, *addr); err != nil && ctx.Err() == nil {
-		log.Fatal(err)
+	fmt.Fprintf(stdout, "dragonfly balancer on %s fronting %d backends\n", l.Addr(), len(cfgs))
+	if err := bl.Serve(ctx, l); err != nil && ctx.Err() == nil {
+		return err
 	}
-	log.Printf("signal: shutting down")
+	log.Printf("shutting down")
+	return nil
 }

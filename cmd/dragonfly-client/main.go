@@ -44,10 +44,8 @@ func run(args []string, stdout io.Writer) error {
 	headFile := flag.String("head", "", "head-trace CSV to replay instead of a synthetic user")
 	duration := flag.Duration("duration", time.Minute, "synthetic head-trace duration")
 	seed := flag.Int64("seed", 1, "synthetic head-trace seed")
-	dialTimeout := flag.Duration("dial-timeout", client.DefaultDialTimeout, "TCP connect timeout")
 	reconnects := flag.Int("reconnect-attempts", 8, "redial budget per outage (0 = no fault tolerance)")
 	readTimeout := flag.Duration("read-timeout", 5*time.Second, "idle read deadline; the server heartbeats, so a silent link this long is dead")
-	writeTimeout := flag.Duration("write-timeout", 5*time.Second, "per-frame write deadline")
 	traceFile := flag.String("trace", "", "write the session's event trace as JSONL to this file")
 	cohort := flag.String("cohort", "", "fleet-rollup cohort label sent in the handshake (default \"<motion class>:net\")")
 	flag.Parse(args)
@@ -87,7 +85,7 @@ func run(args []string, stdout io.Writer) error {
 		})
 	}
 
-	dialer := &client.MultiDialer{Addrs: addrs, Timeout: *dialTimeout}
+	dialer := &client.MultiDialer{Addrs: addrs}
 	var sessionTrace *obs.Trace
 	if *traceFile != "" {
 		sessionTrace = obs.NewTrace(0)
@@ -100,7 +98,7 @@ func run(args []string, stdout io.Writer) error {
 		Reconnect: client.ReconnectPolicy{
 			MaxAttempts:  *reconnects,
 			ReadTimeout:  *readTimeout,
-			WriteTimeout: *writeTimeout,
+			WriteTimeout: 5 * time.Second,
 			Seed:         *seed,
 		},
 		Trace:  sessionTrace,

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -47,43 +48,41 @@ func run(args []string, sigs <-chan os.Signal, stdout io.Writer) error {
 	flag := flag.NewFlagSet("dragonfly-server", flag.ExitOnError)
 	addr := flag.String("addr", "127.0.0.1:7360", "listen address")
 	bwFile := flag.String("bw", "", "bandwidth trace CSV to shape each connection (empty = unshaped)")
-	latency := flag.Duration("latency", 0, "one-way propagation delay to add")
 	chunks := flag.Int("chunks", 60, "chunks per generated video (60 = 1 minute)")
 	faultFile := flag.String("faults", "", "fault rule CSV armed at startup, e.g. on the link's netem.link.write site (see EXPERIMENTS.md)")
-	readTimeout := flag.Duration("read-timeout", 30*time.Second, "per-connection read deadline (0 = none)")
-	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline (0 = none)")
-	heartbeat := flag.Duration("heartbeat", server.DefaultHeartbeat, "idle-link ping interval (negative = off)")
-	maxQueue := flag.Int("max-queue", server.DefaultMaxQueue, "send-queue bound before slow-client shedding")
 	maxQueueBytes := flag.Int64("max-queue-bytes", 0, "per-session queued payload budget in bytes before shedding (0 = count bound only)")
 	maxConns := flag.Int("max-conns", 0, "admission limit; extra connections are fast-rejected with a retryable busy error (0 = unlimited)")
 	writeStallBudget := flag.Duration("write-stall-budget", 0, "cumulative excess write-stall time per session before a slowloris peer is killed (0 = off)")
 	adminAddr := flag.String("admin", "", "admin HTTP listen address serving /metrics and /debug/pprof/ (empty = off)")
 	traceDir := flag.String("trace-dir", "", "directory for server-view JSONL session traces for the ingest tier (empty = off)")
 	qoeRollup := flag.String("qoe-rollup", "", "ingest /rollup URL to poll for per-cohort shed-budget scales (empty = off)")
-	qoePoll := flag.Duration("qoe-poll", 2*time.Second, "rollup poll interval; data older than 3x is treated as stale (neutral scales)")
 	qoeTarget := flag.Float64("qoe-target", 40, "per-cohort viewport-quality budget in dB for the feedback loop")
 	flag.Parse(args)
 
 	if *chunks < 1 {
 		return fmt.Errorf("-chunks %d: a video needs at least one chunk", *chunks)
 	}
-	for _, name := range []string{"max-queue", "max-queue-bytes", "max-conns"} {
+	for _, name := range []string{"max-queue-bytes", "max-conns", "write-stall-budget"} {
 		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			return fmt.Errorf("-%s %s: want 0 or more", name, v)
 		}
 	}
+	if math.IsNaN(*qoeTarget) || math.IsInf(*qoeTarget, 0) {
+		return fmt.Errorf("-qoe-target %v: want a finite quality in dB", *qoeTarget)
+	}
 	srv := server.New(video.Dataset(*chunks)...)
 	srv.Logf = log.Printf
-	srv.ReadTimeout = *readTimeout
-	srv.WriteTimeout = *writeTimeout
-	srv.Heartbeat = *heartbeat
-	srv.MaxQueue = *maxQueue
+	// A client requests every decision interval (~100 ms), so 30 s of
+	// silence is a dead peer, and a frame the link cannot take in 10 s is a
+	// stalled one. The idle ping is server.Server's default.
+	srv.ReadTimeout = 30 * time.Second
+	srv.WriteTimeout = 10 * time.Second
 	srv.MaxQueueBytes = *maxQueueBytes
 	srv.MaxConns = *maxConns
 	srv.WriteStallBudget = *writeStallBudget
 	srv.TraceDir = *traceDir
 
-	link := netem.Link{Latency: *latency}
+	var link netem.Link
 	if *bwFile != "" {
 		f, err := os.Open(*bwFile)
 		if err != nil {
@@ -119,13 +118,12 @@ func run(args []string, sigs <-chan os.Signal, stdout io.Writer) error {
 	if *qoeRollup != "" {
 		fb := ingest.NewFeedback(ingest.FeedbackConfig{
 			URL:      *qoeRollup,
-			Interval: *qoePoll,
 			TargetDB: *qoeTarget,
 			Obs:      srv.Obs,
 		})
 		srv.QoE = fb
 		go fb.Run(ctx)
-		log.Printf("QoE feedback: polling %s every %s (target %.1f dB)", *qoeRollup, *qoePoll, *qoeTarget)
+		log.Printf("QoE feedback: polling %s (target %.1f dB)", *qoeRollup, *qoeTarget)
 	}
 	if *adminAddr != "" {
 		if err := obs.ServeAdmin(ctx, *adminAddr, srv.Obs, log.Printf); err != nil {
@@ -136,7 +134,7 @@ func run(args []string, sigs <-chan os.Signal, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	if *faultFile != "" || link.Trace != nil || link.Latency > 0 {
+	if *faultFile != "" || link.Trace != nil {
 		l = netem.WrapListener(l, link)
 	}
 	go func() {

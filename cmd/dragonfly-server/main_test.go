@@ -19,7 +19,8 @@ import (
 )
 
 // TestRunRefusesBadInput: each bad input ends run with an error that names
-// it, before the daemon binds an address.
+// it, before the daemon binds an address. Its signal channel is closed, so
+// a run that accepts the input drains and returns nil instead of serving.
 func TestRunRefusesBadInput(t *testing.T) {
 	t.Cleanup(chaos.Disarm)
 	dir := t.TempDir()
@@ -37,15 +38,20 @@ func TestRunRefusesBadInput(t *testing.T) {
 		want string
 	}{
 		{[]string{"-chunks", "0"}, "-chunks 0"},
-		{[]string{"-max-queue", "-1"}, "-max-queue -1"},
 		{[]string{"-max-queue-bytes", "-1"}, "-max-queue-bytes -1"},
 		{[]string{"-max-conns", "-1"}, "-max-conns -1"},
+		{[]string{"-write-stall-budget", "-1s"}, "-write-stall-budget -1s"},
+		{[]string{"-qoe-target", "+Inf"}, "-qoe-target +Inf"},
+		{[]string{"-qoe-target", "-Inf"}, "-qoe-target -Inf"},
+		{[]string{"-qoe-target", "NaN"}, "-qoe-target NaN"},
 		{[]string{"-bw", filepath.Join(dir, "missing.csv")}, "missing.csv"},
 		{[]string{"-faults", badFaults}, "fault rules"},
 		{[]string{"-faults", unknownSite}, "no.such.site"},
 	} {
+		stop := make(chan os.Signal)
+		close(stop)
 		args := append([]string{"-addr", "127.0.0.1:0", "-chunks", "1"}, c.args...)
-		err := run(args, nil, io.Discard)
+		err := run(args, stop, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: %v, want an error naming %q", c.args, err, c.want)
 		}

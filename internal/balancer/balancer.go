@@ -48,10 +48,10 @@ var errSpliceStall = errors.New("balancer: splice write-stall budget exhausted")
 
 // Defaults for Config's zero values.
 const (
-	DefaultProbeInterval = 500 * time.Millisecond
-	DefaultProbeTimeout  = time.Second
-	DefaultFailThreshold = 3
-	DefaultDialTimeout   = 2 * time.Second
+	defaultProbeInterval = 500 * time.Millisecond
+	defaultProbeTimeout  = time.Second
+	defaultFailThreshold = 3
+	defaultDialTimeout   = 2 * time.Second
 )
 
 // queueBytesPerConn converts queued backlog bytes into active-connection
@@ -146,16 +146,16 @@ func New(cfg Config) (*Balancer, error) {
 		return nil, fmt.Errorf("balancer: at least one backend is required")
 	}
 	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
+		cfg.ProbeInterval = defaultProbeInterval
 	}
 	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = DefaultProbeTimeout
+		cfg.ProbeTimeout = defaultProbeTimeout
 	}
 	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = DefaultFailThreshold
+		cfg.FailThreshold = defaultFailThreshold
 	}
 	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
+		cfg.DialTimeout = defaultDialTimeout
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -564,18 +564,4 @@ func (bl *Balancer) Serve(ctx context.Context, l net.Listener) error {
 			bl.route(ctx, conn)
 		}()
 	}
-}
-
-// ListenAndServe listens on addr and serves until ctx is done.
-func (bl *Balancer) ListenAndServe(ctx context.Context, addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("balancer: listen %s: %w", addr, err)
-	}
-	bl.logf("balancer: listening on %s fronting %d backends", l.Addr(), len(bl.backends))
-	err = bl.Serve(ctx, l)
-	if errors.Is(err, context.Canceled) {
-		return nil
-	}
-	return err
 }

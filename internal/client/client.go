@@ -592,8 +592,8 @@ func (s *session) finish(bye bool) *player.Metrics {
 	return met
 }
 
-// DefaultDialTimeout bounds a dial that is given no timeout of its own.
-const DefaultDialTimeout = 10 * time.Second
+// defaultDialTimeout bounds each dial a MultiDialer makes.
+const defaultDialTimeout = 10 * time.Second
 
 // dialTimeout connects to a Dragonfly server over TCP, failing after the
 // given timeout instead of hanging on an unresponsive address.

@@ -200,7 +200,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	defer cancel()
 	go func() { _ = srv.Serve(ctx, l) }()
 
-	conn, err := dialTimeout(inner.Addr().String(), DefaultDialTimeout)
+	conn, err := dialTimeout(inner.Addr().String(), defaultDialTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 	results := make(chan result, 3)
 	for i := 0; i < 3; i++ {
 		go func(i int) {
-			conn, err := dialTimeout(inner.Addr().String(), DefaultDialTimeout)
+			conn, err := dialTimeout(inner.Addr().String(), defaultDialTimeout)
 			if err != nil {
 				results <- result{err: err}
 				return

@@ -26,8 +26,6 @@ import (
 type MultiDialer struct {
 	// Addrs is the server list; order sets the rotation sequence.
 	Addrs []string
-	// Timeout bounds each individual dial (default DefaultDialTimeout).
-	Timeout time.Duration
 	// Backoff is the first per-address penalty after a failed dial
 	// (default 100 ms); it doubles per consecutive failure up to
 	// maxDialBackoff and resets on success.
@@ -53,17 +51,13 @@ func (d *MultiDialer) Dial() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	timeout := d.Timeout
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
 	dialAddr := d.DialAddr
 	if dialAddr == nil {
 		dialAddr = dialTimeout
 	}
 	var lastErr error
 	for _, addr := range candidates {
-		conn, err := dialAddr(addr, timeout)
+		conn, err := dialAddr(addr, defaultDialTimeout)
 		if err == nil {
 			d.noteResult(addr, true)
 			return conn, nil

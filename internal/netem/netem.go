@@ -1,7 +1,7 @@
 // Package netem emulates a bandwidth-limited network path over real
 // net.Conn connections — the role Mahimahi plays in the paper's testbed
 // (§4.5). Writes through a shaped connection are paced so the delivered
-// throughput follows a bandwidth trace, with optional propagation delay.
+// throughput follows a bandwidth trace; the path adds no propagation delay.
 // Link faults (cuts, stalls, corruption) are the netem.link.write chaos
 // site, placed by hit count like every other injected fault.
 package netem
@@ -24,8 +24,6 @@ var siteLinkWrite = chaos.NewSite("netem.link.write")
 type Link struct {
 	// Trace drives the available bandwidth over time (wrapping at its end).
 	Trace *trace.BandwidthTrace
-	// Latency is a fixed one-way propagation delay added to every byte.
-	Latency time.Duration
 }
 
 // Conn wraps a net.Conn, pacing Write against the link's bandwidth trace.
@@ -106,7 +104,7 @@ func (c *Conn) pace(p []byte) (int, error) {
 		target := c.virtual
 		c.mu.Unlock()
 
-		if wait := target + c.link.Latency - time.Since(c.start); wait > 0 {
+		if wait := target - time.Since(c.start); wait > 0 {
 			time.Sleep(wait)
 		}
 		m, err := c.Conn.Write(p[written : written+n])

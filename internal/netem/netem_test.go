@@ -79,28 +79,6 @@ func TestUnshapedPassThrough(t *testing.T) {
 	<-done
 }
 
-func TestLatencyDelaysFirstByte(t *testing.T) {
-	link := Link{
-		Trace:   &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{1000}},
-		Latency: 150 * time.Millisecond,
-	}
-	client, server := Pipe(link)
-	got := make(chan time.Duration, 1)
-	begin := time.Now()
-	go func() {
-		buf := make([]byte, 16)
-		_, _ = io.ReadFull(client, buf)
-		got <- time.Since(begin)
-	}()
-	if _, err := server.Write(make([]byte, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if d := <-got; d < 140*time.Millisecond {
-		t.Errorf("first byte after %v, want >= latency", d)
-	}
-	server.Close()
-}
-
 func TestWrapListenerTCP(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -24,8 +24,8 @@ var siteTraceWrite = chaos.NewSite("server.trace.write")
 // poller.
 //
 // CohortScale returns a multiplier applied to the session's queue budgets
-// (MaxQueue, MaxQueueBytes) at every request install: < 1 sheds harder
-// (the cohort is over its quality budget and can afford to lose
+// (DefaultMaxQueue, MaxQueueBytes) at every request install: < 1 sheds
+// harder (the cohort is over its quality budget and can afford to lose
 // lowest-utility tiles), > 1 relaxes, and 1 is neutral. Implementations
 // must return 1 — never 0 — when they have no current data (stale rollup,
 // unknown cohort), so a broken feedback path degrades to the static

@@ -49,10 +49,12 @@ var (
 // (slowloris) and the session was killed to release its queue commitment.
 var errWriteStall = errors.New("server: write-stall budget exhausted")
 
-// DefaultHeartbeat is the idle-ping period used when Heartbeat is zero.
-const DefaultHeartbeat = time.Second
+// defaultHeartbeat is the idle-ping period used when Heartbeat is zero.
+const defaultHeartbeat = time.Second
 
-// DefaultMaxQueue bounds the installed fetch list when MaxQueue is <= 0.
+// DefaultMaxQueue caps the installed fetch list: player.SendQueue.Install
+// sheds lowest utility first, and never masking, the continuity floor
+// continuous playback relies on.
 const DefaultMaxQueue = 4096
 
 // Server serves a library of video manifests.
@@ -75,14 +77,11 @@ type Server struct {
 	WriteTimeout time.Duration
 	// Heartbeat is the idle-ping period while the send queue is empty,
 	// letting clients distinguish an idle link from a dead one.
-	// 0 means DefaultHeartbeat; negative disables pings.
+	// 0 means defaultHeartbeat; negative disables pings.
 	Heartbeat time.Duration
-	// MaxQueue caps the installed fetch list: player.SendQueue.Install
-	// sheds lowest utility first, and never masking, the continuity floor
-	// continuous playback relies on. 0 or less means DefaultMaxQueue.
-	MaxQueue int
 	// MaxQueueBytes caps the payload bytes a fetch list may commit the
-	// session to, shed the same way. 0 disables the byte budget.
+	// session to, shed the same way as DefaultMaxQueue's item cap.
+	// 0 disables the byte budget.
 	MaxQueueBytes int64
 	// MaxConns caps concurrent sessions. Beyond it the server fast-rejects
 	// the handshake with a typed busy MsgError that resilient clients
@@ -441,7 +440,7 @@ func (s *Server) receive(conn net.Conn, ss *session) error {
 func (s *Server) send(conn net.Conn, ss *session) error {
 	heartbeat := s.Heartbeat
 	if heartbeat == 0 {
-		heartbeat = DefaultHeartbeat
+		heartbeat = defaultHeartbeat
 	}
 	var idle *time.Timer
 	defer func() {

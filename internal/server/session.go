@@ -162,10 +162,7 @@ func (ss *session) mirror() {
 func (ss *session) request(r proto.Request) {
 	s := ss.srv
 	ss.queueLen.Observe(float64(len(r.Items)))
-	maxQueue, maxBytes := s.MaxQueue, s.MaxQueueBytes
-	if maxQueue <= 0 {
-		maxQueue = DefaultMaxQueue
-	}
+	maxQueue, maxBytes := DefaultMaxQueue, s.MaxQueueBytes
 	if scale := s.qoeScale(ss.cohort); scale != 1 {
 		maxQueue, maxBytes = scaleBudgets(maxQueue, maxBytes, scale)
 		ss.qoeInstalls.Inc()

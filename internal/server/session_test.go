@@ -181,15 +181,10 @@ func TestSessionMatchesModel(t *testing.T) {
 				for i := range items {
 					items[i] = randomItem(rng, m)
 				}
-				s.MaxQueue = []int{0, 1, 7, 80}[rng.Intn(4)]
 				s.MaxQueueBytes = []int64{0, 1, 40_000, 2_000_000}[rng.Intn(4)]
 				before := s.Counters()
 				ss.request(proto.Request{Generation: gen, Items: items})
-				maxItems := s.MaxQueue
-				if maxItems == 0 {
-					maxItems = DefaultMaxQueue
-				}
-				shed, shedBytes := ref.request(gen, items, maxItems, s.MaxQueueBytes)
+				shed, shedBytes := ref.request(gen, items, DefaultMaxQueue, s.MaxQueueBytes)
 				after := s.Counters()
 				if got, gotBytes := after.ShedItems-before.ShedItems, after.ShedBytes-before.ShedBytes; got != int64(shed) || gotBytes != shedBytes {
 					t.Fatalf("seed %d step %d: request gen %d shed %d items / %d bytes, model %d / %d", seed, step, gen, got, gotBytes, shed, shedBytes)
@@ -369,21 +364,18 @@ func TestQoERelaxNeverSheds(t *testing.T) {
 	}
 }
 
-// TestNonPositiveMaxQueueIsTheDefault: a MaxQueue of 0 or less is
-// DefaultMaxQueue at every QoE scale. A negative one used to reach the
-// queue as "no bound" at a neutral scale and be floored to a 1-item queue
-// at any other, shedding 11 of 12 primaries at 0.5 and at a relaxing 1.5.
+// TestNonPositiveMaxQueueIsTheDefault: the item bound is DefaultMaxQueue
+// at every QoE scale, so 12 primaries fit whether the cohort's scale sheds
+// (0.5), is neutral (1) or relaxes (1.5).
 func TestNonPositiveMaxQueueIsTheDefault(t *testing.T) {
 	m := testManifest()
-	for _, maxQueue := range []int{0, -1} {
-		for _, scale := range []float64{1, 0.5, 1.5} {
-			s := New(m)
-			s.MaxQueue, s.QoE = maxQueue, fixedScale(scale)
-			ss := newSession(s, m, "c")
-			ss.request(proto.Request{Generation: 1, Items: primaries(12)})
-			if shed := s.Counters().ShedItems; shed != 0 {
-				t.Errorf("MaxQueue %d at scale %g shed %d of 12 primaries", maxQueue, scale, shed)
-			}
+	for _, scale := range []float64{1, 0.5, 1.5} {
+		s := New(m)
+		s.QoE = fixedScale(scale)
+		ss := newSession(s, m, "c")
+		ss.request(proto.Request{Generation: 1, Items: primaries(12)})
+		if shed := s.Counters().ShedItems; shed != 0 {
+			t.Errorf("scale %g shed %d of 12 primaries", scale, shed)
 		}
 	}
 }
@@ -396,7 +388,7 @@ func TestNonPositiveMaxQueueIsTheDefault(t *testing.T) {
 func TestCountersAreTheRegistry(t *testing.T) {
 	m := testManifest()
 	s := New(m)
-	s.MaxQueue, s.WriteStallBudget, s.QoE = 8, time.Millisecond, fixedScale(0.5)
+	s.WriteStallBudget, s.QoE = time.Millisecond, fixedScale(0.5)
 	if _, pong, _, err := s.open(&proto.Message{Type: proto.MsgPing}); err != nil || pong == nil {
 		t.Fatalf("probe: pong %v, err %v", pong, err)
 	}
@@ -415,6 +407,13 @@ func TestCountersAreTheRegistry(t *testing.T) {
 		{Stream: player.Masking, Chunk: 0, Full360: true},
 		{Stream: player.Masking, Chunk: 1, Tile: 2},
 	}, primaries(5)...)
+	// At scale 0.5 the byte budget holds the two masking items and the
+	// first two primaries, and sheds the other three.
+	var keep int64
+	for _, it := range items[:4] {
+		keep += it.Size(m)
+	}
+	s.MaxQueueBytes = 2 * keep
 	ss.request(proto.Request{Generation: 1, Items: items})
 	ss.nextBatch()
 	if err := ss.wrote(ss.ends[len(ss.ends)-1], 0, nil); err != nil {

@@ -204,7 +204,8 @@ done
 [ "$fdoc" = 0 ] || exit 1
 
 # Settings ratchet: every exported field of an exported internal/ struct
-# whose type name ends in Options, Config, Policy or Sweep must be set by
+# whose type name ends in Options, Config, Policy or Sweep, and of
+# server.Server and client.MultiDialer, must be set by
 # name by some non-test file outside its package (bench/ counts), or be
 # listed with its reason in scripts/unset_settings.txt. A knob nobody sets
 # is a constant beside its reader.

@@ -6,13 +6,14 @@
 //	go test -tags settingsaudit -run '^Test(Settings|Export)Audit' .
 //
 // A setting is an exported field of an exported struct under internal/
-// whose type name ends in Options, Config, Policy or Sweep. The audit reads
-// every non-test file of the module and of bench/, from the one load both
-// audits share (loadRepo), and lists each setting that no file outside the
-// setting's own package sets by name, as a composite-literal key or on the
-// left of an assignment. Every listed setting must have a line, with its
-// reason, in scripts/unset_settings.txt; a setting that gains a caller must
-// leave it.
+// whose type name ends in Options, Config, Policy or Sweep, or of one of
+// namedSettingsTypes, whose fields are settings under another name. The
+// audit reads every non-test file of the module and of bench/, from the
+// one load both audits share (loadRepo), and lists each setting that no
+// file outside the setting's own package sets by name, as a
+// composite-literal key or on the left of an assignment. Every listed
+// setting must have a line, with its reason, in scripts/unset_settings.txt;
+// a setting that gains a caller must leave it.
 // A knob nobody sets is a constant waiting to be written beside its reader.
 package dragonfly_test
 
@@ -123,7 +124,7 @@ func unsetSettings(t *testing.T) []string {
 		scope := l.pkgs[p].Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || l.inTest(tn) || !isSettingsType(name) {
+			if !ok || !tn.Exported() || l.inTest(tn) || !isSettingsType(rel, name) {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -141,7 +142,14 @@ func unsetSettings(t *testing.T) []string {
 	return out
 }
 
-func isSettingsType(name string) bool {
+// namedSettingsTypes are the settings types, as pkg.Type, whose names
+// escape the suffix rule: the tile server and the client's failover dialer.
+var namedSettingsTypes = map[string]bool{"server.Server": true, "client.MultiDialer": true}
+
+func isSettingsType(pkg, name string) bool {
+	if namedSettingsTypes[pkg+"."+name] {
+		return true
+	}
 	for _, suffix := range []string{"Options", "Config", "Policy", "Sweep"} {
 		if strings.HasSuffix(name, suffix) {
 			return true
