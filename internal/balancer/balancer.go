@@ -487,12 +487,8 @@ func (bl *Balancer) splice(clientConn, srvConn net.Conn) {
 type spliceSrc struct{ net.Conn }
 
 func (c spliceSrc) Read(p []byte) (int, error) {
-	if f := siteSplice.Fault(); f.Active() {
-		if f.Kind == chaos.FaultDelay {
-			time.Sleep(f.Delay)
-		} else {
-			return 0, f.Err
-		}
+	if err := siteSplice.Err(); err != nil {
+		return 0, err
 	}
 	return c.Conn.Read(p)
 }
@@ -520,8 +516,10 @@ func (c *stallConn) Write(p []byte) (int, error) {
 	if rem <= 0 {
 		return 0, c.trip()
 	}
-	_ = c.Conn.SetWriteDeadline(time.Now().Add(rem + c.meter.Allowance()))
+	// The deadline counts from start, so a write cut off by it is charged
+	// at least rem and trips the meter.
 	start := time.Now()
+	_ = c.Conn.SetWriteDeadline(start.Add(rem + c.meter.Allowance()))
 	n, err := c.Conn.Write(p)
 	c.meter.Spend(time.Since(start))
 	if err != nil {

@@ -2,7 +2,9 @@ package balancer
 
 import (
 	"context"
+	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -190,6 +192,36 @@ func TestSpliceStallBudgetSevers(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["lb_splice_stalls"]; got != 1 {
 		t.Errorf("lb_splice_stalls = %d, want 1", got)
+	}
+}
+
+// slowDeadlineConn is a peer that accepts no byte, behind a
+// SetWriteDeadline that takes 5 ms to return, as on a loaded scheduler:
+// each write blocks until its deadline and fails.
+type slowDeadlineConn struct {
+	net.Conn
+	deadline time.Time
+}
+
+func (c *slowDeadlineConn) SetWriteDeadline(t time.Time) error {
+	c.deadline = t
+	time.Sleep(5 * time.Millisecond)
+	return nil
+}
+
+func (c *slowDeadlineConn) Write([]byte) (int, error) {
+	time.Sleep(time.Until(c.deadline))
+	return 0, os.ErrDeadlineExceeded
+}
+
+// TestStallConnTripsAtDeadline: a write cut off by its deadline is charged
+// the whole remaining budget, however long setting the deadline took, so
+// the stall trips the meter once instead of ending the splice uncounted.
+func TestStallConnTripsAtDeadline(t *testing.T) {
+	trips := 0
+	c := &stallConn{Conn: &slowDeadlineConn{}, meter: proto.NewStallMeter(20 * time.Millisecond), onTrip: func() { trips++ }}
+	if _, err := c.Write([]byte{1}); !errors.Is(err, errSpliceStall) || trips != 1 {
+		t.Fatalf("write to a peer that accepts nothing: err %v, %d trips; want errSpliceStall and 1", err, trips)
 	}
 }
 

@@ -174,7 +174,8 @@ func (s *Site) Fault() Fault {
 	return s.eval(st)
 }
 
-// eval is the armed slow path, split out so Fault stays inlinable.
+// eval is the armed slow path, split out so that a disarmed hit of Fault
+// or Err is one call and one atomic load.
 func (s *Site) eval(st *siteState) Fault {
 	h := st.hits.Add(1)
 	for _, r := range st.rules {

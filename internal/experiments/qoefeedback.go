@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,6 +19,7 @@ import (
 	"dragonfly/internal/ingest"
 	"dragonfly/internal/netem"
 	"dragonfly/internal/server"
+	"dragonfly/internal/stats"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
 )
@@ -177,7 +177,7 @@ func qoeRollupPhase(ctx context.Context, ing *ingestTier, m *video.Manifest, see
 			p   float64
 			got float64
 		}{{10, cr.QualityDB.P10}, {50, cr.QualityDB.P50}, {90, cr.QualityDB.P90}} {
-			diff := math.Abs(q.got - nearestRank(samples, q.p))
+			diff := math.Abs(q.got - stats.NearestRank(samples, q.p))
 			if diff > out.MaxQuantileErrDB {
 				out.MaxQuantileErrDB = diff
 			}
@@ -296,25 +296,6 @@ func printQoEFeedback(w io.Writer, out qoeFeedbackOutcome, ingURL string) {
 	fprintf(w, "%-30s %14d\n", "scaled installs (under)", out.UnderScaledInstalls)
 	fprintf(w, "%-30s %14d\n", "server traces refolded", out.ServerTraceSessions)
 	fprintf(w, "%-30s %14d\n", "server shed events folded", out.ServerTraceShedFolded)
-}
-
-// nearestRank is the exact nearest-rank percentile — the rank convention
-// the rollup sketches use, and the one the documented envelope (one bin
-// width) is stated against. An interpolating estimator (stats.Percentile)
-// can sit anywhere between two tied plateaus of a discrete distribution,
-// which no binned sketch can reproduce; nearest-rank is exactly
-// recoverable to within a bin.
-func nearestRank(samples []float64, p float64) float64 {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
 }
 
 func fetchRollup(baseURL string) (ingest.Rollup, error) {

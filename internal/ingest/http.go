@@ -143,7 +143,9 @@ func (a *Aggregator) WriteSnapshot(dir string) (string, error) {
 	}
 	data := doc.Bytes()
 	final := filepath.Join(dir, snapshotFile)
-	if f := siteSnapWrite.Fault(); f.Active() {
+	if f := siteSnapWrite.Fault(); f.Kind == chaos.FaultDelay {
+		time.Sleep(f.Delay)
+	} else if f.Active() {
 		return snapshotFaulted(final, data, f)
 	}
 	tmp := final + ".tmp"
@@ -156,24 +158,15 @@ func (a *Aggregator) WriteSnapshot(dir string) (string, error) {
 	return final, nil
 }
 
-// snapshotFaulted implements the armed ingest.snapshot.write kinds. The
-// partial and corrupt kinds deliberately bypass the tmp+rename discipline:
-// they plant the on-disk states (torn document, silent bit rot) that
-// discipline normally rules out, so the startup quarantine path has
-// something real to recover from. data is WriteSnapshot's pooled buffer:
-// no kind keeps it past the return, and corrupt flips its byte in a copy.
+// snapshotFaulted implements the armed ingest.snapshot.write kinds other
+// than delay, which stalls WriteSnapshot's one write. The partial and
+// corrupt kinds deliberately bypass the tmp+rename discipline: they plant
+// the on-disk states (torn document, silent bit rot) that discipline
+// normally rules out, so the startup quarantine path has something real to
+// recover from. data is WriteSnapshot's pooled buffer: no kind keeps it
+// past the return, and corrupt flips its byte in a copy.
 func snapshotFaulted(final string, data []byte, f chaos.Fault) (string, error) {
 	switch f.Kind {
-	case chaos.FaultDelay:
-		time.Sleep(f.Delay)
-		tmp := final + ".tmp"
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			return "", err
-		}
-		if err := os.Rename(tmp, final); err != nil {
-			return "", err
-		}
-		return final, nil
 	case chaos.FaultPartial:
 		k := int(float64(len(data)) * f.Frac)
 		_ = os.WriteFile(final, data[:k], 0o644)

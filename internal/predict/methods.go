@@ -102,9 +102,12 @@ func (r Regression) Observe(t time.Duration, o geom.Orientation) { r.V.Observe(t
 // Predict implements OrientationPredictor.
 func (r Regression) Predict(at time.Duration) geom.Orientation { return r.V.Predict(at) }
 
-// MethodAccuracy evaluates any predictor on a head trace like Accuracy
-// does for the default regression: the fraction of actual-viewport tiles
-// the predicted viewport covers, at every decision step.
+// MethodAccuracy measures viewport-prediction accuracy on a head trace for
+// one prediction window: at every decision instant (stepped by step), p
+// trains on history up to t, predicts the viewport at t+window, and the
+// instant scores the fraction of actual-viewport tiles that the predicted
+// viewport covers — the Figure 2 metric ("fraction of tiles in viewport
+// that are predicted"), which Figure 2 takes over Regression.
 func MethodAccuracy(p OrientationPredictor, h *trace.HeadTrace, g *geom.Grid, vp geom.Viewport, window, step time.Duration) []float64 {
 	if step <= 0 {
 		step = 200 * time.Millisecond

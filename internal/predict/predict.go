@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dragonfly/internal/geom"
-	"dragonfly/internal/trace"
 )
 
 // Viewport predicts future head orientations from a sliding history window
@@ -123,47 +122,6 @@ func linearExtrapolate(xs, ys []float64, x float64) float64 {
 	b := (n*sxy - sx*sy) / den
 	a := (sy - b*sx) / n
 	return a + b*x
-}
-
-// Accuracy measures viewport-prediction accuracy on a head trace for one
-// prediction window: at every decision instant (stepped by step), it trains
-// on history up to t, predicts the viewport at t+window, and scores the
-// fraction of actual-viewport tiles that the predicted viewport covers —
-// the Figure 2 metric ("fraction of tiles in viewport that are predicted").
-func Accuracy(h *trace.HeadTrace, g *geom.Grid, vp geom.Viewport, window, step time.Duration) []float64 {
-	if step <= 0 {
-		step = 200 * time.Millisecond
-	}
-	var out []float64
-	end := h.Duration() - window
-	pred := NewViewport(0)
-	// Feed samples as time advances; evaluate at each step boundary.
-	next := defaultHistory // give the regression a little warm-up
-	for i, s := range h.Samples {
-		t := time.Duration(i) * h.SamplePeriod
-		pred.Observe(t, s)
-		if t >= next && t <= end {
-			next += step
-			predicted := pred.Predict(t + window)
-			actual := h.At(t + window)
-			actualTiles := vp.Tiles(g, actual)
-			if len(actualTiles) == 0 {
-				continue
-			}
-			predTiles := map[geom.TileID]bool{}
-			for _, id := range vp.Tiles(g, predicted) {
-				predTiles[id] = true
-			}
-			hit := 0
-			for _, id := range actualTiles {
-				if predTiles[id] {
-					hit++
-				}
-			}
-			out = append(out, float64(hit)/float64(len(actualTiles)))
-		}
-	}
-	return out
 }
 
 // Bandwidth estimates future throughput as the harmonic mean of the most

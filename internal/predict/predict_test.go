@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dragonfly/internal/geom"
+	"dragonfly/internal/stats"
 	"dragonfly/internal/trace"
 )
 
@@ -96,7 +97,7 @@ func TestAccuracyDegradesWithWindow(t *testing.T) {
 		var all []float64
 		for seed := int64(0); seed < 6; seed++ {
 			h := trace.GenerateHead(trace.HeadGenParams{Class: trace.MotionClass(seed % 3), Seed: seed + 40})
-			all = append(all, Accuracy(h, g, vp, window, 200*time.Millisecond)...)
+			all = append(all, MethodAccuracy(Regression{V: NewViewport(0)}, h, g, vp, window, 200*time.Millisecond)...)
 		}
 		sort.Float64s(all)
 		return all[len(all)/2]
@@ -116,30 +117,7 @@ func TestErrorInjectionHurtsAccuracy(t *testing.T) {
 	vp := geom.DefaultViewport
 	h := trace.GenerateHead(trace.HeadGenParams{Class: trace.MotionMedium, Seed: 11})
 	run := func(shift float64) float64 {
-		pred := NewViewportWithError(0, shift, 99)
-		sum, n := 0.0, 0
-		for i, s := range h.Samples {
-			tt := time.Duration(i) * h.SamplePeriod
-			pred.Observe(tt, s)
-			if i%10 == 0 && tt+time.Second < h.Duration() && tt > defaultHistory {
-				predicted := pred.Predict(tt + time.Second)
-				actual := h.At(tt + time.Second)
-				actualTiles := vp.Tiles(g, actual)
-				hits := 0
-				predSet := map[geom.TileID]bool{}
-				for _, id := range vp.Tiles(g, predicted) {
-					predSet[id] = true
-				}
-				for _, id := range actualTiles {
-					if predSet[id] {
-						hits++
-					}
-				}
-				sum += float64(hits) / float64(len(actualTiles))
-				n++
-			}
-		}
-		return sum / float64(n)
+		return stats.Mean(MethodAccuracy(Regression{V: NewViewportWithError(0, shift, 99)}, h, g, vp, time.Second, 400*time.Millisecond))
 	}
 	clean := run(0)
 	noisy := run(40)

@@ -9,12 +9,10 @@ import (
 	"dragonfly/internal/video"
 )
 
-// The framing benchmarks measure the CRC32-C trailer's cost on the tile
-// hot path: one framed write and one framed read of a typical ~128 KB tile
-// payload, with and without the checksum. scripts/bench.sh snapshots them
-// into BENCH_baseline.json so cmd/benchdiff gates regressions, and the
-// CRC/no-CRC pair documents the overhead headroom (budget: <= 5% end to
-// end, per ISSUE 5).
+// The framing benchmarks time the tile hot path's framed I/O: one framed
+// write and one framed read of a typical ~128 KB tile payload, each with
+// its CRC32-C trailer. scripts/bench.sh snapshots them into
+// BENCH_baseline.json so cmd/benchdiff gates regressions.
 
 const benchPayloadSize = 128 << 10
 
@@ -25,7 +23,7 @@ func benchTile() TileData {
 	}
 }
 
-func benchFrameWrite(b *testing.B, withCRC bool) {
+func BenchmarkFrameWriteCRC(b *testing.B) {
 	td := benchTile()
 	body := make([]byte, itemWireSize+len(td.Payload))
 	encodeItem(body, td.Item)
@@ -33,22 +31,19 @@ func benchFrameWrite(b *testing.B, withCRC bool) {
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := writeFrameChecked(io.Discard, MsgTileData, body, withCRC); err != nil {
+		if err := writeFrame(io.Discard, MsgTileData, body); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFrameWriteCRC(b *testing.B)   { benchFrameWrite(b, true) }
-func BenchmarkFrameWriteNoCRC(b *testing.B) { benchFrameWrite(b, false) }
-
-func benchFrameRead(b *testing.B, withCRC bool) {
+func BenchmarkFrameReadCRC(b *testing.B) {
 	var buf bytes.Buffer
 	td := benchTile()
 	body := make([]byte, itemWireSize+len(td.Payload))
 	encodeItem(body, td.Item)
 	copy(body[itemWireSize:], td.Payload)
-	if err := writeFrameChecked(&buf, MsgTileData, body, withCRC); err != nil {
+	if err := writeFrame(&buf, MsgTileData, body); err != nil {
 		b.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -57,14 +52,11 @@ func benchFrameRead(b *testing.B, withCRC bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Reset(frame)
-		if _, _, err := readFrameChecked(r, withCRC); err != nil {
+		if _, _, _, err := readFrameInto(r, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkFrameReadCRC(b *testing.B)   { benchFrameRead(b, true) }
-func BenchmarkFrameReadNoCRC(b *testing.B) { benchFrameRead(b, false) }
 
 // BenchmarkFrameWritePreframed measures the steady-state send cost once a
 // tile is pre-framed: three buffer writes, no serialization, no CRC. This

@@ -66,9 +66,7 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(bye.Bytes()[:len(bye.Bytes())-2])
 	// Legacy wire-v2 frame (no trailer): a v3 reader must reject it, not
 	// desync.
-	var v2 bytes.Buffer
-	_ = writeFrameChecked(&v2, MsgHello, []byte{2, 'v', '1'}, false)
-	f.Add(v2.Bytes())
+	f.Add(v2Frame(MsgHello, []byte{2, 'v', '1'}))
 
 	// ReadMessage borrows its buffer from a pool. Reading a frame unrelated
 	// to any input before each read of the input leaves that buffer, which

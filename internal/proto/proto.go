@@ -225,13 +225,6 @@ func borrowFrame() *[]byte {
 }
 
 // writeFrame emits one framed message with its CRC32-C trailer.
-func writeFrame(w io.Writer, t MsgType, body []byte) error {
-	return writeFrameChecked(w, t, body, true)
-}
-
-// writeFrameChecked is the framing core; withCRC false emits the legacy
-// wire-v2 layout (no trailer), kept for the compatibility tests and the
-// checksum-overhead benchmark.
 //
 // The whole frame — header, body, trailer — is assembled in one buffer and
 // emitted with a single Write call. The earlier three-write layout could
@@ -242,22 +235,22 @@ func writeFrame(w io.Writer, t MsgType, body []byte) error {
 // per connection direction (the server's tile sender, the client's
 // request writer) — concurrent writers would interleave whole frames in
 // an order the generation numbers must then sort out.
-func writeFrameChecked(w io.Writer, t MsgType, body []byte, withCRC bool) error {
+func writeFrame(w io.Writer, t MsgType, body []byte) error {
 	if len(body)+1 > MaxFrameSize {
 		return fmt.Errorf("proto: frame too large (%d bytes)", len(body))
 	}
 	fb := borrowFrame()
 	*fb = append(*fb, body...)
-	return sealFrame(w, t, fb, withCRC)
+	return sealFrame(w, t, fb)
 }
 
 // sealFrame completes a frame assembled in place in the borrowed *fb —
 // frameHeaderSize bytes reserved, then the body — with seal, emits it with
 // one Write, and returns the buffer to framePool. That is safe because an
 // io.Writer must not retain the slice it is given.
-func sealFrame(w io.Writer, t MsgType, fb *[]byte, withCRC bool) error {
+func sealFrame(w io.Writer, t MsgType, fb *[]byte) error {
 	defer framePool.Put(fb)
-	frame, err := seal(*fb, 0, t, withCRC)
+	frame, err := seal(*fb, 0, t)
 	if err != nil {
 		return err
 	}
@@ -269,9 +262,9 @@ func sealFrame(w io.Writer, t MsgType, fb *[]byte, withCRC bool) error {
 }
 
 // seal completes the frame that starts at b[start:] — frameHeaderSize bytes
-// reserved, then the body — by filling in its header and, withCRC, appending
-// its trailer.
-func seal(b []byte, start int, t MsgType, withCRC bool) ([]byte, error) {
+// reserved, then the body — by filling in its header and appending its
+// trailer.
+func seal(b []byte, start int, t MsgType) ([]byte, error) {
 	frame := b[start:]
 	body := len(frame) - frameHeaderSize
 	if body+1 > MaxFrameSize {
@@ -279,10 +272,7 @@ func seal(b []byte, start int, t MsgType, withCRC bool) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint32(frame[:4], uint32(body+1))
 	frame[4] = byte(t)
-	if withCRC {
-		b = binary.BigEndian.AppendUint32(b, crc32.Checksum(frame[4:], castagnoli))
-	}
-	return b, nil
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(frame[4:], castagnoli)), nil
 }
 
 // PreframeTile fills head[:TileHeadSize] with the frame header and encoded
@@ -345,18 +335,6 @@ func preframeHead(head, trailer []byte, it player.RequestItem, size int64) (uint
 // stream costs at most one chunk, not the declared length.
 const readChunk = 1 << 20
 
-// readFrame reads one framed message and verifies its trailer.
-func readFrame(r io.Reader) (MsgType, []byte, error) {
-	return readFrameChecked(r, true)
-}
-
-// readFrameChecked is the de-framing core; withCRC false reads the legacy
-// wire-v2 layout.
-func readFrameChecked(r io.Reader, withCRC bool) (MsgType, []byte, error) {
-	t, body, _, err := readFrameInto(r, nil, withCRC)
-	return t, body, err
-}
-
 // readFrameInto reads one framed message into buf, reallocating when its
 // capacity does not suffice (a nil buf always allocates), in two reads: the
 // header, then body and trailer together (readBody). The whole frame lies
@@ -364,7 +342,7 @@ func readFrameChecked(r io.Reader, withCRC bool) (MsgType, []byte, error) {
 // body, and no header or trailer scratch escapes to the heap through
 // io.ReadFull. The returned body aliases the returned buffer, which
 // replaces buf; the caller owns exactly one of the two.
-func readFrameInto(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []byte, error) {
+func readFrameInto(r io.Reader, buf []byte) (MsgType, []byte, []byte, error) {
 	if cap(buf) < frameHeaderSize {
 		buf = make([]byte, frameHeaderSize)
 	}
@@ -372,13 +350,13 @@ func readFrameInto(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []by
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, buf, err
 	}
-	return readBody(r, buf, withCRC)
+	return readBody(r, buf)
 }
 
 // readBody reads the body and trailer of the frame whose header is buf,
 // onto the end of buf, and verifies the trailer; its results are
 // readFrameInto's.
-func readBody(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []byte, error) {
+func readBody(r io.Reader, buf []byte) (MsgType, []byte, []byte, error) {
 	n := binary.BigEndian.Uint32(buf[:4])
 	if n < 1 {
 		return 0, nil, buf, fmt.Errorf("proto: bad frame length %d", n)
@@ -389,15 +367,11 @@ func readBody(r io.Reader, buf []byte, withCRC bool) (MsgType, []byte, []byte, e
 		return 0, nil, buf, fmt.Errorf("proto: frame length %d: %w", n, errFrameTooLarge)
 	}
 	end := frameHeaderSize + int(n-1) // of the body; the trailer follows it
-	frameEnd := end
-	if withCRC {
-		frameEnd += trailerSize
-	}
-	buf, err := readAppend(r, buf, frameEnd-frameHeaderSize)
+	buf, err := readAppend(r, buf, int(n-1)+trailerSize)
 	if err != nil {
 		return 0, nil, buf, fmt.Errorf("proto: read body: %w", err)
 	}
-	if withCRC && crc32.Checksum(buf[4:end], castagnoli) != binary.BigEndian.Uint32(buf[end:]) {
+	if crc32.Checksum(buf[4:end], castagnoli) != binary.BigEndian.Uint32(buf[end:]) {
 		return 0, nil, buf, ErrChecksum
 	}
 	return MsgType(buf[4]), buf[frameHeaderSize:end], buf, nil
@@ -461,7 +435,7 @@ func WriteHello(w io.Writer, h Hello) error {
 		frame = append(frame, h.Cohort...)
 	}
 	*fb = frame
-	return sealFrame(w, MsgHello, fb, true)
+	return sealFrame(w, MsgHello, fb)
 }
 
 func parseHello(body []byte) (Hello, error) {
@@ -509,7 +483,7 @@ func AppendManifestFrame(dst []byte, m *video.Manifest) ([]byte, error) {
 	if err != nil {
 		return dst[:start], err
 	}
-	b, err = seal(b, start, MsgManifest, true)
+	b, err = seal(b, start, MsgManifest)
 	if err != nil {
 		return dst[:start], err
 	}
@@ -561,7 +535,7 @@ func WriteRequest(w io.Writer, r Request) error {
 		encodeItem(frame[frameHeaderSize+8+i*itemWireSize:], it)
 	}
 	*fb = frame
-	return sealFrame(w, MsgRequest, fb, true)
+	return sealFrame(w, MsgRequest, fb)
 }
 
 func parseRequest(body []byte) (Request, error) {
@@ -593,7 +567,7 @@ func parseRequest(body []byte) (Request, error) {
 
 // WriteTileData sends one delivered tile with its payload. The frame is
 // assembled in a single buffer and emitted with one Write (the same
-// torn-frame guarantee as writeFrameChecked); the server's steady-state
+// torn-frame guarantee as writeFrame); the server's steady-state
 // send path avoids even this one serialization by serving pre-framed
 // buffers from internal/store instead.
 func WriteTileData(w io.Writer, td TileData) error {
@@ -644,7 +618,7 @@ func WriteResume(w io.Writer, r Resume) error {
 		frame = append(frame, r.Cohort...)
 	}
 	*fb = frame
-	return sealFrame(w, MsgResume, fb, true)
+	return sealFrame(w, MsgResume, fb)
 }
 
 // maxResumeDim bounds the chunk/tile counts a resume may claim, keeping
@@ -738,7 +712,7 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	}
 	fb := framePool.Get().(*[]byte)
 	defer framePool.Put(fb)
-	t, body, buf, err := readBody(r, append((*fb)[:0], hdr[:]...), true)
+	t, body, buf, err := readBody(r, append((*fb)[:0], hdr[:]...))
 	*fb = buf
 	if err != nil {
 		return nil, err
@@ -767,7 +741,7 @@ func ReadMessage(r io.Reader) (*Message, error) {
 // (~147 KB/op for a typical tile frame, the pre-fix BenchmarkFrameReadCRC
 // figure).
 func ReadMessageBuf(r io.Reader, buf []byte) (*Message, []byte, error) {
-	t, body, buf, err := readFrameInto(r, buf, true)
+	t, body, buf, err := readFrameInto(r, buf)
 	if err != nil {
 		return nil, buf, err
 	}

@@ -295,17 +295,13 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 			}
 			return fmt.Errorf("server: accept: %w", err)
 		}
-		if f := siteAccept.Fault(); f.Active() {
-			// Injected accept-path fault: the connection dies (or stalls)
-			// between accept and handoff, before any handshake byte.
-			// Clients see a closed conn and redial through their normal
-			// reconnect path.
-			if f.Kind == chaos.FaultDelay {
-				time.Sleep(f.Delay)
-			} else {
-				conn.Close()
-				continue
-			}
+		if siteAccept.Err() != nil {
+			// Injected accept-path fault: the connection dies (or, for a
+			// delay, stalls) between accept and handoff, before any
+			// handshake byte. Clients see a closed conn and redial through
+			// their normal reconnect path.
+			conn.Close()
+			continue
 		}
 		wg.Add(1)
 		go func() {

@@ -34,10 +34,9 @@ func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Percentile returns the p-th percentile (p in [0, 100]) with linear
 // interpolation between order statistics; 0 for empty input. It is the
-// repository's one interpolated percentile. player's percentileOf (floor
-// index) and trace's BandwidthTrace.percentile (nearest rank) compute
-// different statistics that pinned figures depend on, so they stay
-// separate.
+// repository's one interpolated percentile. NearestRank and player's
+// percentileOf (floor index) compute different statistics that pinned
+// figures depend on, so they stay separate.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -57,6 +56,22 @@ func Percentile(xs []float64, p float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// NearestRank returns the p-th percentile by nearest rank: the smallest
+// sample with at least p% of the samples at or below it, clamped to the
+// minimum and maximum; 0 for empty input. Always a sample, it is what the
+// §4.2 trace filter thresholds and what Sketch.Quantile recovers to a bin.
+func NearestRank(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	return s[max(int(math.Ceil(p/100*float64(len(s)))), 1)-1]
 }
 
 // stdDev returns the sample standard deviation (0 for fewer than 2 values).

@@ -37,6 +37,45 @@ func TestPercentileInterpolates(t *testing.T) {
 	}
 }
 
+// TestNearestRank holds the §4.2 trace filter's percentile: the deciles
+// of 1..10 are the samples themselves, p outside [0, 100] clamps to the
+// minimum or maximum, empty input is 0, and a tied plateau answers its
+// value at every rank it spans.
+func TestNearestRank(t *testing.T) {
+	deciles := []float64{10, 3, 8, 1, 6, 5, 4, 7, 2, 9} // unsorted: NearestRank sorts a copy
+	plateau := []float64{1, 2, 2, 2, 3}
+	for _, c := range []struct {
+		xs      []float64
+		p, want float64
+	}{
+		{deciles, 0, 1},
+		{deciles, 100, 10},
+		{deciles, 50, 5},
+		{deciles, 90, 9},
+		{deciles, 10, 1},
+		{deciles, 11, 2},
+		{deciles, -5, 1},
+		{deciles, 250, 10},
+		{deciles, math.Inf(1), 10},
+		{deciles, math.Inf(-1), 1},
+		{nil, 50, 0},
+		{[]float64{7}, 50, 7},
+		{plateau, 20, 1},
+		{plateau, 21, 2},
+		{plateau, 50, 2},
+		{plateau, 60, 2},
+		{plateau, 80, 2},
+		{plateau, 81, 3},
+	} {
+		if got := NearestRank(c.xs, c.p); got != c.want {
+			t.Errorf("NearestRank(%v, %v) = %v, want %v", c.xs, c.p, got, c.want)
+		}
+	}
+	if deciles[0] != 10 {
+		t.Error("NearestRank sorted its input")
+	}
+}
+
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, aRaw, bRaw uint8) bool {
 		xs := make([]float64, 0, len(raw))

@@ -6,10 +6,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"dragonfly/internal/stats"
 )
 
 // BandwidthTrace is a throughput time series with piecewise-constant
@@ -115,27 +116,6 @@ func (b *BandwidthTrace) TimeToTransfer(bytes float64, from time.Duration) time.
 	return time.Hour
 }
 
-// percentile returns the p-th percentile bandwidth (p in [0, 100]) using
-// nearest-rank on the sorted samples.
-func (b *BandwidthTrace) percentile(p float64) float64 {
-	if len(b.Mbps) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), b.Mbps...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	idx := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
-}
-
 // Mean returns the average bandwidth in Mbps.
 func (b *BandwidthTrace) Mean() float64 {
 	if len(b.Mbps) == 0 {
@@ -227,10 +207,10 @@ type FilterOptions struct {
 func Filter(traces []*BandwidthTrace, o FilterOptions) []*BandwidthTrace {
 	var out []*BandwidthTrace
 	for _, tr := range traces {
-		if tr.percentile(10) < o.MinP10Mbps {
+		if stats.NearestRank(tr.Mbps, 10) < o.MinP10Mbps {
 			continue
 		}
-		if tr.percentile(o.HighPct) > o.MaxHighMbps {
+		if stats.NearestRank(tr.Mbps, o.HighPct) > o.MaxHighMbps {
 			continue
 		}
 		out = append(out, tr.Capped(o.CapMbps))
@@ -324,7 +304,12 @@ func WriteBandwidthCSV(w io.Writer, b *BandwidthTrace) error {
 	return bw.Flush()
 }
 
-// ReadBandwidthCSV parses a trace written by WriteBandwidthCSV.
+// maxPeriodMS is the longest sample period, in milliseconds, whose Duration
+// does not wrap.
+const maxPeriodMS = math.MaxInt64 / int64(time.Millisecond)
+
+// ReadBandwidthCSV parses a trace written by WriteBandwidthCSV. It refuses a
+// negative, NaN or infinite rate, which no link can be paced by.
 func ReadBandwidthCSV(r io.Reader) (*BandwidthTrace, error) {
 	sc := bufio.NewScanner(r)
 	b := &BandwidthTrace{SamplePeriod: 500 * time.Millisecond}
@@ -339,8 +324,8 @@ func ReadBandwidthCSV(r io.Reader) (*BandwidthTrace, error) {
 					b.ID = v
 				}
 				if v, ok := strings.CutPrefix(f, "period_ms="); ok {
-					ms, err := strconv.Atoi(v)
-					if err != nil || ms <= 0 {
+					ms, err := strconv.ParseInt(v, 10, 64)
+					if err != nil || ms <= 0 || ms > maxPeriodMS {
 						return nil, fmt.Errorf("trace: bad period %q", v)
 					}
 					b.SamplePeriod = time.Duration(ms) * time.Millisecond
@@ -353,8 +338,8 @@ func ReadBandwidthCSV(r io.Reader) (*BandwidthTrace, error) {
 			return nil, fmt.Errorf("trace: bad bandwidth row %q", line)
 		}
 		v, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("trace: bad mbps %q", parts[1])
+		if err != nil || !(v >= 0 && v <= math.MaxFloat64) { // the negated form also refuses NaN
+			return nil, fmt.Errorf("trace: bad mbps %q: want a finite rate >= 0", parts[1])
 		}
 		b.Mbps = append(b.Mbps, v)
 	}

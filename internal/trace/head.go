@@ -269,8 +269,8 @@ func ReadHeadCSV(r io.Reader) (*HeadTrace, error) {
 					h.UserID = v
 				}
 				if v, ok := strings.CutPrefix(f, "period_ms="); ok {
-					ms, err := strconv.Atoi(v)
-					if err != nil || ms <= 0 {
+					ms, err := strconv.ParseInt(v, 10, 64)
+					if err != nil || ms <= 0 || ms > maxPeriodMS {
 						return nil, fmt.Errorf("trace: bad period %q", v)
 					}
 					h.SamplePeriod = time.Duration(ms) * time.Millisecond
@@ -306,7 +306,7 @@ func ReadHeadCSV(r io.Reader) (*HeadTrace, error) {
 	if len(h.Samples) == 0 {
 		return nil, fmt.Errorf("trace: empty head trace")
 	}
-	if len(times) >= 2 && times[1] > times[0] {
+	if len(times) >= 2 && times[1] > times[0] && times[1]-times[0] <= maxPeriodMS {
 		h.SamplePeriod = time.Duration(times[1]-times[0]) * time.Millisecond
 	}
 	return h, nil

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,8 +39,10 @@ const (
 
 // ReadIntervalLog parses a raw throughput measurement log into a uniformly
 // sampled BandwidthTrace: measurements are bucketed into 1 s bins
-// (relative to the first timestamp) and averaged. Lines that fail to parse
-// are skipped; the log must yield at least two usable measurements.
+// (relative to the first timestamp) and averaged. Lines that fail to parse,
+// or whose value is negative, NaN or infinite, are skipped; the log must
+// yield at least two usable measurements. A bin averaging past the largest
+// float64 reads the largest finite rate.
 func ReadIntervalLog(r io.Reader, o IntervalLogOptions) (*BandwidthTrace, error) {
 	type sample struct {
 		at   time.Duration
@@ -69,8 +72,8 @@ func ReadIntervalLog(r io.Reader, o IntervalLogOptions) (*BandwidthTrace, error)
 		tsRaw, err1 := strconv.ParseFloat(fields[o.TimestampCol], 64)
 		val, err2 := strconv.ParseFloat(fields[o.ValueCol], 64)
 		// 9e12 ms is the year 2255 and the last timestamp whose nanoseconds
-		// fit a Duration; the negated form also skips NaN.
-		if err1 != nil || err2 != nil || val < 0 || !(tsRaw >= 0 && tsRaw <= 9e12) {
+		// fit a Duration; the negated forms also skip NaN.
+		if err1 != nil || err2 != nil || !(val >= 0 && val <= math.MaxFloat64) || !(tsRaw >= 0 && tsRaw <= 9e12) {
 			continue
 		}
 		ts := time.Duration(tsRaw * float64(time.Millisecond))
@@ -126,7 +129,7 @@ func ReadIntervalLog(r io.Reader, o IntervalLogOptions) (*BandwidthTrace, error)
 	prev := 0.0
 	for i := range mbps {
 		if counts[i] > 0 {
-			mbps[i] = sums[i] / float64(counts[i])
+			mbps[i] = min(sums[i]/float64(counts[i]), math.MaxFloat64)
 			prev = mbps[i]
 		} else {
 			mbps[i] = prev

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -72,23 +73,34 @@ func TestReadIntervalLogGapsInheritPrevious(t *testing.T) {
 	}
 }
 
+// TestReadIntervalLogSkipsGarbage: a line that does not parse, or whose
+// rate is negative, NaN or infinite, is skipped, and the lines around it
+// import as if it were not there. A bin averaging past the largest float64,
+// as one of 1e306 bytes in a millisecond does, or as a sum of rates can,
+// reads the largest finite rate.
 func TestReadIntervalLogSkipsGarbage(t *testing.T) {
-	log := `
-# comment
-not numbers here
-1000 x
-1000 1000
-2000 2000000
-3000 1000000
-`
-	tr, err := ReadIntervalLog(strings.NewReader(log), IntervalLogOptions{
-		TimestampCol: 0, ValueCol: 1, ValueIsBytes: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Mbps) < 2 {
-		t.Fatalf("usable samples lost: %v", tr.Mbps)
+	for _, c := range []struct {
+		name    string
+		log     string
+		asBytes bool
+		want    []float64
+	}{
+		{"unparsable", "\n# comment\nnot numbers here\n1000 x\n1000 1000\n2000 2000000\n3000 1000000\n", true, []float64{0, 16, 8}},
+		{"non-finite bytes", "1000 1000\n2000 2000000\n2500 NaN\n2600 Inf\n3000 1000000\n", true, []float64{0, 16, 8}},
+		{"non-finite kbps", "0 100\n1000 NaN\n1000 +Inf\n1000 -Inf\n1000 -5\n2000 300\n", false, []float64{0.1, 0.1, 0.3}},
+		{"rate overflows", "0 1\n1 1e306\n2 1e306\n", true, []float64{math.MaxFloat64}},
+		{"bin sum overflows", strings.Repeat("0 1e308\n", 2000), false, []float64{math.MaxFloat64}},
+	} {
+		tr, err := ReadIntervalLog(strings.NewReader(c.log), IntervalLogOptions{
+			TimestampCol: 0, ValueCol: 1, ValueIsBytes: c.asBytes,
+		})
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if !slices.EqualFunc(tr.Mbps, c.want, func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }) {
+			t.Errorf("%s: rates %v, want %v", c.name, tr.Mbps, c.want)
+		}
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"dragonfly/internal/geom"
+	"dragonfly/internal/stats"
 )
 
 func TestHeadTraceAtInterpolates(t *testing.T) {
@@ -148,7 +150,7 @@ func TestHeadCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadHeadCSVRejectsBad(t *testing.T) {
-	for i, s := range []string{"", "1,2", "x,1,2", "0,nan-ish,2\n", "0,1\n"} {
+	for i, s := range []string{"", "1,2", "x,1,2", "0,nan-ish,2\n", "0,1\n", "# period_ms=9223372036854775\n0,1,2\n"} {
 		if _, err := ReadHeadCSV(bytes.NewReader([]byte(s))); err == nil && i != 3 {
 			t.Errorf("case %d accepted", i)
 		}
@@ -218,22 +220,6 @@ func TestBytesBetweenAdditiveProperty(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	b := &BandwidthTrace{Mbps: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}
-	if got := b.percentile(0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := b.percentile(100); got != 10 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := b.percentile(50); got != 5 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := b.percentile(90); got != 9 {
-		t.Errorf("p90 = %v", got)
-	}
-}
-
 func TestCapped(t *testing.T) {
 	b := &BandwidthTrace{ID: "x", SamplePeriod: time.Second, Mbps: []float64{5, 50, 15, 40}}
 	capped := b.Capped(28)
@@ -296,11 +282,11 @@ func TestDefaultBelgianTraces(t *testing.T) {
 		t.Fatalf("got %d Belgian traces, want 11", len(traces))
 	}
 	for _, tr := range traces {
-		if tr.percentile(10) < 7 {
-			t.Errorf("%s: p10 = %v < 7", tr.ID, tr.percentile(10))
+		if p10 := stats.NearestRank(tr.Mbps, 10); p10 < 7 {
+			t.Errorf("%s: p10 = %v < 7", tr.ID, p10)
 		}
-		if tr.percentile(100) > 28 {
-			t.Errorf("%s: max %v > cap", tr.ID, tr.percentile(100))
+		if top := slices.Max(tr.Mbps); top > 28 {
+			t.Errorf("%s: max %v > cap", tr.ID, top)
 		}
 		if d := tr.Duration(); d != time.Minute {
 			t.Errorf("%s: duration %v", tr.ID, d)
@@ -347,7 +333,7 @@ func TestBandwidthCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadBandwidthCSVRejectsBad(t *testing.T) {
-	for i, s := range []string{"", "1", "a,b", "0,-5"} {
+	for i, s := range []string{"", "1", "a,b", "0,-5", "0,NaN\n500,5\n", "0,5\n500,nan\n", "0,+Inf\n", "0,-Inf\n", "0,infinity\n", "0,1e999\n", "# period_ms=9223372036854775\n0,5\n"} {
 		if _, err := ReadBandwidthCSV(bytes.NewReader([]byte(s))); err == nil {
 			t.Errorf("case %d accepted", i)
 		}

@@ -69,7 +69,7 @@ done
 fuzz_targets="proto:FuzzReadMessage proto:FuzzParseTileData proto:FuzzParseResume
 	obs:FuzzUnmarshalEvent ingest:FuzzFoldReader ingest:FuzzApplyRollup
 	video:FuzzReadManifest chaos:FuzzReadRules
-	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog video:FuzzAppendManifestFloat
+	trace:FuzzReadHeadCSV trace:FuzzReadIntervalLog trace:FuzzReadBandwidthCSV video:FuzzAppendManifestFloat
 	video:FuzzExtendZeros geom:FuzzCapWalk geom:FuzzRoIPlane player:FuzzSendQueue"
 
 # Fuzz drift gate: every fuzz target under internal/ must be in the fuzz
@@ -261,7 +261,7 @@ go test -run '^TestDisarmedHitZeroAlloc$' -count=1 -timeout 60s ./internal/chaos
 # refuses with its receiver unchanged. The
 # manifest the client reads off the wire and the operator's fault script must
 # come out of their parsers with every dimension and time field in range, and
-# the two trace importers usable or refused. The manifest's hand codec must
+# the three trace readers usable or refused. The manifest's hand codec must
 # agree with encoding/json in both directions: the reader on any body, the
 # writer on any float64. The last three targets are not parsers: the zero-run
 # CRC operator every frame trailer and manifest checksum now comes from must
@@ -286,7 +286,7 @@ done
 # benchmark the baseline holds at 0 allocs/op (Decide*, FlareDecide,
 # PanoDecide, TwoTierDecide, Overlap*, TilesInCap, ScoreSlab/*, RenderFrame,
 # UnmarshalEvent/canonical, FrameWritePreframed, and the pooled
-# FrameWriteCRC, FrameWriteNoCRC and WriteManifest) that allocates, any
+# FrameWriteCRC and WriteManifest) that allocates, any
 # other above baseline x1.05 + 3 allocs/op, and a baseline above the run's
 # x1.25 + 3, which a change that saves allocations re-takes.
 raw=$(mktemp)
