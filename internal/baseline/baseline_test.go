@@ -54,7 +54,7 @@ func TestFlareDefaults(t *testing.T) {
 		f.StallPolicy() != player.StallOnMissingAny {
 		t.Error("Flare defaults wrong")
 	}
-	v := NewFlare(FlareOptions{Lookahead: time.Second, Name: "Flare-1s"})
+	v := NewFlare(FlareOptions{Lookahead: time.Second})
 	if v.Name() != "Flare-1s" {
 		t.Error("name override failed")
 	}

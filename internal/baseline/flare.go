@@ -38,13 +38,15 @@ const peripheryDeg, peripheryDrop = 15, 2
 // (§4.2).
 const maskingLookahead, primaryLookahead = 3 * time.Second, time.Second
 
+// defaultLookahead is Flare's and Pano's look-ahead (§4.2); §4.3 also
+// evaluates 1 s.
+const defaultLookahead = 3 * time.Second
+
 // FlareOptions configures the Flare baseline.
 type FlareOptions struct {
 	// Lookahead is how far ahead tiles are fetched (paper default: 3 s,
 	// with a 1 s sensitivity variant in §4.3).
 	Lookahead time.Duration
-	// Name overrides the reported name (for the 1 s variant).
-	Name string
 }
 
 // Flare fetches the predicted viewport plus a periphery ring, refines its
@@ -88,17 +90,21 @@ func (s *centralitySorter) Less(i, j int) bool {
 // NewFlare creates the baseline with the paper's defaults.
 func NewFlare(opts FlareOptions) *Flare {
 	if opts.Lookahead == 0 {
-		opts.Lookahead = 3 * time.Second
+		opts.Lookahead = defaultLookahead
 	}
 	return &Flare{opts: opts}
 }
 
-// Name implements player.Scheme.
-func (f *Flare) Name() string {
-	if f.opts.Name != "" {
-		return f.opts.Name
+// Name implements player.Scheme: "Flare", with a "-<Lookahead>" suffix
+// when the look-ahead is not the 3 s default.
+func (f *Flare) Name() string { return "Flare" + lookaheadSuffix(f.opts.Lookahead) }
+
+// lookaheadSuffix names a non-default look-ahead in a scheme name: "-1s".
+func lookaheadSuffix(d time.Duration) string {
+	if d == defaultLookahead {
+		return ""
 	}
-	return "Flare"
+	return "-" + d.String()
 }
 
 // DecisionInterval implements player.Scheme: Flare refines every 100 ms

@@ -19,7 +19,6 @@ type PanoOptions struct {
 	// Lookahead is how far ahead chunks are committed (3 s default; §4.3
 	// evaluates a 1 s variant).
 	Lookahead time.Duration
-	Name      string
 }
 
 // Pano runs a traditional chunk-level ABR, then assigns per-group tile
@@ -74,20 +73,20 @@ func (s *relevanceSorter) Less(i, j int) bool {
 // NewPano creates the baseline with the paper's defaults.
 func NewPano(opts PanoOptions) *Pano {
 	if opts.Lookahead == 0 {
-		opts.Lookahead = 3 * time.Second
+		opts.Lookahead = defaultLookahead
 	}
 	return &Pano{opts: opts}
 }
 
-// Name implements player.Scheme.
+// Name implements player.Scheme: "Pano", with "-PSPNR" for the PSPNR
+// metric and a "-<Lookahead>" suffix when the look-ahead is not the 3 s
+// default.
 func (p *Pano) Name() string {
-	if p.opts.Name != "" {
-		return p.opts.Name
-	}
+	name := "Pano"
 	if p.opts.Metric == quality.PSPNR {
-		return "Pano-PSPNR"
+		name += "-PSPNR"
 	}
-	return "Pano"
+	return name + lookaheadSuffix(p.opts.Lookahead)
 }
 
 // DecisionInterval implements player.Scheme: decisions are made per chunk.

@@ -54,29 +54,21 @@ type MotionWeight struct {
 	Weight float64
 }
 
-// NetClass describes one network class of the population: a bandwidth
-// generator parameter envelope (the class template), a per-member mean
-// jitter widening it into a parameter distribution, and the paper's §4.2
-// trace-selection filter.
+// NetClass is one network class of the population: a trace profile — its
+// name, generator template and §4.2 filter — widened by a per-member mean
+// jitter into a parameter distribution. The profile's Name keys the class
+// in cohorts; it must be lowercase with no trailing digits so the
+// generated trace IDs ("<name>-<index>") classify back to it via
+// BandwidthTrace.NetClass. Its Params' ID, Seed and Duration are
+// overwritten per member, and a draw its filter rejects is
+// deterministically resampled (bounded attempts).
 type NetClass struct {
-	// Name keys the class in cohorts; it must be lowercase with no
-	// trailing digits so the generated trace IDs ("<name>-<index>")
-	// classify back to it via BandwidthTrace.NetClass.
-	Name string
-
-	// Params is the generator template; ID, Seed and Duration are
-	// overwritten per member.
-	Params trace.BandwidthGenParams
+	trace.NetProfile
 
 	// MeanScale jitters each member's state means by a factor drawn
 	// uniformly from [1-MeanScale, 1+MeanScale], so members of one class
 	// are distinct users, not reruns of one generator config.
 	MeanScale float64
-
-	// Filter, when CapMbps > 0, applies the §4.2 selection rule: rejected
-	// draws are deterministically resampled (bounded attempts), and every
-	// accepted trace is capped.
-	Filter trace.FilterOptions
 }
 
 // NetWeight is one network class's share of the population.
@@ -100,20 +92,15 @@ type Model struct {
 // draw is accepted (capped) if none passes, keeping Sample total.
 const maxFilterAttempts = 32
 
-// BelgianClass returns the 4G-like network class: trace.Belgian's
-// template and filter, with each member's means jittered by up to ±12 %.
-func BelgianClass() NetClass { return profileClass(trace.Belgian, 0.12) }
+// BelgianClass returns the 4G-like network class: trace.Belgian, with
+// each member's means jittered by up to ±12 %. Params shares the profile's
+// StateMeansMbps slice: Sample copies the means before it scales them, so
+// no member writes through to the profile.
+func BelgianClass() NetClass { return NetClass{trace.Belgian, 0.12} }
 
-// irishClass returns the 5G-like network class: trace.Irish's template and
-// filter, with each member's means jittered by up to ±10 %.
-func irishClass() NetClass { return profileClass(trace.Irish, 0.10) }
-
-// profileClass widens a trace profile into a network class. Params shares
-// the profile's StateMeansMbps slice: Sample copies the means before it
-// scales them, so no member writes through to the profile.
-func profileClass(p trace.NetProfile, meanScale float64) NetClass {
-	return NetClass{Name: p.Name, Params: p.Params, MeanScale: meanScale, Filter: p.Filter}
-}
+// irishClass returns the 5G-like network class: trace.Irish, with each
+// member's means jittered by up to ±10 %.
+func irishClass() NetClass { return NetClass{trace.Irish, 0.10} }
 
 // DefaultModel is the paper-shaped population: motion classes in equal
 // thirds (mirroring the [34] dataset spread) over an even Belgian-4G /
@@ -255,9 +242,6 @@ func (m Model) Sample(i int) Member {
 	for attempt := 0; attempt < maxFilterAttempts; attempt++ {
 		params.Seed = int64(m.bits(i, saltBW+uint64(attempt)*0x8CB92BA72F3D8DD7))
 		bw = trace.GenerateBandwidth(params)
-		if net.Filter.CapMbps <= 0 {
-			break
-		}
 		if kept := trace.Filter([]*trace.BandwidthTrace{bw}, net.Filter); len(kept) == 1 {
 			bw = kept[0]
 			break
@@ -265,7 +249,7 @@ func (m Model) Sample(i int) Member {
 		if attempt == maxFilterAttempts-1 {
 			// No draw passed: accept the last one capped, keeping Sample
 			// total and deterministic.
-			bw = bw.Capped(net.Filter.CapMbps)
+			bw = bw.Capped(trace.CapMbps)
 		}
 	}
 

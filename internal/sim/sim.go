@@ -45,10 +45,10 @@ func Registry() map[string]SchemeFactory {
 
 		// 1-second look-ahead sensitivity variants (§4.3).
 		"flare-1s": func() player.Scheme {
-			return baseline.NewFlare(baseline.FlareOptions{Lookahead: time.Second, Name: "Flare-1s"})
+			return baseline.NewFlare(baseline.FlareOptions{Lookahead: time.Second})
 		},
 		"pano-1s": func() player.Scheme {
-			return baseline.NewPano(baseline.PanoOptions{Lookahead: time.Second, Name: "Pano-1s"})
+			return baseline.NewPano(baseline.PanoOptions{Lookahead: time.Second})
 		},
 
 		// Table 2 ablation variants.

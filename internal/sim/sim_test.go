@@ -54,6 +54,12 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("%q factory returned a shared instance", key)
 		}
 	}
+	// The baselines derive these names from their options.
+	for key, name := range map[string]string{"flare-1s": "Flare-1s", "pano-1s": "Pano-1s", "pano-pspnr": "Pano-PSPNR"} {
+		if got := reg[key]().Name(); got != name {
+			t.Errorf("%q is named %q, want %q", key, got, name)
+		}
+	}
 }
 
 // TestRegistryDecidesAtInfiniteRate hands every registered scheme a

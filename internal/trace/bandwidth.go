@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"strconv"
 	"strings"
 	"time"
 
@@ -72,10 +70,7 @@ func (b *BandwidthTrace) BytesBetween(t0, t1 time.Duration) float64 {
 	total := 0.0
 	for t := t0; t < t1; {
 		// End of the sample period containing t.
-		next := t.Truncate(b.SamplePeriod) + b.SamplePeriod
-		if next > t1 {
-			next = t1
-		}
+		next := min(t.Truncate(b.SamplePeriod)+b.SamplePeriod, t1)
 		total += b.at(t) * 1e6 / 8 * (next - t).Seconds()
 		t = next
 	}
@@ -117,16 +112,7 @@ func (b *BandwidthTrace) TimeToTransfer(bytes float64, from time.Duration) time.
 }
 
 // Mean returns the average bandwidth in Mbps.
-func (b *BandwidthTrace) Mean() float64 {
-	if len(b.Mbps) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range b.Mbps {
-		s += v
-	}
-	return s / float64(len(b.Mbps))
-}
+func (b *BandwidthTrace) Mean() float64 { return stats.Mean(b.Mbps) }
 
 // Capped returns a copy with every sample limited to capMbps, as the paper
 // caps all samples to 28 Mbps (§4.2).
@@ -182,10 +168,7 @@ func GenerateBandwidth(p BandwidthGenParams) *BandwidthTrace {
 			dipLeft--
 			v = rng.Float64() * 0.8 // near zero
 		} else if p.DipPerSec > 0 && rng.Float64() < p.DipPerSec*dt {
-			dipLeft = int(p.DipLen.Seconds() / dt)
-			if dipLeft < 1 {
-				dipLeft = 1
-			}
+			dipLeft = max(1, int(p.DipLen.Seconds()/dt))
 			v = rng.Float64() * 0.8
 		}
 		mbps[i] = math.Max(0.1, v)
@@ -193,27 +176,34 @@ func GenerateBandwidth(p BandwidthGenParams) *BandwidthTrace {
 	return &BandwidthTrace{ID: p.ID, SamplePeriod: p.SamplePeriod, Mbps: mbps}
 }
 
-// FilterOptions implements the paper's trace-selection rules (§4.2): reject
-// traces too slow to ever stream the viewport at top quality, or so fast
-// the full 360° fits; then cap all samples.
+// The paper's trace-selection thresholds (§4.2), alike for both datasets:
+// a trace whose 10th percentile is under minP10Mbps is too slow to ever
+// stream the viewport at top quality, one whose high percentile is over
+// maxHighMbps fits the full 360°, and every kept sample is capped at
+// CapMbps.
+const (
+	minP10Mbps  = 7
+	maxHighMbps = 28
+	CapMbps     = 28
+)
+
+// FilterOptions is the part of the §4.2 selection rule that differs
+// between the datasets.
 type FilterOptions struct {
-	MinP10Mbps  float64 // keep if the 10th percentile is at least this
-	MaxHighMbps float64 // keep if the high percentile is at most this
-	HighPct     float64 // 90 for Belgian, 75 for Irish (footnote 4)
-	CapMbps     float64
+	HighPct float64 // the high percentile: 90 for Belgian, 75 for Irish (footnote 4)
 }
 
 // Filter applies the selection rule and cap, returning the surviving traces.
 func Filter(traces []*BandwidthTrace, o FilterOptions) []*BandwidthTrace {
 	var out []*BandwidthTrace
 	for _, tr := range traces {
-		if stats.NearestRank(tr.Mbps, 10) < o.MinP10Mbps {
+		if stats.NearestRank(tr.Mbps, 10) < minP10Mbps {
 			continue
 		}
-		if stats.NearestRank(tr.Mbps, o.HighPct) > o.MaxHighMbps {
+		if stats.NearestRank(tr.Mbps, o.HighPct) > maxHighMbps {
 			continue
 		}
-		out = append(out, tr.Capped(o.CapMbps))
+		out = append(out, tr.Capped(CapMbps))
 	}
 	return out
 }
@@ -233,7 +223,7 @@ type NetProfile struct {
 var Belgian = NetProfile{
 	Name:   "belgian",
 	Params: BandwidthGenParams{StateMeansMbps: []float64{9, 13, 18, 24}, SwitchPerSec: 0.25, NoiseFrac: 0.15},
-	Filter: FilterOptions{MinP10Mbps: 7, MaxHighMbps: 28, HighPct: 90, CapMbps: 28},
+	Filter: FilterOptions{HighPct: 90},
 }
 
 // Irish is the 5G-like profile: higher and flatter bandwidth, but with
@@ -244,7 +234,7 @@ var Irish = NetProfile{
 		StateMeansMbps: []float64{14, 20, 26}, SwitchPerSec: 0.12, NoiseFrac: 0.10,
 		DipPerSec: 0.06, DipLen: 1500 * time.Millisecond,
 	},
-	Filter: FilterOptions{MinP10Mbps: 7, MaxHighMbps: 28, HighPct: 75, CapMbps: 28},
+	Filter: FilterOptions{HighPct: 75},
 }
 
 // NetProfileByName returns the profile called name: "belgian" or "irish".
@@ -289,65 +279,20 @@ func DefaultIrishTraces(n int) []*BandwidthTrace {
 	return Irish.filtered(n, 10001, 10001+int64(n)*80)
 }
 
-// WriteBandwidthCSV writes "t_ms,mbps" rows.
+// WriteBandwidthCSV writes the trace as "t_ms,mbps" rows under a
+// "# id=… period_ms=…" header (see csvLayout).
 func WriteBandwidthCSV(w io.Writer, b *BandwidthTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# id=%s period_ms=%d\n", b.ID, b.SamplePeriod.Milliseconds()); err != nil {
-		return err
-	}
-	for i, v := range b.Mbps {
-		t := time.Duration(i) * b.SamplePeriod
-		if _, err := fmt.Fprintf(bw, "%d,%.4f\n", t.Milliseconds(), v); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return bandwidthCSV.write(w, b.ID, b.SamplePeriod, len(b.Mbps), func(i, _ int) float64 { return b.Mbps[i] })
 }
 
-// maxPeriodMS is the longest sample period, in milliseconds, whose Duration
-// does not wrap.
-const maxPeriodMS = math.MaxInt64 / int64(time.Millisecond)
-
-// ReadBandwidthCSV parses a trace written by WriteBandwidthCSV. It refuses a
-// negative, NaN or infinite rate, which no link can be paced by.
+// ReadBandwidthCSV parses a trace written by WriteBandwidthCSV: row i's
+// t_ms must be i × the period, which is the header's, else the first two
+// rows' gap, else 500 ms. It refuses a negative, NaN or infinite rate,
+// which no link can be paced by.
 func ReadBandwidthCSV(r io.Reader) (*BandwidthTrace, error) {
-	sc := bufio.NewScanner(r)
-	b := &BandwidthTrace{SamplePeriod: 500 * time.Millisecond}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			for _, f := range strings.Fields(line[1:]) {
-				if v, ok := strings.CutPrefix(f, "id="); ok {
-					b.ID = v
-				}
-				if v, ok := strings.CutPrefix(f, "period_ms="); ok {
-					ms, err := strconv.ParseInt(v, 10, 64)
-					if err != nil || ms <= 0 || ms > maxPeriodMS {
-						return nil, fmt.Errorf("trace: bad period %q", v)
-					}
-					b.SamplePeriod = time.Duration(ms) * time.Millisecond
-				}
-			}
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("trace: bad bandwidth row %q", line)
-		}
-		v, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || !(v >= 0 && v <= math.MaxFloat64) { // the negated form also refuses NaN
-			return nil, fmt.Errorf("trace: bad mbps %q: want a finite rate >= 0", parts[1])
-		}
-		b.Mbps = append(b.Mbps, v)
-	}
-	if err := sc.Err(); err != nil {
+	id, period, mbps, err := bandwidthCSV.read(r)
+	if err != nil {
 		return nil, err
 	}
-	if len(b.Mbps) == 0 {
-		return nil, fmt.Errorf("trace: empty bandwidth trace")
-	}
-	return b, nil
+	return &BandwidthTrace{ID: id, SamplePeriod: period, Mbps: mbps}, nil
 }

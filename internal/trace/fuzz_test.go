@@ -39,6 +39,9 @@ func FuzzReadHeadCSV(f *testing.F) {
 	f.Add("# period_ms=banana\n0,1,2\n")
 	f.Add("# period_ms=9223372036854775\n0,1,2\n") // a period whose Duration wraps negative
 	f.Add("0,1,2\n9223372036854775,1,2\n")         // the same period, from the first two rows
+	// The longest period over rows whose t_ms wraps once formed in nanoseconds.
+	f.Add("# period_ms=9223372036854\n0,1,2\n9223372036854,1,2\n18446744073708,1,2\n27670116110562,1,2\n")
+	f.Add("0,1,2\n9223372036854,1,2\n-1,1,2\n")
 	f.Add("0,NaN,2\n")
 	f.Add("0,1,-Inf\n")
 
@@ -112,6 +115,8 @@ func FuzzReadBandwidthCSV(f *testing.F) {
 	f.Add("0,5\n")
 	f.Add("# id=x period_ms=0\n0,5\n")
 	f.Add("# period_ms=9223372036854775\n0,5\n")
+	f.Add("# period_ms=9223372036854\n0,5\n9223372036854,6\n18446744073708,7\n27670116110562,8\n")
+	f.Add("0,5\n9223372036854,6\n-1,7\n")
 	f.Add("0,-5\n")
 	f.Add("0,NaN\n500,5\n")
 	f.Add("0,+Inf\n")

@@ -5,13 +5,10 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 	"time"
 
 	"dragonfly/internal/geom"
@@ -94,16 +91,10 @@ const (
 // String returns the class's lowercase name — the trace-class half of the
 // "<trace class>:<network class>" cohort key fleet QoE rollups aggregate by.
 func (c MotionClass) String() string {
-	switch c {
-	case MotionLow:
-		return "low"
-	case MotionMedium:
-		return "medium"
-	case MotionHigh:
-		return "high"
-	default:
+	if c < MotionLow || c > MotionHigh {
 		return "unknown"
 	}
+	return [...]string{"low", "medium", "high"}[c]
 }
 
 // ParseMotionClass is the inverse of MotionClass.String.
@@ -173,13 +164,7 @@ func GenerateHead(p HeadGenParams) *HeadTrace {
 		yaw += vYaw * dt
 		pitch += vPitch * dt
 		// Pull pitch back toward the horizon.
-		pitch -= pitch * 0.5 * dt
-		if pitch > 60 {
-			pitch = 60
-		}
-		if pitch < -60 {
-			pitch = -60
-		}
+		pitch = max(-60, min(60, pitch-pitch*0.5*dt))
 	}
 	return &HeadTrace{UserID: p.UserID, SamplePeriod: headSamplePeriod, Samples: samples, ClassLabel: p.Class.String()}
 }
@@ -235,79 +220,29 @@ func MaxDisplacementPerChunk(traces []*HeadTrace, chunkDur time.Duration, numChu
 	return out
 }
 
-// WriteHeadCSV writes the trace as "t_ms,yaw,pitch" rows.
+// WriteHeadCSV writes the trace as "t_ms,yaw,pitch" rows under a
+// "# user=… period_ms=…" header (see csvLayout).
 func WriteHeadCSV(w io.Writer, h *HeadTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# user=%s period_ms=%d\n", h.UserID, h.SamplePeriod.Milliseconds()); err != nil {
-		return err
-	}
-	for i, s := range h.Samples {
-		t := time.Duration(i) * h.SamplePeriod
-		if _, err := fmt.Fprintf(bw, "%d,%.4f,%.4f\n", t.Milliseconds(), s.Yaw, s.Pitch); err != nil {
-			return err
+	return headCSV.write(w, h.UserID, h.SamplePeriod, len(h.Samples), func(i, c int) float64 {
+		if c == 0 {
+			return h.Samples[i].Yaw
 		}
-	}
-	return bw.Flush()
+		return h.Samples[i].Pitch
+	})
 }
 
-// ReadHeadCSV parses a trace written by WriteHeadCSV. Unknown sample spacing
-// is inferred from the first two rows. A NaN or infinite yaw or pitch is
-// refused: no head points there, and the scheduler's geometry has no
-// answer for it.
+// ReadHeadCSV parses a trace written by WriteHeadCSV: row i's t_ms must be
+// i × the period, which is the header's, else the first two rows' gap,
+// else 40 ms. A NaN or infinite yaw or pitch is refused: no head points
+// there, and the scheduler's geometry has no answer for it.
 func ReadHeadCSV(r io.Reader) (*HeadTrace, error) {
-	sc := bufio.NewScanner(r)
-	h := &HeadTrace{SamplePeriod: headSamplePeriod}
-	var times []int64
-	for lineNo := 1; sc.Scan(); lineNo++ {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			for _, f := range strings.Fields(line[1:]) {
-				if v, ok := strings.CutPrefix(f, "user="); ok {
-					h.UserID = v
-				}
-				if v, ok := strings.CutPrefix(f, "period_ms="); ok {
-					ms, err := strconv.ParseInt(v, 10, 64)
-					if err != nil || ms <= 0 || ms > maxPeriodMS {
-						return nil, fmt.Errorf("trace: bad period %q", v)
-					}
-					h.SamplePeriod = time.Duration(ms) * time.Millisecond
-				}
-			}
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("trace: bad head row %q", line)
-		}
-		tms, err := strconv.ParseInt(parts[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad time %q: %w", parts[0], err)
-		}
-		yaw, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad yaw %q: %w", parts[1], err)
-		}
-		pitch, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad pitch %q: %w", parts[2], err)
-		}
-		if math.IsNaN(yaw) || math.IsInf(yaw, 0) || math.IsNaN(pitch) || math.IsInf(pitch, 0) {
-			return nil, fmt.Errorf("trace: head trace line %d %q: yaw and pitch must be finite", lineNo, line)
-		}
-		times = append(times, tms)
-		h.Samples = append(h.Samples, geom.Orientation{Yaw: yaw, Pitch: pitch}.Normalize())
-	}
-	if err := sc.Err(); err != nil {
+	id, period, vals, err := headCSV.read(r)
+	if err != nil {
 		return nil, err
 	}
-	if len(h.Samples) == 0 {
-		return nil, fmt.Errorf("trace: empty head trace")
-	}
-	if len(times) >= 2 && times[1] > times[0] && times[1]-times[0] <= maxPeriodMS {
-		h.SamplePeriod = time.Duration(times[1]-times[0]) * time.Millisecond
+	h := &HeadTrace{UserID: id, SamplePeriod: period, Samples: make([]geom.Orientation, len(vals)/2)}
+	for i := range h.Samples {
+		h.Samples[i] = geom.Orientation{Yaw: vals[2*i], Pitch: vals[2*i+1]}.Normalize()
 	}
 	return h, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -156,6 +157,57 @@ func TestReadHeadCSVRejectsBad(t *testing.T) {
 		}
 	}
 }
+
+// TestReadCSVRefusesRowsOffThePeriod: row i's t_ms must be i × period_ms,
+// and a file whose rows are gapped, shuffled or re-spaced is refused with
+// an error naming the first row off the grid.
+func TestReadCSVRefusesRowsOffThePeriod(t *testing.T) {
+	for _, c := range []struct {
+		name, body, line string
+		read             func(io.Reader) error
+	}{
+		{"bandwidth t_ms not a number", "# period_ms=500\nbanana,5\n7000,6\n3,7\n", "line 2", readBandwidth},
+		{"bandwidth gapped", "# id=x period_ms=500\n0,5\n500,6\n1500,7\n", "line 4", readBandwidth},
+		{"bandwidth header disagrees", "# period_ms=500\n0,5\n1000,6\n", "line 3", readBandwidth},
+		{"head shuffled", "# user=x period_ms=40\n0,1,2\n80,1,2\n40,1,2\n", "line 3", readHead},
+		{"head re-spaced", "0,1,2\n40,1,2\n5,1,2\n99999,1,2\n", "line 3", readHead},
+		{"head first row not 0", "# user=x\n40,1,2\n80,1,2\n", "line 2", readHead},
+		// 2 × 9223372036854 ms is -1 ms once formed as nanoseconds.
+		{"head wrapped row time", "# period_ms=9223372036854\n0,1,2\n9223372036854,1,2\n-1,1,2\n", "line 4", readHead},
+	} {
+		err := c.read(strings.NewReader(c.body))
+		if err == nil {
+			t.Errorf("%s: %q accepted", c.name, c.body)
+		} else if !strings.Contains(err.Error(), c.line) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.line)
+		}
+	}
+}
+
+// TestReadCSVPeriodRule: a file's period is its header's, else the gap
+// between its first two rows, else the kind's default.
+func TestReadCSVPeriodRule(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		want time.Duration
+	}{
+		{"0,5\n1000,6\n2000,7\n", time.Second},
+		{"0,5\n", 500 * time.Millisecond},
+		{"# period_ms=250\n0,5\n250,6\n", 250 * time.Millisecond},
+	} {
+		b, err := ReadBandwidthCSV(strings.NewReader(c.body))
+		if err != nil || b.SamplePeriod != c.want {
+			t.Errorf("bandwidth %q: %v, %v; want period %v", c.body, b, err, c.want)
+		}
+	}
+	h, err := ReadHeadCSV(strings.NewReader("0,1,2\n"))
+	if err != nil || h.SamplePeriod != headSamplePeriod {
+		t.Errorf("one-row head trace: %v, %v; want period %v", h, err, headSamplePeriod)
+	}
+}
+
+func readBandwidth(r io.Reader) error { _, err := ReadBandwidthCSV(r); return err }
+func readHead(r io.Reader) error      { _, err := ReadHeadCSV(r); return err }
 
 // TestReadHeadCSVRejectsNonFinite: strconv.ParseFloat accepts NaN, Inf and
 // -Inf, which no head points at; each is refused with an error naming its

@@ -81,58 +81,10 @@ func Generate(p GenParams) *Manifest {
 	m := newManifest(p.ID, p.Rows, p.Cols, p.FPS, p.ChunkFrames, p.NumChunks)
 	tiles := m.NumTiles()
 
-	// Static spatial complexity field in (0.1, 1]: a sum of low-frequency
-	// cosines over the tile lattice, normalized.
-	complexity := make([]float64, tiles)
-	lum := make([]float64, tiles) // mean luminance in (0.1, 0.9)
-	{
-		type wave struct{ fr, fc, phase, amp float64 }
-		waves := make([]wave, 6)
-		lumWaves := make([]wave, 4)
-		for i := range waves {
-			waves[i] = wave{
-				fr:    float64(rng.Intn(3) + 1),
-				fc:    float64(rng.Intn(3) + 1),
-				phase: rng.Float64() * 2 * math.Pi,
-				amp:   0.5 + rng.Float64(),
-			}
-		}
-		for i := range lumWaves {
-			lumWaves[i] = wave{
-				fr:    float64(rng.Intn(2) + 1),
-				fc:    float64(rng.Intn(2) + 1),
-				phase: rng.Float64() * 2 * math.Pi,
-				amp:   0.5 + rng.Float64(),
-			}
-		}
-		minC, maxC := math.Inf(1), math.Inf(-1)
-		raw := make([]float64, tiles)
-		rawL := make([]float64, tiles)
-		minL, maxL := math.Inf(1), math.Inf(-1)
-		for r := 0; r < p.Rows; r++ {
-			for c := 0; c < p.Cols; c++ {
-				id := r*p.Cols + c
-				v := 0.0
-				for _, w := range waves {
-					v += w.amp * math.Cos(2*math.Pi*(w.fr*float64(r)/float64(p.Rows)+w.fc*float64(c)/float64(p.Cols))+w.phase)
-				}
-				raw[id] = v
-				minC = math.Min(minC, v)
-				maxC = math.Max(maxC, v)
-				lv := 0.0
-				for _, w := range lumWaves {
-					lv += w.amp * math.Cos(2*math.Pi*(w.fr*float64(r)/float64(p.Rows)+w.fc*float64(c)/float64(p.Cols))+w.phase)
-				}
-				rawL[id] = lv
-				minL = math.Min(minL, lv)
-				maxL = math.Max(maxL, lv)
-			}
-		}
-		for id := range raw {
-			complexity[id] = 0.1 + 0.9*(raw[id]-minC)/(maxC-minC+1e-12)
-			lum[id] = 0.1 + 0.8*(rawL[id]-minL)/(maxL-minL+1e-12)
-		}
-	}
+	// Static spatial complexity in (0.1, 1] and mean luminance in
+	// (0.1, 0.9): each a smooth random field over the tile lattice.
+	complexity := waveField(rng, p.Rows, p.Cols, 6, 3, 0.1, 0.9)
+	lum := waveField(rng, p.Rows, p.Cols, 4, 2, 0.1, 0.8)
 
 	// Per-QP full-360° rate ladder: geometric between the two targets.
 	ratio := p.TargetQP22Mbps / p.TargetQP42Mbps
@@ -231,4 +183,38 @@ func Generate(p GenParams) *Manifest {
 		}
 	}
 	return m
+}
+
+// waveField draws a smooth random field over the rows×cols tile lattice:
+// the sum of waves low-frequency cosines, each frequency drawn from
+// 1…maxFreq per axis, normalized into [lo, lo+span]. It makes 4 rng draws
+// per wave, in wave order.
+func waveField(rng *rand.Rand, rows, cols, waves, maxFreq int, lo, span float64) []float64 {
+	type wave struct{ fr, fc, phase, amp float64 }
+	ws := make([]wave, waves)
+	for i := range ws {
+		ws[i] = wave{
+			fr:    float64(rng.Intn(maxFreq) + 1),
+			fc:    float64(rng.Intn(maxFreq) + 1),
+			phase: rng.Float64() * 2 * math.Pi,
+			amp:   0.5 + rng.Float64(),
+		}
+	}
+	field := make([]float64, rows*cols)
+	minV, maxV := math.Inf(1), math.Inf(-1)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			v := 0.0
+			for _, w := range ws {
+				v += w.amp * math.Cos(2*math.Pi*(w.fr*float64(r)/float64(rows)+w.fc*float64(c)/float64(cols))+w.phase)
+			}
+			field[r*cols+c] = v
+			minV = math.Min(minV, v)
+			maxV = math.Max(maxV, v)
+		}
+	}
+	for id, v := range field {
+		field[id] = lo + span*(v-minV)/(maxV-minV+1e-12)
+	}
+	return field
 }
