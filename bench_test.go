@@ -7,6 +7,8 @@ package dragonfly_test
 
 import (
 	"io"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -28,6 +30,14 @@ func benchEnv() *experiments.Env {
 // tables of its metric, the overlap plane of each RoI set), so the timed
 // runs, and their allocs/op, do not depend on which benchmarks ran before
 // in the process and built some of them already.
+//
+// The collector is off from that first run to the end of the timed ones:
+// a collection empties the sync.Pools the sessions draw their scratch from
+// (internal/core's and internal/player's), and one landing at a
+// run-dependent point spread allocs/op by 5-7 % between runs of one
+// binary. Two collections before it empty the pools, so every run starts
+// from the same state. An experiment allocates at most ~14 MB per op; the
+// memory limit collects anyway should a long -benchtime near it.
 func runExperiment(b *testing.B, id string, studyUsers int) {
 	b.Helper()
 	exp, ok := experiments.Find(id, studyUsers)
@@ -40,6 +50,10 @@ func runExperiment(b *testing.B, id string, studyUsers int) {
 			b.Fatal(err)
 		}
 	}
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 30))
 	run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

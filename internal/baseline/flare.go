@@ -143,16 +143,8 @@ func (f *Flare) Decide(ctx *player.Context) []player.RequestItem {
 	// Planned pass: per future chunk in the look-ahead, fetch the predicted
 	// viewport at the best uniform quality the budget allows, plus a
 	// lower-quality periphery ring.
-	lastFrame := ctx.PlayFrame + int(f.opts.Lookahead.Seconds()*float64(m.FPS))
-	if lastFrame >= m.NumFrames() {
-		lastFrame = m.NumFrames() - 1
-	}
-	for c := nowChunk; c <= m.ChunkOfFrame(lastFrame); c++ {
-		at := ctx.FrameDeadline(m.FirstFrame(c))
-		if at < ctx.Now {
-			at = ctx.Now
-		}
-		center := ctx.Predict(at)
+	for c, last := nowChunk, ctx.LastChunk(f.opts.Lookahead); c <= last; c++ {
+		center := ctx.Predict(ctx.ChunkStart(c))
 		f.vpTiles, f.periphery = ctx.Grid.AppendTilesInRing(f.vpTiles[:0], f.periphery[:0],
 			center, ctx.Viewport.RadiusDeg, ctx.Viewport.RadiusDeg+peripheryDeg)
 		vpTiles, periphery := f.vpTiles, f.periphery

@@ -104,13 +104,9 @@ func (p *Pano) Decide(ctx *player.Context) []player.RequestItem {
 		p.plans = make([]chunkPlan, m.NumChunks)
 	}
 	nowChunk := m.ChunkOfFrame(ctx.PlayFrame)
-	lastFrame := ctx.PlayFrame + int(p.opts.Lookahead.Seconds()*float64(m.FPS))
-	if lastFrame >= m.NumFrames() {
-		lastFrame = m.NumFrames() - 1
-	}
 	buf := ctx.FetchList()
 	items := (*buf)[:0]
-	for c := nowChunk; c <= m.ChunkOfFrame(lastFrame); c++ {
+	for c, last := nowChunk, ctx.LastChunk(p.opts.Lookahead); c <= last; c++ {
 		plan := &p.plans[c]
 		if plan.n == 0 {
 			p.assignChunk(ctx, c, plan)
@@ -136,11 +132,7 @@ func (p *Pano) assignChunk(ctx *player.Context, chunk int, plan *chunkPlan) {
 	chunkDur := time.Duration(m.ChunkFrames) * ctx.FrameDuration
 	budget := abr.ChunkBudget(ctx.PredictedMbps, chunkDur)
 
-	at := ctx.FrameDeadline(m.FirstFrame(chunk))
-	if at < ctx.Now {
-		at = ctx.Now
-	}
-	center := ctx.Predict(at)
+	center := ctx.Predict(ctx.ChunkStart(chunk))
 
 	groups := m.TileGroups(chunk)
 	states := p.groups.states[:0]

@@ -71,14 +71,10 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 
 	// Masking stream, identical to Dragonfly's full-360° strategy.
 	nowChunk := m.ChunkOfFrame(ctx.PlayFrame)
-	maskLast := ctx.PlayFrame + int(maskingLookahead.Seconds()*float64(m.FPS))
-	if maskLast >= m.NumFrames() {
-		maskLast = m.NumFrames() - 1
-	}
 	buf := ctx.FetchList()
 	items := (*buf)[:0]
 	var maskBytes int64
-	for c := nowChunk; c <= m.ChunkOfFrame(maskLast); c++ {
+	for c, last := nowChunk, ctx.LastChunk(maskingLookahead); c <= last; c++ {
 		if !ctx.Received.HasFullMasking(c) {
 			items = append(items, player.RequestItem{Stream: player.Masking, Chunk: c, Full360: true, Quality: video.Lowest})
 			maskBytes += m.Full360Size(c, video.Lowest)
@@ -90,17 +86,9 @@ func (p *PassiveSkip) Decide(ctx *player.Context) []player.RequestItem {
 	// region) over the short window, strictly deadline-ordered, at one
 	// uniform quality that fits the budget left after masking. No
 	// prioritization, no proactive skips.
-	primLast := ctx.PlayFrame + int(primaryLookahead.Seconds()*float64(m.FPS))
-	if primLast >= m.NumFrames() {
-		primLast = m.NumFrames() - 1
-	}
 	wants := p.wants.wants[:0]
-	for c := nowChunk; c <= m.ChunkOfFrame(primLast); c++ {
-		at := ctx.FrameDeadline(m.FirstFrame(c))
-		if at < ctx.Now {
-			at = ctx.Now
-		}
-		center := ctx.Predict(at)
+	for c, last := nowChunk, ctx.LastChunk(primaryLookahead); c <= last; c++ {
+		center := ctx.Predict(ctx.ChunkStart(c))
 		u := center.Unit()
 		p.tiles = ctx.Grid.AppendTilesInCap(p.tiles[:0], center, ctx.Viewport.RadiusDeg+15)
 		for _, id := range p.tiles {

@@ -60,13 +60,9 @@ func (t *TwoTier) Decide(ctx *player.Context) []player.RequestItem {
 	nowChunk := m.ChunkOfFrame(ctx.PlayFrame)
 
 	// Base stream: full-360° chunks across the long look-ahead.
-	maskLast := ctx.PlayFrame + int(maskingLookahead.Seconds()*float64(m.FPS))
-	if maskLast >= m.NumFrames() {
-		maskLast = m.NumFrames() - 1
-	}
 	buf := ctx.FetchList()
 	items := (*buf)[:0]
-	for c := nowChunk; c <= m.ChunkOfFrame(maskLast); c++ {
+	for c, last := nowChunk, ctx.LastChunk(maskingLookahead); c <= last; c++ {
 		if !ctx.Received.HasFullMasking(c) {
 			items = append(items, player.RequestItem{Stream: player.Masking, Chunk: c, Full360: true, Quality: video.Lowest})
 		}
@@ -74,11 +70,7 @@ func (t *TwoTier) Decide(ctx *player.Context) []player.RequestItem {
 
 	// Enhancement stream: one-shot per-chunk assignment over the short
 	// look-ahead.
-	primLast := ctx.PlayFrame + int(primaryLookahead.Seconds()*float64(m.FPS))
-	if primLast >= m.NumFrames() {
-		primLast = m.NumFrames() - 1
-	}
-	for c := nowChunk; c <= m.ChunkOfFrame(primLast); c++ {
+	for c, last := nowChunk, ctx.LastChunk(primaryLookahead); c <= last; c++ {
 		plan := &t.plans[c]
 		if !plan.done {
 			t.assignChunk(ctx, c, plan)
@@ -103,11 +95,7 @@ func (t *TwoTier) assignChunk(ctx *player.Context, chunk int, plan *tierPlan) {
 		budget = 0
 	}
 
-	at := ctx.FrameDeadline(m.FirstFrame(chunk))
-	if at < ctx.Now {
-		at = ctx.Now
-	}
-	center := ctx.Predict(at)
+	center := ctx.Predict(ctx.ChunkStart(chunk))
 	lo := len(t.tiles)
 	t.tiles = ctx.Grid.AppendTilesInCap(t.tiles, center, ctx.Viewport.RadiusDeg)
 	vpTiles := t.tiles[lo:]

@@ -10,7 +10,6 @@ import (
 	"dragonfly/internal/chaos"
 	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
-	"dragonfly/internal/netem"
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/server"
@@ -24,8 +23,7 @@ import (
 // is what the client holds — which is exactly what the resume protocol
 // must be able to rebuild from.
 func newCrashBackend(t *testing.T, m *video.Manifest) *fleettest.Backend {
-	b := fleettest.NewBackend(context.Background(), "live", m,
-		func() (net.Conn, net.Conn) { return netem.Pipe(chaosLink) },
+	b := fleettest.NewBackend(context.Background(), "live", m, chaosLink,
 		func(s *server.Server) { s.Heartbeat = 100 * time.Millisecond })
 	t.Cleanup(b.Kill)
 	return b

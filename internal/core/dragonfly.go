@@ -232,11 +232,7 @@ func (d *Dragonfly) appendMasking(ctx *player.Context, items []player.RequestIte
 	}
 	m := ctx.Manifest
 	firstChunk := m.ChunkOfFrame(ctx.PlayFrame)
-	lastFrame := ctx.PlayFrame + int(maskingLookahead.Seconds()*float64(m.FPS))
-	if lastFrame >= m.NumFrames() {
-		lastFrame = m.NumFrames() - 1
-	}
-	lastChunk := m.ChunkOfFrame(lastFrame)
+	lastChunk := ctx.LastChunk(maskingLookahead)
 
 	if d.opts.Masking == maskFull360 {
 		plan.mode = planAll
@@ -263,11 +259,7 @@ func (d *Dragonfly) appendMasking(ctx *player.Context, items []player.RequestIte
 			disp = m.MaskDisplacement[c]
 		}
 		radius := ctx.Viewport.RadiusDeg + disp
-		at := ctx.FrameDeadline(m.FirstFrame(c))
-		if at < ctx.Now {
-			at = ctx.Now
-		}
-		center := ctx.Predict(at)
+		center := ctx.Predict(ctx.ChunkStart(c))
 		s.tileBuf = ctx.Grid.AppendTilesInCap(s.tileBuf[:0], center, radius)
 		rel := c - firstChunk
 		for _, id := range s.tileBuf {

@@ -11,7 +11,6 @@ import (
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
-	"dragonfly/internal/netem"
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/server"
@@ -61,7 +60,7 @@ func extChaos(w io.Writer, seed int64) (extChaosOutcome, error) {
 	// The restarted instance's only path back to the session state is the
 	// client's resume bitmap.
 	link := constLink(8)
-	b := fleettest.NewBackend(context.Background(), "chaos", m, func() (net.Conn, net.Conn) { return netem.Pipe(link) },
+	b := fleettest.NewBackend(context.Background(), "chaos", m, link,
 		func(s *server.Server) { s.Heartbeat = 100 * time.Millisecond })
 	defer b.Kill()
 	restart := time.AfterFunc(chaosRestartAt, b.Restart)

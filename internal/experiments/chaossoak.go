@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"dragonfly/internal/client"
 	"dragonfly/internal/fleettest"
 	"dragonfly/internal/ingest"
-	"dragonfly/internal/netem"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
@@ -197,8 +195,7 @@ func startSoakTier(ctx context.Context, m *video.Manifest, seed int64, snapDir, 
 
 	// The fleet: each member writes server-view traces a watcher tails.
 	link := constLink(16)
-	t.fleet, err = fleettest.NewFleet(soakServers, m,
-		func() (net.Conn, net.Conn) { return netem.Pipe(link) },
+	t.fleet, err = fleettest.NewFleet(soakServers, m, link,
 		func(addr string, s *server.Server) {
 			wireServer(s)
 			s.TraceDir = filepath.Join(traceRoot, addr)

@@ -32,7 +32,7 @@ func ExtPredictorMethods(env *Env, w io.Writer) map[string][]float64 {
 	}{
 		{"static", func() predict.OrientationPredictor { return &predict.Static{} }},
 		{"decay", func() predict.OrientationPredictor { return &predict.Decay{} }},
-		{"regression", func() predict.OrientationPredictor { return predict.Regression{V: predict.NewViewport(0)} }},
+		{"regression", func() predict.OrientationPredictor { return predict.NewViewport(0) }},
 	}
 	out := map[string][]float64{}
 	fprintf(w, "== Extension: viewport-predictor methods (median accuracy) ==\n")

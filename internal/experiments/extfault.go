@@ -11,7 +11,6 @@ import (
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
-	"dragonfly/internal/netem"
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
 	"dragonfly/internal/trace"
@@ -42,7 +41,7 @@ func ExtFaultTolerance(_ *Env, w io.Writer) (map[string]ExtFaultOutcome, error) 
 			return ExtFaultOutcome{}, err
 		}
 		defer chaos.Disarm()
-		b := fleettest.NewBackend(context.Background(), "fault", m, func() (net.Conn, net.Conn) { return netem.Pipe(link) },
+		b := fleettest.NewBackend(context.Background(), "fault", m, link,
 			func(s *server.Server) { s.Heartbeat = 100 * time.Millisecond })
 		defer b.Kill()
 		dials := 0

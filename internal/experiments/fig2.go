@@ -34,7 +34,7 @@ func Fig2PredictionAccuracy(env *Env, w io.Writer) ([]Fig2Point, error) {
 	for _, win := range windows {
 		var all []float64
 		for _, u := range env.Users {
-			all = append(all, predict.MethodAccuracy(predict.Regression{V: predict.NewViewport(0)}, u, grid, vp, win, 200*time.Millisecond)...)
+			all = append(all, predict.MethodAccuracy(predict.NewViewport(0), u, grid, vp, win, 200*time.Millisecond)...)
 		}
 		p := Fig2Point{
 			Window:         win,

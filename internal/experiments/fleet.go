@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"io"
-	"net"
 	"time"
 
 	"dragonfly/internal/client"
 	"dragonfly/internal/core"
 	"dragonfly/internal/fleettest"
-	"dragonfly/internal/netem"
 	"dragonfly/internal/player"
 	"dragonfly/internal/server"
 	"dragonfly/internal/trace"
@@ -70,9 +68,7 @@ func extFleetChaos(w io.Writer, seed int64) (fleetChaosOutcome, error) {
 
 	m := wireManifest("fleet")
 	link := constLink(16)
-	f, err := fleettest.NewFleet(fleetServers, m,
-		func() (net.Conn, net.Conn) { return netem.Pipe(link) },
-		func(_ string, s *server.Server) { wireServer(s) })
+	f, err := fleettest.NewFleet(fleetServers, m, link, func(_ string, s *server.Server) { wireServer(s) })
 	if err != nil {
 		return out, err
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -57,8 +56,7 @@ type qoeFeedbackOutcome struct {
 // cover that; the subject is the feedback loop.
 func qoeBackend(ctx context.Context, m *video.Manifest, link netem.Link,
 	maxQueueBytes int64, traceDir string, qoe server.QoESource) *fleettest.Backend {
-	return fleettest.NewBackend(ctx, "qoe", m,
-		func() (net.Conn, net.Conn) { return netem.Pipe(link) },
+	return fleettest.NewBackend(ctx, "qoe", m, link,
 		func(s *server.Server) {
 			wireServer(s)
 			s.MaxQueueBytes = maxQueueBytes

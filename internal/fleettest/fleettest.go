@@ -23,9 +23,9 @@ import (
 	"dragonfly/internal/video"
 )
 
-// Backend is one fleet member: a server process reachable through pipes
-// from one constructor, killed abruptly and restarted cold on the same
-// address. Every instance shares Reg, so a member's metrics read as one
+// Backend is one fleet member: a server process reachable through shaped
+// pipes, killed abruptly and restarted cold on the same address. Every
+// instance shares Reg, so a member's metrics read as one
 // series across restarts — exactly like a supervised process coming back
 // on the same port. A dialed conn reaches the server one way:
 // through the instance's real accept loop (server.Serve), so the accept
@@ -36,7 +36,7 @@ type Backend struct {
 
 	ctx       context.Context
 	m         *video.Manifest
-	pipe      func() (client, server net.Conn)
+	link      netem.Link
 	configure func(*server.Server)
 
 	life sync.Mutex // serializes Kill and Restart, held across their waits
@@ -47,14 +47,14 @@ type Backend struct {
 	instances int            // instances started: restarts + 1
 }
 
-// NewBackend starts the first instance. pipe builds each connection
-// (netem.Pipe over a link, whose writes the armed netem.link.write rules
-// fault); configure sets up every fresh server.Server before it serves
-// (its Obs is already Reg). Cancelling ctx stops whatever instance is
-// running; Kill also waits for it.
+// NewBackend starts the first instance. Each instance listens on a
+// netem.PipeListener over link, whose writes the armed netem.link.write
+// rules fault; configure sets up every fresh server.Server before it
+// serves (its Obs is already Reg). Cancelling ctx stops whatever instance
+// is running; Kill also waits for it.
 func NewBackend(ctx context.Context, addr string, m *video.Manifest,
-	pipe func() (client, server net.Conn), configure func(*server.Server)) *Backend {
-	b := &Backend{Addr: addr, Reg: obs.NewRegistry(), ctx: ctx, m: m, pipe: pipe, configure: configure}
+	link netem.Link, configure func(*server.Server)) *Backend {
+	b := &Backend{Addr: addr, Reg: obs.NewRegistry(), ctx: ctx, m: m, link: link, configure: configure}
 	b.Restart()
 	return b
 }
@@ -62,11 +62,8 @@ func NewBackend(ctx context.Context, addr string, m *video.Manifest,
 // instance is one run of the process: a server, the listener feeding its
 // accept loop, and the server-side conns Kill must sever.
 type instance struct {
-	addr   pipeAddr
+	*netem.PipeListener
 	srv    *server.Server
-	accept chan net.Conn
-	closed chan struct{} // listener closed: Accept and Dial fail
-	once   sync.Once
 	cancel context.CancelFunc
 	served chan struct{} // server.Serve returned
 
@@ -79,32 +76,19 @@ type instance struct {
 // A conn handed over in the instant of a kill is severed here: the process
 // is gone, whichever side of the race the dial fell on.
 func (in *instance) Accept() (net.Conn, error) {
-	select {
-	case c := <-in.accept:
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		if in.killed {
-			c.Close()
-			return nil, net.ErrClosed
-		}
-		in.conns = append(in.conns, c)
-		return c, nil
-	case <-in.closed:
+	c, err := in.PipeListener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.killed {
+		c.Close()
 		return nil, net.ErrClosed
 	}
+	in.conns = append(in.conns, c)
+	return c, nil
 }
-
-func (in *instance) Close() error {
-	in.once.Do(func() { close(in.closed) })
-	return nil
-}
-
-func (in *instance) Addr() net.Addr { return in.addr }
-
-type pipeAddr string
-
-func (pipeAddr) Network() string  { return "pipe" }
-func (a pipeAddr) String() string { return string(a) }
 
 // Dial connects like TCP would: refused while the process is down,
 // otherwise a fresh pipe accepted by the live instance.
@@ -113,13 +97,8 @@ func (b *Backend) Dial() (net.Conn, error) {
 	in := b.cur
 	b.mu.Unlock()
 	if in != nil {
-		client, srv := b.pipe()
-		select {
-		case in.accept <- srv:
-			return client, nil
-		case <-in.closed:
-			client.Close()
-			srv.Close()
+		if c, err := in.Dial(); err == nil {
+			return c, nil
 		}
 	}
 	return nil, fmt.Errorf("%s: connection refused", b.Addr)
@@ -166,8 +145,7 @@ func (b *Backend) Restart() {
 	s.Obs = b.Reg
 	b.configure(s)
 	ctx, cancel := context.WithCancel(b.ctx)
-	in := &instance{addr: pipeAddr(b.Addr), srv: s, accept: make(chan net.Conn),
-		closed: make(chan struct{}), cancel: cancel, served: make(chan struct{})}
+	in := &instance{PipeListener: netem.NewPipeListener(b.link), srv: s, cancel: cancel, served: make(chan struct{})}
 	go func() {
 		defer close(in.served)
 		_ = s.Serve(ctx, in) // returns the cancellation Kill (or ctx) caused
@@ -222,17 +200,17 @@ type Fleet struct {
 	served chan struct{} // Balancer.Serve returned; nil until it starts
 }
 
-// NewFleet starts n backends serving m over pipes from one constructor
-// and a balancer in front of them. configure sets up every fresh server
-// instance and is told which member it belongs to.
-func NewFleet(n int, m *video.Manifest, pipe func() (client, server net.Conn),
+// NewFleet starts n backends serving m over pipes shaped by link and a
+// balancer in front of them. configure sets up every fresh server instance
+// and is told which member it belongs to.
+func NewFleet(n int, m *video.Manifest, link netem.Link,
 	configure func(addr string, s *server.Server)) (*Fleet, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Fleet{LB: obs.NewRegistry(), cancel: cancel}
 	var cfgs []balancer.BackendConfig
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("s%d", i)
-		b := NewBackend(ctx, addr, m, pipe, func(s *server.Server) { configure(addr, s) })
+		b := NewBackend(ctx, addr, m, link, func(s *server.Server) { configure(addr, s) })
 		f.Backends = append(f.Backends, b)
 		cfgs = append(cfgs, balancer.BackendConfig{Addr: addr})
 	}

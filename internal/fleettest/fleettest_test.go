@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dragonfly/internal/leaktest"
+	"dragonfly/internal/netem"
 	"dragonfly/internal/player"
 	"dragonfly/internal/proto"
 	"dragonfly/internal/server"
@@ -24,7 +25,7 @@ func testServer(s *server.Server) { s.WriteTimeout = 250 * time.Millisecond }
 // newTestBackend's caller defers Kill after leaktest.Check, so the check
 // runs once the backend is down.
 func newTestBackend() *Backend {
-	return NewBackend(context.Background(), "s0", testManifest(), net.Pipe, testServer)
+	return NewBackend(context.Background(), "s0", testManifest(), netem.Link{}, testServer)
 }
 
 // probe runs one health probe against b: MsgPing out, status pong back.
@@ -188,7 +189,7 @@ func TestDrainBusyRejectsNextDial(t *testing.T) {
 // loops, accept loops, session handlers.
 func TestFleetCloseLeavesNoGoroutines(t *testing.T) {
 	defer leaktest.Check(t)()
-	f, err := NewFleet(3, testManifest(), net.Pipe, func(_ string, s *server.Server) { testServer(s) })
+	f, err := NewFleet(3, testManifest(), netem.Link{}, func(_ string, s *server.Server) { testServer(s) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestParseFaultKind(t *testing.T) {
 // nothing crosses the link to the reader.
 func TestFaultLinkBlackoutStallsWrites(t *testing.T) {
 	armFaultFile(t, "netem.link.write,delay,0,0,1,300,0\n")
-	c, s := Pipe(Link{})
+	c, s := pipe(Link{})
 	defer c.Close()
 	defer s.Close()
 

@@ -26,7 +26,7 @@ func NewPipeListener(link Link) *PipeListener {
 // Dial creates a connection pair, queues the server half for Accept, and
 // returns the client half. It fails once the listener is closed.
 func (l *PipeListener) Dial() (net.Conn, error) {
-	client, server := Pipe(l.link)
+	client, server := pipe(l.link)
 	select {
 	case l.ch <- server:
 		return client, nil

@@ -138,10 +138,10 @@ func (l *Listener) Accept() (net.Conn, error) {
 	return newConn(c, l.link), nil
 }
 
-// Pipe returns an in-memory client/server connection pair whose
-// server-to-client direction is shaped by the link. It is the unit-test
-// substitute for a real shaped TCP path.
-func Pipe(link Link) (client, server net.Conn) {
+// pipe returns an in-memory client/server connection pair whose
+// server-to-client direction is shaped by the link: a PipeListener's
+// connection, the in-process substitute for a real shaped TCP path.
+func pipe(link Link) (client, server net.Conn) {
 	c, s := net.Pipe()
 	return c, newConn(s, link)
 }

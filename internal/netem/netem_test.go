@@ -27,7 +27,7 @@ func drain(t *testing.T, r io.Reader, done chan<- int) {
 func TestPacingMatchesTrace(t *testing.T) {
 	// 8 Mbps flat: 1e6 bytes should take ~1 second.
 	link := Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{8}}}
-	client, server := Pipe(link)
+	client, server := pipe(link)
 	done := make(chan int, 1)
 	go drain(t, client, done)
 
@@ -49,7 +49,7 @@ func TestPacingMatchesTrace(t *testing.T) {
 func TestPacingFollowsRateChange(t *testing.T) {
 	// 4 Mbps then 40 Mbps: 1 MB = 0.5 MB in 1 s, remaining 0.5 MB in 0.1 s.
 	link := Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{4, 40}}}
-	client, server := Pipe(link)
+	client, server := pipe(link)
 	done := make(chan int, 1)
 	go drain(t, client, done)
 	begin := time.Now()
@@ -65,7 +65,7 @@ func TestPacingFollowsRateChange(t *testing.T) {
 }
 
 func TestUnshapedPassThrough(t *testing.T) {
-	client, server := Pipe(Link{})
+	client, server := pipe(Link{})
 	done := make(chan int, 1)
 	go drain(t, client, done)
 	begin := time.Now()
@@ -121,7 +121,7 @@ func TestConcurrentWritesShareLink(t *testing.T) {
 	// Two goroutines writing concurrently must share the same virtual
 	// transmission clock (total time ~ sum of bytes / rate).
 	link := Link{Trace: &trace.BandwidthTrace{SamplePeriod: time.Second, Mbps: []float64{8}}}
-	client, server := Pipe(link)
+	client, server := pipe(link)
 	done := make(chan int, 1)
 	go drain(t, client, done)
 	begin := time.Now()

@@ -30,7 +30,7 @@ func runLink(t *testing.T, rule chaos.Rule, arm bool) linkRun {
 			t.Fatal(err)
 		}
 	}
-	client, server := Pipe(Link{})
+	client, server := pipe(Link{})
 	defer client.Close()
 	got := make(chan []byte, 1)
 	go func() {

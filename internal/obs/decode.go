@@ -3,7 +3,8 @@ package obs
 import (
 	"encoding/binary"
 	"encoding/json"
-	"strconv"
+
+	"dragonfly/internal/jsonscan"
 )
 
 // UnmarshalEvent decodes one JSONL trace line into ev. The contract is
@@ -30,9 +31,9 @@ func UnmarshalEvent(line []byte, ev *Event) error {
 // The canonical form is the one WriteJSONL emits: a single object with no
 // whitespace, its keys in the writer's order — v, t_ms, ev, then whichever
 // of chunk, tile, n, video, cohort the event carries, in Event's
-// declaration order — strings of printable ASCII without escapes, plain
-// decimal integers, and t_ms as digits[.digits]. Each value decodes to what
-// json.Unmarshal makes of it.
+// declaration order — strings of printable ASCII without escapes, integers
+// in the int64 range, and t_ms as any JSON number. Each value is read by
+// internal/jsonscan to what json.Unmarshal makes of it.
 func DecodeEvent(b []byte, ev *Event) int {
 	*ev = Event{}
 	var kind, video, cohort []byte
@@ -41,44 +42,44 @@ func DecodeEvent(b []byte, ev *Event) int {
 	if !keyV.is(keyAt(b, i, '{')) {
 		return 0
 	}
-	if ev.V, i, ok = scanPlainInt(b, i+keyV.n); !ok || !keyTMS.is(keyAt(b, i, ',')) {
+	if ev.V, i, ok = jsonscan.Int(b, i+keyV.n); !ok || !keyTMS.is(keyAt(b, i, ',')) {
 		return 0
 	}
-	if ev.AtMS, i, ok = scanFloat(b, i+keyTMS.n); !ok || !keyEv.is(keyAt(b, i, ',')) {
+	if ev.AtMS, i, ok = jsonscan.Float(b, i+keyTMS.n); !ok || !keyEv.is(keyAt(b, i, ',')) {
 		return 0
 	}
-	if kind, i, ok = scanString(b, i+keyEv.n); !ok {
+	if kind, i, ok = jsonscan.Str(b, i+keyEv.n); !ok {
 		return 0
 	}
 	// The optional keys, in order: each is looked for only where the one
 	// before it would have ended.
 	w := keyAt(b, i, ',')
 	if keyChunk.is(w) {
-		if ev.Chunk, i, ok = scanPlainInt(b, i+keyChunk.n); !ok {
+		if ev.Chunk, i, ok = jsonscan.Int(b, i+keyChunk.n); !ok {
 			return 0
 		}
 		w = keyAt(b, i, ',')
 	}
 	if keyTile.is(w) {
-		if ev.Tile, i, ok = scanPlainInt(b, i+keyTile.n); !ok {
+		if ev.Tile, i, ok = jsonscan.Int(b, i+keyTile.n); !ok {
 			return 0
 		}
 		w = keyAt(b, i, ',')
 	}
 	if keyN.is(w) {
-		if ev.N, i, ok = scanInt(b, i+keyN.n); !ok {
+		if ev.N, i, ok = jsonscan.Int64(b, i+keyN.n); !ok {
 			return 0
 		}
 		w = keyAt(b, i, ',')
 	}
 	if keyVideo.is(w) {
-		if video, i, ok = scanString(b, i+keyVideo.n); !ok {
+		if video, i, ok = jsonscan.Str(b, i+keyVideo.n); !ok {
 			return 0
 		}
 		w = keyAt(b, i, ',')
 	}
 	if keyCohort.is(w) {
-		if cohort, i, ok = scanString(b, i+keyCohort.n); !ok {
+		if cohort, i, ok = jsonscan.Str(b, i+keyCohort.n); !ok {
 			return 0
 		}
 	}
@@ -153,94 +154,6 @@ func word(b []byte, i int) uint64 {
 		return binary.LittleEndian.Uint64(b[len(b)-8:]) >> (8 * (i + 8 - len(b)))
 	}
 	return 0
-}
-
-// digits accumulates the run of decimal digits that starts b into m, which
-// wraps past 19 digits where no caller uses it, and returns m with the
-// run's length.
-func digits(b []byte, m uint64) (uint64, int) {
-	for n, c := range b {
-		if c-'0' > 9 {
-			return m, n
-		}
-		m = m*10 + uint64(c-'0')
-	}
-	return m, len(b)
-}
-
-// scanInt reads -?(0|[1-9][0-9]{0,17}) at b[i:] — every such value fits an
-// int64 — and returns it with the index after it. A longer run of digits
-// stops at the 19th, where the caller finds no delimiter.
-func scanInt(b []byte, i int) (int64, int, bool) {
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
-	}
-	run := b[i:]
-	if len(run) > 18 {
-		run = run[:18]
-	}
-	m, n := digits(run, 0)
-	if n == 0 || (run[0] == '0' && n > 1) {
-		return 0, i + n, false
-	}
-	v := int64(m)
-	if neg {
-		v = -v
-	}
-	return v, i + n, true
-}
-
-// scanPlainInt is scanInt for an int field: a value the platform's int
-// cannot hold is json's range error to report, not ours.
-func scanPlainInt(b []byte, i int) (int, int, bool) {
-	v, i, ok := scanInt(b, i)
-	return int(v), i, ok && int64(int(v)) == v
-}
-
-// pow10 holds the powers of ten scanFloat divides by, all exact in a float64.
-var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14}
-
-// scanFloat reads digits[.digits] at b[i:] — no sign, no exponent, which the
-// writer never emits and the caller finds no delimiter after — and returns
-// ParseFloat's value of it with the index after it. At most 15 digits, any
-// t_ms under eleven days, are exact as an integer mantissa over an exact
-// power of ten, so one correctly rounded division yields ParseFloat's bits.
-func scanFloat(b []byte, i int) (float64, int, bool) {
-	m, n := digits(b[i:], 0)
-	if n == 0 || (b[i] == '0' && n > 1) {
-		return 0, i + n, false
-	}
-	end, frac := i+n, 0
-	if end < len(b) && b[end] == '.' {
-		if m, frac = digits(b[end+1:], m); frac == 0 {
-			return 0, end + 1, false
-		}
-		end += 1 + frac
-	}
-	if n+frac <= 15 {
-		return float64(m) / pow10[frac], end, true
-	}
-	f, err := strconv.ParseFloat(string(b[i:end]), 64)
-	return f, end, err == nil
-}
-
-// scanString reads a quoted string of printable ASCII without escapes at
-// b[i:] and returns its contents (aliasing b) with the index after it.
-func scanString(b []byte, i int) ([]byte, int, bool) {
-	if i >= len(b) || b[i] != '"' {
-		return nil, i, false
-	}
-	i++
-	for start := i; i < len(b); i++ {
-		switch c := b[i]; {
-		case c == '"':
-			return b[start:i], i + 1, true
-		case c < 0x20 || c > 0x7e || c == '\\':
-			return nil, i, false
-		}
-	}
-	return nil, i, false
 }
 
 // internKind maps an event kind's bytes to the package constant, so folding

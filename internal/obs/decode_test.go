@@ -96,11 +96,11 @@ func TestDecodeEventAtBufferStart(t *testing.T) {
 	}
 }
 
-// tmsShapes are t_ms spellings on and around the edge of scanFloat's
-// grammar, each with the side of the canonical form it falls on:
-// digits[.digits] is canonical at any length, a sign or an exponent is
-// encoding/json's. Which canonical ones are divided and which are
-// ParseFloat's is not observable, only that both give ParseFloat's bits.
+// tmsShapes are t_ms spellings on and around the edge of jsonscan.Float's
+// grammar, each with the side of the canonical form it falls on: any JSON
+// number in float64 range is canonical, whatever its length, sign or
+// exponent. Which canonical ones are divided and which are ParseFloat's is
+// not observable, only that both give ParseFloat's bits.
 var tmsShapes = []struct {
 	num       string
 	canonical bool
@@ -122,13 +122,13 @@ var tmsShapes = []struct {
 	{"0.30000000000000004", true},
 	{"99999999999999999999", true}, // the uint64 mantissa wraps
 	{"123456789012345678901234567890.123456789012345678901234567890", true},
-	{"1e-06", false}, // what strconv's 'g' prints for 1 ns; json prints 0.000001
-	{"1E5", false},
-	{"1.5e+3", false},
+	{"1e-06", true}, // what strconv's 'g' prints for 1 ns; json prints 0.000001
+	{"1E5", true},   // an exponent: ParseFloat's
+	{"1.5e+3", true},
 	{"1e999", false}, // out of range: json's error to report
-	{"-0", false},
-	{"-0.0", false},
-	{"-1.5", false},
+	{"-0", true},     // a sign: the writer never emits one, but it is JSON
+	{"-0.0", true},
+	{"-1.5", true},
 	{"1.", false}, // not JSON, from here down
 	{"01.5", false},
 	{".5", false},
@@ -229,9 +229,9 @@ func TestCanonicalFormBoundary(t *testing.T) {
 		{`{"v":1,"t_ms":0,"ev":"stall","extra":1}`, false}, // json ignores unknown keys
 		{`{"v":1.0,"t_ms":0,"ev":"stall"}`, false},         // json refuses a float for an int
 		{`{"v":1e0,"t_ms":0,"ev":"stall"}`, false},
-		{`{"v":01,"t_ms":0,"ev":"stall"}`, false},      // not JSON
-		{`{"v":1,"t_ms":1e-7,"ev":"stall"}`, false},    // an exponent or a sign on t_ms: valid JSON the writer never emits
-		{`{"v":1,"t_ms":-0.5E+3,"ev":"stall"}`, false}, // (more t_ms spellings in tmsShapes)
+		{`{"v":01,"t_ms":0,"ev":"stall"}`, false},     // not JSON
+		{`{"v":1,"t_ms":1e-7,"ev":"stall"}`, true},    // an exponent or a sign on t_ms: the writer never emits them, but
+		{`{"v":1,"t_ms":-0.5E+3,"ev":"stall"}`, true}, // jsonscan reads any JSON number (more spellings in tmsShapes)
 		{`{"v":1,"t_ms":01,"ev":"stall"}`, false},
 		{`{"v":1,"t_ms":.5,"ev":"stall"}`, false},
 		{`{"v":1,"t_ms":1.,"ev":"stall"}`, false},
@@ -242,7 +242,8 @@ func TestCanonicalFormBoundary(t *testing.T) {
 		{`{"v":1,"t_ms":1e999,"ev":"stall"}`, false},      // out of float64 range: json's error
 		{`{"v":1,"t_ms":0,"ev":"stall","n":null}`, false}, // json leaves the field alone
 		{`{"v":1,"t_ms":0,"ev":"stall","n":"7"}`, false},
-		{`{"v":1,"t_ms":0,"ev":"stall","n":1234567890123456789}`, false}, // 19 digits: json range-checks
+		{`{"v":1,"t_ms":0,"ev":"stall","n":1234567890123456789}`, true},  // 19 digits: range-checked by hand
+		{`{"v":1,"t_ms":0,"ev":"stall","n":9223372036854775808}`, false}, // past int64: json's range error
 		{`{"v":1,"t_ms":0,"ev":"st\u0061ll"}`, false},                    // escapes
 		{`{"v":1,"t_ms":0,"ev":"session","cohort":"a\"b"}`, false},
 		{`{"v":1,"t_ms":0,"ev":"session","cohort":"héllo"}`, false},            // non-ASCII

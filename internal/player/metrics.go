@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"dragonfly/internal/stats"
 	"dragonfly/internal/video"
 )
 
@@ -127,28 +128,10 @@ func (m *Metrics) ScorePercentile(p float64) float64 {
 
 // MeanScore returns the arithmetic mean of per-frame quality in dB (the
 // per-frame values are already MSE-domain aggregates across the viewport).
-func (m *Metrics) MeanScore() float64 {
-	if len(m.FrameScore) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range m.FrameScore {
-		s += v
-	}
-	return s / float64(len(m.FrameScore))
-}
+func (m *Metrics) MeanScore() float64 { return stats.Mean(m.FrameScore) }
 
 // MeanBlankArea returns the mean blank-area fraction across frames.
-func (m *Metrics) MeanBlankArea() float64 {
-	if len(m.FrameBlank) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range m.FrameBlank {
-		s += v
-	}
-	return s / float64(len(m.FrameBlank))
-}
+func (m *Metrics) MeanBlankArea() float64 { return stats.Mean(m.FrameBlank) }
 
 // WastagePct is unnecessary bytes over total received bytes (§4.1).
 func (m *Metrics) WastagePct() float64 {

@@ -128,6 +128,20 @@ type Context struct {
 	flip  uint8
 }
 
+// LastChunk returns the chunk of the last frame within look-ahead of the
+// play position, or of the video's last frame if that comes first: a
+// scheme's look-ahead window runs from the play position's chunk to it.
+func (c *Context) LastChunk(lookahead time.Duration) int {
+	m := c.Manifest
+	return m.ChunkOfFrame(min(c.PlayFrame+int(lookahead.Seconds()*float64(m.FPS)), m.NumFrames()-1))
+}
+
+// ChunkStart returns the instant chunk starts rendering, or Now if that
+// has passed: the instant a scheme predicts the viewport for the chunk at.
+func (c *Context) ChunkStart(chunk int) time.Duration {
+	return max(c.FrameDeadline(c.Manifest.FirstFrame(chunk)), c.Now)
+}
+
 // FetchList returns the buffer a Decide builds its fetch list in: the one
 // the previous Decide on this Context did not use. The scheme appends to
 // (*buf)[:0] and stores the grown slice back in *buf, so the list it

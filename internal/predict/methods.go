@@ -90,24 +90,12 @@ func (d *Decay) Predict(at time.Duration) geom.Orientation {
 	}
 }
 
-// Regression adapts the package's linear-regression Viewport to the
-// OrientationPredictor interface.
-type Regression struct {
-	V *Viewport
-}
-
-// Observe implements OrientationPredictor.
-func (r Regression) Observe(t time.Duration, o geom.Orientation) { r.V.Observe(t, o) }
-
-// Predict implements OrientationPredictor.
-func (r Regression) Predict(at time.Duration) geom.Orientation { return r.V.Predict(at) }
-
 // MethodAccuracy measures viewport-prediction accuracy on a head trace for
 // one prediction window: at every decision instant (stepped by step), p
 // trains on history up to t, predicts the viewport at t+window, and the
 // instant scores the fraction of actual-viewport tiles that the predicted
 // viewport covers — the Figure 2 metric ("fraction of tiles in viewport
-// that are predicted"), which Figure 2 takes over Regression.
+// that are predicted"), which Figure 2 takes over the regression Viewport.
 func MethodAccuracy(p OrientationPredictor, h *trace.HeadTrace, g *geom.Grid, vp geom.Viewport, window, step time.Duration) []float64 {
 	if step <= 0 {
 		step = 200 * time.Millisecond

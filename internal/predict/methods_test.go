@@ -53,15 +53,17 @@ func TestDecayPredictor(t *testing.T) {
 	}
 }
 
-func TestRegressionAdapter(t *testing.T) {
-	r := Regression{V: NewViewport(0)}
+// TestRegressionAsOrientationPredictor: the linear-regression Viewport is
+// an OrientationPredictor as it stands, with no adapter between them.
+func TestRegressionAsOrientationPredictor(t *testing.T) {
+	var r OrientationPredictor = NewViewport(0)
 	for i := 0; i <= 25; i++ {
 		tt := time.Duration(i) * 40 * time.Millisecond
 		r.Observe(tt, geom.Orientation{Yaw: 10 * tt.Seconds(), Pitch: 0})
 	}
 	got := r.Predict(2 * time.Second)
 	if math.Abs(got.Yaw-20) > 0.5 {
-		t.Errorf("regression adapter yaw %v, want 20", got.Yaw)
+		t.Errorf("regression yaw %v, want 20", got.Yaw)
 	}
 }
 
@@ -79,7 +81,7 @@ func TestMethodAccuracyComparisons(t *testing.T) {
 	}
 	newStatic := func() OrientationPredictor { return &Static{} }
 	newDecay := func() OrientationPredictor { return &Decay{} }
-	newRegression := func() OrientationPredictor { return Regression{V: NewViewport(0)} }
+	newRegression := func() OrientationPredictor { return NewViewport(0) }
 
 	// Regression should beat static at a short window (it tracks motion).
 	shortReg := med(newRegression, 500*time.Millisecond)

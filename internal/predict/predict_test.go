@@ -97,7 +97,7 @@ func TestAccuracyDegradesWithWindow(t *testing.T) {
 		var all []float64
 		for seed := int64(0); seed < 6; seed++ {
 			h := trace.GenerateHead(trace.HeadGenParams{Class: trace.MotionClass(seed % 3), Seed: seed + 40})
-			all = append(all, MethodAccuracy(Regression{V: NewViewport(0)}, h, g, vp, window, 200*time.Millisecond)...)
+			all = append(all, MethodAccuracy(NewViewport(0), h, g, vp, window, 200*time.Millisecond)...)
 		}
 		sort.Float64s(all)
 		return all[len(all)/2]
@@ -117,7 +117,7 @@ func TestErrorInjectionHurtsAccuracy(t *testing.T) {
 	vp := geom.DefaultViewport
 	h := trace.GenerateHead(trace.HeadGenParams{Class: trace.MotionMedium, Seed: 11})
 	run := func(shift float64) float64 {
-		return stats.Mean(MethodAccuracy(Regression{V: NewViewportWithError(0, shift, 99)}, h, g, vp, time.Second, 400*time.Millisecond))
+		return stats.Mean(MethodAccuracy(NewViewportWithError(0, shift, 99), h, g, vp, time.Second, 400*time.Millisecond))
 	}
 	clean := run(0)
 	noisy := run(40)

@@ -70,7 +70,7 @@ func TestLinkCorruptLeavesHeldFrameIntact(t *testing.T) {
 	// The corrupt kind flips bit (hit number) of the write: burn 40 hits
 	// so the flip lands in the body, not the length prefix.
 	armServer(t, chaos.Rule{Site: "netem.link.write", Kind: chaos.FaultCorrupt, After: 40, Count: 1})
-	burnC, burnS := netem.Pipe(netem.Link{})
+	burnC, burnS := linkPipe(t)
 	drainConn(burnC)
 	for range 40 {
 		if _, err := burnS.Write([]byte{0}); err != nil {
@@ -79,7 +79,7 @@ func TestLinkCorruptLeavesHeldFrameIntact(t *testing.T) {
 	}
 	burnS.Close()
 
-	c1, srv1 := netem.Pipe(netem.Link{})
+	c1, srv1 := linkPipe(t)
 	first := openRaw(s, m.VideoID, c1, srv1)
 	bad, err := readRawFrame(c1, nil)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestLinkCorruptLeavesHeldFrameIntact(t *testing.T) {
 		t.Fatal("the corrupt fault did not fire on the manifest write")
 	}
 
-	c2, srv2 := netem.Pipe(netem.Link{})
+	c2, srv2 := linkPipe(t)
 	second := openRaw(s, m.VideoID, c2, srv2)
 	got, err := readRawFrame(c2, nil)
 	if err != nil {
@@ -103,6 +103,25 @@ func TestLinkCorruptLeavesHeldFrameIntact(t *testing.T) {
 	}
 	second.end(t)
 	first.end(t)
+}
+
+// linkPipe returns both ends of one connection through an unshaped
+// netem.PipeListener, so the server's writes pass the netem.link.write
+// failpoint.
+func linkPipe(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	l := netem.NewPipeListener(netem.Link{})
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := l.Accept()
+		accepted <- c
+	}()
+	client, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client, <-accepted
 }
 
 // BenchmarkSessionStart times the server's end of a session start: one

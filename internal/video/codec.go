@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+
+	"dragonfly/internal/jsonscan"
 )
 
 // The hand-written codec of the manifest's canonical JSON form: the bytes
@@ -147,33 +149,36 @@ func appendFloat(b []byte, f float64) []byte {
 
 // decodeCanonical decodes a canonical-form body into j and reports whether
 // it did. It accepts a subset of what json.Unmarshal accepts and decodes it
-// to the same value; on false j holds garbage and the caller resets it.
-// Every value is scanned once, and every array is allocated once at its
-// final length, counted from its separators.
+// to the same value, each number and string read by internal/jsonscan; on
+// false j holds garbage and the caller resets it. Every value is scanned
+// once, and every array is allocated once at its final length, counted
+// from its separators.
 func decodeCanonical(b []byte, j *manifestJSON) bool {
 	d := decoder{b: b}
-	ok := d.key(`{"video_id":`) && d.str(&j.VideoID) &&
-		d.key(`,"rows":`) && d.scanInt(&j.Rows) &&
-		d.key(`,"cols":`) && d.scanInt(&j.Cols) &&
-		d.key(`,"fps":`) && d.scanInt(&j.FPS) &&
-		d.key(`,"chunk_frames":`) && d.scanInt(&j.ChunkFrames) &&
-		d.key(`,"num_chunks":`) && d.scanInt(&j.NumChunks) &&
-		d.key(`,"qps":`) && array(&d, &j.QPs, (*decoder).scanInt) &&
-		d.key(`,"sizes":`) && array(&d, &j.Sizes, (*decoder).scanInt64) &&
-		d.key(`,"psnr":`) && array(&d, &j.PSNR, (*decoder).scanFloat) &&
-		d.key(`,"pspnr":`) && array(&d, &j.PSPNR, (*decoder).scanFloat) &&
-		d.key(`,"black_psnr":`) && array(&d, &j.BlackPSNR, (*decoder).scanFloat) &&
-		d.key(`,"full360":`) && array(&d, &j.Full360, (*decoder).scanInt64) &&
-		d.key(`,"mask_displacement":`) && array(&d, &j.MaskDisplacement, (*decoder).scanFloat)
+	var id []byte
+	ok := d.key(`{"video_id":`) && scan(&d, &id, jsonscan.Str) &&
+		d.key(`,"rows":`) && scan(&d, &j.Rows, jsonscan.Int) &&
+		d.key(`,"cols":`) && scan(&d, &j.Cols, jsonscan.Int) &&
+		d.key(`,"fps":`) && scan(&d, &j.FPS, jsonscan.Int) &&
+		d.key(`,"chunk_frames":`) && scan(&d, &j.ChunkFrames, jsonscan.Int) &&
+		d.key(`,"num_chunks":`) && scan(&d, &j.NumChunks, jsonscan.Int) &&
+		d.key(`,"qps":`) && array(&d, &j.QPs, jsonscan.Int) &&
+		d.key(`,"sizes":`) && array(&d, &j.Sizes, jsonscan.Int64) &&
+		d.key(`,"psnr":`) && array(&d, &j.PSNR, jsonscan.Float) &&
+		d.key(`,"pspnr":`) && array(&d, &j.PSPNR, jsonscan.Float) &&
+		d.key(`,"black_psnr":`) && array(&d, &j.BlackPSNR, jsonscan.Float) &&
+		d.key(`,"full360":`) && array(&d, &j.Full360, jsonscan.Int64) &&
+		d.key(`,"mask_displacement":`) && array(&d, &j.MaskDisplacement, jsonscan.Float)
 	if !ok {
 		return false
 	}
-	if d.key(`,"checksums":`) && !array(&d, &j.Checksums, (*decoder).scanUint32) {
+	if d.key(`,"checksums":`) && !array(&d, &j.Checksums, jsonscan.Uint32) {
 		return false
 	}
-	if d.key(`,"full360_checksums":`) && !array(&d, &j.Full360Checksums, (*decoder).scanUint32) {
+	if d.key(`,"full360_checksums":`) && !array(&d, &j.Full360Checksums, jsonscan.Uint32) {
 		return false
 	}
+	j.VideoID = string(id)
 	return d.i == len(b)-1 && b[d.i] == '}'
 }
 
@@ -192,131 +197,19 @@ func (d *decoder) key(s string) bool {
 	return true
 }
 
-// str reads a quoted string of printable ASCII without escapes.
-func (d *decoder) str(v *string) bool {
-	if !d.key(`"`) {
-		return false
-	}
-	for k := d.i; k < len(d.b); k++ {
-		switch c := d.b[k]; {
-		case c == '"':
-			*v = string(d.b[d.i:k])
-			d.i = k + 1
-			return true
-		case c < 0x20 || c > 0x7e || c == '\\':
-			return false
-		}
-	}
-	return false
+// scan reads one value at the cursor into v with read, a jsonscan reader.
+func scan[T any](d *decoder, v *T, read func([]byte, int) (T, int, bool)) bool {
+	x, i, ok := read(d.b, d.i)
+	*v, d.i = x, i
+	return ok
 }
 
-// digits reads a run of decimal digits, accumulating them into m (which
-// wraps past 19 digits, where no caller uses it), and returns how many.
-func (d *decoder) digits(m *uint64) int {
-	b, i, v := d.b, d.i, *m
-	for i < len(b) && b[i]-'0' <= 9 {
-		v = v*10 + uint64(b[i]-'0')
-		i++
-	}
-	n := i - d.i
-	d.i, *m = i, v
-	return n
-}
-
-// scanUint reads 0|[1-9][0-9]* of at most 19 digits, which fits a uint64.
-func (d *decoder) scanUint(v *uint64) bool {
-	start := d.i
-	n := d.digits(v)
-	return n > 0 && n <= 19 && (n == 1 || d.b[start] != '0')
-}
-
-// scanInt64 reads an integer json.Unmarshal stores in an int64 unchanged.
-func (d *decoder) scanInt64(v *int64) bool {
-	neg := d.key("-")
-	var u uint64
-	if !d.scanUint(&u) || u > math.MaxInt64+1 || (!neg && u > math.MaxInt64) {
-		return false
-	}
-	*v = int64(u)
-	if neg {
-		*v = -*v
-	}
-	return true
-}
-
-// scanInt is scanInt64 for an int: a value the platform's int cannot hold
-// is json's range error to report.
-func (d *decoder) scanInt(v *int) bool {
-	var x int64
-	if !d.scanInt64(&x) || int64(int(x)) != x {
-		return false
-	}
-	*v = int(x)
-	return true
-}
-
-// scanUint32 reads a payload checksum.
-func (d *decoder) scanUint32(v *uint32) bool {
-	var u uint64
-	if !d.scanUint(&u) || u > math.MaxUint32 {
-		return false
-	}
-	*v = uint32(u)
-	return true
-}
-
-// pow10 holds the powers of ten scanFloat divides by, all exact in a float64.
-var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
-
-// scanFloat reads a JSON number — -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
-// — and stores strconv.ParseFloat's value of it, which is what
-// json.Unmarshal stores. Without an exponent, a mantissa of at most 19
-// digits accumulated on the way is exact as an integer; up to 2^53 it is
-// exact as a float64 too, and so is the power of ten it is divided by, and
-// one correctly rounded division yields ParseFloat's bits. Anything else is
-// handed to ParseFloat. A value out of float64 range is json's error.
-func (d *decoder) scanFloat(v *float64) bool {
-	start := d.i
-	neg := d.key("-")
-	var m uint64
-	lead := d.i
-	n := d.digits(&m)
-	if n == 0 || (n > 1 && d.b[lead] == '0') {
-		return false
-	}
-	frac := 0
-	if d.key(".") {
-		if frac = d.digits(&m); frac == 0 {
-			return false
-		}
-	}
-	if d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
-		d.i++
-		if !d.key("+") {
-			d.key("-")
-		}
-		var e uint64
-		if d.digits(&e) == 0 {
-			return false
-		}
-	} else if n+frac <= 19 && m <= 1<<53 {
-		*v = float64(m) / pow10[frac]
-		if neg {
-			*v = -*v
-		}
-		return true
-	}
-	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
-	*v = f
-	return err == nil
-}
-
-// array reads null (a nil slice) or a JSON array whose elements elem reads
+// array reads null (a nil slice) or a JSON array whose elements read reads
 // into a slice allocated once: its length is the number of commas before
 // the closing bracket, plus one. An element needs a byte and a separator,
 // so an array claiming more elements than its bytes can hold is refused
 // before anything is allocated.
-func array[T any](d *decoder, v *[]T, elem func(*decoder, *T) bool) bool {
+func array[T any](d *decoder, v *[]T, read func([]byte, int) (T, int, bool)) bool {
 	if d.key("null") {
 		*v = nil
 		return true
@@ -324,7 +217,8 @@ func array[T any](d *decoder, v *[]T, elem func(*decoder, *T) bool) bool {
 	if !d.key("[") {
 		return false
 	}
-	end := bytes.IndexByte(d.b[d.i:], ']')
+	b, i := d.b, d.i
+	end := bytes.IndexByte(b[i:], ']')
 	if end < 0 {
 		return false
 	}
@@ -333,24 +227,25 @@ func array[T any](d *decoder, v *[]T, elem func(*decoder, *T) bool) bool {
 		*v = []T{}
 		return true
 	}
-	n := bytes.Count(d.b[d.i:d.i+end], []byte{','}) + 1
+	n := bytes.Count(b[i:i+end], []byte{','}) + 1
 	if 2*n-1 > end {
 		return false
 	}
 	xs := make([]T, n)
 	for k := range xs {
-		if !elem(d, &xs[k]) || d.i >= len(d.b) {
+		var ok bool
+		if xs[k], i, ok = read(b, i); !ok || i >= len(b) {
 			return false
 		}
 		sep := byte(',')
 		if k == n-1 {
 			sep = ']'
 		}
-		if d.b[d.i] != sep {
+		if b[i] != sep {
 			return false
 		}
-		d.i++
+		i++
 	}
-	*v = xs
+	d.i, *v = i, xs
 	return true
 }

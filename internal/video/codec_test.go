@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"math/rand"
 	"reflect"
-	"strconv"
 	"testing"
 )
 
@@ -125,43 +123,4 @@ func FuzzAppendManifestFloat(f *testing.F) {
 			t.Fatalf("%v (%#x) decoded to %v (%#x)", x, bits, back.MaskDisplacement[0], b)
 		}
 	})
-}
-
-// TestScanFloatMatchesParseFloat: the decoder's exact shortcut — a mantissa
-// up to 2^53 over a power of ten — and its hand-off to ParseFloat give
-// ParseFloat's bits, across the boundary of the shortcut and for random
-// digit strings of up to 20 digits with the point anywhere.
-func TestScanFloatMatchesParseFloat(t *testing.T) {
-	cases := []string{
-		"0", "-0", "0.5", "-0.0", "9007199254740992", "9007199254740993", "0.9007199254740992",
-		"0.9007199254740993", "1234567890123456789", "0.1234567890123456789", "12345678901234567890",
-		"38.12345678901234", "38.123456789012345", "1e5", "1E-5", "2.5e+3", "1e400", "-1e400", "1e-400",
-	}
-	rng := rand.New(rand.NewSource(1))
-	for k := 0; k < 20000; k++ {
-		digits := make([]byte, 1+rng.Intn(20))
-		for i := range digits {
-			digits[i] = byte('0' + rng.Intn(10))
-		}
-		if len(digits) > 1 && digits[0] == '0' {
-			digits[0] = '1'
-		}
-		s := string(digits)
-		if p := rng.Intn(len(digits)); p > 0 {
-			s = s[:p] + "." + s[p:]
-		}
-		if rng.Intn(2) == 0 {
-			s = "-" + s
-		}
-		cases = append(cases, s)
-	}
-	for _, c := range cases {
-		want, werr := strconv.ParseFloat(c, 64)
-		var got float64
-		d := decoder{b: []byte(c + "]")}
-		ok := d.scanFloat(&got)
-		if ok != (werr == nil) || (ok && (math.Float64bits(got) != math.Float64bits(want) || d.i != len(c))) {
-			t.Fatalf("%s: scanned %v (ok %v), ParseFloat %v (%v)", c, got, ok, want, werr)
-		}
-	}
 }
